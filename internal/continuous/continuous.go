@@ -2,15 +2,38 @@
 // detector the paper's Section 3 calls for: continuous-time detection built
 // on time-decaying Bloom filters instead of resettable window counters.
 //
-// The detector keeps one time-decaying Bloom filter per hierarchy level and
-// a decayed tracker of total traffic mass. Every packet updates the filters
-// along its source address's generalisation chain and then performs an
-// inline admission check: a prefix whose *conditioned* decayed mass — its
-// own estimate minus the estimates claimed by currently active descendant
-// HHHs — reaches phi of the total decayed mass becomes active. Active
-// prefixes are re-validated lazily (on the packets that touch them and on
-// Query) and exit below a configurable hysteresis fraction of the
-// threshold, so reports do not flap around the boundary.
+// The detector keeps one time-decaying Bloom filter per hierarchy level
+// and a decayed tracker of total traffic mass. A packet costs one filter
+// write per level and nothing that grows with the active set:
+//
+//   - Entry, per packet. The filter writes return the estimates of the
+//     packet's own generalisation chain, and every prefix of the chain
+//     that is not active is checked on the spot, bottom-up: a prefix whose
+//     *conditioned* decayed mass — its estimate minus the estimates claimed
+//     by the active HHHs nearest below it — reaches phi of the total
+//     decayed mass becomes active, on that packet.
+//   - Exit, on a fixed sweep cadence and on Query. Active prefixes are not
+//     re-validated by the packets that touch them. After every 64th
+//     packet (sweepEvery), and whenever Query is called, one leaf-to-root
+//     pass re-validates the whole active set — on-chain or not — and a
+//     prefix whose conditioned mass is under ExitRatio·phi·total exits.
+//     The hysteresis keeps reports from flapping around the boundary.
+//
+// An exit is therefore taken at most sweepEvery packets after the first
+// packet at which the prefix was under the exit threshold (OnExit carries
+// the sweep's timestamp) — unless it is back over it by then. The cadence
+// counts the detector's own packets and is not configurable, so that the
+// state after a given packet stream is one thing: independent of how the
+// stream was batched, of the wall clock, and of which node replays it (see
+// sweepEvery). Until a late exit is taken the prefix keeps its claim, so
+// an ancestor that becomes admissible only through that exit waits for it;
+// every other entry is exact to the packet. reference_test.go holds the
+// per-packet rule this one replaced and pins these differences against it.
+//
+// The active set is indexed by (level, packed level key) with each member
+// linked to its nearest active ancestor (active.go), so the entry check
+// masks the packet's leaf key per level instead of building and hashing
+// prefixes, and the claims under a prefix are one walk of a child list.
 //
 // Because decay is continuous there are no window edges: a burst that would
 // straddle a disjoint-window boundary — precisely the traffic the paper
@@ -45,9 +68,9 @@ type Config struct {
 	// horizon plays the role the window length plays for windowed
 	// detectors.
 	Filter tdbf.Config
-	// ExitRatio is the hysteresis: an active prefix exits when its
-	// conditioned mass falls below ExitRatio*Phi*total. Default 0.9;
-	// 1.0 disables hysteresis.
+	// ExitRatio is the hysteresis: an active prefix exits at the first
+	// sweep or Query that finds its conditioned mass below
+	// ExitRatio*Phi*total. Default 0.9; 1.0 disables hysteresis.
 	ExitRatio float64
 	// Warmup suppresses admissions until this much trace time has
 	// passed after the first observed packet, letting the decayed total
@@ -58,29 +81,61 @@ type Config struct {
 	// same trace stamped from zero.
 	Warmup time.Duration
 	// Sampled, when true, updates a single uniformly drawn level per
-	// packet (RHHH-style) and scales estimates by the level count,
-	// trading accuracy for an O(1) update. Seed drives the sampling.
+	// packet (RHHH-style), checks entry at that level only, and scales
+	// estimates by the level count, trading accuracy for one filter
+	// write per packet. Seed drives the sampling.
 	Sampled bool
 	Seed    uint64
-	// OnEnter/OnExit, when set, observe detection transitions with the
-	// packet timestamp that triggered them.
+	// OnEnter/OnExit, when set, observe detection transitions: OnEnter
+	// with the timestamp of the admitting packet, OnExit with that of
+	// the sweep's packet or of the Query.
 	OnEnter func(p addr.Prefix, at int64)
 	OnExit  func(p addr.Prefix, at int64)
 }
+
+// sweepEvery is the exit cadence: the whole active set is re-validated
+// after every sweepEvery-th packet the detector admits (counted from its
+// first, family-filtered packet; Packets() is the counter). It is a
+// constant, not a Config field: the instants at which prefixes exit are
+// part of what a replay must reproduce, so they may depend on nothing but
+// the detector's own packet stream — not on batch boundaries, the wall
+// clock or a knob two nodes could set differently. A sweep costs one
+// filter estimate per active prefix; spread over 64 packets that is about
+// a nanosecond per packet per active prefix, against some two hundred for
+// the packet's own filter writes (the active set holds about ten prefixes
+// at phi = 5 %), and 64 packets is far shorter than any change of mass
+// the hysteresis band does not already absorb.
+const sweepEvery = 64
 
 // Detector is a continuous HHH detector. Not safe for concurrent use.
 type Detector struct {
 	cfg     Config
 	levels  int
+	scale   float64 // estimate multiplier: level count under sampling, else 1
 	filters []*tdbf.Filter
 	total   *tdbf.MassTracker
-	active  map[addr.Prefix]int64 // prefix -> activation timestamp
-	anc     []addr.Prefix
-	masks   []uint64 // per-level key masks, hoisted for the key fast path
+	act     activeSet
+	masks   []uint64 // per-level key masks
 	rng     uint64
 	started bool  // first packet seen; warmEnd is anchored
 	warmEnd int64 // first packet timestamp + Warmup
 	pkts    int64
+
+	// Per-packet scratch, one slot per level: the chain's estimates as
+	// returned by the filter writes, and for each chain prefix whether it
+	// is active and its nearest active strict ancestor (see locate).
+	est []float64
+	on  []bool
+	up  []int32
+	// Sweep scratch, parallel to act.nodes.
+	sweep []verdict
+}
+
+// verdict is one active prefix's row in a revalidate pass.
+type verdict struct {
+	est     float64 // scaled filter estimate
+	claimed float64 // mass claimed by the kept prefixes nearest below
+	drop    bool
 }
 
 // NewDetector validates cfg and builds a detector.
@@ -100,132 +155,45 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = cfg.Filter.Decay.Horizon()
 	}
+	levels := cfg.Hierarchy.Levels()
 	d := &Detector{
 		cfg:    cfg,
-		levels: cfg.Hierarchy.Levels(),
+		levels: levels,
+		scale:  1,
 		total:  tdbf.NewMassTracker(cfg.Filter.Decay),
-		active: make(map[addr.Prefix]int64),
+		masks:  make([]uint64, levels),
 		rng:    hashx.Mix64(cfg.Seed ^ 0x6a09e667f3bcc909),
+		est:    make([]float64, levels),
+		on:     make([]bool, levels),
+		up:     make([]int32, levels),
 	}
-	d.filters = make([]*tdbf.Filter, d.levels)
+	if cfg.Sampled {
+		d.scale = float64(levels)
+	}
+	d.filters = make([]*tdbf.Filter, levels)
 	for l := range d.filters {
 		fc := cfg.Filter
 		fc.Seed = hashx.Mix64(cfg.Seed + uint64(l) + 1)
 		d.filters[l] = tdbf.New(fc)
-	}
-	d.anc = make([]addr.Prefix, 0, d.levels)
-	d.masks = make([]uint64, d.levels)
-	for l := range d.masks {
 		d.masks[l] = cfg.Hierarchy.KeyMask(l)
 	}
+	d.act = newActiveSet(d.masks)
 	return d, nil
-}
-
-// scale is the estimate multiplier: level count under sampling, 1 otherwise.
-func (d *Detector) scale() float64 {
-	if d.cfg.Sampled {
-		return float64(d.levels)
-	}
-	return 1
-}
-
-// estimate returns the scaled decayed-mass estimate of p at now.
-func (d *Detector) estimate(p addr.Prefix, now int64) float64 {
-	l := d.cfg.Hierarchy.Level(p.Bits)
-	return d.filters[l].Estimate(d.cfg.Hierarchy.KeyOfPrefix(p), now) * d.scale()
-}
-
-// claimedUnder sums the estimates of maximal active strict descendants of
-// p: the mass already claimed by more specific HHHs, to be discounted from
-// p's own estimate. The active set is small (bounded by ~1/phi·levels), so
-// the quadratic scan is cheap and only runs for prefixes that already
-// passed the raw-mass pre-check.
-func (d *Detector) claimedUnder(p addr.Prefix, now int64) float64 {
-	var claimed float64
-	for h := range d.active {
-		if h == p || !p.Covers(h) {
-			continue
-		}
-		// h is maximal under p when no other active prefix sits strictly
-		// between p and h.
-		maximal := true
-		for m := range d.active {
-			if m != h && m != p && p.Covers(m) && m.Covers(h) {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			claimed += d.estimate(h, now)
-		}
-	}
-	return claimed
 }
 
 // Observe feeds one packet: src's generalisation chain is folded into the
 // filters at timestamp now (ns, non-decreasing), and the chain's prefixes
-// are checked for admission or exit. Packets outside the hierarchy's
-// address family are dropped without touching the mass tracker, so a
-// dual-stack stream thresholds against its own family's mass only.
+// are checked for admission. Packets outside the hierarchy's address
+// family are dropped without touching the mass tracker, so a dual-stack
+// stream thresholds against its own family's mass only.
 func (d *Detector) Observe(src addr.Addr, bytes int64, now int64) {
 	if !d.cfg.Hierarchy.Match(src) {
 		return
 	}
-	d.anc = d.cfg.Hierarchy.Ancestors(src, d.anc[:0])
-	d.observeChain(bytes, now)
+	d.observe(d.cfg.Hierarchy.Key(src, 0), bytes, now)
 }
 
-// observeChain is the shared per-packet body of Observe/ObserveKeys: it
-// assumes d.anc already holds the packet's generalisation chain (leaf
-// first) and applies the mass update, filter folds and admission pass.
-func (d *Detector) observeChain(bytes int64, now int64) {
-	if !d.started {
-		d.started = true
-		d.warmEnd = now + int64(d.cfg.Warmup)
-	}
-	d.pkts++
-	w := float64(bytes)
-	d.total.Add(w, now)
-	if d.cfg.Sampled {
-		d.rng += 0x9e3779b97f4a7c15
-		l := int((hashx.Mix64(d.rng) >> 32) * uint64(d.levels) >> 32)
-		d.filters[l].Add(d.cfg.Hierarchy.KeyOfPrefix(d.anc[l]), w, now)
-	} else {
-		for l, pre := range d.anc {
-			d.filters[l].Add(d.cfg.Hierarchy.KeyOfPrefix(pre), w, now)
-		}
-	}
-	if now < d.warmEnd {
-		return
-	}
-	enterT := d.cfg.Phi * d.total.Value(now)
-	exitT := enterT * d.cfg.ExitRatio
-	// Bottom-up along the packet's own chain: children admit before
-	// parents so the parent's conditioned mass sees the fresh claim.
-	for _, p := range d.anc {
-		raw := d.estimate(p, now)
-		if _, isActive := d.active[p]; isActive {
-			if raw < exitT || raw-d.claimedUnder(p, now) < exitT {
-				d.deactivate(p, now)
-			}
-			continue
-		}
-		if raw < enterT {
-			continue // cheap pre-check: conditioning only shrinks mass
-		}
-		if raw-d.claimedUnder(p, now) >= enterT {
-			d.active[p] = now
-			if d.cfg.OnEnter != nil {
-				d.cfg.OnEnter(p, now)
-			}
-		}
-	}
-}
-
-// ObserveBatch feeds a run of time-ordered packets. Admission checks are
-// inherently per packet (each arrival can change the active set), so the
-// batch form's gain is amortising the ingest spine's per-packet dispatch,
-// not reordering work.
+// ObserveBatch feeds a run of time-ordered packets.
 func (d *Detector) ObserveBatch(pkts []trace.Packet) {
 	for i := range pkts {
 		d.Observe(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
@@ -233,112 +201,188 @@ func (d *Detector) ObserveBatch(pkts []trace.Packet) {
 }
 
 // ObserveKeys feeds a columnar batch of pre-packed, time-ordered leaf
-// keys. The generalisation chain is rebuilt from the leaf key by masking
-// with the hierarchy's nested per-level masks (PrefixOfKey inverts the
-// packing losslessly, so the chain is identical to Ancestors on the
-// original address); everything after that is the shared per-packet
-// admission body, so the final state is byte-identical to Observe calls
-// on the matching substream.
+// keys. It is Observe without the address packing: both run the same
+// per-packet body on the leaf key, so the state they leave — sweep
+// instants included — does not depend on which was called or on how the
+// stream was cut into batches.
 func (d *Detector) ObserveKeys(b *trace.KeyBatch) {
-	h := d.cfg.Hierarchy
 	for i, key := range b.Keys {
-		d.anc = d.anc[:0]
-		for l, m := range d.masks {
-			d.anc = append(d.anc, h.PrefixOfKey(key&m, l))
+		d.observe(key, int64(b.Sizes[i]), b.Ts[i])
+	}
+}
+
+// observe is the per-packet body. The chain prefix at level l is
+// leaf&masks[l]; the filter writes return the chain's estimates.
+func (d *Detector) observe(leaf uint64, bytes int64, now int64) {
+	if !d.started {
+		d.started = true
+		d.warmEnd = now + int64(d.cfg.Warmup)
+	}
+	d.pkts++
+	w := float64(bytes)
+	total := d.total.Add(w, now)
+	lo, hi := 0, d.levels
+	if d.cfg.Sampled {
+		d.rng += 0x9e3779b97f4a7c15
+		lo = int((hashx.Mix64(d.rng) >> 32) * uint64(d.levels) >> 32)
+		hi = lo + 1
+		d.est[lo] = d.filters[lo].Add(leaf&d.masks[lo], w, now) * d.scale
+	} else {
+		for l, f := range d.filters {
+			d.est[l] = f.Add(leaf&d.masks[l], w, now)
 		}
-		d.observeChain(int64(b.Sizes[i]), b.Ts[i])
+	}
+	if now < d.warmEnd {
+		return
+	}
+	d.admit(leaf, lo, hi, now, d.cfg.Phi*total)
+	if d.pkts%sweepEvery == 0 {
+		d.revalidate(now)
 	}
 }
 
-func (d *Detector) deactivate(p addr.Prefix, now int64) {
-	delete(d.active, p)
-	if d.cfg.OnExit != nil {
-		d.cfg.OnExit(p, now)
+// admit is the entry check over chain levels [lo, hi) — the levels this
+// packet wrote, whose estimates are in d.est — bottom-up, so a child
+// admits before its parent and the parent's conditioned mass sees the
+// fresh claim. Prefixes already active are left alone: their exit is
+// revalidate's business.
+func (d *Detector) admit(leaf uint64, lo, hi int, now int64, enterT float64) {
+	// Conditioning only shrinks mass, so a level whose raw estimate is
+	// under the threshold cannot enter; below the first that is not,
+	// nothing needs looking up.
+	for lo < hi && d.est[lo] < enterT {
+		lo++
+	}
+	if lo == hi {
+		return
+	}
+	d.locate(leaf, lo)
+	for l := lo; l < hi; l++ {
+		if d.on[l] || d.est[l] < enterT {
+			continue
+		}
+		key := leaf & d.masks[l]
+		if d.est[l]-d.claimedUnder(l, key, leaf, now) < enterT {
+			continue
+		}
+		d.act.add(l, key, now)
+		d.act.fix()
+		d.locate(leaf, l+1)
+		if d.cfg.OnEnter != nil {
+			d.cfg.OnEnter(d.cfg.Hierarchy.PrefixOfKey(key, l), now)
+		}
 	}
 }
 
-// Query re-validates the whole active set at time now and returns the
+// locate looks the packet's chain up in the active set, root down to
+// level lo: on[l] says whether the chain's level-l prefix is active, up[l]
+// is its nearest active strict ancestor (-1: none).
+func (d *Detector) locate(leaf uint64, lo int) {
+	up := int32(-1)
+	for l := d.levels - 1; l >= lo; l-- {
+		d.up[l] = up
+		j := d.act.find(l, leaf&d.masks[l])
+		if d.on[l] = j >= 0; j >= 0 {
+			up = j
+		}
+	}
+}
+
+// claimedUnder sums the estimates of the maximal active strict descendants
+// of the inactive chain prefix (level, key): the mass more specific HHHs
+// already claim, to be discounted from its own estimate. None of them has
+// an active prefix between itself and (level, key), so they all hang off
+// the same node as (level, key) would — up[level] — and one walk of that
+// node's child list finds them. The one on the packet's own chain, if
+// any, was estimated by this packet's filter write.
+func (d *Detector) claimedUnder(level int, key, leaf uint64, now int64) float64 {
+	var claimed float64
+	for c := d.act.head(d.up[level]); c >= 0; c = d.act.nodes[c].sibling {
+		n := &d.act.nodes[c]
+		if int(n.level) >= level || n.key&d.masks[level] != key {
+			continue
+		}
+		if !d.cfg.Sampled && n.key == leaf&d.masks[n.level] {
+			claimed += d.est[n.level]
+		} else {
+			claimed += d.estimate(n, now)
+		}
+	}
+	return claimed
+}
+
+// prefixOf rebuilds the prefix n stands for.
+func (d *Detector) prefixOf(n *node) addr.Prefix {
+	return d.cfg.Hierarchy.PrefixOfKey(n.key, int(n.level))
+}
+
+// estimate returns the scaled decayed-mass estimate of n's prefix at now.
+func (d *Detector) estimate(n *node, now int64) float64 {
+	return d.filters[n.level].Estimate(n.key, now) * d.scale
+}
+
+// revalidate is the exit check: one leaf-to-root pass over the whole
+// active set at time now. A prefix is kept when its conditioned mass — its
+// estimate minus what the kept prefixes nearest below it claim — is at
+// least ExitRatio·Phi·total, and then claims its whole estimate from its
+// nearest active ancestor; otherwise it exits (OnExit fires) and passes
+// its descendants' claims up unchanged. On return d.sweep[i] holds the
+// verdict of d.act.nodes[i].
+func (d *Detector) revalidate(now int64) {
+	nodes := d.act.nodes
+	if len(nodes) == 0 {
+		return
+	}
+	exitT := d.cfg.Phi * d.total.Value(now) * d.cfg.ExitRatio
+	d.sweep = d.sweep[:0]
+	for i := range nodes {
+		d.sweep = append(d.sweep, verdict{est: d.estimate(&nodes[i], now)})
+	}
+	dropped := false
+	for i := range nodes {
+		v := &d.sweep[i]
+		pass := v.est
+		if v.drop = v.est-v.claimed < exitT; v.drop {
+			pass, dropped = v.claimed, true
+		}
+		if p := nodes[i].parent; p >= 0 {
+			d.sweep[p].claimed += pass
+		}
+	}
+	if !dropped {
+		return
+	}
+	kept := 0
+	for i := range nodes {
+		if d.sweep[i].drop {
+			if d.cfg.OnExit != nil {
+				d.cfg.OnExit(d.prefixOf(&nodes[i]), now)
+			}
+			continue
+		}
+		nodes[kept], d.sweep[kept] = nodes[i], d.sweep[i]
+		kept++
+	}
+	d.act.nodes, d.sweep = nodes[:kept], d.sweep[:kept]
+	d.act.fix()
+}
+
+// Query re-validates the whole active set at time now — the pass the
+// detector runs by itself every sweepEvery packets — and returns the
 // current HHH set with decayed-mass estimates. Prefixes whose conditioned
 // mass fell below the exit threshold are deactivated (with OnExit fired).
 func (d *Detector) Query(now int64) hhh.Set {
 	out := hhh.Set{}
-	if len(d.active) == 0 {
-		return out
-	}
-	exitT := d.cfg.Phi * d.total.Value(now) * d.cfg.ExitRatio
-
-	// Process most-specific first so claims propagate upward exactly as
-	// in the exact algorithm's bottom-up pass.
-	prefixes := make([]addr.Prefix, 0, len(d.active))
-	for p := range d.active {
-		prefixes = append(prefixes, p)
-	}
-	// Sort by descending Bits (then address for determinism).
-	for i := 1; i < len(prefixes); i++ {
-		for j := i; j > 0 && less(prefixes[j], prefixes[j-1]); j-- {
-			prefixes[j], prefixes[j-1] = prefixes[j-1], prefixes[j]
-		}
-	}
-
-	type verdict struct {
-		est     float64
-		claim   float64 // mass this subtree passes to its nearest ancestor
-		keep    bool
-		cond    float64
-		claimed float64 // accumulated claims from descendants
-	}
-	verdicts := make(map[addr.Prefix]*verdict, len(prefixes))
-	for _, p := range prefixes {
-		verdicts[p] = &verdict{est: d.estimate(p, now)}
-	}
-	for _, p := range prefixes {
-		v := verdicts[p]
-		v.cond = v.est - v.claimed
-		if v.cond >= exitT {
-			v.keep = true
-			v.claim = v.est
-		} else {
-			v.claim = v.claimed // pass through descendants' claims
-		}
-		// Attribute the claim to the nearest remaining candidate ancestor.
-		if v.claim > 0 {
-			var best *verdict
-			bestBits := -1
-			for _, q := range prefixes {
-				if q == p || !q.Covers(p) {
-					continue
-				}
-				if int(q.Bits) > bestBits {
-					bestBits = int(q.Bits)
-					best = verdicts[q]
-				}
-			}
-			if best != nil {
-				best.claimed += v.claim
-			}
-		}
-	}
-	for _, p := range prefixes {
-		v := verdicts[p]
-		if !v.keep {
-			d.deactivate(p, now)
-			continue
-		}
+	d.revalidate(now)
+	for i := range d.act.nodes {
+		n, v := &d.act.nodes[i], &d.sweep[i]
 		out.Add(hhh.Item{
-			Prefix:      p,
+			Prefix:      d.prefixOf(n),
 			Count:       int64(v.est),
-			Conditioned: int64(v.cond),
+			Conditioned: int64(v.est - v.claimed),
 		})
 	}
 	return out
-}
-
-// less orders prefixes most-specific-first, then by address.
-func less(a, b addr.Prefix) bool {
-	if a.Bits != b.Bits {
-		return a.Bits > b.Bits
-	}
-	return a.Addr.Less(b.Addr)
 }
 
 // Merge folds detector o into d; o is not modified. Both detectors must
@@ -367,11 +411,8 @@ func (d *Detector) Merge(o *Detector) {
 		d.filters[l].Merge(o.filters[l])
 	}
 	d.total.Merge(o.total)
-	for p, at := range o.active {
-		if cur, ok := d.active[p]; !ok || at < cur {
-			d.active[p] = at
-		}
-	}
+	d.act.nodes = append(d.act.nodes, o.act.nodes...)
+	d.act.fix()
 	if o.started && (!d.started || o.warmEnd > d.warmEnd) {
 		d.started = true
 		d.warmEnd = o.warmEnd
@@ -380,7 +421,7 @@ func (d *Detector) Merge(o *Detector) {
 }
 
 // ActiveLen returns the size of the active set without revalidation.
-func (d *Detector) ActiveLen() int { return len(d.active) }
+func (d *Detector) ActiveLen() int { return len(d.act.nodes) }
 
 // TotalMass returns the decayed total traffic mass at now.
 func (d *Detector) TotalMass(now int64) float64 { return d.total.Value(now) }
@@ -389,13 +430,13 @@ func (d *Detector) TotalMass(now int64) float64 { return d.total.Value(now) }
 func (d *Detector) Packets() int64 { return d.pkts }
 
 // SizeBytes returns the state footprint: the per-level filters plus the
-// (bounded) active set.
+// (bounded) active set and its index.
 func (d *Detector) SizeBytes() int {
-	n := 0
+	n := d.act.sizeBytes()
 	for _, f := range d.filters {
 		n += f.SizeBytes()
 	}
-	return n + len(d.active)*24
+	return n
 }
 
 // Reset returns the detector to its initial state (the RNG continues).
@@ -404,7 +445,7 @@ func (d *Detector) Reset() {
 		f.Reset()
 	}
 	d.total.Reset()
-	d.active = make(map[addr.Prefix]int64)
+	d.act.reset()
 	d.started = false
 	d.warmEnd = 0
 	d.pkts = 0

@@ -2,6 +2,7 @@ package continuous
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -33,8 +34,10 @@ func dualStackStream(seed int64, n int) []trace.Packet {
 // per-packet path: ObserveKeys (fed producer-packed KeyBatches, so each
 // packet's generalisation chain is rebuilt from the leaf key by masking)
 // must leave the detector in a byte-identical state to Observe calls —
-// same admissions, same exits, same filter folds — for both families,
-// with and without level sampling, across awkward batch boundaries.
+// same admissions and same exits at the same timestamps (so the exit
+// sweep fires after the same packets however the stream is chunked), same
+// active set, same filter folds — for both families, with and without
+// level sampling, across awkward batch boundaries.
 func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 	pkts := dualStackStream(17, 16000)
 	last := pkts[len(pkts)-1].Ts
@@ -48,7 +51,12 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 				name += "-sampled"
 			}
 			t.Run(name, func(t *testing.T) {
-				mk := func() *Detector {
+				type event struct {
+					enter bool
+					p     addr.Prefix
+					at    int64
+				}
+				mk := func(log *[]event) *Detector {
 					d, err := NewDetector(Config{
 						Hierarchy: h,
 						Phi:       0.05,
@@ -59,19 +67,33 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 						},
 						Sampled: sampled,
 						Seed:    7,
+						OnEnter: func(p addr.Prefix, at int64) { *log = append(*log, event{true, p, at}) },
+						OnExit:  func(p addr.Prefix, at int64) { *log = append(*log, event{false, p, at}) },
 					})
 					if err != nil {
 						t.Fatal(err)
 					}
 					return d
 				}
-				ref := mk()
+				var refLog []event
+				ref := mk(&refLog)
 				for i := range pkts {
 					ref.Observe(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
 				}
+				refActive := ref.State().Active
 				want := ref.Query(last)
+				exits := 0
+				for _, e := range refLog {
+					if !e.enter && e.at != last {
+						exits++
+					}
+				}
+				if exits == 0 {
+					t.Fatal("stream never exercises the exit sweep")
+				}
 				for _, bs := range []int{1, 7, 97, len(pkts)} {
-					got := mk()
+					var log []event
+					got := mk(&log)
 					kb := trace.NewKeyBatch(bs)
 					for off := 0; off < len(pkts); off += bs {
 						end := min(off+bs, len(pkts))
@@ -88,11 +110,29 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 					if got.ActiveLen() != ref.ActiveLen() {
 						t.Fatalf("chunk %d: active %d != per-packet %d", bs, got.ActiveLen(), ref.ActiveLen())
 					}
+					if a := got.State().Active; !slices.Equal(a, refActive) {
+						t.Fatalf("chunk %d: active set diverged:\nbatch: %v\nref:   %v", bs, a, refActive)
+					}
+					for l, f := range got.State().Filters {
+						if !slices.Equal(cellsOf(f), cellsOf(ref.State().Filters[l])) {
+							t.Fatalf("chunk %d: level %d filter cells diverged", bs, l)
+						}
+					}
 					if gs := got.Query(last); !gs.Equal(want) {
 						t.Fatalf("chunk %d: query diverged:\nbatch: %v\nref:   %v", bs, gs, want)
+					}
+					if !slices.Equal(log, refLog) {
+						t.Fatalf("chunk %d: transitions diverged:\nbatch: %v\nref:   %v", bs, log, refLog)
 					}
 				}
 			})
 		}
 	}
+}
+
+// cellsOf flattens a filter's cells for comparison.
+func cellsOf(f *tdbf.Filter) []float64 {
+	out := make([]float64, 0, 2*f.Cells())
+	f.ForEachCell(func(v float64, touch int64) { out = append(out, v, float64(touch)) })
+	return out
 }

@@ -9,15 +9,17 @@ package continuous
 import (
 	"fmt"
 
-	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/tdbf"
 )
 
-// ActiveEntry is one currently active HHH prefix with its activation
-// timestamp, the serializable form of the detector's active set.
+// ActiveEntry is one currently active HHH prefix — its hierarchy level
+// and packed level key (addr.Hierarchy.PrefixOfKey rebuilds the prefix)
+// — with its activation timestamp: the serializable form of the
+// detector's active set.
 type ActiveEntry struct {
-	Prefix addr.Prefix
-	At     int64
+	Level int
+	Key   uint64
+	At    int64
 }
 
 // State is the serializable state of a Detector: the warmup anchor, the
@@ -42,18 +44,18 @@ func (d *Detector) Config() Config { return d.cfg }
 func (d *Detector) Sampler() uint64 { return d.rng }
 
 // State returns a view of the detector's serializable state. The active
-// set is copied in unspecified order; the filters are the live ones.
+// set is copied, sorted by (level, key); the filters are the live ones.
 func (d *Detector) State() State {
 	st := State{
 		Started: d.started,
 		WarmEnd: d.warmEnd,
 		Packets: d.pkts,
 		Total:   d.total.State(),
-		Active:  make([]ActiveEntry, 0, len(d.active)),
+		Active:  make([]ActiveEntry, len(d.act.nodes)),
 		Filters: d.filters,
 	}
-	for p, at := range d.active {
-		st.Active = append(st.Active, ActiveEntry{Prefix: p, At: at})
+	for i, n := range d.act.nodes {
+		st.Active[i] = ActiveEntry{Level: int(n.level), Key: n.key, At: n.at}
 	}
 	return st
 }
@@ -61,8 +63,9 @@ func (d *Detector) State() State {
 // Restore rebuilds a detector from cfg, the sampler state, and
 // serialized state. Per-level filters are adopted (typically from
 // tdbf.RestoreFilter) and must have the shape, per-level derived seed
-// and decay law NewDetector would have built from cfg; active prefixes
-// must lie on the hierarchy's lattice.
+// and decay law NewDetector would have built from cfg; active entries
+// must name a level of the hierarchy and a key generalised to it. Of
+// duplicate entries the earliest activation is kept.
 func Restore(cfg Config, sampler uint64, st State) (*Detector, error) {
 	d, err := NewDetector(cfg)
 	if err != nil {
@@ -88,14 +91,13 @@ func Restore(cfg Config, sampler uint64, st State) (*Detector, error) {
 	}
 	d.total = total
 	for _, e := range st.Active {
-		if !cfg.Hierarchy.OnLattice(e.Prefix) {
-			return nil, fmt.Errorf("continuous: restore: active prefix %v off the hierarchy lattice", e.Prefix)
+		if e.Level < 0 || e.Level >= d.levels || e.Key&^d.masks[e.Level] != 0 ||
+			!cfg.Hierarchy.OnLattice(cfg.Hierarchy.PrefixOfKey(e.Key, e.Level)) {
+			return nil, fmt.Errorf("continuous: restore: active entry (level %d, key %#x) off the hierarchy lattice", e.Level, e.Key)
 		}
-		if cur, ok := d.active[e.Prefix]; ok && cur <= e.At {
-			continue
-		}
-		d.active[e.Prefix] = e.At
+		d.act.add(e.Level, e.Key, e.At)
 	}
+	d.act.fix()
 	if st.Packets < 0 {
 		return nil, fmt.Errorf("continuous: restore: negative packet count %d", st.Packets)
 	}

@@ -15,7 +15,8 @@ import (
 // FilterState is the serializable state of a Filter: its shape and seed
 // plus the cell masses and touch timestamps as parallel columns. The
 // decay law travels separately (it is an interface; wire encodes it as a
-// tagged descriptor). The slices returned by State are fresh copies.
+// tagged descriptor). It is the input of RestoreFilter; the way out of a
+// live filter is its accessors and ForEachCell.
 type FilterState struct {
 	Cells  int
 	Hashes int
@@ -29,21 +30,13 @@ type FilterState struct {
 // to verify that two filters are merge-compatible.
 func (f *Filter) Seed() uint64 { return f.seed }
 
-// State returns a copy of the filter's serializable state.
-func (f *Filter) State() FilterState {
-	st := FilterState{
-		Cells:  len(f.cells),
-		Hashes: f.k,
-		Seed:   f.seed,
-		Adds:   f.adds,
-		V:      make([]float64, len(f.cells)),
-		Touch:  make([]int64, len(f.cells)),
+// ForEachCell calls fn with every cell's mass and touch timestamp, in
+// cell-index order — the read-only view serializers write a frame from
+// without a column copy in between.
+func (f *Filter) ForEachCell(fn func(v float64, touch int64)) {
+	for _, c := range f.cells {
+		fn(c.v, c.touch)
 	}
-	for i, c := range f.cells {
-		st.V[i] = c.v
-		st.Touch[i] = c.touch
-	}
-	return st
 }
 
 // RestoreFilter rebuilds a filter from a decay law and serialized state.
@@ -68,6 +61,7 @@ func RestoreFilter(d Decay, st FilterState) (*Filter, error) {
 		k:     st.Hashes,
 		seed:  st.Seed,
 		decay: d,
+		shape: shapeOf(st.Cells, d),
 		adds:  st.Adds,
 	}
 	for i := range f.cells {
@@ -98,5 +92,5 @@ func RestoreMassTracker(d Decay, st MassState) (*MassTracker, error) {
 	if math.IsNaN(st.V) || math.IsInf(st.V, 0) || st.V < 0 {
 		return nil, fmt.Errorf("tdbf: restore: invalid mass %v", st.V)
 	}
-	return &MassTracker{decay: d, v: st.V, touch: st.Touch}, nil
+	return &MassTracker{decay: d, law: d.String(), v: st.V, touch: st.Touch}, nil
 }

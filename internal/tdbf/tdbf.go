@@ -110,8 +110,41 @@ type Filter struct {
 	k     int
 	seed  uint64
 	decay Decay
+	shape shape
 
 	adds int64
+}
+
+// shape is what New and RestoreFilter derive once from the cell count and
+// the decay law so that Add, Estimate and Merge do not derive it per call.
+type shape struct {
+	// mask is len(cells)-1 when that length is a power of two (indices
+	// are then taken with & instead of %), zero otherwise.
+	mask uint64
+	// tau is the time constant in ns when the law is Exponential, so Add
+	// can compute one exp factor per distinct dt; zero for other laws.
+	tau float64
+	// law is decay.String(), the identity Merge compares.
+	law string
+}
+
+func shapeOf(cells int, d Decay) shape {
+	s := shape{law: d.String()}
+	if cells&(cells-1) == 0 {
+		s.mask = uint64(cells - 1)
+	}
+	if e, ok := d.(Exponential); ok {
+		s.tau = float64(e.Tau)
+	}
+	return s
+}
+
+// index reduces a double-hashing probe to a cell index.
+func (f *Filter) index(h uint64) uint64 {
+	if f.shape.mask != 0 {
+		return h & f.shape.mask
+	}
+	return h % uint64(len(f.cells))
 }
 
 // Config configures a Filter.
@@ -148,6 +181,7 @@ func New(cfg Config) *Filter {
 		k:     cfg.Hashes,
 		seed:  cfg.Seed,
 		decay: cfg.Decay,
+		shape: shapeOf(cfg.Cells, cfg.Decay),
 	}
 }
 
@@ -166,21 +200,48 @@ func (f *Filter) SizeBytes() int { return len(f.cells) * 16 }
 // Adds returns the number of Add calls since construction or Reset.
 func (f *Filter) Adds() int64 { return f.adds }
 
-// Add records weight w for key at time now (ns). Timestamps must be
+// Add records weight w for key at time now (ns) and returns the key's
+// estimate after the add — the minimum of the k cells just written, bit
+// for bit what Estimate(key, now) would return next. Timestamps must be
 // non-decreasing across calls; the experiments replay time-sorted traces,
 // which guarantees this.
-func (f *Filter) Add(key uint64, w float64, now int64) {
+//
+// Cells that were last touched at the same instant share one decay
+// factor (a heavy key's k cells usually were: by that key's previous
+// packet), so under the exponential law they cost one exp, not k. The
+// product is the one Exponential.Apply forms, so cell contents do not
+// depend on which route computed them.
+func (f *Filter) Add(key uint64, w float64, now int64) float64 {
 	f.adds++
 	h1, h2 := hashx.Indices2(key, f.seed)
-	m := uint64(len(f.cells))
+	var factorDt int64
+	var factor float64
 	for i := 0; i < f.k; i++ {
-		c := &f.cells[(h1+uint64(i)*h2)%m]
+		c := &f.cells[f.index(h1+uint64(i)*h2)]
 		if dt := now - c.touch; dt > 0 && c.v > 0 {
-			c.v = f.decay.Apply(c.v, time.Duration(dt))
+			if f.shape.tau == 0 {
+				c.v = f.decay.Apply(c.v, time.Duration(dt))
+			} else {
+				if dt != factorDt {
+					factorDt, factor = dt, math.Exp(-float64(dt)/f.shape.tau)
+				}
+				// The conversion keeps the product rounded before w is
+				// added on targets that would otherwise fuse the two.
+				c.v = float64(c.v * factor)
+			}
 		}
 		c.touch = now
 		c.v += w
 	}
+	// A second walk, because two probes may land on one cell (k > m, or m
+	// sharing a factor with the stride): its value is final only now.
+	min := math.Inf(1)
+	for i := 0; i < f.k; i++ {
+		if v := f.cells[f.index(h1+uint64(i)*h2)].v; v < min {
+			min = v
+		}
+	}
+	return min
 }
 
 // Estimate returns the filter's estimate of key's decayed mass at time
@@ -188,10 +249,9 @@ func (f *Filter) Add(key uint64, w float64, now int64) {
 // result never falls below the key's true decayed mass.
 func (f *Filter) Estimate(key uint64, now int64) float64 {
 	h1, h2 := hashx.Indices2(key, f.seed)
-	m := uint64(len(f.cells))
 	min := math.Inf(1)
 	for i := 0; i < f.k; i++ {
-		c := f.cells[(h1+uint64(i)*h2)%m]
+		c := f.cells[f.index(h1+uint64(i)*h2)]
 		v := c.v
 		if dt := now - c.touch; dt > 0 && v > 0 {
 			v = f.decay.Apply(v, time.Duration(dt))
@@ -219,8 +279,7 @@ func (f *Filter) Merge(o *Filter) {
 	if o == nil {
 		return
 	}
-	if len(f.cells) != len(o.cells) || f.k != o.k || f.seed != o.seed ||
-		f.decay.String() != o.decay.String() {
+	if len(f.cells) != len(o.cells) || f.k != o.k || f.seed != o.seed || f.shape.law != o.shape.law {
 		panic("tdbf: Filter.Merge shape/seed/decay mismatch")
 	}
 	for i := range f.cells {
@@ -256,6 +315,7 @@ func (f *Filter) Reset() {
 // total decayed traffic mass, the denominator of its relative thresholds.
 type MassTracker struct {
 	decay Decay
+	law   string // decay.String(), the identity Merge compares
 	v     float64
 	touch int64
 }
@@ -265,16 +325,18 @@ func NewMassTracker(d Decay) *MassTracker {
 	if d == nil {
 		panic("tdbf: decay law required")
 	}
-	return &MassTracker{decay: d}
+	return &MassTracker{decay: d, law: d.String()}
 }
 
-// Add folds weight w observed at now into the tracker.
-func (t *MassTracker) Add(w float64, now int64) {
+// Add folds weight w observed at now into the tracker and returns the
+// mass after the add, which is what Value(now) would return next.
+func (t *MassTracker) Add(w float64, now int64) float64 {
 	if dt := now - t.touch; dt > 0 && t.v > 0 {
 		t.v = t.decay.Apply(t.v, time.Duration(dt))
 	}
 	t.touch = now
 	t.v += w
+	return t.v
 }
 
 // Value returns the decayed mass at now.
@@ -293,7 +355,7 @@ func (t *MassTracker) Merge(o *MassTracker) {
 	if o == nil {
 		return
 	}
-	if t.decay.String() != o.decay.String() {
+	if t.law != o.law {
 		panic("tdbf: MassTracker.Merge decay mismatch")
 	}
 	at := t.touch

@@ -1,11 +1,14 @@
 package tdbf
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"hiddenhhh/internal/hashx"
 )
 
 const sec = int64(time.Second)
@@ -425,5 +428,72 @@ func TestMassTrackerMerge(t *testing.T) {
 	got, want := a.Value(now), whole.Value(now)
 	if diff := got - want; diff > 1e-6*want || diff < -1e-6*want {
 		t.Errorf("merged mass %g != union %g", got, want)
+	}
+}
+
+// addPerCell is Add as it was before it returned the estimate and shared
+// decay factors between cells: every probe reduced with %, every cell
+// decayed through the law's Apply.
+func addPerCell(f *Filter, key uint64, w float64, now int64) {
+	f.adds++
+	h1, h2 := hashx.Indices2(key, f.seed)
+	m := uint64(len(f.cells))
+	for i := 0; i < f.k; i++ {
+		c := &f.cells[(h1+uint64(i)*h2)%m]
+		if dt := now - c.touch; dt > 0 && c.v > 0 {
+			c.v = f.decay.Apply(c.v, time.Duration(dt))
+		}
+		c.touch = now
+		c.v += w
+	}
+}
+
+// TestAddReturnsEstimateAndKeepsCells: for both decay laws, a
+// power-of-two and an odd-factored cell count, and a filter small enough
+// that probes of one key collide, (a) the value Add returns is bit for bit
+// the Estimate taken right after, and (b) the cells are identical to a
+// filter fed the same stream through the old per-cell loop — which is
+// what keeps sealed frames byte-identical.
+func TestAddReturnsEstimateAndKeepsCells(t *testing.T) {
+	laws := []Decay{Exponential{Tau: 300 * time.Millisecond}, LeakyLinear{Rate: 2e5}}
+	for _, law := range laws {
+		for _, cells := range []int{1 << 10, 1000, 6} {
+			t.Run(fmt.Sprintf("%v/%d", law, cells), func(t *testing.T) {
+				cfg := Config{Cells: cells, Hashes: 4, Seed: 11, Decay: law}
+				got, want := New(cfg), New(cfg)
+				rng := rand.New(rand.NewSource(5))
+				now := int64(0)
+				for i := 0; i < 50000; i++ {
+					// Heavy keys (cells sharing a touch time), a long tail
+					// (cells last touched by different keys), repeated
+					// timestamps and the odd long gap.
+					key := uint64(rng.Intn(8))
+					if rng.Intn(3) == 0 {
+						key = rng.Uint64()
+					}
+					switch rng.Intn(10) {
+					case 0:
+					case 1:
+						now += int64(rng.Intn(int(time.Second)))
+					default:
+						now += int64(rng.Intn(int(50 * time.Microsecond)))
+					}
+					w := float64(40 + rng.Intn(1460))
+					ret := got.Add(key, w, now)
+					if est := got.Estimate(key, now); math.Float64bits(ret) != math.Float64bits(est) {
+						t.Fatalf("add %d: returned %v, Estimate right after %v", i, ret, est)
+					}
+					addPerCell(want, key, w, now)
+				}
+				for i := range want.cells {
+					if got.cells[i] != want.cells[i] {
+						t.Fatalf("cell %d: %+v, per-cell loop %+v", i, got.cells[i], want.cells[i])
+					}
+				}
+				if got.Adds() != want.Adds() {
+					t.Fatalf("adds %d != %d", got.Adds(), want.Adds())
+				}
+			})
+		}
 	}
 }

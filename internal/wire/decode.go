@@ -643,7 +643,7 @@ func decodeContinuousPayload(hdr Header, payload []byte) (*continuous.Detector, 
 			return nil, err
 		}
 		prevLevel, prevKey = level, key
-		active[i] = continuous.ActiveEntry{Prefix: h.PrefixOfKey(key, level), At: at}
+		active[i] = continuous.ActiveEntry{Level: level, Key: key, At: at}
 	}
 
 	nf := int(c.u16())

@@ -209,24 +209,42 @@ const (
 	decayLeaky       = 2 // param: drain rate as float64 per second
 )
 
+// Payload sizes of the filter-backed kinds, known from shape × levels:
+// the frame is allocated once at its final size and the cells — all but
+// a few dozen bytes of it — are written straight into it.
+const (
+	decaySize        = 1 + 8         // tag, parameter
+	filterHeaderSize = 4 + 2 + 8 + 8 // cells, hashes, seed, adds
+	// configuration, filter shape and detector state, the two counts
+	continuousHeaderSize = 8 + 8 + 1 + 8 + 8 + 8 + decaySize + 4 + 2 + 8 + 8 + 8 + 8 + 4 + 2
+	activeRowSize        = 8 + 2 + 8 // key, level, activation timestamp
+	levelHeaderSize      = 8 + 8     // seed, adds
+	cellSize             = 8 + 8     // mass, touch timestamp
+)
+
+// appendCells writes f's cell array, 16 bytes per cell.
+func appendCells(b []byte, f *tdbf.Filter) []byte {
+	f.ForEachCell(func(v float64, touch int64) {
+		b = appendF64(b, v)
+		b = appendI64(b, touch)
+	})
+	return b
+}
+
 // EncodeFilter frames a bare time-decaying Bloom filter (KindFilter, no
 // hierarchy descriptor). Returns an error for decay laws outside the
 // two stock ones, which have no wire representation.
 func EncodeFilter(f *tdbf.Filter) ([]byte, error) {
-	payload, err := appendDecay(nil, f.Decay())
+	b := beginFrame(KindFilter, 0, 0, 0, decaySize+filterHeaderSize+f.Cells()*cellSize)
+	b, err := appendDecay(b, f.Decay())
 	if err != nil {
 		return nil, err
 	}
-	st := f.State()
-	payload = appendU32(payload, uint32(st.Cells))
-	payload = appendU16(payload, uint16(st.Hashes))
-	payload = appendU64(payload, st.Seed)
-	payload = appendI64(payload, st.Adds)
-	for i := range st.V {
-		payload = appendF64(payload, st.V[i])
-		payload = appendI64(payload, st.Touch[i])
-	}
-	return frameFor(KindFilter, 0, 0, 0, payload), nil
+	b = appendU32(b, uint32(f.Cells()))
+	b = appendU16(b, uint16(f.Hashes()))
+	b = appendU64(b, f.Seed())
+	b = appendI64(b, f.Adds())
+	return endFrame(appendCells(b, f)), nil
 }
 
 // EncodeContinuous frames a continuous detector (KindContinuous): its
@@ -235,7 +253,6 @@ func EncodeFilter(f *tdbf.Filter) ([]byte, error) {
 // by (level, key) for determinism, then the per-level filter columns.
 func EncodeContinuous(d *continuous.Detector) ([]byte, error) {
 	cfg := d.Config()
-	h := cfg.Hierarchy
 	st := d.State()
 	var cflags byte
 	if cfg.Sampled {
@@ -244,67 +261,41 @@ func EncodeContinuous(d *continuous.Detector) ([]byte, error) {
 	if st.Started {
 		cflags |= 2
 	}
-	payload := appendF64(nil, cfg.Phi)
-	payload = appendF64(payload, cfg.ExitRatio)
-	payload = append(payload, cflags)
-	payload = appendU64(payload, cfg.Seed)
-	payload = appendI64(payload, int64(cfg.Warmup))
-	payload = appendU64(payload, d.Sampler())
-	payload, err := appendDecay(payload, cfg.Filter.Decay)
+	// Shape comes from the live filters, not cfg.Filter: the stored config
+	// may hold zeros that tdbf.New resolved to defaults at construction.
+	cells, hashes := st.Filters[0].Cells(), st.Filters[0].Hashes()
+	fam, step, depth := describe(cfg.Hierarchy)
+	b := beginFrame(KindContinuous, fam, step, depth, continuousHeaderSize+
+		len(st.Active)*activeRowSize+len(st.Filters)*(levelHeaderSize+cells*cellSize))
+	b = appendF64(b, cfg.Phi)
+	b = appendF64(b, cfg.ExitRatio)
+	b = append(b, cflags)
+	b = appendU64(b, cfg.Seed)
+	b = appendI64(b, int64(cfg.Warmup))
+	b = appendU64(b, d.Sampler())
+	b, err := appendDecay(b, cfg.Filter.Decay)
 	if err != nil {
 		return nil, err
 	}
-	// Shape comes from the live filters, not cfg.Filter: the stored config
-	// may hold zeros that tdbf.New resolved to defaults at construction.
-	payload = appendU32(payload, uint32(st.Filters[0].Cells()))
-	payload = appendU16(payload, uint16(st.Filters[0].Hashes()))
-	payload = appendI64(payload, st.WarmEnd)
-	payload = appendI64(payload, st.Packets)
-	payload = appendF64(payload, st.Total.V)
-	payload = appendI64(payload, st.Total.Touch)
+	b = appendU32(b, uint32(cells))
+	b = appendU16(b, uint16(hashes))
+	b = appendI64(b, st.WarmEnd)
+	b = appendI64(b, st.Packets)
+	b = appendF64(b, st.Total.V)
+	b = appendI64(b, st.Total.Touch)
 
-	type activeRow struct {
-		key   uint64
-		level int
-		at    int64
-	}
-	rows := make([]activeRow, 0, len(st.Active))
+	b = appendU32(b, uint32(len(st.Active))) // State sorts by (level, key)
 	for _, e := range st.Active {
-		rows = append(rows, activeRow{
-			key:   h.KeyOfPrefix(e.Prefix),
-			level: h.Level(e.Prefix.Bits),
-			at:    e.At,
-		})
-	}
-	slices.SortFunc(rows, func(a, b activeRow) int {
-		if a.level != b.level {
-			return a.level - b.level
-		}
-		switch {
-		case a.key < b.key:
-			return -1
-		case a.key > b.key:
-			return 1
-		}
-		return 0
-	})
-	payload = appendU32(payload, uint32(len(rows)))
-	for _, r := range rows {
-		payload = appendU64(payload, r.key)
-		payload = appendU16(payload, uint16(r.level))
-		payload = appendI64(payload, r.at)
+		b = appendU64(b, e.Key)
+		b = appendU16(b, uint16(e.Level))
+		b = appendI64(b, e.At)
 	}
 
-	payload = appendU16(payload, uint16(len(st.Filters)))
+	b = appendU16(b, uint16(len(st.Filters)))
 	for _, f := range st.Filters {
-		fs := f.State()
-		payload = appendU64(payload, fs.Seed)
-		payload = appendI64(payload, fs.Adds)
-		for i := range fs.V {
-			payload = appendF64(payload, fs.V[i])
-			payload = appendI64(payload, fs.Touch[i])
-		}
+		b = appendU64(b, f.Seed())
+		b = appendI64(b, f.Adds())
+		b = appendCells(b, f)
 	}
-	fam, step, depth := describe(h)
-	return frameFor(KindContinuous, fam, step, depth, payload), nil
+	return endFrame(b), nil
 }

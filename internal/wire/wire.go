@@ -270,15 +270,28 @@ func parseFrame(frame []byte) (Header, []byte, error) {
 	return hdr, frame[headerSize : headerSize+n], nil
 }
 
-// frameFor assembles a complete frame around payload.
-func frameFor(kind Kind, fam, step, depth byte, payload []byte) []byte {
-	out := make([]byte, 0, headerSize+len(payload)+crcSize)
+// beginFrame starts a frame: the header, in a buffer with room for
+// payloadCap payload bytes and the checksum, so that a payload whose
+// length is known up front is appended in place and never copied.
+// endFrame completes it.
+func beginFrame(kind Kind, fam, step, depth byte, payloadCap int) []byte {
+	out := make([]byte, 0, headerSize+payloadCap+crcSize)
 	out = append(out, magic...)
 	out = binary.LittleEndian.AppendUint16(out, Version)
 	out = append(out, byte(kind), 0, fam, step, depth, 0)
-	out = binary.LittleEndian.AppendUint32(out, uint32(len(payload)))
-	out = append(out, payload...)
+	return binary.LittleEndian.AppendUint32(out, 0) // payload length, set by endFrame
+}
+
+// endFrame closes a frame begun with beginFrame once its payload has
+// been appended: it fills in the payload length and adds the checksum.
+func endFrame(out []byte) []byte {
+	binary.LittleEndian.PutUint32(out[12:16], uint32(len(out)-headerSize))
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
+}
+
+// frameFor assembles a complete frame around payload.
+func frameFor(kind Kind, fam, step, depth byte, payload []byte) []byte {
+	return endFrame(append(beginFrame(kind, fam, step, depth, len(payload)), payload...))
 }
 
 // cursor is a sticky-error little-endian payload reader with the decode

@@ -263,6 +263,9 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
+		if cap(frame) != len(frame) {
+			t.Fatalf("frame of %d bytes sits in a %d-byte buffer: not sized up front", len(frame), cap(frame))
+		}
 		got, err := DecodeFilter(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -284,9 +287,15 @@ func TestRoundTrip(t *testing.T) {
 	})
 	t.Run("continuous", func(t *testing.T) {
 		d := testContinuous(t, 8)
+		if d.ActiveLen() == 0 {
+			t.Fatal("fixture has an empty active set")
+		}
 		frame, err := EncodeContinuous(d)
 		if err != nil {
 			t.Fatalf("encode: %v", err)
+		}
+		if cap(frame) != len(frame) {
+			t.Fatalf("frame of %d bytes sits in a %d-byte buffer: not sized up front", len(frame), cap(frame))
 		}
 		got, err := DecodeContinuous(frame)
 		if err != nil {

@@ -3,6 +3,11 @@ package hiddenhhh
 import (
 	"testing"
 	"time"
+
+	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/continuous"
+	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/trace"
 )
 
 // TestShardedKeyBatchZeroAlloc asserts the columnar ingest path's
@@ -57,5 +62,63 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	if perPacket := avg / chunk; perPacket > 0.01 {
 		t.Fatalf("sharded ingest allocates %.1f allocs per %d-packet batch (%.4f/packet); want ~0",
 			avg, chunk, perPacket)
+	}
+}
+
+// TestContinuousObserveKeysZeroAlloc is the same contract for the
+// continuous detector's per-packet body: filter writes, the entry check,
+// the exit sweep every 64th packet and the re-indexing of the active set
+// after an admission or an exit all run on storage the detector already
+// holds. Each measured run replays 0.4 s of traffic (64 sweeps) in which
+// the heavy host alternates, so every run admits one host and sweeps the
+// other out.
+func TestContinuousObserveKeysZeroAlloc(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	enters, exits := 0, 0
+	det, err := continuous.NewDetector(continuous.Config{
+		Hierarchy: h,
+		Phi:       0.05,
+		Filter:    tdbf.Config{Cells: 1 << 12, Hashes: 4, Decay: tdbf.Exponential{Tau: 100 * time.Millisecond}},
+		OnEnter:   func(addr.Prefix, int64) { enters++ },
+		OnExit:    func(addr.Prefix, int64) { exits++ },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 4096
+	span := int64(400 * time.Millisecond)
+	pkts := propStream(33, n, 1)
+	var batches [2]*trace.KeyBatch
+	for parity := range batches {
+		heavy := addr.From4(172, 16, byte(parity), 9)
+		kb := trace.NewKeyBatch(n)
+		for i := range pkts {
+			src := pkts[i].Src
+			if i%3 == 0 {
+				src = heavy
+			}
+			kb.Append(h.Key(src, 0), pkts[i].Size, int64(i)*span/n)
+		}
+		batches[parity] = kb
+	}
+	run := 0
+	replay := func() {
+		det.ObserveKeys(batches[run%2])
+		for _, b := range batches {
+			for i := range b.Ts {
+				b.Ts[i] += span
+			}
+		}
+		run++
+	}
+	for run < 6 { // past the warm-up, both hosts admitted and dropped once
+		replay()
+	}
+	enters, exits = 0, 0
+	if avg := testing.AllocsPerRun(10, replay); avg != 0 {
+		t.Fatalf("continuous ObserveKeys allocates %.1f times per %d-packet batch; want 0", avg, n)
+	}
+	if enters < 10 || exits < 10 {
+		t.Fatalf("measured runs exercised nothing: %d admissions, %d exits", enters, exits)
 	}
 }
