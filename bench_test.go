@@ -500,11 +500,11 @@ func BenchmarkPerLevelQuery(b *testing.B) {
 		limit = 200000
 	}
 	det.ObserveBatch(pkts[:limit])
-	inner := det.(interface{ queryNow() Set })
+	inner := det.(interface{ QueryOpen() Set })
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if set := inner.queryNow(); set.Len() == 0 {
+		if set := inner.QueryOpen(); set.Len() == 0 {
 			b.Fatal("no HHHs")
 		}
 	}

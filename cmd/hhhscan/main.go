@@ -20,13 +20,10 @@ import (
 	"strings"
 	"time"
 
+	"hiddenhhh"
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/continuous"
-	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/pcap"
-	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/trace"
-	"hiddenhhh/internal/window"
 )
 
 func main() {
@@ -60,7 +57,7 @@ func main() {
 	}
 	span := pkts[len(pkts)-1].Ts + 1
 
-	printSet := func(start, end int64, set hhh.Set) {
+	printSet := func(start, end int64, set hiddenhhh.Set) {
 		if set.Len() == 0 && !*verbose {
 			return
 		}
@@ -72,66 +69,37 @@ func main() {
 		}
 	}
 
-	switch *engine {
-	case "exact":
-		err = window.Tumble(trace.NewSliceSource(pkts),
-			window.Config{Width: *win, End: span, Key: window.BySource(h)},
-			func(r *window.Result) error {
-				set := hhh.Exact(r.Leaves, h, hhh.Threshold(r.Bytes, *phi))
-				printSet(r.Start, r.End, set)
-				return nil
-			})
-	case "perlevel", "rhhh":
-		var update func(addr.Addr, int64)
-		var queryFrac func(float64) hhh.Set
-		var reset func()
-		if *engine == "perlevel" {
-			eng := hhh.NewPerLevel(h, *counters)
-			update, queryFrac, reset = eng.Update, eng.QueryFraction, eng.Reset
-		} else {
-			eng := hhh.NewRHHH(h, *counters, *seed)
-			update, queryFrac, reset = eng.Update, eng.QueryFraction, eng.Reset
+	// Every engine runs as the public detector of its window model: the
+	// windowed ones report through OnWindow, the continuous one through its
+	// transitions and a final query.
+	var det hiddenhhh.Detector
+	if *engine == "continuous" {
+		stamp := func(what string) func(addr.Prefix, int64) {
+			return func(p addr.Prefix, at int64) {
+				fmt.Printf("%v %s %v\n", time.Duration(at).Round(time.Millisecond), what, p)
+			}
 		}
-		err = window.TumblePackets(trace.NewSliceSource(pkts),
-			window.Config{Width: *win, End: span},
-			func(p *trace.Packet) { update(p.Src, int64(p.Size)) },
-			func(s window.Span) error {
-				// The engine's own total counts only in-family bytes, the
-				// right threshold denominator on dual-stack traces.
-				set := queryFrac(*phi)
-				printSet(s.Start, s.End, set)
-				reset()
-				return nil
-			})
-	case "continuous":
-		var det *continuous.Detector
-		det, err = continuous.NewDetector(continuous.Config{
-			Hierarchy: h,
-			Phi:       *phi,
-			Filter: tdbf.Config{
-				Decay: tdbf.Exponential{Tau: *win},
-			},
-			Seed: *seed,
-			OnEnter: func(p addr.Prefix, at int64) {
-				fmt.Printf("%v ENTER %v\n", time.Duration(at).Round(time.Millisecond), p)
-			},
-			OnExit: func(p addr.Prefix, at int64) {
-				fmt.Printf("%v EXIT  %v\n", time.Duration(at).Round(time.Millisecond), p)
-			},
+		det, err = hiddenhhh.NewContinuousDetector(hiddenhhh.ContinuousConfig{
+			Horizon: *win, Phi: *phi, Hierarchy: h, Seed: *seed,
+			OnEnter: stamp("ENTER"), OnExit: stamp("EXIT "),
 		})
-		if err != nil {
-			fatal(err)
+	} else {
+		var eng hiddenhhh.Engine
+		if eng, err = hiddenhhh.ParseEngine(*engine); err == nil {
+			det, err = hiddenhhh.NewWindowedDetector(hiddenhhh.WindowedConfig{
+				Window: *win, Phi: *phi, Engine: eng, Counters: *counters,
+				Hierarchy: h, Seed: *seed, OnWindow: printSet,
+			})
 		}
-		for i := range pkts {
-			det.Observe(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
-		}
-		fmt.Println("final active set:")
-		printSet(0, span, det.Query(span))
-	default:
-		err = fmt.Errorf("unknown engine %q", *engine)
 	}
 	if err != nil {
 		fatal(err)
+	}
+	det.ObserveBatch(pkts)
+	final := det.Snapshot(span) // closes every complete window
+	if *engine == "continuous" {
+		fmt.Println("final active set:")
+		printSet(0, span, final)
 	}
 }
 

@@ -400,36 +400,6 @@ func scenarioConfig(name string, duration time.Duration, seed int64) (hiddenhhh.
 	}
 }
 
-func parseEngine(name string) (hiddenhhh.Engine, error) {
-	switch name {
-	case "exact":
-		return hiddenhhh.EngineExact, nil
-	case "perlevel":
-		return hiddenhhh.EnginePerLevel, nil
-	case "rhhh":
-		return hiddenhhh.EngineRHHH, nil
-	case "wcss":
-		return hiddenhhh.EngineWCSS, nil
-	case "memento":
-		return hiddenhhh.EngineMemento, nil
-	default:
-		return 0, fmt.Errorf("unknown engine %q (want exact, perlevel, rhhh, wcss, memento)", name)
-	}
-}
-
-func parseMode(name string) (hiddenhhh.Mode, error) {
-	switch name {
-	case "windowed":
-		return hiddenhhh.ModeWindowed, nil
-	case "sliding":
-		return hiddenhhh.ModeSliding, nil
-	case "continuous":
-		return hiddenhhh.ModeContinuous, nil
-	default:
-		return 0, fmt.Errorf("unknown mode %q (want windowed, sliding, continuous)", name)
-	}
-}
-
 func parseOverload(name string) (hiddenhhh.OverloadPolicy, error) {
 	switch name {
 	case "block":
@@ -487,11 +457,11 @@ func main() {
 		log.Fatalf("hhhserve: unknown role %q (want single, ingest, aggregate)", *role)
 	}
 
-	mode, err := parseMode(*modeStr)
+	mode, err := hiddenhhh.ParseMode(*modeStr)
 	if err != nil {
 		log.Fatal("hhhserve: ", err)
 	}
-	engine, err := parseEngine(*engineStr)
+	engine, err := hiddenhhh.ParseEngine(*engineStr)
 	if err != nil {
 		log.Fatal("hhhserve: ", err)
 	}

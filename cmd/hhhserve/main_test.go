@@ -189,13 +189,14 @@ func TestScenarioAndEngineFlags(t *testing.T) {
 	}
 	for name, want := range map[string]hiddenhhh.Engine{
 		"exact": hiddenhhh.EngineExact, "perlevel": hiddenhhh.EnginePerLevel, "rhhh": hiddenhhh.EngineRHHH,
+		"wcss": hiddenhhh.EngineWCSS, "memento": hiddenhhh.EngineMemento,
 	} {
-		got, err := parseEngine(name)
+		got, err := hiddenhhh.ParseEngine(name)
 		if err != nil || got != want {
 			t.Errorf("engine %q: got %v, %v", name, got, err)
 		}
 	}
-	if _, err := parseEngine("nope"); err == nil {
+	if _, err := hiddenhhh.ParseEngine("nope"); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
@@ -205,12 +206,12 @@ func TestModeFlag(t *testing.T) {
 	for name, want := range map[string]hiddenhhh.Mode{
 		"windowed": hiddenhhh.ModeWindowed, "sliding": hiddenhhh.ModeSliding, "continuous": hiddenhhh.ModeContinuous,
 	} {
-		got, err := parseMode(name)
+		got, err := hiddenhhh.ParseMode(name)
 		if err != nil || got != want {
 			t.Errorf("mode %q: got %v, %v", name, got, err)
 		}
 	}
-	if _, err := parseMode("nope"); err == nil {
+	if _, err := hiddenhhh.ParseMode("nope"); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }

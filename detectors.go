@@ -2,17 +2,10 @@ package hiddenhhh
 
 import (
 	"fmt"
-	"math"
-	"sort"
+	"strings"
 	"time"
 
-	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/continuous"
-	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/pipeline"
-	"hiddenhhh/internal/sketch"
-	"hiddenhhh/internal/swhh"
-	"hiddenhhh/internal/tdbf"
 )
 
 // Detector is the uniform streaming interface over the three window
@@ -25,9 +18,9 @@ type Detector interface {
 	// ObserveBatch processes a run of packets in time order — the
 	// high-throughput ingest path. It is equivalent to calling Observe
 	// per packet but amortises dispatch, window-boundary checks and
-	// hierarchy expansion over the run. The sketch-backed windowed and
-	// sliding detectors allocate nothing here; the continuous detector
-	// still pays its usual per-packet admission cost.
+	// hierarchy expansion over the run: the packets are packed once into a
+	// reused columnar key batch and handed to the engine whole. Steady-state
+	// ingest allocates nothing in any of the three window models.
 	ObserveBatch(pkts []Packet)
 	// Snapshot returns the detector's current HHH set at time now (ns,
 	// >= the last observed timestamp). For windowed detectors this is
@@ -90,21 +83,25 @@ const (
 
 // String names the engine ("exact", "perlevel", "rhhh", "wcss",
 // "memento").
-func (e Engine) String() string {
-	switch e {
-	case EngineExact:
-		return "exact"
-	case EnginePerLevel:
-		return "perlevel"
-	case EngineRHHH:
-		return "rhhh"
-	case EngineWCSS:
-		return "wcss"
-	case EngineMemento:
-		return "memento"
-	default:
-		return fmt.Sprintf("engine(%d)", int(e))
+func (e Engine) String() string { return pipeline.Kind(e).String() }
+
+// ParseEngine resolves an engine by the name String prints.
+func ParseEngine(name string) (Engine, error) { return parseEnum("engine", name, EngineMemento+1) }
+
+// parseEnum resolves name among the values [0, end) of a String-named
+// enum; the error lists them.
+func parseEnum[T interface {
+	~int
+	String() string
+}](what, name string, end T) (T, error) {
+	var names []string
+	for v := T(0); v < end; v++ {
+		if v.String() == name {
+			return v, nil
+		}
+		names = append(names, v.String())
 	}
+	return 0, fmt.Errorf("unknown %s %q (want %s)", what, name, strings.Join(names, ", "))
 }
 
 // WindowedConfig configures NewWindowedDetector.
@@ -126,203 +123,33 @@ type WindowedConfig struct {
 	OnWindow func(start, end int64, set Set)
 }
 
-// windowedDetector applies the reset-per-window discipline the paper
-// critiques: state is cleared at every boundary, so bursts straddling a
-// boundary are split and can fall below threshold in both halves.
-type windowedDetector struct {
-	cfg     WindowedConfig
-	width   int64
-	curEnd  int64
-	started bool
-	bytes   int64
-
-	// Last closed window, the reference frame of Snapshot's report (the
-	// Accounting surface the oracle-differential harness consumes).
-	lastStart, lastEnd int64
-	lastMass           int64
-
-	// exactly one of these is active, per cfg.Engine
-	exact     *sketch.Exact
-	exactPeak int
-	pl        *hhh.PerLevel
-	rh        *hhh.RHHH
-
-	last Set
+// NewWindowedDetector builds a disjoint-window HHH detector. It applies
+// the reset-per-window discipline the paper critiques: state is cleared
+// at every boundary, so bursts straddling a boundary are split and can
+// fall below threshold in both halves. SizeBytes reports the peak
+// footprint over the windows seen.
+func NewWindowedDetector(cfg WindowedConfig) (Detector, error) {
+	return newSingle(pipeline.Config{
+		Mode:      pipeline.ModeWindowed,
+		Window:    cfg.Window,
+		Phi:       cfg.Phi,
+		Engine:    pipeline.Kind(cfg.Engine),
+		Counters:  cfg.Counters,
+		Hierarchy: cfg.Hierarchy,
+		Seed:      cfg.Seed,
+		OnWindow:  cfg.OnWindow,
+	}, nil, nil)
 }
 
-// NewWindowedDetector builds a disjoint-window HHH detector.
-func NewWindowedDetector(cfg WindowedConfig) (Detector, error) {
-	if cfg.Window <= 0 {
-		return nil, fmt.Errorf("hiddenhhh: window must be positive")
-	}
-	if cfg.Phi <= 0 || cfg.Phi > 1 {
-		return nil, fmt.Errorf("hiddenhhh: phi %v out of (0,1]", cfg.Phi)
-	}
-	if cfg.Hierarchy == (Hierarchy{}) {
-		cfg.Hierarchy = NewHierarchy(Byte)
-	}
-	if cfg.Counters <= 0 {
-		cfg.Counters = 512
-	}
-	d := &windowedDetector{cfg: cfg, width: int64(cfg.Window), last: hhh.NewSet()}
-	switch cfg.Engine {
-	case EngineExact:
-		d.exact = sketch.NewExact(1024)
-	case EnginePerLevel:
-		d.pl = hhh.NewPerLevel(cfg.Hierarchy, cfg.Counters)
-	case EngineRHHH:
-		d.rh = hhh.NewRHHH(cfg.Hierarchy, cfg.Counters, cfg.Seed)
-	default:
-		return nil, fmt.Errorf("hiddenhhh: unknown engine %v", cfg.Engine)
+// newSingle builds the single-goroutine driver the three window-model
+// constructors share: the same summary, window clock and report path as
+// one shard of NewShardedDetector, without rings or workers.
+func newSingle(cfg pipeline.Config, onEnter, onExit func(Prefix, int64)) (Detector, error) {
+	d, err := pipeline.NewSingle(cfg, onEnter, onExit)
+	if err != nil {
+		return nil, fmt.Errorf("hiddenhhh: %w", err)
 	}
 	return d, nil
-}
-
-func (d *windowedDetector) Observe(p *Packet) {
-	if !d.started {
-		d.started = true
-		d.curEnd = (p.Ts/d.width + 1) * d.width
-	}
-	for p.Ts >= d.curEnd {
-		d.closeWindow()
-	}
-	if !d.cfg.Hierarchy.Match(p.Src) {
-		return // other address family: advances windows, adds no mass
-	}
-	w := int64(p.Size)
-	d.bytes += w
-	switch {
-	case d.exact != nil:
-		d.exact.Update(d.cfg.Hierarchy.Key(p.Src, 0), w)
-		if d.exact.Len() > d.exactPeak {
-			d.exactPeak = d.exact.Len()
-		}
-	case d.pl != nil:
-		d.pl.Update(p.Src, w)
-	default:
-		d.rh.Update(p.Src, w)
-	}
-}
-
-func (d *windowedDetector) ObserveBatch(pkts []Packet) {
-	for len(pkts) > 0 {
-		p := &pkts[0]
-		if !d.started {
-			d.started = true
-			d.curEnd = (p.Ts/d.width + 1) * d.width
-		}
-		for p.Ts >= d.curEnd {
-			d.closeWindow()
-		}
-		// Longest prefix of the (time-ordered) run inside the current
-		// window; the engines absorb it in one batch call.
-		n := sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= d.curEnd })
-		chunk := pkts[:n]
-		switch {
-		case d.exact != nil:
-			for i := range chunk {
-				if !d.cfg.Hierarchy.Match(chunk[i].Src) {
-					continue
-				}
-				w := int64(chunk[i].Size)
-				d.bytes += w
-				d.exact.Update(d.cfg.Hierarchy.Key(chunk[i].Src, 0), w)
-			}
-			if d.exact.Len() > d.exactPeak {
-				d.exactPeak = d.exact.Len()
-			}
-		case d.pl != nil:
-			d.bytes += d.pl.UpdateBatch(chunk)
-		default:
-			d.bytes += d.rh.UpdateBatch(chunk)
-		}
-		pkts = pkts[n:]
-	}
-}
-
-func (d *windowedDetector) closeWindow() {
-	d.lastStart, d.lastEnd = d.curEnd-d.width, d.curEnd
-	d.lastMass = d.bytes
-	if d.bytes == 0 {
-		// Empty window: the engines saw nothing since their last reset, so
-		// the conditioned query would walk empty summaries to produce an
-		// empty set — and Snapshot closes idle-gap windows one by one, so
-		// the short-circuit mirrors the sharded pipeline's empty-window
-		// fast path.
-		d.last = hhh.NewSet()
-		if d.cfg.OnWindow != nil {
-			d.cfg.OnWindow(d.curEnd-d.width, d.curEnd, d.last)
-		}
-		d.curEnd += d.width
-		return
-	}
-	d.last = d.queryNow()
-	switch {
-	case d.exact != nil:
-		d.exact.Reset()
-	case d.pl != nil:
-		d.pl.Reset()
-	default:
-		d.rh.Reset()
-	}
-	if d.cfg.OnWindow != nil {
-		d.cfg.OnWindow(d.curEnd-d.width, d.curEnd, d.last)
-	}
-	d.bytes = 0
-	d.curEnd += d.width
-}
-
-// queryNow evaluates the current (still open) window's HHH set without
-// closing it. Benchmarks use it to isolate the query cost from ingest.
-func (d *windowedDetector) queryNow() Set {
-	T := hhh.Threshold(d.bytes, d.cfg.Phi)
-	switch {
-	case d.exact != nil:
-		return hhh.Exact(d.exact, d.cfg.Hierarchy, T)
-	case d.pl != nil:
-		return d.pl.Query(T)
-	default:
-		return d.rh.Query(T)
-	}
-}
-
-// advanceTo closes every window ending at or before now, the shared
-// window-state advance of Snapshot and the Accounting methods.
-func (d *windowedDetector) advanceTo(now int64) {
-	for d.started && now >= d.curEnd {
-		d.closeWindow()
-	}
-}
-
-func (d *windowedDetector) Snapshot(now int64) Set {
-	d.advanceTo(now)
-	return d.last
-}
-
-// ReportMass implements Accounting: the byte volume of the last closed
-// window.
-func (d *windowedDetector) ReportMass(now int64) int64 {
-	d.advanceTo(now)
-	return d.lastMass
-}
-
-// CoveredSpan implements Accounting: the last closed window [lo, hi).
-func (d *windowedDetector) CoveredSpan(now int64) (lo, hi int64) {
-	d.advanceTo(now)
-	return d.lastStart, d.lastEnd
-}
-
-func (d *windowedDetector) SizeBytes() int {
-	switch {
-	case d.exact != nil:
-		// Peak footprint: the exact map grows with distinct sources per
-		// window and is reset at boundaries.
-		return d.exactPeak * 16
-	case d.pl != nil:
-		return d.pl.SizeBytes()
-	default:
-		return d.rh.SizeBytes()
-	}
 }
 
 // Mode selects the window model a sharded detector parallelises.
@@ -346,6 +173,9 @@ const (
 
 // String names the mode ("windowed", "sliding", "continuous").
 func (m Mode) String() string { return pipeline.Mode(m).String() }
+
+// ParseMode resolves a window model by the name String prints.
+func ParseMode(name string) (Mode, error) { return parseEnum("mode", name, ModeContinuous+1) }
 
 // ShardedConfig configures NewShardedDetector.
 type ShardedConfig struct {
@@ -567,9 +397,10 @@ type SlidingConfig struct {
 	// Phi is the threshold fraction of windowed bytes. Required.
 	Phi float64
 	// Engine selects the sliding summary: EngineWCSS (the default, also
-	// selected by the zero value EngineExact) keeps a ring of per-frame
-	// Space-Saving summaries per level; EngineMemento keeps one aged
-	// counter table per level and samples one level per packet.
+	// selected by the zero value EngineExact and the other windowed
+	// engine values) keeps a ring of per-frame Space-Saving summaries per
+	// level; EngineMemento keeps one aged counter table per level and
+	// samples one level per packet.
 	Engine Engine
 	// Frames is the expiry granularity (window coverage overshoots by
 	// W/Frames). Default 8.
@@ -584,74 +415,23 @@ type SlidingConfig struct {
 	Seed uint64
 }
 
-// slidingEngine is the summary surface shared by the WCSS and Memento
-// sliding engines; slidingDetector dispatches through it.
-type slidingEngine interface {
-	Update(src Addr, bytes int64, now int64)
-	UpdateBatch(pkts []Packet)
-	Query(phi float64, now int64) Set
-	WindowTotal(now int64) int64
-	SizeBytes() int
-}
-
-type slidingDetector struct {
-	cfg  SlidingConfig
-	scfg swhh.Config // effective (defaulted) summary config
-	d    slidingEngine
-}
-
 // NewSlidingDetector builds a streaming sliding-window HHH detector:
 // frame-based WCSS per hierarchy level by default, or the Memento-class
 // level-sampled engine with cfg.Engine == EngineMemento.
 func NewSlidingDetector(cfg SlidingConfig) (Detector, error) {
-	if cfg.Phi <= 0 || cfg.Phi > 1 {
-		return nil, fmt.Errorf("hiddenhhh: phi %v out of (0,1]", cfg.Phi)
+	if cfg.Counters <= 0 {
+		cfg.Counters = 256
 	}
-	if cfg.Hierarchy == (Hierarchy{}) {
-		cfg.Hierarchy = NewHierarchy(Byte)
-	}
-	scfg := swhh.Config{
-		Window:   cfg.Window,
-		Frames:   cfg.Frames,
-		Counters: cfg.Counters,
-	}
-	var inner slidingEngine
-	var err error
-	switch cfg.Engine {
-	case EngineExact, EngineWCSS:
-		inner, err = swhh.NewSlidingHHH(cfg.Hierarchy, scfg)
-	case EngineMemento:
-		inner, err = swhh.NewMementoHHH(cfg.Hierarchy, scfg, cfg.Seed)
-	default:
-		return nil, fmt.Errorf("hiddenhhh: engine %v is not a sliding engine", cfg.Engine)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return &slidingDetector{cfg: cfg, scfg: scfg, d: inner}, nil
-}
-
-func (d *slidingDetector) Observe(p *Packet) {
-	d.d.Update(p.Src, int64(p.Size), p.Ts)
-}
-
-func (d *slidingDetector) ObserveBatch(pkts []Packet) {
-	d.d.UpdateBatch(pkts)
-}
-
-func (d *slidingDetector) Snapshot(now int64) Set {
-	return d.d.Query(d.cfg.Phi, now)
-}
-
-func (d *slidingDetector) SizeBytes() int { return d.d.SizeBytes() }
-
-// ReportMass implements Accounting: the covered sliding-window total.
-func (d *slidingDetector) ReportMass(now int64) int64 { return d.d.WindowTotal(now) }
-
-// CoveredSpan implements Accounting: the frame-aligned span [lo, now]
-// the live frame ring covers at now.
-func (d *slidingDetector) CoveredSpan(now int64) (lo, hi int64) {
-	return d.scfg.CoveredSince(now), now
+	return newSingle(pipeline.Config{
+		Mode:      pipeline.ModeSliding,
+		Window:    cfg.Window,
+		Phi:       cfg.Phi,
+		Engine:    pipeline.Kind(cfg.Engine),
+		Frames:    cfg.Frames,
+		Counters:  cfg.Counters,
+		Hierarchy: cfg.Hierarchy,
+		Seed:      cfg.Seed,
+	}, nil, nil)
 }
 
 // ContinuousConfig configures NewContinuousDetector.
@@ -679,57 +459,21 @@ type ContinuousConfig struct {
 	OnExit  func(p Prefix, at int64)
 }
 
-type continuousDetector struct {
-	d *continuous.Detector
-}
-
 // NewContinuousDetector builds the paper's proposed windowless detector:
 // per-level time-decaying Bloom filters with inline admission.
 func NewContinuousDetector(cfg ContinuousConfig) (Detector, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("hiddenhhh: horizon must be positive")
 	}
-	if cfg.Hierarchy == (addr.Hierarchy{}) {
-		cfg.Hierarchy = NewHierarchy(Byte)
-	}
-	inner, err := continuous.NewDetector(continuous.Config{
-		Hierarchy: cfg.Hierarchy,
+	return newSingle(pipeline.Config{
+		Mode:      pipeline.ModeContinuous,
+		Window:    cfg.Horizon,
 		Phi:       cfg.Phi,
-		Filter: tdbf.Config{
-			Cells:  cfg.Cells,
-			Hashes: cfg.Hashes,
-			Decay:  tdbf.Exponential{Tau: cfg.Horizon},
-		},
+		Cells:     cfg.Cells,
+		Hashes:    cfg.Hashes,
 		ExitRatio: cfg.ExitRatio,
 		Sampled:   cfg.Sampled,
+		Hierarchy: cfg.Hierarchy,
 		Seed:      cfg.Seed,
-		OnEnter:   cfg.OnEnter,
-		OnExit:    cfg.OnExit,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &continuousDetector{d: inner}, nil
-}
-
-func (d *continuousDetector) Observe(p *Packet) {
-	d.d.Observe(p.Src, int64(p.Size), p.Ts)
-}
-
-func (d *continuousDetector) ObserveBatch(pkts []Packet) {
-	d.d.ObserveBatch(pkts)
-}
-
-func (d *continuousDetector) Snapshot(now int64) Set { return d.d.Query(now) }
-
-func (d *continuousDetector) SizeBytes() int { return d.d.SizeBytes() }
-
-// ReportMass implements Accounting: the total decayed traffic mass at
-// now, truncated to int64 bytes.
-func (d *continuousDetector) ReportMass(now int64) int64 { return int64(d.d.TotalMass(now)) }
-
-// CoveredSpan implements Accounting. The decayed aggregate has no sharp
-// lower edge, so lo is math.MinInt64.
-func (d *continuousDetector) CoveredSpan(now int64) (lo, hi int64) {
-	return math.MinInt64, now
+	}, cfg.OnEnter, cfg.OnExit)
 }

@@ -193,13 +193,6 @@ func (d *Detector) Observe(src addr.Addr, bytes int64, now int64) {
 	d.observe(d.cfg.Hierarchy.Key(src, 0), bytes, now)
 }
 
-// ObserveBatch feeds a run of time-ordered packets.
-func (d *Detector) ObserveBatch(pkts []trace.Packet) {
-	for i := range pkts {
-		d.Observe(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
-	}
-}
-
 // ObserveKeys feeds a columnar batch of pre-packed, time-ordered leaf
 // keys. It is Observe without the address packing: both run the same
 // per-packet body on the leaf key, so the state they leave — sweep

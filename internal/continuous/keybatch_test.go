@@ -12,7 +12,7 @@ import (
 )
 
 // dualStackStream synthesises a time-ordered mixed-family stream so the
-// ObserveBatch family filter and the key-path chain reconstruction both
+// packing family filter and the key-path chain reconstruction both
 // get exercised against per-packet Observe.
 func dualStackStream(seed int64, n int) []trace.Packet {
 	rng := rand.New(rand.NewSource(seed))

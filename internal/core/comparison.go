@@ -193,13 +193,14 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 		score("sliding-exact", sliding, nsPerPkt(elapsed), peakLeaves*16))
 
 	// Windowed streaming detectors: reset-per-window discipline, driven
-	// through the batch ingest spine.
+	// through the batch ingest spine — each run of packets is packed once
+	// into a reused key batch, the engines' only way in.
 	type windowedEngine struct {
-		name        string
-		updateBatch func(pkts []trace.Packet) int64
-		close       func(windowBytes int64) hhh.Set
-		reset       func()
-		size        func() int
+		name       string
+		updateKeys func(b *trace.KeyBatch) int64
+		close      func(windowBytes int64) hhh.Set
+		reset      func()
+		size       func() int
 	}
 	mkWindowed := func(we windowedEngine) error {
 		src, err := provider()
@@ -207,10 +208,15 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 			return err
 		}
 		reported := hhh.NewSet()
+		var kb trace.KeyBatch
 		start := time.Now()
 		err = window.TumbleBatches(src,
 			window.Config{Width: cfg.Window, End: cfg.Span}, 0,
-			we.updateBatch,
+			func(pkts []trace.Packet) int64 {
+				kb.Reset()
+				kb.AppendPackets(cfg.Hierarchy, pkts)
+				return we.updateKeys(&kb)
+			},
 			func(s window.Span) error {
 				reported.UnionInPlace(we.close(s.Bytes))
 				we.reset()
@@ -229,17 +235,11 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 	peak := 0
 	if err := mkWindowed(windowedEngine{
 		name: "disjoint-exact",
-		updateBatch: func(pkts []trace.Packet) int64 {
-			var bytes int64
-			for i := range pkts {
-				if !cfg.Hierarchy.Match(pkts[i].Src) {
-					continue
-				}
-				w := int64(pkts[i].Size)
-				bytes += w
-				leaves.Update(cfg.Hierarchy.Key(pkts[i].Src, 0), w)
+		updateKeys: func(b *trace.KeyBatch) int64 {
+			for i, k := range b.Keys {
+				leaves.Update(k, int64(b.Sizes[i]))
 			}
-			return bytes
+			return b.Bytes()
 		},
 		close: func(windowBytes int64) hhh.Set {
 			if leaves.Len() > peak {
@@ -256,8 +256,8 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 	// disjoint-perlevel: Space-Saving per level, reset per window.
 	pl := hhh.NewPerLevel(cfg.Hierarchy, cfg.Counters)
 	if err := mkWindowed(windowedEngine{
-		name:        "disjoint-perlevel",
-		updateBatch: pl.UpdateBatch,
+		name:       "disjoint-perlevel",
+		updateKeys: pl.UpdateKeys,
 		close: func(windowBytes int64) hhh.Set {
 			return pl.Query(hhh.Threshold(windowBytes, cfg.Phi))
 		},
@@ -270,8 +270,8 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 	// disjoint-rhhh: randomised level sampling, reset per window.
 	rh := hhh.NewRHHH(cfg.Hierarchy, cfg.Counters, cfg.Seed)
 	if err := mkWindowed(windowedEngine{
-		name:        "disjoint-rhhh",
-		updateBatch: rh.UpdateBatch,
+		name:       "disjoint-rhhh",
+		updateKeys: rh.UpdateKeys,
 		close: func(windowBytes int64) hhh.Set {
 			return rh.Query(hhh.Threshold(windowBytes, cfg.Phi))
 		},
@@ -308,8 +308,11 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 		start := time.Now()
 		// Clip to the analysis span and feed the detector in batches.
 		clipped := &trace.ClipSource{Src: src, From: 0, To: cfg.Span}
+		var kb trace.KeyBatch
 		err = trace.ForEachBatch(clipped, 0, func(pkts []trace.Packet) error {
-			det.ObserveBatch(pkts)
+			kb.Reset()
+			kb.AppendPackets(cfg.Hierarchy, pkts)
+			det.ObserveKeys(&kb)
 			return nil
 		})
 		if err != nil {

@@ -201,6 +201,7 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 		// it, matching the per-packet ordering (the crossing packet was
 		// always ingested before the query fired).
 		nextQ := int64(time.Second)
+		var kb trace.KeyBatch
 		for i := 0; i < len(pkts); {
 			j := i
 			for j < len(pkts) && pkts[j].Ts < nextQ {
@@ -209,7 +210,9 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 			if j < len(pkts) {
 				j++
 			}
-			d.UpdateBatch(pkts[i:j])
+			kb.Reset()
+			kb.AppendPackets(cfg.Hierarchy, pkts[i:j])
+			d.UpdateKeys(&kb)
 			for last := pkts[j-1].Ts; last >= nextQ; {
 				record(slid, d.Query(cfg.Phi, nextQ), nextQ)
 				nextQ += int64(time.Second)
@@ -234,7 +237,9 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 		if err != nil {
 			return nil, nil, err
 		}
-		det.ObserveBatch(pkts)
+		kb := trace.NewKeyBatch(len(pkts))
+		kb.AppendPackets(cfg.Hierarchy, pkts)
+		det.ObserveKeys(kb)
 	}
 
 	var reports []LatencyReport

@@ -11,7 +11,7 @@ import (
 
 // dualStackStream synthesises a time-ordered mixed-family stream: skewed
 // IPv4 sources interleaved with IPv6 sources, so the KeyBatch packing
-// shim has to exercise its family filter in both directions.
+// has to exercise its family filter in both directions.
 func dualStackStream(seed int64, n int) []trace.Packet {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]trace.Packet, n)
@@ -39,13 +39,21 @@ func hierarchiesUnderTest() map[string]addr.Hierarchy {
 	}
 }
 
+// pack runs pkts through the producer-side packing (family filter, leaf
+// key) the way every caller of UpdateKeys does.
+func pack(h addr.Hierarchy, pkts []trace.Packet) *trace.KeyBatch {
+	b := trace.NewKeyBatch(len(pkts))
+	b.AppendPackets(h, pkts)
+	return b
+}
+
 // chunks splits pkts into deliberately awkward runs: single packets,
 // primes straddling no particular boundary, and one giant batch.
 var chunkSizes = []int{1, 7, 97, 1 << 20}
 
 // TestPerLevelKeyBatchMatchesUpdate pins the columnar fast path to the
-// per-packet path: UpdateBatch (the packing shim over UpdateKeys) must
-// leave PerLevel in a byte-identical state to per-packet Update calls on
+// per-packet path: UpdateKeys over packed runs must leave PerLevel in a
+// byte-identical state to per-packet Update calls on
 // the same dual-stack stream, for both families' key packings and any
 // batch boundaries.
 func TestPerLevelKeyBatchMatchesUpdate(t *testing.T) {
@@ -63,7 +71,7 @@ func TestPerLevelKeyBatchMatchesUpdate(t *testing.T) {
 				var added int64
 				for off := 0; off < len(pkts); off += bs {
 					end := min(off+bs, len(pkts))
-					added += got.UpdateBatch(pkts[off:end])
+					added += got.UpdateKeys(pack(h, pkts[off:end]))
 				}
 				if added != ref.Total() || got.Total() != ref.Total() {
 					t.Fatalf("chunk %d: total %d (added %d) != per-packet %d", bs, got.Total(), added, ref.Total())
@@ -94,7 +102,7 @@ func TestRHHHKeyBatchMatchesUpdate(t *testing.T) {
 				got := NewRHHH(h, 64, 99)
 				for off := 0; off < len(pkts); off += bs {
 					end := min(off+bs, len(pkts))
-					got.UpdateBatch(pkts[off:end])
+					got.UpdateKeys(pack(h, pkts[off:end]))
 				}
 				if got.Total() != ref.Total() || got.Updates() != ref.Updates() {
 					t.Fatalf("chunk %d: total/updates %d/%d != per-packet %d/%d",

@@ -24,7 +24,6 @@ type PerLevel struct {
 	masks []uint64 // per-level key masks, hoisted out of the hot path
 	high  bool     // which address half keys come from, ditto
 	qs    *QueryScratch
-	kb    trace.KeyBatch // scratch for the UpdateBatch packing shim
 	total int64
 }
 
@@ -62,18 +61,6 @@ func (p *PerLevel) Update(src addr.Addr, bytes int64) {
 	for l, m := range p.masks {
 		p.sks[l].Update(half&m, bytes)
 	}
-}
-
-// UpdateBatch feeds a run of packets (source address keyed, byte
-// weighted) and returns the total byte weight added — packets outside
-// the hierarchy's family are skipped and do not count. It is a thin
-// packing shim: leaf keys are packed once into a reusable scratch
-// KeyBatch and handed to UpdateKeys, so the final state is identical to
-// calling Update per packet.
-func (p *PerLevel) UpdateBatch(pkts []trace.Packet) int64 {
-	p.kb.Reset()
-	p.kb.AppendPackets(p.h, pkts)
-	return p.UpdateKeys(&p.kb)
 }
 
 // UpdateKeys feeds a columnar batch of pre-packed leaf keys and returns

@@ -35,7 +35,6 @@ type RHHH struct {
 	total   int64
 	updates int64
 	qs      *QueryScratch
-	kb      trace.KeyBatch // scratch for the UpdateBatch packing shim
 }
 
 // NewRHHH builds an engine with k counters per level and a deterministic
@@ -77,17 +76,6 @@ func (r *RHHH) Update(src addr.Addr, bytes int64) {
 		half = src.Hi()
 	}
 	r.sks[l].Update(half&r.masks[l], bytes)
-}
-
-// UpdateBatch feeds a run of packets and returns the total byte weight
-// added (family-filtered, like Update). It is a thin packing shim over
-// UpdateKeys; levels are drawn per matching packet in the same
-// deterministic sequence as repeated Update calls, so the final state
-// is identical.
-func (r *RHHH) UpdateBatch(pkts []trace.Packet) int64 {
-	r.kb.Reset()
-	r.kb.AppendPackets(r.h, pkts)
-	return r.UpdateKeys(&r.kb)
 }
 
 // UpdateKeys feeds a columnar batch of pre-packed leaf keys and returns

@@ -7,6 +7,7 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/trace"
 )
 
@@ -266,7 +267,7 @@ func Run(name string, det Detector, pkts []trace.Packet, cfg Config) (*Report, e
 	// stream end — boundary-aligned points exercise exact window-edge
 	// behaviour, the end point the final partial aggregate.
 	var schedule []int64
-	for at := (firstTs/step + 1) * step; at < lastTs; at += step {
+	for at := (swhh.FloorDiv(firstTs, step) + 1) * step; at < lastTs; at += step {
 		schedule = append(schedule, at)
 	}
 	schedule = append(schedule, lastTs)
@@ -345,7 +346,7 @@ func evaluate(o *Oracle, got hhh.Set, at, firstTs int64, cfg Config, obs degrade
 	switch cfg.Mode {
 	case ModeWindowed:
 		w := int64(cfg.Window)
-		firstEnd := (firstTs/w + 1) * w
+		firstEnd := (swhh.FloorDiv(firstTs, w) + 1) * w
 		if at < firstEnd {
 			// No window has closed yet; the detector reports empty.
 			sr.TruthSet = hhh.NewSet()
@@ -353,7 +354,7 @@ func evaluate(o *Oracle, got hhh.Set, at, firstTs int64, cfg Config, obs degrade
 			sr.Warm = false
 			break
 		}
-		end := at / w * w
+		end := swhh.FloorDiv(at, w) * w
 		sr.SpanLo, sr.SpanHi = end-w, end
 		levels, total := o.LevelCounts(sr.SpanLo, sr.SpanHi)
 		scoreAggregate(&sr, o.h, levels, total, hhh.Threshold(total, cfg.Phi), cfg.Bounds, obs)

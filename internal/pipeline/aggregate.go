@@ -40,11 +40,8 @@ import (
 	"time"
 
 	"hiddenhhh/internal/hhh"
-	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/telemetry"
 	"hiddenhhh/internal/wire"
-
-	"hiddenhhh/internal/continuous"
 )
 
 // ErrFrameRejected wraps every Aggregator.Ingest rejection that is the
@@ -173,8 +170,8 @@ type Aggregator struct {
 	cfg AggregatorConfig
 
 	mu        sync.Mutex
-	kind      wire.Kind   // pinned by the first accepted frame
-	hdr       wire.Header // descriptor pinned alongside kind
+	eng       *engine     // registry row pinned by the first accepted frame
+	hdr       wire.Header // descriptor pinned alongside it
 	spanWidth int64       // window span learned from sealed metadata
 	nodes     map[string]*aggNode
 	rounds    map[int64]*aggRound // windowed kinds only
@@ -222,17 +219,6 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 			"Frames refused for decode or validation errors.", a.rejected.Load)
 	}
 	return a, nil
-}
-
-// roundAligned reports whether the kind merges per exact window (true)
-// or latest-frame-per-node (false).
-func roundAligned(k wire.Kind) bool {
-	switch k {
-	case wire.KindPerLevel, wire.KindExact, wire.KindRHHH:
-		return true
-	default:
-		return false
-	}
 }
 
 // node returns (creating on first use) the tracker for a sender.
@@ -302,18 +288,16 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 		return fmt.Errorf("pipeline: aggregator closed")
 	}
 	n := a.node(nodeName)
-	if a.kind == 0 {
-		if roundAligned(hdr.Kind) || hdr.Kind == wire.KindSliding ||
-			hdr.Kind == wire.KindMemento || hdr.Kind == wire.KindContinuous {
-			a.kind, a.hdr = hdr.Kind, hdr
-		} else {
+	if a.eng == nil {
+		if a.eng = engineOfWire(hdr.Kind); a.eng == nil {
 			err := a.reject(n, "kind %v is not a mergeable top-level summary", hdr.Kind)
 			a.mu.Unlock()
 			return err
 		}
+		a.hdr = hdr
 	}
-	if hdr.Kind != a.kind {
-		err := a.reject(n, "kind drift: fleet ships %v, %s sent %v", a.kind, nodeName, hdr.Kind)
+	if hdr.Kind != a.eng.wire {
+		err := a.reject(n, "kind drift: fleet ships %v, %s sent %v", a.eng.wire, nodeName, hdr.Kind)
 		a.mu.Unlock()
 		return err
 	}
@@ -344,7 +328,7 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 		a.spanWidth = w
 	}
 
-	if roundAligned(a.kind) {
+	if a.eng.roundAligned {
 		err = a.ingestRoundLocked(nodeName, s)
 		a.mu.Unlock()
 		return err
@@ -505,9 +489,11 @@ func framesOf(m map[string][]byte) [][]byte {
 	return out
 }
 
-// mergeFrames decodes and merges frames of the pinned kind, querying the
-// merged summary at `at`. Engine panics (geometry drift between nodes)
-// are recovered into errors. Caller holds a.mu.
+// mergeFrames restores each frame behind the Summary contract and runs
+// the same sequence a shard barrier does: advance every summary to `at`,
+// fold them into the first, query it at `at`. Ingest has already pinned
+// every frame to one engine. Engine panics (geometry drift between
+// nodes) are recovered into errors. Caller holds a.mu.
 func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total int64, err error) {
 	if len(frames) == 0 {
 		return hhh.NewSet(), 0, nil
@@ -518,94 +504,25 @@ func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total 
 			err = fmt.Errorf("merge panic: %v", r)
 		}
 	}()
-	switch a.kind {
-	case wire.KindPerLevel:
-		var acc *hhh.PerLevel
-		for _, f := range frames {
-			d, derr := wire.DecodePerLevel(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
-		}
-		return acc.QueryFraction(a.cfg.Phi), acc.Total(), nil
-	case wire.KindRHHH:
-		var acc *hhh.RHHH
-		for _, f := range frames {
-			d, derr := wire.DecodeRHHH(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
-		}
-		return acc.QueryFraction(a.cfg.Phi), acc.Total(), nil
-	case wire.KindExact:
-		ex, h, derr := wire.DecodeExact(frames[0])
+	var acc Summary
+	for _, f := range frames {
+		e, derr := wire.Decode(f)
 		if derr != nil {
 			return nil, 0, derr
 		}
-		for _, f := range frames[1:] {
-			d, _, derr := wire.DecodeExact(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			ex.AddAll(d)
+		sum, werr := wrap(e, a.cfg.Phi)
+		if werr != nil {
+			return nil, 0, werr
 		}
-		return hhh.Exact(ex, h, hhh.Threshold(ex.Total(), a.cfg.Phi)), ex.Total(), nil
-	case wire.KindSliding:
-		var acc *swhh.SlidingHHH
-		for _, f := range frames {
-			d, derr := wire.DecodeSliding(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			d.Advance(at)
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
+		sum.Advance(at)
+		if acc == nil {
+			acc = sum
+		} else {
+			acc.Merge(sum)
 		}
-		return acc.Query(a.cfg.Phi, at), acc.WindowTotal(at), nil
-	case wire.KindMemento:
-		var acc *swhh.MementoHHH
-		for _, f := range frames {
-			d, derr := wire.DecodeMemento(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			d.Advance(at)
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
-		}
-		return acc.Query(a.cfg.Phi, at), acc.WindowTotal(at), nil
-	case wire.KindContinuous:
-		var acc *continuous.Detector
-		for _, f := range frames {
-			d, derr := wire.DecodeContinuous(f)
-			if derr != nil {
-				return nil, 0, derr
-			}
-			if acc == nil {
-				acc = d
-			} else {
-				acc.Merge(d)
-			}
-		}
-		return acc.Query(at), int64(acc.TotalMass(at)), nil
 	}
-	return nil, 0, fmt.Errorf("unmergeable kind %v", a.kind)
+	set, total = acc.Query(at)
+	return set, total, nil
 }
 
 // Report returns the newest published global report. Never nil.
@@ -622,8 +539,8 @@ func (a *Aggregator) Stats() AggStats {
 		LateFrames:     a.lateFrames.Load(),
 		Rejected:       a.rejected.Load(),
 	}
-	if a.kind != 0 {
-		st.Kind = a.kind.String()
+	if a.eng != nil {
+		st.Kind = a.eng.wire.String()
 	}
 	var maxEnd int64
 	for _, n := range a.nodes {

@@ -91,6 +91,50 @@ func TestSealEmission(t *testing.T) {
 	}
 }
 
+// TestSealLabels pins the engine name a sealed frame carries to the one
+// Stats reports, for the modes whose engine is not the configured
+// Engine value verbatim: sliding's default (Engine left at its zero
+// value, a windowed kind), sliding with Memento, and continuous, which
+// has no Engine value at all.
+func TestSealLabels(t *testing.T) {
+	pkts := testStream(11, 4000, 3)
+	for _, tc := range []struct {
+		cfg          Config
+		mode, engine string
+	}{
+		{Config{Mode: ModeWindowed, Engine: KindPerLevel}, "windowed", "perlevel"},
+		{Config{Mode: ModeSliding}, "sliding", "wcss"},
+		{Config{Mode: ModeSliding, Engine: KindMemento}, "sliding", "memento"},
+		{Config{Mode: ModeContinuous}, "continuous", "tdbf"},
+	} {
+		var col sealCollector
+		cfg := tc.cfg
+		cfg.Shards, cfg.Window, cfg.Phi, cfg.OnSeal = 2, time.Second, 0.05, col.add
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.ObserveBatch(pkts)
+		d.Snapshot(pkts[len(pkts)-1].Ts + int64(time.Second))
+		st := d.Stats()
+		if err := d.Close(); err != nil {
+			t.Fatal(err)
+		}
+		seals := col.all()
+		if len(seals) == 0 {
+			t.Fatalf("%s/%s: no seals emitted", tc.mode, tc.engine)
+		}
+		for _, s := range seals {
+			if s.Mode != tc.mode || s.Engine != tc.engine {
+				t.Errorf("seal labeled %s/%s, want %s/%s", s.Mode, s.Engine, tc.mode, tc.engine)
+			}
+		}
+		if st.Engine != tc.engine {
+			t.Errorf("Stats().Engine = %q, seals say %q", st.Engine, tc.engine)
+		}
+	}
+}
+
 // TestSealClusterMatchesSingle is the in-process cluster round trip:
 // three ingest pipelines over a source-partitioned stream seal their
 // windows, an aggregator merges the sealed frames round by round, and —

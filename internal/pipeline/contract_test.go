@@ -1,0 +1,215 @@
+package pipeline
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+	"time"
+
+	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/hashx"
+	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/trace"
+	"hiddenhhh/internal/wire"
+)
+
+// The engine contract, checked for every row of the registry rather than
+// for a hand-written list of engines: an engine added as one more row is
+// covered here with no test edit.
+
+// rowConfig is a small pipeline Config selecting registry row k.
+func rowConfig(k int) Config {
+	return Config{
+		Mode: engines[k].mode, Engine: Kind(k), Shards: 1,
+		Window: 2 * time.Second, Phi: 0.03, Counters: 64, Seed: 9,
+	}
+}
+
+// forEachEngine runs f as a subtest per registry row.
+func forEachEngine(t *testing.T, f func(t *testing.T, cfg Config)) {
+	for k := range engines {
+		t.Run(engines[k].name, func(t *testing.T) { f(t, rowConfig(k)) })
+	}
+}
+
+// sameSet requires two reports to agree item for item, counts included.
+func sameSet(t *testing.T, what string, got, want hhh.Set) {
+	t.Helper()
+	if !got.Equal(want) {
+		t.Fatalf("%s: sets differ:\n got  %v\n want %v", what, got, want)
+	}
+	for p, it := range want {
+		if g := got[p]; g.Count != it.Count || g.Conditioned != it.Conditioned {
+			t.Fatalf("%s: %v: got %+v, want %+v", what, p, g, it)
+		}
+	}
+}
+
+func mustEncode(t *testing.T, s Summary) []byte {
+	t.Helper()
+	frame, err := s.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return frame
+}
+
+// TestContractSingleMatchesOneShard: the single-goroutine driver and a
+// 1-shard pipeline run the same Summary through the same window clock, so
+// on one stream they must publish identical reports — set, mass, covered
+// span — at every snapshot, and leave their summaries in byte-identical
+// state. The state is compared on a second pair that takes no snapshots:
+// a Query may settle the summary it runs on (the continuous engine takes
+// its exits there), and the pipeline queries its merge accumulator where
+// the single driver queries the summary itself.
+func TestContractSingleMatchesOneShard(t *testing.T) {
+	pkts := testStream(31, 30000, 9)
+	forEachEngine(t, func(t *testing.T, cfg Config) {
+		pair := func() (*Single, *Sharded) {
+			single, err := NewSingle(cfg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return single, sharded
+		}
+
+		single, sharded := pair()
+		fed := 0
+		for at := int64(time.Second); fed < len(pkts); at += int64(time.Second) {
+			n := fed
+			for n < len(pkts) && pkts[n].Ts < at {
+				n++
+			}
+			single.ObserveBatch(pkts[fed:n])
+			sharded.ObserveBatch(pkts[fed:n])
+			fed = n
+			sameSet(t, "snapshot", sharded.Snapshot(at), single.Snapshot(at))
+			if g, w := sharded.ReportMass(at), single.ReportMass(at); g != w {
+				t.Fatalf("ReportMass(%d): sharded %d, single %d", at, g, w)
+			}
+			glo, ghi := sharded.CoveredSpan(at)
+			wlo, whi := single.CoveredSpan(at)
+			if glo != wlo || ghi != whi {
+				t.Fatalf("CoveredSpan(%d): sharded [%d,%d], single [%d,%d]", at, glo, ghi, wlo, whi)
+			}
+		}
+		if single.rep.Set.Len() == 0 {
+			t.Fatal("empty final report proves nothing")
+		}
+		if err := sharded.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		single, sharded = pair()
+		single.ObserveBatch(pkts)
+		sharded.ObserveBatch(pkts)
+		if err := sharded.Close(); err != nil { // drains the ring
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustEncode(t, single.eng), mustEncode(t, sharded.shards[0].eng)) {
+			t.Fatal("summaries differ after the same stream")
+		}
+	})
+}
+
+// TestContractWireRoundTrip: a summary restored from its own frame by
+// wire.Decode + wrap — what the Aggregator does — re-encodes to the same
+// bytes and answers Query identically.
+func TestContractWireRoundTrip(t *testing.T) {
+	pkts := testStream(32, 20000, 5)
+	at := pkts[len(pkts)-1].Ts
+	forEachEngine(t, func(t *testing.T, cfg Config) {
+		single, err := NewSingle(cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		single.ObserveBatch(pkts)
+		frame := mustEncode(t, single.eng)
+		if hdr, err := wire.Inspect(frame); err != nil || hdr.Kind != cfg.Engine.row().wire {
+			t.Fatalf("frame header %+v, %v; the row declares wire kind %v", hdr, err, cfg.Engine.row().wire)
+		}
+		e, err := wire.Decode(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, err := wrap(e, cfg.Phi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(mustEncode(t, restored), frame) {
+			t.Fatal("restored summary re-encodes differently")
+		}
+		got, gotMass := restored.Query(at)
+		want, wantMass := single.eng.Query(at)
+		sameSet(t, "restored query", got, want)
+		if gotMass != wantMass || want.Len() == 0 {
+			t.Fatalf("restored mass %d, original %d (%d items)", gotMass, wantMass, want.Len())
+		}
+	})
+}
+
+// TestContractAggregatorMatchesBarrier: two summaries of a partitioned
+// stream merged the way a shard barrier merges them equal the
+// Aggregator's merge of their two sealed frames — mergeFrames and
+// completeBarrier are one contract. The stream has fewer distinct
+// sources than counters, so the sketch merges are lossless and the
+// comparison does not depend on the order the aggregator folds frames.
+func TestContractAggregatorMatchesBarrier(t *testing.T) {
+	rng := rand.New(rand.NewSource(33))
+	pkts := make([]trace.Packet, 20000)
+	for i := range pkts {
+		pkts[i] = trace.Packet{
+			Ts:   int64(i) * int64(4*time.Second) / int64(len(pkts)),
+			Src:  addr.From4(10, byte(rng.Intn(3)), byte(rng.Intn(3)*rng.Intn(2)), byte(rng.Intn(8))),
+			Size: uint32(40 + rng.Intn(1460)),
+		}
+	}
+	at := pkts[len(pkts)-1].Ts + 1
+	forEachEngine(t, func(t *testing.T, cfg Config) {
+		if err := cfg.setDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		var halves [2]Summary
+		parts := [2]*trace.KeyBatch{trace.NewKeyBatch(0), trace.NewKeyBatch(0)}
+		for i := range halves {
+			s, err := newSummary(&cfg, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			halves[i] = s
+		}
+		for i := range pkts {
+			key := cfg.Hierarchy.Key(pkts[i].Src, 0)
+			parts[hashx.Bucket(hashx.Mix64(key), 2)].Append(key, pkts[i].Size, pkts[i].Ts)
+		}
+		acc, err := newSummary(&cfg, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: cfg.Phi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer agg.Close()
+		for i, s := range halves {
+			s.UpdateKeys(parts[i])
+			s.Advance(at)
+			acc.Merge(s)
+			sealed := Sealed{Seq: 1, Start: at - int64(cfg.Window), End: at, Frame: mustEncode(t, s)}
+			if err := agg.Ingest(string(rune('a'+i)), sealed); err != nil {
+				t.Fatal(err)
+			}
+		}
+		want, wantMass := acc.Query(at)
+		rep := agg.Report()
+		sameSet(t, "aggregated", rep.Set, want)
+		if rep.Bytes != wantMass || rep.Nodes != 2 || want.Len() == 0 {
+			t.Fatalf("aggregated mass %d over %d nodes, barrier merge %d (%d items)",
+				rep.Bytes, rep.Nodes, wantMass, want.Len())
+		}
+	})
+}

@@ -417,9 +417,9 @@ func (d *Sharded) completeBarrier(b *barrier, joined []bool, count int) {
 		// at the barrier timestamp.
 		start, end := b.start, b.end
 		if !b.reset {
-			start, end = b.at-d.width, b.at
+			start, end = b.at-int64(d.cfg.Window), b.at
 		}
-		frame, err := encodeSummary(d.merged)
+		frame, err := d.merged.Encode()
 		if err == nil {
 			d.emitSeal(frame, start, end, total, count, degraded)
 		}

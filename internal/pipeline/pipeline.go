@@ -43,20 +43,14 @@ package pipeline
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/hashx"
 	"hiddenhhh/internal/hhh"
-	"hiddenhhh/internal/sketch"
-	"hiddenhhh/internal/swhh"
-	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/telemetry"
 	"hiddenhhh/internal/trace"
 )
@@ -98,69 +92,6 @@ func (m Mode) String() string {
 	}
 }
 
-// Kind selects the per-shard summary engine. Values mirror the public
-// Engine constants (Exact=0, PerLevel=1, RHHH=2, WCSS=3, Memento=4):
-// the first three are ModeWindowed engines, the last two ModeSliding
-// ones.
-type Kind int
-
-// Supported engines. KindExact..KindRHHH select the windowed summary;
-// KindWCSS and KindMemento select the sliding summary (ModeSliding
-// treats the windowed kinds as KindWCSS, its historical default, so
-// pre-existing configurations keep working).
-const (
-	KindExact Kind = iota
-	KindPerLevel
-	KindRHHH
-	KindWCSS
-	KindMemento
-)
-
-// String names the engine kind ("exact", "perlevel", "rhhh", "wcss",
-// "memento").
-func (k Kind) String() string {
-	switch k {
-	case KindExact:
-		return "exact"
-	case KindPerLevel:
-		return "perlevel"
-	case KindRHHH:
-		return "rhhh"
-	case KindWCSS:
-		return "wcss"
-	case KindMemento:
-		return "memento"
-	default:
-		return fmt.Sprintf("kind(%d)", int(k))
-	}
-}
-
-// Summary is the pluggable per-shard digest: any mergeable summary of a
-// packet substream can sit behind the pipeline's rings and barriers. All
-// methods are called from a single goroutine at a time (the shard's
-// worker, or — between barriers — the merging worker).
-type Summary interface {
-	// UpdateKeys absorbs a time-ordered columnar batch of pre-packed,
-	// family-filtered leaf keys (see trace.KeyBatch). The producer packs
-	// each key exactly once; summaries derive per-level keys by masking.
-	UpdateKeys(b *trace.KeyBatch)
-	// Advance aligns time-dependent state to now (expiring sliding
-	// frames) so that equally-advanced summaries merge frame-for-frame.
-	// Summaries without eager time state treat it as a no-op.
-	Advance(now int64)
-	// Merge folds o — a summary built from the same Config — into the
-	// receiver without modifying o.
-	Merge(o Summary)
-	// Query returns the HHH set at time now together with the total mass
-	// (the threshold denominator: window bytes, covered sliding bytes, or
-	// decayed mass).
-	Query(now int64) (hhh.Set, int64)
-	// Reset returns the summary to its empty state.
-	Reset()
-	// SizeBytes reports the summary's state footprint.
-	SizeBytes() int
-}
-
 // Config parameterises New.
 type Config struct {
 	// Mode selects the window model. Default ModeWindowed.
@@ -173,12 +104,11 @@ type Config struct {
 	Window time.Duration
 	// Phi is the threshold fraction of the mode's total mass. Required.
 	Phi float64
-	// Engine selects the per-shard summary. ModeWindowed takes KindExact
-	// (the default), KindPerLevel or KindRHHH; ModeSliding takes KindWCSS
-	// (the frame-ring default — any windowed kind is accepted and treated
-	// as KindWCSS) or KindMemento (single aged table per level with
-	// RHHH-style level sampling, seeded per shard from Seed). Ignored by
-	// ModeContinuous.
+	// Engine selects the per-shard summary among the mode's engines (see
+	// the registry in summary.go). The zero value, like any windowed kind
+	// outside ModeWindowed, selects the mode's default: exact, WCSS frame
+	// rings, or — ModeContinuous has only one — TDBFs. New normalises it
+	// to the engine that runs.
 	Engine Kind
 	// Counters per level for sketch engines (per frame and level for
 	// ModeSliding). Default 512.
@@ -199,11 +129,11 @@ type Config struct {
 	// (family, step, depth — see internal/addr). Defaults to the IPv4
 	// byte ladder.
 	Hierarchy addr.Hierarchy
-	// Seed drives KindRHHH sampling — shard i derives its own stream
-	// from it (shard 0 uses Seed itself, so a 1-shard pipeline reproduces
-	// the single-detector sequence exactly) — and the continuous mode's
-	// filter hashes, where every shard shares it verbatim: cell-wise
-	// filter merging requires identical hash seeds.
+	// Seed drives the sampled engines' level draws — shard i derives its
+	// own stream from it (shard 0 uses Seed itself, so a 1-shard pipeline
+	// reproduces the single-detector sequence exactly) — and the
+	// continuous mode's filter hashes, where every shard shares it
+	// verbatim: cell-wise filter merging requires identical hash seeds.
 	Seed uint64
 	// Batch is the packets staged per shard before a ring push.
 	// Default 256.
@@ -255,6 +185,10 @@ type Config struct {
 	// merging goroutine (the coordinator for empty windows) and must not
 	// block or call back into the detector.
 	OnSeal func(Sealed)
+
+	// onEnter and onExit observe the continuous engine's detection
+	// transitions; only NewSingle sets them.
+	onEnter, onExit func(p addr.Prefix, at int64)
 }
 
 func (c *Config) setDefaults() error {
@@ -267,11 +201,8 @@ func (c *Config) setDefaults() error {
 	if c.Phi <= 0 || c.Phi > 1 {
 		return fmt.Errorf("pipeline: phi %v out of (0,1]", c.Phi)
 	}
-	if c.Engine < KindExact || c.Engine > KindMemento {
-		return fmt.Errorf("pipeline: unknown engine %v", c.Engine)
-	}
-	if c.Engine > KindRHHH && c.Mode != ModeSliding {
-		return fmt.Errorf("pipeline: engine %v requires ModeSliding", c.Engine)
+	if err := c.resolveEngine(); err != nil {
+		return err
 	}
 	if c.OnWindow != nil && c.Mode != ModeWindowed {
 		return fmt.Errorf("pipeline: OnWindow requires ModeWindowed (mode %v has no window closes)", c.Mode)
@@ -311,228 +242,6 @@ func (c *Config) tokenWait() time.Duration {
 		return c.ShedWait
 	}
 	return 0
-}
-
-// label is the engine string Stats reports.
-func (c *Config) label() string {
-	switch c.Mode {
-	case ModeSliding:
-		if c.Engine == KindMemento {
-			return "memento"
-		}
-		return "wcss"
-	case ModeContinuous:
-		return "tdbf"
-	default:
-		return c.Engine.String()
-	}
-}
-
-// slidingConfig is the single source of the sliding summary geometry:
-// newSummary builds shard engines from it and CoveredSpan derives the
-// covered span from it, so detector frames and accounting cannot drift
-// apart (swhh applies the frame-length floor inside both paths).
-func (c *Config) slidingConfig() swhh.Config {
-	return swhh.Config{
-		Window:   c.Window,
-		Frames:   c.Frames,
-		Counters: c.Counters,
-	}
-}
-
-// newSummary builds one shard's summary for cfg.
-func newSummary(cfg *Config, shard int) (Summary, error) {
-	switch cfg.Mode {
-	case ModeSliding:
-		if cfg.Engine == KindMemento {
-			// Same per-shard seed derivation as KindRHHH below: shard 0
-			// keeps cfg.Seed so a 1-shard pipeline reproduces the
-			// single-detector level-sampling sequence exactly.
-			d, err := swhh.NewMementoHHH(cfg.Hierarchy, cfg.slidingConfig(),
-				cfg.Seed^(uint64(shard)*0x9e3779b97f4a7c15))
-			if err != nil {
-				return nil, err
-			}
-			return &mementoSummary{d: d, phi: cfg.Phi}, nil
-		}
-		d, err := swhh.NewSlidingHHH(cfg.Hierarchy, cfg.slidingConfig())
-		if err != nil {
-			return nil, err
-		}
-		return &slidingSummary{d: d, phi: cfg.Phi}, nil
-	case ModeContinuous:
-		d, err := continuous.NewDetector(continuous.Config{
-			Hierarchy: cfg.Hierarchy,
-			Phi:       cfg.Phi,
-			Filter: tdbf.Config{
-				Cells:  cfg.Cells,
-				Hashes: cfg.Hashes,
-				Decay:  tdbf.Exponential{Tau: cfg.Window},
-			},
-			ExitRatio: cfg.ExitRatio,
-			Sampled:   cfg.Sampled,
-			Seed:      cfg.Seed,
-		})
-		if err != nil {
-			return nil, err
-		}
-		return &continuousSummary{d: d}, nil
-	default:
-		e := &windowedSummary{h: cfg.Hierarchy, phi: cfg.Phi}
-		switch cfg.Engine {
-		case KindPerLevel:
-			e.pl = hhh.NewPerLevel(cfg.Hierarchy, cfg.Counters)
-		case KindRHHH:
-			// splitmix64 increments decorrelate the per-shard sampling
-			// streams; shard 0 keeps cfg.Seed for 1-shard reproducibility.
-			e.rh = hhh.NewRHHH(cfg.Hierarchy, cfg.Counters, cfg.Seed^(uint64(shard)*0x9e3779b97f4a7c15))
-		default:
-			e.ex = sketch.NewExact(1024)
-		}
-		return e, nil
-	}
-}
-
-// windowedSummary is one disjoint-window shard summary — exactly one of
-// the three engine fields is active, mirroring the windowed detector's
-// engine dispatch. It carries no time state: Advance is a no-op and Query
-// ignores now, thresholding against the accumulated window volume.
-type windowedSummary struct {
-	h   addr.Hierarchy
-	phi float64
-	pl  *hhh.PerLevel
-	rh  *hhh.RHHH
-	ex  *sketch.Exact
-}
-
-func (e *windowedSummary) UpdateKeys(b *trace.KeyBatch) {
-	switch {
-	case e.pl != nil:
-		e.pl.UpdateKeys(b)
-	case e.rh != nil:
-		e.rh.UpdateKeys(b)
-	default:
-		// Exact counts live at the leaf level only, so the packed key is
-		// the counter key verbatim — no masking, no Addr math.
-		for i, k := range b.Keys {
-			e.ex.Update(k, int64(b.Sizes[i]))
-		}
-	}
-}
-
-func (e *windowedSummary) Advance(int64) {}
-
-// Merge folds o into e. Summaries are built from one Config, so kinds and
-// shapes always match.
-func (e *windowedSummary) Merge(s Summary) {
-	o := s.(*windowedSummary)
-	switch {
-	case e.pl != nil:
-		e.pl.Merge(o.pl)
-	case e.rh != nil:
-		e.rh.Merge(o.rh)
-	default:
-		e.ex.AddAll(o.ex)
-	}
-}
-
-func (e *windowedSummary) total() int64 {
-	switch {
-	case e.pl != nil:
-		return e.pl.Total()
-	case e.rh != nil:
-		return e.rh.Total()
-	default:
-		return e.ex.Total()
-	}
-}
-
-func (e *windowedSummary) Query(int64) (hhh.Set, int64) {
-	total := e.total()
-	T := hhh.Threshold(total, e.phi)
-	switch {
-	case e.pl != nil:
-		return e.pl.Query(T), total
-	case e.rh != nil:
-		return e.rh.Query(T), total
-	default:
-		return hhh.Exact(e.ex, e.h, T), total
-	}
-}
-
-func (e *windowedSummary) Reset() {
-	switch {
-	case e.pl != nil:
-		e.pl.Reset()
-	case e.rh != nil:
-		e.rh.Reset()
-	default:
-		e.ex.Reset()
-	}
-}
-
-func (e *windowedSummary) SizeBytes() int {
-	switch {
-	case e.pl != nil:
-		return e.pl.SizeBytes()
-	case e.rh != nil:
-		return e.rh.SizeBytes()
-	default:
-		return e.ex.Len() * 16
-	}
-}
-
-// slidingSummary adapts the per-level WCSS sliding detector. Advance
-// aligns the frame rings at the query barrier so Merge is frame-by-frame.
-type slidingSummary struct {
-	d   *swhh.SlidingHHH
-	phi float64
-}
-
-func (e *slidingSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
-func (e *slidingSummary) Advance(now int64)            { e.d.Advance(now) }
-func (e *slidingSummary) Merge(s Summary)              { e.d.Merge(s.(*slidingSummary).d) }
-func (e *slidingSummary) Reset()                       { e.d.Reset() }
-func (e *slidingSummary) SizeBytes() int               { return e.d.SizeBytes() }
-
-func (e *slidingSummary) Query(now int64) (hhh.Set, int64) {
-	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
-}
-
-// mementoSummary adapts the level-sampled Memento sliding detector. Like
-// slidingSummary, Advance aligns the frame clocks at the query barrier so
-// Merge is frame-by-frame; the reported mass comes from the wrapper's
-// exact totals ring, so accounting carries no sampling noise.
-type mementoSummary struct {
-	d   *swhh.MementoHHH
-	phi float64
-}
-
-func (e *mementoSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
-func (e *mementoSummary) Advance(now int64)            { e.d.Advance(now) }
-func (e *mementoSummary) Merge(s Summary)              { e.d.Merge(s.(*mementoSummary).d) }
-func (e *mementoSummary) Reset()                       { e.d.Reset() }
-func (e *mementoSummary) SizeBytes() int               { return e.d.SizeBytes() }
-
-func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
-	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
-}
-
-// continuousSummary adapts the time-decaying Bloom filter detector. The
-// filters decay lazily, so Advance has nothing to do; Merge decays cell
-// pairs to a common time as it adds them.
-type continuousSummary struct {
-	d *continuous.Detector
-}
-
-func (e *continuousSummary) UpdateKeys(b *trace.KeyBatch) { e.d.ObserveKeys(b) }
-func (e *continuousSummary) Advance(int64)                {}
-func (e *continuousSummary) Merge(s Summary)              { e.d.Merge(s.(*continuousSummary).d) }
-func (e *continuousSummary) Reset()                       { e.d.Reset() }
-func (e *continuousSummary) SizeBytes() int               { return e.d.SizeBytes() }
-
-func (e *continuousSummary) Query(now int64) (hhh.Set, int64) {
-	return e.d.Query(now), int64(e.d.TotalMass(now))
 }
 
 // shard is one worker: a ring, a summary, and a key-batch freelist, plus
@@ -631,7 +340,6 @@ type WindowReport struct {
 type Sharded struct {
 	// Read-mostly identity: set at construction.
 	cfg    Config
-	width  int64
 	shards []*shard
 	merged Summary
 	// tel holds the actively-observed metric handles; nil when
@@ -643,11 +351,9 @@ type Sharded struct {
 	seal *sealState
 
 	// Coordinator state: owned by the ingest goroutine.
-	started       bool
-	curEnd        int64
-	staging       []*trace.KeyBatch
-	lastBarrier   *barrier
-	windowHasData bool
+	tumble      tumbler
+	staging     []*trace.KeyBatch
+	lastBarrier *barrier
 
 	// Lifecycle: closed flips exactly once; lifeMu serialises Close
 	// against the barrier-broadcasting paths (Snapshot, and Close itself)
@@ -703,10 +409,12 @@ func New(cfg Config) (*Sharded, error) {
 	}
 	d := &Sharded{
 		cfg:     cfg,
-		width:   int64(cfg.Window),
 		shards:  make([]*shard, cfg.Shards),
 		merged:  merged,
 		staging: make([]*trace.KeyBatch, cfg.Shards),
+	}
+	if cfg.Mode == ModeWindowed {
+		d.tumble = tumbler{width: int64(cfg.Window), close: d.closeWindow}
 	}
 	d.pub.Store(&WindowReport{Set: hhh.NewSet()})
 	d.mergedSize.Store(int64(d.merged.SizeBytes()))
@@ -816,17 +524,7 @@ func (d *Sharded) TryObserve(p *trace.Packet) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	if d.cfg.Mode != ModeWindowed {
-		d.stage(p)
-		return nil
-	}
-	if !d.started {
-		d.started = true
-		d.curEnd = (p.Ts/d.width + 1) * d.width
-	}
-	for p.Ts >= d.curEnd {
-		d.closeWindow()
-	}
+	d.tumble.at(p.Ts)
 	d.stage(p)
 	return nil
 }
@@ -845,22 +543,8 @@ func (d *Sharded) TryObserveBatch(pkts []trace.Packet) error {
 	if d.closed.Load() {
 		return ErrClosed
 	}
-	if d.cfg.Mode != ModeWindowed {
-		for i := range pkts {
-			d.stage(&pkts[i])
-		}
-		return nil
-	}
 	for len(pkts) > 0 {
-		p := &pkts[0]
-		if !d.started {
-			d.started = true
-			d.curEnd = (p.Ts/d.width + 1) * d.width
-		}
-		for p.Ts >= d.curEnd {
-			d.closeWindow()
-		}
-		n := sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= d.curEnd })
+		n := d.tumble.next(pkts)
 		for i := range pkts[:n] {
 			d.stage(&pkts[i])
 		}
@@ -886,7 +570,7 @@ func (d *Sharded) stage(p *trace.Packet) {
 	si := hashx.Bucket(hashx.Mix64(key), len(d.shards))
 	kb := d.staging[si]
 	kb.Append(key, p.Size, p.Ts)
-	d.windowHasData = true
+	d.tumble.hasData = true
 	if kb.Len() >= d.cfg.Batch {
 		d.pushBatch(si, kb)
 	}
@@ -975,8 +659,9 @@ func (d *Sharded) broadcast(b *barrier) {
 	d.lastBarrier = b
 }
 
-// closeWindow flushes staged batches and broadcasts a closing barrier
-// (ModeWindowed). The coordinator does not wait for the merge: the next
+// closeWindow is the tumbler's callback (ModeWindowed): it flushes staged
+// batches and broadcasts a closing barrier for window [start, end). The
+// coordinator does not wait for the merge: the next
 // window's batches queue behind the token, and the barrier itself orders
 // the shards.
 //
@@ -986,10 +671,8 @@ func (d *Sharded) broadcast(b *barrier) {
 // in-flight merge (which keeps window reports ordered). A gap of G
 // windows then costs one barrier wait plus G cheap publishes instead of
 // G full shard synchronisations.
-func (d *Sharded) closeWindow() {
-	start, end := d.curEnd-d.width, d.curEnd
-	d.curEnd += d.width
-	if !d.windowHasData {
+func (d *Sharded) closeWindow(start, end int64, empty bool) {
+	if empty {
 		if b := d.lastBarrier; b != nil {
 			d.waitBarrier(b)
 		}
@@ -1004,7 +687,6 @@ func (d *Sharded) closeWindow() {
 		}
 		return
 	}
-	d.windowHasData = false
 	d.broadcast(newBarrier(d, start, end, end, true))
 }
 
@@ -1032,9 +714,7 @@ func (d *Sharded) Snapshot(now int64) hhh.Set {
 	var b *barrier
 	if !d.closed.Load() {
 		if d.cfg.Mode == ModeWindowed {
-			for d.started && now >= d.curEnd {
-				d.closeWindow()
-			}
+			d.tumble.closeDue(now)
 		} else {
 			d.broadcast(newBarrier(d, 0, 0, now, false))
 		}
@@ -1073,22 +753,7 @@ func (d *Sharded) ReportMass(int64) int64 {
 // [lo, now] in sliding mode, and (math.MinInt64, now] in continuous
 // mode. Like ReportMass, call it after Snapshot(now).
 func (d *Sharded) CoveredSpan(now int64) (lo, hi int64) {
-	switch d.cfg.Mode {
-	case ModeSliding:
-		return d.cfg.slidingConfig().CoveredSince(now), now
-	case ModeContinuous:
-		return math.MinInt64, now
-	default:
-		if d.merges.Load() == 0 {
-			// No window has been published yet: report the empty span
-			// (0, 0), matching the single-threaded windowed detector's
-			// zero-valued lastStart/lastEnd, instead of fabricating the
-			// never-observed window [-Window, 0).
-			return 0, 0
-		}
-		end := d.pub.Load().End
-		return end - d.width, end
-	}
+	return d.cfg.coveredSpan(now, d.pub.Load().End, d.merges.Load() > 0)
 }
 
 // SizeBytes reports the pipeline's summary footprint: every shard summary
@@ -1153,7 +818,7 @@ func (d *Sharded) Stats() Stats {
 	st := Stats{
 		Mode:         d.cfg.Mode.String(),
 		Shards:       len(d.shards),
-		Engine:       d.cfg.label(),
+		Engine:       d.cfg.Engine.String(),
 		Packets:      d.packets.Load(),
 		Bytes:        d.bytes.Load(),
 		ShardPackets: make([]int64, len(d.shards)),

@@ -11,8 +11,6 @@ package pipeline
 import (
 	"sync"
 	"sync/atomic"
-
-	"hiddenhhh/internal/wire"
 )
 
 // Sealed is one merged summary sealed into a self-contained wire frame,
@@ -24,7 +22,8 @@ type Sealed struct {
 	// Mode is the pipeline's window model ("windowed", "sliding",
 	// "continuous").
 	Mode string
-	// Engine is the per-shard summary kind the pipeline runs.
+	// Engine names the summary engine the pipeline runs ("wcss", "tdbf",
+	// …), as Stats().Engine and the metrics labels do.
 	Engine string
 	// Seq numbers this process's seals monotonically from 1; gaps at the
 	// receiver mean frames were lost in transit.
@@ -55,29 +54,6 @@ type sealState struct {
 	emptyFrame []byte
 }
 
-// encodeSummary seals any pipeline summary into its wire frame.
-func encodeSummary(s Summary) ([]byte, error) {
-	switch e := s.(type) {
-	case *windowedSummary:
-		switch {
-		case e.pl != nil:
-			return wire.EncodePerLevel(e.pl), nil
-		case e.rh != nil:
-			return wire.EncodeRHHH(e.rh), nil
-		default:
-			return wire.EncodeExact(e.h, e.ex), nil
-		}
-	case *slidingSummary:
-		return wire.EncodeSliding(e.d), nil
-	case *mementoSummary:
-		return wire.EncodeMemento(e.d), nil
-	case *continuousSummary:
-		return wire.EncodeContinuous(e.d)
-	default:
-		return wire.Encode(s)
-	}
-}
-
 // emptySealFrame returns the cached frame of a pristine summary, built
 // on first use. Empty windows are common under idle traffic; caching
 // keeps their fast path allocation-free after the first.
@@ -87,7 +63,7 @@ func (d *Sharded) emptySealFrame() []byte {
 		if err != nil {
 			return // New validated cfg already; unreachable
 		}
-		if frame, err := encodeSummary(eng); err == nil {
+		if frame, err := eng.Encode(); err == nil {
 			d.seal.emptyFrame = frame
 		}
 	})

@@ -1,0 +1,356 @@
+// The engine seam: everything in this package (and the root package, and
+// cmd/hhhserve) that depends on which summary engine is running lives in
+// this file. The rest of the pipeline — rings, barriers, the single-
+// goroutine driver, sealing, the Aggregator — sees only the Summary
+// contract and the engine's row of the registry below. ARCHITECTURE.md,
+// "The engine seam", has the recipe for adding an engine.
+
+package pipeline
+
+import (
+	"fmt"
+
+	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/continuous"
+	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
+	"hiddenhhh/internal/swhh"
+	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/trace"
+	"hiddenhhh/internal/wire"
+)
+
+// Summary is the engine contract: a mergeable digest of a packet
+// substream that can sit behind a shard's ring, behind the single-
+// goroutine driver, or — restored from its own wire frame — inside the
+// Aggregator. All methods are called from one goroutine at a time.
+//
+// What the drivers call when: packets only ever enter through UpdateKeys.
+// A windowed driver closes a window with Query(end) then Reset; the
+// sliding and continuous drivers answer a snapshot with Advance(now) then
+// Query(now) and never reset. Wherever several summaries are combined —
+// a shard barrier, an Aggregator round — each is advanced to the common
+// instant, folded into an accumulator with Merge, and the accumulator is
+// queried; Encode seals the accumulator for the next hop.
+type Summary interface {
+	// UpdateKeys absorbs a time-ordered columnar batch of pre-packed,
+	// family-filtered leaf keys (see trace.KeyBatch). The producer packs
+	// each key exactly once; summaries derive per-level keys by masking.
+	UpdateKeys(b *trace.KeyBatch)
+	// Advance aligns time-dependent state to now (expiring sliding
+	// frames) so that equally-advanced summaries merge frame-for-frame.
+	// Summaries without eager time state treat it as a no-op.
+	Advance(now int64)
+	// Merge folds o — a summary of the same engine and geometry — into
+	// the receiver without modifying o.
+	Merge(o Summary)
+	// Query returns the HHH set at time now together with the total mass
+	// (the threshold denominator: window bytes, covered sliding bytes, or
+	// decayed mass).
+	Query(now int64) (hhh.Set, int64)
+	// Reset returns the summary to its empty state.
+	Reset()
+	// SizeBytes reports the summary's state footprint.
+	SizeBytes() int
+	// Encode seals the summary into its internal/wire frame;
+	// wrap(wire.Decode(frame)) restores an equivalent summary.
+	Encode() ([]byte, error)
+}
+
+// Kind selects the summary engine. KindExact..KindMemento mirror the
+// public Engine constants; KindTDBF is the continuous mode's only engine
+// and has no public name, because ModeContinuous implies it.
+type Kind int
+
+// Supported engines, in registry order.
+const (
+	KindExact Kind = iota
+	KindPerLevel
+	KindRHHH
+	KindWCSS
+	KindMemento
+	KindTDBF
+)
+
+// engine is one registry row: what the pipeline needs to know about a
+// summary engine beyond the Summary contract.
+type engine struct {
+	// name labels the engine in Stats, metrics and sealed frames.
+	name string
+	// mode is the window model the engine serves.
+	mode Mode
+	// wire is the frame kind Encode produces.
+	wire wire.Kind
+	// roundAligned says how the Aggregator aligns frames: merged per exact
+	// window (true) or latest-frame-per-node (false).
+	roundAligned bool
+	// build constructs shard's raw engine from a defaulted Config, in the
+	// form wire.Decode returns it (so wrap serves both).
+	build func(cfg *Config, shard int) (any, error)
+}
+
+// engines is the registry, indexed by Kind. Within a mode the first row
+// is the mode's default engine.
+var engines = [...]engine{
+	KindExact:    {"exact", ModeWindowed, wire.KindExact, true, buildExact},
+	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, true, buildPerLevel},
+	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, true, buildRHHH},
+	KindWCSS:     {"wcss", ModeSliding, wire.KindSliding, false, buildWCSS},
+	KindMemento:  {"memento", ModeSliding, wire.KindMemento, false, buildMemento},
+	KindTDBF:     {"tdbf", ModeContinuous, wire.KindContinuous, false, buildTDBF},
+}
+
+// row returns k's registry row, nil for an unknown kind.
+func (k Kind) row() *engine {
+	if k < 0 || int(k) >= len(engines) {
+		return nil
+	}
+	return &engines[k]
+}
+
+// String names the engine kind ("exact", "perlevel", "rhhh", "wcss",
+// "memento", "tdbf").
+func (k Kind) String() string {
+	if r := k.row(); r != nil {
+		return r.name
+	}
+	return fmt.Sprintf("kind(%d)", int(k))
+}
+
+// engineOfWire returns the row whose frames carry wire kind w, nil when
+// no engine seals that kind (bare sketches and filters).
+func engineOfWire(w wire.Kind) *engine {
+	for i := range engines {
+		if engines[i].wire == w {
+			return &engines[i]
+		}
+	}
+	return nil
+}
+
+// resolveEngine normalises c.Engine to the row the pipeline will run.
+// The windowed kinds double as "unset" outside ModeWindowed — Engine's
+// zero value is one of them, and configurations written before the
+// sliding engines existed relied on them being ignored — so there they
+// select the mode's default engine; any other mismatch is an error.
+func (c *Config) resolveEngine() error {
+	r := c.Engine.row()
+	if r == nil {
+		return fmt.Errorf("pipeline: unknown engine %v", c.Engine)
+	}
+	if r.mode == ModeWindowed && c.Mode != ModeWindowed {
+		for k := range engines {
+			if engines[k].mode == c.Mode {
+				c.Engine, r = Kind(k), &engines[k]
+				break
+			}
+		}
+	}
+	if r.mode != c.Mode {
+		return fmt.Errorf("pipeline: engine %v requires %v mode", c.Engine, r.mode)
+	}
+	return nil
+}
+
+// newSummary builds one shard's summary for a defaulted cfg.
+func newSummary(cfg *Config, shard int) (Summary, error) {
+	e, err := cfg.Engine.row().build(cfg, shard)
+	if err != nil {
+		return nil, err
+	}
+	return wrap(e, cfg.Phi)
+}
+
+// wrap puts a raw engine — freshly built, or restored by wire.Decode —
+// behind the Summary contract, thresholding queries at phi (the
+// continuous detector carries its own).
+func wrap(e any, phi float64) (Summary, error) {
+	switch e := e.(type) {
+	case wire.ExactSummary:
+		return &exactSummary{h: e.Hierarchy, ex: e.Leaves, phi: phi}, nil
+	case *hhh.PerLevel:
+		return &perLevelSummary{d: e, phi: phi}, nil
+	case *hhh.RHHH:
+		return &rhhhSummary{d: e, phi: phi}, nil
+	case *swhh.SlidingHHH:
+		return &wcssSummary{d: e, phi: phi}, nil
+	case *swhh.MementoHHH:
+		return &mementoSummary{d: e, phi: phi}, nil
+	case *continuous.Detector:
+		return &tdbfSummary{d: e}, nil
+	default:
+		return nil, fmt.Errorf("pipeline: %T is not a pipeline engine", e)
+	}
+}
+
+// shardSeed derives shard i's level-sampling stream from the configured
+// seed by splitmix64 increments. Shard 0 keeps the seed itself, so the
+// single-goroutine driver and a 1-shard pipeline draw the same sequence.
+func shardSeed(cfg *Config, shard int) uint64 {
+	return cfg.Seed ^ (uint64(shard) * 0x9e3779b97f4a7c15)
+}
+
+// slidingConfig is the single source of the sliding summary geometry:
+// the sliding engines are built from it and CoveredSpan derives the
+// covered span from it, so detector frames and accounting cannot drift
+// apart (swhh applies the frame-length floor inside both paths).
+func (c *Config) slidingConfig() swhh.Config {
+	return swhh.Config{Window: c.Window, Frames: c.Frames, Counters: c.Counters}
+}
+
+func buildExact(cfg *Config, _ int) (any, error) {
+	return wire.ExactSummary{Hierarchy: cfg.Hierarchy, Leaves: sketch.NewExact(1024)}, nil
+}
+
+func buildPerLevel(cfg *Config, _ int) (any, error) {
+	return hhh.NewPerLevel(cfg.Hierarchy, cfg.Counters), nil
+}
+
+func buildRHHH(cfg *Config, shard int) (any, error) {
+	return hhh.NewRHHH(cfg.Hierarchy, cfg.Counters, shardSeed(cfg, shard)), nil
+}
+
+func buildWCSS(cfg *Config, _ int) (any, error) {
+	return swhh.NewSlidingHHH(cfg.Hierarchy, cfg.slidingConfig())
+}
+
+func buildMemento(cfg *Config, shard int) (any, error) {
+	return swhh.NewMementoHHH(cfg.Hierarchy, cfg.slidingConfig(), shardSeed(cfg, shard))
+}
+
+// buildTDBF shares cfg.Seed verbatim across shards: cell-wise filter
+// merging requires identical hash seeds.
+func buildTDBF(cfg *Config, _ int) (any, error) {
+	return continuous.NewDetector(continuous.Config{
+		Hierarchy: cfg.Hierarchy,
+		Phi:       cfg.Phi,
+		Filter: tdbf.Config{
+			Cells:  cfg.Cells,
+			Hashes: cfg.Hashes,
+			Decay:  tdbf.Exponential{Tau: cfg.Window},
+		},
+		ExitRatio: cfg.ExitRatio,
+		Sampled:   cfg.Sampled,
+		Seed:      cfg.Seed,
+		OnEnter:   cfg.onEnter,
+		OnExit:    cfg.onExit,
+	})
+}
+
+// The windowed adapters carry no time state: Advance is a no-op and
+// Query ignores now, thresholding against the accumulated window volume.
+
+// exactSummary adapts the exact leaf map. Counts live at the leaf level
+// only, so the packed key is the counter key verbatim.
+type exactSummary struct {
+	h   addr.Hierarchy
+	ex  *sketch.Exact
+	phi float64
+}
+
+func (e *exactSummary) UpdateKeys(b *trace.KeyBatch) {
+	sizes := b.Sizes[:len(b.Keys)]
+	for i, k := range b.Keys {
+		e.ex.Update(k, int64(sizes[i]))
+	}
+}
+func (e *exactSummary) Advance(int64)           {}
+func (e *exactSummary) Merge(o Summary)         { e.ex.AddAll(o.(*exactSummary).ex) }
+func (e *exactSummary) Reset()                  { e.ex.Reset() }
+func (e *exactSummary) SizeBytes() int          { return e.ex.Len() * 16 }
+func (e *exactSummary) Encode() ([]byte, error) { return wire.EncodeExact(e.h, e.ex), nil }
+
+func (e *exactSummary) Query(int64) (hhh.Set, int64) {
+	total := e.ex.Total()
+	return hhh.Exact(e.ex, e.h, hhh.Threshold(total, e.phi)), total
+}
+
+// perLevelSummary adapts one Space-Saving summary per level.
+type perLevelSummary struct {
+	d   *hhh.PerLevel
+	phi float64
+}
+
+func (e *perLevelSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
+func (e *perLevelSummary) Advance(int64)                {}
+func (e *perLevelSummary) Merge(o Summary)              { e.d.Merge(o.(*perLevelSummary).d) }
+func (e *perLevelSummary) Reset()                       { e.d.Reset() }
+func (e *perLevelSummary) SizeBytes() int               { return e.d.SizeBytes() }
+func (e *perLevelSummary) Encode() ([]byte, error)      { return wire.EncodePerLevel(e.d), nil }
+
+func (e *perLevelSummary) Query(int64) (hhh.Set, int64) {
+	return e.d.QueryFraction(e.phi), e.d.Total()
+}
+
+// rhhhSummary adapts the level-sampled windowed engine.
+type rhhhSummary struct {
+	d   *hhh.RHHH
+	phi float64
+}
+
+func (e *rhhhSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
+func (e *rhhhSummary) Advance(int64)                {}
+func (e *rhhhSummary) Merge(o Summary)              { e.d.Merge(o.(*rhhhSummary).d) }
+func (e *rhhhSummary) Reset()                       { e.d.Reset() }
+func (e *rhhhSummary) SizeBytes() int               { return e.d.SizeBytes() }
+func (e *rhhhSummary) Encode() ([]byte, error)      { return wire.EncodeRHHH(e.d), nil }
+
+func (e *rhhhSummary) Query(int64) (hhh.Set, int64) {
+	return e.d.QueryFraction(e.phi), e.d.Total()
+}
+
+// wcssSummary adapts the per-level WCSS frame rings. Advance aligns the
+// rings at the query instant so Merge is frame-by-frame.
+type wcssSummary struct {
+	d   *swhh.SlidingHHH
+	phi float64
+}
+
+func (e *wcssSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
+func (e *wcssSummary) Advance(now int64)            { e.d.Advance(now) }
+func (e *wcssSummary) Merge(o Summary)              { e.d.Merge(o.(*wcssSummary).d) }
+func (e *wcssSummary) Reset()                       { e.d.Reset() }
+func (e *wcssSummary) SizeBytes() int               { return e.d.SizeBytes() }
+func (e *wcssSummary) Encode() ([]byte, error)      { return wire.EncodeSliding(e.d), nil }
+
+func (e *wcssSummary) Query(now int64) (hhh.Set, int64) {
+	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
+}
+
+// mementoSummary adapts the level-sampled Memento sliding engine. Like
+// wcssSummary, Advance aligns the frame clocks before a merge; the
+// reported mass comes from the engine's exact totals ring, so accounting
+// carries no sampling noise.
+type mementoSummary struct {
+	d   *swhh.MementoHHH
+	phi float64
+}
+
+func (e *mementoSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
+func (e *mementoSummary) Advance(now int64)            { e.d.Advance(now) }
+func (e *mementoSummary) Merge(o Summary)              { e.d.Merge(o.(*mementoSummary).d) }
+func (e *mementoSummary) Reset()                       { e.d.Reset() }
+func (e *mementoSummary) SizeBytes() int               { return e.d.SizeBytes() }
+func (e *mementoSummary) Encode() ([]byte, error)      { return wire.EncodeMemento(e.d), nil }
+
+func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
+	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
+}
+
+// tdbfSummary adapts the time-decaying Bloom filter detector. The
+// filters decay lazily, so Advance has nothing to do; Merge decays cell
+// pairs to a common time as it adds them.
+type tdbfSummary struct {
+	d *continuous.Detector
+}
+
+func (e *tdbfSummary) UpdateKeys(b *trace.KeyBatch) { e.d.ObserveKeys(b) }
+func (e *tdbfSummary) Advance(int64)                {}
+func (e *tdbfSummary) Merge(o Summary)              { e.d.Merge(o.(*tdbfSummary).d) }
+func (e *tdbfSummary) Reset()                       { e.d.Reset() }
+func (e *tdbfSummary) SizeBytes() int               { return e.d.SizeBytes() }
+func (e *tdbfSummary) Encode() ([]byte, error)      { return wire.EncodeContinuous(e.d) }
+
+func (e *tdbfSummary) Query(now int64) (hhh.Set, int64) {
+	return e.d.Query(now), int64(e.d.TotalMass(now))
+}

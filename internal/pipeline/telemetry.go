@@ -33,7 +33,7 @@ type pipeTelemetry struct {
 // once from New; the function-backed families keep reading d's live
 // counters on every scrape.
 func (d *Sharded) registerMetrics(r *telemetry.Registry) *pipeTelemetry {
-	engine, mode := d.cfg.label(), d.cfg.Mode.String()
+	engine, mode := d.cfg.Engine.String(), d.cfg.Mode.String()
 
 	// Detector-level families: engine×mode labeled, one child per
 	// detector instance (hhhserve runs exactly one).

@@ -327,78 +327,6 @@ func TestHeapSpaceSavingHeapInvariant(t *testing.T) {
 	}
 }
 
-func TestMisraGriesNeverOverestimates(t *testing.T) {
-	stream := zipfStream(20000, 5000, 4)
-	truth := exactOf(stream)
-	mg := NewMisraGries(64)
-	for _, kv := range stream {
-		mg.Update(kv.Key, kv.Count)
-	}
-	for _, kv := range mg.Tracked() {
-		if kv.Count > truth[kv.Key] {
-			t.Fatalf("MisraGries overestimated key %d: %d > %d", kv.Key, kv.Count, truth[kv.Key])
-		}
-	}
-}
-
-func TestMisraGriesErrorBound(t *testing.T) {
-	stream := zipfStream(20000, 5000, 5)
-	truth := exactOf(stream)
-	N := totalOf(stream)
-	const k = 128
-	mg := NewMisraGries(k)
-	for _, kv := range stream {
-		mg.Update(kv.Key, kv.Count)
-	}
-	bound := N / int64(k+1)
-	for key, want := range truth {
-		got := mg.Estimate(key)
-		if got > want {
-			t.Fatalf("overestimate on %d", key)
-		}
-		if want-got > bound {
-			t.Fatalf("underestimation %d exceeds N/(k+1) = %d", want-got, bound)
-		}
-	}
-	if mg.Len() > k {
-		t.Fatalf("holds %d > k=%d counters", mg.Len(), k)
-	}
-}
-
-func TestMisraGriesCapacityOne(t *testing.T) {
-	mg := NewMisraGries(1)
-	mg.Update(1, 10)
-	mg.Update(2, 4) // both decremented by 4; key2 dropped, key1 -> 6
-	if mg.Len() != 1 || mg.Estimate(1) != 6 {
-		t.Errorf("len=%d est1=%d, want 1/6", mg.Len(), mg.Estimate(1))
-	}
-	mg.Reset()
-	if mg.Len() != 0 || mg.Total() != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
-func TestMisraGriesHeavyKeys(t *testing.T) {
-	mg := NewMisraGries(8)
-	for i := 0; i < 100; i++ {
-		mg.Update(7, 100)
-		mg.Update(uint64(i+10), 1)
-	}
-	hk := mg.HeavyKeys(5000)
-	if len(hk) != 1 || hk[0].Key != 7 {
-		t.Errorf("HeavyKeys = %v, want only key 7", hk)
-	}
-}
-
-func TestMisraGriesPanicsOnBadCapacity(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewMisraGries(0) should panic")
-		}
-	}()
-	NewMisraGries(0)
-}
-
 func TestCountMinNeverUnderestimates(t *testing.T) {
 	for _, conservative := range []bool{false, true} {
 		stream := zipfStream(20000, 5000, 6)
@@ -512,7 +440,7 @@ func TestCountSketchResetAndSize(t *testing.T) {
 
 func TestTrackerInterfaceCompliance(t *testing.T) {
 	// Compile-time + runtime checks that our trackers satisfy Tracker.
-	for _, tr := range []Tracker{NewExact(0), NewSpaceSaving(8), NewMisraGries(8)} {
+	for _, tr := range []Tracker{NewExact(0), NewSpaceSaving(8)} {
 		tr.Update(1, 2)
 		if tr.Total() != 2 {
 			t.Errorf("%T Total = %d", tr, tr.Total())
@@ -544,17 +472,6 @@ func BenchmarkHeapSpaceSavingUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		kv := stream[i&(1<<16-1)]
 		ss.Update(kv.Key, kv.Count)
-	}
-}
-
-func BenchmarkMisraGriesUpdate(b *testing.B) {
-	stream := zipfStream(1<<16, 1<<14, 10)
-	mg := NewMisraGries(1024)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv := stream[i&(1<<16-1)]
-		mg.Update(kv.Key, kv.Count)
 	}
 }
 

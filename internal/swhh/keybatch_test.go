@@ -29,6 +29,14 @@ func dualStackStream(seed int64, n int) []trace.Packet {
 	return out
 }
 
+// pack runs pkts through the producer-side packing (family filter, leaf
+// key) the way every caller of UpdateKeys does.
+func pack(h addr.Hierarchy, pkts []trace.Packet) *trace.KeyBatch {
+	b := trace.NewKeyBatch(len(pkts))
+	b.AppendPackets(h, pkts)
+	return b
+}
+
 // TestSlidingKeyBatchMatchesUpdate pins the columnar fast path of the
 // sliding-window engine to per-packet Update calls: same frame rotation,
 // same per-frame totals, same reported set — for both families' key
@@ -59,7 +67,7 @@ func TestSlidingKeyBatchMatchesUpdate(t *testing.T) {
 				}
 				for off := 0; off < len(pkts); off += bs {
 					end := min(off+bs, len(pkts))
-					got.UpdateBatch(pkts[off:end])
+					got.UpdateKeys(pack(h, pkts[off:end]))
 				}
 				if gt := got.WindowTotal(last); gt != wantTotal {
 					t.Fatalf("chunk %d: window total %d != per-packet %d", bs, gt, wantTotal)

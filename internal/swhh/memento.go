@@ -195,7 +195,7 @@ func (m *Memento) rebuildIndex() {
 
 // advance ages the table so that the frame containing now is current.
 func (m *Memento) advance(now int64) {
-	m.advanceTo(floorDiv(now, m.frameNs))
+	m.advanceTo(FloorDiv(now, m.frameNs))
 }
 
 // advanceTo ages the table up to global frame target. A jump of at least
@@ -487,7 +487,6 @@ type MementoHHH struct {
 	curFrame int64
 
 	qs *hhh.QueryScratch
-	kb trace.KeyBatch // scratch for the UpdateBatch packing shim
 }
 
 // NewMementoHHH builds a level-sampled Memento HHH detector. The seed
@@ -554,7 +553,7 @@ func (d *MementoHHH) Update(src addr.Addr, bytes int64, now int64) {
 	if d.high {
 		half = src.Hi()
 	}
-	d.advanceTotals(floorDiv(now, d.frameNs))
+	d.advanceTotals(FloorDiv(now, d.frameNs))
 	slot := floorMod(d.curFrame, d.ring)
 	d.totals[slot] += bytes
 	d.rng += 0x9e3779b97f4a7c15
@@ -562,17 +561,6 @@ func (d *MementoHHH) Update(src addr.Addr, bytes int64, now int64) {
 	lv := d.levels[l]
 	lv.advanceTo(d.curFrame)
 	lv.bump(half&d.masks[l], bytes, slot)
-}
-
-// UpdateBatch feeds a run of time-ordered packets, skipping packets
-// outside the hierarchy's address family. Like SlidingHHH.UpdateBatch it
-// is a thin packing shim over UpdateKeys, so the final state matches
-// per-packet Update calls (the level-sampling draws happen in the same
-// stream order either way).
-func (d *MementoHHH) UpdateBatch(pkts []trace.Packet) {
-	d.kb.Reset()
-	d.kb.AppendPackets(d.h, pkts)
-	d.UpdateKeys(&d.kb)
 }
 
 // UpdateKeys feeds a columnar batch of pre-packed, time-ordered leaf
@@ -585,9 +573,9 @@ func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 	n := b.Len()
 	rng := d.rng
 	for i := 0; i < n; {
-		fi := floorDiv(b.Ts[i], d.frameNs)
+		fi := FloorDiv(b.Ts[i], d.frameNs)
 		j := i + 1
-		for j < n && floorDiv(b.Ts[j], d.frameNs) == fi {
+		for j < n && FloorDiv(b.Ts[j], d.frameNs) == fi {
 			j++
 		}
 		d.advanceTotals(fi)
@@ -615,7 +603,7 @@ func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 // its live entries directly — one table, no per-frame candidate rescan or
 // dedup.
 func (d *MementoHHH) Query(phi float64, now int64) hhh.Set {
-	d.advanceTotals(floorDiv(now, d.frameNs))
+	d.advanceTotals(FloorDiv(now, d.frameNs))
 	for _, lv := range d.levels {
 		lv.advanceTo(d.curFrame)
 	}
@@ -638,7 +626,7 @@ func (d *MementoHHH) Query(phi float64, now int64) hhh.Set {
 // recording anything. The sharded pipeline advances all shards to the
 // query timestamp before merging so their frame clocks align.
 func (d *MementoHHH) Advance(now int64) {
-	d.advanceTotals(floorDiv(now, d.frameNs))
+	d.advanceTotals(FloorDiv(now, d.frameNs))
 	for _, lv := range d.levels {
 		lv.advanceTo(d.curFrame)
 	}
@@ -646,7 +634,7 @@ func (d *MementoHHH) Advance(now int64) {
 
 // WindowTotal returns the exact total byte weight currently covered.
 func (d *MementoHHH) WindowTotal(now int64) int64 {
-	d.advanceTotals(floorDiv(now, d.frameNs))
+	d.advanceTotals(FloorDiv(now, d.frameNs))
 	var sum int64
 	for _, t := range d.totals {
 		sum += t

@@ -54,7 +54,7 @@ func TestMementoEpochTimestampFirstPacket(t *testing.T) {
 	}
 	start = time.Now()
 	d.Update(addr.MustParseAddr("10.1.2.3"), 100, epoch)
-	d.UpdateBatch([]trace.Packet{{Ts: epoch + 1, Src: addr.MustParseAddr("10.1.2.4"), Size: 50}})
+	d.UpdateKeys(pack(h, []trace.Packet{{Ts: epoch + 1, Src: addr.MustParseAddr("10.1.2.4"), Size: 50}}))
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("MementoHHH epoch ingest took %v", el)
 	}
@@ -420,7 +420,7 @@ func TestMementoKeyBatchMatchesUpdate(t *testing.T) {
 				}
 				for off := 0; off < len(pkts); off += bs {
 					end := min(off+bs, len(pkts))
-					got.UpdateBatch(pkts[off:end])
+					got.UpdateKeys(pack(h, pkts[off:end]))
 				}
 				if gt := got.WindowTotal(last); gt != wantTotal {
 					t.Fatalf("chunk %d: window total %d != per-packet %d", bs, gt, wantTotal)

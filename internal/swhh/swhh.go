@@ -53,12 +53,12 @@ import (
 // would appear to be in the past and land in frame 0.
 const frameUninit = math.MinInt64
 
-// floorDiv is the floored quotient a/b for b > 0. Frame indices must use
+// FloorDiv is the floored quotient a/b for b > 0. Frame indices must use
 // floored division so that pre-epoch (negative) timestamps map to
 // monotonically increasing frames and agree with CoveredSince's geometry;
 // Go's native division truncates toward zero, which would fold the two
 // nanosecond ranges (-frameNs, 0) and [0, frameNs) into one frame.
-func floorDiv(a, b int64) int64 {
+func FloorDiv(a, b int64) int64 {
 	q := a / b
 	if a%b != 0 && (a < 0) != (b < 0) {
 		q--
@@ -117,7 +117,7 @@ func (c Config) CoveredSince(now int64) int64 {
 	if frameNs < 1 {
 		frameNs = 1
 	}
-	return (floorDiv(now, frameNs) - int64(c.Frames)) * frameNs
+	return (FloorDiv(now, frameNs) - int64(c.Frames)) * frameNs
 }
 
 // Sliding is a time-framed WCSS-style sliding-window heavy-hitter summary.
@@ -159,7 +159,7 @@ func NewSliding(cfg Config) (*Sliding, error) {
 
 // advance rotates frames so that the frame containing now is current.
 func (s *Sliding) advance(now int64) {
-	s.advanceTo(floorDiv(now, s.frameNs))
+	s.advanceTo(FloorDiv(now, s.frameNs))
 }
 
 // advanceTo rotates frames up to the global frame index target. A jump of
@@ -335,7 +335,6 @@ type SlidingHHH struct {
 	// conditioned pass's discount tables, cleared in place per query.
 	seen map[uint64]struct{}
 	qs   *hhh.QueryScratch
-	kb   trace.KeyBatch // scratch for the UpdateBatch packing shim
 }
 
 // NewSlidingHHH builds a per-level sliding HHH detector.
@@ -375,18 +374,6 @@ func (d *SlidingHHH) Update(src addr.Addr, bytes int64, now int64) {
 	}
 }
 
-// UpdateBatch feeds a run of time-ordered packets, skipping packets
-// outside the hierarchy's address family. It is a thin packing shim:
-// matching packets are packed once into a reusable scratch KeyBatch and
-// handed to UpdateKeys, so the final state matches per-packet Update
-// calls (the family filter runs before any frame advances, exactly as
-// Update orders it).
-func (d *SlidingHHH) UpdateBatch(pkts []trace.Packet) {
-	d.kb.Reset()
-	d.kb.AppendPackets(d.h, pkts)
-	d.UpdateKeys(&d.kb)
-}
-
 // UpdateKeys feeds a columnar batch of pre-packed, time-ordered leaf
 // keys. Packets are chunked by frame (on the Ts column) so each chunk
 // advances the frame ring once per level and then applies its updates
@@ -397,9 +384,9 @@ func (d *SlidingHHH) UpdateKeys(b *trace.KeyBatch) {
 	frameNs := d.levels[0].frameNs
 	n := b.Len()
 	for i := 0; i < n; {
-		fi := floorDiv(b.Ts[i], frameNs)
+		fi := FloorDiv(b.Ts[i], frameNs)
 		j := i + 1
-		for j < n && floorDiv(b.Ts[j], frameNs) == fi {
+		for j < n && FloorDiv(b.Ts[j], frameNs) == fi {
 			j++
 		}
 		var bytes int64

@@ -58,7 +58,7 @@ func TestEpochTimestampFirstPacket(t *testing.T) {
 	}
 	start = time.Now()
 	d.Update(addr.MustParseAddr("10.1.2.3"), 100, epoch)
-	d.UpdateBatch([]trace.Packet{{Ts: epoch + 1, Src: addr.MustParseAddr("10.1.2.4"), Size: 50}})
+	d.UpdateKeys(pack(h, []trace.Packet{{Ts: epoch + 1, Src: addr.MustParseAddr("10.1.2.4"), Size: 50}}))
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("SlidingHHH epoch ingest took %v", el)
 	}

@@ -1,6 +1,10 @@
 package trace
 
-import "hiddenhhh/internal/addr"
+import (
+	"slices"
+
+	"hiddenhhh/internal/addr"
+)
 
 // KeyBatch is the columnar (structure-of-arrays) batch the ingest data
 // path hands between the producer, the pipeline rings, and the engine
@@ -73,15 +77,27 @@ func (b *KeyBatch) Bytes() int64 {
 // place the ingest family filter runs on the columnar path. It returns
 // the number of packets packed.
 func (b *KeyBatch) AppendPackets(h addr.Hierarchy, pkts []Packet) int {
+	// Grow once, then fill by index, with the leaf mask hoisted: the loop
+	// carries no capacity checks and no per-packet hierarchy arithmetic.
 	n := len(b.Keys)
+	m := n + len(pkts)
+	keys := slices.Grow(b.Keys, len(pkts))[:m]
+	sizes := slices.Grow(b.Sizes, len(pkts))[:m]
+	ts := slices.Grow(b.Ts, len(pkts))[:m]
+	mask, high := h.KeyMask(0), h.KeyFromHigh()
+	j := n
 	for i := range pkts {
 		p := &pkts[i]
 		if !h.Match(p.Src) {
 			continue
 		}
-		b.Keys = append(b.Keys, h.Key(p.Src, 0))
-		b.Sizes = append(b.Sizes, p.Size)
-		b.Ts = append(b.Ts, p.Ts)
+		half := p.Src.Lo()
+		if high {
+			half = p.Src.Hi()
+		}
+		keys[j], sizes[j], ts[j] = half&mask, p.Size, p.Ts
+		j++
 	}
-	return len(b.Keys) - n
+	b.Keys, b.Sizes, b.Ts = keys[:j], sizes[:j], ts[:j]
+	return j - n
 }

@@ -1,6 +1,7 @@
 package hiddenhhh
 
 import (
+	"sort"
 	"testing"
 	"time"
 )
@@ -72,12 +73,26 @@ func TestTimeTranslationInvariance(t *testing.T) {
 		}},
 	}
 
-	run := func(mk func() (Detector, error), stream []Packet, at int64) Set {
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			assertTranslationInvariant(t, tc.mk, pkts, shifted, shift, snapAt)
+		})
+	}
+}
+
+// assertTranslationInvariant feeds a fresh detector the packets of base
+// stamped before at and snapshots there, does the same with the shifted
+// stream at at+shift, and requires identical reports: items, counts and
+// conditioned volumes.
+func assertTranslationInvariant(t *testing.T, mk func() (Detector, error), base, shifted []Packet, shift, at int64) {
+	t.Helper()
+	run := func(stream []Packet, at int64) Set {
 		det, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}
-		det.ObserveBatch(stream)
+		n := sort.Search(len(stream), func(i int) bool { return stream[i].Ts >= at })
+		det.ObserveBatch(stream[:n])
 		set := det.Snapshot(at)
 		if c, ok := det.(interface{ Close() error }); ok {
 			if err := c.Close(); err != nil {
@@ -86,35 +101,33 @@ func TestTimeTranslationInvariance(t *testing.T) {
 		}
 		return set
 	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := run(tc.mk, pkts, snapAt)
-			moved := run(tc.mk, shifted, snapAt+shift)
-			if !moved.Equal(base) {
-				t.Fatalf("sets differ under +%d ns shift:\n base  %v\n moved %v", shift, base, moved)
-			}
-			for p, it := range base {
-				if m := moved[p]; m.Count != it.Count || m.Conditioned != it.Conditioned {
-					t.Errorf("%v: base %+v != moved %+v", p, it, m)
-				}
-			}
-			if base.Len() == 0 {
-				t.Error("empty report proves nothing — stream or snapshot time is wrong")
-			}
-		})
+	want, moved := run(base, at), run(shifted, at+shift)
+	if !moved.Equal(want) {
+		t.Fatalf("sets at %d differ under %+d ns shift:\n base  %v\n moved %v", at, shift, want, moved)
+	}
+	for p, it := range want {
+		if m := moved[p]; m.Count != it.Count || m.Conditioned != it.Conditioned {
+			t.Errorf("%v: base %+v != moved %+v", p, it, m)
+		}
+	}
+	if want.Len() == 0 {
+		t.Error("empty report proves nothing — stream or snapshot time is wrong")
 	}
 }
 
 // TestTimeTranslationInvarianceNegative extends the translation property
-// below zero: the sliding engines must report identically for a trace
-// shifted deep into pre-epoch territory. Before this PR frame indices
-// were computed with Go's truncating division, which folds the frames
-// on either side of zero together and produces negative ring slots, so
-// any pre-epoch timestamp corrupted (or panicked) the frame ring; the
-// engines now use floored frame math and an explicit uninitialised
-// frame-clock sentinel. Only the sliding family is covered — it is the
-// only one whose state is addressed by absolute frame index.
+// below zero: every detector whose state is addressed by absolute time —
+// the sliding engines by frame index, the windowed ones by window index —
+// must report identically for a trace shifted deep into pre-epoch
+// territory. Both used Go's truncating division at first, which folds the
+// frames (or windows) on either side of zero together; the engines use
+// floored frame math and an explicit uninitialised frame-clock sentinel,
+// and the shared window clock anchors its first window by floored
+// division. The stream starts 300 ms into a window, since the windowed
+// fold only shows when the first packet is off a boundary: truncation
+// would open [-999, -998) for a first packet at -999.7 s, and the first
+// report would cover two windows of traffic. That first report is what the
+// early snapshot reads; the late one closes the final data window.
 func TestTimeTranslationInvarianceNegative(t *testing.T) {
 	// -1000 s: a negative multiple of the 1 s window and its 125 ms
 	// frames, placing the whole stream before the epoch.
@@ -123,61 +136,44 @@ func TestTimeTranslationInvarianceNegative(t *testing.T) {
 	phi := 0.02
 
 	pkts := propStream(21, 40000, 5)
+	for pkts[0].Ts < int64(300*time.Millisecond) {
+		pkts = pkts[1:]
+	}
 	shifted := make([]Packet, len(pkts))
 	copy(shifted, pkts)
 	for i := range shifted {
 		shifted[i].Ts += shift
 	}
-	snapAt := (pkts[len(pkts)-1].Ts/int64(window) + 1) * int64(window)
+	early := 2 * int64(window)
+	late := (pkts[len(pkts)-1].Ts/int64(window) + 1) * int64(window)
 
-	cases := []struct {
-		name string
-		mk   func() (Detector, error)
-	}{
-		{"sliding", func() (Detector, error) {
+	type mk = func() (Detector, error)
+	cases := map[string]mk{
+		"sliding": func() (Detector, error) {
 			return NewSlidingDetector(SlidingConfig{Window: window, Phi: phi, Counters: 64})
-		}},
-		{"sliding-memento", func() (Detector, error) {
+		},
+		"sliding-memento": func() (Detector, error) {
 			return NewSlidingDetector(SlidingConfig{Window: window, Phi: phi, Counters: 64, Engine: EngineMemento, Seed: 9})
-		}},
-		{"sharded-sliding", func() (Detector, error) {
+		},
+		"sharded-sliding": func() (Detector, error) {
 			return NewShardedDetector(ShardedConfig{Mode: ModeSliding, Shards: 3, Window: window, Phi: phi, Counters: 64})
-		}},
-		{"sharded-sliding-memento", func() (Detector, error) {
+		},
+		"sharded-sliding-memento": func() (Detector, error) {
 			return NewShardedDetector(ShardedConfig{Mode: ModeSliding, Shards: 3, Window: window, Phi: phi, Counters: 64, Engine: EngineMemento, Seed: 9})
-		}},
+		},
 	}
-
-	run := func(mk func() (Detector, error), stream []Packet, at int64) Set {
-		det, err := mk()
-		if err != nil {
-			t.Fatal(err)
+	for _, e := range []Engine{EngineExact, EnginePerLevel, EngineRHHH} {
+		cases["windowed-"+e.String()] = func() (Detector, error) {
+			return NewWindowedDetector(WindowedConfig{Window: window, Phi: phi, Engine: e, Counters: 64, Seed: 9})
 		}
-		det.ObserveBatch(stream)
-		set := det.Snapshot(at)
-		if c, ok := det.(interface{ Close() error }); ok {
-			if err := c.Close(); err != nil {
-				t.Fatal(err)
-			}
+		cases["sharded-windowed-"+e.String()] = func() (Detector, error) {
+			return NewShardedDetector(ShardedConfig{Shards: 3, Window: window, Phi: phi, Engine: e, Counters: 64, Seed: 9})
 		}
-		return set
 	}
-
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			base := run(tc.mk, pkts, snapAt)
-			moved := run(tc.mk, shifted, snapAt+shift)
-			if !moved.Equal(base) {
-				t.Fatalf("sets differ under %d ns shift:\n base  %v\n moved %v", shift, base, moved)
-			}
-			for p, it := range base {
-				if m := moved[p]; m.Count != it.Count || m.Conditioned != it.Conditioned {
-					t.Errorf("%v: base %+v != moved %+v", p, it, m)
-				}
-			}
-			if base.Len() == 0 {
-				t.Error("empty report proves nothing — stream or snapshot time is wrong")
-			}
+	for name, mk := range cases {
+		t.Run(name, func(t *testing.T) {
+			assertTranslationInvariant(t, mk, pkts, shifted, shift, early)
+			assertTranslationInvariant(t, mk, pkts, shifted, shift, late)
 		})
 	}
 }

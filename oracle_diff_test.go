@@ -114,6 +114,36 @@ func TestOracleDifferentialWindowed(t *testing.T) {
 	}
 }
 
+// TestOracleDifferentialWindowedPreEpoch runs the exact windowed cells
+// on the matrix trace moved before the epoch by a span that is not a
+// multiple of the window: detector and oracle must both tile negative
+// time by floored division, or the first report covers the wrong span
+// and every later reference window is misplaced.
+func TestOracleDifferentialWindowedPreEpoch(t *testing.T) {
+	pkts := diffTrace(t)
+	for i := range pkts {
+		pkts[i].Ts -= int64(1000*time.Second + 700*time.Millisecond)
+	}
+	for _, shards := range []int{0, 2} {
+		name := fmt.Sprintf("windowed-pre-epoch/exact/K=%d", shards)
+		t.Run(name, func(t *testing.T) {
+			var det Detector
+			var err error
+			if shards == 0 {
+				det, err = NewWindowedDetector(WindowedConfig{Window: diffWindow, Phi: diffPhi})
+			} else {
+				det, err = NewShardedDetector(ShardedConfig{Shards: shards, Window: diffWindow, Phi: diffPhi})
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			diffCell(t, name, det, pkts, oracle.Config{
+				Mode: oracle.ModeWindowed, Window: diffWindow, Phi: diffPhi,
+			}, true)
+		})
+	}
+}
+
 func TestOracleDifferentialSliding(t *testing.T) {
 	pkts := diffTrace(t)
 	const frames = 8
