@@ -14,7 +14,7 @@ func (p *PerLevel) LevelSummary(l int) *sketch.SpaceSaving { return p.sks[l] }
 
 // RestorePerLevel rebuilds a PerLevel engine from serialized state: the
 // hierarchy, the byte total, and one restored Space-Saving summary per
-// hierarchy level (typically from sketch.RestoreSpaceSaving). It
+// hierarchy level (typically from sketch.SpaceSaving.Restore). It
 // validates instead of panicking: the level count must match the
 // hierarchy and every summary must be non-nil.
 func RestorePerLevel(h addr.Hierarchy, total int64, sks []*sketch.SpaceSaving) (*PerLevel, error) {

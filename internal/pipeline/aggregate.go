@@ -17,8 +17,12 @@
 //     arrived and marks the report degraded. Frames for already
 //     published rounds are counted late and dropped.
 //   - Sliding kinds (sliding, memento) and continuous: the aggregator
-//     keeps each node's newest frame, decodes them all on every ingest,
-//     advances each engine to the fleet-wide maximum End and merges.
+//     is a barrier whose shards are nodes. It keeps one restored summary
+//     per node, brought up to date by each accepted frame (decoded once;
+//     the WCSS rings are restored in place, sealed slots untouched), and
+//     on every ingest advances the node summaries to the fleet-wide
+//     maximum End, folds them in node-name order into its accumulator
+//     and queries it; a lone contributing node is queried directly.
 //     A silent node's last frame keeps contributing until it ages out
 //     of the window naturally — exactly the sliding model's semantics —
 //     and the report is marked degraded once any node's End trails the
@@ -35,6 +39,8 @@ package pipeline
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -152,7 +158,10 @@ type aggNode struct {
 	lastEnd  int64
 	lastSeen int64 // wall-clock unix nanos
 	rejected int64
-	latest   []byte // newest frame (sliding kinds)
+	// latest is the newest accepted frame and sum the summary restored
+	// from it (latest-frame kinds); both nil until a frame is accepted.
+	latest   []byte
+	sum      Summary
 	frameCtr *telemetry.Counter
 }
 
@@ -174,6 +183,8 @@ type Aggregator struct {
 	hdr       wire.Header // descriptor pinned alongside it
 	spanWidth int64       // window span learned from sealed metadata
 	nodes     map[string]*aggNode
+	order     []*aggNode          // the same nodes sorted by name: the fold order
+	acc       Summary             // latest-frame kinds: what ≥ 2 node summaries fold into
 	rounds    map[int64]*aggRound // windowed kinds only
 	published int64               // newest published round End
 	closed    bool
@@ -184,6 +195,11 @@ type Aggregator struct {
 	degradedMerges atomic.Int64
 	lateFrames     atomic.Int64
 	rejected       atomic.Int64
+	// Latest-frame kinds: ring slots restored from accepted frames and
+	// slots skipped as unchanged, and the footprint of everything retained
+	// between ingests (node frames and summaries, the accumulator).
+	restoredSlots, skippedSlots atomic.Int64
+	stateBytes                  atomic.Int64
 
 	frameVec *telemetry.CounterVec
 	lagVec   *telemetry.GaugeVec
@@ -217,6 +233,14 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 			"Frames dropped for arriving behind an already published round.", a.lateFrames.Load)
 		r.CounterFunc("hhh_aggregator_rejected_frames_total",
 			"Frames refused for decode or validation errors.", a.rejected.Load)
+		slots := r.CounterVec("hhh_aggregator_restore_slots_total",
+			"Ring slots of accepted sliding frames, by whether the slot was restored into the node's summary or skipped as unchanged since the node's previous frame.",
+			"result")
+		slots.WithFunc(a.restoredSlots.Load, "restored")
+		slots.WithFunc(a.skippedSlots.Load, "skipped")
+		r.GaugeFunc("hhh_aggregator_state_bytes",
+			"Footprint of the state retained between ingests: each node's newest frame and restored summary, plus the merge accumulator (sliding and continuous kinds).",
+			func() float64 { return float64(a.stateBytes.Load()) })
 	}
 	return a, nil
 }
@@ -239,6 +263,8 @@ func (a *Aggregator) node(name string) *aggNode {
 			}, name)
 		}
 		a.nodes[name] = n
+		i := sort.Search(len(a.order), func(i int) bool { return a.order[i].name > name })
+		a.order = slices.Insert(a.order, i, n)
 	}
 	return n
 }
@@ -333,9 +359,36 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 		a.mu.Unlock()
 		return err
 	}
-	n.latest = s.Frame
-	err = a.publishLatestLocked(s.Degraded)
+	err = a.ingestLatestLocked(n, s)
 	a.mu.Unlock()
+	return err
+}
+
+// ingestLatestLocked brings the node's summary up to its new frame and
+// republishes (latest-frame kinds). A frame that does not restore is
+// rejected and takes the node's summary with it — an in-place restore
+// has no way back — so the node stops contributing until its next good
+// frame. Caller holds a.mu.
+func (a *Aggregator) ingestLatestLocked(n *aggNode, s Sealed) error {
+	sum, restored, skipped, err := a.eng.restore(n.sum, n.latest, s.Frame, a.cfg.Phi)
+	if err != nil {
+		n.sum, n.latest = nil, nil
+		return a.reject(n, "bad frame from %s: %v", n.name, err)
+	}
+	n.sum, n.latest = sum, s.Frame
+	a.restoredSlots.Add(int64(restored))
+	a.skippedSlots.Add(int64(skipped))
+	err = a.publishLatestLocked(s.Degraded)
+	state := 0
+	for _, n := range a.order {
+		if n.sum != nil {
+			state += len(n.latest) + n.sum.SizeBytes()
+		}
+	}
+	if a.acc != nil {
+		state += a.acc.SizeBytes()
+	}
+	a.stateBytes.Store(int64(state))
 	return err
 }
 
@@ -402,7 +455,7 @@ func (a *Aggregator) publishRoundsThroughLocked(end int64) error {
 // publishRoundLocked merges one round's frames and publishes the global
 // report. Caller holds a.mu.
 func (a *Aggregator) publishRoundLocked(r *aggRound) error {
-	set, total, err := a.mergeFrames(framesOf(r.frames), r.end)
+	set, total, err := a.mergeFrames(a.framesOf(r), r.end)
 	if err != nil {
 		a.rejected.Add(1)
 		return fmt.Errorf("%w: round %d: %v", ErrFrameRejected, r.end, err)
@@ -419,31 +472,33 @@ func (a *Aggregator) publishRoundLocked(r *aggRound) error {
 	return nil
 }
 
-// publishLatestLocked re-merges every node's newest frame (sliding
-// kinds). Caller holds a.mu.
+// publishLatestLocked merges every node's summary as of its newest frame
+// (latest-frame kinds). Caller holds a.mu.
 func (a *Aggregator) publishLatestLocked(sealDegraded bool) error {
-	var frames [][]byte
+	var sums []Summary
+	var first []byte // the first contributing node's frame
 	var maxEnd int64
-	contributing := 0
-	for _, n := range a.nodes {
-		if n.latest == nil {
+	for _, n := range a.order {
+		if n.sum == nil {
 			continue
 		}
-		frames = append(frames, n.latest)
-		contributing++
+		if sums == nil {
+			first = n.latest
+		}
+		sums = append(sums, n.sum)
 		if n.lastEnd > maxEnd {
 			maxEnd = n.lastEnd
 		}
 	}
-	set, total, err := a.mergeFrames(frames, maxEnd)
+	set, total, err := a.mergeLatest(sums, first, maxEnd)
 	if err != nil {
 		a.rejected.Add(1)
 		return fmt.Errorf("%w: %v", ErrFrameRejected, err)
 	}
-	degraded := sealDegraded || contributing < a.cfg.Expected
+	degraded := sealDegraded || len(sums) < a.cfg.Expected
 	if width := a.spanWidth; width > 0 {
-		for _, n := range a.nodes {
-			if n.latest != nil && maxEnd-n.lastEnd > width {
+		for _, n := range a.order {
+			if n.sum != nil && maxEnd-n.lastEnd > width {
 				degraded = true // node's last frame has aged past the span
 			}
 		}
@@ -453,7 +508,7 @@ func (a *Aggregator) publishLatestLocked(sealDegraded bool) error {
 		Start:    a.latestStart(maxEnd),
 		End:      maxEnd,
 		Bytes:    total,
-		Nodes:    contributing,
+		Nodes:    len(sums),
 		Expected: a.cfg.Expected,
 		Degraded: degraded,
 	})
@@ -480,46 +535,78 @@ func (a *Aggregator) store(r *AggReport) {
 	}
 }
 
-// framesOf flattens a round's frame map.
-func framesOf(m map[string][]byte) [][]byte {
-	out := make([][]byte, 0, len(m))
-	for _, f := range m {
-		out = append(out, f)
+// framesOf lists a round's frames in node-name order. The pairwise
+// Space-Saving merge truncates, so it is commutative but not associative:
+// with three or more nodes the fold order is part of the result, and map
+// order would make two runs over identical frames publish different
+// counts.
+func (a *Aggregator) framesOf(r *aggRound) [][]byte {
+	out := make([][]byte, 0, len(r.frames))
+	for _, n := range a.order {
+		if f, ok := r.frames[n.name]; ok {
+			out = append(out, f)
+		}
 	}
 	return out
 }
 
-// mergeFrames restores each frame behind the Summary contract and runs
-// the same sequence a shard barrier does: advance every summary to `at`,
-// fold them into the first, query it at `at`. Ingest has already pinned
-// every frame to one engine. Engine panics (geometry drift between
-// nodes) are recovered into errors. Caller holds a.mu.
+// mergeFrames restores each frame of a window round behind the Summary
+// contract and runs the same sequence a shard barrier does: advance every
+// summary to `at`, fold them — the first is the receiver — and query it
+// at `at`. Ingest has already pinned every frame to one engine. Engine
+// panics (geometry drift between nodes) are recovered into errors. Caller
+// holds a.mu.
 func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total int64, err error) {
 	if len(frames) == 0 {
 		return hhh.NewSet(), 0, nil
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			set, total = nil, 0
-			err = fmt.Errorf("merge panic: %v", r)
+			set, total, err = nil, 0, fmt.Errorf("merge panic: %v", r)
 		}
 	}()
-	var acc Summary
-	for _, f := range frames {
-		e, derr := wire.Decode(f)
-		if derr != nil {
-			return nil, 0, derr
+	sums := make([]Summary, len(frames))
+	for i, f := range frames {
+		if sums[i], _, _, err = a.eng.restore(nil, nil, f, a.cfg.Phi); err != nil {
+			return nil, 0, err
 		}
-		sum, werr := wrap(e, a.cfg.Phi)
-		if werr != nil {
-			return nil, 0, werr
+		sums[i].Advance(at)
+	}
+	sums[0].Merge(sums[1:]...)
+	set, total = sums[0].Query(at)
+	return set, total, nil
+}
+
+// mergeLatest is the barrier over node summaries: advance each to `at`,
+// Reset the accumulator and hand it the round, query it at `at`. The
+// node summaries are only read, so they stand for the next ingest; one
+// contributing node needs no accumulator and is queried as it is. The
+// accumulator is a summary of the fleet's geometry, made by restoring
+// the first node's frame once more; a merge that panics may leave it half
+// folded, so it is dropped. Caller holds a.mu.
+func (a *Aggregator) mergeLatest(sums []Summary, first []byte, at int64) (set hhh.Set, total int64, err error) {
+	if len(sums) == 0 {
+		return hhh.NewSet(), 0, nil
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			set, total, err = nil, 0, fmt.Errorf("merge panic: %v", r)
+			a.acc = nil
 		}
-		sum.Advance(at)
-		if acc == nil {
-			acc = sum
-		} else {
-			acc.Merge(sum)
+	}()
+	for _, s := range sums {
+		s.Advance(at)
+	}
+	acc := sums[0]
+	if len(sums) > 1 {
+		if a.acc == nil {
+			if a.acc, _, _, err = a.eng.restore(nil, nil, first, a.cfg.Phi); err != nil {
+				return nil, 0, err
+			}
 		}
+		acc = a.acc
+		acc.Reset()
+		acc.Merge(sums...)
 	}
 	set, total = acc.Query(at)
 	return set, total, nil
@@ -548,7 +635,7 @@ func (a *Aggregator) Stats() AggStats {
 			maxEnd = n.lastEnd
 		}
 	}
-	for _, n := range a.nodes {
+	for _, n := range a.order {
 		lag := int64(0)
 		if n.lastEnd > 0 && maxEnd > n.lastEnd {
 			lag = maxEnd - n.lastEnd
@@ -562,11 +649,6 @@ func (a *Aggregator) Stats() AggStats {
 			LagNs:            lag,
 			Rejected:         n.rejected,
 		})
-	}
-	for i := 0; i < len(st.Nodes); i++ { // sort by name; fleets are small
-		for j := i; j > 0 && st.Nodes[j].Node < st.Nodes[j-1].Node; j-- {
-			st.Nodes[j], st.Nodes[j-1] = st.Nodes[j-1], st.Nodes[j]
-		}
 	}
 	return st
 }

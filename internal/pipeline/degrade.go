@@ -362,10 +362,11 @@ func (d *Sharded) arrive(b *barrier, s *shard) {
 	s.size.Store(int64(s.eng.SizeBytes()))
 }
 
-// completeBarrier merges the registered shards' summaries in shard-index
-// order (deterministic regardless of arrival order), queries the merged
-// summary at the barrier timestamp, and publishes the result — marked
-// degraded when any shard is missing. It runs on whichever goroutine
+// completeBarrier merges the registered shards' summaries — the whole
+// round in one Merge, in shard-index order (deterministic regardless of
+// arrival order) — queries the merged summary at the barrier timestamp,
+// and publishes the result, marked degraded when any shard is missing. It
+// runs on whichever goroutine
 // sealed the barrier (the quorum-meeting worker, a deadline-expired
 // waiter, or the coordinator) while every registered shard is parked at
 // the barrier, so it has exclusive access to their summaries; mergeMu
@@ -389,14 +390,21 @@ func (d *Sharded) completeBarrier(b *barrier, joined []bool, count int) {
 		t0 := time.Now()
 		defer func() { d.tel.merge.Observe(time.Since(t0).Seconds()) }()
 	}
-	d.merged.Reset()
+	d.mergeFrom = d.mergeFrom[:0]
 	for i, s := range d.shards {
 		if joined[i] {
-			d.merged.Merge(s.eng)
+			d.mergeFrom = append(d.mergeFrom, s.eng)
 		}
 	}
+	d.merged.Reset()
+	d.merged.Merge(d.mergeFrom...)
 	set, total := d.merged.Query(b.at)
 	d.mergedSize.Store(int64(d.merged.SizeBytes()))
+	if d.tel != nil {
+		folded, kept := slotTally(d.merged)
+		d.foldedSlots.Store(folded)
+		d.keptSlots.Store(kept)
+	}
 	degraded := count < len(d.shards)
 	// Publish the whole result in one atomic pointer store: readers
 	// (Snapshot, LastWindow, ReportMass, Stats, telemetry closures) get

@@ -1,0 +1,395 @@
+package pipeline
+
+import (
+	"bytes"
+	"fmt"
+	"hash/fnv"
+	"math/rand"
+	"strings"
+	"testing"
+	"time"
+
+	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/chaos"
+	"hiddenhhh/internal/telemetry"
+	"hiddenhhh/internal/trace"
+)
+
+// Tests for the memoised sliding snapshot: the barrier's and the
+// Aggregator's accumulators keep what did not change between rounds, and
+// every test here pins that to the cold result — Reset, Merge each source
+// in order — or to an undisturbed twin.
+
+// wideStream is a stream with far more distinct sources per prefix than
+// the test configurations have counters, so Space-Saving merges truncate
+// and the order of a fold shows in its counts.
+func wideStream(seed int64, n int, span time.Duration) []trace.Packet {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]trace.Packet, n)
+	for i := range out {
+		src := addr.From4(byte(10+rng.Intn(6)), byte(rng.Intn(40)), byte(rng.Intn(200)), byte(rng.Intn(250)))
+		if rng.Intn(4) == 0 {
+			src = addr.From4(10, 1, byte(rng.Intn(3)), byte(rng.Intn(20)))
+		}
+		out[i] = trace.Packet{Ts: int64(span) * int64(i) / int64(n), Src: src, Size: uint32(40 + rng.Intn(1460))}
+	}
+	return out
+}
+
+// reportDigest fingerprints a global report: span, mass, coverage and
+// every item with its counts.
+func reportDigest(rep *AggReport) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%d %d %d %d %v;", rep.Start, rep.End, rep.Bytes, rep.Nodes, rep.Degraded)
+	for _, it := range rep.Set.Items() {
+		fmt.Fprintf(h, "%v %d %d;", it.Prefix, it.Count, it.Conditioned)
+	}
+	return h.Sum64()
+}
+
+// permutations calls f with every ordering of 0..n-1.
+func permutations(n int, f func(order []int)) {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	var rec func(k int)
+	rec = func(k int) {
+		if k == n {
+			f(order)
+			return
+		}
+		for i := k; i < n; i++ {
+			order[k], order[i] = order[i], order[k]
+			rec(k + 1)
+			order[k], order[i] = order[i], order[k]
+		}
+	}
+	rec(0)
+}
+
+// TestAggregatorFoldOrder: the pairwise Space-Saving merge truncates, so
+// it is commutative but not associative, and with three or more nodes the
+// published counts depend on the order the Aggregator folds them in. That
+// order must be the nodes' names, not the arrival order of their frames
+// and not Go's map order: one set of frames, every arrival order, twenty
+// repetitions of each — one report. Both alignment models are covered.
+func TestAggregatorFoldOrder(t *testing.T) {
+	for _, kind := range []Kind{KindPerLevel, KindWCSS} {
+		for _, nodes := range []int{3, 5} {
+			t.Run(fmt.Sprintf("%v-%d", kind, nodes), func(t *testing.T) {
+				cfg := Config{Mode: kind.row().mode, Engine: kind, Window: 2 * time.Second, Frames: 2, Phi: 0.02, Counters: 16}
+				if err := cfg.setDefaults(); err != nil {
+					t.Fatal(err)
+				}
+				end := int64(cfg.Window)
+				frames := make([]Sealed, nodes)
+				for n := range frames {
+					s, err := newSummary(&cfg, 0)
+					if err != nil {
+						t.Fatal(err)
+					}
+					kb := trace.NewKeyBatch(0)
+					kb.AppendPackets(cfg.Hierarchy, wideStream(int64(100+n), 4000, cfg.Window-time.Millisecond))
+					s.UpdateKeys(kb)
+					s.Advance(end)
+					frames[n] = Sealed{Seq: 1, Start: 0, End: end, Frame: mustEncode(t, s)}
+				}
+				digests := map[uint64]int{}
+				permutations(nodes, func(order []int) {
+					for rep := 0; rep < 20; rep++ {
+						agg, err := NewAggregator(AggregatorConfig{Expected: nodes, Phi: cfg.Phi})
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, n := range order {
+							if err := agg.Ingest(fmt.Sprintf("node-%d", n), frames[n]); err != nil {
+								t.Fatal(err)
+							}
+						}
+						r := agg.Report()
+						agg.Close()
+						if r.Nodes != nodes || r.Set.Len() == 0 {
+							t.Fatalf("report covers %d nodes, %d items", r.Nodes, r.Set.Len())
+						}
+						digests[reportDigest(r)]++
+					}
+				})
+				if len(digests) != 1 {
+					t.Fatalf("%d distinct reports over the arrival orders: %v", len(digests), digests)
+				}
+			})
+		}
+	}
+}
+
+// slidingNode is one ingest node of the replay tests: a one-shard sliding
+// pipeline whose seals are collected.
+type slidingNode struct {
+	det   *Sharded
+	seals sealCollector
+}
+
+func newSlidingNode(t *testing.T, reg *telemetry.Registry) *slidingNode {
+	t.Helper()
+	n := &slidingNode{}
+	det, err := New(Config{
+		Mode: ModeSliding, Shards: 1, Window: 2 * time.Second, Frames: 4, Phi: 0.02, Counters: 32,
+		OnSeal: n.seals.add, Metrics: reg,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.det = det
+	t.Cleanup(func() { det.Close() })
+	return n
+}
+
+// snapshot queries the node at `at` and returns the frame it sealed.
+func (n *slidingNode) snapshot(t *testing.T, at int64) Sealed {
+	t.Helper()
+	before := len(n.seals.all())
+	n.det.Snapshot(at)
+	all := n.seals.all()
+	if len(all) != before+1 {
+		t.Fatalf("snapshot sealed %d frames", len(all)-before)
+	}
+	return all[len(all)-1]
+}
+
+// TestAggregatorRestoreInPlace replays three sliding nodes into one
+// Aggregator — one of them reporting only every third round, so its
+// frames lag the fleet and its retained summary is advanced past them;
+// one restarted mid-replay, so its sequence numbers start over and its
+// frames are dropped as late until they catch up. After every ingest the
+// node's retained summary must be what decoding its newest accepted frame
+// afresh gives (same re-encoding, same answer), and the published report
+// what a cold merge of the nodes' newest frames gives.
+func TestAggregatorRestoreInPlace(t *testing.T) {
+	names := []string{"a-steady", "b-lagging", "c-restarted"}
+	nodes := make([]*slidingNode, len(names))
+	streams := make([][]trace.Packet, len(names))
+	for i := range nodes {
+		nodes[i] = newSlidingNode(t, nil)
+		streams[i] = wideStream(int64(7+i), 30000, 12*time.Second)
+	}
+	agg, err := NewAggregator(AggregatorConfig{Expected: len(names), Phi: 0.02})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+
+	fed := make([]int, len(names))
+	step := int64(300 * time.Millisecond)
+	var accepted int64
+	for round := int64(1); round*step <= int64(12*time.Second); round++ {
+		at := round * step
+		if round == 20 {
+			nodes[2] = newSlidingNode(t, nil) // restart: empty summary, Seq from 1
+		}
+		for i, node := range nodes {
+			n := fed[i]
+			for n < len(streams[i]) && streams[i][n].Ts <= at {
+				n++
+			}
+			node.det.ObserveBatch(streams[i][fed[i]:n])
+			fed[i] = n
+			if i == 1 && round%3 != 0 {
+				continue
+			}
+			sealed := node.snapshot(t, at)
+			late := agg.Stats().LateFrames
+			if err := agg.Ingest(names[i], sealed); err != nil {
+				t.Fatal(err)
+			}
+			an := agg.nodes[names[i]]
+			if dropped := agg.Stats().LateFrames > late; dropped != (i == 2 && round >= 20 && sealed.Seq <= 19) {
+				t.Fatalf("round %d node %s seq %d: dropped as late = %v", round, names[i], sealed.Seq, dropped)
+			} else if !dropped {
+				accepted++
+				if !bytes.Equal(an.latest, sealed.Frame) {
+					t.Fatalf("round %d node %s: accepted frame not retained", round, names[i])
+				}
+			}
+
+			// Every retained summary against a fresh decode of the frame
+			// it mirrors, both as of the instant the Aggregator merged at.
+			rep := agg.Report()
+			var fresh []Summary
+			for _, name := range names {
+				an := agg.nodes[name]
+				if an == nil || an.sum == nil {
+					continue
+				}
+				ref, _, _, err := agg.eng.restore(nil, nil, an.latest, agg.cfg.Phi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Advance(rep.End)
+				if !bytes.Equal(mustEncode(t, an.sum), mustEncode(t, ref)) {
+					t.Fatalf("round %d: %s restored in place re-encodes differently from a fresh decode", round, name)
+				}
+				got, gotMass := an.sum.Query(rep.End)
+				want, wantMass := ref.Query(rep.End)
+				sameSet(t, name, got, want)
+				if gotMass != wantMass {
+					t.Fatalf("round %d: %s mass %d, fresh decode %d", round, name, gotMass, wantMass)
+				}
+				fresh = append(fresh, ref)
+			}
+			fresh[0].Merge(fresh[1:]...)
+			want, wantMass := fresh[0].Query(rep.End)
+			sameSet(t, fmt.Sprintf("round %d report", round), rep.Set, want)
+			if rep.Bytes != wantMass || rep.Nodes != len(fresh) {
+				t.Fatalf("round %d: report mass %d over %d nodes, cold merge %d over %d",
+					round, rep.Bytes, rep.Nodes, wantMass, len(fresh))
+			}
+		}
+	}
+	restored, skipped := agg.restoredSlots.Load(), agg.skippedSlots.Load()
+	if slots := accepted * 5 * 5; restored+skipped != slots { // IPv4 byte levels × ring
+		t.Fatalf("%d restored + %d skipped slots, want %d", restored, skipped, slots)
+	}
+	if skipped == 0 || restored == 0 || agg.Report().Set.Len() == 0 {
+		t.Fatalf("%d restored, %d skipped, %d items: the replay exercised only one path",
+			restored, skipped, agg.Report().Set.Len())
+	}
+	if folded, kept := slotTally(agg.acc); kept == 0 || folded == 0 {
+		t.Fatalf("accumulator folded %d slots and kept %d", folded, kept)
+	}
+}
+
+// TestSlidingLateShardRejoinsWhole is the chaos cell of the memo: a shard
+// stuck across snapshot n is left out of that merge (published degraded
+// within the deadline) and is back on time for snapshot n+1. The
+// accumulator's memo of the slots it folded without the shard must not
+// survive: frame n+1 is byte for byte the frame of an undisturbed twin —
+// a sliding barrier never resets its shards, so the straggler lost
+// nothing.
+func TestSlidingLateShardRejoinsWhole(t *testing.T) {
+	plan := chaos.New()
+	var seals, twinSeals sealCollector
+	base := Config{
+		Mode: ModeSliding, Shards: 2, Window: 2 * time.Second, Frames: 4, Phi: 0.05, Counters: 32,
+		Batch: 1, RingDepth: 256, BarrierTimeout: 300 * time.Millisecond,
+	}
+	cfg, twinCfg := base, base
+	cfg.Chaos, cfg.OnSeal = plan, seals.add
+	twinCfg.OnSeal = twinSeals.add
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	twin, err := New(twinCfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer twin.Close()
+
+	pkts := wideStream(5, 900, 900*time.Millisecond)
+	feed := func(lo, hi int) {
+		d.ObserveBatch(pkts[lo:hi])
+		twin.ObserveBatch(pkts[lo:hi])
+	}
+	snap := func(at int64) (Sealed, Sealed) {
+		d.Snapshot(at)
+		twin.Snapshot(at)
+		a, b := seals.all(), twinSeals.all()
+		return a[len(a)-1], b[len(b)-1]
+	}
+	ms := int64(time.Millisecond)
+
+	feed(0, 600)
+	if got, want := snap(600 * ms); got.Degraded || !bytes.Equal(got.Frame, want.Frame) {
+		t.Fatal("healthy pipelines disagree before the fault")
+	}
+	release := plan.BlockShard(1)
+	feed(600, 700) // ~50 one-packet batches park in shard 1's ring
+	if got, want := snap(700 * ms); !got.Degraded || got.Shards != 1 || bytes.Equal(got.Frame, want.Frame) {
+		t.Fatalf("snapshot n: degraded=%v shards=%d; want a degraded one-shard merge that differs from the twin's",
+			got.Degraded, got.Shards)
+	}
+	release()
+	feed(700, 900)
+	got, want := snap(900 * ms)
+	if got.Degraded || got.Shards != 2 {
+		t.Fatalf("snapshot n+1: degraded=%v shards=%d, want whole", got.Degraded, got.Shards)
+	}
+	if !bytes.Equal(got.Frame, want.Frame) || got.Bytes != want.Bytes {
+		t.Fatal("snapshot n+1 differs from the undisturbed twin's")
+	}
+	if dp, _ := d.DroppedMass(); dp != 0 {
+		t.Fatalf("%d packets dropped; the ring was meant to hold the stalled shard's backlog", dp)
+	}
+}
+
+// TestMemoMetrics: the fold and restore counters and the Aggregator's
+// state gauge are served in a conforming exposition and equal the
+// engine's own tallies — they are counts of a deterministic replay, so
+// the ratio reused/(reused+folded) can be quoted as evidence.
+func TestMemoMetrics(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	node := newSlidingNode(t, reg)
+	agg, err := NewAggregator(AggregatorConfig{Expected: 1, Phi: 0.02, Metrics: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	pkts := wideStream(9, 20000, 6*time.Second)
+	fed := 0
+	const rounds = 30
+	for round := int64(1); round <= rounds; round++ {
+		at := round * int64(200*time.Millisecond)
+		n := fed
+		for n < len(pkts) && pkts[n].Ts <= at {
+			n++
+		}
+		node.det.ObserveBatch(pkts[fed:n])
+		fed = n
+		if err := agg.Ingest("n", node.snapshot(t, at)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := telemetry.ValidateExposition(sb.String()); err != nil {
+		t.Fatalf("exposition does not conform: %v", err)
+	}
+	sample := func(name string) int64 {
+		for _, line := range strings.Split(sb.String(), "\n") {
+			if rest, ok := strings.CutPrefix(line, name+" "); ok {
+				var v float64
+				if _, err := fmt.Sscan(rest, &v); err != nil {
+					t.Fatalf("%s: %v", line, err)
+				}
+				return int64(v)
+			}
+		}
+		t.Fatalf("no sample %s", name)
+		return 0
+	}
+	folded, kept := slotTally(node.det.merged)
+	const slots = rounds * 5 * 5 // rounds × IPv4 byte levels × ring
+	if folded+kept != slots || kept < slots/2 {
+		t.Fatalf("barrier folded %d and kept %d of %d slots", folded, kept, slots)
+	}
+	if g := sample(`hhh_pipeline_fold_slots_total{result="folded"}`); g != folded {
+		t.Errorf("fold_slots folded %d, engine tally %d", g, folded)
+	}
+	if g := sample(`hhh_pipeline_fold_slots_total{result="reused"}`); g != kept {
+		t.Errorf("fold_slots reused %d, engine tally %d", g, kept)
+	}
+	restored, skipped := sample(`hhh_aggregator_restore_slots_total{result="restored"}`),
+		sample(`hhh_aggregator_restore_slots_total{result="skipped"}`)
+	if restored != agg.restoredSlots.Load() || skipped != agg.skippedSlots.Load() ||
+		restored+skipped != slots || skipped < slots/2 {
+		t.Errorf("restore_slots %d restored + %d skipped of %d slots", restored, skipped, slots)
+	}
+	an := agg.nodes["n"]
+	if g, w := sample("hhh_aggregator_state_bytes"), int64(len(an.latest)+an.sum.SizeBytes()); g != w || w == 0 {
+		t.Errorf("state_bytes %d, node frame + summary %d", g, w)
+	}
+}

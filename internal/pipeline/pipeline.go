@@ -369,6 +369,8 @@ type Sharded struct {
 	// timed-out completion of barrier N+1, and the mutex keeps the
 	// shared merge accumulator single-writer and publications ordered.
 	mergeMu sync.Mutex
+	// mergeFrom is the round's source list, reused under mergeMu.
+	mergeFrom []Summary
 
 	// barrierSeq numbers broadcast barriers; per-shard lag in Stats is
 	// barrierSeq minus the shard's lastBarrier.
@@ -386,6 +388,9 @@ type Sharded struct {
 	merges         atomic.Int64
 	degradedMerges atomic.Int64 // merges published without every shard
 	mergedSize     atomic.Int64
+	// foldedSlots and keptSlots mirror the accumulator's slot tally (see
+	// slotTally) once per merge, for the scrape-time counters.
+	foldedSlots, keptSlots atomic.Int64
 
 	_ [64]byte //alignlint:group=ingest
 	// Ingest totals: bumped by the producer once per staged packet,

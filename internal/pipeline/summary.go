@@ -30,8 +30,9 @@ import (
 // sliding and continuous drivers answer a snapshot with Advance(now) then
 // Query(now) and never reset. Wherever several summaries are combined —
 // a shard barrier, an Aggregator round — each is advanced to the common
-// instant, folded into an accumulator with Merge, and the accumulator is
-// queried; Encode seals the accumulator for the next hop.
+// instant, the accumulator is Reset and takes the whole round in one
+// Merge call, and the accumulator is queried; Encode seals it for the
+// next hop.
 type Summary interface {
 	// UpdateKeys absorbs a time-ordered columnar batch of pre-packed,
 	// family-filtered leaf keys (see trace.KeyBatch). The producer packs
@@ -41,9 +42,12 @@ type Summary interface {
 	// frames) so that equally-advanced summaries merge frame-for-frame.
 	// Summaries without eager time state treat it as a no-op.
 	Advance(now int64)
-	// Merge folds o — a summary of the same engine and geometry — into
-	// the receiver without modifying o.
-	Merge(o Summary)
+	// Merge folds srcs — summaries of the same engine and geometry — into
+	// the receiver, in order, without modifying them. It is the one merge
+	// entry: a round's sources arrive together, so an engine whose state
+	// is mostly sealed between rounds (wcss) can tell, right after a
+	// Reset, which parts of its previous fold still stand.
+	Merge(srcs ...Summary)
 	// Query returns the HHH set at time now together with the total mass
 	// (the threshold denominator: window bytes, covered sliding bytes, or
 	// decayed mass).
@@ -183,6 +187,49 @@ func wrap(e any, phi float64) (Summary, error) {
 	}
 }
 
+// restore brings a sender's summary to the state sealed in frame and
+// returns it with the ring slots it restored and skipped. prev is the
+// summary a previous call restored from prevFrame, nil when there is
+// none. An engine with sealed frames (wcss) is restored in place, slot by
+// slot, leaving the slots the two frames share untouched — stamps and all,
+// so an accumulator's memo of them stands (see wire.RestoreSliding); any
+// other engine is decoded anew. On error prev must be discarded.
+func (r *engine) restore(prev Summary, prevFrame, frame []byte, phi float64) (sum Summary, restored, skipped int, err error) {
+	if r.wire != wire.KindSliding {
+		e, err := wire.Decode(frame)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		sum, err = wrap(e, phi)
+		return sum, 0, 0, err
+	}
+	var d *swhh.SlidingHHH
+	if p, ok := prev.(*wcssSummary); ok {
+		d = p.live()
+	}
+	nd, restored, skipped, err := wire.RestoreSliding(d, prevFrame, frame)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if nd == d {
+		return prev, restored, skipped, nil
+	}
+	sum, err = wrap(nd, phi)
+	return sum, restored, skipped, err
+}
+
+// slotTally reports how many sealed-frame slots the accumulator s has
+// folded afresh and how many it has kept from its previous fold, in total
+// (swhh.SlidingHHH.Fold): the measure of what a round of sliding
+// snapshots cost against what it would have cost cold. Engines without
+// sealed frames fold everything every round and report zeros.
+func slotTally(s Summary) (folded, kept int64) {
+	if e, ok := s.(*wcssSummary); ok {
+		return e.d.FoldTally()
+	}
+	return 0, 0
+}
+
 // shardSeed derives shard i's level-sampling stream from the configured
 // seed by splitmix64 increments. Shard 0 keeps the seed itself, so the
 // single-goroutine driver and a 1-shard pipeline draw the same sequence.
@@ -237,6 +284,14 @@ func buildTDBF(cfg *Config, _ int) (any, error) {
 	})
 }
 
+// mergeEach is Merge for the engines that take a round one source at a
+// time: f folds each source, in order, into the receiver.
+func mergeEach[T Summary](srcs []Summary, f func(o T)) {
+	for _, o := range srcs {
+		f(o.(T))
+	}
+}
+
 // The windowed adapters carry no time state: Advance is a no-op and
 // Query ignores now, thresholding against the accumulated window volume.
 
@@ -255,10 +310,13 @@ func (e *exactSummary) UpdateKeys(b *trace.KeyBatch) {
 	}
 }
 func (e *exactSummary) Advance(int64)           {}
-func (e *exactSummary) Merge(o Summary)         { e.ex.AddAll(o.(*exactSummary).ex) }
 func (e *exactSummary) Reset()                  { e.ex.Reset() }
 func (e *exactSummary) SizeBytes() int          { return e.ex.Len() * 16 }
 func (e *exactSummary) Encode() ([]byte, error) { return wire.EncodeExact(e.h, e.ex), nil }
+
+func (e *exactSummary) Merge(srcs ...Summary) {
+	mergeEach(srcs, func(o *exactSummary) { e.ex.AddAll(o.ex) })
+}
 
 func (e *exactSummary) Query(int64) (hhh.Set, int64) {
 	total := e.ex.Total()
@@ -273,10 +331,13 @@ type perLevelSummary struct {
 
 func (e *perLevelSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
 func (e *perLevelSummary) Advance(int64)                {}
-func (e *perLevelSummary) Merge(o Summary)              { e.d.Merge(o.(*perLevelSummary).d) }
 func (e *perLevelSummary) Reset()                       { e.d.Reset() }
 func (e *perLevelSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *perLevelSummary) Encode() ([]byte, error)      { return wire.EncodePerLevel(e.d), nil }
+
+func (e *perLevelSummary) Merge(srcs ...Summary) {
+	mergeEach(srcs, func(o *perLevelSummary) { e.d.Merge(o.d) })
+}
 
 func (e *perLevelSummary) Query(int64) (hhh.Set, int64) {
 	return e.d.QueryFraction(e.phi), e.d.Total()
@@ -290,10 +351,13 @@ type rhhhSummary struct {
 
 func (e *rhhhSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
 func (e *rhhhSummary) Advance(int64)                {}
-func (e *rhhhSummary) Merge(o Summary)              { e.d.Merge(o.(*rhhhSummary).d) }
 func (e *rhhhSummary) Reset()                       { e.d.Reset() }
 func (e *rhhhSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *rhhhSummary) Encode() ([]byte, error)      { return wire.EncodeRHHH(e.d), nil }
+
+func (e *rhhhSummary) Merge(srcs ...Summary) {
+	mergeEach(srcs, func(o *rhhhSummary) { e.d.Merge(o.d) })
+}
 
 func (e *rhhhSummary) Query(int64) (hhh.Set, int64) {
 	return e.d.QueryFraction(e.phi), e.d.Total()
@@ -301,20 +365,51 @@ func (e *rhhhSummary) Query(int64) (hhh.Set, int64) {
 
 // wcssSummary adapts the per-level WCSS frame rings. Advance aligns the
 // rings at the query instant so Merge is frame-by-frame.
+//
+// Reset is deferred to the next call: between two snapshots a source
+// writes one or two of its ring slots, so an accumulator that is Reset
+// and then handed the round keeps every slot it would only fold again
+// from unchanged inputs (swhh.SlidingHHH.Fold). Any other call after a
+// Reset clears the rings first, as if Reset had.
 type wcssSummary struct {
-	d   *swhh.SlidingHHH
-	phi float64
+	d       *swhh.SlidingHHH
+	phi     float64
+	cleared bool               // a Reset is pending
+	from    []*swhh.SlidingHHH // Merge's source list, reused
 }
 
-func (e *wcssSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
-func (e *wcssSummary) Advance(now int64)            { e.d.Advance(now) }
-func (e *wcssSummary) Merge(o Summary)              { e.d.Merge(o.(*wcssSummary).d) }
-func (e *wcssSummary) Reset()                       { e.d.Reset() }
-func (e *wcssSummary) SizeBytes() int               { return e.d.SizeBytes() }
-func (e *wcssSummary) Encode() ([]byte, error)      { return wire.EncodeSliding(e.d), nil }
+// live returns the engine with a pending Reset applied.
+func (e *wcssSummary) live() *swhh.SlidingHHH {
+	if e.cleared {
+		e.cleared = false
+		e.d.Reset()
+	}
+	return e.d
+}
+
+func (e *wcssSummary) UpdateKeys(b *trace.KeyBatch) { e.live().UpdateKeys(b) }
+func (e *wcssSummary) Advance(now int64)            { e.live().Advance(now) }
+func (e *wcssSummary) Reset()                       { e.cleared = true }
+func (e *wcssSummary) SizeBytes() int               { return e.d.SizeBytes() + cap(e.from)*8 }
+func (e *wcssSummary) Encode() ([]byte, error)      { return wire.EncodeSliding(e.live()), nil }
+
+func (e *wcssSummary) Merge(srcs ...Summary) {
+	e.from = e.from[:0]
+	for _, o := range srcs {
+		e.from = append(e.from, o.(*wcssSummary).live())
+	}
+	if e.cleared {
+		e.cleared = false
+		e.d.Fold(e.from)
+		return
+	}
+	for _, o := range e.from {
+		e.d.Merge(o)
+	}
+}
 
 func (e *wcssSummary) Query(now int64) (hhh.Set, int64) {
-	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
+	return e.live().QueryMass(e.phi, now)
 }
 
 // mementoSummary adapts the level-sampled Memento sliding engine. Like
@@ -328,10 +423,13 @@ type mementoSummary struct {
 
 func (e *mementoSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
 func (e *mementoSummary) Advance(now int64)            { e.d.Advance(now) }
-func (e *mementoSummary) Merge(o Summary)              { e.d.Merge(o.(*mementoSummary).d) }
 func (e *mementoSummary) Reset()                       { e.d.Reset() }
 func (e *mementoSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *mementoSummary) Encode() ([]byte, error)      { return wire.EncodeMemento(e.d), nil }
+
+func (e *mementoSummary) Merge(srcs ...Summary) {
+	mergeEach(srcs, func(o *mementoSummary) { e.d.Merge(o.d) })
+}
 
 func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
 	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
@@ -346,10 +444,13 @@ type tdbfSummary struct {
 
 func (e *tdbfSummary) UpdateKeys(b *trace.KeyBatch) { e.d.ObserveKeys(b) }
 func (e *tdbfSummary) Advance(int64)                {}
-func (e *tdbfSummary) Merge(o Summary)              { e.d.Merge(o.(*tdbfSummary).d) }
 func (e *tdbfSummary) Reset()                       { e.d.Reset() }
 func (e *tdbfSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *tdbfSummary) Encode() ([]byte, error)      { return wire.EncodeContinuous(e.d) }
+
+func (e *tdbfSummary) Merge(srcs ...Summary) {
+	mergeEach(srcs, func(o *tdbfSummary) { e.d.Merge(o.d) })
+}
 
 func (e *tdbfSummary) Query(now int64) (hhh.Set, int64) {
 	return e.d.Query(now), int64(e.d.TotalMass(now))

@@ -59,6 +59,11 @@ func (d *Sharded) registerMetrics(r *telemetry.Registry) *pipeTelemetry {
 		"result")
 	seals.WithFunc(func() int64 { return d.merges.Load() - d.degradedMerges.Load() }, "normal")
 	seals.WithFunc(d.degradedMerges.Load, "degraded")
+	folds := r.CounterVec("hhh_pipeline_fold_slots_total",
+		"Sealed-frame slots of the merge accumulator, by whether a barrier folded them afresh or reused its previous fold (engines with frame rings only).",
+		"result")
+	folds.WithFunc(d.foldedSlots.Load, "folded")
+	folds.WithFunc(d.keptSlots.Load, "reused")
 	r.CounterFunc("hhh_pipeline_barriers_total",
 		"Barrier tokens broadcast to the shards (window closes plus query barriers).",
 		d.barrierSeq.Load)

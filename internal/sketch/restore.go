@@ -2,47 +2,38 @@ package sketch
 
 import "fmt"
 
-// RestoreSpaceSaving rebuilds a Space-Saving summary from serialized
-// state: the capacity k, the summarised stream's total weight, and the
-// monitored entries. The entries are installed in the canonical
-// post-Merge layout (hot zone, stamps descending in slice order), so a
-// restored summary is merge- and query-equivalent to the one that was
-// serialized — Estimate, ErrorBound, Merge and the query paths behave
-// identically. It validates instead of panicking: entry counts and
-// error bounds must be non-negative with err <= count, keys must be
-// unique, and at most k entries may be supplied.
-func RestoreSpaceSaving(k int, total int64, entries []KV) (*SpaceSaving, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("sketch: restore: capacity %d < 1", k)
-	}
-	if len(entries) > k {
-		return nil, fmt.Errorf("sketch: restore: %d entries exceed capacity %d", len(entries), k)
+// Restore replaces s's contents, in place and without allocating, with
+// serialized state: the summarised stream's total weight and n monitored
+// entries, entry(i) yielding the i-th. The entries are installed in the
+// canonical post-Merge layout (hot zone, stamps descending in entry
+// order), so a restored summary is merge- and query-equivalent to the
+// one that was serialized — Estimate, ErrorBound, Merge and the query
+// paths behave identically. It validates instead of panicking: entry
+// counts and error bounds must be non-negative with err <= count, keys
+// must be unique, and at most Capacity entries may be supplied. On error
+// s is left empty.
+func (s *SpaceSaving) Restore(total int64, n int, entry func(i int) KV) error {
+	s.Reset()
+	if n < 0 || n > s.k {
+		return fmt.Errorf("sketch: restore: %d entries exceed capacity %d", n, s.k)
 	}
 	if total < 0 {
-		return nil, fmt.Errorf("sketch: restore: negative total %d", total)
+		return fmt.Errorf("sketch: restore: negative total %d", total)
 	}
-	s := NewSpaceSaving(k)
-	s.total = total
-	for i := range entries {
-		e := &entries[i]
+	for i := 0; i < n; i++ {
+		e := entry(i)
 		if e.Count < 0 || e.ErrUB < 0 || e.ErrUB > e.Count {
-			return nil, fmt.Errorf("sketch: restore: entry %d has invalid bounds (count=%d, err=%d)", i, e.Count, e.ErrUB)
+			s.Reset()
+			return fmt.Errorf("sketch: restore: entry %d has invalid bounds (count=%d, err=%d)", i, e.Count, e.ErrUB)
 		}
 		if s.idxFind(e.Key) != nilIdx {
-			return nil, fmt.Errorf("sketch: restore: duplicate key %#x", e.Key)
+			s.Reset()
+			return fmt.Errorf("sketch: restore: duplicate key %#x", e.Key)
 		}
-		s.nodes[i] = ssNode{
-			key:   e.Key,
-			count: e.Count,
-			err:   e.ErrUB,
-			stamp: int64(len(entries) - i),
-			slot:  hotSlot,
-			prev:  nilIdx,
-			next:  nilIdx,
-		}
-		s.idxInsert(e.Key, int32(i))
+		s.install(i, n, e)
 	}
-	s.n = len(entries)
-	s.clock = int64(len(entries))
-	return s, nil
+	s.total = total
+	s.n = n
+	s.clock = int64(n)
+	return nil
 }

@@ -385,6 +385,24 @@ func (s *SpaceSaving) minCount() int64 {
 	return mn
 }
 
+// mergedEntry is one row of a merge's union table.
+type mergedEntry struct {
+	key        uint64
+	count, err int64
+}
+
+// MergeScratch is the union table a merge sorts and truncates. An engine
+// that merges many summaries in a row — the sliding accumulator folds
+// tens of frames per snapshot — holds one and passes it to MergeWith, so
+// the table is allocated once per engine rather than once per merge (and
+// never per summary: the summaries are the state, the scratch is not).
+type MergeScratch struct {
+	all []mergedEntry
+}
+
+// SizeBytes reports the retained table's footprint.
+func (sc *MergeScratch) SizeBytes() int { return cap(sc.all) * 24 }
+
 // Merge folds summary o into s, producing a summary of the combined
 // stream with bounded error (Agarwal et al., "Mergeable Summaries";
 // Mitzenmacher, Steinke & Thaler for the Space-Saving form). o is not
@@ -411,21 +429,19 @@ func (s *SpaceSaving) minCount() int64 {
 // Merging an empty summary is an identity. Merge costs O((ns+no) log)
 // and allocates scratch; it is a query-time path, not an ingest path.
 func (s *SpaceSaving) Merge(o *SpaceSaving) {
+	s.MergeWith(o, new(MergeScratch))
+}
+
+// MergeWith is Merge with the union table taken from (and left in) sc.
+func (s *SpaceSaving) MergeWith(o *SpaceSaving, sc *MergeScratch) {
 	if o == nil || o.n == 0 {
 		return
 	}
-	var minS, minO int64
-	if s.n == s.k {
-		minS = s.minCount()
+	minS, minO := s.Floor(), o.Floor()
+	if cap(sc.all) < s.n+o.n {
+		sc.all = make([]mergedEntry, 0, s.n+o.n)
 	}
-	if o.n == o.k {
-		minO = o.minCount()
-	}
-	type mergedEntry struct {
-		key        uint64
-		count, err int64
-	}
-	all := make([]mergedEntry, 0, s.n+o.n)
+	all := sc.all[:0]
 	for i := 0; i < s.n; i++ {
 		n := &s.nodes[i]
 		c, e := n.count, n.err
@@ -468,23 +484,28 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) {
 	s.Reset()
 	s.total = total
 	for i := range all {
-		m := &all[i]
-		// Stamps follow descending-count order so eviction ties after a
-		// merge prefer the smaller entries first, matching the rule that
-		// the least-recently-grown entry goes first.
-		s.nodes[i] = ssNode{
-			key:   m.key,
-			count: m.count,
-			err:   m.err,
-			stamp: int64(len(all) - i),
-			slot:  hotSlot,
-			prev:  nilIdx,
-			next:  nilIdx,
-		}
-		s.idxInsert(m.key, int32(i))
+		s.install(i, len(all), KV{Key: all[i].key, Count: all[i].count, ErrUB: all[i].err})
 	}
 	s.n = len(all)
 	s.clock = int64(len(all))
+}
+
+// install writes entry e as node i of n in the canonical post-Merge
+// layout: hot zone, stamps following descending-count order so eviction
+// ties prefer the smaller entries first, matching the rule that the
+// least-recently-grown entry goes first. The caller has Reset s and sets
+// n and clock once every node is in.
+func (s *SpaceSaving) install(i, n int, e KV) {
+	s.nodes[i] = ssNode{
+		key:   e.Key,
+		count: e.Count,
+		err:   e.ErrUB,
+		stamp: int64(n - i),
+		slot:  hotSlot,
+		prev:  nilIdx,
+		next:  nilIdx,
+	}
+	s.idxInsert(e.Key, int32(i))
 }
 
 // Estimate implements Estimator. Unmonitored keys return the minimum
@@ -521,6 +542,32 @@ func (s *SpaceSaving) Min() int64 {
 	mi := s.ringMin()
 	s.minIdx = mi
 	return s.base + int64(mi)
+}
+
+// Floor returns what Estimate answers for an unmonitored key — the
+// minimum monitored count when the summary is full, 0 when it is not —
+// by direct scan: unlike Min it leaves the ring untouched, so it is safe
+// on a summary that is only being read (a merge source, a sealed frame).
+func (s *SpaceSaving) Floor() int64 {
+	if s.n < s.k {
+		return 0
+	}
+	return s.minCount()
+}
+
+// Lookup returns key's monitored count, and whether it is monitored.
+func (s *SpaceSaving) Lookup(key uint64) (int64, bool) {
+	if ni := s.idxFind(key); ni != nilIdx {
+		return s.nodes[ni].count, true
+	}
+	return 0, false
+}
+
+// Entry returns the i-th monitored entry, 0 <= i < Len(), in the node
+// order ForEachTracked visits.
+func (s *SpaceSaving) Entry(i int) KV {
+	n := &s.nodes[i]
+	return KV{Key: n.key, Count: n.count, ErrUB: n.err}
 }
 
 // Total implements Sketch.

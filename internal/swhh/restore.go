@@ -12,7 +12,6 @@ import (
 	"fmt"
 
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/sketch"
 )
 
@@ -38,38 +37,42 @@ func (s *Sliding) State() SlidingState {
 	return SlidingState{CurFrame: s.curFrame, Frames: s.frames, Totals: s.totals}
 }
 
-// RestoreSliding rebuilds a flat Sliding summary from cfg and serialized
-// state. The frame summaries are adopted (typically from
-// sketch.RestoreSpaceSaving); ring length and per-frame capacities must
-// match cfg, and an uninitialised frame clock requires an empty ring.
-func RestoreSliding(cfg Config, st SlidingState) (*Sliding, error) {
-	s, err := NewSliding(cfg)
-	if err != nil {
-		return nil, err
+// RestoreClock sets the frame clock of a summary that is being restored
+// slot by slot (see RestoreSlot); the slots themselves are not touched.
+func (s *Sliding) RestoreClock(curFrame int64) { s.curFrame = curFrame }
+
+// RestoreSlot replaces ring slot i, in place and without allocating,
+// with serialized state: the slot's exact total and its Space-Saving
+// summary (stream total and n entries, entry(e) yielding the e-th; see
+// sketch.SpaceSaving.Restore, which validates them). The clock must have
+// been restored first: under an uninitialised clock only an empty slot is
+// valid. On error the slot is left empty.
+func (s *Sliding) RestoreSlot(i int, frameTotal, total int64, n int, entry func(e int) sketch.KV) error {
+	s.clearSlot(i)
+	if frameTotal < 0 {
+		return fmt.Errorf("swhh: restore: negative frame total at slot %d", i)
 	}
-	if len(st.Frames) != len(s.frames) || len(st.Totals) != len(s.totals) {
-		return nil, fmt.Errorf("swhh: restore: ring %d/%d does not match config ring %d",
-			len(st.Frames), len(st.Totals), len(s.frames))
+	if s.curFrame == frameUninit && (n != 0 || frameTotal != 0) {
+		return fmt.Errorf("swhh: restore: uninitialised frame clock with non-empty slot %d", i)
 	}
-	for i, f := range st.Frames {
-		if f == nil {
-			return nil, fmt.Errorf("swhh: restore: nil frame summary at slot %d", i)
-		}
-		if f.Capacity() != s.cfg.Counters {
-			return nil, fmt.Errorf("swhh: restore: frame %d capacity %d != configured %d",
-				i, f.Capacity(), s.cfg.Counters)
-		}
-		if st.Totals[i] < 0 {
-			return nil, fmt.Errorf("swhh: restore: negative frame total at slot %d", i)
-		}
-		if st.CurFrame == frameUninit && (f.Len() != 0 || st.Totals[i] != 0) {
-			return nil, fmt.Errorf("swhh: restore: uninitialised frame clock with non-empty slot %d", i)
+	if err := s.frames[i].Restore(total, n, entry); err != nil {
+		return fmt.Errorf("swhh: restore: slot %d: %w", i, err)
+	}
+	s.totals[i] = frameTotal
+	if s.restored == nil {
+		s.restored = make([]uint64, len(s.vers))
+		for j := range s.restored {
+			s.restored[j] = s.vers[j] - 1 // matches nothing yet
 		}
 	}
-	s.curFrame = st.CurFrame
-	copy(s.totals, st.Totals)
-	copy(s.frames, st.Frames)
-	return s, nil
+	s.restored[i] = s.vers[i]
+	return nil
+}
+
+// Restored reports whether slot i still holds exactly what the last
+// RestoreSlot put there: nothing has written, expired or cleared it since.
+func (s *Sliding) Restored(i int) bool {
+	return s.restored != nil && s.restored[i] == s.vers[i]
 }
 
 // Hierarchy returns the configured hierarchy.
@@ -78,38 +81,9 @@ func (d *SlidingHHH) Hierarchy() addr.Hierarchy { return d.h }
 // Config returns the per-level summary configuration (defaults applied).
 func (d *SlidingHHH) Config() Config { return d.levels[0].cfg }
 
-// LevelSummary returns level l's flat summary for serialization. The
-// returned summary is the live one — callers must treat it as read-only.
+// LevelSummary returns level l's flat summary for serialization and
+// slot-by-slot restore. The returned summary is the live one.
 func (d *SlidingHHH) LevelSummary(l int) *Sliding { return d.levels[l] }
-
-// RestoreSlidingHHH rebuilds a per-level sliding HHH detector from the
-// hierarchy and one restored flat summary per level. All levels must
-// share the same frame geometry.
-func RestoreSlidingHHH(h addr.Hierarchy, levels []*Sliding) (*SlidingHHH, error) {
-	if len(levels) != h.Levels() {
-		return nil, fmt.Errorf("swhh: restore: %d level summaries for %d-level hierarchy %v",
-			len(levels), h.Levels(), h)
-	}
-	d := &SlidingHHH{
-		h:      h,
-		levels: make([]*Sliding, len(levels)),
-		masks:  make([]uint64, len(levels)),
-		high:   h.KeyFromHigh(),
-		seen:   make(map[uint64]struct{}, 64),
-		qs:     hhh.NewQueryScratch(),
-	}
-	for l, lv := range levels {
-		if lv == nil {
-			return nil, fmt.Errorf("swhh: restore: nil summary at level %d", l)
-		}
-		if lv.frameNs != levels[0].frameNs || len(lv.frames) != len(levels[0].frames) {
-			return nil, fmt.Errorf("swhh: restore: level %d frame geometry differs from level 0", l)
-		}
-		d.levels[l] = lv
-		d.masks[l] = h.KeyMask(l)
-	}
-	return d, nil
-}
 
 // MementoState is the serializable state of a flat Memento summary: the
 // frame clock and eviction cursor plus the dense entry table (the first

@@ -122,13 +122,27 @@ func (c Config) CoveredSince(now int64) int64 {
 
 // Sliding is a time-framed WCSS-style sliding-window heavy-hitter summary.
 // Not safe for concurrent use. Timestamps must be non-decreasing.
+//
+// Every ring slot carries a write version, bumped wherever the slot is
+// written or cleared. A slot of the ring that is no longer filling is
+// sealed — nothing writes it until it expires — so its version stands
+// still, and everything derived from it can be kept for as long as the
+// version has not moved: the slot's floor (what it estimates for a key it
+// does not track), and, in an accumulator, the slot folded from the same
+// slots of the same sources (see Fold).
 type Sliding struct {
 	cfg      Config
 	frameNs  int64
 	frames   []*sketch.SpaceSaving // ring: k full frames + 1 filling
 	totals   []int64
-	curFrame int64               // global index of the frame currently filling
-	seen     map[uint64]struct{} // HeavyKeys candidate-dedup scratch, reused across queries
+	curFrame int64    // global index of the frame currently filling
+	vers     []uint64 // per-slot write version
+	// floor[i] is frames[i].Floor() as of version floorVer[i]; an estimate
+	// over a sealed frame therefore never scans or rebuilds it.
+	floor    []int64
+	floorVer []uint64
+	memo     []slotMemo // Fold's record per slot; nil until the first Fold
+	restored []uint64   // per-slot version RestoreSlot left; nil until the first
 }
 
 // NewSliding builds a summary from cfg.
@@ -144,17 +158,31 @@ func NewSliding(cfg Config) (*Sliding, error) {
 		// a single nanosecond, the finest granularity timestamps carry.
 		frameNs = 1
 	}
+	ring := cfg.Frames + 1
 	s := &Sliding{
 		cfg:      cfg,
 		frameNs:  frameNs,
-		frames:   make([]*sketch.SpaceSaving, cfg.Frames+1),
-		totals:   make([]int64, cfg.Frames+1),
+		frames:   make([]*sketch.SpaceSaving, ring),
+		totals:   make([]int64, ring),
 		curFrame: frameUninit,
+		vers:     make([]uint64, ring),
+		floor:    make([]int64, ring),
+		floorVer: make([]uint64, ring),
 	}
 	for i := range s.frames {
 		s.frames[i] = sketch.NewSpaceSaving(cfg.Counters)
 	}
 	return s, nil
+}
+
+// slotOf is the ring slot of global frame g.
+func (s *Sliding) slotOf(g int64) int { return int(floorMod(g, int64(len(s.frames)))) }
+
+// clearSlot empties one ring slot.
+func (s *Sliding) clearSlot(i int) {
+	s.frames[i].Reset()
+	s.totals[i] = 0
+	s.vers[i]++
 }
 
 // advance rotates frames so that the frame containing now is current.
@@ -175,44 +203,48 @@ func (s *Sliding) advanceTo(target int64) {
 	// The sentinel check must come before the subtraction: target minus
 	// math.MinInt64 overflows for any non-negative target.
 	if s.curFrame == frameUninit || target-s.curFrame >= int64(len(s.frames)) {
-		for i := range s.frames {
-			s.frames[i].Reset()
-			s.totals[i] = 0
-		}
+		s.Reset()
 		s.curFrame = target
 		return
 	}
 	for s.curFrame < target {
 		s.curFrame++
-		slot := int(floorMod(s.curFrame, int64(len(s.frames))))
-		s.frames[slot].Reset() // expire the oldest frame wholesale
-		s.totals[slot] = 0
+		s.clearSlot(s.slotOf(s.curFrame)) // expire the oldest frame wholesale
 	}
 }
 
 // Update records weight w for key at time now (ns).
 func (s *Sliding) Update(key uint64, w int64, now int64) {
 	s.advance(now)
-	slot := int(floorMod(s.curFrame, int64(len(s.frames))))
+	slot := s.slotOf(s.curFrame)
 	s.frames[slot].Update(key, w)
 	s.totals[slot] += w
+	s.vers[slot]++
 }
 
-// estimate sums the per-frame estimates for key without advancing; the
-// caller must have advanced to the query time already.
-func (s *Sliding) estimate(key uint64) int64 {
-	var sum int64
-	for _, f := range s.frames {
-		sum += f.Estimate(key)
+// settleFloors brings every slot's floor up to its version.
+func (s *Sliding) settleFloors() {
+	for i, f := range s.frames {
+		if s.floorVer[i] != s.vers[i] {
+			s.floor[i], s.floorVer[i] = f.Floor(), s.vers[i]
+		}
 	}
-	return sum
 }
 
 // Estimate returns the upper-bound estimate of key's weight over the
-// covered window at time now.
+// covered window at time now: the per-frame estimates summed.
 func (s *Sliding) Estimate(key uint64, now int64) int64 {
 	s.advance(now)
-	return s.estimate(key)
+	s.settleFloors()
+	var sum int64
+	for i, f := range s.frames {
+		c, ok := f.Lookup(key)
+		if !ok {
+			c = s.floor[i]
+		}
+		sum += c
+	}
+	return sum
 }
 
 // Advance expires frames up to time now without recording anything: the
@@ -221,6 +253,13 @@ func (s *Sliding) Estimate(key uint64, now int64) int64 {
 // before merging so their frame rings align.
 func (s *Sliding) Advance(now int64) {
 	s.advance(now)
+}
+
+// mustMatch panics unless o shares s's frame geometry.
+func (s *Sliding) mustMatch(o *Sliding) {
+	if s.frameNs != o.frameNs || len(s.frames) != len(o.frames) {
+		panic("swhh: Sliding.Merge config mismatch")
+	}
 }
 
 // Merge folds summary o into s frame by frame; o is not modified. Both
@@ -236,9 +275,7 @@ func (s *Sliding) Merge(o *Sliding) {
 	if o == nil {
 		return
 	}
-	if s.frameNs != o.frameNs || len(s.frames) != len(o.frames) {
-		panic("swhh: Sliding.Merge config mismatch")
-	}
+	s.mustMatch(o)
 	if o.curFrame == frameUninit {
 		return // o never advanced: its ring is empty
 	}
@@ -249,15 +286,102 @@ func (s *Sliding) Merge(o *Sliding) {
 	// loop only ever folds slots both rings cover.
 	k := int64(len(s.frames))
 	for g := s.curFrame - k + 1; g <= o.curFrame; g++ {
-		slot := int(floorMod(g, k))
+		slot := s.slotOf(g)
 		s.frames[slot].Merge(o.frames[slot])
 		s.totals[slot] += o.totals[slot]
+		s.vers[slot]++
 	}
 }
 
-// WindowTotal returns the total weight currently covered.
-func (s *Sliding) WindowTotal(now int64) int64 {
-	s.advance(now)
+// slotMemo is what an accumulator remembers of one slot's last Fold: the
+// global frame the slot held, the accumulator's own version of the slot
+// once folded (anything else that writes the slot moves it on), and the
+// source slots it was folded from, in fold order.
+type slotMemo struct {
+	frame int64
+	self  uint64
+	from  []slotStamp
+}
+
+// slotStamp identifies the content of one source slot: a version never
+// repeats within a summary, and a replaced summary is a different one.
+type slotStamp struct {
+	src *Sliding
+	ver uint64
+}
+
+// reaches reports whether s's ring has got as far as global frame g; a
+// never-advanced summary has reached none.
+func (s *Sliding) reaches(g int64) bool {
+	return s.curFrame != frameUninit && s.curFrame >= g
+}
+
+// Fold makes s the merge of srcs, exactly as Reset followed by Merge of
+// each source in order would — same clock, same frames entry for entry,
+// same totals — but pays only for the slots whose inputs changed since
+// the previous Fold: a slot that would be folded again for the same
+// global frame from the same sources, in the same order, at the same
+// versions is kept as it stands. Any other slot is cleared and folded
+// afresh with the pairwise Space-Saving merge, in source order (the merge
+// truncates, so it is not associative and the order is part of the
+// result). A source that was absent last time, is absent now, was
+// replaced, reset, advanced past a frame or written to therefore
+// invalidates precisely the slots it touches. sc is the merge scratch.
+// It returns how many slots were folded and how many were kept.
+func (s *Sliding) Fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept int) {
+	// The clock Reset-then-Merge ends on: Reset keeps the receiver's, and
+	// every Merge advances it to the source's if that is ahead.
+	clock := s.curFrame
+	for _, o := range srcs {
+		s.mustMatch(o)
+		clock = max(clock, o.curFrame)
+	}
+	s.curFrame = clock
+	ring := len(s.frames)
+	if s.memo == nil {
+		s.memo = make([]slotMemo, ring)
+		for i := range s.memo {
+			s.memo[i].self = s.vers[i] - 1 // matches nothing yet
+		}
+	}
+	for i := 0; i < ring; i++ {
+		// The global frame slot i holds on this clock; sources whose ring
+		// has reached it contribute (with no clock at all every slot is
+		// empty).
+		frame := int64(frameUninit)
+		if clock != frameUninit {
+			frame = clock - floorMod(clock-int64(i), int64(ring))
+		}
+		m := &s.memo[i]
+		same := m.frame == frame && m.self == s.vers[i]
+		n := 0
+		for _, o := range srcs {
+			if o.reaches(frame) {
+				same = same && n < len(m.from) && m.from[n] == slotStamp{o, o.vers[i]}
+				n++
+			}
+		}
+		if same && n == len(m.from) {
+			kept++
+			continue
+		}
+		s.clearSlot(i)
+		m.from = m.from[:0]
+		for _, o := range srcs {
+			if o.reaches(frame) {
+				s.frames[i].MergeWith(o.frames[i], sc)
+				s.totals[i] += o.totals[i]
+				m.from = append(m.from, slotStamp{o, o.vers[i]})
+			}
+		}
+		m.frame, m.self = frame, s.vers[i]
+		folded++
+	}
+	return folded, kept
+}
+
+// total sums the frame totals; the caller has advanced s.
+func (s *Sliding) total() int64 {
 	var sum int64
 	for _, t := range s.totals {
 		sum += t
@@ -265,61 +389,98 @@ func (s *Sliding) WindowTotal(now int64) int64 {
 	return sum
 }
 
-// HeavyKeys returns the keys whose windowed estimate reaches the fraction
-// phi of the covered total at time now.
-func (s *Sliding) HeavyKeys(phi float64, now int64) []sketch.KV {
-	// One advance covers the whole query: summing totals directly instead
-	// of calling WindowTotal avoids rotating the ring a second time.
+// WindowTotal returns the total weight currently covered.
+func (s *Sliding) WindowTotal(now int64) int64 {
 	s.advance(now)
-	var total int64
-	for _, t := range s.totals {
-		total += t
+	return s.total()
+}
+
+// heavy calls fn once for every key whose estimate, summed over the
+// ring, reaches T >= 1; the caller has advanced s. It is the one
+// candidate enumeration behind HeavyKeys and SlidingHHH.Query.
+//
+// Only keys that can reach T are estimated. A sum of ring per-frame
+// estimates that reaches T has a term of at least cut = ceil(T/ring), and
+// a frame's estimate for a key is either the key's tracked count or the
+// frame's floor. So unless some frame's floor alone reaches cut — then
+// every tracked key stays a candidate — the candidates are the keys
+// tracked with count >= cut in some frame: tens, where the ring tracks
+// thousands. A key that qualifies in several frames is reported from the
+// first of them.
+func (s *Sliding) heavy(T int64, fn func(key uint64, est int64)) {
+	s.settleFloors()
+	ring := int64(len(s.frames))
+	cut := (T + ring - 1) / ring
+	for _, fl := range s.floor {
+		if fl >= cut {
+			cut = 0
+			break
+		}
 	}
-	if total == 0 {
-		return nil
-	}
-	threshold := hhh.Threshold(total, phi)
-	// Candidates: keys tracked in any frame; estimates summed over all.
-	// The dedup set is query scratch, reused across calls.
-	if s.seen == nil {
-		s.seen = make(map[uint64]struct{}, 64)
-	}
-	clear(s.seen)
-	var out []sketch.KV
-	for _, f := range s.frames {
-		for _, kv := range f.Tracked() {
-			if _, dup := s.seen[kv.Key]; dup {
+	for i, f := range s.frames {
+	entries:
+		for e, n := 0, f.Len(); e < n; e++ {
+			kv := f.Entry(e)
+			if kv.Count < cut {
 				continue
 			}
-			s.seen[kv.Key] = struct{}{}
-			est := s.estimate(kv.Key)
-			if est >= threshold {
-				out = append(out, sketch.KV{Key: kv.Key, Count: est})
+			est := kv.Count
+			for j, g := range s.frames {
+				if j == i {
+					continue
+				}
+				c, ok := g.Lookup(kv.Key)
+				switch {
+				case !ok:
+					c = s.floor[j]
+				case j < i && c >= cut:
+					continue entries // reported from frame j
+				}
+				est += c
+			}
+			if est >= T {
+				fn(kv.Key, est)
 			}
 		}
 	}
+}
+
+// HeavyKeys returns the keys whose windowed estimate reaches the fraction
+// phi of the covered total at time now.
+func (s *Sliding) HeavyKeys(phi float64, now int64) []sketch.KV {
+	total := s.WindowTotal(now)
+	if total == 0 {
+		return nil
+	}
+	var out []sketch.KV
+	s.heavy(hhh.Threshold(total, phi), func(key uint64, est int64) {
+		out = append(out, sketch.KV{Key: key, Count: est})
+	})
 	return out
 }
 
-// SizeBytes reports the summary footprint: the exact per-frame sizes.
+// SizeBytes reports the summary footprint: the exact per-frame sizes,
+// the per-slot stamps and, in an accumulator, the fold memo.
 func (s *Sliding) SizeBytes() int {
-	n := 0
+	n := len(s.vers)*8 + len(s.floor)*8 + len(s.floorVer)*8
 	for _, f := range s.frames {
 		n += f.SizeBytes()
 	}
-	return n
+	for i := range s.memo {
+		n += 40 + cap(s.memo[i].from)*16
+	}
+	return n + len(s.restored)*8
 }
 
 // Reset clears all frames and totals but preserves the frame clock.
 // Merge addresses frames by global index, so a reset summary that is
-// merged with a live peer (the sharded barrier's accumulator does exactly
-// this every snapshot) must keep addressing the same global frames;
-// rewinding to frame 0 would only work by accident of the wholesale-reset
-// jump in advanceTo. A never-advanced summary stays unadvanced.
+// merged with a live peer (the cold form of the barrier's fold does
+// exactly this) must keep addressing the same global frames; rewinding to
+// frame 0 would only work by accident of the wholesale-reset jump in
+// advanceTo. A never-advanced summary stays unadvanced.
 func (s *Sliding) Reset() {
 	for i := range s.frames {
-		s.frames[i].Reset()
-		s.totals[i] = 0
+		s.clearSlot(i)
 	}
 }
 
@@ -331,10 +492,15 @@ type SlidingHHH struct {
 	levels []*Sliding
 	masks  []uint64 // per-level key masks, hoisted out of the hot path
 	high   bool     // which address half keys come from, ditto
-	// Reusable query scratch: per-level candidate dedup plus the shared
-	// conditioned pass's discount tables, cleared in place per query.
-	seen map[uint64]struct{}
-	qs   *hhh.QueryScratch
+	// qs is the conditioned pass's discount tables, cleared in place per
+	// query.
+	qs *hhh.QueryScratch
+	// Fold state, held only by a detector that folds (an accumulator): the
+	// one merge scratch all its frames share, the per-level source list,
+	// and the running slot tallies.
+	merge        sketch.MergeScratch
+	from         []*Sliding
+	folded, kept int64
 }
 
 // NewSlidingHHH builds a per-level sliding HHH detector.
@@ -344,7 +510,6 @@ func NewSlidingHHH(h addr.Hierarchy, cfg Config) (*SlidingHHH, error) {
 		levels: make([]*Sliding, h.Levels()),
 		masks:  make([]uint64, h.Levels()),
 		high:   h.KeyFromHigh(),
-		seen:   make(map[uint64]struct{}, 64),
 		qs:     hhh.NewQueryScratch(),
 	}
 	for l := range d.levels {
@@ -395,44 +560,42 @@ func (d *SlidingHHH) UpdateKeys(b *trace.KeyBatch) {
 		}
 		for l, lv := range d.levels {
 			lv.advance(b.Ts[i])
-			slot := int(floorMod(lv.curFrame, int64(len(lv.frames))))
+			slot := lv.slotOf(lv.curFrame)
 			f := lv.frames[slot]
 			m := d.masks[l]
 			for c := i; c < j; c++ {
 				f.Update(b.Keys[c]&m, int64(b.Sizes[c]))
 			}
 			lv.totals[slot] += bytes
+			lv.vers[slot]++
 		}
 		i = j
 	}
 }
 
-// Query returns the HHH set at fraction phi of the covered window total,
-// using the shared bottom-up conditioned pass over the per-level heavy
-// keys. The candidate and discount tables are reused across queries, so
-// the pass allocates only the returned Set.
+// Query returns the HHH set at fraction phi of the covered window total
+// (see QueryMass).
 func (d *SlidingHHH) Query(phi float64, now int64) hhh.Set {
-	for _, lv := range d.levels {
-		lv.advance(now)
-	}
-	total := d.levels[0].WindowTotal(now)
+	set, _ := d.QueryMass(phi, now)
+	return set
+}
+
+// QueryMass returns the HHH set at fraction phi of the covered window
+// total, and that total, using the shared bottom-up conditioned pass over
+// the per-level heavy keys. A candidate below the threshold has no effect
+// on the pass other than handing its discount on to the parent level,
+// which the pass does for every key it is not shown, so each level emits
+// only the keys that reach the threshold (see Sliding.heavy). The
+// discount tables are reused across queries, so the pass allocates only
+// the returned Set.
+func (d *SlidingHHH) QueryMass(phi float64, now int64) (hhh.Set, int64) {
+	d.Advance(now)
+	total := d.levels[0].total()
 	threshold := hhh.Threshold(total, phi)
 	return hhh.ConditionedLevels(d.h, threshold, d.qs,
 		func(l int, emit func(key uint64, est int64)) {
-			lv := d.levels[l]
-			clear(d.seen)
-			// Candidates: every key any frame tracks at this level, each
-			// estimated once across all frames.
-			for _, f := range lv.frames {
-				f.ForEachTracked(func(key uint64, _, _ int64) {
-					if _, dup := d.seen[key]; dup {
-						return
-					}
-					d.seen[key] = struct{}{}
-					emit(key, lv.estimate(key))
-				})
-			}
-		})
+			d.levels[l].heavy(threshold, emit)
+		}), total
 }
 
 // Advance expires frames up to time now on every level. The sharded
@@ -449,17 +612,48 @@ func (d *SlidingHHH) WindowTotal(now int64) int64 {
 	return d.levels[0].WindowTotal(now)
 }
 
+// mustMatch panics unless o shares d's hierarchy.
+func (d *SlidingHHH) mustMatch(o *SlidingHHH) {
+	if d.h != o.h || len(d.levels) != len(o.levels) {
+		panic("swhh: SlidingHHH.Merge hierarchy mismatch")
+	}
+}
+
 // Merge folds detector o into d level by level (see Sliding.Merge for the
 // frame alignment and bound arithmetic). o is not modified; both
 // detectors must share hierarchy and Config.
 func (d *SlidingHHH) Merge(o *SlidingHHH) {
-	if d.h != o.h || len(d.levels) != len(o.levels) {
-		panic("swhh: SlidingHHH.Merge hierarchy mismatch")
-	}
+	d.mustMatch(o)
 	for l := range d.levels {
 		d.levels[l].Merge(o.levels[l])
 	}
 }
+
+// Fold makes d the merge of srcs: the state Reset followed by Merge of
+// each source in order leaves, bit for bit, at the cost of the ring slots
+// whose sources changed since d's previous Fold (see Sliding.Fold). This
+// is how a barrier's accumulator takes a round of shard summaries, and an
+// aggregator's a round of node summaries: between two snapshots a source
+// writes the slot it is filling and perhaps the next, and the rest of its
+// ring stands still.
+func (d *SlidingHHH) Fold(srcs []*SlidingHHH) {
+	for _, o := range srcs {
+		d.mustMatch(o)
+	}
+	for l, lv := range d.levels {
+		d.from = d.from[:0]
+		for _, o := range srcs {
+			d.from = append(d.from, o.levels[l])
+		}
+		folded, kept := lv.Fold(d.from, &d.merge)
+		d.folded += int64(folded)
+		d.kept += int64(kept)
+	}
+}
+
+// FoldTally returns how many ring slots d's Folds have folded afresh and
+// how many they have kept, since d was built.
+func (d *SlidingHHH) FoldTally() (folded, kept int64) { return d.folded, d.kept }
 
 // Reset clears every level's frames.
 func (d *SlidingHHH) Reset() {
@@ -468,9 +662,9 @@ func (d *SlidingHHH) Reset() {
 	}
 }
 
-// SizeBytes sums the per-level footprints.
+// SizeBytes sums the per-level footprints and the fold scratch.
 func (d *SlidingHHH) SizeBytes() int {
-	n := 0
+	n := d.merge.SizeBytes() + cap(d.from)*8
 	for _, s := range d.levels {
 		n += s.SizeBytes()
 	}

@@ -212,8 +212,9 @@ func TestResetAndSize(t *testing.T) {
 	if s.Estimate(1, 0) != 0 || s.WindowTotal(0) != 0 {
 		t.Error("Reset incomplete")
 	}
-	// Exact accounting: frames+1 summaries, as the summary reports it.
-	if want := 5 * sketch.NewSpaceSaving(32).SizeBytes(); s.SizeBytes() != want {
+	// Exact accounting: frames+1 summaries, as the summary reports it, and
+	// three 8-byte stamps (version, floor, floor version) per slot.
+	if want := 5 * (sketch.NewSpaceSaving(32).SizeBytes() + 24); s.SizeBytes() != want {
 		t.Errorf("SizeBytes = %d, want %d", s.SizeBytes(), want)
 	}
 }

@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"time"
@@ -47,7 +49,7 @@ func Decode(frame []byte) (any, error) {
 	case KindRHHH:
 		v, err = decodeRHHHPayload(hdr, payload)
 	case KindSliding:
-		v, err = decodeSlidingPayload(hdr, payload)
+		v, _, _, err = restoreSlidingPayload(nil, nil, hdr, payload)
 	case KindMemento:
 		v, err = decodeMementoPayload(hdr, payload)
 	case KindFilter:
@@ -80,7 +82,7 @@ func expect(frame []byte, want Kind) (Header, []byte, error) {
 func decodeSS(c *cursor) (*sketch.SpaceSaving, error) {
 	k := int(c.u32())
 	total := c.i64()
-	n := c.count(24)
+	n := c.count(ssEntrySize)
 	if !c.ok {
 		return nil, fmt.Errorf("%w: short space-saving sub-payload", ErrCorrupt)
 	}
@@ -95,14 +97,10 @@ func decodeSS(c *cursor) (*sketch.SpaceSaving, error) {
 	if n > k {
 		return nil, fmt.Errorf("%w: %d entries exceed declared capacity %d", ErrCorrupt, n, k)
 	}
-	entries := make([]sketch.KV, n)
-	for i := range entries {
-		entries[i] = sketch.KV{Key: c.u64(), Count: c.i64(), ErrUB: c.i64()}
-	}
-	if !c.ok {
-		return nil, fmt.Errorf("%w: short space-saving entries", ErrCorrupt)
-	}
-	s, err := sketch.RestoreSpaceSaving(k, total, entries)
+	s := sketch.NewSpaceSaving(k)
+	err := s.Restore(total, n, func(int) sketch.KV {
+		return sketch.KV{Key: c.u64(), Count: c.i64(), ErrUB: c.i64()}
+	})
 	if err != nil {
 		return nil, corrupt(err)
 	}
@@ -298,62 +296,121 @@ func slidingGeometry(c *cursor) (window time.Duration, frames, counters int, err
 
 // DecodeSliding decodes a KindSliding frame.
 func DecodeSliding(frame []byte) (*swhh.SlidingHHH, error) {
-	hdr, payload, err := expect(frame, KindSliding)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSlidingPayload(hdr, payload)
+	d, _, _, err := RestoreSliding(nil, nil, frame)
+	return d, err
 }
 
-func decodeSlidingPayload(hdr Header, payload []byte) (*swhh.SlidingHHH, error) {
+// RestoreSliding brings d to the state sealed in a KindSliding frame and
+// returns it, restoring in place: ring slot by ring slot, allocating
+// nothing. prev, when non-nil, is the frame a previous RestoreSliding
+// call restored d from; a slot whose bytes are the same in both frames
+// and which nothing has written since that restore (swhh.Sliding.Restored)
+// is left exactly as it stands, write version included, so whatever a
+// reader derived from the slot stays valid. Successive frames of one
+// sender differ in the slot that is filling and perhaps the next; the
+// rest of the ring is sealed and skipped. It returns how many slots were
+// restored and how many skipped.
+//
+// With d nil, or of another geometry or hierarchy than the frame, a new
+// detector is built and every slot restored — the cold decode. On error
+// d may be partly restored and must be discarded.
+func RestoreSliding(d *swhh.SlidingHHH, prev, frame []byte) (_ *swhh.SlidingHHH, restored, skipped int, err error) {
+	hdr, payload, err := expect(frame, KindSliding)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return restoreSlidingPayload(d, prev, hdr, payload)
+}
+
+func restoreSlidingPayload(d *swhh.SlidingHHH, prev []byte, hdr Header, payload []byte) (_ *swhh.SlidingHHH, restored, skipped int, err error) {
 	h, err := hdr.Hierarchy()
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	c := newCursor(payload)
 	window, frames, counters, err := slidingGeometry(c)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
 	levels := int(c.u16())
 	if !c.ok {
-		return nil, fmt.Errorf("%w: short sliding payload", ErrCorrupt)
+		return nil, 0, 0, fmt.Errorf("%w: short sliding payload", ErrCorrupt)
 	}
 	if levels != h.Levels() {
-		return nil, fmt.Errorf("%w: %d level summaries for %d-level hierarchy", ErrCorrupt, levels, h.Levels())
+		return nil, 0, 0, fmt.Errorf("%w: %d level summaries for %d-level hierarchy", ErrCorrupt, levels, h.Levels())
+	}
+	ring := frames + 1
+	if levels*ring > maxSummaries || levels*ring*counters > maxCountersTotal {
+		return nil, 0, 0, fmt.Errorf("%w: per-frame summary budget exceeded", ErrCorrupt)
 	}
 	cfg := swhh.Config{Window: window, Frames: frames, Counters: counters}
-	ring := frames + 1
-	lvls := make([]*swhh.Sliding, levels)
-	for l := range lvls {
-		st := swhh.SlidingState{
-			CurFrame: c.i64(),
-			Frames:   make([]*sketch.SpaceSaving, ring),
-			Totals:   make([]int64, ring),
+	// p walks prev in step with c, as long as prev describes the same
+	// detector (hierarchy bytes, geometry prefix and level count).
+	var p *cursor
+	if d == nil || d.Hierarchy() != h || d.Config() != cfg {
+		if d, err = swhh.NewSlidingHHH(h, cfg); err != nil {
+			return nil, 0, 0, corrupt(err)
 		}
-		if err := boundFrame(st.CurFrame); err != nil {
-			return nil, err
+	} else if len(prev) >= headerSize+c.off+crcSize &&
+		prev[8] == hdr.Family && prev[9] == hdr.Step && prev[10] == hdr.Depth &&
+		bytes.Equal(prev[headerSize:headerSize+c.off], payload[:c.off]) {
+		p = &cursor{b: prev[headerSize : len(prev)-crcSize], off: c.off, ok: true}
+	}
+	for l := 0; l < levels; l++ {
+		lv := d.LevelSummary(l)
+		cur := c.i64()
+		if err := boundFrame(cur); err != nil {
+			return nil, 0, 0, err
+		}
+		lv.RestoreClock(cur)
+		if p != nil {
+			p.i64()
 		}
 		for i := 0; i < ring; i++ {
-			st.Totals[i] = c.i64()
-			if st.Frames[i], err = decodeSS(c); err != nil {
-				return nil, err
+			start := c.off
+			frameTotal := c.i64()
+			k := int(c.u32())
+			total := c.i64()
+			n := c.count(ssEntrySize)
+			if !c.ok {
+				return nil, 0, 0, fmt.Errorf("%w: short sliding slot", ErrCorrupt)
 			}
+			if k != counters {
+				return nil, 0, 0, fmt.Errorf("%w: slot capacity %d != configured %d", ErrCorrupt, k, counters)
+			}
+			body := c.b[c.off : c.off+n*ssEntrySize]
+			c.off += len(body)
+			same := false
+			if p != nil {
+				pstart := p.off
+				p.off += slidingSlotHeader + 4 + 8 // to the entry count
+				p.off += p.count(ssEntrySize) * ssEntrySize
+				same = p.ok && bytes.Equal(p.b[pstart:p.off], c.b[start:c.off])
+			}
+			// Under an uninitialised clock only empty slots are valid; let
+			// RestoreSlot see every one of them.
+			if same && cur != swhh.FrameUninit && lv.Restored(i) {
+				skipped++
+				continue
+			}
+			err := lv.RestoreSlot(i, frameTotal, total, n, func(e int) sketch.KV {
+				b := body[e*ssEntrySize:]
+				return sketch.KV{
+					Key:   binary.LittleEndian.Uint64(b),
+					Count: int64(binary.LittleEndian.Uint64(b[8:])),
+					ErrUB: int64(binary.LittleEndian.Uint64(b[16:])),
+				}
+			})
+			if err != nil {
+				return nil, 0, 0, corrupt(err)
+			}
+			restored++
 		}
-		s, err := swhh.RestoreSliding(cfg, st)
-		if err != nil {
-			return nil, corrupt(err)
-		}
-		lvls[l] = s
 	}
 	if err := c.finish(); err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	d, err := swhh.RestoreSlidingHHH(h, lvls)
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	return d, nil
+	return d, restored, skipped, nil
 }
 
 // DecodeMemento decodes a KindMemento frame.

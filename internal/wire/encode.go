@@ -53,25 +53,40 @@ func Encode(v any) ([]byte, error) {
 	}
 }
 
+// Every encoder sizes its payload exactly up front — entry counts and
+// geometry are known — and builds the frame in place (beginFrame /
+// endFrame): one allocation of the frame's final size, no growth, no copy.
+
+// Space-Saving sub-payload sizes.
+const (
+	ssHeaderSize = 4 + 8 + 4 // capacity, stream total, entry count
+	ssEntrySize  = 8 + 8 + 8 // key, count, error bound
+)
+
+// ssSize is the encoded size of s's sub-payload.
+func ssSize(s *sketch.SpaceSaving) int { return ssHeaderSize + s.Len()*ssEntrySize }
+
 // appendSpaceSaving writes the shared Space-Saving sub-payload:
 // capacity, stream total, entry count, then the entries in the
 // summary's canonical node order.
 func appendSpaceSaving(b []byte, s *sketch.SpaceSaving) []byte {
+	n := s.Len()
 	b = appendU32(b, uint32(s.Capacity()))
 	b = appendI64(b, s.Total())
-	b = appendU32(b, uint32(s.Len()))
-	s.ForEachTracked(func(key uint64, count, errUB int64) {
-		b = appendU64(b, key)
-		b = appendI64(b, count)
-		b = appendI64(b, errUB)
-	})
+	b = appendU32(b, uint32(n))
+	for i := 0; i < n; i++ {
+		e := s.Entry(i)
+		b = appendU64(b, e.Key)
+		b = appendI64(b, e.Count)
+		b = appendI64(b, e.ErrUB)
+	}
 	return b
 }
 
 // EncodeSpaceSaving frames a bare Space-Saving summary (KindSpaceSaving,
 // no hierarchy descriptor).
 func EncodeSpaceSaving(s *sketch.SpaceSaving) []byte {
-	return frameFor(KindSpaceSaving, 0, 0, 0, appendSpaceSaving(nil, s))
+	return endFrame(appendSpaceSaving(beginFrame(KindSpaceSaving, 0, 0, 0, ssSize(s)), s))
 }
 
 // EncodeExact frames an exact leaf-key map under hierarchy h
@@ -88,26 +103,32 @@ func EncodeExact(h addr.Hierarchy, ex *sketch.Exact) []byte {
 		}
 		return 0
 	})
-	payload := appendU32(nil, uint32(len(kvs)))
-	for _, kv := range kvs {
-		payload = appendU64(payload, kv.Key)
-		payload = appendI64(payload, kv.Count)
-	}
 	fam, step, depth := describe(h)
-	return frameFor(KindExact, fam, step, depth, payload)
+	b := beginFrame(KindExact, fam, step, depth, 4+len(kvs)*16)
+	b = appendU32(b, uint32(len(kvs)))
+	for _, kv := range kvs {
+		b = appendU64(b, kv.Key)
+		b = appendI64(b, kv.Count)
+	}
+	return endFrame(b)
 }
 
 // EncodePerLevel frames a PerLevel windowed HHH engine (KindPerLevel).
 func EncodePerLevel(p *hhh.PerLevel) []byte {
 	h := p.Hierarchy()
 	levels := h.Levels()
-	payload := appendI64(nil, p.Total())
-	payload = appendU16(payload, uint16(levels))
+	size := 8 + 2
 	for l := 0; l < levels; l++ {
-		payload = appendSpaceSaving(payload, p.LevelSummary(l))
+		size += ssSize(p.LevelSummary(l))
 	}
 	fam, step, depth := describe(h)
-	return frameFor(KindPerLevel, fam, step, depth, payload)
+	b := beginFrame(KindPerLevel, fam, step, depth, size)
+	b = appendI64(b, p.Total())
+	b = appendU16(b, uint16(levels))
+	for l := 0; l < levels; l++ {
+		b = appendSpaceSaving(b, p.LevelSummary(l))
+	}
+	return endFrame(b)
 }
 
 // EncodeRHHH frames an RHHH windowed HHH engine (KindRHHH), including
@@ -116,16 +137,30 @@ func EncodePerLevel(p *hhh.PerLevel) []byte {
 func EncodeRHHH(r *hhh.RHHH) []byte {
 	h := r.Hierarchy()
 	levels := h.Levels()
-	payload := appendI64(nil, r.Total())
-	payload = appendI64(payload, r.Updates())
-	payload = appendU64(payload, r.Sampler())
-	payload = appendU16(payload, uint16(levels))
+	size := 8 + 8 + 8 + 2
 	for l := 0; l < levels; l++ {
-		payload = appendSpaceSaving(payload, r.LevelSummary(l))
+		size += ssSize(r.LevelSummary(l))
 	}
 	fam, step, depth := describe(h)
-	return frameFor(KindRHHH, fam, step, depth, payload)
+	b := beginFrame(KindRHHH, fam, step, depth, size)
+	b = appendI64(b, r.Total())
+	b = appendI64(b, r.Updates())
+	b = appendU64(b, r.Sampler())
+	b = appendU16(b, uint16(levels))
+	for l := 0; l < levels; l++ {
+		b = appendSpaceSaving(b, r.LevelSummary(l))
+	}
+	return endFrame(b)
 }
+
+// Sliding payload layout: the shared geometry prefix, then per level the
+// frame clock and the ring of slots, each an exact frame total followed
+// by the frame's Space-Saving sub-payload.
+const (
+	slidingGeometrySize = 8 + 2 + 4 // window, frames, counters
+	slidingLevelHeader  = 8         // frame clock
+	slidingSlotHeader   = 8         // exact frame total
+)
 
 // EncodeSliding frames a WCSS sliding HHH engine (KindSliding): the
 // shared frame geometry, then per level the frame clock and the ring of
@@ -134,20 +169,28 @@ func EncodeSliding(d *swhh.SlidingHHH) []byte {
 	h := d.Hierarchy()
 	cfg := d.Config()
 	levels := h.Levels()
-	payload := appendI64(nil, int64(cfg.Window))
-	payload = appendU16(payload, uint16(cfg.Frames))
-	payload = appendU32(payload, uint32(cfg.Counters))
-	payload = appendU16(payload, uint16(levels))
+	size := slidingGeometrySize + 2
 	for l := 0; l < levels; l++ {
-		st := d.LevelSummary(l).State()
-		payload = appendI64(payload, st.CurFrame)
-		for i := range st.Frames {
-			payload = appendI64(payload, st.Totals[i])
-			payload = appendSpaceSaving(payload, st.Frames[i])
+		size += slidingLevelHeader
+		for _, f := range d.LevelSummary(l).State().Frames {
+			size += slidingSlotHeader + ssSize(f)
 		}
 	}
 	fam, step, depth := describe(h)
-	return frameFor(KindSliding, fam, step, depth, payload)
+	b := beginFrame(KindSliding, fam, step, depth, size)
+	b = appendI64(b, int64(cfg.Window))
+	b = appendU16(b, uint16(cfg.Frames))
+	b = appendU32(b, uint32(cfg.Counters))
+	b = appendU16(b, uint16(levels))
+	for l := 0; l < levels; l++ {
+		st := d.LevelSummary(l).State()
+		b = appendI64(b, st.CurFrame)
+		for i := range st.Frames {
+			b = appendI64(b, st.Totals[i])
+			b = appendSpaceSaving(b, st.Frames[i])
+		}
+	}
+	return endFrame(b)
 }
 
 // EncodeMemento frames a level-sampled Memento sliding HHH engine
@@ -158,34 +201,40 @@ func EncodeMemento(d *swhh.MementoHHH) []byte {
 	h := d.Hierarchy()
 	cfg := d.Config()
 	st := d.State()
-	payload := appendI64(nil, int64(cfg.Window))
-	payload = appendU16(payload, uint16(cfg.Frames))
-	payload = appendU32(payload, uint32(cfg.Counters))
-	payload = appendU64(payload, st.Sampler)
-	payload = appendI64(payload, st.CurFrame)
-	for _, t := range st.Totals {
-		payload = appendI64(payload, t)
-	}
-	payload = appendU16(payload, uint16(len(st.Levels)))
+	ring := len(st.Totals)
+	size := slidingGeometrySize + 8 + 8 + ring*8 + 2
 	for _, lv := range st.Levels {
-		ls := lv.State()
-		payload = appendI64(payload, ls.CurFrame)
-		payload = appendU32(payload, uint32(ls.Cursor))
-		payload = appendU32(payload, uint32(len(ls.Keys)))
-		for _, t := range ls.Totals {
-			payload = appendI64(payload, t)
-		}
-		for e := range ls.Keys {
-			payload = appendU64(payload, ls.Keys[e])
-			payload = appendI64(payload, ls.Counts[e])
-			payload = appendI64(payload, ls.Errs[e])
-		}
-		for _, cell := range ls.Cells {
-			payload = appendI64(payload, cell)
-		}
+		size += 8 + 4 + 4 + ring*8 + len(lv.State().Keys)*(ssEntrySize+ring*8)
 	}
 	fam, step, depth := describe(h)
-	return frameFor(KindMemento, fam, step, depth, payload)
+	b := beginFrame(KindMemento, fam, step, depth, size)
+	b = appendI64(b, int64(cfg.Window))
+	b = appendU16(b, uint16(cfg.Frames))
+	b = appendU32(b, uint32(cfg.Counters))
+	b = appendU64(b, st.Sampler)
+	b = appendI64(b, st.CurFrame)
+	for _, t := range st.Totals {
+		b = appendI64(b, t)
+	}
+	b = appendU16(b, uint16(len(st.Levels)))
+	for _, lv := range st.Levels {
+		ls := lv.State()
+		b = appendI64(b, ls.CurFrame)
+		b = appendU32(b, uint32(ls.Cursor))
+		b = appendU32(b, uint32(len(ls.Keys)))
+		for _, t := range ls.Totals {
+			b = appendI64(b, t)
+		}
+		for e := range ls.Keys {
+			b = appendU64(b, ls.Keys[e])
+			b = appendI64(b, ls.Counts[e])
+			b = appendI64(b, ls.Errs[e])
+		}
+		for _, cell := range ls.Cells {
+			b = appendI64(b, cell)
+		}
+	}
+	return endFrame(b)
 }
 
 // appendDecay writes the tagged decay-law descriptor. Only the two

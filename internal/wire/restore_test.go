@@ -1,0 +1,93 @@
+package wire
+
+import (
+	"bytes"
+	"errors"
+	"testing"
+	"time"
+
+	"hiddenhhh/internal/swhh"
+)
+
+// TestRestoreSlidingInPlace drives one sender's successive frames into
+// one retained detector: after every frame the detector re-encodes to
+// the frame, whatever was skipped; slots the frames share are skipped
+// only while nothing else has written them; a frame of another geometry
+// gets a new detector; a frame that fails validation is an error.
+func TestRestoreSlidingInPlace(t *testing.T) {
+	h := testHierarchy()
+	live, err := swhh.NewSlidingHHH(h, slidingTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := splitmix(11)
+	now := int64(0)
+	feed := func(d *swhh.SlidingHHH, span time.Duration) []byte {
+		for end := now + int64(span); now < end; now += int64(r.next() % uint64(2*time.Millisecond)) {
+			d.Update(addrFor(h, &r), int64(1+r.next()%9), now)
+		}
+		d.Advance(now)
+		return EncodeSliding(d)
+	}
+	slots := h.Levels() * (slidingTestConfig().Frames + 1)
+
+	f1 := feed(live, 900*time.Millisecond)
+	d, restored, skipped, err := RestoreSliding(nil, nil, f1)
+	if err != nil || restored != slots || skipped != 0 {
+		t.Fatalf("cold restore: %d restored, %d skipped, %v", restored, skipped, err)
+	}
+
+	// 60 ms on: the filling slot changed, perhaps the next; the rest stand.
+	f2 := feed(live, 60*time.Millisecond)
+	d2, restored, skipped, err := RestoreSliding(d, f1, f2)
+	if err != nil || d2 != d {
+		t.Fatalf("in-place restore returned another detector (%v)", err)
+	}
+	if restored+skipped != slots || restored > 2*h.Levels() || !bytes.Equal(EncodeSliding(d), f2) {
+		t.Fatalf("second frame: %d restored, %d skipped of %d; re-encodes equal: %v",
+			restored, skipped, slots, bytes.Equal(EncodeSliding(d), f2))
+	}
+
+	// The reader expires part of the ring (an Aggregator advancing a
+	// lagging node). Those slots are no longer what the restore left, so
+	// identical bytes must not skip them.
+	d.Advance(now + int64(600*time.Millisecond))
+	f3 := feed(live, 30*time.Millisecond)
+	_, restored3, _, err := RestoreSliding(d, f2, f3)
+	if err != nil || restored3 <= restored || !bytes.Equal(EncodeSliding(d), f3) {
+		t.Fatalf("after the reader's advance: %d restored (%d before), %v; re-encodes equal: %v",
+			restored3, restored, err, bytes.Equal(EncodeSliding(d), f3))
+	}
+
+	// The same frame again: everything stands.
+	if _, restored, skipped, err = RestoreSliding(d, f3, f3); err != nil || restored != 0 || skipped != slots {
+		t.Fatalf("identical frame: %d restored, %d skipped, %v", restored, skipped, err)
+	}
+
+	// Another geometry: a new detector, fully restored, the old one untouched.
+	other, err := swhh.NewSlidingHHH(h, swhh.Config{Window: time.Second, Frames: 2, Counters: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fo := feed(other, 100*time.Millisecond)
+	d4, restored, skipped, err := RestoreSliding(d, f3, fo)
+	if err != nil || d4 == d || skipped != 0 || restored != h.Levels()*3 || !bytes.Equal(EncodeSliding(d4), fo) {
+		t.Fatalf("geometry change: same detector %v, %d restored, %d skipped, %v", d4 == d, restored, skipped, err)
+	}
+	if !bytes.Equal(EncodeSliding(d), f3) {
+		t.Fatal("a frame of another geometry modified the retained detector")
+	}
+
+	// A payload that parses but breaks a summary invariant (error bound
+	// above the count), checksum made good again.
+	bad := mangle(f3, func(b []byte) {
+		// geometry 14 + levels 2 + clock 8 + frame total 8 + k 4 + total 8 + n 4 + key 8 + count 8 = err field
+		off := headerSize + 14 + 2 + 8 + 8 + 4 + 8 + 4 + 8 + 8
+		for i := 0; i < 8; i++ {
+			b[off+i] = 0x7f
+		}
+	})
+	if _, _, _, err := RestoreSliding(d, f3, bad); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("invalid slot: %v, want ErrCorrupt", err)
+	}
+}

@@ -289,11 +289,6 @@ func endFrame(out []byte) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(out))
 }
 
-// frameFor assembles a complete frame around payload.
-func frameFor(kind Kind, fam, step, depth byte, payload []byte) []byte {
-	return endFrame(append(beginFrame(kind, fam, step, depth, len(payload)), payload...))
-}
-
 // cursor is a sticky-error little-endian payload reader with the decode
 // allocation budgets. Reads past the end clear ok and return zero; the
 // caller checks ok (or calls finish) before using values that gate

@@ -164,10 +164,21 @@ const queryNow = int64(10 * time.Second)
 
 // TestRoundTrip encodes every kind, decodes it back, and demands both
 // byte-identical re-encoding and identical query results.
+// sizedUpFront fails unless frame fills its buffer exactly: the encoder
+// computed the payload size and built the frame in place, with no growth
+// and no copy.
+func sizedUpFront(t *testing.T, frame []byte) {
+	t.Helper()
+	if cap(frame) != len(frame) {
+		t.Fatalf("frame of %d bytes sits in a %d-byte buffer: not sized up front", len(frame), cap(frame))
+	}
+}
+
 func TestRoundTrip(t *testing.T) {
 	t.Run("space-saving", func(t *testing.T) {
 		s := testSpaceSaving(1, 300)
 		frame := EncodeSpaceSaving(s)
+		sizedUpFront(t, frame)
 		got, err := DecodeSpaceSaving(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -184,6 +195,7 @@ func TestRoundTrip(t *testing.T) {
 		h := testHierarchy()
 		e := testExact(2, 300)
 		frame := EncodeExact(h, e)
+		sizedUpFront(t, frame)
 		got, gh, err := DecodeExact(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -202,6 +214,7 @@ func TestRoundTrip(t *testing.T) {
 	t.Run("per-level", func(t *testing.T) {
 		p := testPerLevel(3)
 		frame := EncodePerLevel(p)
+		sizedUpFront(t, frame)
 		got, err := DecodePerLevel(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -216,6 +229,7 @@ func TestRoundTrip(t *testing.T) {
 	t.Run("rhhh", func(t *testing.T) {
 		d := testRHHH(4)
 		frame := EncodeRHHH(d)
+		sizedUpFront(t, frame)
 		got, err := DecodeRHHH(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -230,6 +244,7 @@ func TestRoundTrip(t *testing.T) {
 	t.Run("sliding", func(t *testing.T) {
 		d := testSliding(5)
 		frame := EncodeSliding(d)
+		sizedUpFront(t, frame)
 		got, err := DecodeSliding(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -246,6 +261,7 @@ func TestRoundTrip(t *testing.T) {
 	t.Run("memento", func(t *testing.T) {
 		d := testMemento(6)
 		frame := EncodeMemento(d)
+		sizedUpFront(t, frame)
 		got, err := DecodeMemento(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -263,9 +279,7 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		if cap(frame) != len(frame) {
-			t.Fatalf("frame of %d bytes sits in a %d-byte buffer: not sized up front", len(frame), cap(frame))
-		}
+		sizedUpFront(t, frame)
 		got, err := DecodeFilter(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -294,9 +308,7 @@ func TestRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("encode: %v", err)
 		}
-		if cap(frame) != len(frame) {
-			t.Fatalf("frame of %d bytes sits in a %d-byte buffer: not sized up front", len(frame), cap(frame))
-		}
+		sizedUpFront(t, frame)
 		got, err := DecodeContinuous(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
@@ -431,6 +443,11 @@ func TestTypedErrors(t *testing.T) {
 
 // TestCorruptPayloads drives structurally invalid payloads through the
 // decoder; every one must come back ErrCorrupt without panicking.
+// frameFor assembles a complete frame around a handcrafted payload.
+func frameFor(kind Kind, fam, step, depth byte, payload []byte) []byte {
+	return endFrame(append(beginFrame(kind, fam, step, depth, len(payload)), payload...))
+}
+
 func TestCorruptPayloads(t *testing.T) {
 	// Handcrafted payloads use the same frameFor the encoders use, so the
 	// envelope is valid and only the payload is wrong.

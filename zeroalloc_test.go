@@ -1,6 +1,7 @@
 package hiddenhhh
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -120,5 +121,58 @@ func TestContinuousObserveKeysZeroAlloc(t *testing.T) {
 	}
 	if enters < 10 || exits < 10 {
 		t.Fatalf("measured runs exercised nothing: %d admissions, %d exits", enters, exits)
+	}
+}
+
+// TestSlidingSnapshotAllocBudget bounds what a steady-state sliding
+// Snapshot allocates on a sharded detector that seals: the frame handed
+// to OnSeal (one allocation of its final size), the returned Set, and the
+// barrier's own bookkeeping (token, report, source list). The merge —
+// fold scratch, candidate enumeration, discount tables — runs on storage
+// the accumulator already holds, so nothing in the budget scales with the
+// ring or the counters.
+func TestSlidingSnapshotAllocBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation measurement")
+	}
+	var frameLen int
+	det, err := NewShardedDetector(ShardedConfig{
+		Mode: ModeSliding, Shards: 2, Window: 4 * time.Second, Frames: 8, Phi: 0.05, Counters: 256,
+		OnSeal: func(s SealedSummary) { frameLen = len(s.Frame) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer det.Close()
+	pkts := propStream(35, 120000, 12)
+	const chunk = 2000 // 200 ms of the stream per snapshot
+	var m0, m1 runtime.MemStats
+	var allocated, frames uint64
+	rounds := 0
+	for off := 0; off+chunk <= len(pkts); off += chunk {
+		det.ObserveBatch(pkts[off : off+chunk])
+		at := pkts[off+chunk-1].Ts
+		if at < int64(6*time.Second) { // warm-up: the ring fills, scratch grows to size
+			det.Snapshot(at)
+			continue
+		}
+		runtime.ReadMemStats(&m0)
+		set := det.Snapshot(at)
+		runtime.ReadMemStats(&m1)
+		if set.Len() == 0 {
+			t.Fatal("empty snapshot proves nothing")
+		}
+		allocated += m1.TotalAlloc - m0.TotalAlloc
+		frames += uint64(frameLen)
+		rounds++
+	}
+	// Beyond the frame: a large allocation is rounded up to whole 8 KiB
+	// pages, and 4 KiB covers the Set (a dozen items), the barrier token
+	// with its channel, the published report and the Sealed value.
+	const slack = 8<<10 + 4<<10
+	t.Logf("%d snapshots: %d B allocated per snapshot, %d B frame", rounds, allocated/uint64(rounds), frames/uint64(rounds))
+	if perSnap, perFrame := allocated/uint64(rounds), frames/uint64(rounds); perSnap > perFrame+slack {
+		t.Fatalf("a steady-state snapshot allocates %d B for a %d B frame (%d B over; budget %d B)",
+			perSnap, perFrame, perSnap-perFrame, slack)
 	}
 }
