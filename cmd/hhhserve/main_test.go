@@ -269,6 +269,9 @@ func TestServeMetrics(t *testing.T) {
 	if got := metricValue(t, text, "hhh_detector_bytes_total"+labels); got != float64(st.Bytes) {
 		t.Errorf("detector bytes metric %v, Stats says %d", got, st.Bytes)
 	}
+	if got := metricValue(t, text, "hhh_pipeline_filtered_packets_total"); got != float64(st.FilteredPackets) {
+		t.Errorf("filtered packets metric %v, Stats says %d", got, st.FilteredPackets)
+	}
 	var shedPkts, shedBytes, shardPkts float64
 	for i := 0; i < 3; i++ {
 		lbl := `{shard="` + strconv.Itoa(i) + `"}`

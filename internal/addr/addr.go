@@ -25,6 +25,7 @@
 package addr
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"strconv"
@@ -80,12 +81,7 @@ func FromParts(hi, lo uint64) Addr { return Addr{hi: hi, lo: lo} }
 
 // From16 builds an address from its big-endian 16-byte form.
 func From16(b [16]byte) Addr {
-	var a Addr
-	for i := 0; i < 8; i++ {
-		a.hi = a.hi<<8 | uint64(b[i])
-		a.lo = a.lo<<8 | uint64(b[i+8])
-	}
-	return a
+	return Addr{hi: binary.BigEndian.Uint64(b[:8]), lo: binary.BigEndian.Uint64(b[8:])}
 }
 
 // Hi returns bits 127..64 of a.
@@ -96,10 +92,8 @@ func (a Addr) Lo() uint64 { return a.lo }
 
 // As16 returns the big-endian 16-byte form of a.
 func (a Addr) As16() (b [16]byte) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(a.hi >> (56 - 8*i))
-		b[i+8] = byte(a.lo >> (56 - 8*i))
-	}
+	binary.BigEndian.PutUint64(b[:8], a.hi)
+	binary.BigEndian.PutUint64(b[8:], a.lo)
 	return b
 }
 

@@ -126,6 +126,48 @@ func TestAs16RoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrom16As16MatchByteLoops pins the 64-bit load/store forms of
+// From16 and As16 to the byte-at-a-time definitions of the big-endian
+// 16-byte layout, over random values and the boundary patterns where a
+// swapped half or byte order would show.
+func TestFrom16As16MatchByteLoops(t *testing.T) {
+	from16 := func(b [16]byte) (a Addr) {
+		for i := 0; i < 8; i++ {
+			a.hi = a.hi<<8 | uint64(b[i])
+			a.lo = a.lo<<8 | uint64(b[i+8])
+		}
+		return a
+	}
+	as16 := func(a Addr) (b [16]byte) {
+		for i := 0; i < 8; i++ {
+			b[i] = byte(a.hi >> (56 - 8*i))
+			b[i+8] = byte(a.lo >> (56 - 8*i))
+		}
+		return b
+	}
+	check := func(b [16]byte) bool {
+		a := From16(b)
+		return a == from16(b) && a.As16() == as16(a) && a.As16() == b
+	}
+	if err := quick.Check(check, nil); err != nil {
+		t.Fatal(err)
+	}
+	boundary := [][16]byte{
+		{},
+		{0: 0xff}, {7: 0xff}, {8: 0xff}, {15: 0xff},
+		{0: 1}, {7: 1}, {8: 1}, {15: 1},
+		{10: 0xff, 11: 0xff, 12: 10, 15: 1}, // ::ffff:10.0.0.1
+		{0: 0x20, 1: 0x01, 2: 0x0d, 3: 0xb8, 15: 1},
+		{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15},
+		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff},
+	}
+	for _, b := range boundary {
+		if !check(b) {
+			t.Errorf("From16/As16 disagree with the byte loops on % x", b)
+		}
+	}
+}
+
 func TestZeroCompressionRoundTripQuick(t *testing.T) {
 	// Sparse addresses exercise the zero-run compressor hard: any subset
 	// of the eight groups zeroed must still round-trip through String.

@@ -27,6 +27,12 @@ func shedStream(n int, spanSec int) []trace.Packet {
 	return out
 }
 
+// shardOf is the shard a source address is staged onto: the producer's
+// own partition rule applied to the source's packed leaf key.
+func (d *Sharded) shardOf(src addr.Addr) int {
+	return shardOfKey(d.cfg.Hierarchy.Key(src, 0), len(d.shards))
+}
+
 // twoShardSources finds one source per shard of a 2-shard pipeline.
 func twoShardSources(t *testing.T, d *Sharded) [2]addr.Addr {
 	t.Helper()

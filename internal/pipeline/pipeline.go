@@ -47,6 +47,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hashx"
@@ -352,7 +353,7 @@ type Sharded struct {
 
 	// Coordinator state: owned by the ingest goroutine.
 	tumble      tumbler
-	staging     []*trace.KeyBatch
+	staging     []stagingSlot
 	lastBarrier *barrier
 
 	// Lifecycle: closed flips exactly once; lifeMu serialises Close
@@ -393,10 +394,13 @@ type Sharded struct {
 	foldedSlots, keptSlots atomic.Int64
 
 	_ [64]byte //alignlint:group=ingest
-	// Ingest totals: bumped by the producer once per staged packet,
-	// padded off the merge-side publication fields above.
-	packets atomic.Int64
-	bytes   atomic.Int64
+	// Ingest totals: published by the producer once per staged run (see
+	// stageRun), padded off the merge-side publication fields above.
+	// filtered counts the packets the family filter kept out of the
+	// shards: packets = absorbed + shed + filtered once the rings drain.
+	packets  atomic.Int64
+	bytes    atomic.Int64
+	filtered atomic.Int64
 
 	_  [64]byte //alignlint:group=tail
 	wg sync.WaitGroup
@@ -416,7 +420,7 @@ func New(cfg Config) (*Sharded, error) {
 		cfg:     cfg,
 		shards:  make([]*shard, cfg.Shards),
 		merged:  merged,
-		staging: make([]*trace.KeyBatch, cfg.Shards),
+		staging: make([]stagingSlot, cfg.Shards),
 	}
 	if cfg.Mode == ModeWindowed {
 		d.tumble = tumbler{width: int64(cfg.Window), close: d.closeWindow}
@@ -439,7 +443,7 @@ func New(cfg Config) (*Sharded, error) {
 		}
 		s.size.Store(int64(s.eng.SizeBytes()))
 		d.shards[i] = s
-		d.staging[i] = trace.NewKeyBatch(cfg.Batch)
+		d.staging[i].kb = setRows(trace.NewKeyBatch(cfg.Batch), cfg.Batch)
 	}
 	if cfg.Metrics != nil {
 		d.tel = d.registerMetrics(cfg.Metrics)
@@ -505,13 +509,13 @@ func (d *Sharded) recycle(s *shard, kb *trace.KeyBatch) {
 	}
 }
 
-// shardOf hash-partitions a source address onto a shard: the packed
-// leaf-level hierarchy key — computed once per packet by the producer —
-// feeds the mix, so partitioning costs no additional Addr math and two
-// sources the hierarchy cannot distinguish (equal leaf keys) always land
-// on the same shard.
-func (d *Sharded) shardOf(src addr.Addr) int {
-	return hashx.Bucket(hashx.Mix64(d.cfg.Hierarchy.Key(src, 0)), len(d.shards))
+// shardOfKey is the partition rule: a packed leaf-level hierarchy key —
+// computed once per packet by the producer — feeds the mix, so
+// partitioning costs no additional Addr math and two sources the
+// hierarchy cannot distinguish (equal leaf keys) always land on the same
+// shard.
+func shardOfKey(key uint64, shards int) int {
+	return hashx.Bucket(hashx.Mix64(key), shards)
 }
 
 // Observe implements the Detector ingest contract for one packet. After
@@ -530,7 +534,7 @@ func (d *Sharded) TryObserve(p *trace.Packet) error {
 		return ErrClosed
 	}
 	d.tumble.at(p.Ts)
-	d.stage(p)
+	d.stageRun(unsafe.Slice(p, 1)) // *p as a run of one, not copied
 	return nil
 }
 
@@ -550,38 +554,76 @@ func (d *Sharded) TryObserveBatch(pkts []trace.Packet) error {
 	}
 	for len(pkts) > 0 {
 		n := d.tumble.next(pkts)
-		for i := range pkts[:n] {
-			d.stage(&pkts[i])
-		}
+		d.stageRun(pkts[:n])
 		pkts = pkts[n:]
 	}
 	return nil
 }
 
-// stage packs one packet onto its shard's staging key-batch, flushing
-// the batch into the ring when full. This is the single point where the
-// hierarchy key is computed and the family filter runs: packets of the
-// other address family are counted in the ingest totals but never
-// staged (the engines would have dropped them anyway), and everything
-// downstream — rings, engines, merges — sees only packed keys.
-func (d *Sharded) stage(p *trace.Packet) {
-	d.packets.Add(1)
-	d.bytes.Add(int64(p.Size))
-	h := &d.cfg.Hierarchy
-	if !h.Match(p.Src) {
-		return
+// stageRun packs a run of packets of one window onto the shards' staging
+// key-batches, flushing each batch into its ring the moment it fills.
+// This is the single place the hierarchy key is packed, the family filter
+// runs and the ingest totals are bumped: packets of the other address
+// family are counted (in the totals and as filtered) but never staged
+// (the engines would have dropped them anyway), and everything downstream
+// — rings, engines, merges — sees only packed keys.
+//
+// The totals move once per run, so a concurrent Stats reader sees them
+// advance a run at a time. The packet total is published before the run
+// is staged: absorbed + shed + filtered never exceeds it, even while a
+// full ring holds the producer half-way through the run.
+func (d *Sharded) stageRun(pkts []trace.Packet) {
+	d.packets.Add(int64(len(pkts)))
+	h := d.cfg.Hierarchy
+	mask, high, v4 := h.KeyMask(0), h.KeyFromHigh(), h.Family() == addr.V4
+	shards, batch := len(d.shards), d.cfg.Batch
+	var bytes, filtered int64
+	for i := range pkts {
+		p := &pkts[i]
+		bytes += int64(p.Size)
+		if p.Src.Is4() != v4 {
+			filtered++
+			continue
+		}
+		key := p.Src.Lo()
+		if high {
+			key = p.Src.Hi()
+		}
+		key &= mask
+		si := shardOfKey(key, shards)
+		st := &d.staging[si]
+		kb, n := st.kb, st.n
+		kb.Keys[n], kb.Sizes[n], kb.Ts[n] = key, p.Size, p.Ts
+		st.n = n + 1
+		if st.n == batch {
+			d.pushBatch(si)
+		}
 	}
-	key := h.Key(p.Src, 0)
-	si := hashx.Bucket(hashx.Mix64(key), len(d.shards))
-	kb := d.staging[si]
-	kb.Append(key, p.Size, p.Ts)
-	d.tumble.hasData = true
-	if kb.Len() >= d.cfg.Batch {
-		d.pushBatch(si, kb)
+	d.bytes.Add(bytes)
+	if filtered > 0 {
+		d.filtered.Add(filtered)
+	}
+	if filtered < int64(len(pkts)) {
+		d.tumble.hasData = true
 	}
 }
 
-// pushBatch hands a staged buffer to the shard's ring and replaces the
+// stagingSlot is one shard's open batch: kb's columns are held at the
+// full Batch rows while stageRun fills them by index, n is how many rows
+// are filled.
+type stagingSlot struct {
+	kb *trace.KeyBatch
+	n  int
+}
+
+// setRows reslices kb's three columns to n rows: the full Batch while the
+// batch is open for staging, the rows filled when it is handed off.
+func setRows(kb *trace.KeyBatch, n int) *trace.KeyBatch {
+	kb.Keys, kb.Sizes, kb.Ts = kb.Keys[:n], kb.Sizes[:n], kb.Ts[:n]
+	return kb
+}
+
+// pushBatch hands shard si's staged rows to its ring and replaces the
 // staging slot from the freelist (allocating only when the freelist runs
 // dry, i.e. when the ring is persistently deep). A bounded-wait push
 // that finds the ring still full drops the batch — only that shard's
@@ -592,8 +634,10 @@ func (d *Sharded) stage(p *trace.Packet) {
 // deadline bounds ingest pushes too — otherwise a saturated ring of a
 // stuck shard would still hang Snapshot and Close in their staging
 // flushes.
-func (d *Sharded) pushBatch(si int, kb *trace.KeyBatch) {
-	s := d.shards[si]
+func (d *Sharded) pushBatch(si int) {
+	s, st, batch := d.shards[si], &d.staging[si], d.cfg.Batch
+	kb := setRows(st.kb, st.n)
+	st.n = 0
 	var t0 time.Time
 	if d.tel != nil {
 		t0 = time.Now()
@@ -611,7 +655,7 @@ func (d *Sharded) pushBatch(si int, kb *trace.KeyBatch) {
 		if d.tel != nil {
 			d.tel.handoff.Observe(time.Since(t0).Seconds())
 		}
-		kb.Reset() // dropped in place: reuse the columns
+		setRows(kb, batch) // dropped in place: reuse the columns
 		return
 	}
 	if d.tel != nil {
@@ -622,19 +666,20 @@ func (d *Sharded) pushBatch(si int, kb *trace.KeyBatch) {
 			s.highWater.Store(dep)
 		}
 	}
+	var nb *trace.KeyBatch
 	select {
-	case nb := <-s.free:
-		d.staging[si] = nb
+	case nb = <-s.free:
 	default:
-		d.staging[si] = trace.NewKeyBatch(d.cfg.Batch)
+		nb = trace.NewKeyBatch(batch)
 	}
+	st.kb = setRows(nb, batch)
 }
 
 // flushStaging pushes every non-empty staging batch.
 func (d *Sharded) flushStaging() {
-	for si, kb := range d.staging {
-		if kb.Len() > 0 {
-			d.pushBatch(si, kb)
+	for si := range d.staging {
+		if d.staging[si].n > 0 {
+			d.pushBatch(si)
 		}
 	}
 }
@@ -779,6 +824,11 @@ type Stats struct {
 	Engine  string `json:"engine"`
 	Packets int64  `json:"packets"`
 	Bytes   int64  `json:"bytes"`
+	// FilteredPackets counts the packets — included in Packets — of the
+	// address family the hierarchy does not cover: observed, never handed
+	// to a shard. Once the rings have drained, Packets = sum(ShardPackets)
+	// + DroppedPackets + FilteredPackets.
+	FilteredPackets int64 `json:"filtered_packets"`
 	// Windows counts published merges: window closes in windowed mode,
 	// snapshot-time merged queries in sliding/continuous mode.
 	Windows       int64 `json:"windows"`
@@ -830,6 +880,7 @@ func (d *Sharded) Stats() Stats {
 		QueueDepth:   make([]int, len(d.shards)),
 		SizeBytes:    d.SizeBytes(),
 	}
+	st.FilteredPackets = d.filtered.Load()
 	st.ShardLag = make([]int64, len(d.shards))
 	seq := d.barrierSeq.Load()
 	for i, s := range d.shards {

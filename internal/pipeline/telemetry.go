@@ -11,7 +11,8 @@
 // observe actively, and all on event-frequency paths: batch hand-off
 // latency (once per staged batch, ~hundreds of packets), barrier-merge
 // duration (once per window close or query barrier), and snapshot
-// latency (once per Snapshot). The per-packet stage() path is untouched.
+// latency (once per Snapshot). The producer's stageRun loop carries no
+// instrumentation: its three totals are one atomic add each per run.
 package pipeline
 
 import (
@@ -64,6 +65,9 @@ func (d *Sharded) registerMetrics(r *telemetry.Registry) *pipeTelemetry {
 		"result")
 	folds.WithFunc(d.foldedSlots.Load, "folded")
 	folds.WithFunc(d.keptSlots.Load, "reused")
+	r.CounterFunc("hhh_pipeline_filtered_packets_total",
+		"Packets observed but kept out of every shard by the hierarchy's address-family filter.",
+		d.filtered.Load)
 	r.CounterFunc("hhh_pipeline_barriers_total",
 		"Barrier tokens broadcast to the shards (window closes plus query barriers).",
 		d.barrierSeq.Load)

@@ -108,28 +108,49 @@ func (tw *Writer) Close() error {
 	return nil
 }
 
+// readWindow is the size of the Reader's decode window: the read-ahead
+// one underlying Read may deliver, a little over 1300 records.
+const readWindow = 1 << 16
+
 // Reader streams packets from the binary trace format, either version. It
 // implements Source.
+//
+// The Reader owns one window of readWindow bytes. Records are decoded
+// where they lie in it — no per-record copy — and the window is refilled
+// from the underlying stream only when less than one record remains, the
+// partial tail moving to the front first.
 type Reader struct {
-	r       *bufio.Reader
+	src     io.Reader
 	version uint16
+	recSize int    // record width of version
 	count   uint64 // declared in header; 0 means unknown
 	read    uint64
-	buf     [recordSize]byte
+	// win[r:w] is read from src and not yet decoded.
+	win  []byte
+	r, w int
+	// err is a read error that arrived together with data (or after 100
+	// empty reads); it surfaces once the window runs short of a record.
+	err error
 }
 
 // NewReader validates the header of r and returns a Reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	tr := &Reader{r: bufio.NewReaderSize(r, 1<<16)}
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(tr.r, hdr[:]); err != nil {
+	tr := &Reader{src: r, win: make([]byte, readWindow)}
+	if err := tr.fill(headerSize); err != nil {
 		return nil, fmt.Errorf("%w: short header: %v", ErrBadFormat, err)
 	}
+	hdr := tr.win[:headerSize]
+	tr.r = headerSize
 	if string(hdr[:4]) != formatMagic {
 		return nil, fmt.Errorf("%w: bad magic %q", ErrBadFormat, hdr[:4])
 	}
 	tr.version = binary.LittleEndian.Uint16(hdr[4:6])
-	if tr.version != formatVersion && tr.version != formatVersionV1 {
+	switch tr.version {
+	case formatVersion:
+		tr.recSize = recordSize
+	case formatVersionV1:
+		tr.recSize = recordSizeV1
+	default:
 		return nil, fmt.Errorf("%w: unsupported version %d", ErrBadFormat, tr.version)
 	}
 	tr.count = binary.LittleEndian.Uint64(hdr[8:16])
@@ -143,46 +164,73 @@ func (tr *Reader) Version() uint16 { return tr.version }
 // the producer could not backpatch it (non-seekable output).
 func (tr *Reader) DeclaredCount() uint64 { return tr.count }
 
-// Next implements Source.
-func (tr *Reader) Next(p *Packet) error {
-	if tr.version == formatVersionV1 {
-		return tr.nextV1(p)
-	}
-	b := tr.buf[:recordSize]
-	if _, err := io.ReadFull(tr.r, b); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
+// fill reads from src until the window holds at least n undecoded bytes.
+// It fails the way io.ReadFull over a bufio.Reader does: io.EOF when the
+// stream ends with nothing undecoded, io.ErrUnexpectedEOF when it ends
+// inside the n bytes, io.ErrNoProgress after 100 reads in a row that
+// return neither data nor an error, and otherwise the stream's own error
+// — in every failing case the partial bytes are consumed. Data that
+// arrives together with an error is delivered first.
+func (tr *Reader) fill(n int) error {
+	tr.w = copy(tr.win, tr.win[tr.r:tr.w])
+	tr.r = 0
+	for empty := 0; tr.w < n; {
+		if err := tr.err; err != nil {
+			if errors.Is(err, io.EOF) {
+				err = io.EOF
+				if tr.w > 0 {
+					err = io.ErrUnexpectedEOF
+				}
+			}
+			tr.w, tr.err = 0, nil
+			return err
 		}
-		return fmt.Errorf("%w: truncated record %d: %v", ErrBadFormat, tr.read, err)
+		var m int
+		m, tr.err = tr.src.Read(tr.win[tr.w:])
+		tr.w += m
+		if m > 0 {
+			empty = 0
+		} else if empty++; empty == 100 && tr.err == nil {
+			tr.err = io.ErrNoProgress
+		}
 	}
-	p.Ts = int64(binary.LittleEndian.Uint64(b[0:8]))
-	p.Src = addr.From16([16]byte(b[8:24]))
-	p.Dst = addr.From16([16]byte(b[24:40]))
-	p.SrcPort = binary.LittleEndian.Uint16(b[40:42])
-	p.DstPort = binary.LittleEndian.Uint16(b[42:44])
-	p.Proto = b[44]
-	p.Size = binary.LittleEndian.Uint32(b[46:50])
-	tr.read++
 	return nil
 }
 
-// nextV1 decodes one legacy 26-byte IPv4 record; addresses surface in
-// their IPv4-mapped form.
-func (tr *Reader) nextV1(p *Packet) error {
-	b := tr.buf[:recordSizeV1]
-	if _, err := io.ReadFull(tr.r, b); err != nil {
-		if errors.Is(err, io.EOF) {
-			return io.EOF
+// Next implements Source. It returns io.EOF only when the stream ends on
+// a record boundary; a partial final record, or any read error, is
+// ErrBadFormat naming the record that could not be completed.
+func (tr *Reader) Next(p *Packet) error {
+	if tr.w-tr.r < tr.recSize {
+		if err := tr.fill(tr.recSize); err != nil {
+			if err == io.EOF {
+				return io.EOF
+			}
+			return fmt.Errorf("%w: truncated record %d: %v", ErrBadFormat, tr.read, err)
 		}
-		return fmt.Errorf("%w: truncated record %d: %v", ErrBadFormat, tr.read, err)
 	}
-	p.Ts = int64(binary.LittleEndian.Uint64(b[0:8]))
-	p.Src = addr.From4Uint32(binary.LittleEndian.Uint32(b[8:12]))
-	p.Dst = addr.From4Uint32(binary.LittleEndian.Uint32(b[12:16]))
-	p.SrcPort = binary.LittleEndian.Uint16(b[16:18])
-	p.DstPort = binary.LittleEndian.Uint16(b[18:20])
-	p.Proto = b[20]
-	p.Size = binary.LittleEndian.Uint32(b[22:26])
+	b := tr.win[tr.r:tr.w]
+	if tr.version == formatVersionV1 {
+		// Legacy 26-byte IPv4 record; addresses surface IPv4-mapped.
+		b = b[:recordSizeV1]
+		p.Ts = int64(binary.LittleEndian.Uint64(b[0:8]))
+		p.Src = addr.From4Uint32(binary.LittleEndian.Uint32(b[8:12]))
+		p.Dst = addr.From4Uint32(binary.LittleEndian.Uint32(b[12:16]))
+		p.SrcPort = binary.LittleEndian.Uint16(b[16:18])
+		p.DstPort = binary.LittleEndian.Uint16(b[18:20])
+		p.Proto = b[20]
+		p.Size = binary.LittleEndian.Uint32(b[22:26])
+	} else {
+		b = b[:recordSize]
+		p.Ts = int64(binary.LittleEndian.Uint64(b[0:8]))
+		p.Src = addr.FromParts(binary.BigEndian.Uint64(b[8:16]), binary.BigEndian.Uint64(b[16:24]))
+		p.Dst = addr.FromParts(binary.BigEndian.Uint64(b[24:32]), binary.BigEndian.Uint64(b[32:40]))
+		p.SrcPort = binary.LittleEndian.Uint16(b[40:42])
+		p.DstPort = binary.LittleEndian.Uint16(b[42:44])
+		p.Proto = b[44]
+		p.Size = binary.LittleEndian.Uint32(b[46:50])
+	}
+	tr.r += tr.recSize
 	tr.read++
 	return nil
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"io"
 	"os"
+	"slices"
 	"testing"
 
 	"hiddenhhh/internal/addr"
@@ -31,8 +32,9 @@ func validTraceBytes(t testing.TB, pkts []Packet) []byte {
 }
 
 // FuzzTraceReader feeds arbitrary bytes to the binary trace parser: it
-// must either reject the stream or decode records, never panic, and
-// never allocate proportionally to an attacker-declared header count.
+// must either reject the stream or decode records (readAll fails on any
+// error outside ErrBadFormat and io.EOF), never panic, and never allocate
+// proportionally to an attacker-declared header count.
 // The corpus seeds both record layouts — current v2 (dual-stack 50-byte
 // records) and legacy v1 (IPv4 26-byte records) — plus the usual header
 // corruptions.
@@ -69,25 +71,21 @@ func FuzzTraceReader(f *testing.F) {
 	f.Add(mixed)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := NewReader(bytes.NewReader(data))
-		if err != nil {
-			if !errors.Is(err, ErrBadFormat) {
-				t.Fatalf("NewReader error outside ErrBadFormat: %v", err)
-			}
-			return
+		// Once whole and once in chunks of a size taken from the input's
+		// first byte and length, so the fuzzer steers refills — and the
+		// partial record carried across them — and delivery must not
+		// change the outcome.
+		whole := readAll(t, func() (Source, error) { return NewReader(bytes.NewReader(data)) }, len(data))
+		chunk := 1
+		if len(data) > 0 {
+			chunk += (int(data[0]) + len(data)) % 97
 		}
-		var p Packet
-		for {
-			err := tr.Next(&p)
-			if errors.Is(err, io.EOF) {
-				return
-			}
-			if err != nil {
-				if !errors.Is(err, ErrBadFormat) {
-					t.Fatalf("Next error outside ErrBadFormat/EOF: %v", err)
-				}
-				return
-			}
+		chunked := readAll(t, func() (Source, error) {
+			return NewReader(&chunkReader{r: bytes.NewReader(data), rest: chunk})
+		}, len(data))
+		if whole.openErr != chunked.openErr || whole.endErr != chunked.endErr || !slices.Equal(whole.pkts, chunked.pkts) {
+			t.Fatalf("chunks of %d: (open %q, %d packets, next %q), whole (open %q, %d packets, next %q)", chunk,
+				chunked.openErr, len(chunked.pkts), chunked.endErr, whole.openErr, len(whole.pkts), whole.endErr)
 		}
 	})
 }
