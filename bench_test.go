@@ -8,9 +8,16 @@
 package hiddenhhh
 
 import (
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
+
+	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/gen"
+	"hiddenhhh/internal/hashx"
+	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/trace"
 )
 
 // benchTrace lazily synthesises and caches the shared benchmark trace:
@@ -507,6 +514,68 @@ func BenchmarkPerLevelQuery(b *testing.B) {
 		if set := inner.QueryOpen(); set.Len() == 0 {
 			b.Fatal("no HHHs")
 		}
+	}
+}
+
+// BenchmarkPerLevelUpdateKeys measures the per-level engine's ingest
+// kernel as one worker of the end-to-end benchmark's windowed-perlevel
+// workload sees it: the IPv4 nibble ladder (9 levels), 512 counters per
+// level, shard 0 of a 2-way hash partition, 256-key batches, a Reset per
+// pass over ten seconds of trace. ns/op is ns per packet. diurnal-tier1
+// is that workload's scenario; uniform-random draws every source
+// independently from the whole /0 — the spoofed-flood shape, where no two
+// packets share a leaf and every level above /8 evicts on every update.
+func BenchmarkPerLevelUpdateKeys(b *testing.B) {
+	h := addr.NewIPv4Hierarchy(addr.Nibble)
+	var diurnal []Packet
+	for _, sc := range gen.Scenarios(10*time.Second, 24) {
+		if sc.Name == "diurnal-tier1" {
+			var err error
+			if diurnal, err = gen.Packets(sc.Config); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	rng := rand.New(rand.NewSource(24))
+	uniform := make([]Packet, len(diurnal))
+	for i := range uniform {
+		uniform[i] = Packet{Ts: diurnal[i].Ts, Src: addr.From4Uint32(rng.Uint32()), Size: diurnal[i].Size}
+	}
+	for _, tc := range []struct {
+		name string
+		pkts []Packet
+	}{{"diurnal-tier1", diurnal}, {"uniform-random", uniform}} {
+		b.Run(tc.name, func(b *testing.B) {
+			all := trace.NewKeyBatch(len(tc.pkts))
+			all.AppendPackets(h, tc.pkts)
+			var batches []*trace.KeyBatch
+			kb := trace.NewKeyBatch(256)
+			for i, key := range all.Keys {
+				if hashx.Bucket(hashx.Mix64(key), 2) != 0 {
+					continue
+				}
+				kb.Append(key, all.Sizes[i], all.Ts[i])
+				if kb.Len() == 256 {
+					batches = append(batches, kb)
+					kb = trace.NewKeyBatch(256)
+				}
+			}
+			eng := hhh.NewPerLevel(h, 512)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; {
+				eng.Reset()
+				for _, kb := range batches {
+					eng.UpdateKeys(kb)
+					if n += kb.Len(); n >= b.N {
+						break
+					}
+				}
+			}
+			if eng.QueryFraction(0.01).Len() == 0 {
+				b.Fatal("no HHHs")
+			}
+		})
 	}
 }
 

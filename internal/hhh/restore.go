@@ -7,10 +7,13 @@ import (
 	"hiddenhhh/internal/sketch"
 )
 
-// LevelSummary returns level l's Space-Saving summary for serialization.
-// The returned summary is the live one — callers must treat it as
-// read-only.
-func (p *PerLevel) LevelSummary(l int) *sketch.SpaceSaving { return p.sks[l] }
+// LevelSummary returns level l's Space-Saving summary for serialization,
+// with any pending block applied. The returned summary is the live one —
+// callers must treat it as read-only.
+func (p *PerLevel) LevelSummary(l int) *sketch.SpaceSaving {
+	p.Settle()
+	return p.sks[l]
+}
 
 // RestorePerLevel rebuilds a PerLevel engine from serialized state: the
 // hierarchy, the byte total, and one restored Space-Saving summary per

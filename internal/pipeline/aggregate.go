@@ -159,8 +159,8 @@ type aggNode struct {
 	lastSeen int64 // wall-clock unix nanos
 	rejected int64
 	// latest is the newest accepted frame and sum the summary restored
-	// from it (latest-frame kinds); both nil until a frame is accepted.
-	latest   []byte
+	// from it (latest-frame kinds); both zero until a frame is accepted.
+	latest   wire.Frame
 	sum      Summary
 	frameCtr *telemetry.Counter
 }
@@ -168,8 +168,8 @@ type aggNode struct {
 // aggRound is one pending windowed round.
 type aggRound struct {
 	start, end int64
-	frames     map[string][]byte
-	degraded   bool // any contributing frame sealed degraded
+	frames     map[string]wire.Frame // verified at Ingest, decoded at publication
+	degraded   bool                  // any contributing frame sealed degraded
 	timer      *time.Timer
 }
 
@@ -299,7 +299,8 @@ func (a *Aggregator) reject(n *aggNode, format string, args ...any) error {
 // ErrFrameRejected; a nil return means the frame was accepted (it may
 // still have been dropped as late, which Stats counts).
 func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
-	hdr, err := wire.Inspect(s.Frame)
+	frame, err := wire.Verify(s.Frame)
+	hdr := frame.Header
 	if err != nil {
 		a.mu.Lock()
 		n := a.node(nodeName)
@@ -355,11 +356,11 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 	}
 
 	if a.eng.roundAligned {
-		err = a.ingestRoundLocked(nodeName, s)
+		err = a.ingestRoundLocked(nodeName, s, frame)
 		a.mu.Unlock()
 		return err
 	}
-	err = a.ingestLatestLocked(n, s)
+	err = a.ingestLatestLocked(n, frame, s.Degraded)
 	a.mu.Unlock()
 	return err
 }
@@ -369,20 +370,20 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 // rejected and takes the node's summary with it — an in-place restore
 // has no way back — so the node stops contributing until its next good
 // frame. Caller holds a.mu.
-func (a *Aggregator) ingestLatestLocked(n *aggNode, s Sealed) error {
-	sum, restored, skipped, err := a.eng.restore(n.sum, n.latest, s.Frame, a.cfg.Phi)
+func (a *Aggregator) ingestLatestLocked(n *aggNode, frame wire.Frame, degraded bool) error {
+	sum, restored, skipped, err := a.eng.restore(n.sum, n.latest, frame, a.cfg.Phi)
 	if err != nil {
-		n.sum, n.latest = nil, nil
+		n.sum, n.latest = nil, wire.Frame{}
 		return a.reject(n, "bad frame from %s: %v", n.name, err)
 	}
-	n.sum, n.latest = sum, s.Frame
+	n.sum, n.latest = sum, frame
 	a.restoredSlots.Add(int64(restored))
 	a.skippedSlots.Add(int64(skipped))
-	err = a.publishLatestLocked(s.Degraded)
+	err = a.publishLatestLocked(degraded)
 	state := 0
 	for _, n := range a.order {
 		if n.sum != nil {
-			state += len(n.latest) + n.sum.SizeBytes()
+			state += n.latest.Size() + n.sum.SizeBytes()
 		}
 	}
 	if a.acc != nil {
@@ -394,18 +395,18 @@ func (a *Aggregator) ingestLatestLocked(n *aggNode, s Sealed) error {
 
 // ingestRoundLocked files a frame into its window round, publishing the
 // round when the fleet is complete. Caller holds a.mu.
-func (a *Aggregator) ingestRoundLocked(nodeName string, s Sealed) error {
+func (a *Aggregator) ingestRoundLocked(nodeName string, s Sealed, frame wire.Frame) error {
 	if s.End <= a.published {
 		a.lateFrames.Add(1)
 		return nil
 	}
 	r, ok := a.rounds[s.End]
 	if !ok {
-		r = &aggRound{start: s.Start, end: s.End, frames: make(map[string][]byte)}
+		r = &aggRound{start: s.Start, end: s.End, frames: make(map[string]wire.Frame)}
 		r.timer = time.AfterFunc(a.cfg.RoundGrace, func() { a.expireRound(s.End) })
 		a.rounds[s.End] = r
 	}
-	r.frames[nodeName] = s.Frame
+	r.frames[nodeName] = frame
 	r.degraded = r.degraded || s.Degraded
 	if len(r.frames) >= a.cfg.Expected {
 		return a.publishRoundsThroughLocked(r.end)
@@ -476,7 +477,7 @@ func (a *Aggregator) publishRoundLocked(r *aggRound) error {
 // (latest-frame kinds). Caller holds a.mu.
 func (a *Aggregator) publishLatestLocked(sealDegraded bool) error {
 	var sums []Summary
-	var first []byte // the first contributing node's frame
+	var first wire.Frame // the first contributing node's frame
 	var maxEnd int64
 	for _, n := range a.order {
 		if n.sum == nil {
@@ -540,8 +541,8 @@ func (a *Aggregator) store(r *AggReport) {
 // with three or more nodes the fold order is part of the result, and map
 // order would make two runs over identical frames publish different
 // counts.
-func (a *Aggregator) framesOf(r *aggRound) [][]byte {
-	out := make([][]byte, 0, len(r.frames))
+func (a *Aggregator) framesOf(r *aggRound) []wire.Frame {
+	out := make([]wire.Frame, 0, len(r.frames))
 	for _, n := range a.order {
 		if f, ok := r.frames[n.name]; ok {
 			out = append(out, f)
@@ -556,7 +557,7 @@ func (a *Aggregator) framesOf(r *aggRound) [][]byte {
 // at `at`. Ingest has already pinned every frame to one engine. Engine
 // panics (geometry drift between nodes) are recovered into errors. Caller
 // holds a.mu.
-func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total int64, err error) {
+func (a *Aggregator) mergeFrames(frames []wire.Frame, at int64) (set hhh.Set, total int64, err error) {
 	if len(frames) == 0 {
 		return hhh.NewSet(), 0, nil
 	}
@@ -567,7 +568,7 @@ func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total 
 	}()
 	sums := make([]Summary, len(frames))
 	for i, f := range frames {
-		if sums[i], _, _, err = a.eng.restore(nil, nil, f, a.cfg.Phi); err != nil {
+		if sums[i], _, _, err = a.eng.restore(nil, wire.Frame{}, f, a.cfg.Phi); err != nil {
 			return nil, 0, err
 		}
 		sums[i].Advance(at)
@@ -584,7 +585,7 @@ func (a *Aggregator) mergeFrames(frames [][]byte, at int64) (set hhh.Set, total 
 // accumulator is a summary of the fleet's geometry, made by restoring
 // the first node's frame once more; a merge that panics may leave it half
 // folded, so it is dropped. Caller holds a.mu.
-func (a *Aggregator) mergeLatest(sums []Summary, first []byte, at int64) (set hhh.Set, total int64, err error) {
+func (a *Aggregator) mergeLatest(sums []Summary, first wire.Frame, at int64) (set hhh.Set, total int64, err error) {
 	if len(sums) == 0 {
 		return hhh.NewSet(), 0, nil
 	}
@@ -600,7 +601,7 @@ func (a *Aggregator) mergeLatest(sums []Summary, first []byte, at int64) (set hh
 	acc := sums[0]
 	if len(sums) > 1 {
 		if a.acc == nil {
-			if a.acc, _, _, err = a.eng.restore(nil, nil, first, a.cfg.Phi); err != nil {
+			if a.acc, _, _, err = a.eng.restore(nil, wire.Frame{}, first, a.cfg.Phi); err != nil {
 				return nil, 0, err
 			}
 		}

@@ -129,8 +129,8 @@ func TestContractWireRoundTrip(t *testing.T) {
 		}
 		single.ObserveBatch(pkts)
 		frame := mustEncode(t, single.eng)
-		if hdr, err := wire.Inspect(frame); err != nil || hdr.Kind != cfg.Engine.row().wire {
-			t.Fatalf("frame header %+v, %v; the row declares wire kind %v", hdr, err, cfg.Engine.row().wire)
+		if f, err := wire.Verify(frame); err != nil || f.Header.Kind != cfg.Engine.row().wire {
+			t.Fatalf("frame header %+v, %v; the row declares wire kind %v", f.Header, err, cfg.Engine.row().wire)
 		}
 		e, err := wire.Decode(frame)
 		if err != nil {

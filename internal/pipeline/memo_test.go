@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"hiddenhhh/internal/chaos"
 	"hiddenhhh/internal/telemetry"
 	"hiddenhhh/internal/trace"
+	"hiddenhhh/internal/wire"
 )
 
 // Tests for the memoised sliding snapshot: the barrier's and the
@@ -207,7 +209,7 @@ func TestAggregatorRestoreInPlace(t *testing.T) {
 				t.Fatalf("round %d node %s seq %d: dropped as late = %v", round, names[i], sealed.Seq, dropped)
 			} else if !dropped {
 				accepted++
-				if !bytes.Equal(an.latest, sealed.Frame) {
+				if f, err := wire.Verify(sealed.Frame); err != nil || !reflect.DeepEqual(an.latest, f) {
 					t.Fatalf("round %d node %s: accepted frame not retained", round, names[i])
 				}
 			}
@@ -221,7 +223,7 @@ func TestAggregatorRestoreInPlace(t *testing.T) {
 				if an == nil || an.sum == nil {
 					continue
 				}
-				ref, _, _, err := agg.eng.restore(nil, nil, an.latest, agg.cfg.Phi)
+				ref, _, _, err := agg.eng.restore(nil, wire.Frame{}, an.latest, agg.cfg.Phi)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -389,7 +391,7 @@ func TestMemoMetrics(t *testing.T) {
 		t.Errorf("restore_slots %d restored + %d skipped of %d slots", restored, skipped, slots)
 	}
 	an := agg.nodes["n"]
-	if g, w := sample("hhh_aggregator_state_bytes"), int64(len(an.latest)+an.sum.SizeBytes()); g != w || w == 0 {
+	if g, w := sample("hhh_aggregator_state_bytes"), int64(an.latest.Size()+an.sum.SizeBytes()); g != w || w == 0 {
 		t.Errorf("state_bytes %d, node frame + summary %d", g, w)
 	}
 }

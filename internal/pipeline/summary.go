@@ -38,9 +38,11 @@ type Summary interface {
 	// family-filtered leaf keys (see trace.KeyBatch). The producer packs
 	// each key exactly once; summaries derive per-level keys by masking.
 	UpdateKeys(b *trace.KeyBatch)
-	// Advance aligns time-dependent state to now (expiring sliding
-	// frames) so that equally-advanced summaries merge frame-for-frame.
-	// Summaries without eager time state treat it as a no-op.
+	// Advance settles the summary for a merge, on the goroutine that feeds
+	// it: time-dependent state is aligned to now (expiring sliding frames)
+	// so that equally-advanced summaries merge frame-for-frame, and packets
+	// held back from the tables are applied (perlevel's coalescing block).
+	// Summaries with neither treat it as a no-op.
 	Advance(now int64)
 	// Merge folds srcs — summaries of the same engine and geometry — into
 	// the receiver, in order, without modifying them. It is the one merge
@@ -192,11 +194,11 @@ func wrap(e any, phi float64) (Summary, error) {
 // summary a previous call restored from prevFrame, nil when there is
 // none. An engine with sealed frames (wcss) is restored in place, slot by
 // slot, leaving the slots the two frames share untouched — stamps and all,
-// so an accumulator's memo of them stands (see wire.RestoreSliding); any
-// other engine is decoded anew. On error prev must be discarded.
-func (r *engine) restore(prev Summary, prevFrame, frame []byte, phi float64) (sum Summary, restored, skipped int, err error) {
+// so an accumulator's memo of them stands (see wire.Frame.RestoreSliding);
+// any other engine is decoded anew. On error prev must be discarded.
+func (r *engine) restore(prev Summary, prevFrame, frame wire.Frame, phi float64) (sum Summary, restored, skipped int, err error) {
 	if r.wire != wire.KindSliding {
-		e, err := wire.Decode(frame)
+		e, err := frame.Decode()
 		if err != nil {
 			return nil, 0, 0, err
 		}
@@ -207,7 +209,7 @@ func (r *engine) restore(prev Summary, prevFrame, frame []byte, phi float64) (su
 	if p, ok := prev.(*wcssSummary); ok {
 		d = p.live()
 	}
-	nd, restored, skipped, err := wire.RestoreSliding(d, prevFrame, frame)
+	nd, restored, skipped, err := frame.RestoreSliding(d, prevFrame)
 	if err != nil {
 		return nil, 0, 0, err
 	}
@@ -292,8 +294,9 @@ func mergeEach[T Summary](srcs []Summary, f func(o T)) {
 	}
 }
 
-// The windowed adapters carry no time state: Advance is a no-op and
-// Query ignores now, thresholding against the accumulated window volume.
+// The windowed adapters carry no time state: Query ignores now,
+// thresholding against the accumulated window volume, and Advance has
+// nothing to align.
 
 // exactSummary adapts the exact leaf map. Counts live at the leaf level
 // only, so the packed key is the counter key verbatim.
@@ -323,14 +326,16 @@ func (e *exactSummary) Query(int64) (hhh.Set, int64) {
 	return hhh.Exact(e.ex, e.h, hhh.Threshold(total, e.phi)), total
 }
 
-// perLevelSummary adapts one Space-Saving summary per level.
+// perLevelSummary adapts one Space-Saving summary per level. Advance is
+// where a shard settles its pending coalescing block, on its own
+// goroutine, before the barrier merge reads its level summaries.
 type perLevelSummary struct {
 	d   *hhh.PerLevel
 	phi float64
 }
 
 func (e *perLevelSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
-func (e *perLevelSummary) Advance(int64)                {}
+func (e *perLevelSummary) Advance(int64)                { e.d.Settle() }
 func (e *perLevelSummary) Reset()                       { e.d.Reset() }
 func (e *perLevelSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *perLevelSummary) Encode() ([]byte, error)      { return wire.EncodePerLevel(e.d), nil }

@@ -30,13 +30,20 @@ type ExactSummary struct {
 // *continuous.Detector. It never panics on arbitrary input; failures
 // wrap exactly one of the typed errors.
 func Decode(frame []byte) (any, error) {
-	hdr, payload, err := parseFrame(frame)
+	f, err := Verify(frame)
 	if err != nil {
 		return nil, err
 	}
+	return f.Decode()
+}
+
+// Decode is the package-level Decode for a frame already verified.
+func (f Frame) Decode() (any, error) {
+	hdr, payload := f.Header, f.payload
 	// Each branch assigns through a typed variable and returns it only on
 	// success, so a failed decode never leaks a typed nil inside the any.
 	var v any
+	var err error
 	switch hdr.Kind {
 	case KindSpaceSaving:
 		v, err = decodeSpaceSavingPayload(payload)
@@ -49,7 +56,7 @@ func Decode(frame []byte) (any, error) {
 	case KindRHHH:
 		v, err = decodeRHHHPayload(hdr, payload)
 	case KindSliding:
-		v, _, _, err = restoreSlidingPayload(nil, nil, hdr, payload)
+		v, _, _, err = f.RestoreSliding(nil, Frame{})
 	case KindMemento:
 		v, err = decodeMementoPayload(hdr, payload)
 	case KindFilter:
@@ -296,33 +303,33 @@ func slidingGeometry(c *cursor) (window time.Duration, frames, counters int, err
 
 // DecodeSliding decodes a KindSliding frame.
 func DecodeSliding(frame []byte) (*swhh.SlidingHHH, error) {
-	d, _, _, err := RestoreSliding(nil, nil, frame)
+	f, err := Verify(frame)
+	if err != nil {
+		return nil, err
+	}
+	d, _, _, err := f.RestoreSliding(nil, Frame{})
 	return d, err
 }
 
-// RestoreSliding brings d to the state sealed in a KindSliding frame and
-// returns it, restoring in place: ring slot by ring slot, allocating
-// nothing. prev, when non-nil, is the frame a previous RestoreSliding
-// call restored d from; a slot whose bytes are the same in both frames
-// and which nothing has written since that restore (swhh.Sliding.Restored)
-// is left exactly as it stands, write version included, so whatever a
-// reader derived from the slot stays valid. Successive frames of one
-// sender differ in the slot that is filling and perhaps the next; the
-// rest of the ring is sealed and skipped. It returns how many slots were
-// restored and how many skipped.
+// RestoreSliding brings d to the state sealed in f, a KindSliding frame,
+// and returns it, restoring in place: ring slot by ring slot, allocating
+// nothing. prev, unless it is the zero Frame, is the frame a previous
+// RestoreSliding call restored d from; a slot whose bytes are the same in
+// both frames and which nothing has written since that restore
+// (swhh.Sliding.Restored) is left exactly as it stands, write version
+// included, so whatever a reader derived from the slot stays valid.
+// Successive frames of one sender differ in the slot that is filling and
+// perhaps the next; the rest of the ring is sealed and skipped. It returns
+// how many slots were restored and how many skipped.
 //
 // With d nil, or of another geometry or hierarchy than the frame, a new
 // detector is built and every slot restored — the cold decode. On error
 // d may be partly restored and must be discarded.
-func RestoreSliding(d *swhh.SlidingHHH, prev, frame []byte) (_ *swhh.SlidingHHH, restored, skipped int, err error) {
-	hdr, payload, err := expect(frame, KindSliding)
-	if err != nil {
-		return nil, 0, 0, err
+func (f Frame) RestoreSliding(d *swhh.SlidingHHH, prev Frame) (_ *swhh.SlidingHHH, restored, skipped int, err error) {
+	hdr, payload := f.Header, f.payload
+	if hdr.Kind != KindSliding {
+		return nil, 0, 0, fmt.Errorf("%w: got %v, want %v", ErrKind, hdr.Kind, KindSliding)
 	}
-	return restoreSlidingPayload(d, prev, hdr, payload)
-}
-
-func restoreSlidingPayload(d *swhh.SlidingHHH, prev []byte, hdr Header, payload []byte) (_ *swhh.SlidingHHH, restored, skipped int, err error) {
 	h, err := hdr.Hierarchy()
 	if err != nil {
 		return nil, 0, 0, err
@@ -351,10 +358,9 @@ func restoreSlidingPayload(d *swhh.SlidingHHH, prev []byte, hdr Header, payload 
 		if d, err = swhh.NewSlidingHHH(h, cfg); err != nil {
 			return nil, 0, 0, corrupt(err)
 		}
-	} else if len(prev) >= headerSize+c.off+crcSize &&
-		prev[8] == hdr.Family && prev[9] == hdr.Step && prev[10] == hdr.Depth &&
-		bytes.Equal(prev[headerSize:headerSize+c.off], payload[:c.off]) {
-		p = &cursor{b: prev[headerSize : len(prev)-crcSize], off: c.off, ok: true}
+	} else if prev.Header == hdr && len(prev.payload) >= c.off &&
+		bytes.Equal(prev.payload[:c.off], payload[:c.off]) {
+		p = &cursor{b: prev.payload, off: c.off, ok: true}
 	}
 	for l := 0; l < levels; l++ {
 		lv := d.LevelSummary(l)

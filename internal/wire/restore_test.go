@@ -30,16 +30,23 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 		return EncodeSliding(d)
 	}
 	slots := h.Levels() * (slidingTestConfig().Frames + 1)
+	verified := func(frame []byte) Frame {
+		f, err := Verify(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
 
 	f1 := feed(live, 900*time.Millisecond)
-	d, restored, skipped, err := RestoreSliding(nil, nil, f1)
+	d, restored, skipped, err := verified(f1).RestoreSliding(nil, Frame{})
 	if err != nil || restored != slots || skipped != 0 {
 		t.Fatalf("cold restore: %d restored, %d skipped, %v", restored, skipped, err)
 	}
 
 	// 60 ms on: the filling slot changed, perhaps the next; the rest stand.
 	f2 := feed(live, 60*time.Millisecond)
-	d2, restored, skipped, err := RestoreSliding(d, f1, f2)
+	d2, restored, skipped, err := verified(f2).RestoreSliding(d, verified(f1))
 	if err != nil || d2 != d {
 		t.Fatalf("in-place restore returned another detector (%v)", err)
 	}
@@ -53,14 +60,14 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 	// identical bytes must not skip them.
 	d.Advance(now + int64(600*time.Millisecond))
 	f3 := feed(live, 30*time.Millisecond)
-	_, restored3, _, err := RestoreSliding(d, f2, f3)
+	_, restored3, _, err := verified(f3).RestoreSliding(d, verified(f2))
 	if err != nil || restored3 <= restored || !bytes.Equal(EncodeSliding(d), f3) {
 		t.Fatalf("after the reader's advance: %d restored (%d before), %v; re-encodes equal: %v",
 			restored3, restored, err, bytes.Equal(EncodeSliding(d), f3))
 	}
 
 	// The same frame again: everything stands.
-	if _, restored, skipped, err = RestoreSliding(d, f3, f3); err != nil || restored != 0 || skipped != slots {
+	if _, restored, skipped, err = verified(f3).RestoreSliding(d, verified(f3)); err != nil || restored != 0 || skipped != slots {
 		t.Fatalf("identical frame: %d restored, %d skipped, %v", restored, skipped, err)
 	}
 
@@ -70,7 +77,7 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	fo := feed(other, 100*time.Millisecond)
-	d4, restored, skipped, err := RestoreSliding(d, f3, fo)
+	d4, restored, skipped, err := verified(fo).RestoreSliding(d, verified(f3))
 	if err != nil || d4 == d || skipped != 0 || restored != h.Levels()*3 || !bytes.Equal(EncodeSliding(d4), fo) {
 		t.Fatalf("geometry change: same detector %v, %d restored, %d skipped, %v", d4 == d, restored, skipped, err)
 	}
@@ -87,7 +94,7 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 			b[off+i] = 0x7f
 		}
 	})
-	if _, _, _, err := RestoreSliding(d, f3, bad); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := verified(bad).RestoreSliding(d, verified(f3)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("invalid slot: %v, want ErrCorrupt", err)
 	}
 }

@@ -219,14 +219,27 @@ func describe(h addr.Hierarchy) (fam, step, depth byte) {
 	return fam, byte(h.Granularity()), h.Depth()
 }
 
-// Inspect parses and verifies the frame envelope — magic, version,
-// kind, declared length, checksum — without decoding the payload. It is
-// what the aggregator uses to classify and validate incoming frames
-// before committing to a full decode.
-func Inspect(frame []byte) (Header, error) {
-	hdr, _, err := parseFrame(frame)
-	return hdr, err
+// Frame is a frame whose envelope Verify has checked. A receiver that
+// classifies a frame before it commits to decoding it — the Aggregator —
+// verifies once and decodes from the Frame, so the checksum is computed
+// once per frame however late the decode happens. The zero Frame is no
+// frame.
+type Frame struct {
+	// Header is the verified frame header.
+	Header Header
+	// payload aliases the verified bytes; the caller must not modify them.
+	payload []byte
 }
+
+// Verify checks the frame envelope — magic, version, kind, declared
+// length, checksum — and returns the frame ready to decode.
+func Verify(frame []byte) (Frame, error) {
+	hdr, payload, err := parseFrame(frame)
+	return Frame{hdr, payload}, err
+}
+
+// Size returns the length of the whole frame in bytes.
+func (f Frame) Size() int { return headerSize + len(f.payload) + crcSize }
 
 // parseFrame verifies the envelope and returns the header and payload.
 func parseFrame(frame []byte) (Header, []byte, error) {

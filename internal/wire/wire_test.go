@@ -351,14 +351,14 @@ func TestDecodeDispatch(t *testing.T) {
 		{contFrame, KindContinuous},
 	}
 	for _, tc := range cases {
-		hdr, err := Inspect(tc.frame)
+		f, err := Verify(tc.frame)
 		if err != nil {
-			t.Fatalf("%v: inspect: %v", tc.want, err)
+			t.Fatalf("%v: verify: %v", tc.want, err)
 		}
-		if hdr.Kind != tc.want || hdr.Version != Version {
-			t.Fatalf("inspect says %v v%d, want %v v%d", hdr.Kind, hdr.Version, tc.want, Version)
+		if hdr := f.Header; hdr.Kind != tc.want || hdr.Version != Version || f.Size() != len(tc.frame) {
+			t.Fatalf("verified %v v%d, %d bytes; want %v v%d, %d bytes", hdr.Kind, hdr.Version, f.Size(), tc.want, Version, len(tc.frame))
 		}
-		v, err := Decode(tc.frame)
+		v, err := f.Decode()
 		if err != nil {
 			t.Fatalf("%v: decode: %v", tc.want, err)
 		}

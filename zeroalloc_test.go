@@ -7,6 +7,7 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/continuous"
+	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/trace"
 )
@@ -19,20 +20,34 @@ import (
 // producer → ring → worker → freelist → producer. The sharded benchmarks
 // report the same number as allocs/op (cmd/benchjson records it in the
 // BENCH baselines); this test turns it into a hard regression guard.
+//
+// The per-level engine's coalescing block is part of that state: each
+// shard allocates one on its first batch, fills and applies it several
+// times per measured run, and reports it in SizeBytes — the detector's
+// footprint grows by exactly one block per shard, and by nothing for the
+// merge accumulator, which never ingests.
 func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
 	}
+	const shards = 4
 	pkts := propStream(31, 40000, 4)
+	probe := hhh.NewPerLevel(addr.NewIPv4Hierarchy(addr.Byte), 8)
+	block := -probe.SizeBytes()
+	probe.UpdateKeys(trace.NewKeyBatch(0))
+	if block += probe.SizeBytes(); block <= 0 || block > 3<<10 {
+		t.Fatalf("a coalescing block is counted as %d B; want (0, 3 KiB]", block)
+	}
 	// A window longer than the trace keeps window-close merges (which
 	// legitimately allocate result sets) out of the measurement.
 	det, err := NewShardedDetector(ShardedConfig{
-		Shards: 4, Window: time.Hour, Phi: 0.05, Engine: EnginePerLevel,
+		Shards: shards, Window: time.Hour, Phi: 0.05, Engine: EnginePerLevel,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer det.Close()
+	empty := det.SizeBytes()
 
 	// Warm-up: fill the freelists, grow the staging columns to capacity
 	// and let every shard's sketch reach its counter budget, so the
@@ -44,6 +59,13 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	}
 
 	const chunk = 2048
+	distinct := map[Addr]bool{}
+	for i := range pkts[:chunk] {
+		distinct[pkts[i].Src] = true
+	}
+	if len(distinct) < chunk/2 { // ~2 blocks' worth of new keys per shard and run
+		t.Fatalf("%d distinct sources in a %d-packet run: blocks would not fill", len(distinct), chunk)
+	}
 	var off int
 	avg := testing.AllocsPerRun(20, func() {
 		if off+chunk > len(pkts) {
@@ -63,6 +85,9 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	if perPacket := avg / chunk; perPacket > 0.01 {
 		t.Fatalf("sharded ingest allocates %.1f allocs per %d-packet batch (%.4f/packet); want ~0",
 			avg, chunk, perPacket)
+	}
+	if grew := det.SizeBytes() - empty; grew != shards*block {
+		t.Fatalf("footprint grew by %d B over ingest; want %d shards x %d B block", grew, shards, block)
 	}
 }
 
