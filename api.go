@@ -22,7 +22,8 @@
 //   - Experiments: the paper's analyses — hidden-HHH quantification
 //     (Figure 2), window-size sensitivity (Figure 3), and the
 //     windowed-vs-continuous comparison (Section 3) — as reusable
-//     functions returning structured results.
+//     functions returning structured results (cmd/hhheval's fig2, fig3
+//     and section3 subcommands print them).
 //
 // Every detector is parameterised by a Hierarchy descriptor rather than a
 // hard-coded prefix ladder: the paper's IPv4 byte ladder

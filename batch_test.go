@@ -3,8 +3,6 @@ package hiddenhhh
 import (
 	"testing"
 	"time"
-
-	"hiddenhhh/internal/window"
 )
 
 // TestObserveBatchMatchesObserve drives every detector kind over the same
@@ -77,86 +75,5 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestTumbleBatchesMatchesTumblePackets pins the batch window driver to
-// the per-packet one: same spans, same packet and byte accounting.
-func TestTumbleBatchesMatchesTumblePackets(t *testing.T) {
-	cfg := DefaultTraceConfig()
-	cfg.Duration = 12 * time.Second
-	cfg.MeanPacketRate = 2000
-	pkts, err := GenerateTrace(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wcfg := window.Config{Width: 3 * time.Second, End: int64(cfg.Duration)}
-
-	type span struct {
-		idx     int
-		packets int
-		bytes   int64
-	}
-	var ref []span
-	var bytesSeen int64
-	err = window.TumblePackets(SliceSource(pkts), wcfg,
-		func(p *Packet) { bytesSeen += int64(p.Size) },
-		func(s window.Span) error {
-			ref = append(ref, span{s.Index, s.Packets, s.Bytes})
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, bs := range []int{1, 13, 512} {
-		var got []span
-		err = window.TumbleBatches(SliceSource(pkts), wcfg, bs,
-			func(batch []Packet) int64 {
-				var w int64
-				for i := range batch {
-					w += int64(batch[i].Size)
-				}
-				return w
-			},
-			func(s window.Span) error {
-				got = append(got, span{s.Index, s.Packets, s.Bytes})
-				return nil
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(ref) {
-			t.Fatalf("batchSize %d: %d windows, want %d", bs, len(got), len(ref))
-		}
-		for i := range got {
-			if got[i] != ref[i] {
-				t.Fatalf("batchSize %d: window %d = %+v, want %+v", bs, i, got[i], ref[i])
-			}
-		}
-	}
-
-	// An explicit WeightFunc overrides onBatch's accounting: with
-	// ByPackets, Span.Bytes must equal Span.Packets even though onBatch
-	// reports byte sums.
-	weighted := wcfg
-	weighted.Weight = window.ByPackets
-	err = window.TumbleBatches(SliceSource(pkts), weighted, 64,
-		func(batch []Packet) int64 {
-			var w int64
-			for i := range batch {
-				w += int64(batch[i].Size)
-			}
-			return w
-		},
-		func(s window.Span) error {
-			if s.Bytes != int64(s.Packets) {
-				t.Fatalf("window %d: custom Weight ignored: Bytes=%d Packets=%d",
-					s.Index, s.Bytes, s.Packets)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,378 +1,145 @@
-// Command hhheval runs the oracle-differential accuracy suite: every
-// detector family over every generated scenario, scored against the
-// brute-force exact HHH oracle, and reports precision, recall, per-item
-// count error and the paper-family bound checks — plus the hidden-HHH
-// effect the source paper is about: prefixes that are sliding-window
-// HHHs of the trace but never disjoint-window HHHs, and how many of them
-// each window model recovers.
+// Command hhheval is the offline harness: the paper's experiments and
+// the accuracy suite, one subcommand each, all driving the same detectors
+// the live system runs.
 //
-//	go run ./cmd/hhheval                     # markdown report
-//	go run ./cmd/hhheval -format json        # machine-readable report
-//	go run ./cmd/hhheval -strict             # exit 1 on bound violations
+//	hhheval [accuracy] [-strict] [-format json]   oracle-differential accuracy suite
+//	hhheval fig2 [-steps] [-granularity nibble]   Figure 2: HHHs hidden by disjoint windows
+//	hhheval fig3 [-cdf] [-tails]                  Figure 3: sensitivity to window size
+//	hhheval section3 [-sweep] [-latency]          Section 3: windowed vs time-decaying detection
+//	hhheval scan -in day0.pcap [-engine rhhh]     per-window reports over a stored trace
 //
-// The scenarios (internal/gen.Scenarios) cover Zipf steady state,
-// hit-and-run DDoS, flash crowd, port sweep, the diurnal Tier-1 mix, an
-// IPv6-only hit-and-run DDoS on the five-level hextet ladder, and a
-// dual-stack mix on the 17-level IPv6 nibble lattice — each evaluated on
-// its scenario's own hierarchy. Everything is seeded, so two runs with
-// the same flags produce the same report.
+// With no subcommand (or a flag first) it runs accuracy. fig2, fig3 and
+// section3 synthesise the Tier-1 scenarios standing in for the paper's
+// CAIDA days unless -in names a stored trace (.pcap by extension, the
+// binary trace format otherwise); `hhheval <subcommand> -h` lists a
+// subcommand's flags. Everything is seeded, so two runs with the same
+// flags print the same tables.
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 	"strings"
 	"time"
 
-	"hiddenhhh"
+	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/core"
 	"hiddenhhh/internal/gen"
-	"hiddenhhh/internal/hhh"
-	"hiddenhhh/internal/metrics"
-	"hiddenhhh/internal/oracle"
+	"hiddenhhh/internal/pcap"
+	"hiddenhhh/internal/trace"
 )
 
-// DetectorResult is one detector row of a scenario report.
-type DetectorResult struct {
-	Name string `json:"name"`
-	Mode string `json:"mode"`
-	// Snapshot-level accuracy vs the exact oracle reference.
-	Precision  float64 `json:"precision"`
-	Recall     float64 `json:"recall"`
-	WorstOver  float64 `json:"worst_over_frac"`
-	WorstUnder float64 `json:"worst_under_frac"`
-	Violations int     `json:"violations"`
-	// Trace-level distinct-prefix accounting: recall against the sliding
-	// oracle union and against its hidden subset (prefixes no disjoint
-	// window reveals).
-	Reported     int     `json:"reported_distinct"`
-	UnionRecall  float64 `json:"union_recall"`
-	HiddenRecall float64 `json:"hidden_recall"`
-	// Ingest performance: wall-clock for one full-trace replay through a
-	// fresh instance of this cell's detector and the implied rate. The
-	// packet total behind the rate is scraped back from the
-	// hhh_detector_* families on a per-cell MetricsRegistry — the same
-	// families hhhserve exports on /metrics.
-	IngestWallMs float64 `json:"ingest_wall_ms"`
-	IngestMpps   float64 `json:"ingest_mpps"`
+// A command declares its flags on fs and returns the body to run once
+// they are parsed; progress goes to stderr, results to stdout.
+type command func(fs *flag.FlagSet) func(stdout, stderr io.Writer) error
+
+var commands = map[string]command{
+	"accuracy": accuracy,
+	"fig2":     fig2,
+	"fig3":     fig3,
+	"section3": section3,
+	"scan":     scan,
 }
 
-// ScenarioReport is the per-scenario section of the full report.
-type ScenarioReport struct {
-	Scenario    string           `json:"scenario"`
-	Description string           `json:"description"`
-	Hierarchy   string           `json:"hierarchy"`
-	Packets     int              `json:"packets"`
-	TruthHHHs   int              `json:"sliding_truth_distinct"`
-	HiddenHHHs  int              `json:"hidden_distinct"`
-	Detectors   []DetectorResult `json:"detectors"`
-}
+// errUsage marks a failure of the invocation rather than of the run: run
+// adds the subcommand's usage and exits 2, as a flag error does.
+var errUsage = errors.New("usage")
 
-// Report is the full hhheval document.
-type Report struct {
-	Duration  string           `json:"duration"`
-	Window    string           `json:"window"`
-	Phi       float64          `json:"phi"`
-	Counters  int              `json:"counters"`
-	Seed      int64            `json:"seed"`
-	Scenarios []ScenarioReport `json:"scenarios"`
-	// TotalViolations counts broken bound checks across every cell; the
-	// -strict flag turns a nonzero value into exit status 1.
-	TotalViolations int `json:"total_violations"`
-}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func main() {
-	var (
-		duration  = flag.Duration("duration", 30*time.Second, "trace duration per scenario")
-		window    = flag.Duration("window", 5*time.Second, "window length / sliding span / decay tau")
-		phi       = flag.Float64("phi", 0.05, "HHH threshold fraction")
-		counters  = flag.Int("counters", 512, "Space-Saving counters per level")
-		frames    = flag.Int("frames", 8, "sliding-window frames")
-		shards    = flag.Int("shards", 4, "shard count for the sharded pipeline rows (0 disables them)")
-		seed      = flag.Int64("seed", 1, "scenario suite base seed")
-		rhhhSlack = flag.Float64("rhhh-slack", 0.15, "empirical sampling-slack fraction z for RHHH bound checks")
-		memSlack  = flag.Float64("memento-slack", 0.15, "empirical sampling-slack fraction z for Memento sliding bound checks")
-		tdbfSlack = flag.Float64("tdbf-slack", 0.05, "empirical collision/admission slack fraction for continuous bound checks")
-		format    = flag.String("format", "markdown", "output format: markdown or json")
-		strict    = flag.Bool("strict", false, "exit nonzero when any bound check fails")
-	)
-	flag.Parse()
-
-	rep := Report{
-		Duration: duration.String(),
-		Window:   window.String(),
-		Phi:      *phi,
-		Counters: *counters,
-		Seed:     *seed,
+// run is the whole program behind an exit status, so tests drive it
+// in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	name := "accuracy"
+	if len(args) > 0 && !strings.HasPrefix(args[0], "-") {
+		name, args = args[0], args[1:]
 	}
-	eps := 1.0 / float64(*counters)
-
-	for _, sc := range gen.Scenarios(*duration, *seed) {
-		pkts, err := gen.Packets(sc.Config)
-		if err != nil {
-			fatal(err)
-		}
-		sr := ScenarioReport{
-			Scenario: sc.Name, Description: sc.Description,
-			Hierarchy: sc.Hierarchy.String(), Packets: len(pkts),
-		}
-		hier := sc.Hierarchy
-
-		type cell struct {
-			name   string
-			mode   oracle.Mode
-			bounds oracle.Bounds
-			mk     func() (oracle.Detector, error)
-		}
-		windowed := func(engine hiddenhhh.Engine) func() (oracle.Detector, error) {
-			return func() (oracle.Detector, error) {
-				return hiddenhhh.NewWindowedDetector(hiddenhhh.WindowedConfig{
-					Window: *window, Phi: *phi, Engine: engine, Counters: *counters,
-					Hierarchy: hier, Seed: uint64(*seed),
-				})
-			}
-		}
-		sharded := func(mode hiddenhhh.Mode) func() (oracle.Detector, error) {
-			return func() (oracle.Detector, error) {
-				return hiddenhhh.NewShardedDetector(hiddenhhh.ShardedConfig{
-					Mode: mode, Shards: *shards, Window: *window, Phi: *phi,
-					Engine: hiddenhhh.EnginePerLevel, Counters: *counters,
-					Frames: *frames, Hierarchy: hier, Seed: uint64(*seed),
-				})
-			}
-		}
-		cells := []cell{
-			{"windowed-exact", oracle.ModeWindowed, oracle.Bounds{}, windowed(hiddenhhh.EngineExact)},
-			{"windowed-perlevel", oracle.ModeWindowed, oracle.Bounds{Epsilon: eps}, windowed(hiddenhhh.EnginePerLevel)},
-			{"windowed-rhhh", oracle.ModeWindowed,
-				oracle.Bounds{Epsilon: eps, Slack: *rhhhSlack, AllowUnder: true}, windowed(hiddenhhh.EngineRHHH)},
-			{"sliding-wcss", oracle.ModeSliding, oracle.Bounds{Epsilon: eps}, func() (oracle.Detector, error) {
-				return hiddenhhh.NewSlidingDetector(hiddenhhh.SlidingConfig{
-					Window: *window, Phi: *phi, Frames: *frames, Counters: *counters,
-					Hierarchy: hier,
-				})
-			}},
-			// Memento samples one level per packet like RHHH, so its bound
-			// carries the empirical sampling slack on top of the sketch ε.
-			{"sliding-memento", oracle.ModeSliding,
-				oracle.Bounds{Epsilon: eps, Slack: *memSlack, AllowUnder: true}, func() (oracle.Detector, error) {
-					return hiddenhhh.NewSlidingDetector(hiddenhhh.SlidingConfig{
-						Window: *window, Phi: *phi, Frames: *frames, Counters: *counters,
-						Hierarchy: hier, Engine: hiddenhhh.EngineMemento, Seed: uint64(*seed),
-					})
-				}},
-			{"continuous-tdbf", oracle.ModeContinuous, oracle.Bounds{Slack: *tdbfSlack}, func() (oracle.Detector, error) {
-				return hiddenhhh.NewContinuousDetector(hiddenhhh.ContinuousConfig{
-					Horizon: *window, Phi: *phi, Hierarchy: hier, Seed: uint64(*seed),
-				})
-			}},
-		}
-		if *shards > 0 {
-			cells = append(cells,
-				cell{fmt.Sprintf("sharded-perlevel-%d", *shards), oracle.ModeWindowed,
-					oracle.Bounds{Epsilon: eps}, sharded(hiddenhhh.ModeWindowed)},
-				cell{fmt.Sprintf("sharded-sliding-%d", *shards), oracle.ModeSliding,
-					oracle.Bounds{Epsilon: eps}, sharded(hiddenhhh.ModeSliding)},
-				cell{fmt.Sprintf("sharded-memento-%d", *shards), oracle.ModeSliding,
-					oracle.Bounds{Epsilon: eps, Slack: *memSlack, AllowUnder: true},
-					func() (oracle.Detector, error) {
-						return hiddenhhh.NewShardedDetector(hiddenhhh.ShardedConfig{
-							Mode: hiddenhhh.ModeSliding, Shards: *shards, Window: *window,
-							Phi: *phi, Engine: hiddenhhh.EngineMemento, Counters: *counters,
-							Frames: *frames, Hierarchy: hier, Seed: uint64(*seed),
-						})
-					}},
-			)
-		}
-
-		// Truth unions for the hidden-HHH accounting: what the exact
-		// sliding view ever reports vs what exact disjoint windows ever
-		// report. Both fall out of the differential runs below.
-		var slidingTruth, windowedTruth hhh.Set
-		var results []*oracle.Report
-		var ingest []ingestResult
-		for _, c := range cells {
-			det, err := c.mk()
-			if err != nil {
-				fatal(err)
-			}
-			// Windowed cells snapshot once per window — a finer cadence
-			// would score the same closed window repeatedly, doubling the
-			// brute-force oracle work for identical results. The sliding
-			// and continuous views genuinely change between boundaries,
-			// so they are sampled at half-window cadence.
-			every := *window
-			if c.mode != oracle.ModeWindowed {
-				every = *window / 2
-			}
-			r, err := oracle.Run(c.name, det, pkts, oracle.Config{
-				Mode:          c.mode,
-				Window:        *window,
-				Frames:        *frames,
-				Phi:           *phi,
-				Hierarchy:     hier,
-				Bounds:        c.bounds,
-				SnapshotEvery: every,
-			})
-			if cl, ok := det.(interface{ Close() error }); ok {
-				cl.Close()
-			}
-			if err != nil {
-				fatal(err)
-			}
-			results = append(results, r)
-			ing, err := measureIngest(c.mk, c.name, r.Mode, pkts)
-			if err != nil {
-				fatal(err)
-			}
-			ingest = append(ingest, ing)
-			switch {
-			case c.name == "windowed-exact":
-				windowedTruth = r.TruthUnion
-			case c.name == "sliding-wcss":
-				slidingTruth = r.TruthUnion
-			}
-		}
-
-		hidden := slidingTruth.Diff(windowedTruth)
-		sr.TruthHHHs = slidingTruth.Len()
-		sr.HiddenHHHs = hidden.Len()
-		for i, r := range results {
-			sc := core.Score(r.Detector, r.GotUnion, slidingTruth, hidden)
-			sr.Detectors = append(sr.Detectors, DetectorResult{
-				Name:         r.Detector,
-				Mode:         r.Mode,
-				Precision:    r.MeanPrecision,
-				Recall:       r.MeanRecall,
-				WorstOver:    r.WorstOver,
-				WorstUnder:   r.WorstUnder,
-				Violations:   r.Violations,
-				Reported:     r.GotUnion.Len(),
-				UnionRecall:  sc.Recall,
-				HiddenRecall: sc.HiddenRecall,
-				IngestWallMs: ingest[i].wallMs,
-				IngestMpps:   ingest[i].mpps,
-			})
-			rep.TotalViolations += r.Violations
-		}
-		rep.Scenarios = append(rep.Scenarios, sr)
-	}
-
-	switch *format {
-	case "json":
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep); err != nil {
-			fatal(err)
-		}
-	case "markdown":
-		renderMarkdown(os.Stdout, &rep)
-	default:
-		fatal(fmt.Errorf("unknown format %q", *format))
-	}
-	if *strict && rep.TotalViolations > 0 {
-		fmt.Fprintf(os.Stderr, "hhheval: %d bound violations\n", rep.TotalViolations)
-		os.Exit(1)
-	}
-}
-
-// ingestResult is one cell's ingest performance measurement.
-type ingestResult struct {
-	wallMs float64
-	mpps   float64
-}
-
-// evalBatch is the batch size measureIngest replays with — the
-// production batch-ingest spine, matching the throughput benchmarks.
-const evalBatch = 512
-
-// measureIngest replays the whole trace through a fresh instance of a
-// cell's detector, wrapped with InstrumentDetector on its own
-// MetricsRegistry, and derives the row's wall-clock and rate. The packet
-// total behind the rate is not a local counter: it is scraped back out
-// of the registry's hhh_detector_packets_total family — the exact series
-// hhhserve exports — so the report and a dashboard watching the same
-// detector can never disagree. The final Snapshot is inside the timed
-// region: for the sharded cells it forces the merge barrier, charging
-// the rate for draining the rings, not just filling them.
-func measureIngest(mk func() (oracle.Detector, error), name, mode string, pkts []hiddenhhh.Packet) (ingestResult, error) {
-	det, err := mk()
-	if err != nil {
-		return ingestResult{}, err
-	}
-	hd, ok := det.(hiddenhhh.Detector)
+	cmd, ok := commands[name]
 	if !ok {
-		return ingestResult{}, fmt.Errorf("cell %s: detector lacks the public ingest surface", name)
+		fmt.Fprintf(stderr, "hhheval: unknown subcommand %q (want accuracy, fig2, fig3, section3 or scan)\n", name)
+		return 2
 	}
-	reg := hiddenhhh.NewMetricsRegistry()
-	ins := hiddenhhh.InstrumentDetector(hd, reg, name, mode)
-	start := time.Now()
-	for off := 0; off < len(pkts); off += evalBatch {
-		end := off + evalBatch
-		if end > len(pkts) {
-			end = len(pkts)
+	fs := flag.NewFlagSet("hhheval "+name, flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	body := cmd(fs)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-		ins.ObserveBatch(pkts[off:end])
+		return 2 // Parse has printed the error and the usage
 	}
-	ins.Snapshot(pkts[len(pkts)-1].Ts + 1)
-	wall := time.Since(start)
-	if cl, ok := det.(interface{ Close() error }); ok {
-		cl.Close()
+	err := body(stdout, stderr)
+	if err == nil {
+		return 0
 	}
-	var sb strings.Builder
-	if err := hiddenhhh.WriteMetrics(&sb, reg); err != nil {
-		return ingestResult{}, err
+	fmt.Fprintln(stderr, "hhheval:", err)
+	if errors.Is(err, errUsage) {
+		fs.Usage()
+		return 2
 	}
-	sample := fmt.Sprintf("hhh_detector_packets_total{engine=%q,mode=%q}", name, mode)
-	count, err := scrapeValue(sb.String(), sample)
+	return 1
+}
+
+// loadTrace reads a stored trace, pcap or binary by extension.
+func loadTrace(path string) (pkts []trace.Packet, err error) {
+	if strings.HasSuffix(path, ".pcap") {
+		pkts, err = pcap.ReadFile(path)
+	} else {
+		pkts, err = trace.ReadFile(path)
+	}
+	if err == nil && len(pkts) == 0 {
+		err = fmt.Errorf("trace %s is empty", path)
+	}
+	return pkts, err
+}
+
+// input is one trace an experiment analyses: replayable, over [0, span).
+type input struct {
+	name     string
+	provider core.Provider
+	span     int64
+}
+
+// openInput loads the stored trace at path or, when path is empty,
+// synthesises cfg under the given name. The experiments tile time from
+// zero, so a stored trace is rebased to the whole second that contains
+// its first packet: a capture stamped in Unix time is analysed like the
+// same packets stamped from zero.
+func openInput(path, name string, cfg gen.Config, stderr io.Writer) (input, error) {
+	if path == "" {
+		fmt.Fprintf(stderr, "synthesising %s (%v at %.0f pps)...\n", name, cfg.Duration, cfg.MeanPacketRate)
+		pkts, err := gen.Packets(cfg)
+		return input{name, core.SliceProvider(pkts), int64(cfg.Duration)}, err
+	}
+	pkts, err := loadTrace(path)
 	if err != nil {
-		return ingestResult{}, fmt.Errorf("cell %s: %w", name, err)
+		return input{}, err
 	}
-	return ingestResult{
-		wallMs: float64(wall) / 1e6,
-		mpps:   count / wall.Seconds() / 1e6,
-	}, nil
+	const sec = int64(time.Second)
+	origin := pkts[0].Ts - ((pkts[0].Ts%sec)+sec)%sec
+	for i := range pkts {
+		pkts[i].Ts -= origin
+	}
+	return input{path, core.SliceProvider(pkts), pkts[len(pkts)-1].Ts + 1}, nil
 }
 
-// scrapeValue extracts one sample's value from a Prometheus text
-// exposition; sample is the exact name{labels} prefix of its line.
-func scrapeValue(text, sample string) (float64, error) {
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, sample+" ") {
-			return strconv.ParseFloat(strings.TrimSpace(line[len(sample)+1:]), 64)
-		}
+// hierarchyOf parses a prefix-lattice name; a bare granularity means IPv4.
+func hierarchyOf(s string) (addr.Hierarchy, error) {
+	switch s {
+	case "ipv4-bit", "bit":
+		return addr.NewIPv4Hierarchy(addr.Bit), nil
+	case "ipv4-nibble", "nibble":
+		return addr.NewIPv4Hierarchy(addr.Nibble), nil
+	case "ipv4-byte", "byte":
+		return addr.NewIPv4Hierarchy(addr.Byte), nil
+	case "ipv6-hextet":
+		return addr.NewIPv6Hierarchy(addr.Hextet), nil
+	case "ipv6-nibble":
+		return addr.NewIPv6Hierarchy(addr.Nibble), nil
+	default:
+		return addr.Hierarchy{}, fmt.Errorf("unknown hierarchy %q", s)
 	}
-	return 0, fmt.Errorf("sample %q not in exposition", sample)
-}
-
-func renderMarkdown(w *os.File, rep *Report) {
-	fmt.Fprintf(w, "# hhheval accuracy report\n\n")
-	fmt.Fprintf(w, "window=%s phi=%v counters=%d seed=%d duration=%s\n\n",
-		rep.Window, rep.Phi, rep.Counters, rep.Seed, rep.Duration)
-	for _, sc := range rep.Scenarios {
-		fmt.Fprintf(w, "## %s\n\n%s (hierarchy %s)\n\n", sc.Scenario, sc.Description, sc.Hierarchy)
-		fmt.Fprintf(w, "%d packets; %d distinct sliding-truth HHHs, %d hidden (absent from every disjoint window)\n\n",
-			sc.Packets, sc.TruthHHHs, sc.HiddenHHHs)
-		t := metrics.NewTable("detector", "mode", "precision", "recall",
-			"err+%", "err-%", "viol", "distinct", "union-recall", "hidden-recall",
-			"wall-ms", "Mpps")
-		for _, d := range sc.Detectors {
-			t.AddRow(d.Name, d.Mode,
-				fmt.Sprintf("%.3f", d.Precision), fmt.Sprintf("%.3f", d.Recall),
-				fmt.Sprintf("%.2f", 100*d.WorstOver), fmt.Sprintf("%.2f", 100*d.WorstUnder),
-				d.Violations, d.Reported,
-				fmt.Sprintf("%.3f", d.UnionRecall), fmt.Sprintf("%.3f", d.HiddenRecall),
-				fmt.Sprintf("%.1f", d.IngestWallMs), fmt.Sprintf("%.2f", d.IngestMpps))
-		}
-		fmt.Fprintf(w, "%s\n", t.String())
-	}
-	fmt.Fprintf(w, "total bound violations: %d\n", rep.TotalViolations)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "hhheval:", err)
-	os.Exit(1)
 }

@@ -5,11 +5,9 @@ import (
 	"time"
 
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/metrics"
-	"hiddenhhh/internal/sketch"
-	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/pipeline"
 	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/window"
 )
@@ -182,151 +180,50 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 		r.Packets = pkts
 		return r
 	}
-	nsPerPkt := func(d time.Duration) float64 {
-		if pkts == 0 {
-			return 0
-		}
-		return float64(d.Nanoseconds()) / float64(pkts)
-	}
+	nsPerPkt := func(d time.Duration) float64 { return ratio(float64(d.Nanoseconds()), float64(pkts)) }
 
 	out.Reports = append(out.Reports,
 		score("sliding-exact", sliding, nsPerPkt(elapsed), peakLeaves*16))
 
-	// Windowed streaming detectors: reset-per-window discipline, driven
-	// through the batch ingest spine — each run of packets is packed once
-	// into a reused key batch, the engines' only way in.
-	type windowedEngine struct {
-		name       string
-		updateKeys func(b *trace.KeyBatch) int64
-		close      func(windowBytes int64) hhh.Set
-		reset      func()
-		size       func() int
+	// Every detector row is the live system's single-goroutine driver
+	// built from one Config: the disjoint rows report the union of their
+	// window closes, the continuous rows the prefixes that ever entered.
+	rows := []struct {
+		name string
+		cfg  pipeline.Config
+	}{
+		{"disjoint-exact", pipeline.Config{Window: cfg.Window, Engine: pipeline.KindExact}},
+		{"disjoint-perlevel", pipeline.Config{Window: cfg.Window, Engine: pipeline.KindPerLevel, Counters: cfg.Counters}},
+		{"disjoint-rhhh", pipeline.Config{Window: cfg.Window, Engine: pipeline.KindRHHH, Counters: cfg.Counters}},
+		{"continuous-tdbf", pipeline.Config{Mode: pipeline.ModeContinuous, Window: cfg.Tau, Cells: cfg.TDBFCells, Hashes: cfg.TDBFHashes}},
+		{"continuous-sampled", pipeline.Config{Mode: pipeline.ModeContinuous, Window: cfg.Tau, Cells: cfg.TDBFCells, Hashes: cfg.TDBFHashes, Sampled: true}},
 	}
-	mkWindowed := func(we windowedEngine) error {
-		src, err := provider()
-		if err != nil {
-			return err
-		}
+	for _, r := range rows {
+		r.cfg.Phi, r.cfg.Hierarchy, r.cfg.Seed = cfg.Phi, cfg.Hierarchy, cfg.Seed
 		reported := hhh.NewSet()
-		var kb trace.KeyBatch
-		start := time.Now()
-		err = window.TumbleBatches(src,
-			window.Config{Width: cfg.Window, End: cfg.Span}, 0,
-			func(pkts []trace.Packet) int64 {
-				kb.Reset()
-				kb.AppendPackets(cfg.Hierarchy, pkts)
-				return we.updateKeys(&kb)
-			},
-			func(s window.Span) error {
-				reported.UnionInPlace(we.close(s.Bytes))
-				we.reset()
-				return nil
-			})
-		if err != nil {
-			return err
+		onEnter := func(p addr.Prefix, _ int64) { reported.Add(hhh.Item{Prefix: p}) }
+		if r.cfg.Mode == pipeline.ModeWindowed {
+			r.cfg.OnWindow = func(_, _ int64, set hhh.Set) { reported.UnionInPlace(set) }
 		}
-		out.Reports = append(out.Reports,
-			score(we.name, reported, nsPerPkt(time.Since(start)), we.size()))
-		return nil
-	}
-
-	// disjoint-exact: per-window exact computation over a leaf map.
-	leaves := sketch.NewExact(4096)
-	peak := 0
-	if err := mkWindowed(windowedEngine{
-		name: "disjoint-exact",
-		updateKeys: func(b *trace.KeyBatch) int64 {
-			for i, k := range b.Keys {
-				leaves.Update(k, int64(b.Sizes[i]))
-			}
-			return b.Bytes()
-		},
-		close: func(windowBytes int64) hhh.Set {
-			if leaves.Len() > peak {
-				peak = leaves.Len()
-			}
-			return hhh.Exact(leaves, cfg.Hierarchy, hhh.Threshold(windowBytes, cfg.Phi))
-		},
-		reset: leaves.Reset,
-		size:  func() int { return peak * 16 },
-	}); err != nil {
-		return nil, err
-	}
-
-	// disjoint-perlevel: Space-Saving per level, reset per window.
-	pl := hhh.NewPerLevel(cfg.Hierarchy, cfg.Counters)
-	if err := mkWindowed(windowedEngine{
-		name:       "disjoint-perlevel",
-		updateKeys: pl.UpdateKeys,
-		close: func(windowBytes int64) hhh.Set {
-			return pl.Query(hhh.Threshold(windowBytes, cfg.Phi))
-		},
-		reset: pl.Reset,
-		size:  pl.SizeBytes,
-	}); err != nil {
-		return nil, err
-	}
-
-	// disjoint-rhhh: randomised level sampling, reset per window.
-	rh := hhh.NewRHHH(cfg.Hierarchy, cfg.Counters, cfg.Seed)
-	if err := mkWindowed(windowedEngine{
-		name:       "disjoint-rhhh",
-		updateKeys: rh.UpdateKeys,
-		close: func(windowBytes int64) hhh.Set {
-			return rh.Query(hhh.Threshold(windowBytes, cfg.Phi))
-		},
-		reset: rh.Reset,
-		size:  rh.SizeBytes,
-	}); err != nil {
-		return nil, err
-	}
-
-	// Continuous detectors: TDBF per level, enter events define reports.
-	runContinuous := func(name string, sampled bool) error {
-		reported := hhh.NewSet()
-		det, err := continuous.NewDetector(continuous.Config{
-			Hierarchy: cfg.Hierarchy,
-			Phi:       cfg.Phi,
-			Filter: tdbf.Config{
-				Cells:  cfg.TDBFCells,
-				Hashes: cfg.TDBFHashes,
-				Decay:  tdbf.Exponential{Tau: cfg.Tau},
-			},
-			Sampled: sampled,
-			Seed:    cfg.Seed,
-			OnEnter: func(p addr.Prefix, at int64) {
-				reported.Add(hhh.Item{Prefix: p})
-			},
-		})
+		det, err := pipeline.NewSingle(r.cfg, onEnter, nil)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		src, err := provider()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		start := time.Now()
-		// Clip to the analysis span and feed the detector in batches.
 		clipped := &trace.ClipSource{Src: src, From: 0, To: cfg.Span}
-		var kb trace.KeyBatch
-		err = trace.ForEachBatch(clipped, 0, func(pkts []trace.Packet) error {
-			kb.Reset()
-			kb.AppendPackets(cfg.Hierarchy, pkts)
-			det.ObserveKeys(&kb)
+		if err := trace.ForEachBatch(clipped, 0, func(pkts []trace.Packet) error {
+			det.ObserveBatch(pkts)
 			return nil
-		})
-		if err != nil {
-			return err
+		}); err != nil {
+			return nil, err
 		}
+		det.Snapshot(cfg.Span) // closes the last complete window
 		out.Reports = append(out.Reports,
-			score(name, reported, nsPerPkt(time.Since(start)), det.SizeBytes()))
-		return nil
-	}
-	if err := runContinuous("continuous-tdbf", false); err != nil {
-		return nil, err
-	}
-	if err := runContinuous("continuous-sampled", true); err != nil {
-		return nil, err
+			score(r.name, reported, nsPerPkt(time.Since(start)), det.SizeBytes()))
 	}
 
 	return out, nil

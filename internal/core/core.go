@@ -5,10 +5,11 @@
 // detection against windowed approaches.
 //
 // Each experiment consumes a reproducible packet source (usually the
-// synthetic Tier-1 generator standing in for the paper's CAIDA traces),
-// drives the window engines and detectors from the other packages, and
-// returns structured results that the cmd/ binaries and bench harness
-// render as the corresponding table or figure series.
+// synthetic Tier-1 generator standing in for the paper's CAIDA traces)
+// and returns structured results that cmd/hhheval renders as the
+// corresponding table. Exact per-window aggregates come from
+// internal/window; every detector is a pipeline.Single, the driver behind
+// the public detectors, so the experiments measure the live system.
 package core
 
 import (

@@ -6,11 +6,9 @@ import (
 	"time"
 
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/metrics"
-	"hiddenhhh/internal/swhh"
-	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/pipeline"
 	"hiddenhhh/internal/trace"
 )
 
@@ -156,91 +154,60 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 		}
 	}
 
-	// Disjoint windows: reports materialise at window close.
-	disj := newTracker("disjoint")
-	{
-		leaves := make(map[uint64]int64, 4096)
-		var bytes int64
-		curEnd := int64(cfg.Window)
-		flush := func() {
-			e := hhh.NewSet()
-			T := hhh.Threshold(bytes, cfg.Phi)
-			agg := sketchFromMap(leaves)
-			e = hhh.Exact(agg, cfg.Hierarchy, T)
-			record(disj, e, curEnd)
-			for k := range leaves {
-				delete(leaves, k)
-			}
-			bytes = 0
-			curEnd += int64(cfg.Window)
-		}
-		for i := range pkts {
-			for pkts[i].Ts >= curEnd {
-				flush()
-			}
-			if !cfg.Hierarchy.Match(pkts[i].Src) {
-				continue
-			}
-			leaves[cfg.Hierarchy.Key(pkts[i].Src, 0)] += int64(pkts[i].Size)
-			bytes += int64(pkts[i].Size)
-		}
-		flush()
-	}
+	// Each model is the live system's single-goroutine driver over the
+	// same packets; what differs is when a report materialises.
 
-	// Sliding windows: queried every second.
+	// Disjoint windows: at window close, the trace's last window included.
+	disj := newTracker("disjoint")
+	det, err := pipeline.NewSingle(pipeline.Config{
+		Window: cfg.Window, Phi: cfg.Phi, Hierarchy: cfg.Hierarchy,
+		OnWindow: func(_, end int64, set hhh.Set) { record(disj, set, end) },
+	}, nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	det.ObserveBatch(pkts)
+	det.Snapshot(pkts[len(pkts)-1].Ts + int64(cfg.Window))
+
+	// Sliding windows: queried every second. Each run covers the packets
+	// before the next tick plus the packet that crosses it — a live
+	// detector learns that a tick has passed from the first packet after it.
 	slid := newTracker("sliding")
-	{
-		d, err := swhh.NewSlidingHHH(cfg.Hierarchy, swhh.Config{
-			Window: cfg.Window, Frames: 10, Counters: 512,
-		})
-		if err != nil {
-			return nil, nil, err
+	det, err = pipeline.NewSingle(pipeline.Config{
+		Mode: pipeline.ModeSliding, Frames: 10,
+		Window: cfg.Window, Phi: cfg.Phi, Hierarchy: cfg.Hierarchy,
+	}, nil, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	nextQ := int64(time.Second)
+	for i := 0; i < len(pkts); {
+		j := i
+		for j < len(pkts) && pkts[j].Ts < nextQ {
+			j++
 		}
-		// Batch-ingest between query instants: each run covers the packets
-		// before the next query cadence tick plus the packet that crosses
-		// it, matching the per-packet ordering (the crossing packet was
-		// always ingested before the query fired).
-		nextQ := int64(time.Second)
-		var kb trace.KeyBatch
-		for i := 0; i < len(pkts); {
-			j := i
-			for j < len(pkts) && pkts[j].Ts < nextQ {
-				j++
-			}
-			if j < len(pkts) {
-				j++
-			}
-			kb.Reset()
-			kb.AppendPackets(cfg.Hierarchy, pkts[i:j])
-			d.UpdateKeys(&kb)
-			for last := pkts[j-1].Ts; last >= nextQ; {
-				record(slid, d.Query(cfg.Phi, nextQ), nextQ)
-				nextQ += int64(time.Second)
-			}
-			i = j
+		if j < len(pkts) {
+			j++
 		}
+		det.ObserveBatch(pkts[i:j])
+		for last := pkts[j-1].Ts; last >= nextQ; nextQ += int64(time.Second) {
+			record(slid, det.Snapshot(nextQ), nextQ)
+		}
+		i = j
 	}
 
 	// Continuous: enter events give exact detection instants.
 	cont := newTracker("continuous")
-	{
-		det, err := continuous.NewDetector(continuous.Config{
-			Hierarchy: cfg.Hierarchy,
-			Phi:       cfg.Phi,
-			Filter: tdbf.Config{
-				Decay: tdbf.Exponential{Tau: cfg.Window},
-			},
-			OnEnter: func(p addr.Prefix, at int64) {
-				record(cont, hhh.NewSet(hhh.Item{Prefix: p}), at)
-			},
-		})
-		if err != nil {
-			return nil, nil, err
-		}
-		kb := trace.NewKeyBatch(len(pkts))
-		kb.AppendPackets(cfg.Hierarchy, pkts)
-		det.ObserveKeys(kb)
+	det, err = pipeline.NewSingle(pipeline.Config{
+		Mode:   pipeline.ModeContinuous,
+		Window: cfg.Window, Phi: cfg.Phi, Hierarchy: cfg.Hierarchy,
+	}, func(p addr.Prefix, at int64) {
+		record(cont, hhh.NewSet(hhh.Item{Prefix: p}), at)
+	}, nil)
+	if err != nil {
+		return nil, nil, err
 	}
+	det.ObserveBatch(pkts)
 
 	var reports []LatencyReport
 	for _, t := range []*tracker{disj, slid, cont} {
@@ -257,26 +224,6 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 		reports = append(reports, rep)
 	}
 	return reports, bursts, nil
-}
-
-// sketchFromMap adapts a plain leaf-key map into the LeafCounter surface
-// the HHH routines consume.
-func sketchFromMap(m map[uint64]int64) *exactAdapter {
-	return &exactAdapter{m: m}
-}
-
-// exactAdapter satisfies the minimal surface hhh.Exact needs (ForEach and
-// Len) without copying the window map.
-type exactAdapter struct{ m map[uint64]int64 }
-
-// Len implements hhh.LeafCounter.
-func (a *exactAdapter) Len() int { return len(a.m) }
-
-// ForEach implements hhh.LeafCounter.
-func (a *exactAdapter) ForEach(fn func(key uint64, count int64)) {
-	for k, v := range a.m {
-		fn(k, v)
-	}
 }
 
 // RenderLatency formats the E5 table.

@@ -1,16 +1,12 @@
 package core
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"time"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/metrics"
-	"hiddenhhh/internal/sketch"
-	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/window"
 )
 
@@ -81,29 +77,9 @@ func (r SensitivityResult) DissimilarFraction(diff float64) float64 {
 	return r.Jaccard.FractionAtMost(1 - diff)
 }
 
-// tiling accumulates one disjoint-window series of a given width.
-type tiling struct {
-	width  int64
-	leaves *sketch.Exact
-	bytes  int64
-	idx    int
-	max    int // number of complete windows in the span
-	sets   []hhh.Set
-}
-
-func (t *tiling) flushThrough(targetIdx int, h addr.Hierarchy, phi float64) {
-	for t.idx < targetIdx && t.idx < t.max {
-		t.sets = append(t.sets, hhh.Exact(t.leaves, h, hhh.Threshold(t.bytes, phi)))
-		t.leaves.Reset()
-		t.bytes = 0
-		t.idx++
-	}
-}
-
-// WindowSensitivity runs the Figure-3 analysis in a single pass: one
-// tiling accumulator per window width (baseline plus every trimmed
-// variant), then pairwise Jaccard over same-index windows while they
-// overlap.
+// WindowSensitivity runs the Figure-3 analysis: one exact tumbling pass
+// per window width (baseline plus every trimmed variant), then pairwise
+// Jaccard over same-index windows while they overlap.
 func WindowSensitivity(provider Provider, cfg SensitivityConfig) ([]SensitivityResult, error) {
 	cfg.setDefaults()
 	if cfg.Span < int64(cfg.Baseline) {
@@ -115,70 +91,40 @@ func WindowSensitivity(provider Provider, cfg SensitivityConfig) ([]SensitivityR
 			return nil, fmt.Errorf("core: trim %v out of (0, baseline)", d)
 		}
 	}
-	src, err := provider()
+	// series returns the HHH set of every complete width-long window.
+	series := func(width time.Duration) ([]hhh.Set, error) {
+		src, err := provider()
+		if err != nil {
+			return nil, err
+		}
+		var sets []hhh.Set
+		err = window.Tumble(src, window.Config{
+			Width: width, End: cfg.Span, Key: cfg.Key, Weight: cfg.Weight,
+		}, func(r *window.Result) error {
+			sets = append(sets, hhh.Exact(r.Leaves, cfg.Hierarchy, hhh.Threshold(r.Bytes, cfg.Phi)))
+			return nil
+		})
+		return sets, err
+	}
+	base, err := series(cfg.Baseline)
 	if err != nil {
 		return nil, err
 	}
 
-	widths := make([]int64, 0, len(cfg.Trims)+1)
-	widths = append(widths, int64(cfg.Baseline))
-	for _, d := range cfg.Trims {
-		widths = append(widths, int64(cfg.Baseline-d))
-	}
-	tilings := make([]*tiling, len(widths))
-	for i, w := range widths {
-		tilings[i] = &tiling{
-			width:  w,
-			leaves: sketch.NewExact(1024),
-			max:    int(cfg.Span / w),
-		}
-	}
-
-	var p trace.Packet
-	for {
-		err := src.Next(&p)
-		if errors.Is(err, io.EOF) {
-			break
-		}
+	results := make([]SensitivityResult, len(cfg.Trims))
+	for j, d := range cfg.Trims {
+		variant, err := series(cfg.Baseline - d)
 		if err != nil {
 			return nil, err
 		}
-		if p.Ts < 0 || p.Ts >= cfg.Span {
-			continue
-		}
-		key, ok := cfg.Key(&p)
-		if !ok {
-			continue
-		}
-		w := cfg.Weight(&p)
-		for _, t := range tilings {
-			idx := int(p.Ts / t.width)
-			if idx > t.idx {
-				t.flushThrough(idx, cfg.Hierarchy, cfg.Phi)
-			}
-			if t.idx >= t.max {
-				continue // beyond the last complete window of this series
-			}
-			t.leaves.Update(key, w)
-			t.bytes += w
-		}
-	}
-	for _, t := range tilings {
-		t.flushThrough(t.max, cfg.Hierarchy, cfg.Phi)
-	}
-
-	base := tilings[0]
-	results := make([]SensitivityResult, len(cfg.Trims))
-	for j, d := range cfg.Trims {
-		vt := tilings[j+1]
 		res := SensitivityResult{Trim: d, Jaccard: &metrics.Dist{}}
-		for k := 0; k < len(base.sets) && k < len(vt.sets); k++ {
+		for k := 0; k < len(base) && k < len(variant); k++ {
 			// Overlap of baseline window k and variant window k is
 			// W - (k+1)·δ; stop once they no longer overlap.
 			if int64(cfg.Baseline)-int64(k+1)*int64(d) <= 0 {
 				break
 			}
-			res.Jaccard.Observe(base.sets[k].Jaccard(vt.sets[k]))
+			res.Jaccard.Observe(base[k].Jaccard(variant[k]))
 			res.Pairs++
 		}
 		if res.Pairs == 0 {

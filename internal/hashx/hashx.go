@@ -1,6 +1,6 @@
-// Package hashx provides the deterministic, seeded hash families used by
-// every sketch in this repository (Count-Min, Count-Sketch, Bloom filters,
-// HashPipe stages).
+// Package hashx provides the deterministic, seeded hash families used
+// throughout this repository (Bloom-filter cells, open-addressed tables,
+// shard partitioning, level sampling).
 //
 // The sketches all hash small fixed-width integer keys (packed IPv4
 // prefixes), so instead of a general byte-stream hash we use integer mixing

@@ -1,96 +1,13 @@
-// Package metrics provides the evaluation machinery shared by the
-// experiments: set-accuracy scores against ground truth, error statistics
-// for estimates, empirical distributions (CDFs, percentiles), and plain
-// text table rendering for reports.
+// Package metrics provides the reporting machinery shared by the
+// experiments: empirical distributions (CDFs, percentiles) and plain
+// text table rendering. Set accuracy is scored by core.Score and the
+// oracle.
 package metrics
 
 import (
 	"math"
 	"sort"
-
-	"hiddenhhh/internal/hhh"
 )
-
-// Confusion summarises a detector output against a ground-truth HHH set.
-type Confusion struct {
-	TruePositives  int
-	FalsePositives int
-	FalseNegatives int
-}
-
-// Compare scores detected against truth by prefix membership.
-func Compare(truth, detected hhh.Set) Confusion {
-	var c Confusion
-	for p := range detected {
-		if truth.Contains(p) {
-			c.TruePositives++
-		} else {
-			c.FalsePositives++
-		}
-	}
-	for p := range truth {
-		if !detected.Contains(p) {
-			c.FalseNegatives++
-		}
-	}
-	return c
-}
-
-// Precision is TP/(TP+FP); 1 when nothing was detected (vacuously
-// precise).
-func (c Confusion) Precision() float64 {
-	d := c.TruePositives + c.FalsePositives
-	if d == 0 {
-		return 1
-	}
-	return float64(c.TruePositives) / float64(d)
-}
-
-// Recall is TP/(TP+FN); 1 when there was nothing to find.
-func (c Confusion) Recall() float64 {
-	d := c.TruePositives + c.FalseNegatives
-	if d == 0 {
-		return 1
-	}
-	return float64(c.TruePositives) / float64(d)
-}
-
-// F1 is the harmonic mean of precision and recall.
-func (c Confusion) F1() float64 {
-	p, r := c.Precision(), c.Recall()
-	if p+r == 0 {
-		return 0
-	}
-	return 2 * p * r / (p + r)
-}
-
-// Add accumulates another confusion (e.g. across windows).
-func (c *Confusion) Add(o Confusion) {
-	c.TruePositives += o.TruePositives
-	c.FalsePositives += o.FalsePositives
-	c.FalseNegatives += o.FalseNegatives
-}
-
-// EstimateErrors computes relative and absolute error statistics of
-// detected item counts against ground-truth counts, over the true-positive
-// prefixes (the standard ARE/AAE of the sketching literature).
-func EstimateErrors(truth, detected hhh.Set) (are, aae float64) {
-	n := 0
-	for p, it := range detected {
-		tr, ok := truth[p]
-		if !ok || tr.Count == 0 {
-			continue
-		}
-		diff := math.Abs(float64(it.Count - tr.Count))
-		are += diff / float64(tr.Count)
-		aae += diff
-		n++
-	}
-	if n == 0 {
-		return 0, 0
-	}
-	return are / float64(n), aae / float64(n)
-}
 
 // Dist is an accumulating empirical distribution.
 type Dist struct {

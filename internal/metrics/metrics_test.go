@@ -7,85 +7,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/hhh"
 )
-
-func set(prefixes ...string) hhh.Set {
-	s := hhh.NewSet()
-	for _, p := range prefixes {
-		s.Add(hhh.Item{Prefix: addr.MustParsePrefix(p), Count: 100})
-	}
-	return s
-}
-
-func TestCompare(t *testing.T) {
-	truth := set("1.0.0.0/8", "2.0.0.0/8", "3.0.0.0/8")
-	det := set("1.0.0.0/8", "2.0.0.0/8", "9.0.0.0/8")
-	c := Compare(truth, det)
-	if c.TruePositives != 2 || c.FalsePositives != 1 || c.FalseNegatives != 1 {
-		t.Fatalf("confusion = %+v", c)
-	}
-	if math.Abs(c.Precision()-2.0/3) > 1e-12 {
-		t.Errorf("precision = %v", c.Precision())
-	}
-	if math.Abs(c.Recall()-2.0/3) > 1e-12 {
-		t.Errorf("recall = %v", c.Recall())
-	}
-	if math.Abs(c.F1()-2.0/3) > 1e-12 {
-		t.Errorf("f1 = %v", c.F1())
-	}
-}
-
-func TestCompareEdgeCases(t *testing.T) {
-	empty := hhh.NewSet()
-	c := Compare(empty, empty)
-	if c.Precision() != 1 || c.Recall() != 1 {
-		t.Error("empty vs empty should be vacuously perfect")
-	}
-	c = Compare(set("1.0.0.0/8"), empty)
-	if c.Recall() != 0 || c.Precision() != 1 {
-		t.Errorf("missed everything: %+v p=%v r=%v", c, c.Precision(), c.Recall())
-	}
-	if c.F1() != 0 {
-		t.Errorf("f1 = %v", c.F1())
-	}
-	c = Compare(empty, set("1.0.0.0/8"))
-	if c.Precision() != 0 || c.Recall() != 1 {
-		t.Error("all false positives")
-	}
-}
-
-func TestConfusionAdd(t *testing.T) {
-	a := Confusion{1, 2, 3}
-	a.Add(Confusion{10, 20, 30})
-	if a != (Confusion{11, 22, 33}) {
-		t.Errorf("Add = %+v", a)
-	}
-}
-
-func TestEstimateErrors(t *testing.T) {
-	truth := hhh.NewSet(
-		hhh.Item{Prefix: addr.MustParsePrefix("1.0.0.0/8"), Count: 100},
-		hhh.Item{Prefix: addr.MustParsePrefix("2.0.0.0/8"), Count: 200},
-	)
-	det := hhh.NewSet(
-		hhh.Item{Prefix: addr.MustParsePrefix("1.0.0.0/8"), Count: 110}, // +10%
-		hhh.Item{Prefix: addr.MustParsePrefix("2.0.0.0/8"), Count: 180}, // -10%
-		hhh.Item{Prefix: addr.MustParsePrefix("9.0.0.0/8"), Count: 999}, // FP: ignored
-	)
-	are, aae := EstimateErrors(truth, det)
-	if math.Abs(are-0.1) > 1e-12 {
-		t.Errorf("ARE = %v, want 0.1", are)
-	}
-	if math.Abs(aae-15) > 1e-12 {
-		t.Errorf("AAE = %v, want 15", aae)
-	}
-	if are2, aae2 := EstimateErrors(truth, hhh.NewSet()); are2 != 0 || aae2 != 0 {
-		t.Error("empty detection should have zero errors")
-	}
-}
 
 func TestDistQuantiles(t *testing.T) {
 	var d Dist

@@ -1,7 +1,6 @@
 // Package sketch implements the streaming frequency-estimation substrates
 // that hierarchical-heavy-hitter detectors are built from: an exact map
-// counter (ground truth), Misra–Gries and Space-Saving (counter-based,
-// key-tracking), and Count-Min / Count-Sketch (hash-based).
+// counter (ground truth) and Space-Saving (counter-based, key-tracking).
 //
 // All sketches count *weighted* updates — a packet contributes its byte
 // size, not 1 — because the paper defines heavy hitters by byte volume.
@@ -37,7 +36,7 @@ type KV struct {
 }
 
 // Tracker is implemented by sketches that maintain an explicit key set
-// (Exact, Misra–Gries, Space-Saving) and can therefore enumerate heavy-key
+// (Exact, Space-Saving) and can therefore enumerate heavy-key
 // candidates without an external key stream.
 type Tracker interface {
 	Sketch

@@ -327,117 +327,6 @@ func TestHeapSpaceSavingHeapInvariant(t *testing.T) {
 	}
 }
 
-func TestCountMinNeverUnderestimates(t *testing.T) {
-	for _, conservative := range []bool{false, true} {
-		stream := zipfStream(20000, 5000, 6)
-		truth := exactOf(stream)
-		cm := NewCountMin(CountMinOpts{Depth: 4, Width: 1024, Conservative: conservative})
-		for _, kv := range stream {
-			cm.Update(kv.Key, kv.Count)
-		}
-		for key, want := range truth {
-			if got := cm.Estimate(key); got < want {
-				t.Fatalf("conservative=%v: underestimated key %d: %d < %d",
-					conservative, key, got, want)
-			}
-		}
-	}
-}
-
-func TestCountMinConservativeIsTighter(t *testing.T) {
-	stream := zipfStream(30000, 3000, 7)
-	truth := exactOf(stream)
-	plain := NewCountMin(CountMinOpts{Depth: 4, Width: 512})
-	cons := NewCountMin(CountMinOpts{Depth: 4, Width: 512, Conservative: true})
-	for _, kv := range stream {
-		plain.Update(kv.Key, kv.Count)
-		cons.Update(kv.Key, kv.Count)
-	}
-	var plainErr, consErr int64
-	for key, want := range truth {
-		plainErr += plain.Estimate(key) - want
-		consErr += cons.Estimate(key) - want
-	}
-	if consErr > plainErr {
-		t.Errorf("conservative total error %d exceeds plain %d", consErr, plainErr)
-	}
-}
-
-func TestCountMinDefaultsAndSize(t *testing.T) {
-	cm := NewCountMin(CountMinOpts{})
-	if cm.Depth() != 4 || cm.Width() != 2048 {
-		t.Errorf("defaults: depth=%d width=%d", cm.Depth(), cm.Width())
-	}
-	if cm.SizeBytes() != 4*2048*8 {
-		t.Errorf("SizeBytes = %d", cm.SizeBytes())
-	}
-}
-
-func TestCountMinResetAndTotal(t *testing.T) {
-	cm := NewCountMin(CountMinOpts{Depth: 2, Width: 64})
-	cm.Update(1, 10)
-	cm.Update(2, 20)
-	if cm.Total() != 30 {
-		t.Errorf("Total = %d", cm.Total())
-	}
-	cm.Reset()
-	if cm.Total() != 0 || cm.Estimate(1) != 0 {
-		t.Error("Reset incomplete")
-	}
-}
-
-func TestCountSketchUnbiasedOnHeavy(t *testing.T) {
-	stream := zipfStream(50000, 5000, 8)
-	truth := exactOf(stream)
-	cs := NewCountSketch(CountSketchOpts{Depth: 5, Width: 2048})
-	for _, kv := range stream {
-		cs.Update(kv.Key, kv.Count)
-	}
-	// The heaviest keys should be estimated within a few percent.
-	var heavyKey uint64
-	var heavyCount int64
-	for k, v := range truth {
-		if v > heavyCount {
-			heavyKey, heavyCount = k, v
-		}
-	}
-	got := cs.Estimate(heavyKey)
-	relErr := float64(got-heavyCount) / float64(heavyCount)
-	if relErr < -0.05 || relErr > 0.05 {
-		t.Errorf("heavy key estimate %d vs true %d (rel err %.3f)", got, heavyCount, relErr)
-	}
-}
-
-func TestCountSketchL2(t *testing.T) {
-	cs := NewCountSketch(CountSketchOpts{Depth: 5, Width: 4096})
-	var trueL2 int64
-	for i := uint64(0); i < 100; i++ {
-		w := int64(i + 1)
-		cs.Update(i, w)
-		trueL2 += w * w
-	}
-	got := cs.L2Estimate()
-	rel := float64(got-trueL2) / float64(trueL2)
-	if rel < -0.2 || rel > 0.2 {
-		t.Errorf("L2 estimate %d vs true %d (rel %.3f)", got, trueL2, rel)
-	}
-}
-
-func TestCountSketchResetAndSize(t *testing.T) {
-	cs := NewCountSketch(CountSketchOpts{Depth: 3, Width: 128})
-	cs.Update(5, 100)
-	if cs.Total() != 100 {
-		t.Error("Total")
-	}
-	cs.Reset()
-	if cs.Total() != 0 || cs.Estimate(5) != 0 {
-		t.Error("Reset incomplete")
-	}
-	if cs.SizeBytes() != 3*128*8 {
-		t.Errorf("SizeBytes = %d", cs.SizeBytes())
-	}
-}
-
 func TestTrackerInterfaceCompliance(t *testing.T) {
 	// Compile-time + runtime checks that our trackers satisfy Tracker.
 	for _, tr := range []Tracker{NewExact(0), NewSpaceSaving(8)} {
@@ -449,8 +338,6 @@ func TestTrackerInterfaceCompliance(t *testing.T) {
 			t.Errorf("%T Tracked size", tr)
 		}
 	}
-	var _ Sketch = NewCountMin(CountMinOpts{})
-	var _ Sketch = NewCountSketch(CountSketchOpts{})
 }
 
 func BenchmarkSpaceSavingUpdate(b *testing.B) {
@@ -472,39 +359,6 @@ func BenchmarkHeapSpaceSavingUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		kv := stream[i&(1<<16-1)]
 		ss.Update(kv.Key, kv.Count)
-	}
-}
-
-func BenchmarkCountMinUpdate(b *testing.B) {
-	stream := zipfStream(1<<16, 1<<14, 11)
-	cm := NewCountMin(CountMinOpts{Depth: 4, Width: 4096})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv := stream[i&(1<<16-1)]
-		cm.Update(kv.Key, kv.Count)
-	}
-}
-
-func BenchmarkCountMinConservativeUpdate(b *testing.B) {
-	stream := zipfStream(1<<16, 1<<14, 12)
-	cm := NewCountMin(CountMinOpts{Depth: 4, Width: 4096, Conservative: true})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv := stream[i&(1<<16-1)]
-		cm.Update(kv.Key, kv.Count)
-	}
-}
-
-func BenchmarkCountSketchUpdate(b *testing.B) {
-	stream := zipfStream(1<<16, 1<<14, 13)
-	cs := NewCountSketch(CountSketchOpts{Depth: 5, Width: 4096})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		kv := stream[i&(1<<16-1)]
-		cs.Update(kv.Key, kv.Count)
 	}
 }
 

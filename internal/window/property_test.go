@@ -49,32 +49,3 @@ func TestSlideRandomConfigsMatchBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestTumblePacketsNeverDropsInSpanPackets verifies conservation: every
-// in-span packet is delivered to onPacket exactly once regardless of
-// window configuration.
-func TestTumblePacketsNeverDropsInSpanPackets(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	f := func(widthSteps uint8, n uint16) bool {
-		width := time.Duration(1+int(widthSteps%9)) * 250 * time.Millisecond
-		span := int64(width) * int64(2+widthSteps%5)
-		pkts := make([]trace.Packet, int(n)%1500+1)
-		want := 0
-		for i := range pkts {
-			pkts[i] = trace.Packet{Ts: rng.Int63n(span * 2), Size: 100}
-			if pkts[i].Ts < span-span%int64(width) {
-				want++
-			}
-		}
-		trace.SortByTime(pkts)
-		got := 0
-		err := TumblePackets(trace.NewSliceSource(pkts),
-			Config{Width: width, End: span},
-			func(*trace.Packet) { got++ },
-			func(Span) error { return nil })
-		return err == nil && got == want
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}

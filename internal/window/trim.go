@@ -173,67 +173,3 @@ func TrimmedTumble(src trace.Source, cfg TrimConfig, fn func(*TrimResult) error)
 	}
 	return flushThrough(positions)
 }
-
-// Span describes one tumbling window boundary for streaming engines.
-type Span struct {
-	Index   int
-	Start   int64 // inclusive, ns
-	End     int64 // exclusive, ns
-	Packets int
-	Bytes   int64
-}
-
-// TumblePackets drives a streaming (per-packet) detector through disjoint
-// windows: onPacket is called for every in-span packet, onWindow at every
-// window close (including empty windows), in time order. The caller
-// queries and resets its engine inside onWindow — exactly the
-// data-structure-reset-per-window discipline the paper describes for
-// match-action implementations.
-func TumblePackets(src trace.Source, cfg Config, onPacket func(*trace.Packet), onWindow func(Span) error) error {
-	cfg.setDefaults()
-	cfg.Step = cfg.Width
-	if err := cfg.validate(); err != nil {
-		return err
-	}
-	width := int64(cfg.Width)
-	positions := cfg.Count()
-	cur := Span{Start: cfg.Origin, End: cfg.Origin + width}
-
-	flushThrough := func(idx int) error {
-		for cur.Index < idx && cur.Index < positions {
-			if err := onWindow(cur); err != nil {
-				return err
-			}
-			cur = Span{
-				Index: cur.Index + 1,
-				Start: cur.End,
-				End:   cur.End + width,
-			}
-		}
-		return nil
-	}
-
-	var p trace.Packet
-	for {
-		err := src.Next(&p)
-		if err != nil {
-			if errors.Is(err, io.EOF) {
-				break
-			}
-			return err
-		}
-		if p.Ts < cfg.Origin || p.Ts >= cfg.Origin+int64(positions)*width {
-			continue
-		}
-		idx := int((p.Ts - cfg.Origin) / width)
-		if idx > cur.Index {
-			if err := flushThrough(idx); err != nil {
-				return err
-			}
-		}
-		onPacket(&p)
-		cur.Packets++
-		cur.Bytes += cfg.Weight(&p)
-	}
-	return flushThrough(positions)
-}

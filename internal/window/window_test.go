@@ -355,64 +355,6 @@ func TestTrimmedTumbleCallbackError(t *testing.T) {
 	}
 }
 
-func TestTumblePacketsAgreesWithTumble(t *testing.T) {
-	pkts := mkTrace(3000, 9*time.Second, 7)
-	cfg := Config{Width: 2 * time.Second, End: int64(8 * time.Second)}
-
-	type span struct {
-		packets int
-		bytes   int64
-	}
-	var fromTumble []span
-	err := Tumble(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
-		fromTumble = append(fromTumble, span{r.Packets, r.Bytes})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var fromStream []span
-	perPacket := 0
-	err = TumblePackets(trace.NewSliceSource(pkts), cfg,
-		func(p *trace.Packet) { perPacket++ },
-		func(s Span) error {
-			fromStream = append(fromStream, span{s.Packets, s.Bytes})
-			if s.End-s.Start != int64(cfg.Width) {
-				t.Fatalf("span width %d", s.End-s.Start)
-			}
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromStream) != len(fromTumble) {
-		t.Fatalf("window counts differ: %d vs %d", len(fromStream), len(fromTumble))
-	}
-	totalPk := 0
-	for i := range fromStream {
-		if fromStream[i] != fromTumble[i] {
-			t.Fatalf("window %d: %+v vs %+v", i, fromStream[i], fromTumble[i])
-		}
-		totalPk += fromStream[i].packets
-	}
-	if perPacket != totalPk {
-		t.Fatalf("onPacket calls %d != sum of window packets %d", perPacket, totalPk)
-	}
-}
-
-func TestTumblePacketsWindowError(t *testing.T) {
-	pkts := mkTrace(100, 4*time.Second, 9)
-	boom := errors.New("boom")
-	err := TumblePackets(trace.NewSliceSource(pkts),
-		Config{Width: time.Second, End: int64(4 * time.Second)},
-		func(*trace.Packet) {},
-		func(Span) error { return boom })
-	if !errors.Is(err, boom) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 func BenchmarkSlide(b *testing.B) {
 	pkts := mkTrace(200000, 60*time.Second, 10)
 	cfg := Config{Width: 10 * time.Second, Step: time.Second, End: int64(60 * time.Second)}

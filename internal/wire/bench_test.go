@@ -17,7 +17,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeSpaceSaving(EncodeSpaceSaving(s)); err != nil {
+			if _, err := Decode(EncodeSpaceSaving(s)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -30,7 +30,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := DecodeExact(EncodeExact(h, e)); err != nil {
+			if _, err := Decode(EncodeExact(h, e)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -42,7 +42,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodePerLevel(EncodePerLevel(p)); err != nil {
+			if _, err := Decode(EncodePerLevel(p)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -54,7 +54,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeRHHH(EncodeRHHH(d)); err != nil {
+			if _, err := Decode(EncodeRHHH(d)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -66,7 +66,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeSliding(EncodeSliding(d)); err != nil {
+			if _, err := Decode(EncodeSliding(d)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -78,7 +78,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := DecodeMemento(EncodeMemento(d)); err != nil {
+			if _, err := Decode(EncodeMemento(d)); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -97,7 +97,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := DecodeFilter(frame); err != nil {
+			if _, err := Decode(frame); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -116,7 +116,7 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := DecodeContinuous(frame); err != nil {
+			if _, err := Decode(frame); err != nil {
 				b.Fatal(err)
 			}
 		}

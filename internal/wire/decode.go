@@ -72,18 +72,6 @@ func (f Frame) Decode() (any, error) {
 	return v, nil
 }
 
-// expect parses the frame and verifies it carries the wanted kind.
-func expect(frame []byte, want Kind) (Header, []byte, error) {
-	hdr, payload, err := parseFrame(frame)
-	if err != nil {
-		return Header{}, nil, err
-	}
-	if hdr.Kind != want {
-		return Header{}, nil, fmt.Errorf("%w: got %v, want %v", ErrKind, hdr.Kind, want)
-	}
-	return hdr, payload, nil
-}
-
 // decodeSS reads one Space-Saving sub-payload at the cursor and
 // restores it, charging the frame's summary and capacity budgets.
 func decodeSS(c *cursor) (*sketch.SpaceSaving, error) {
@@ -136,15 +124,6 @@ func boundTime(v int64) error {
 	return nil
 }
 
-// DecodeSpaceSaving decodes a KindSpaceSaving frame.
-func DecodeSpaceSaving(frame []byte) (*sketch.SpaceSaving, error) {
-	_, payload, err := expect(frame, KindSpaceSaving)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSpaceSavingPayload(payload)
-}
-
 func decodeSpaceSavingPayload(payload []byte) (*sketch.SpaceSaving, error) {
 	c := newCursor(payload)
 	s, err := decodeSS(c)
@@ -155,16 +134,6 @@ func decodeSpaceSavingPayload(payload []byte) (*sketch.SpaceSaving, error) {
 		return nil, err
 	}
 	return s, nil
-}
-
-// DecodeExact decodes a KindExact frame into the exact leaf map and the
-// hierarchy it was collected under.
-func DecodeExact(frame []byte) (*sketch.Exact, addr.Hierarchy, error) {
-	hdr, payload, err := expect(frame, KindExact)
-	if err != nil {
-		return nil, addr.Hierarchy{}, err
-	}
-	return decodeExactPayload(hdr, payload)
 }
 
 func decodeExactPayload(hdr Header, payload []byte) (*sketch.Exact, addr.Hierarchy, error) {
@@ -200,15 +169,6 @@ func decodeExactPayload(hdr Header, payload []byte) (*sketch.Exact, addr.Hierarc
 	return ex, h, nil
 }
 
-// DecodePerLevel decodes a KindPerLevel frame.
-func DecodePerLevel(frame []byte) (*hhh.PerLevel, error) {
-	hdr, payload, err := expect(frame, KindPerLevel)
-	if err != nil {
-		return nil, err
-	}
-	return decodePerLevelPayload(hdr, payload)
-}
-
 func decodePerLevelPayload(hdr Header, payload []byte) (*hhh.PerLevel, error) {
 	h, err := hdr.Hierarchy()
 	if err != nil {
@@ -237,15 +197,6 @@ func decodePerLevelPayload(hdr Header, payload []byte) (*hhh.PerLevel, error) {
 		return nil, corrupt(err)
 	}
 	return p, nil
-}
-
-// DecodeRHHH decodes a KindRHHH frame.
-func DecodeRHHH(frame []byte) (*hhh.RHHH, error) {
-	hdr, payload, err := expect(frame, KindRHHH)
-	if err != nil {
-		return nil, err
-	}
-	return decodeRHHHPayload(hdr, payload)
 }
 
 func decodeRHHHPayload(hdr Header, payload []byte) (*hhh.RHHH, error) {
@@ -299,16 +250,6 @@ func slidingGeometry(c *cursor) (window time.Duration, frames, counters int, err
 		return 0, 0, 0, fmt.Errorf("%w: %d counters out of budget", ErrCorrupt, counters)
 	}
 	return time.Duration(windowNs), frames, counters, nil
-}
-
-// DecodeSliding decodes a KindSliding frame.
-func DecodeSliding(frame []byte) (*swhh.SlidingHHH, error) {
-	f, err := Verify(frame)
-	if err != nil {
-		return nil, err
-	}
-	d, _, _, err := f.RestoreSliding(nil, Frame{})
-	return d, err
 }
 
 // RestoreSliding brings d to the state sealed in f, a KindSliding frame,
@@ -417,15 +358,6 @@ func (f Frame) RestoreSliding(d *swhh.SlidingHHH, prev Frame) (_ *swhh.SlidingHH
 		return nil, 0, 0, err
 	}
 	return d, restored, skipped, nil
-}
-
-// DecodeMemento decodes a KindMemento frame.
-func DecodeMemento(frame []byte) (*swhh.MementoHHH, error) {
-	hdr, payload, err := expect(frame, KindMemento)
-	if err != nil {
-		return nil, err
-	}
-	return decodeMementoPayload(hdr, payload)
 }
 
 func decodeMementoPayload(hdr Header, payload []byte) (*swhh.MementoHHH, error) {
@@ -571,15 +503,6 @@ func filterColumns(c *cursor, st *tdbf.FilterState) error {
 	return nil
 }
 
-// DecodeFilter decodes a KindFilter frame.
-func DecodeFilter(frame []byte) (*tdbf.Filter, error) {
-	_, payload, err := expect(frame, KindFilter)
-	if err != nil {
-		return nil, err
-	}
-	return decodeFilterPayload(payload)
-}
-
 func decodeFilterPayload(payload []byte) (*tdbf.Filter, error) {
 	c := newCursor(payload)
 	d, err := readDecay(c)
@@ -611,15 +534,6 @@ func decodeFilterPayload(payload []byte) (*tdbf.Filter, error) {
 		return nil, corrupt(err)
 	}
 	return f, nil
-}
-
-// DecodeContinuous decodes a KindContinuous frame.
-func DecodeContinuous(frame []byte) (*continuous.Detector, error) {
-	hdr, payload, err := expect(frame, KindContinuous)
-	if err != nil {
-		return nil, err
-	}
-	return decodeContinuousPayload(hdr, payload)
 }
 
 func decodeContinuousPayload(hdr Header, payload []byte) (*continuous.Detector, error) {

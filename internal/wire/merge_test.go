@@ -64,9 +64,9 @@ func mergeEquivalence[T any](
 	}
 }
 
-func mustDecode[T any](t *testing.T, f func([]byte) (T, error)) func([]byte) T {
+func mustDecode[T any](t *testing.T) func([]byte) T {
 	return func(frame []byte) T {
-		v, err := f(frame)
+		v, err := decodeAs[T](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -80,7 +80,7 @@ func TestMergeEquivalence(t *testing.T) {
 			func(seed uint64) *sketch.SpaceSaving { return testSpaceSaving(seed, 300) },
 			EncodeSpaceSaving,
 			func(dst, src *sketch.SpaceSaving) { dst.Merge(src) },
-			mustDecode(t, DecodeSpaceSaving),
+			mustDecode[*sketch.SpaceSaving](t),
 		)
 	})
 	t.Run("exact", func(t *testing.T) {
@@ -90,7 +90,7 @@ func TestMergeEquivalence(t *testing.T) {
 			func(e *sketch.Exact) []byte { return EncodeExact(h, e) },
 			func(dst, src *sketch.Exact) { dst.AddAll(src) },
 			func(frame []byte) *sketch.Exact {
-				e, gh, err := DecodeExact(frame)
+				e, gh, err := decodeExact(frame)
 				if err != nil {
 					t.Fatalf("decode: %v", err)
 				}
@@ -112,7 +112,7 @@ func TestMergeEquivalence(t *testing.T) {
 				func(seed uint64) *hhh.PerLevel { return testPerLevelH(h, seed) },
 				EncodePerLevel,
 				func(dst, src *hhh.PerLevel) { dst.Merge(src) },
-				mustDecode(t, DecodePerLevel),
+				mustDecode[*hhh.PerLevel](t),
 			)
 		})
 		t.Run("rhhh-"+name, func(t *testing.T) {
@@ -120,7 +120,7 @@ func TestMergeEquivalence(t *testing.T) {
 				func(seed uint64) *hhh.RHHH { return testRHHHH(h, seed) },
 				EncodeRHHH,
 				func(dst, src *hhh.RHHH) { dst.Merge(src) },
-				mustDecode(t, DecodeRHHH),
+				mustDecode[*hhh.RHHH](t),
 			)
 		})
 		t.Run("sliding-"+name, func(t *testing.T) {
@@ -128,7 +128,7 @@ func TestMergeEquivalence(t *testing.T) {
 				func(seed uint64) *swhh.SlidingHHH { return testSlidingH(h, seed) },
 				EncodeSliding,
 				func(dst, src *swhh.SlidingHHH) { dst.Merge(src) },
-				mustDecode(t, DecodeSliding),
+				mustDecode[*swhh.SlidingHHH](t),
 			)
 		})
 		t.Run("memento-"+name, func(t *testing.T) {
@@ -136,7 +136,7 @@ func TestMergeEquivalence(t *testing.T) {
 				func(seed uint64) *swhh.MementoHHH { return testMementoH(h, seed) },
 				EncodeMemento,
 				func(dst, src *swhh.MementoHHH) { dst.Merge(src) },
-				mustDecode(t, DecodeMemento),
+				mustDecode[*swhh.MementoHHH](t),
 			)
 		})
 		t.Run("continuous-"+name, func(t *testing.T) {
@@ -164,7 +164,7 @@ func TestMergeEquivalence(t *testing.T) {
 					return frame
 				},
 				func(dst, src *continuous.Detector) { dst.Merge(src) },
-				mustDecode(t, DecodeContinuous),
+				mustDecode[*continuous.Detector](t),
 			)
 		})
 	}
@@ -188,7 +188,7 @@ func TestMergeEquivalence(t *testing.T) {
 				return frame
 			},
 			func(dst, src *tdbf.Filter) { dst.Merge(src) },
-			mustDecode(t, DecodeFilter),
+			mustDecode[*tdbf.Filter](t),
 		)
 	})
 }
@@ -211,9 +211,9 @@ func TestMergedQueryMatchesUnsharded(t *testing.T) {
 		whole.Update(a, w)
 		shards[(a.Lo()^a.Hi())%mergeShards].Update(a, w)
 	}
-	merged := mustDecode(t, DecodePerLevel)(EncodePerLevel(shards[0]))
+	merged := mustDecode[*hhh.PerLevel](t)(EncodePerLevel(shards[0]))
 	for _, s := range shards[1:] {
-		merged.Merge(mustDecode(t, DecodePerLevel)(EncodePerLevel(s)))
+		merged.Merge(mustDecode[*hhh.PerLevel](t)(EncodePerLevel(s)))
 	}
 	want := whole.QueryFraction(0.05)
 	got := merged.QueryFraction(0.05)

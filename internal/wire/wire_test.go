@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -16,6 +17,27 @@ import (
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/tdbf"
 )
+
+// decodeAs decodes frame through Decode, the codec's one entry, and
+// asserts the summary type the test expects back.
+func decodeAs[T any](frame []byte) (T, error) {
+	v, err := Decode(frame)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	got, ok := v.(T)
+	if !ok {
+		return got, fmt.Errorf("Decode returned %T", v)
+	}
+	return got, nil
+}
+
+// decodeExact unpacks a KindExact frame's ExactSummary.
+func decodeExact(frame []byte) (*sketch.Exact, addr.Hierarchy, error) {
+	ex, err := decodeAs[ExactSummary](frame)
+	return ex.Leaves, ex.Hierarchy, err
+}
 
 // splitmix is a tiny deterministic stream for building test fixtures.
 type splitmix uint64
@@ -179,7 +201,7 @@ func TestRoundTrip(t *testing.T) {
 		s := testSpaceSaving(1, 300)
 		frame := EncodeSpaceSaving(s)
 		sizedUpFront(t, frame)
-		got, err := DecodeSpaceSaving(frame)
+		got, err := decodeAs[*sketch.SpaceSaving](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -196,7 +218,7 @@ func TestRoundTrip(t *testing.T) {
 		e := testExact(2, 300)
 		frame := EncodeExact(h, e)
 		sizedUpFront(t, frame)
-		got, gh, err := DecodeExact(frame)
+		got, gh, err := decodeExact(frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -215,7 +237,7 @@ func TestRoundTrip(t *testing.T) {
 		p := testPerLevel(3)
 		frame := EncodePerLevel(p)
 		sizedUpFront(t, frame)
-		got, err := DecodePerLevel(frame)
+		got, err := decodeAs[*hhh.PerLevel](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -230,7 +252,7 @@ func TestRoundTrip(t *testing.T) {
 		d := testRHHH(4)
 		frame := EncodeRHHH(d)
 		sizedUpFront(t, frame)
-		got, err := DecodeRHHH(frame)
+		got, err := decodeAs[*hhh.RHHH](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -245,7 +267,7 @@ func TestRoundTrip(t *testing.T) {
 		d := testSliding(5)
 		frame := EncodeSliding(d)
 		sizedUpFront(t, frame)
-		got, err := DecodeSliding(frame)
+		got, err := decodeAs[*swhh.SlidingHHH](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -262,7 +284,7 @@ func TestRoundTrip(t *testing.T) {
 		d := testMemento(6)
 		frame := EncodeMemento(d)
 		sizedUpFront(t, frame)
-		got, err := DecodeMemento(frame)
+		got, err := decodeAs[*swhh.MementoHHH](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -280,7 +302,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("encode: %v", err)
 		}
 		sizedUpFront(t, frame)
-		got, err := DecodeFilter(frame)
+		got, err := decodeAs[*tdbf.Filter](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -309,7 +331,7 @@ func TestRoundTrip(t *testing.T) {
 			t.Fatalf("encode: %v", err)
 		}
 		sizedUpFront(t, frame)
-		got, err := DecodeContinuous(frame)
+		got, err := decodeAs[*continuous.Detector](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -434,9 +456,14 @@ func TestTypedErrors(t *testing.T) {
 		})
 	}
 
+	// The one typed entry left beside Decode takes a frame of one kind only.
 	t.Run("kind-mismatch", func(t *testing.T) {
-		if _, err := DecodeRHHH(good); !errors.Is(err, ErrKind) {
-			t.Fatalf("DecodeRHHH(per-level frame) = %v, want ErrKind", err)
+		f, err := Verify(good)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := f.RestoreSliding(nil, Frame{}); !errors.Is(err, ErrKind) {
+			t.Fatalf("RestoreSliding(per-level frame) = %v, want ErrKind", err)
 		}
 	})
 }
