@@ -12,22 +12,17 @@ package main
 
 import (
 	"bytes"
-	"context"
 	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
-	"os"
-	"os/signal"
 	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"hiddenhhh"
-	"hiddenhhh/internal/telemetry"
 )
 
 // maxFrameBody bounds an /ingest request body; the wire codec's own
@@ -157,8 +152,7 @@ type aggServer struct {
 	window  time.Duration
 	started time.Time
 	reg     *hiddenhhh.MetricsRegistry
-	httpReq *telemetry.CounterVec
-	httpLat *telemetry.HistogramVec
+	http    httpMetrics
 }
 
 func newAggServer(expected int, phi float64, window time.Duration, grace time.Duration) (*aggServer, error) {
@@ -179,13 +173,8 @@ func newAggServer(expected int, phi float64, window time.Duration, grace time.Du
 		started: time.Now(),
 		reg:     reg,
 	}
-	reg.GaugeFunc("hhh_server_uptime_seconds",
-		"Wall-clock seconds since the server started.",
-		func() float64 { return time.Since(s.started).Seconds() })
-	s.httpReq = reg.CounterVec("hhh_http_requests_total",
-		"HTTP requests served, by route.", "route")
-	s.httpLat = reg.HistogramVec("hhh_http_request_seconds",
-		"HTTP request handling latency, by route.", telemetry.LatencyBuckets, "route")
+	registerUptime(reg, s.started)
+	s.http = newHTTPMetrics(reg)
 	return s, nil
 }
 
@@ -250,7 +239,7 @@ type aggHHHResponse struct {
 
 func (s *aggServer) handleHHH(w http.ResponseWriter, r *http.Request) {
 	rep := s.agg.Report()
-	resp := aggHHHResponse{
+	writeJSON(w, aggHHHResponse{
 		StartNs:  rep.Start,
 		EndNs:    rep.End,
 		Bytes:    rep.Bytes,
@@ -260,20 +249,8 @@ func (s *aggServer) handleHHH(w http.ResponseWriter, r *http.Request) {
 		Degraded: rep.Degraded,
 		Seq:      rep.Seq,
 		Count:    rep.Set.Len(),
-		Items:    make([]hhhItem, 0, rep.Set.Len()),
-	}
-	for _, it := range rep.Set.Items() {
-		item := hhhItem{
-			Prefix:      it.Prefix.String(),
-			Bytes:       it.Count,
-			Conditioned: it.Conditioned,
-		}
-		if rep.Bytes > 0 {
-			item.Share = float64(it.Conditioned) / float64(rep.Bytes)
-		}
-		resp.Items = append(resp.Items, item)
-	}
-	writeJSON(w, resp)
+		Items:    renderItems(rep.Set, rep.Bytes),
+	})
 }
 
 // aggStatsResponse is the aggregator's /stats payload.
@@ -318,31 +295,13 @@ func (s *aggServer) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-func (s *aggServer) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := hiddenhhh.WriteMetrics(w, s.reg); err != nil {
-		log.Printf("hhhserve: /metrics write: %v", err)
-	}
-}
-
-func (s *aggServer) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	reqs := s.httpReq.With(route)
-	lat := s.httpLat.With(route)
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		h(w, r)
-		reqs.Inc()
-		lat.Observe(time.Since(t0).Seconds())
-	}
-}
-
 func (s *aggServer) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/ingest", s.instrument("/ingest", s.handleIngest))
-	mux.HandleFunc("/hhh", s.instrument("/hhh", s.handleHHH))
-	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
+	mux.HandleFunc("/ingest", s.http.instrument("/ingest", s.handleIngest))
+	mux.HandleFunc("/hhh", s.http.instrument("/hhh", s.handleHHH))
+	mux.HandleFunc("/stats", s.http.instrument("/stats", s.handleStats))
+	mux.HandleFunc("/healthz", s.http.instrument("/healthz", s.handleHealthz))
+	mux.HandleFunc("/metrics", s.http.instrument("/metrics", metricsHandler(s.reg)))
 	return mux
 }
 
@@ -353,27 +312,8 @@ func runAggregate(addr string, expected int, phi float64, window, grace time.Dur
 	if err != nil {
 		log.Fatal("hhhserve: ", err)
 	}
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           withRecovery(s.mux()),
-		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      30 * time.Second,
-	}
-	go func() {
-		log.Printf("hhhserve: aggregating on %s (expecting %d ingest nodes, phi %.3g)",
-			addr, expected, phi)
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatal("hhhserve: ", err)
-		}
-	}()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Print("hhhserve: shutting down")
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Print("hhhserve: http shutdown: ", err)
-	}
+	log.Printf("hhhserve: aggregating on %s (expecting %d ingest nodes, phi %.3g)",
+		addr, expected, phi)
+	serveUntilSignal(addr, s.mux(), func() {})
 	s.agg.Close()
 }

@@ -63,8 +63,7 @@ type server struct {
 	// families.
 	reg     *hiddenhhh.MetricsRegistry
 	watcher *hiddenhhh.AttackWatcher
-	httpReq *telemetry.CounterVec
-	httpLat *telemetry.HistogramVec
+	http    httpMetrics
 	// nextSample is the next trace timestamp at which the ingest loop
 	// snapshots the detector and feeds the watcher (once per window; run
 	// goroutine only).
@@ -99,19 +98,14 @@ func newServer(det hiddenhhh.ShardedDetector, window time.Duration, phi float64,
 		watcher: hiddenhhh.NewAttackWatcher(wcfg),
 	}
 	s.watcher.Register(reg)
-	reg.GaugeFunc("hhh_server_uptime_seconds",
-		"Wall-clock seconds since the server started.",
-		func() float64 { return time.Since(s.started).Seconds() })
+	registerUptime(reg, s.started)
 	reg.GaugeFunc("hhh_server_trace_time_seconds",
 		"Highest ingested trace timestamp, in seconds of trace time.",
 		func() float64 { return float64(s.lastTs.Load()) / float64(time.Second) })
 	reg.CounterFunc("hhh_server_trace_laps_total",
 		"Completed replay laps over the ingest trace.",
 		s.laps.Load)
-	s.httpReq = reg.CounterVec("hhh_http_requests_total",
-		"HTTP requests served, by route.", "route")
-	s.httpLat = reg.HistogramVec("hhh_http_request_seconds",
-		"HTTP request handling latency, by route.", telemetry.LatencyBuckets, "route")
+	s.http = newHTTPMetrics(reg)
 	return s
 }
 
@@ -191,6 +185,24 @@ type hhhItem struct {
 	Share       float64 `json:"share"`
 }
 
+// renderItems shapes a reported set for /hhh, each item's share taken of
+// total, the report's threshold denominator.
+func renderItems(set hiddenhhh.Set, total int64) []hhhItem {
+	items := make([]hhhItem, 0, set.Len())
+	for _, it := range set.Items() {
+		item := hhhItem{
+			Prefix:      it.Prefix.String(),
+			Bytes:       it.Count,
+			Conditioned: it.Conditioned,
+		}
+		if total > 0 {
+			item.Share = float64(it.Conditioned) / float64(total)
+		}
+		items = append(items, item)
+	}
+	return items
+}
+
 type hhhResponse struct {
 	TraceTimeNs int64     `json:"trace_time_ns"`
 	WindowNs    int64     `json:"window_ns"`
@@ -210,27 +222,14 @@ func (s *server) handleHHH(w http.ResponseWriter, r *http.Request) {
 	// fresh merge at least once per window (sampleEvents), so the report
 	// is at most one window stale.
 	rep := s.det.LastWindow()
-	set, windowBytes := rep.Set, rep.Bytes
-	resp := hhhResponse{
+	writeJSON(w, hhhResponse{
 		TraceTimeNs: now,
 		WindowNs:    int64(s.window),
-		WindowBytes: windowBytes,
+		WindowBytes: rep.Bytes,
 		Phi:         s.phi,
-		Count:       set.Len(),
-		Items:       make([]hhhItem, 0, set.Len()),
-	}
-	for _, it := range set.Items() {
-		item := hhhItem{
-			Prefix:      it.Prefix.String(),
-			Bytes:       it.Count,
-			Conditioned: it.Conditioned,
-		}
-		if windowBytes > 0 {
-			item.Share = float64(it.Conditioned) / float64(windowBytes)
-		}
-		resp.Items = append(resp.Items, item)
-	}
-	writeJSON(w, resp)
+		Count:       rep.Set.Len(),
+		Items:       renderItems(rep.Set, rep.Bytes),
+	})
 }
 
 type statsResponse struct {
@@ -317,20 +316,45 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleMetrics serves the registry in Prometheus text format.
-func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := hiddenhhh.WriteMetrics(w, s.reg); err != nil {
-		log.Printf("hhhserve: /metrics write: %v", err)
+// registerUptime puts the process uptime gauge both roles export on reg.
+func registerUptime(reg *hiddenhhh.MetricsRegistry, started time.Time) {
+	reg.GaugeFunc("hhh_server_uptime_seconds",
+		"Wall-clock seconds since the server started.",
+		func() float64 { return time.Since(started).Seconds() })
+}
+
+// metricsHandler serves reg in Prometheus text format.
+func metricsHandler(reg *hiddenhhh.MetricsRegistry) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		if err := hiddenhhh.WriteMetrics(w, reg); err != nil {
+			log.Printf("hhhserve: /metrics write: %v", err)
+		}
+	}
+}
+
+// httpMetrics is the per-route HTTP metric families of either role's
+// server.
+type httpMetrics struct {
+	reqs *telemetry.CounterVec
+	lat  *telemetry.HistogramVec
+}
+
+func newHTTPMetrics(reg *hiddenhhh.MetricsRegistry) httpMetrics {
+	return httpMetrics{
+		reqs: reg.CounterVec("hhh_http_requests_total",
+			"HTTP requests served, by route.", "route"),
+		lat: reg.HistogramVec("hhh_http_request_seconds",
+			"HTTP request handling latency, by route.", telemetry.LatencyBuckets, "route"),
 	}
 }
 
 // instrument wraps one route with its request counter and latency
 // histogram (handles cached at registration; the handler path adds one
 // atomic increment and one histogram observation).
-func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
-	reqs := s.httpReq.With(route)
-	lat := s.httpLat.With(route)
+func (m httpMetrics) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
+	reqs := m.reqs.With(route)
+	lat := m.lat.With(route)
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		h(w, r)
@@ -341,11 +365,11 @@ func (s *server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 
 func (s *server) mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/hhh", s.instrument("/hhh", s.handleHHH))
-	mux.HandleFunc("/stats", s.instrument("/stats", s.handleStats))
-	mux.HandleFunc("/healthz", s.instrument("/healthz", s.handleHealthz))
-	mux.HandleFunc("/events", s.instrument("/events", s.handleEvents))
-	mux.HandleFunc("/metrics", s.instrument("/metrics", s.handleMetrics))
+	mux.HandleFunc("/hhh", s.http.instrument("/hhh", s.handleHHH))
+	mux.HandleFunc("/stats", s.http.instrument("/stats", s.handleStats))
+	mux.HandleFunc("/healthz", s.http.instrument("/healthz", s.handleHealthz))
+	mux.HandleFunc("/events", s.http.instrument("/events", s.handleEvents))
+	mux.HandleFunc("/metrics", s.http.instrument("/metrics", metricsHandler(s.reg)))
 	if s.pprof {
 		// The stock pprof handlers register on DefaultServeMux at import;
 		// this server uses its own mux, so the profiles stay unreachable
@@ -372,6 +396,36 @@ func withRecovery(next http.Handler) http.Handler {
 		}()
 		next.ServeHTTP(w, r)
 	})
+}
+
+// serveUntilSignal serves handler on addr until SIGINT or SIGTERM, then
+// runs stop — which ends whatever feeds the state the handlers read — and
+// drains in-flight requests: Shutdown (unlike Close) lets a running /hhh
+// finish, so the caller releases that state only after this returns.
+func serveUntilSignal(addr string, handler http.Handler, stop func()) {
+	httpSrv := &http.Server{
+		Addr:    addr,
+		Handler: withRecovery(handler),
+		// Slow-client ceilings so a wedged peer cannot pin a handler (and
+		// the detector lock behind it) indefinitely.
+		ReadHeaderTimeout: 5 * time.Second,
+		WriteTimeout:      30 * time.Second,
+	}
+	go func() {
+		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
+			log.Fatal("hhhserve: ", err)
+		}
+	}()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	<-sig
+	log.Print("hhhserve: shutting down")
+	stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := httpSrv.Shutdown(ctx); err != nil {
+		log.Print("hhhserve: http shutdown: ", err)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -551,36 +605,13 @@ func main() {
 		srv.run(pkts, span, *laps, *pps, stop)
 	}()
 
-	httpSrv := &http.Server{
-		Addr:    *addr,
-		Handler: withRecovery(srv.mux()),
-		// Slow-client ceilings so a wedged peer cannot pin a handler (and
-		// the detector lock behind it) indefinitely.
-		ReadHeaderTimeout: 5 * time.Second,
-		WriteTimeout:      30 * time.Second,
-	}
-	go func() {
-		st := det.Stats()
-		log.Printf("hhhserve: listening on %s (%d packets/lap, %d shards, mode %s, engine %s)",
-			*addr, len(pkts), st.Shards, st.Mode, st.Engine)
-		if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			log.Fatal("hhhserve: ", err)
-		}
-	}()
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	<-sig
-	log.Print("hhhserve: shutting down")
-	close(stop)
-	<-ingestDone
-	// Drain in-flight queries before tearing down the detector they read;
-	// Shutdown (unlike Close) lets a running /hhh snapshot finish.
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		log.Print("hhhserve: http shutdown: ", err)
-	}
+	st := det.Stats()
+	log.Printf("hhhserve: listening on %s (%d packets/lap, %d shards, mode %s, engine %s)",
+		*addr, len(pkts), st.Shards, st.Mode, st.Engine)
+	serveUntilSignal(*addr, srv.mux(), func() {
+		close(stop)
+		<-ingestDone
+	})
 	if err := det.Close(); err != nil {
 		log.Fatal("hhhserve: ", err)
 	}

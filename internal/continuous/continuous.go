@@ -181,23 +181,14 @@ func NewDetector(cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// Observe feeds one packet: src's generalisation chain is folded into the
-// filters at timestamp now (ns, non-decreasing), and the chain's prefixes
-// are checked for admission. Packets outside the hierarchy's address
-// family are dropped without touching the mass tracker, so a dual-stack
-// stream thresholds against its own family's mass only.
-func (d *Detector) Observe(src addr.Addr, bytes int64, now int64) {
-	if !d.cfg.Hierarchy.Match(src) {
-		return
-	}
-	d.observe(d.cfg.Hierarchy.Key(src, 0), bytes, now)
-}
-
 // ObserveKeys feeds a columnar batch of pre-packed, time-ordered leaf
-// keys. It is Observe without the address packing: both run the same
-// per-packet body on the leaf key, so the state they leave — sweep
-// instants included — does not depend on which was called or on how the
-// stream was cut into batches.
+// keys (timestamps in ns, non-decreasing), the detector's only way in:
+// each packet's generalisation chain is folded into the filters at its
+// timestamp and the chain's prefixes are checked for admission. The batch
+// is packed and filtered to the hierarchy's address family where packets
+// are staged (see trace.KeyBatch), so a dual-stack stream thresholds
+// against its own family's mass only; the state left — sweep instants
+// included — does not depend on how the stream was cut into batches.
 func (d *Detector) ObserveKeys(b *trace.KeyBatch) {
 	for i, key := range b.Keys {
 		d.observe(key, int64(b.Sizes[i]), b.Ts[i])

@@ -8,6 +8,7 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/trace"
 )
 
 const sec = int64(time.Second)
@@ -55,10 +56,10 @@ func drive(d *Detector, seconds int, heavy addr.Addr, heavyShare float64, seed i
 	for i := 0; i < seconds*pps; i++ {
 		now += step
 		if heavyShare > 0 && rng.Float64() < heavyShare {
-			d.Observe(heavy, 1000, now)
+			ingest(d, heavy, 1000, now)
 		} else {
 			// Diffuse background across the whole space.
-			d.Observe(addr.From4Uint32(rng.Uint32()), 1000, now)
+			ingest(d, addr.From4Uint32(rng.Uint32()), 1000, now)
 		}
 	}
 	return now
@@ -113,7 +114,7 @@ func TestDetectionExpiresAfterFlowStops(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 10000; i++ {
 		now += sec / 1000
-		d.Observe(addr.From4Uint32(rng.Uint32()), 1000, now)
+		ingest(d, addr.From4Uint32(rng.Uint32()), 1000, now)
 	}
 	if d.Query(now).Contains(addr.Host(heavy)) {
 		t.Fatal("stopped flow still reported after 10 tau")
@@ -135,11 +136,11 @@ func TestBoundaryStraddlingBurstIsSeen(t *testing.T) {
 	now := int64(0)
 	for i := 0; i < 20000; i++ { // 20 s of 1000 pps background
 		now += sec / 1000
-		d.Observe(addr.From4Uint32(rng.Uint32()), 1000, now)
+		ingest(d, addr.From4Uint32(rng.Uint32()), 1000, now)
 		// Burst: 9.5 s - 10.5 s, attacker sends hard (10 extra pkts/ms).
 		if now > 9500*int64(time.Millisecond) && now < 10500*int64(time.Millisecond) {
 			for j := 0; j < 10; j++ {
-				d.Observe(attacker, 1000, now)
+				ingest(d, attacker, 1000, now)
 			}
 		}
 	}
@@ -210,9 +211,9 @@ func TestHierarchicalAggregationDetectsSubnet(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		now += sec / 2000
 		if i%2 == 0 {
-			d.Observe(addr.From4Uint32(subnet.V4()|uint32(rng.Intn(256))), 1000, now) // 50% share spread over /24
+			ingest(d, addr.From4Uint32(subnet.V4()|uint32(rng.Intn(256))), 1000, now) // 50% share spread over /24
 		} else {
-			d.Observe(addr.From4Uint32(rng.Uint32()), 1000, now)
+			ingest(d, addr.From4Uint32(rng.Uint32()), 1000, now)
 		}
 	}
 	set := d.Query(now)
@@ -261,7 +262,7 @@ func TestExitEventsFire(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 10000; i++ {
 		now += sec / 1000
-		d.Observe(addr.From4Uint32(rng.Uint32()), 1000, now)
+		ingest(d, addr.From4Uint32(rng.Uint32()), 1000, now)
 	}
 	d.Query(now)
 	if exits == 0 {
@@ -274,7 +275,7 @@ func TestAccessors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Observe(addr.From4Uint32(1), 100, 1)
+	ingest(d, addr.From4Uint32(1), 100, 1)
 	if d.Packets() != 1 {
 		t.Error("Packets")
 	}
@@ -303,15 +304,26 @@ func TestQueryEmptyDetector(t *testing.T) {
 	}
 }
 
+// benchObserveKeys times ingest the way it ships: b.N packets from
+// distinct sources, one per microsecond, in 256-packet key batches.
+func benchObserveKeys(b *testing.B, d *Detector) {
+	kb := trace.NewKeyBatch(256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; {
+		kb.Reset()
+		for ; i < b.N && kb.Len() < 256; i++ {
+			kb.Append(d.cfg.Hierarchy.Key(addr.From4Uint32(uint32(i)*2654435761), 0), 1000, int64(i)*1000)
+		}
+		d.ObserveKeys(kb)
+	}
+}
+
 func BenchmarkObserve(b *testing.B) {
 	d, err := NewDetector(defaultCfg(0.05, time.Second))
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.Observe(addr.From4Uint32(uint32(i)*2654435761), 1000, int64(i)*1000)
-	}
+	benchObserveKeys(b, d)
 }
 
 func BenchmarkObserveSampled(b *testing.B) {
@@ -321,10 +333,7 @@ func BenchmarkObserveSampled(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.Observe(addr.From4Uint32(uint32(i)*2654435761), 1000, int64(i)*1000)
-	}
+	benchObserveKeys(b, d)
 }
 
 // TestMergeIdentity: merging one detector into a fresh one of the same
@@ -341,9 +350,9 @@ func TestMergeIdentity(t *testing.T) {
 	for i := 0; i < 30000; i++ {
 		now += int64(100 * time.Microsecond)
 		if i%3 == 0 {
-			src.Observe(addr.MustParseAddr("10.1.2.3"), 1000, now)
+			ingest(src, addr.MustParseAddr("10.1.2.3"), 1000, now)
 		} else {
-			src.Observe(addr.From4Uint32(rng.Uint32()), 400, now)
+			ingest(src, addr.From4Uint32(rng.Uint32()), 400, now)
 		}
 	}
 	dst, err := NewDetector(cfg)
@@ -387,8 +396,8 @@ func TestMergePartitionedShards(t *testing.T) {
 		if i%3 == 0 {
 			src, w = heavy, 1000
 		}
-		shards[src.V4()&1].Observe(src, w, now)
-		whole.Observe(src, w, now)
+		ingest(shards[src.V4()&1], src, w, now)
+		ingest(whole, src, w, now)
 	}
 	merged := mk()
 	merged.Merge(shards[0])
@@ -448,7 +457,7 @@ func TestWarmupAnchorsAtFirstPacket(t *testing.T) {
 	now := epoch
 	for i := 0; i < 12000; i++ { // 12 s at 1000 pps, heavy throughout
 		now += int64(time.Millisecond)
-		d.Observe(addr.MustParseAddr("10.0.0.1"), 1000, now)
+		ingest(d, addr.MustParseAddr("10.0.0.1"), 1000, now)
 	}
 	if len(enterTimes) == 0 {
 		t.Fatal("no detections after warmup")

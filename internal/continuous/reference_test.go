@@ -318,7 +318,7 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 				}
 				ref.Observe(p.Src, int64(p.Size), p.Ts)
 				ref.Query(p.Ts)
-				det.Observe(p.Src, int64(p.Size), p.Ts)
+				ingest(det, p.Src, int64(p.Size), p.Ts)
 				if changed || !synced {
 					changed = false
 					compare(p.Ts)

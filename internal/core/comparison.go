@@ -139,6 +139,7 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 	start := time.Now()
 	err = window.Slide(src, window.Config{
 		Width: cfg.Window, Step: cfg.Step, End: cfg.Span,
+		Key: window.BySource(cfg.Hierarchy),
 	}, func(r *window.Result) error {
 		set := hhh.Exact(r.Leaves, cfg.Hierarchy, hhh.Threshold(r.Bytes, cfg.Phi))
 		sliding.UnionInPlace(set)

@@ -289,6 +289,43 @@ func TestContinuousComparison(t *testing.T) {
 	}
 }
 
+// TestContinuousComparisonIPv6 is the regression test for the ground
+// truth's key: it must be aggregated on the configured hierarchy, not on
+// the walker's default IPv4 byte ladder — on which an all-IPv6 trace is
+// filtered out whole, the truth is empty and every detector row scores
+// recall 0, precision 0.
+func TestContinuousComparisonIPv6(t *testing.T) {
+	pkts, err := gen.Packets(gen.IPv6HitAndRunScenario(30*time.Second, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcome, err := ContinuousComparison(SliceProvider(pkts), ComparisonConfig{
+		Hierarchy: addr.NewIPv6Hierarchy(addr.Hextet),
+		Span:      int64(30 * time.Second),
+		Seed:      1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome.GroundTruth.Len() == 0 || outcome.Hidden.Len() == 0 {
+		t.Fatalf("ground truth %d, hidden %d: want both non-empty",
+			outcome.GroundTruth.Len(), outcome.Hidden.Len())
+	}
+	for p := range outcome.GroundTruth {
+		if p.Addr.Is4() {
+			t.Errorf("IPv4 prefix %v in the truth of an IPv6 hierarchy", p)
+		}
+	}
+	for _, r := range outcome.Reports {
+		if r.Name == "sliding-exact" && (r.Recall != 1 || r.Precision != 1) {
+			t.Errorf("sliding-exact should be perfect against itself: %+v", r)
+		}
+		if r.Name == "disjoint-exact" && r.HiddenRecall != 0 {
+			t.Errorf("disjoint-exact hidden recall must be 0 by construction, got %v", r.HiddenRecall)
+		}
+	}
+}
+
 func TestProviders(t *testing.T) {
 	pkts, _ := testTrace(t, 5, 8)
 	p := SliceProvider(pkts)

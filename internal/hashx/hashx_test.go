@@ -68,89 +68,6 @@ func TestSeededIndependence(t *testing.T) {
 	}
 }
 
-func TestFamilySizeAndDeterminism(t *testing.T) {
-	f := NewFamily(5, 123)
-	if f.Size() != 5 {
-		t.Fatalf("Size() = %d, want 5", f.Size())
-	}
-	g := NewFamily(5, 123)
-	for i := 0; i < 5; i++ {
-		if f.Hash(i, 99) != g.Hash(i, 99) {
-			t.Error("same master seed must reproduce the same family")
-		}
-	}
-	h := NewFamily(5, 124)
-	if f.Hash(0, 99) == h.Hash(0, 99) {
-		t.Error("different master seeds should differ")
-	}
-}
-
-func TestFamilyPanicsOnBadSize(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewFamily(0,_) should panic")
-		}
-	}()
-	NewFamily(0, 1)
-}
-
-func TestIndexRange(t *testing.T) {
-	f := NewFamily(3, 42)
-	check := func(x uint64, m int) bool {
-		if m <= 0 {
-			m = 1
-		}
-		m = m%4096 + 1
-		for i := 0; i < f.Size(); i++ {
-			idx := f.Index(i, x, m)
-			if idx < 0 || idx >= m {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(check, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestIndexUniformity(t *testing.T) {
-	f := NewFamily(1, 7)
-	const m, n = 64, 64 * 1000
-	counts := make([]int, m)
-	for x := 0; x < n; x++ {
-		counts[f.Index(0, uint64(x), m)]++
-	}
-	// Chi-squared against uniform: each bucket expects n/m = 1000.
-	var chi2 float64
-	for _, c := range counts {
-		d := float64(c - n/m)
-		chi2 += d * d / float64(n/m)
-	}
-	// 63 dof; 99.9th percentile ~ 103. Allow generous slack.
-	if chi2 > 120 {
-		t.Errorf("chi2 = %.1f over %d buckets; distribution too skewed", chi2, m)
-	}
-}
-
-func TestSignBalance(t *testing.T) {
-	f := NewFamily(2, 9)
-	plus := 0
-	const n = 10000
-	for x := 0; x < n; x++ {
-		s := f.Sign(0, uint64(x))
-		if s != 1 && s != -1 {
-			t.Fatalf("Sign returned %d", s)
-		}
-		if s == 1 {
-			plus++
-		}
-	}
-	if plus < n*45/100 || plus > n*55/100 {
-		t.Errorf("sign balance %d/%d, want ~50%%", plus, n)
-	}
-}
-
 func TestIndices2(t *testing.T) {
 	h1a, h2a := Indices2(12345, 1)
 	h1b, h2b := Indices2(12345, 1)
@@ -184,15 +101,6 @@ func BenchmarkMix64(b *testing.B) {
 	var acc uint64
 	for i := 0; i < b.N; i++ {
 		acc ^= Mix64(uint64(i))
-	}
-	_ = acc
-}
-
-func BenchmarkFamilyIndex(b *testing.B) {
-	f := NewFamily(4, 1)
-	var acc int
-	for i := 0; i < b.N; i++ {
-		acc ^= f.Index(i&3, uint64(i), 1<<16)
 	}
 	_ = acc
 }

@@ -87,21 +87,3 @@ func ExactFromCounts(counts map[addr.Addr]int64, h addr.Hierarchy, T int64) Set 
 	}
 	return Exact(e, h, T)
 }
-
-// HeavyHitters computes the plain (non-hierarchical) heavy hitter set:
-// the leaf prefixes of h whose volume reaches T. It is the "HH" half of
-// the paper's HH/HHH distinction and the ground truth for the data-plane
-// baselines.
-func HeavyHitters(leaves LeafCounter, h addr.Hierarchy, T int64) Set {
-	if T < 1 {
-		T = 1
-	}
-	out := Set{}
-	m0 := h.KeyMask(0)
-	leaves.ForEach(func(key uint64, c int64) {
-		if c >= T {
-			out.Add(Item{Prefix: h.PrefixOfKey(key&m0, 0), Count: c, Conditioned: c})
-		}
-	})
-	return out
-}

@@ -18,8 +18,10 @@
 //   - HHH set algebra (union, difference, Jaccard similarity), the basis of
 //     the paper's metrics.
 //
-// Every engine filters ingest by its hierarchy's address family (see
-// addr.Hierarchy.Match), so a dual-stack packet stream can be fed to a
+// The streaming engines take packed key batches only (UpdateKeys over a
+// trace.KeyBatch): the hierarchy's address-family filter (see
+// addr.Hierarchy.Match) and the address → leaf key packing run once, where
+// packets are staged, so a dual-stack packet stream can be fed to a
 // detector per family without pre-splitting.
 package hhh
 

@@ -7,6 +7,7 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/sketch"
+	"hiddenhhh/internal/trace"
 )
 
 func pfx(s string) addr.Prefix { return addr.MustParsePrefix(s) }
@@ -378,17 +379,6 @@ func TestExactEmpty(t *testing.T) {
 	}
 }
 
-func TestHeavyHitters(t *testing.T) {
-	h := v4ByteHierarchy()
-	e := sketch.NewExact(0)
-	e.Update(h.Key(addr.MustParseAddr("1.2.3.4"), 0), 100)
-	e.Update(h.Key(addr.MustParseAddr("5.6.7.8"), 0), 10)
-	set := HeavyHitters(e, h, 50)
-	if set.Len() != 1 || !set.Contains(pfx("1.2.3.4/32")) {
-		t.Fatalf("got %v", set)
-	}
-}
-
 func TestPerLevelExactWhenUnsaturated(t *testing.T) {
 	// With capacity >= distinct keys per level, Space-Saving is exact, so
 	// the engine must reproduce the exact HHH set bit-for-bit.
@@ -400,7 +390,7 @@ func TestPerLevelExactWhenUnsaturated(t *testing.T) {
 		exact := sketch.NewExact(len(counts))
 		var total int64
 		for a, c := range counts {
-			eng.Update(a, c)
+			ingest(eng, a, c)
 			exact.Update(h.Key(a, 0), c)
 			total += c
 		}
@@ -429,7 +419,7 @@ func TestPerLevelExactWhenUnsaturatedIPv6(t *testing.T) {
 		exact := sketch.NewExact(len(counts))
 		var total int64
 		for a, c := range counts {
-			eng.Update(a, c)
+			ingest(eng, a, c)
 			exact.Update(h.Key(a, 0), c)
 			total += c
 		}
@@ -449,12 +439,12 @@ func TestEnginesFilterOtherFamily(t *testing.T) {
 	// Feeding v6 packets to a v4 engine (and vice versa) must neither
 	// count bytes nor produce reports.
 	v4eng := NewPerLevel(v4ByteHierarchy(), 64)
-	v4eng.Update(addr.MustParseAddr("2001:db8::1"), 1000)
+	ingest(v4eng, addr.MustParseAddr("2001:db8::1"), 1000)
 	if v4eng.Total() != 0 || v4eng.Query(1).Len() != 0 {
 		t.Error("v4 PerLevel accounted a v6 packet")
 	}
 	v6eng := NewRHHH(addr.NewIPv6Hierarchy(addr.Hextet), 64, 1)
-	v6eng.Update(addr.MustParseAddr("10.0.0.1"), 1000)
+	ingest(v6eng, addr.MustParseAddr("10.0.0.1"), 1000)
 	if v6eng.Total() != 0 || v6eng.Updates() != 0 {
 		t.Error("v6 RHHH accounted a v4 packet")
 	}
@@ -471,10 +461,10 @@ func TestPerLevelNeverMissesLargeHHH(t *testing.T) {
 	var total int64
 	for i := 0; i < 50000; i++ {
 		if i%3 == 0 {
-			eng.Update(heavy, 1000)
+			ingest(eng, heavy, 1000)
 			total += 1000
 		} else {
-			eng.Update(addr.From4Uint32(rng.Uint32()), 700)
+			ingest(eng, addr.From4Uint32(rng.Uint32()), 700)
 			total += 700
 		}
 	}
@@ -493,13 +483,14 @@ func TestPerLevelNeverMissesLargeHHH(t *testing.T) {
 func TestPerLevelResetAndSize(t *testing.T) {
 	h := v4ByteHierarchy()
 	eng := NewPerLevel(h, 8)
-	eng.Update(addr.MustParseAddr("1.2.3.4"), 100)
+	ingest(eng, addr.MustParseAddr("1.2.3.4"), 100)
 	eng.Reset()
 	if eng.Total() != 0 || eng.Query(1).Len() != 0 {
 		t.Error("Reset incomplete")
 	}
-	// Exact accounting: one summary per level, as the summary reports it.
-	if want := 5 * sketch.NewSpaceSaving(8).SizeBytes(); eng.SizeBytes() != want {
+	// Exact accounting: one summary per level, as the summary reports it,
+	// plus the coalescing block an engine owns from its first batch on.
+	if want := 5*sketch.NewSpaceSaving(8).SizeBytes() + blockBytes; eng.SizeBytes() != want {
 		t.Errorf("SizeBytes = %d, want %d", eng.SizeBytes(), want)
 	}
 	if eng.Hierarchy().Levels() != 5 {
@@ -521,7 +512,7 @@ func TestRHHHFindsHeavyPrefixes(t *testing.T) {
 		} else {
 			a = addr.From4Uint32(rng.Uint32())
 		}
-		eng.Update(a, 1000)
+		ingest(eng, a, 1000)
 		total += 1000
 	}
 	if eng.Total() != total || eng.Updates() != 300000 {
@@ -554,7 +545,7 @@ func TestRHHHFindsHeavyPrefixesIPv6(t *testing.T) {
 		} else {
 			a = addr.FromParts(0x2000_0000_0000_0000|rng.Uint64()>>3, rng.Uint64())
 		}
-		eng.Update(a, 1000)
+		ingest(eng, a, 1000)
 	}
 	set := eng.QueryFraction(0.1)
 	found := false
@@ -576,10 +567,10 @@ func TestRHHHEstimateAccuracy(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for i := 0; i < 500000; i++ {
 		if i%2 == 0 {
-			eng.Update(heavy, 500)
+			ingest(eng, heavy, 500)
 			heavyBytes += 500
 		} else {
-			eng.Update(addr.From4Uint32(rng.Uint32()), 500)
+			ingest(eng, addr.From4Uint32(rng.Uint32()), 500)
 		}
 	}
 	set := eng.Query(Threshold(eng.Total(), 0.2))
@@ -599,7 +590,7 @@ func TestRHHHDeterministicUnderSeed(t *testing.T) {
 		eng := NewRHHH(h, 32, seed)
 		rng := rand.New(rand.NewSource(23))
 		for i := 0; i < 20000; i++ {
-			eng.Update(addr.From4Uint32(rng.Uint32()>>8), 100)
+			ingest(eng, addr.From4Uint32(rng.Uint32()>>8), 100)
 		}
 		return eng.QueryFraction(0.05)
 	}
@@ -611,12 +602,12 @@ func TestRHHHDeterministicUnderSeed(t *testing.T) {
 func TestRHHHResetKeepsWorking(t *testing.T) {
 	h := v4ByteHierarchy()
 	eng := NewRHHH(h, 32, 1)
-	eng.Update(addr.MustParseAddr("1.1.1.1"), 100)
+	ingest(eng, addr.MustParseAddr("1.1.1.1"), 100)
 	eng.Reset()
 	if eng.Total() != 0 || eng.Updates() != 0 {
 		t.Error("Reset bookkeeping")
 	}
-	eng.Update(addr.MustParseAddr("1.1.1.1"), 100)
+	ingest(eng, addr.MustParseAddr("1.1.1.1"), 100)
 	if eng.Total() != 100 {
 		t.Error("post-Reset update")
 	}
@@ -646,34 +637,40 @@ func BenchmarkExactHHH(b *testing.B) {
 	}
 }
 
-func BenchmarkPerLevelUpdate(b *testing.B) {
-	eng := NewPerLevel(v4ByteHierarchy(), 512)
+// benchUpdateKeys times ingest the way it ships: b.N packets, all from
+// distinct sources, packed into 256-packet key batches.
+func benchUpdateKeys(b *testing.B, h addr.Hierarchy, update func(*trace.KeyBatch) int64, src func(i int) addr.Addr) {
+	kb := trace.NewKeyBatch(256)
 	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addr.From4Uint32(uint32(i)*2654435761), 1000)
+	for i := 0; i < b.N; {
+		kb.Reset()
+		for ; i < b.N && kb.Len() < 256; i++ {
+			kb.Append(h.Key(src(i), 0), 1000, 0)
+		}
+		update(kb)
 	}
+}
+
+func v4Spread(i int) addr.Addr { return addr.From4Uint32(uint32(i) * 2654435761) }
+
+func v6Spread(i int) addr.Addr { return addr.FromParts(uint64(i)*0x9e3779b97f4a7c15, uint64(i)) }
+
+func BenchmarkPerLevelUpdate(b *testing.B) {
+	h := v4ByteHierarchy()
+	benchUpdateKeys(b, h, NewPerLevel(h, 512).UpdateKeys, v4Spread)
 }
 
 func BenchmarkPerLevelUpdateIPv6Nibble(b *testing.B) {
-	eng := NewPerLevel(addr.NewIPv6Hierarchy(addr.Nibble), 512)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addr.FromParts(uint64(i)*0x9e3779b97f4a7c15, uint64(i)), 1000)
-	}
+	h := addr.NewIPv6Hierarchy(addr.Nibble)
+	benchUpdateKeys(b, h, NewPerLevel(h, 512).UpdateKeys, v6Spread)
 }
 
 func BenchmarkRHHHUpdate(b *testing.B) {
-	eng := NewRHHH(v4ByteHierarchy(), 512, 7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addr.From4Uint32(uint32(i)*2654435761), 1000)
-	}
+	h := v4ByteHierarchy()
+	benchUpdateKeys(b, h, NewRHHH(h, 512, 7).UpdateKeys, v4Spread)
 }
 
 func BenchmarkRHHHUpdateIPv6Nibble(b *testing.B) {
-	eng := NewRHHH(addr.NewIPv6Hierarchy(addr.Nibble), 512, 7)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		eng.Update(addr.FromParts(uint64(i)*0x9e3779b97f4a7c15, uint64(i)), 1000)
-	}
+	h := addr.NewIPv6Hierarchy(addr.Nibble)
+	benchUpdateKeys(b, h, NewRHHH(h, 512, 7).UpdateKeys, v6Spread)
 }

@@ -42,8 +42,8 @@ func TestPerLevelMergePartition(t *testing.T) {
 			shards[i] = NewPerLevel(h, k)
 		}
 		for _, p := range pkts {
-			single.Update(p.src, p.w)
-			shards[p.src.V4()%uint32(K)].Update(p.src, p.w)
+			ingest(single, p.src, p.w)
+			ingest(shards[p.src.V4()%uint32(K)], p.src, p.w)
 		}
 		merged := NewPerLevel(h, k)
 		for _, sh := range shards {
@@ -86,8 +86,8 @@ func TestRHHHMergeIdentity(t *testing.T) {
 	a := NewRHHH(h, k, 42)
 	ref := NewRHHH(h, k, 42)
 	for _, p := range mergePackets(7, 80000) {
-		a.Update(p.src, p.w)
-		ref.Update(p.src, p.w)
+		ingest(a, p.src, p.w)
+		ingest(ref, p.src, p.w)
 	}
 	merged := NewRHHH(h, k, 0)
 	merged.Merge(a)

@@ -17,8 +17,8 @@ import (
 // path does not pay one table update per packet and level. UpdateKeys sums
 // packets per leaf key in a small coalescing block; when the block holds
 // blockKeys distinct keys — or the engine's state is read or handed on:
-// Settle, Query, Merge, LevelSummary, Update — the block is applied up
-// the prefix ladder, each level's summary taking one weighted update per
+// Settle, Query, Merge, LevelSummary — the block is applied up the
+// prefix ladder, each level's summary taking one weighted update per
 // distinct prefix, in order of first appearance. The engine is therefore a
 // Space-Saving-HHH summary of its stream with each block applied as
 // per-key sums: block boundaries are counted on the engine's own stream,
@@ -30,14 +30,13 @@ import (
 // underestimating subtree volumes, with overestimation bounded by N/k.
 // Conditioned volumes are derived at query time by discounting the
 // (estimated) subtree volume of every descendant HHH, mirroring the exact
-// bottom-up pass. Packets outside the hierarchy's address family are
-// ignored (see addr.Hierarchy.Match), so the engine can sit directly on a
-// dual-stack stream.
+// bottom-up pass. UpdateKeys is the only way in: the batch is packed and
+// filtered to the hierarchy's address family where packets are staged
+// (see trace.KeyBatch).
 type PerLevel struct {
 	h     addr.Hierarchy
 	sks   []*sketch.SpaceSaving
 	masks []uint64 // per-level key masks, hoisted out of the hot path
-	high  bool     // which address half keys come from, ditto
 	qs    *QueryScratch
 	total int64
 	blk   *block // pending packets; nil until the first UpdateKeys
@@ -120,7 +119,6 @@ func NewPerLevel(h addr.Hierarchy, k int) *PerLevel {
 		h:     h,
 		sks:   make([]*sketch.SpaceSaving, levels),
 		masks: make([]uint64, levels),
-		high:  h.KeyFromHigh(),
 		qs:    NewQueryScratch(),
 	}
 	for l := range p.sks {
@@ -132,25 +130,6 @@ func NewPerLevel(h addr.Hierarchy, k int) *PerLevel {
 
 // Hierarchy returns the configured hierarchy.
 func (p *PerLevel) Hierarchy() addr.Hierarchy { return p.h }
-
-// Update feeds one packet's source address and byte size, order-exact:
-// a pending block is applied first and the packet then updates every
-// level's summary directly. Packets of the other address family are
-// dropped without counting toward Total.
-func (p *PerLevel) Update(src addr.Addr, bytes int64) {
-	if !p.h.Match(src) {
-		return
-	}
-	p.Settle()
-	p.total += bytes
-	half := src.Lo()
-	if p.high {
-		half = src.Hi()
-	}
-	for l, m := range p.masks {
-		p.sks[l].Update(half&m, bytes)
-	}
-}
 
 // UpdateKeys feeds a columnar batch of pre-packed leaf keys and returns
 // the total byte weight added. Each packet costs one insert into the

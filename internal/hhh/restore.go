@@ -31,7 +31,6 @@ func RestorePerLevel(h addr.Hierarchy, total int64, sks []*sketch.SpaceSaving) (
 		h:     h,
 		sks:   make([]*sketch.SpaceSaving, len(sks)),
 		masks: make([]uint64, len(sks)),
-		high:  h.KeyFromHigh(),
 		qs:    NewQueryScratch(),
 		total: total,
 	}
@@ -69,7 +68,6 @@ func RestoreRHHH(h addr.Hierarchy, total, updates int64, sampler uint64, sks []*
 		h:       h,
 		sks:     make([]*sketch.SpaceSaving, len(sks)),
 		masks:   make([]uint64, len(sks)),
-		high:    h.KeyFromHigh(),
 		levels:  uint64(len(sks)),
 		rng:     sampler,
 		total:   total,

@@ -23,13 +23,13 @@ import (
 // The trade-off is variance: estimates converge as the per-level sample
 // grows, so RHHH needs a minimum stream length before its output
 // stabilises — one of the behaviours the continuous-comparison experiment
-// surfaces on short windows. Packets outside the hierarchy's address
-// family are ignored (see addr.Hierarchy.Match).
+// surfaces on short windows. UpdateKeys is the only way in: the batch is
+// packed and filtered to the hierarchy's address family where packets are
+// staged (see trace.KeyBatch).
 type RHHH struct {
 	h       addr.Hierarchy
 	sks     []*sketch.SpaceSaving
 	masks   []uint64 // per-level key masks, hoisted out of the hot path
-	high    bool     // which address half keys come from, ditto
 	levels  uint64
 	rng     uint64 // splitmix64 state; deterministic under seed
 	total   int64
@@ -45,7 +45,6 @@ func NewRHHH(h addr.Hierarchy, k int, seed uint64) *RHHH {
 		h:      h,
 		sks:    make([]*sketch.SpaceSaving, levels),
 		masks:  make([]uint64, levels),
-		high:   h.KeyFromHigh(),
 		levels: uint64(levels),
 		rng:    hashx.Mix64(seed ^ 0x5851f42d4c957f2d),
 		qs:     NewQueryScratch(),
@@ -60,31 +59,12 @@ func NewRHHH(h addr.Hierarchy, k int, seed uint64) *RHHH {
 // Hierarchy returns the configured hierarchy.
 func (r *RHHH) Hierarchy() addr.Hierarchy { return r.h }
 
-// Update feeds one packet, sampling a single level to update. Packets of
-// the other address family are dropped without advancing the sampler.
-func (r *RHHH) Update(src addr.Addr, bytes int64) {
-	if !r.h.Match(src) {
-		return
-	}
-	r.total += bytes
-	r.updates++
-	// splitmix64 step, then unbiased-enough high-multiply range reduction.
-	r.rng += 0x9e3779b97f4a7c15
-	l := int((hashx.Mix64(r.rng) >> 32) * r.levels >> 32)
-	half := src.Lo()
-	if r.high {
-		half = src.Hi()
-	}
-	r.sks[l].Update(half&r.masks[l], bytes)
-}
-
 // UpdateKeys feeds a columnar batch of pre-packed leaf keys and returns
 // the total byte weight added. The sampled level's key is the leaf key
 // masked by that level's nested mask — no Addr math in the loop. Levels
-// are drawn per packet in the same deterministic sequence as repeated
-// Update calls on the matching substream, so the final state is
-// identical; the batch form amortises the per-packet call overhead of
-// the ingest spine.
+// are drawn one per packet from a deterministic sequence that runs on
+// across calls, so the final state does not depend on how the stream was
+// cut into batches.
 func (r *RHHH) UpdateKeys(b *trace.KeyBatch) int64 {
 	var bytes int64
 	rng := r.rng
@@ -92,6 +72,7 @@ func (r *RHHH) UpdateKeys(b *trace.KeyBatch) int64 {
 	for i, k := range keys {
 		w := int64(b.Sizes[i])
 		bytes += w
+		// splitmix64 step, then unbiased-enough high-multiply range reduction.
 		rng += 0x9e3779b97f4a7c15
 		l := int((hashx.Mix64(rng) >> 32) * r.levels >> 32)
 		r.sks[l].Update(k&r.masks[l], w)

@@ -295,8 +295,8 @@ func l4Size(proto uint8) int {
 	return 0
 }
 
-// Write implements trace.Sink: it synthesises Ethernet+IP(+L4) headers
-// for the packet (frame family per the Writer doc). The captured length
+// Write appends one packet: it synthesises Ethernet+IP(+L4) headers for
+// the packet (frame family per the Writer doc). The captured length
 // covers headers only (plus enough payload bytes to honour tiny sizes);
 // the wire length preserves p.Size.
 func (pw *Writer) Write(p *trace.Packet) error {

@@ -11,6 +11,7 @@ import (
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
+	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/wire"
 )
 
@@ -353,9 +354,11 @@ func TestAggregatorSliding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		kb, key := trace.NewKeyBatch(0), h.Key(addr.From4(10, 0, 0, hostBase), 0)
 		for now := int64(0); now < upto; now += int64(10 * time.Millisecond) {
-			d.Update(addr.From4(10, 0, 0, hostBase), 100, now)
+			kb.Append(key, 100, now)
 		}
+		d.UpdateKeys(kb)
 		return d
 	}
 	seal := func(seq int64, d *swhh.SlidingHHH, end int64) Sealed {

@@ -1,31 +1,14 @@
 // Package sketch implements the streaming frequency-estimation substrates
 // that hierarchical-heavy-hitter detectors are built from: an exact map
-// counter (ground truth) and Space-Saving (counter-based, key-tracking).
+// counter (Exact, the ground truth) and Space-Saving (SpaceSaving,
+// counter-based, key-tracking).
 //
-// All sketches count *weighted* updates — a packet contributes its byte
-// size, not 1 — because the paper defines heavy hitters by byte volume.
-// Keys are opaque uint64 values; callers pack IPv4 prefixes with
-// ipv4.Prefix.Key.
+// Both count *weighted* updates — a packet contributes its byte size, not
+// 1 — because the paper defines heavy hitters by byte volume. Keys are
+// opaque uint64 values: a hierarchy's packed prefix keys (see
+// addr.Hierarchy.Key), which the ingest path packs once per packet into a
+// trace.KeyBatch.
 package sketch
-
-// Estimator is the query side shared by every sketch: a (possibly
-// approximate) frequency oracle over uint64 keys.
-type Estimator interface {
-	// Estimate returns the sketch's estimate of the total weight added for
-	// key. Guarantees differ per implementation and are documented there.
-	Estimate(key uint64) int64
-}
-
-// Sketch is a weighted streaming frequency summary.
-type Sketch interface {
-	Estimator
-	// Update adds weight w (w >= 0) for key.
-	Update(key uint64, w int64)
-	// Total returns the sum of all weights added since the last Reset.
-	Total() int64
-	// Reset returns the sketch to its empty state, retaining configuration.
-	Reset()
-}
 
 // KV is a key with its estimated weight, as returned by key-tracking
 // sketches.
@@ -35,21 +18,9 @@ type KV struct {
 	ErrUB int64 // upper bound on overestimation (0 for exact)
 }
 
-// Tracker is implemented by sketches that maintain an explicit key set
-// (Exact, Space-Saving) and can therefore enumerate heavy-key
-// candidates without an external key stream.
-type Tracker interface {
-	Sketch
-	// Tracked returns the currently monitored keys and their estimates, in
-	// unspecified order.
-	Tracked() []KV
-	// HeavyKeys returns tracked keys whose estimate is >= threshold.
-	HeavyKeys(threshold int64) []KV
-}
-
-// Exact is a map-backed exact counter. It implements Tracker and serves as
-// ground truth in tests and as the aggregate of the offline window engines.
-// The zero value is ready to use.
+// Exact is a map-backed exact counter. It serves as ground truth in tests
+// and as the aggregate of the offline window engines. The zero value is
+// ready to use.
 type Exact struct {
 	m     map[uint64]int64
 	total int64
@@ -60,7 +31,7 @@ func NewExact(sizeHint int) *Exact {
 	return &Exact{m: make(map[uint64]int64, sizeHint)}
 }
 
-// Update implements Sketch.
+// Update adds weight w for key.
 func (e *Exact) Update(key uint64, w int64) {
 	if e.m == nil {
 		e.m = make(map[uint64]int64)
@@ -86,22 +57,23 @@ func (e *Exact) Remove(key uint64, w int64) {
 	e.total -= w
 }
 
-// Estimate implements Estimator; exact counters have no error.
+// Estimate returns the total weight added for key; exact counters have no
+// error.
 func (e *Exact) Estimate(key uint64) int64 { return e.m[key] }
 
-// Total implements Sketch.
+// Total returns the sum of all weights held.
 func (e *Exact) Total() int64 { return e.total }
 
 // Len returns the number of distinct keys currently held.
 func (e *Exact) Len() int { return len(e.m) }
 
-// Reset implements Sketch.
+// Reset empties the counter.
 func (e *Exact) Reset() {
 	e.m = make(map[uint64]int64)
 	e.total = 0
 }
 
-// Tracked implements Tracker.
+// Tracked returns every key with its count, in unspecified order.
 func (e *Exact) Tracked() []KV {
 	out := make([]KV, 0, len(e.m))
 	for k, v := range e.m {
@@ -110,7 +82,7 @@ func (e *Exact) Tracked() []KV {
 	return out
 }
 
-// HeavyKeys implements Tracker.
+// HeavyKeys returns the keys whose count is >= threshold.
 func (e *Exact) HeavyKeys(threshold int64) []KV {
 	var out []KV
 	for k, v := range e.m {

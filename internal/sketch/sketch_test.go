@@ -327,19 +327,6 @@ func TestHeapSpaceSavingHeapInvariant(t *testing.T) {
 	}
 }
 
-func TestTrackerInterfaceCompliance(t *testing.T) {
-	// Compile-time + runtime checks that our trackers satisfy Tracker.
-	for _, tr := range []Tracker{NewExact(0), NewSpaceSaving(8)} {
-		tr.Update(1, 2)
-		if tr.Total() != 2 {
-			t.Errorf("%T Total = %d", tr, tr.Total())
-		}
-		if len(tr.Tracked()) != 1 {
-			t.Errorf("%T Tracked size", tr)
-		}
-	}
-}
-
 func BenchmarkSpaceSavingUpdate(b *testing.B) {
 	stream := zipfStream(1<<16, 1<<14, 9)
 	ss := NewSpaceSaving(1024)

@@ -41,9 +41,9 @@ import (
 //
 // Eviction among equal minimum counts is deterministic: the entry whose
 // count changed least recently goes first (bucket lists keep arrival
-// order, rebuilds sort by the recorded change stamp). HeapSpaceSaving
-// implements the identical rule, which is what makes the two
-// differentially testable entry for entry.
+// order, rebuilds sort by the recorded change stamp). The heap-backed
+// reference in spacesaving_heap_test.go implements the identical rule,
+// which is what makes the two differentially testable entry for entry.
 type SpaceSaving struct {
 	k     int
 	nodes []ssNode
@@ -332,7 +332,7 @@ func (s *SpaceSaving) increase(ni int32, w int64) {
 	}
 }
 
-// Update implements Sketch.
+// Update adds weight w (w >= 0) for key.
 func (s *SpaceSaving) Update(key uint64, w int64) {
 	s.total += w
 	if ni := s.idxFind(key); ni != nilIdx {
@@ -508,9 +508,9 @@ func (s *SpaceSaving) install(i, n int, e KV) {
 	s.idxInsert(e.Key, int32(i))
 }
 
-// Estimate implements Estimator. Unmonitored keys return the minimum
-// monitored count when the summary is full (the tight upper bound), or 0
-// when it is not.
+// Estimate returns an upper bound on key's weight. Unmonitored keys return
+// the minimum monitored count when the summary is full (the tight upper
+// bound), or 0 when it is not.
 func (s *SpaceSaving) Estimate(key uint64) int64 {
 	if ni := s.idxFind(key); ni != nilIdx {
 		return s.nodes[ni].count
@@ -570,10 +570,10 @@ func (s *SpaceSaving) Entry(i int) KV {
 	return KV{Key: n.key, Count: n.count, ErrUB: n.err}
 }
 
-// Total implements Sketch.
+// Total returns the sum of all weights added since the last Reset.
 func (s *SpaceSaving) Total() int64 { return s.total }
 
-// Reset implements Sketch. All storage is retained: the index is cleared
+// Reset empties the summary. All storage is retained: the index is cleared
 // in place and nodes, buckets and bitmaps are recycled, so a
 // reset-per-window discipline performs no allocation after construction.
 func (s *SpaceSaving) Reset() {
@@ -609,12 +609,13 @@ func (s *SpaceSaving) AppendTracked(dst []KV) []KV {
 	return dst
 }
 
-// Tracked implements Tracker.
+// Tracked returns the monitored keys and their estimates, in unspecified
+// order.
 func (s *SpaceSaving) Tracked() []KV {
 	return s.AppendTracked(make([]KV, 0, s.n))
 }
 
-// HeavyKeys implements Tracker.
+// HeavyKeys returns the monitored keys whose estimate is >= threshold.
 func (s *SpaceSaving) HeavyKeys(threshold int64) []KV {
 	var out []KV
 	for i := 0; i < s.n; i++ {

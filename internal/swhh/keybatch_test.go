@@ -2,6 +2,7 @@ package swhh
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -37,11 +38,26 @@ func pack(h addr.Hierarchy, pkts []trace.Packet) *trace.KeyBatch {
 	return b
 }
 
-// TestSlidingKeyBatchMatchesUpdate pins the columnar fast path of the
-// sliding-window engine to per-packet Update calls: same frame rotation,
-// same per-frame totals, same reported set — for both families' key
-// packings and awkward batch boundaries (including batches that straddle
-// frame edges).
+// ingest feeds one packet the way everything that ships does: a
+// one-packet batch through the producer-side packing, then UpdateKeys.
+func ingest(d interface {
+	Hierarchy() addr.Hierarchy
+	UpdateKeys(*trace.KeyBatch)
+}, src addr.Addr, bytes, now int64) {
+	d.UpdateKeys(pack(d.Hierarchy(), []trace.Packet{{Ts: now, Src: src, Size: uint32(bytes)}}))
+}
+
+// chunkSizes cuts a stream into one-packet batches (the reference every
+// other chunking is held to), primes that straddle frame edges, and one
+// batch for the whole stream.
+func chunkSizes(n int) []int { return []int{1, 7, 97, n} }
+
+// TestSlidingKeyBatchMatchesUpdate pins that how a stream is cut into
+// batches leaves no trace in the sliding-window engine: fed one packet at
+// a time or in chunks that straddle frame edges, for both families' key
+// packings, every level ends with the same frame clock, the same
+// per-frame totals and the same frame summaries entry for entry — hence
+// the same window total and reported set.
 func TestSlidingKeyBatchMatchesUpdate(t *testing.T) {
 	pkts := dualStackStream(11, 24000)
 	last := pkts[len(pkts)-1].Ts
@@ -51,16 +67,8 @@ func TestSlidingKeyBatchMatchesUpdate(t *testing.T) {
 		"ipv6-hextet": addr.NewIPv6Hierarchy(addr.Hextet),
 	} {
 		t.Run(name, func(t *testing.T) {
-			ref, err := NewSlidingHHH(h, cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range pkts {
-				ref.Update(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
-			}
-			want := ref.Query(0.02, last)
-			wantTotal := ref.WindowTotal(last)
-			for _, bs := range []int{1, 7, 97, len(pkts)} {
+			var ref *SlidingHHH
+			for _, bs := range chunkSizes(len(pkts)) {
 				got, err := NewSlidingHHH(h, cfg)
 				if err != nil {
 					t.Fatal(err)
@@ -69,13 +77,46 @@ func TestSlidingKeyBatchMatchesUpdate(t *testing.T) {
 					end := min(off+bs, len(pkts))
 					got.UpdateKeys(pack(h, pkts[off:end]))
 				}
-				if gt := got.WindowTotal(last); gt != wantTotal {
-					t.Fatalf("chunk %d: window total %d != per-packet %d", bs, gt, wantTotal)
+				if ref == nil {
+					ref = got
+					if ref.Query(0.02, last).Len() == 0 {
+						t.Fatal("empty reference query: the run proves nothing")
+					}
+					continue
 				}
-				if gs := got.Query(0.02, last); !gs.Equal(want) {
+				for l := range ref.levels {
+					g, w := got.levels[l].State(), ref.levels[l].State()
+					if g.CurFrame != w.CurFrame || !slices.Equal(g.Totals, w.Totals) {
+						t.Fatalf("chunk %d level %d: clock %d totals %v != per-packet %d %v",
+							bs, l, g.CurFrame, g.Totals, w.CurFrame, w.Totals)
+					}
+					for slot, wf := range w.Frames {
+						// Tracked lists the entries in node order: equal
+						// lists are equal summaries, layout included.
+						if gf := g.Frames[slot]; gf.Total() != wf.Total() || !slices.Equal(gf.Tracked(), wf.Tracked()) {
+							t.Fatalf("chunk %d level %d slot %d: total %d entries %v != per-packet %d %v",
+								bs, l, slot, gf.Total(), gf.Tracked(), wf.Total(), wf.Tracked())
+						}
+					}
+				}
+				if gs, want := got.Query(0.02, last), ref.Query(0.02, last); !gs.Equal(want) {
 					t.Fatalf("chunk %d: query diverged:\nbatch: %v\nref:   %v", bs, gs, want)
 				}
 			}
 		})
+	}
+}
+
+// benchUpdateKeys times ingest the way it ships: b.N packets from
+// distinct sources, one per microsecond, in 256-packet key batches.
+func benchUpdateKeys(b *testing.B, h addr.Hierarchy, update func(*trace.KeyBatch)) {
+	kb := trace.NewKeyBatch(256)
+	b.ReportAllocs()
+	for i := 0; i < b.N; {
+		kb.Reset()
+		for ; i < b.N && kb.Len() < 256; i++ {
+			kb.Append(h.Key(addr.From4Uint32(uint32(i)*2654435761), 0), 1000, int64(i)*1000)
+		}
+		update(kb)
 	}
 }

@@ -475,7 +475,6 @@ type MementoHHH struct {
 	h      addr.Hierarchy
 	levels []*Memento
 	masks  []uint64 // per-level key masks, hoisted out of the hot path
-	high   bool     // which address half keys come from, ditto
 	nlev   uint64
 	rng    uint64 // splitmix64 level-sampling state
 
@@ -502,7 +501,6 @@ func NewMementoHHH(h addr.Hierarchy, cfg Config, seed uint64) (*MementoHHH, erro
 		h:      h,
 		levels: make([]*Memento, h.Levels()),
 		masks:  make([]uint64, h.Levels()),
-		high:   h.KeyFromHigh(),
 		nlev:   uint64(h.Levels()),
 		rng:    hashx.Mix64(seed ^ 0x5851f42d4c957f2d),
 	}
@@ -541,34 +539,15 @@ func (d *MementoHHH) advanceTotals(target int64) {
 	}
 }
 
-// Update feeds one packet's source and byte size at time now. Packets
-// outside the hierarchy's address family are dropped (see
-// addr.Hierarchy.Match). Exactly one hierarchy level is sampled per
-// packet; the exact totals ring counts every matching packet.
-func (d *MementoHHH) Update(src addr.Addr, bytes int64, now int64) {
-	if !d.h.Match(src) {
-		return
-	}
-	half := src.Lo()
-	if d.high {
-		half = src.Hi()
-	}
-	d.advanceTotals(FloorDiv(now, d.frameNs))
-	slot := floorMod(d.curFrame, d.ring)
-	d.totals[slot] += bytes
-	d.rng += 0x9e3779b97f4a7c15
-	l := int((hashx.Mix64(d.rng) >> 32) * d.nlev >> 32)
-	lv := d.levels[l]
-	lv.advanceTo(d.curFrame)
-	lv.bump(half&d.masks[l], bytes, slot)
-}
-
 // UpdateKeys feeds a columnar batch of pre-packed, time-ordered leaf
 // keys. Packets are chunked by frame so each chunk ages every table once,
 // then per-packet level draws route each key — masked down to the drawn
 // level — into that level's current frame cell. The splitmix64 state
-// advances once per packet in stream order, so batch and per-packet
-// ingest produce identical state under the same seed.
+// advances once per packet in stream order and every table ages at every
+// frame change, so the state under a seed does not depend on how the
+// stream was cut into batches. It is the detector's only way in; the
+// batch is packed and filtered to the hierarchy's address family where
+// packets are staged (see trace.KeyBatch).
 func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 	n := b.Len()
 	rng := d.rng

@@ -2,6 +2,8 @@ package swhh
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -53,7 +55,7 @@ func TestMementoEpochTimestampFirstPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	d.Update(addr.MustParseAddr("10.1.2.3"), 100, epoch)
+	ingest(d, addr.MustParseAddr("10.1.2.3"), 100, epoch)
 	d.UpdateKeys(pack(h, []trace.Packet{{Ts: epoch + 1, Src: addr.MustParseAddr("10.1.2.4"), Size: 50}}))
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("MementoHHH epoch ingest took %v", el)
@@ -332,9 +334,9 @@ func TestMementoHHHMergeIdentity(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		now += int64(50 * time.Microsecond)
 		if i%3 == 0 {
-			src.Update(addr.MustParseAddr("10.1.2.3"), 900, now)
+			ingest(src, addr.MustParseAddr("10.1.2.3"), 900, now)
 		} else {
-			src.Update(addr.From4Uint32(rng.Uint32()), 400, now)
+			ingest(src, addr.From4Uint32(rng.Uint32()), 400, now)
 		}
 	}
 	src.Advance(now)
@@ -372,9 +374,9 @@ func TestMementoHHHDetectsBoundaryBurst(t *testing.T) {
 	var atBoundary hhh.Set
 	for i := 0; i < 40000; i++ {
 		now += sec / 2000
-		d.Update(addr.From4Uint32(rng.Uint32()), 500, now)
+		ingest(d, addr.From4Uint32(rng.Uint32()), 500, now)
 		if now > 9500*int64(time.Millisecond) && now < 10500*int64(time.Millisecond) {
-			d.Update(attacker, 1000, now)
+			ingest(d, attacker, 1000, now)
 		}
 		if atBoundary == nil && now >= 10*sec {
 			atBoundary = d.Query(0.05, now)
@@ -391,10 +393,11 @@ func TestMementoHHHDetectsBoundaryBurst(t *testing.T) {
 	}
 }
 
-// TestMementoKeyBatchMatchesUpdate pins the columnar fast path to
-// per-packet Update calls under the same seed: the level-sampling
-// sequence advances in stream order either way, so frame rotation,
-// totals, and the reported set must be identical for every chunking.
+// TestMementoKeyBatchMatchesUpdate pins that how a stream is cut into
+// batches leaves no trace in the level-sampled engine: the sampling
+// sequence advances once per packet in stream order and every table ages
+// at every frame change, so one packet at a time or in chunks of any size
+// the sampler, the totals ring and every level's table end up identical.
 func TestMementoKeyBatchMatchesUpdate(t *testing.T) {
 	pkts := dualStackStream(11, 24000)
 	last := pkts[len(pkts)-1].Ts
@@ -404,16 +407,8 @@ func TestMementoKeyBatchMatchesUpdate(t *testing.T) {
 		"ipv6-hextet": addr.NewIPv6Hierarchy(addr.Hextet),
 	} {
 		t.Run(name, func(t *testing.T) {
-			ref, err := NewMementoHHH(h, cfg, 21)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range pkts {
-				ref.Update(pkts[i].Src, int64(pkts[i].Size), pkts[i].Ts)
-			}
-			want := ref.Query(0.02, last)
-			wantTotal := ref.WindowTotal(last)
-			for _, bs := range []int{1, 7, 97, len(pkts)} {
+			var ref *MementoHHH
+			for _, bs := range chunkSizes(len(pkts)) {
 				got, err := NewMementoHHH(h, cfg, 21)
 				if err != nil {
 					t.Fatal(err)
@@ -422,10 +417,24 @@ func TestMementoKeyBatchMatchesUpdate(t *testing.T) {
 					end := min(off+bs, len(pkts))
 					got.UpdateKeys(pack(h, pkts[off:end]))
 				}
-				if gt := got.WindowTotal(last); gt != wantTotal {
-					t.Fatalf("chunk %d: window total %d != per-packet %d", bs, gt, wantTotal)
+				if ref == nil {
+					ref = got
+					if ref.Query(0.02, last).Len() == 0 {
+						t.Fatal("empty reference query: the run proves nothing")
+					}
+					continue
 				}
-				if gs := got.Query(0.02, last); !gs.Equal(want) {
+				g, w := got.State(), ref.State()
+				if g.Sampler != w.Sampler || g.CurFrame != w.CurFrame || !slices.Equal(g.Totals, w.Totals) {
+					t.Fatalf("chunk %d: sampler %#x clock %d totals %v != per-packet %#x %d %v",
+						bs, g.Sampler, g.CurFrame, g.Totals, w.Sampler, w.CurFrame, w.Totals)
+				}
+				for l := range w.Levels {
+					if !reflect.DeepEqual(g.Levels[l].State(), w.Levels[l].State()) {
+						t.Fatalf("chunk %d: level %d table differs from per-packet ingest", bs, l)
+					}
+				}
+				if gs, want := got.Query(0.02, last), ref.Query(0.02, last); !gs.Equal(want) {
 					t.Fatalf("chunk %d: query diverged:\nbatch: %v\nref:   %v", bs, gs, want)
 				}
 			}
@@ -560,8 +569,5 @@ func BenchmarkMementoHHHUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.Update(addr.From4Uint32(uint32(i)*2654435761), 1000, int64(i)*1000)
-	}
+	benchUpdateKeys(b, h, d.UpdateKeys)
 }

@@ -491,7 +491,6 @@ type SlidingHHH struct {
 	h      addr.Hierarchy
 	levels []*Sliding
 	masks  []uint64 // per-level key masks, hoisted out of the hot path
-	high   bool     // which address half keys come from, ditto
 	// qs is the conditioned pass's discount tables, cleared in place per
 	// query.
 	qs *hhh.QueryScratch
@@ -509,7 +508,6 @@ func NewSlidingHHH(h addr.Hierarchy, cfg Config) (*SlidingHHH, error) {
 		h:      h,
 		levels: make([]*Sliding, h.Levels()),
 		masks:  make([]uint64, h.Levels()),
-		high:   h.KeyFromHigh(),
 		qs:     hhh.NewQueryScratch(),
 	}
 	for l := range d.levels {
@@ -523,28 +521,15 @@ func NewSlidingHHH(h addr.Hierarchy, cfg Config) (*SlidingHHH, error) {
 	return d, nil
 }
 
-// Update feeds one packet's source and byte size at time now. Packets
-// outside the hierarchy's address family are dropped (see
-// addr.Hierarchy.Match), so the detector can sit on a dual-stack stream.
-func (d *SlidingHHH) Update(src addr.Addr, bytes int64, now int64) {
-	if !d.h.Match(src) {
-		return
-	}
-	half := src.Lo()
-	if d.high {
-		half = src.Hi()
-	}
-	for l, m := range d.masks {
-		d.levels[l].Update(half&m, bytes, now)
-	}
-}
-
 // UpdateKeys feeds a columnar batch of pre-packed, time-ordered leaf
 // keys. Packets are chunked by frame (on the Ts column) so each chunk
 // advances the frame ring once per level and then applies its updates
 // level-major into the current frame, with per-level keys derived by
-// masking the leaf key — the same final state as per-packet Update
-// calls, at a fraction of the call overhead.
+// masking the leaf key — the same final state as one Sliding.Update per
+// packet and level, however the stream is cut into batches. It is the
+// detector's only way in; the batch is packed and filtered to the
+// hierarchy's address family where packets are staged (see
+// trace.KeyBatch).
 func (d *SlidingHHH) UpdateKeys(b *trace.KeyBatch) {
 	frameNs := d.levels[0].frameNs
 	n := b.Len()

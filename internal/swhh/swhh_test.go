@@ -57,7 +57,7 @@ func TestEpochTimestampFirstPacket(t *testing.T) {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	d.Update(addr.MustParseAddr("10.1.2.3"), 100, epoch)
+	ingest(d, addr.MustParseAddr("10.1.2.3"), 100, epoch)
 	d.UpdateKeys(pack(h, []trace.Packet{{Ts: epoch + 1, Src: addr.MustParseAddr("10.1.2.4"), Size: 50}}))
 	if el := time.Since(start); el > time.Second {
 		t.Fatalf("SlidingHHH epoch ingest took %v", el)
@@ -233,9 +233,9 @@ func TestSlidingHHHDetectsBoundaryBurst(t *testing.T) {
 	var atBoundary hhh.Set
 	for i := 0; i < 40000; i++ { // 20 s at 2000 pps
 		now += sec / 2000
-		d.Update(addr.From4Uint32(rng.Uint32()), 500, now)
+		ingest(d, addr.From4Uint32(rng.Uint32()), 500, now)
 		if now > 9500*int64(time.Millisecond) && now < 10500*int64(time.Millisecond) {
-			d.Update(attacker, 1000, now)
+			ingest(d, attacker, 1000, now)
 		}
 		// Query exactly when crossing the would-be window boundary at
 		// 10 s: the burst is mid-flight, split across disjoint windows.
@@ -269,9 +269,9 @@ func TestSlidingHHHConditioning(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		now += int64(100 * time.Microsecond)
 		if i%3 == 0 {
-			d.Update(heavy, 1000, now)
+			ingest(d, heavy, 1000, now)
 		} else {
-			d.Update(addr.From4Uint32(rng.Uint32()), 500, now)
+			ingest(d, addr.From4Uint32(rng.Uint32()), 500, now)
 		}
 	}
 	set := d.Query(0.1, now)
@@ -386,9 +386,9 @@ func TestSlidingHHHMergeIdentity(t *testing.T) {
 	for i := 0; i < 20000; i++ {
 		now += int64(50 * time.Microsecond)
 		if i%3 == 0 {
-			src.Update(addr.MustParseAddr("10.1.2.3"), 900, now)
+			ingest(src, addr.MustParseAddr("10.1.2.3"), 900, now)
 		} else {
-			src.Update(addr.From4Uint32(rng.Uint32()), 400, now)
+			ingest(src, addr.From4Uint32(rng.Uint32()), 400, now)
 		}
 	}
 	src.Advance(now)
@@ -425,8 +425,5 @@ func BenchmarkSlidingHHHUpdate(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		d.Update(addr.From4Uint32(uint32(i)*2654435761), 1000, int64(i)*1000)
-	}
+	benchUpdateKeys(b, h, d.UpdateKeys)
 }

@@ -1,9 +1,9 @@
-// Serialization seams for the time-decaying structures: column-oriented
-// state views and validated restore constructors used by the
-// internal/wire codec. Restores rebuild the exact cell contents, so a
-// restored filter is merge- and estimate-equivalent to the one that was
-// serialized; they validate instead of panicking because their inputs
-// ultimately come off the network.
+// Serialization seams for the time-decaying structures: read-only state
+// views and validated restore constructors used by the internal/wire
+// codec. Restores rebuild the exact cell contents, so a restored filter
+// is merge- and estimate-equivalent to the one that was serialized; they
+// validate instead of panicking because their inputs ultimately come off
+// the network.
 
 package tdbf
 
@@ -13,17 +13,20 @@ import (
 )
 
 // FilterState is the serializable state of a Filter: its shape and seed
-// plus the cell masses and touch timestamps as parallel columns. The
-// decay law travels separately (it is an interface; wire encodes it as a
-// tagged descriptor). It is the input of RestoreFilter; the way out of a
-// live filter is its accessors and ForEachCell.
+// plus a reader of the cells. The decay law travels separately (it is an
+// interface; wire encodes it as a tagged descriptor). It is the input of
+// RestoreFilter; the way out of a live filter is its accessors and
+// ForEachCell.
 type FilterState struct {
 	Cells  int
 	Hashes int
 	Seed   uint64
 	Adds   int64
-	V      []float64 // per-cell decayed mass
-	Touch  []int64   // per-cell ns timestamp of last decay application
+	// Cell yields cell i's decayed mass and the ns timestamp of its last
+	// decay application. RestoreFilter calls it once per cell, in index
+	// order, so a decoder can read the cells off its input straight into
+	// the filter.
+	Cell func(i int) (v float64, touch int64)
 }
 
 // Seed returns the hash-family seed, needed to serialize the filter and
@@ -40,18 +43,13 @@ func (f *Filter) ForEachCell(fn func(v float64, touch int64)) {
 }
 
 // RestoreFilter rebuilds a filter from a decay law and serialized state.
-// Cell masses must be finite and non-negative; the column lengths must
-// match the declared shape.
+// Cell masses must be finite and non-negative.
 func RestoreFilter(d Decay, st FilterState) (*Filter, error) {
 	if d == nil {
 		return nil, fmt.Errorf("tdbf: restore: decay law required")
 	}
 	if st.Cells < 1 || st.Hashes < 1 {
 		return nil, fmt.Errorf("tdbf: restore: invalid shape (%d cells, %d hashes)", st.Cells, st.Hashes)
-	}
-	if len(st.V) != st.Cells || len(st.Touch) != st.Cells {
-		return nil, fmt.Errorf("tdbf: restore: cell columns (%d, %d) do not match declared %d cells",
-			len(st.V), len(st.Touch), st.Cells)
 	}
 	if st.Adds < 0 {
 		return nil, fmt.Errorf("tdbf: restore: negative add count %d", st.Adds)
@@ -65,11 +63,11 @@ func RestoreFilter(d Decay, st FilterState) (*Filter, error) {
 		adds:  st.Adds,
 	}
 	for i := range f.cells {
-		v := st.V[i]
+		v, touch := st.Cell(i)
 		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 			return nil, fmt.Errorf("tdbf: restore: invalid mass %v in cell %d", v, i)
 		}
-		f.cells[i] = cell{v: v, touch: st.Touch[i]}
+		f.cells[i] = cell{v: v, touch: touch}
 	}
 	return f, nil
 }

@@ -15,9 +15,9 @@
 //
 // Two composable decay laws are provided: exponential (EWMA-style, the
 // natural continuous analogue of a time window of length tau) and leaky
-// linear (constant drain rate). A PeriodicFilter applying eager whole-array
-// refresh ticks is included as the classical baseline the on-demand design
-// improves on; the ablation bench compares the two.
+// linear (constant drain rate). The classical baseline the on-demand design
+// improves on — a filter refreshed by eager whole-array ticks — is kept as
+// a reference the tests compare against (PeriodicFilter, periodic_test.go).
 //
 // Filters built from one config (same shape, seed and decay law) are
 // mergeable: because decay laws compose over time, two cells summarising

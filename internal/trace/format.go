@@ -64,7 +64,7 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return tw, nil
 }
 
-// Write implements Sink.
+// Write appends one packet record.
 func (tw *Writer) Write(p *Packet) error {
 	b := tw.buf[:]
 	binary.LittleEndian.PutUint64(b[0:8], uint64(p.Ts))

@@ -7,20 +7,23 @@ import (
 )
 
 // KeyBatch is the columnar (structure-of-arrays) batch the ingest data
-// path hands between the producer, the pipeline rings, and the engine
-// fast paths. Instead of shipping 48-byte Packet structs and re-deriving
-// hierarchy sketch keys inside every engine, the producer packs each
-// family-matching packet's leaf key exactly once with addr.Hierarchy.Key
-// and the downstream consumers derive every coarser level by a single
-// AND with the hierarchy's per-level KeyMask — masks nest, so
-// leafKey & KeyMask(l) equals Hierarchy.Key(a, l) for every level l.
+// path hands between the producer, the pipeline rings, and the engines,
+// and the only form in which an engine takes packets (UpdateKeys /
+// ObserveKeys): no engine has an address-taking entry. Instead of shipping
+// 48-byte Packet structs and re-deriving hierarchy sketch keys inside every
+// engine, the producer packs each family-matching packet's leaf key
+// exactly once with addr.Hierarchy.Key and the downstream consumers derive
+// every coarser level by a single AND with the hierarchy's per-level
+// KeyMask — masks nest, so leafKey & KeyMask(l) equals Hierarchy.Key(a, l)
+// for every level l.
 //
 // The three columns are parallel: Keys[i], Sizes[i] and Ts[i] describe
-// the i-th packet of the batch. Only family-matching packets are packed
-// (AppendPackets applies the hierarchy's ingest family filter), so
-// consumers never re-check Match. Timestamps stay non-decreasing when the
-// input stream is, which the sliding-window engines rely on for frame
-// chunking.
+// the i-th packet of the batch. Only family-matching packets are packed —
+// the hierarchy's ingest family filter runs where packets are packed
+// (AppendPackets; the sharded pipeline's stageRun; Single.Observe's
+// one-key batch) — so an engine never re-checks Match. Timestamps stay
+// non-decreasing when the input stream is, which the sliding-window
+// engines rely on for frame chunking.
 //
 // A KeyBatch is not safe for concurrent use; the pipeline recycles them
 // through per-shard freelists so the steady state allocates nothing.
@@ -73,9 +76,10 @@ func (b *KeyBatch) Bytes() int64 {
 
 // AppendPackets packs every packet of pkts that matches h's address
 // family onto the batch: leaf key via h.Key(Src, 0), plus the Size and
-// Ts columns. Non-matching packets are skipped — this is the single
-// place the ingest family filter runs on the columnar path. It returns
-// the number of packets packed.
+// Ts columns. Non-matching packets are skipped — this is the packing
+// body of pipeline.Single, of tests and of the benchmark kernels (the
+// sharded pipeline's stageRun packs and partitions in one pass of its
+// own). It returns the number of packets packed.
 func (b *KeyBatch) AppendPackets(h addr.Hierarchy, pkts []Packet) int {
 	// Grow once, then fill by index, with the leaf mask hoisted: the loop
 	// carries no capacity checks and no per-packet hierarchy arithmetic.

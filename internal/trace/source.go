@@ -102,24 +102,6 @@ func ForEachBatch(src Source, batchSize int, fn func(pkts []Packet) error) error
 	return nil
 }
 
-// FilterSource passes through only packets for which Keep returns true.
-type FilterSource struct {
-	Src  Source
-	Keep func(*Packet) bool
-}
-
-// Next implements Source.
-func (f *FilterSource) Next(p *Packet) error {
-	for {
-		if err := f.Src.Next(p); err != nil {
-			return err
-		}
-		if f.Keep(p) {
-			return nil
-		}
-	}
-}
-
 // ClipSource passes through packets with From <= Ts < To.
 // Because sources are time-ordered it stops at the first packet past To.
 type ClipSource struct {
@@ -158,56 +140,4 @@ func IsSorted(pkts []Packet) bool {
 // a stable sort so equal-timestamp packets preserve generation order.
 func SortByTime(pkts []Packet) {
 	sort.SliceStable(pkts, func(i, j int) bool { return pkts[i].Ts < pkts[j].Ts })
-}
-
-// MergeSources merges several individually time-sorted sources into one
-// time-sorted stream. It performs a simple k-way merge with a small linear
-// scan, which is efficient for the handful of sources experiments combine
-// (base traffic + attack overlays).
-type MergeSources struct {
-	srcs []Source
-	head []Packet
-	live []bool
-	init bool
-}
-
-// NewMergeSources builds a merge over srcs.
-func NewMergeSources(srcs ...Source) *MergeSources {
-	return &MergeSources{
-		srcs: srcs,
-		head: make([]Packet, len(srcs)),
-		live: make([]bool, len(srcs)),
-	}
-}
-
-// Next implements Source.
-func (m *MergeSources) Next(p *Packet) error {
-	if !m.init {
-		m.init = true
-		for i, s := range m.srcs {
-			err := s.Next(&m.head[i])
-			if err == nil {
-				m.live[i] = true
-			} else if !errors.Is(err, io.EOF) {
-				return err
-			}
-		}
-	}
-	best := -1
-	for i := range m.srcs {
-		if m.live[i] && (best < 0 || m.head[i].Ts < m.head[best].Ts) {
-			best = i
-		}
-	}
-	if best < 0 {
-		return io.EOF
-	}
-	*p = m.head[best]
-	err := m.srcs[best].Next(&m.head[best])
-	if errors.Is(err, io.EOF) {
-		m.live[best] = false
-	} else if err != nil {
-		return err
-	}
-	return nil
 }

@@ -57,9 +57,3 @@ type Source interface {
 	// the stream, in which case *p is unspecified.
 	Next(p *Packet) error
 }
-
-// Sink consumes packets, e.g. a file writer or an in-memory collector.
-type Sink interface {
-	// Write stores or forwards one packet record.
-	Write(p *Packet) error
-}

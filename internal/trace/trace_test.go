@@ -80,32 +80,6 @@ func TestForEachStopsOnError(t *testing.T) {
 	}
 }
 
-func TestFilterSource(t *testing.T) {
-	pkts := mkPackets(100, 3)
-	f := &FilterSource{
-		Src:  NewSliceSource(pkts),
-		Keep: func(p *Packet) bool { return p.Proto == ProtoTCP },
-	}
-	got, err := Collect(f, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, p := range pkts {
-		if p.Proto == ProtoTCP {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Errorf("filter kept %d, want %d", len(got), want)
-	}
-	for _, p := range got {
-		if p.Proto != ProtoTCP {
-			t.Fatal("non-TCP packet leaked through filter")
-		}
-	}
-}
-
 func TestClipSource(t *testing.T) {
 	pkts := mkPackets(200, 4)
 	from, to := pkts[50].Ts, pkts[150].Ts
@@ -146,37 +120,6 @@ func TestSortAndIsSorted(t *testing.T) {
 	SortByTime(pkts)
 	if !IsSorted(pkts) {
 		t.Fatal("SortByTime failed")
-	}
-}
-
-func TestMergeSources(t *testing.T) {
-	a := mkPackets(100, 7)
-	b := mkPackets(60, 8)
-	c := mkPackets(0, 9)
-	m := NewMergeSources(NewSliceSource(a), NewSliceSource(b), NewSliceSource(c))
-	got, err := Collect(m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(a)+len(b) {
-		t.Fatalf("merged %d packets, want %d", len(got), len(a)+len(b))
-	}
-	if !IsSorted(got) {
-		t.Fatal("merge output not time-sorted")
-	}
-	// Byte totals must be preserved.
-	var wantBytes, gotBytes int64
-	for _, p := range a {
-		wantBytes += int64(p.Size)
-	}
-	for _, p := range b {
-		wantBytes += int64(p.Size)
-	}
-	for _, p := range got {
-		gotBytes += int64(p.Size)
-	}
-	if wantBytes != gotBytes {
-		t.Errorf("merge changed byte total: got %d want %d", gotBytes, wantBytes)
 	}
 }
 

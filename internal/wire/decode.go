@@ -486,21 +486,27 @@ func readDecay(c *cursor) (tdbf.Decay, error) {
 	}
 }
 
-// filterColumns reads cells × (mass, touch) pairs into a FilterState.
-func filterColumns(c *cursor, st *tdbf.FilterState) error {
-	st.V = make([]float64, st.Cells)
-	st.Touch = make([]int64, st.Cells)
-	for i := 0; i < st.Cells; i++ {
-		st.V[i] = c.f64()
-		st.Touch[i] = c.i64()
-		if err := boundTime(st.Touch[i]); err != nil {
-			return err
+// restoreFilter reads st.Cells × (mass, touch) pairs at the cursor
+// straight into a restored filter.
+func restoreFilter(c *cursor, d tdbf.Decay, st tdbf.FilterState) (*tdbf.Filter, error) {
+	var badTouch error // the first touch stamp out of bounds
+	st.Cell = func(int) (float64, int64) {
+		v, touch := c.f64(), c.i64()
+		if err := boundTime(touch); err != nil && badTouch == nil {
+			badTouch = err
 		}
+		return v, touch
 	}
-	if !c.ok {
-		return fmt.Errorf("%w: short filter cells", ErrCorrupt)
+	f, err := tdbf.RestoreFilter(d, st)
+	switch {
+	case badTouch != nil:
+		return nil, badTouch
+	case !c.ok:
+		return nil, fmt.Errorf("%w: short filter cells", ErrCorrupt)
+	case err != nil:
+		return nil, corrupt(err)
 	}
-	return nil
+	return f, nil
 }
 
 func decodeFilterPayload(payload []byte) (*tdbf.Filter, error) {
@@ -523,15 +529,12 @@ func decodeFilterPayload(payload []byte) (*tdbf.Filter, error) {
 	if st.Cells < 1 || int64(st.Cells)*16 > int64(c.remaining()) {
 		return nil, fmt.Errorf("%w: %d filter cells exceed payload", ErrCorrupt, st.Cells)
 	}
-	if err := filterColumns(c, &st); err != nil {
+	f, err := restoreFilter(c, d, st)
+	if err != nil {
 		return nil, err
 	}
 	if err := c.finish(); err != nil {
 		return nil, err
-	}
-	f, err := tdbf.RestoreFilter(d, st)
-	if err != nil {
-		return nil, corrupt(err)
 	}
 	return f, nil
 }
@@ -641,12 +644,9 @@ func decodeContinuousPayload(hdr Header, payload []byte) (*continuous.Detector, 
 		if !c.ok {
 			return nil, fmt.Errorf("%w: short filter section", ErrCorrupt)
 		}
-		if err := filterColumns(c, &st); err != nil {
-			return nil, err
-		}
-		f, err := tdbf.RestoreFilter(decay, st)
+		f, err := restoreFilter(c, decay, st)
 		if err != nil {
-			return nil, corrupt(err)
+			return nil, err
 		}
 		filters[l] = f
 	}

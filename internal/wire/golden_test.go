@@ -5,9 +5,11 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/swhh"
 )
 
 // updateGolden regenerates the committed wire vectors instead of
@@ -85,6 +87,43 @@ func TestGoldenVectors(t *testing.T) {
 				t.Fatalf("committed vector no longer decodes: %v", err)
 			}
 		})
+	}
+}
+
+// TestGoldenMementoUnevenClocks keeps the format pin on the bytes
+// memento-v6.wire held while its fixture was fed by a per-packet method
+// that aged only the table of the level each packet sampled: a frame whose
+// tables stand at different frame clocks. No engine entry produces that
+// state any more (UpdateKeys ages every table at a frame change), but it
+// is a valid v1 frame: it decodes, re-encodes to the same bytes, and
+// answers a query inside its window exactly as the evenly aged fixture of
+// the same stream does.
+func TestGoldenMementoUnevenClocks(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "memento-v6-uneven.wire"))
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	uneven, err := decodeAs[*swhh.MementoHHH](want)
+	if err != nil {
+		t.Fatalf("committed vector no longer decodes: %v", err)
+	}
+	if !bytes.Equal(EncodeMemento(uneven), want) {
+		t.Fatal("committed vector does not re-encode to itself")
+	}
+	st := uneven.State()
+	clocks := map[int64]bool{}
+	for _, lv := range st.Levels {
+		clocks[lv.State().CurFrame] = true
+	}
+	if len(clocks) < 2 {
+		t.Fatalf("every table stands at the same clock %v: the vector pins nothing uneven", clocks)
+	}
+	even := testMementoH(testHierarchyV6(), 0x61)
+	frameNs := int64(slidingTestConfig().Window) / int64(slidingTestConfig().Frames)
+	at := (st.CurFrame+1)*frameNs - 1 // the last instant of the frame the stream ends in
+	got, ref := uneven.Query(0.05, at), even.Query(0.05, at)
+	if got.Len() == 0 || !reflect.DeepEqual(got, ref) {
+		t.Fatalf("query at %d diverged:\nuneven: %v\neven:   %v", at, got, ref)
 	}
 }
 

@@ -152,7 +152,7 @@ func TestMergeEquivalence(t *testing.T) {
 					now := int64(0)
 					for i := 0; i < 2000; i++ {
 						now += int64(r.next() % uint64(2*time.Millisecond))
-						d.Observe(addrFor(h, &r), int64(1+r.next()%9), now)
+						d.ObserveKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
 					}
 					return d
 				},
@@ -208,8 +208,8 @@ func TestMergedQueryMatchesUnsharded(t *testing.T) {
 	for i := 0; i < 3000; i++ {
 		a := addrFor(h, &r)
 		w := int64(1 + r.next()%9)
-		whole.Update(a, w)
-		shards[(a.Lo()^a.Hi())%mergeShards].Update(a, w)
+		whole.UpdateKeys(packet(h, a, w, 0))
+		shards[(a.Lo()^a.Hi())%mergeShards].UpdateKeys(packet(h, a, w, 0))
 	}
 	merged := mustDecode[*hhh.PerLevel](t)(EncodePerLevel(shards[0]))
 	for _, s := range shards[1:] {

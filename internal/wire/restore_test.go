@@ -24,7 +24,7 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 	now := int64(0)
 	feed := func(d *swhh.SlidingHHH, span time.Duration) []byte {
 		for end := now + int64(span); now < end; now += int64(r.next() % uint64(2*time.Millisecond)) {
-			d.Update(addrFor(h, &r), int64(1+r.next()%9), now)
+			d.UpdateKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
 		}
 		d.Advance(now)
 		return EncodeSliding(d)

@@ -16,6 +16,7 @@ import (
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/trace"
 )
 
 // decodeAs decodes frame through Decode, the codec's one entry, and
@@ -64,6 +65,16 @@ func addrFor(h addr.Hierarchy, r *splitmix) addr.Addr {
 	return addr.From4(byte(10+v%3), byte(v>>8), byte(v>>16), byte(v>>24&3))
 }
 
+// packet is one packet as every engine takes it: a one-key batch through
+// the producer-side packing (family filter, leaf key). The fixtures feed
+// packet by packet so that their states, and the golden vectors encoded
+// from them, do not depend on any batch geometry.
+func packet(h addr.Hierarchy, src addr.Addr, bytes, now int64) *trace.KeyBatch {
+	b := trace.NewKeyBatch(1)
+	b.AppendPackets(h, []trace.Packet{{Ts: now, Src: src, Size: uint32(bytes)}})
+	return b
+}
+
 // testAddr is the IPv4 shorthand used by the round-trip fixtures.
 func testAddr(r *splitmix) addr.Addr { return addrFor(testHierarchy(), r) }
 
@@ -89,7 +100,8 @@ func testPerLevelH(h addr.Hierarchy, seed uint64) *hhh.PerLevel {
 	p := hhh.NewPerLevel(h, 64)
 	r := splitmix(seed)
 	for i := 0; i < 400; i++ {
-		p.Update(addrFor(h, &r), int64(1+r.next()%9))
+		p.UpdateKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), 0))
+		p.Settle() // order-exact: one weighted update per packet and level
 	}
 	return p
 }
@@ -100,7 +112,7 @@ func testRHHHH(h addr.Hierarchy, seed uint64) *hhh.RHHH {
 	d := hhh.NewRHHH(h, 64, seed)
 	r := splitmix(seed)
 	for i := 0; i < 400; i++ {
-		d.Update(addrFor(h, &r), int64(1+r.next()%9))
+		d.UpdateKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), 0))
 	}
 	return d
 }
@@ -120,7 +132,7 @@ func testSlidingH(h addr.Hierarchy, seed uint64) *swhh.SlidingHHH {
 	now := int64(0)
 	for i := 0; i < 400; i++ {
 		now += int64(r.next() % uint64(5*time.Millisecond))
-		d.Update(addrFor(h, &r), int64(1+r.next()%9), now)
+		d.UpdateKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
 	}
 	return d
 }
@@ -136,7 +148,7 @@ func testMementoH(h addr.Hierarchy, seed uint64) *swhh.MementoHHH {
 	now := int64(0)
 	for i := 0; i < 400; i++ {
 		now += int64(r.next() % uint64(5*time.Millisecond))
-		d.Update(addrFor(h, &r), int64(1+r.next()%9), now)
+		d.UpdateKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
 	}
 	return d
 }
@@ -172,7 +184,7 @@ func testContinuousH(t testing.TB, h addr.Hierarchy, seed uint64) *continuous.De
 	now := int64(0)
 	for i := 0; i < 2000; i++ {
 		now += int64(r.next() % uint64(2*time.Millisecond))
-		d.Observe(addrFor(h, &r), int64(1+r.next()%9), now)
+		d.ObserveKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
 	}
 	return d
 }
