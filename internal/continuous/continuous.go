@@ -3,8 +3,9 @@
 // on time-decaying Bloom filters instead of resettable window counters.
 //
 // The detector keeps one time-decaying Bloom filter per hierarchy level
-// and a decayed tracker of total traffic mass. A packet costs one filter
-// write per level and nothing that grows with the active set:
+// and a decayed tracker of total traffic mass, all on one tdbf.Base: they
+// share a landmark, so a packet costs one exp for the whole detector, one
+// filter write per level and nothing that grows with the active set:
 //
 //   - Entry, per packet. The filter writes return the estimates of the
 //     packet's own generalisation chain, and every prefix of the chain
@@ -64,9 +65,8 @@ type Config struct {
 	// Required, in (0,1].
 	Phi float64
 	// Filter configures the per-level time-decaying Bloom filters,
-	// including the decay law. Filter.Decay is required; the decay
-	// horizon plays the role the window length plays for windowed
-	// detectors.
+	// including the decay law. Filter.Decay.Tau is required; it plays the
+	// role the window length plays for windowed detectors.
 	Filter tdbf.Config
 	// ExitRatio is the hysteresis: an active prefix exits at the first
 	// sweep or Query that finds its conditioned mass below
@@ -74,8 +74,8 @@ type Config struct {
 	ExitRatio float64
 	// Warmup suppresses admissions until this much trace time has
 	// passed after the first observed packet, letting the decayed total
-	// reach steady state. Default is the decay horizon (zero for laws
-	// without one). Anchoring at the first packet rather than at
+	// reach steady state. Default is the decay time constant. Anchoring
+	// at the first packet rather than at
 	// timestamp zero keeps detection invariant under time translation:
 	// a trace stamped in epoch nanoseconds warms up exactly like the
 	// same trace stamped from zero.
@@ -111,7 +111,8 @@ const sweepEvery = 64
 type Detector struct {
 	cfg     Config
 	levels  int
-	scale   float64 // estimate multiplier: level count under sampling, else 1
+	scale   float64    // estimate multiplier: level count under sampling, else 1
+	base    *tdbf.Base // the time base filters and total decay on
 	filters []*tdbf.Filter
 	total   *tdbf.MassTracker
 	act     activeSet
@@ -143,8 +144,8 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if cfg.Phi <= 0 || cfg.Phi > 1 {
 		return nil, fmt.Errorf("continuous: Phi %v out of (0,1]", cfg.Phi)
 	}
-	if cfg.Filter.Decay == nil {
-		return nil, fmt.Errorf("continuous: Filter.Decay is required")
+	if cfg.Filter.Decay.Tau <= 0 {
+		return nil, fmt.Errorf("continuous: a positive Filter.Decay.Tau is required")
 	}
 	if cfg.ExitRatio == 0 {
 		cfg.ExitRatio = 0.9
@@ -153,14 +154,16 @@ func NewDetector(cfg Config) (*Detector, error) {
 		return nil, fmt.Errorf("continuous: ExitRatio %v out of (0,1]", cfg.ExitRatio)
 	}
 	if cfg.Warmup == 0 {
-		cfg.Warmup = cfg.Filter.Decay.Horizon()
+		cfg.Warmup = cfg.Filter.Decay.Tau
 	}
 	levels := cfg.Hierarchy.Levels()
+	base := tdbf.NewBase(cfg.Filter.Decay)
 	d := &Detector{
 		cfg:    cfg,
 		levels: levels,
 		scale:  1,
-		total:  tdbf.NewMassTracker(cfg.Filter.Decay),
+		base:   base,
+		total:  base.NewMassTracker(),
 		masks:  make([]uint64, levels),
 		rng:    hashx.Mix64(cfg.Seed ^ 0x6a09e667f3bcc909),
 		est:    make([]float64, levels),
@@ -174,7 +177,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 	for l := range d.filters {
 		fc := cfg.Filter
 		fc.Seed = hashx.Mix64(cfg.Seed + uint64(l) + 1)
-		d.filters[l] = tdbf.New(fc)
+		d.filters[l] = base.NewFilter(fc)
 		d.masks[l] = cfg.Hierarchy.KeyMask(l)
 	}
 	d.act = newActiveSet(d.masks)
@@ -372,7 +375,7 @@ func (d *Detector) Query(now int64) hhh.Set {
 // Merge folds detector o into d; o is not modified. Both detectors must
 // be built from the same Config (hierarchy, filter shape, seed and decay
 // law), so their per-level filters merge cell-wise (see tdbf.Filter.Merge
-// — decay-to-common-time plus add, preserving the conservative
+// — rescale to the later landmark plus add, preserving the conservative
 // overestimate) and the total mass trackers likewise. The active sets are
 // unioned, keeping the earlier activation timestamp.
 //
@@ -429,6 +432,7 @@ func (d *Detector) Reset() {
 		f.Reset()
 	}
 	d.total.Reset()
+	d.base.Reset()
 	d.act.reset()
 	d.started = false
 	d.warmEnd = 0

@@ -1,0 +1,84 @@
+package continuous_test
+
+import (
+	"bytes"
+	"math/rand"
+	"testing"
+	"time"
+
+	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/continuous"
+	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/trace"
+	"hiddenhhh/internal/wire"
+)
+
+// TestChunkingLeavesIdenticalFrames: state is a function of the stream.
+// The same packets through ObserveKeys one at a time and in chunks of 7,
+// 256 and 2²⁰ seal to byte-identical frames — cells, landmark and all — at
+// several points of a stream long enough, against its time constant, to
+// roll the landmark over many times: a roll-over happens at the packet
+// whose timestamp calls for it, wherever the batch boundaries fall. (This
+// lives in an external test package because the codec imports the
+// detector.)
+func TestChunkingLeavesIdenticalFrames(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	tau := 20 * time.Millisecond
+	rng := rand.New(rand.NewSource(23))
+	pkts := make([]trace.Packet, 30000)
+	now := int64(1_700_000_000_000_000_000)
+	for i := range pkts {
+		now += int64(rng.Intn(int(600 * time.Microsecond))) // 9 s: seven roll-overs at 64 tau
+		if rng.Intn(5000) == 0 {
+			now += int64(100 * tau) // an idle gap longer than a landmark epoch
+		}
+		src := addr.From4(10, byte(rng.Intn(3)), byte(rng.Intn(6)), byte(rng.Intn(50)))
+		pkts[i] = trace.Packet{Ts: now, Src: src, Size: uint32(40 + rng.Intn(1460))}
+	}
+	for _, sampled := range []bool{false, true} {
+		mk := func() *continuous.Detector {
+			d, err := continuous.NewDetector(continuous.Config{
+				Hierarchy: h, Phi: 0.05, Sampled: sampled, Seed: 3,
+				Filter: tdbf.Config{Cells: 1 << 10, Hashes: 3, Decay: tdbf.Exponential{Tau: tau}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}
+		// frames replays pkts in chunks of bs and seals after every third
+		// of the stream (cutting the chunk there, as a barrier would).
+		frames := func(bs int) (out [][]byte, landmarks map[int64]bool) {
+			d := mk()
+			kb := trace.NewKeyBatch(min(bs, len(pkts)))
+			landmarks = map[int64]bool{}
+			for third := 0; third < 3; third++ {
+				part := pkts[third*len(pkts)/3 : (third+1)*len(pkts)/3]
+				for off := 0; off < len(part); off += bs {
+					kb.Reset()
+					kb.AppendPackets(h, part[off:min(off+bs, len(part))])
+					d.ObserveKeys(kb)
+					landmarks[d.State().Total.Touch] = true
+				}
+				frame, _ := wire.EncodeContinuous(d)
+				out = append(out, frame)
+			}
+			return out, landmarks
+		}
+		want, landmarks := frames(1)
+		if len(landmarks) < 5 {
+			t.Fatalf("sampled=%v: the stream stood at %d landmarks only", sampled, len(landmarks))
+		}
+		for _, bs := range []int{7, 256, 1 << 20} {
+			got, _ := frames(bs)
+			for i := range want {
+				if !bytes.Equal(got[i], want[i]) {
+					t.Fatalf("sampled=%v: chunks of %d: frame %d differs from the per-packet replay's", sampled, bs, i)
+				}
+			}
+		}
+		if f, err := wire.Verify(want[2]); err != nil || f.Header.Version != wire.VersionSparse {
+			t.Fatalf("sampled=%v: sealed frame: version %d, %v", sampled, f.Header.Version, err)
+		}
+	}
+}

@@ -139,9 +139,8 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 	}
 }
 
-// cellsOf flattens a filter's cells for comparison.
+// cellsOf flattens a filter's state — landmark, then masses — for
+// comparison.
 func cellsOf(f *tdbf.Filter) []float64 {
-	out := make([]float64, 0, 2*f.Cells())
-	f.ForEachCell(func(v float64, touch int64) { out = append(out, v, float64(touch)) })
-	return out
+	return append([]float64{float64(f.Landmark())}, f.Masses()...)
 }

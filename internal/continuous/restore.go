@@ -1,7 +1,7 @@
 // Serialization seam for the continuous detector: a read-only state
-// view and a validated restore constructor used by the internal/wire
-// codec. A restored detector is merge- and query-equivalent to the one
-// that was serialized; unlike Merge it validates instead of panicking,
+// view and a validated in-place restore used by the internal/wire codec.
+// A restored detector is merge- and query-equivalent to the one that was
+// serialized; unlike Merge the restore validates instead of panicking,
 // because its inputs ultimately come off the network.
 
 package continuous
@@ -60,50 +60,54 @@ func (d *Detector) State() State {
 	return st
 }
 
-// Restore rebuilds a detector from cfg, the sampler state, and
-// serialized state. Per-level filters are adopted (typically from
-// tdbf.RestoreFilter) and must have the shape, per-level derived seed
-// and decay law NewDetector would have built from cfg; active entries
-// must name a level of the hierarchy and a key generalised to it. Of
-// duplicate entries the earliest activation is kept.
-func Restore(cfg Config, sampler uint64, st State) (*Detector, error) {
-	d, err := NewDetector(cfg)
-	if err != nil {
-		return nil, err
+// Fits reports whether d has the configuration cfg spells out — callbacks
+// aside, which do not serialize — and so whether a frame sealed under cfg
+// can be restored into d in place.
+func (d *Detector) Fits(cfg Config) bool {
+	c, f := &d.cfg, d.filters[0]
+	return c.Hierarchy == cfg.Hierarchy && c.Phi == cfg.Phi && c.ExitRatio == cfg.ExitRatio &&
+		c.Warmup == cfg.Warmup && c.Sampled == cfg.Sampled && c.Seed == cfg.Seed &&
+		f.Decay() == cfg.Filter.Decay && f.Cells() == cfg.Filter.Cells && f.Hashes() == cfg.Filter.Hashes
+}
+
+// Restore brings d to serialized state in place, allocating nothing that
+// grows with the filters: sampler is the level-sampling state, st
+// everything but the filters (st.Filters is not consulted), and level(l)
+// is asked once per level, in level order, for that filter's state (see
+// tdbf.Filter.Restore: the seed must be the one NewDetector derived).
+// Active entries must name a level of the hierarchy and a key generalised
+// to it; of duplicate entries the earliest activation is kept. An error
+// from level is returned as it is. On error d is partly written and must
+// be discarded.
+func (d *Detector) Restore(sampler uint64, st State, level func(l int) (tdbf.FilterState, error)) error {
+	if st.Packets < 0 {
+		return fmt.Errorf("continuous: restore: negative packet count %d", st.Packets)
 	}
-	if len(st.Filters) != d.levels {
-		return nil, fmt.Errorf("continuous: restore: %d filters for %d-level hierarchy", len(st.Filters), d.levels)
+	d.Reset()
+	if err := d.total.Restore(st.Total); err != nil {
+		return err
 	}
-	for l, f := range st.Filters {
-		if f == nil {
-			return nil, fmt.Errorf("continuous: restore: nil filter at level %d", l)
+	for l, f := range d.filters {
+		fs, err := level(l)
+		if err != nil {
+			return err
 		}
-		want := d.filters[l]
-		if f.Cells() != want.Cells() || f.Hashes() != want.Hashes() || f.Seed() != want.Seed() ||
-			f.Decay().String() != want.Decay().String() {
-			return nil, fmt.Errorf("continuous: restore: level %d filter shape/seed/decay differs from config", l)
+		if err := f.Restore(fs); err != nil {
+			return fmt.Errorf("continuous: restore: level %d: %v", l, err)
 		}
-		d.filters[l] = f
 	}
-	total, err := tdbf.RestoreMassTracker(cfg.Filter.Decay, st.Total)
-	if err != nil {
-		return nil, err
-	}
-	d.total = total
+	h := d.cfg.Hierarchy
 	for _, e := range st.Active {
 		if e.Level < 0 || e.Level >= d.levels || e.Key&^d.masks[e.Level] != 0 ||
-			!cfg.Hierarchy.OnLattice(cfg.Hierarchy.PrefixOfKey(e.Key, e.Level)) {
-			return nil, fmt.Errorf("continuous: restore: active entry (level %d, key %#x) off the hierarchy lattice", e.Level, e.Key)
+			!h.OnLattice(h.PrefixOfKey(e.Key, e.Level)) {
+			return fmt.Errorf("continuous: restore: active entry (level %d, key %#x) off the hierarchy lattice", e.Level, e.Key)
 		}
 		d.act.add(e.Level, e.Key, e.At)
 	}
 	d.act.fix()
-	if st.Packets < 0 {
-		return nil, fmt.Errorf("continuous: restore: negative packet count %d", st.Packets)
-	}
 	d.started = st.Started
 	d.warmEnd = st.WarmEnd
 	d.pkts = st.Packets
 	d.rng = sampler
-	return d, nil
+	return nil
 }

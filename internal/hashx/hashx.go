@@ -1,8 +1,8 @@
 // Package hashx provides the deterministic, seeded integer hashes used
 // throughout this repository: one mixing finaliser (Mix64, which also
 // drives the engines' level sampling), its seeded form, the double-hashing
-// pair behind Bloom-filter cells (Indices2) and the bias-free range
-// reduction behind shard partitioning (Bucket).
+// pair behind Bloom-filter cells (Indices2; Probes2 under a premixed seed)
+// and the bias-free range reduction behind shard partitioning (Bucket).
 //
 // Everything hashed here is a small fixed-width integer key (a packed
 // prefix), so instead of a general byte-stream hash we use integer mixing
@@ -27,21 +27,24 @@ func Mix64(x uint64) uint64 {
 
 // Seeded hashes x under the given seed. Distinct seeds yield hash functions
 // that are independent for all practical sketch purposes.
-func Seeded(x, seed uint64) uint64 {
-	// xor-fold the seed in before and after mixing so that related seeds
-	// (0,1,2,...) still produce unrelated functions.
-	return Mix64(x ^ Mix64(seed^0x9e3779b97f4a7c15))
-}
+func Seeded(x, seed uint64) uint64 { return Mix64(x ^ Premix(seed)) }
+
+// Premix is the half of Seeded that depends on the seed alone — the seed
+// is mixed before it is xor-folded into x, so that related seeds (0,1,2,...)
+// still produce unrelated functions — for a caller that hashes many keys
+// under one seed to pay for once: Seeded(x, seed) == Mix64(x ^ Premix(seed)).
+func Premix(seed uint64) uint64 { return Mix64(seed ^ 0x9e3779b97f4a7c15) }
 
 // Indices2 computes two independent hashes of x for double hashing:
 // Bloom-filter cell j can then be derived as h1 + j*h2 (mod m), the
 // Kirsch–Mitzenmacher construction, which preserves asymptotic
 // false-positive behaviour while paying for only two hash evaluations.
-func Indices2(x, seed uint64) (h1, h2 uint64) {
-	h := Seeded(x, seed)
-	h1 = h >> 32
-	h2 = h&0xffffffff | 1 // force odd so it cycles the whole table
-	return h1, h2
+func Indices2(x, seed uint64) (h1, h2 uint64) { return Probes2(x, Premix(seed)) }
+
+// Probes2 is Indices2 under a seed already put through Premix.
+func Probes2(x, premixed uint64) (h1, h2 uint64) {
+	h := Mix64(x ^ premixed)
+	return h >> 32, h&0xffffffff | 1 // odd, so the stride cycles the whole table
 }
 
 // Bucket reduces h into [0,m) without modulo bias for m << 2^32.

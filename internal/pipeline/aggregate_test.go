@@ -1,16 +1,26 @@
 package pipeline
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
+	"math"
+	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"testing"
 	"time"
 
 	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
+	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/wire"
 )
@@ -397,5 +407,200 @@ func TestAggregatorSliding(t *testing.T) {
 	rep = agg.Report()
 	if rep.End != end2 || !rep.Degraded {
 		t.Fatalf("lagging node should degrade: %+v", rep)
+	}
+}
+
+// TestAggregatorContinuous pins the latest-frame path for the continuous
+// engine, over frames of both wire versions. Node a ships version-2 frames
+// of a detector fed its half of a source-partitioned stream — the second
+// restored over the first, in place; node b's frame is the committed
+// version-1 golden vector of internal/wire, whose fixture stream the test
+// regenerates. Their fold must answer as one detector over the union stream
+// does. A frame that fails half way through the restore costs the node its
+// summary, not the Aggregator its report, and the next good frame brings
+// the node back.
+func TestAggregatorContinuous(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	cfg := continuous.Config{
+		Hierarchy: h, Phi: 0.05, Seed: 0x80,
+		Filter: tdbf.Config{Cells: 1 << 10, Hashes: 3, Decay: tdbf.Exponential{Tau: 500 * time.Millisecond}},
+	}
+	v1, err := os.ReadFile(filepath.Join("..", "wire", "testdata", "continuous-v4.wire"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The stream wire's testContinuousH(v4, 0x80) fed, draw for draw.
+	state := uint64(0x80)
+	next := func() uint64 {
+		state += 0x9e3779b97f4a7c15
+		z := state
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return z ^ (z >> 31)
+	}
+	var streamB []trace.Packet
+	for i, now := 0, int64(0); i < 2000; i++ {
+		now += int64(next() % uint64(2*time.Millisecond))
+		v := next()
+		src := addr.From4(byte(10+v%3), byte(v>>8), byte(v>>16), byte(v>>24&3))
+		streamB = append(streamB, trace.Packet{Ts: now, Src: src, Size: uint32(1 + next()%9)})
+	}
+	at := streamB[len(streamB)-1].Ts + 1
+	// Node a: everything under 20/8, three packets in five from one host.
+	rng := rand.New(rand.NewSource(4))
+	streamA := make([]trace.Packet, 2000)
+	for i := range streamA {
+		src := addr.From4(20, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(4)))
+		if rng.Intn(5) < 3 {
+			src = addr.From4(20, 1, 2, 3)
+		}
+		streamA[i] = trace.Packet{Ts: int64(i) * (at - 1) / int64(len(streamA)), Src: src, Size: uint32(1 + rng.Intn(9))}
+	}
+	mk := func() *continuous.Detector {
+		d, err := continuous.NewDetector(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	feed := func(d *continuous.Detector, pkts []trace.Packet) {
+		kb := trace.NewKeyBatch(len(pkts))
+		kb.AppendPackets(h, pkts)
+		d.ObserveKeys(kb)
+	}
+	seal := func(seq int64, d *continuous.Detector, end int64) Sealed {
+		frame, _ := wire.EncodeContinuous(d)
+		return Sealed{Seq: seq, Start: end - int64(cfg.Filter.Decay.Tau), End: end, Frame: frame}
+	}
+	union := mk()
+	both := append(slices.Clone(streamA), streamB...)
+	sort.SliceStable(both, func(i, j int) bool { return both[i].Ts < both[j].Ts })
+	feed(union, both)
+	want := union.Query(at)
+	heavyA, heavyB := h.PrefixOfKey(h.Key(addr.From4(20, 1, 2, 3), 0), 0), h.PrefixOfKey(h.Key(addr.From4(11, 0, 0, 0), 3), 3)
+	if !want.Contains(heavyA) || !want.Contains(heavyB) {
+		t.Fatalf("the union stream's report %v lacks a heavy prefix of one of the halves", want)
+	}
+
+	agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: cfg.Phi})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	matches := func(when string) {
+		t.Helper()
+		rep := agg.Report()
+		if rep.Nodes != 2 || rep.Degraded || rep.End != at || !rep.Set.Equal(want) {
+			t.Fatalf("%s: report %+v, one detector over the union stream says %v", when, rep, want)
+		}
+		for p, it := range want {
+			if g := rep.Set[p]; math.Abs(float64(g.Count-it.Count)) > 1e-6*float64(it.Count)+1 ||
+				math.Abs(float64(g.Conditioned-it.Conditioned)) > 1e-6*float64(it.Count)+1 {
+				t.Fatalf("%s: %v: aggregated %+v, union stream %+v", when, p, g, it)
+			}
+		}
+		if mass := union.TotalMass(at); math.Abs(float64(rep.Bytes)-mass) > 1e-6*mass+1 {
+			t.Fatalf("%s: aggregated mass %d, union stream %v", when, rep.Bytes, mass)
+		}
+	}
+	nodeA := mk()
+	feed(nodeA, streamA[:len(streamA)/2])
+	if err := agg.Ingest("a", seal(1, nodeA, streamA[len(streamA)/2].Ts)); err != nil {
+		t.Fatal(err)
+	}
+	first := agg.nodes["a"].sum
+	if err := agg.Ingest("b", Sealed{Seq: 1, Start: at - int64(cfg.Filter.Decay.Tau), End: at, Frame: v1}); err != nil {
+		t.Fatalf("version-1 frame: %v", err)
+	}
+	feed(nodeA, streamA[len(streamA)/2:])
+	good := seal(2, nodeA, at)
+	if err := agg.Ingest("a", good); err != nil {
+		t.Fatal(err)
+	}
+	if sum := agg.nodes["a"].sum; sum != first || sum.(*tdbfSummary).d == nil {
+		t.Fatal("node a's second frame was not restored over its first, in place")
+	}
+	matches("v2 restored in place + v1")
+
+	// The last level's last sparse row names a cell past the filter (the
+	// checksum made good again): the levels before it are written by then.
+	bad := good
+	bad.Seq, bad.Frame = 3, slices.Clone(good.Frame)
+	n := len(bad.Frame) - 4
+	binary.LittleEndian.PutUint32(bad.Frame[n-12:], 1<<10)
+	binary.LittleEndian.PutUint32(bad.Frame[n:], crc32.ChecksumIEEE(bad.Frame[:n]))
+	if err := agg.Ingest("a", bad); !errors.Is(err, ErrFrameRejected) {
+		t.Fatalf("frame that fails mid-restore: %v", err)
+	}
+	if agg.nodes["a"].sum != nil {
+		t.Fatal("a half-restored summary was kept")
+	}
+	if err := agg.Ingest("b", Sealed{Seq: 2, Start: at - int64(cfg.Filter.Decay.Tau), End: at, Frame: v1}); err != nil {
+		t.Fatal(err)
+	}
+	if rep := agg.Report(); rep.Nodes != 1 || !rep.Degraded || rep.Set.Contains(heavyA) || !rep.Set.Contains(heavyB) {
+		t.Fatalf("after node a's bad frame: %+v", rep)
+	}
+	good.Seq = 4
+	if err := agg.Ingest("a", good); err != nil {
+		t.Fatal(err)
+	}
+	matches("after node a's next good frame")
+}
+
+// TestAggregatorContinuousSteadyStateAllocs: once every node has a summary
+// and the accumulator exists, taking a continuous frame in — restore,
+// fold, query, publish — allocates nothing that grows with the filters.
+func TestAggregatorContinuousSteadyStateAllocs(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	const cells = 1 << 16
+	pkts := testStream(12, 20000, 4)
+	at := pkts[len(pkts)-1].Ts + 1
+	var seals [2]Sealed
+	for i := range seals {
+		d, err := continuous.NewDetector(continuous.Config{
+			Hierarchy: h, Phi: 0.05,
+			Filter: tdbf.Config{Cells: cells, Hashes: 4, Decay: tdbf.Exponential{Tau: time.Second}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		kb := trace.NewKeyBatch(len(pkts) / 2)
+		kb.AppendPackets(h, pkts[i*len(pkts)/2:(i+1)*len(pkts)/2])
+		d.ObserveKeys(kb)
+		frame, _ := wire.EncodeContinuous(d)
+		seals[i] = Sealed{Start: at - int64(time.Second), End: at, Frame: frame}
+	}
+	agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	seq := int64(0)
+	round := func() {
+		seq++
+		for i, s := range seals {
+			s.Seq = seq
+			if err := agg.Ingest(string(rune('a'+i)), s); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	round()
+	round()
+	if agg.Report().Set.Len() == 0 || agg.acc == nil {
+		t.Fatalf("warm-up published %+v", agg.Report())
+	}
+	const rounds = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < rounds; i++ {
+		round()
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / (2 * rounds)
+	t.Logf("steady-state ingest: %d B per frame", perFrame)
+	if column := uint64(cells * 8); perFrame > column/8 {
+		t.Fatalf("steady-state ingest allocates %d B per frame; one level's cells are %d B", perFrame, column)
 	}
 }

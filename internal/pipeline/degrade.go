@@ -427,9 +427,6 @@ func (d *Sharded) completeBarrier(b *barrier, joined []bool, count int) {
 		if !b.reset {
 			start, end = b.at-int64(d.cfg.Window), b.at
 		}
-		frame, err := d.merged.Encode()
-		if err == nil {
-			d.emitSeal(frame, start, end, total, count, degraded)
-		}
+		d.emitSeal(d.merged.Encode(), start, end, total, count, degraded)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -393,5 +394,48 @@ func TestMemoMetrics(t *testing.T) {
 	an := agg.nodes["n"]
 	if g, w := sample("hhh_aggregator_state_bytes"), int64(an.latest.Size()+an.sum.SizeBytes()); g != w || w == 0 {
 		t.Errorf("state_bytes %d, node frame + summary %d", g, w)
+	}
+}
+
+// TestOccupancyMetric: the continuous pipeline serves, in a conforming
+// exposition, the occupied cells of each level of its merged filters as
+// the encoder counted them for the last sealed frame — equal to a count
+// taken off the accumulator, which stands untouched since that seal, and
+// shrinking from the crowded leaf level to the root.
+func TestOccupancyMetric(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	var sealed atomic.Int64
+	det, err := New(Config{
+		Mode: ModeContinuous, Shards: 2, Window: time.Second, Phi: 0.02, Cells: 1 << 12,
+		Metrics: reg, OnSeal: func(Sealed) { sealed.Add(1) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer det.Close()
+	pkts := wideStream(5, 20000, 3*time.Second)
+	det.ObserveBatch(pkts)
+	det.Snapshot(pkts[len(pkts)-1].Ts + 1)
+	if sealed.Load() != 1 {
+		t.Fatalf("%d frames sealed", sealed.Load())
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := telemetry.ValidateExposition(sb.String()); err != nil {
+		t.Fatalf("exposition does not conform: %v", err)
+	}
+	filters := det.merged.(*tdbfSummary).d.State().Filters
+	prev := 1 << 12
+	for l, f := range filters {
+		want := fmt.Sprintf("\nhhh_pipeline_tdbf_occupied_cells{level=\"%d\"} %d\n", l, f.Occupied())
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("exposition lacks %q", strings.TrimSpace(want))
+		}
+		if f.Occupied() == 0 || f.Occupied() > prev {
+			t.Errorf("level %d: %d occupied cells after %d a level below", l, f.Occupied(), prev)
+		}
+		prev = f.Occupied()
 	}
 }

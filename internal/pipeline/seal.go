@@ -63,9 +63,7 @@ func (d *Sharded) emptySealFrame() []byte {
 		if err != nil {
 			return // New validated cfg already; unreachable
 		}
-		if frame, err := eng.Encode(); err == nil {
-			d.seal.emptyFrame = frame
-		}
+		d.seal.emptyFrame = eng.Encode()
 	})
 	return d.seal.emptyFrame
 }
@@ -75,9 +73,6 @@ func (d *Sharded) emptySealFrame() []byte {
 // is quiescent) or, for empty windows, on the coordinator with the
 // cached empty frame.
 func (d *Sharded) emitSeal(frame []byte, start, end, total int64, shards int, degraded bool) {
-	if frame == nil {
-		return // unserialisable summary; cluster mode documents the stock laws only
-	}
 	d.seal.fn(Sealed{
 		Mode:     d.cfg.Mode.String(),
 		Engine:   d.cfg.Engine.String(),

@@ -9,6 +9,8 @@ package pipeline
 
 import (
 	"fmt"
+	"strconv"
+	"sync/atomic"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/continuous"
@@ -16,6 +18,7 @@ import (
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/telemetry"
 	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/wire"
 )
@@ -60,7 +63,7 @@ type Summary interface {
 	SizeBytes() int
 	// Encode seals the summary into its internal/wire frame;
 	// wrap(wire.Decode(frame)) restores an equivalent summary.
-	Encode() ([]byte, error)
+	Encode() []byte
 }
 
 // Kind selects the summary engine. KindExact..KindMemento mirror the
@@ -93,17 +96,21 @@ type engine struct {
 	// build constructs shard's raw engine from a defaulted Config, in the
 	// form wire.Decode returns it (so wrap serves both).
 	build func(cfg *Config, shard int) (any, error)
+	// restoreInto, when set, brings prev's engine to the state sealed in
+	// frame in place if it can and returns nil, else a new raw engine.
+	// Engines without it are decoded anew from every frame.
+	restoreInto func(prev Summary, prevFrame, frame wire.Frame) (e any, restored, skipped int, err error)
 }
 
 // engines is the registry, indexed by Kind. Within a mode the first row
 // is the mode's default engine.
 var engines = [...]engine{
-	KindExact:    {"exact", ModeWindowed, wire.KindExact, true, buildExact},
-	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, true, buildPerLevel},
-	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, true, buildRHHH},
-	KindWCSS:     {"wcss", ModeSliding, wire.KindSliding, false, buildWCSS},
-	KindMemento:  {"memento", ModeSliding, wire.KindMemento, false, buildMemento},
-	KindTDBF:     {"tdbf", ModeContinuous, wire.KindContinuous, false, buildTDBF},
+	KindExact:    {"exact", ModeWindowed, wire.KindExact, true, buildExact, nil},
+	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, true, buildPerLevel, nil},
+	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, true, buildRHHH, nil},
+	KindWCSS:     {"wcss", ModeSliding, wire.KindSliding, false, buildWCSS, restoreWCSS},
+	KindMemento:  {"memento", ModeSliding, wire.KindMemento, false, buildMemento, nil},
+	KindTDBF:     {"tdbf", ModeContinuous, wire.KindContinuous, false, buildTDBF, restoreTDBF},
 }
 
 // row returns k's registry row, nil for an unknown kind.
@@ -183,7 +190,7 @@ func wrap(e any, phi float64) (Summary, error) {
 	case *swhh.MementoHHH:
 		return &mementoSummary{d: e, phi: phi}, nil
 	case *continuous.Detector:
-		return &tdbfSummary{d: e}, nil
+		return &tdbfSummary{d: e, occupied: make([]atomic.Int64, e.Config().Hierarchy.Levels())}, nil
 	default:
 		return nil, fmt.Errorf("pipeline: %T is not a pipeline engine", e)
 	}
@@ -192,32 +199,51 @@ func wrap(e any, phi float64) (Summary, error) {
 // restore brings a sender's summary to the state sealed in frame and
 // returns it with the ring slots it restored and skipped. prev is the
 // summary a previous call restored from prevFrame, nil when there is
-// none. An engine with sealed frames (wcss) is restored in place, slot by
-// slot, leaving the slots the two frames share untouched — stamps and all,
-// so an accumulator's memo of them stands (see wire.Frame.RestoreSliding);
-// any other engine is decoded anew. On error prev must be discarded.
+// none. An engine with a restoreInto hook is restored in place — wcss slot
+// by slot, leaving the slots the two frames share untouched, stamps and
+// all, so an accumulator's memo of them stands (see
+// wire.Frame.RestoreSliding); tdbf over its own cells, allocating nothing
+// that grows with them (wire.Frame.RestoreContinuous) — and any other
+// engine is decoded anew. On error prev must be discarded.
 func (r *engine) restore(prev Summary, prevFrame, frame wire.Frame, phi float64) (sum Summary, restored, skipped int, err error) {
-	if r.wire != wire.KindSliding {
-		e, err := frame.Decode()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		sum, err = wrap(e, phi)
-		return sum, 0, 0, err
+	var e any
+	if r.restoreInto == nil {
+		e, err = frame.Decode()
+	} else {
+		e, restored, skipped, err = r.restoreInto(prev, prevFrame, frame)
 	}
+	switch {
+	case err != nil:
+		return nil, 0, 0, err
+	case e == nil: // restored over prev's own engine
+		return prev, restored, skipped, nil
+	}
+	sum, err = wrap(e, phi)
+	return sum, restored, skipped, err
+}
+
+func restoreWCSS(prev Summary, prevFrame, frame wire.Frame) (any, int, int, error) {
 	var d *swhh.SlidingHHH
 	if p, ok := prev.(*wcssSummary); ok {
 		d = p.live()
 	}
 	nd, restored, skipped, err := frame.RestoreSliding(d, prevFrame)
-	if err != nil {
+	if err != nil || nd == d {
+		return nil, restored, skipped, err
+	}
+	return nd, restored, skipped, nil
+}
+
+func restoreTDBF(prev Summary, _, frame wire.Frame) (any, int, int, error) {
+	var d *continuous.Detector
+	if p, ok := prev.(*tdbfSummary); ok {
+		d = p.d
+	}
+	nd, err := frame.RestoreContinuous(d)
+	if err != nil || nd == d {
 		return nil, 0, 0, err
 	}
-	if nd == d {
-		return prev, restored, skipped, nil
-	}
-	sum, err = wrap(nd, phi)
-	return sum, restored, skipped, err
+	return nd, 0, 0, nil
 }
 
 // slotTally reports how many sealed-frame slots the accumulator s has
@@ -312,10 +338,10 @@ func (e *exactSummary) UpdateKeys(b *trace.KeyBatch) {
 		e.ex.Update(k, int64(sizes[i]))
 	}
 }
-func (e *exactSummary) Advance(int64)           {}
-func (e *exactSummary) Reset()                  { e.ex.Reset() }
-func (e *exactSummary) SizeBytes() int          { return e.ex.Len() * 16 }
-func (e *exactSummary) Encode() ([]byte, error) { return wire.EncodeExact(e.h, e.ex), nil }
+func (e *exactSummary) Advance(int64)  {}
+func (e *exactSummary) Reset()         { e.ex.Reset() }
+func (e *exactSummary) SizeBytes() int { return e.ex.Len() * 16 }
+func (e *exactSummary) Encode() []byte { return wire.EncodeExact(e.h, e.ex) }
 
 func (e *exactSummary) Merge(srcs ...Summary) {
 	mergeEach(srcs, func(o *exactSummary) { e.ex.AddAll(o.ex) })
@@ -338,7 +364,7 @@ func (e *perLevelSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
 func (e *perLevelSummary) Advance(int64)                { e.d.Settle() }
 func (e *perLevelSummary) Reset()                       { e.d.Reset() }
 func (e *perLevelSummary) SizeBytes() int               { return e.d.SizeBytes() }
-func (e *perLevelSummary) Encode() ([]byte, error)      { return wire.EncodePerLevel(e.d), nil }
+func (e *perLevelSummary) Encode() []byte               { return wire.EncodePerLevel(e.d) }
 
 func (e *perLevelSummary) Merge(srcs ...Summary) {
 	mergeEach(srcs, func(o *perLevelSummary) { e.d.Merge(o.d) })
@@ -358,7 +384,7 @@ func (e *rhhhSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
 func (e *rhhhSummary) Advance(int64)                {}
 func (e *rhhhSummary) Reset()                       { e.d.Reset() }
 func (e *rhhhSummary) SizeBytes() int               { return e.d.SizeBytes() }
-func (e *rhhhSummary) Encode() ([]byte, error)      { return wire.EncodeRHHH(e.d), nil }
+func (e *rhhhSummary) Encode() []byte               { return wire.EncodeRHHH(e.d) }
 
 func (e *rhhhSummary) Merge(srcs ...Summary) {
 	mergeEach(srcs, func(o *rhhhSummary) { e.d.Merge(o.d) })
@@ -396,7 +422,7 @@ func (e *wcssSummary) UpdateKeys(b *trace.KeyBatch) { e.live().UpdateKeys(b) }
 func (e *wcssSummary) Advance(now int64)            { e.live().Advance(now) }
 func (e *wcssSummary) Reset()                       { e.cleared = true }
 func (e *wcssSummary) SizeBytes() int               { return e.d.SizeBytes() + cap(e.from)*8 }
-func (e *wcssSummary) Encode() ([]byte, error)      { return wire.EncodeSliding(e.live()), nil }
+func (e *wcssSummary) Encode() []byte               { return wire.EncodeSliding(e.live()) }
 
 func (e *wcssSummary) Merge(srcs ...Summary) {
 	e.from = e.from[:0]
@@ -430,7 +456,7 @@ func (e *mementoSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
 func (e *mementoSummary) Advance(now int64)            { e.d.Advance(now) }
 func (e *mementoSummary) Reset()                       { e.d.Reset() }
 func (e *mementoSummary) SizeBytes() int               { return e.d.SizeBytes() }
-func (e *mementoSummary) Encode() ([]byte, error)      { return wire.EncodeMemento(e.d), nil }
+func (e *mementoSummary) Encode() []byte               { return wire.EncodeMemento(e.d) }
 
 func (e *mementoSummary) Merge(srcs ...Summary) {
 	mergeEach(srcs, func(o *mementoSummary) { e.d.Merge(o.d) })
@@ -440,18 +466,29 @@ func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
 	return e.d.Query(e.phi, now), e.d.WindowTotal(now)
 }
 
-// tdbfSummary adapts the time-decaying Bloom filter detector. The
-// filters decay lazily, so Advance has nothing to do; Merge decays cell
-// pairs to a common time as it adds them.
+// tdbfSummary adapts the time-decaying Bloom filter detector. The cells
+// are scaled to a landmark and decay without being touched, so Advance has
+// nothing to do; Merge rescales one side to the other's landmark as it
+// adds them.
 type tdbfSummary struct {
 	d *continuous.Detector
+	// occupied is each level's non-zero cell count as of the last Encode,
+	// which counts them to lay the frame out; the occupancy gauge reads it.
+	occupied []atomic.Int64
 }
 
 func (e *tdbfSummary) UpdateKeys(b *trace.KeyBatch) { e.d.ObserveKeys(b) }
 func (e *tdbfSummary) Advance(int64)                {}
 func (e *tdbfSummary) Reset()                       { e.d.Reset() }
 func (e *tdbfSummary) SizeBytes() int               { return e.d.SizeBytes() }
-func (e *tdbfSummary) Encode() ([]byte, error)      { return wire.EncodeContinuous(e.d) }
+
+func (e *tdbfSummary) Encode() []byte {
+	frame, occupied := wire.EncodeContinuous(e.d)
+	for l, n := range occupied {
+		e.occupied[l].Store(int64(n))
+	}
+	return frame
+}
 
 func (e *tdbfSummary) Merge(srcs ...Summary) {
 	mergeEach(srcs, func(o *tdbfSummary) { e.d.Merge(o.d) })
@@ -459,4 +496,20 @@ func (e *tdbfSummary) Merge(srcs ...Summary) {
 
 func (e *tdbfSummary) Query(now int64) (hhh.Set, int64) {
 	return e.d.Query(now), int64(e.d.TotalMass(now))
+}
+
+// registerEngineMetrics exports what only one engine has to show about
+// the merge accumulator s: for tdbf, the occupied cells of each level's
+// filter at the last seal (the denominator is Config.Cells).
+func registerEngineMetrics(r *telemetry.Registry, s Summary) {
+	e, ok := s.(*tdbfSummary)
+	if !ok {
+		return
+	}
+	occupied := r.GaugeVec("hhh_pipeline_tdbf_occupied_cells",
+		"Non-zero cells of the merged time-decaying Bloom filter at each hierarchy level (0 = leaf), as counted for the most recent sealed frame; 0 until OnSeal has sealed one.",
+		"level")
+	for l := range e.occupied {
+		occupied.WithFunc(func() float64 { return float64(e.occupied[l].Load()) }, strconv.Itoa(l))
+	}
 }

@@ -65,6 +65,7 @@ func (d *Sharded) registerMetrics(r *telemetry.Registry) *pipeTelemetry {
 		"result")
 	folds.WithFunc(d.foldedSlots.Load, "folded")
 	folds.WithFunc(d.keptSlots.Load, "reused")
+	registerEngineMetrics(r, d.merged)
 	r.CounterFunc("hhh_pipeline_filtered_packets_total",
 		"Packets observed but kept out of every shard by the hierarchy's address-family filter.",
 		d.filtered.Load)

@@ -1,31 +1,42 @@
 package tdbf
 
-import "time"
+import (
+	"math"
+	"time"
+
+	"hiddenhhh/internal/hashx"
+)
 
 // PeriodicFilter is the classical eager-refresh time-decaying Bloom
 // filter: instead of decaying cells on demand, the whole array is decayed
 // in bulk every Tick. It exists as the baseline that Bianchi et al.'s
 // on-demand design replaces — estimates agree with Filter up to tick
 // quantisation, but updates between ticks pay nothing for decay while
-// every tick pays O(m).
+// every tick pays O(m). It keeps its own cell array and applies its law
+// through Decay.Apply only, so it shares no arithmetic with Filter and
+// stays an independent oracle for it.
 //
 // The refresh is driven by the data timestamps (advance happens inside Add
 // and Estimate), so replays remain deterministic and no goroutines or wall
 // clocks are involved.
 type PeriodicFilter struct {
-	inner   Filter // reuse cell array and hashing; decay applied eagerly
+	cells   []float64 // all current as of lastRef
+	k       int
+	seed    uint64
+	law     Decay
 	tick    time.Duration
 	lastRef int64 // timestamp of the last refresh boundary
 	sweeps  int64
 }
 
-// NewPeriodic builds a PeriodicFilter refreshing every tick.
-func NewPeriodic(cfg Config, tick time.Duration) *PeriodicFilter {
+// NewPeriodic builds a PeriodicFilter of cfg's shape and seed, decaying
+// under law and refreshing every tick.
+func NewPeriodic(cfg Config, law Decay, tick time.Duration) *PeriodicFilter {
 	if tick <= 0 {
 		panic("tdbf: refresh tick must be positive")
 	}
-	f := New(cfg)
-	return &PeriodicFilter{inner: *f, tick: tick}
+	cfg.setDefaults()
+	return &PeriodicFilter{cells: make([]float64, cfg.Cells), k: cfg.Hashes, seed: cfg.Seed, law: law, tick: tick}
 }
 
 // advance applies any refresh sweeps due strictly before now.
@@ -33,29 +44,34 @@ func (p *PeriodicFilter) advance(now int64) {
 	for now-p.lastRef >= int64(p.tick) {
 		p.lastRef += int64(p.tick)
 		p.sweeps++
-		for i := range p.inner.cells {
-			c := &p.inner.cells[i]
-			if c.v > 0 {
-				c.v = p.inner.decay.Apply(c.v, p.tick)
+		for i, v := range p.cells {
+			if v > 0 {
+				p.cells[i] = p.law.Apply(v, p.tick)
 			}
-			c.touch = p.lastRef
 		}
 	}
 }
 
-// Add records weight w for key at time now.
+// Add records weight w for key at time now: the cells are all current as
+// of lastRef, so the weight goes in without further decay.
 func (p *PeriodicFilter) Add(key uint64, w float64, now int64) {
 	p.advance(now)
-	// Cells are all current as of lastRef; add without further decay by
-	// touching with the refresh timestamp.
-	p.inner.Add(key, w, p.lastRef)
+	h1, h2 := hashx.Indices2(key, p.seed)
+	for i := 0; i < p.k; i++ {
+		p.cells[(h1+uint64(i)*h2)%uint64(len(p.cells))] += w
+	}
 }
 
 // Estimate returns the estimate of key's mass as of the last refresh
 // boundary at or before now.
 func (p *PeriodicFilter) Estimate(key uint64, now int64) float64 {
 	p.advance(now)
-	return p.inner.Estimate(key, p.lastRef)
+	h1, h2 := hashx.Indices2(key, p.seed)
+	min := math.Inf(1)
+	for i := 0; i < p.k; i++ {
+		min = math.Min(min, p.cells[(h1+uint64(i)*h2)%uint64(len(p.cells))])
+	}
+	return min
 }
 
 // Sweeps returns how many full-array refreshes have run, the cost metric
@@ -63,11 +79,11 @@ func (p *PeriodicFilter) Estimate(key uint64, now int64) float64 {
 func (p *PeriodicFilter) Sweeps() int64 { return p.sweeps }
 
 // SizeBytes returns the state footprint.
-func (p *PeriodicFilter) SizeBytes() int { return p.inner.SizeBytes() }
+func (p *PeriodicFilter) SizeBytes() int { return len(p.cells) * 8 }
 
 // Reset clears all cells and the refresh clock.
 func (p *PeriodicFilter) Reset() {
-	p.inner.Reset()
+	clear(p.cells)
 	p.lastRef = 0
 	p.sweeps = 0
 }

@@ -1,94 +1,105 @@
 // Serialization seams for the time-decaying structures: read-only state
-// views and validated restore constructors used by the internal/wire
-// codec. Restores rebuild the exact cell contents, so a restored filter
-// is merge- and estimate-equivalent to the one that was serialized; they
-// validate instead of panicking because their inputs ultimately come off
+// views and validated in-place restores used by the internal/wire codec.
+// A restore rebuilds the exact cell contents, so a restored filter is
+// merge- and estimate-equivalent to the one that was serialized; it
+// validates instead of panicking because its input ultimately comes off
 // the network.
 
 package tdbf
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
-// FilterState is the serializable state of a Filter: its shape and seed
-// plus a reader of the cells. The decay law travels separately (it is an
-// interface; wire encodes it as a tagged descriptor). It is the input of
-// RestoreFilter; the way out of a live filter is its accessors and
-// ForEachCell.
+// FilterState is the serializable state of a Filter beyond its shape: the
+// input of Filter.Restore. The way out of a live filter is its accessors
+// and Masses.
 type FilterState struct {
-	Cells  int
-	Hashes int
-	Seed   uint64
-	Adds   int64
-	// Cell yields cell i's decayed mass and the ns timestamp of its last
-	// decay application. RestoreFilter calls it once per cell, in index
-	// order, so a decoder can read the cells off its input straight into
-	// the filter.
-	Cell func(i int) (v float64, touch int64)
+	Seed uint64
+	Adds int64
+	// Landmark is the instant the masses are scaled to; NoLandmark only if
+	// there are none.
+	Landmark int64
+	// Next yields the non-zero cells — index and scaled mass — in strictly
+	// increasing index order, ok false after the last. Restore pulls them
+	// one at a time, so a decoder can read them off its input straight
+	// into the filter.
+	Next func() (i int, v float64, ok bool)
 }
 
 // Seed returns the hash-family seed, needed to serialize the filter and
 // to verify that two filters are merge-compatible.
 func (f *Filter) Seed() uint64 { return f.seed }
 
-// ForEachCell calls fn with every cell's mass and touch timestamp, in
-// cell-index order — the read-only view serializers write a frame from
-// without a column copy in between.
-func (f *Filter) ForEachCell(fn func(v float64, touch int64)) {
-	for _, c := range f.cells {
-		fn(c.v, c.touch)
+// Landmark returns the instant the filter's masses are scaled to.
+func (f *Filter) Landmark() int64 { return f.base.land }
+
+// Masses returns the cells, masses scaled to Landmark, in cell-index
+// order. It views live storage — treat as read-only.
+func (f *Filter) Masses() []float64 { return f.cells }
+
+// Occupied counts the non-zero cells.
+func (f *Filter) Occupied() int {
+	n := 0
+	for _, v := range f.cells {
+		if v != 0 {
+			n++
+		}
 	}
+	return n
 }
 
-// RestoreFilter rebuilds a filter from a decay law and serialized state.
-// Cell masses must be finite and non-negative.
-func RestoreFilter(d Decay, st FilterState) (*Filter, error) {
-	if d == nil {
-		return nil, fmt.Errorf("tdbf: restore: decay law required")
-	}
-	if st.Cells < 1 || st.Hashes < 1 {
-		return nil, fmt.Errorf("tdbf: restore: invalid shape (%d cells, %d hashes)", st.Cells, st.Hashes)
+// validLandmark reports whether l is an instant a Base can stand at.
+func validLandmark(l int64) bool { return l == NoLandmark || (l >= -maxTime && l <= maxTime) }
+
+// Restore replaces the filter's contents with serialized state, in place.
+// The seed must be the filter's own and masses finite and positive; masses
+// scaled to another landmark than the Base's are brought to the later of
+// the two, as Merge would. On error the filter is partly written and must
+// be Reset or discarded.
+func (f *Filter) Restore(st FilterState) error {
+	if st.Seed != f.seed {
+		return fmt.Errorf("tdbf: restore: seed %#x, filter has %#x", st.Seed, f.seed)
 	}
 	if st.Adds < 0 {
-		return nil, fmt.Errorf("tdbf: restore: negative add count %d", st.Adds)
+		return fmt.Errorf("tdbf: restore: negative add count %d", st.Adds)
 	}
-	f := &Filter{
-		cells: make([]cell, st.Cells),
-		k:     st.Hashes,
-		seed:  st.Seed,
-		decay: d,
-		shape: shapeOf(st.Cells, d),
-		adds:  st.Adds,
+	if !validLandmark(st.Landmark) {
+		return fmt.Errorf("tdbf: restore: landmark %d out of range", st.Landmark)
 	}
-	for i := range f.cells {
-		v, touch := st.Cell(i)
-		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
-			return nil, fmt.Errorf("tdbf: restore: invalid mass %v in cell %d", v, i)
+	f.Reset()
+	f.adds = st.Adds
+	k := f.base.align(st.Landmark)
+	for prev := -1; ; {
+		i, v, ok := st.Next()
+		if !ok {
+			return nil
 		}
-		f.cells[i] = cell{v: v, touch: touch}
+		if i <= prev || i >= len(f.cells) {
+			return fmt.Errorf("tdbf: restore: cell index %d after %d in %d cells", i, prev, len(f.cells))
+		}
+		if !validMass(v) || v == 0 || st.Landmark == NoLandmark {
+			return fmt.Errorf("tdbf: restore: invalid mass %v in cell %d (landmark %d)", v, i, st.Landmark)
+		}
+		f.cells[i], prev = v*k, i
 	}
-	return f, nil
 }
 
-// MassState is the serializable state of a MassTracker.
+// MassState is the serializable state of a MassTracker: its mass V scaled
+// to the landmark Touch.
 type MassState struct {
 	V     float64
 	Touch int64
 }
 
 // State returns the tracker's serializable state.
-func (t *MassTracker) State() MassState { return MassState{V: t.v, Touch: t.touch} }
+func (t *MassTracker) State() MassState { return MassState{V: t.v[0], Touch: t.base.land} }
 
-// RestoreMassTracker rebuilds a tracker from a decay law and serialized
-// state; the mass must be finite and non-negative.
-func RestoreMassTracker(d Decay, st MassState) (*MassTracker, error) {
-	if d == nil {
-		return nil, fmt.Errorf("tdbf: restore: decay law required")
+// Restore replaces the tracker's mass with serialized state, the
+// single-cell case of Filter.Restore; the mass must be finite and
+// non-negative.
+func (t *MassTracker) Restore(st MassState) error {
+	if !validMass(st.V) || !validLandmark(st.Touch) || (st.V != 0 && st.Touch == NoLandmark) {
+		return fmt.Errorf("tdbf: restore: invalid mass %v (landmark %d)", st.V, st.Touch)
 	}
-	if math.IsNaN(st.V) || math.IsInf(st.V, 0) || st.V < 0 {
-		return nil, fmt.Errorf("tdbf: restore: invalid mass %v", st.V)
-	}
-	return &MassTracker{decay: d, law: d.String(), v: st.V, touch: st.Touch}, nil
+	t.v[0] = st.V * t.base.align(st.Touch)
+	return nil
 }

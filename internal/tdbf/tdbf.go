@@ -1,148 +1,224 @@
 // Package tdbf implements time-decaying Bloom filters, the streaming
 // primitive the paper proposes (Section 3) as the escape from disjoint
-// windows. The design follows Bianchi, d'Heureuse and Niccolini,
+// windows. The structure follows Bianchi, d'Heureuse and Niccolini,
 // "On-demand Time-decaying Bloom Filters for Telemarketer Detection" (ACM
-// CCR 41(5), 2011) — the paper's reference [2].
+// CCR 41(5), 2011) — the paper's reference [2] — with their per-cell
+// timestamps replaced by forward decay.
 //
-// A filter is an array of m cells, each holding a real-valued mass and the
-// timestamp of its last touch. Adding weight w for a key touches k cells
-// chosen by double hashing: each cell is first decayed *on demand* to the
-// current instant (the paper's key idea — no background refresh sweep is
-// needed because decay laws compose over time), then incremented by w. The
-// estimate for a key is the minimum over its k cells, which — exactly as
-// in a counting Bloom filter or Count-Min sketch — never underestimates
-// the key's true decayed mass and overestimates only through collisions.
+// A filter is an array of m cells. Adding weight w for a key adds to k
+// cells chosen by double hashing; the estimate for a key is the minimum
+// over its k cells, which — exactly as in a counting Bloom filter or
+// Count-Min sketch — never underestimates the key's true decayed mass and
+// overestimates only through collisions.
 //
-// Two composable decay laws are provided: exponential (EWMA-style, the
-// natural continuous analogue of a time window of length tau) and leaky
-// linear (constant drain rate). The classical baseline the on-demand design
-// improves on — a filter refreshed by eager whole-array ticks — is kept as
-// a reference the tests compare against (PeriodicFilter, periodic_test.go).
+// What a cell stores. Under the exponential law, mass·e^(−dt/τ), decay
+// commutes with addition, so a cell needs no timestamp: it holds its mass
+// scaled to a landmark instant L kept by its Base, cell = Σ w·e^((t−L)/τ)
+// over the adds (w at t) that hit it. An add is a plain += of
+// w·e^((now−L)/τ), a read is the cell times e^(−(now−L)/τ), and every cell
+// on one Base shares that factor pair: the Base remembers it for the last
+// instant asked about, so a detector whose per-level filters and mass
+// tracker share a Base pays one exp per packet for all of them. Adds within
+// a landmark epoch commute, up to floating-point association.
 //
-// Filters built from one config (same shape, seed and decay law) are
-// mergeable: because decay laws compose over time, two cells summarising
-// substreams can be decayed to a common timestamp and added, giving
-// exactly the cell a single filter over the union stream would hold (up
-// to floating-point association). Filter.Merge and MassTracker.Merge
-// implement this; the sharded continuous detector merges per-shard
-// filters at query time.
+// Roll-over. Scaled masses grow as e^((now−L)/τ), so the first add that
+// finds the landmark more than rollAfter (64) time constants old rolls it
+// over: every cell × e^(−(now−L)/τ), L ← now. A cell thus stays below
+// 2⁶³·e⁶⁴ for any mass a byte counter can reach, and the instant of a
+// roll-over depends on the timestamps added and nothing else — not on
+// batch boundaries, the wall clock or a knob. A Base that stores nothing
+// has no landmark and takes the first add's instant, which keeps state
+// invariant under time translation.
+//
+// The flush floor. A roll-over sets a cell whose mass has fallen under
+// flushFloor (2⁻³² B) to exactly zero, so the occupied cells follow the
+// keys still alive, not every key ever seen, and a sparse encoding stays
+// small. This is the one place the never-underestimate bound gives: a
+// flush takes less than 2⁻³² B and roll-overs are at least 64 τ apart, so
+// an estimate falls below the true decayed mass by less than 2⁻³¹ B per
+// filter merged into it.
+//
+// The law is exponential only: the leaky-bucket law's clamp at zero does
+// not commute with addition. The lazy per-cell filter that supported both
+// survives as the tests' reference (lazy_test.go), beside the classical
+// eager-refresh baseline (periodic_test.go).
+//
+// Filters built from one config (same shape, seed and τ) are mergeable:
+// one side is rescaled to the later of the two landmarks — one factor per
+// merge — and the cells added, giving the cells a single filter over the
+// union stream would hold (up to floating-point association). The sharded
+// continuous detector merges per-shard filters this way at query time.
 package tdbf
 
 import (
-	"fmt"
 	"math"
 	"time"
 
 	"hiddenhhh/internal/hashx"
 )
 
-// Decay is a composable time-decay law: Apply(Apply(v, a), b) must equal
-// Apply(v, a+b) so that lazily applied decay is exact regardless of how
-// accesses are spaced.
-type Decay interface {
-	// Apply returns the mass remaining of v after dt has elapsed.
-	// dt is always >= 0.
-	Apply(v float64, dt time.Duration) float64
-	// Horizon is the law's characteristic averaging span: the window
-	// length a decayed mass is comparable to (tau for exponential decay).
-	Horizon() time.Duration
-	// String describes the law for reports.
-	String() string
-}
-
-// Exponential decays mass by exp(-dt/Tau): an exponentially weighted
-// moving volume with time constant Tau. In steady state a flow sending r
-// bytes/s holds mass r*Tau, making estimates directly comparable to byte
-// volumes in windows of length Tau.
+// Exponential is the decay law: mass decays by exp(-dt/Tau), an
+// exponentially weighted moving volume with time constant Tau. In steady
+// state a flow sending r bytes/s holds mass r*Tau, making estimates
+// directly comparable to byte volumes in windows of length Tau.
 type Exponential struct {
 	Tau time.Duration
 }
 
-// Apply implements Decay.
-func (e Exponential) Apply(v float64, dt time.Duration) float64 {
-	if dt <= 0 || v == 0 {
-		return v
+const (
+	// rollAfter is how many time constants old a landmark may grow before
+	// the next add rolls it over: ≤ 512, for 2⁶³·e^rollAfter to be a
+	// float64, and small enough to keep occupancy fresh.
+	rollAfter = 64
+	// flushFloor is the mass, in bytes at the roll-over instant, under which
+	// a roll-over zeroes a cell.
+	flushFloor = 1.0 / (1 << 32)
+	// maxTime bounds the instants a landmark can stand at (stamps beyond it
+	// are clamped), so the difference of two of them is always an int64.
+	maxTime = int64(1)<<62 - 1
+	// NoLandmark is the landmark of a Base that stores no mass; the first
+	// add, or merge or restore of something that has one, sets it.
+	NoLandmark = math.MinInt64
+)
+
+// Base is the time base of forward decay: the decay constant, the landmark
+// the masses of every filter and tracker built on it are scaled to, and
+// the factor pair of the last instant it resolved. Its members decay
+// together; it is not safe for concurrent use.
+type Base struct {
+	law  Exponential
+	tau  float64 // law.Tau in ns
+	land int64
+	// The memo: up = e^((now−land)/τ) and down = 1/up, valid while memo.
+	now      int64
+	up, down float64
+	memo     bool
+	// cols are the members' mass columns, rescaled together at a roll-over.
+	cols [][]float64
+}
+
+// NewBase builds a time base under the given law. It panics unless Tau is
+// positive: a time-decaying structure without a decay law is a programming
+// error, not a runtime condition.
+func NewBase(d Exponential) *Base {
+	if d.Tau <= 0 {
+		panic("tdbf: a positive Exponential.Tau is required")
 	}
-	return v * math.Exp(-float64(dt)/float64(e.Tau))
+	return &Base{law: d, tau: float64(d.Tau), land: NoLandmark}
 }
 
-// Horizon implements Decay.
-func (e Exponential) Horizon() time.Duration { return e.Tau }
+// Reset drops the landmark. The caller has Reset every member: a Base
+// without a landmark stores no mass.
+func (b *Base) Reset() { b.land, b.memo = NoLandmark, false }
 
-// String renders the decay law with its horizon.
-func (e Exponential) String() string { return fmt.Sprintf("exp(tau=%v)", e.Tau) }
-
-// LeakyLinear drains mass at a constant Rate (units per second), clamping
-// at zero — the leaky-bucket law. Composition holds because subtraction is
-// additive over time and the zero clamp is absorbing.
-type LeakyLinear struct {
-	Rate float64 // mass drained per second
-}
-
-// Apply implements Decay.
-func (l LeakyLinear) Apply(v float64, dt time.Duration) float64 {
-	if dt <= 0 || v == 0 {
-		return v
+// age is how many time constants the landmark lies before the instant at.
+func (b *Base) age(at int64) float64 {
+	if b.land == NoLandmark {
+		return math.Inf(1)
 	}
-	v -= l.Rate * dt.Seconds()
-	if v < 0 {
-		return 0
+	return float64(at-b.land) / b.tau
+}
+
+// scale returns the factor pair of the instant now: up = e^((now−L)/τ),
+// which takes a mass at now to the landmark's scale, and down = 1/up,
+// which brings a stored mass back. The pair of the last instant resolved
+// is remembered, so of the members written or read at one instant only
+// the first pays for it.
+func (b *Base) scale(now int64, write bool) (up, down float64) {
+	if b.memo && now == b.now {
+		return b.up, b.down
 	}
-	return v
+	return b.resolve(now, write)
 }
 
-// Horizon implements Decay. A leaky law has no intrinsic span; callers
-// configure thresholds in absolute mass, so Horizon reports zero.
-func (l LeakyLinear) Horizon() time.Duration { return 0 }
-
-// String renders the decay law with its rate.
-func (l LeakyLinear) String() string { return fmt.Sprintf("leaky(rate=%g/s)", l.Rate) }
-
-type cell struct {
-	v     float64
-	touch int64 // ns timestamp of last decay application
+// resolve is scale past the memo. A write that finds the landmark more
+// than rollAfter time constants old (or missing) rolls it over first; a
+// read never moves it, and past rollAfter only its down is meaningful. An
+// instant more than rollAfter time constants before the landmark counts as
+// exactly that far before it, so the factors stay finite whatever the stamp.
+func (b *Base) resolve(now int64, write bool) (up, down float64) {
+	at := min(max(now, -maxTime), maxTime)
+	x := b.age(at)
+	if x > rollAfter {
+		if !write {
+			return math.Inf(1), math.Exp(-x)
+		}
+		b.rebase(at, true)
+		x = 0
+	} else if x < -rollAfter {
+		x = -rollAfter
+	}
+	b.now, b.memo = now, true
+	b.up = math.Exp(x)
+	b.down = 1 / b.up
+	return b.up, b.down
 }
 
-// Filter is an on-demand time-decaying Bloom filter. It is not safe for
-// concurrent use.
+// rebase moves the landmark to the later instant to, rescaling every
+// member column; flush additionally zeroes the cells left under
+// flushFloor (a roll-over does, a merge does not).
+func (b *Base) rebase(to int64, flush bool) {
+	if b.land != NoLandmark {
+		k := math.Exp(-b.age(to))
+		floor := 0.0
+		if flush {
+			floor = flushFloor
+		}
+		for _, col := range b.cols {
+			for i, v := range col {
+				if v == 0 {
+					continue
+				}
+				if v *= k; v < floor {
+					v = 0
+				}
+				col[i] = v
+			}
+		}
+	}
+	b.land, b.memo = to, false
+}
+
+// align prepares the base to take in masses scaled to the landmark from
+// and returns the factor that brings them to its own: when from is the
+// later of the two the base is rebased to it, so one side of a merge is
+// rescaled and never both.
+func (b *Base) align(from int64) float64 {
+	switch {
+	case from == NoLandmark || from == b.land:
+		return 1
+	case from > b.land:
+		b.rebase(from, false)
+		return 1
+	}
+	return math.Exp(-float64(b.land-from) / b.tau)
+}
+
+// validMass reports whether v can be a stored mass: finite and not
+// negative (negative zero included, which would not re-encode as zero).
+func validMass(v float64) bool {
+	return v >= 0 && !math.IsInf(v, 1) && !math.Signbit(v)
+}
+
+// Filter is a forward-decayed time-decaying Bloom filter. It is not safe
+// for concurrent use.
 type Filter struct {
-	cells []cell
+	cells []float64 // masses scaled to base's landmark
+	base  *Base
 	k     int
 	seed  uint64
-	decay Decay
-	shape shape
+	pre   uint64 // hashx.Premix(seed)
+	// mask is len(cells)-1 when that length is a power of two (indices
+	// are then taken with & instead of %), zero otherwise.
+	mask uint64
 
 	adds int64
 }
 
-// shape is what New and RestoreFilter derive once from the cell count and
-// the decay law so that Add, Estimate and Merge do not derive it per call.
-type shape struct {
-	// mask is len(cells)-1 when that length is a power of two (indices
-	// are then taken with & instead of %), zero otherwise.
-	mask uint64
-	// tau is the time constant in ns when the law is Exponential, so Add
-	// can compute one exp factor per distinct dt; zero for other laws.
-	tau float64
-	// law is decay.String(), the identity Merge compares.
-	law string
-}
-
-func shapeOf(cells int, d Decay) shape {
-	s := shape{law: d.String()}
-	if cells&(cells-1) == 0 {
-		s.mask = uint64(cells - 1)
-	}
-	if e, ok := d.(Exponential); ok {
-		s.tau = float64(e.Tau)
-	}
-	return s
-}
-
 // index reduces a double-hashing probe to a cell index.
 func (f *Filter) index(h uint64) uint64 {
-	if f.shape.mask != 0 {
-		return h & f.shape.mask
+	if f.mask != 0 {
+		return h & f.mask
 	}
 	return h % uint64(len(f.cells))
 }
@@ -155,8 +231,8 @@ type Config struct {
 	Hashes int
 	// Seed drives the hash family; fixed default keeps runs reproducible.
 	Seed uint64
-	// Decay law; required.
-	Decay Decay
+	// Decay law; a positive Tau is required.
+	Decay Exponential
 }
 
 func (c *Config) setDefaults() {
@@ -168,25 +244,25 @@ func (c *Config) setDefaults() {
 	}
 }
 
-// New builds a Filter. It panics if no decay law is supplied: a
-// time-decaying filter without a decay law is a programming error, not a
-// runtime condition.
-func New(cfg Config) *Filter {
+// New builds a Filter on a Base of its own. It panics if no decay law is
+// supplied (see NewBase).
+func New(cfg Config) *Filter { return NewBase(cfg.Decay).NewFilter(cfg) }
+
+// NewFilter builds a Filter on b: it decays under b's law and shares b's
+// landmark — and the one exp per instant — with b's other members.
+// cfg.Decay is not consulted.
+func (b *Base) NewFilter(cfg Config) *Filter {
 	cfg.setDefaults()
-	if cfg.Decay == nil {
-		panic("tdbf: Config.Decay is required")
+	f := &Filter{cells: make([]float64, cfg.Cells), base: b, k: cfg.Hashes, seed: cfg.Seed, pre: hashx.Premix(cfg.Seed)}
+	if cfg.Cells&(cfg.Cells-1) == 0 {
+		f.mask = uint64(cfg.Cells - 1)
 	}
-	return &Filter{
-		cells: make([]cell, cfg.Cells),
-		k:     cfg.Hashes,
-		seed:  cfg.Seed,
-		decay: cfg.Decay,
-		shape: shapeOf(cfg.Cells, cfg.Decay),
-	}
+	b.cols = append(b.cols, f.cells)
+	return f
 }
 
 // Decay returns the filter's decay law.
-func (f *Filter) Decay() Decay { return f.decay }
+func (f *Filter) Decay() Exponential { return f.base.law }
 
 // Cells returns the array size m.
 func (f *Filter) Cells() int { return len(f.cells) }
@@ -194,50 +270,48 @@ func (f *Filter) Cells() int { return len(f.cells) }
 // Hashes returns k.
 func (f *Filter) Hashes() int { return f.k }
 
-// SizeBytes returns the state footprint (16 B per cell: mass + timestamp).
-func (f *Filter) SizeBytes() int { return len(f.cells) * 16 }
+// SizeBytes returns the state footprint (8 B per cell: the scaled mass).
+func (f *Filter) SizeBytes() int { return len(f.cells) * 8 }
 
 // Adds returns the number of Add calls since construction or Reset.
 func (f *Filter) Adds() int64 { return f.adds }
 
 // Add records weight w for key at time now (ns) and returns the key's
 // estimate after the add — the minimum of the k cells just written, bit
-// for bit what Estimate(key, now) would return next. Timestamps must be
-// non-decreasing across calls; the experiments replay time-sorted traces,
-// which guarantees this.
-//
-// Cells that were last touched at the same instant share one decay
-// factor (a heavy key's k cells usually were: by that key's previous
-// packet), so under the exponential law they cost one exp, not k. The
-// product is the one Exponential.Apply forms, so cell contents do not
-// depend on which route computed them.
+// for bit what Estimate(key, now) would return next. Timestamps should be
+// non-decreasing across calls, as in the time-sorted traces the
+// experiments replay; one that runs backwards is still folded in at its
+// own instant (see Base.resolve for how far back).
 func (f *Filter) Add(key uint64, w float64, now int64) float64 {
 	f.adds++
-	h1, h2 := hashx.Indices2(key, f.seed)
-	var factorDt int64
-	var factor float64
-	for i := 0; i < f.k; i++ {
-		c := &f.cells[f.index(h1+uint64(i)*h2)]
-		if dt := now - c.touch; dt > 0 && c.v > 0 {
-			if f.shape.tau == 0 {
-				c.v = f.decay.Apply(c.v, time.Duration(dt))
-			} else {
-				if dt != factorDt {
-					factorDt, factor = dt, math.Exp(-float64(dt)/f.shape.tau)
-				}
-				// The conversion keeps the product rounded before w is
-				// added on targets that would otherwise fuse the two.
-				c.v = float64(c.v * factor)
-			}
+	up, down := f.base.scale(now, true)
+	w *= up
+	h1, h2 := hashx.Probes2(key, f.pre)
+	if f.mask == 0 || f.k > len(f.cells) {
+		// Two probes may land on one cell, whose value is final only after
+		// the last: write, then walk again.
+		for i := 0; i < f.k; i++ {
+			f.cells[f.index(h1+uint64(i)*h2)] += w
 		}
-		c.touch = now
-		c.v += w
+		return f.min(h1, h2) * down
 	}
-	// A second walk, because two probes may land on one cell (k > m, or m
-	// sharing a factor with the stride): its value is final only now.
+	// The stride is odd and the cell count a power of two: the k probes are
+	// k different cells, each final as soon as it is written.
 	min := math.Inf(1)
 	for i := 0; i < f.k; i++ {
-		if v := f.cells[f.index(h1+uint64(i)*h2)].v; v < min {
+		c := &f.cells[(h1+uint64(i)*h2)&f.mask]
+		if *c += w; *c < min {
+			min = *c
+		}
+	}
+	return min * down
+}
+
+// min returns the smallest of the key's k cells, at the landmark's scale.
+func (f *Filter) min(h1, h2 uint64) float64 {
+	min := math.Inf(1)
+	for i := 0; i < f.k; i++ {
+		if v := f.cells[f.index(h1+uint64(i)*h2)]; v < min {
 			min = v
 		}
 	}
@@ -245,22 +319,12 @@ func (f *Filter) Add(key uint64, w float64, now int64) float64 {
 }
 
 // Estimate returns the filter's estimate of key's decayed mass at time
-// now: the minimum over its k cells, each decayed (read-only) to now. The
-// result never falls below the key's true decayed mass.
+// now: the minimum over its k cells, brought from the landmark to now. It
+// reads only, and never falls below the key's true decayed mass by more
+// than the flush floor allows (see the package comment).
 func (f *Filter) Estimate(key uint64, now int64) float64 {
-	h1, h2 := hashx.Indices2(key, f.seed)
-	min := math.Inf(1)
-	for i := 0; i < f.k; i++ {
-		c := f.cells[f.index(h1+uint64(i)*h2)]
-		v := c.v
-		if dt := now - c.touch; dt > 0 && v > 0 {
-			v = f.decay.Apply(v, time.Duration(dt))
-		}
-		if v < min {
-			min = v
-		}
-	}
-	return min
+	_, down := f.base.scale(now, false)
+	return f.min(hashx.Probes2(key, f.pre)) * down
 }
 
 // Merge folds filter o into f cell by cell; o is not modified. Both
@@ -268,110 +332,78 @@ func (f *Filter) Estimate(key uint64, now int64) float64 {
 // key maps to the same cells in both — the sharded pipeline builds every
 // shard's filters from one config for exactly this reason.
 //
-// Each cell pair is decayed to the later of the two touch timestamps and
-// then summed. Decay laws compose over time, so decaying the earlier cell
-// forward is exactly the mass it would hold had it been left untouched
-// until then, and the sum of two per-cell upper bounds is an upper bound
-// for the union stream: the merged filter keeps the conservative
-// never-underestimate guarantee, overestimating only through the same
-// collision mechanism as a single filter over the combined stream.
+// The earlier-scaled side is brought to the later landmark — f's whole
+// Base when that is o's — and the cells are added. Decay commutes with
+// addition, so the sum is the cell a single filter over the union stream
+// would hold, and the sum of two per-cell upper bounds is an upper bound
+// for the union stream: the merged filter stays conservative,
+// overestimating only through collisions as a single filter would.
 func (f *Filter) Merge(o *Filter) {
 	if o == nil {
 		return
 	}
-	if len(f.cells) != len(o.cells) || f.k != o.k || f.seed != o.seed || f.shape.law != o.shape.law {
+	if len(f.cells) != len(o.cells) || f.k != o.k || f.seed != o.seed || f.base.law != o.base.law {
 		panic("tdbf: Filter.Merge shape/seed/decay mismatch")
 	}
-	for i := range f.cells {
-		c := &f.cells[i]
-		oc := o.cells[i]
-		t := c.touch
-		if oc.touch > t {
-			t = oc.touch
-		}
-		v := c.v
-		if dt := t - c.touch; dt > 0 && v > 0 {
-			v = f.decay.Apply(v, time.Duration(dt))
-		}
-		ov := oc.v
-		if dt := t - oc.touch; dt > 0 && ov > 0 {
-			ov = f.decay.Apply(ov, time.Duration(dt))
-		}
-		c.v, c.touch = v+ov, t
+	k := f.base.align(o.base.land)
+	for i, v := range o.cells {
+		f.cells[i] += v * k
 	}
 	f.adds += o.adds
 }
 
-// Reset clears all cells.
+// Reset clears all cells. The landmark belongs to the Base, which the
+// filter may share: Base.Reset drops it.
 func (f *Filter) Reset() {
-	for i := range f.cells {
-		f.cells[i] = cell{}
-	}
+	clear(f.cells)
 	f.adds = 0
 }
 
-// MassTracker is a single decayed accumulator with the same on-demand
-// discipline as a filter cell. The continuous detector uses one to track
-// total decayed traffic mass, the denominator of its relative thresholds.
+// MassTracker is a single forward-decayed accumulator, a one-cell member
+// of its Base. The continuous detector uses one to track total decayed
+// traffic mass, the denominator of its relative thresholds.
 type MassTracker struct {
-	decay Decay
-	law   string // decay.String(), the identity Merge compares
-	v     float64
-	touch int64
+	base *Base
+	v    [1]float64 // mass scaled to base's landmark
 }
 
-// NewMassTracker builds a tracker under the given law.
-func NewMassTracker(d Decay) *MassTracker {
-	if d == nil {
-		panic("tdbf: decay law required")
-	}
-	return &MassTracker{decay: d, law: d.String()}
+// NewMassTracker builds a tracker on a Base of its own. It panics if no
+// decay law is supplied (see NewBase).
+func NewMassTracker(d Exponential) *MassTracker { return NewBase(d).NewMassTracker() }
+
+// NewMassTracker builds a tracker on b, sharing b's landmark with b's
+// other members.
+func (b *Base) NewMassTracker() *MassTracker {
+	t := &MassTracker{base: b}
+	b.cols = append(b.cols, t.v[:])
+	return t
 }
 
 // Add folds weight w observed at now into the tracker and returns the
 // mass after the add, which is what Value(now) would return next.
 func (t *MassTracker) Add(w float64, now int64) float64 {
-	if dt := now - t.touch; dt > 0 && t.v > 0 {
-		t.v = t.decay.Apply(t.v, time.Duration(dt))
-	}
-	t.touch = now
-	t.v += w
-	return t.v
+	up, down := t.base.scale(now, true)
+	t.v[0] += w * up
+	return t.v[0] * down
 }
 
 // Value returns the decayed mass at now.
 func (t *MassTracker) Value(now int64) float64 {
-	v := t.v
-	if dt := now - t.touch; dt > 0 && v > 0 {
-		v = t.decay.Apply(v, time.Duration(dt))
-	}
-	return v
+	_, down := t.base.scale(now, false)
+	return t.v[0] * down
 }
 
-// Merge folds tracker o into t: both are decayed to the later touch
-// timestamp and summed, the single-cell case of Filter.Merge. The decay
-// laws must match.
+// Merge folds tracker o into t, the single-cell case of Filter.Merge. The
+// decay laws must match.
 func (t *MassTracker) Merge(o *MassTracker) {
 	if o == nil {
 		return
 	}
-	if t.law != o.law {
+	if t.base.law != o.base.law {
 		panic("tdbf: MassTracker.Merge decay mismatch")
 	}
-	at := t.touch
-	if o.touch > at {
-		at = o.touch
-	}
-	v := t.v
-	if dt := at - t.touch; dt > 0 && v > 0 {
-		v = t.decay.Apply(v, time.Duration(dt))
-	}
-	ov := o.v
-	if dt := at - o.touch; dt > 0 && ov > 0 {
-		ov = t.decay.Apply(ov, time.Duration(dt))
-	}
-	t.v, t.touch = v+ov, at
+	t.v[0] += o.v[0] * t.base.align(o.base.land)
 }
 
-// Reset clears the tracker.
-func (t *MassTracker) Reset() { t.v, t.touch = 0, 0 }
+// Reset clears the tracker (see Filter.Reset for the landmark).
+func (t *MassTracker) Reset() { t.v[0] = 0 }

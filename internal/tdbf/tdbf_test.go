@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -85,7 +86,7 @@ func TestFilterDefaults(t *testing.T) {
 	if f.Cells() != 1<<16 || f.Hashes() != 4 {
 		t.Errorf("defaults: m=%d k=%d", f.Cells(), f.Hashes())
 	}
-	if f.SizeBytes() != (1<<16)*16 {
+	if f.SizeBytes() != (1<<16)*8 {
 		t.Errorf("SizeBytes = %d", f.SizeBytes())
 	}
 	if f.Decay().Horizon() != time.Second {
@@ -170,7 +171,7 @@ func TestFilterForgetsOldTraffic(t *testing.T) {
 }
 
 func TestFilterResetAndAdds(t *testing.T) {
-	f := New(Config{Cells: 64, Hashes: 2, Decay: LeakyLinear{Rate: 1}})
+	f := New(Config{Cells: 64, Hashes: 2, Decay: Exponential{Tau: time.Second}})
 	f.Add(1, 10, 0)
 	f.Add(2, 10, 0)
 	if f.Adds() != 2 {
@@ -205,10 +206,10 @@ func TestMassTracker(t *testing.T) {
 func TestMassTrackerRequiresDecay(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewMassTracker(nil) should panic")
+			t.Error("NewMassTracker without a law should panic")
 		}
 	}()
-	NewMassTracker(nil)
+	NewMassTracker(Exponential{})
 }
 
 func TestMassTrackerSteadyState(t *testing.T) {
@@ -234,7 +235,7 @@ func TestPeriodicAgreesWithOnDemand(t *testing.T) {
 	law := Exponential{Tau: 2 * time.Second}
 	tick := 100 * time.Millisecond
 	onDemand := New(Config{Cells: 1 << 10, Hashes: 4, Decay: law, Seed: 9})
-	periodic := NewPeriodic(Config{Cells: 1 << 10, Hashes: 4, Decay: law, Seed: 9}, tick)
+	periodic := NewPeriodic(Config{Cells: 1 << 10, Hashes: 4, Seed: 9}, law, tick)
 	rng := rand.New(rand.NewSource(3))
 	now := int64(0)
 	for i := 0; i < 2000; i++ {
@@ -261,7 +262,7 @@ func TestPeriodicQuantisation(t *testing.T) {
 	// tick it catches up.
 	law := Exponential{Tau: time.Second}
 	tick := time.Second
-	p := NewPeriodic(Config{Cells: 1 << 10, Hashes: 4, Decay: law}, tick)
+	p := NewPeriodic(Config{Cells: 1 << 10, Hashes: 4}, law, tick)
 	p.Add(1, 100, 0)
 	if got := p.Estimate(1, int64(tick)/2); got != 100 {
 		t.Errorf("mid-tick estimate %v, want undecayed 100", got)
@@ -274,14 +275,14 @@ func TestPeriodicQuantisation(t *testing.T) {
 }
 
 func TestPeriodicReset(t *testing.T) {
-	p := NewPeriodic(Config{Cells: 64, Hashes: 2, Decay: LeakyLinear{Rate: 1}}, time.Second)
+	p := NewPeriodic(Config{Cells: 64, Hashes: 2}, LeakyLinear{Rate: 1}, time.Second)
 	p.Add(1, 10, 0)
 	p.Estimate(1, 10*sec)
 	p.Reset()
 	if p.Sweeps() != 0 || p.Estimate(1, 0) != 0 {
 		t.Error("Reset incomplete")
 	}
-	if p.SizeBytes() != 64*16 {
+	if p.SizeBytes() != 64*8 {
 		t.Errorf("SizeBytes = %d", p.SizeBytes())
 	}
 }
@@ -292,7 +293,7 @@ func TestPeriodicPanicsOnBadTick(t *testing.T) {
 			t.Error("NewPeriodic with zero tick should panic")
 		}
 	}()
-	NewPeriodic(Config{Decay: LeakyLinear{Rate: 1}}, 0)
+	NewPeriodic(Config{}, LeakyLinear{Rate: 1}, 0)
 }
 
 func BenchmarkFilterAdd(b *testing.B) {
@@ -318,7 +319,7 @@ func BenchmarkFilterEstimate(b *testing.B) {
 }
 
 func BenchmarkPeriodicAdd(b *testing.B) {
-	p := NewPeriodic(Config{Cells: 1 << 16, Hashes: 4, Decay: Exponential{Tau: time.Second}}, 100*time.Millisecond)
+	p := NewPeriodic(Config{Cells: 1 << 16, Hashes: 4}, Exponential{Tau: time.Second}, 100*time.Millisecond)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		p.Add(uint64(i)&1023, 1000, int64(i)*1000)
@@ -431,10 +432,10 @@ func TestMassTrackerMerge(t *testing.T) {
 	}
 }
 
-// addPerCell is Add as it was before it returned the estimate and shared
-// decay factors between cells: every probe reduced with %, every cell
-// decayed through the law's Apply.
-func addPerCell(f *Filter, key uint64, w float64, now int64) {
+// addPerCell is the lazy Add as it was before it returned the estimate
+// and shared decay factors between cells: every probe reduced with %, every
+// cell decayed through the law's Apply.
+func addPerCell(f *lazyFilter, key uint64, w float64, now int64) {
 	f.adds++
 	h1, h2 := hashx.Indices2(key, f.seed)
 	m := uint64(len(f.cells))
@@ -448,19 +449,32 @@ func addPerCell(f *Filter, key uint64, w float64, now int64) {
 	}
 }
 
-// TestAddReturnsEstimateAndKeepsCells: for both decay laws, a
-// power-of-two and an odd-factored cell count, and a filter small enough
-// that probes of one key collide, (a) the value Add returns is bit for bit
-// the Estimate taken right after, and (b) the cells are identical to a
-// filter fed the same stream through the old per-cell loop — which is
-// what keeps sealed frames byte-identical.
+// near reports whether got is ref to 1e-9 relative, give or take what the
+// flush floor may have taken.
+func near(got, ref float64) bool {
+	return math.Abs(got-ref) <= 1e-9*ref+2*flushFloor
+}
+
+// TestAddReturnsEstimateAndKeepsCells: for a power-of-two and an
+// odd-factored cell count, and a filter small enough that probes of one
+// key collide, the value Add returns is bit for bit the Estimate taken
+// right after — for the forward-decayed Filter, and under both decay laws
+// for the lazy reference, whose cells must also be identical to a filter
+// fed the same stream through its old per-cell loop (the reference has to
+// be the parent's filter, not something close to it). Where the law is
+// exponential the two filters must agree on every estimate.
 func TestAddReturnsEstimateAndKeepsCells(t *testing.T) {
 	laws := []Decay{Exponential{Tau: 300 * time.Millisecond}, LeakyLinear{Rate: 2e5}}
 	for _, law := range laws {
 		for _, cells := range []int{1 << 10, 1000, 6} {
 			t.Run(fmt.Sprintf("%v/%d", law, cells), func(t *testing.T) {
-				cfg := Config{Cells: cells, Hashes: 4, Seed: 11, Decay: law}
-				got, want := New(cfg), New(cfg)
+				cfg := Config{Cells: cells, Hashes: 4, Seed: 11}
+				got, want := newLazy(cfg, law), newLazy(cfg, law)
+				var fwd *Filter
+				if e, ok := law.(Exponential); ok {
+					cfg.Decay = e
+					fwd = New(cfg)
+				}
 				rng := rand.New(rand.NewSource(5))
 				now := int64(0)
 				for i := 0; i < 50000; i++ {
@@ -481,19 +495,365 @@ func TestAddReturnsEstimateAndKeepsCells(t *testing.T) {
 					w := float64(40 + rng.Intn(1460))
 					ret := got.Add(key, w, now)
 					if est := got.Estimate(key, now); math.Float64bits(ret) != math.Float64bits(est) {
-						t.Fatalf("add %d: returned %v, Estimate right after %v", i, ret, est)
+						t.Fatalf("add %d: lazy returned %v, Estimate right after %v", i, ret, est)
 					}
 					addPerCell(want, key, w, now)
+					if fwd == nil {
+						continue
+					}
+					fret := fwd.Add(key, w, now)
+					if est := fwd.Estimate(key, now); math.Float64bits(fret) != math.Float64bits(est) {
+						t.Fatalf("add %d: returned %v, Estimate right after %v", i, fret, est)
+					}
+					if !near(fret, ret) {
+						t.Fatalf("add %d: forward %v, lazy reference %v", i, fret, ret)
+					}
 				}
 				for i := range want.cells {
 					if got.cells[i] != want.cells[i] {
 						t.Fatalf("cell %d: %+v, per-cell loop %+v", i, got.cells[i], want.cells[i])
 					}
 				}
-				if got.Adds() != want.Adds() {
+				if got.Adds() != want.Adds() || (fwd != nil && fwd.Adds() != want.Adds()) {
 					t.Fatalf("adds %d != %d", got.Adds(), want.Adds())
 				}
 			})
 		}
+	}
+}
+
+// Adds returns the number of Add calls since construction or Reset.
+func (f *lazyFilter) Adds() int64 { return f.adds }
+
+// sane fails unless every cell of f is a storable mass and f's estimates
+// of keys are finite at every probe instant.
+func sane(t *testing.T, f *Filter, what string, keys []uint64, at []int64) {
+	t.Helper()
+	for i, v := range f.cells {
+		if !validMass(v) {
+			t.Fatalf("%s: cell %d holds %v", what, i, v)
+		}
+	}
+	for _, key := range keys {
+		for _, now := range at {
+			if e := f.Estimate(key, now); math.IsNaN(e) || math.IsInf(e, 0) || e < 0 {
+				t.Fatalf("%s: Estimate(%d, %d) = %v", what, key, now, e)
+			}
+		}
+	}
+}
+
+// TestForwardMatchesLazyReference is the differential test of forward
+// decay: a million adds over a stream long enough to roll the landmark
+// over several times, every returned estimate and a sample of cold reads
+// held to the lazy reference — within 1e-9 relative, and never under it by
+// more than the flush floor.
+func TestForwardMatchesLazyReference(t *testing.T) {
+	if testing.Short() {
+		t.Skip("million-add differential run")
+	}
+	law := Exponential{Tau: 100 * time.Millisecond}
+	cfg := Config{Cells: 1 << 12, Hashes: 4, Seed: 3, Decay: law}
+	f, ref := New(cfg), newLazy(cfg, law)
+	rng := rand.New(rand.NewSource(8))
+	now := int64(1_700_000_000_000_000_000)
+	rolls, land := 0, f.Landmark()
+	for i := 0; i < 1_000_000; i++ {
+		now += int64(rng.Intn(int(60 * time.Microsecond)))
+		if rng.Intn(100_000) == 0 {
+			now += int64(10 * law.Tau) // an idle gap
+		}
+		key := uint64(rng.Intn(64))
+		if rng.Intn(2) == 0 {
+			key = uint64(rng.Intn(20000))
+		}
+		w := float64(40 + rng.Intn(1460))
+		got, want := f.Add(key, w, now), ref.Add(key, w, now)
+		if !near(got, want) || got < want*(1-1e-9)-2*flushFloor {
+			t.Fatalf("add %d: forward %v, reference %v", i, got, want)
+		}
+		if i%64 == 0 {
+			cold := uint64(rng.Intn(40000))
+			if got, want := f.Estimate(cold, now), ref.Estimate(cold, now); !near(got, want) {
+				t.Fatalf("add %d: Estimate(%d) forward %v, reference %v", i, cold, got, want)
+			}
+		}
+		if l := f.Landmark(); l != land {
+			if land != NoLandmark {
+				rolls++
+			}
+			land = l
+		}
+	}
+	if rolls < 3 {
+		t.Fatalf("stream rolled the landmark over %d times, want at least 3", rolls)
+	}
+}
+
+// TestForwardDecayOrderIndependent: within one landmark epoch adds
+// commute. A stream and a shuffle of it — both opened by the same add,
+// which sets the landmark — leave the same cells up to floating-point
+// association, which the lazy filter, whose cells remember the order they
+// were touched in, never guaranteed.
+func TestForwardDecayOrderIndependent(t *testing.T) {
+	type add struct {
+		key uint64
+		w   float64
+		at  int64
+	}
+	law := Exponential{Tau: time.Second}
+	rng := rand.New(rand.NewSource(12))
+	adds := make([]add, 20000)
+	now := int64(5 * time.Second)
+	for i := range adds {
+		adds[i] = add{uint64(rng.Intn(3000)), float64(40 + rng.Intn(1460)), now}
+		now += int64(rng.Intn(int(time.Millisecond))) // 10 s in all: well inside 64 tau
+	}
+	cfg := Config{Cells: 1 << 10, Hashes: 4, Seed: 4, Decay: law}
+	sorted, shuffled := New(cfg), New(cfg)
+	for _, a := range adds {
+		sorted.Add(a.key, a.w, a.at)
+	}
+	rest := adds[1:]
+	rng.Shuffle(len(rest), func(i, j int) { rest[i], rest[j] = rest[j], rest[i] })
+	for _, a := range adds {
+		shuffled.Add(a.key, a.w, a.at)
+	}
+	if sorted.Landmark() != shuffled.Landmark() || sorted.Landmark() != adds[0].at {
+		t.Fatalf("landmarks %d and %d, first add at %d", sorted.Landmark(), shuffled.Landmark(), adds[0].at)
+	}
+	for i, v := range sorted.cells {
+		if d := math.Abs(shuffled.cells[i] - v); d > 1e-12*v {
+			t.Fatalf("cell %d: sorted %v, shuffled %v", i, v, shuffled.cells[i])
+		}
+	}
+}
+
+// TestHostileStamps: no timestamp and no packet size can put a NaN, an
+// infinity or a negative mass into a cell, or get one out of Estimate.
+func TestHostileStamps(t *testing.T) {
+	stamps := []int64{
+		math.MinInt64, math.MaxInt64, 0, -1, 1, math.MinInt64 + 1, math.MaxInt64 - 1,
+		1 << 62, -(1 << 62), 1_700_000_000_000_000_000, -1_000_000_000_000,
+		int64(time.Hour), int64(time.Hour) - 1, int64(700 * time.Second), int64(time.Second),
+	}
+	keys := []uint64{0, 1, 2, math.MaxUint64}
+	for _, tau := range []time.Duration{1, time.Second, math.MaxInt64} {
+		// Every ordered pair of stamps, so each follows every other.
+		f := New(Config{Cells: 8, Hashes: 3, Decay: Exponential{Tau: tau}})
+		m := NewMassTracker(Exponential{Tau: tau})
+		for _, a := range stamps {
+			for _, b := range stamps {
+				for i, now := range []int64{a, b} {
+					got := f.Add(keys[i], math.MaxUint32, now)
+					if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
+						t.Fatalf("tau %v: Add at %d after %d returned %v", tau, now, a, got)
+					}
+					if v := m.Add(math.MaxUint32, now); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+						t.Fatalf("tau %v: tracker Add at %d returned %v", tau, now, v)
+					}
+				}
+				sane(t, f, fmt.Sprintf("tau %v after %d, %d", tau, a, b), keys, stamps)
+			}
+		}
+	}
+}
+
+// TestMergeAcrossIdleGap: a shard that went idle keeps a landmark hundreds
+// of time constants behind its peers'. Merging it, in either direction,
+// stays finite, leaves the source untouched, and gives the estimates of
+// the busy side alone (the idle mass has decayed to nothing).
+func TestMergeAcrossIdleGap(t *testing.T) {
+	cfg := Config{Cells: 64, Hashes: 3, Seed: 6, Decay: Exponential{Tau: time.Second}}
+	mk := func(at int64) *Filter {
+		f := New(cfg)
+		for key := uint64(0); key < 40; key++ {
+			f.Add(key, 1e9, at+int64(key))
+		}
+		return f
+	}
+	late := int64(800 * time.Second)
+	keys := []uint64{0, 7, 39, 1000}
+	for _, tc := range []struct {
+		name     string
+		dst, src *Filter
+	}{
+		{"idle-into-busy", mk(late), mk(0)},
+		{"busy-into-idle", mk(0), mk(late)},
+	} {
+		want := mk(late)
+		srcCells, srcLand := slices.Clone(tc.src.cells), tc.src.Landmark()
+		tc.dst.Merge(tc.src)
+		sane(t, tc.dst, tc.name, keys, []int64{0, late, late + int64(time.Hour)})
+		if !slices.Equal(tc.src.cells, srcCells) || tc.src.Landmark() != srcLand {
+			t.Fatalf("%s: Merge modified its source", tc.name)
+		}
+		if tc.dst.Landmark() != want.Landmark() {
+			t.Fatalf("%s: landmark %d, want the later one %d", tc.name, tc.dst.Landmark(), want.Landmark())
+		}
+		for _, key := range keys {
+			if got, w := tc.dst.Estimate(key, late+40), want.Estimate(key, late+40); !near(got, w) {
+				t.Fatalf("%s: Estimate(%d) = %v, busy side alone %v", tc.name, key, got, w)
+			}
+		}
+	}
+}
+
+// TestOccupancyFollowsLiveKeys: a million keys seen once each fill the
+// filter; two roll-overs later their cells are exactly zero again and only
+// the one key still sending occupies any.
+func TestOccupancyFollowsLiveKeys(t *testing.T) {
+	if testing.Short() {
+		t.Skip("million-add run")
+	}
+	tau := time.Second
+	f := New(Config{Cells: 1 << 16, Hashes: 4, Seed: 1, Decay: Exponential{Tau: tau}})
+	now := int64(0)
+	for key := uint64(0); key < 1_000_000; key++ {
+		now += 1000
+		f.Add(key, 1500, now)
+	}
+	if occ := f.Occupied(); occ < f.Cells()*9/10 {
+		t.Fatalf("one-shot keys occupy %d of %d cells: the test needs a full filter", occ, f.Cells())
+	}
+	rolls, land := 0, f.Landmark()
+	for rolls < 2 {
+		now += int64(tau)
+		f.Add(42, 1500, now)
+		if l := f.Landmark(); l != land {
+			rolls, land = rolls+1, l
+		}
+	}
+	if now > int64(3*rollAfter*tau) {
+		t.Fatalf("two roll-overs took until %v", time.Duration(now))
+	}
+	if occ := f.Occupied(); occ*100 >= f.Cells() {
+		t.Fatalf("%d of %d cells occupied two roll-overs after the one-shot keys stopped", occ, f.Cells())
+	}
+	if got, want := f.Estimate(42, now), 1500/(1-math.Exp(-1)); math.Abs(got-want) > 1e-6*want {
+		t.Fatalf("live key estimate %v, want %v", got, want)
+	}
+}
+
+// TestSharedBase: filters and a tracker built on one Base decay together —
+// one landmark, rolled over for all of them by whichever member is written
+// first past the threshold — and each answers as it would alone.
+func TestSharedBase(t *testing.T) {
+	law := Exponential{Tau: 50 * time.Millisecond}
+	base := NewBase(law)
+	cfgs := []Config{{Cells: 256, Hashes: 3, Seed: 1, Decay: law}, {Cells: 100, Hashes: 4, Seed: 2, Decay: law}}
+	var shared, solo []*Filter
+	for _, cfg := range cfgs {
+		shared, solo = append(shared, base.NewFilter(cfg)), append(solo, New(cfg))
+	}
+	total, soloTotal := base.NewMassTracker(), NewMassTracker(law)
+	rng := rand.New(rand.NewSource(2))
+	now := int64(-3 * time.Second)
+	for i := 0; i < 40000; i++ {
+		now += int64(rng.Intn(int(500 * time.Microsecond))) // 10 s: three roll-overs
+		key, w := uint64(rng.Intn(50)), float64(40+rng.Intn(1460))
+		if got, want := total.Add(w, now), soloTotal.Add(w, now); !near(got, want) {
+			t.Fatalf("add %d: shared tracker %v, solo %v", i, got, want)
+		}
+		// The second filter is written for one packet in three only, so its
+		// roll-overs are always another member's doing.
+		for j := range shared {
+			if j == 0 || i%3 == 0 {
+				if got, want := shared[j].Add(key, w, now), solo[j].Add(key, w, now); !near(got, want) {
+					t.Fatalf("add %d: shared filter %d %v, solo %v", i, j, got, want)
+				}
+			}
+			if shared[j].Landmark() != shared[0].Landmark() || total.State().Touch != shared[0].Landmark() {
+				t.Fatalf("add %d: members disagree on the landmark", i)
+			}
+		}
+	}
+	if l := shared[0].Landmark(); l <= now-int64(rollAfter*law.Tau) || l == solo[1].Landmark() {
+		t.Fatalf("landmark %d at %d: no roll-over, or none the sparse member did not do itself", l, now)
+	}
+}
+
+// cellRows returns a FilterState.Next over the non-zero cells of masses.
+func cellRows(masses []float64) func() (int, float64, bool) {
+	i := -1
+	return func() (int, float64, bool) {
+		for i++; i < len(masses); i++ {
+			if masses[i] != 0 {
+				return i, masses[i], true
+			}
+		}
+		return 0, 0, false
+	}
+}
+
+// TestRestore: state read off a filter through its accessors and put back
+// through Restore gives identical cells and landmark, and everything a
+// hostile frame could declare is refused.
+func TestRestore(t *testing.T) {
+	cfg := Config{Cells: 128, Hashes: 3, Seed: 5, Decay: Exponential{Tau: time.Second}}
+	src := New(cfg)
+	for key := uint64(0); key < 30; key++ {
+		src.Add(key, float64(100+key), int64(7*time.Second)+int64(key)*1e6)
+	}
+	state := func() FilterState {
+		return FilterState{Seed: src.Seed(), Adds: src.Adds(), Landmark: src.Landmark(), Next: cellRows(src.Masses())}
+	}
+	dst := New(cfg)
+	if err := dst.Restore(state()); err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(dst.cells, src.cells) || dst.Landmark() != src.Landmark() || dst.Adds() != src.Adds() {
+		t.Fatal("restored filter differs from its source")
+	}
+	// Over a filter holding later state the masses are rescaled, as a
+	// Merge into an empty filter at that landmark would.
+	dst = New(cfg)
+	dst.Add(1, 1, int64(9*time.Second))
+	if err := dst.Restore(state()); err != nil {
+		t.Fatal(err)
+	}
+	if dst.Landmark() != int64(9*time.Second) || !near(dst.Estimate(3, int64(10*time.Second)), src.Estimate(3, int64(10*time.Second))) {
+		t.Fatalf("restore under a later landmark: landmark %d, estimate %v vs %v",
+			dst.Landmark(), dst.Estimate(3, int64(10*time.Second)), src.Estimate(3, int64(10*time.Second)))
+	}
+
+	rows := func(r ...any) func() (int, float64, bool) {
+		return func() (int, float64, bool) {
+			if len(r) == 0 {
+				return 0, 0, false
+			}
+			i, v := r[0].(int), r[1].(float64)
+			r = r[2:]
+			return i, v, true
+		}
+	}
+	for name, st := range map[string]FilterState{
+		"seed":           {Seed: 6, Next: rows()},
+		"adds":           {Seed: 5, Adds: -1, Next: rows()},
+		"landmark":       {Seed: 5, Landmark: 1<<62 + 1, Next: rows()},
+		"index-range":    {Seed: 5, Next: rows(128, 1.0)},
+		"index-negative": {Seed: 5, Next: rows(-1, 1.0)},
+		"index-order":    {Seed: 5, Next: rows(4, 1.0, 4, 1.0)},
+		"nan":            {Seed: 5, Next: rows(4, math.NaN())},
+		"inf":            {Seed: 5, Next: rows(4, math.Inf(1))},
+		"negative":       {Seed: 5, Next: rows(4, -1.0)},
+		"zero":           {Seed: 5, Next: rows(4, 0.0)},
+		"no-landmark":    {Seed: 5, Landmark: NoLandmark, Next: rows(4, 1.0)},
+	} {
+		if err := New(cfg).Restore(st); err == nil {
+			t.Errorf("%s: Restore accepted it", name)
+		}
+	}
+	m := NewMassTracker(cfg.Decay)
+	for name, st := range map[string]MassState{
+		"nan": {V: math.NaN()}, "negative": {V: -1}, "negative-zero": {V: math.Copysign(0, -1)},
+		"inf": {V: math.Inf(1)}, "no-landmark": {V: 1, Touch: NoLandmark}, "landmark": {V: 1, Touch: -(1 << 62) - 1},
+	} {
+		if err := m.Restore(st); err == nil {
+			t.Errorf("tracker %s: Restore accepted it", name)
+		}
+	}
+	if err := m.Restore(MassState{V: 5, Touch: 3}); err != nil || m.State() != (MassState{V: 5, Touch: 3}) {
+		t.Fatalf("tracker restore: %v, state %+v", err, m.State())
 	}
 }

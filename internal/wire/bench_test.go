@@ -85,37 +85,23 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	})
 	b.Run("tdbf", func(b *testing.B) {
 		f := testFilter(7)
-		frame, err := EncodeFilter(f)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.SetBytes(int64(len(frame)))
+		b.SetBytes(int64(len(EncodeFilter(f))))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			frame, err := EncodeFilter(f)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := Decode(frame); err != nil {
+			if _, err := Decode(EncodeFilter(f)); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("continuous", func(b *testing.B) {
 		d := testContinuous(b, 8)
-		frame, err := EncodeContinuous(d)
-		if err != nil {
-			b.Fatal(err)
-		}
+		frame, _ := EncodeContinuous(d)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			frame, err := EncodeContinuous(d)
-			if err != nil {
-				b.Fatal(err)
-			}
+			frame, _ := EncodeContinuous(d)
 			if _, err := Decode(frame); err != nil {
 				b.Fatal(err)
 			}

@@ -60,9 +60,9 @@ func (f Frame) Decode() (any, error) {
 	case KindMemento:
 		v, err = decodeMementoPayload(hdr, payload)
 	case KindFilter:
-		v, err = decodeFilterPayload(payload)
+		v, err = decodeFilterPayload(hdr, payload)
 	case KindContinuous:
-		v, err = decodeContinuousPayload(hdr, payload)
+		v, err = f.RestoreContinuous(nil)
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrKind, uint8(hdr.Kind))
 	}
@@ -456,82 +456,154 @@ func decodeMementoPayload(hdr Header, payload []byte) (*swhh.MementoHHH, error) 
 	return d, nil
 }
 
-// readDecay reads the tagged decay-law descriptor.
-func readDecay(c *cursor) (tdbf.Decay, error) {
-	tag := c.u8()
+// readDecay reads the tagged decay-law descriptor. Only the exponential
+// law decodes: forward decay has no other.
+func readDecay(c *cursor) (tdbf.Exponential, error) {
+	tag, tau := c.u8(), c.i64()
 	if !c.ok {
-		return nil, fmt.Errorf("%w: short decay descriptor", ErrCorrupt)
+		return tdbf.Exponential{}, fmt.Errorf("%w: short decay descriptor", ErrCorrupt)
 	}
-	switch tag {
-	case decayExponential:
-		tau := c.i64()
-		if !c.ok {
-			return nil, fmt.Errorf("%w: short decay descriptor", ErrCorrupt)
-		}
-		if tau <= 0 || tau > maxAbsTime {
-			return nil, fmt.Errorf("%w: exponential tau %dns out of range", ErrCorrupt, tau)
-		}
-		return tdbf.Exponential{Tau: time.Duration(tau)}, nil
-	case decayLeaky:
-		rate := c.f64()
-		if !c.ok {
-			return nil, fmt.Errorf("%w: short decay descriptor", ErrCorrupt)
-		}
-		if math.IsNaN(rate) || math.IsInf(rate, 0) || rate < 0 {
-			return nil, fmt.Errorf("%w: leaky rate %v out of range", ErrCorrupt, rate)
-		}
-		return tdbf.LeakyLinear{Rate: rate}, nil
-	default:
-		return nil, fmt.Errorf("%w: unknown decay tag %d", ErrCorrupt, tag)
+	if tag != decayExponential {
+		return tdbf.Exponential{}, fmt.Errorf("%w: unknown decay tag %d", ErrCorrupt, tag)
 	}
+	if tau <= 0 || tau > maxAbsTime {
+		return tdbf.Exponential{}, fmt.Errorf("%w: exponential tau %dns out of range", ErrCorrupt, tau)
+	}
+	return tdbf.Exponential{Tau: time.Duration(tau)}, nil
 }
 
-// restoreFilter reads st.Cells × (mass, touch) pairs at the cursor
-// straight into a restored filter.
-func restoreFilter(c *cursor, d tdbf.Decay, st tdbf.FilterState) (*tdbf.Filter, error) {
-	var badTouch error // the first touch stamp out of bounds
-	st.Cell = func(int) (float64, int64) {
-		v, touch := c.f64(), c.i64()
-		if err := boundTime(touch); err != nil && badTouch == nil {
-			badTouch = err
-		}
-		return v, touch
+// boundLandmark is boundTime for a landmark, which may also be the
+// no-landmark sentinel of a filter that stores nothing.
+func boundLandmark(v int64) error {
+	if v == tdbf.NoLandmark {
+		return nil
 	}
-	f, err := tdbf.RestoreFilter(d, st)
-	switch {
-	case badTouch != nil:
-		return nil, badTouch
-	case !c.ok:
-		return nil, fmt.Errorf("%w: short filter cells", ErrCorrupt)
-	case err != nil:
-		return nil, corrupt(err)
-	}
-	return f, nil
+	return boundTime(v)
 }
 
-func decodeFilterPayload(payload []byte) (*tdbf.Filter, error) {
+// take returns the next n bytes of the payload, nil if they are not there.
+func (c *cursor) take(n int) []byte {
+	if !c.need(n) {
+		return nil
+	}
+	c.off += n
+	return c.b[c.off-n : c.off]
+}
+
+// level reads one filter's section at the cursor — seed, add count, cells —
+// of a frame of the given version, as the state a restore pulls: Next
+// yields the non-zero cells off the payload. The section's bytes are
+// checked to be there and to add up to the declared count; indices and
+// masses are validated by the restore (which refuses -0, so that a state
+// has one encoding).
+func (c *cursor) level(version uint16, cells int, d tdbf.Exponential) (st tdbf.FilterState, err error) {
+	st.Seed, st.Adds = c.u64(), c.i64()
+	if version == Version {
+		st.Landmark, st.Next, err = c.cellsV1(cells, d)
+		return st, err
+	}
+	st.Landmark = c.i64()
+	occupied := int(c.u32())
+	if !c.ok || occupied > cells {
+		return st, fmt.Errorf("%w: short filter section, or %d occupied cells of %d", ErrCorrupt, occupied, cells)
+	}
+	if err := boundLandmark(st.Landmark); err != nil {
+		return st, err
+	}
+	stride, n := sparseRowSize, occupied
+	if !sparse(occupied, cells) {
+		stride, n = denseCellSize, cells
+	}
+	rows := c.take(n * stride)
+	if rows == nil {
+		return st, fmt.Errorf("%w: short filter cells", ErrCorrupt)
+	}
+	i := -1
+	st.Next = func() (int, float64, bool) {
+		for i++; i < n; i++ {
+			row := rows[i*stride:]
+			if stride == sparseRowSize {
+				return int(binary.LittleEndian.Uint32(row)), math.Float64frombits(binary.LittleEndian.Uint64(row[4:])), true
+			}
+			if bits := binary.LittleEndian.Uint64(row); bits != 0 {
+				return i, math.Float64frombits(bits), true
+			}
+		}
+		return 0, 0, false
+	}
+	if stride == denseCellSize {
+		seen := 0
+		for i := 0; i < n; i++ {
+			if binary.LittleEndian.Uint64(rows[i*stride:]) != 0 {
+				seen++
+			}
+		}
+		if seen != occupied {
+			return st, fmt.Errorf("%w: dense column holds %d occupied cells, declares %d", ErrCorrupt, seen, occupied)
+		}
+	}
+	return st, nil
+}
+
+// cellsV1 reads a version-1 cell section: cells × (mass, timestamp of its
+// last decay). Such a cell is a mass scaled to a landmark of its own; the
+// section's landmark is the latest timestamp of a cell that holds mass, and
+// every mass is yielded decayed to it (one that decays to nothing is not
+// yielded at all).
+func (c *cursor) cellsV1(cells int, d tdbf.Exponential) (land int64, next func() (int, float64, bool), err error) {
+	col := c.take(cells * v1CellSize)
+	if col == nil {
+		return 0, nil, fmt.Errorf("%w: short filter cells", ErrCorrupt)
+	}
+	cell := func(i int) (vbits uint64, touch int64) {
+		b := col[i*v1CellSize:]
+		return binary.LittleEndian.Uint64(b), int64(binary.LittleEndian.Uint64(b[8:]))
+	}
+	land = tdbf.NoLandmark
+	for i := 0; i < cells; i++ {
+		vbits, touch := cell(i)
+		if err := boundTime(touch); err != nil {
+			return 0, nil, err
+		}
+		if vbits != 0 {
+			land = max(land, touch)
+		}
+	}
+	i := -1
+	return land, func() (int, float64, bool) {
+		for i++; i < cells; i++ {
+			vbits, touch := cell(i)
+			if vbits == 0 {
+				continue
+			}
+			v := math.Float64frombits(vbits)
+			if m := v * math.Exp(-float64(land-touch)/float64(d.Tau)); m != 0 || !(v > 0) {
+				return i, m, true
+			}
+		}
+		return 0, 0, false
+	}, nil
+}
+
+func decodeFilterPayload(hdr Header, payload []byte) (*tdbf.Filter, error) {
 	c := newCursor(payload)
 	d, err := readDecay(c)
 	if err != nil {
 		return nil, err
 	}
-	st := tdbf.FilterState{
-		Cells:  int(c.u32()),
-		Hashes: int(c.u16()),
-		Seed:   c.u64(),
-		Adds:   c.i64(),
+	cells, hashes := int(c.u32()), int(c.u16())
+	// A zero cell takes no payload, so the cell count is held to a budget
+	// rather than to the bytes that follow.
+	if !c.ok || cells < 1 || cells > maxFilterCells || hashes < 1 {
+		return nil, fmt.Errorf("%w: filter shape (%d cells, %d hashes) short or out of budget", ErrCorrupt, cells, hashes)
 	}
-	if !c.ok {
-		return nil, fmt.Errorf("%w: short filter header", ErrCorrupt)
-	}
-	// Filter cells are fully materialised at 16 bytes each, so payload
-	// proportionality is the budget.
-	if st.Cells < 1 || int64(st.Cells)*16 > int64(c.remaining()) {
-		return nil, fmt.Errorf("%w: %d filter cells exceed payload", ErrCorrupt, st.Cells)
-	}
-	f, err := restoreFilter(c, d, st)
+	st, err := c.level(hdr.Version, cells, d)
 	if err != nil {
 		return nil, err
+	}
+	f := tdbf.New(tdbf.Config{Cells: cells, Hashes: hashes, Seed: st.Seed, Decay: d})
+	if err := f.Restore(st); err != nil {
+		return nil, corrupt(err)
 	}
 	if err := c.finish(); err != nil {
 		return nil, err
@@ -539,7 +611,17 @@ func decodeFilterPayload(payload []byte) (*tdbf.Filter, error) {
 	return f, nil
 }
 
-func decodeContinuousPayload(hdr Header, payload []byte) (*continuous.Detector, error) {
+// RestoreContinuous brings d to the state sealed in f, a KindContinuous
+// frame of either version, and returns it, restoring in place: the cells
+// are cleared and the occupied ones written, and nothing is allocated that
+// grows with the filters. With d nil, or of another configuration than the
+// frame spells out, a new detector is built — the cold decode. On error d
+// may be partly restored and must be discarded.
+func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, error) {
+	hdr, payload := f.Header, f.payload
+	if hdr.Kind != KindContinuous {
+		return nil, fmt.Errorf("%w: got %v, want %v", ErrKind, hdr.Kind, KindContinuous)
+	}
 	h, err := hdr.Hierarchy()
 	if err != nil {
 		return nil, err
@@ -574,42 +656,38 @@ func decodeContinuousPayload(hdr Header, payload []byte) (*continuous.Detector, 
 	}
 	fcells := int(c.u32())
 	fhashes := int(c.u16())
-	warmEnd := c.i64()
-	pkts := c.i64()
-	totalV := c.f64()
-	totalTouch := c.i64()
+	st := continuous.State{Started: cflags&2 != 0, WarmEnd: c.i64(), Packets: c.i64()}
+	st.Total = tdbf.MassState{V: c.f64(), Touch: c.i64()}
 	if !c.ok {
 		return nil, fmt.Errorf("%w: short continuous header", ErrCorrupt)
 	}
-	if fhashes < 1 {
-		return nil, fmt.Errorf("%w: %d filter hashes", ErrCorrupt, fhashes)
-	}
-	if err := boundTime(warmEnd); err != nil {
+	if err := boundTime(st.WarmEnd); err != nil {
 		return nil, err
 	}
-	if err := boundTime(totalTouch); err != nil {
+	if err := boundLandmark(st.Total.Touch); err != nil {
 		return nil, err
 	}
-	// The per-level filters materialise fcells cells each for Levels()
-	// levels; the whole matrix must be backed by remaining payload.
+	if hdr.Version == Version && st.Total.V == 0 {
+		st.Total.Touch = tdbf.NoLandmark // a version-1 cell without mass stands nowhere
+	}
+	// The per-level filters hold fcells cells each for Levels() levels,
+	// whatever the payload materialises of them: the matrix is held to its
+	// budget before anything is sized from it.
 	levels := h.Levels()
-	if fcells < 1 || int64(fcells)*int64(levels)*16 > int64(len(payload)) {
-		return nil, fmt.Errorf("%w: %d filter cells × %d levels exceed payload", ErrCorrupt, fcells, levels)
+	if fcells < 1 || fhashes < 1 || int64(fcells)*int64(levels) > maxFilterCells {
+		return nil, fmt.Errorf("%w: %d filter cells × %d levels, %d hashes out of budget", ErrCorrupt, fcells, levels, fhashes)
 	}
 
-	nActive := c.count(18)
+	nActive := c.count(activeRowSize)
 	if !c.ok {
 		return nil, fmt.Errorf("%w: short active set", ErrCorrupt)
 	}
-	active := make([]continuous.ActiveEntry, nActive)
+	st.Active = make([]continuous.ActiveEntry, nActive)
 	prevLevel, prevKey := -1, uint64(0)
-	for i := range active {
+	for i := range st.Active {
 		key := c.u64()
 		level := int(c.u16())
 		at := c.i64()
-		if !c.ok {
-			return nil, fmt.Errorf("%w: short active set", ErrCorrupt)
-		}
 		if level >= levels {
 			return nil, fmt.Errorf("%w: active level %d beyond hierarchy depth", ErrCorrupt, level)
 		}
@@ -623,37 +701,12 @@ func decodeContinuousPayload(hdr Header, payload []byte) (*continuous.Detector, 
 			return nil, err
 		}
 		prevLevel, prevKey = level, key
-		active[i] = continuous.ActiveEntry{Level: level, Key: key, At: at}
+		st.Active[i] = continuous.ActiveEntry{Level: level, Key: key, At: at}
 	}
 
-	nf := int(c.u16())
-	if !c.ok {
-		return nil, fmt.Errorf("%w: short filter section", ErrCorrupt)
-	}
-	if nf != levels {
+	if nf := int(c.u16()); !c.ok || nf != levels {
 		return nil, fmt.Errorf("%w: %d filters for %d-level hierarchy", ErrCorrupt, nf, levels)
 	}
-	filters := make([]*tdbf.Filter, nf)
-	for l := range filters {
-		st := tdbf.FilterState{
-			Cells:  fcells,
-			Hashes: fhashes,
-			Seed:   c.u64(),
-			Adds:   c.i64(),
-		}
-		if !c.ok {
-			return nil, fmt.Errorf("%w: short filter section", ErrCorrupt)
-		}
-		f, err := restoreFilter(c, decay, st)
-		if err != nil {
-			return nil, err
-		}
-		filters[l] = f
-	}
-	if err := c.finish(); err != nil {
-		return nil, err
-	}
-
 	cfg := continuous.Config{
 		Hierarchy: h,
 		Phi:       phi,
@@ -663,16 +716,30 @@ func decodeContinuousPayload(hdr Header, payload []byte) (*continuous.Detector, 
 		Sampled:   cflags&1 != 0,
 		Seed:      cfgSeed,
 	}
-	d, err := continuous.Restore(cfg, sampler, continuous.State{
-		Started: cflags&2 != 0,
-		WarmEnd: warmEnd,
-		Packets: pkts,
-		Total:   tdbf.MassState{V: totalV, Touch: totalTouch},
-		Active:  active,
-		Filters: filters,
+	if d == nil || !d.Fits(cfg) {
+		if d, err = continuous.NewDetector(cfg); err != nil {
+			return nil, corrupt(err)
+		}
+	}
+	// The levels are read where the restore asks for them, in payload
+	// order; a codec-level finding outranks whatever the restore made of
+	// the bytes around it.
+	var bad error
+	err = d.Restore(sampler, st, func(int) (fs tdbf.FilterState, _ error) {
+		fs, bad = c.level(hdr.Version, fcells, decay)
+		if bad == nil && hdr.Version != Version && fs.Landmark != st.Total.Touch {
+			bad = fmt.Errorf("%w: a level's landmark %d differs from the tracker's %d", ErrCorrupt, fs.Landmark, st.Total.Touch)
+		}
+		return fs, bad
 	})
-	if err != nil {
+	switch {
+	case bad != nil:
+		return nil, bad
+	case err != nil:
 		return nil, corrupt(err)
+	}
+	if err := c.finish(); err != nil {
+		return nil, err
 	}
 	return d, nil
 }

@@ -45,9 +45,10 @@ func Encode(v any) ([]byte, error) {
 	case *swhh.MementoHHH:
 		return EncodeMemento(s), nil
 	case *tdbf.Filter:
-		return EncodeFilter(s)
+		return EncodeFilter(s), nil
 	case *continuous.Detector:
-		return EncodeContinuous(s)
+		frame, _ := EncodeContinuous(s)
+		return frame, nil
 	default:
 		return nil, fmt.Errorf("wire: cannot encode %T", v)
 	}
@@ -237,70 +238,91 @@ func EncodeMemento(d *swhh.MementoHHH) []byte {
 	return endFrame(b)
 }
 
-// appendDecay writes the tagged decay-law descriptor. Only the two
-// stock laws serialize; a custom Decay implementation returns an error.
-func appendDecay(b []byte, d tdbf.Decay) ([]byte, error) {
-	switch v := d.(type) {
-	case tdbf.Exponential:
-		b = append(b, decayExponential)
-		return appendI64(b, int64(v.Tau)), nil
-	case tdbf.LeakyLinear:
-		b = append(b, decayLeaky)
-		return appendF64(b, v.Rate), nil
-	default:
-		return nil, fmt.Errorf("wire: decay law %q does not serialize", d.String())
-	}
-}
-
-// Decay-law descriptor tags (wire format, fixed forever).
+// Decay-law descriptor tags (wire format, fixed forever). Tag 2 was the
+// leaky-bucket law, which forward decay cannot express: it stays reserved
+// and is rejected.
 const (
 	decayExponential = 1 // param: tau as int64 nanoseconds
-	decayLeaky       = 2 // param: drain rate as float64 per second
+	decayLeaky       = 2 // reserved
 )
 
-// Payload sizes of the filter-backed kinds, known from shape × levels:
-// the frame is allocated once at its final size and the cells — all but
-// a few dozen bytes of it — are written straight into it.
+// appendDecay writes the tagged decay-law descriptor.
+func appendDecay(b []byte, d tdbf.Exponential) []byte {
+	return appendI64(append(b, decayExponential), int64(d.Tau))
+}
+
+// Payload sizes of the filter-backed kinds. The shape and, per filter, the
+// number of occupied cells are known before the first byte is written: the
+// frame is allocated once at its final size and the cells — all but a few
+// dozen bytes of it — are written straight into it.
 const (
-	decaySize        = 1 + 8         // tag, parameter
-	filterHeaderSize = 4 + 2 + 8 + 8 // cells, hashes, seed, adds
+	decaySize        = 1 + 8 // tag, parameter
+	filterHeaderSize = 4 + 2 // cells, hashes
 	// configuration, filter shape and detector state, the two counts
 	continuousHeaderSize = 8 + 8 + 1 + 8 + 8 + 8 + decaySize + 4 + 2 + 8 + 8 + 8 + 8 + 4 + 2
-	activeRowSize        = 8 + 2 + 8 // key, level, activation timestamp
-	levelHeaderSize      = 8 + 8     // seed, adds
-	cellSize             = 8 + 8     // mass, touch timestamp
+	activeRowSize        = 8 + 2 + 8     // key, level, activation timestamp
+	levelHeaderSize      = 8 + 8 + 8 + 4 // seed, adds, landmark, occupied count
+	sparseRowSize        = 4 + 8         // cell index, mass
+	denseCellSize        = 8             // mass
+	v1CellSize           = 8 + 8         // mass, touch timestamp (version 1)
 )
 
-// appendCells writes f's cell array, 16 bytes per cell.
-func appendCells(b []byte, f *tdbf.Filter) []byte {
-	f.ForEachCell(func(v float64, touch int64) {
-		b = appendF64(b, v)
-		b = appendI64(b, touch)
-	})
+// sparse reports whether a column of cells cells, occupied of them
+// non-zero, is written as sparse rows: whichever layout is smaller, dense
+// on a tie.
+func sparse(occupied, cells int) bool {
+	return int64(occupied)*sparseRowSize < int64(cells)*denseCellSize
+}
+
+// levelSize is the encoded size of one filter's section.
+func levelSize(occupied, cells int) int {
+	if sparse(occupied, cells) {
+		return levelHeaderSize + occupied*sparseRowSize
+	}
+	return levelHeaderSize + cells*denseCellSize
+}
+
+// appendLevel writes f's section: seed, add count, then the cells as the
+// landmark, the occupied count and the layout that count selects.
+func appendLevel(b []byte, f *tdbf.Filter, occupied int) []byte {
+	masses := f.Masses()
+	b = appendU64(b, f.Seed())
+	b = appendI64(b, f.Adds())
+	b = appendI64(b, f.Landmark())
+	b = appendU32(b, uint32(occupied))
+	if !sparse(occupied, len(masses)) {
+		for _, v := range masses {
+			b = appendF64(b, v)
+		}
+		return b
+	}
+	for i, v := range masses {
+		if v != 0 {
+			b = appendU32(b, uint32(i))
+			b = appendF64(b, v)
+		}
+	}
 	return b
 }
 
 // EncodeFilter frames a bare time-decaying Bloom filter (KindFilter, no
-// hierarchy descriptor). Returns an error for decay laws outside the
-// two stock ones, which have no wire representation.
-func EncodeFilter(f *tdbf.Filter) ([]byte, error) {
-	b := beginFrame(KindFilter, 0, 0, 0, decaySize+filterHeaderSize+f.Cells()*cellSize)
-	b, err := appendDecay(b, f.Decay())
-	if err != nil {
-		return nil, err
-	}
+// hierarchy descriptor).
+func EncodeFilter(f *tdbf.Filter) []byte {
+	occupied := f.Occupied()
+	b := beginFrame(KindFilter, 0, 0, 0, decaySize+filterHeaderSize+levelSize(occupied, f.Cells()))
+	b = appendDecay(b, f.Decay())
 	b = appendU32(b, uint32(f.Cells()))
 	b = appendU16(b, uint16(f.Hashes()))
-	b = appendU64(b, f.Seed())
-	b = appendI64(b, f.Adds())
-	return endFrame(appendCells(b, f)), nil
+	return endFrame(appendLevel(b, f, occupied))
 }
 
 // EncodeContinuous frames a continuous detector (KindContinuous): its
 // full configuration (so the receiver rebuilds an identically derived
 // detector), the warmup anchor and mass tracker, the active set sorted
-// by (level, key) for determinism, then the per-level filter columns.
-func EncodeContinuous(d *continuous.Detector) ([]byte, error) {
+// by (level, key) for determinism, then the per-level filter columns. It
+// returns, beside the frame, the number of occupied cells in each level's
+// filter, which it counted to lay the frame out.
+func EncodeContinuous(d *continuous.Detector) (frame []byte, occupied []int) {
 	cfg := d.Config()
 	st := d.State()
 	var cflags byte
@@ -313,19 +335,21 @@ func EncodeContinuous(d *continuous.Detector) ([]byte, error) {
 	// Shape comes from the live filters, not cfg.Filter: the stored config
 	// may hold zeros that tdbf.New resolved to defaults at construction.
 	cells, hashes := st.Filters[0].Cells(), st.Filters[0].Hashes()
+	occupied = make([]int, len(st.Filters))
+	size := continuousHeaderSize + len(st.Active)*activeRowSize
+	for l, f := range st.Filters {
+		occupied[l] = f.Occupied()
+		size += levelSize(occupied[l], cells)
+	}
 	fam, step, depth := describe(cfg.Hierarchy)
-	b := beginFrame(KindContinuous, fam, step, depth, continuousHeaderSize+
-		len(st.Active)*activeRowSize+len(st.Filters)*(levelHeaderSize+cells*cellSize))
+	b := beginFrame(KindContinuous, fam, step, depth, size)
 	b = appendF64(b, cfg.Phi)
 	b = appendF64(b, cfg.ExitRatio)
 	b = append(b, cflags)
 	b = appendU64(b, cfg.Seed)
 	b = appendI64(b, int64(cfg.Warmup))
 	b = appendU64(b, d.Sampler())
-	b, err := appendDecay(b, cfg.Filter.Decay)
-	if err != nil {
-		return nil, err
-	}
+	b = appendDecay(b, cfg.Filter.Decay)
 	b = appendU32(b, uint32(cells))
 	b = appendU16(b, uint16(hashes))
 	b = appendI64(b, st.WarmEnd)
@@ -341,10 +365,8 @@ func EncodeContinuous(d *continuous.Detector) ([]byte, error) {
 	}
 
 	b = appendU16(b, uint16(len(st.Filters)))
-	for _, f := range st.Filters {
-		b = appendU64(b, f.Seed())
-		b = appendI64(b, f.Adds())
-		b = appendCells(b, f)
+	for l, f := range st.Filters {
+		b = appendLevel(b, f, occupied[l])
 	}
-	return endFrame(b), nil
+	return endFrame(b), occupied
 }

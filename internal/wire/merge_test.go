@@ -1,6 +1,8 @@
 package wire
 
 import (
+	"os"
+	"path/filepath"
 	"slices"
 	"testing"
 	"time"
@@ -157,10 +159,7 @@ func TestMergeEquivalence(t *testing.T) {
 					return d
 				},
 				func(d *continuous.Detector) []byte {
-					frame, err := EncodeContinuous(d)
-					if err != nil {
-						t.Fatalf("encode: %v", err)
-					}
+					frame, _ := EncodeContinuous(d)
 					return frame
 				},
 				func(dst, src *continuous.Detector) { dst.Merge(src) },
@@ -180,13 +179,7 @@ func TestMergeEquivalence(t *testing.T) {
 				}
 				return f
 			},
-			func(f *tdbf.Filter) []byte {
-				frame, err := EncodeFilter(f)
-				if err != nil {
-					t.Fatalf("encode: %v", err)
-				}
-				return frame
-			},
+			EncodeFilter,
 			func(dst, src *tdbf.Filter) { dst.Merge(src) },
 			mustDecode[*tdbf.Filter](t),
 		)
@@ -224,5 +217,50 @@ func TestMergedQueryMatchesUnsharded(t *testing.T) {
 	}
 	if merged.Total() != whole.Total() {
 		t.Fatalf("merged total %d != unsharded total %d", merged.Total(), whole.Total())
+	}
+}
+
+// TestMergeAcrossVersions: a version-1 frame and a version-2 frame of the
+// same state are interchangeable at an aggregator. Each committed v1 vector
+// of the continuous detector and its v2 counterpart, merged into a third
+// detector's state, leave it answering the same Query — the same prefixes,
+// with volumes that differ by at most the unit the integer report rounds
+// to (a v1 cell was decayed lazily, one exp per touch).
+func TestMergeAcrossVersions(t *testing.T) {
+	for _, name := range []string{"continuous-v4", "continuous-v6"} {
+		h, seed := testHierarchy(), uint64(0x80)
+		if name == "continuous-v6" {
+			h, seed = testHierarchyV6(), 0x81
+		}
+		var got [2]hhh.Set
+		for i, file := range []string{name + ".wire", name + "-v2.wire"} {
+			frame, err := os.ReadFile(filepath.Join("testdata", file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if f, err := Verify(frame); err != nil || int(f.Header.Version) != i+1 {
+				t.Fatalf("%s: version %d, %v", file, f.Header.Version, err)
+			}
+			// The third party: the same configuration (so the filters line
+			// up), another stream, a landmark of its own.
+			acc, err := continuous.NewDetector(continuousTestConfig(h, seed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := splitmix(77)
+			for now := int64(300 * time.Millisecond); now < int64(2*time.Second); now += int64(r.next() % uint64(4*time.Millisecond)) {
+				acc.ObserveKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
+			}
+			acc.Merge(mustDecode[*continuous.Detector](t)(frame))
+			got[i] = acc.Query(queryNow / 4)
+		}
+		if got[0].Len() == 0 || !got[0].Equal(got[1]) {
+			t.Fatalf("%s: merged v1 answers %v, merged v2 %v", name, got[0], got[1])
+		}
+		for p, a := range got[0] {
+			if b := got[1][p]; a.Count-b.Count > 1 || b.Count-a.Count > 1 || a.Conditioned-b.Conditioned > 1 || b.Conditioned-a.Conditioned > 1 {
+				t.Fatalf("%s: %v: merged v1 %+v, merged v2 %+v", name, p, a, b)
+			}
+		}
 	}
 }

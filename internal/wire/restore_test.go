@@ -2,10 +2,14 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
+	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/swhh"
 )
 
@@ -97,4 +101,131 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 	if _, _, _, err := verified(bad).RestoreSliding(d, verified(f3)); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("invalid slot: %v, want ErrCorrupt", err)
 	}
+}
+
+// TestRestoreContinuousInPlace drives one sender's successive frames into
+// one retained detector, as the Aggregator does: after every frame — of
+// either version, across roll-overs of the sender's landmark — the detector
+// is the one it was, re-encodes to what a cold decode of the frame
+// re-encodes to, and the restore allocated nothing that grows with the
+// filters; a frame of another configuration gets a new detector; a frame
+// of another kind or one that fails validation is an error.
+func TestRestoreContinuousInPlace(t *testing.T) {
+	h := testHierarchy()
+	cfg := continuousTestConfig(h, 5)
+	cfg.Filter.Cells = 1 << 14
+	live, err := continuous.NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := splitmix(13)
+	now := int64(0)
+	feed := func(d *continuous.Detector, span time.Duration) Frame {
+		for end := now + int64(span); now < end; now += int64(r.next() % uint64(2*time.Millisecond)) {
+			d.ObserveKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
+		}
+		frame, _ := EncodeContinuous(d)
+		f, err := Verify(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	encoded := func(d *continuous.Detector) []byte {
+		frame, _ := EncodeContinuous(d)
+		return frame
+	}
+	d, err := feed(live, time.Second).RestoreContinuous(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	landmarks := map[int64]bool{}
+	for round := 0; round < 6; round++ {
+		f := feed(live, 12*time.Second) // tau is 500 ms: a roll-over every 32 s
+		cold, err := f.RestoreContinuous(nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *continuous.Detector
+		allocs := testing.AllocsPerRun(1, func() { got, err = f.RestoreContinuous(d) })
+		if err != nil || got != d {
+			t.Fatalf("round %d: in-place restore returned another detector (%v)", round, err)
+		}
+		if !bytes.Equal(encoded(d), encoded(cold)) || !bytes.Equal(encoded(d), encoded(live)) {
+			t.Fatalf("round %d: the retained detector differs from a cold decode of the frame", round)
+		}
+		if allocs > 16 {
+			t.Fatalf("round %d: in-place restore made %v allocations", round, allocs)
+		}
+		landmarks[d.State().Total.Touch] = true
+	}
+	if len(landmarks) < 2 {
+		t.Fatal("the sender's landmark never rolled over")
+	}
+
+	// A frame of another configuration — the version-1 vector, a tenth of
+	// the cells — gets a detector of its own, into which it then restores
+	// in place like any other.
+	v1 := func() Frame {
+		frame, err := os.ReadFile(filepath.Join("testdata", "continuous-v4.wire"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, err := Verify(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}()
+	old, err := v1.RestoreContinuous(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mark := encoded(d)
+	if got, err := v1.RestoreContinuous(d); err != nil || got == d {
+		t.Fatalf("a frame of another configuration was restored over the retained detector (%v)", err)
+	} else if !bytes.Equal(encoded(got), encoded(old)) || !bytes.Equal(encoded(d), mark) {
+		t.Fatal("a frame of another configuration modified the retained detector, or restored differently")
+	}
+	if got, err := v1.RestoreContinuous(old); err != nil || got != old || !bytes.Equal(encoded(old), encoded(testContinuousDecoded(t, v1))) {
+		t.Fatalf("version-1 frame over its own detector: same %v, %v", got == old, err)
+	}
+
+	pl, err := Verify(EncodePerLevel(testPerLevel(3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.RestoreContinuous(d); !errors.Is(err, ErrKind) {
+		t.Fatalf("RestoreContinuous(per-level frame) = %v, want ErrKind", err)
+	}
+	// A row index past the cells, in the last level, checksum made good
+	// again: the levels before it are already written when it is found.
+	f := feed(live, time.Second)
+	frame := encoded(live)
+	bad, err := Verify(mangle(frame, func(b []byte) {
+		// The last sparse row's index sits 12 bytes before the checksum.
+		binary.LittleEndian.PutUint32(b[len(b)-crcSize-sparseRowSize:], 1<<14)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bad.RestoreContinuous(d); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("invalid row: %v, want ErrCorrupt", err)
+	}
+	if bytes.Equal(encoded(d), mark) {
+		t.Fatal("the failed restore left the retained detector as it was: the frame was not bad where the test means it to be")
+	}
+	if got, err := f.RestoreContinuous(d); err != nil || got != d || !bytes.Equal(encoded(d), frame) {
+		t.Fatalf("a good frame over a half-written detector: %v", err)
+	}
+}
+
+// testContinuousDecoded is the cold decode of a verified continuous frame.
+func testContinuousDecoded(t *testing.T, f Frame) *continuous.Detector {
+	t.Helper()
+	d, err := f.RestoreContinuous(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

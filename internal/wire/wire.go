@@ -7,15 +7,15 @@
 // an aggregator, which restores them and merges via the existing Merge
 // contracts.
 //
-// # Frame layout (version 1)
+// # Frame layout
 //
 // Everything is little-endian. A frame is:
 //
 //	offset  size  field
 //	0       4     magic "hhwf"
-//	4       2     format version (1)
+//	4       2     format version (1 or 2, by kind: see below)
 //	6       1     summary kind (Kind)
-//	7       1     flags (0 in v1; nonzero rejected)
+//	7       1     flags (0; nonzero rejected)
 //	8       1     hierarchy family: 0 none, 4 IPv4, 6 IPv6
 //	9       1     hierarchy granularity step, bits per level (0 when none)
 //	10      1     hierarchy depth, family-relative bits (0 when none)
@@ -38,7 +38,35 @@
 // they do not know (ErrVersion) and any flag bit they do not understand,
 // so old readers fail loudly on new frames instead of misparsing them.
 // Additions go into new kinds or a version bump, never into silent
-// payload extensions — golden-vector tests pin the v1 bytes.
+// payload extensions — golden-vector tests pin the bytes of both versions.
+// The version is per kind:
+//
+//	kind                                  written  read
+//	tdbf, continuous (the decayed kinds)  2        1, 2
+//	every other                           1        1
+//
+// Version 2 on another kind, and any version above 2, is ErrVersion.
+//
+// # The decayed kinds' cells
+//
+// A filter's cells are forward-decayed masses scaled to a landmark (see
+// internal/tdbf) and mostly zero, so version 2 writes each filter — the one
+// of a tdbf frame, each level's of a continuous frame — as its seed (8) and
+// add count (8), then
+//
+//	8     landmark (ns; math.MinInt64 for a filter that stores nothing)
+//	4     n, the number of non-zero cells
+//	12·n  if 12·n < 8·cells, sparse rows in strictly increasing index
+//	      order: cell index (4), mass (float64, finite, > 0)
+//	8·cells  else the dense column: every cell's mass (finite, ≥ 0, n of
+//	      them non-zero)
+//
+// — whichever is smaller, at most 12 + 8·cells bytes against version 1's
+// 16·cells; the layout is a function of n, not a flag, so a state has one
+// encoding. Every level of a continuous frame carries the mass tracker's
+// landmark. Version 1 wrote 16 bytes per cell, (mass, timestamp of its last
+// decay): a mass scaled to a landmark of its own, which restoring rescales
+// to the latest timestamp its filter carries.
 //
 // # Robustness
 //
@@ -49,9 +77,9 @@
 // Allocation is guarded against attacker-declared lengths: element
 // counts are validated against the actual remaining payload before any
 // slice is sized from them, and capacity-type fields that legitimately
-// exceed the payload (Space-Saving capacities, Memento tables) are
-// checked against documented hard budgets (maxCounters and friends)
-// before construction.
+// exceed the payload (Space-Saving capacities, Memento tables, filter
+// cells — a zero cell takes no payload) are checked against documented
+// hard budgets (maxCounters and friends) before construction.
 package wire
 
 import (
@@ -64,8 +92,12 @@ import (
 	"hiddenhhh/internal/addr"
 )
 
-// Version is the wire-format version this package reads and writes.
-const Version = 1
+// Version is the wire-format version of every kind but the decayed ones,
+// which are written at VersionSparse and read at both.
+const (
+	Version       = 1
+	VersionSparse = 2
+)
 
 // magic opens every frame.
 const magic = "hhwf"
@@ -97,6 +129,14 @@ const (
 	// KindContinuous is the TDBF-backed continuous HHH detector.
 	KindContinuous Kind = 8
 )
+
+// version is the format version frames of kind k are written at.
+func (k Kind) version() uint16 {
+	if k == KindFilter || k == KindContinuous {
+		return VersionSparse
+	}
+	return Version
+}
 
 // String names the kind for labels and reports.
 func (k Kind) String() string {
@@ -163,6 +203,9 @@ const (
 	// maxMementoCells caps the summed Memento frame-cell matrix size
 	// (capacity × ring, summed over levels) per frame.
 	maxMementoCells = 1 << 25
+	// maxFilterCells caps the filter cells one frame may declare (cells ×
+	// levels for the continuous detector): 128 MiB of masses.
+	maxFilterCells = 1 << 24
 	// maxRing caps the sliding ring length (Frames+1).
 	maxRing = 1 << 10
 	// maxAbsFrame bounds |frame clock| so that frame-index arithmetic in
@@ -174,7 +217,8 @@ const (
 
 // Header is the parsed fixed-size frame header.
 type Header struct {
-	// Version is the declared format version (always 1 once parsed).
+	// Version is the declared format version (once parsed, one the kind
+	// is read at).
 	Version uint16
 	// Kind is the summary kind the payload carries.
 	Kind Kind
@@ -250,8 +294,8 @@ func parseFrame(frame []byte) (Header, []byte, error) {
 		return Header{}, nil, ErrBadMagic
 	}
 	version := binary.LittleEndian.Uint16(frame[4:6])
-	if version != Version {
-		return Header{}, nil, fmt.Errorf("%w: %d", ErrVersion, version)
+	if version != Version && (version != VersionSparse || Kind(frame[6]).version() != VersionSparse) {
+		return Header{}, nil, fmt.Errorf("%w: %d for kind %d", ErrVersion, version, frame[6])
 	}
 	if flags := frame[7]; flags != 0 {
 		return Header{}, nil, fmt.Errorf("%w: unknown flags %#x", ErrVersion, flags)
@@ -290,7 +334,7 @@ func parseFrame(frame []byte) (Header, []byte, error) {
 func beginFrame(kind Kind, fam, step, depth byte, payloadCap int) []byte {
 	out := make([]byte, 0, headerSize+payloadCap+crcSize)
 	out = append(out, magic...)
-	out = binary.LittleEndian.AppendUint16(out, Version)
+	out = binary.LittleEndian.AppendUint16(out, kind.version())
 	out = append(out, byte(kind), 0, fam, step, depth, 0)
 	return binary.LittleEndian.AppendUint32(out, 0) // payload length, set by endFrame
 }

@@ -309,10 +309,7 @@ func TestRoundTrip(t *testing.T) {
 	})
 	t.Run("tdbf", func(t *testing.T) {
 		f := testFilter(7)
-		frame, err := EncodeFilter(f)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
+		frame := EncodeFilter(f)
 		sizedUpFront(t, frame)
 		got, err := decodeAs[*tdbf.Filter](frame)
 		if err != nil {
@@ -325,11 +322,7 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("estimate(%d) %v != %v", k, a, b)
 			}
 		}
-		re, err := EncodeFilter(got)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !slices.Equal(re, frame) {
+		if re := EncodeFilter(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 	})
@@ -338,10 +331,7 @@ func TestRoundTrip(t *testing.T) {
 		if d.ActiveLen() == 0 {
 			t.Fatal("fixture has an empty active set")
 		}
-		frame, err := EncodeContinuous(d)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
+		frame, _ := EncodeContinuous(d)
 		sizedUpFront(t, frame)
 		got, err := decodeAs[*continuous.Detector](frame)
 		if err != nil {
@@ -350,11 +340,7 @@ func TestRoundTrip(t *testing.T) {
 		if !got.Query(queryNow).Equal(d.Query(queryNow)) {
 			t.Fatal("restored query differs from original")
 		}
-		re, err := EncodeContinuous(got)
-		if err != nil {
-			t.Fatalf("re-encode: %v", err)
-		}
-		if !slices.Equal(re, frame) {
+		if re, _ := EncodeContinuous(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 	})
@@ -363,14 +349,8 @@ func TestRoundTrip(t *testing.T) {
 // TestDecodeDispatch checks the generic Decode returns the right
 // dynamic type for every kind.
 func TestDecodeDispatch(t *testing.T) {
-	filterFrame, err := EncodeFilter(testFilter(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	contFrame, err := EncodeContinuous(testContinuous(t, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
+	filterFrame := EncodeFilter(testFilter(7))
+	contFrame, _ := EncodeContinuous(testContinuous(t, 8))
 	cases := []struct {
 		frame []byte
 		want  Kind
@@ -389,8 +369,8 @@ func TestDecodeDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: verify: %v", tc.want, err)
 		}
-		if hdr := f.Header; hdr.Kind != tc.want || hdr.Version != Version || f.Size() != len(tc.frame) {
-			t.Fatalf("verified %v v%d, %d bytes; want %v v%d, %d bytes", hdr.Kind, hdr.Version, f.Size(), tc.want, Version, len(tc.frame))
+		if hdr := f.Header; hdr.Kind != tc.want || hdr.Version != tc.want.version() || f.Size() != len(tc.frame) {
+			t.Fatalf("verified %v v%d, %d bytes; want %v v%d, %d bytes", hdr.Kind, hdr.Version, f.Size(), tc.want, tc.want.version(), len(tc.frame))
 		}
 		v, err := f.Decode()
 		if err != nil {
@@ -576,6 +556,86 @@ func TestCorruptPayloads(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Decode(tc.frame); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Decode = %v, want ErrCorrupt", err)
+			}
+		})
+	}
+}
+
+// TestSparseTrustBoundary: a version-2 filter's cells are not backed by
+// payload bytes, so everything a frame declares about them is checked for
+// itself — the cell budget before anything is sized, then counts, indices,
+// masses and landmarks — and refused with a typed error.
+func TestSparseTrustBoundary(t *testing.T) {
+	// filter assembles a KindFilter frame around a handcrafted column.
+	filter := func(cells uint32, landmark int64, occupied uint32, body ...any) []byte {
+		p := appendI64([]byte{decayExponential}, int64(time.Second))
+		p = appendU32(p, cells)
+		p = appendU16(p, 3)
+		p = appendU64(p, 7)
+		p = appendI64(p, 1)
+		p = appendI64(p, landmark)
+		p = appendU32(p, occupied)
+		for _, v := range body {
+			switch v := v.(type) {
+			case int:
+				p = appendU32(p, uint32(v))
+			case float64:
+				p = appendF64(p, v)
+			}
+		}
+		return frameFor(KindFilter, 0, 0, 0, p)
+	}
+	negZero := math.Copysign(0, -1)
+	if _, err := Decode(filter(8, 5, 2, 1, 1.5, 6, 2.5)); err != nil {
+		t.Fatalf("well-formed sparse column: %v", err)
+	}
+	if _, err := Decode(filter(2, 5, 2, 1.5, 2.5)); err != nil {
+		t.Fatalf("well-formed dense column: %v", err)
+	}
+	if _, err := Decode(filter(8, tdbf.NoLandmark, 0)); err != nil {
+		t.Fatalf("empty filter without a landmark: %v", err)
+	}
+	good, _ := EncodeContinuous(testContinuous(t, 8))
+	perLevel := EncodePerLevel(testPerLevel(3))
+	for _, tc := range []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"cells-over-budget", filter(maxFilterCells+1, 5, 0), ErrCorrupt},
+		{"zero-cells", filter(0, 5, 0), ErrCorrupt},
+		{"occupied-exceeds-cells", filter(8, 5, 9), ErrCorrupt},
+		{"rows-unbacked", filter(8, 5, 2, 1, 1.5), ErrCorrupt},
+		{"index-out-of-range", filter(8, 5, 1, 8, 1.5), ErrCorrupt},
+		{"index-repeated", filter(8, 5, 2, 3, 1.5, 3, 2.5), ErrCorrupt},
+		{"index-decreasing", filter(8, 5, 2, 3, 1.5, 2, 2.5), ErrCorrupt},
+		{"sparse-nan", filter(8, 5, 1, 3, math.NaN()), ErrCorrupt},
+		{"sparse-inf", filter(8, 5, 1, 3, math.Inf(1)), ErrCorrupt},
+		{"sparse-zero", filter(8, 5, 1, 3, 0.0), ErrCorrupt},
+		{"sparse-negative", filter(8, 5, 1, 3, -1.5), ErrCorrupt},
+		{"dense-negative", filter(2, 5, 2, 1.5, -2.5), ErrCorrupt},
+		{"dense-negative-zero", filter(2, 5, 2, 1.5, negZero), ErrCorrupt},
+		{"dense-nan", filter(2, 5, 2, 1.5, math.NaN()), ErrCorrupt},
+		{"dense-count-mismatch", filter(2, 5, 2, 1.5, 0.0), ErrCorrupt},
+		{"dense-short", filter(2, 5, 2, 1.5), ErrCorrupt},
+		{"dense-in-sparse-clothing", filter(2, 5, 2, 0, 1.5, 1, 2.5), ErrCorrupt},
+		{"landmark-out-of-range", filter(8, maxAbsTime+1, 1, 3, 1.5), ErrCorrupt},
+		{"landmark-below-range", filter(8, -maxAbsTime-1, 1, 3, 1.5), ErrCorrupt},
+		{"mass-without-landmark", filter(8, tdbf.NoLandmark, 1, 3, 1.5), ErrCorrupt},
+		{"trailing-bytes", filter(8, 5, 1, 3, 1.5, 0), ErrCorrupt},
+		{"level-landmark-drift", mangle(good, func(b []byte) {
+			// The tracker's landmark is the last header field before the
+			// active-set count.
+			off := headerSize + continuousHeaderSize - 4 - 2 - 8
+			binary.LittleEndian.PutUint64(b[off:], binary.LittleEndian.Uint64(b[off:])+1)
+		}), ErrCorrupt},
+		{"v2-on-another-kind", mangle(perLevel, func(b []byte) { b[4] = VersionSparse }), ErrVersion},
+		{"version-3", mangle(good, func(b []byte) { b[4] = 3 }), ErrVersion},
+		{"version-0", mangle(good, func(b []byte) { b[4] = 0 }), ErrVersion},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if v, err := Decode(tc.frame); !errors.Is(err, tc.want) || v != nil {
+				t.Fatalf("Decode = %T, %v; want %v", v, err, tc.want)
 			}
 		})
 	}
