@@ -8,6 +8,7 @@
 package hiddenhhh
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -17,6 +18,8 @@ import (
 	"hiddenhhh/internal/gen"
 	"hiddenhhh/internal/hashx"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
+	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/trace"
 )
 
@@ -517,49 +520,70 @@ func BenchmarkPerLevelQuery(b *testing.B) {
 	}
 }
 
+// benchScenario returns ten seconds of the named internal/gen scenario.
+func benchScenario(b *testing.B, name string) []Packet {
+	for _, sc := range gen.Scenarios(10*time.Second, 24) {
+		if sc.Name == name {
+			pkts, err := gen.Packets(sc.Config)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return pkts
+		}
+	}
+	b.Fatalf("no scenario %q", name)
+	return nil
+}
+
+// uniformSources is pkts with every source redrawn independently from the
+// whole /0 — the spoofed-flood shape, where no two packets share a leaf
+// and every level above /8 evicts on every update.
+func uniformSources(pkts []Packet) []Packet {
+	rng := rand.New(rand.NewSource(24))
+	out := make([]Packet, len(pkts))
+	for i := range out {
+		out[i] = Packet{Ts: pkts[i].Ts, Src: addr.From4Uint32(rng.Uint32()), Size: pkts[i].Size}
+	}
+	return out
+}
+
+// shardBatches packs pkts under h and returns what one worker of the
+// end-to-end benchmark is handed: shard 0 of a 2-way hash partition, in
+// 256-key batches.
+func shardBatches(h addr.Hierarchy, pkts []Packet) []*trace.KeyBatch {
+	all := trace.NewKeyBatch(len(pkts))
+	all.AppendPackets(h, pkts)
+	var batches []*trace.KeyBatch
+	kb := trace.NewKeyBatch(256)
+	for i, key := range all.Keys {
+		if hashx.Bucket(hashx.Mix64(key), 2) != 0 {
+			continue
+		}
+		kb.Append(key, all.Sizes[i], all.Ts[i])
+		if kb.Len() == 256 {
+			batches = append(batches, kb)
+			kb = trace.NewKeyBatch(256)
+		}
+	}
+	return batches
+}
+
 // BenchmarkPerLevelUpdateKeys measures the per-level engine's ingest
 // kernel as one worker of the end-to-end benchmark's windowed-perlevel
 // workload sees it: the IPv4 nibble ladder (9 levels), 512 counters per
 // level, shard 0 of a 2-way hash partition, 256-key batches, a Reset per
 // pass over ten seconds of trace. ns/op is ns per packet. diurnal-tier1
-// is that workload's scenario; uniform-random draws every source
-// independently from the whole /0 — the spoofed-flood shape, where no two
-// packets share a leaf and every level above /8 evicts on every update.
+// is that workload's scenario; uniform-random is the shape the coalescing
+// block cannot help.
 func BenchmarkPerLevelUpdateKeys(b *testing.B) {
 	h := addr.NewIPv4Hierarchy(addr.Nibble)
-	var diurnal []Packet
-	for _, sc := range gen.Scenarios(10*time.Second, 24) {
-		if sc.Name == "diurnal-tier1" {
-			var err error
-			if diurnal, err = gen.Packets(sc.Config); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	rng := rand.New(rand.NewSource(24))
-	uniform := make([]Packet, len(diurnal))
-	for i := range uniform {
-		uniform[i] = Packet{Ts: diurnal[i].Ts, Src: addr.From4Uint32(rng.Uint32()), Size: diurnal[i].Size}
-	}
+	diurnal := benchScenario(b, "diurnal-tier1")
 	for _, tc := range []struct {
 		name string
 		pkts []Packet
-	}{{"diurnal-tier1", diurnal}, {"uniform-random", uniform}} {
+	}{{"diurnal-tier1", diurnal}, {"uniform-random", uniformSources(diurnal)}} {
 		b.Run(tc.name, func(b *testing.B) {
-			all := trace.NewKeyBatch(len(tc.pkts))
-			all.AppendPackets(h, tc.pkts)
-			var batches []*trace.KeyBatch
-			kb := trace.NewKeyBatch(256)
-			for i, key := range all.Keys {
-				if hashx.Bucket(hashx.Mix64(key), 2) != 0 {
-					continue
-				}
-				kb.Append(key, all.Sizes[i], all.Ts[i])
-				if kb.Len() == 256 {
-					batches = append(batches, kb)
-					kb = trace.NewKeyBatch(256)
-				}
-			}
+			batches := shardBatches(h, tc.pkts)
 			eng := hhh.NewPerLevel(h, 512)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -574,6 +598,76 @@ func BenchmarkPerLevelUpdateKeys(b *testing.B) {
 			}
 			if eng.QueryFraction(0.01).Len() == 0 {
 				b.Fatal("no HHHs")
+			}
+		})
+	}
+}
+
+// BenchmarkSlidingUpdateKeys is the same kernel of the sliding-wcss-live
+// workload: the WCSS detector on the IPv4 byte ladder (5 levels), 512
+// counters per frame, a 10-second window of 8 frames, shard 0 of 2,
+// 256-key batches, a fresh detector per pass over ten seconds of trace
+// (built off the clock). ns/op is ns per packet. hit-and-run-ddos is that
+// workload's scenario.
+func BenchmarkSlidingUpdateKeys(b *testing.B) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	ddos := benchScenario(b, "hit-and-run-ddos")
+	for _, tc := range []struct {
+		name string
+		pkts []Packet
+	}{{"hit-and-run-ddos", ddos}, {"uniform-random", uniformSources(ddos)}} {
+		b.Run(tc.name, func(b *testing.B) {
+			batches := shardBatches(h, tc.pkts)
+			var d *swhh.SlidingHHH
+			b.ReportAllocs()
+			b.ResetTimer()
+			for n := 0; n < b.N; {
+				b.StopTimer()
+				var err error
+				if d, err = swhh.NewSlidingHHH(h, swhh.Config{Window: 10 * time.Second, Frames: 8, Counters: 512}); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for _, kb := range batches {
+					d.UpdateKeys(kb)
+					if n += kb.Len(); n >= b.N {
+						break
+					}
+				}
+			}
+			if d.Query(0.01, tc.pkts[len(tc.pkts)-1].Ts).Len() == 0 {
+				b.Fatal("no HHHs")
+			}
+		})
+	}
+}
+
+// BenchmarkSpaceSavingMerge measures one K-way Space-Saving merge as a
+// barrier or an Aggregator round runs it per table: K 512-counter
+// summaries of the hash-partitioned leaf keys of diurnal-tier1 (ten
+// seconds, byte ladder) into an empty 512-counter accumulator, the scratch
+// kept across merges. ns/op is ns per merge.
+func BenchmarkSpaceSavingMerge(b *testing.B) {
+	all := trace.NewKeyBatch(0)
+	all.AppendPackets(addr.NewIPv4Hierarchy(addr.Byte), benchScenario(b, "diurnal-tier1"))
+	for _, K := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("%d-way", K), func(b *testing.B) {
+			shards := make([]*sketch.SpaceSaving, K)
+			for i := range shards {
+				shards[i] = sketch.NewSpaceSaving(512)
+			}
+			for i, key := range all.Keys {
+				shards[hashx.Bucket(hashx.Mix64(key), K)].Update(key, int64(all.Sizes[i]))
+			}
+			acc, sc := sketch.NewSpaceSaving(512), new(sketch.MergeScratch)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				acc.Reset()
+				acc.MergeAll(shards, sc)
+			}
+			if acc.Len() != 512 {
+				b.Fatalf("merged summary holds %d entries", acc.Len())
 			}
 		})
 	}

@@ -490,7 +490,7 @@ func TestPerLevelResetAndSize(t *testing.T) {
 	}
 	// Exact accounting: one summary per level, as the summary reports it,
 	// plus the coalescing block an engine owns from its first batch on.
-	if want := 5*sketch.NewSpaceSaving(8).SizeBytes() + blockBytes; eng.SizeBytes() != want {
+	if want := 5*sketch.NewSpaceSaving(8).SizeBytes() + BlockBytes; eng.SizeBytes() != want {
 		t.Errorf("SizeBytes = %d, want %d", eng.SizeBytes(), want)
 	}
 	if eng.Hierarchy().Levels() != 5 {

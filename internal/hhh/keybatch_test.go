@@ -89,7 +89,7 @@ func newRefPerLevel(h addr.Hierarchy, k int) *refPerLevel {
 func (r *refPerLevel) update(key uint64, w int64) {
 	r.total += w
 	if _, pending := r.sum[key]; !pending {
-		if len(r.order) == blockKeys {
+		if len(r.order) == BlockKeys {
 			r.settle()
 		}
 		r.order = append(r.order, key)
@@ -239,7 +239,7 @@ func TestPerLevelBlockGuaranteesHostile(t *testing.T) {
 	h := addr.NewIPv4Hierarchy(addr.Nibble)
 	spread := func(i int) uint32 { return uint32(i+1) * 2654435761 }
 	var colliding []uint32 // sources whose leaf keys share a home slot
-	for i := 0; len(colliding) < 3*blockKeys; i++ {
+	for i := 0; len(colliding) < 3*BlockKeys; i++ {
 		if a := spread(i); blockSlot(h.Key(addr.From4Uint32(a), 0)) == 7 {
 			colliding = append(colliding, a)
 		}
@@ -255,7 +255,7 @@ func TestPerLevelBlockGuaranteesHostile(t *testing.T) {
 		{"two-alternating", 5000, func(i int) uint32 { return 0x0a010203 + uint32(i%2)<<24 }, func(i int) uint32 { return 1500 }},
 		{"index-collisions", 5000, func(i int) uint32 { return colliding[i*i%len(colliding)] }, func(i int) uint32 { return uint32(40 + i%1400) }},
 		{"max-sizes", 3000, func(i int) uint32 { return spread(i % 300) }, func(int) uint32 { return math.MaxUint32 }},
-		{"pending-at-close", 3*blockKeys + 17, spread, func(i int) uint32 { return uint32(40 + i%1400) }},
+		{"pending-at-close", 3*BlockKeys + 17, spread, func(i int) uint32 { return uint32(40 + i%1400) }},
 	}
 	for _, sh := range shapes {
 		t.Run(sh.name, func(t *testing.T) {

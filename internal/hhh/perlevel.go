@@ -15,8 +15,8 @@ import (
 //
 // Neighbouring packets share almost all of their ancestors, so the batch
 // path does not pay one table update per packet and level. UpdateKeys sums
-// packets per leaf key in a small coalescing block; when the block holds
-// blockKeys distinct keys — or the engine's state is read or handed on:
+// packets per leaf key in a small coalescing Block; when the block holds
+// BlockKeys distinct keys — or the engine's state is read or handed on:
 // Settle, Query, Merge, LevelSummary — the block is applied up the
 // prefix ladder, each level's summary taking one weighted update per
 // distinct prefix, in order of first appearance. The engine is therefore a
@@ -34,36 +34,42 @@ import (
 // filtered to the hierarchy's address family where packets are staged
 // (see trace.KeyBatch).
 type PerLevel struct {
-	h     addr.Hierarchy
-	sks   []*sketch.SpaceSaving
-	masks []uint64 // per-level key masks, hoisted out of the hot path
-	qs    *QueryScratch
-	total int64
-	blk   *block // pending packets; nil until the first UpdateKeys
+	h       addr.Hierarchy
+	sks     []*sketch.SpaceSaving
+	masks   []uint64 // per-level key masks, hoisted out of the hot path
+	qs      *QueryScratch
+	total   int64
+	blk     *Block // pending packets; nil until the first UpdateKeys
+	updates int64  // table updates applied by settles, since built
 }
 
-// The coalescing block's geometry: blockKeys distinct keys behind an
+// The coalescing block's geometry: BlockKeys distinct keys behind an
 // open-addressed index of four times as many one-byte slots, 2.5 KB in
 // all. (Measured on one of two shards of the diurnal Tier-1 mix, nibble
 // ladder: a 128-key block holds ~700 packets and costs the level summaries
 // ~1.05 updates per packet against 9; a fuller index of two-byte slots in
 // the same bytes ran 10 % slower.) The capacity is a property of the
-// engine, not of any caller: changing it changes which weighted update
+// block, not of any caller: changing it changes which weighted update
 // sequence a stream stands for, never the guarantees.
 const (
 	blockSlotBits = 9
 	blockSlots    = 1 << blockSlotBits
-	blockKeys     = blockSlots / 4
-	blockBytes    = int(unsafe.Sizeof(block{}))
-	_             = uint8(blockKeys) // an index slot holds entry index + 1
+	// BlockKeys is the number of distinct keys a Block holds.
+	BlockKeys = blockSlots / 4
+	// BlockBytes is a Block's footprint.
+	BlockBytes = int(unsafe.Sizeof(Block{}))
+	_          = uint8(BlockKeys) // an index slot holds entry index + 1
 )
 
-// block is a run of packets summed per key: entry i is the i-th distinct
-// key in order of first appearance, idx finds a key's entry.
-type block struct {
+// Block is a run of packets summed per leaf key: entry i is the i-th
+// distinct key in order of first appearance, idx finds a key's entry. It
+// is the coalescing stage of both per-level deterministic engines —
+// PerLevel and swhh.SlidingHHH, whose block holds packets of one frame.
+// The zero value is empty.
+type Block struct {
 	n    int
-	keys [blockKeys]uint64
-	sums [blockKeys]int64
+	keys [BlockKeys]uint64
+	sums [BlockKeys]int64
 	idx  [blockSlots]uint8 // entry index + 1 by linear probing; 0 is empty
 }
 
@@ -73,14 +79,14 @@ func blockSlot(key uint64) uint32 {
 	return uint32(key * 0x9e3779b97f4a7c15 >> (64 - blockSlotBits))
 }
 
-// add sums w into key's entry, appending the entry when the key is new.
+// Add sums w into key's entry, appending the entry when the key is new.
 // It reports false, adding nothing, when the key is new and the block is
 // full.
-func (b *block) add(key uint64, w int64) bool {
+func (b *Block) Add(key uint64, w int64) bool {
 	for h := blockSlot(key); ; h = (h + 1) % blockSlots {
 		j := b.idx[h]
 		if j == 0 {
-			if b.n == blockKeys {
+			if b.n == BlockKeys {
 				return false
 			}
 			b.keys[b.n], b.sums[b.n] = key, w
@@ -95,8 +101,11 @@ func (b *block) add(key uint64, w int64) bool {
 	}
 }
 
-// clear empties the block.
-func (b *block) clear() {
+// Len returns the number of distinct keys held.
+func (b *Block) Len() int { return b.n }
+
+// Clear empties the block.
+func (b *Block) Clear() {
 	b.n = 0
 	b.idx = [blockSlots]uint8{}
 }
@@ -104,12 +113,35 @@ func (b *block) clear() {
 // coarsen masks every entry's key with m and merges the entries that now
 // coincide, in place: the list keeps its order and only ever shrinks, so
 // an entry is re-added at or before its own position.
-func (b *block) coarsen(m uint64) {
+func (b *Block) coarsen(m uint64) {
 	n := b.n
-	b.clear()
+	b.Clear()
 	for i := 0; i < n; i++ {
-		b.add(b.keys[i]&m, b.sums[i])
+		b.Add(b.keys[i]&m, b.sums[i])
 	}
+}
+
+// Settle applies the block and empties it: up the ladder from the leaves
+// (masks[0], under which the keys were added), sks[l] absorbs one
+// Update(prefix, summed bytes) per distinct level-l prefix of the block,
+// in order of first appearance, and the block is coarsened to the next
+// level's prefixes. It returns the table updates made and the bytes held.
+func (b *Block) Settle(masks []uint64, sks []*sketch.SpaceSaving) (updates int, bytes int64) {
+	for _, w := range b.sums[:b.n] {
+		bytes += w
+	}
+	for l, m := range masks {
+		if l > 0 {
+			b.coarsen(m)
+		}
+		sk := sks[l]
+		for i, k := range b.keys[:b.n] {
+			sk.Update(k, b.sums[i])
+		}
+		updates += b.n
+	}
+	b.Clear()
+	return updates, bytes
 }
 
 // NewPerLevel builds an engine with k Space-Saving counters per level.
@@ -139,7 +171,7 @@ func (p *PerLevel) Hierarchy() addr.Hierarchy { return p.h }
 // leaves no trace in the state.
 func (p *PerLevel) UpdateKeys(b *trace.KeyBatch) int64 {
 	if p.blk == nil {
-		p.blk = new(block)
+		p.blk = new(Block)
 	}
 	blk, leaf := p.blk, p.masks[0]
 	sizes := b.Sizes[:len(b.Keys)]
@@ -147,59 +179,68 @@ func (p *PerLevel) UpdateKeys(b *trace.KeyBatch) int64 {
 	for i, k := range b.Keys {
 		w := int64(sizes[i])
 		bytes += w
-		if k &= leaf; !blk.add(k, w) {
+		if k &= leaf; !blk.Add(k, w) {
 			p.Settle()
-			blk.add(k, w)
+			blk.Add(k, w)
 		}
 	}
 	p.total += bytes
 	return bytes
 }
 
-// Settle applies the pending block: up the ladder from the leaves, each
-// level's summary absorbs one Update(prefix, summed bytes) per distinct
-// prefix of the block, in order of first appearance, and the block is
-// coarsened to the next level's prefixes. It is what every read of the
-// level summaries does first, and what a shard calls on its own goroutine
-// before its engine is handed to a merge. With nothing pending it is a
-// no-op.
+// Settle applies the pending block to the level summaries (see
+// Block.Settle). It is what every read of the level summaries does first,
+// and what a shard calls on its own goroutine before its engine is handed
+// to a merge. With nothing pending it is a no-op.
 func (p *PerLevel) Settle() {
-	b := p.blk
-	if b == nil || b.n == 0 {
+	if p.blk == nil || p.blk.n == 0 {
 		return
 	}
-	for l, m := range p.masks {
-		if l > 0 {
-			b.coarsen(m)
-		}
-		sk := p.sks[l]
-		for i, k := range b.keys[:b.n] {
-			sk.Update(k, b.sums[i])
-		}
-	}
-	b.clear()
+	n, _ := p.blk.Settle(p.masks, p.sks)
+	p.updates += int64(n)
 }
+
+// TableUpdates returns how many Space-Saving updates the engine's settles
+// have applied since it was built.
+func (p *PerLevel) TableUpdates() int64 { return p.updates }
 
 // Total returns the byte volume seen since the last Reset, pending block
 // included.
 func (p *PerLevel) Total() int64 { return p.total }
 
-// Merge folds engine o into p level by level (see SpaceSaving.Merge for
-// the bound arithmetic). Pending blocks of both are applied first; o is
-// not otherwise modified. Both engines must share the same hierarchy;
-// capacities may differ, with the merged error bound the sum of the two
-// engines' bounds. Merging hash-partitioned shards of one stream
-// telescopes back to the single-engine bound.
-func (p *PerLevel) Merge(o *PerLevel) {
-	if p.h != o.h {
-		panic("hhh: PerLevel.Merge hierarchy mismatch")
-	}
+// Merge folds engine o into p: MergeAll of the one source.
+func (p *PerLevel) Merge(o *PerLevel) { p.MergeAll([]*PerLevel{o}) }
+
+// MergeAll folds the engines srcs into p, each level taking the whole
+// round in one K-way merge (see SpaceSaving.MergeAll for the bound
+// arithmetic: the sum of the engines' bounds, the single-engine bound for
+// hash-partitioned shards of one stream). Pending blocks are applied
+// first; the sources are not otherwise modified. All engines must share
+// the same hierarchy. Totals saturate at MaxInt64.
+func (p *PerLevel) MergeAll(srcs []*PerLevel) {
 	p.Settle()
-	o.Settle()
-	for l := range p.sks {
-		p.sks[l].Merge(o.sks[l])
+	for _, o := range srcs {
+		if p.h != o.h {
+			panic("hhh: PerLevel.Merge hierarchy mismatch")
+		}
+		o.Settle()
+		p.total = sketch.AddSat(p.total, o.total)
 	}
-	p.total += o.total
+	mergeLevels(p.sks, len(srcs), func(i int) []*sketch.SpaceSaving { return srcs[i].sks })
+}
+
+// mergeLevels hands each level of dst the same level of all n sources —
+// levels(i) is source i's — in one K-way merge, the levels sharing one
+// scratch that is dropped on return.
+func mergeLevels(dst []*sketch.SpaceSaving, n int, levels func(i int) []*sketch.SpaceSaving) {
+	var sc sketch.MergeScratch
+	from := make([]*sketch.SpaceSaving, n)
+	for l, sk := range dst {
+		for i := range from {
+			from[i] = levels(i)[l]
+		}
+		sk.MergeAll(from, &sc)
+	}
 }
 
 // Reset clears all levels and discards a pending block. Sketch and block
@@ -211,7 +252,7 @@ func (p *PerLevel) Reset() {
 	}
 	p.total = 0
 	if p.blk != nil && p.blk.n > 0 {
-		p.blk.clear()
+		p.blk.Clear()
 	}
 }
 
@@ -234,7 +275,7 @@ func (p *PerLevel) QueryFraction(phi float64) Set {
 func (p *PerLevel) SizeBytes() int {
 	n := 0
 	if p.blk != nil {
-		n = blockBytes
+		n = BlockBytes
 	}
 	for _, s := range p.sks {
 		n += s.SizeBytes()

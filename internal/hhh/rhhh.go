@@ -86,22 +86,26 @@ func (r *RHHH) UpdateKeys(b *trace.KeyBatch) int64 {
 // Total returns the byte volume seen since the last Reset.
 func (r *RHHH) Total() int64 { return r.total }
 
-// Merge folds engine o into r level by level. o is not modified; r's RNG
-// state is kept. Both engines must share the same hierarchy. Because
-// RHHH's level sampling is order-insensitive (each packet draws a level
-// independently), summaries built on disjoint substreams merge exactly
-// like their underlying Space-Saving levels: raw per-level counts add,
-// and the query-time V-scaling of the merged counts remains unbiased for
-// the combined stream.
-func (r *RHHH) Merge(o *RHHH) {
-	if r.h != o.h {
-		panic("hhh: RHHH.Merge hierarchy mismatch")
+// Merge folds engine o into r: MergeAll of the one source.
+func (r *RHHH) Merge(o *RHHH) { r.MergeAll([]*RHHH{o}) }
+
+// MergeAll folds the engines srcs into r, each level taking the whole
+// round in one K-way merge (see PerLevel.MergeAll). The sources are not
+// modified; r's RNG state is kept. All engines must share the same
+// hierarchy. Because RHHH's level sampling is order-insensitive (each
+// packet draws a level independently), summaries built on disjoint
+// substreams merge exactly like their underlying Space-Saving levels: raw
+// per-level counts add, and the query-time V-scaling of the merged counts
+// remains unbiased for the combined stream.
+func (r *RHHH) MergeAll(srcs []*RHHH) {
+	for _, o := range srcs {
+		if r.h != o.h {
+			panic("hhh: RHHH.Merge hierarchy mismatch")
+		}
+		r.total = sketch.AddSat(r.total, o.total)
+		r.updates = sketch.AddSat(r.updates, o.updates)
 	}
-	for l := range r.sks {
-		r.sks[l].Merge(o.sks[l])
-	}
-	r.total += o.total
-	r.updates += o.updates
+	mergeLevels(r.sks, len(srcs), func(i int) []*sketch.SpaceSaving { return srcs[i].sks })
 }
 
 // Updates returns the packet count seen since the last Reset.

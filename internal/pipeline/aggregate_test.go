@@ -604,3 +604,68 @@ func TestAggregatorContinuousSteadyStateAllocs(t *testing.T) {
 		t.Fatalf("steady-state ingest allocates %d B per frame; one level's cells are %d B", perFrame, column)
 	}
 }
+
+// TestAggregatorSaturatesHostileCounts: two nodes' frames, each valid on
+// its own — one entry of 2^62+1 bytes per level, within its total — used
+// to merge to a count and a mass of MinInt64, wiping the report. The sums
+// now stop at MaxInt64: the report carries the key at that count over
+// that mass, in both alignment models.
+func TestAggregatorSaturatesHostileCounts(t *testing.T) {
+	const c = int64(1)<<62 + 1
+	h := cfgHierarchy()
+	victim := addr.MustParseAddr("10.1.2.3")
+	entry := func(l int) func(int) sketch.KV {
+		return func(int) sketch.KV { return sketch.KV{Key: h.Key(victim, l), Count: c} }
+	}
+	end := int64(time.Second)
+	perLevel := func() Sealed {
+		sks := make([]*sketch.SpaceSaving, h.Levels())
+		for l := range sks {
+			sks[l] = sketch.NewSpaceSaving(8)
+			if err := sks[l].Restore(c, 1, entry(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		p, err := hhh.RestorePerLevel(h, c, sks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Sealed{Seq: 1, Start: 0, End: end, Bytes: c, Shards: 1, Frame: wire.EncodePerLevel(p)}
+	}
+	sliding := func() Sealed {
+		d, err := swhh.NewSlidingHHH(h, swhh.Config{Window: time.Second, Frames: 4, Counters: 8})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l := 0; l < h.Levels(); l++ {
+			lv := d.LevelSummary(l)
+			lv.RestoreClock(3)
+			if err := lv.RestoreSlot(3, c, c, 1, entry(l)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return Sealed{Seq: 1, Start: 0, End: end, Bytes: c, Shards: 1, Frame: wire.EncodeSliding(d)}
+	}
+	for name, seal := range map[string]func() Sealed{"perlevel": perLevel, "wcss": sliding} {
+		t.Run(name, func(t *testing.T) {
+			agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: 0.1, RoundGrace: time.Minute})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
+			for _, node := range []string{"a", "b"} {
+				if err := agg.Ingest(node, seal()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep := agg.Report()
+			if rep.Nodes != 2 || rep.Bytes != math.MaxInt64 {
+				t.Fatalf("report over %d nodes with mass %d, want 2 nodes and MaxInt64", rep.Nodes, rep.Bytes)
+			}
+			it, ok := rep.Set[addr.Host(victim)]
+			if !ok || it.Count != math.MaxInt64 {
+				t.Fatalf("the key both nodes report: present %v, count %d, want MaxInt64; set %v", ok, it.Count, rep.Set)
+			}
+		})
+	}
+}

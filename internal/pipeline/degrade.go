@@ -346,6 +346,7 @@ func (d *Sharded) arrive(b *barrier, s *shard) {
 		}
 		if !s.quarantined.Load() {
 			s.eng.Advance(b.at)
+			s.tableUpdates.Store(tableUpdates(s.eng)) // Advance applied the pending block
 		}
 	}()
 	late := d.register(b, s)

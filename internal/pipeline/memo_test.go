@@ -20,8 +20,8 @@ import (
 
 // Tests for the memoised sliding snapshot: the barrier's and the
 // Aggregator's accumulators keep what did not change between rounds, and
-// every test here pins that to the cold result — Reset, Merge each source
-// in order — or to an undisturbed twin.
+// every test here pins that to the cold result — Reset, then the round in
+// one K-way Merge — or to an undisturbed twin.
 
 // wideStream is a stream with far more distinct sources per prefix than
 // the test configurations have counters, so Space-Saving merges truncate
@@ -71,11 +71,12 @@ func permutations(n int, f func(order []int)) {
 	rec(0)
 }
 
-// TestAggregatorFoldOrder: the pairwise Space-Saving merge truncates, so
-// it is commutative but not associative, and with three or more nodes the
-// published counts depend on the order the Aggregator folds them in. That
-// order must be the nodes' names, not the arrival order of their frames
-// and not Go's map order: one set of frames, every arrival order, twenty
+// TestAggregatorFoldOrder: a Space-Saving merge truncates, and while the
+// Aggregator folded a round pairwise the published counts of three or more
+// nodes depended on the order it took them in. It takes them by name, not
+// in the arrival order of their frames and not in Go's map order — and the
+// K-way merge, which truncates once over the round, would give the same
+// report in any order: one set of frames, every arrival order, twenty
 // repetitions of each — one report. Both alignment models are covered.
 func TestAggregatorFoldOrder(t *testing.T) {
 	for _, kind := range []Kind{KindPerLevel, KindWCSS} {
@@ -167,7 +168,8 @@ func (n *slidingNode) snapshot(t *testing.T, at int64) Sealed {
 // frames are dropped as late until they catch up. After every ingest the
 // node's retained summary must be what decoding its newest accepted frame
 // afresh gives (same re-encoding, same answer), and the published report
-// what a cold merge of the nodes' newest frames gives.
+// what a cold merge of the nodes' newest frames gives — one K-way merge of
+// the round, the same summary whichever node receives the others.
 func TestAggregatorRestoreInPlace(t *testing.T) {
 	names := []string{"a-steady", "b-lagging", "c-restarted"}
 	nodes := make([]*slidingNode, len(names))
@@ -218,7 +220,7 @@ func TestAggregatorRestoreInPlace(t *testing.T) {
 			// Every retained summary against a fresh decode of the frame
 			// it mirrors, both as of the instant the Aggregator merged at.
 			rep := agg.Report()
-			var fresh []Summary
+			var fresh, reversed []Summary
 			for _, name := range names {
 				an := agg.nodes[name]
 				if an == nil || an.sum == nil {
@@ -239,8 +241,18 @@ func TestAggregatorRestoreInPlace(t *testing.T) {
 					t.Fatalf("round %d: %s mass %d, fresh decode %d", round, name, gotMass, wantMass)
 				}
 				fresh = append(fresh, ref)
+				again, _, _, err := agg.eng.restore(nil, wire.Frame{}, an.latest, agg.cfg.Phi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				again.Advance(rep.End)
+				reversed = append([]Summary{again}, reversed...)
 			}
 			fresh[0].Merge(fresh[1:]...)
+			reversed[0].Merge(reversed[1:]...)
+			if !bytes.Equal(mustEncode(t, fresh[0]), mustEncode(t, reversed[0])) {
+				t.Fatalf("round %d: the cold merge depends on the order of the nodes", round)
+			}
 			want, wantMass := fresh[0].Query(rep.End)
 			sameSet(t, fmt.Sprintf("round %d report", round), rep.Set, want)
 			if rep.Bytes != wantMass || rep.Nodes != len(fresh) {
@@ -437,5 +449,53 @@ func TestOccupancyMetric(t *testing.T) {
 			t.Errorf("level %d: %d occupied cells after %d a level below", l, f.Occupied(), prev)
 		}
 		prev = f.Occupied()
+	}
+}
+
+// TestTableUpdatesMetric: the coalescing block's own figure — table
+// updates applied per shard — is served in a conforming exposition and
+// equals the engine's tally as of the shard's last batch or barrier; on a
+// stream with far more packets than prefixes it is a fraction of the
+// levels-per-packet an engine without the block pays, and an engine
+// without one reports zero.
+func TestTableUpdatesMetric(t *testing.T) {
+	pkts := wideStream(21, 30000, 3*time.Second)
+	for _, kind := range []Kind{KindPerLevel, KindWCSS, KindRHHH} {
+		t.Run(kind.String(), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			det, err := New(Config{
+				Mode: kind.row().mode, Engine: kind, Shards: 2, Window: time.Second, Phi: 0.02,
+				Counters: 64, Metrics: reg,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			det.ObserveBatch(pkts)                 // windowed: two window closes on the way
+			det.Snapshot(pkts[len(pkts)-1].Ts + 1) // sliding: a query barrier
+			det.Close()                            // the rings are drained, the workers gone
+			var sb strings.Builder
+			if err := reg.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := telemetry.ValidateExposition(sb.String()); err != nil {
+				t.Fatalf("exposition does not conform: %v", err)
+			}
+			levels := int64(det.cfg.Hierarchy.Levels())
+			for i, s := range det.shards {
+				want := tableUpdates(s.eng)
+				line := fmt.Sprintf("\nhhh_pipeline_table_updates_total{shard=\"%d\"} %d\n", i, want)
+				if !strings.Contains(sb.String(), line) {
+					t.Errorf("exposition lacks %q", strings.TrimSpace(line))
+				}
+				switch packets := s.packets.Load(); {
+				case kind == KindRHHH:
+					if want != 0 {
+						t.Errorf("shard %d: %d table updates from an engine without a block", i, want)
+					}
+				case want < levels || want > packets*levels/2:
+					t.Errorf("shard %d: %d table updates for %d packets over %d levels", i, want, packets, levels)
+				}
+			}
+		})
 	}
 }

@@ -267,8 +267,9 @@ type shard struct {
 
 	_ [64]byte //alignlint:group=worker
 	// Worker-written hot state: bumped once per absorbed batch.
-	packets atomic.Int64
-	size    atomic.Int64 // last published summary footprint
+	packets      atomic.Int64
+	size         atomic.Int64 // last published summary footprint
+	tableUpdates atomic.Int64 // the engine's tally (see tableUpdates) at the last batch or barrier
 	// absorbed* track mass folded into eng since its last reset —
 	// worker-owned plain fields, read only on the worker itself when a
 	// quarantine or late barrier rejoin sheds the unmerged summary.
@@ -495,6 +496,7 @@ func (d *Sharded) absorb(s *shard, kb *trace.KeyBatch) {
 	s.absorbedBytes += kb.Bytes()
 	s.packets.Add(int64(kb.Len()))
 	s.size.Store(int64(s.eng.SizeBytes()))
+	s.tableUpdates.Store(tableUpdates(s.eng))
 	d.recycle(s, kb)
 }
 

@@ -48,10 +48,11 @@ type Summary interface {
 	// Summaries with neither treat it as a no-op.
 	Advance(now int64)
 	// Merge folds srcs — summaries of the same engine and geometry — into
-	// the receiver, in order, without modifying them. It is the one merge
-	// entry: a round's sources arrive together, so an engine whose state
-	// is mostly sealed between rounds (wcss) can tell, right after a
-	// Reset, which parts of its previous fold still stand.
+	// the receiver without modifying them. It is the one merge entry: a
+	// round's sources arrive together, so the Space-Saving engines merge
+	// each table K ways, one truncation whatever the order, and an engine
+	// whose state is mostly sealed between rounds (wcss) can tell, right
+	// after a Reset, which parts of its previous fold still stand.
 	Merge(srcs ...Summary)
 	// Query returns the HHH set at time now together with the total mass
 	// (the threshold denominator: window bytes, covered sliding bytes, or
@@ -258,6 +259,20 @@ func slotTally(s Summary) (folded, kept int64) {
 	return 0, 0
 }
 
+// tableUpdates reports how many Space-Saving updates the coalescing block
+// of s's engine has applied since the engine was built (hhh.Block.Settle):
+// over the packets absorbed, what a packet costs the tables. Engines
+// without a block report zero.
+func tableUpdates(s Summary) int64 {
+	switch e := s.(type) {
+	case *perLevelSummary:
+		return e.d.TableUpdates()
+	case *wcssSummary:
+		return e.d.TableUpdates()
+	}
+	return 0
+}
+
 // shardSeed derives shard i's level-sampling stream from the configured
 // seed by splitmix64 increments. Shard 0 keeps the seed itself, so the
 // single-goroutine driver and a 1-shard pipeline draw the same sequence.
@@ -367,7 +382,11 @@ func (e *perLevelSummary) SizeBytes() int               { return e.d.SizeBytes()
 func (e *perLevelSummary) Encode() []byte               { return wire.EncodePerLevel(e.d) }
 
 func (e *perLevelSummary) Merge(srcs ...Summary) {
-	mergeEach(srcs, func(o *perLevelSummary) { e.d.Merge(o.d) })
+	round := make([]*hhh.PerLevel, len(srcs))
+	for i, o := range srcs {
+		round[i] = o.(*perLevelSummary).d
+	}
+	e.d.MergeAll(round)
 }
 
 func (e *perLevelSummary) Query(int64) (hhh.Set, int64) {
@@ -387,7 +406,11 @@ func (e *rhhhSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *rhhhSummary) Encode() []byte               { return wire.EncodeRHHH(e.d) }
 
 func (e *rhhhSummary) Merge(srcs ...Summary) {
-	mergeEach(srcs, func(o *rhhhSummary) { e.d.Merge(o.d) })
+	round := make([]*hhh.RHHH, len(srcs))
+	for i, o := range srcs {
+		round[i] = o.(*rhhhSummary).d
+	}
+	e.d.MergeAll(round)
 }
 
 func (e *rhhhSummary) Query(int64) (hhh.Set, int64) {
@@ -434,9 +457,7 @@ func (e *wcssSummary) Merge(srcs ...Summary) {
 		e.d.Fold(e.from)
 		return
 	}
-	for _, o := range e.from {
-		e.d.Merge(o)
-	}
+	e.d.MergeAll(e.from)
 }
 
 func (e *wcssSummary) Query(now int64) (hhh.Set, int64) {

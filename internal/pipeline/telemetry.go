@@ -91,6 +91,8 @@ func (d *Sharded) registerMetrics(r *telemetry.Registry) *pipeTelemetry {
 		"Highest ring occupancy seen at a batch hand-off since start.", "shard")
 	shardPkts := r.CounterVec("hhh_pipeline_shard_packets_total",
 		"Packets absorbed into the shard's summary.", "shard")
+	tableUpds := r.CounterVec("hhh_pipeline_table_updates_total",
+		"Space-Saving table updates the shard's coalescing block has applied (perlevel and wcss; 0 for other engines), as of its last batch or barrier: over hhh_pipeline_shard_packets_total, the table updates a packet costs.", "shard")
 	shedPkts := r.CounterVec("hhh_pipeline_shed_packets_total",
 		"Packets shed by the shard: ring-full drops, quarantined substream, missed merges.", "shard")
 	shedBytes := r.CounterVec("hhh_pipeline_shed_bytes_total",
@@ -106,6 +108,7 @@ func (d *Sharded) registerMetrics(r *telemetry.Registry) *pipeTelemetry {
 		ringDepth.WithFunc(func() float64 { return float64(s.ring.depth()) }, is)
 		ringHigh.WithFunc(func() float64 { return float64(s.highWater.Load()) }, is)
 		shardPkts.WithFunc(s.packets.Load, is)
+		tableUpds.WithFunc(s.tableUpdates.Load, is)
 		shedPkts.WithFunc(s.droppedPackets.Load, is)
 		shedBytes.WithFunc(s.droppedBytes.Load, is)
 		quarantined.WithFunc(func() float64 {

@@ -1,6 +1,9 @@
 package sketch
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Restore replaces s's contents, in place and without allocating, with
 // serialized state: the summarised stream's total weight and n monitored
@@ -8,10 +11,12 @@ import "fmt"
 // canonical post-Merge layout (hot zone, stamps descending in entry
 // order), so a restored summary is merge- and query-equivalent to the
 // one that was serialized — Estimate, ErrorBound, Merge and the query
-// paths behave identically. It validates instead of panicking: entry
-// counts and error bounds must be non-negative with err <= count, keys
-// must be unique, and at most Capacity entries may be supplied. On error
-// s is left empty.
+// paths behave identically — and Ordered when the entries' counts arrive
+// non-increasing. It validates instead of panicking: entry counts and
+// error bounds must be non-negative with err <= count <= total (true of
+// every honest summary, merged ones included; a merge relies on it to
+// keep its sums from wrapping), keys must be unique, and at most Capacity
+// entries may be supplied. On error s is left empty.
 func (s *SpaceSaving) Restore(total int64, n int, entry func(i int) KV) error {
 	s.Reset()
 	if n < 0 || n > s.k {
@@ -20,20 +25,22 @@ func (s *SpaceSaving) Restore(total int64, n int, entry func(i int) KV) error {
 	if total < 0 {
 		return fmt.Errorf("sketch: restore: negative total %d", total)
 	}
+	ordered, prev := true, int64(math.MaxInt64)
 	for i := 0; i < n; i++ {
 		e := entry(i)
-		if e.Count < 0 || e.ErrUB < 0 || e.ErrUB > e.Count {
+		if e.Count < 0 || e.ErrUB < 0 || e.ErrUB > e.Count || e.Count > total {
 			s.Reset()
-			return fmt.Errorf("sketch: restore: entry %d has invalid bounds (count=%d, err=%d)", i, e.Count, e.ErrUB)
+			return fmt.Errorf("sketch: restore: entry %d has invalid bounds (count=%d, err=%d, total=%d)", i, e.Count, e.ErrUB, total)
 		}
 		if s.idxFind(e.Key) != nilIdx {
 			s.Reset()
 			return fmt.Errorf("sketch: restore: duplicate key %#x", e.Key)
 		}
 		s.install(i, n, e)
+		ordered, prev = ordered && e.Count <= prev, e.Count
 	}
 	s.total = total
-	s.n = n
 	s.clock = int64(n)
+	s.ordered = ordered
 	return nil
 }

@@ -8,6 +8,14 @@
 // opaque uint64 values: a hierarchy's packed prefix keys (see
 // addr.Hierarchy.Key), which the ingest path packs once per packet into a
 // trace.KeyBatch.
+//
+// Space-Saving summaries merge K ways in one step (SpaceSaving.MergeAll,
+// the one merge kernel): the union of a round's entries, each key's bounds
+// summed over the round, is put in the canonical order — count descending,
+// key ascending among equal counts — and truncated once, so the result
+// does not depend on the order of the sources and the error bound is the
+// sum of theirs. A summary knows while its entries still stand in count
+// order (SpaceSaving.Ordered), which lets a threshold query stop early.
 package sketch
 
 // KV is a key with its estimated weight, as returned by key-tracking

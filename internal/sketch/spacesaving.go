@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"math/bits"
 	"slices"
 
@@ -65,6 +66,7 @@ type SpaceSaving struct {
 	scratch []int32 // rebuild candidate buffer
 	total   int64
 	clock   int64 // logical time of count changes, breaks eviction ties
+	ordered bool  // see Ordered
 }
 
 // ringSlots is the count window the direct-addressed buckets cover. It
@@ -120,6 +122,7 @@ func NewSpaceSaving(k int) *SpaceSaving {
 		tab:     make([]ssSlot, tabSize),
 		mask:    tabSize - 1,
 		scratch: make([]int32, 0, k),
+		ordered: true,
 	}
 }
 
@@ -134,8 +137,11 @@ func (s *SpaceSaving) Len() int { return s.n }
 func ssHash(key uint64) uint32 { return uint32(hashx.Mix64(key)) }
 
 // idxFind returns the node slot monitoring key, or nilIdx.
-func (s *SpaceSaving) idxFind(key uint64) int32 {
-	i := ssHash(key) & s.mask
+func (s *SpaceSaving) idxFind(key uint64) int32 { return s.idxFindHashed(key, ssHash(key)) }
+
+// idxFindHashed is idxFind for a caller with h = ssHash(key) in hand.
+func (s *SpaceSaving) idxFindHashed(key uint64, h uint32) int32 {
+	i := h & s.mask
 	for {
 		sl := s.tab[i]
 		if sl.node == 0 {
@@ -335,6 +341,7 @@ func (s *SpaceSaving) increase(ni int32, w int64) {
 // Update adds weight w (w >= 0) for key.
 func (s *SpaceSaving) Update(key uint64, w int64) {
 	s.total += w
+	s.ordered = false
 	if ni := s.idxFind(key); ni != nilIdx {
 		s.increase(ni, w)
 		return
@@ -385,117 +392,240 @@ func (s *SpaceSaving) minCount() int64 {
 	return mn
 }
 
-// mergedEntry is one row of a merge's union table.
-type mergedEntry struct {
-	key        uint64
-	count, err int64
-}
+// mergeRow is one row of a merge's union table, as columns so that the
+// radix passes can order on either: the key, the merged count, the merged
+// error bound (both non-negative: their unsigned order is their order).
+type mergeRow [3]uint64
 
-// MergeScratch is the union table a merge sorts and truncates. An engine
-// that merges many summaries in a row — the sliding accumulator folds
-// tens of frames per snapshot — holds one and passes it to MergeWith, so
-// the table is allocated once per engine rather than once per merge (and
-// never per summary: the summaries are the state, the scratch is not).
+const (
+	rowKey = iota
+	rowCount
+	rowErr
+)
+
+// MergeScratch is what a merge works in: the union rows, their order as
+// the radix passes work it out (row indices, and the passes' other
+// buffer) and the round with its floors. A caller that merges many
+// summaries in a row holds one, so the tables are allocated once per
+// engine or per call, never per summary.
 type MergeScratch struct {
-	all []mergedEntry
+	rows     []mergeRow
+	ord, tmp []int32
+	round    []*SpaceSaving
+	floors   []int64
 }
 
-// SizeBytes reports the retained table's footprint.
-func (sc *MergeScratch) SizeBytes() int { return cap(sc.all) * 24 }
-
-// Merge folds summary o into s, producing a summary of the combined
-// stream with bounded error (Agarwal et al., "Mergeable Summaries";
-// Mitzenmacher, Steinke & Thaler for the Space-Saving form). o is not
-// modified.
-//
-// For every key, the merged upper bound is the sum of the two upper
-// bounds (a monitored key contributes its count, an unmonitored one the
-// summary's minimum count — or 0 while the summary is below capacity),
-// and the merged lower bound is the sum of the two lower bounds. The
-// union is then truncated to s's capacity by keeping the k largest
-// counts; every merged count is at least minS+minO, so the truncated
-// summary's minimum remains a valid upper bound for unmonitored keys and
-// all three Space-Saving guarantees survive with error bound the sum of
-// the two inputs' bounds:
-//
-//	Estimate(key) - true(key) <= Ns/ks + No/ko
-//
-// When the two inputs summarise *disjoint* streams (the sharded
-// pipeline's hash-partitioned case), the per-shard terms telescope:
-// merging K shards of a stream of total weight N, each with k counters,
-// keeps the overall bound at N/k — no worse than one detector over the
-// whole stream.
-//
-// Merging an empty summary is an identity. Merge costs O((ns+no) log)
-// and allocates scratch; it is a query-time path, not an ingest path.
-func (s *SpaceSaving) Merge(o *SpaceSaving) {
-	s.MergeWith(o, new(MergeScratch))
+// SizeBytes reports the retained tables' footprint.
+func (sc *MergeScratch) SizeBytes() int {
+	return cap(sc.rows)*24 + (cap(sc.ord)+cap(sc.tmp))*4 + (cap(sc.round)+cap(sc.floors))*8
 }
 
-// MergeWith is Merge with the union table taken from (and left in) sc.
-func (s *SpaceSaving) MergeWith(o *SpaceSaving, sc *MergeScratch) {
-	if o == nil || o.n == 0 {
+// A radix pass takes radixBits bits of a value (256 buckets: the histogram
+// is 1 KB of stack, and a frame's byte counts are three or four such
+// digits long); a run of equal counts up to runInsertion rows is put in
+// key order by insertion.
+const (
+	radixBits    = 8
+	radixMask    = 1<<radixBits - 1
+	runInsertion = 16
+)
+
+// AddSat is a+b for non-negative a and b, saturating at MaxInt64 instead
+// of wrapping: the addition every merged total goes through.
+func AddSat(a, b int64) int64 {
+	if c := a + b; c >= 0 {
+		return c
+	}
+	return math.MaxInt64
+}
+
+// Merge folds summary o into s: MergeAll of the one source.
+func (s *SpaceSaving) Merge(o *SpaceSaving) { s.MergeAll([]*SpaceSaving{o}, new(MergeScratch)) }
+
+// MergeAll makes s a summary of its own stream and those of srcs together
+// (Agarwal et al., "Mergeable Summaries"; Mitzenmacher, Steinke & Thaler
+// for Space-Saving) in one step over the round — s and the sources, which
+// are not modified; nil and empty summaries take no part. For every key
+// any of them monitors, the merged count is the sum of the round's upper
+// bounds (a summary's count for the key, or its floor where it does not
+// monitor it) and the merged error the sum of the errors on the same
+// terms. The union is put in the canonical order — count descending, key
+// ascending among equal counts — by radix passes, not a comparison sort,
+// and truncated once, to s's capacity. Sums and a total order keep no
+// trace of which summary came first: any permutation of the sources, and
+// whichever of them receives the others, leaves the same nodes in the same
+// places (and Ordered). sc is the scratch.
+//
+// The guarantees survive with the bounds added up. Each term is an upper
+// bound for its own stream, over by at most Ni/ki, so no entry
+// underestimates and Estimate(key) - true(key) <= N1/k1 + ... + NK/kK
+// however the union is cut. Every kept count includes the sum of the
+// floors, which bounds a key nobody monitors, and is at least the merged
+// bound of any key cut, so the minimum stays the estimate for an
+// unmonitored key (given one capacity throughout, as every engine has; a
+// larger receiver can come out below capacity and answer 0). With one
+// capacity k, any k upper bounds of one summary sum to at most its stream,
+// so the minimum is at most N/k: hash-partitioned shards merge to the
+// bound of one detector over the whole stream.
+//
+// Totals are added once, saturating. No honest count exceeds its
+// summary's total (Restore refuses one that does), so only if the totals
+// overflow can a row, and only then are the rows summed again with
+// saturating additions: counts, errors and total stop at MaxInt64.
+func (s *SpaceSaving) MergeAll(srcs []*SpaceSaving, sc *MergeScratch) {
+	sc.round = append(append(sc.round[:0], s), srcs...)
+	round, floors := sc.round[:0], sc.floors[:0] // filtered in place
+	var total, floorSum int64
+	n := 0
+	for _, o := range sc.round {
+		if o != nil && o.n > 0 {
+			fl := o.Floor()
+			round, floors = append(round, o), append(floors, fl)
+			total, floorSum, n = AddSat(total, o.total), floorSum+fl, n+o.n
+		}
+	}
+	sc.floors = floors
+	if n == 0 {
 		return
 	}
-	minS, minO := s.Floor(), o.Floor()
-	if cap(sc.all) < s.n+o.n {
-		sc.all = make([]mergedEntry, 0, s.n+o.n)
+	if cap(sc.rows) < n {
+		sc.rows = make([]mergeRow, n)
+		sc.ord, sc.tmp = make([]int32, n), make([]int32, n)
 	}
-	all := sc.all[:0]
-	for i := 0; i < s.n; i++ {
-		n := &s.nodes[i]
-		c, e := n.count, n.err
-		if oi := o.idxFind(n.key); oi != nilIdx {
-			c += o.nodes[oi].count
-			e += o.nodes[oi].err
-		} else {
-			c += minO
-			e += minO
-		}
-		all = append(all, mergedEntry{key: n.key, count: c, err: e})
-	}
-	for i := 0; i < o.n; i++ {
-		n := &o.nodes[i]
-		if s.idxFind(n.key) != nilIdx {
-			continue // already combined above
-		}
-		all = append(all, mergedEntry{key: n.key, count: n.count + minS, err: n.err + minS})
-	}
-	// Keep the k largest counts; ties break on key for determinism.
-	slices.SortFunc(all, func(a, b mergedEntry) int {
-		if a.count != b.count {
-			if a.count > b.count {
-				return -1
+	// The union: a key is summed where the first summary to monitor it is
+	// met, over the summaries after it, whose entries for it are marked
+	// seen (in the radix buffer, idle until the rows are in) and skipped
+	// when their turn comes. No union index is built.
+	rows, filled, seen := sc.rows[:n], 0, sc.tmp[:n]
+	clear(seen)
+	var countBits uint64
+	first := 0 // where o's entries start in seen
+	for i, o := range round {
+		next := first + o.n
+		for e := 0; e < o.n; e++ {
+			if seen[first+e] != 0 {
+				continue
 			}
-			return 1
+			nd := &o.nodes[e]
+			h := ssHash(nd.key)
+			c, er := floorSum-floors[i]+nd.count, floorSum-floors[i]+nd.err
+			at := next
+			for j, p := range round[i+1:] {
+				if pi := p.idxFindHashed(nd.key, h); pi != nilIdx {
+					c += p.nodes[pi].count - floors[i+1+j]
+					er += p.nodes[pi].err - floors[i+1+j]
+					seen[at+int(pi)] = 1
+				}
+				at += p.n
+			}
+			countBits |= uint64(c)
+			rows[filled] = mergeRow{rowKey: nd.key, rowCount: uint64(c), rowErr: uint64(er)}
+			filled++
 		}
-		if a.key < b.key {
-			return -1
-		}
-		if a.key > b.key {
-			return 1
-		}
-		return 0
-	})
-	if len(all) > s.k {
-		all = all[:s.k]
+		first = next
 	}
-	total := s.total + o.total
+	rows = rows[:filled]
+	if total == math.MaxInt64 {
+		countBits = saturateRows(rows, round, floors)
+	}
+	ord, tmp := sc.ord[:filled], sc.tmp[:filled]
+	for i := range ord {
+		ord[i] = int32(i)
+	}
+	radix(rows, ord, tmp, rowCount, radixMask, countBits)
+	keep := min(filled, s.k)
+	for i, j := 0, 0; i < keep; i = j {
+		for j = i + 1; j < filled && rows[ord[j]][rowCount] == rows[ord[i]][rowCount]; j++ {
+		}
+		keyOrder(rows, ord[i:j], tmp[i:j])
+	}
 	s.Reset()
 	s.total = total
-	for i := range all {
-		s.install(i, len(all), KV{Key: all[i].key, Count: all[i].count, ErrUB: all[i].err})
+	for i, r := range ord[:keep] {
+		s.install(i, keep, KV{Key: rows[r][rowKey], Count: int64(rows[r][rowCount]), ErrUB: int64(rows[r][rowErr])})
 	}
-	s.n = len(all)
-	s.clock = int64(len(all))
+	s.clock = int64(keep)
+	clear(sc.round) // the scratch outlives the round; its summaries need not
+}
+
+// saturateRows sums every row again, from the round, with saturating
+// additions, and returns the bits set in any count.
+func saturateRows(rows []mergeRow, round []*SpaceSaving, floors []int64) (countBits uint64) {
+	for r := range rows {
+		var c, er int64
+		for j, p := range round {
+			pc, pe := floors[j], floors[j]
+			if pi := p.idxFind(rows[r][rowKey]); pi != nilIdx {
+				pc, pe = p.nodes[pi].count, p.nodes[pi].err
+			}
+			c, er = AddSat(c, pc), AddSat(er, pe)
+		}
+		rows[r][rowCount], rows[r][rowErr] = uint64(c), uint64(er)
+		countBits |= uint64(c)
+	}
+	return countBits
+}
+
+// radix puts ord — indices into rows — in the order of the rows' column
+// col, ascending (flip 0) or descending (flip radixMask), stably: one
+// counting pass, from the least significant up, per digit in which bits —
+// the bits in which the values can differ — has a bit set. tmp is the
+// passes' other buffer, as long as ord.
+func radix(rows []mergeRow, ord, tmp []int32, col int, flip, bits uint64) {
+	src, dst := ord, tmp
+	for shift := 0; bits>>shift != 0; shift += radixBits {
+		if bits>>shift&radixMask == 0 {
+			continue
+		}
+		var pos [radixMask + 1]int32
+		for _, r := range src {
+			pos[(rows[r][col]>>shift^flip)&radixMask]++
+		}
+		var sum int32
+		for d, c := range pos {
+			pos[d], sum = sum, sum+c
+		}
+		for _, r := range src {
+			d := (rows[r][col]>>shift ^ flip) & radixMask
+			dst[pos[d]] = r
+			pos[d]++
+		}
+		src, dst = dst, src
+	}
+	if len(ord) > 0 && &src[0] != &ord[0] {
+		copy(ord, src)
+	}
+}
+
+// keyOrder puts run, indices of rows with one count, in ascending key
+// order: by insertion when short — nearly every run is a row or two — and
+// by radix passes over the bits in which the keys differ otherwise (a
+// table of equal counts is one run).
+func keyOrder(rows []mergeRow, run, tmp []int32) {
+	if len(run) > runInsertion {
+		var bits uint64
+		for _, r := range run {
+			bits |= rows[r][rowKey] ^ rows[run[0]][rowKey]
+		}
+		radix(rows, run, tmp, rowKey, 0, bits)
+		return
+	}
+	for a := 1; a < len(run); a++ {
+		r, b := run[a], a
+		for ; b > 0 && rows[run[b-1]][rowKey] > rows[r][rowKey]; b-- {
+			run[b] = run[b-1]
+		}
+		run[b] = r
+	}
 }
 
 // install writes entry e as node i of n in the canonical post-Merge
 // layout: hot zone, stamps following descending-count order so eviction
 // ties prefer the smaller entries first, matching the rule that the
-// least-recently-grown entry goes first. The caller has Reset s and sets
-// n and clock once every node is in.
+// least-recently-grown entry goes first. The caller has Reset s, installs
+// nodes 0..n-1 in turn and sets clock once every node is in.
 func (s *SpaceSaving) install(i, n int, e KV) {
+	s.n = i + 1
 	s.nodes[i] = ssNode{
 		key:   e.Key,
 		count: e.Count,
@@ -563,6 +693,13 @@ func (s *SpaceSaving) Lookup(key uint64) (int64, bool) {
 	return 0, false
 }
 
+// Ordered reports whether the entries stand in non-increasing count
+// order, so that a reader after counts above a threshold can stop at the
+// first one below it: true after a merge (the canonical order), after a
+// Restore whose entries' counts do not increase, and of an empty summary;
+// any Update clears it.
+func (s *SpaceSaving) Ordered() bool { return s.ordered }
+
 // Entry returns the i-th monitored entry, 0 <= i < Len(), in the node
 // order ForEachTracked visits.
 func (s *SpaceSaving) Entry(i int) KV {
@@ -577,7 +714,9 @@ func (s *SpaceSaving) Total() int64 { return s.total }
 // in place and nodes, buckets and bitmaps are recycled, so a
 // reset-per-window discipline performs no allocation after construction.
 func (s *SpaceSaving) Reset() {
-	clear(s.tab)
+	if s.n > 0 { // an empty summary's index is clear: every entry in it is a node's
+		clear(s.tab)
+	}
 	clear(s.words)
 	s.summary = 0
 	s.n = 0
@@ -587,6 +726,7 @@ func (s *SpaceSaving) Reset() {
 	s.base = 0
 	s.total = 0
 	s.clock = 0
+	s.ordered = true
 }
 
 // ForEachTracked visits every monitored entry in unspecified order

@@ -9,6 +9,7 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/wire"
@@ -62,12 +63,14 @@ func foldChunk(rng *rand.Rand, h addr.Hierarchy, start, span int64, n int) *trac
 
 // TestFoldEqualsColdMerge is the memo's contract: whatever happens to the
 // sources between rounds, an accumulator that Folds each round is, after
-// every round, bit for bit the accumulator that was Reset and Merged the
-// round's sources in order — same sealed bytes, same query. The rounds
-// cover several snapshots inside one frame, idle gaps longer than the
-// ring, a stream that starts before the epoch, sources left unadvanced,
-// a source dropped from one round and back the next, a source reset
-// mid-stream and a source replaced by a fresh one.
+// every round, bit for bit the accumulator that was Reset and handed the
+// round in one K-way MergeAll — same sealed bytes, same query — and so is
+// one that folds the round in another order: a fold is a function of its
+// sources, not of their sequence. The rounds cover several snapshots
+// inside one frame, idle gaps longer than the ring, a stream that starts
+// before the epoch, sources left unadvanced, a source dropped from one
+// round and back the next, a source reset mid-stream and a source replaced
+// by a fresh one.
 func TestFoldEqualsColdMerge(t *testing.T) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
 	cfg := swhh.Config{Window: 2 * time.Second, Frames: 4, Counters: 32}
@@ -82,7 +85,7 @@ func TestFoldEqualsColdMerge(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		srcs := []*swhh.SlidingHHH{mk(), mk(), mk()}
-		memo, cold := mk(), mk()
+		memo, shuffled, cold := mk(), mk(), mk()
 		now := -3*int64(cfg.Window) - 7 // pre-epoch start
 		dropped := -1                   // source left out of the previous round
 		for round := 0; round < 120; round++ {
@@ -128,11 +131,14 @@ func TestFoldEqualsColdMerge(t *testing.T) {
 
 			memo.Fold(round2)
 			cold.Reset()
-			for _, s := range round2 {
-				cold.Merge(s)
-			}
+			cold.MergeAll(round2)
 			if !bytes.Equal(wire.EncodeSliding(memo), wire.EncodeSliding(cold)) {
 				t.Fatalf("seed %d round %d: folded accumulator seals differently from the cold merge", seed, round)
+			}
+			rng.Shuffle(len(round2), func(i, j int) { round2[i], round2[j] = round2[j], round2[i] })
+			shuffled.Fold(round2)
+			if !bytes.Equal(wire.EncodeSliding(shuffled), wire.EncodeSliding(cold)) {
+				t.Fatalf("seed %d round %d: the fold depends on the order of its sources", seed, round)
 			}
 			got, gotMass := memo.QueryMass(0.02, now)
 			want := unprunedQuery(cold, 0.02, now)
@@ -180,10 +186,15 @@ func TestFoldKeepsSealedSlots(t *testing.T) {
 
 // TestPrunedQueryMatchesUnpruned checks the pruned candidate enumeration
 // against the unpruned reference on live detectors (frames filling,
-// frames sealed, frames expiring), and on a detector built to take the
-// fallback: few counters and a handful of equally heavy keys, so a full
+// frames sealed, frames expiring), on a detector built to take the
+// fallback — few counters and a handful of equally heavy keys, so a full
 // frame's minimum alone reaches the per-frame share of the threshold and
-// every tracked key has to stay a candidate.
+// every tracked key has to stay a candidate — and on rings whose frames
+// differ in what the query may assume of them: merged frames, in count
+// order, which it leaves at the first count below the cut; a merged frame
+// written to since, whose new heavy key sits behind lighter ones; and
+// frames restored from entries in no order at all, which it must read in
+// full.
 func TestPrunedQueryMatchesUnpruned(t *testing.T) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
 	rng := rand.New(rand.NewSource(3))
@@ -230,5 +241,86 @@ func TestPrunedQueryMatchesUnpruned(t *testing.T) {
 	got, want := d.Query(0.05, now), unprunedQuery(d, 0.05, now)
 	if !maps.Equal(got, want) || want.Len() == 0 {
 		t.Fatalf("fallback query:\n got  %v\n want %v", got, want)
+	}
+
+	prunedOverOrderedFrames(t, h, rng)
+}
+
+// prunedOverOrderedFrames is TestPrunedQueryMatchesUnpruned's part on
+// rings whose frames are, or only were, in count order.
+func prunedOverOrderedFrames(t *testing.T, h addr.Hierarchy, rng *rand.Rand) {
+	// An accumulator's frames are ordered; feeding it on makes the frame
+	// that is filling a live one again, with a key that only turns heavy
+	// now appended behind the lighter entries the merge left.
+	cfg := swhh.Config{Window: 2 * time.Second, Frames: 4, Counters: 64}
+	mk := func() *swhh.SlidingHHH {
+		d, err := swhh.NewSlidingHHH(h, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	a, b, acc := mk(), mk(), mk()
+	end := int64(1900 * time.Millisecond)
+	a.UpdateKeys(foldChunk(rng, h, 0, end, 3000))
+	b.UpdateKeys(foldChunk(rng, h, 0, end, 3000))
+	acc.MergeAll([]*swhh.SlidingHHH{a, b})
+	unordered := func(d *swhh.SlidingHHH) (n int) {
+		for l := 0; l < h.Levels(); l++ {
+			for _, f := range d.LevelSummary(l).State().Frames {
+				if !f.Ordered() {
+					n++
+				}
+			}
+		}
+		return n
+	}
+	if n := unordered(acc); n != 0 {
+		t.Fatalf("%d merged frames do not report themselves ordered", n)
+	}
+	if got, want := acc.Query(0.02, end), unprunedQuery(acc, 0.02, end); !maps.Equal(got, want) || want.Len() == 0 {
+		t.Fatalf("merged ring:\n got  %v\n want %v", got, want)
+	}
+	burst := trace.NewKeyBatch(0)
+	newcomer := addr.From4(203, 0, 113, 9)
+	for i := 0; i < 400; i++ {
+		burst.Append(h.Key(newcomer, 0), 1500, end+int64(i))
+	}
+	acc.UpdateKeys(burst)
+	end += 400
+	if n := unordered(acc); n != h.Levels() {
+		t.Fatalf("%d frames not ordered with one per level written to", n)
+	}
+	got, want := acc.Query(0.02, end), unprunedQuery(acc, 0.02, end)
+	if _, found := want[addr.Host(newcomer)]; !found || !maps.Equal(got, want) {
+		t.Fatalf("merged ring, written to:\n got  %v\n want %v", got, want)
+	}
+
+	// The same ring restored twice, slot by slot: entries in the order the
+	// accumulator holds them (a seal's order), and shuffled.
+	for _, shuffle := range []bool{false, true} {
+		r := mk()
+		for l := 0; l < h.Levels(); l++ {
+			st := acc.LevelSummary(l).State()
+			r.LevelSummary(l).RestoreClock(st.CurFrame)
+			for i, f := range st.Frames {
+				entries := f.Tracked()
+				if shuffle {
+					rng.Shuffle(len(entries), func(a, b int) { entries[a], entries[b] = entries[b], entries[a] })
+				}
+				err := r.LevelSummary(l).RestoreSlot(i, st.Totals[i], f.Total(), len(entries), func(e int) sketch.KV { return entries[e] })
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// In the accumulator's own order only the frames it wrote to are
+		// out of order (the root's has one entry); shuffled, most are.
+		if n := unordered(r); n == 0 || (n > h.Levels()) != shuffle {
+			t.Fatalf("restored with shuffle=%v: %d frames do not report themselves ordered", shuffle, n)
+		}
+		if got := r.Query(0.02, end); !maps.Equal(got, want) {
+			t.Fatalf("restored with shuffle=%v:\n got  %v\n want %v", shuffle, got, want)
+		}
 	}
 }

@@ -82,8 +82,12 @@ func (d *SlidingHHH) Hierarchy() addr.Hierarchy { return d.h }
 func (d *SlidingHHH) Config() Config { return d.levels[0].cfg }
 
 // LevelSummary returns level l's flat summary for serialization and
-// slot-by-slot restore. The returned summary is the live one.
-func (d *SlidingHHH) LevelSummary(l int) *Sliding { return d.levels[l] }
+// slot-by-slot restore, with any pending block applied. The returned
+// summary is the live one.
+func (d *SlidingHHH) LevelSummary(l int) *Sliding {
+	d.settle()
+	return d.levels[l]
+}
 
 // MementoState is the serializable state of a flat Memento summary: the
 // frame clock and eviction cursor plus the dense entry table (the first

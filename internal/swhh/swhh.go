@@ -17,21 +17,41 @@
 // heavy hitters, giving a streaming counterpart to the exact sliding-window
 // analysis.
 //
+// # What a frame is a summary of
+//
+// SlidingHHH does not pay one Space-Saving update per packet and level:
+// UpdateKeys sums packets per leaf key in the coalescing block it shares
+// with the per-level windowed engine (hhh.Block), holding packets of one
+// frame, and a frame of level l is a Space-Saving summary of its packets
+// with each block applied as one weighted update per distinct level-l
+// prefix, in order of first appearance — the guarantees are those of any
+// update sequence with the same per-key sums. The block is applied
+// (settled) when it is full, when a packet of a later frame arrives, and
+// wherever the state is read or handed on: Advance, QueryMass,
+// WindowTotal, both sides of a merge, LevelSummary (hence the wire
+// encoder); Reset discards it. State is therefore a function of the stream
+// and its read points, never of how the stream was cut into batches. (The
+// per-item face of a flat Sliding — Update, Estimate, HeavyKeys — is the
+// tests' reference, in flat_test.go.)
+//
 // # Merge semantics
 //
 // Sliding summaries are mergeable: the per-frame Space-Saving summaries
 // are mergeable (Agarwal et al., "Mergeable Summaries"), and the frame
-// ring is addressed by *global* frame index, so two summaries built from
-// the same Config can be combined frame by frame. Merge first advances
-// the receiver to the other summary's frame (expiring what a live summary
-// would have expired), then folds each overlapping frame's summary and
-// total. The merged per-frame error bound is the sum of the inputs'
-// bounds; for hash-partitioned substreams of one stream (the sharded
-// pipeline) the per-shard terms telescope back to the single-summary
-// bound per frame. Summaries being merged should be advanced to a common
-// timestamp first — the sharded pipeline aligns every shard at the query
-// barrier — so that no side's recent frames fall outside the other's
-// ring.
+// ring is addressed by *global* frame index, so summaries built from the
+// same Config can be combined frame by frame. A merge first advances the
+// receiver to the furthest source's frame (expiring what a live summary
+// would have expired), then hands each ring slot the same slot of every
+// source that has reached its frame in one K-way Space-Saving merge
+// (sketch.SpaceSaving.MergeAll: one truncation over the round, whatever
+// the order of the sources) and adds the totals, saturating. The merged
+// per-frame error bound is the sum of the inputs' bounds; for
+// hash-partitioned substreams of one stream (the sharded pipeline) the
+// per-shard terms telescope back to the single-summary bound per frame.
+// Summaries being merged should be advanced to a common timestamp first —
+// the sharded pipeline aligns every shard at the query barrier — so that
+// no side's recent frames fall outside the other's ring. A merged frame
+// stands in count order, where a query can stop early (Sliding.heavy).
 package swhh
 
 import (
@@ -129,7 +149,7 @@ func (c Config) CoveredSince(now int64) int64 {
 // still, and everything derived from it can be kept for as long as the
 // version has not moved: the slot's floor (what it estimates for a key it
 // does not track), and, in an accumulator, the slot folded from the same
-// slots of the same sources (see Fold).
+// slots of the same sources (see fold).
 type Sliding struct {
 	cfg      Config
 	frameNs  int64
@@ -141,7 +161,7 @@ type Sliding struct {
 	// over a sealed frame therefore never scans or rebuilds it.
 	floor    []int64
 	floorVer []uint64
-	memo     []slotMemo // Fold's record per slot; nil until the first Fold
+	memo     []slotMemo // fold's record per slot; nil until the first fold
 	restored []uint64   // per-slot version RestoreSlot left; nil until the first
 }
 
@@ -213,15 +233,6 @@ func (s *Sliding) advanceTo(target int64) {
 	}
 }
 
-// Update records weight w for key at time now (ns).
-func (s *Sliding) Update(key uint64, w int64, now int64) {
-	s.advance(now)
-	slot := s.slotOf(s.curFrame)
-	s.frames[slot].Update(key, w)
-	s.totals[slot] += w
-	s.vers[slot]++
-}
-
 // settleFloors brings every slot's floor up to its version.
 func (s *Sliding) settleFloors() {
 	for i, f := range s.frames {
@@ -231,30 +242,6 @@ func (s *Sliding) settleFloors() {
 	}
 }
 
-// Estimate returns the upper-bound estimate of key's weight over the
-// covered window at time now: the per-frame estimates summed.
-func (s *Sliding) Estimate(key uint64, now int64) int64 {
-	s.advance(now)
-	s.settleFloors()
-	var sum int64
-	for i, f := range s.frames {
-		c, ok := f.Lookup(key)
-		if !ok {
-			c = s.floor[i]
-		}
-		sum += c
-	}
-	return sum
-}
-
-// Advance expires frames up to time now without recording anything: the
-// explicit form of the rotation every Update/Estimate performs. The
-// sharded pipeline advances all shard summaries to the query timestamp
-// before merging so their frame rings align.
-func (s *Sliding) Advance(now int64) {
-	s.advance(now)
-}
-
 // mustMatch panics unless o shares s's frame geometry.
 func (s *Sliding) mustMatch(o *Sliding) {
 	if s.frameNs != o.frameNs || len(s.frames) != len(o.frames) {
@@ -262,41 +249,56 @@ func (s *Sliding) mustMatch(o *Sliding) {
 	}
 }
 
-// Merge folds summary o into s frame by frame; o is not modified. Both
-// summaries must come from the same Config (frame length and ring size).
-// s is first advanced to o's current frame, expiring whatever a live
-// summary would have expired; then every global frame index covered by
-// both rings has o's Space-Saving summary merged into s's (bounded-error
-// mergeable-summaries combination, see sketch.SpaceSaving.Merge) and its
-// total added. Frames only o's ring still covers but s's no longer does
-// are already expired from s's perspective and are dropped, exactly as
-// live updates would have dropped them.
-func (s *Sliding) Merge(o *Sliding) {
-	if o == nil {
-		return
+// mergeAll folds the summaries srcs, of s's Config, into s frame by frame
+// without modifying them. s is first advanced to the furthest source's
+// current frame, expiring whatever a live summary would have expired; then
+// every slot of its ring takes its sources (mergeSlot). Frames only a
+// source's ring still covers are already expired from s's perspective and
+// are dropped, as live updates would have dropped them.
+func (s *Sliding) mergeAll(srcs []*Sliding, sc *sketch.MergeScratch) {
+	clock := s.curFrame
+	for _, o := range srcs {
+		s.mustMatch(o)
+		clock = max(clock, o.curFrame)
 	}
-	s.mustMatch(o)
-	if o.curFrame == frameUninit {
-		return // o never advanced: its ring is empty
+	if clock == frameUninit {
+		return // nothing has advanced: every ring is empty
 	}
-	s.advanceTo(o.curFrame)
-	// After advanceTo, s.curFrame >= o.curFrame, so the receiver's ring
-	// start bounds the overlap. Frames below it were never written by o
-	// (o's ring reaches at most k-1 frames back from o.curFrame), so the
-	// loop only ever folds slots both rings cover.
-	k := int64(len(s.frames))
-	for g := s.curFrame - k + 1; g <= o.curFrame; g++ {
-		slot := s.slotOf(g)
-		s.frames[slot].Merge(o.frames[slot])
-		s.totals[slot] += o.totals[slot]
-		s.vers[slot]++
+	s.advanceTo(clock)
+	for i := range s.frames {
+		s.mergeSlot(i, s.frameAt(i), srcs, sc)
 	}
 }
 
-// slotMemo is what an accumulator remembers of one slot's last Fold: the
+// frameAt is the global frame ring slot i holds on s's clock, which must
+// have advanced.
+func (s *Sliding) frameAt(i int) int64 {
+	return s.curFrame - floorMod(s.curFrame-int64(i), int64(len(s.frames)))
+}
+
+// mergeSlot hands slot i of s, holding global frame frame, the same slot
+// of every source whose ring has reached that frame — never further back
+// than s's own, so it is the same frame in all of them — in one K-way
+// merge, and adds their totals, saturating.
+func (s *Sliding) mergeSlot(i int, frame int64, srcs []*Sliding, sc *sketch.MergeScratch) {
+	var buf [8]*sketch.SpaceSaving // the usual round fits; a wider one spills to the heap
+	from := buf[:0]
+	for _, o := range srcs {
+		if o.reaches(frame) {
+			from = append(from, o.frames[i])
+			s.totals[i] = sketch.AddSat(s.totals[i], o.totals[i])
+		}
+	}
+	if len(from) > 0 {
+		s.frames[i].MergeAll(from, sc)
+		s.vers[i]++
+	}
+}
+
+// slotMemo is what an accumulator remembers of one slot's last fold: the
 // global frame the slot held, the accumulator's own version of the slot
 // once folded (anything else that writes the slot moves it on), and the
-// source slots it was folded from, in fold order.
+// source slots it was folded from.
 type slotMemo struct {
 	frame int64
 	self  uint64
@@ -316,27 +318,22 @@ func (s *Sliding) reaches(g int64) bool {
 	return s.curFrame != frameUninit && s.curFrame >= g
 }
 
-// Fold makes s the merge of srcs, exactly as Reset followed by Merge of
-// each source in order would — same clock, same frames entry for entry,
-// same totals — but pays only for the slots whose inputs changed since
-// the previous Fold: a slot that would be folded again for the same
-// global frame from the same sources, in the same order, at the same
-// versions is kept as it stands. Any other slot is cleared and folded
-// afresh with the pairwise Space-Saving merge, in source order (the merge
-// truncates, so it is not associative and the order is part of the
-// result). A source that was absent last time, is absent now, was
-// replaced, reset, advanced past a frame or written to therefore
-// invalidates precisely the slots it touches. sc is the merge scratch.
-// It returns how many slots were folded and how many were kept.
-func (s *Sliding) Fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept int) {
-	// The clock Reset-then-Merge ends on: Reset keeps the receiver's, and
-	// every Merge advances it to the source's if that is ahead.
-	clock := s.curFrame
+// fold makes s the merge of srcs, exactly as Reset followed by mergeAll
+// would — same clock, same frames entry for entry, same totals — but pays
+// only for the slots whose inputs changed since the previous fold: a slot
+// that would be folded again for the same global frame from the same
+// sources at the same versions is kept as it stands. Any other slot is
+// cleared and takes its sources afresh (mergeSlot). A source that was
+// absent last time, is absent now, was replaced, reset, advanced past a
+// frame or written to therefore invalidates precisely the slots it
+// touches. It returns how many slots were folded and how many were kept.
+func (s *Sliding) fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept int) {
+	// The clock Reset-then-mergeAll ends on: Reset keeps the receiver's,
+	// and the merge advances it to the furthest source's if that is ahead.
 	for _, o := range srcs {
 		s.mustMatch(o)
-		clock = max(clock, o.curFrame)
+		s.curFrame = max(s.curFrame, o.curFrame)
 	}
-	s.curFrame = clock
 	ring := len(s.frames)
 	if s.memo == nil {
 		s.memo = make([]slotMemo, ring)
@@ -349,8 +346,8 @@ func (s *Sliding) Fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept i
 		// has reached it contribute (with no clock at all every slot is
 		// empty).
 		frame := int64(frameUninit)
-		if clock != frameUninit {
-			frame = clock - floorMod(clock-int64(i), int64(ring))
+		if s.curFrame != frameUninit {
+			frame = s.frameAt(i)
 		}
 		m := &s.memo[i]
 		same := m.frame == frame && m.self == s.vers[i]
@@ -369,11 +366,10 @@ func (s *Sliding) Fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept i
 		m.from = m.from[:0]
 		for _, o := range srcs {
 			if o.reaches(frame) {
-				s.frames[i].MergeWith(o.frames[i], sc)
-				s.totals[i] += o.totals[i]
 				m.from = append(m.from, slotStamp{o, o.vers[i]})
 			}
 		}
+		s.mergeSlot(i, frame, srcs, sc)
 		m.frame, m.self = frame, s.vers[i]
 		folded++
 	}
@@ -384,20 +380,14 @@ func (s *Sliding) Fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept i
 func (s *Sliding) total() int64 {
 	var sum int64
 	for _, t := range s.totals {
-		sum += t
+		sum = sketch.AddSat(sum, t)
 	}
 	return sum
 }
 
-// WindowTotal returns the total weight currently covered.
-func (s *Sliding) WindowTotal(now int64) int64 {
-	s.advance(now)
-	return s.total()
-}
-
 // heavy calls fn once for every key whose estimate, summed over the
-// ring, reaches T >= 1; the caller has advanced s. It is the one
-// candidate enumeration behind HeavyKeys and SlidingHHH.Query.
+// ring, reaches T >= 1; the caller has advanced s. It is the candidate
+// enumeration behind SlidingHHH.Query.
 //
 // Only keys that can reach T are estimated. A sum of ring per-frame
 // estimates that reaches T has a term of at least cut = ceil(T/ring), and
@@ -406,7 +396,9 @@ func (s *Sliding) WindowTotal(now int64) int64 {
 // every tracked key stays a candidate — the candidates are the keys
 // tracked with count >= cut in some frame: tens, where the ring tracks
 // thousands. A key that qualifies in several frames is reported from the
-// first of them.
+// first of them. A frame in count order (sketch.SpaceSaving.Ordered: every
+// frame of an accumulator or restored from one's seal) is left at the
+// first count below the cut; any other is read in full.
 func (s *Sliding) heavy(T int64, fn func(key uint64, est int64)) {
 	s.settleFloors()
 	ring := int64(len(s.frames))
@@ -418,10 +410,14 @@ func (s *Sliding) heavy(T int64, fn func(key uint64, est int64)) {
 		}
 	}
 	for i, f := range s.frames {
+		ordered := f.Ordered()
 	entries:
 		for e, n := 0, f.Len(); e < n; e++ {
 			kv := f.Entry(e)
 			if kv.Count < cut {
+				if ordered {
+					break
+				}
 				continue
 			}
 			est := kv.Count
@@ -443,20 +439,6 @@ func (s *Sliding) heavy(T int64, fn func(key uint64, est int64)) {
 			}
 		}
 	}
-}
-
-// HeavyKeys returns the keys whose windowed estimate reaches the fraction
-// phi of the covered total at time now.
-func (s *Sliding) HeavyKeys(phi float64, now int64) []sketch.KV {
-	total := s.WindowTotal(now)
-	if total == 0 {
-		return nil
-	}
-	var out []sketch.KV
-	s.heavy(hhh.Threshold(total, phi), func(key uint64, est int64) {
-		out = append(out, sketch.KV{Key: key, Count: est})
-	})
-	return out
 }
 
 // SizeBytes reports the summary footprint: the exact per-frame sizes,
@@ -486,7 +468,8 @@ func (s *Sliding) Reset() {
 
 // SlidingHHH runs one Sliding summary per hierarchy level, yielding
 // streaming sliding-window hierarchical heavy hitters with the usual
-// conditioned-query semantics.
+// conditioned-query semantics. Packets reach the frames through the
+// coalescing block (see the package comment and UpdateKeys).
 type SlidingHHH struct {
 	h      addr.Hierarchy
 	levels []*Sliding
@@ -494,9 +477,17 @@ type SlidingHHH struct {
 	// qs is the conditioned pass's discount tables, cleared in place per
 	// query.
 	qs *hhh.QueryScratch
-	// Fold state, held only by a detector that folds (an accumulator): the
-	// one merge scratch all its frames share, the per-level source list,
-	// and the running slot tallies.
+	// The coalescing stage: blk holds packets of the levels' current frame
+	// that are not in the tables yet (nil until the first UpdateKeys); a
+	// timestamp below hi belongs to that frame or lands there all the same.
+	// cur is settle's list of the levels' current frames, updates its tally.
+	blk     *hhh.Block
+	hi      int64
+	cur     []*sketch.SpaceSaving
+	updates int64
+	// Merge state, held only by a detector that merges (an accumulator):
+	// the one scratch all its frames share, the per-level source list, and
+	// the running slot tallies of its folds.
 	merge        sketch.MergeScratch
 	from         []*Sliding
 	folded, kept int64
@@ -509,6 +500,8 @@ func NewSlidingHHH(h addr.Hierarchy, cfg Config) (*SlidingHHH, error) {
 		levels: make([]*Sliding, h.Levels()),
 		masks:  make([]uint64, h.Levels()),
 		qs:     hhh.NewQueryScratch(),
+		hi:     math.MinInt64,
+		cur:    make([]*sketch.SpaceSaving, h.Levels()),
 	}
 	for l := range d.levels {
 		s, err := NewSliding(cfg)
@@ -522,41 +515,75 @@ func NewSlidingHHH(h addr.Hierarchy, cfg Config) (*SlidingHHH, error) {
 }
 
 // UpdateKeys feeds a columnar batch of pre-packed, time-ordered leaf
-// keys. Packets are chunked by frame (on the Ts column) so each chunk
-// advances the frame ring once per level and then applies its updates
-// level-major into the current frame, with per-level keys derived by
-// masking the leaf key — the same final state as one Sliding.Update per
-// packet and level, however the stream is cut into batches. It is the
+// keys. Each packet costs one insert into the coalescing block, which is
+// applied when a key arrives that it has no room for, when a packet of a
+// later frame arrives (the frame a timestamp belongs to is worked out once
+// per frame change, not per packet) and wherever the state is read, so how
+// the stream is cut into batches leaves no trace in the state. A timestamp
+// behind the current frame lands in the current frame. It is the
 // detector's only way in; the batch is packed and filtered to the
-// hierarchy's address family where packets are staged (see
-// trace.KeyBatch).
+// hierarchy's address family where packets are staged (trace.KeyBatch).
 func (d *SlidingHHH) UpdateKeys(b *trace.KeyBatch) {
-	frameNs := d.levels[0].frameNs
-	n := b.Len()
-	for i := 0; i < n; {
-		fi := FloorDiv(b.Ts[i], frameNs)
-		j := i + 1
-		for j < n && FloorDiv(b.Ts[j], frameNs) == fi {
-			j++
+	if d.blk == nil {
+		d.blk = new(hhh.Block)
+	}
+	blk, leaf := d.blk, d.masks[0]
+	sizes, ts := b.Sizes[:len(b.Keys)], b.Ts[:len(b.Keys)]
+	for i, k := range b.Keys {
+		if ts[i] >= d.hi {
+			d.enter(ts[i])
 		}
-		var bytes int64
-		for c := i; c < j; c++ {
-			bytes += int64(b.Sizes[c])
+		w := int64(sizes[i])
+		if k &= leaf; !blk.Add(k, w) {
+			d.enter(ts[i]) // applies the full block
+			blk.Add(k, w)
 		}
-		for l, lv := range d.levels {
-			lv.advance(b.Ts[i])
-			slot := lv.slotOf(lv.curFrame)
-			f := lv.frames[slot]
-			m := d.masks[l]
-			for c := i; c < j; c++ {
-				f.Update(b.Keys[c]&m, int64(b.Sizes[c]))
-			}
-			lv.totals[slot] += bytes
-			lv.vers[slot]++
-		}
-		i = j
 	}
 }
+
+// enter applies the pending block — packets of the frame being left —
+// makes ts's frame current on every level behind it, and sets hi to where
+// the current frame of the level furthest behind ends (past MaxInt64:
+// never, bar a packet stamped MaxInt64 itself, which enters every time).
+func (d *SlidingHHH) enter(ts int64) {
+	d.settle()
+	frameNs := d.levels[0].frameNs
+	cur := int64(math.MaxInt64)
+	for _, lv := range d.levels {
+		lv.advanceTo(FloorDiv(ts, frameNs))
+		cur = min(cur, lv.curFrame)
+	}
+	d.hi = math.MaxInt64
+	if cur < math.MaxInt64/frameNs {
+		d.hi = (cur + 1) * frameNs
+	}
+}
+
+// settle applies the pending block: leaf to root into each level's current
+// frame, one Space-Saving update per distinct prefix (hhh.Block.Settle),
+// one totals add and one version bump per level. Every read of the frames
+// does it first. Whatever follows may move the frame clocks, so hi is
+// forgotten and the next packet works it out again.
+func (d *SlidingHHH) settle() {
+	d.hi = math.MinInt64
+	if d.blk == nil || d.blk.Len() == 0 {
+		return
+	}
+	for l, lv := range d.levels {
+		d.cur[l] = lv.frames[lv.slotOf(lv.curFrame)]
+	}
+	n, bytes := d.blk.Settle(d.masks, d.cur)
+	d.updates += int64(n)
+	for _, lv := range d.levels {
+		slot := lv.slotOf(lv.curFrame)
+		lv.totals[slot] += bytes
+		lv.vers[slot]++
+	}
+}
+
+// TableUpdates returns how many Space-Saving updates the detector's
+// settles have applied since it was built.
+func (d *SlidingHHH) TableUpdates() int64 { return d.updates }
 
 // Query returns the HHH set at fraction phi of the covered window total
 // (see QueryMass).
@@ -583,9 +610,11 @@ func (d *SlidingHHH) QueryMass(phi float64, now int64) (hhh.Set, int64) {
 		}), total
 }
 
-// Advance expires frames up to time now on every level. The sharded
-// pipeline advances all shards to the query timestamp before merging.
+// Advance applies the pending block and expires frames up to time now on
+// every level. The sharded pipeline advances all shards to the query
+// timestamp before merging.
 func (d *SlidingHHH) Advance(now int64) {
+	d.settle()
 	for _, lv := range d.levels {
 		lv.advance(now)
 	}
@@ -594,7 +623,9 @@ func (d *SlidingHHH) Advance(now int64) {
 // WindowTotal returns the total byte weight currently covered (level 0
 // sees every packet once, so any level's total is the stream's).
 func (d *SlidingHHH) WindowTotal(now int64) int64 {
-	return d.levels[0].WindowTotal(now)
+	d.settle()
+	d.levels[0].advance(now)
+	return d.levels[0].total()
 }
 
 // mustMatch panics unless o shares d's hierarchy.
@@ -604,33 +635,47 @@ func (d *SlidingHHH) mustMatch(o *SlidingHHH) {
 	}
 }
 
-// Merge folds detector o into d level by level (see Sliding.Merge for the
-// frame alignment and bound arithmetic). o is not modified; both
-// detectors must share hierarchy and Config.
-func (d *SlidingHHH) Merge(o *SlidingHHH) {
-	d.mustMatch(o)
-	for l := range d.levels {
-		d.levels[l].Merge(o.levels[l])
-	}
+// Merge folds detector o into d: MergeAll of the one source.
+func (d *SlidingHHH) Merge(o *SlidingHHH) { d.MergeAll([]*SlidingHHH{o}) }
+
+// MergeAll folds the detectors srcs, of d's hierarchy and Config, into d
+// level by level, each ring slot taking the whole round in one K-way merge
+// (see Sliding.mergeAll), so the order of srcs is immaterial. Pending
+// blocks are applied first; the sources are not otherwise modified.
+func (d *SlidingHHH) MergeAll(srcs []*SlidingHHH) {
+	d.settle()
+	d.mergeRound(srcs, false)
 }
 
-// Fold makes d the merge of srcs: the state Reset followed by Merge of
-// each source in order leaves, bit for bit, at the cost of the ring slots
-// whose sources changed since d's previous Fold (see Sliding.Fold). This
-// is how a barrier's accumulator takes a round of shard summaries, and an
-// aggregator's a round of node summaries: between two snapshots a source
-// writes the slot it is filling and perhaps the next, and the rest of its
-// ring stands still.
+// Fold makes d the merge of srcs: the state Reset followed by MergeAll
+// leaves, bit for bit, at the cost of the ring slots whose sources changed
+// since d's previous Fold (see Sliding.fold). This is how a barrier's
+// accumulator takes a round of shard summaries, and an aggregator's a
+// round of node summaries: between two snapshots a source writes the slot
+// it is filling and perhaps the next, and the rest of its ring stands
+// still.
 func (d *SlidingHHH) Fold(srcs []*SlidingHHH) {
+	d.discard()
+	d.mergeRound(srcs, true)
+}
+
+// mergeRound is MergeAll and, with memo, Fold: the sources' pending blocks
+// are applied, then each level takes the round.
+func (d *SlidingHHH) mergeRound(srcs []*SlidingHHH, memo bool) {
 	for _, o := range srcs {
 		d.mustMatch(o)
+		o.settle()
 	}
 	for l, lv := range d.levels {
 		d.from = d.from[:0]
 		for _, o := range srcs {
 			d.from = append(d.from, o.levels[l])
 		}
-		folded, kept := lv.Fold(d.from, &d.merge)
+		if !memo {
+			lv.mergeAll(d.from, &d.merge)
+			continue
+		}
+		folded, kept := lv.fold(d.from, &d.merge)
 		d.folded += int64(folded)
 		d.kept += int64(kept)
 	}
@@ -640,16 +685,30 @@ func (d *SlidingHHH) Fold(srcs []*SlidingHHH) {
 // how many they have kept, since d was built.
 func (d *SlidingHHH) FoldTally() (folded, kept int64) { return d.folded, d.kept }
 
-// Reset clears every level's frames.
+// discard empties the pending block without applying it; like settle it
+// forgets hi.
+func (d *SlidingHHH) discard() {
+	d.hi = math.MinInt64
+	if d.blk != nil {
+		d.blk.Clear()
+	}
+}
+
+// Reset clears every level's frames and discards the pending block.
 func (d *SlidingHHH) Reset() {
+	d.discard()
 	for _, lv := range d.levels {
 		lv.Reset()
 	}
 }
 
-// SizeBytes sums the per-level footprints and the fold scratch.
+// SizeBytes sums the per-level footprints, the coalescing block once the
+// detector has one, and the merge scratch.
 func (d *SlidingHHH) SizeBytes() int {
-	n := d.merge.SizeBytes() + cap(d.from)*8
+	n := d.merge.SizeBytes() + cap(d.from)*8 + cap(d.cur)*8
+	if d.blk != nil {
+		n += hhh.BlockBytes
+	}
 	for _, s := range d.levels {
 		n += s.SizeBytes()
 	}

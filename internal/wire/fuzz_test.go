@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/tdbf"
 )
 
@@ -66,7 +67,18 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		p = appendI64(p, 0)
 		return appendU32(p, 0)
 	}())
-	seeds = append(seeds, short, badMagic, badVer, hugeLen, crcFlip, hugeCap)
+	// One entry of more than half of MaxInt64, within its total: a valid
+	// frame whose merge with another like it has to saturate. And the same
+	// entry above its total, which the decoder must refuse.
+	heavyEntry := func(total int64) []byte {
+		p := appendU32(nil, 4)
+		p = appendI64(p, total)
+		p = appendU32(p, 1)
+		p = appendU64(p, 42)
+		p = appendI64(p, 1<<62+1)
+		return frameFor(KindSpaceSaving, 0, 0, 0, appendI64(p, 0))
+	}
+	seeds = append(seeds, short, badMagic, badVer, hugeLen, crcFlip, hugeCap, heavyEntry(1<<62+1), heavyEntry(1<<62))
 	return append(append(seeds, EncodeFilter(thin)), v1...)
 }
 
@@ -94,6 +106,17 @@ func FuzzWireDecode(f *testing.F) {
 		}
 		if v == nil {
 			t.Fatal("Decode returned nil value with nil error")
+		}
+		// Whatever summary the decoder lets through merges with its like
+		// without wrapping: counts stay within [error bound, total].
+		if s, ok := v.(*sketch.SpaceSaving); ok {
+			twin, _ := Decode(data)
+			s.Merge(twin.(*sketch.SpaceSaving))
+			s.ForEachTracked(func(key uint64, count, errUB int64) {
+				if errUB < 0 || errUB > count || count > s.Total() {
+					t.Fatalf("merged with itself: key %#x has bounds [%d, %d] under total %d", key, errUB, count, s.Total())
+				}
+			})
 		}
 	})
 }

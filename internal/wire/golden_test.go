@@ -22,8 +22,8 @@ import (
 // when a deliberate format change ships with a version bump — these
 // fixtures are the back-compat tripwire for the wire format. It rewrites
 // the vectors the encoders still produce, never the decode-only ones
-// (v1Decayed, memento-v6-uneven), and CI fails a change that touches a
-// committed vector at all.
+// (v1Decayed, memento-v6-uneven, sliding-v4), and CI fails a change that
+// touches a committed vector at all.
 var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
 
 // goldenFixtures enumerates one fixed-seed summary per kind and
@@ -48,7 +48,7 @@ func goldenFixtures(t *testing.T) []struct {
 		{"per-level-v6", EncodePerLevel(testPerLevelH(v6, 0x31))},
 		{"rhhh-v4", EncodeRHHH(testRHHHH(v4, 0x40))},
 		{"rhhh-v6", EncodeRHHH(testRHHHH(v6, 0x41))},
-		{"sliding-v4", EncodeSliding(testSlidingH(v4, 0x50))},
+		{"sliding-v4-block", EncodeSliding(testSlidingH(v4, 0x50))},
 		{"sliding-v6", EncodeSliding(testSlidingH(v6, 0x51))},
 		{"memento-v4", EncodeMemento(testMementoH(v4, 0x60))},
 		{"memento-v6", EncodeMemento(testMementoH(v6, 0x61))},
@@ -69,11 +69,14 @@ var v1Decayed = []string{"tdbf", "continuous-v4", "continuous-v6"}
 // the committed bytes must still decode. If this fails you changed the
 // wire format — that requires a version bump and new vectors, not a quiet
 // regeneration. The version-1 vectors of the decayed kinds are held to
-// what a decode-only vector can be held to: see goldenV1Decayed.
+// what a decode-only vector can be held to: see goldenV1Decayed; and
+// sliding-v4 to what a vector no fixture builds any more can be: see
+// goldenSlidingPerPacket.
 func TestGoldenVectors(t *testing.T) {
 	for _, name := range v1Decayed {
 		t.Run(name, func(t *testing.T) { goldenV1Decayed(t, name) })
 	}
+	t.Run("sliding-v4", goldenSlidingPerPacket)
 	for _, fx := range goldenFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			path := filepath.Join("testdata", fx.name+".wire")
@@ -96,6 +99,43 @@ func TestGoldenVectors(t *testing.T) {
 				t.Fatalf("committed vector no longer decodes: %v", err)
 			}
 		})
+	}
+}
+
+// goldenSlidingPerPacket keeps the format pin on the bytes sliding-v4.wire
+// has held since the engine applied every packet to every level's frame
+// as it came. The fixture's 400 packets now reach the frames summed per
+// key through the coalescing block — the same streams, other Space-Saving
+// states, the same format: sliding-v4-block is the vector the fixture is
+// compared to — so the old bytes are what no engine entry builds, and a
+// valid frame all the same: they decode, re-encode to themselves, and
+// hold the fixture's frame clocks and exact frame totals, which no
+// coalescing moves.
+func goldenSlidingPerPacket(t *testing.T) {
+	want, err := os.ReadFile(filepath.Join("testdata", "sliding-v4.wire"))
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	old, err := decodeAs[*swhh.SlidingHHH](want)
+	if err != nil {
+		t.Fatalf("committed vector no longer decodes: %v", err)
+	}
+	if !bytes.Equal(EncodeSliding(old), want) {
+		t.Fatal("committed vector does not re-encode to itself")
+	}
+	fresh := testSlidingH(testHierarchy(), 0x50)
+	entries := 0
+	for l := 0; l < testHierarchy().Levels(); l++ {
+		o, f := old.LevelSummary(l).State(), fresh.LevelSummary(l).State()
+		if o.CurFrame != f.CurFrame || !slices.Equal(o.Totals, f.Totals) {
+			t.Fatalf("level %d: clock %d totals %v, the fixture's %d %v", l, o.CurFrame, o.Totals, f.CurFrame, f.Totals)
+		}
+		for _, fr := range o.Frames {
+			entries += fr.Len()
+		}
+	}
+	if entries == 0 {
+		t.Fatal("the vector holds no entries: it pins nothing")
 	}
 }
 
