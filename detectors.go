@@ -206,8 +206,8 @@ type ShardedConfig struct {
 	// Frames is ModeSliding's expiry granularity (coverage overshoots by
 	// Window/Frames). Default 8.
 	Frames int
-	// Cells and Hashes size ModeContinuous's per-level time-decaying
-	// Bloom filters. Defaults 1<<16 and 4.
+	// Cells and Hashes size ModeContinuous's hashed levels' Bloom filters (a
+	// level whose prefix space fits is held exactly in 2^r). Defaults 1<<16, 4.
 	Cells  int
 	Hashes int
 	// ExitRatio is ModeContinuous's hysteresis fraction (see
@@ -441,8 +441,8 @@ type ContinuousConfig struct {
 	Horizon time.Duration
 	// Phi is the threshold fraction of total decayed mass. Required.
 	Phi float64
-	// Cells and Hashes size the per-level time-decaying Bloom filters.
-	// Defaults 1<<16 and 4.
+	// Cells and Hashes size a hashed level's time-decaying Bloom filter (a
+	// level whose prefix space fits is held exactly in 2^r). Defaults 1<<16, 4.
 	Cells  int
 	Hashes int
 	// ExitRatio is the hysteresis fraction (see internal/continuous).

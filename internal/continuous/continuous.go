@@ -4,8 +4,10 @@
 //
 // The detector keeps one time-decaying Bloom filter per hierarchy level
 // and a decayed tracker of total traffic mass, all on one tdbf.Base: they
-// share a landmark, so a packet costs one exp for the whole detector, one
-// filter write per level and nothing that grows with the active set:
+// share a landmark, so a packet costs one exp for the whole detector (taken
+// a run of packets ahead, off its critical path), one filter write per level
+// (no hash where the level's prefix space fits in Filter.Cells and is held
+// exactly: tdbf.Base.NewLevel) and nothing that grows with the active set:
 //
 //   - Entry, per packet. The filter writes return the estimates of the
 //     packet's own generalisation chain, and every prefix of the chain
@@ -46,6 +48,7 @@ package continuous
 
 import (
 	"fmt"
+	"math/bits"
 	"time"
 
 	"hiddenhhh/internal/addr"
@@ -66,7 +69,9 @@ type Config struct {
 	Phi float64
 	// Filter configures the per-level time-decaying Bloom filters,
 	// including the decay law. Filter.Decay.Tau is required; it plays the
-	// role the window length plays for windowed detectors.
+	// role the window length plays for windowed detectors. Filter.Cells are
+	// the cells of a hashed level; a level whose prefix space fits in them
+	// is held exactly, in 2^r cells for its r family-relative bits.
 	Filter tdbf.Config
 	// ExitRatio is the hysteresis: an active prefix exits at the first
 	// sweep or Query that finds its conditioned mass below
@@ -156,6 +161,7 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if cfg.Warmup == 0 {
 		cfg.Warmup = cfg.Filter.Decay.Tau
 	}
+	cfg.Filter = cfg.Filter.WithDefaults()
 	levels := cfg.Hierarchy.Levels()
 	base := tdbf.NewBase(cfg.Filter.Decay)
 	d := &Detector{
@@ -177,8 +183,11 @@ func NewDetector(cfg Config) (*Detector, error) {
 	for l := range d.filters {
 		fc := cfg.Filter
 		fc.Seed = hashx.Mix64(cfg.Seed + uint64(l) + 1)
-		d.filters[l] = base.NewFilter(fc)
 		d.masks[l] = cfg.Hierarchy.KeyMask(l)
+		// The level's keys vary in its family-relative bits, which end
+		// where its mask does.
+		r := cfg.Hierarchy.Bits(l) - cfg.Hierarchy.Bits(levels-1)
+		d.filters[l] = base.NewLevel(fc, uint(bits.TrailingZeros64(d.masks[l])), uint(r))
 	}
 	d.act = newActiveSet(d.masks)
 	return d, nil
@@ -192,31 +201,40 @@ func NewDetector(cfg Config) (*Detector, error) {
 // are staged (see trace.KeyBatch), so a dual-stack stream thresholds
 // against its own family's mass only; the state left — sweep instants
 // included — does not depend on how the stream was cut into batches.
+// The decay factors of a run of packets are resolved before the packets
+// (tdbf.Base.Ahead), bit for bit what each would have computed; a run ends
+// where the stamps roll the landmark over, not where a batch does.
 func (d *Detector) ObserveKeys(b *trace.KeyBatch) {
-	for i, key := range b.Keys {
-		d.observe(key, int64(b.Sizes[i]), b.Ts[i])
+	for i := 0; i < len(b.Keys); {
+		for _, up := range d.base.Ahead(b.Ts[i:]) {
+			d.observe(b.Keys[i], int64(b.Sizes[i]), b.Ts[i], up)
+			i++
+		}
 	}
 }
 
-// observe is the per-packet body. The chain prefix at level l is
-// leaf&masks[l]; the filter writes return the chain's estimates.
-func (d *Detector) observe(leaf uint64, bytes int64, now int64) {
+// observe is the per-packet body; up is the decay factor of now. The chain
+// prefix at level l is leaf&masks[l]; the filter writes return the chain's
+// estimates.
+func (d *Detector) observe(leaf uint64, bytes int64, now int64, up float64) {
 	if !d.started {
 		d.started = true
 		d.warmEnd = now + int64(d.cfg.Warmup)
 	}
 	d.pkts++
-	w := float64(bytes)
-	total := d.total.Add(w, now)
+	// The reads admit and revalidate make at this instant find the pair.
+	down := d.base.Enter(now, up)
+	w := float64(bytes) * up
+	total := d.total.AddScaled(w) * down
 	lo, hi := 0, d.levels
 	if d.cfg.Sampled {
 		d.rng += 0x9e3779b97f4a7c15
 		lo = int((hashx.Mix64(d.rng) >> 32) * uint64(d.levels) >> 32)
 		hi = lo + 1
-		d.est[lo] = d.filters[lo].Add(leaf&d.masks[lo], w, now) * d.scale
+		d.est[lo] = d.filters[lo].AddScaled(leaf&d.masks[lo], w) * down * d.scale
 	} else {
 		for l, f := range d.filters {
-			d.est[l] = f.Add(leaf&d.masks[l], w, now)
+			d.est[l] = f.AddScaled(leaf&d.masks[l], w) * down
 		}
 	}
 	if now < d.warmEnd {

@@ -2,6 +2,7 @@ package continuous_test
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -77,8 +78,91 @@ func TestChunkingLeavesIdenticalFrames(t *testing.T) {
 				}
 			}
 		}
-		if f, err := wire.Verify(want[2]); err != nil || f.Header.Version != wire.VersionSparse {
+		if f, err := wire.Verify(want[2]); err != nil || f.Header.Version != wire.VersionLevels {
 			t.Fatalf("sampled=%v: sealed frame: version %d, %v", sampled, f.Header.Version, err)
+		}
+	}
+}
+
+// TestHostileStampsLeaveIdenticalFrames: the ahead-of-time factor pass
+// resolves a run of stamps before the packets that carry them, and where
+// it cuts a run must depend on the stamps alone. A stream whose detector
+// packets begin in the middle of a caller's batch (the packets before are
+// another family's, filtered where they are packed), with a roll-over in
+// mid-batch, stamps that run backwards — by a little, and by more than a
+// landmark epoch — and math.MinInt64 and math.MaxInt64 among them, seals
+// to byte-identical frames at every third of the stream whether it is fed
+// one packet at a time or in batches of 7, 256 and 2²⁰ — the batched
+// replays, unsampled, through a detector Reset after another stream: a used
+// time base with no landmark.
+func TestHostileStampsLeaveIdenticalFrames(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	tau := 20 * time.Millisecond
+	rng := rand.New(rand.NewSource(29))
+	var pkts []trace.Packet
+	now := int64(1_700_000_000_000_000_000)
+	for i := 0; i < 300; i++ { // no detector packet yet: every batch size finds the first one elsewhere
+		pkts = append(pkts, trace.Packet{Ts: now, Src: addr.FromParts(0x2001_0db8<<32, uint64(i)), Size: 100})
+	}
+	for i := 0; i < 12000; i++ {
+		now += int64(rng.Intn(int(300 * time.Microsecond)))
+		ts := now
+		switch {
+		case i%1000 == 999:
+			now += int64(65 * tau) // a roll-over wherever the batch boundaries fall
+		case i%700 == 350:
+			ts = now - int64(3*tau) // a straggler
+		case i%2300 == 1200:
+			ts = now - int64(200*tau) // one from before the landmark's epoch
+		case i == 5000:
+			ts = math.MaxInt64
+		case i == 5003 || i == 9000:
+			ts = math.MinInt64
+		case i == 9001:
+			ts = math.MaxInt64 - 1
+		}
+		src := addr.From4(10, byte(rng.Intn(3)), byte(rng.Intn(6)), byte(rng.Intn(50)))
+		pkts = append(pkts, trace.Packet{Ts: ts, Src: src, Size: uint32(40 + rng.Intn(1460))})
+	}
+	for _, sampled := range []bool{false, true} {
+		frames := func(bs int, used bool) (out [][]byte) {
+			d, err := continuous.NewDetector(continuous.Config{
+				Hierarchy: h, Phi: 0.05, Sampled: sampled, Seed: 3,
+				Filter: tdbf.Config{Cells: 1 << 10, Hashes: 3, Decay: tdbf.Exponential{Tau: tau}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			kb := trace.NewKeyBatch(min(bs, len(pkts)))
+			if used {
+				kb.AppendPackets(h, pkts[:5000])
+				d.ObserveKeys(kb)
+				d.Reset()
+			}
+			for third := 0; third < 3; third++ {
+				part := pkts[third*len(pkts)/3 : (third+1)*len(pkts)/3]
+				for off := 0; off < len(part); off += bs {
+					kb.Reset()
+					kb.AppendPackets(h, part[off:min(off+bs, len(part))])
+					d.ObserveKeys(kb)
+				}
+				frame, _ := wire.EncodeContinuous(d)
+				out = append(out, frame)
+			}
+			if d.Packets() != 12000 {
+				t.Fatalf("%d packets observed", d.Packets())
+			}
+			return out
+		}
+		want := frames(1, false)
+		for _, bs := range []int{7, 256, 1 << 20} {
+			// Reset leaves the level sampler where it stands, so only the
+			// unsampled detector replays identically after one.
+			for i, got := range frames(bs, !sampled) {
+				if !bytes.Equal(got, want[i]) {
+					t.Fatalf("sampled=%v: batches of %d: frame %d differs from the per-packet replay's", sampled, bs, i)
+				}
+			}
 		}
 	}
 }

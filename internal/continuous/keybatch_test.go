@@ -100,7 +100,7 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 				if exits == 0 {
 					t.Fatal("stream never exercises the exit sweep")
 				}
-				for _, bs := range []int{7, 97, len(pkts)} {
+				for _, bs := range []int{7, 97, 256, len(pkts)} { // 256: two of the factor pass's 128-stamp runs
 					var log []event
 					got := mk(&log)
 					kb := trace.NewKeyBatch(bs)

@@ -9,6 +9,7 @@ package continuous
 import (
 	"fmt"
 
+	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/tdbf"
 )
 
@@ -33,9 +34,13 @@ type State struct {
 	Total   tdbf.MassState
 	Active  []ActiveEntry
 	Filters []*tdbf.Filter
+	// Hashed, on the way in (Restore), says the state predates levels sized
+	// to their prefix spaces: every level's is a hashed filter's.
+	Hashed bool
 }
 
-// Config returns the detector's configuration (defaults applied). Note
+// Config returns the detector's configuration (defaults applied, those of
+// the hashed levels' shape included: Filter.Cells and Filter.Hashes). Note
 // it carries the OnEnter/OnExit callbacks, which do not serialize.
 func (d *Detector) Config() Config { return d.cfg }
 
@@ -64,22 +69,25 @@ func (d *Detector) State() State {
 // aside, which do not serialize — and so whether a frame sealed under cfg
 // can be restored into d in place.
 func (d *Detector) Fits(cfg Config) bool {
-	c, f := &d.cfg, d.filters[0]
+	c := &d.cfg
 	return c.Hierarchy == cfg.Hierarchy && c.Phi == cfg.Phi && c.ExitRatio == cfg.ExitRatio &&
 		c.Warmup == cfg.Warmup && c.Sampled == cfg.Sampled && c.Seed == cfg.Seed &&
-		f.Decay() == cfg.Filter.Decay && f.Cells() == cfg.Filter.Cells && f.Hashes() == cfg.Filter.Hashes
+		c.Filter.Decay == cfg.Filter.Decay && c.Filter.Cells == cfg.Filter.Cells && c.Filter.Hashes == cfg.Filter.Hashes
 }
 
 // Restore brings d to serialized state in place, allocating nothing that
 // grows with the filters: sampler is the level-sampling state, st
-// everything but the filters (st.Filters is not consulted), and level(l)
-// is asked once per level, in level order, for that filter's state (see
-// tdbf.Filter.Restore: the seed must be the one NewDetector derived).
+// everything but the filters (st.Filters is not consulted), and
+// level(l, cells) is asked once per level, in level order, for the state of
+// that level's filter, of cells cells (see tdbf.Filter.Restore: the seed
+// must be the one NewDetector derived). With st.Hashed a level held exactly
+// converts its state (tdbf.Filter.RestoreHashed, the one path that
+// allocates a filter).
 // Active entries must name a level of the hierarchy and a key generalised
 // to it; of duplicate entries the earliest activation is kept. An error
 // from level is returned as it is. On error d is partly written and must
 // be discarded.
-func (d *Detector) Restore(sampler uint64, st State, level func(l int) (tdbf.FilterState, error)) error {
+func (d *Detector) Restore(sampler uint64, st State, level func(l, cells int) (tdbf.FilterState, error)) error {
 	if st.Packets < 0 {
 		return fmt.Errorf("continuous: restore: negative packet count %d", st.Packets)
 	}
@@ -87,16 +95,28 @@ func (d *Detector) Restore(sampler uint64, st State, level func(l int) (tdbf.Fil
 	if err := d.total.Restore(st.Total); err != nil {
 		return err
 	}
+	h := d.cfg.Hierarchy
+	// The bits every key of the hierarchy shares: its root's key (in an IPv6
+	// hierarchy the root mask leaves none of the address given).
+	fixed := h.Key(addr.V4Root.Addr, d.levels-1)
 	for l, f := range d.filters {
-		fs, err := level(l)
+		cells := f.Cells()
+		if st.Hashed {
+			cells = d.cfg.Filter.Cells
+		}
+		fs, err := level(l, cells)
 		if err != nil {
 			return err
 		}
-		if err := f.Restore(fs); err != nil {
+		if st.Hashed && f.Direct() {
+			err = f.RestoreHashed(fs, d.cfg.Filter, fixed)
+		} else {
+			err = f.Restore(fs)
+		}
+		if err != nil {
 			return fmt.Errorf("continuous: restore: level %d: %v", l, err)
 		}
 	}
-	h := d.cfg.Hierarchy
 	for _, e := range st.Active {
 		if e.Level < 0 || e.Level >= d.levels || e.Key&^d.masks[e.Level] != 0 ||
 			!h.OnLattice(h.PrefixOfKey(e.Key, e.Level)) {

@@ -411,12 +411,13 @@ func TestAggregatorSliding(t *testing.T) {
 }
 
 // TestAggregatorContinuous pins the latest-frame path for the continuous
-// engine, over frames of both wire versions. Node a ships version-2 frames
+// engine, over frames of every wire version. Node a ships version-3 frames
 // of a detector fed its half of a source-partitioned stream — the second
 // restored over the first, in place; node b's frame is the committed
 // version-1 golden vector of internal/wire, whose fixture stream the test
-// regenerates. Their fold must answer as one detector over the union stream
-// does. A frame that fails half way through the restore costs the node its
+// regenerates, then the same state's version-2 and version-3 vectors, each
+// restored over the one before. Their fold must answer as one detector over
+// the union stream does. A frame that fails half way through the restore costs the node its
 // summary, not the Aggregator its report, and the next good frame brings
 // the node back.
 func TestAggregatorContinuous(t *testing.T) {
@@ -520,10 +521,23 @@ func TestAggregatorContinuous(t *testing.T) {
 	if sum := agg.nodes["a"].sum; sum != first || sum.(*tdbfSummary).d == nil {
 		t.Fatal("node a's second frame was not restored over its first, in place")
 	}
-	matches("v2 restored in place + v1")
+	matches("v3 restored in place + v1")
+	seqB := int64(1)
+	for _, file := range []string{"continuous-v4-v2.wire", "continuous-v4-v3.wire", "continuous-v4.wire"} {
+		frame, err := os.ReadFile(filepath.Join("..", "wire", "testdata", file))
+		if err != nil {
+			t.Fatal(err)
+		}
+		seqB++
+		if err := agg.Ingest("b", Sealed{Seq: seqB, Start: at - int64(cfg.Filter.Decay.Tau), End: at, Frame: frame}); err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		matches("v3 + " + file + " over the version before")
+	}
 
-	// The last level's last sparse row names a cell past the filter (the
-	// checksum made good again): the levels before it are written by then.
+	// The last level, the root's one cell, declares a thousand occupied
+	// (the checksum made good again): the levels before it are written by
+	// then.
 	bad := good
 	bad.Seq, bad.Frame = 3, slices.Clone(good.Frame)
 	n := len(bad.Frame) - 4
@@ -535,7 +549,7 @@ func TestAggregatorContinuous(t *testing.T) {
 	if agg.nodes["a"].sum != nil {
 		t.Fatal("a half-restored summary was kept")
 	}
-	if err := agg.Ingest("b", Sealed{Seq: 2, Start: at - int64(cfg.Filter.Decay.Tau), End: at, Frame: v1}); err != nil {
+	if err := agg.Ingest("b", Sealed{Seq: seqB + 1, Start: at - int64(cfg.Filter.Decay.Tau), End: at, Frame: v1}); err != nil {
 		t.Fatal(err)
 	}
 	if rep := agg.Report(); rep.Nodes != 1 || !rep.Degraded || rep.Set.Contains(heavyA) || !rep.Set.Contains(heavyB) {

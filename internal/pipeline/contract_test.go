@@ -107,6 +107,37 @@ func TestContractSingleMatchesOneShard(t *testing.T) {
 			t.Fatal("summaries differ after the same stream")
 		}
 	})
+	// The continuous engine resolves its decay factors a run of packets
+	// ahead: however the caller cuts the stream — and the pipeline re-cuts
+	// it into its own ring batches — both drivers are left in one state.
+	t.Run("continuous", func(t *testing.T) {
+		cfg := rowConfig(int(KindTDBF))
+		var want []byte
+		for _, bs := range []int{1, 7, 256, 1 << 20} {
+			single, err := NewSingle(cfg, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sharded, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for off := 0; off < len(pkts); off += bs {
+				single.ObserveBatch(pkts[off:min(off+bs, len(pkts))])
+				sharded.ObserveBatch(pkts[off:min(off+bs, len(pkts))])
+			}
+			if err := sharded.Close(); err != nil {
+				t.Fatal(err)
+			}
+			got := mustEncode(t, single.eng)
+			if want == nil {
+				want = got
+			}
+			if !bytes.Equal(got, want) || !bytes.Equal(mustEncode(t, sharded.shards[0].eng), want) {
+				t.Fatalf("batches of %d leave another state than batches of 1", bs)
+			}
+		}
+	})
 }
 
 // TestContractWireRoundTrip: a summary restored from its own frame by

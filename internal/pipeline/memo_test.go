@@ -6,6 +6,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -413,7 +414,9 @@ func TestMemoMetrics(t *testing.T) {
 // exposition, the occupied cells of each level of its merged filters as
 // the encoder counted them for the last sealed frame — equal to a count
 // taken off the accumulator, which stands untouched since that seal, and
-// shrinking from the crowded leaf level to the root.
+// shrinking from the crowded leaf level to the root — beside the cells each
+// level has, the gauge's denominator: Config.Cells where the level is
+// hashed, its prefix space where that fits and the level is held exactly.
 func TestOccupancyMetric(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	var sealed atomic.Int64
@@ -441,14 +444,22 @@ func TestOccupancyMetric(t *testing.T) {
 	filters := det.merged.(*tdbfSummary).d.State().Filters
 	prev := 1 << 12
 	for l, f := range filters {
-		want := fmt.Sprintf("\nhhh_pipeline_tdbf_occupied_cells{level=\"%d\"} %d\n", l, f.Occupied())
-		if !strings.Contains(sb.String(), want) {
-			t.Errorf("exposition lacks %q", strings.TrimSpace(want))
+		for _, want := range []string{
+			fmt.Sprintf("\nhhh_pipeline_tdbf_occupied_cells{level=\"%d\"} %d\n", l, f.Occupied()),
+			fmt.Sprintf("\nhhh_pipeline_tdbf_level_cells{level=\"%d\"} %d\n", l, f.Cells()),
+		} {
+			if !strings.Contains(sb.String(), want) {
+				t.Errorf("exposition lacks %q", strings.TrimSpace(want))
+			}
 		}
 		if f.Occupied() == 0 || f.Occupied() > prev {
 			t.Errorf("level %d: %d occupied cells after %d a level below", l, f.Occupied(), prev)
 		}
 		prev = f.Occupied()
+	}
+	// The byte ladder under 4096 cells: /8 and /0 fit, and are held exactly.
+	if got := []int{filters[0].Cells(), filters[1].Cells(), filters[2].Cells(), filters[3].Cells(), filters[4].Cells()}; !slices.Equal(got, []int{1 << 12, 1 << 12, 1 << 12, 256, 1}) {
+		t.Errorf("level cells %v", got)
 	}
 }
 

@@ -117,8 +117,8 @@ type Config struct {
 	// Frames is the sliding ring's expiry granularity. Default 8
 	// (ModeSliding only).
 	Frames int
-	// Cells and Hashes size the per-level time-decaying Bloom filters
-	// (ModeContinuous only). Defaults 1<<16 and 4.
+	// Cells and Hashes size a hashed level's Bloom filter; a level whose prefix
+	// space fits is held exactly in 2^r (ModeContinuous only). Defaults 1<<16, 4.
 	Cells  int
 	Hashes int
 	// ExitRatio is the continuous detector's hysteresis fraction

@@ -521,16 +521,21 @@ func (e *tdbfSummary) Query(now int64) (hhh.Set, int64) {
 
 // registerEngineMetrics exports what only one engine has to show about
 // the merge accumulator s: for tdbf, the occupied cells of each level's
-// filter at the last seal (the denominator is Config.Cells).
+// filter at the last seal over the cells the level has (Config.Cells where
+// it is hashed, its whole prefix space where that is no larger): its fill.
 func registerEngineMetrics(r *telemetry.Registry, s Summary) {
 	e, ok := s.(*tdbfSummary)
 	if !ok {
 		return
 	}
 	occupied := r.GaugeVec("hhh_pipeline_tdbf_occupied_cells",
-		"Non-zero cells of the merged time-decaying Bloom filter at each hierarchy level (0 = leaf), as counted for the most recent sealed frame; 0 until OnSeal has sealed one.",
+		"Non-zero cells of the merged time-decaying Bloom filter at each hierarchy level (0 = leaf), as counted for the most recent sealed frame; 0 until OnSeal has sealed one. Over hhh_pipeline_tdbf_level_cells it is the level's fill: filter saturation at a hashed level, live prefixes over prefix space at a level held exactly.",
 		"level")
-	for l := range e.occupied {
+	cells := r.GaugeVec("hhh_pipeline_tdbf_level_cells",
+		"Cells of the time-decaying Bloom filter at each hierarchy level (0 = leaf), constant: Config.Cells at a hashed level, 2^r at a level whose r prefix bits give no more prefixes than that, which is held exactly.",
+		"level")
+	for l, f := range e.d.State().Filters {
 		occupied.WithFunc(func() float64 { return float64(e.occupied[l].Load()) }, strconv.Itoa(l))
+		cells.With(strconv.Itoa(l)).Set(float64(f.Cells()))
 	}
 }

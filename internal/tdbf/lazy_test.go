@@ -88,7 +88,7 @@ type lazyFilter struct {
 
 // newLazy builds the reference with cfg's shape and seed under law d.
 func newLazy(cfg Config, d Decay) *lazyFilter {
-	cfg.setDefaults()
+	cfg = cfg.WithDefaults()
 	f := &lazyFilter{cells: make([]lazyCell, cfg.Cells), k: cfg.Hashes, seed: cfg.Seed, decay: d}
 	if cfg.Cells&(cfg.Cells-1) == 0 {
 		f.mask = uint64(cfg.Cells - 1)

@@ -35,7 +35,7 @@ func NewPeriodic(cfg Config, law Decay, tick time.Duration) *PeriodicFilter {
 	if tick <= 0 {
 		panic("tdbf: refresh tick must be positive")
 	}
-	cfg.setDefaults()
+	cfg = cfg.WithDefaults()
 	return &PeriodicFilter{cells: make([]float64, cfg.Cells), k: cfg.Hashes, seed: cfg.Seed, law: law, tick: tick}
 }
 

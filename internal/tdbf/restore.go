@@ -83,6 +83,29 @@ func (f *Filter) Restore(st FilterState) error {
 	}
 }
 
+// RestoreHashed restores a direct-addressed filter from the state of the
+// hashed filter of shape cfg that stood at its level before levels were
+// sized to their key spaces. Key i of the level is fixed | i<<shift, and
+// its cell takes the minimum of the k cells the hashed filter gave it:
+// every estimate of the level is preserved exactly.
+func (f *Filter) RestoreHashed(st FilterState, cfg Config, fixed uint64) error {
+	if st.Seed != f.seed {
+		return fmt.Errorf("tdbf: restore: seed %#x, filter has %#x", st.Seed, f.seed)
+	}
+	cfg.Seed, cfg.Decay = st.Seed, f.base.law
+	src := New(cfg)
+	if err := src.Restore(st); err != nil {
+		return err
+	}
+	f.Reset()
+	f.adds = st.Adds
+	k := f.base.align(st.Landmark)
+	for i := range f.cells {
+		f.cells[i] = src.read(fixed|uint64(i)<<f.shift) * k
+	}
+	return nil
+}
+
 // MassState is the serializable state of a MassTracker: its mass V scaled
 // to the landmark Touch.
 type MassState struct {

@@ -95,6 +95,8 @@ type Base struct {
 	memo     bool
 	// cols are the members' mass columns, rescaled together at a roll-over.
 	cols [][]float64
+	// ahead is Ahead's result: the up factors of a run of write instants.
+	ahead [128]float64
 }
 
 // NewBase builds a time base under the given law. It panics unless Tau is
@@ -131,27 +133,59 @@ func (b *Base) scale(now int64, write bool) (up, down float64) {
 	return b.resolve(now, write)
 }
 
-// resolve is scale past the memo. A write that finds the landmark more
-// than rollAfter time constants old (or missing) rolls it over first; a
-// read never moves it, and past rollAfter only its down is meaningful. An
-// instant more than rollAfter time constants before the landmark counts as
-// exactly that far before it, so the factors stay finite whatever the stamp.
+// resolve is scale past the memo. A read never moves the landmark, and
+// past rollAfter only its down is meaningful.
 func (b *Base) resolve(now int64, write bool) (up, down float64) {
+	x, ok := b.exponent(now, write)
+	if !ok {
+		return math.Inf(1), math.Exp(-x)
+	}
+	up = math.Exp(x)
+	return up, b.Enter(now, up)
+}
+
+// exponent returns x, the time constants from the landmark to the instant
+// now, for up = e^x. A landmark more than rollAfter of them old (or missing)
+// is rolled over first if roll allows; if not, ok is false and x its age. An
+// instant more than rollAfter before the landmark counts as exactly that
+// far before it, so the factors stay finite whatever the stamp.
+func (b *Base) exponent(now int64, roll bool) (x float64, ok bool) {
 	at := min(max(now, -maxTime), maxTime)
-	x := b.age(at)
-	if x > rollAfter {
-		if !write {
-			return math.Inf(1), math.Exp(-x)
+	if x = b.age(at); x > rollAfter {
+		if !roll {
+			return x, false
 		}
 		b.rebase(at, true)
-		x = 0
-	} else if x < -rollAfter {
-		x = -rollAfter
+		return 0, true
 	}
-	b.now, b.memo = now, true
-	b.up = math.Exp(x)
-	b.down = 1 / b.up
-	return b.up, b.down
+	return max(x, -rollAfter), true
+}
+
+// Ahead resolves the up factors of the run of write instants ts opens with
+// before the writes that use them, so that no write waits for its exp. The
+// first instant rolls an old or missing landmark over, as any write does,
+// and the run ends before the next that would (or at len(b.ahead)): where
+// it is cut, like the landmark, depends on the stamps alone. Each factor is
+// bit for bit resolve's; Enter makes one of the instants current. The
+// result is valid until the next call.
+func (b *Base) Ahead(ts []int64) []float64 {
+	ups := b.ahead[:0]
+	for _, now := range ts[:min(len(ts), len(b.ahead))] {
+		x, ok := b.exponent(now, len(ups) == 0)
+		if !ok {
+			break
+		}
+		ups = append(ups, math.Exp(x))
+	}
+	return ups
+}
+
+// Enter makes now, whose up factor Ahead or resolve took, the instant the
+// base has resolved — members written or read at it find the pair without
+// an exp — and returns down = 1/up.
+func (b *Base) Enter(now int64, up float64) (down float64) {
+	b.now, b.up, b.down, b.memo = now, up, 1/up, true
+	return b.down
 }
 
 // rebase moves the landmark to the later instant to, rescaling every
@@ -211,9 +245,16 @@ type Filter struct {
 	// mask is len(cells)-1 when that length is a power of two (indices
 	// are then taken with & instead of %), zero otherwise.
 	mask uint64
+	// direct marks a direct-addressed filter (see NewLevel): a key's one
+	// cell is the len(cells) = 2^r values of its bits from shift up.
+	direct bool
+	shift  uint8
 
 	adds int64
 }
+
+// slot is key's cell in a direct-addressed filter (a one-key level masks all).
+func (f *Filter) slot(key uint64) *float64 { return &f.cells[key>>(f.shift&63)&f.mask] }
 
 // index reduces a double-hashing probe to a cell index.
 func (f *Filter) index(h uint64) uint64 {
@@ -225,7 +266,8 @@ func (f *Filter) index(h uint64) uint64 {
 
 // Config configures a Filter.
 type Config struct {
-	// Cells is the array size m. Default 1 << 16.
+	// Cells is the array size m of a hashed filter; a hierarchy level of no
+	// more than m keys is held exactly, in 2^r cells (NewLevel). Default 1 << 16.
 	Cells int
 	// Hashes is k, the cells touched per key. Default 4.
 	Hashes int
@@ -235,13 +277,15 @@ type Config struct {
 	Decay Exponential
 }
 
-func (c *Config) setDefaults() {
+// WithDefaults returns c with its unset fields resolved.
+func (c Config) WithDefaults() Config {
 	if c.Cells <= 0 {
 		c.Cells = 1 << 16
 	}
 	if c.Hashes <= 0 {
 		c.Hashes = 4
 	}
+	return c
 }
 
 // New builds a Filter on a Base of its own. It panics if no decay law is
@@ -252,7 +296,7 @@ func New(cfg Config) *Filter { return NewBase(cfg.Decay).NewFilter(cfg) }
 // landmark — and the one exp per instant — with b's other members.
 // cfg.Decay is not consulted.
 func (b *Base) NewFilter(cfg Config) *Filter {
-	cfg.setDefaults()
+	cfg = cfg.WithDefaults()
 	f := &Filter{cells: make([]float64, cfg.Cells), base: b, k: cfg.Hashes, seed: cfg.Seed, pre: hashx.Premix(cfg.Seed)}
 	if cfg.Cells&(cfg.Cells-1) == 0 {
 		f.mask = uint64(cfg.Cells - 1)
@@ -260,6 +304,25 @@ func (b *Base) NewFilter(cfg Config) *Filter {
 	b.cols = append(b.cols, f.cells)
 	return f
 }
+
+// NewLevel builds on b the filter of one level of a prefix hierarchy, whose
+// keys differ in the bits bits from bit shift up and nowhere else. When
+// those 2^bits keys are no more than cfg.Cells the filter is
+// direct-addressed, one cell per key, found by those bits: the k = 1
+// perfect-hash case of the same filter — an estimate is the key's exact
+// decayed mass — under the same Merge, Restore and roll-over rules.
+// Otherwise it is NewFilter's. The seed still says which filters merge.
+func (b *Base) NewLevel(cfg Config, shift, bits uint) *Filter {
+	if cfg = cfg.WithDefaults(); bits > 62 || 1<<bits > cfg.Cells {
+		return b.NewFilter(cfg)
+	}
+	f := &Filter{cells: make([]float64, 1<<bits), base: b, k: 1, seed: cfg.Seed, mask: 1<<bits - 1, direct: true, shift: uint8(shift)}
+	b.cols = append(b.cols, f.cells)
+	return f
+}
+
+// Direct reports whether the filter is direct-addressed (see NewLevel).
+func (f *Filter) Direct() bool { return f.direct }
 
 // Decay returns the filter's decay law.
 func (f *Filter) Decay() Exponential { return f.base.law }
@@ -281,11 +344,22 @@ func (f *Filter) Adds() int64 { return f.adds }
 // for bit what Estimate(key, now) would return next. Timestamps should be
 // non-decreasing across calls, as in the time-sorted traces the
 // experiments replay; one that runs backwards is still folded in at its
-// own instant (see Base.resolve for how far back).
+// own instant (see Base.exponent for how far back).
 func (f *Filter) Add(key uint64, w float64, now int64) float64 {
-	f.adds++
 	up, down := f.base.scale(now, true)
-	w *= up
+	return f.AddScaled(key, w*up) * down
+}
+
+// AddScaled is Add for a caller that holds the factor pair of its instant
+// (Base.Ahead, Base.Enter): w is the weight times up, and the estimate
+// returned is at the landmark's scale, to be brought back by down.
+func (f *Filter) AddScaled(key uint64, w float64) float64 {
+	f.adds++
+	if f.direct {
+		c := f.slot(key)
+		*c += w
+		return *c
+	}
 	h1, h2 := hashx.Probes2(key, f.pre)
 	if f.mask == 0 || f.k > len(f.cells) {
 		// Two probes may land on one cell, whose value is final only after
@@ -293,7 +367,7 @@ func (f *Filter) Add(key uint64, w float64, now int64) float64 {
 		for i := 0; i < f.k; i++ {
 			f.cells[f.index(h1+uint64(i)*h2)] += w
 		}
-		return f.min(h1, h2) * down
+		return f.min(h1, h2)
 	}
 	// The stride is odd and the cell count a power of two: the k probes are
 	// k different cells, each final as soon as it is written.
@@ -304,7 +378,15 @@ func (f *Filter) Add(key uint64, w float64, now int64) float64 {
 			min = *c
 		}
 	}
-	return min * down
+	return min
+}
+
+// read returns key's estimate at the landmark's scale.
+func (f *Filter) read(key uint64) float64 {
+	if f.direct {
+		return *f.slot(key)
+	}
+	return f.min(hashx.Probes2(key, f.pre))
 }
 
 // min returns the smallest of the key's k cells, at the landmark's scale.
@@ -324,7 +406,7 @@ func (f *Filter) min(h1, h2 uint64) float64 {
 // than the flush floor allows (see the package comment).
 func (f *Filter) Estimate(key uint64, now int64) float64 {
 	_, down := f.base.scale(now, false)
-	return f.min(hashx.Probes2(key, f.pre)) * down
+	return f.read(key) * down
 }
 
 // Merge folds filter o into f cell by cell; o is not modified. Both
@@ -342,7 +424,8 @@ func (f *Filter) Merge(o *Filter) {
 	if o == nil {
 		return
 	}
-	if len(f.cells) != len(o.cells) || f.k != o.k || f.seed != o.seed || f.base.law != o.base.law {
+	if len(f.cells) != len(o.cells) || f.k != o.k || f.seed != o.seed || f.base.law != o.base.law ||
+		f.direct != o.direct || f.shift != o.shift {
 		panic("tdbf: Filter.Merge shape/seed/decay mismatch")
 	}
 	k := f.base.align(o.base.land)
@@ -383,8 +466,13 @@ func (b *Base) NewMassTracker() *MassTracker {
 // mass after the add, which is what Value(now) would return next.
 func (t *MassTracker) Add(w float64, now int64) float64 {
 	up, down := t.base.scale(now, true)
-	t.v[0] += w * up
-	return t.v[0] * down
+	return t.AddScaled(w*up) * down
+}
+
+// AddScaled is Add at the landmark's scale (see Filter.AddScaled).
+func (t *MassTracker) AddScaled(w float64) float64 {
+	t.v[0] += w
+	return t.v[0]
 }
 
 // Value returns the decayed mass at now.

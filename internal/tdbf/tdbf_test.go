@@ -656,6 +656,71 @@ func TestHostileStamps(t *testing.T) {
 				sane(t, f, fmt.Sprintf("tau %v after %d, %d", tau, a, b), keys, stamps)
 			}
 		}
+		hostileAhead(t, tau, stamps, keys)
+	}
+}
+
+// hostileAhead: the same stamps, every ordered pair in turn, through the
+// ahead-of-time pass — Base.Ahead over runs offered in chunks of 1, 7 and
+// all of them, then Enter and the scaled adds — leave a hashed filter, a
+// direct-addressed one and a tracker on one Base bit for bit as the
+// per-instant Adds leave theirs, landmark, memo and returned estimates
+// included: a run is cut where a stamp rolls the landmark over (or finds
+// none) and nowhere else, and no factor outlives its landmark.
+func hostileAhead(t *testing.T, tau time.Duration, stamps []int64, keys []uint64) {
+	t.Helper()
+	var seq []int64
+	for _, a := range stamps {
+		for _, b := range stamps {
+			seq = append(seq, a, b)
+		}
+	}
+	type set struct {
+		base   *Base
+		hashed *Filter
+		direct *Filter
+		total  *MassTracker
+		est    []float64
+	}
+	mk := func() *set {
+		b := NewBase(Exponential{Tau: tau})
+		cfg := Config{Cells: 8, Hashes: 3, Seed: 9}
+		return &set{base: b, hashed: b.NewFilter(cfg), direct: b.NewLevel(cfg, 62, 2), total: b.NewMassTracker()}
+	}
+	ref := mk()
+	for i, now := range seq {
+		key := keys[i%len(keys)]
+		ref.est = append(ref.est, ref.total.Add(math.MaxUint32, now), ref.hashed.Add(key, math.MaxUint32, now), ref.direct.Add(key, math.MaxUint32, now))
+	}
+	if !ref.direct.Direct() || ref.direct.Cells() != 4 {
+		t.Fatalf("NewLevel(8 cells, 2 bits): direct %v, %d cells", ref.direct.Direct(), ref.direct.Cells())
+	}
+	for _, chunk := range []int{1, 7, len(seq)} {
+		got := mk()
+		for i := 0; i < len(seq); {
+			ups := got.base.Ahead(seq[i:min(i+chunk, len(seq))])
+			if len(ups) == 0 {
+				t.Fatalf("tau %v: Ahead resolved nothing at %d", tau, i)
+			}
+			for _, up := range ups {
+				down := got.base.Enter(seq[i], up)
+				key, w := keys[i%len(keys)], math.MaxUint32*up
+				got.est = append(got.est, got.total.AddScaled(w)*down, got.hashed.AddScaled(key, w)*down, got.direct.AddScaled(key, w)*down)
+				if e := got.direct.Estimate(key, seq[i]); e != got.est[len(got.est)-1] {
+					t.Fatalf("tau %v, chunk %d: Estimate at the entered instant %v, the add returned %v", tau, chunk, e, got.est[len(got.est)-1])
+				}
+				i++
+			}
+		}
+		same := func(a, b []float64) bool {
+			return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+		}
+		if got.base.land != ref.base.land || got.base.now != ref.base.now || got.base.up != ref.base.up ||
+			!same(got.hashed.cells, ref.hashed.cells) || !same(got.direct.cells, ref.direct.cells) ||
+			!same(got.total.v[:], ref.total.v[:]) || !same(got.est, ref.est) || got.hashed.adds != ref.hashed.adds {
+			t.Fatalf("tau %v: runs offered in chunks of %d leave another state than per-instant adds", tau, chunk)
+		}
+		sane(t, got.direct, fmt.Sprintf("tau %v direct", tau), keys, stamps)
 	}
 }
 

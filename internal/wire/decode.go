@@ -612,7 +612,7 @@ func decodeFilterPayload(hdr Header, payload []byte) (*tdbf.Filter, error) {
 }
 
 // RestoreContinuous brings d to the state sealed in f, a KindContinuous
-// frame of either version, and returns it, restoring in place: the cells
+// frame of any version, and returns it, restoring in place: the cells
 // are cleared and the occupied ones written, and nothing is allocated that
 // grows with the filters. With d nil, or of another configuration than the
 // frame spells out, a new detector is built — the cold decode. On error d
@@ -656,7 +656,7 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 	}
 	fcells := int(c.u32())
 	fhashes := int(c.u16())
-	st := continuous.State{Started: cflags&2 != 0, WarmEnd: c.i64(), Packets: c.i64()}
+	st := continuous.State{Started: cflags&2 != 0, WarmEnd: c.i64(), Packets: c.i64(), Hashed: hdr.Version < VersionLevels}
 	st.Total = tdbf.MassState{V: c.f64(), Touch: c.i64()}
 	if !c.ok {
 		return nil, fmt.Errorf("%w: short continuous header", ErrCorrupt)
@@ -670,9 +670,9 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 	if hdr.Version == Version && st.Total.V == 0 {
 		st.Total.Touch = tdbf.NoLandmark // a version-1 cell without mass stands nowhere
 	}
-	// The per-level filters hold fcells cells each for Levels() levels,
-	// whatever the payload materialises of them: the matrix is held to its
-	// budget before anything is sized from it.
+	// The per-level filters hold at most fcells cells each for Levels()
+	// levels, whatever the payload materialises of them: the matrix is held
+	// to its budget before anything is sized from it.
 	levels := h.Levels()
 	if fcells < 1 || fhashes < 1 || int64(fcells)*int64(levels) > maxFilterCells {
 		return nil, fmt.Errorf("%w: %d filter cells × %d levels, %d hashes out of budget", ErrCorrupt, fcells, levels, fhashes)
@@ -722,11 +722,11 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 		}
 	}
 	// The levels are read where the restore asks for them, in payload
-	// order; a codec-level finding outranks whatever the restore made of
-	// the bytes around it.
+	// order and at the size it says the level's section has; a codec-level
+	// finding outranks whatever the restore made of the bytes around it.
 	var bad error
-	err = d.Restore(sampler, st, func(int) (fs tdbf.FilterState, _ error) {
-		fs, bad = c.level(hdr.Version, fcells, decay)
+	err = d.Restore(sampler, st, func(_, cells int) (fs tdbf.FilterState, _ error) {
+		fs, bad = c.level(hdr.Version, cells, decay)
 		if bad == nil && hdr.Version != Version && fs.Landmark != st.Total.Touch {
 			bad = fmt.Errorf("%w: a level's landmark %d differs from the tracker's %d", ErrCorrupt, fs.Landmark, st.Total.Touch)
 		}

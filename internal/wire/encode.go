@@ -319,8 +319,8 @@ func EncodeFilter(f *tdbf.Filter) []byte {
 // EncodeContinuous frames a continuous detector (KindContinuous): its
 // full configuration (so the receiver rebuilds an identically derived
 // detector), the warmup anchor and mass tracker, the active set sorted
-// by (level, key) for determinism, then the per-level filter columns. It
-// returns, beside the frame, the number of occupied cells in each level's
+// by (level, key) for determinism, then the per-level filter columns, each
+// sized to its own level's cells. It returns, beside the frame, the number of occupied cells in each level's
 // filter, which it counted to lay the frame out.
 func EncodeContinuous(d *continuous.Detector) (frame []byte, occupied []int) {
 	cfg := d.Config()
@@ -332,14 +332,11 @@ func EncodeContinuous(d *continuous.Detector) (frame []byte, occupied []int) {
 	if st.Started {
 		cflags |= 2
 	}
-	// Shape comes from the live filters, not cfg.Filter: the stored config
-	// may hold zeros that tdbf.New resolved to defaults at construction.
-	cells, hashes := st.Filters[0].Cells(), st.Filters[0].Hashes()
 	occupied = make([]int, len(st.Filters))
 	size := continuousHeaderSize + len(st.Active)*activeRowSize
 	for l, f := range st.Filters {
 		occupied[l] = f.Occupied()
-		size += levelSize(occupied[l], cells)
+		size += levelSize(occupied[l], f.Cells())
 	}
 	fam, step, depth := describe(cfg.Hierarchy)
 	b := beginFrame(KindContinuous, fam, step, depth, size)
@@ -350,8 +347,8 @@ func EncodeContinuous(d *continuous.Detector) (frame []byte, occupied []int) {
 	b = appendI64(b, int64(cfg.Warmup))
 	b = appendU64(b, d.Sampler())
 	b = appendDecay(b, cfg.Filter.Decay)
-	b = appendU32(b, uint32(cells))
-	b = appendU16(b, uint16(hashes))
+	b = appendU32(b, uint32(cfg.Filter.Cells))
+	b = appendU16(b, uint16(cfg.Filter.Hashes))
 	b = appendI64(b, st.WarmEnd)
 	b = appendI64(b, st.Packets)
 	b = appendF64(b, st.Total.V)

@@ -16,10 +16,12 @@ import (
 
 // fuzzSeeds returns one valid frame per summary kind plus the classic
 // envelope corruptions, the corpus every wire fuzz target starts from. The
-// decayed kinds are there at version 2 in both cell layouts — testFilter's
-// cells are two-thirds occupied and the continuous fixture's leaf level is
-// full, dense columns; the thin filter and the fixture's root level are
-// sparse ones — and at version 1, as the committed vectors.
+// decayed kinds are there at the versions written now in both cell layouts
+// — testFilter's cells are two-thirds occupied and the continuous fixture's
+// leaf level is full, dense columns; the thin filter and the fixture's /8
+// level, held exactly with 3 of its 256 cells occupied, are sparse ones —
+// at the versions before, as the committed vectors, and as the frames of
+// hostileContinuous.
 func fuzzSeeds(f *testing.F) [][]byte {
 	filterFrame := EncodeFilter(testFilter(7))
 	contFrame, occupied := EncodeContinuous(testContinuous(f, 8))
@@ -31,13 +33,16 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		sparse(slices.Max(occupied), 1<<10) || !sparse(slices.Min(occupied), 1<<10) {
 		f.Fatal("the seed frames no longer cover both cell layouts")
 	}
-	var v1 [][]byte
-	for _, name := range v1Decayed {
-		frame, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
+	var old [][]byte
+	for _, v := range oldDecayed {
+		frame, err := os.ReadFile(filepath.Join("testdata", v.name+".wire"))
 		if err != nil {
 			f.Fatal(err)
 		}
-		v1 = append(v1, frame)
+		old = append(old, frame)
+	}
+	for _, h := range hostileContinuous(f) {
+		old = append(old, h.frame)
 	}
 	seeds := [][]byte{
 		EncodeSpaceSaving(testSpaceSaving(1, 100)),
@@ -79,7 +84,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		return frameFor(KindSpaceSaving, 0, 0, 0, appendI64(p, 0))
 	}
 	seeds = append(seeds, short, badMagic, badVer, hugeLen, crcFlip, hugeCap, heavyEntry(1<<62+1), heavyEntry(1<<62))
-	return append(append(seeds, EncodeFilter(thin)), v1...)
+	return append(append(seeds, EncodeFilter(thin)), old...)
 }
 
 // FuzzWireDecode feeds arbitrary bytes to the generic frame decoder: it

@@ -5,10 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"hiddenhhh/internal/addr"
@@ -22,7 +24,7 @@ import (
 // when a deliberate format change ships with a version bump — these
 // fixtures are the back-compat tripwire for the wire format. It rewrites
 // the vectors the encoders still produce, never the decode-only ones
-// (v1Decayed, memento-v6-uneven, sliding-v4), and CI fails a change that
+// (oldDecayed, memento-v6-uneven, sliding-v4), and CI fails a change that
 // touches a committed vector at all.
 var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
 
@@ -53,28 +55,36 @@ func goldenFixtures(t *testing.T) []struct {
 		{"memento-v4", EncodeMemento(testMementoH(v4, 0x60))},
 		{"memento-v6", EncodeMemento(testMementoH(v6, 0x61))},
 		{"tdbf-v2", filterFrame},
-		{"continuous-v4-v2", contV4},
-		{"continuous-v6-v2", contV6},
+		{"continuous-v4-v3", contV4},
+		{"continuous-v6-v3", contV6},
 	}
 }
 
-// v1Decayed names the version-1 vectors of the decayed kinds: what the
-// fixtures behind tdbf-v2, continuous-v4-v2 and continuous-v6-v2 encoded to
-// while a cell carried its own timestamp. Nothing writes version 1 of
-// these kinds any more; the bytes stay, decode-only.
-var v1Decayed = []string{"tdbf", "continuous-v4", "continuous-v6"}
+// oldDecayed names the vectors of the decayed kinds at the versions nothing
+// writes any more, with the version each verifies as: what the fixtures
+// behind tdbf-v2, continuous-v4-v3 and continuous-v6-v3 encoded to while a
+// cell carried its own timestamp (version 1), and what the continuous ones
+// did while every level was a hashed filter (version 2). The bytes stay,
+// decode-only.
+var oldDecayed = []struct {
+	name    string
+	version uint16
+}{
+	{"tdbf", Version}, {"continuous-v4", Version}, {"continuous-v6", Version},
+	{"continuous-v4-v2", VersionSparse}, {"continuous-v6-v2", VersionSparse},
+}
 
 // TestGoldenVectors is the wire-format back-compat tripwire: encoding
 // the fixed-seed fixtures must reproduce the committed bytes exactly, and
 // the committed bytes must still decode. If this fails you changed the
 // wire format — that requires a version bump and new vectors, not a quiet
-// regeneration. The version-1 vectors of the decayed kinds are held to
-// what a decode-only vector can be held to: see goldenV1Decayed; and
+// regeneration. The old-version vectors of the decayed kinds are held to
+// what a decode-only vector can be held to: see goldenOldDecayed; and
 // sliding-v4 to what a vector no fixture builds any more can be: see
 // goldenSlidingPerPacket.
 func TestGoldenVectors(t *testing.T) {
-	for _, name := range v1Decayed {
-		t.Run(name, func(t *testing.T) { goldenV1Decayed(t, name) })
+	for _, v := range oldDecayed {
+		t.Run(v.name, func(t *testing.T) { goldenOldDecayed(t, v.name, v.version) })
 	}
 	t.Run("sliding-v4", goldenSlidingPerPacket)
 	for _, fx := range goldenFixtures(t) {
@@ -139,20 +149,24 @@ func goldenSlidingPerPacket(t *testing.T) {
 	}
 }
 
-// goldenV1Decayed checks one committed version-1 vector of a decayed kind:
-// it still verifies as version 1 and decodes, to a state that answers as
-// the fixture it was encoded from answers when built afresh — every
-// filter's estimate of every key the fixture was fed, to 1e-9 relative
-// (the v1 cells were decayed lazily, one exp per touch; the fresh ones are
-// scaled to a landmark) — and its re-encoding, now version 2, is a fixpoint
-// of the codec.
-func goldenV1Decayed(t *testing.T, name string) {
+// goldenOldDecayed checks one committed vector of a decayed kind at a
+// version no longer written: it still verifies as that version and decodes,
+// to a state that answers as the fixture it was encoded from answers when
+// built afresh — every filter's estimate of every key the fixture was fed
+// and, at a level held exactly, of every key the level has, to 1e-9
+// relative (the v1 cells were decayed lazily, one exp per touch; the fresh
+// ones are scaled to a landmark) — and its re-encoding, at the version
+// written now, is a fixpoint of the codec. At a level the receiver holds
+// exactly the old frame's estimate is the minimum of the key's k hashed
+// cells, which is the fresh level's exact mass unless all k collide: the
+// fixtures are chosen so that none does.
+func goldenOldDecayed(t *testing.T, name string, version uint16) {
 	frame, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
 	if err != nil {
 		t.Fatalf("read golden: %v", err)
 	}
-	if f, err := Verify(frame); err != nil || f.Header.Version != Version {
-		t.Fatalf("committed vector verifies as version %d, %v; want version %d", f.Header.Version, err, Version)
+	if f, err := Verify(frame); err != nil || f.Header.Version != version {
+		t.Fatalf("committed vector verifies as version %d, %v; want version %d", f.Header.Version, err, version)
 	}
 	v, err := Decode(frame)
 	if err != nil {
@@ -190,7 +204,7 @@ func goldenV1Decayed(t *testing.T, name string) {
 		re = EncodeFilter(got)
 	case *continuous.Detector:
 		h, seed := testHierarchy(), uint64(0x80)
-		if name == "continuous-v6" {
+		if strings.HasPrefix(name, "continuous-v6") {
 			h, seed = testHierarchyV6(), 0x81
 		}
 		fresh := testContinuousH(t, h, seed)
@@ -202,12 +216,20 @@ func goldenV1Decayed(t *testing.T, name string) {
 			r.next() // and its size draw
 		}
 		gs, fs := got.State(), fresh.State()
+		direct := 0
 		for l := range fs.Filters {
 			keys := make([]uint64, len(leaves))
 			for i, leaf := range leaves {
 				keys[i] = leaf & h.KeyMask(l)
 			}
+			if fs.Filters[l].Direct() {
+				direct++
+				keys = append(keys, levelKeys(h, l)...)
+			}
 			same(fmt.Sprintf("%s level %d", name, l), gs.Filters[l], fs.Filters[l], keys)
+		}
+		if direct == 0 {
+			t.Fatal("the fixture holds no level exactly: the conversion goes unpinned")
 		}
 		if g, w := got.TotalMass(queryNow/100), fresh.TotalMass(queryNow/100); math.Abs(g-w) > 1e-9*w || w == 0 {
 			t.Fatalf("total mass %v, fixture built afresh %v", g, w)
@@ -219,7 +241,11 @@ func goldenV1Decayed(t *testing.T, name string) {
 	default:
 		t.Fatalf("decoded to %T", v)
 	}
-	if f, err := Verify(re); err != nil || f.Header.Version != VersionSparse || len(re) > len(frame)/2+64 {
+	limit := len(frame) // version 1 spent 16 bytes on a cell
+	if version == Version {
+		limit = len(frame)/2 + 64
+	}
+	if f, err := Verify(re); err != nil || f.Header.Version != f.Header.Kind.version() || len(re) > limit {
 		t.Fatalf("re-encoding: version %d, %d bytes against %d, %v", f.Header.Version, len(re), len(frame), err)
 	}
 	again, err := Decode(re)
@@ -231,10 +257,27 @@ func goldenV1Decayed(t *testing.T, name string) {
 	}
 }
 
-// TestGoldenDenseLevel: the version-2 vectors between them pin both cell
-// layouts, the dense column included.
+// levelKeys returns every key of level l of h, a level small enough to be
+// held exactly: the bits all of h's keys share, with the level's own bits
+// counted through.
+func levelKeys(h addr.Hierarchy, l int) []uint64 {
+	var fixed uint64
+	if h.Family() == addr.V4 {
+		fixed = h.KeyOfPrefix(addr.V4Root)
+	}
+	shift := bits.TrailingZeros64(h.KeyMask(l)) & 63
+	keys := make([]uint64, 1<<(h.Bits(l)-h.Bits(h.Levels()-1)))
+	for i := range keys {
+		keys[i] = fixed | uint64(i)<<shift
+	}
+	return keys
+}
+
+// TestGoldenDenseLevel: the vectors written now between them pin both cell
+// layouts, the dense column included, at hashed levels and at levels held
+// exactly.
 func TestGoldenDenseLevel(t *testing.T) {
-	dense, sparseLevels := 0, 0
+	var dense, sparseLevels [2]int // by whether the level is held exactly
 	for _, seed := range []uint64{0x80, 0x81} {
 		h := testHierarchy()
 		if seed == 0x81 {
@@ -242,16 +285,20 @@ func TestGoldenDenseLevel(t *testing.T) {
 		}
 		d := testContinuousH(t, h, seed)
 		_, occupied := EncodeContinuous(d)
-		for _, n := range occupied {
-			if sparse(n, d.State().Filters[0].Cells()) {
-				sparseLevels++
+		for l, n := range occupied {
+			f, exact := d.State().Filters[l], 0
+			if f.Direct() {
+				exact = 1
+			}
+			if sparse(n, f.Cells()) {
+				sparseLevels[exact]++
 			} else {
-				dense++
+				dense[exact]++
 			}
 		}
 	}
-	if dense == 0 || sparseLevels == 0 {
-		t.Fatalf("golden fixtures hold %d dense and %d sparse levels: one layout goes unpinned", dense, sparseLevels)
+	if dense[0] == 0 || sparseLevels[0] == 0 || dense[1] == 0 || sparseLevels[1] == 0 {
+		t.Fatalf("golden fixtures hold %v dense and %v sparse levels (hashed, exact): one layout goes unpinned", dense, sparseLevels)
 	}
 }
 

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
 	"slices"
@@ -220,20 +221,24 @@ func TestMergedQueryMatchesUnsharded(t *testing.T) {
 	}
 }
 
-// TestMergeAcrossVersions: a version-1 frame and a version-2 frame of the
-// same state are interchangeable at an aggregator. Each committed v1 vector
-// of the continuous detector and its v2 counterpart, merged into a third
-// detector's state, leave it answering the same Query — the same prefixes,
-// with volumes that differ by at most the unit the integer report rounds
-// to (a v1 cell was decayed lazily, one exp per touch).
+// TestMergeAcrossVersions: frames of the same state at versions 1, 2 and 3
+// are interchangeable at an aggregator. Each committed vector of the
+// continuous detector at each version, merged into a third detector's
+// state, leaves it answering the same Query — the same prefixes, with
+// volumes that differ by at most the unit the integer report rounds to (a
+// v1 cell was decayed lazily, one exp per touch) — and a version-2 frame
+// merged with a version-3 one gives what merging their fixtures gives,
+// byte for byte: where the fixture's hashed cells held one key each, the
+// conversion to a level held exactly loses and invents nothing.
 func TestMergeAcrossVersions(t *testing.T) {
 	for _, name := range []string{"continuous-v4", "continuous-v6"} {
 		h, seed := testHierarchy(), uint64(0x80)
 		if name == "continuous-v6" {
 			h, seed = testHierarchyV6(), 0x81
 		}
-		var got [2]hhh.Set
-		for i, file := range []string{name + ".wire", name + "-v2.wire"} {
+		var got [3]hhh.Set
+		var frames [3][]byte
+		for i, file := range []string{name + ".wire", name + "-v2.wire", name + "-v3.wire"} {
 			frame, err := os.ReadFile(filepath.Join("testdata", file))
 			if err != nil {
 				t.Fatal(err)
@@ -252,15 +257,25 @@ func TestMergeAcrossVersions(t *testing.T) {
 				acc.ObserveKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
 			}
 			acc.Merge(mustDecode[*continuous.Detector](t)(frame))
-			got[i] = acc.Query(queryNow / 4)
+			got[i], frames[i] = acc.Query(queryNow/4), frame
 		}
-		if got[0].Len() == 0 || !got[0].Equal(got[1]) {
-			t.Fatalf("%s: merged v1 answers %v, merged v2 %v", name, got[0], got[1])
-		}
-		for p, a := range got[0] {
-			if b := got[1][p]; a.Count-b.Count > 1 || b.Count-a.Count > 1 || a.Conditioned-b.Conditioned > 1 || b.Conditioned-a.Conditioned > 1 {
-				t.Fatalf("%s: %v: merged v1 %+v, merged v2 %+v", name, p, a, b)
+		for i := 1; i < len(got); i++ {
+			if got[0].Len() == 0 || !got[0].Equal(got[i]) {
+				t.Fatalf("%s: merged v1 answers %v, merged v%d %v", name, got[0], i+1, got[i])
 			}
+			for p, a := range got[0] {
+				if b := got[i][p]; a.Count-b.Count > 1 || b.Count-a.Count > 1 || a.Conditioned-b.Conditioned > 1 || b.Conditioned-a.Conditioned > 1 {
+					t.Fatalf("%s: %v: merged v1 %+v, merged v%d %+v", name, p, a, i+1, b)
+				}
+			}
+		}
+		mixed := mustDecode[*continuous.Detector](t)(frames[1])
+		mixed.Merge(mustDecode[*continuous.Detector](t)(frames[2]))
+		fixtures := testContinuousH(t, h, seed)
+		fixtures.Merge(testContinuousH(t, h, seed))
+		a, _ := EncodeContinuous(mixed)
+		if want, _ := EncodeContinuous(fixtures); !bytes.Equal(a, want) {
+			t.Fatalf("%s: a v2-restored detector merged with a v3-restored one differs from the fixtures merged", name)
 		}
 	}
 }

@@ -105,7 +105,7 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 
 // TestRestoreContinuousInPlace drives one sender's successive frames into
 // one retained detector, as the Aggregator does: after every frame — of
-// either version, across roll-overs of the sender's landmark — the detector
+// any version, across roll-overs of the sender's landmark — the detector
 // is the one it was, re-encodes to what a cold decode of the frame
 // re-encodes to, and the restore allocated nothing that grows with the
 // filters; a frame of another configuration gets a new detector; a frame
@@ -198,13 +198,14 @@ func TestRestoreContinuousInPlace(t *testing.T) {
 	if _, err := pl.RestoreContinuous(d); !errors.Is(err, ErrKind) {
 		t.Fatalf("RestoreContinuous(per-level frame) = %v, want ErrKind", err)
 	}
-	// A row index past the cells, in the last level, checksum made good
-	// again: the levels before it are already written when it is found.
+	// Two occupied cells declared in the last level, the root's one-cell
+	// column, checksum made good again: the levels before it are already
+	// written when it is found.
 	f := feed(live, time.Second)
 	frame := encoded(live)
 	bad, err := Verify(mangle(frame, func(b []byte) {
-		// The last sparse row's index sits 12 bytes before the checksum.
-		binary.LittleEndian.PutUint32(b[len(b)-crcSize-sparseRowSize:], 1<<14)
+		// The root's section ends in its occupied count and its one mass.
+		binary.LittleEndian.PutUint32(b[len(b)-crcSize-denseCellSize-4:], 2)
 	}))
 	if err != nil {
 		t.Fatal(err)

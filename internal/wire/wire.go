@@ -13,7 +13,7 @@
 //
 //	offset  size  field
 //	0       4     magic "hhwf"
-//	4       2     format version (1 or 2, by kind: see below)
+//	4       2     format version (1 to 3, by kind: see below)
 //	6       1     summary kind (Kind)
 //	7       1     flags (0; nonzero rejected)
 //	8       1     hierarchy family: 0 none, 4 IPv4, 6 IPv6
@@ -38,14 +38,18 @@
 // they do not know (ErrVersion) and any flag bit they do not understand,
 // so old readers fail loudly on new frames instead of misparsing them.
 // Additions go into new kinds or a version bump, never into silent
-// payload extensions — golden-vector tests pin the bytes of both versions.
+// payload extensions — golden-vector tests pin the bytes of every version.
 // The version is per kind:
 //
-//	kind                                  written  read
-//	tdbf, continuous (the decayed kinds)  2        1, 2
-//	every other                           1        1
+//	kind                             written  read
+//	continuous                       3        1, 2, 3
+//	tdbf (with it the decayed kinds) 2        1, 2
+//	every other                      1        1
 //
-// Version 2 on another kind, and any version above 2, is ErrVersion.
+// A version above the one its kind is written at is ErrVersion. The
+// vectors of the versions no longer written stay in testdata, decode-only:
+// tdbf.wire, continuous-v4.wire and continuous-v6.wire (version 1),
+// continuous-v4-v2.wire and continuous-v6-v2.wire (version 2).
 //
 // # The decayed kinds' cells
 //
@@ -67,6 +71,16 @@
 // landmark. Version 1 wrote 16 bytes per cell, (mass, timestamp of its last
 // decay): a mass scaled to a landmark of its own, which restoring rescales
 // to the latest timestamp its filter carries.
+//
+// Version 3 of a continuous frame is version 2 with each level's section
+// sized to that level's own filter: cells is the declared filter cells
+// where the level is hashed, and 2^r where its r family-relative prefix
+// bits give no more keys than that — a level held exactly, one cell per key
+// (tdbf.Base.NewLevel); both ends derive the shape from the hierarchy and
+// the declared cells. In versions 1 and 2 every level is hashed, and a
+// receiver converts the levels it holds exactly as it restores them: a
+// key's cell takes the minimum of the k cells the sender's filter gave it,
+// which preserves every estimate of the level.
 //
 // # Robustness
 //
@@ -92,11 +106,13 @@ import (
 	"hiddenhhh/internal/addr"
 )
 
-// Version is the wire-format version of every kind but the decayed ones,
-// which are written at VersionSparse and read at both.
+// Version is the wire-format version of every kind but the decayed ones:
+// a bare filter is written at VersionSparse, the continuous detector at
+// VersionLevels, and each is read at every version up to its own.
 const (
 	Version       = 1
 	VersionSparse = 2
+	VersionLevels = 3
 )
 
 // magic opens every frame.
@@ -132,7 +148,10 @@ const (
 
 // version is the format version frames of kind k are written at.
 func (k Kind) version() uint16 {
-	if k == KindFilter || k == KindContinuous {
+	switch k {
+	case KindContinuous:
+		return VersionLevels
+	case KindFilter:
 		return VersionSparse
 	}
 	return Version
@@ -294,7 +313,7 @@ func parseFrame(frame []byte) (Header, []byte, error) {
 		return Header{}, nil, ErrBadMagic
 	}
 	version := binary.LittleEndian.Uint16(frame[4:6])
-	if version != Version && (version != VersionSparse || Kind(frame[6]).version() != VersionSparse) {
+	if version < Version || version > Kind(frame[6]).version() {
 		return Header{}, nil, fmt.Errorf("%w: %d for kind %d", ErrVersion, version, frame[6])
 	}
 	if flags := frame[7]; flags != 0 {

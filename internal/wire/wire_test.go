@@ -630,7 +630,8 @@ func TestSparseTrustBoundary(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[off:], binary.LittleEndian.Uint64(b[off:])+1)
 		}), ErrCorrupt},
 		{"v2-on-another-kind", mangle(perLevel, func(b []byte) { b[4] = VersionSparse }), ErrVersion},
-		{"version-3", mangle(good, func(b []byte) { b[4] = 3 }), ErrVersion},
+		{"version-3", mangle(filter(8, 5, 1, 3, 1.5), func(b []byte) { b[4] = VersionLevels }), ErrVersion},
+		{"version-4", mangle(good, func(b []byte) { b[4] = VersionLevels + 1 }), ErrVersion},
 		{"version-0", mangle(good, func(b []byte) { b[4] = 0 }), ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -2,9 +2,11 @@ package hiddenhhh
 
 import (
 	"fmt"
+	"math"
 	"testing"
 	"time"
 
+	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/gen"
 	"hiddenhhh/internal/oracle"
 )
@@ -44,8 +46,9 @@ func diffTrace(t testing.TB) []Packet {
 	return pkts
 }
 
-// diffCell runs one matrix cell and asserts zero bound violations.
-func diffCell(t *testing.T, name string, det Detector, pkts []Packet, cfg oracle.Config, wantExact bool) {
+// diffCell runs one matrix cell, asserts zero bound violations and returns
+// the cell's report.
+func diffCell(t *testing.T, name string, det Detector, pkts []Packet, cfg oracle.Config, wantExact bool) *oracle.Report {
 	t.Helper()
 	rep, err := oracle.Run(name, det, pkts, cfg)
 	if c, ok := det.(interface{ Close() error }); ok {
@@ -65,6 +68,7 @@ func diffCell(t *testing.T, name string, det Detector, pkts []Packet, cfg oracle
 	}
 	t.Logf("%s: snapshots=%d precision=%.3f recall=%.3f worstOver=%.4f worstUnder=%.4f",
 		name, len(rep.Snapshots), rep.MeanPrecision, rep.MeanRecall, rep.WorstOver, rep.WorstUnder)
+	return rep
 }
 
 // shardCounts covers the single detector (0) and 1/2/4/8-shard
@@ -302,8 +306,16 @@ func TestOracleDifferentialIPv6(t *testing.T) {
 	}
 }
 
+// TestOracleDifferentialContinuous holds the continuous cells to the
+// empirical envelope — and, where a level's whole prefix space fits the
+// filter (/16, /8 and /0 of the byte ladder under the default 65 536 cells)
+// and is held exactly, to no envelope at all: a count reported there is the
+// oracle's decayed mass of the prefix, to the byte the integer report
+// truncates plus float rounding, however many shards' filters were merged.
 func TestOracleDifferentialContinuous(t *testing.T) {
 	pkts := diffTrace(t)
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	o := oracle.FromTrace(h, pkts)
 	for _, shards := range shardCounts {
 		name := fmt.Sprintf("continuous/K=%d", shards)
 		t.Run(name, func(t *testing.T) {
@@ -322,7 +334,7 @@ func TestOracleDifferentialContinuous(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			diffCell(t, name, det, pkts, oracle.Config{
+			rep := diffCell(t, name, det, pkts, oracle.Config{
 				Mode:   oracle.ModeContinuous,
 				Window: diffWindow,
 				Phi:    diffPhi,
@@ -330,6 +342,23 @@ func TestOracleDifferentialContinuous(t *testing.T) {
 				// deterministic bound; empirical envelope (see README).
 				Bounds: oracle.Bounds{Slack: 0.02},
 			}, false)
+			exact := 0
+			for _, sr := range rep.Snapshots {
+				levels, mass := o.DecayedLevelCounts(sr.At, diffWindow)
+				for _, it := range sr.GotSet.Items() {
+					l := h.Level(it.Prefix.Bits)
+					if l < 2 { // /32 and /24 are hashed
+						continue
+					}
+					exact++
+					if want := levels[l][h.KeyOfPrefix(it.Prefix)]; math.Abs(float64(it.Count)-want) > 1+1e-9*mass {
+						t.Errorf("%s @%dms: %v reported at %d B, its decayed mass is %.3f", name, sr.At/1e6, it.Prefix, it.Count, want)
+					}
+				}
+			}
+			if exact == 0 {
+				t.Error("no prefix reported at a level held exactly")
+			}
 		})
 	}
 }
