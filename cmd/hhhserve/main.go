@@ -32,6 +32,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -43,7 +44,7 @@ import (
 
 // server owns the sharded detector. The Detector ingest contract is
 // single-goroutine, so the write-side touches — batch ingest and the
-// per-window event-sampling snapshot — serialise on mu; the parallelism
+// snapshot at each report instant — serialise on mu; the parallelism
 // lives inside the pipeline, behind the shard rings. The /hhh query
 // surface does NOT take mu: it reads the pipeline's atomically
 // published WindowReport via LastWindow, so queries never stall ingest.
@@ -64,10 +65,6 @@ type server struct {
 	reg     *hiddenhhh.MetricsRegistry
 	watcher *hiddenhhh.AttackWatcher
 	http    httpMetrics
-	// nextSample is the next trace timestamp at which the ingest loop
-	// snapshots the detector and feeds the watcher (once per window; run
-	// goroutine only).
-	nextSample int64
 	// pprof exposes net/http/pprof on the server mux when set (the
 	// -pprof flag): hot-path profiling on demand, closed by default.
 	pprof bool
@@ -77,6 +74,9 @@ type server struct {
 	// sub-window rate; 0 keeps the once-per-window default.
 	pushEvery time.Duration
 }
+
+// replayBatch is how many packets main's replay hands to run at a time.
+const replayBatch = 512
 
 // newServer builds the query server around det. reg must be the registry
 // det's pipeline metrics are registered on (ShardedConfig.Metrics) so
@@ -109,23 +109,28 @@ func newServer(det hiddenhhh.ShardedDetector, window time.Duration, phi float64,
 	return s
 }
 
-// ingestBatch feeds one time-ordered run into the detector.
-func (s *server) ingestBatch(pkts []hiddenhhh.Packet) {
-	s.mu.Lock()
-	s.det.ObserveBatch(pkts)
-	s.mu.Unlock()
-	s.lastTs.Store(pkts[len(pkts)-1].Ts)
-}
-
-// run replays the trace through the pipeline. Each lap shifts timestamps
-// by the trace span so trace time keeps advancing monotonically. laps <=
-// 0 replays forever. pps > 0 paces ingest to that packet rate.
-func (s *server) run(pkts []hiddenhhh.Packet, span int64, laps int, pps float64, stop <-chan struct{}) {
-	const batch = 512
+// run replays the trace through the pipeline, batch packets at a time.
+// Each lap shifts timestamps by the trace span so trace time keeps
+// advancing monotonically. laps <= 0 replays forever. pps > 0 paces
+// ingest to that packet rate.
+//
+// Reports are taken on the trace clock, at exact multiples of the step
+// (the window, or -push-every when shorter): a batch is cut at each such
+// instant — the packets stamped at or before it go in, then the snapshot
+// is taken at the instant itself, once a later packet shows it has passed.
+// What a node seals and serves is therefore a function of the packets'
+// stamps, never of where a replay batch happened to end, and every node
+// of a fleet seals at the same instants.
+func (s *server) run(pkts []hiddenhhh.Packet, span int64, laps int, pps float64, batch int, stop <-chan struct{}) {
 	var interval time.Duration
 	if pps > 0 {
 		interval = time.Duration(float64(batch) / pps * float64(time.Second))
 	}
+	step := int64(s.window)
+	if s.pushEvery > 0 && int64(s.pushEvery) < step {
+		step = int64(s.pushEvery)
+	}
+	next := (pkts[0].Ts/step + 1) * step // the next report instant
 	shifted := make([]hiddenhhh.Packet, batch)
 	for lap := 0; laps <= 0 || lap < laps; lap++ {
 		off := int64(lap) * span
@@ -139,8 +144,19 @@ func (s *server) run(pkts []hiddenhhh.Packet, span int64, laps int, pps float64,
 			for j := 0; j < n; j++ {
 				shifted[j].Ts += off
 			}
-			s.ingestBatch(shifted[:n])
-			s.sampleEvents()
+			for rest := shifted[:n]; len(rest) > 0; {
+				due := sort.Search(len(rest), func(i int) bool { return rest[i].Ts > next })
+				if due > 0 {
+					s.mu.Lock()
+					s.det.ObserveBatch(rest[:due])
+					s.mu.Unlock()
+					s.lastTs.Store(rest[due-1].Ts)
+				}
+				if rest = rest[due:]; len(rest) > 0 {
+					s.sample(next)
+					next += step
+				}
+			}
 			if interval > 0 {
 				time.Sleep(interval)
 			}
@@ -149,32 +165,22 @@ func (s *server) run(pkts []hiddenhhh.Packet, span int64, laps int, pps float64,
 	}
 	// Publish one final merge at the last ingested timestamp so the
 	// wait-free /hhh read surface (LastWindow) reflects the end of the
-	// replay, not just the last in-replay sample boundary.
+	// replay, not just the last in-replay report instant.
 	s.mu.Lock()
 	s.det.Snapshot(s.lastTs.Load())
 	s.mu.Unlock()
 }
 
-// sampleEvents feeds the attack watcher once per window of trace time:
-// when ingest has crossed the next sample boundary, it snapshots the
-// detector at the current trace timestamp and hands the HHH set (plus
-// the window-mass denominator) to the onset/offset watcher. Runs on the
-// ingest goroutine; the snapshot serialises on mu exactly like a query.
-func (s *server) sampleEvents() {
-	now := s.lastTs.Load()
-	if now < s.nextSample {
-		return
-	}
-	step := int64(s.window)
-	if s.pushEvery > 0 && int64(s.pushEvery) < step {
-		step = int64(s.pushEvery)
-	}
-	s.nextSample = (now/step + 1) * step
+// sample snapshots the detector at the report instant at and hands the
+// HHH set (plus the window-mass denominator) to the onset/offset watcher.
+// Runs on the ingest goroutine; the snapshot serialises on mu exactly
+// like a query.
+func (s *server) sample(at int64) {
 	s.mu.Lock()
-	set := s.det.Snapshot(now)
+	set := s.det.Snapshot(at)
 	windowBytes := s.det.Stats().LastWindowBytes
 	s.mu.Unlock()
-	s.watcher.ObserveWindow(now, set, windowBytes)
+	s.watcher.ObserveWindow(at, set, windowBytes)
 }
 
 // hhhItem is one reported heavy hitter, JSON-shaped for /hhh.
@@ -219,7 +225,7 @@ func (s *server) handleHHH(w http.ResponseWriter, r *http.Request) {
 	// by construction, and the read neither takes s.mu nor runs a
 	// barrier merge, so queries never stall ingest (and a query storm
 	// cannot pile up behind a slow merge). The ingest loop publishes a
-	// fresh merge at least once per window (sampleEvents), so the report
+	// fresh merge at least once per window (sample), so the report
 	// is at most one window stale.
 	rep := s.det.LastWindow()
 	writeJSON(w, hhhResponse{
@@ -602,7 +608,7 @@ func main() {
 	ingestDone := make(chan struct{})
 	go func() {
 		defer close(ingestDone)
-		srv.run(pkts, span, *laps, *pps, stop)
+		srv.run(pkts, span, *laps, *pps, replayBatch, stop)
 	}()
 
 	st := det.Stats()

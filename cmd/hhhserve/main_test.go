@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
@@ -39,7 +40,7 @@ func startTestServer(t *testing.T) (*server, func()) {
 	srv := newServer(det, 5*time.Second, 0.05, reg, hiddenhhh.AttackWatcherConfig{
 		OnEvent: func(hiddenhhh.AttackEvent) {}, // keep test logs quiet
 	})
-	srv.run(pkts, pkts[len(pkts)-1].Ts+1, 1, 0, make(chan struct{}))
+	srv.run(pkts, pkts[len(pkts)-1].Ts+1, 1, 0, replayBatch, make(chan struct{}))
 	return srv, func() { det.Close() }
 }
 
@@ -406,7 +407,7 @@ func TestServeSlidingMode(t *testing.T) {
 	srv := newServer(det, 5*time.Second, 0.05, reg, hiddenhhh.AttackWatcherConfig{
 		OnEvent: func(hiddenhhh.AttackEvent) {},
 	})
-	srv.run(pkts, pkts[len(pkts)-1].Ts+1, 1, 0, make(chan struct{}))
+	srv.run(pkts, pkts[len(pkts)-1].Ts+1, 1, 0, replayBatch, make(chan struct{}))
 	rec := httptest.NewRecorder()
 	srv.mux().ServeHTTP(rec, httptest.NewRequest("GET", "/hhh", nil))
 	if rec.Code != 200 {
@@ -430,5 +431,77 @@ func TestServeSlidingMode(t *testing.T) {
 	}
 	if st.Mode != "sliding" {
 		t.Fatalf("/stats mode %q", st.Mode)
+	}
+}
+
+// TestReplayBatchInvariance pins that what a node seals and serves is a
+// function of the packets' stamps and not of how the replay hands them
+// over: report instants are exact multiples of the step on the trace
+// clock, so batches of 1, 7 and 512 packets give the same sealed frames,
+// byte for byte, and the same /events in every window model.
+func TestReplayBatchInvariance(t *testing.T) {
+	cfg, err := scenarioConfig("ddos", 14*time.Second, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts, err := hiddenhhh.GenerateTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type outcome struct {
+		seals  []hiddenhhh.SealedSummary
+		events string
+	}
+	replay := func(t *testing.T, dcfg hiddenhhh.ShardedConfig, batch int) outcome {
+		var out outcome
+		dcfg.Shards, dcfg.Window, dcfg.Phi = 2, 3*time.Second, 0.05
+		dcfg.OnSeal = func(s hiddenhhh.SealedSummary) { out.seals = append(out.seals, s) }
+		det, err := hiddenhhh.NewShardedDetector(dcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(det, dcfg.Window, dcfg.Phi, hiddenhhh.NewMetricsRegistry(), hiddenhhh.AttackWatcherConfig{
+			OnEvent: func(hiddenhhh.AttackEvent) {},
+		})
+		srv.pushEvery = time.Second
+		srv.run(pkts, pkts[len(pkts)-1].Ts+1, 1, 0, batch, make(chan struct{}))
+		if err := det.Close(); err != nil { // the last seal has fired once Close returns
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		srv.mux().ServeHTTP(rec, httptest.NewRequest("GET", "/events", nil))
+		out.events = rec.Body.String()
+		return out
+	}
+	for _, row := range []struct {
+		name string
+		cfg  hiddenhhh.ShardedConfig
+	}{
+		{"windowed-perlevel", hiddenhhh.ShardedConfig{Mode: hiddenhhh.ModeWindowed, Engine: hiddenhhh.EnginePerLevel}},
+		{"sliding-wcss", hiddenhhh.ShardedConfig{Mode: hiddenhhh.ModeSliding, Engine: hiddenhhh.EngineWCSS}},
+		{"continuous", hiddenhhh.ShardedConfig{Mode: hiddenhhh.ModeContinuous}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			want := replay(t, row.cfg, replayBatch)
+			if len(want.seals) < 4 {
+				t.Fatalf("only %d seals over the trace", len(want.seals))
+			}
+			for _, batch := range []int{1, 7} {
+				got := replay(t, row.cfg, batch)
+				if got.events != want.events {
+					t.Errorf("batch %d: /events differs from batch %d:\n%s\n%s", batch, replayBatch, got.events, want.events)
+				}
+				if len(got.seals) != len(want.seals) {
+					t.Fatalf("batch %d: %d seals, batch %d gave %d", batch, len(got.seals), replayBatch, len(want.seals))
+				}
+				for i, g := range got.seals {
+					w := want.seals[i]
+					if g.Start != w.Start || g.End != w.End || !bytes.Equal(g.Frame, w.Frame) {
+						t.Fatalf("batch %d: seal %d is [%d, %d) %d B, batch %d sealed [%d, %d) %d B",
+							batch, i, g.Start, g.End, len(g.Frame), replayBatch, w.Start, w.End, len(w.Frame))
+					}
+				}
+			}
+		})
 	}
 }

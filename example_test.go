@@ -144,24 +144,3 @@ func ExampleAccounting() {
 	// Output:
 	// span [0s, 1s) mass 100000 B
 }
-
-// ExampleExactHHH2D localises a "who talks to whom" aggregate: many
-// sources inside one /24 flooding a single destination host.
-func ExampleExactHHH2D() {
-	var tuples []hiddenhhh.Tuple2D
-	victim := hiddenhhh.MustParseAddr("198.51.100.7")
-	for i := 1; i <= 9; i++ {
-		tuples = append(tuples, hiddenhhh.Tuple2D{
-			Src:   hiddenhhh.MustParseAddr(fmt.Sprintf("10.1.2.%d", i)),
-			Dst:   victim,
-			Bytes: 100,
-		})
-	}
-	h := hiddenhhh.NewHierarchy2D(hiddenhhh.Byte, hiddenhhh.Byte)
-	set := hiddenhhh.ExactHHH2D(tuples, h, 0.5)
-	for _, n := range set.Nodes() {
-		fmt.Println(n)
-	}
-	// Output:
-	// 10.1.2.0/24->198.51.100.7/32
-}

@@ -28,6 +28,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"net/netip"
 	"strconv"
 	"strings"
 )
@@ -143,66 +144,12 @@ func (a Addr) Compare(b Addr) int {
 func (a Addr) Less(b Addr) bool { return a.Compare(b) < 0 }
 
 // String renders a in dotted-quad notation when IPv4-mapped, otherwise
-// in RFC 5952 compressed IPv6 notation (lower-case hex, longest zero run
-// of two or more groups compressed, leftmost on ties).
+// in RFC 5952 compressed IPv6 notation, as net/netip does.
 func (a Addr) String() string {
 	if a.Is4() {
-		return a.v4String()
+		return netip.AddrFrom4(a.As4()).String()
 	}
-	// Locate the longest run of zero 16-bit groups (length >= 2).
-	var segs [8]uint16
-	for i := 0; i < 4; i++ {
-		segs[i] = uint16(a.hi >> (48 - 16*i))
-		segs[i+4] = uint16(a.lo >> (48 - 16*i))
-	}
-	zStart, zLen := -1, 1 // only runs of >= 2 compress
-	for i := 0; i < 8; {
-		if segs[i] != 0 {
-			i++
-			continue
-		}
-		j := i
-		for j < 8 && segs[j] == 0 {
-			j++
-		}
-		if j-i > zLen {
-			zStart, zLen = i, j-i
-		}
-		i = j
-	}
-	var b [45]byte
-	out := b[:0]
-	for i := 0; i < 8; i++ {
-		if i == zStart {
-			out = append(out, ':', ':')
-			i += zLen - 1
-			continue
-		}
-		if len(out) > 0 && out[len(out)-1] != ':' {
-			out = append(out, ':')
-		}
-		out = strconv.AppendUint(out, uint64(segs[i]), 16)
-	}
-	if zStart == 0 && zLen == 8 {
-		return "::"
-	}
-	return string(out)
-}
-
-// v4String renders the mapped IPv4 address in dotted-quad form without
-// fmt overhead (hot logging paths).
-func (a Addr) v4String() string {
-	o := a.As4()
-	var b [15]byte
-	n := 0
-	for i, oct := range o {
-		if i > 0 {
-			b[n] = '.'
-			n++
-		}
-		n += copy(b[n:], strconv.AppendUint(b[n:n], uint64(oct), 10))
-	}
-	return string(b[:n])
+	return netip.AddrFrom16(a.As16()).String()
 }
 
 // ErrBadAddr reports an unparsable address.
@@ -211,19 +158,19 @@ var ErrBadAddr = errors.New("addr: invalid address")
 // ErrBadPrefix reports an unparsable or non-canonical CIDR prefix.
 var ErrBadPrefix = errors.New("addr: invalid prefix")
 
-// ParseAddr parses either a dotted-quad IPv4 address ("192.0.2.7", which
-// becomes its IPv4-mapped form) or an RFC 4291 IPv6 address, including
-// zero compression ("2001:db8::1") and an embedded dotted-quad tail
-// ("::ffff:192.0.2.7").
+// ParseAddr parses what netip.ParseAddr does, zoned addresses apart: a
+// dotted-quad IPv4 address ("192.0.2.7", which becomes its IPv4-mapped
+// form) or an RFC 4291 IPv6 address, including zero compression
+// ("2001:db8::1") and an embedded dotted-quad tail ("::ffff:192.0.2.7").
 func ParseAddr(s string) (Addr, error) {
-	if strings.IndexByte(s, ':') < 0 {
-		v4, err := parseV4(s)
-		if err != nil {
-			return Addr{}, err
-		}
-		return From4Uint32(v4), nil
+	ip, err := netip.ParseAddr(s)
+	if err != nil {
+		return Addr{}, fmt.Errorf("%w: %v", ErrBadAddr, err)
 	}
-	return parseV6(s)
+	if ip.Zone() != "" {
+		return Addr{}, fmt.Errorf("%w: %q has a zone", ErrBadAddr, s)
+	}
+	return From16(ip.As16()), nil
 }
 
 // MustParseAddr is ParseAddr that panics on error. For tests and constants.
@@ -233,120 +180,6 @@ func MustParseAddr(s string) Addr {
 		panic(err)
 	}
 	return a
-}
-
-// parseV4 parses a dotted quad into a host-order uint32.
-func parseV4(s string) (uint32, error) {
-	var a uint32
-	part := 0
-	val := -1
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= '0' && c <= '9':
-			if val < 0 {
-				val = 0
-			}
-			val = val*10 + int(c-'0')
-			if val > 255 {
-				return 0, fmt.Errorf("%w: %q octet out of range", ErrBadAddr, s)
-			}
-		case c == '.':
-			if val < 0 || part == 3 {
-				return 0, fmt.Errorf("%w: %q", ErrBadAddr, s)
-			}
-			a = a<<8 | uint32(val)
-			val = -1
-			part++
-		default:
-			return 0, fmt.Errorf("%w: %q unexpected character", ErrBadAddr, s)
-		}
-	}
-	if part != 3 || val < 0 {
-		return 0, fmt.Errorf("%w: %q", ErrBadAddr, s)
-	}
-	return a<<8 | uint32(val), nil
-}
-
-// parseV6 parses an RFC 4291 textual IPv6 address.
-func parseV6(s string) (Addr, error) {
-	orig := s
-	var segs []uint16
-	ellipsis := -1 // index in segs where "::" sat
-	if strings.HasPrefix(s, "::") {
-		ellipsis = 0
-		s = s[2:]
-		if s == "" {
-			return Addr{}, nil
-		}
-	} else if strings.HasPrefix(s, ":") {
-		return Addr{}, fmt.Errorf("%w: %q leading lone colon", ErrBadAddr, orig)
-	}
-	for s != "" {
-		if len(segs) == 8 {
-			return Addr{}, fmt.Errorf("%w: %q too many groups", ErrBadAddr, orig)
-		}
-		end := strings.IndexByte(s, ':')
-		group := s
-		if end >= 0 {
-			group = s[:end]
-		}
-		// A dotted-quad tail supplies the final two groups.
-		if strings.IndexByte(group, '.') >= 0 {
-			if end >= 0 || len(segs) > 6 {
-				return Addr{}, fmt.Errorf("%w: %q misplaced dotted quad", ErrBadAddr, orig)
-			}
-			v4, err := parseV4(group)
-			if err != nil {
-				return Addr{}, fmt.Errorf("%w: %q: %v", ErrBadAddr, orig, err)
-			}
-			segs = append(segs, uint16(v4>>16), uint16(v4))
-			s = ""
-			break
-		}
-		if group == "" || len(group) > 4 {
-			return Addr{}, fmt.Errorf("%w: %q bad group", ErrBadAddr, orig)
-		}
-		v, err := strconv.ParseUint(group, 16, 16)
-		if err != nil {
-			return Addr{}, fmt.Errorf("%w: %q bad group %q", ErrBadAddr, orig, group)
-		}
-		segs = append(segs, uint16(v))
-		if end < 0 {
-			s = ""
-			break
-		}
-		s = s[end+1:]
-		if s == "" { // trailing single colon
-			return Addr{}, fmt.Errorf("%w: %q trailing colon", ErrBadAddr, orig)
-		}
-		if s[0] == ':' { // "::"
-			if ellipsis >= 0 {
-				return Addr{}, fmt.Errorf("%w: %q second '::'", ErrBadAddr, orig)
-			}
-			ellipsis = len(segs)
-			s = s[1:]
-		}
-	}
-	if ellipsis < 0 && len(segs) != 8 {
-		return Addr{}, fmt.Errorf("%w: %q wrong group count", ErrBadAddr, orig)
-	}
-	if ellipsis >= 0 && len(segs) >= 8 {
-		return Addr{}, fmt.Errorf("%w: %q '::' in full address", ErrBadAddr, orig)
-	}
-	var full [8]uint16
-	if ellipsis >= 0 {
-		copy(full[:], segs[:ellipsis])
-		copy(full[8-(len(segs)-ellipsis):], segs[ellipsis:])
-	} else {
-		copy(full[:], segs)
-	}
-	var a Addr
-	for i := 0; i < 4; i++ {
-		a.hi = a.hi<<16 | uint64(full[i])
-		a.lo = a.lo<<16 | uint64(full[i+4])
-	}
-	return a, nil
 }
 
 // MaskOf returns the two halves of the network mask with the top bits
@@ -468,10 +301,7 @@ func MustParsePrefix(s string) Prefix {
 // String renders p in CIDR notation, dotted-quad with family-relative
 // length for IPv4 prefixes ("10.0.0.0/8") and RFC 5952 form otherwise.
 func (p Prefix) String() string {
-	if p.Is4() {
-		return p.Addr.v4String() + "/" + strconv.Itoa(int(p.Bits-96))
-	}
-	return p.Addr.String() + "/" + strconv.Itoa(int(p.Bits))
+	return p.Addr.String() + "/" + strconv.Itoa(int(p.FamilyBits()))
 }
 
 // Contains reports whether a falls inside p.

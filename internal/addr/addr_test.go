@@ -97,6 +97,9 @@ func TestParseAddrErrors(t *testing.T) {
 		":", ":::", "1::2::3", "1:2:3:4:5:6:7:8:9", "12345::",
 		"g::", "1:2:3:4:5:6:7", "::1.2.3", "1.2.3.4::", "fe80:",
 		":fe80::", "1:2:3:4:5:6:7:1.2.3.4",
+		// As net/netip refuses them: a leading-zero octet (octal to some
+		// parsers); a zone it would accept, and this address space has none.
+		"192.168.01.1", "::ffff:192.168.01.1", "fe80::1%eth0", "fe80::1%",
 	}
 	for _, s := range bad {
 		if _, err := ParseAddr(s); err == nil {
@@ -269,9 +272,22 @@ func TestParsePrefix(t *testing.T) {
 			t.Errorf("ParsePrefix(%q).String() = %q", s, p.String())
 		}
 	}
+	// The mapped spelling, with its 128-bit length, is the IPv4 prefix and
+	// prints as one.
+	for _, c := range [][2]string{
+		{"::ffff:192.0.2.7/128", "192.0.2.7/32"},
+		{"::ffff:192.0.2.0/120", "192.0.2.0/24"},
+		{"::ffff:0:0/96", "0.0.0.0/0"},
+	} {
+		p, err := ParsePrefix(c[0])
+		if err != nil || !p.Is4() || p.String() != c[1] || p != MustParsePrefix(c[1]) {
+			t.Errorf("ParsePrefix(%q) = %v, %v; want %s", c[0], p, err, c[1])
+		}
+	}
 	bad := []string{
 		"", "10.0.0.0", "10.0.0.0/", "10.0.0.0/33", "10.0.0.1/8", "x/8",
 		"10.0.0.0/-1", "10.0.0.0/8/9", "2001:db8::/129", "2001:db8::1/32", "::/x",
+		"192.168.01.0/24", "fe80::%eth0/10",
 	}
 	for _, s := range bad {
 		if _, err := ParsePrefix(s); err == nil {

@@ -28,9 +28,8 @@ type HiddenHHHConfig struct {
 	// Hierarchy is the prefix lattice the analysis runs over. Defaults
 	// to the IPv4 byte ladder.
 	Hierarchy addr.Hierarchy
-	// Key and Weight default to source address and bytes.
-	Key    window.KeyFunc
-	Weight window.WeightFunc
+	// Key defaults to the source address.
+	Key window.KeyFunc
 }
 
 func (c *HiddenHHHConfig) setDefaults() {
@@ -100,11 +99,10 @@ func HiddenHHH(provider Provider, cfg HiddenHHHConfig) ([]HiddenHHHResult, error
 			accs[i].disjoint = hhh.NewSet()
 		}
 		wcfg := window.Config{
-			Width:  w,
-			Step:   cfg.Step,
-			End:    cfg.Span,
-			Key:    cfg.Key,
-			Weight: cfg.Weight,
+			Width: w,
+			Step:  cfg.Step,
+			End:   cfg.Span,
+			Key:   cfg.Key,
 		}
 		err = window.Slide(src, wcfg, func(r *window.Result) error {
 			isDisjoint := r.Start%int64(w) == 0

@@ -32,7 +32,6 @@ type SensitivityConfig struct {
 	// to the IPv4 byte ladder.
 	Hierarchy addr.Hierarchy
 	Key       window.KeyFunc
-	Weight    window.WeightFunc
 }
 
 func (c *SensitivityConfig) setDefaults() {
@@ -52,9 +51,6 @@ func (c *SensitivityConfig) setDefaults() {
 	}
 	if c.Key == nil {
 		c.Key = window.BySource(c.Hierarchy)
-	}
-	if c.Weight == nil {
-		c.Weight = window.ByBytes
 	}
 }
 
@@ -99,7 +95,7 @@ func WindowSensitivity(provider Provider, cfg SensitivityConfig) ([]SensitivityR
 		}
 		var sets []hhh.Set
 		err = window.Tumble(src, window.Config{
-			Width: width, End: cfg.Span, Key: cfg.Key, Weight: cfg.Weight,
+			Width: width, End: cfg.Span, Key: cfg.Key,
 		}, func(r *window.Result) error {
 			sets = append(sets, hhh.Exact(r.Leaves, cfg.Hierarchy, hhh.Threshold(r.Bytes, cfg.Phi)))
 			return nil
@@ -164,11 +160,10 @@ func TailTrimSensitivity(provider Provider, cfg SensitivityConfig) ([]Sensitivit
 	}
 	results := make([]SensitivityResult, len(cfg.Trims))
 	tcfg := window.TrimConfig{
-		Width:  cfg.Baseline,
-		End:    cfg.Span,
-		Trims:  cfg.Trims,
-		Key:    cfg.Key,
-		Weight: cfg.Weight,
+		Width: cfg.Baseline,
+		End:   cfg.Span,
+		Trims: cfg.Trims,
+		Key:   cfg.Key,
 	}
 	err = window.TrimmedTumble(src, tcfg, func(r *window.TrimResult) error {
 		if results[0].Jaccard == nil {

@@ -67,11 +67,6 @@ func FromTrace(h addr.Hierarchy, pkts []trace.Packet) *Oracle {
 	return o
 }
 
-// Absorb appends a time-ordered run of packets.
-func (o *Oracle) Absorb(pkts []trace.Packet) {
-	o.pkts = append(o.pkts, pkts...)
-}
-
 // Hierarchy returns the configured hierarchy.
 func (o *Oracle) Hierarchy() addr.Hierarchy { return o.h }
 
@@ -198,17 +193,6 @@ func (o *Oracle) SlidingSet(window time.Duration, frames int, now int64, phi flo
 	return o.WindowSet(SlidingSpan(window, frames, now), now+1, phi)
 }
 
-// DecayedSet returns the exact HHH set over exponentially decayed masses
-// at time now with horizon tau, at threshold fraction phi of the total
-// decayed mass, plus that total.
-func (o *Oracle) DecayedSet(now int64, tau time.Duration, phi float64) (hhh.Set, float64) {
-	levels, total := o.DecayedLevelCounts(now, tau)
-	if total == 0 {
-		return hhh.NewSet(), 0
-	}
-	return conditionedSet(o.h, levels, phi*total), total
-}
-
 // Miss is one coverage violation: a prefix the detector should have
 // reported under the checked bound but did not.
 type Miss struct {
@@ -279,10 +263,5 @@ func uncovered[V mass](h addr.Hierarchy, levels []map[uint64]V, got hhh.Set, nee
 
 // UncoveredCounts is uncovered over exact byte aggregates.
 func UncoveredCounts(h addr.Hierarchy, levels []map[uint64]int64, got hhh.Set, need func(maximal int) int64) []Miss {
-	return uncovered(h, levels, got, need)
-}
-
-// UncoveredDecayed is uncovered over decayed float aggregates.
-func UncoveredDecayed(h addr.Hierarchy, levels []map[uint64]float64, got hhh.Set, need func(maximal int) float64) []Miss {
 	return uncovered(h, levels, got, need)
 }

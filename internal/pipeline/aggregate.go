@@ -187,6 +187,7 @@ type Aggregator struct {
 	acc       Summary             // latest-frame kinds: what ≥ 2 node summaries fold into
 	rounds    map[int64]*aggRound // windowed kinds only
 	published int64               // newest published round End
+	fleetEnd  int64               // newest End any node has sent
 	closed    bool
 
 	pub            atomic.Pointer[AggReport]
@@ -254,12 +255,14 @@ func (a *Aggregator) node(name string) *aggNode {
 		if a.frameVec != nil {
 			n.frameCtr = a.frameVec.With(name)
 			a.lagVec.WithFunc(func() float64 {
-				return a.nodeLagSeconds(name)
+				a.mu.Lock()
+				defer a.mu.Unlock()
+				return float64(a.lagLocked(n)) / 1e9
 			}, name)
 			a.seenVec.WithFunc(func() float64 {
 				a.mu.Lock()
 				defer a.mu.Unlock()
-				return float64(a.nodes[name].lastSeen) / 1e9
+				return float64(n.lastSeen) / 1e9
 			}, name)
 		}
 		a.nodes[name] = n
@@ -269,21 +272,13 @@ func (a *Aggregator) node(name string) *aggNode {
 	return n
 }
 
-// nodeLagSeconds computes the scrape-time lag gauge for one node.
-func (a *Aggregator) nodeLagSeconds(name string) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	var maxEnd int64
-	for _, n := range a.nodes {
-		if n.lastEnd > maxEnd {
-			maxEnd = n.lastEnd
-		}
-	}
-	n := a.nodes[name]
-	if n == nil || n.lastEnd == 0 || maxEnd <= n.lastEnd {
+// lagLocked is how far n's newest End trails the fleet's: 0 for the
+// leader and for a node that has sent nothing yet. Caller holds a.mu.
+func (a *Aggregator) lagLocked(n *aggNode) int64 {
+	if n.lastEnd == 0 {
 		return 0
 	}
-	return float64(maxEnd-n.lastEnd) / 1e9
+	return a.fleetEnd - n.lastEnd
 }
 
 // reject counts and wraps a sender-fault error.
@@ -346,6 +341,7 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 	n.lastSeq = s.Seq
 	if s.End > n.lastEnd {
 		n.lastEnd = s.End
+		a.fleetEnd = max(a.fleetEnd, s.End)
 	}
 	n.lastSeen = time.Now().UnixNano()
 	if n.frameCtr != nil {
@@ -435,11 +431,7 @@ func (a *Aggregator) publishRoundsThroughLocked(end int64) error {
 			ends = append(ends, e)
 		}
 	}
-	for i := 0; i < len(ends); i++ { // insertion sort; rounds are few
-		for j := i; j > 0 && ends[j] < ends[j-1]; j-- {
-			ends[j], ends[j-1] = ends[j-1], ends[j]
-		}
-	}
+	slices.Sort(ends)
 	var firstErr error
 	for _, e := range ends {
 		r := a.rounds[e]
@@ -630,24 +622,14 @@ func (a *Aggregator) Stats() AggStats {
 	if a.eng != nil {
 		st.Kind = a.eng.wire.String()
 	}
-	var maxEnd int64
-	for _, n := range a.nodes {
-		if n.lastEnd > maxEnd {
-			maxEnd = n.lastEnd
-		}
-	}
 	for _, n := range a.order {
-		lag := int64(0)
-		if n.lastEnd > 0 && maxEnd > n.lastEnd {
-			lag = maxEnd - n.lastEnd
-		}
 		st.Nodes = append(st.Nodes, AggNodeStats{
 			Node:             n.name,
 			Frames:           n.frames,
 			LastSeq:          n.lastSeq,
 			LastEnd:          n.lastEnd,
 			LastSeenUnixNano: n.lastSeen,
-			LagNs:            lag,
+			LagNs:            a.lagLocked(n),
 			Rejected:         n.rejected,
 		})
 	}

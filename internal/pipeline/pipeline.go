@@ -253,11 +253,9 @@ func (c *Config) tokenWait() time.Duration {
 // the groups within one shard are hammered by different goroutines: the
 // worker bumps its absorption counters per batch while the ingest
 // goroutine updates the producer-side high-water mark, and the stats/
-// telemetry readers poll both). The alignlint:group directives are
-// checked by cmd/alignlint in CI: fields of different groups must never
-// share a 64-byte line.
-//
-//alignlint:struct
+// telemetry readers poll both). A full-line pad between two groups keeps
+// them off each other's 64-byte line wherever the struct lands; the
+// constants after the struct hold every pad to that on every build.
 type shard struct {
 	// Read-mostly identity: set at construction, read everywhere.
 	idx  int
@@ -265,7 +263,7 @@ type shard struct {
 	eng  Summary // worker-owned between barriers; merger-owned inside them
 	free chan *trace.KeyBatch
 
-	_ [64]byte //alignlint:group=worker
+	_ linePad
 	// Worker-written hot state: bumped once per absorbed batch.
 	packets      atomic.Int64
 	size         atomic.Int64 // last published summary footprint
@@ -279,14 +277,14 @@ type shard struct {
 	// passed; Stats derives per-shard lag from it.
 	lastBarrier atomic.Int64
 
-	_ [64]byte //alignlint:group=producer
+	_ linePad
 	// Producer-written state: the ingest goroutine updates it once per
 	// batch hand-off, concurrently with the worker group above.
 	// highWater is the deepest ring occupancy seen at a batch hand-off
 	// (telemetry only).
 	highWater atomic.Int64
 
-	_ [64]byte //alignlint:group=degrade
+	_ linePad
 	// Degradation accounting: mass this shard's substream lost to
 	// overload shedding, quarantine, or missed merges. Written on the
 	// ingest goroutine (ring-full sheds) and the worker (everything
@@ -305,6 +303,23 @@ type shard struct {
 	// summary, shedding and accounting its substream.
 	quarantined atomic.Bool
 }
+
+// linePad is one cache line of padding between two writer groups of a
+// hot struct.
+type linePad [64]byte
+
+// The padding contract of shard and Sharded, checked by the compiler for
+// whatever GOARCH it builds: between the last field before a pad and the
+// first field after it lie at least 64 bytes. Each line is that gap less
+// 64 as a uintptr constant, so a pad that is shrunk or dropped makes it
+// negative — "constant overflows uintptr" — and the build fails.
+const (
+	_ = unsafe.Offsetof(shard{}.packets) - unsafe.Offsetof(shard{}.free) - unsafe.Sizeof(shard{}.free) - 64
+	_ = unsafe.Offsetof(shard{}.highWater) - unsafe.Offsetof(shard{}.lastBarrier) - unsafe.Sizeof(shard{}.lastBarrier) - 64
+	_ = unsafe.Offsetof(shard{}.droppedPackets) - unsafe.Offsetof(shard{}.highWater) - unsafe.Sizeof(shard{}.highWater) - 64
+	_ = unsafe.Offsetof(Sharded{}.packets) - unsafe.Offsetof(Sharded{}.keptSlots) - unsafe.Sizeof(Sharded{}.keptSlots) - 64
+	_ = unsafe.Offsetof(Sharded{}.wg) - unsafe.Offsetof(Sharded{}.filtered) - unsafe.Sizeof(Sharded{}.filtered) - 64
+)
 
 // WindowReport is one published merge: the HHH set of the most recently
 // completed window (or query barrier), together with the metadata the
@@ -337,8 +352,6 @@ type WindowReport struct {
 // merge builds an immutable WindowReport and stores it in one step, so
 // the read surfaces never take a lock the merge path holds — queries
 // cannot stall ingest, and ingest cannot stall queries.
-//
-//alignlint:struct
 type Sharded struct {
 	// Read-mostly identity: set at construction.
 	cfg    Config
@@ -394,7 +407,7 @@ type Sharded struct {
 	// slotTally) once per merge, for the scrape-time counters.
 	foldedSlots, keptSlots atomic.Int64
 
-	_ [64]byte //alignlint:group=ingest
+	_ linePad
 	// Ingest totals: published by the producer once per staged run (see
 	// stageRun), padded off the merge-side publication fields above.
 	// filtered counts the packets the family filter kept out of the
@@ -403,7 +416,7 @@ type Sharded struct {
 	bytes    atomic.Int64
 	filtered atomic.Int64
 
-	_  [64]byte //alignlint:group=tail
+	_  linePad
 	wg sync.WaitGroup
 }
 

@@ -48,13 +48,12 @@ func (r *TrimResult) VariantBytes(j int) int64 { return r.Bytes - r.TailBytes[j]
 
 // TrimConfig configures TrimmedTumble.
 type TrimConfig struct {
-	// Width, Origin, End, Key, Weight as in Config; windows are disjoint
+	// Width, Origin, End, Key as in Config; windows are disjoint
 	// (tumbling), matching the paper's baseline of fixed 10 s windows.
 	Width  time.Duration
 	Origin int64
 	End    int64
 	Key    KeyFunc
-	Weight WeightFunc
 	// Trims are the amounts by which variant windows are shorter than the
 	// baseline (the paper uses 10..100 ms). Each must be positive and
 	// smaller than Width. Duplicates are rejected.
@@ -70,9 +69,6 @@ type TrimConfig struct {
 func TrimmedTumble(src trace.Source, cfg TrimConfig, fn func(*TrimResult) error) error {
 	if cfg.Key == nil {
 		cfg.Key = BySource(addr.NewIPv4Hierarchy(addr.Byte))
-	}
-	if cfg.Weight == nil {
-		cfg.Weight = ByBytes
 	}
 	if cfg.Width <= 0 {
 		return fmt.Errorf("%w: width %v must be positive", ErrConfig, cfg.Width)
@@ -156,7 +152,7 @@ func TrimmedTumble(src trace.Source, cfg TrimConfig, fn func(*TrimResult) error)
 		if !ok {
 			continue
 		}
-		w := cfg.Weight(&p)
+		w := int64(p.Size)
 		res.Leaves.Update(key, w)
 		res.Packets++
 		res.Bytes += w

@@ -32,10 +32,6 @@ var ErrConfig = errors.New("window: invalid configuration")
 // dual-stack trace. The paper's experiments aggregate by source address.
 type KeyFunc func(*trace.Packet) (key uint64, ok bool)
 
-// WeightFunc extracts the weight of a packet. The paper's thresholds are
-// byte volumes.
-type WeightFunc func(*trace.Packet) int64
-
 // BySource keys by the source address generalised to h's leaf level,
 // skipping packets outside h's address family. It is the default KeyFunc
 // (at the IPv4 byte ladder).
@@ -43,21 +39,10 @@ func BySource(h addr.Hierarchy) KeyFunc {
 	return func(p *trace.Packet) (uint64, bool) { return h.Key(p.Src, 0), h.Match(p.Src) }
 }
 
-// ByDest keys by destination address (the natural key for DDoS-victim
-// detection), with the same family filter as BySource.
-func ByDest(h addr.Hierarchy) KeyFunc {
-	return func(p *trace.Packet) (uint64, bool) { return h.Key(p.Dst, 0), h.Match(p.Dst) }
-}
-
-// ByBytes is the default WeightFunc: the packet's wire length.
-func ByBytes(p *trace.Packet) int64 { return int64(p.Size) }
-
-// ByPackets weights every packet equally, for packet-count thresholds.
-func ByPackets(*trace.Packet) int64 { return 1 }
-
 // Result is one evaluated window. Leaves maps the KeyFunc's leaf keys to
-// accumulated weight. The Result (including Leaves) is only valid during
-// the callback that delivers it; callers must not retain it.
+// accumulated weight — a packet weighs its wire length, the paper's
+// thresholds being byte volumes. The Result (including Leaves) is only
+// valid during the callback that delivers it; callers must not retain it.
 type Result struct {
 	Index   int   // window ordinal within the span
 	Start   int64 // inclusive, ns
@@ -86,17 +71,13 @@ type Config struct {
 	// are ignored. Must satisfy End >= Origin + Width for at least one
 	// window.
 	End int64
-	// Key and Weight default to BySource and ByBytes.
-	Key    KeyFunc
-	Weight WeightFunc
+	// Key defaults to BySource at the IPv4 byte ladder.
+	Key KeyFunc
 }
 
 func (c *Config) setDefaults() {
 	if c.Key == nil {
 		c.Key = BySource(addr.NewIPv4Hierarchy(addr.Byte))
-	}
-	if c.Weight == nil {
-		c.Weight = ByBytes
 	}
 	if c.Step == 0 {
 		c.Step = c.Width
@@ -252,7 +233,7 @@ func Slide(src trace.Source, cfg Config, fn func(*Result) error) error {
 		if !ok {
 			continue
 		}
-		ring[b%nbuckets].Update(k, cfg.Weight(&p))
+		ring[b%nbuckets].Update(k, int64(p.Size))
 		ringPk[b%nbuckets]++
 	}
 	// Flush: finish every bucket in the span and emit remaining positions.

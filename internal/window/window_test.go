@@ -249,31 +249,10 @@ func TestKeyAndWeightFuncs(t *testing.T) {
 	if k, ok := BySource(h)(&p); !ok || k != h.Key(p.Src, 0) {
 		t.Error("BySource key")
 	}
-	if k, ok := ByDest(h)(&p); !ok || k != h.Key(p.Dst, 0) {
-		t.Error("ByDest key")
-	}
 	// The other family is filtered, not keyed.
 	v6 := trace.Packet{Src: addr.MustParseAddr("2001:db8::1"), Dst: addr.MustParseAddr("2001:db8::2")}
 	if _, ok := BySource(h)(&v6); ok {
 		t.Error("BySource must skip the other family")
-	}
-	if _, ok := ByDest(h)(&v6); ok {
-		t.Error("ByDest must skip the other family")
-	}
-	if ByBytes(&p) != 99 || ByPackets(&p) != 1 {
-		t.Error("weight funcs")
-	}
-	// ByPackets makes Bytes count packets.
-	pkts := mkTrace(100, time.Second, 5)
-	cfg := Config{Width: time.Second, End: int64(time.Second), Weight: ByPackets}
-	err := Tumble(trace.NewSliceSource(pkts), cfg, func(r *Result) error {
-		if r.Bytes != int64(r.Packets) {
-			t.Fatalf("packet weighting: bytes=%d packets=%d", r.Bytes, r.Packets)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -130,6 +130,3 @@ func (w *instrumentedDetector) Snapshot(now int64) Set {
 
 // SizeBytes implements Detector.
 func (w *instrumentedDetector) SizeBytes() int { return w.d.SizeBytes() }
-
-// Unwrap returns the wrapped detector (for Accounting type assertions).
-func (w *instrumentedDetector) Unwrap() Detector { return w.d }
