@@ -18,10 +18,14 @@ import (
 	"hiddenhhh/internal/pipeline"
 )
 
-// SealedSummary is one merged summary sealed into a self-contained wire
-// frame plus the alignment metadata an Aggregator needs: the window
-// span, a per-process monotonic sequence number, and the local
-// degradation verdict.
+// SealedSummary is one merged summary sealed into a wire frame plus the
+// alignment metadata an Aggregator needs: the window span, a per-process
+// monotonic sequence number, and the local degradation verdict. Its Delta
+// field says whether the frame is self-contained (false) or carries only
+// what changed since the sender's previous seal, which it names and has to
+// be applied over — the form EngineWCSS seals in, bar its first seal, every
+// 64th and the one after ResyncSeal. An Aggregator takes both; whatever
+// stores frames must keep a delta with the frames it builds on.
 type SealedSummary = pipeline.Sealed
 
 // AggregatorConfig configures NewAggregator.
@@ -43,6 +47,12 @@ type AggregatorNodeStats = pipeline.AggNodeStats
 // sender's fault: undecodable frames, kind or hierarchy drift against
 // the fleet, and merge geometry mismatches.
 var ErrFrameRejected = pipeline.ErrFrameRejected
+
+// ErrNeedFull is Aggregator.Ingest's answer to a delta frame
+// (SealedSummary.Delta) it holds no base for. It is not an
+// ErrFrameRejected: the node's retained summary is untouched and keeps
+// contributing, and the sender recovers with ShardedDetector.ResyncSeal.
+var ErrNeedFull = pipeline.ErrNeedFull
 
 // Aggregator merges sealed summary frames from a fleet of ingest
 // processes into a global HHH report. Ingest validates every frame

@@ -34,17 +34,27 @@ const maxFrameBody = 64 << 20
 // through a bounded queue to a single delivery goroutine; when the
 // aggregator is slow or down the queue drops the newest frame and
 // counts it (the aggregator's round grace turns the gap into a degraded
-// round, never a wrong one).
+// round, never a wrong one). A frame that did not get through — dropped,
+// failed, or answered 409: no base there for a delta — leaves the deltas
+// after it without one, so it asks the detector for a full frame next.
 type pusher struct {
 	url    string
 	node   string
 	client *http.Client
 	ch     chan hiddenhhh.SealedSummary
 	wg     sync.WaitGroup
+	resync func() // the detector's ResyncSeal, set before the first packet
 
 	pushed  atomic.Int64
 	dropped atomic.Int64
 	errs    atomic.Int64
+	resyncs atomic.Int64
+}
+
+// lost asks for a full frame next: one just sealed will not be applied.
+func (p *pusher) lost() {
+	p.resyncs.Add(1)
+	p.resync()
 }
 
 func newPusher(url, node string) *pusher {
@@ -65,6 +75,7 @@ func (p *pusher) seal(s hiddenhhh.SealedSummary) {
 	case p.ch <- s:
 	default:
 		p.dropped.Add(1)
+		p.lost()
 	}
 }
 
@@ -73,6 +84,7 @@ func (p *pusher) loop() {
 	for s := range p.ch {
 		if err := p.post(s); err != nil {
 			p.errs.Add(1)
+			p.lost()
 			log.Printf("hhhserve: push seal %d: %v", s.Seq, err)
 		} else {
 			p.pushed.Add(1)
@@ -123,7 +135,9 @@ func (p *pusher) register(reg *hiddenhhh.MetricsRegistry) {
 	reg.CounterFunc("hhh_push_dropped_total",
 		"Sealed frames dropped because the push queue was full.", p.dropped.Load)
 	reg.CounterFunc("hhh_push_errors_total",
-		"Sealed frame deliveries that failed.", p.errs.Load)
+		"Sealed frame deliveries that failed, a 409 (the aggregator lacks the frame a delta builds on) included.", p.errs.Load)
+	reg.CounterFunc("hhh_push_resync_total",
+		"Full frames asked of the detector because a sealed frame was dropped or its delivery failed.", p.resyncs.Load)
 }
 
 // partitionPackets keeps the slice of pkts that belongs to node index
@@ -179,8 +193,10 @@ func newAggServer(expected int, phi float64, window time.Duration, grace time.Du
 }
 
 // handleIngest accepts one sealed frame from an ingest node. Sender
-// faults (bad frames, kind or hierarchy drift) answer 400; everything
-// else that fails answers 500. Accepted frames answer 204.
+// faults (missing or garbled alignment headers, bad frames, kind or
+// hierarchy drift) answer 400; a delta whose base the aggregator does not
+// hold answers 409, which the sender's next seal — a full frame — cures;
+// everything else that fails answers 500. Accepted frames answer 204.
 func (s *aggServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
@@ -191,30 +207,44 @@ func (s *aggServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "body read: "+err.Error(), http.StatusRequestEntityTooLarge)
 		return
 	}
-	node := r.Header.Get("X-HHH-Node")
+	// What the frame is filed and aligned by must be there: without a name
+	// it would open a node per connection, without a Seq be dropped as late.
+	node, bad := r.Header.Get("X-HHH-Node"), ""
 	if node == "" {
-		node = r.RemoteAddr
+		bad = "X-HHH-Node"
 	}
 	intHeader := func(name string) int64 {
-		v, _ := strconv.ParseInt(r.Header.Get(name), 10, 64)
+		v, err := strconv.ParseInt(r.Header.Get(name), 10, 64)
+		if err != nil {
+			bad = name
+		}
 		return v
 	}
+	// Informational, the next two: a report is built from the frame alone.
 	shards, _ := strconv.Atoi(r.Header.Get("X-HHH-Shards"))
+	mass, _ := strconv.ParseInt(r.Header.Get("X-HHH-Bytes"), 10, 64)
 	sealed := hiddenhhh.SealedSummary{
 		Mode:     r.Header.Get("X-HHH-Mode"),
 		Engine:   r.Header.Get("X-HHH-Engine"),
 		Seq:      intHeader("X-HHH-Seq"),
 		Start:    intHeader("X-HHH-Start"),
 		End:      intHeader("X-HHH-End"),
-		Bytes:    intHeader("X-HHH-Bytes"),
+		Bytes:    mass,
 		Shards:   shards,
 		Degraded: r.Header.Get("X-HHH-Degraded") == "true",
 		Frame:    body,
 	}
+	if bad != "" {
+		http.Error(w, "missing or non-numeric "+bad, http.StatusBadRequest)
+		return
+	}
 	if err := s.agg.Ingest(node, sealed); err != nil {
 		code := http.StatusInternalServerError
-		if errors.Is(err, hiddenhhh.ErrFrameRejected) {
+		switch {
+		case errors.Is(err, hiddenhhh.ErrFrameRejected):
 			code = http.StatusBadRequest
+		case errors.Is(err, hiddenhhh.ErrNeedFull):
+			code = http.StatusConflict
 		}
 		http.Error(w, err.Error(), code)
 		return

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
@@ -354,4 +355,81 @@ func TestClusterStalledNodeDegradesMultiProcess(t *testing.T) {
 	}
 	t.Logf("stalled node degraded the report with lag %.2fs (%d degraded merges)",
 		float64(lag)/1e9, st.DegradedMerges)
+}
+
+// TestClusterAggregatorRestartMultiProcess kills the aggregate process in
+// the middle of a paced replay and starts a new, empty one on the same
+// port. Every frame an ingest node sealed against the old one is a delta
+// the new one has no base for, and every push into the gap fails: either
+// way the node's pusher asks for a full frame, and the fleet is whole in
+// the global report again without anybody's intervention — each node's
+// hhh_push_resync_total says it went that way, and the new aggregator has
+// rejected nothing.
+func TestClusterAggregatorRestartMultiProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-process integration test; skipped with -short")
+	}
+	dir := t.TempDir()
+	bin := buildServe(t, dir)
+	tracePath := filepath.Join(dir, "hitrun.trace")
+	if err := hiddenhhh.WriteTraceFile(tracePath, itTrace()); err != nil {
+		t.Fatal(err)
+	}
+	aggPort := freePort(t)
+	aggURL := fmt.Sprintf("http://127.0.0.1:%d", aggPort)
+	aggArgs := []string{"-role", "aggregate", "-addr", fmt.Sprintf("127.0.0.1:%d", aggPort),
+		"-expected", fmt.Sprint(itNodes), "-phi", fmt.Sprint(itPhi), "-window", itWindow.String(), "-round-grace", "2s"}
+	agg := startProc(t, bin, aggArgs...)
+	waitReady(t, aggURL+"/healthz", 20*time.Second)
+	nodeURLs := make([]string, itNodes)
+	for i := range nodeURLs {
+		port := freePort(t)
+		nodeURLs[i] = fmt.Sprintf("http://127.0.0.1:%d", port)
+		startProc(t, bin, ingestArgs(aggURL+"/ingest", tracePath, i, "-laps", "0", "-pps", "4000",
+			"-addr", fmt.Sprintf("127.0.0.1:%d", port))...)
+	}
+	whole := func(what string) itHHH {
+		var rep itHHH
+		for deadline := time.Now().Add(60 * time.Second); ; time.Sleep(100 * time.Millisecond) {
+			getJSON(t, aggURL+"/hhh", &rep)
+			if rep.Nodes == itNodes && !rep.Degraded {
+				return rep
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: fleet never reported whole; last: %+v", what, rep)
+			}
+		}
+	}
+	before := whole("before the restart")
+
+	if err := agg.Process.Kill(); err != nil {
+		t.Fatal(err)
+	}
+	agg.Wait()
+	startProc(t, bin, aggArgs...)
+	waitReady(t, aggURL+"/healthz", 20*time.Second)
+	after := whole("after the restart")
+	if after.EndNs <= before.EndNs {
+		t.Fatalf("the new aggregator reports up to %d, the old one had reached %d", after.EndNs, before.EndNs)
+	}
+	var st itStats
+	getJSON(t, aggURL+"/stats", &st)
+	if st.Rejected != 0 || len(st.Nodes) != itNodes {
+		t.Fatalf("new aggregator stats: %+v", st)
+	}
+	for i, url := range nodeURLs {
+		resp, err := http.Get(url + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		text, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := metricValue(t, string(text), "hhh_push_resync_total"); got < 1 {
+			t.Errorf("node %d: hhh_push_resync_total %v after an aggregator restart", i, got)
+		}
+	}
+	t.Logf("fleet whole again at trace time %.1fs (was %.1fs at the kill)", float64(after.EndNs)/1e9, float64(before.EndNs)/1e9)
 }

@@ -165,8 +165,11 @@ func (s *server) run(pkts []hiddenhhh.Packet, span int64, laps int, pps float64,
 	}
 	// Publish one final merge at the last ingested timestamp so the
 	// wait-free /hhh read surface (LastWindow) reflects the end of the
-	// replay, not just the last in-replay report instant.
+	// replay, not just the last in-replay report instant. The frame it
+	// seals is the replay's last — no later one would make up for it — so it
+	// is sealed whole: an aggregator applies a full frame whatever it holds.
 	s.mu.Lock()
+	s.det.ResyncSeal()
 	s.det.Snapshot(s.lastTs.Load())
 	s.mu.Unlock()
 }
@@ -595,6 +598,9 @@ func main() {
 	det, err := hiddenhhh.NewShardedDetector(cfg)
 	if err != nil {
 		log.Fatal("hhhserve: ", err)
+	}
+	if push != nil {
+		push.resync = det.ResyncSeal
 	}
 
 	srv := newServer(det, *window, *phi, reg, hiddenhhh.AttackWatcherConfig{

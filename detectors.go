@@ -237,8 +237,10 @@ type ShardedConfig struct {
 	// sealed into a versioned wire frame — each window close in
 	// ModeWindowed, each Snapshot barrier in the sliding and continuous
 	// modes — ready to ship to an Aggregator in another process (cluster
-	// mode). Like OnWindow it runs on the merging goroutine and must not
-	// call back into the detector or block.
+	// mode). EngineWCSS seals deltas — the ring slots written since the
+	// previous seal — between full frames (see SealedSummary.Delta and
+	// ResyncSeal). Like OnWindow it runs on the merging goroutine and must
+	// not call back into the detector (ResyncSeal excepted) or block.
 	OnSeal func(SealedSummary)
 	// Overload selects the ingest behaviour when a shard's ring stays
 	// full: OverloadBlock (default) parks ingest until the ring drains —
@@ -342,6 +344,12 @@ type ShardedDetector interface {
 	// DegradedMerges reports how many merges were published without
 	// every shard. Safe to call concurrently with ingest.
 	DegradedMerges() int64
+	// ResyncSeal makes the next frame OnSeal receives a full one
+	// (SealedSummary.Delta false). Call it when a sealed frame did not
+	// reach its Aggregator or Ingest answered ErrNeedFull: the deltas after
+	// a lost frame have no base at the receiver. Safe to call from any
+	// goroutine, the OnSeal callback included.
+	ResyncSeal()
 	// Close stops the worker shards and waits for them to drain (a wait
 	// bounded by BarrierTimeout when one is configured — stuck workers
 	// are abandoned and ErrDetectorStalled returned). It is idempotent

@@ -19,7 +19,9 @@
 //   - Sliding kinds (sliding, memento) and continuous: the aggregator
 //     is a barrier whose shards are nodes. It keeps one restored summary
 //     per node, brought up to date by each accepted frame (decoded once;
-//     the WCSS rings are restored in place, sealed slots untouched), and
+//     the WCSS rings are restored in place, sealed slots untouched — a
+//     WCSS node seals deltas, the slots that changed, each applied only
+//     over the very frame it names and otherwise answered ErrNeedFull), and
 //     on every ingest advances the node summaries to the fleet-wide
 //     maximum End, folds them in node-name order into its accumulator
 //     and queries it; a lone contributing node is queried directly.
@@ -54,6 +56,15 @@ import (
 // sender's fault (undecodable frame, kind or hierarchy drift, merge
 // geometry mismatch) so servers can map it to a 4xx response.
 var ErrFrameRejected = errors.New("pipeline: frame rejected")
+
+// ErrNeedFull is Aggregator.Ingest's answer to a delta frame (Sealed.Delta)
+// it cannot apply: the base it names is not the last frame applied for that
+// node — one was lost, swapped or refused on the way, the sender restarted,
+// or the aggregator did — or a ring slot it leaves out has since expired
+// from the node's retained summary. Not an ErrFrameRejected: the retained
+// summary is untouched and keeps contributing, nothing counts as rejected,
+// and the sender recovers with one full frame (Sharded.ResyncSeal).
+var ErrNeedFull = errors.New("pipeline: delta frame has no base here, need a full frame")
 
 // AggregatorConfig parameterises NewAggregator.
 type AggregatorConfig struct {
@@ -127,6 +138,9 @@ type AggNodeStats struct {
 	// Rejected counts frames from this node that failed decode or
 	// validation.
 	Rejected int64 `json:"rejected"`
+	// NeedFull counts delta frames from this node answered ErrNeedFull:
+	// a frame offered is late (AggStats.LateFrames), NeedFull, or in Frames.
+	NeedFull int64 `json:"need_full"`
 }
 
 // AggStats is the aggregator-wide counter snapshot.
@@ -158,11 +172,13 @@ type aggNode struct {
 	lastEnd  int64
 	lastSeen int64 // wall-clock unix nanos
 	rejected int64
-	// latest is the newest accepted frame and sum the summary restored
-	// from it (latest-frame kinds); both zero until a frame is accepted.
-	latest   wire.Frame
-	sum      Summary
-	frameCtr *telemetry.Counter
+	needFull int64
+	// sum is the summary restored from the frames applied so far and at the
+	// last of them (latest-frame kinds); both zero until a frame is applied.
+	sum         Summary
+	at          sealedAt
+	frameCtr    *telemetry.Counter
+	needFullCtr *telemetry.Counter
 }
 
 // aggRound is one pending windowed round.
@@ -202,9 +218,10 @@ type Aggregator struct {
 	restoredSlots, skippedSlots atomic.Int64
 	stateBytes                  atomic.Int64
 
-	frameVec *telemetry.CounterVec
-	lagVec   *telemetry.GaugeVec
-	seenVec  *telemetry.GaugeVec
+	frameVec    *telemetry.CounterVec
+	needFullVec *telemetry.CounterVec
+	lagVec      *telemetry.GaugeVec
+	seenVec     *telemetry.GaugeVec
 }
 
 // NewAggregator builds an aggregator for a fleet of cfg.Expected ingest
@@ -222,6 +239,8 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 	if r := cfg.Metrics; r != nil {
 		a.frameVec = r.CounterVec("hhh_aggregator_frames_total",
 			"Sealed frames accepted, by ingest node.", "node")
+		a.needFullVec = r.CounterVec("hhh_aggregator_need_full_total",
+			"Delta frames answered ErrNeedFull — their base is not the node's last applied frame, or a slot they omit has expired here — by ingest node; the sender's next seal is a full frame.", "node")
 		a.lagVec = r.GaugeVec("hhh_aggregator_node_lag_seconds",
 			"How far each node's newest window End trails the fleet maximum.", "node")
 		a.seenVec = r.GaugeVec("hhh_aggregator_node_last_seen_seconds",
@@ -240,7 +259,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		slots.WithFunc(a.restoredSlots.Load, "restored")
 		slots.WithFunc(a.skippedSlots.Load, "skipped")
 		r.GaugeFunc("hhh_aggregator_state_bytes",
-			"Footprint of the state retained between ingests: each node's newest frame and restored summary, plus the merge accumulator (sliding and continuous kinds).",
+			"Footprint of the state retained between ingests: each node's restored summary and, until a delta is applied over it, its newest full frame, plus the merge accumulator (sliding and continuous kinds).",
 			func() float64 { return float64(a.stateBytes.Load()) })
 	}
 	return a, nil
@@ -254,6 +273,7 @@ func (a *Aggregator) node(name string) *aggNode {
 		n = &aggNode{name: name}
 		if a.frameVec != nil {
 			n.frameCtr = a.frameVec.With(name)
+			n.needFullCtr = a.needFullVec.With(name)
 			a.lagVec.WithFunc(func() float64 {
 				a.mu.Lock()
 				defer a.mu.Unlock()
@@ -318,7 +338,7 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 		}
 		a.hdr = hdr
 	}
-	if hdr.Kind != a.eng.wire {
+	if hdr.Kind != a.eng.wire && hdr.Kind != a.eng.delta {
 		err := a.reject(n, "kind drift: fleet ships %v, %s sent %v", a.eng.wire, nodeName, hdr.Kind)
 		a.mu.Unlock()
 		return err
@@ -337,6 +357,19 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 		a.mu.Unlock()
 		return nil
 	}
+	if a.eng.roundAligned {
+		a.acceptLocked(n, s)
+		err = a.ingestRoundLocked(nodeName, s, frame)
+	} else {
+		err = a.ingestLatestLocked(n, s, frame)
+	}
+	a.mu.Unlock()
+	return err
+}
+
+// acceptLocked books a frame that is neither late nor refused for want of
+// its base against its node and the fleet clock. Caller holds a.mu.
+func (a *Aggregator) acceptLocked(n *aggNode, s Sealed) {
 	n.frames++
 	n.lastSeq = s.Seq
 	if s.End > n.lastEnd {
@@ -350,36 +383,39 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 	if w := s.End - s.Start; w > 0 {
 		a.spanWidth = w
 	}
-
-	if a.eng.roundAligned {
-		err = a.ingestRoundLocked(nodeName, s, frame)
-		a.mu.Unlock()
-		return err
-	}
-	err = a.ingestLatestLocked(n, frame, s.Degraded)
-	a.mu.Unlock()
-	return err
 }
 
 // ingestLatestLocked brings the node's summary up to its new frame and
-// republishes (latest-frame kinds). A frame that does not restore is
-// rejected and takes the node's summary with it — an in-place restore
-// has no way back — so the node stops contributing until its next good
-// frame. Caller holds a.mu.
-func (a *Aggregator) ingestLatestLocked(n *aggNode, frame wire.Frame, degraded bool) error {
-	sum, restored, skipped, err := a.eng.restore(n.sum, n.latest, frame, a.cfg.Phi)
+// republishes (latest-frame kinds). A delta that does not follow the frame
+// the summary stands at is answered ErrNeedFull before anything is written
+// or booked. A frame that does not restore is rejected and takes the
+// node's summary with it — an in-place restore has no way back — so the
+// node stops contributing until its next good full frame. Caller holds a.mu.
+func (a *Aggregator) ingestLatestLocked(n *aggNode, s Sealed, frame wire.Frame) error {
+	sum, restored, skipped, err := a.eng.restore(n.sum, n.at, frame, a.cfg.Phi)
+	if errors.Is(err, wire.ErrBase) {
+		n.needFull++
+		if n.needFullCtr != nil {
+			n.needFullCtr.Inc()
+		}
+		return fmt.Errorf("%w: %s seal %d: %v", ErrNeedFull, n.name, s.Seq, err)
+	}
+	a.acceptLocked(n, s)
 	if err != nil {
-		n.sum, n.latest = nil, wire.Frame{}
+		n.sum, n.at = nil, sealedAt{}
 		return a.reject(n, "bad frame from %s: %v", n.name, err)
 	}
-	n.sum, n.latest = sum, frame
+	n.sum, n.at = sum, sealedAt{seq: s.Seq, sum: wire.Checksum(s.Frame)}
+	if frame.Header.Kind == a.eng.wire {
+		n.at.full = frame
+	}
 	a.restoredSlots.Add(int64(restored))
 	a.skippedSlots.Add(int64(skipped))
-	err = a.publishLatestLocked(degraded)
+	err = a.publishLatestLocked(s.Degraded)
 	state := 0
 	for _, n := range a.order {
 		if n.sum != nil {
-			state += n.latest.Size() + n.sum.SizeBytes()
+			state += n.at.full.Size() + n.sum.SizeBytes()
 		}
 	}
 	if a.acc != nil {
@@ -469,21 +505,17 @@ func (a *Aggregator) publishRoundLocked(r *aggRound) error {
 // (latest-frame kinds). Caller holds a.mu.
 func (a *Aggregator) publishLatestLocked(sealDegraded bool) error {
 	var sums []Summary
-	var first wire.Frame // the first contributing node's frame
 	var maxEnd int64
 	for _, n := range a.order {
 		if n.sum == nil {
 			continue
-		}
-		if sums == nil {
-			first = n.latest
 		}
 		sums = append(sums, n.sum)
 		if n.lastEnd > maxEnd {
 			maxEnd = n.lastEnd
 		}
 	}
-	set, total, err := a.mergeLatest(sums, first, maxEnd)
+	set, total, err := a.mergeLatest(sums, maxEnd)
 	if err != nil {
 		a.rejected.Add(1)
 		return fmt.Errorf("%w: %v", ErrFrameRejected, err)
@@ -560,7 +592,7 @@ func (a *Aggregator) mergeFrames(frames []wire.Frame, at int64) (set hhh.Set, to
 	}()
 	sums := make([]Summary, len(frames))
 	for i, f := range frames {
-		if sums[i], _, _, err = a.eng.restore(nil, wire.Frame{}, f, a.cfg.Phi); err != nil {
+		if sums[i], _, _, err = a.eng.restore(nil, sealedAt{}, f, a.cfg.Phi); err != nil {
 			return nil, 0, err
 		}
 		sums[i].Advance(at)
@@ -574,10 +606,10 @@ func (a *Aggregator) mergeFrames(frames []wire.Frame, at int64) (set hhh.Set, to
 // Reset the accumulator and hand it the round, query it at `at`. The
 // node summaries are only read, so they stand for the next ingest; one
 // contributing node needs no accumulator and is queried as it is. The
-// accumulator is a summary of the fleet's geometry, made by restoring
-// the first node's frame once more; a merge that panics may leave it half
-// folded, so it is dropped. Caller holds a.mu.
-func (a *Aggregator) mergeLatest(sums []Summary, first wire.Frame, at int64) (set hhh.Set, total int64, err error) {
+// accumulator is a summary of the fleet's geometry, made once by decoding
+// the first node's summary, sealed anew; a merge that panics may leave it
+// half folded, so it is dropped. Caller holds a.mu.
+func (a *Aggregator) mergeLatest(sums []Summary, at int64) (set hhh.Set, total int64, err error) {
 	if len(sums) == 0 {
 		return hhh.NewSet(), 0, nil
 	}
@@ -593,7 +625,11 @@ func (a *Aggregator) mergeLatest(sums []Summary, first wire.Frame, at int64) (se
 	acc := sums[0]
 	if len(sums) > 1 {
 		if a.acc == nil {
-			if a.acc, _, _, err = a.eng.restore(nil, wire.Frame{}, first, a.cfg.Phi); err != nil {
+			first, err := wire.Verify(sums[0].Encode())
+			if err != nil {
+				return nil, 0, err
+			}
+			if a.acc, _, _, err = a.eng.restore(nil, sealedAt{}, first, a.cfg.Phi); err != nil {
 				return nil, 0, err
 			}
 		}
@@ -631,6 +667,7 @@ func (a *Aggregator) Stats() AggStats {
 			LastSeenUnixNano: n.lastSeen,
 			LagNs:            a.lagLocked(n),
 			Rejected:         n.rejected,
+			NeedFull:         n.needFull,
 		})
 	}
 	return st

@@ -2,10 +2,10 @@ package pipeline
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -162,15 +162,25 @@ func (n *slidingNode) snapshot(t *testing.T, at int64) Sealed {
 	return all[len(all)-1]
 }
 
-// TestAggregatorRestoreInPlace replays three sliding nodes into one
-// Aggregator — one of them reporting only every third round, so its
-// frames lag the fleet and its retained summary is advanced past them;
-// one restarted mid-replay, so its sequence numbers start over and its
-// frames are dropped as late until they catch up. After every ingest the
-// node's retained summary must be what decoding its newest accepted frame
-// afresh gives (same re-encoding, same answer), and the published report
-// what a cold merge of the nodes' newest frames gives — one K-way merge of
-// the round, the same summary whichever node receives the others.
+// TestAggregatorRestoreInPlace replays three sliding nodes, sealing deltas
+// between full frames as they do in production, into one Aggregator under
+// loss, replay and restart. The steady node's frames are now and then
+// dropped, delivered twice, or swapped with the next; the lagging node's
+// arrive a round late, after the fleet clock has advanced its retained
+// ring past them; the third is restarted mid-replay, so its sequence
+// numbers start over and its frames are dropped as late until they catch
+// up — and the first that is not, Seq 20 over the old process's 19, names a
+// base the Aggregator has never seen, whatever its number, and is refused,
+// not applied over the old process's ring. Whoever
+// is told ErrNeedFull or loses a frame asks for a full one, as a pusher
+// would. A model of the rule — late, or a delta whose base is not the
+// frame last applied or which leaves out a slot that no longer stands as
+// restored, or applied — predicts every answer. After every ingest each
+// retained summary must be what decoding the sender's whole summary as of
+// the last applied seal gives, advanced to the report's End (same
+// re-encoding, same answer), and the published report what a cold merge of
+// those gives — one K-way merge of the round, the same summary whichever
+// node receives the others.
 func TestAggregatorRestoreInPlace(t *testing.T) {
 	names := []string{"a-steady", "b-lagging", "c-restarted"}
 	nodes := make([]*slidingNode, len(names))
@@ -185,10 +195,148 @@ func TestAggregatorRestoreInPlace(t *testing.T) {
 	}
 	defer agg.Close()
 
+	// delivery is one sealed frame on its way, with the sender's whole
+	// summary as of that seal: what the chain up to it stands for.
+	type delivery struct {
+		s     Sealed
+		whole []byte
+	}
+	// model is what the test expects the Aggregator to hold for a node.
+	type model struct {
+		lastSeq, seq                     int64
+		sum                              uint32
+		state                            []byte
+		offered, applied, late, needFull int64
+		deltas                           int64
+	}
+	models := make([]model, len(names))
+	var round int64
+
+	// check holds every retained summary to a fresh decode of what its
+	// applied chain stands for, and the report to their cold merge.
+	check := func() {
+		rep := agg.Report()
+		var fresh, reversed []Summary
+		for i, name := range names {
+			an := agg.nodes[name]
+			if an == nil || an.sum == nil {
+				continue
+			}
+			decode := func() Summary {
+				f, err := wire.Verify(models[i].state)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, _, _, err := agg.eng.restore(nil, sealedAt{}, f, agg.cfg.Phi)
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref.Advance(rep.End)
+				return ref
+			}
+			ref := decode()
+			if !bytes.Equal(mustEncode(t, an.sum), mustEncode(t, ref)) {
+				t.Fatalf("round %d: %s restored in place re-encodes differently from a fresh decode of its applied chain", round, name)
+			}
+			got, gotMass := an.sum.Query(rep.End)
+			want, wantMass := ref.Query(rep.End)
+			sameSet(t, name, got, want)
+			if gotMass != wantMass {
+				t.Fatalf("round %d: %s mass %d, fresh decode %d", round, name, gotMass, wantMass)
+			}
+			fresh = append(fresh, ref)
+			reversed = append([]Summary{decode()}, reversed...)
+		}
+		fresh[0].Merge(fresh[1:]...)
+		reversed[0].Merge(reversed[1:]...)
+		if !bytes.Equal(mustEncode(t, fresh[0]), mustEncode(t, reversed[0])) {
+			t.Fatalf("round %d: the cold merge depends on the order of the nodes", round)
+		}
+		want, wantMass := fresh[0].Query(rep.End)
+		sameSet(t, fmt.Sprintf("round %d report", round), rep.Set, want)
+		if rep.Bytes != wantMass || rep.Nodes != len(fresh) {
+			t.Fatalf("round %d: report mass %d over %d nodes, cold merge %d over %d",
+				round, rep.Bytes, rep.Nodes, wantMass, len(fresh))
+		}
+	}
+
+	offer := func(i int, dl delivery) {
+		m, an := &models[i], agg.nodes[names[i]]
+		m.offered++
+		held := an != nil && an.sum != nil
+		want := "applied"
+		switch {
+		case dl.s.Seq <= m.lastSeq:
+			want = "late"
+		case dl.s.Delta:
+			v, err := wire.Decode(dl.s.Frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			delta, stale := v.(wire.SlidingDelta), false
+			if held {
+				d := an.sum.(*wcssSummary).d
+				clocks, carried := deltaSlots(t, dl.s.Frame, 5)
+				for l := range carried {
+					for slot, c := range carried[l] {
+						stale = stale || !c && !d.LevelSummary(l).Restored(slot)
+					}
+					if clocks[l] < d.LevelSummary(l).State().CurFrame && !stale {
+						t.Fatalf("round %d: %s seal %d runs behind the retained clock yet leaves out no expired slot", round, names[i], dl.s.Seq)
+					}
+				}
+			}
+			if !held || delta.BaseSeq != m.seq || delta.BaseSum != m.sum || stale {
+				want = "need-full"
+			}
+		}
+		var before []byte
+		if held {
+			before = mustEncode(t, an.sum)
+		}
+		lateBefore := agg.Stats().LateFrames
+		err := agg.Ingest(names[i], dl.s)
+		got := "applied"
+		switch {
+		case errors.Is(err, ErrNeedFull) && !errors.Is(err, ErrFrameRejected):
+			got = "need-full"
+		case err != nil:
+			t.Fatalf("round %d: %s seal %d: %v", round, names[i], dl.s.Seq, err)
+		case agg.Stats().LateFrames > lateBefore:
+			got = "late"
+		}
+		if got != want {
+			t.Fatalf("round %d: %s seal %d (delta %v) was %s, want %s", round, names[i], dl.s.Seq, dl.s.Delta, got, want)
+		}
+		an = agg.nodes[names[i]]
+		switch got {
+		case "applied":
+			m.applied++
+			m.lastSeq, m.seq, m.sum, m.state = dl.s.Seq, dl.s.Seq, wire.Checksum(dl.s.Frame), dl.whole
+			if dl.s.Delta {
+				m.deltas++
+			}
+			if (an.at.full.Size() == 0) != dl.s.Delta {
+				t.Fatalf("round %d: %s: a full frame is retained for comparison exactly until a delta is applied over it", round, names[i])
+			}
+		case "late":
+			m.late++
+		case "need-full":
+			m.needFull++
+			if held && !bytes.Equal(mustEncode(t, an.sum), before) {
+				t.Fatalf("round %d: %s: a refused delta altered the retained summary", round, names[i])
+			}
+			nodes[i].det.ResyncSeal()
+		}
+		if agg.Report().Nodes > 0 {
+			check()
+		}
+	}
+
 	fed := make([]int, len(names))
 	step := int64(300 * time.Millisecond)
-	var accepted int64
-	for round := int64(1); round*step <= int64(12*time.Second); round++ {
+	var held, delayed *delivery // a's swapped frame, b's frame of the round before
+	for round = 1; round*step <= int64(12*time.Second); round++ {
 		at := round * step
 		if round == 20 {
 			nodes[2] = newSlidingNode(t, nil) // restart: empty summary, Seq from 1
@@ -200,70 +348,60 @@ func TestAggregatorRestoreInPlace(t *testing.T) {
 			}
 			node.det.ObserveBatch(streams[i][fed[i]:n])
 			fed[i] = n
-			if i == 1 && round%3 != 0 {
-				continue
-			}
-			sealed := node.snapshot(t, at)
-			late := agg.Stats().LateFrames
-			if err := agg.Ingest(names[i], sealed); err != nil {
-				t.Fatal(err)
-			}
-			an := agg.nodes[names[i]]
-			if dropped := agg.Stats().LateFrames > late; dropped != (i == 2 && round >= 20 && sealed.Seq <= 19) {
-				t.Fatalf("round %d node %s seq %d: dropped as late = %v", round, names[i], sealed.Seq, dropped)
-			} else if !dropped {
-				accepted++
-				if f, err := wire.Verify(sealed.Frame); err != nil || !reflect.DeepEqual(an.latest, f) {
-					t.Fatalf("round %d node %s: accepted frame not retained", round, names[i])
+			if i == 2 && round == 20 {
+				// The new process catches up on its sequence numbers within
+				// the round, while the Aggregator still holds the old one's
+				// frame 19 with most of its ring standing as restored.
+				for k := int64(18); k > 0; k-- {
+					offer(i, delivery{s: node.snapshot(t, at-k), whole: mustEncode(t, node.det.merged)})
 				}
 			}
-
-			// Every retained summary against a fresh decode of the frame
-			// it mirrors, both as of the instant the Aggregator merged at.
-			rep := agg.Report()
-			var fresh, reversed []Summary
-			for _, name := range names {
-				an := agg.nodes[name]
-				if an == nil || an.sum == nil {
-					continue
+			dl := &delivery{s: node.snapshot(t, at), whole: mustEncode(t, node.det.merged)}
+			switch {
+			case i == 0 && round%8 == 3: // dropped on the way
+				node.det.ResyncSeal()
+			case i == 0 && round%8 == 5: // delivered twice
+				offer(i, *dl)
+				offer(i, *dl)
+			case i == 0 && round%8 == 6: // overtaken by the next
+				held = dl
+			case i == 0 && held != nil:
+				offer(i, *dl)
+				offer(i, *held)
+				held = nil
+			case i == 1: // a round late
+				if delayed != nil {
+					offer(i, *delayed)
 				}
-				ref, _, _, err := agg.eng.restore(nil, wire.Frame{}, an.latest, agg.cfg.Phi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ref.Advance(rep.End)
-				if !bytes.Equal(mustEncode(t, an.sum), mustEncode(t, ref)) {
-					t.Fatalf("round %d: %s restored in place re-encodes differently from a fresh decode", round, name)
-				}
-				got, gotMass := an.sum.Query(rep.End)
-				want, wantMass := ref.Query(rep.End)
-				sameSet(t, name, got, want)
-				if gotMass != wantMass {
-					t.Fatalf("round %d: %s mass %d, fresh decode %d", round, name, gotMass, wantMass)
-				}
-				fresh = append(fresh, ref)
-				again, _, _, err := agg.eng.restore(nil, wire.Frame{}, an.latest, agg.cfg.Phi)
-				if err != nil {
-					t.Fatal(err)
-				}
-				again.Advance(rep.End)
-				reversed = append([]Summary{again}, reversed...)
+				delayed = dl
+			default:
+				offer(i, *dl)
 			}
-			fresh[0].Merge(fresh[1:]...)
-			reversed[0].Merge(reversed[1:]...)
-			if !bytes.Equal(mustEncode(t, fresh[0]), mustEncode(t, reversed[0])) {
-				t.Fatalf("round %d: the cold merge depends on the order of the nodes", round)
-			}
-			want, wantMass := fresh[0].Query(rep.End)
-			sameSet(t, fmt.Sprintf("round %d report", round), rep.Set, want)
-			if rep.Bytes != wantMass || rep.Nodes != len(fresh) {
-				t.Fatalf("round %d: report mass %d over %d nodes, cold merge %d over %d",
-					round, rep.Bytes, rep.Nodes, wantMass, len(fresh))
+			if m := models[2]; i == 2 && (round == 20 && (dl.s.Seq != 19 || m.late != 19) ||
+				round == 21 && (dl.s.Seq != 20 || !dl.s.Delta || m.needFull != 1)) {
+				t.Fatalf("round %d: restarted node at seal %d: %d late, %d refused", round, dl.s.Seq, m.late, m.needFull)
 			}
 		}
 	}
+	st := agg.Stats()
+	var late, applied int64
+	for i, ns := range st.Nodes {
+		m := models[i]
+		if ns.Frames != m.applied || ns.NeedFull != m.needFull || ns.Rejected != 0 ||
+			ns.NeedFull+ns.Frames+m.late != m.offered {
+			t.Fatalf("%s: stats %+v, model %+v", ns.Node, ns, m)
+		}
+		if m.needFull == 0 || m.deltas == 0 || m.applied == m.deltas {
+			t.Fatalf("%s: %d refused, %d deltas among %d applied: the replay exercised only one path", ns.Node, m.needFull, m.deltas, m.applied)
+		}
+		late += m.late
+		applied += m.applied
+	}
+	if late != st.LateFrames || models[0].late == 0 || models[2].late != 19 {
+		t.Fatalf("late frames: model %d, stats %d", late, st.LateFrames)
+	}
 	restored, skipped := agg.restoredSlots.Load(), agg.skippedSlots.Load()
-	if slots := accepted * 5 * 5; restored+skipped != slots { // IPv4 byte levels × ring
+	if slots := applied * 5 * 5; restored+skipped != slots { // IPv4 byte levels × ring
 		t.Fatalf("%d restored + %d skipped slots, want %d", restored, skipped, slots)
 	}
 	if skipped == 0 || restored == 0 || agg.Report().Set.Len() == 0 {
@@ -328,6 +466,9 @@ func TestSlidingLateShardRejoinsWhole(t *testing.T) {
 	}
 	release()
 	feed(700, 900)
+	// Delta seals differ for as long as their bases do: compare full frames.
+	d.ResyncSeal()
+	twin.ResyncSeal()
 	got, want := snap(900 * ms)
 	if got.Degraded || got.Shards != 2 {
 		t.Fatalf("snapshot n+1: degraded=%v shards=%d, want whole", got.Degraded, got.Shards)
@@ -405,7 +546,7 @@ func TestMemoMetrics(t *testing.T) {
 		t.Errorf("restore_slots %d restored + %d skipped of %d slots", restored, skipped, slots)
 	}
 	an := agg.nodes["n"]
-	if g, w := sample("hhh_aggregator_state_bytes"), int64(an.latest.Size()+an.sum.SizeBytes()); g != w || w == 0 {
+	if g, w := sample("hhh_aggregator_state_bytes"), int64(an.at.full.Size()+an.sum.SizeBytes()); g != w || w == 0 {
 		t.Errorf("state_bytes %d, node frame + summary %d", g, w)
 	}
 }

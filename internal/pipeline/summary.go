@@ -89,29 +89,42 @@ type engine struct {
 	name string
 	// mode is the window model the engine serves.
 	mode Mode
-	// wire is the frame kind Encode produces.
-	wire wire.Kind
+	// wire is the frame kind Encode produces, delta the kind of the frames
+	// carrying what changed since the previous seal (encodeSeal), 0 for none.
+	wire, delta wire.Kind
 	// roundAligned says how the Aggregator aligns frames: merged per exact
 	// window (true) or latest-frame-per-node (false).
 	roundAligned bool
 	// build constructs shard's raw engine from a defaulted Config, in the
 	// form wire.Decode returns it (so wrap serves both).
 	build func(cfg *Config, shard int) (any, error)
-	// restoreInto, when set, brings prev's engine to the state sealed in
-	// frame in place if it can and returns nil, else a new raw engine.
-	// Engines without it are decoded anew from every frame.
-	restoreInto func(prev Summary, prevFrame, frame wire.Frame) (e any, restored, skipped int, err error)
+	// restoreInto, when set, brings prev's engine, standing at the frame
+	// at names, to the state sealed in frame in place if it can and returns
+	// nil, else a new raw engine. Engines without it are decoded anew from
+	// every frame.
+	restoreInto func(prev Summary, at sealedAt, frame wire.Frame) (e any, restored, skipped int, err error)
+}
+
+// sealedAt names the frame a restored summary stands at: the Seq its sender
+// gave it and its checksum — what a delta calls its base — and, while that
+// is a full frame, the frame itself, which the next full frame is compared
+// with slot by slot. A delta's bytes say nothing of the slots it left out:
+// after one, full is the zero Frame and the next full frame restores all.
+type sealedAt struct {
+	seq  int64
+	sum  uint32
+	full wire.Frame
 }
 
 // engines is the registry, indexed by Kind. Within a mode the first row
 // is the mode's default engine.
 var engines = [...]engine{
-	KindExact:    {"exact", ModeWindowed, wire.KindExact, true, buildExact, nil},
-	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, true, buildPerLevel, nil},
-	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, true, buildRHHH, nil},
-	KindWCSS:     {"wcss", ModeSliding, wire.KindSliding, false, buildWCSS, restoreWCSS},
-	KindMemento:  {"memento", ModeSliding, wire.KindMemento, false, buildMemento, nil},
-	KindTDBF:     {"tdbf", ModeContinuous, wire.KindContinuous, false, buildTDBF, restoreTDBF},
+	KindExact:    {"exact", ModeWindowed, wire.KindExact, 0, true, buildExact, nil},
+	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, 0, true, buildPerLevel, nil},
+	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, 0, true, buildRHHH, nil},
+	KindWCSS:     {"wcss", ModeSliding, wire.KindSliding, wire.KindSlidingDelta, false, buildWCSS, restoreWCSS},
+	KindMemento:  {"memento", ModeSliding, wire.KindMemento, 0, false, buildMemento, nil},
+	KindTDBF:     {"tdbf", ModeContinuous, wire.KindContinuous, 0, false, buildTDBF, restoreTDBF},
 }
 
 // row returns k's registry row, nil for an unknown kind.
@@ -131,11 +144,11 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", int(k))
 }
 
-// engineOfWire returns the row whose frames carry wire kind w, nil when
-// no engine seals that kind (bare sketches and filters).
+// engineOfWire returns the row whose frames, full or delta, carry wire
+// kind w, nil when no engine seals that kind (bare sketches and filters).
 func engineOfWire(w wire.Kind) *engine {
 	for i := range engines {
-		if engines[i].wire == w {
+		if engines[i].wire == w || engines[i].delta == w {
 			return &engines[i]
 		}
 	}
@@ -199,19 +212,20 @@ func wrap(e any, phi float64) (Summary, error) {
 
 // restore brings a sender's summary to the state sealed in frame and
 // returns it with the ring slots it restored and skipped. prev is the
-// summary a previous call restored from prevFrame, nil when there is
+// summary previous calls brought to the frame at names, nil when there is
 // none. An engine with a restoreInto hook is restored in place — wcss slot
-// by slot, leaving the slots the two frames share untouched, stamps and
-// all, so an accumulator's memo of them stands (see
-// wire.Frame.RestoreSliding); tdbf over its own cells, allocating nothing
-// that grows with them (wire.Frame.RestoreContinuous) — and any other
-// engine is decoded anew. On error prev must be discarded.
-func (r *engine) restore(prev Summary, prevFrame, frame wire.Frame, phi float64) (sum Summary, restored, skipped int, err error) {
+// by slot, leaving the slots a delta omits or two full frames share
+// untouched, stamps and all, so an accumulator's memo of them stands (see
+// wire.Frame.RestoreSliding, ApplySlidingDelta); tdbf over its own cells,
+// allocating nothing that grows with them (wire.Frame.RestoreContinuous) —
+// and any other engine is decoded anew. On error prev must be discarded,
+// bar wire.ErrBase: a delta that does not follow at, refused unwritten.
+func (r *engine) restore(prev Summary, at sealedAt, frame wire.Frame, phi float64) (sum Summary, restored, skipped int, err error) {
 	var e any
 	if r.restoreInto == nil {
 		e, err = frame.Decode()
 	} else {
-		e, restored, skipped, err = r.restoreInto(prev, prevFrame, frame)
+		e, restored, skipped, err = r.restoreInto(prev, at, frame)
 	}
 	switch {
 	case err != nil:
@@ -223,19 +237,23 @@ func (r *engine) restore(prev Summary, prevFrame, frame wire.Frame, phi float64)
 	return sum, restored, skipped, err
 }
 
-func restoreWCSS(prev Summary, prevFrame, frame wire.Frame) (any, int, int, error) {
+func restoreWCSS(prev Summary, at sealedAt, frame wire.Frame) (any, int, int, error) {
 	var d *swhh.SlidingHHH
 	if p, ok := prev.(*wcssSummary); ok {
 		d = p.live()
 	}
-	nd, restored, skipped, err := frame.RestoreSliding(d, prevFrame)
+	if frame.Header.Kind == wire.KindSlidingDelta {
+		restored, skipped, err := frame.ApplySlidingDelta(d, at.seq, at.sum)
+		return nil, restored, skipped, err
+	}
+	nd, restored, skipped, err := frame.RestoreSliding(d, at.full)
 	if err != nil || nd == d {
 		return nil, restored, skipped, err
 	}
 	return nd, restored, skipped, nil
 }
 
-func restoreTDBF(prev Summary, _, frame wire.Frame) (any, int, int, error) {
+func restoreTDBF(prev Summary, _ sealedAt, frame wire.Frame) (any, int, int, error) {
 	var d *continuous.Detector
 	if p, ok := prev.(*tdbfSummary); ok {
 		d = p.d
@@ -245,6 +263,18 @@ func restoreTDBF(prev Summary, _, frame wire.Frame) (any, int, int, error) {
 		return nil, 0, 0, err
 	}
 	return nd, 0, 0, nil
+}
+
+// encodeSeal is Encode on the OnSeal path. A wcss summary records what it
+// sealed and, with delta set, frames only the ring slots written since the
+// previous call, naming that call's frame — sealed under baseSeq, of
+// checksum baseSum — as its base (wire.SealSliding); the other engines have
+// no delta form. It reports whether the frame is a delta.
+func encodeSeal(s Summary, delta bool, baseSeq int64, baseSum uint32) ([]byte, bool) {
+	if e, ok := s.(*wcssSummary); ok {
+		return wire.SealSliding(e.live(), delta, baseSeq, baseSum), delta
+	}
+	return s.Encode(), false
 }
 
 // slotTally reports how many sealed-frame slots the accumulator s has

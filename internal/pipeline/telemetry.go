@@ -66,6 +66,17 @@ func (d *Sharded) registerMetrics(r *telemetry.Registry) *pipeTelemetry {
 	folds.WithFunc(d.foldedSlots.Load, "folded")
 	folds.WithFunc(d.keptSlots.Load, "reused")
 	registerEngineMetrics(r, d.merged)
+	if st := d.seal; st != nil {
+		n := r.CounterVec("hhh_pipeline_seals_total",
+			"Frames handed to OnSeal, by form: full (decodes on its own) or delta (the ring slots written since the previous seal; wcss only). Their sum is the newest Sealed.Seq.",
+			"form")
+		b := r.CounterVec("hhh_pipeline_seal_bytes_total",
+			"Bytes of the frames handed to OnSeal, by form.", "form")
+		for i, form := range [...]string{"full", "delta"} {
+			n.WithFunc(st.seals[i].Load, form)
+			b.WithFunc(st.sealBytes[i].Load, form)
+		}
+	}
 	r.CounterFunc("hhh_pipeline_filtered_packets_total",
 		"Packets observed but kept out of every shard by the hierarchy's address-family filter.",
 		d.filtered.Load)

@@ -75,6 +75,20 @@ func (s *Sliding) Restored(i int) bool {
 	return s.restored != nil && s.restored[i] == s.vers[i]
 }
 
+// Sealed reports whether slot i still holds exactly what it held at the
+// last MarkSealed: a delta seal leaves such a slot out.
+func (s *Sliding) Sealed(i int) bool {
+	return s.sealed != nil && s.sealed[i] == s.vers[i]
+}
+
+// MarkSealed records every ring slot as sealed at its current write
+// version: the sender's side of a delta chain, called per frame encoded.
+func (d *SlidingHHH) MarkSealed() {
+	for _, lv := range d.levels {
+		lv.sealed = append(lv.sealed[:0], lv.vers...)
+	}
+}
+
 // Hierarchy returns the configured hierarchy.
 func (d *SlidingHHH) Hierarchy() addr.Hierarchy { return d.h }
 

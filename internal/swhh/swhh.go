@@ -163,6 +163,7 @@ type Sliding struct {
 	floorVer []uint64
 	memo     []slotMemo // fold's record per slot; nil until the first fold
 	restored []uint64   // per-slot version RestoreSlot left; nil until the first
+	sealed   []uint64   // per-slot version MarkSealed saw; nil until the first
 }
 
 // NewSliding builds a summary from cfg.
@@ -451,7 +452,7 @@ func (s *Sliding) SizeBytes() int {
 	for i := range s.memo {
 		n += 40 + cap(s.memo[i].from)*16
 	}
-	return n + len(s.restored)*8
+	return n + len(s.restored)*8 + len(s.sealed)*8
 }
 
 // Reset clears all frames and totals but preserves the frame clock.

@@ -26,9 +26,9 @@ type ExactSummary struct {
 
 // Decode parses any frame and returns the decoded summary as one of
 // *sketch.SpaceSaving, ExactSummary, *hhh.PerLevel, *hhh.RHHH,
-// *swhh.SlidingHHH, *swhh.MementoHHH, *tdbf.Filter or
-// *continuous.Detector. It never panics on arbitrary input; failures
-// wrap exactly one of the typed errors.
+// *swhh.SlidingHHH, *swhh.MementoHHH, *tdbf.Filter, *continuous.Detector
+// or SlidingDelta. It never panics on arbitrary input; failures wrap
+// exactly one of the typed errors.
 func Decode(frame []byte) (any, error) {
 	f, err := Verify(frame)
 	if err != nil {
@@ -63,6 +63,12 @@ func (f Frame) Decode() (any, error) {
 		v, err = decodeFilterPayload(hdr, payload)
 	case KindContinuous:
 		v, err = f.RestoreContinuous(nil)
+	case KindSlidingDelta:
+		c, d, h, cfg, derr := f.slidingShape(KindSlidingDelta)
+		if err = derr; err == nil {
+			_, _, err = restoreSlots(c, nil, nil, h, cfg, true, false)
+		}
+		v = d
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrKind, uint8(hdr.Kind))
 	}
@@ -252,12 +258,44 @@ func slidingGeometry(c *cursor) (window time.Duration, frames, counters int, err
 	return time.Duration(windowNs), frames, counters, nil
 }
 
+// slidingShape opens f, a frame of kind want, KindSliding or
+// KindSlidingDelta: the base a delta names, then what both have ahead of
+// their levels — geometry and level count — held to the frame's hierarchy
+// and the summary budgets. c is left at the first level.
+func (f Frame) slidingShape(want Kind) (c *cursor, v SlidingDelta, h addr.Hierarchy, cfg swhh.Config, err error) {
+	if f.Header.Kind != want {
+		return nil, v, h, cfg, fmt.Errorf("%w: got %v, want %v", ErrKind, f.Header.Kind, want)
+	}
+	if h, err = f.Header.Hierarchy(); err != nil {
+		return nil, v, h, cfg, err
+	}
+	c = newCursor(f.payload)
+	if want == KindSlidingDelta {
+		v = SlidingDelta{BaseSeq: c.i64(), BaseSum: c.u32(), frame: f}
+	}
+	window, frames, counters, err := slidingGeometry(c)
+	if err != nil {
+		return nil, v, h, cfg, err
+	}
+	levels := int(c.u16())
+	if !c.ok {
+		return nil, v, h, cfg, fmt.Errorf("%w: short sliding payload", ErrCorrupt)
+	}
+	if levels != h.Levels() {
+		return nil, v, h, cfg, fmt.Errorf("%w: %d level summaries for %d-level hierarchy", ErrCorrupt, levels, h.Levels())
+	}
+	if ring := frames + 1; levels*ring > maxSummaries || levels*ring*counters > maxCountersTotal {
+		return nil, v, h, cfg, fmt.Errorf("%w: per-frame summary budget exceeded", ErrCorrupt)
+	}
+	return c, v, h, swhh.Config{Window: window, Frames: frames, Counters: counters}, nil
+}
+
 // RestoreSliding brings d to the state sealed in f, a KindSliding frame,
 // and returns it, restoring in place: ring slot by ring slot, allocating
 // nothing. prev, unless it is the zero Frame, is the frame a previous
-// RestoreSliding call restored d from; a slot whose bytes are the same in
-// both frames and which nothing has written since that restore
-// (swhh.Sliding.Restored) is left exactly as it stands, write version
+// RestoreSliding call restored d from, no delta applied since; a slot whose
+// bytes are the same in both frames and which nothing has written since
+// that restore (swhh.Sliding.Restored) is left exactly as it stands, version
 // included, so whatever a reader derived from the slot stays valid.
 // Successive frames of one sender differ in the slot that is filling and
 // perhaps the next; the rest of the ring is sealed and skipped. It returns
@@ -267,31 +305,10 @@ func slidingGeometry(c *cursor) (window time.Duration, frames, counters int, err
 // detector is built and every slot restored — the cold decode. On error
 // d may be partly restored and must be discarded.
 func (f Frame) RestoreSliding(d *swhh.SlidingHHH, prev Frame) (_ *swhh.SlidingHHH, restored, skipped int, err error) {
-	hdr, payload := f.Header, f.payload
-	if hdr.Kind != KindSliding {
-		return nil, 0, 0, fmt.Errorf("%w: got %v, want %v", ErrKind, hdr.Kind, KindSliding)
-	}
-	h, err := hdr.Hierarchy()
+	c, _, h, cfg, err := f.slidingShape(KindSliding)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	c := newCursor(payload)
-	window, frames, counters, err := slidingGeometry(c)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	levels := int(c.u16())
-	if !c.ok {
-		return nil, 0, 0, fmt.Errorf("%w: short sliding payload", ErrCorrupt)
-	}
-	if levels != h.Levels() {
-		return nil, 0, 0, fmt.Errorf("%w: %d level summaries for %d-level hierarchy", ErrCorrupt, levels, h.Levels())
-	}
-	ring := frames + 1
-	if levels*ring > maxSummaries || levels*ring*counters > maxCountersTotal {
-		return nil, 0, 0, fmt.Errorf("%w: per-frame summary budget exceeded", ErrCorrupt)
-	}
-	cfg := swhh.Config{Window: window, Frames: frames, Counters: counters}
 	// p walks prev in step with c, as long as prev describes the same
 	// detector (hierarchy bytes, geometry prefix and level count).
 	var p *cursor
@@ -299,31 +316,107 @@ func (f Frame) RestoreSliding(d *swhh.SlidingHHH, prev Frame) (_ *swhh.SlidingHH
 		if d, err = swhh.NewSlidingHHH(h, cfg); err != nil {
 			return nil, 0, 0, corrupt(err)
 		}
-	} else if prev.Header == hdr && len(prev.payload) >= c.off &&
-		bytes.Equal(prev.payload[:c.off], payload[:c.off]) {
+	} else if prev.Header == f.Header && len(prev.payload) >= c.off &&
+		bytes.Equal(prev.payload[:c.off], f.payload[:c.off]) {
 		p = &cursor{b: prev.payload, off: c.off, ok: true}
 	}
-	for l := 0; l < levels; l++ {
-		lv := d.LevelSummary(l)
+	if restored, skipped, err = restoreSlots(c, p, d, h, cfg, false, true); err != nil {
+		return nil, 0, 0, err
+	}
+	return d, restored, skipped, nil
+}
+
+// SlidingDelta is the decoded form of a KindSlidingDelta frame, as far as a
+// delta decodes without the summary it applies to: the base it names —
+// the Seq its sender gave the frame it sealed before, and that frame's
+// checksum — over a layout walked and found whole. The slots' entries are
+// checked where they are restored (ApplySlidingDelta). Encode reproduces
+// the frame.
+type SlidingDelta struct {
+	BaseSeq int64
+	BaseSum uint32
+	frame   Frame
+}
+
+// ApplySlidingDelta brings d, which stands as the frame its sender sealed
+// under seq, of checksum sum, left it, to the state sealed in f, a
+// KindSlidingDelta frame, restoring in place the slots the delta carries;
+// it reports them and the ones left alone. The whole delta is walked
+// before the first write. It is refused with ErrBase, d untouched, unless
+// it names that very frame as its base, shares d's hierarchy and geometry,
+// no level's clock runs behind d's, and every slot it leaves out stands as
+// a restore left it (swhh.Sliding.Restored): d may have been advanced
+// since, and a slot that expired here has not at the sender. A malformed
+// layout is ErrCorrupt, d untouched as well; only a slot whose entries do
+// not restore fails after the first write, and then d must be discarded.
+func (f Frame) ApplySlidingDelta(d *swhh.SlidingHHH, seq int64, sum uint32) (restored, skipped int, err error) {
+	c, v, h, cfg, err := f.slidingShape(KindSlidingDelta)
+	if err != nil {
+		return 0, 0, err
+	}
+	if d == nil || v.BaseSeq != seq || v.BaseSum != sum || d.Hierarchy() != h || d.Config() != cfg {
+		return 0, 0, fmt.Errorf("%w: it follows frame %d (%#08x)", ErrBase, v.BaseSeq, v.BaseSum)
+	}
+	levels := *c
+	if _, _, err = restoreSlots(c, nil, d, h, cfg, true, false); err != nil {
+		return 0, 0, err
+	}
+	return restoreSlots(&levels, nil, d, h, cfg, true, true)
+}
+
+// restoreSlots is the one walk over the levels of a sliding payload, a full
+// frame's and a delta's alike: what differs is which slots the frame
+// carries, all or the ones its per-level bitmap names. With write it
+// restores d's clocks and the carried slots (bar a full frame's slot that p,
+// walking the previous frame in step, shows unchanged); without, it checks
+// the layout and, where there is a d, that the delta fits it, and writes
+// nothing. It returns the slots restored (without write: carried) and the
+// slots left alone.
+func restoreSlots(c, p *cursor, d *swhh.SlidingHHH, h addr.Hierarchy, cfg swhh.Config, delta, write bool) (restored, skipped int, err error) {
+	ring := cfg.Frames + 1
+	for l := 0; l < h.Levels(); l++ {
+		var lv *swhh.Sliding
+		if d != nil {
+			lv = d.LevelSummary(l)
+		}
 		cur := c.i64()
 		if err := boundFrame(cur); err != nil {
-			return nil, 0, 0, err
+			return 0, 0, err
 		}
-		lv.RestoreClock(cur)
+		var carried []byte // a delta's slot bitmap
+		if delta {
+			carried = c.take((ring + 7) / 8)
+			if carried == nil || carried[len(carried)-1]>>((ring-1)%8+1) != 0 {
+				return 0, 0, fmt.Errorf("%w: slot bitmap short, or naming a slot beyond the ring", ErrCorrupt)
+			}
+			if lv != nil && cur < lv.State().CurFrame {
+				return 0, 0, fmt.Errorf("%w: level %d clock %d behind the summary's %d", ErrBase, l, cur, lv.State().CurFrame)
+			}
+		}
+		if write {
+			lv.RestoreClock(cur)
+		}
 		if p != nil {
 			p.i64()
 		}
 		for i := 0; i < ring; i++ {
+			if delta && carried[i/8]>>(i%8)&1 == 0 {
+				if lv != nil && !lv.Restored(i) {
+					return 0, 0, fmt.Errorf("%w: level %d slot %d left out, and no longer as restored", ErrBase, l, i)
+				}
+				skipped++
+				continue
+			}
 			start := c.off
 			frameTotal := c.i64()
 			k := int(c.u32())
 			total := c.i64()
 			n := c.count(ssEntrySize)
 			if !c.ok {
-				return nil, 0, 0, fmt.Errorf("%w: short sliding slot", ErrCorrupt)
+				return 0, 0, fmt.Errorf("%w: short sliding slot", ErrCorrupt)
 			}
-			if k != counters {
-				return nil, 0, 0, fmt.Errorf("%w: slot capacity %d != configured %d", ErrCorrupt, k, counters)
+			if k != cfg.Counters {
+				return 0, 0, fmt.Errorf("%w: slot capacity %d != configured %d", ErrCorrupt, k, cfg.Counters)
 			}
 			body := c.b[c.off : c.off+n*ssEntrySize]
 			c.off += len(body)
@@ -340,6 +433,10 @@ func (f Frame) RestoreSliding(d *swhh.SlidingHHH, prev Frame) (_ *swhh.SlidingHH
 				skipped++
 				continue
 			}
+			restored++
+			if !write {
+				continue
+			}
 			err := lv.RestoreSlot(i, frameTotal, total, n, func(e int) sketch.KV {
 				b := body[e*ssEntrySize:]
 				return sketch.KV{
@@ -349,15 +446,11 @@ func (f Frame) RestoreSliding(d *swhh.SlidingHHH, prev Frame) (_ *swhh.SlidingHH
 				}
 			})
 			if err != nil {
-				return nil, 0, 0, corrupt(err)
+				return 0, 0, corrupt(err)
 			}
-			restored++
 		}
 	}
-	if err := c.finish(); err != nil {
-		return nil, 0, 0, err
-	}
-	return d, restored, skipped, nil
+	return restored, skipped, c.finish()
 }
 
 func decodeMementoPayload(hdr Header, payload []byte) (*swhh.MementoHHH, error) {

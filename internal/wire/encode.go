@@ -42,6 +42,10 @@ func Encode(v any) ([]byte, error) {
 		return EncodeRHHH(s), nil
 	case *swhh.SlidingHHH:
 		return EncodeSliding(s), nil
+	case SlidingDelta:
+		f := s.frame
+		b := beginFrame(KindSlidingDelta, f.Header.Family, f.Header.Step, f.Header.Depth, len(f.payload))
+		return endFrame(append(b, f.payload...)), nil
 	case *swhh.MementoHHH:
 		return EncodeMemento(s), nil
 	case *tdbf.Filter:
@@ -161,32 +165,65 @@ const (
 	slidingGeometrySize = 8 + 2 + 4 // window, frames, counters
 	slidingLevelHeader  = 8         // frame clock
 	slidingSlotHeader   = 8         // exact frame total
+	deltaBaseSize       = 8 + 4     // the base frame's Seq and checksum
 )
 
 // EncodeSliding frames a WCSS sliding HHH engine (KindSliding): the
 // shared frame geometry, then per level the frame clock and the ring of
 // (exact frame total, frame summary) pairs in slot order.
-func EncodeSliding(d *swhh.SlidingHHH) []byte {
+func EncodeSliding(d *swhh.SlidingHHH) []byte { return encodeSliding(d, false, 0, 0) }
+
+// SealSliding is the sender's side of a delta chain. With delta it frames
+// only the ring slots written since the previous call (KindSlidingDelta;
+// the layout is in the package comment), for a receiver that holds d as
+// that call's frame — sealed under baseSeq, of checksum baseSum — left it;
+// without, it is EncodeSliding. Either way it records what it sealed, slot
+// by slot (swhh.SlidingHHH.MarkSealed).
+func SealSliding(d *swhh.SlidingHHH, delta bool, baseSeq int64, baseSum uint32) []byte {
+	frame := encodeSliding(d, delta, baseSeq, baseSum)
+	d.MarkSealed()
+	return frame
+}
+
+func encodeSliding(d *swhh.SlidingHHH, delta bool, baseSeq int64, baseSum uint32) []byte {
 	h := d.Hierarchy()
 	cfg := d.Config()
 	levels := h.Levels()
-	size := slidingGeometrySize + 2
+	kind, bitmap, size := KindSliding, 0, slidingGeometrySize+2
+	if delta {
+		kind, bitmap, size = KindSlidingDelta, (cfg.Frames+8)/8, size+deltaBaseSize
+	}
 	for l := 0; l < levels; l++ {
-		size += slidingLevelHeader
-		for _, f := range d.LevelSummary(l).State().Frames {
-			size += slidingSlotHeader + ssSize(f)
+		lv := d.LevelSummary(l)
+		size += slidingLevelHeader + bitmap
+		for i, f := range lv.State().Frames {
+			if !delta || !lv.Sealed(i) {
+				size += slidingSlotHeader + ssSize(f)
+			}
 		}
 	}
 	fam, step, depth := describe(h)
-	b := beginFrame(KindSliding, fam, step, depth, size)
+	b := beginFrame(kind, fam, step, depth, size)
+	if delta {
+		b = appendU32(appendI64(b, baseSeq), baseSum)
+	}
 	b = appendI64(b, int64(cfg.Window))
 	b = appendU16(b, uint16(cfg.Frames))
 	b = appendU32(b, uint32(cfg.Counters))
 	b = appendU16(b, uint16(levels))
 	for l := 0; l < levels; l++ {
-		st := d.LevelSummary(l).State()
+		lv := d.LevelSummary(l)
+		st := lv.State()
 		b = appendI64(b, st.CurFrame)
+		bits := len(b)
+		b = append(b, make([]byte, bitmap)...)
 		for i := range st.Frames {
+			if delta && lv.Sealed(i) {
+				continue
+			}
+			if delta {
+				b[bits+i/8] |= 1 << (i % 8)
+			}
 			b = appendI64(b, st.Totals[i])
 			b = appendSpaceSaving(b, st.Frames[i])
 		}

@@ -21,7 +21,8 @@ import (
 // leaf level is full, dense columns; the thin filter and the fixture's /8
 // level, held exactly with 3 of its 256 cells occupied, are sparse ones —
 // at the versions before, as the committed vectors, and as the frames of
-// hostileContinuous.
+// hostileContinuous; the sliding delta as the golden fixture's and four
+// mutations of it.
 func fuzzSeeds(f *testing.F) [][]byte {
 	filterFrame := EncodeFilter(testFilter(7))
 	contFrame, occupied := EncodeContinuous(testContinuous(f, 8))
@@ -44,6 +45,15 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	for _, h := range hostileContinuous(f) {
 		old = append(old, h.frame)
 	}
+	// A delta, whole and with a slot bit beyond the ring, one the payload has
+	// no slot for, another base and a byte missing.
+	_, delta, _ := deltaChain()
+	old = append(old, delta)
+	bitmap := headerSize + deltaBaseSize + slidingGeometrySize + 2 + slidingLevelHeader
+	for _, flip := range []struct{ off, bit int }{{bitmap, 7}, {bitmap, 0}, {headerSize, 1}} {
+		old = append(old, mangle(delta, func(b []byte) { b[flip.off] ^= 1 << flip.bit }))
+	}
+	old = append(old, frameFor(KindSlidingDelta, 4, 8, 32, delta[headerSize:len(delta)-crcSize-1]))
 	seeds := [][]byte{
 		EncodeSpaceSaving(testSpaceSaving(1, 100)),
 		EncodeExact(testHierarchy(), testExact(2, 100)),

@@ -39,6 +39,7 @@ func goldenFixtures(t *testing.T) []struct {
 	filterFrame := EncodeFilter(testFilter(0x70))
 	contV4, _ := EncodeContinuous(testContinuousH(t, v4, 0x80))
 	contV6, _ := EncodeContinuous(testContinuousH(t, v6, 0x81))
+	_, delta, deltaWhole := deltaChain() // over sliding-v4-block: see TestGoldenDelta
 	return []struct {
 		name  string
 		frame []byte
@@ -52,6 +53,8 @@ func goldenFixtures(t *testing.T) []struct {
 		{"rhhh-v6", EncodeRHHH(testRHHHH(v6, 0x41))},
 		{"sliding-v4-block", EncodeSliding(testSlidingH(v4, 0x50))},
 		{"sliding-v6", EncodeSliding(testSlidingH(v6, 0x51))},
+		{"sliding-v4-delta", delta},
+		{"sliding-v4-delta-whole", deltaWhole},
 		{"memento-v4", EncodeMemento(testMementoH(v4, 0x60))},
 		{"memento-v6", EncodeMemento(testMementoH(v6, 0x61))},
 		{"tdbf-v2", filterFrame},

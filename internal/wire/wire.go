@@ -27,10 +27,10 @@
 // The hierarchy descriptor is reconstructible because addr hierarchies
 // are fully determined by (family, step, depth); kinds without a
 // hierarchy (bare Space-Saving summaries and TDBF filters) carry family
-// 0. A frame is self-contained: no state is shared between frames, and
-// re-encoding a decoded summary yields a semantically identical summary
-// (byte-identical query results), which is what the aggregator relies
-// on.
+// 0. A frame is self-contained — no state is shared between frames, bar the
+// sliding delta's, below — and re-encoding a decoded summary yields a
+// semantically identical summary (byte-identical query results), which is
+// what the aggregator relies on.
 //
 // # Versioning policy
 //
@@ -81,6 +81,24 @@
 // receiver converts the levels it holds exactly as it restores them: a
 // key's cell takes the minimum of the k cells the sender's filter gave it,
 // which preserves every estimate of the level.
+//
+// # The sliding delta
+//
+// Between two seals a WCSS sender writes the ring slot that is filling and
+// perhaps the next, so beside the full KindSliding frame it has a
+// KindSlidingDelta (SealSliding) of the slots written since its last frame:
+//
+//	8+4   base: the Seq the sender gave that frame, and its CRC-32
+//	14+2  geometry and level count, as in the full frame
+//	then per level: frame clock (8), a bitmap of the ring (bit i%8 of byte
+//	i/8: slot i follows), the slots it names in the full frame's layout
+//
+// The base sits inside the checksum and is the frame's content as well as
+// its number: a restarted sender whose Seq lines up is not its predecessor.
+// ApplySlidingDelta applies a delta only over the summary standing at that
+// frame and otherwise refuses it whole (ErrBase); a reader from before the
+// kind existed refuses it with ErrKind. The decayed kinds have no delta:
+// marking the cells touched since a seal would be a write on every packet.
 //
 // # Robustness
 //
@@ -144,6 +162,9 @@ const (
 	KindFilter Kind = 7
 	// KindContinuous is the TDBF-backed continuous HHH detector.
 	KindContinuous Kind = 8
+	// KindSlidingDelta is the ring slots of a WCSS engine written since its
+	// sender's previous frame, which it names: no summary on its own.
+	KindSlidingDelta Kind = 9
 )
 
 // version is the format version frames of kind k are written at.
@@ -176,6 +197,8 @@ func (k Kind) String() string {
 		return "tdbf"
 	case KindContinuous:
 		return "continuous"
+	case KindSlidingDelta:
+		return "sliding-delta"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
@@ -203,6 +226,10 @@ var (
 	// ErrCorrupt means the payload is structurally invalid: impossible
 	// counts, broken invariants, or bytes left over after decoding.
 	ErrCorrupt = errors.New("wire: corrupt payload")
+	// ErrBase means a well-formed delta does not apply to the summary it was
+	// offered: it names another base frame, or a slot it leaves out no
+	// longer stands as that frame left it. Nothing has been written.
+	ErrBase = errors.New("wire: delta does not fit its base")
 )
 
 // Decode allocation budgets. Capacity-type fields are not materialised
@@ -301,8 +328,19 @@ func Verify(frame []byte) (Frame, error) {
 	return Frame{hdr, payload}, err
 }
 
-// Size returns the length of the whole frame in bytes.
-func (f Frame) Size() int { return headerSize + len(f.payload) + crcSize }
+// Size returns the length of the whole frame in bytes, 0 for no frame.
+func (f Frame) Size() int {
+	if f.Header.Kind == 0 {
+		return 0
+	}
+	return headerSize + len(f.payload) + crcSize
+}
+
+// Checksum returns the CRC-32 a framed summary ends in: with the Seq its
+// sender gave it, the name a delta calls its base by.
+func Checksum(frame []byte) uint32 {
+	return binary.LittleEndian.Uint32(frame[len(frame)-crcSize:])
+}
 
 // parseFrame verifies the envelope and returns the header and payload.
 func parseFrame(frame []byte) (Header, []byte, error) {
@@ -329,7 +367,7 @@ func parseFrame(frame []byte) (Header, []byte, error) {
 		Step:    frame[9],
 		Depth:   frame[10],
 	}
-	if hdr.Kind < KindSpaceSaving || hdr.Kind > KindContinuous {
+	if hdr.Kind < KindSpaceSaving || hdr.Kind > KindSlidingDelta {
 		return Header{}, nil, fmt.Errorf("%w: %d", ErrKind, uint8(hdr.Kind))
 	}
 	n := int(binary.LittleEndian.Uint32(frame[12:16]))

@@ -351,10 +351,12 @@ func TestRoundTrip(t *testing.T) {
 func TestDecodeDispatch(t *testing.T) {
 	filterFrame := EncodeFilter(testFilter(7))
 	contFrame, _ := EncodeContinuous(testContinuous(t, 8))
+	_, delta, _ := deltaChain()
 	cases := []struct {
 		frame []byte
 		want  Kind
 	}{
+		{delta, KindSlidingDelta},
 		{EncodeSpaceSaving(testSpaceSaving(1, 100)), KindSpaceSaving},
 		{EncodeExact(testHierarchy(), testExact(2, 100)), KindExact},
 		{EncodePerLevel(testPerLevel(3)), KindPerLevel},
@@ -394,6 +396,8 @@ func TestDecodeDispatch(t *testing.T) {
 			_, ok = v.(*tdbf.Filter)
 		case KindContinuous:
 			_, ok = v.(*continuous.Detector)
+		case KindSlidingDelta:
+			_, ok = v.(SlidingDelta)
 		}
 		if !ok {
 			t.Fatalf("%v: decode returned %T", tc.want, v)
