@@ -523,7 +523,7 @@ func BenchmarkPerLevelQuery(b *testing.B) {
 }
 
 // benchScenario returns ten seconds of the named internal/gen scenario.
-func benchScenario(b *testing.B, name string) []Packet {
+func benchScenario(b testing.TB, name string) []Packet {
 	for _, sc := range gen.Scenarios(10*time.Second, 24) {
 		if sc.Name == name {
 			pkts, err := gen.Packets(sc.Config)
@@ -641,6 +641,61 @@ func BenchmarkSlidingUpdateKeys(b *testing.B) {
 				b.Fatal("no HHHs")
 			}
 		})
+	}
+}
+
+// TestTableUpdatesPerPacket pins what the coalescing block is for, as a
+// count that repeats exactly: Space-Saving updates per packet on the
+// batches the two kernels above are fed (shard 0 of 2, ten seconds of
+// trace, 512 counters, the last block settled). The ceilings hold the
+// block to the slope it was sized on; the floor says what it must not
+// pretend: six of the nibble ladder's nine levels cannot coalesce
+// uniformly drawn sources, whatever the block holds. The WCSS row is the
+// sliding detector on the same batches: every frame end settles a
+// part-filled block, so it pays more than the windowed engine does.
+func TestTableUpdatesPerPacket(t *testing.T) {
+	nibble, bytewise := addr.NewIPv4Hierarchy(addr.Nibble), addr.NewIPv4Hierarchy(addr.Byte)
+	diurnal, ddos := benchScenario(t, "diurnal-tier1"), benchScenario(t, "hit-and-run-ddos")
+	perLevel := func(h addr.Hierarchy, batches []*trace.KeyBatch) int64 {
+		eng := hhh.NewPerLevel(h, 512)
+		for _, kb := range batches {
+			eng.UpdateKeys(kb)
+		}
+		eng.Settle()
+		return eng.TableUpdates()
+	}
+	wcss := func(h addr.Hierarchy, batches []*trace.KeyBatch) int64 {
+		d, err := swhh.NewSlidingHHH(h, swhh.Config{Window: 10 * time.Second, Frames: 8, Counters: 512})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kb := range batches {
+			d.UpdateKeys(kb)
+		}
+		d.WindowTotal(ddos[len(ddos)-1].Ts) // a read applies the pending block
+		return d.TableUpdates()
+	}
+	for _, tc := range []struct {
+		name     string
+		h        addr.Hierarchy
+		pkts     []Packet
+		updates  func(addr.Hierarchy, []*trace.KeyBatch) int64
+		min, max float64
+	}{
+		{"perlevel/nibble/diurnal-tier1", nibble, diurnal, perLevel, 0, 0.40},
+		{"perlevel/byte/hit-and-run-ddos", bytewise, ddos, perLevel, 0, 0.20},
+		{"wcss/byte/hit-and-run-ddos", bytewise, ddos, wcss, 0, 0.25},
+		{"perlevel/nibble/uniform-random", nibble, uniformSources(diurnal), perLevel, 6.0, 9},
+	} {
+		batches, pkts := shardBatches(tc.h, tc.pkts), 0
+		for _, kb := range batches {
+			pkts += kb.Len()
+		}
+		per := float64(tc.updates(tc.h, batches)) / float64(pkts)
+		t.Logf("%-31s %d packets, %.3f table updates a packet (%d-key block)", tc.name, pkts, per, hhh.BlockKeys)
+		if per < tc.min || per > tc.max {
+			t.Errorf("%s: %.3f table updates a packet, want within [%.2f, %.2f]", tc.name, per, tc.min, tc.max)
+		}
 	}
 }
 

@@ -578,7 +578,9 @@ func (a *Aggregator) framesOf(r *aggRound) []wire.Frame {
 // mergeFrames restores each frame of a window round behind the Summary
 // contract and runs the same sequence a shard barrier does: advance every
 // summary to `at`, fold them — the first is the receiver — and query it
-// at `at`. Ingest has already pinned every frame to one engine. Engine
+// at `at`; a lone frame's summary has nothing to take in (a merge would
+// rebuild every table for the union it already holds) and is queried as
+// restored. Ingest has already pinned every frame to one engine. Engine
 // panics (geometry drift between nodes) are recovered into errors. Caller
 // holds a.mu.
 func (a *Aggregator) mergeFrames(frames []wire.Frame, at int64) (set hhh.Set, total int64, err error) {
@@ -597,7 +599,9 @@ func (a *Aggregator) mergeFrames(frames []wire.Frame, at int64) (set hhh.Set, to
 		}
 		sums[i].Advance(at)
 	}
-	sums[0].Merge(sums[1:]...)
+	if len(sums) > 1 {
+		sums[0].Merge(sums[1:]...)
+	}
 	set, total = sums[0].Query(at)
 	return set, total, nil
 }

@@ -47,6 +47,60 @@ func sameSet(t *testing.T, what string, got, want hhh.Set) {
 
 func mustEncode(_ *testing.T, s Summary) []byte { return s.Encode() }
 
+// TestContractLoneFrameRound: a round of one frame is queried as restored,
+// with no merge. A merge of one summary adds nothing to any count — it
+// re-canonicalises the tables — so the report must be the one the same
+// frame gets from a two-node round whose other node saw no traffic, which
+// does go through the merge: set with counts, mass and span. (Nodes and
+// Expected say how many took part and differ by construction.)
+func TestContractLoneFrameRound(t *testing.T) {
+	pkts := testStream(47, 30000, 2) // ~7 000 sources into 64 counters: every table is full
+	at := pkts[len(pkts)-1].Ts + 1
+	forEachEngine(t, func(t *testing.T, cfg Config) {
+		if cfg.Mode != ModeWindowed {
+			t.Skip("no window rounds: a lone node's newest summary has always been queried directly")
+		}
+		if err := cfg.setDefaults(); err != nil {
+			t.Fatal(err)
+		}
+		var node [2]Summary // the second stays empty
+		for i := range node {
+			s, err := newSummary(&cfg, i)
+			if err != nil {
+				t.Fatal(err)
+			}
+			node[i] = s
+		}
+		kb := trace.NewKeyBatch(0)
+		kb.AppendPackets(cfg.Hierarchy, pkts)
+		node[0].UpdateKeys(kb)
+		var reps [2]*AggReport
+		for n := 1; n <= 2; n++ {
+			agg, err := NewAggregator(AggregatorConfig{Expected: n, Phi: cfg.Phi})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer agg.Close()
+			for i, s := range node[:n] {
+				s.Advance(at)
+				sealed := Sealed{Seq: 1, Start: at - int64(cfg.Window), End: at, Frame: mustEncode(t, s)}
+				if err := agg.Ingest(string(rune('a'+i)), sealed); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if reps[n-1] = agg.Report(); reps[n-1].Nodes != n || reps[n-1].Degraded {
+				t.Fatalf("%d-node round published %+v", n, reps[n-1])
+			}
+		}
+		lone, pair := reps[0], reps[1]
+		sameSet(t, "lone frame", lone.Set, pair.Set)
+		if lone.Set.Len() == 0 || lone.Bytes != pair.Bytes || lone.Start != pair.Start || lone.End != pair.End {
+			t.Fatalf("lone round %d items, %d B over [%d, %d]; with an empty peer %d B over [%d, %d]",
+				lone.Set.Len(), lone.Bytes, lone.Start, lone.End, pair.Bytes, pair.Start, pair.End)
+		}
+	})
+}
+
 // TestContractSingleMatchesOneShard: the single-goroutine driver and a
 // 1-shard pipeline run the same Summary through the same window clock, so
 // on one stream they must publish identical reports — set, mass, covered

@@ -269,17 +269,23 @@ func TestSpaceSavingStructureInvariant(t *testing.T) {
 			if ss.words[wi]&bit == 0 || ss.summary&(uint64(1)<<wi) == 0 {
 				return false // occupancy bitmap out of sync
 			}
-			// The node must be reachable from its bucket's list, with
-			// stamps ascending (arrival order = eviction tie order).
+			// The node must be reachable from its bucket's circular list
+			// (head back to head), every link must be mutual, and stamps
+			// ascend (arrival order = eviction tie order).
 			found := false
 			lastStamp := int64(-1)
-			for ni := ss.slots[n.slot].head; ni != nilIdx; ni = ss.nodes[ni].next {
-				if ss.nodes[ni].stamp <= lastStamp {
+			head := ss.slots[n.slot].head
+			for ni := head; ; {
+				nd := ss.nodes[ni]
+				if nd.stamp <= lastStamp || ss.nodes[nd.next].prev != ni || nd.slot != n.slot {
 					return false
 				}
-				lastStamp = ss.nodes[ni].stamp
+				lastStamp = nd.stamp
 				if ni == int32(i) {
 					found = true
+				}
+				if ni = nd.next; ni == head {
+					break
 				}
 			}
 			if !found {

@@ -3,7 +3,6 @@ package sketch
 import (
 	"math"
 	"math/bits"
-	"slices"
 
 	"hiddenhhh/internal/hashx"
 )
@@ -28,23 +27,29 @@ import (
 // walks when byte-sized increments land in the dense count region near
 // the minimum, so the buckets here are direct-addressed instead. A ring
 // of ringSlots count buckets covers the window [base, base+ringSlots);
-// each bucket is an intrusive doubly-linked list of the entries sharing
-// that exact count, and a two-level occupancy bitmap finds the minimum
+// each bucket is an intrusive circular doubly-linked list of the entries
+// sharing that exact count — the bucket keeps its head only, the tail is
+// the head's prev — and a two-level occupancy bitmap finds the minimum
 // bucket in O(1). Entries whose count grows past the window leave for an
 // unsorted "hot" zone where an update is a bare count increment — under
 // heavy-tailed traffic that is the vast majority of updates. The ring is
 // rebuilt from the hot zone only when it runs empty, i.e. after the
-// minimum has advanced by a full window, which amortises the rebuild to
-// O(1) per update for packet-scale weights. The key index is open
-// addressed with backward-shift deletion. All storage is allocated at
-// construction and reused across Reset, so the per-packet path never
-// allocates.
+// minimum has advanced by a full window: one pass that places each entry
+// near the minimum in the bucket of its count, no sort. With packet-scale
+// weights (RHHH) that is rare; behind a coalescing block (PerLevel and
+// WCSS since hhh.Block) every weight is a block sum of several KB, an
+// evicted entry leaves the ring at once and the ring runs dry several
+// times a window, which is why the rebuild is a placement. The key index
+// is open addressed with backward-shift deletion. All storage is
+// allocated at construction and reused across Reset, so the per-packet
+// path never allocates.
 //
 // Eviction among equal minimum counts is deterministic: the entry whose
 // count changed least recently goes first (bucket lists keep arrival
-// order, rebuilds sort by the recorded change stamp). The heap-backed
-// reference in spacesaving_heap_test.go implements the identical rule,
-// which is what makes the two differentially testable entry for entry.
+// order; a rebuild links an entry behind the entries of its bucket with
+// older change stamps). The heap-backed reference in
+// spacesaving_heap_test.go implements the identical rule, which is what
+// makes the two differentially testable entry for entry.
 type SpaceSaving struct {
 	k     int
 	nodes []ssNode
@@ -63,17 +68,17 @@ type SpaceSaving struct {
 	tab  []ssSlot
 	mask uint32
 
-	scratch []int32 // rebuild candidate buffer
 	total   int64
 	clock   int64 // logical time of count changes, breaks eviction ties
 	ordered bool  // see Ordered
 }
 
-// ringSlots is the count window the direct-addressed buckets cover. It
-// must comfortably exceed the common per-update weight (packet sizes top
-// out around 1500 B) so that evictions and light-entry increments stay
-// inside the ring; larger weights merely park entries in the hot zone
-// until the next rebuild reaches them.
+// ringSlots is the count window the direct-addressed buckets cover. Where
+// weights are packet sizes (at most ~1500 B) evictions and light-entry
+// increments stay inside the ring; where they are block sums, larger than
+// the window, an updated entry parks in the hot zone until the next
+// rebuild reaches it, and what the ring keeps in order is the entries not
+// touched since — the eviction candidates.
 const ringSlots = 2048
 
 const (
@@ -92,10 +97,11 @@ type ssNode struct {
 	prev, next int32 // neighbours within the bucket's entry list
 }
 
-// ssRingSlot heads one count bucket. Entry lists keep arrival order: head
-// is the entry that has sat at this count longest.
+// ssRingSlot heads one count bucket. Entry lists are circular and keep
+// arrival order: head is the entry that has sat at this count longest, its
+// prev the one that arrived last.
 type ssRingSlot struct {
-	head, tail int32
+	head int32
 }
 
 // ssSlot is one open-addressed index slot. node stores nodeIndex+1 so the
@@ -121,7 +127,6 @@ func NewSpaceSaving(k int) *SpaceSaving {
 		words:   make([]uint64, ringSlots/64),
 		tab:     make([]ssSlot, tabSize),
 		mask:    tabSize - 1,
-		scratch: make([]int32, 0, k),
 		ordered: true,
 	}
 }
@@ -195,24 +200,35 @@ func (s *SpaceSaving) idxDelete(key uint64) {
 
 // --- ring plumbing ---
 
-// ringLink appends node ni to the bucket at ring index idx, keeping
-// oldest-at-this-count-first order.
+// ringLink puts node ni into the bucket at ring index idx, behind the
+// bucket's entries with older stamps. An update's stamp is the newest
+// there is: it goes in at the tail without a step. Only rebase, which
+// links in node order, brings an entry older than some already there; it
+// takes the head's place at once if it is older than all of them (a
+// merged summary's stamps run against node order) and otherwise walks back
+// from the tail past the younger ones.
 func (s *SpaceSaving) ringLink(ni, idx int32) {
 	n := &s.nodes[ni]
 	n.slot = idx
-	n.next = nilIdx
 	wi := uint32(idx) >> 6
 	bit := uint64(1) << (uint32(idx) & 63)
-	if s.words[wi]&bit != 0 {
-		tail := s.slots[idx].tail
-		n.prev = tail
-		s.nodes[tail].next = ni
-		s.slots[idx].tail = ni
-	} else {
-		n.prev = nilIdx
-		s.slots[idx] = ssRingSlot{head: ni, tail: ni}
+	if s.words[wi]&bit == 0 {
+		n.prev, n.next = ni, ni
+		s.slots[idx].head = ni
 		s.words[wi] |= bit
 		s.summary |= uint64(1) << wi
+	} else {
+		at := s.slots[idx].head // ni goes in before at: before the head is behind the tail
+		if s.nodes[at].stamp > n.stamp {
+			s.slots[idx].head = ni
+		} else {
+			for s.nodes[s.nodes[at].prev].stamp > n.stamp {
+				at = s.nodes[at].prev
+			}
+		}
+		n.prev, n.next = s.nodes[at].prev, at
+		s.nodes[n.prev].next = ni
+		s.nodes[at].prev = ni
 	}
 	if idx < s.minIdx {
 		s.minIdx = idx
@@ -224,21 +240,17 @@ func (s *SpaceSaving) ringLink(ni, idx int32) {
 func (s *SpaceSaving) ringRemove(ni int32) {
 	n := &s.nodes[ni]
 	idx := n.slot
-	if n.prev == nilIdx {
-		s.slots[idx].head = n.next
-	} else {
-		s.nodes[n.prev].next = n.next
-	}
-	if n.next == nilIdx {
-		s.slots[idx].tail = n.prev
-	} else {
-		s.nodes[n.next].prev = n.prev
-	}
-	if s.slots[idx].head == nilIdx {
+	if n.next == ni { // alone in its bucket
 		wi := uint32(idx) >> 6
 		s.words[wi] &^= uint64(1) << (uint32(idx) & 63)
 		if s.words[wi] == 0 {
 			s.summary &^= uint64(1) << wi
+		}
+	} else {
+		s.nodes[n.prev].next = n.next
+		s.nodes[n.next].prev = n.prev
+		if s.slots[idx].head == ni {
+			s.slots[idx].head = n.next
 		}
 	}
 	n.slot = hotSlot
@@ -283,8 +295,9 @@ func (s *SpaceSaving) ensureRing() {
 }
 
 // rebase rebuilds the ring window anchored at the current global minimum:
-// every entry within ringSlots of it is linked back into direct-addressed
-// buckets, in (count, stamp) order so that eviction order is preserved.
+// every entry within ringSlots of it is placed straight into the bucket of
+// its exact count, where ringLink keeps stamp order — the ring a sort by
+// (count, stamp) would build, eviction order preserved, without the sort.
 func (s *SpaceSaving) rebase() {
 	mn := s.minCount()
 	s.base = mn
@@ -293,29 +306,11 @@ func (s *SpaceSaving) rebase() {
 	s.live = true
 	clear(s.words)
 	s.summary = 0
-	cand := s.scratch[:0]
 	for i := 0; i < s.n; i++ {
-		if s.nodes[i].count-mn < ringSlots {
-			cand = append(cand, int32(i))
+		if idx := s.nodes[i].count - mn; idx < ringSlots {
+			s.ringLink(int32(i), int32(idx))
 		}
 	}
-	slices.SortFunc(cand, func(a, b int32) int {
-		na, nb := &s.nodes[a], &s.nodes[b]
-		if na.count != nb.count {
-			if na.count < nb.count {
-				return -1
-			}
-			return 1
-		}
-		if na.stamp < nb.stamp {
-			return -1
-		}
-		return 1
-	})
-	for _, ni := range cand {
-		s.ringLink(ni, int32(s.nodes[ni].count-mn))
-	}
-	s.scratch = cand[:0]
 }
 
 // increase adds w to node ni's count and relinks it if it is in the ring.
@@ -350,7 +345,7 @@ func (s *SpaceSaving) Update(key uint64, w int64) {
 		ni := int32(s.n)
 		s.n++
 		s.clock++
-		s.nodes[ni] = ssNode{key: key, count: w, stamp: s.clock, slot: hotSlot, prev: nilIdx, next: nilIdx}
+		s.nodes[ni] = ssNode{key: key, count: w, stamp: s.clock, slot: hotSlot}
 		s.idxInsert(key, ni)
 		if s.live {
 			if w < s.base {
@@ -632,8 +627,6 @@ func (s *SpaceSaving) install(i, n int, e KV) {
 		err:   e.ErrUB,
 		stamp: int64(n - i),
 		slot:  hotSlot,
-		prev:  nilIdx,
-		next:  nilIdx,
 	}
 	s.idxInsert(e.Key, int32(i))
 }
@@ -784,5 +777,5 @@ func (s *SpaceSaving) GuaranteedKeys(threshold int64) []KV {
 // nodes, direct-addressed buckets with their occupancy bitmap, and the
 // open-addressed key index.
 func (s *SpaceSaving) SizeBytes() int {
-	return len(s.nodes)*48 + len(s.slots)*8 + len(s.words)*8 + 8 + len(s.tab)*16
+	return len(s.nodes)*48 + len(s.slots)*4 + len(s.words)*8 + 8 + len(s.tab)*16
 }

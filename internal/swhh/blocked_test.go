@@ -267,25 +267,26 @@ func TestSlidingBlockCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	b := trace.NewKeyBatch(0)
-	for i := 0; i < hhh.BlockKeys; i++ {
-		b.Append(h.Key(addr.From4(10, 0, byte(i), 1), 0), 100, 5)
-		b.Append(h.Key(addr.From4(10, 0, byte(i), 1), 0), 1, 5) // a repeat takes no room
+	for i := 0; i < hhh.BlockKeys; i++ { // two bytes of i: distinct however many keys the block holds
+		b.Append(h.Key(addr.From4(10, byte(i>>8), byte(i), 1), 0), 100, 5)
+		b.Append(h.Key(addr.From4(10, byte(i>>8), byte(i), 1), 0), 1, 5) // a repeat takes no room
 	}
 	d.UpdateKeys(b)
 	if d.TableUpdates() != 0 {
 		t.Fatalf("%d table updates with the block exactly full", d.TableUpdates())
 	}
 	b.Reset()
-	b.Append(h.Key(addr.From4(10, 0, 200, 1), 0), 100, 5)
+	b.Append(h.Key(addr.From4(10, 200, 0, 1), 0), 100, 5)
 	d.UpdateKeys(b)
-	// 128 leaves, 128 /24s, then one /16, one /8 and the root.
-	if want := int64(2*hhh.BlockKeys + 3); d.TableUpdates() != want {
-		t.Fatalf("%d table updates after the key the block had no room for, want %d", d.TableUpdates(), want)
+	// BlockKeys leaves, as many /24s, a /16 per 256 of them, one /8 and the root.
+	full := int64(2*hhh.BlockKeys + (hhh.BlockKeys+255)/256 + 2)
+	if d.TableUpdates() != full {
+		t.Fatalf("%d table updates after the key the block had no room for, want %d", d.TableUpdates(), full)
 	}
 	if got, want := d.WindowTotal(5), int64(101*hhh.BlockKeys+100); got != want {
 		t.Fatalf("window total %d, want %d", got, want)
 	}
-	if want := int64(2*hhh.BlockKeys + 3 + 5); d.TableUpdates() != want {
+	if want := full + 5; d.TableUpdates() != want {
 		t.Fatalf("%d table updates once read, want %d", d.TableUpdates(), want)
 	}
 }

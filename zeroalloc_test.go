@@ -35,8 +35,8 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	probe := hhh.NewPerLevel(addr.NewIPv4Hierarchy(addr.Byte), 8)
 	block := -probe.SizeBytes()
 	probe.UpdateKeys(trace.NewKeyBatch(0))
-	if block += probe.SizeBytes(); block <= 0 || block > 3<<10 {
-		t.Fatalf("a coalescing block is counted as %d B; want (0, 3 KiB]", block)
+	if block += probe.SizeBytes(); block != hhh.BlockBytes || block > 16<<10 {
+		t.Fatalf("a coalescing block is counted as %d B; want hhh.BlockBytes = %d, at most 16 KiB", block, hhh.BlockBytes)
 	}
 	// A window longer than the trace keeps window-close merges (which
 	// legitimately allocate result sets) out of the measurement.
@@ -63,7 +63,7 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	for i := range pkts[:chunk] {
 		distinct[pkts[i].Src] = true
 	}
-	if len(distinct) < chunk/2 { // ~2 blocks' worth of new keys per shard and run
+	if len(distinct) < 2*hhh.BlockKeys { // half a block of distinct keys per shard and run: the blocks fill while measured
 		t.Fatalf("%d distinct sources in a %d-packet run: blocks would not fill", len(distinct), chunk)
 	}
 	var off int
