@@ -19,6 +19,7 @@ import (
 	"hiddenhhh/internal/gen"
 	"hiddenhhh/internal/hashx"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/pipeline"
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/tdbf"
@@ -269,10 +270,12 @@ func BenchmarkDetectorContinuous(b *testing.B) {
 	benchDetector(b, det)
 }
 
-// BenchmarkDetectorContinuousSampled measures the sampled-level variant.
+// BenchmarkDetectorContinuousSampled measures the sampled-level variant,
+// which only the Section-3 comparison builds: a single-goroutine driver
+// with pipeline.Config.Sampled set.
 func BenchmarkDetectorContinuousSampled(b *testing.B) {
-	det, err := NewContinuousDetector(ContinuousConfig{
-		Horizon: 10 * time.Second, Phi: 0.05, Sampled: true})
+	det, err := newSingle(pipeline.Config{
+		Mode: pipeline.ModeContinuous, Window: 10 * time.Second, Phi: 0.05, Sampled: true}, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -210,11 +210,6 @@ type ShardedConfig struct {
 	// level whose prefix space fits is held exactly in 2^r). Defaults 1<<16, 4.
 	Cells  int
 	Hashes int
-	// ExitRatio is ModeContinuous's hysteresis fraction (see
-	// internal/continuous). Default 0.9.
-	ExitRatio float64
-	// Sampled makes ModeContinuous update one random level per packet.
-	Sampled bool
 	// Hierarchy is the prefix lattice every shard detects over. Defaults
 	// to the IPv4 byte ladder; packets outside its address family are
 	// ignored.
@@ -224,11 +219,6 @@ type ShardedConfig struct {
 	// ModeContinuous's filter hashes (shared verbatim across shards, so
 	// the filters merge cell-wise).
 	Seed uint64
-	// Batch is the number of packets staged per shard before a ring
-	// push. Default 256.
-	Batch int
-	// RingDepth is the per-shard ring capacity in batches. Default 64.
-	RingDepth int
 	// OnWindow, when set, receives every completed window's merged HHH
 	// set (ModeWindowed only). It runs on a worker goroutine (in window
 	// order) and must not call back into the detector or block.
@@ -378,12 +368,8 @@ func NewShardedDetector(cfg ShardedConfig) (ShardedDetector, error) {
 		Frames:    cfg.Frames,
 		Cells:     cfg.Cells,
 		Hashes:    cfg.Hashes,
-		ExitRatio: cfg.ExitRatio,
-		Sampled:   cfg.Sampled,
 		Hierarchy: cfg.Hierarchy,
 		Seed:      cfg.Seed,
-		Batch:     cfg.Batch,
-		RingDepth: cfg.RingDepth,
 		OnWindow:  cfg.OnWindow,
 		OnSeal:    cfg.OnSeal,
 
@@ -453,11 +439,7 @@ type ContinuousConfig struct {
 	// level whose prefix space fits is held exactly in 2^r). Defaults 1<<16, 4.
 	Cells  int
 	Hashes int
-	// ExitRatio is the hysteresis fraction (see internal/continuous).
-	ExitRatio float64
-	// Sampled updates one random level per packet (cheaper, noisier).
-	Sampled bool
-	// Seed drives Sampled's level draws and the filter hashes.
+	// Seed drives the filter hashes.
 	Seed uint64
 	// Hierarchy is the prefix lattice to detect over. Defaults to the
 	// IPv4 byte ladder; packets outside its address family are ignored.
@@ -479,8 +461,6 @@ func NewContinuousDetector(cfg ContinuousConfig) (Detector, error) {
 		Phi:       cfg.Phi,
 		Cells:     cfg.Cells,
 		Hashes:    cfg.Hashes,
-		ExitRatio: cfg.ExitRatio,
-		Sampled:   cfg.Sampled,
 		Hierarchy: cfg.Hierarchy,
 		Seed:      cfg.Seed,
 	}, cfg.OnEnter, cfg.OnExit)

@@ -169,9 +169,7 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 	det.ObserveBatch(pkts)
 	det.Snapshot(pkts[len(pkts)-1].Ts + int64(cfg.Window))
 
-	// Sliding windows: queried every second. Each run covers the packets
-	// before the next tick plus the packet that crosses it — a live
-	// detector learns that a tick has passed from the first packet after it.
+	// Sliding windows: queried every second.
 	slid := newTracker("sliding")
 	det, err = pipeline.NewSingle(pipeline.Config{
 		Mode: pipeline.ModeSliding, Frames: 10,
@@ -180,21 +178,7 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 	if err != nil {
 		return nil, nil, err
 	}
-	nextQ := int64(time.Second)
-	for i := 0; i < len(pkts); {
-		j := i
-		for j < len(pkts) && pkts[j].Ts < nextQ {
-			j++
-		}
-		if j < len(pkts) {
-			j++
-		}
-		det.ObserveBatch(pkts[i:j])
-		for last := pkts[j-1].Ts; last >= nextQ; nextQ += int64(time.Second) {
-			record(slid, det.Snapshot(nextQ), nextQ)
-		}
-		i = j
-	}
+	snapshotEvery(det, pkts, int64(time.Second), func(set hhh.Set, at int64) { record(slid, set, at) })
 
 	// Continuous: enter events give exact detection instants.
 	cont := newTracker("continuous")
@@ -224,6 +208,31 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 		reports = append(reports, rep)
 	}
 	return reports, bursts, nil
+}
+
+// snapshotter is what snapshotEvery drives: the single-goroutine driver,
+// or a test's recorder.
+type snapshotter interface {
+	ObserveBatch(pkts []trace.Packet)
+	Snapshot(now int64) hhh.Set
+}
+
+// snapshotEvery feeds pkts to det and reports det.Snapshot(tick) at every
+// multiple of step, the detector having seen exactly the packets stamped at
+// or before the tick. A live detector learns that a tick has passed from
+// the first packet after it, so a tick that no packet follows is not read.
+func snapshotEvery(det snapshotter, pkts []trace.Packet, step int64, report func(set hhh.Set, at int64)) {
+	fed := 0
+	for tick := step; fed < len(pkts); tick += step {
+		j := fed
+		for j < len(pkts) && pkts[j].Ts <= tick {
+			j++
+		}
+		det.ObserveBatch(pkts[fed:j])
+		if fed = j; fed < len(pkts) {
+			report(det.Snapshot(tick), tick)
+		}
+	}
 }
 
 // RenderLatency formats the E5 table.

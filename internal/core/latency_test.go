@@ -1,9 +1,13 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/trace"
 )
 
 func TestDetectionLatency(t *testing.T) {
@@ -89,5 +93,51 @@ func TestDetectionLatencyDefaults(t *testing.T) {
 	}
 	if len(bursts) != 20 || len(reports) != 3 {
 		t.Fatalf("defaults: %d bursts, %d reports", len(bursts), len(reports))
+	}
+}
+
+// tickRecorder is a snapshotter that records, per Snapshot, the instant
+// and the stamps of every packet observed by then.
+type tickRecorder struct {
+	seen  []int64
+	snaps map[int64][]int64
+}
+
+func (r *tickRecorder) ObserveBatch(pkts []trace.Packet) {
+	for _, p := range pkts {
+		r.seen = append(r.seen, p.Ts)
+	}
+}
+
+func (r *tickRecorder) Snapshot(now int64) hhh.Set {
+	r.snaps[now] = slices.Clone(r.seen)
+	return hhh.NewSet()
+}
+
+// TestSnapshotEveryCutsAtTheTick: the sliding row reads each tick with the
+// packets stamped at or before it — one stamped exactly at the tick in,
+// one a nanosecond after it out — and reads a tick only once a later
+// packet shows it has passed.
+func TestSnapshotEveryCutsAtTheTick(t *testing.T) {
+	sec := int64(time.Second)
+	var pkts []trace.Packet
+	for _, ts := range []int64{sec, sec + 1, 2*sec + 1, 3*sec + sec/2} {
+		pkts = append(pkts, trace.Packet{Ts: ts})
+	}
+	rec := &tickRecorder{snaps: map[int64][]int64{}}
+	var reported []int64
+	snapshotEvery(rec, pkts, sec, func(_ hhh.Set, at int64) { reported = append(reported, at) })
+	want := map[int64][]int64{
+		sec:     {sec},
+		2 * sec: {sec, sec + 1},
+		3 * sec: {sec, sec + 1, 2*sec + 1},
+	}
+	if !slices.Equal(reported, []int64{sec, 2 * sec, 3 * sec}) {
+		t.Fatalf("reported ticks %v, want 1 s, 2 s and 3 s (no packet follows 4 s)", reported)
+	}
+	for at, w := range want {
+		if got := rec.snaps[at]; !slices.Equal(got, w) {
+			t.Errorf("snapshot at %v saw packets %v, want %v", time.Duration(at), got, w)
+		}
 	}
 }

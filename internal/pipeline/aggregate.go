@@ -2,11 +2,11 @@
 // accepts sealed wire frames from a fleet of ingest processes (each
 // running its own Sharded pipeline with Config.OnSeal set), aligns them
 // — per exact window for the windowed engines, latest-frame-per-node for
-// the sliding and continuous engines — merges them through the same
-// Merge contracts the in-process shards use, and publishes a global HHH
-// report. Late or missing nodes degrade the report's declared coverage
-// (Nodes < Expected, Degraded set), never its correctness: a published
-// set is always the true answer over the frames that arrived.
+// the sliding and continuous engines — folds them through the same Fold
+// contract the in-process shards use, and publishes a global HHH report.
+// Late or missing nodes degrade the report's declared coverage (Nodes <
+// Expected, Degraded set), never its correctness: a published set is
+// always the true answer over the frames that arrived.
 //
 // Alignment rules
 //
@@ -19,7 +19,7 @@
 //   - Sliding kinds (sliding, memento) and continuous: the aggregator
 //     is a barrier whose shards are nodes. It keeps one restored summary
 //     per node, brought up to date by each accepted frame (decoded once;
-//     the WCSS rings are restored in place, sealed slots untouched — a
+//     the WCSS rings are restored in place, a full frame every slot — a
 //     WCSS node seals deltas, the slots that changed, each applied only
 //     over the very frame it names and otherwise answered ErrNeedFull), and
 //     on every ingest advances the node summaries to the fleet-wide
@@ -200,7 +200,7 @@ type Aggregator struct {
 	spanWidth int64       // window span learned from sealed metadata
 	nodes     map[string]*aggNode
 	order     []*aggNode          // the same nodes sorted by name: the fold order
-	acc       Summary             // latest-frame kinds: what ≥ 2 node summaries fold into
+	acc       Summary             // what a round of ≥ 2 summaries folds into
 	rounds    map[int64]*aggRound // windowed kinds only
 	published int64               // newest published round End
 	fleetEnd  int64               // newest End any node has sent
@@ -212,9 +212,9 @@ type Aggregator struct {
 	degradedMerges atomic.Int64
 	lateFrames     atomic.Int64
 	rejected       atomic.Int64
-	// Latest-frame kinds: ring slots restored from accepted frames and
-	// slots skipped as unchanged, and the footprint of everything retained
-	// between ingests (node frames and summaries, the accumulator).
+	// Ring slots restored from accepted sliding frames and slots a delta
+	// left out, and the footprint of everything retained between ingests
+	// (node summaries, the accumulator).
 	restoredSlots, skippedSlots atomic.Int64
 	stateBytes                  atomic.Int64
 
@@ -254,12 +254,12 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		r.CounterFunc("hhh_aggregator_rejected_frames_total",
 			"Frames refused for decode or validation errors.", a.rejected.Load)
 		slots := r.CounterVec("hhh_aggregator_restore_slots_total",
-			"Ring slots of accepted sliding frames, by whether the slot was restored into the node's summary or skipped as unchanged since the node's previous frame.",
+			"Ring slots of accepted sliding frames, by whether the slot was restored into the node's summary or skipped as left out of a delta.",
 			"result")
 		slots.WithFunc(a.restoredSlots.Load, "restored")
 		slots.WithFunc(a.skippedSlots.Load, "skipped")
 		r.GaugeFunc("hhh_aggregator_state_bytes",
-			"Footprint of the state retained between ingests: each node's restored summary and, until a delta is applied over it, its newest full frame, plus the merge accumulator (sliding and continuous kinds).",
+			"Footprint of the state retained between ingests: the node summaries plus the merge accumulator, both alignment models.",
 			func() float64 { return float64(a.stateBytes.Load()) })
 	}
 	return a, nil
@@ -406,23 +406,9 @@ func (a *Aggregator) ingestLatestLocked(n *aggNode, s Sealed, frame wire.Frame) 
 		return a.reject(n, "bad frame from %s: %v", n.name, err)
 	}
 	n.sum, n.at = sum, sealedAt{seq: s.Seq, sum: wire.Checksum(s.Frame)}
-	if frame.Header.Kind == a.eng.wire {
-		n.at.full = frame
-	}
 	a.restoredSlots.Add(int64(restored))
 	a.skippedSlots.Add(int64(skipped))
-	err = a.publishLatestLocked(s.Degraded)
-	state := 0
-	for _, n := range a.order {
-		if n.sum != nil {
-			state += n.at.full.Size() + n.sum.SizeBytes()
-		}
-	}
-	if a.acc != nil {
-		state += a.acc.SizeBytes()
-	}
-	a.stateBytes.Store(int64(state))
-	return err
+	return a.publishLatestLocked(s.Degraded)
 }
 
 // ingestRoundLocked files a frame into its window round, publishing the
@@ -481,13 +467,22 @@ func (a *Aggregator) publishRoundsThroughLocked(end int64) error {
 	return firstErr
 }
 
-// publishRoundLocked merges one round's frames and publishes the global
-// report. Caller holds a.mu.
+// publishRoundLocked restores one round's frames, in node-name order,
+// and publishes their fold as the global report. Caller holds a.mu.
 func (a *Aggregator) publishRoundLocked(r *aggRound) error {
-	set, total, err := a.mergeFrames(a.framesOf(r), r.end)
+	sums := make([]Summary, 0, len(r.frames))
+	for _, n := range a.order {
+		if f, ok := r.frames[n.name]; ok {
+			s, _, _, err := a.eng.restore(nil, sealedAt{}, f, a.cfg.Phi)
+			if err != nil {
+				return a.reject(nil, "round %d: %v", r.end, err)
+			}
+			sums = append(sums, s)
+		}
+	}
+	set, total, err := a.fold(sums, r.end)
 	if err != nil {
-		a.rejected.Add(1)
-		return fmt.Errorf("%w: round %d: %v", ErrFrameRejected, r.end, err)
+		return a.reject(nil, "round %d: %v", r.end, err)
 	}
 	a.store(&AggReport{
 		Set:      set,
@@ -515,10 +510,9 @@ func (a *Aggregator) publishLatestLocked(sealDegraded bool) error {
 			maxEnd = n.lastEnd
 		}
 	}
-	set, total, err := a.mergeLatest(sums, maxEnd)
+	set, total, err := a.fold(sums, maxEnd)
 	if err != nil {
-		a.rejected.Add(1)
-		return fmt.Errorf("%w: %v", ErrFrameRejected, err)
+		return a.reject(nil, "%v", err)
 	}
 	degraded := sealDegraded || len(sums) < a.cfg.Expected
 	if width := a.spanWidth; width > 0 {
@@ -560,69 +554,37 @@ func (a *Aggregator) store(r *AggReport) {
 	}
 }
 
-// framesOf lists a round's frames in node-name order. The pairwise
-// Space-Saving merge truncates, so it is commutative but not associative:
-// with three or more nodes the fold order is part of the result, and map
-// order would make two runs over identical frames publish different
-// counts.
-func (a *Aggregator) framesOf(r *aggRound) []wire.Frame {
-	out := make([]wire.Frame, 0, len(r.frames))
-	for _, n := range a.order {
-		if f, ok := r.frames[n.name]; ok {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
-// mergeFrames restores each frame of a window round behind the Summary
-// contract and runs the same sequence a shard barrier does: advance every
-// summary to `at`, fold them — the first is the receiver — and query it
-// at `at`; a lone frame's summary has nothing to take in (a merge would
-// rebuild every table for the union it already holds) and is queried as
-// restored. Ingest has already pinned every frame to one engine. Engine
-// panics (geometry drift between nodes) are recovered into errors. Caller
-// holds a.mu.
-func (a *Aggregator) mergeFrames(frames []wire.Frame, at int64) (set hhh.Set, total int64, err error) {
-	if len(frames) == 0 {
-		return hhh.NewSet(), 0, nil
-	}
-	defer func() {
-		if r := recover(); r != nil {
-			set, total, err = nil, 0, fmt.Errorf("merge panic: %v", r)
-		}
-	}()
-	sums := make([]Summary, len(frames))
-	for i, f := range frames {
-		if sums[i], _, _, err = a.eng.restore(nil, sealedAt{}, f, a.cfg.Phi); err != nil {
-			return nil, 0, err
-		}
-		sums[i].Advance(at)
-	}
-	if len(sums) > 1 {
-		sums[0].Merge(sums[1:]...)
-	}
-	set, total = sums[0].Query(at)
-	return set, total, nil
-}
-
-// mergeLatest is the barrier over node summaries: advance each to `at`,
-// Reset the accumulator and hand it the round, query it at `at`. The
-// node summaries are only read, so they stand for the next ingest; one
-// contributing node needs no accumulator and is queried as it is. The
-// accumulator is a summary of the fleet's geometry, made once by decoding
-// the first node's summary, sealed anew; a merge that panics may leave it
-// half folded, so it is dropped. Caller holds a.mu.
-func (a *Aggregator) mergeLatest(sums []Summary, at int64) (set hhh.Set, total int64, err error) {
-	if len(sums) == 0 {
-		return hhh.NewSet(), 0, nil
-	}
+// fold is the one combining step of both alignment models, the step a
+// shard barrier takes: every summary of the round — a window's restored
+// frames or the nodes' retained summaries, in node-name order, only read —
+// is advanced to at; a lone one is queried as it stands (a fold would
+// rebuild every table for the union it already holds), otherwise the
+// accumulator takes the round in one Fold and is queried. The accumulator
+// is a summary of the fleet's geometry, made once by decoding the first
+// summary's own frame. A panic (geometry drift between nodes) is
+// recovered into an error and drops the accumulator, which it may have
+// left half folded. On the way out it records the footprint of what stays
+// retained: the node summaries and the accumulator. Caller holds a.mu.
+func (a *Aggregator) fold(sums []Summary, at int64) (set hhh.Set, total int64, err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			set, total, err = nil, 0, fmt.Errorf("merge panic: %v", r)
 			a.acc = nil
 		}
+		state := 0
+		for _, n := range a.order {
+			if n.sum != nil {
+				state += n.sum.SizeBytes()
+			}
+		}
+		if a.acc != nil {
+			state += a.acc.SizeBytes()
+		}
+		a.stateBytes.Store(int64(state))
 	}()
+	if len(sums) == 0 {
+		return hhh.NewSet(), 0, nil
+	}
 	for _, s := range sums {
 		s.Advance(at)
 	}
@@ -638,8 +600,7 @@ func (a *Aggregator) mergeLatest(sums []Summary, at int64) (set hhh.Set, total i
 			}
 		}
 		acc = a.acc
-		acc.Reset()
-		acc.Merge(sums...)
+		acc.Fold(sums...)
 	}
 	set, total = acc.Query(at)
 	return set, total, nil

@@ -231,11 +231,12 @@ func TestContractWireRoundTrip(t *testing.T) {
 }
 
 // TestContractAggregatorMatchesBarrier: two summaries of a partitioned
-// stream merged the way a shard barrier merges them equal the
-// Aggregator's merge of their two sealed frames — mergeFrames and
-// completeBarrier are one contract. The stream has fewer distinct
-// sources than counters, so the sketch merges are lossless and the
-// comparison does not depend on the order the aggregator folds frames.
+// stream folded the way a shard barrier folds them — a fresh accumulator's
+// Fold of the round — equal the Aggregator's fold of their two sealed
+// frames: completeBarrier and Aggregator.fold are one contract. The stream
+// has fewer distinct sources than counters, so the sketch merges are
+// lossless and the comparison does not depend on the order the aggregator
+// folds frames.
 func TestContractAggregatorMatchesBarrier(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	pkts := make([]trace.Packet, 20000)
@@ -276,12 +277,12 @@ func TestContractAggregatorMatchesBarrier(t *testing.T) {
 		for i, s := range halves {
 			s.UpdateKeys(parts[i])
 			s.Advance(at)
-			acc.Merge(s)
 			sealed := Sealed{Seq: 1, Start: at - int64(cfg.Window), End: at, Frame: mustEncode(t, s)}
 			if err := agg.Ingest(string(rune('a'+i)), sealed); err != nil {
 				t.Fatal(err)
 			}
 		}
+		acc.Fold(halves[:]...)
 		want, wantMass := acc.Query(at)
 		rep := agg.Report()
 		sameSet(t, "aggregated", rep.Set, want)

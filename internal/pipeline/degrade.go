@@ -363,8 +363,8 @@ func (d *Sharded) arrive(b *barrier, s *shard) {
 	s.size.Store(int64(s.eng.SizeBytes()))
 }
 
-// completeBarrier merges the registered shards' summaries — the whole
-// round in one Merge, in shard-index order (deterministic regardless of
+// completeBarrier folds the registered shards' summaries — the whole
+// round in one Fold, in shard-index order (deterministic regardless of
 // arrival order) — queries the merged summary at the barrier timestamp,
 // and publishes the result, marked degraded when any shard is missing. It
 // runs on whichever goroutine
@@ -397,8 +397,7 @@ func (d *Sharded) completeBarrier(b *barrier, joined []bool, count int) {
 			d.mergeFrom = append(d.mergeFrom, s.eng)
 		}
 	}
-	d.merged.Reset()
-	d.merged.Merge(d.mergeFrom...)
+	d.merged.Fold(d.mergeFrom...)
 	set, total := d.merged.Query(b.at)
 	d.mergedSize.Store(int64(d.merged.SizeBytes()))
 	if d.tel != nil {

@@ -399,14 +399,11 @@ func TestSlidingDeltaTrustBoundary(t *testing.T) {
 	})
 }
 
-// TestFullFrameAfterDeltas: the byte-compare skip must never run against a
-// stale frame. Once deltas have rewritten a slot, the full frame the node
-// was last restored from no longer describes its summary — a later full
-// frame that carries that frame's bytes in the slot would be skipped as
-// unchanged while the slot holds the deltas' content. F1, then D2 and D3
-// rewriting the filling slot, then F1's own bytes again as a later seal:
-// the node's summary must re-encode to that frame, and full-after-full must
-// still skip.
+// TestFullFrameAfterDeltas: a full frame restores the node's summary
+// whole, whatever deltas have written since the full frame before it. F1,
+// then D2 and D3 rewriting the filling slot, then F1's own bytes again as a
+// later seal: the node's summary must re-encode to that frame, not keep the
+// deltas' content in a slot whose bytes F1 shares.
 func TestFullFrameAfterDeltas(t *testing.T) {
 	fx := newDeltaFixture(t)
 	agg, an := fx.after(t, 3)
@@ -431,13 +428,55 @@ func TestFullFrameAfterDeltas(t *testing.T) {
 	if bytes.Equal(mustEncode(t, ref), stale) {
 		t.Fatal("fixture: the deltas changed nothing F1 would not restore")
 	}
-	skipped := agg.skippedSlots.Load()
-	again.Seq = 5
-	if err := agg.Ingest("n", again); err != nil {
+}
+
+// TestAggregatorFullOverFull: a wcss node resyncs right after its first
+// seal, so a full frame lands directly on another. It restores every slot
+// — the two frames share most of their bytes, and none is skipped — and
+// the published report is what a fresh decode of the frame answers.
+func TestAggregatorFullOverFull(t *testing.T) {
+	node := newSlidingNode(t, nil)
+	agg, err := NewAggregator(AggregatorConfig{Expected: 1, Phi: 0.02})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if agg.skippedSlots.Load() == skipped {
-		t.Fatal("a full frame identical to the one before it skipped no slot")
+	defer agg.Close()
+	pkts := wideStream(4, 6000, 900*time.Millisecond)
+	ms := int64(time.Millisecond)
+	node.det.ObserveBatch(pkts[:5000])
+	if err := agg.Ingest("n", node.snapshot(t, 750*ms)); err != nil {
+		t.Fatal(err)
+	}
+	node.det.ObserveBatch(pkts[5000:])
+	node.det.ResyncSeal()
+	s := node.snapshot(t, 900*ms)
+	if s.Delta || s.Seq != 2 {
+		t.Fatalf("seal %d delta %v, want full seal 2", s.Seq, s.Delta)
+	}
+	const slots = 5 * 5 // IPv4 byte levels × ring
+	if err := agg.Ingest("n", s); err != nil {
+		t.Fatal(err)
+	}
+	if restored, skipped := agg.restoredSlots.Load(), agg.skippedSlots.Load(); restored != 2*slots || skipped != 0 {
+		t.Fatalf("two full frames: %d slots restored, %d skipped; want %d and 0", restored, skipped, 2*slots)
+	}
+	f, err := wire.Verify(s.Frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, _, _, err := agg.eng.restore(nil, sealedAt{}, f, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := agg.Report()
+	ref.Advance(rep.End)
+	if !bytes.Equal(mustEncode(t, agg.nodes["n"].sum), mustEncode(t, ref)) {
+		t.Fatal("the node's summary re-encodes differently from a fresh decode of its frame")
+	}
+	want, wantMass := ref.Query(rep.End)
+	sameSet(t, "report", rep.Set, want)
+	if rep.Bytes != wantMass || rep.End != 900*ms || want.Len() == 0 {
+		t.Fatalf("report mass %d at %d, fresh decode %d (%d items)", rep.Bytes, rep.End, wantMass, want.Len())
 	}
 }
 

@@ -121,9 +121,6 @@ type Config struct {
 	// space fits is held exactly in 2^r (ModeContinuous only). Defaults 1<<16, 4.
 	Cells  int
 	Hashes int
-	// ExitRatio is the continuous detector's hysteresis fraction
-	// (ModeContinuous only). Default 0.9.
-	ExitRatio float64
 	// Sampled updates one random level per packet (ModeContinuous only).
 	Sampled bool
 	// Hierarchy is the prefix lattice every shard detects over

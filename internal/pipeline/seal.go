@@ -3,7 +3,7 @@
 // windowed mode, a snapshot barrier in the sliding and continuous modes
 // — is additionally encoded into a stable internal/wire frame and handed
 // to the callback, ready to ship to an aggregator node that merges
-// frames from many ingest processes via the same Merge contracts the
+// frames from many ingest processes via the same Fold contract the
 // shards use locally.
 
 package pipeline

@@ -33,9 +33,8 @@ import (
 // sliding and continuous drivers answer a snapshot with Advance(now) then
 // Query(now) and never reset. Wherever several summaries are combined —
 // a shard barrier, an Aggregator round — each is advanced to the common
-// instant, the accumulator is Reset and takes the whole round in one
-// Merge call, and the accumulator is queried; Encode seals it for the
-// next hop.
+// instant, the accumulator takes the whole round in one Fold call, and
+// the accumulator is queried; Encode seals it for the next hop.
 type Summary interface {
 	// UpdateKeys absorbs a time-ordered columnar batch of pre-packed,
 	// family-filtered leaf keys (see trace.KeyBatch). The producer packs
@@ -47,13 +46,13 @@ type Summary interface {
 	// held back from the tables are applied (perlevel's coalescing block).
 	// Summaries with neither treat it as a no-op.
 	Advance(now int64)
-	// Merge folds srcs — summaries of the same engine and geometry — into
-	// the receiver without modifying them. It is the one merge entry: a
-	// round's sources arrive together, so the Space-Saving engines merge
-	// each table K ways, one truncation whatever the order, and an engine
-	// whose state is mostly sealed between rounds (wcss) can tell, right
-	// after a Reset, which parts of its previous fold still stand.
-	Merge(srcs ...Summary)
+	// Fold makes the receiver the merge of srcs — summaries of the same
+	// engine and geometry, left unmodified — whatever it held before. It is
+	// the one merge entry: a round's sources arrive together, so the
+	// Space-Saving engines merge each table K ways, one truncation whatever
+	// the order, and an engine whose state is mostly sealed between rounds
+	// (wcss) keeps the parts of its previous fold that still stand.
+	Fold(srcs ...Summary)
 	// Query returns the HHH set at time now together with the total mass
 	// (the threshold denominator: window bytes, covered sliding bytes, or
 	// decayed mass).
@@ -106,14 +105,10 @@ type engine struct {
 }
 
 // sealedAt names the frame a restored summary stands at: the Seq its sender
-// gave it and its checksum — what a delta calls its base — and, while that
-// is a full frame, the frame itself, which the next full frame is compared
-// with slot by slot. A delta's bytes say nothing of the slots it left out:
-// after one, full is the zero Frame and the next full frame restores all.
+// gave it and its checksum — what a delta calls its base.
 type sealedAt struct {
-	seq  int64
-	sum  uint32
-	full wire.Frame
+	seq int64
+	sum uint32
 }
 
 // engines is the registry, indexed by Kind. Within a mode the first row
@@ -214,9 +209,9 @@ func wrap(e any, phi float64) (Summary, error) {
 // returns it with the ring slots it restored and skipped. prev is the
 // summary previous calls brought to the frame at names, nil when there is
 // none. An engine with a restoreInto hook is restored in place — wcss slot
-// by slot, leaving the slots a delta omits or two full frames share
-// untouched, stamps and all, so an accumulator's memo of them stands (see
-// wire.Frame.RestoreSliding, ApplySlidingDelta); tdbf over its own cells,
+// by slot, a full frame every slot and a delta the slots it carries, the
+// rest untouched, stamps and all, so an accumulator's memo of them stands
+// (see wire.Frame.RestoreSliding, ApplySlidingDelta); tdbf over its own cells,
 // allocating nothing that grows with them (wire.Frame.RestoreContinuous) —
 // and any other engine is decoded anew. On error prev must be discarded,
 // bar wire.ErrBase: a delta that does not follow at, refused unwritten.
@@ -240,13 +235,13 @@ func (r *engine) restore(prev Summary, at sealedAt, frame wire.Frame, phi float6
 func restoreWCSS(prev Summary, at sealedAt, frame wire.Frame) (any, int, int, error) {
 	var d *swhh.SlidingHHH
 	if p, ok := prev.(*wcssSummary); ok {
-		d = p.live()
+		d = p.d
 	}
 	if frame.Header.Kind == wire.KindSlidingDelta {
 		restored, skipped, err := frame.ApplySlidingDelta(d, at.seq, at.sum)
 		return nil, restored, skipped, err
 	}
-	nd, restored, skipped, err := frame.RestoreSliding(d, at.full)
+	nd, restored, skipped, err := frame.RestoreSliding(d)
 	if err != nil || nd == d {
 		return nil, restored, skipped, err
 	}
@@ -272,7 +267,7 @@ func restoreTDBF(prev Summary, _ sealedAt, frame wire.Frame) (any, int, int, err
 // no delta form. It reports whether the frame is a delta.
 func encodeSeal(s Summary, delta bool, baseSeq int64, baseSum uint32) ([]byte, bool) {
 	if e, ok := s.(*wcssSummary); ok {
-		return wire.SealSliding(e.live(), delta, baseSeq, baseSum), delta
+		return wire.SealSliding(e.d, delta, baseSeq, baseSum), delta
 	}
 	return s.Encode(), false
 }
@@ -349,17 +344,18 @@ func buildTDBF(cfg *Config, _ int) (any, error) {
 			Hashes: cfg.Hashes,
 			Decay:  tdbf.Exponential{Tau: cfg.Window},
 		},
-		ExitRatio: cfg.ExitRatio,
-		Sampled:   cfg.Sampled,
-		Seed:      cfg.Seed,
-		OnEnter:   cfg.onEnter,
-		OnExit:    cfg.onExit,
+		Sampled: cfg.Sampled,
+		Seed:    cfg.Seed,
+		OnEnter: cfg.onEnter,
+		OnExit:  cfg.onExit,
 	})
 }
 
-// mergeEach is Merge for the engines that take a round one source at a
-// time: f folds each source, in order, into the receiver.
-func mergeEach[T Summary](srcs []Summary, f func(o T)) {
+// foldEach is Fold for the engines that take a round one source at a
+// time: the receiver r is Reset, then f merges each source, in order, into
+// it.
+func foldEach[T Summary](r Summary, srcs []Summary, f func(o T)) {
+	r.Reset()
 	for _, o := range srcs {
 		f(o.(T))
 	}
@@ -388,8 +384,8 @@ func (e *exactSummary) Reset()         { e.ex.Reset() }
 func (e *exactSummary) SizeBytes() int { return e.ex.Len() * 16 }
 func (e *exactSummary) Encode() []byte { return wire.EncodeExact(e.h, e.ex) }
 
-func (e *exactSummary) Merge(srcs ...Summary) {
-	mergeEach(srcs, func(o *exactSummary) { e.ex.AddAll(o.ex) })
+func (e *exactSummary) Fold(srcs ...Summary) {
+	foldEach(e, srcs, func(o *exactSummary) { e.ex.AddAll(o.ex) })
 }
 
 func (e *exactSummary) Query(int64) (hhh.Set, int64) {
@@ -411,11 +407,12 @@ func (e *perLevelSummary) Reset()                       { e.d.Reset() }
 func (e *perLevelSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *perLevelSummary) Encode() []byte               { return wire.EncodePerLevel(e.d) }
 
-func (e *perLevelSummary) Merge(srcs ...Summary) {
+func (e *perLevelSummary) Fold(srcs ...Summary) {
 	round := make([]*hhh.PerLevel, len(srcs))
 	for i, o := range srcs {
 		round[i] = o.(*perLevelSummary).d
 	}
+	e.d.Reset()
 	e.d.MergeAll(round)
 }
 
@@ -435,11 +432,12 @@ func (e *rhhhSummary) Reset()                       { e.d.Reset() }
 func (e *rhhhSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *rhhhSummary) Encode() []byte               { return wire.EncodeRHHH(e.d) }
 
-func (e *rhhhSummary) Merge(srcs ...Summary) {
+func (e *rhhhSummary) Fold(srcs ...Summary) {
 	round := make([]*hhh.RHHH, len(srcs))
 	for i, o := range srcs {
 		round[i] = o.(*rhhhSummary).d
 	}
+	e.d.Reset()
 	e.d.MergeAll(round)
 }
 
@@ -448,54 +446,36 @@ func (e *rhhhSummary) Query(int64) (hhh.Set, int64) {
 }
 
 // wcssSummary adapts the per-level WCSS frame rings. Advance aligns the
-// rings at the query instant so Merge is frame-by-frame.
-//
-// Reset is deferred to the next call: between two snapshots a source
-// writes one or two of its ring slots, so an accumulator that is Reset
-// and then handed the round keeps every slot it would only fold again
-// from unchanged inputs (swhh.SlidingHHH.Fold). Any other call after a
-// Reset clears the rings first, as if Reset had.
+// rings at the query instant so Fold is frame-by-frame. Fold is
+// swhh.SlidingHHH.Fold: between two snapshots a source writes one or two
+// of its ring slots, so the accumulator keeps every slot it would only
+// fold again from unchanged inputs.
 type wcssSummary struct {
-	d       *swhh.SlidingHHH
-	phi     float64
-	cleared bool               // a Reset is pending
-	from    []*swhh.SlidingHHH // Merge's source list, reused
+	d    *swhh.SlidingHHH
+	phi  float64
+	from []*swhh.SlidingHHH // Fold's source list, reused
 }
 
-// live returns the engine with a pending Reset applied.
-func (e *wcssSummary) live() *swhh.SlidingHHH {
-	if e.cleared {
-		e.cleared = false
-		e.d.Reset()
-	}
-	return e.d
-}
-
-func (e *wcssSummary) UpdateKeys(b *trace.KeyBatch) { e.live().UpdateKeys(b) }
-func (e *wcssSummary) Advance(now int64)            { e.live().Advance(now) }
-func (e *wcssSummary) Reset()                       { e.cleared = true }
+func (e *wcssSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
+func (e *wcssSummary) Advance(now int64)            { e.d.Advance(now) }
+func (e *wcssSummary) Reset()                       { e.d.Reset() }
 func (e *wcssSummary) SizeBytes() int               { return e.d.SizeBytes() + cap(e.from)*8 }
-func (e *wcssSummary) Encode() []byte               { return wire.EncodeSliding(e.live()) }
+func (e *wcssSummary) Encode() []byte               { return wire.EncodeSliding(e.d) }
 
-func (e *wcssSummary) Merge(srcs ...Summary) {
+func (e *wcssSummary) Fold(srcs ...Summary) {
 	e.from = e.from[:0]
 	for _, o := range srcs {
-		e.from = append(e.from, o.(*wcssSummary).live())
+		e.from = append(e.from, o.(*wcssSummary).d)
 	}
-	if e.cleared {
-		e.cleared = false
-		e.d.Fold(e.from)
-		return
-	}
-	e.d.MergeAll(e.from)
+	e.d.Fold(e.from)
 }
 
 func (e *wcssSummary) Query(now int64) (hhh.Set, int64) {
-	return e.live().QueryMass(e.phi, now)
+	return e.d.QueryMass(e.phi, now)
 }
 
 // mementoSummary adapts the level-sampled Memento sliding engine. Like
-// wcssSummary, Advance aligns the frame clocks before a merge; the
+// wcssSummary, Advance aligns the frame clocks before a fold; the
 // reported mass comes from the engine's exact totals ring, so accounting
 // carries no sampling noise.
 type mementoSummary struct {
@@ -509,8 +489,8 @@ func (e *mementoSummary) Reset()                       { e.d.Reset() }
 func (e *mementoSummary) SizeBytes() int               { return e.d.SizeBytes() }
 func (e *mementoSummary) Encode() []byte               { return wire.EncodeMemento(e.d) }
 
-func (e *mementoSummary) Merge(srcs ...Summary) {
-	mergeEach(srcs, func(o *mementoSummary) { e.d.Merge(o.d) })
+func (e *mementoSummary) Fold(srcs ...Summary) {
+	foldEach(e, srcs, func(o *mementoSummary) { e.d.Merge(o.d) })
 }
 
 func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
@@ -519,7 +499,7 @@ func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
 
 // tdbfSummary adapts the time-decaying Bloom filter detector. The cells
 // are scaled to a landmark and decay without being touched, so Advance has
-// nothing to do; Merge rescales one side to the other's landmark as it
+// nothing to do; Fold rescales one side to the other's landmark as it
 // adds them.
 type tdbfSummary struct {
 	d *continuous.Detector
@@ -541,8 +521,8 @@ func (e *tdbfSummary) Encode() []byte {
 	return frame
 }
 
-func (e *tdbfSummary) Merge(srcs ...Summary) {
-	mergeEach(srcs, func(o *tdbfSummary) { e.d.Merge(o.d) })
+func (e *tdbfSummary) Fold(srcs ...Summary) {
+	foldEach(e, srcs, func(o *tdbfSummary) { e.d.Merge(o.d) })
 }
 
 func (e *tdbfSummary) Query(now int64) (hhh.Set, int64) {

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"math"
@@ -56,7 +55,7 @@ func (f Frame) Decode() (any, error) {
 	case KindRHHH:
 		v, err = decodeRHHHPayload(hdr, payload)
 	case KindSliding:
-		v, _, _, err = f.RestoreSliding(nil, Frame{})
+		v, _, _, err = f.RestoreSliding(nil)
 	case KindMemento:
 		v, err = decodeMementoPayload(hdr, payload)
 	case KindFilter:
@@ -66,7 +65,7 @@ func (f Frame) Decode() (any, error) {
 	case KindSlidingDelta:
 		c, d, h, cfg, derr := f.slidingShape(KindSlidingDelta)
 		if err = derr; err == nil {
-			_, _, err = restoreSlots(c, nil, nil, h, cfg, true, false)
+			_, _, err = restoreSlots(c, nil, h, cfg, true, false)
 		}
 		v = d
 	default:
@@ -291,36 +290,27 @@ func (f Frame) slidingShape(want Kind) (c *cursor, v SlidingDelta, h addr.Hierar
 }
 
 // RestoreSliding brings d to the state sealed in f, a KindSliding frame,
-// and returns it, restoring in place: ring slot by ring slot, allocating
-// nothing. prev, unless it is the zero Frame, is the frame a previous
-// RestoreSliding call restored d from, no delta applied since; a slot whose
-// bytes are the same in both frames and which nothing has written since
-// that restore (swhh.Sliding.Restored) is left exactly as it stands, version
-// included, so whatever a reader derived from the slot stays valid.
-// Successive frames of one sender differ in the slot that is filling and
-// perhaps the next; the rest of the ring is sealed and skipped. It returns
-// how many slots were restored and how many skipped.
+// and returns it, restoring every ring slot in place and allocating
+// nothing; each restored slot's version moves, so a reader's memo of it
+// lapses. The slots a sender's successive frames share travel as deltas,
+// which leave the slots they omit untouched (ApplySlidingDelta). It returns
+// how many slots were restored and how many skipped: a full frame skips
+// none.
 //
 // With d nil, or of another geometry or hierarchy than the frame, a new
-// detector is built and every slot restored — the cold decode. On error
-// d may be partly restored and must be discarded.
-func (f Frame) RestoreSliding(d *swhh.SlidingHHH, prev Frame) (_ *swhh.SlidingHHH, restored, skipped int, err error) {
+// detector is built — the cold decode. On error d may be partly restored
+// and must be discarded.
+func (f Frame) RestoreSliding(d *swhh.SlidingHHH) (_ *swhh.SlidingHHH, restored, skipped int, err error) {
 	c, _, h, cfg, err := f.slidingShape(KindSliding)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	// p walks prev in step with c, as long as prev describes the same
-	// detector (hierarchy bytes, geometry prefix and level count).
-	var p *cursor
 	if d == nil || d.Hierarchy() != h || d.Config() != cfg {
 		if d, err = swhh.NewSlidingHHH(h, cfg); err != nil {
 			return nil, 0, 0, corrupt(err)
 		}
-	} else if prev.Header == f.Header && len(prev.payload) >= c.off &&
-		bytes.Equal(prev.payload[:c.off], f.payload[:c.off]) {
-		p = &cursor{b: prev.payload, off: c.off, ok: true}
 	}
-	if restored, skipped, err = restoreSlots(c, p, d, h, cfg, false, true); err != nil {
+	if restored, skipped, err = restoreSlots(c, d, h, cfg, false, true); err != nil {
 		return nil, 0, 0, err
 	}
 	return d, restored, skipped, nil
@@ -358,21 +348,20 @@ func (f Frame) ApplySlidingDelta(d *swhh.SlidingHHH, seq int64, sum uint32) (res
 		return 0, 0, fmt.Errorf("%w: it follows frame %d (%#08x)", ErrBase, v.BaseSeq, v.BaseSum)
 	}
 	levels := *c
-	if _, _, err = restoreSlots(c, nil, d, h, cfg, true, false); err != nil {
+	if _, _, err = restoreSlots(c, d, h, cfg, true, false); err != nil {
 		return 0, 0, err
 	}
-	return restoreSlots(&levels, nil, d, h, cfg, true, true)
+	return restoreSlots(&levels, d, h, cfg, true, true)
 }
 
 // restoreSlots is the one walk over the levels of a sliding payload, a full
 // frame's and a delta's alike: what differs is which slots the frame
 // carries, all or the ones its per-level bitmap names. With write it
-// restores d's clocks and the carried slots (bar a full frame's slot that p,
-// walking the previous frame in step, shows unchanged); without, it checks
-// the layout and, where there is a d, that the delta fits it, and writes
-// nothing. It returns the slots restored (without write: carried) and the
-// slots left alone.
-func restoreSlots(c, p *cursor, d *swhh.SlidingHHH, h addr.Hierarchy, cfg swhh.Config, delta, write bool) (restored, skipped int, err error) {
+// restores d's clocks and the carried slots; without, it checks the layout
+// and, where there is a d, that the delta fits it, and writes nothing. It
+// returns the slots restored (without write: carried) and the slots left
+// alone.
+func restoreSlots(c *cursor, d *swhh.SlidingHHH, h addr.Hierarchy, cfg swhh.Config, delta, write bool) (restored, skipped int, err error) {
 	ring := cfg.Frames + 1
 	for l := 0; l < h.Levels(); l++ {
 		var lv *swhh.Sliding
@@ -396,9 +385,6 @@ func restoreSlots(c, p *cursor, d *swhh.SlidingHHH, h addr.Hierarchy, cfg swhh.C
 		if write {
 			lv.RestoreClock(cur)
 		}
-		if p != nil {
-			p.i64()
-		}
 		for i := 0; i < ring; i++ {
 			if delta && carried[i/8]>>(i%8)&1 == 0 {
 				if lv != nil && !lv.Restored(i) {
@@ -407,7 +393,6 @@ func restoreSlots(c, p *cursor, d *swhh.SlidingHHH, h addr.Hierarchy, cfg swhh.C
 				skipped++
 				continue
 			}
-			start := c.off
 			frameTotal := c.i64()
 			k := int(c.u32())
 			total := c.i64()
@@ -420,19 +405,6 @@ func restoreSlots(c, p *cursor, d *swhh.SlidingHHH, h addr.Hierarchy, cfg swhh.C
 			}
 			body := c.b[c.off : c.off+n*ssEntrySize]
 			c.off += len(body)
-			same := false
-			if p != nil {
-				pstart := p.off
-				p.off += slidingSlotHeader + 4 + 8 // to the entry count
-				p.off += p.count(ssEntrySize) * ssEntrySize
-				same = p.ok && bytes.Equal(p.b[pstart:p.off], c.b[start:c.off])
-			}
-			// Under an uninitialised clock only empty slots are valid; let
-			// RestoreSlot see every one of them.
-			if same && cur != swhh.FrameUninit && lv.Restored(i) {
-				skipped++
-				continue
-			}
 			restored++
 			if !write {
 				continue

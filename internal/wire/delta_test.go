@@ -110,7 +110,7 @@ func TestApplySlidingDelta(t *testing.T) {
 	slots := h.Levels() * (slidingTestConfig().Frames + 1)
 
 	f1, _ := seal(900*time.Millisecond, true)
-	d, _, _, err := mustVerify(t, f1).RestoreSliding(nil, Frame{})
+	d, _, _, err := mustVerify(t, f1).RestoreSliding(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +122,7 @@ func TestApplySlidingDelta(t *testing.T) {
 		frame, whole := seal(span, false)
 		f := mustVerify(t, frame)
 		before := EncodeSliding(d)
-		if _, _, _, err := f.RestoreSliding(d, Frame{}); !errors.Is(err, ErrKind) {
+		if _, _, _, err := f.RestoreSliding(d); !errors.Is(err, ErrKind) {
 			t.Fatalf("step %d: a delta through the full-frame entry: %v", step, err)
 		}
 		for name, try := range map[string]func() error{
@@ -161,7 +161,7 @@ func TestApplySlidingDelta(t *testing.T) {
 	}
 	// What cures it is a full frame, and the chain goes on from there.
 	frame, _ = seal(5*time.Millisecond, true)
-	if d, _, _, err = mustVerify(t, frame).RestoreSliding(d, Frame{}); err != nil {
+	if d, _, _, err = mustVerify(t, frame).RestoreSliding(d); err != nil {
 		t.Fatal(err)
 	}
 	atSeq, atSum = seq, sum

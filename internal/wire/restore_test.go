@@ -14,10 +14,11 @@ import (
 )
 
 // TestRestoreSlidingInPlace drives one sender's successive frames into
-// one retained detector: after every frame the detector re-encodes to
-// the frame, whatever was skipped; slots the frames share are skipped
-// only while nothing else has written them; a frame of another geometry
-// gets a new detector; a frame that fails validation is an error.
+// one retained detector: every full frame restores every slot in place,
+// and after every frame the detector re-encodes to the frame — also after
+// the reader has advanced it, and for the same frame twice; a frame of
+// another geometry gets a new detector; a frame that fails validation is
+// an error.
 func TestRestoreSlidingInPlace(t *testing.T) {
 	h := testHierarchy()
 	live, err := swhh.NewSlidingHHH(h, slidingTestConfig())
@@ -43,37 +44,30 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 	}
 
 	f1 := feed(live, 900*time.Millisecond)
-	d, restored, skipped, err := verified(f1).RestoreSliding(nil, Frame{})
-	if err != nil || restored != slots || skipped != 0 {
+	d, restored, skipped, err := verified(f1).RestoreSliding(nil)
+	if err != nil || restored != slots || skipped != 0 || !bytes.Equal(EncodeSliding(d), f1) {
 		t.Fatalf("cold restore: %d restored, %d skipped, %v", restored, skipped, err)
 	}
-
-	// 60 ms on: the filling slot changed, perhaps the next; the rest stand.
-	f2 := feed(live, 60*time.Millisecond)
-	d2, restored, skipped, err := verified(f2).RestoreSliding(d, verified(f1))
-	if err != nil || d2 != d {
-		t.Fatalf("in-place restore returned another detector (%v)", err)
+	// inPlace restores frame over d and holds it to the frame.
+	inPlace := func(what string, frame []byte) {
+		t.Helper()
+		d2, restored, skipped, err := verified(frame).RestoreSliding(d)
+		if err != nil || d2 != d {
+			t.Fatalf("%s: in-place restore returned another detector (%v)", what, err)
+		}
+		if restored != slots || skipped != 0 || !bytes.Equal(EncodeSliding(d), frame) {
+			t.Fatalf("%s: %d restored, %d skipped of %d; re-encodes equal: %v",
+				what, restored, skipped, slots, bytes.Equal(EncodeSliding(d), frame))
+		}
 	}
-	if restored+skipped != slots || restored > 2*h.Levels() || !bytes.Equal(EncodeSliding(d), f2) {
-		t.Fatalf("second frame: %d restored, %d skipped of %d; re-encodes equal: %v",
-			restored, skipped, slots, bytes.Equal(EncodeSliding(d), f2))
-	}
-
+	// 60 ms on: the filling slot changed, perhaps the next.
+	inPlace("second frame", feed(live, 60*time.Millisecond))
 	// The reader expires part of the ring (an Aggregator advancing a
-	// lagging node). Those slots are no longer what the restore left, so
-	// identical bytes must not skip them.
+	// lagging node); the next frame brings those slots back.
 	d.Advance(now + int64(600*time.Millisecond))
 	f3 := feed(live, 30*time.Millisecond)
-	_, restored3, _, err := verified(f3).RestoreSliding(d, verified(f2))
-	if err != nil || restored3 <= restored || !bytes.Equal(EncodeSliding(d), f3) {
-		t.Fatalf("after the reader's advance: %d restored (%d before), %v; re-encodes equal: %v",
-			restored3, restored, err, bytes.Equal(EncodeSliding(d), f3))
-	}
-
-	// The same frame again: everything stands.
-	if _, restored, skipped, err = verified(f3).RestoreSliding(d, verified(f3)); err != nil || restored != 0 || skipped != slots {
-		t.Fatalf("identical frame: %d restored, %d skipped, %v", restored, skipped, err)
-	}
+	inPlace("after the reader's advance", f3)
+	inPlace("the same frame again", f3)
 
 	// Another geometry: a new detector, fully restored, the old one untouched.
 	other, err := swhh.NewSlidingHHH(h, swhh.Config{Window: time.Second, Frames: 2, Counters: 64})
@@ -81,7 +75,7 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	fo := feed(other, 100*time.Millisecond)
-	d4, restored, skipped, err := verified(fo).RestoreSliding(d, verified(f3))
+	d4, restored, skipped, err := verified(fo).RestoreSliding(d)
 	if err != nil || d4 == d || skipped != 0 || restored != h.Levels()*3 || !bytes.Equal(EncodeSliding(d4), fo) {
 		t.Fatalf("geometry change: same detector %v, %d restored, %d skipped, %v", d4 == d, restored, skipped, err)
 	}
@@ -98,7 +92,7 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 			b[off+i] = 0x7f
 		}
 	})
-	if _, _, _, err := verified(bad).RestoreSliding(d, verified(f3)); !errors.Is(err, ErrCorrupt) {
+	if _, _, _, err := verified(bad).RestoreSliding(d); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("invalid slot: %v, want ErrCorrupt", err)
 	}
 }

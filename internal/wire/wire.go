@@ -312,8 +312,7 @@ func describe(h addr.Hierarchy) (fam, step, depth byte) {
 // Frame is a frame whose envelope Verify has checked. A receiver that
 // classifies a frame before it commits to decoding it — the Aggregator —
 // verifies once and decodes from the Frame, so the checksum is computed
-// once per frame however late the decode happens. The zero Frame is no
-// frame.
+// once per frame however late the decode happens.
 type Frame struct {
 	// Header is the verified frame header.
 	Header Header
@@ -326,14 +325,6 @@ type Frame struct {
 func Verify(frame []byte) (Frame, error) {
 	hdr, payload, err := parseFrame(frame)
 	return Frame{hdr, payload}, err
-}
-
-// Size returns the length of the whole frame in bytes, 0 for no frame.
-func (f Frame) Size() int {
-	if f.Header.Kind == 0 {
-		return 0
-	}
-	return headerSize + len(f.payload) + crcSize
 }
 
 // Checksum returns the CRC-32 a framed summary ends in: with the Seq its

@@ -371,8 +371,8 @@ func TestDecodeDispatch(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: verify: %v", tc.want, err)
 		}
-		if hdr := f.Header; hdr.Kind != tc.want || hdr.Version != tc.want.version() || f.Size() != len(tc.frame) {
-			t.Fatalf("verified %v v%d, %d bytes; want %v v%d, %d bytes", hdr.Kind, hdr.Version, f.Size(), tc.want, tc.want.version(), len(tc.frame))
+		if hdr, size := f.Header, headerSize+len(f.payload)+crcSize; hdr.Kind != tc.want || hdr.Version != tc.want.version() || size != len(tc.frame) {
+			t.Fatalf("verified %v v%d, %d bytes; want %v v%d, %d bytes", hdr.Kind, hdr.Version, size, tc.want, tc.want.version(), len(tc.frame))
 		}
 		v, err := f.Decode()
 		if err != nil {
@@ -458,7 +458,7 @@ func TestTypedErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := f.RestoreSliding(nil, Frame{}); !errors.Is(err, ErrKind) {
+		if _, _, _, err := f.RestoreSliding(nil); !errors.Is(err, ErrKind) {
 			t.Fatalf("RestoreSliding(per-level frame) = %v, want ErrKind", err)
 		}
 	})
