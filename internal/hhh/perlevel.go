@@ -162,16 +162,14 @@ func (b *Block) Settle(masks []uint64, sks []*sketch.SpaceSaving) (updates int, 
 
 // NewPerLevel builds an engine with k Space-Saving counters per level.
 func NewPerLevel(h addr.Hierarchy, k int) *PerLevel {
-	levels := h.Levels()
 	p := &PerLevel{
 		h:     h,
-		sks:   make([]*sketch.SpaceSaving, levels),
-		masks: make([]uint64, levels),
+		sks:   make([]*sketch.SpaceSaving, h.Levels()),
+		masks: levelMasks(h),
 		qs:    NewQueryScratch(),
 	}
 	for l := range p.sks {
 		p.sks[l] = sketch.NewSpaceSaving(k)
-		p.masks[l] = h.KeyMask(l)
 	}
 	return p
 }

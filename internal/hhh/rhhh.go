@@ -44,14 +44,13 @@ func NewRHHH(h addr.Hierarchy, k int, seed uint64) *RHHH {
 	r := &RHHH{
 		h:      h,
 		sks:    make([]*sketch.SpaceSaving, levels),
-		masks:  make([]uint64, levels),
+		masks:  levelMasks(h),
 		levels: uint64(levels),
 		rng:    hashx.Mix64(seed ^ 0x5851f42d4c957f2d),
 		qs:     NewQueryScratch(),
 	}
 	for l := range r.sks {
 		r.sks[l] = sketch.NewSpaceSaving(k)
-		r.masks[l] = h.KeyMask(l)
 	}
 	return r
 }

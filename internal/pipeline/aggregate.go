@@ -15,7 +15,9 @@
 //     every expected node has contributed, or when RoundGrace expires,
 //     whichever is first; the grace path publishes with the nodes that
 //     arrived and marks the report degraded. Frames for already
-//     published rounds are counted late and dropped.
+//     published rounds are counted late and dropped. A round's frames
+//     restore into the summaries the nodes' previous rounds left, table
+//     for table.
 //   - Sliding kinds (sliding, memento) and continuous: the aggregator
 //     is a barrier whose shards are nodes. It keeps one restored summary
 //     per node, brought up to date by each accepted frame (decoded once;
@@ -173,8 +175,9 @@ type aggNode struct {
 	lastSeen int64 // wall-clock unix nanos
 	rejected int64
 	needFull int64
-	// sum is the summary restored from the frames applied so far and at the
-	// last of them (latest-frame kinds); both zero until a frame is applied.
+	// sum is the summary restored from the frames applied so far (windowed
+	// kinds: kept to restore the next round's into) and at the last of them
+	// (latest-frame kinds); both zero until a frame is applied.
 	sum         Summary
 	at          sealedAt
 	frameCtr    *telemetry.Counter
@@ -186,7 +189,7 @@ type aggRound struct {
 	start, end int64
 	frames     map[string]wire.Frame // verified at Ingest, decoded at publication
 	degraded   bool                  // any contributing frame sealed degraded
-	timer      *time.Timer
+	timer      *time.Timer           // RoundGrace: armed when a frame leaves the round incomplete
 }
 
 // Aggregator merges sealed summary frames from many ingest processes
@@ -259,7 +262,7 @@ func NewAggregator(cfg AggregatorConfig) (*Aggregator, error) {
 		slots.WithFunc(a.restoredSlots.Load, "restored")
 		slots.WithFunc(a.skippedSlots.Load, "skipped")
 		r.GaugeFunc("hhh_aggregator_state_bytes",
-			"Footprint of the state retained between ingests: the node summaries plus the merge accumulator, both alignment models.",
+			"Footprint of the state retained between ingests: the node summaries — a windowed node's as its newest round restored it, kept for the next round's frame to restore into — plus the merge accumulator, both alignment models.",
 			func() float64 { return float64(a.stateBytes.Load()) })
 	}
 	return a, nil
@@ -421,13 +424,15 @@ func (a *Aggregator) ingestRoundLocked(nodeName string, s Sealed, frame wire.Fra
 	r, ok := a.rounds[s.End]
 	if !ok {
 		r = &aggRound{start: s.Start, end: s.End, frames: make(map[string]wire.Frame)}
-		r.timer = time.AfterFunc(a.cfg.RoundGrace, func() { a.expireRound(s.End) })
 		a.rounds[s.End] = r
 	}
 	r.frames[nodeName] = frame
 	r.degraded = r.degraded || s.Degraded
 	if len(r.frames) >= a.cfg.Expected {
 		return a.publishRoundsThroughLocked(r.end)
+	}
+	if r.timer == nil {
+		r.timer = time.AfterFunc(a.cfg.RoundGrace, func() { a.expireRound(s.End) })
 	}
 	return nil
 }
@@ -458,7 +463,9 @@ func (a *Aggregator) publishRoundsThroughLocked(end int64) error {
 	for _, e := range ends {
 		r := a.rounds[e]
 		delete(a.rounds, e)
-		r.timer.Stop()
+		if r.timer != nil { // nil: complete on its first frame
+			r.timer.Stop()
+		}
 		a.published = e
 		if err := a.publishRoundLocked(r); err != nil && firstErr == nil {
 			firstErr = err
@@ -467,14 +474,17 @@ func (a *Aggregator) publishRoundsThroughLocked(end int64) error {
 	return firstErr
 }
 
-// publishRoundLocked restores one round's frames, in node-name order,
-// and publishes their fold as the global report. Caller holds a.mu.
+// publishRoundLocked restores one round's frames, in node-name order, each
+// into the summary its node's previous round left, and publishes their fold
+// as the global report. A frame that does not restore rejects the round and
+// drops its node's summary, which may be half written: the node's next
+// frame restores cold. Caller holds a.mu.
 func (a *Aggregator) publishRoundLocked(r *aggRound) error {
 	sums := make([]Summary, 0, len(r.frames))
 	for _, n := range a.order {
 		if f, ok := r.frames[n.name]; ok {
-			s, _, _, err := a.eng.restore(nil, sealedAt{}, f, a.cfg.Phi)
-			if err != nil {
+			s, _, _, err := a.eng.restore(n.sum, sealedAt{}, f, a.cfg.Phi)
+			if n.sum = s; err != nil {
 				return a.reject(nil, "round %d: %v", r.end, err)
 			}
 			sums = append(sums, s)

@@ -640,8 +640,8 @@ func TestAggregatorSaturatesHostileCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		p, err := hhh.RestorePerLevel(h, c, sks)
-		if err != nil {
+		p := new(hhh.PerLevel)
+		if err := hhh.RestorePerLevel(p, h, c, sks); err != nil {
 			t.Fatal(err)
 		}
 		return Sealed{Seq: 1, Start: 0, End: end, Bytes: c, Shards: 1, Frame: wire.EncodePerLevel(p)}

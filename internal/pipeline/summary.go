@@ -114,9 +114,9 @@ type sealedAt struct {
 // engines is the registry, indexed by Kind. Within a mode the first row
 // is the mode's default engine.
 var engines = [...]engine{
-	KindExact:    {"exact", ModeWindowed, wire.KindExact, 0, true, buildExact, nil},
-	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, 0, true, buildPerLevel, nil},
-	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, 0, true, buildRHHH, nil},
+	KindExact:    {"exact", ModeWindowed, wire.KindExact, 0, true, buildExact, restoreWindowed},
+	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, 0, true, buildPerLevel, restoreWindowed},
+	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, 0, true, buildRHHH, restoreWindowed},
 	KindWCSS:     {"wcss", ModeSliding, wire.KindSliding, wire.KindSlidingDelta, false, buildWCSS, restoreWCSS},
 	KindMemento:  {"memento", ModeSliding, wire.KindMemento, 0, false, buildMemento, nil},
 	KindTDBF:     {"tdbf", ModeContinuous, wire.KindContinuous, 0, false, buildTDBF, restoreTDBF},
@@ -212,8 +212,9 @@ func wrap(e any, phi float64) (Summary, error) {
 // by slot, a full frame every slot and a delta the slots it carries, the
 // rest untouched, stamps and all, so an accumulator's memo of them stands
 // (see wire.Frame.RestoreSliding, ApplySlidingDelta); tdbf over its own cells,
-// allocating nothing that grows with them (wire.Frame.RestoreContinuous) —
-// and any other engine is decoded anew. On error prev must be discarded,
+// allocating nothing that grows with them (wire.Frame.RestoreContinuous);
+// the windowed engines into their own tables (wire.Frame.DecodeInto) — and
+// memento is decoded anew. On error prev must be discarded,
 // bar wire.ErrBase: a delta that does not follow at, refused unwritten.
 func (r *engine) restore(prev Summary, at sealedAt, frame wire.Frame, phi float64) (sum Summary, restored, skipped int, err error) {
 	var e any
@@ -246,6 +247,23 @@ func restoreWCSS(prev Summary, at sealedAt, frame wire.Frame) (any, int, int, er
 		return nil, restored, skipped, err
 	}
 	return nd, restored, skipped, nil
+}
+
+func restoreWindowed(prev Summary, _ sealedAt, frame wire.Frame) (any, int, int, error) {
+	var into any
+	switch p := prev.(type) {
+	case *exactSummary:
+		into = wire.ExactSummary{Hierarchy: p.h, Leaves: p.ex}
+	case *perLevelSummary:
+		into = p.d
+	case *rhhhSummary:
+		into = p.d
+	}
+	e, err := frame.DecodeInto(into)
+	if err != nil || e == into {
+		return nil, 0, 0, err
+	}
+	return e, 0, 0, nil
 }
 
 func restoreTDBF(prev Summary, _ sealedAt, frame wire.Frame) (any, int, int, error) {

@@ -32,11 +32,10 @@ func (s *SpaceSaving) Restore(total int64, n int, entry func(i int) KV) error {
 			s.Reset()
 			return fmt.Errorf("sketch: restore: entry %d has invalid bounds (count=%d, err=%d, total=%d)", i, e.Count, e.ErrUB, total)
 		}
-		if s.idxFind(e.Key) != nilIdx {
+		if !s.install(i, n, e) {
 			s.Reset()
 			return fmt.Errorf("sketch: restore: duplicate key %#x", e.Key)
 		}
-		s.install(i, n, e)
 		ordered, prev = ordered && e.Count <= prev, e.Count
 	}
 	s.total = total

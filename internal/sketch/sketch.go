@@ -75,9 +75,9 @@ func (e *Exact) Total() int64 { return e.total }
 // Len returns the number of distinct keys currently held.
 func (e *Exact) Len() int { return len(e.m) }
 
-// Reset empties the counter.
+// Reset empties the counter, keeping the map's storage for the next fill.
 func (e *Exact) Reset() {
-	e.m = make(map[uint64]int64)
+	clear(e.m)
 	e.total = 0
 }
 

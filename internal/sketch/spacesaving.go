@@ -618,8 +618,17 @@ func keyOrder(rows []mergeRow, run, tmp []int32) {
 // layout: hot zone, stamps following descending-count order so eviction
 // ties prefer the smaller entries first, matching the rule that the
 // least-recently-grown entry goes first. The caller has Reset s, installs
-// nodes 0..n-1 in turn and sets clock once every node is in.
-func (s *SpaceSaving) install(i, n int, e KV) {
+// nodes 0..n-1 in turn and sets clock once every node is in. It reports
+// false, installing nothing, when an earlier node has e's key: the index
+// walk that finds the free slot finds the duplicate, one hash per entry.
+func (s *SpaceSaving) install(i, n int, e KV) bool {
+	j := ssHash(e.Key) & s.mask
+	for ; s.tab[j].node != 0; j = (j + 1) & s.mask {
+		if s.tab[j].key == e.Key {
+			return false
+		}
+	}
+	s.tab[j] = ssSlot{key: e.Key, node: int32(i) + 1}
 	s.n = i + 1
 	s.nodes[i] = ssNode{
 		key:   e.Key,
@@ -628,7 +637,7 @@ func (s *SpaceSaving) install(i, n int, e KV) {
 		stamp: int64(n - i),
 		slot:  hotSlot,
 	}
-	s.idxInsert(e.Key, int32(i))
+	return true
 }
 
 // Estimate returns an upper bound on key's weight. Unmonitored keys return

@@ -620,3 +620,30 @@ func TestRestoreFailureLeavesEmpty(t *testing.T) {
 		t.Fatal("Reset left a key in the index")
 	}
 }
+
+// TestRestoreRefusesCollidingDuplicate: Restore finds a duplicate key on
+// the index walk that places the entry, so a duplicate must be refused
+// when another key sits at the home slot they share — whichever comes
+// first — and entries whose keys share a home slot without being equal
+// must all be kept.
+func TestRestoreRefusesCollidingDuplicate(t *testing.T) {
+	s := NewSpaceSaving(8)
+	a := uint64(7)
+	b := a + 1
+	for ssHash(b)&s.mask != ssHash(a)&s.mask {
+		b++
+	}
+	restore := func(kvs ...KV) error { return s.Restore(100, len(kvs), func(i int) KV { return kvs[i] }) }
+	if err := restore(KV{Key: a, Count: 9}, KV{Key: b, Count: 8}, KV{Key: 3, Count: 4}); err != nil || s.Len() != 3 {
+		t.Fatalf("keys sharing a home slot: %v, %d entries", err, s.Len())
+	}
+	for _, dup := range [][]KV{
+		{{Key: a, Count: 9}, {Key: b, Count: 8}, {Key: b, Count: 7}}, // b walks past a to b
+		{{Key: a, Count: 9}, {Key: b, Count: 8}, {Key: a, Count: 7}}, // a is found at home
+		{{Key: b, Count: 9}, {Key: a, Count: 8}, {Key: a, Count: 7}},
+	} {
+		if err := restore(dup...); err == nil || s.Len() != 0 {
+			t.Fatalf("%v: duplicate accepted (%v), %d entries left", dup, err, s.Len())
+		}
+	}
+}

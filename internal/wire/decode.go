@@ -37,7 +37,16 @@ func Decode(frame []byte) (any, error) {
 }
 
 // Decode is the package-level Decode for a frame already verified.
-func (f Frame) Decode() (any, error) {
+func (f Frame) Decode() (any, error) { return f.DecodeInto(nil) }
+
+// DecodeInto is Decode restoring into prev, what an earlier decode of an
+// exact, per-level or rhhh frame returned. The exact map is always refilled
+// in place and the ExactSummary returned carries prev's Leaves. A per-level
+// or rhhh engine over the frame's hierarchy is restored in place and
+// returned: each level into its own summary where the capacity is the
+// frame's, else into a new one (decodeSS). Any other prev, nil included,
+// decodes anew. On error prev may be partly restored and must be discarded.
+func (f Frame) DecodeInto(prev any) (any, error) {
 	hdr, payload := f.Header, f.payload
 	// Each branch assigns through a typed variable and returns it only on
 	// success, so a failed decode never leaks a typed nil inside the any.
@@ -47,13 +56,15 @@ func (f Frame) Decode() (any, error) {
 	case KindSpaceSaving:
 		v, err = decodeSpaceSavingPayload(payload)
 	case KindExact:
-		var ex ExactSummary
-		ex.Leaves, ex.Hierarchy, err = decodeExactPayload(hdr, payload)
+		ex, _ := prev.(ExactSummary)
+		ex.Leaves, ex.Hierarchy, err = decodeExactPayload(hdr, payload, ex.Leaves)
 		v = ex
 	case KindPerLevel:
-		v, err = decodePerLevelPayload(hdr, payload)
+		p, _ := prev.(*hhh.PerLevel)
+		v, err = decodePerLevelPayload(hdr, payload, p)
 	case KindRHHH:
-		v, err = decodeRHHHPayload(hdr, payload)
+		r, _ := prev.(*hhh.RHHH)
+		v, err = decodeRHHHPayload(hdr, payload, r)
 	case KindSliding:
 		v, _, _, err = f.RestoreSliding(nil)
 	case KindMemento:
@@ -77,9 +88,11 @@ func (f Frame) Decode() (any, error) {
 	return v, nil
 }
 
-// decodeSS reads one Space-Saving sub-payload at the cursor and
-// restores it, charging the frame's summary and capacity budgets.
-func decodeSS(c *cursor) (*sketch.SpaceSaving, error) {
+// decodeSS reads one Space-Saving sub-payload at the cursor and restores
+// it, charging the frame's summary and capacity budgets: into s when s has
+// the declared capacity, allocating nothing, else into a new summary. It
+// returns the summary restored; on error s may be emptied.
+func decodeSS(c *cursor, s *sketch.SpaceSaving) (*sketch.SpaceSaving, error) {
 	k := int(c.u32())
 	total := c.i64()
 	n := c.count(ssEntrySize)
@@ -97,7 +110,9 @@ func decodeSS(c *cursor) (*sketch.SpaceSaving, error) {
 	if n > k {
 		return nil, fmt.Errorf("%w: %d entries exceed declared capacity %d", ErrCorrupt, n, k)
 	}
-	s := sketch.NewSpaceSaving(k)
+	if s == nil || s.Capacity() != k {
+		s = sketch.NewSpaceSaving(k)
+	}
 	err := s.Restore(total, n, func(int) sketch.KV {
 		return sketch.KV{Key: c.u64(), Count: c.i64(), ErrUB: c.i64()}
 	})
@@ -131,7 +146,7 @@ func boundTime(v int64) error {
 
 func decodeSpaceSavingPayload(payload []byte) (*sketch.SpaceSaving, error) {
 	c := newCursor(payload)
-	s, err := decodeSS(c)
+	s, err := decodeSS(c, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -141,7 +156,7 @@ func decodeSpaceSavingPayload(payload []byte) (*sketch.SpaceSaving, error) {
 	return s, nil
 }
 
-func decodeExactPayload(hdr Header, payload []byte) (*sketch.Exact, addr.Hierarchy, error) {
+func decodeExactPayload(hdr Header, payload []byte, ex *sketch.Exact) (*sketch.Exact, addr.Hierarchy, error) {
 	h, err := hdr.Hierarchy()
 	if err != nil {
 		return nil, addr.Hierarchy{}, err
@@ -151,7 +166,10 @@ func decodeExactPayload(hdr Header, payload []byte) (*sketch.Exact, addr.Hierarc
 	if !c.ok {
 		return nil, addr.Hierarchy{}, fmt.Errorf("%w: short exact payload", ErrCorrupt)
 	}
-	ex := sketch.NewExact(n)
+	if ex == nil {
+		ex = sketch.NewExact(n)
+	}
+	ex.Reset()
 	prev := uint64(0)
 	for i := 0; i < n; i++ {
 		key := c.u64()
@@ -174,66 +192,74 @@ func decodeExactPayload(hdr Header, payload []byte) (*sketch.Exact, addr.Hierarc
 	return ex, h, nil
 }
 
-func decodePerLevelPayload(hdr Header, payload []byte) (*hhh.PerLevel, error) {
+func decodePerLevelPayload(hdr Header, payload []byte, p *hhh.PerLevel) (*hhh.PerLevel, error) {
 	h, err := hdr.Hierarchy()
 	if err != nil {
 		return nil, err
 	}
+	if p == nil || p.Hierarchy() != h {
+		p = new(hhh.PerLevel)
+	}
 	c := newCursor(payload)
 	total := c.i64()
-	levels := int(c.u16())
-	if !c.ok {
-		return nil, fmt.Errorf("%w: short per-level payload", ErrCorrupt)
-	}
-	if levels != h.Levels() {
-		return nil, fmt.Errorf("%w: %d level summaries for %d-level hierarchy", ErrCorrupt, levels, h.Levels())
-	}
-	sks := make([]*sketch.SpaceSaving, levels)
-	for l := range sks {
-		if sks[l], err = decodeSS(c); err != nil {
-			return nil, err
-		}
-	}
-	if err := c.finish(); err != nil {
+	sks, err := decodeLevels(c, h, p)
+	if err != nil {
 		return nil, err
 	}
-	p, err := hhh.RestorePerLevel(h, total, sks)
-	if err != nil {
+	if err := hhh.RestorePerLevel(p, h, total, sks); err != nil {
 		return nil, corrupt(err)
 	}
 	return p, nil
 }
 
-func decodeRHHHPayload(hdr Header, payload []byte) (*hhh.RHHH, error) {
+func decodeRHHHPayload(hdr Header, payload []byte, r *hhh.RHHH) (*hhh.RHHH, error) {
 	h, err := hdr.Hierarchy()
 	if err != nil {
 		return nil, err
+	}
+	if r == nil || r.Hierarchy() != h {
+		r = new(hhh.RHHH)
 	}
 	c := newCursor(payload)
 	total := c.i64()
 	updates := c.i64()
 	sampler := c.u64()
+	sks, err := decodeLevels(c, h, r)
+	if err != nil {
+		return nil, err
+	}
+	if err := hhh.RestoreRHHH(r, h, total, updates, sampler, sks); err != nil {
+		return nil, corrupt(err)
+	}
+	return r, nil
+}
+
+// decodeLevels reads a windowed engine's level count and its levels'
+// Space-Saving sub-payloads, to the end of the payload. Level l is restored
+// into into's level-l summary when into is an engine over h (see decodeSS).
+func decodeLevels(c *cursor, h addr.Hierarchy, into interface {
+	Hierarchy() addr.Hierarchy
+	LevelSummary(l int) *sketch.SpaceSaving
+}) ([]*sketch.SpaceSaving, error) {
 	levels := int(c.u16())
 	if !c.ok {
-		return nil, fmt.Errorf("%w: short rhhh payload", ErrCorrupt)
+		return nil, fmt.Errorf("%w: short windowed payload", ErrCorrupt)
 	}
 	if levels != h.Levels() {
 		return nil, fmt.Errorf("%w: %d level summaries for %d-level hierarchy", ErrCorrupt, levels, h.Levels())
 	}
 	sks := make([]*sketch.SpaceSaving, levels)
 	for l := range sks {
-		if sks[l], err = decodeSS(c); err != nil {
+		var s *sketch.SpaceSaving
+		if into.Hierarchy() == h {
+			s = into.LevelSummary(l)
+		}
+		var err error
+		if sks[l], err = decodeSS(c, s); err != nil {
 			return nil, err
 		}
 	}
-	if err := c.finish(); err != nil {
-		return nil, err
-	}
-	r, err := hhh.RestoreRHHH(h, total, updates, sampler, sks)
-	if err != nil {
-		return nil, corrupt(err)
-	}
-	return r, nil
+	return sks, c.finish()
 }
 
 // slidingGeometry reads and validates the shared sliding-engine

@@ -6,10 +6,14 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
+	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/continuous"
+	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 )
 
@@ -223,4 +227,108 @@ func testContinuousDecoded(t *testing.T, f Frame) *continuous.Detector {
 		t.Fatal(err)
 	}
 	return d
+}
+
+// TestDecodeSSInto: a Space-Saving sub-payload restores into a summary of
+// its capacity without allocating, and into a new one otherwise; either
+// re-encodes to the frame it came from.
+func TestDecodeSSInto(t *testing.T) {
+	frame := EncodeSpaceSaving(testSpaceSaving(3, 500))
+	f, err := Verify(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decode := func(into *sketch.SpaceSaving) *sketch.SpaceSaving {
+		t.Helper()
+		c := cursor{b: f.payload, ok: true}
+		s, err := decodeSS(&c, into)
+		if err != nil || c.finish() != nil {
+			t.Fatalf("decodeSS: %v", err)
+		}
+		return s
+	}
+	same := sketch.NewSpaceSaving(32)
+	if allocs := testing.AllocsPerRun(20, func() { decode(same) }); allocs != 0 {
+		t.Fatalf("restoring into a summary of the frame's capacity allocates %.0f times", allocs)
+	}
+	if got := decode(same); got != same || !bytes.Equal(EncodeSpaceSaving(got), frame) {
+		t.Fatalf("same capacity: restored into the summary %v, re-encodes equal %v", got == same, bytes.Equal(EncodeSpaceSaving(got), frame))
+	}
+	other := sketch.NewSpaceSaving(16)
+	if allocs := testing.AllocsPerRun(20, func() { decode(other) }); allocs == 0 {
+		t.Fatal("a summary of another capacity took the frame without a new one")
+	}
+	if got := decode(other); got == other || got.Capacity() != 32 || other.Len() != 0 || !bytes.Equal(EncodeSpaceSaving(got), frame) {
+		t.Fatalf("other capacity: reused %v, capacity %d, re-encodes equal %v", got == other, got.Capacity(), bytes.Equal(EncodeSpaceSaving(got), frame))
+	}
+}
+
+// TestDecodeInto drives successive frames of each windowed kind into the
+// summary the first decoded to: the summary is the one returned, its
+// tables the ones it had, and it re-encodes to each frame in turn. A
+// summary of another hierarchy is left alone for a new one.
+func TestDecodeInto(t *testing.T) {
+	h := testHierarchy()
+	for _, tc := range []struct {
+		name   string
+		frames [3][]byte // two of h, one of another hierarchy
+		tables func(v any) []any
+	}{
+		{"exact",
+			[3][]byte{EncodeExact(h, testExact(1, 300)), EncodeExact(h, testExact(2, 400)), EncodeExact(testHierarchyV6(), testExact(3, 100))},
+			func(v any) []any { return []any{v.(ExactSummary).Leaves} }},
+		{"perlevel",
+			[3][]byte{EncodePerLevel(testPerLevel(1)), EncodePerLevel(testPerLevel(2)), EncodePerLevel(testPerLevelH(testHierarchyV6(), 3))},
+			func(v any) []any { p := v.(*hhh.PerLevel); return levelsOf(p.Hierarchy(), p.LevelSummary) }},
+		{"rhhh",
+			[3][]byte{EncodeRHHH(testRHHH(1)), EncodeRHHH(testRHHH(2)), EncodeRHHH(testRHHHH(testHierarchyV6(), 3))},
+			func(v any) []any { r := v.(*hhh.RHHH); return levelsOf(r.Hierarchy(), r.LevelSummary) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			reencode := func(v any) []byte {
+				b, err := Encode(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			into := func(prev any, frame []byte) any {
+				t.Helper()
+				f, err := Verify(frame)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, err := f.DecodeInto(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(reencode(v), frame) {
+					t.Fatal("the restored summary re-encodes to another frame")
+				}
+				return v
+			}
+			first := into(nil, tc.frames[0])
+			tables := tc.tables(first)
+			for _, frame := range [][]byte{tc.frames[1], tc.frames[0], tc.frames[1]} {
+				if v := into(first, frame); v != first || !slices.Equal(tc.tables(v), tables) {
+					t.Fatal("a frame of the summary's hierarchy did not restore into its tables")
+				}
+			}
+			if v := into(first, tc.frames[2]); v == first && tc.name != "exact" {
+				t.Fatal("a frame of another hierarchy restored over the summary")
+			}
+			if tc.name != "exact" && !bytes.Equal(reencode(first), tc.frames[1]) {
+				t.Fatal("a frame of another hierarchy modified the summary")
+			}
+		})
+	}
+}
+
+// levelsOf lists an engine's level summaries.
+func levelsOf(h addr.Hierarchy, level func(int) *sketch.SpaceSaving) []any {
+	out := make([]any, h.Levels())
+	for l := range out {
+		out[l] = level(l)
+	}
+	return out
 }
