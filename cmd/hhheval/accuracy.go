@@ -5,8 +5,6 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 	"time"
 
 	"hiddenhhh"
@@ -34,10 +32,8 @@ type DetectorResult struct {
 	UnionRecall  float64 `json:"union_recall"`
 	HiddenRecall float64 `json:"hidden_recall"`
 	// Ingest performance: wall-clock for one full-trace replay through a
-	// fresh instance of this cell's detector and the implied rate. The
-	// packet total behind the rate is scraped back from the
-	// hhh_detector_* families on a per-cell MetricsRegistry — the same
-	// families hhhserve exports on /metrics.
+	// fresh instance of this cell's detector and the implied rate, packets
+	// fed over wall time.
 	IngestWallMs float64 `json:"ingest_wall_ms"`
 	IngestMpps   float64 `json:"ingest_mpps"`
 }
@@ -204,7 +200,7 @@ func accuracy(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 				if err != nil {
 					return err
 				}
-				wallMs, mpps, err := measureIngest(c.mk, c.name, r.Mode, pkts)
+				wallMs, mpps, err := measureIngest(c.mk, pkts)
 				if err != nil {
 					return err
 				}
@@ -265,59 +261,25 @@ func accuracy(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 const evalBatch = 512
 
 // measureIngest replays the whole trace through a fresh instance of a
-// cell's detector, wrapped with InstrumentDetector on its own
-// MetricsRegistry, and derives the row's wall-clock and rate. The packet
-// total behind the rate is not a local counter: it is scraped back out
-// of the registry's hhh_detector_packets_total family — the exact series
-// hhhserve exports — so the report and a dashboard watching the same
-// detector can never disagree. The final Snapshot is inside the timed
-// region: for the sharded cells it forces the merge barrier, charging
-// the rate for draining the rings, not just filling them.
-func measureIngest(mk func() (oracle.Detector, error), name, mode string, pkts []hiddenhhh.Packet) (wallMs, mpps float64, err error) {
+// cell's detector and derives the row's wall-clock and rate: packets fed
+// (both address families) over the wall time. The final Snapshot is inside
+// the timed region: for the sharded cells it forces the merge barrier,
+// charging the rate for draining the rings, not just filling them.
+func measureIngest(mk func() (oracle.Detector, error), pkts []hiddenhhh.Packet) (wallMs, mpps float64, err error) {
 	det, err := mk()
 	if err != nil {
 		return 0, 0, err
 	}
-	hd, ok := det.(hiddenhhh.Detector)
-	if !ok {
-		return 0, 0, fmt.Errorf("cell %s: detector lacks the public ingest surface", name)
-	}
-	reg := hiddenhhh.NewMetricsRegistry()
-	ins := hiddenhhh.InstrumentDetector(hd, reg, name, mode)
 	start := time.Now()
 	for off := 0; off < len(pkts); off += evalBatch {
-		end := off + evalBatch
-		if end > len(pkts) {
-			end = len(pkts)
-		}
-		ins.ObserveBatch(pkts[off:end])
+		det.ObserveBatch(pkts[off:min(off+evalBatch, len(pkts))])
 	}
-	ins.Snapshot(pkts[len(pkts)-1].Ts + 1)
+	det.Snapshot(pkts[len(pkts)-1].Ts + 1)
 	wall := time.Since(start)
 	if cl, ok := det.(interface{ Close() error }); ok {
 		cl.Close()
 	}
-	var sb strings.Builder
-	if err := hiddenhhh.WriteMetrics(&sb, reg); err != nil {
-		return 0, 0, err
-	}
-	sample := fmt.Sprintf("hhh_detector_packets_total{engine=%q,mode=%q}", name, mode)
-	count, err := scrapeValue(sb.String(), sample)
-	if err != nil {
-		return 0, 0, fmt.Errorf("cell %s: %w", name, err)
-	}
-	return float64(wall) / 1e6, count / wall.Seconds() / 1e6, nil
-}
-
-// scrapeValue extracts one sample's value from a Prometheus text
-// exposition; sample is the exact name{labels} prefix of its line.
-func scrapeValue(text, sample string) (float64, error) {
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, sample+" ") {
-			return strconv.ParseFloat(strings.TrimSpace(line[len(sample)+1:]), 64)
-		}
-	}
-	return 0, fmt.Errorf("sample %q not in exposition", sample)
+	return float64(wall) / 1e6, float64(len(pkts)) / wall.Seconds() / 1e6, nil
 }
 
 func renderMarkdown(w io.Writer, rep *Report) {

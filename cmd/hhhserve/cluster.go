@@ -163,13 +163,12 @@ func partitionPackets(pkts []hiddenhhh.Packet, index, count int) []hiddenhhh.Pac
 type aggServer struct {
 	agg     *hiddenhhh.Aggregator
 	phi     float64
-	window  time.Duration
 	started time.Time
 	reg     *hiddenhhh.MetricsRegistry
 	http    httpMetrics
 }
 
-func newAggServer(expected int, phi float64, window time.Duration, grace time.Duration) (*aggServer, error) {
+func newAggServer(expected int, phi float64, grace time.Duration) (*aggServer, error) {
 	reg := hiddenhhh.NewMetricsRegistry()
 	agg, err := hiddenhhh.NewAggregator(hiddenhhh.AggregatorConfig{
 		Expected:   expected,
@@ -183,7 +182,6 @@ func newAggServer(expected int, phi float64, window time.Duration, grace time.Du
 	s := &aggServer{
 		agg:     agg,
 		phi:     phi,
-		window:  window,
 		started: time.Now(),
 		reg:     reg,
 	}
@@ -337,8 +335,8 @@ func (s *aggServer) mux() *http.ServeMux {
 
 // runAggregate is the -role aggregate main loop: serve until SIGINT or
 // SIGTERM, then drain in-flight requests and release the aggregator.
-func runAggregate(addr string, expected int, phi float64, window, grace time.Duration) {
-	s, err := newAggServer(expected, phi, window, grace)
+func runAggregate(addr string, expected int, phi float64, grace time.Duration) {
+	s, err := newAggServer(expected, phi, grace)
 	if err != nil {
 		log.Fatal("hhhserve: ", err)
 	}

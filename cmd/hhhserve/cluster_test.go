@@ -82,7 +82,7 @@ func ingestRequest(s hiddenhhh.SealedSummary, node string, override map[string]s
 // answers 409 and counts as neither rejected nor late.
 func TestAggIngestHandler(t *testing.T) {
 	seals := slidingSeals(t, 3)
-	s, err := newAggServer(1, 0.05, 3*time.Second, time.Second)
+	s, err := newAggServer(1, 0.05, time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestAggIngestHandler(t *testing.T) {
 func TestPusherResync(t *testing.T) {
 	var live atomic.Pointer[aggServer]
 	restart := func() *aggServer {
-		s, err := newAggServer(1, 0.05, 3*time.Second, time.Second)
+		s, err := newAggServer(1, 0.05, time.Second)
 		if err != nil {
 			t.Fatal(err)
 		}

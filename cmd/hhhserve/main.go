@@ -32,7 +32,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"syscall"
@@ -40,6 +39,7 @@ import (
 
 	"hiddenhhh"
 	"hiddenhhh/internal/telemetry"
+	"hiddenhhh/internal/trace"
 )
 
 // server owns the sharded detector. The Detector ingest contract is
@@ -115,10 +115,10 @@ func newServer(det hiddenhhh.ShardedDetector, window time.Duration, phi float64,
 // ingest to that packet rate.
 //
 // Reports are taken on the trace clock, at exact multiples of the step
-// (the window, or -push-every when shorter): a batch is cut at each such
-// instant — the packets stamped at or before it go in, then the snapshot
-// is taken at the instant itself, once a later packet shows it has passed.
-// What a node seals and serves is therefore a function of the packets'
+// (the window, or -push-every when shorter), by trace.Cutter: the packets
+// stamped at or before an instant go in, then the snapshot is taken at
+// the instant itself, once a later packet shows it has passed. What a
+// node seals and serves is therefore a function of the packets'
 // stamps, never of where a replay batch happened to end, and every node
 // of a fleet seals at the same instants.
 func (s *server) run(pkts []hiddenhhh.Packet, span int64, laps int, pps float64, batch int, stop <-chan struct{}) {
@@ -130,7 +130,13 @@ func (s *server) run(pkts []hiddenhhh.Packet, span int64, laps int, pps float64,
 	if s.pushEvery > 0 && int64(s.pushEvery) < step {
 		step = int64(s.pushEvery)
 	}
-	next := (pkts[0].Ts/step + 1) * step // the next report instant
+	cut := trace.Cutter{Step: step}
+	observe := func(run []hiddenhhh.Packet) {
+		s.mu.Lock()
+		s.det.ObserveBatch(run)
+		s.mu.Unlock()
+		s.lastTs.Store(run[len(run)-1].Ts)
+	}
 	shifted := make([]hiddenhhh.Packet, batch)
 	for lap := 0; laps <= 0 || lap < laps; lap++ {
 		off := int64(lap) * span
@@ -144,19 +150,7 @@ func (s *server) run(pkts []hiddenhhh.Packet, span int64, laps int, pps float64,
 			for j := 0; j < n; j++ {
 				shifted[j].Ts += off
 			}
-			for rest := shifted[:n]; len(rest) > 0; {
-				due := sort.Search(len(rest), func(i int) bool { return rest[i].Ts > next })
-				if due > 0 {
-					s.mu.Lock()
-					s.det.ObserveBatch(rest[:due])
-					s.mu.Unlock()
-					s.lastTs.Store(rest[due-1].Ts)
-				}
-				if rest = rest[due:]; len(rest) > 0 {
-					s.sample(next)
-					next += step
-				}
-			}
+			cut.Feed(shifted[:n], observe, s.sample)
 			if interval > 0 {
 				time.Sleep(interval)
 			}
@@ -480,7 +474,7 @@ func main() {
 		modeStr   = flag.String("mode", "windowed", "window model: windowed, sliding, continuous")
 		shards    = flag.Int("shards", 0, "worker shards (0 = GOMAXPROCS)")
 		engineStr = flag.String("engine", "perlevel", "per-shard engine: exact, perlevel, rhhh (-mode windowed); wcss, memento (-mode sliding)")
-		window    = flag.Duration("window", 10*time.Second, "window length / sliding span / decay horizon")
+		window    = flag.Duration("window", 10*time.Second, "window length / sliding span / decay horizon (detector roles; the aggregate role takes its windows from the frames)")
 		phi       = flag.Float64("phi", 0.05, "HHH threshold fraction of the mode's total mass")
 		counters  = flag.Int("counters", 512, "Space-Saving counters per level")
 		frames    = flag.Int("frames", 0, "sliding frame count (0 = default 8, -mode sliding)")
@@ -514,7 +508,7 @@ func main() {
 	switch *role {
 	case "single", "ingest":
 	case "aggregate":
-		runAggregate(*addr, *expected, *phi, *window, *roundGrace)
+		runAggregate(*addr, *expected, *phi, *roundGrace)
 		return
 	default:
 		log.Fatalf("hhhserve: unknown role %q (want single, ingest, aggregate)", *role)

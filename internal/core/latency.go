@@ -178,7 +178,8 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 	if err != nil {
 		return nil, nil, err
 	}
-	snapshotEvery(det, pkts, int64(time.Second), func(set hhh.Set, at int64) { record(slid, set, at) })
+	cut := trace.Cutter{Step: int64(time.Second)}
+	cut.Feed(pkts, det.ObserveBatch, func(at int64) { record(slid, det.Snapshot(at), at) })
 
 	// Continuous: enter events give exact detection instants.
 	cont := newTracker("continuous")
@@ -208,31 +209,6 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 		reports = append(reports, rep)
 	}
 	return reports, bursts, nil
-}
-
-// snapshotter is what snapshotEvery drives: the single-goroutine driver,
-// or a test's recorder.
-type snapshotter interface {
-	ObserveBatch(pkts []trace.Packet)
-	Snapshot(now int64) hhh.Set
-}
-
-// snapshotEvery feeds pkts to det and reports det.Snapshot(tick) at every
-// multiple of step, the detector having seen exactly the packets stamped at
-// or before the tick. A live detector learns that a tick has passed from
-// the first packet after it, so a tick that no packet follows is not read.
-func snapshotEvery(det snapshotter, pkts []trace.Packet, step int64, report func(set hhh.Set, at int64)) {
-	fed := 0
-	for tick := step; fed < len(pkts); tick += step {
-		j := fed
-		for j < len(pkts) && pkts[j].Ts <= tick {
-			j++
-		}
-		det.ObserveBatch(pkts[fed:j])
-		if fed = j; fed < len(pkts) {
-			report(det.Snapshot(tick), tick)
-		}
-	}
 }
 
 // RenderLatency formats the E5 table.

@@ -7,7 +7,6 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
-	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/trace"
 )
 
@@ -262,26 +261,9 @@ func Run(name string, det Detector, pkts []trace.Packet, cfg Config) (*Report, e
 
 	firstTs := pkts[0].Ts
 	lastTs := pkts[len(pkts)-1].Ts
-	step := int64(cfg.SnapshotEvery)
-	// Snapshot at every step boundary after the first packet, plus the
-	// stream end — boundary-aligned points exercise exact window-edge
-	// behaviour, the end point the final partial aggregate.
-	var schedule []int64
-	for at := (swhh.FloorDiv(firstTs, step) + 1) * step; at < lastTs; at += step {
-		schedule = append(schedule, at)
-	}
-	schedule = append(schedule, lastTs)
-
-	fed := 0
 	var warm int
 	var sumP, sumR float64
-	for _, at := range schedule {
-		j := fed
-		for j < len(pkts) && pkts[j].Ts <= at {
-			j++
-		}
-		det.ObserveBatch(pkts[fed:j])
-		fed = j
+	score := func(at int64) {
 		got := det.Snapshot(at)
 
 		// Capture the detector's declared-coverage surfaces at the same
@@ -313,6 +295,12 @@ func Run(name string, det Detector, pkts []trace.Packet, cfg Config) (*Report, e
 		}
 		rep.Snapshots = append(rep.Snapshots, sr)
 	}
+	// Snapshot at every step boundary after the first packet, plus the
+	// stream end — boundary-aligned points exercise exact window-edge
+	// behaviour, the end point the final partial aggregate.
+	cut := trace.Cutter{Step: int64(cfg.SnapshotEvery)}
+	cut.Feed(pkts, det.ObserveBatch, score)
+	score(lastTs)
 	if warm > 0 {
 		rep.MeanPrecision = sumP / float64(warm)
 		rep.MeanRecall = sumR / float64(warm)
@@ -346,7 +334,7 @@ func evaluate(o *Oracle, got hhh.Set, at, firstTs int64, cfg Config, obs degrade
 	switch cfg.Mode {
 	case ModeWindowed:
 		w := int64(cfg.Window)
-		firstEnd := (swhh.FloorDiv(firstTs, w) + 1) * w
+		firstEnd := (trace.FloorDiv(firstTs, w) + 1) * w
 		if at < firstEnd {
 			// No window has closed yet; the detector reports empty.
 			sr.TruthSet = hhh.NewSet()
@@ -354,7 +342,7 @@ func evaluate(o *Oracle, got hhh.Set, at, firstTs int64, cfg Config, obs degrade
 			sr.Warm = false
 			break
 		}
-		end := swhh.FloorDiv(at, w) * w
+		end := trace.FloorDiv(at, w) * w
 		sr.SpanLo, sr.SpanHi = end-w, end
 		levels, total := o.LevelCounts(sr.SpanLo, sr.SpanHi)
 		scoreAggregate(&sr, o.h, levels, total, hhh.Threshold(total, cfg.Phi), cfg.Bounds, obs)

@@ -355,7 +355,7 @@ func (a *Aggregator) Ingest(nodeName string, s Sealed) error {
 			a.hdr.Family, a.hdr.Step, a.hdr.Depth,
 			nodeName, hdr.Family, hdr.Step, hdr.Depth)
 	}
-	if s.Seq <= n.lastSeq {
+	if s.Seq <= n.lastSeq || a.eng.roundAligned && s.End <= a.published {
 		a.lateFrames.Add(1)
 		a.mu.Unlock()
 		return nil
@@ -395,7 +395,7 @@ func (a *Aggregator) acceptLocked(n *aggNode, s Sealed) {
 // node's summary with it — an in-place restore has no way back — so the
 // node stops contributing until its next good full frame. Caller holds a.mu.
 func (a *Aggregator) ingestLatestLocked(n *aggNode, s Sealed, frame wire.Frame) error {
-	sum, restored, skipped, err := a.eng.restore(n.sum, n.at, frame, a.cfg.Phi)
+	sum, restored, skipped, err := restore(n.sum, n.at, frame, a.cfg.Phi)
 	if errors.Is(err, wire.ErrBase) {
 		n.needFull++
 		if n.needFullCtr != nil {
@@ -414,13 +414,10 @@ func (a *Aggregator) ingestLatestLocked(n *aggNode, s Sealed, frame wire.Frame) 
 	return a.publishLatestLocked(s.Degraded)
 }
 
-// ingestRoundLocked files a frame into its window round, publishing the
-// round when the fleet is complete. Caller holds a.mu.
+// ingestRoundLocked files a frame into its window round, not yet
+// published, publishing the round when the fleet is complete. Caller holds
+// a.mu.
 func (a *Aggregator) ingestRoundLocked(nodeName string, s Sealed, frame wire.Frame) error {
-	if s.End <= a.published {
-		a.lateFrames.Add(1)
-		return nil
-	}
 	r, ok := a.rounds[s.End]
 	if !ok {
 		r = &aggRound{start: s.Start, end: s.End, frames: make(map[string]wire.Frame)}
@@ -483,7 +480,7 @@ func (a *Aggregator) publishRoundLocked(r *aggRound) error {
 	sums := make([]Summary, 0, len(r.frames))
 	for _, n := range a.order {
 		if f, ok := r.frames[n.name]; ok {
-			s, _, _, err := a.eng.restore(n.sum, sealedAt{}, f, a.cfg.Phi)
+			s, _, _, err := restore(n.sum, sealedAt{}, f, a.cfg.Phi)
 			if n.sum = s; err != nil {
 				return a.reject(nil, "round %d: %v", r.end, err)
 			}
@@ -605,7 +602,7 @@ func (a *Aggregator) fold(sums []Summary, at int64) (set hhh.Set, total int64, e
 			if err != nil {
 				return nil, 0, err
 			}
-			if a.acc, _, _, err = a.eng.restore(nil, sealedAt{}, first, a.cfg.Phi); err != nil {
+			if a.acc, _, _, err = restore(nil, sealedAt{}, first, a.cfg.Phi); err != nil {
 				return nil, 0, err
 			}
 		}

@@ -306,6 +306,21 @@ func TestAggregatorGraceDegrades(t *testing.T) {
 	if st.DegradedMerges != 1 {
 		t.Fatalf("degraded merges %d, want 1", st.DegradedMerges)
 	}
+	// The straggler's frame for the published round is late and nothing
+	// else: it books no frame, moves no clock and publishes nothing.
+	if err := agg.Ingest("c", exactSeal(1, 0, end, map[uint64]int64{3: 70})); err != nil {
+		t.Fatal(err)
+	}
+	st = agg.Stats()
+	if st.LateFrames != 1 {
+		t.Fatalf("late frames %d, want 1", st.LateFrames)
+	}
+	if c := st.Nodes[len(st.Nodes)-1]; c.Node != "c" || c.Frames != 0 || c.LastSeq != 0 || c.LastEnd != 0 || c.LastSeenUnixNano != 0 {
+		t.Fatalf("a late frame was booked as accepted: %+v", c)
+	}
+	if got := agg.Report(); got.Seq != rep.Seq {
+		t.Fatalf("a late frame published report %d after %d", got.Seq, rep.Seq)
+	}
 }
 
 // TestAggregatorRejects exercises the validation surface: garbage

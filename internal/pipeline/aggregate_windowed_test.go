@@ -160,7 +160,7 @@ func TestAggregatorWindowedRestoreInPlace(t *testing.T) {
 				// level of each frame used to cost.
 				n, f := agg.order[0], mustVerify(t, fleet[0][0].Frame)
 				restoreAllocs, restoreBytes := allocated(func() {
-					if _, _, _, err := agg.eng.restore(n.sum, sealedAt{}, f, cfg.Phi); err != nil {
+					if _, _, _, err := restore(n.sum, sealedAt{}, f, cfg.Phi); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -417,7 +417,7 @@ func TestFullFrameAfterDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, _, err := agg.eng.restore(nil, sealedAt{}, f, 0.02)
+	ref, _, _, err := restore(nil, sealedAt{}, f, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -464,7 +464,7 @@ func TestAggregatorFullOverFull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, _, _, err := agg.eng.restore(nil, sealedAt{}, f, 0.02)
+	ref, _, _, err := restore(nil, sealedAt{}, f, 0.02)
 	if err != nil {
 		t.Fatal(err)
 	}

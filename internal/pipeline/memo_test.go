@@ -228,7 +228,7 @@ func TestAggregatorRestoreInPlace(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref, _, _, err := agg.eng.restore(nil, sealedAt{}, f, agg.cfg.Phi)
+				ref, _, _, err := restore(nil, sealedAt{}, f, agg.cfg.Phi)
 				if err != nil {
 					t.Fatal(err)
 				}

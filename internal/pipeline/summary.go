@@ -97,11 +97,6 @@ type engine struct {
 	// build constructs shard's raw engine from a defaulted Config, in the
 	// form wire.Decode returns it (so wrap serves both).
 	build func(cfg *Config, shard int) (any, error)
-	// restoreInto, when set, brings prev's engine, standing at the frame
-	// at names, to the state sealed in frame in place if it can and returns
-	// nil, else a new raw engine. Engines without it are decoded anew from
-	// every frame.
-	restoreInto func(prev Summary, at sealedAt, frame wire.Frame) (e any, restored, skipped int, err error)
 }
 
 // sealedAt names the frame a restored summary stands at: the Seq its sender
@@ -114,12 +109,12 @@ type sealedAt struct {
 // engines is the registry, indexed by Kind. Within a mode the first row
 // is the mode's default engine.
 var engines = [...]engine{
-	KindExact:    {"exact", ModeWindowed, wire.KindExact, 0, true, buildExact, restoreWindowed},
-	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, 0, true, buildPerLevel, restoreWindowed},
-	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, 0, true, buildRHHH, restoreWindowed},
-	KindWCSS:     {"wcss", ModeSliding, wire.KindSliding, wire.KindSlidingDelta, false, buildWCSS, restoreWCSS},
-	KindMemento:  {"memento", ModeSliding, wire.KindMemento, 0, false, buildMemento, nil},
-	KindTDBF:     {"tdbf", ModeContinuous, wire.KindContinuous, 0, false, buildTDBF, restoreTDBF},
+	KindExact:    {"exact", ModeWindowed, wire.KindExact, 0, true, buildExact},
+	KindPerLevel: {"perlevel", ModeWindowed, wire.KindPerLevel, 0, true, buildPerLevel},
+	KindRHHH:     {"rhhh", ModeWindowed, wire.KindRHHH, 0, true, buildRHHH},
+	KindWCSS:     {"wcss", ModeSliding, wire.KindSliding, wire.KindSlidingDelta, false, buildWCSS},
+	KindMemento:  {"memento", ModeSliding, wire.KindMemento, 0, false, buildMemento},
+	KindTDBF:     {"tdbf", ModeContinuous, wire.KindContinuous, 0, false, buildTDBF},
 }
 
 // row returns k's registry row, nil for an unknown kind.
@@ -208,74 +203,42 @@ func wrap(e any, phi float64) (Summary, error) {
 // restore brings a sender's summary to the state sealed in frame and
 // returns it with the ring slots it restored and skipped. prev is the
 // summary previous calls brought to the frame at names, nil when there is
-// none. An engine with a restoreInto hook is restored in place — wcss slot
-// by slot, a full frame every slot and a delta the slots it carries, the
-// rest untouched, stamps and all, so an accumulator's memo of them stands
-// (see wire.Frame.RestoreSliding, ApplySlidingDelta); tdbf over its own cells,
-// allocating nothing that grows with them (wire.Frame.RestoreContinuous);
-// the windowed engines into their own tables (wire.Frame.DecodeInto) — and
-// memento is decoded anew. On error prev must be discarded,
-// bar wire.ErrBase: a delta that does not follow at, refused unwritten.
-func (r *engine) restore(prev Summary, at sealedAt, frame wire.Frame, phi float64) (sum Summary, restored, skipped int, err error) {
-	var e any
-	if r.restoreInto == nil {
-		e, err = frame.Decode()
+// none. Every engine is restored over prev's own where the frame fits it
+// (wire.Frame.DecodeInto; memento is decoded anew): wcss slot by slot, a
+// full frame every slot and a delta the slots it carries, the rest
+// untouched, stamps and all, so an accumulator's memo of them stands
+// (ApplySlidingDelta); tdbf over its own cells; the windowed engines into
+// their own tables. On error prev must be discarded, bar wire.ErrBase: a
+// delta that does not follow at, refused unwritten.
+func restore(prev Summary, at sealedAt, frame wire.Frame, phi float64) (sum Summary, restored, skipped int, err error) {
+	var raw, e any
+	switch p := prev.(type) {
+	case *exactSummary:
+		raw = wire.ExactSummary{Hierarchy: p.h, Leaves: p.ex}
+	case *perLevelSummary:
+		raw = p.d
+	case *rhhhSummary:
+		raw = p.d
+	case *wcssSummary:
+		raw = p.d
+	case *tdbfSummary:
+		raw = p.d
+	}
+	if frame.Header.Kind == wire.KindSlidingDelta {
+		d, _ := raw.(*swhh.SlidingHHH)
+		e = raw
+		restored, skipped, err = frame.ApplySlidingDelta(d, at.seq, at.sum)
 	} else {
-		e, restored, skipped, err = r.restoreInto(prev, at, frame)
+		e, restored, err = frame.DecodeInto(raw)
 	}
 	switch {
 	case err != nil:
 		return nil, 0, 0, err
-	case e == nil: // restored over prev's own engine
+	case e == raw: // restored over prev's own engine
 		return prev, restored, skipped, nil
 	}
 	sum, err = wrap(e, phi)
 	return sum, restored, skipped, err
-}
-
-func restoreWCSS(prev Summary, at sealedAt, frame wire.Frame) (any, int, int, error) {
-	var d *swhh.SlidingHHH
-	if p, ok := prev.(*wcssSummary); ok {
-		d = p.d
-	}
-	if frame.Header.Kind == wire.KindSlidingDelta {
-		restored, skipped, err := frame.ApplySlidingDelta(d, at.seq, at.sum)
-		return nil, restored, skipped, err
-	}
-	nd, restored, skipped, err := frame.RestoreSliding(d)
-	if err != nil || nd == d {
-		return nil, restored, skipped, err
-	}
-	return nd, restored, skipped, nil
-}
-
-func restoreWindowed(prev Summary, _ sealedAt, frame wire.Frame) (any, int, int, error) {
-	var into any
-	switch p := prev.(type) {
-	case *exactSummary:
-		into = wire.ExactSummary{Hierarchy: p.h, Leaves: p.ex}
-	case *perLevelSummary:
-		into = p.d
-	case *rhhhSummary:
-		into = p.d
-	}
-	e, err := frame.DecodeInto(into)
-	if err != nil || e == into {
-		return nil, 0, 0, err
-	}
-	return e, 0, 0, nil
-}
-
-func restoreTDBF(prev Summary, _ sealedAt, frame wire.Frame) (any, int, int, error) {
-	var d *continuous.Detector
-	if p, ok := prev.(*tdbfSummary); ok {
-		d = p.d
-	}
-	nd, err := frame.RestoreContinuous(d)
-	if err != nil || nd == d {
-		return nil, 0, 0, err
-	}
-	return nd, 0, 0, nil
 }
 
 // encodeSeal is Encode on the OnSeal path. A wcss summary records what it

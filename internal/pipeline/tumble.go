@@ -3,7 +3,6 @@ package pipeline
 import (
 	"sort"
 
-	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/trace"
 )
 
@@ -33,7 +32,7 @@ func (t *tumbler) at(ts int64) {
 	}
 	if !t.started {
 		t.started = true
-		t.curEnd = (swhh.FloorDiv(ts, t.width) + 1) * t.width
+		t.curEnd = (trace.FloorDiv(ts, t.width) + 1) * t.width
 	}
 	t.closeDue(ts)
 }

@@ -52,7 +52,7 @@ func (r *refSlidingHHH) frame() int64 { return r.levels[0].State().CurFrame }
 // frame than the rings' closes the block and moves them on; one of the
 // current frame, or of an earlier one, joins the block.
 func (r *refSlidingHHH) update(key uint64, w, ts int64) {
-	if cur := r.frame(); cur == swhh.FrameUninit || swhh.FloorDiv(ts, r.frameNs) > cur {
+	if cur := r.frame(); cur == swhh.FrameUninit || trace.FloorDiv(ts, r.frameNs) > cur {
 		r.settle()
 		for _, lv := range r.levels {
 			lv.Advance(ts)

@@ -195,7 +195,7 @@ func (m *Memento) rebuildIndex() {
 
 // advance ages the table so that the frame containing now is current.
 func (m *Memento) advance(now int64) {
-	m.advanceTo(FloorDiv(now, m.frameNs))
+	m.advanceTo(trace.FloorDiv(now, m.frameNs))
 }
 
 // advanceTo ages the table up to global frame target. A jump of at least
@@ -552,9 +552,9 @@ func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 	n := b.Len()
 	rng := d.rng
 	for i := 0; i < n; {
-		fi := FloorDiv(b.Ts[i], d.frameNs)
+		fi := trace.FloorDiv(b.Ts[i], d.frameNs)
 		j := i + 1
-		for j < n && FloorDiv(b.Ts[j], d.frameNs) == fi {
+		for j < n && trace.FloorDiv(b.Ts[j], d.frameNs) == fi {
 			j++
 		}
 		d.advanceTotals(fi)
@@ -582,7 +582,7 @@ func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 // its live entries directly — one table, no per-frame candidate rescan or
 // dedup.
 func (d *MementoHHH) Query(phi float64, now int64) hhh.Set {
-	d.advanceTotals(FloorDiv(now, d.frameNs))
+	d.advanceTotals(trace.FloorDiv(now, d.frameNs))
 	for _, lv := range d.levels {
 		lv.advanceTo(d.curFrame)
 	}
@@ -605,7 +605,7 @@ func (d *MementoHHH) Query(phi float64, now int64) hhh.Set {
 // recording anything. The sharded pipeline advances all shards to the
 // query timestamp before merging so their frame clocks align.
 func (d *MementoHHH) Advance(now int64) {
-	d.advanceTotals(FloorDiv(now, d.frameNs))
+	d.advanceTotals(trace.FloorDiv(now, d.frameNs))
 	for _, lv := range d.levels {
 		lv.advanceTo(d.curFrame)
 	}
@@ -613,7 +613,7 @@ func (d *MementoHHH) Advance(now int64) {
 
 // WindowTotal returns the exact total byte weight currently covered.
 func (d *MementoHHH) WindowTotal(now int64) int64 {
-	d.advanceTotals(FloorDiv(now, d.frameNs))
+	d.advanceTotals(trace.FloorDiv(now, d.frameNs))
 	var sum int64
 	for _, t := range d.totals {
 		sum += t

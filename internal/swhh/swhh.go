@@ -73,19 +73,6 @@ import (
 // would appear to be in the past and land in frame 0.
 const frameUninit = math.MinInt64
 
-// FloorDiv is the floored quotient a/b for b > 0. Frame indices must use
-// floored division so that pre-epoch (negative) timestamps map to
-// monotonically increasing frames and agree with CoveredSince's geometry;
-// Go's native division truncates toward zero, which would fold the two
-// nanosecond ranges (-frameNs, 0) and [0, frameNs) into one frame.
-func FloorDiv(a, b int64) int64 {
-	q := a / b
-	if a%b != 0 && (a < 0) != (b < 0) {
-		q--
-	}
-	return q
-}
-
 // floorMod is the non-negative ring slot of global frame g in a ring of
 // b slots (b > 0). Go's % takes the dividend's sign, so negative global
 // frame indices need the wrap-around.
@@ -137,7 +124,7 @@ func (c Config) CoveredSince(now int64) int64 {
 	if frameNs < 1 {
 		frameNs = 1
 	}
-	return (FloorDiv(now, frameNs) - int64(c.Frames)) * frameNs
+	return (trace.FloorDiv(now, frameNs) - int64(c.Frames)) * frameNs
 }
 
 // Sliding is a time-framed WCSS-style sliding-window heavy-hitter summary.
@@ -208,7 +195,7 @@ func (s *Sliding) clearSlot(i int) {
 
 // advance rotates frames so that the frame containing now is current.
 func (s *Sliding) advance(now int64) {
-	s.advanceTo(FloorDiv(now, s.frameNs))
+	s.advanceTo(trace.FloorDiv(now, s.frameNs))
 }
 
 // advanceTo rotates frames up to the global frame index target. A jump of
@@ -551,7 +538,7 @@ func (d *SlidingHHH) enter(ts int64) {
 	frameNs := d.levels[0].frameNs
 	cur := int64(math.MaxInt64)
 	for _, lv := range d.levels {
-		lv.advanceTo(FloorDiv(ts, frameNs))
+		lv.advanceTo(trace.FloorDiv(ts, frameNs))
 		cur = min(cur, lv.curFrame)
 	}
 	d.hi = math.MaxInt64

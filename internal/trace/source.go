@@ -102,6 +102,52 @@ func ForEachBatch(src Source, batchSize int, fn func(pkts []Packet) error) error
 	return nil
 }
 
+// Cutter is the one report-instant rule: set Step, then Feed it a
+// time-ordered stream in runs of any size. The instants are the multiples
+// of Step after the first packet's stamp (floored, so pre-epoch stamps
+// tile like any others). Each instant is read once, with every packet
+// stamped at or before it observed and none after: a live reader learns
+// that an instant has passed from the first packet after it, so an instant
+// no packet follows is not read, and a gap spanning several is read once
+// per instant. The clock carries across Feed calls, so where a stream is
+// split into runs changes neither what is observed nor what is read.
+type Cutter struct {
+	Step    int64
+	next    int64 // the next instant, once started
+	started bool
+}
+
+// Feed passes pkts to observe in runs cut at the report instants and calls
+// read(at) at each instant they show has passed.
+func (c *Cutter) Feed(pkts []Packet, observe func([]Packet), read func(at int64)) {
+	if len(pkts) > 0 && !c.started {
+		c.next, c.started = (FloorDiv(pkts[0].Ts, c.Step)+1)*c.Step, true
+	}
+	for len(pkts) > 0 {
+		due := sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts > c.next })
+		if due > 0 {
+			observe(pkts[:due])
+		}
+		if pkts = pkts[due:]; len(pkts) > 0 {
+			read(c.next)
+			c.next += c.Step
+		}
+	}
+}
+
+// FloorDiv is the floored quotient a/b for b > 0. Frame indices and report
+// instants must use floored division so that pre-epoch (negative)
+// timestamps map to monotonically increasing frames; Go's native division
+// truncates toward zero, which would fold the two nanosecond ranges
+// (-b, 0) and [0, b) into one.
+func FloorDiv(a, b int64) int64 {
+	q := a / b
+	if a%b != 0 && (a < 0) != (b < 0) {
+		q--
+	}
+	return q
+}
+
 // ClipSource passes through packets with From <= Ts < To.
 // Because sources are time-ordered it stops at the first packet past To.
 type ClipSource struct {

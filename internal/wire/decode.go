@@ -37,21 +37,27 @@ func Decode(frame []byte) (any, error) {
 }
 
 // Decode is the package-level Decode for a frame already verified.
-func (f Frame) Decode() (any, error) { return f.DecodeInto(nil) }
+func (f Frame) Decode() (any, error) {
+	v, _, err := f.DecodeInto(nil)
+	return v, err
+}
 
-// DecodeInto is Decode restoring into prev, what an earlier decode of an
-// exact, per-level or rhhh frame returned. The exact map is always refilled
-// in place and the ExactSummary returned carries prev's Leaves. A per-level
-// or rhhh engine over the frame's hierarchy is restored in place and
-// returned: each level into its own summary where the capacity is the
-// frame's, else into a new one (decodeSS). Any other prev, nil included,
-// decodes anew. On error prev may be partly restored and must be discarded.
-func (f Frame) DecodeInto(prev any) (any, error) {
+// DecodeInto is Decode restoring in place into prev, what an earlier
+// decode of a frame of the same kind returned, and returns the summary
+// with the ring slots it restored (a full sliding frame restores every
+// slot; the other kinds have none). The exact map is always refilled in
+// place and the ExactSummary returned carries prev's Leaves. A per-level or
+// rhhh engine over the frame's hierarchy is restored in place, each level
+// into its own summary where the capacity is the frame's, else into a new
+// one (decodeSS); a sliding or continuous engine of the frame's geometry
+// through RestoreSliding or RestoreContinuous. Memento frames ignore prev.
+// Any other prev, nil included, decodes anew. On error prev may be partly
+// restored and must be discarded.
+func (f Frame) DecodeInto(prev any) (_ any, restored int, err error) {
 	hdr, payload := f.Header, f.payload
 	// Each branch assigns through a typed variable and returns it only on
 	// success, so a failed decode never leaks a typed nil inside the any.
 	var v any
-	var err error
 	switch hdr.Kind {
 	case KindSpaceSaving:
 		v, err = decodeSpaceSavingPayload(payload)
@@ -66,13 +72,15 @@ func (f Frame) DecodeInto(prev any) (any, error) {
 		r, _ := prev.(*hhh.RHHH)
 		v, err = decodeRHHHPayload(hdr, payload, r)
 	case KindSliding:
-		v, _, _, err = f.RestoreSliding(nil)
+		d, _ := prev.(*swhh.SlidingHHH)
+		v, restored, _, err = f.RestoreSliding(d)
 	case KindMemento:
 		v, err = decodeMementoPayload(hdr, payload)
 	case KindFilter:
 		v, err = decodeFilterPayload(hdr, payload)
 	case KindContinuous:
-		v, err = f.RestoreContinuous(nil)
+		d, _ := prev.(*continuous.Detector)
+		v, err = f.RestoreContinuous(d)
 	case KindSlidingDelta:
 		c, d, h, cfg, derr := f.slidingShape(KindSlidingDelta)
 		if err = derr; err == nil {
@@ -80,12 +88,12 @@ func (f Frame) DecodeInto(prev any) (any, error) {
 		}
 		v = d
 	default:
-		return nil, fmt.Errorf("%w: %d", ErrKind, uint8(hdr.Kind))
+		return nil, 0, fmt.Errorf("%w: %d", ErrKind, uint8(hdr.Kind))
 	}
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	return v, nil
+	return v, restored, nil
 }
 
 // decodeSS reads one Space-Saving sub-payload at the cursor and restores

@@ -263,26 +263,48 @@ func TestDecodeSSInto(t *testing.T) {
 	}
 }
 
-// TestDecodeInto drives successive frames of each windowed kind into the
-// summary the first decoded to: the summary is the one returned, its
-// tables the ones it had, and it re-encodes to each frame in turn. A
+// TestDecodeInto drives successive frames of each kind into the summary
+// the first decoded to: the summary is the one returned, its tables the
+// ones it had, and it re-encodes to each frame in turn; a full sliding
+// frame reports every ring slot restored. Memento frames decode anew. A
 // summary of another hierarchy is left alone for a new one.
 func TestDecodeInto(t *testing.T) {
 	h := testHierarchy()
+	engine := func(v any) []any { return []any{v} }
+	continuousFrames := func() (first, next []byte) {
+		d := testContinuous(t, 1)
+		first, _ = EncodeContinuous(d)
+		r := splitmix(9)
+		for now := int64(3 * time.Second); now < int64(4*time.Second); now += int64(r.next() % uint64(2*time.Millisecond)) {
+			d.ObserveKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
+		}
+		next, _ = EncodeContinuous(d)
+		return first, next
+	}
+	cont0, cont1 := continuousFrames()
+	contV6, _ := EncodeContinuous(testContinuousH(t, testHierarchyV6(), 3))
 	for _, tc := range []struct {
 		name   string
-		frames [3][]byte // two of h, one of another hierarchy
-		tables func(v any) []any
+		frames [3][]byte         // two of h, one of another hierarchy
+		tables func(v any) []any // what a restore keeps; nil: decoded anew
+		slots  int               // ring slots a frame of h restores
 	}{
 		{"exact",
 			[3][]byte{EncodeExact(h, testExact(1, 300)), EncodeExact(h, testExact(2, 400)), EncodeExact(testHierarchyV6(), testExact(3, 100))},
-			func(v any) []any { return []any{v.(ExactSummary).Leaves} }},
+			func(v any) []any { return []any{v.(ExactSummary).Leaves} }, 0},
 		{"perlevel",
 			[3][]byte{EncodePerLevel(testPerLevel(1)), EncodePerLevel(testPerLevel(2)), EncodePerLevel(testPerLevelH(testHierarchyV6(), 3))},
-			func(v any) []any { p := v.(*hhh.PerLevel); return levelsOf(p.Hierarchy(), p.LevelSummary) }},
+			func(v any) []any { p := v.(*hhh.PerLevel); return levelsOf(p.Hierarchy(), p.LevelSummary) }, 0},
 		{"rhhh",
 			[3][]byte{EncodeRHHH(testRHHH(1)), EncodeRHHH(testRHHH(2)), EncodeRHHH(testRHHHH(testHierarchyV6(), 3))},
-			func(v any) []any { r := v.(*hhh.RHHH); return levelsOf(r.Hierarchy(), r.LevelSummary) }},
+			func(v any) []any { r := v.(*hhh.RHHH); return levelsOf(r.Hierarchy(), r.LevelSummary) }, 0},
+		{"wcss",
+			[3][]byte{EncodeSliding(testSliding(1)), EncodeSliding(testSliding(2)), EncodeSliding(testSlidingH(testHierarchyV6(), 3))},
+			engine, h.Levels() * (slidingTestConfig().Frames + 1)},
+		{"memento",
+			[3][]byte{EncodeMemento(testMemento(1)), EncodeMemento(testMemento(2)), EncodeMemento(testMementoH(testHierarchyV6(), 3))},
+			nil, 0},
+		{"tdbf", [3][]byte{cont0, cont1, contV6}, engine, 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			reencode := func(v any) []byte {
@@ -292,32 +314,44 @@ func TestDecodeInto(t *testing.T) {
 				}
 				return b
 			}
-			into := func(prev any, frame []byte) any {
+			into := func(prev any, frame []byte) (any, int) {
 				t.Helper()
 				f, err := Verify(frame)
 				if err != nil {
 					t.Fatal(err)
 				}
-				v, err := f.DecodeInto(prev)
+				v, restored, err := f.DecodeInto(prev)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !bytes.Equal(reencode(v), frame) {
 					t.Fatal("the restored summary re-encodes to another frame")
 				}
-				return v
+				return v, restored
 			}
-			first := into(nil, tc.frames[0])
-			tables := tc.tables(first)
-			for _, frame := range [][]byte{tc.frames[1], tc.frames[0], tc.frames[1]} {
-				if v := into(first, frame); v != first || !slices.Equal(tc.tables(v), tables) {
+			var prev any
+			for i, frame := range [][]byte{tc.frames[0], tc.frames[1], tc.frames[0], tc.frames[1]} {
+				var kept []any
+				if i > 0 && tc.tables != nil {
+					kept = tc.tables(prev)
+				}
+				v, restored := into(prev, frame)
+				if restored != tc.slots {
+					t.Fatalf("%d ring slots restored, want %d", restored, tc.slots)
+				}
+				switch {
+				case i == 0:
+				case tc.tables == nil && v == prev:
+					t.Fatal("a frame restored over a summary its kind decodes anew")
+				case tc.tables != nil && (v != prev || !slices.Equal(tc.tables(v), kept)):
 					t.Fatal("a frame of the summary's hierarchy did not restore into its tables")
 				}
+				prev = v
 			}
-			if v := into(first, tc.frames[2]); v == first && tc.name != "exact" {
+			if v, _ := into(prev, tc.frames[2]); v == prev && tc.name != "exact" {
 				t.Fatal("a frame of another hierarchy restored over the summary")
 			}
-			if tc.name != "exact" && !bytes.Equal(reencode(first), tc.frames[1]) {
+			if tc.name != "exact" && !bytes.Equal(reencode(prev), tc.frames[1]) {
 				t.Fatal("a frame of another hierarchy modified the summary")
 			}
 		})

@@ -2,7 +2,6 @@ package hiddenhhh
 
 import (
 	"io"
-	"time"
 
 	"hiddenhhh/internal/telemetry"
 )
@@ -10,9 +9,9 @@ import (
 // MetricsRegistry collects runtime metrics — counters, gauges,
 // fixed-bucket histograms, labeled families — and writes them in
 // Prometheus text exposition format. It is the registry behind
-// ShardedConfig.Metrics, InstrumentDetector and the hhhserve /metrics
-// endpoint; see internal/telemetry for the metric model and the naming
-// and cardinality conventions.
+// ShardedConfig.Metrics and the hhhserve /metrics endpoint; see
+// internal/telemetry for the metric model and the naming and cardinality
+// conventions.
 type MetricsRegistry = telemetry.Registry
 
 // NewMetricsRegistry returns an empty metrics registry.
@@ -64,69 +63,3 @@ type AttackWatcher = telemetry.Watcher
 func NewAttackWatcher(cfg AttackWatcherConfig) *AttackWatcher {
 	return telemetry.NewWatcher(cfg)
 }
-
-// instrumentedDetector wraps a Detector with ingest counters and a
-// snapshot latency histogram (see InstrumentDetector).
-type instrumentedDetector struct {
-	d        Detector
-	packets  *telemetry.Counter
-	bytes    *telemetry.Counter
-	snapshot *telemetry.Histogram
-}
-
-// InstrumentDetector wraps a single-goroutine Detector so that its
-// ingest volume (hhh_detector_packets_total / hhh_detector_bytes_total,
-// labeled engine×mode), snapshot latency and summary footprint are
-// registered on r — the same families a sharded detector with
-// ShardedConfig.Metrics reports, so dashboards work across both.
-// Register at most one detector per engine×mode pair on a registry.
-// Unlike the sharded pipeline's function-backed wiring, the wrapper
-// counts on the ingest path itself (two atomic adds per batch); it is
-// meant for evaluation harnesses (cmd/hhheval) and low-rate detectors,
-// not the sharded hot path — sharded detectors instrument themselves
-// through ShardedConfig.Metrics instead.
-func InstrumentDetector(d Detector, r *MetricsRegistry, engine, mode string) Detector {
-	w := &instrumentedDetector{d: d}
-	w.packets = r.CounterVec("hhh_detector_packets_total",
-		"Packets observed by the detector, by engine and window model.",
-		"engine", "mode").With(engine, mode)
-	w.bytes = r.CounterVec("hhh_detector_bytes_total",
-		"Bytes observed by the detector, by engine and window model.",
-		"engine", "mode").With(engine, mode)
-	w.snapshot = r.HistogramVec("hhh_detector_snapshot_seconds",
-		"Snapshot latency: barrier broadcast to published merged HHH set.",
-		telemetry.LatencyBuckets, "engine", "mode").With(engine, mode)
-	r.GaugeVec("hhh_detector_summary_bytes",
-		"Current summary state footprint (all shard summaries plus the merge accumulator).",
-		"engine", "mode").WithFunc(func() float64 { return float64(d.SizeBytes()) }, engine, mode)
-	return w
-}
-
-// Observe implements Detector, counting the packet through to d.
-func (w *instrumentedDetector) Observe(p *Packet) {
-	w.d.Observe(p)
-	w.packets.Inc()
-	w.bytes.Add(int64(p.Size))
-}
-
-// ObserveBatch implements Detector, counting the batch through to d.
-func (w *instrumentedDetector) ObserveBatch(pkts []Packet) {
-	w.d.ObserveBatch(pkts)
-	var bytes int64
-	for i := range pkts {
-		bytes += int64(pkts[i].Size)
-	}
-	w.packets.Add(int64(len(pkts)))
-	w.bytes.Add(bytes)
-}
-
-// Snapshot implements Detector, timing the wrapped snapshot.
-func (w *instrumentedDetector) Snapshot(now int64) Set {
-	t0 := time.Now()
-	set := w.d.Snapshot(now)
-	w.snapshot.Observe(time.Since(t0).Seconds())
-	return set
-}
-
-// SizeBytes implements Detector.
-func (w *instrumentedDetector) SizeBytes() int { return w.d.SizeBytes() }
