@@ -258,14 +258,15 @@ func TestSpaceSavingStructureInvariant(t *testing.T) {
 			if ss.idxFind(n.key) != int32(i) {
 				return false // index must resolve every monitored key
 			}
-			if n.slot == hotSlot {
+			if n.prev == hotSlot {
 				continue
 			}
 			ringLinked++
-			if n.count-ss.base != int64(n.slot) {
-				return false // ring entry must sit in the bucket of its count
+			idx := n.count - ss.base
+			if idx < 0 || idx >= ringSlots {
+				return false // a ring entry's count must be inside the window
 			}
-			wi, bit := uint32(n.slot)>>6, uint64(1)<<(uint32(n.slot)&63)
+			wi, bit := uint32(idx)>>6, uint64(1)<<(uint32(idx)&63)
 			if ss.words[wi]&bit == 0 || ss.summary&(uint64(1)<<wi) == 0 {
 				return false // occupancy bitmap out of sync
 			}
@@ -274,10 +275,10 @@ func TestSpaceSavingStructureInvariant(t *testing.T) {
 			// ascend (arrival order = eviction tie order).
 			found := false
 			lastStamp := int64(-1)
-			head := ss.slots[n.slot].head
+			head := ss.slots[idx].head
 			for ni := head; ; {
 				nd := ss.nodes[ni]
-				if nd.stamp <= lastStamp || ss.nodes[nd.next].prev != ni || nd.slot != n.slot {
+				if nd.stamp <= lastStamp || ss.nodes[nd.next].prev != ni || nd.count != n.count {
 					return false
 				}
 				lastStamp = nd.stamp
@@ -364,4 +365,29 @@ func BenchmarkExactUpdate(b *testing.B) {
 		kv := stream[i&(1<<16-1)]
 		e.Update(kv.Key, kv.Count)
 	}
+}
+
+// ErrorBound returns the recorded overestimation bound for key (its err
+// field), or the minimum count for unmonitored keys.
+func (s *SpaceSaving) ErrorBound(key uint64) int64 {
+	if ni := s.idxFind(key); ni != nilIdx {
+		return s.nodes[ni].err
+	}
+	if s.n == s.k {
+		return s.Min()
+	}
+	return 0
+}
+
+// GuaranteedKeys returns keys whose *lower bound* (count - err) meets the
+// threshold: detections that cannot be false positives.
+func (s *SpaceSaving) GuaranteedKeys(threshold int64) []KV {
+	var out []KV
+	for i := 0; i < s.n; i++ {
+		n := &s.nodes[i]
+		if n.count-n.err >= threshold {
+			out = append(out, KV{Key: n.key, Count: n.count, ErrUB: n.err})
+		}
+	}
+	return out
 }

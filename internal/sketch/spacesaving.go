@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"hiddenhhh/internal/hashx"
 )
@@ -40,9 +41,11 @@ import (
 // WCSS since hhh.Block) every weight is a block sum of several KB, an
 // evicted entry leaves the ring at once and the ring runs dry several
 // times a window, which is why the rebuild is a placement. The key index
-// is open addressed with backward-shift deletion. All storage is
-// allocated at construction and reused across Reset, so the per-packet
-// path never allocates.
+// is open addressed with backward-shift deletion; a slot holds the key's
+// hash and its node, not the key. The buckets are built at the first
+// rebuild, which only an eviction (or Min) asks for: merged and restored
+// summaries, and tables that never fill, never hold them. All storage is
+// reused across Reset, so the per-packet path never allocates.
 //
 // Eviction among equal minimum counts is deterministic: the entry whose
 // count changed least recently goes first (bucket lists keep arrival
@@ -83,17 +86,17 @@ const ringSlots = 2048
 
 const (
 	nilIdx  = int32(-1)
-	hotSlot = int32(-2) // node is in the unsorted hot zone
+	hotSlot = int32(-2) // prev of a node in the unsorted hot zone
 )
 
-// ssNode is one monitored entry. Ring entries are linked into their count
-// bucket's list; hot entries are not linked anywhere.
+// ssNode is one monitored entry, 40 bytes. A ring entry is linked into the
+// list of the bucket of its count, count - base; a hot entry is linked
+// nowhere and has prev == hotSlot.
 type ssNode struct {
 	key        uint64
 	count      int64
 	err        int64
 	stamp      int64 // logical time of the last count change
-	slot       int32 // ring slot index, or hotSlot
 	prev, next int32 // neighbours within the bucket's entry list
 }
 
@@ -104,10 +107,12 @@ type ssRingSlot struct {
 	head int32
 }
 
-// ssSlot is one open-addressed index slot. node stores nodeIndex+1 so the
-// zero value means empty and Reset can clear the table with one memclr.
+// ssSlot is one open-addressed index slot, 8 bytes: the key's hash, which
+// a probe compares before it reads the node and a deletion takes the
+// slot's home from, and the node, stored as nodeIndex+1 so the zero value
+// means empty and Reset can clear the table with one memclr.
 type ssSlot struct {
-	key  uint64
+	h    uint32
 	node int32
 }
 
@@ -123,8 +128,6 @@ func NewSpaceSaving(k int) *SpaceSaving {
 	return &SpaceSaving{
 		k:       k,
 		nodes:   make([]ssNode, k),
-		slots:   make([]ssRingSlot, ringSlots),
-		words:   make([]uint64, ringSlots/64),
 		tab:     make([]ssSlot, tabSize),
 		mask:    tabSize - 1,
 		ordered: true,
@@ -144,58 +147,47 @@ func ssHash(key uint64) uint32 { return uint32(hashx.Mix64(key)) }
 // idxFind returns the node slot monitoring key, or nilIdx.
 func (s *SpaceSaving) idxFind(key uint64) int32 { return s.idxFindHashed(key, ssHash(key)) }
 
-// idxFindHashed is idxFind for a caller with h = ssHash(key) in hand.
+// idxFindHashed is idxFind for a caller with h = ssHash(key) in hand. A
+// slot whose hash matches is confirmed on its node's key, so keys that
+// share all 32 bits of hash stay apart.
 func (s *SpaceSaving) idxFindHashed(key uint64, h uint32) int32 {
-	i := h & s.mask
-	for {
+	for i := h & s.mask; ; i = (i + 1) & s.mask {
 		sl := s.tab[i]
 		if sl.node == 0 {
 			return nilIdx
 		}
-		if sl.key == key {
+		if sl.h == h && s.nodes[sl.node-1].key == key {
 			return sl.node - 1
 		}
-		i = (i + 1) & s.mask
 	}
 }
 
-func (s *SpaceSaving) idxInsert(key uint64, node int32) {
-	i := ssHash(key) & s.mask
+// idxInsert indexes node under hash h.
+func (s *SpaceSaving) idxInsert(h uint32, node int32) {
+	i := h & s.mask
 	for s.tab[i].node != 0 {
 		i = (i + 1) & s.mask
 	}
-	s.tab[i] = ssSlot{key: key, node: node + 1}
+	s.tab[i] = ssSlot{h: h, node: node + 1}
 }
 
-func (s *SpaceSaving) idxDelete(key uint64) {
-	i := ssHash(key) & s.mask
-	for s.tab[i].key != key || s.tab[i].node == 0 {
+// idxDelete removes node, indexed under hash h, from the index.
+// Backward-shift deletion keeps probe chains intact without tombstones, so
+// the table never degrades across windows: every slot behind the hole
+// whose home — its stored hash, no key is hashed again — is not
+// cyclically in (hole, slot] moves into the hole, which moves to it.
+func (s *SpaceSaving) idxDelete(h uint32, node int32) {
+	i := h & s.mask
+	for s.tab[i].node != node+1 {
 		i = (i + 1) & s.mask
 	}
-	// Backward-shift deletion keeps probe chains intact without
-	// tombstones, so the table never degrades across windows.
-	for {
-		s.tab[i] = ssSlot{}
-		j := i
-		for {
-			j = (j + 1) & s.mask
-			if s.tab[j].node == 0 {
-				return
-			}
-			h := ssHash(s.tab[j].key) & s.mask
-			// tab[j] may stay only if its home h lies cyclically in (i, j].
-			if i <= j {
-				if i < h && h <= j {
-					continue
-				}
-			} else if h > i || h <= j {
-				continue
-			}
+	for j := (i + 1) & s.mask; s.tab[j].node != 0; j = (j + 1) & s.mask {
+		if (j-s.tab[j].h)&s.mask >= (j-i)&s.mask {
 			s.tab[i] = s.tab[j]
 			i = j
-			break
 		}
 	}
+	s.tab[i] = ssSlot{}
 }
 
 // --- ring plumbing ---
@@ -209,7 +201,6 @@ func (s *SpaceSaving) idxDelete(key uint64) {
 // from the tail past the younger ones.
 func (s *SpaceSaving) ringLink(ni, idx int32) {
 	n := &s.nodes[ni]
-	n.slot = idx
 	wi := uint32(idx) >> 6
 	bit := uint64(1) << (uint32(idx) & 63)
 	if s.words[wi]&bit == 0 {
@@ -236,10 +227,11 @@ func (s *SpaceSaving) ringLink(ni, idx int32) {
 	s.ringN++
 }
 
-// ringRemove unlinks node ni from its bucket and marks it hot.
+// ringRemove unlinks ring entry ni from the bucket of its count and marks
+// it hot.
 func (s *SpaceSaving) ringRemove(ni int32) {
 	n := &s.nodes[ni]
-	idx := n.slot
+	idx := int32(n.count - s.base)
 	if n.next == ni { // alone in its bucket
 		wi := uint32(idx) >> 6
 		s.words[wi] &^= uint64(1) << (uint32(idx) & 63)
@@ -253,7 +245,7 @@ func (s *SpaceSaving) ringRemove(ni int32) {
 			s.slots[idx].head = n.next
 		}
 	}
-	n.slot = hotSlot
+	n.prev = hotSlot
 	s.ringN--
 }
 
@@ -277,7 +269,7 @@ func (s *SpaceSaving) ringMin() int32 {
 // below the ring's base while the summary is still filling.
 func (s *SpaceSaving) dropRing() {
 	for i := 0; i < s.n; i++ {
-		s.nodes[i].slot = hotSlot
+		s.nodes[i].prev = hotSlot
 	}
 	clear(s.words)
 	s.summary = 0
@@ -298,7 +290,12 @@ func (s *SpaceSaving) ensureRing() {
 // every entry within ringSlots of it is placed straight into the bucket of
 // its exact count, where ringLink keeps stamp order — the ring a sort by
 // (count, stamp) would build, eviction order preserved, without the sort.
+// The first rebuild allocates the buckets; Reset keeps them.
 func (s *SpaceSaving) rebase() {
+	if s.slots == nil {
+		s.slots = make([]ssRingSlot, ringSlots)
+		s.words = make([]uint64, ringSlots/64)
+	}
 	mn := s.minCount()
 	s.base = mn
 	s.minIdx = 0
@@ -313,22 +310,22 @@ func (s *SpaceSaving) rebase() {
 	}
 }
 
-// increase adds w to node ni's count and relinks it if it is in the ring.
-// Hot entries — the common case under heavy-tailed traffic — pay for a
-// bare increment only.
+// increase adds w to node ni's count and relinks it if it is in the ring,
+// unlinking it while its count still names its bucket. Hot entries — the
+// common case under heavy-tailed traffic — pay for a bare increment only.
 func (s *SpaceSaving) increase(ni int32, w int64) {
 	if w == 0 {
 		return
 	}
 	n := &s.nodes[ni]
+	linked := n.prev != hotSlot
+	if linked {
+		s.ringRemove(ni)
+	}
 	s.clock++
 	n.count += w
 	n.stamp = s.clock
-	if n.slot == hotSlot {
-		return
-	}
-	s.ringRemove(ni)
-	if idx := n.count - s.base; idx < ringSlots {
+	if idx := n.count - s.base; linked && idx < ringSlots {
 		s.ringLink(ni, int32(idx))
 	}
 }
@@ -337,7 +334,8 @@ func (s *SpaceSaving) increase(ni int32, w int64) {
 func (s *SpaceSaving) Update(key uint64, w int64) {
 	s.total += w
 	s.ordered = false
-	if ni := s.idxFind(key); ni != nilIdx {
+	h := ssHash(key)
+	if ni := s.idxFindHashed(key, h); ni != nilIdx {
 		s.increase(ni, w)
 		return
 	}
@@ -345,8 +343,8 @@ func (s *SpaceSaving) Update(key uint64, w int64) {
 		ni := int32(s.n)
 		s.n++
 		s.clock++
-		s.nodes[ni] = ssNode{key: key, count: w, stamp: s.clock, slot: hotSlot}
-		s.idxInsert(key, ni)
+		s.nodes[ni] = ssNode{key: key, count: w, stamp: s.clock, prev: hotSlot}
+		s.idxInsert(h, ni)
 		if s.live {
 			if w < s.base {
 				s.dropRing()
@@ -364,8 +362,8 @@ func (s *SpaceSaving) Update(key uint64, w int64) {
 	s.minIdx = mi
 	ni := s.slots[mi].head
 	n := &s.nodes[ni]
-	s.idxDelete(n.key)
-	s.idxInsert(key, ni)
+	s.idxDelete(ssHash(n.key), ni)
+	s.idxInsert(h, ni)
 	n.key = key
 	n.err = n.count
 	s.increase(ni, w)
@@ -412,7 +410,8 @@ type MergeScratch struct {
 
 // SizeBytes reports the retained tables' footprint.
 func (sc *MergeScratch) SizeBytes() int {
-	return cap(sc.rows)*24 + (cap(sc.ord)+cap(sc.tmp))*4 + (cap(sc.round)+cap(sc.floors))*8
+	return cap(sc.rows)*int(unsafe.Sizeof(mergeRow{})) + (cap(sc.ord)+cap(sc.tmp))*int(unsafe.Sizeof(int32(0))) +
+		cap(sc.round)*int(unsafe.Sizeof((*SpaceSaving)(nil))) + cap(sc.floors)*int(unsafe.Sizeof(int64(0)))
 }
 
 // A radix pass takes radixBits bits of a value (256 buckets: the histogram
@@ -620,22 +619,24 @@ func keyOrder(rows []mergeRow, run, tmp []int32) {
 // least-recently-grown entry goes first. The caller has Reset s, installs
 // nodes 0..n-1 in turn and sets clock once every node is in. It reports
 // false, installing nothing, when an earlier node has e's key: the index
-// walk that finds the free slot finds the duplicate, one hash per entry.
+// walk that finds the free slot finds the duplicate, one hash per entry
+// and a key compared on every hash match.
 func (s *SpaceSaving) install(i, n int, e KV) bool {
-	j := ssHash(e.Key) & s.mask
+	h := ssHash(e.Key)
+	j := h & s.mask
 	for ; s.tab[j].node != 0; j = (j + 1) & s.mask {
-		if s.tab[j].key == e.Key {
+		if sl := s.tab[j]; sl.h == h && s.nodes[sl.node-1].key == e.Key {
 			return false
 		}
 	}
-	s.tab[j] = ssSlot{key: e.Key, node: int32(i) + 1}
+	s.tab[j] = ssSlot{h: h, node: int32(i) + 1}
 	s.n = i + 1
 	s.nodes[i] = ssNode{
 		key:   e.Key,
 		count: e.Count,
 		err:   e.ErrUB,
 		stamp: int64(n - i),
-		slot:  hotSlot,
+		prev:  hotSlot,
 	}
 	return true
 }
@@ -646,18 +647,6 @@ func (s *SpaceSaving) install(i, n int, e KV) bool {
 func (s *SpaceSaving) Estimate(key uint64) int64 {
 	if ni := s.idxFind(key); ni != nilIdx {
 		return s.nodes[ni].count
-	}
-	if s.n == s.k {
-		return s.Min()
-	}
-	return 0
-}
-
-// ErrorBound returns the recorded overestimation bound for key (its err
-// field), or the minimum count for unmonitored keys.
-func (s *SpaceSaving) ErrorBound(key uint64) int64 {
-	if ni := s.idxFind(key); ni != nilIdx {
-		return s.nodes[ni].err
 	}
 	if s.n == s.k {
 		return s.Min()
@@ -714,7 +703,8 @@ func (s *SpaceSaving) Total() int64 { return s.total }
 
 // Reset empties the summary. All storage is retained: the index is cleared
 // in place and nodes, buckets and bitmaps are recycled, so a
-// reset-per-window discipline performs no allocation after construction.
+// reset-per-window discipline performs no allocation after the first
+// eviction.
 func (s *SpaceSaving) Reset() {
 	if s.n > 0 { // an empty summary's index is clear: every entry in it is a node's
 		clear(s.tab)
@@ -757,34 +747,10 @@ func (s *SpaceSaving) Tracked() []KV {
 	return s.AppendTracked(make([]KV, 0, s.n))
 }
 
-// HeavyKeys returns the monitored keys whose estimate is >= threshold.
-func (s *SpaceSaving) HeavyKeys(threshold int64) []KV {
-	var out []KV
-	for i := 0; i < s.n; i++ {
-		n := &s.nodes[i]
-		if n.count >= threshold {
-			out = append(out, KV{Key: n.key, Count: n.count, ErrUB: n.err})
-		}
-	}
-	return out
-}
-
-// GuaranteedKeys returns keys whose *lower bound* (count - err) meets the
-// threshold: detections that cannot be false positives.
-func (s *SpaceSaving) GuaranteedKeys(threshold int64) []KV {
-	var out []KV
-	for i := 0; i < s.n; i++ {
-		n := &s.nodes[i]
-		if n.count-n.err >= threshold {
-			out = append(out, KV{Key: n.key, Count: n.count, ErrUB: n.err})
-		}
-	}
-	return out
-}
-
-// SizeBytes reports the exact state footprint of the summary: entry
-// nodes, direct-addressed buckets with their occupancy bitmap, and the
-// open-addressed key index.
+// SizeBytes reports the storage the summary holds: entry nodes, the key
+// index and, once a rebuild has made them, the count buckets with their
+// occupancy bitmap.
 func (s *SpaceSaving) SizeBytes() int {
-	return len(s.nodes)*48 + len(s.slots)*4 + len(s.words)*8 + 8 + len(s.tab)*16
+	return len(s.nodes)*int(unsafe.Sizeof(ssNode{})) + len(s.tab)*int(unsafe.Sizeof(ssSlot{})) +
+		len(s.slots)*int(unsafe.Sizeof(ssRingSlot{})) + len(s.words)*int(unsafe.Sizeof(uint64(0)))
 }

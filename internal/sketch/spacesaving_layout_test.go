@@ -1,0 +1,147 @@
+package sketch
+
+import (
+	"math/rand"
+	"reflect"
+	"testing"
+	"unsafe"
+)
+
+// sliceBytes is Σ len × element size over the slice fields of the struct
+// p points to (cap instead of len when byCap): what a SizeBytes must
+// report, found by reflection so that a slice added to the struct and left
+// out of its SizeBytes shows.
+func sliceBytes(p any, byCap bool) int {
+	v, n := reflect.ValueOf(p).Elem(), 0
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Slice {
+			l := f.Len()
+			if byCap {
+				l = f.Cap()
+			}
+			n += l * int(f.Type().Elem().Size())
+		}
+	}
+	return n
+}
+
+// TestSpaceSavingFootprint holds SizeBytes to the storage the table holds
+// through its life — fresh, filling, evicting, reset, the result of a
+// MergeAll and of a Restore — and pins the layout: 40-byte entries,
+// 8-byte index slots, and count buckets that only a rebuild (an eviction)
+// allocates. The merged and the restored table, like every table the
+// merge accumulators and the Aggregator hold, never evict and hold none.
+func TestSpaceSavingFootprint(t *testing.T) {
+	if n, sl := unsafe.Sizeof(ssNode{}), unsafe.Sizeof(ssSlot{}); n != 40 || sl != 8 {
+		t.Fatalf("an entry is %d B and an index slot %d B; want 40 and 8", n, sl)
+	}
+	const k = 512
+	check := func(stage string, s *SpaceSaving, ring bool) int {
+		t.Helper()
+		if got, want := s.SizeBytes(), sliceBytes(s, false); got != want {
+			t.Fatalf("%s: SizeBytes %d, the slices hold %d B", stage, got, want)
+		}
+		if (s.slots != nil) != ring || (s.words != nil) != ring {
+			t.Fatalf("%s: count buckets built %v, want %v", stage, s.slots != nil, ring)
+		}
+		return s.SizeBytes()
+	}
+	rng := rand.New(rand.NewSource(29))
+	s := NewSpaceSaving(k)
+	fresh := check("fresh", s, false)
+	for i := 0; i < k/2; i++ {
+		s.Update(rng.Uint64(), int64(40+rng.Intn(1460)))
+	}
+	if filling := check("filling", s, false); filling != fresh {
+		t.Fatalf("a filling table grew from %d to %d B", fresh, filling)
+	}
+	for i := 0; i < 4*k; i++ {
+		s.Update(rng.Uint64(), int64(40+rng.Intn(1460)))
+	}
+	evicting := check("evicting", s, true)
+	if ring := int(unsafe.Sizeof(ssRingSlot{}))*ringSlots + ringSlots/8; evicting != fresh+ring {
+		t.Fatalf("an evicting table is %d B; want %d fresh + %d of buckets and bitmap", evicting, fresh, ring)
+	}
+	s.Reset()
+	check("reset", s, true) // the buckets are kept for the next window's evictions
+
+	src := NewSpaceSaving(k)
+	for i := 0; i < 3*k; i++ {
+		src.Update(uint64(rng.Intn(2*k)), int64(40+rng.Intn(1460)))
+	}
+	merged, sc := NewSpaceSaving(k), new(MergeScratch)
+	merged.MergeAll([]*SpaceSaving{src, NewSpaceSaving(k)}, sc)
+	if merged.Len() != k {
+		t.Fatalf("the merge kept %d entries, want %d", merged.Len(), k)
+	}
+	check("merged", merged, false)
+	if got, want := sc.SizeBytes(), sliceBytes(sc, true); got != want {
+		t.Fatalf("MergeScratch.SizeBytes %d, its slices hold %d B", got, want)
+	}
+	restored := NewSpaceSaving(k)
+	if err := restored.Restore(merged.Total(), merged.Len(), merged.Entry); err != nil {
+		t.Fatal(err)
+	}
+	check("restored", restored, false)
+	t.Logf("a %d-counter table: fresh %d B, evicting %d B, merged %d B, restored %d B",
+		k, fresh, evicting, merged.SizeBytes(), restored.SizeBytes())
+}
+
+// collidingPair returns two distinct keys with one 32-bit ssHash, found
+// by a birthday search over random keys.
+func collidingPair(t *testing.T) (a, b uint64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(29))
+	seen := make(map[uint32]uint64, 1<<17)
+	for i := 0; i < 1<<20; i++ {
+		k := rng.Uint64()
+		h := ssHash(k)
+		if o, ok := seen[h]; ok && o != k {
+			return o, k
+		}
+		seen[h] = k
+	}
+	t.Fatal("no 32-bit hash collision among 2^20 random keys")
+	return 0, 0
+}
+
+// TestSpaceSavingFullHashCollision: an index slot holds a key's hash, not
+// the key, so keys whose whole 32-bit hash is equal must be told apart by
+// their nodes on every path — insert, hit, eviction with its backward
+// shift, lookup and MergeAll (Restore: TestRestoreRefusesCollidingDuplicate).
+// Updates are diffed against the heap reference, which keys a map by the
+// key itself, eviction for eviction.
+func TestSpaceSavingFullHashCollision(t *testing.T) {
+	a, b := collidingPair(t)
+	keys := []uint64{a, b, 1, 2, 3, 4, 5, 6}
+	rng := rand.New(rand.NewSource(30))
+	ss, or := NewSpaceSaving(4), NewHeapSpaceSaving(4)
+	evicted := 0
+	for i := 0; i < 20000; i++ {
+		key := keys[rng.Intn(len(keys))]
+		if _, ok := or.index[key]; !ok && or.Len() == or.k && (or.entries[0].key == a || or.entries[0].key == b) {
+			evicted++ // one of the pair leaves; the other, if monitored, must stay findable
+		}
+		diffUpdate(t, "collision", ss, or, key, int64(1+rng.Intn(64)))
+		if i%100 == 99 {
+			requireIdentical(t, "collision", ss, or, keys)
+		}
+	}
+	if evicted < 100 {
+		t.Fatalf("the pair was evicted %d times: the stream does not exercise the backward shift", evicted)
+	}
+
+	// A merge sums each key's bounds apart from the other's.
+	ss = NewSpaceSaving(4)
+	ss.Update(a, 15)
+	ss.Update(b, 20)
+	o := NewSpaceSaving(4)
+	o.Update(b, 7)
+	o.Update(a, 1)
+	ss.MergeAll([]*SpaceSaving{o}, new(MergeScratch))
+	for key, want := range map[uint64]int64{a: 16, b: 27} {
+		if c, ok := ss.Lookup(key); !ok || c != want {
+			t.Fatalf("merged Lookup(%#x) = %d, %v; want %d", key, c, ok, want)
+		}
+	}
+}

@@ -625,25 +625,31 @@ func TestRestoreFailureLeavesEmpty(t *testing.T) {
 // the index walk that places the entry, so a duplicate must be refused
 // when another key sits at the home slot they share — whichever comes
 // first — and entries whose keys share a home slot without being equal
-// must all be kept.
+// must all be kept, keys with one whole 32-bit hash included.
 func TestRestoreRefusesCollidingDuplicate(t *testing.T) {
 	s := NewSpaceSaving(8)
-	a := uint64(7)
-	b := a + 1
-	for ssHash(b)&s.mask != ssHash(a)&s.mask {
-		b++
+	home := uint64(8)
+	for ssHash(home)&s.mask != ssHash(7)&s.mask {
+		home++
 	}
-	restore := func(kvs ...KV) error { return s.Restore(100, len(kvs), func(i int) KV { return kvs[i] }) }
-	if err := restore(KV{Key: a, Count: 9}, KV{Key: b, Count: 8}, KV{Key: 3, Count: 4}); err != nil || s.Len() != 3 {
-		t.Fatalf("keys sharing a home slot: %v, %d entries", err, s.Len())
-	}
-	for _, dup := range [][]KV{
-		{{Key: a, Count: 9}, {Key: b, Count: 8}, {Key: b, Count: 7}}, // b walks past a to b
-		{{Key: a, Count: 9}, {Key: b, Count: 8}, {Key: a, Count: 7}}, // a is found at home
-		{{Key: b, Count: 9}, {Key: a, Count: 8}, {Key: a, Count: 7}},
-	} {
-		if err := restore(dup...); err == nil || s.Len() != 0 {
-			t.Fatalf("%v: duplicate accepted (%v), %d entries left", dup, err, s.Len())
+	a, b := collidingPair(t)
+	for _, pair := range [][2]uint64{{7, home}, {a, b}} {
+		a, b := pair[0], pair[1]
+		restore := func(kvs ...KV) error { return s.Restore(100, len(kvs), func(i int) KV { return kvs[i] }) }
+		if err := restore(KV{Key: a, Count: 9}, KV{Key: b, Count: 8}, KV{Key: 3, Count: 4}); err != nil || s.Len() != 3 {
+			t.Fatalf("keys sharing a home slot: %v, %d entries", err, s.Len())
+		}
+		if c, _ := s.Lookup(b); c != 8 {
+			t.Fatalf("restored Lookup(%#x) = %d, want 8", b, c)
+		}
+		for _, dup := range [][]KV{
+			{{Key: a, Count: 9}, {Key: b, Count: 8}, {Key: b, Count: 7}}, // b walks past a to b
+			{{Key: a, Count: 9}, {Key: b, Count: 8}, {Key: a, Count: 7}}, // a is found at home
+			{{Key: b, Count: 9}, {Key: a, Count: 8}, {Key: a, Count: 7}},
+		} {
+			if err := restore(dup...); err == nil || s.Len() != 0 {
+				t.Fatalf("%v: duplicate accepted (%v), %d entries left", dup, err, s.Len())
+			}
 		}
 	}
 }

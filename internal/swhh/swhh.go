@@ -430,9 +430,9 @@ func (s *Sliding) heavy(T int64, fn func(key uint64, est int64)) {
 }
 
 // SizeBytes reports the summary footprint: the exact per-frame sizes,
-// the per-slot stamps and, in an accumulator, the fold memo.
+// the per-slot totals and stamps and, in an accumulator, the fold memo.
 func (s *Sliding) SizeBytes() int {
-	n := len(s.vers)*8 + len(s.floor)*8 + len(s.floorVer)*8
+	n := len(s.totals)*8 + len(s.vers)*8 + len(s.floor)*8 + len(s.floorVer)*8
 	for _, f := range s.frames {
 		n += f.SizeBytes()
 	}

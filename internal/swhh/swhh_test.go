@@ -213,8 +213,9 @@ func TestResetAndSize(t *testing.T) {
 		t.Error("Reset incomplete")
 	}
 	// Exact accounting: frames+1 summaries, as the summary reports it, and
-	// three 8-byte stamps (version, floor, floor version) per slot.
-	if want := 5 * (sketch.NewSpaceSaving(32).SizeBytes() + 24); s.SizeBytes() != want {
+	// per slot an 8-byte total and three 8-byte stamps (version, floor,
+	// floor version).
+	if want := 5 * (sketch.NewSpaceSaving(32).SizeBytes() + 32); s.SizeBytes() != want {
 		t.Errorf("SizeBytes = %d, want %d", s.SizeBytes(), want)
 	}
 }

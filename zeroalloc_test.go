@@ -8,6 +8,7 @@ import (
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/continuous"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/trace"
 )
@@ -23,9 +24,12 @@ import (
 //
 // The per-level engine's coalescing block is part of that state: each
 // shard allocates one on its first batch, fills and applies it several
-// times per measured run, and reports it in SizeBytes — the detector's
-// footprint grows by exactly one block per shard, and by nothing for the
-// merge accumulator, which never ingests.
+// times per measured run, and reports it in SizeBytes. So is a
+// Space-Saving table's bucket ring, built at the table's first eviction:
+// the warm-up grows the detector's footprint by one block per shard and
+// one ring per table that evicted — each shard's /32 and /24 tables; the
+// /16, /8 and root levels hold 7, 1 and 1 keys — and by nothing for the
+// merge accumulator, which never ingests. The measured runs grow it by 0.
 func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -38,6 +42,12 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	if block += probe.SizeBytes(); block != hhh.BlockBytes || block > 16<<10 {
 		t.Fatalf("a coalescing block is counted as %d B; want hhh.BlockBytes = %d, at most 16 KiB", block, hhh.BlockBytes)
 	}
+	table := sketch.NewSpaceSaving(2)
+	ring := -table.SizeBytes()
+	for key := uint64(0); key < 3; key++ { // the third key evicts
+		table.Update(key, 1)
+	}
+	ring += table.SizeBytes()
 	// A window longer than the trace keeps window-close merges (which
 	// legitimately allocate result sets) out of the measurement.
 	det, err := NewShardedDetector(ShardedConfig{
@@ -56,6 +66,11 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 		if err := det.TryObserveBatch(pkts); err != nil {
 			t.Fatal(err)
 		}
+	}
+	warm := det.SizeBytes()
+	if grew, evicting := warm-empty, 2*shards; grew != shards*block+evicting*ring {
+		t.Fatalf("footprint grew by %d B over the warm-up; want %d shards x %d B block + %d tables x %d B ring",
+			grew, shards, block, evicting, ring)
 	}
 
 	const chunk = 2048
@@ -86,8 +101,8 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 		t.Fatalf("sharded ingest allocates %.1f allocs per %d-packet batch (%.4f/packet); want ~0",
 			avg, chunk, perPacket)
 	}
-	if grew := det.SizeBytes() - empty; grew != shards*block {
-		t.Fatalf("footprint grew by %d B over ingest; want %d shards x %d B block", grew, shards, block)
+	if grew := det.SizeBytes() - warm; grew != 0 {
+		t.Fatalf("footprint grew by %d B over the measured runs; want 0", grew)
 	}
 }
 
