@@ -15,6 +15,10 @@
 //
 // Everything is driven by a single seed: the same Config yields the same
 // byte-identical trace, which keeps every experiment reproducible.
+//
+// Cost: New is O(Flows) — the Zipf normaliser is summed once — and each
+// packet is O(log Flows), one sift of the event queue. A flow whose mean
+// gap is too long for an int64 of nanoseconds never fires.
 package gen
 
 import (

@@ -1,7 +1,6 @@
 package gen
 
 import (
-	"container/heap"
 	"io"
 	"math"
 	"math/rand"
@@ -17,11 +16,9 @@ type Generator struct {
 	cfg   Config
 	rng   *rand.Rand
 	space *addrSpace
-	flows eventHeap
+	flows eventQueue
 	durNs int64
 	done  bool
-
-	emitted int64
 }
 
 // New validates cfg and builds a generator positioned at the start of the
@@ -38,7 +35,9 @@ func New(cfg Config) (*Generator, error) {
 	g.space = newAddrSpace(&cfg, g.rng)
 	g.seedFlows()
 	g.seedPulses()
-	heap.Init(&g.flows)
+	for i := len(g.flows)/2 - 1; i >= 0; i-- {
+		g.flows.down(i, len(g.flows))
+	}
 	return g, nil
 }
 
@@ -53,9 +52,9 @@ func Packets(cfg Config) ([]trace.Packet, error) {
 	return trace.Collect(g, hint)
 }
 
-// flow is one scheduled traffic source (long-lived or pulse).
+// flow is one scheduled traffic source (long-lived or pulse). Its next
+// event time lives in its queue slot.
 type flow struct {
-	next       int64 // next event time (ns); heap key
 	src        addr.Addr
 	baseRate   float64 // long-run average pps (rank share of the aggregate)
 	onRate     float64 // pps while on (baseRate corrected for duty cycle)
@@ -67,47 +66,99 @@ type flow struct {
 	pulse      bool
 }
 
-type eventHeap []*flow
+// event is one slot of the event queue: a flow and the time (ns) of its
+// next event, kept in the slot so a sift compares without loading the flow.
+type event struct {
+	next int64
+	f    *flow
+}
 
-func (h eventHeap) Len() int           { return len(h) }
-func (h eventHeap) Less(i, j int) bool { return h[i].next < h[j].next }
-func (h eventHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)        { *h = append(*h, x.(*flow)) }
-func (h *eventHeap) Pop() any          { old := *h; n := len(old); f := old[n-1]; *h = old[:n-1]; return f }
+// eventQueue is a binary min-heap on event.next that runs container/heap's
+// exact Init (New), Push (seedFlows), Pop and Fix(h, 0) (pop, fixRoot):
+// ties between equal times decide which flow draws from the RNG first, so
+// that order is part of every trace TestTraceDigests pins. up and down
+// hold the moving slot aside instead of swapping at every level: the
+// comparisons, and so the places, are the same.
+type eventQueue []event
 
-// expNs draws an exponential duration with the given mean (ns).
-func (g *Generator) expNs(mean float64) int64 {
-	d := int64(g.rng.ExpFloat64() * mean)
-	if d < 1 {
-		d = 1
+// pop removes the root.
+func (q *eventQueue) pop() {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	h.down(0, n)
+	*q = h[:n]
+}
+
+// fixRoot moves the root's event to next and restores the heap order.
+func (q eventQueue) fixRoot(next int64) {
+	q[0].next = next
+	q.down(0, len(q))
+}
+
+func (q eventQueue) up(j int) {
+	e := q[j]
+	for i := (j - 1) / 2; j > 0 && e.next < q[i].next; i = (j - 1) / 2 {
+		q[j] = q[i]
+		j = i
 	}
-	return d
+	q[j] = e
+}
+
+func (q eventQueue) down(i, n int) {
+	e := q[i]
+	for j := 2*i + 1; j < n; j = 2*i + 1 {
+		if j+1 < n && q[j+1].next < q[j].next {
+			j++
+		}
+		if q[j].next >= e.next {
+			break
+		}
+		q[i] = q[j]
+		i = j
+	}
+	q[i] = e
+}
+
+// after returns t plus an exponential gap with the given mean (ns): at
+// least t+1, and math.MaxInt64 — never — when the sum would not fit in an
+// int64, a gap of 2⁶³ ns or more (a mean above ~292 years) included. It
+// draws once whatever the outcome.
+func (g *Generator) after(t int64, mean float64) int64 {
+	d := g.rng.ExpFloat64() * mean
+	if !(d < float64(math.MaxInt64-t)) {
+		return math.MaxInt64
+	}
+	if d < 1 {
+		return t + 1
+	}
+	return t + int64(d)
 }
 
 // rateOfRank gives the long-run average packet rate for popularity rank r
-// (0-based): Zipf weights normalised to the configured aggregate rate.
-func (g *Generator) rateOfRank(r int) float64 {
-	skew := g.cfg.RateSkew
-	var norm float64
-	for i := 1; i <= g.cfg.Flows; i++ {
-		norm += 1 / math.Pow(float64(i), skew)
-	}
-	w := 1 / math.Pow(float64(r+1), skew) / norm
+// (0-based): its Zipf weight over norm, the sum of all Flows weights,
+// times the configured aggregate rate.
+func (g *Generator) rateOfRank(r int, norm float64) float64 {
+	w := 1 / math.Pow(float64(r+1), g.cfg.RateSkew) / norm
 	return g.cfg.MeanPacketRate * w
 }
 
 func (g *Generator) seedFlows() {
-	g.flows = make(eventHeap, 0, g.cfg.Flows+16)
+	var norm float64
+	for i := 1; i <= g.cfg.Flows; i++ {
+		norm += 1 / math.Pow(float64(i), g.cfg.RateSkew)
+	}
+	g.flows = make(eventQueue, 0, g.cfg.Flows+16)
 	for i := 0; i < g.cfg.Flows; i++ {
 		f := &flow{
 			src:      g.space.sampleSource(g.rng),
-			baseRate: g.rateOfRank(i),
+			baseRate: g.rateOfRank(i, norm),
 		}
 		g.assignClass(f)
 		g.resetLifecycle(f, 0)
 		// Random initial phase so the population does not start in sync.
-		f.next = g.expNs(1e9 / f.onRate)
-		heap.Push(&g.flows, f)
+		g.flows = append(g.flows, event{g.after(0, 1e9/f.onRate), f})
+		g.flows.up(len(g.flows) - 1)
 	}
 }
 
@@ -141,16 +192,16 @@ func (g *Generator) resetLifecycle(f *flow, t int64) {
 		duty := f.onMean / (f.onMean + f.offMean)
 		f.on = g.rng.Float64() < duty
 		if f.on {
-			f.stateUntil = t + g.expNs(f.onMean)
+			f.stateUntil = g.after(t, f.onMean)
 		} else {
-			f.stateUntil = t + g.expNs(f.offMean)
+			f.stateUntil = g.after(t, f.offMean)
 		}
 	} else {
 		f.on = true
 		f.stateUntil = math.MaxInt64
 	}
 	if g.cfg.MeanFlowLifetime > 0 {
-		f.death = t + g.expNs(float64(g.cfg.MeanFlowLifetime))
+		f.death = g.after(t, float64(g.cfg.MeanFlowLifetime))
 	} else {
 		f.death = math.MaxInt64
 	}
@@ -162,13 +213,12 @@ func (g *Generator) seedPulses() {
 		return
 	}
 	meanGapNs := 60e9 / g.cfg.PulsesPerMinute
-	for t := g.expNs(meanGapNs); t < g.durNs; t += g.expNs(meanGapNs) {
+	for t := g.after(0, meanGapNs); t < g.durNs; t = g.after(t, meanGapNs) {
 		durRange := float64(g.cfg.PulseDurationMax - g.cfg.PulseDurationMin)
 		dur := int64(g.cfg.PulseDurationMin) + int64(g.rng.Float64()*durRange)
 		share := g.cfg.PulseShareMin +
 			g.rng.Float64()*(g.cfg.PulseShareMax-g.cfg.PulseShareMin)
 		f := &flow{
-			next:       t,
 			src:        g.space.samplePulseSource(g.rng),
 			onRate:     share * g.cfg.MeanPacketRate,
 			on:         true,
@@ -176,7 +226,7 @@ func (g *Generator) seedPulses() {
 			death:      t + dur,
 			pulse:      true,
 		}
-		g.flows = append(g.flows, f)
+		g.flows = append(g.flows, event{t, f})
 	}
 }
 
@@ -187,8 +237,7 @@ func (g *Generator) Next(p *trace.Packet) error {
 			g.done = true
 			break
 		}
-		f := g.flows[0]
-		t := f.next
+		f, t := g.flows[0].f, g.flows[0].next
 		if t >= g.durNs {
 			// Heap min is beyond the trace end; everything else is too.
 			g.done = true
@@ -197,47 +246,39 @@ func (g *Generator) Next(p *trace.Packet) error {
 		switch {
 		case t >= f.death:
 			if f.pulse {
-				heap.Pop(&g.flows) // pulses end, they do not respawn
+				g.flows.pop() // pulses end, they do not respawn
 				continue
 			}
 			// Churn: the source dies and a fresh one takes its rank slot.
 			f.src = g.space.sampleSource(g.rng)
 			g.assignClass(f)
 			g.resetLifecycle(f, t)
-			f.next = t + g.expNs(1e9/f.onRate)
-			heap.Fix(&g.flows, 0)
+			g.flows.fixRoot(g.after(t, 1e9/f.onRate))
 			continue
 		case t >= f.stateUntil:
 			if f.on {
 				f.on = false
-				f.stateUntil = t + g.expNs(f.offMean)
+				f.stateUntil = g.after(t, f.offMean)
 				// Sleep through the off period.
-				f.next = f.stateUntil
+				g.flows.fixRoot(f.stateUntil)
 			} else {
 				f.on = true
-				f.stateUntil = t + g.expNs(f.onMean)
-				f.next = t + g.expNs(1e9/f.onRate)
+				f.stateUntil = g.after(t, f.onMean)
+				g.flows.fixRoot(g.after(t, 1e9/f.onRate))
 			}
-			heap.Fix(&g.flows, 0)
 			continue
 		case !f.on:
 			// Scheduled during an off period (initial phase): skip ahead.
-			f.next = f.stateUntil
-			heap.Fix(&g.flows, 0)
+			g.flows.fixRoot(f.stateUntil)
 			continue
 		}
 		// Emit a packet for f at t.
 		g.fillPacket(p, f, t)
-		f.next = t + g.expNs(1e9/f.onRate)
-		heap.Fix(&g.flows, 0)
-		g.emitted++
+		g.flows.fixRoot(g.after(t, 1e9/f.onRate))
 		return nil
 	}
 	return io.EOF
 }
-
-// Emitted returns the number of packets produced so far.
-func (g *Generator) Emitted() int64 { return g.emitted }
 
 // fillPacket draws the per-packet header fields.
 func (g *Generator) fillPacket(p *trace.Packet, f *flow, t int64) {

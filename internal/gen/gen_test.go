@@ -2,6 +2,8 @@ package gen
 
 import (
 	"errors"
+	"fmt"
+	"math"
 	"sort"
 	"testing"
 	"time"
@@ -234,9 +236,6 @@ func TestStreamingMatchesCollected(t *testing.T) {
 	if len(streamed) != len(batch) {
 		t.Fatalf("streamed %d vs batch %d", len(streamed), len(batch))
 	}
-	if g.Emitted() != int64(len(streamed)) {
-		t.Errorf("Emitted = %d", g.Emitted())
-	}
 }
 
 func TestProtocolMix(t *testing.T) {
@@ -312,23 +311,126 @@ func TestChurnReplacesSources(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerate(b *testing.B) {
-	cfg := smallCfg(12)
-	var p trace.Packet
-	b.ReportAllocs()
-	b.ResetTimer()
-	n := 0
-	for n < b.N {
+// TestSlowFlowsStaySlow pins the saturating gap draw: a flow whose mean
+// gap is beyond what an int64 of nanoseconds holds (below ~1.1e-10 pps)
+// stays silent instead of firing every nanosecond, so a steep rate skew
+// or a large population still yields the configured aggregate rate.
+func TestSlowFlowsStaySlow(t *testing.T) {
+	steep := DefaultConfig()
+	steep.Duration = 2 * time.Second
+	steep.PulsesPerMinute = 0
+	steep.RateSkew = 5
+	wide := steep
+	wide.Flows = 100000
+	wide.RateSkew = 4
+	for _, cfg := range []Config{steep, wide} {
 		g, err := New(cfg)
 		if err != nil {
-			b.Fatal(err)
+			t.Fatal(err)
 		}
-		for n < b.N {
-			if err := g.Next(&p); err != nil {
-				break
+		// Streamed, and cut one packet past the band, so a regression
+		// fails fast instead of collecting millions of packets.
+		lo := cfg.MeanPacketRate * cfg.Duration.Seconds() * 0.7
+		hi := cfg.MeanPacketRate * cfg.Duration.Seconds() * 1.8
+		n := 0
+		var p trace.Packet
+		for float64(n) <= hi && g.Next(&p) == nil {
+			if p.Ts < 0 || p.Ts >= int64(cfg.Duration) {
+				t.Fatalf("%d flows, skew %v: packet %d at %d outside the trace",
+					cfg.Flows, cfg.RateSkew, n, p.Ts)
 			}
 			n++
 		}
+		if float64(n) < lo || float64(n) > hi {
+			t.Errorf("%d flows, skew %v: %d packets, want within [%.0f, %.0f]",
+				cfg.Flows, cfg.RateSkew, n, lo, hi)
+		}
+	}
+}
+
+// TestRateLadder holds the long-lived flows' base rates to the Zipf
+// ladder — non-increasing with rank, summing to MeanPacketRate — and New
+// to linear set-up: 10⁵ flows must be built within 5 s, timed in a
+// goroutine so a quadratic New fails the test instead of hanging the
+// package.
+func TestRateLadder(t *testing.T) {
+	for _, flows := range []int{1500, 100000} {
+		cfg := DefaultConfig()
+		cfg.Flows = flows
+		type built struct {
+			g   *Generator
+			err error
+		}
+		ch := make(chan built, 1)
+		go func() {
+			g, err := New(cfg)
+			ch <- built{g, err}
+		}()
+		var g *Generator
+		select {
+		case b := <-ch:
+			if b.err != nil {
+				t.Fatal(b.err)
+			}
+			g = b.g
+		case <-time.After(5 * time.Second):
+			t.Fatalf("New with %d flows took over 5 s", flows)
+		}
+		var rates []float64
+		for _, e := range g.flows {
+			if !e.f.pulse {
+				rates = append(rates, e.f.baseRate)
+			}
+		}
+		if len(rates) != flows {
+			t.Fatalf("%d long-lived flows, want %d", len(rates), flows)
+		}
+		sort.Sort(sort.Reverse(sort.Float64Slice(rates)))
+		var norm, sum float64
+		for i := 1; i <= flows; i++ {
+			norm += 1 / math.Pow(float64(i), cfg.RateSkew)
+		}
+		prev := math.Inf(1)
+		for r, got := range rates {
+			want := g.rateOfRank(r, norm)
+			if got != want {
+				t.Fatalf("%d flows: rank %d rate %v, want %v", flows, r, got, want)
+			}
+			if want > prev {
+				t.Fatalf("%d flows: rank %d rate %v above rank %d's %v", flows, r, want, r-1, prev)
+			}
+			prev = want
+			sum += got
+		}
+		if rel := math.Abs(sum-cfg.MeanPacketRate) / cfg.MeanPacketRate; rel > 1e-9 {
+			t.Errorf("%d flows: rates sum to %v, want %v (relative error %.2g)",
+				flows, sum, cfg.MeanPacketRate, rel)
+		}
+	}
+}
+
+// BenchmarkGenerate times New plus a whole 10 s trace at each flow count,
+// so the set-up a flow count costs is inside every op; ns/pkt is an op's
+// time over the packets it produced.
+func BenchmarkGenerate(b *testing.B) {
+	for _, flows := range []int{400, 1500, 10000, 100000} {
+		b.Run(fmt.Sprintf("flows=%d", flows), func(b *testing.B) {
+			cfg := smallCfg(12)
+			cfg.Flows = flows
+			var p trace.Packet
+			pkts := 0
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				g, err := New(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for g.Next(&p) == nil {
+					pkts++
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(pkts), "ns/pkt")
+		})
 	}
 }
 
