@@ -198,11 +198,11 @@ type (
 	ComparisonOutcome = core.ComparisonOutcome
 	// DetectorReport scores one detector.
 	DetectorReport = core.DetectorReport
-	// TraceProvider produces identical fresh packet sources per call.
-	TraceProvider = core.Provider
 )
 
-// Experiment runners and renderers.
+// Experiment runners and renderers. Each runner analyses a time-ordered
+// in-memory trace, as GenerateTrace, ReadTraceFile and ReadPcapFile
+// return one.
 var (
 	// RunHiddenHHH runs the Figure-2 hidden-HHH quantification.
 	RunHiddenHHH = core.HiddenHHH
@@ -216,8 +216,4 @@ var (
 	RunComparison = core.ContinuousComparison
 	// RenderComparison formats the Section-3 table.
 	RenderComparison = core.RenderComparison
-	// TraceProviderOf replays an in-memory trace on every call.
-	TraceProviderOf = core.SliceProvider
-	// TraceProviderFile replays a binary trace file on every call.
-	TraceProviderFile = core.FileProvider
 )

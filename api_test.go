@@ -171,10 +171,9 @@ func TestDetectorsAgreeOnStrongHeavyHitter(t *testing.T) {
 
 func TestRunExperimentsThroughFacade(t *testing.T) {
 	pkts := genTestTrace(t, 20, 4)
-	provider := TraceProviderOf(pkts)
 	span := int64(20 * time.Second)
 
-	res, err := RunHiddenHHH(provider, HiddenHHHConfig{
+	res, err := RunHiddenHHH(pkts, HiddenHHHConfig{
 		Windows: []time.Duration{5 * time.Second},
 		Phis:    []float64{0.05},
 		Span:    span,
@@ -186,7 +185,7 @@ func TestRunExperimentsThroughFacade(t *testing.T) {
 		t.Error("empty render")
 	}
 
-	sres, err := RunWindowSensitivity(provider, SensitivityConfig{
+	sres, err := RunWindowSensitivity(pkts, SensitivityConfig{
 		Baseline: 5 * time.Second,
 		Trims:    []time.Duration{50 * time.Millisecond},
 		Span:     span,
@@ -198,7 +197,7 @@ func TestRunExperimentsThroughFacade(t *testing.T) {
 		t.Error("empty render")
 	}
 
-	cres, err := RunComparison(provider, ComparisonConfig{
+	cres, err := RunComparison(pkts, ComparisonConfig{
 		Window: 5 * time.Second,
 		Span:   span,
 	})

@@ -53,11 +53,10 @@ func getBenchTrace(b *testing.B) ([]Packet, int64) {
 // percentages, disjoint vs sliding) on a one-minute trace.
 func BenchmarkFig2HiddenHHH(b *testing.B) {
 	pkts, span := getBenchTrace(b)
-	provider := TraceProviderOf(pkts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := RunHiddenHHH(provider, HiddenHHHConfig{
+		results, err := RunHiddenHHH(pkts, HiddenHHHConfig{
 			Windows: []time.Duration{5 * time.Second, 10 * time.Second, 20 * time.Second},
 			Phis:    []float64{0.01, 0.05, 0.10},
 			Span:    span,
@@ -75,11 +74,10 @@ func BenchmarkFig2HiddenHHH(b *testing.B) {
 // (Jaccard similarity of drifting W vs W-δ tilings).
 func BenchmarkFig3WindowSensitivity(b *testing.B) {
 	pkts, span := getBenchTrace(b)
-	provider := TraceProviderOf(pkts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		results, err := RunWindowSensitivity(provider, SensitivityConfig{
+		results, err := RunWindowSensitivity(pkts, SensitivityConfig{
 			Baseline: 10 * time.Second,
 			Phi:      0.05,
 			Span:     span,
@@ -97,11 +95,10 @@ func BenchmarkFig3WindowSensitivity(b *testing.B) {
 // (windowed vs continuous detection: accuracy, speed, state).
 func BenchmarkE3Detectors(b *testing.B) {
 	pkts, span := getBenchTrace(b)
-	provider := TraceProviderOf(pkts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		outcome, err := RunComparison(provider, ComparisonConfig{
+		outcome, err := RunComparison(pkts, ComparisonConfig{
 			Window: 10 * time.Second,
 			Phi:    0.05,
 			Span:   span,
@@ -118,13 +115,12 @@ func BenchmarkE3Detectors(b *testing.B) {
 // BenchmarkE4aStepSweep regenerates the sliding-step ablation.
 func BenchmarkE4aStepSweep(b *testing.B) {
 	pkts, span := getBenchTrace(b)
-	provider := TraceProviderOf(pkts)
 	steps := []time.Duration{500 * time.Millisecond, time.Second, 2 * time.Second}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, step := range steps {
-			if _, err := RunHiddenHHH(provider, HiddenHHHConfig{
+			if _, err := RunHiddenHHH(pkts, HiddenHHHConfig{
 				Windows: []time.Duration{10 * time.Second},
 				Step:    step,
 				Phis:    []float64{0.05},
@@ -139,12 +135,11 @@ func BenchmarkE4aStepSweep(b *testing.B) {
 // BenchmarkE4bGranularity regenerates the hierarchy-granularity ablation.
 func BenchmarkE4bGranularity(b *testing.B) {
 	pkts, span := getBenchTrace(b)
-	provider := TraceProviderOf(pkts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, g := range []Granularity{Byte, Nibble} {
-			if _, err := RunHiddenHHH(provider, HiddenHHHConfig{
+			if _, err := RunHiddenHHH(pkts, HiddenHHHConfig{
 				Windows:   []time.Duration{10 * time.Second},
 				Phis:      []float64{0.05},
 				Span:      span,
@@ -160,11 +155,10 @@ func BenchmarkE4bGranularity(b *testing.B) {
 // (tau = window, mid-size filter).
 func BenchmarkE4cTDBFSweep(b *testing.B) {
 	pkts, span := getBenchTrace(b)
-	provider := TraceProviderOf(pkts)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunComparison(provider, ComparisonConfig{
+		if _, err := RunComparison(pkts, ComparisonConfig{
 			Window:    10 * time.Second,
 			Tau:       5 * time.Second,
 			Phi:       0.05,

@@ -67,7 +67,7 @@ func fig2(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		cell := func(w time.Duration, phi float64) string { return fmt.Sprintf("%v/%.0f%%", w, 100*phi) }
 		sum := map[string]float64{}
 		for _, t := range traces {
-			results, err := core.HiddenHHH(t.provider, core.HiddenHHHConfig{
+			results, err := core.HiddenHHH(t.pkts, core.HiddenHHHConfig{
 				Windows: ws, Step: *step, Phis: ps, Span: t.span, Hierarchy: h,
 			})
 			if err != nil {
@@ -99,7 +99,7 @@ func stepAblation(stdout io.Writer, t input, h addr.Hierarchy) error {
 	tab := metrics.NewTable("step", "sliding", "disjoint", "hidden", "hidden%")
 	for _, step := range []time.Duration{250 * time.Millisecond, 500 * time.Millisecond,
 		time.Second, 2 * time.Second, 5 * time.Second} {
-		results, err := core.HiddenHHH(t.provider, core.HiddenHHHConfig{
+		results, err := core.HiddenHHH(t.pkts, core.HiddenHHHConfig{
 			Windows:   []time.Duration{10 * time.Second},
 			Step:      step,
 			Phis:      []float64{0.05},
@@ -154,7 +154,7 @@ func fig3(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		if *tails {
 			analyse, title = core.TailTrimSensitivity, "E4d — same-start tail-trim sensitivity"
 		}
-		results, err := analyse(t.provider, core.SensitivityConfig{Baseline: *baseline, Phi: *phi, Span: t.span})
+		results, err := analyse(t.pkts, core.SensitivityConfig{Baseline: *baseline, Phi: *phi, Span: t.span})
 		if err != nil {
 			return err
 		}
@@ -207,7 +207,7 @@ func section3(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		case *sweep:
 			return tdbfSweep(stdout, t, *win, *phi)
 		case *latency:
-			reports, bursts, err := core.DetectionLatency(t.provider, core.LatencyConfig{
+			reports, bursts, err := core.DetectionLatency(t.pkts, core.LatencyConfig{
 				Window: *win, Phi: *phi, Span: t.span, Seed: *seed,
 			})
 			if err != nil {
@@ -218,7 +218,7 @@ func section3(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 			fmt.Fprint(stdout, core.RenderLatency(reports, len(bursts)))
 			return nil
 		}
-		outcome, err := core.ContinuousComparison(t.provider, core.ComparisonConfig{
+		outcome, err := core.ContinuousComparison(t.pkts, core.ComparisonConfig{
 			Window: *win, Phi: *phi, Span: t.span, Seed: uint64(*seed),
 		})
 		if err != nil {
@@ -239,7 +239,7 @@ func tdbfSweep(stdout io.Writer, t input, win time.Duration, phi float64) error 
 	for _, tauMul := range []float64{0.5, 1, 2} {
 		tau := time.Duration(float64(win) * tauMul)
 		for _, cells := range []int{1 << 12, 1 << 14, 1 << 16} {
-			outcome, err := core.ContinuousComparison(t.provider, core.ComparisonConfig{
+			outcome, err := core.ContinuousComparison(t.pkts, core.ComparisonConfig{
 				Window: win, Tau: tau, Phi: phi, Span: t.span, TDBFCells: cells,
 			})
 			if err != nil {

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"hiddenhhh/internal/addr"
-	"hiddenhhh/internal/core"
 	"hiddenhhh/internal/gen"
 	"hiddenhhh/internal/pcap"
 	"hiddenhhh/internal/trace"
@@ -96,11 +95,11 @@ func loadTrace(path string) (pkts []trace.Packet, err error) {
 	return pkts, err
 }
 
-// input is one trace an experiment analyses: replayable, over [0, span).
+// input is one trace an experiment analyses, over [0, span).
 type input struct {
-	name     string
-	provider core.Provider
-	span     int64
+	name string
+	pkts []trace.Packet
+	span int64
 }
 
 // openInput loads the stored trace at path or, when path is empty,
@@ -112,7 +111,7 @@ func openInput(path, name string, cfg gen.Config, stderr io.Writer) (input, erro
 	if path == "" {
 		fmt.Fprintf(stderr, "synthesising %s (%v at %.0f pps)...\n", name, cfg.Duration, cfg.MeanPacketRate)
 		pkts, err := gen.Packets(cfg)
-		return input{name, core.SliceProvider(pkts), int64(cfg.Duration)}, err
+		return input{name, pkts, int64(cfg.Duration)}, err
 	}
 	pkts, err := loadTrace(path)
 	if err != nil {
@@ -123,7 +122,7 @@ func openInput(path, name string, cfg gen.Config, stderr io.Writer) (input, erro
 	for i := range pkts {
 		pkts[i].Ts -= origin
 	}
-	return input{path, core.SliceProvider(pkts), pkts[len(pkts)-1].Ts + 1}, nil
+	return input{path, pkts, pkts[len(pkts)-1].Ts + 1}, nil
 }
 
 // hierarchyOf parses a prefix-lattice name; a bare granularity means IPv4.

@@ -2,14 +2,15 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/metrics"
+	"hiddenhhh/internal/oracle"
 	"hiddenhhh/internal/pipeline"
 	"hiddenhhh/internal/trace"
-	"hiddenhhh/internal/window"
 )
 
 // ComparisonConfig parameterises the Section-3 evaluation: how well do
@@ -119,69 +120,51 @@ func Score(name string, reported, truth, hidden hhh.Set) DetectorReport {
 	}
 }
 
-// ContinuousComparison runs the Section-3 evaluation. Ground truth is the
-// union of exact HHH sets over sliding positions; each detector is then
-// driven over an identical replay of the trace and scored on the distinct
-// prefixes it ever reported.
-func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonOutcome, error) {
+// ContinuousComparison runs the Section-3 evaluation over the time-ordered
+// trace pkts. Ground truth is the union of exact HHH sets over sliding
+// positions; each detector is then driven over the packets of [0, Span)
+// and scored on the distinct prefixes it ever reported.
+func ContinuousComparison(pkts []trace.Packet, cfg ComparisonConfig) (*ComparisonOutcome, error) {
 	cfg.setDefaults()
-	out := &ComparisonOutcome{}
-
-	// Pass 1: exact sliding ground truth, disjoint exact union, and the
-	// sliding-exact reference row (timed).
-	src, err := provider()
-	if err != nil {
+	if err := checkTiling(cfg.Window, cfg.Step, cfg.Span); err != nil {
 		return nil, err
 	}
+	out := &ComparisonOutcome{}
+
+	// The exact sliding ground truth, the disjoint exact union, and the
+	// sliding-exact reference row (timed).
 	sliding := hhh.NewSet()
 	disjoint := hhh.NewSet()
 	peakLeaves := 0
 	start := time.Now()
-	err = window.Slide(src, window.Config{
-		Width: cfg.Window, Step: cfg.Step, End: cfg.Span,
-		Key: window.BySource(cfg.Hierarchy),
-	}, func(r *window.Result) error {
-		set := hhh.Exact(r.Leaves, cfg.Hierarchy, hhh.Threshold(r.Bytes, cfg.Phi))
+	cur := oracle.FromTrace(cfg.Hierarchy, pkts).Cursor()
+	for lo, w := int64(0), int64(cfg.Window); lo+w <= cfg.Span; lo += int64(cfg.Step) {
+		leaves := cur.Move(lo, lo+w)
+		set := exactSet(leaves, cfg.Hierarchy, cfg.Phi)
 		sliding.UnionInPlace(set)
-		if r.Start%int64(cfg.Window) == 0 {
+		if lo%w == 0 {
 			disjoint.UnionInPlace(set)
 		}
-		if r.Leaves.Len() > peakLeaves {
-			peakLeaves = r.Leaves.Len()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		peakLeaves = max(peakLeaves, leaves.Len())
 	}
 	elapsed := time.Since(start)
 	out.GroundTruth = sliding
 	out.DisjointTruth = disjoint
 	out.Hidden = sliding.Diff(disjoint)
 
-	// Recount packets in span for per-packet costs.
-	src, err = provider()
-	if err != nil {
-		return nil, err
-	}
-	var pkts int64
-	if err := trace.ForEach(src, func(p *trace.Packet) error {
-		if p.Ts >= 0 && p.Ts < cfg.Span {
-			pkts++
-		}
-		return nil
-	}); err != nil {
-		return nil, err
-	}
+	// The detectors see the packets of [0, Span), as the truth does.
+	pkts = pkts[sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= 0 }):]
+	pkts = pkts[:sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= cfg.Span })]
+	n := int64(len(pkts))
 
 	score := func(name string, reported hhh.Set, nsPerPkt float64, stateBytes int) DetectorReport {
 		r := Score(name, reported, out.GroundTruth, out.Hidden)
 		r.NsPerPacket = nsPerPkt
 		r.StateBytes = stateBytes
-		r.Packets = pkts
+		r.Packets = n
 		return r
 	}
-	nsPerPkt := func(d time.Duration) float64 { return ratio(float64(d.Nanoseconds()), float64(pkts)) }
+	nsPerPkt := func(d time.Duration) float64 { return ratio(float64(d.Nanoseconds()), float64(n)) }
 
 	out.Reports = append(out.Reports,
 		score("sliding-exact", sliding, nsPerPkt(elapsed), peakLeaves*16))
@@ -210,18 +193,8 @@ func ContinuousComparison(provider Provider, cfg ComparisonConfig) (*ComparisonO
 		if err != nil {
 			return nil, err
 		}
-		src, err := provider()
-		if err != nil {
-			return nil, err
-		}
 		start := time.Now()
-		clipped := &trace.ClipSource{Src: src, From: 0, To: cfg.Span}
-		if err := trace.ForEachBatch(clipped, 0, func(pkts []trace.Packet) error {
-			det.ObserveBatch(pkts)
-			return nil
-		}); err != nil {
-			return nil, err
-		}
+		det.ObserveBatch(pkts)
 		det.Snapshot(cfg.Span) // closes the last complete window
 		out.Reports = append(out.Reports,
 			score(r.name, reported, nsPerPkt(time.Since(start)), det.SizeBytes()))

@@ -4,56 +4,41 @@
 // size), and the Section-3 evaluation of time-decaying continuous
 // detection against windowed approaches.
 //
-// Each experiment consumes a reproducible packet source (usually the
-// synthetic Tier-1 generator standing in for the paper's CAIDA traces)
-// and returns structured results that cmd/hhheval renders as the
-// corresponding table. Exact per-window aggregates come from
-// internal/window; every detector is a pipeline.Single, the driver behind
-// the public detectors, so the experiments measure the live system.
+// Each experiment takes a time-ordered in-memory trace (usually the
+// synthetic Tier-1 generator standing in for the paper's CAIDA traces) and
+// returns structured results that cmd/hhheval renders as the
+// corresponding table. Exact per-window aggregates come from the exact
+// reference, an oracle.Cursor walked forward over the trace; every
+// detector is a pipeline.Single, the driver behind the public detectors,
+// so the experiments measure the live system.
 package core
 
 import (
-	"hiddenhhh/internal/trace"
+	"fmt"
+	"time"
+
+	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 )
 
-// Provider produces a fresh, identical packet source per call. Experiments
-// that make several passes over the trace (one per window size, one per
-// detector) call it repeatedly; providers backed by the seeded generator
-// or by a trace file satisfy the "identical" requirement naturally.
-type Provider func() (trace.Source, error)
-
-// SliceProvider adapts an in-memory trace to a Provider.
-func SliceProvider(pkts []trace.Packet) Provider {
-	return func() (trace.Source, error) {
-		return trace.NewSliceSource(pkts), nil
+// checkTiling holds a sliding walk of width-long windows, one every step
+// from 0, to what makes its disjoint windows a subset of its positions:
+// step divides width, and [0, span) holds at least one window.
+func checkTiling(width, step time.Duration, span int64) error {
+	if width <= 0 || step <= 0 || width%step != 0 {
+		return fmt.Errorf("core: step %v does not divide window %v", step, width)
 	}
+	if span < int64(width) {
+		return fmt.Errorf("core: span %v shorter than window %v", time.Duration(span), width)
+	}
+	return nil
 }
 
-// FileProvider reopens the binary trace at path per pass.
-func FileProvider(path string) Provider {
-	return func() (trace.Source, error) {
-		src, closer, err := trace.OpenFile(path)
-		if err != nil {
-			return nil, err
-		}
-		// The experiments drain sources fully; closing on EOF via a
-		// wrapper keeps the Provider interface minimal.
-		return &closingSource{Source: src, c: closer}, nil
-	}
-}
-
-type closingSource struct {
-	trace.Source
-	c interface{ Close() error }
-}
-
-func (s *closingSource) Next(p *trace.Packet) error {
-	err := s.Source.Next(p)
-	if err != nil && s.c != nil {
-		s.c.Close()
-		s.c = nil
-	}
-	return err
+// exactSet is the exact HHH set of a window's leaf aggregate at threshold
+// fraction phi of the window's bytes.
+func exactSet(leaves *sketch.Exact, h addr.Hierarchy, phi float64) hhh.Set {
+	return hhh.Exact(leaves, h, hhh.Threshold(leaves.Total(), phi))
 }
 
 // pct renders a fraction as a percentage value.

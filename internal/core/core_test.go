@@ -1,12 +1,15 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/gen"
+	"hiddenhhh/internal/metrics"
+	"hiddenhhh/internal/oracle"
 	"hiddenhhh/internal/trace"
 )
 
@@ -47,7 +50,7 @@ func plantBurst(pkts []trace.Packet, src addr.Addr, at, dur time.Duration, pps i
 
 func TestHiddenHHHBasicInvariants(t *testing.T) {
 	pkts, span := testTrace(t, 30, 1)
-	results, err := HiddenHHH(SliceProvider(pkts), HiddenHHHConfig{
+	results, err := HiddenHHH(pkts, HiddenHHHConfig{
 		Windows: []time.Duration{5 * time.Second, 10 * time.Second},
 		Phis:    []float64{0.01, 0.05, 0.10},
 		Span:    span,
@@ -91,7 +94,7 @@ func TestHiddenHHHFindsPlantedBoundaryBurst(t *testing.T) {
 	attacker := addr.MustParseAddr("66.77.88.99")
 	pkts = plantBurst(pkts, attacker, 10*time.Second, 2*time.Second, 1100)
 
-	results, err := HiddenHHH(SliceProvider(pkts), HiddenHHHConfig{
+	results, err := HiddenHHH(pkts, HiddenHHHConfig{
 		Windows: []time.Duration{10 * time.Second},
 		Phis:    []float64{0.10},
 		Span:    span,
@@ -114,7 +117,7 @@ func TestHiddenHHHFindsPlantedBoundaryBurst(t *testing.T) {
 
 func TestHiddenHHHStepMustDivideWindow(t *testing.T) {
 	pkts, span := testTrace(t, 10, 3)
-	_, err := HiddenHHH(SliceProvider(pkts), HiddenHHHConfig{
+	_, err := HiddenHHH(pkts, HiddenHHHConfig{
 		Windows: []time.Duration{5 * time.Second},
 		Step:    1500 * time.Millisecond,
 		Span:    span,
@@ -126,7 +129,7 @@ func TestHiddenHHHStepMustDivideWindow(t *testing.T) {
 
 func TestRenderHiddenHHH(t *testing.T) {
 	pkts, span := testTrace(t, 15, 4)
-	results, err := HiddenHHH(SliceProvider(pkts), HiddenHHHConfig{
+	results, err := HiddenHHH(pkts, HiddenHHHConfig{
 		Windows: []time.Duration{5 * time.Second},
 		Phis:    []float64{0.05},
 		Span:    span,
@@ -142,7 +145,7 @@ func TestRenderHiddenHHH(t *testing.T) {
 
 func TestWindowSensitivityInvariants(t *testing.T) {
 	pkts, span := testTrace(t, 60, 5)
-	results, err := WindowSensitivity(SliceProvider(pkts), SensitivityConfig{
+	results, err := WindowSensitivity(pkts, SensitivityConfig{
 		Baseline: 10 * time.Second,
 		Trims:    []time.Duration{10 * time.Millisecond, 40 * time.Millisecond, 100 * time.Millisecond},
 		Phi:      0.05,
@@ -191,7 +194,7 @@ func TestWindowSensitivityZeroEffectOnQuietTail(t *testing.T) {
 			})
 		}
 	}
-	results, err := WindowSensitivity(SliceProvider(pkts), SensitivityConfig{
+	results, err := WindowSensitivity(pkts, SensitivityConfig{
 		Baseline: time.Second,
 		Trims:    []time.Duration{50 * time.Millisecond},
 		Phi:      0.05,
@@ -206,7 +209,7 @@ func TestWindowSensitivityZeroEffectOnQuietTail(t *testing.T) {
 }
 
 func TestWindowSensitivityEmptySpan(t *testing.T) {
-	_, err := WindowSensitivity(SliceProvider(nil), SensitivityConfig{
+	_, err := WindowSensitivity(nil, SensitivityConfig{
 		Baseline: 10 * time.Second,
 		Span:     int64(time.Second), // shorter than baseline
 	})
@@ -217,7 +220,7 @@ func TestWindowSensitivityEmptySpan(t *testing.T) {
 
 func TestRenderSensitivity(t *testing.T) {
 	pkts, span := testTrace(t, 30, 6)
-	results, err := WindowSensitivity(SliceProvider(pkts), SensitivityConfig{
+	results, err := WindowSensitivity(pkts, SensitivityConfig{
 		Baseline: 10 * time.Second,
 		Trims:    []time.Duration{100 * time.Millisecond},
 		Span:     span,
@@ -236,7 +239,7 @@ func TestContinuousComparison(t *testing.T) {
 	attacker := addr.MustParseAddr("66.77.88.99")
 	pkts = plantBurst(pkts, attacker, 20*time.Second, 2*time.Second, 1500)
 
-	outcome, err := ContinuousComparison(SliceProvider(pkts), ComparisonConfig{
+	outcome, err := ContinuousComparison(pkts, ComparisonConfig{
 		Window: 10 * time.Second,
 		Phi:    0.05,
 		Span:   span,
@@ -299,7 +302,7 @@ func TestContinuousComparisonIPv6(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outcome, err := ContinuousComparison(SliceProvider(pkts), ComparisonConfig{
+	outcome, err := ContinuousComparison(pkts, ComparisonConfig{
 		Hierarchy: addr.NewIPv6Hierarchy(addr.Hextet),
 		Span:      int64(30 * time.Second),
 		Seed:      1,
@@ -326,29 +329,63 @@ func TestContinuousComparisonIPv6(t *testing.T) {
 	}
 }
 
-func TestProviders(t *testing.T) {
-	pkts, _ := testTrace(t, 5, 8)
-	p := SliceProvider(pkts)
-	a, err := p()
-	if err != nil {
-		t.Fatal(err)
+// TestSensitivityConfigRules holds both Figure-3 analyses to one input
+// rule, and both to the configured order of their rows.
+func TestSensitivityConfigRules(t *testing.T) {
+	pkts, span := testTrace(t, 20, 9)
+	ms := time.Millisecond
+	analyses := map[string]func([]trace.Packet, SensitivityConfig) ([]SensitivityResult, error){
+		"WindowSensitivity": WindowSensitivity, "TailTrimSensitivity": TailTrimSensitivity,
 	}
-	got, err := trace.Collect(a, 0)
-	if err != nil || len(got) != len(pkts) {
-		t.Fatalf("slice provider: %v, %d packets", err, len(got))
+	bad := map[string]SensitivityConfig{
+		"span shorter than the baseline": {Baseline: 30 * time.Second, Span: span},
+		"zero trim":                      {Trims: []time.Duration{10 * ms, 0}, Span: span},
+		"negative trim":                  {Trims: []time.Duration{-ms}, Span: span},
+		"trim equal to the baseline":     {Trims: []time.Duration{10 * time.Second}, Span: span},
+		"trim past the baseline":         {Trims: []time.Duration{11 * time.Second}, Span: span},
+		"duplicate trim":                 {Trims: []time.Duration{10 * ms, 20 * ms, 10 * ms}, Span: span},
 	}
+	for name, analyse := range analyses {
+		for row, cfg := range bad {
+			if _, err := analyse(pkts, cfg); err == nil {
+				t.Errorf("%s accepts a %s", name, row)
+			}
+		}
+		trims := []time.Duration{40 * ms, 10 * ms, 20 * ms}
+		results, err := analyse(pkts, SensitivityConfig{Trims: trims, Span: span})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for j, r := range results {
+			if r.Trim != trims[j] {
+				t.Errorf("%s: row %d is trim %v, want the configured %v", name, j, r.Trim, trims[j])
+			}
+		}
+	}
+}
 
-	path := t.TempDir() + "/t.hhht"
-	if err := trace.WriteFile(path, pkts); err != nil {
-		t.Fatal(err)
-	}
-	fp := FileProvider(path)
-	b, err := fp()
+// TestTailTrimSensitivityMatchesRecount holds the one-cursor tail walk to
+// the oracle's own exact sets, recomputed per window and trim.
+func TestTailTrimSensitivityMatchesRecount(t *testing.T) {
+	pkts, span := testTrace(t, 30, 10)
+	trims := []time.Duration{10 * time.Millisecond, 500 * time.Millisecond, 100 * time.Millisecond}
+	const phi, w = 0.05, int64(5 * time.Second)
+	results, err := TailTrimSensitivity(pkts, SensitivityConfig{
+		Baseline: time.Duration(w), Trims: trims, Phi: phi, Span: span,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got2, err := trace.Collect(b, 0)
-	if err != nil || len(got2) != len(pkts) {
-		t.Fatalf("file provider: %v, %d packets", err, len(got2))
+	o := oracle.FromTrace(addr.Hierarchy{}, pkts)
+	for j, d := range trims {
+		var want metrics.Dist
+		for lo := int64(0); lo+w <= span; lo += w {
+			base, _ := o.WindowSet(lo, lo+w, phi)
+			variant, _ := o.WindowSet(lo, lo+w-int64(d), phi)
+			want.Observe(base.Jaccard(variant))
+		}
+		if got := results[j].Jaccard.Samples(); !slices.Equal(got, want.Samples()) || results[j].Pairs != want.N() {
+			t.Errorf("trim %v: %d pairs %v, want %v", d, results[j].Pairs, got, want.Samples())
+		}
 	}
 }

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"fmt"
 	"time"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/metrics"
-	"hiddenhhh/internal/window"
+	"hiddenhhh/internal/oracle"
+	"hiddenhhh/internal/trace"
 )
 
 // HiddenHHHConfig parameterises the Figure-2 experiment: disjoint windows
@@ -28,8 +28,6 @@ type HiddenHHHConfig struct {
 	// Hierarchy is the prefix lattice the analysis runs over. Defaults
 	// to the IPv4 byte ladder.
 	Hierarchy addr.Hierarchy
-	// Key defaults to the source address.
-	Key window.KeyFunc
 }
 
 func (c *HiddenHHHConfig) setDefaults() {
@@ -44,9 +42,6 @@ func (c *HiddenHHHConfig) setDefaults() {
 	}
 	if len(c.Phis) == 0 {
 		c.Phis = []float64{0.01, 0.05, 0.10}
-	}
-	if c.Key == nil {
-		c.Key = window.BySource(c.Hierarchy)
 	}
 }
 
@@ -73,20 +68,18 @@ type HiddenHHHResult struct {
 	HiddenSet hhh.Set
 }
 
-// HiddenHHH runs the Figure-2 analysis. For every window size it makes one
-// sliding pass; because Step divides the window size and both models share
-// origin 0, the disjoint windows are exactly the sliding positions whose
-// start is a multiple of the window size, so both models are evaluated on
-// identical aggregates in a single pass.
-func HiddenHHH(provider Provider, cfg HiddenHHHConfig) ([]HiddenHHHResult, error) {
+// HiddenHHH runs the Figure-2 analysis over the time-ordered trace pkts.
+// For every window size it makes one sliding pass of the exact cursor;
+// because Step divides the window size and both models share origin 0,
+// the disjoint windows are exactly the sliding positions whose start is a
+// multiple of the window size, so both models are evaluated on identical
+// aggregates in a single pass.
+func HiddenHHH(pkts []trace.Packet, cfg HiddenHHHConfig) ([]HiddenHHHResult, error) {
 	cfg.setDefaults()
+	o := oracle.FromTrace(cfg.Hierarchy, pkts)
 	var out []HiddenHHHResult
 	for _, w := range cfg.Windows {
-		if w%cfg.Step != 0 {
-			return nil, fmt.Errorf("core: step %v does not divide window %v", cfg.Step, w)
-		}
-		src, err := provider()
-		if err != nil {
+		if err := checkTiling(w, cfg.Step, cfg.Span); err != nil {
 			return nil, err
 		}
 		type acc struct {
@@ -98,27 +91,18 @@ func HiddenHHH(provider Provider, cfg HiddenHHHConfig) ([]HiddenHHHResult, error
 			accs[i].sliding = hhh.NewSet()
 			accs[i].disjoint = hhh.NewSet()
 		}
-		wcfg := window.Config{
-			Width: w,
-			Step:  cfg.Step,
-			End:   cfg.Span,
-			Key:   cfg.Key,
-		}
-		err = window.Slide(src, wcfg, func(r *window.Result) error {
-			isDisjoint := r.Start%int64(w) == 0
+		cur := o.Cursor()
+		for lo := int64(0); lo+int64(w) <= cfg.Span; lo += int64(cfg.Step) {
+			leaves := cur.Move(lo, lo+int64(w))
 			for i, phi := range cfg.Phis {
-				set := hhh.Exact(r.Leaves, cfg.Hierarchy, hhh.Threshold(r.Bytes, phi))
+				set := exactSet(leaves, cfg.Hierarchy, phi)
 				accs[i].sliding.UnionInPlace(set)
 				accs[i].slidingN += set.Len()
-				if isDisjoint {
+				if lo%int64(w) == 0 {
 					accs[i].disjoint.UnionInPlace(set)
 					accs[i].disjointN += set.Len()
 				}
 			}
-			return nil
-		})
-		if err != nil {
-			return nil, err
 		}
 		for i, phi := range cfg.Phis {
 			hidden := accs[i].sliding.Diff(accs[i].disjoint)

@@ -86,20 +86,12 @@ type Burst struct {
 	End   int64
 }
 
-// DetectionLatency plants cfg.Bursts attack bursts into the provided base
-// trace at uniformly random phases and measures, for the disjoint,
-// sliding(1 s query cadence) and continuous models, the delay from burst
-// start to the first report covering the burst source.
-func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []Burst, error) {
+// DetectionLatency plants cfg.Bursts attack bursts into a copy of the
+// time-ordered base trace at uniformly random phases and measures, for the
+// disjoint, sliding(1 s query cadence) and continuous models, the delay
+// from burst start to the first report covering the burst source.
+func DetectionLatency(base []trace.Packet, cfg LatencyConfig) ([]LatencyReport, []Burst, error) {
 	cfg.setDefaults()
-	base, err := provider()
-	if err != nil {
-		return nil, nil, err
-	}
-	basePkts, err := trace.Collect(base, 0)
-	if err != nil {
-		return nil, nil, err
-	}
 
 	// Plant bursts: distinct sources, random phases, margin from ends.
 	// Starts are confined to [Window, Span-BurstDuration) so that every
@@ -130,7 +122,7 @@ func DetectionLatency(provider Provider, cfg LatencyConfig) ([]LatencyReport, []
 			})
 		}
 	}
-	pkts := append(append([]trace.Packet(nil), basePkts...), burstPkts...)
+	pkts := append(append([]trace.Packet(nil), base...), burstPkts...)
 	trace.SortByTime(pkts)
 
 	// firstDetection[src] per detector.

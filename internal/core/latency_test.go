@@ -8,7 +8,7 @@ import (
 
 func TestDetectionLatency(t *testing.T) {
 	pkts, span := testTrace(t, 60, 21)
-	reports, bursts, err := DetectionLatency(SliceProvider(pkts), LatencyConfig{
+	reports, bursts, err := DetectionLatency(pkts, LatencyConfig{
 		Window:        10 * time.Second,
 		Phi:           0.05,
 		Span:          span,
@@ -83,7 +83,7 @@ func TestDetectionLatency(t *testing.T) {
 
 func TestDetectionLatencyDefaults(t *testing.T) {
 	pkts, span := testTrace(t, 30, 22)
-	reports, bursts, err := DetectionLatency(SliceProvider(pkts), LatencyConfig{Span: span})
+	reports, bursts, err := DetectionLatency(pkts, LatencyConfig{Span: span})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,12 +2,14 @@ package core
 
 import (
 	"fmt"
+	"sort"
 	"time"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/metrics"
-	"hiddenhhh/internal/window"
+	"hiddenhhh/internal/oracle"
+	"hiddenhhh/internal/trace"
 )
 
 // SensitivityConfig parameterises the Figure-3 experiment: the trace is
@@ -31,7 +33,6 @@ type SensitivityConfig struct {
 	// Hierarchy is the prefix lattice the analysis runs over. Defaults
 	// to the IPv4 byte ladder.
 	Hierarchy addr.Hierarchy
-	Key       window.KeyFunc
 }
 
 func (c *SensitivityConfig) setDefaults() {
@@ -49,9 +50,36 @@ func (c *SensitivityConfig) setDefaults() {
 	if c.Hierarchy == (addr.Hierarchy{}) {
 		c.Hierarchy = addr.NewIPv4Hierarchy(addr.Byte)
 	}
-	if c.Key == nil {
-		c.Key = window.BySource(c.Hierarchy)
+}
+
+// validate holds both Figure-3 analyses to one rule: the span fits a
+// baseline window, and every trim is distinct and shortens the baseline
+// without emptying it.
+func (c *SensitivityConfig) validate() error {
+	if c.Span < int64(c.Baseline) {
+		return fmt.Errorf("core: span %v shorter than baseline window %v",
+			time.Duration(c.Span), c.Baseline)
 	}
+	seen := make(map[time.Duration]bool, len(c.Trims))
+	for _, d := range c.Trims {
+		if d <= 0 || d >= c.Baseline {
+			return fmt.Errorf("core: trim %v out of (0, baseline)", d)
+		}
+		if seen[d] {
+			return fmt.Errorf("core: duplicate trim %v", d)
+		}
+		seen[d] = true
+	}
+	return nil
+}
+
+// newResults returns one empty result per trim, in the configured order.
+func newResults(trims []time.Duration) []SensitivityResult {
+	out := make([]SensitivityResult, len(trims))
+	for j, d := range trims {
+		out[j] = SensitivityResult{Trim: d, Jaccard: &metrics.Dist{}}
+	}
+	return out
 }
 
 // SensitivityResult aggregates the per-pair Jaccard similarities for one
@@ -73,60 +101,36 @@ func (r SensitivityResult) DissimilarFraction(diff float64) float64 {
 	return r.Jaccard.FractionAtMost(1 - diff)
 }
 
-// WindowSensitivity runs the Figure-3 analysis: one exact tumbling pass
-// per window width (baseline plus every trimmed variant), then pairwise
-// Jaccard over same-index windows while they overlap.
-func WindowSensitivity(provider Provider, cfg SensitivityConfig) ([]SensitivityResult, error) {
+// WindowSensitivity runs the Figure-3 analysis over the time-ordered trace
+// pkts: one exact tumbling pass per window width (baseline plus every
+// trimmed variant), then pairwise Jaccard over same-index windows while
+// they overlap.
+func WindowSensitivity(pkts []trace.Packet, cfg SensitivityConfig) ([]SensitivityResult, error) {
 	cfg.setDefaults()
-	if cfg.Span < int64(cfg.Baseline) {
-		return nil, fmt.Errorf("core: span %v shorter than baseline window %v",
-			time.Duration(cfg.Span), cfg.Baseline)
-	}
-	for _, d := range cfg.Trims {
-		if d <= 0 || d >= cfg.Baseline {
-			return nil, fmt.Errorf("core: trim %v out of (0, baseline)", d)
-		}
-	}
-	// series returns the HHH set of every complete width-long window.
-	series := func(width time.Duration) ([]hhh.Set, error) {
-		src, err := provider()
-		if err != nil {
-			return nil, err
-		}
-		var sets []hhh.Set
-		err = window.Tumble(src, window.Config{
-			Width: width, End: cfg.Span, Key: cfg.Key,
-		}, func(r *window.Result) error {
-			sets = append(sets, hhh.Exact(r.Leaves, cfg.Hierarchy, hhh.Threshold(r.Bytes, cfg.Phi)))
-			return nil
-		})
-		return sets, err
-	}
-	base, err := series(cfg.Baseline)
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-
-	results := make([]SensitivityResult, len(cfg.Trims))
+	o := oracle.FromTrace(cfg.Hierarchy, pkts)
+	// series returns the HHH set of every complete width-long window.
+	series := func(width int64) []hhh.Set {
+		var sets []hhh.Set
+		cur := o.Cursor()
+		for lo := int64(0); lo+width <= cfg.Span; lo += width {
+			sets = append(sets, exactSet(cur.Move(lo, lo+width), cfg.Hierarchy, cfg.Phi))
+		}
+		return sets
+	}
+	base := series(int64(cfg.Baseline))
+	results := newResults(cfg.Trims)
 	for j, d := range cfg.Trims {
-		variant, err := series(cfg.Baseline - d)
-		if err != nil {
-			return nil, err
+		variant := series(int64(cfg.Baseline - d))
+		// Overlap of baseline window k and variant window k is W - (k+1)·δ;
+		// stop once they no longer overlap. Both series hold a window at
+		// k = 0, where the overlap is W - δ > 0.
+		for k := 0; k < len(base) && int64(cfg.Baseline)-int64(k+1)*int64(d) > 0; k++ {
+			results[j].Jaccard.Observe(base[k].Jaccard(variant[k]))
+			results[j].Pairs++
 		}
-		res := SensitivityResult{Trim: d, Jaccard: &metrics.Dist{}}
-		for k := 0; k < len(base) && k < len(variant); k++ {
-			// Overlap of baseline window k and variant window k is
-			// W - (k+1)·δ; stop once they no longer overlap.
-			if int64(cfg.Baseline)-int64(k+1)*int64(d) <= 0 {
-				break
-			}
-			res.Jaccard.Observe(base[k].Jaccard(variant[k]))
-			res.Pairs++
-		}
-		if res.Pairs == 0 {
-			return nil, fmt.Errorf("core: no overlapping pairs for trim %v", d)
-		}
-		results[j] = res
 	}
 	return results, nil
 }
@@ -152,39 +156,33 @@ func RenderSensitivity(results []SensitivityResult) string {
 // pure tail effect from the cumulative phase drift that WindowSensitivity
 // measures. Real traces show a much weaker effect here, which is itself
 // evidence that Figure 3's signal comes from drift, not tails.
-func TailTrimSensitivity(provider Provider, cfg SensitivityConfig) ([]SensitivityResult, error) {
+//
+// One cursor walks each baseline window through its variants in order of
+// growing end — longest trim first — and then the full window, so every
+// packet is added once per baseline window.
+func TailTrimSensitivity(pkts []trace.Packet, cfg SensitivityConfig) ([]SensitivityResult, error) {
 	cfg.setDefaults()
-	src, err := provider()
-	if err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	results := make([]SensitivityResult, len(cfg.Trims))
-	tcfg := window.TrimConfig{
-		Width: cfg.Baseline,
-		End:   cfg.Span,
-		Trims: cfg.Trims,
-		Key:   cfg.Key,
+	longestFirst := make([]int, len(cfg.Trims))
+	for j := range longestFirst {
+		longestFirst[j] = j
 	}
-	err = window.TrimmedTumble(src, tcfg, func(r *window.TrimResult) error {
-		if results[0].Jaccard == nil {
-			for j, d := range r.Trims {
-				results[j] = SensitivityResult{Trim: d, Jaccard: &metrics.Dist{}}
-			}
+	sort.Slice(longestFirst, func(a, b int) bool { return cfg.Trims[longestFirst[a]] > cfg.Trims[longestFirst[b]] })
+
+	results := newResults(cfg.Trims)
+	variants := make([]hhh.Set, len(cfg.Trims))
+	cur := oracle.FromTrace(cfg.Hierarchy, pkts).Cursor()
+	for lo, w := int64(0), int64(cfg.Baseline); lo+w <= cfg.Span; lo += w {
+		for _, j := range longestFirst {
+			variants[j] = exactSet(cur.Move(lo, lo+w-int64(cfg.Trims[j])), cfg.Hierarchy, cfg.Phi)
 		}
-		base := hhh.Exact(r.Leaves, cfg.Hierarchy, hhh.Threshold(r.Bytes, cfg.Phi))
-		for j := range r.Trims {
-			leaves := r.VariantLeaves(j)
-			variant := hhh.Exact(leaves, cfg.Hierarchy, hhh.Threshold(r.VariantBytes(j), cfg.Phi))
-			results[j].Jaccard.Observe(base.Jaccard(variant))
+		base := exactSet(cur.Move(lo, lo+w), cfg.Hierarchy, cfg.Phi)
+		for j := range results {
+			results[j].Jaccard.Observe(base.Jaccard(variants[j]))
 			results[j].Pairs++
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	if results[0].Jaccard == nil {
-		return nil, fmt.Errorf("core: span produced no baseline windows")
 	}
 	return results, nil
 }

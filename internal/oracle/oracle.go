@@ -1,8 +1,9 @@
-// Package oracle provides a brute-force exact hierarchical-heavy-hitter
-// reference — full per-prefix counts at every hierarchy level, exact
-// conditioned volumes, arbitrary window / sliding-span / decayed replay —
-// and a differential harness (see diff.go) that measures any streaming
-// detector against it.
+// Package oracle provides the repository's one exact
+// hierarchical-heavy-hitter reference — full per-prefix counts at every
+// hierarchy level, exact conditioned volumes, arbitrary window /
+// sliding-span / decayed replay, and a forward Cursor that the paper's
+// figures (internal/core) tile the trace with — and a differential harness
+// (see diff.go) that measures any streaming detector against it.
 //
 // Everything the repository's approximate engines estimate, the oracle
 // computes exactly from the retained trace: per-level subtree volumes,
@@ -31,6 +32,7 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/trace"
 )
@@ -51,27 +53,66 @@ type Oracle struct {
 	pkts []trace.Packet
 }
 
-// New builds an empty oracle over hierarchy h.
-func New(h addr.Hierarchy) *Oracle {
+// FromTrace builds an oracle over pkts (not copied; the caller must not
+// mutate the slice while the oracle is in use) on hierarchy h, the IPv4
+// byte ladder when zero.
+func FromTrace(h addr.Hierarchy, pkts []trace.Packet) *Oracle {
 	if h == (addr.Hierarchy{}) {
 		h = addr.NewIPv4Hierarchy(addr.Byte)
 	}
-	return &Oracle{h: h}
+	return &Oracle{h: h, pkts: pkts}
 }
 
-// FromTrace builds an oracle preloaded with pkts (not copied; the caller
-// must not mutate the slice while the oracle is in use).
-func FromTrace(h addr.Hierarchy, pkts []trace.Packet) *Oracle {
-	o := New(h)
-	o.pkts = pkts
-	return o
+// Cursor walks a span forward over the oracle's trace and keeps the exact
+// leaf aggregate of the in-family packets with lo <= Ts < hi: each packet
+// is added once when hi passes it and removed once when lo does. It is how
+// the paper's figures tile the trace into windows, tumbling or sliding.
+type Cursor struct {
+	o      *Oracle
+	leaves *sketch.Exact
+	i, j   int // pkts[i:j] is the span
+	hi     int64
 }
 
-// Hierarchy returns the configured hierarchy.
-func (o *Oracle) Hierarchy() addr.Hierarchy { return o.h }
+// Cursor returns a cursor ahead of the trace.
+func (o *Oracle) Cursor() *Cursor {
+	return &Cursor{o: o, leaves: sketch.NewExact(1024), hi: math.MinInt64}
+}
 
-// Packets returns the number of retained packets.
-func (o *Oracle) Packets() int { return len(o.pkts) }
+// Move sets the span to [lo, hi), neither bound lower than the last Move's,
+// and returns its aggregate, which the next Move changes. A span that does
+// not overlap the last one starts afresh instead of removing it packet by
+// packet.
+func (c *Cursor) Move(lo, hi int64) *sketch.Exact {
+	p := c.o.pkts
+	if lo >= c.hi {
+		c.leaves.Reset()
+		c.j += sort.Search(len(p)-c.j, func(k int) bool { return p[c.j+k].Ts >= lo })
+		c.i = c.j
+	}
+	for ; c.i < c.j && p[c.i].Ts < lo; c.i++ {
+		if k, w, ok := c.leaf(&p[c.i]); ok {
+			c.leaves.Remove(k, w)
+		}
+	}
+	for ; c.j < len(p) && p[c.j].Ts < hi; c.j++ {
+		if k, w, ok := c.leaf(&p[c.j]); ok {
+			c.leaves.Update(k, w)
+		}
+	}
+	c.hi = hi
+	return c.leaves
+}
+
+// leaf is a packet's leaf key and weight, and whether the aggregate counts
+// it: in the hierarchy's family and not empty (a zero weight would leave a
+// key that Remove could not tell from an absent one).
+func (c *Cursor) leaf(p *trace.Packet) (key uint64, w int64, ok bool) {
+	if p.Size == 0 || !c.o.h.Match(p.Src) {
+		return 0, 0, false
+	}
+	return c.o.h.Key(p.Src, 0), int64(p.Size), true
+}
 
 // span returns the index range of packets with lo <= Ts < hi.
 func (o *Oracle) span(lo, hi int64) (i, j int) {

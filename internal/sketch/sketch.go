@@ -27,8 +27,8 @@ type KV struct {
 }
 
 // Exact is a map-backed exact counter. It serves as ground truth in tests
-// and as the aggregate of the offline window engines. The zero value is
-// ready to use.
+// and as the aggregate of the exact windowing cursor (oracle.Cursor). The
+// zero value is ready to use.
 type Exact struct {
 	m     map[uint64]int64
 	total int64
@@ -49,9 +49,9 @@ func (e *Exact) Update(key uint64, w int64) {
 }
 
 // Remove subtracts weight w for key, deleting the entry when it reaches
-// zero. Sliding-window engines use this to evict expired buckets. It panics
-// if the removal would drive the key negative, which indicates an eviction
-// bug rather than a recoverable condition.
+// zero. The exact windowing cursor uses this to drop packets that leave its
+// span. It panics if the removal would drive the key negative, which
+// indicates an eviction bug rather than a recoverable condition.
 func (e *Exact) Remove(key uint64, w int64) {
 	v, ok := e.m[key]
 	if !ok || v < w {
@@ -106,16 +106,6 @@ func (e *Exact) ForEach(fn func(key uint64, count int64)) {
 	for k, v := range e.m {
 		fn(k, v)
 	}
-}
-
-// Clone returns an independent deep copy; experiment code uses this to
-// branch per-window aggregates.
-func (e *Exact) Clone() *Exact {
-	c := &Exact{m: make(map[uint64]int64, len(e.m)), total: e.total}
-	for k, v := range e.m {
-		c.m[k] = v
-	}
-	return c
 }
 
 // AddAll merges other into e.

@@ -81,16 +81,6 @@ func TestExactRemovePanics(t *testing.T) {
 	e.Remove(1, 6)
 }
 
-func TestExactCloneIndependent(t *testing.T) {
-	e := NewExact(0)
-	e.Update(1, 10)
-	c := e.Clone()
-	c.Update(1, 5)
-	if e.Estimate(1) != 10 || c.Estimate(1) != 15 {
-		t.Error("Clone is not independent")
-	}
-}
-
 func TestExactAddAll(t *testing.T) {
 	a := NewExact(0)
 	a.Update(1, 10)

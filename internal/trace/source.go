@@ -70,38 +70,6 @@ func ForEach(src Source, fn func(*Packet) error) error {
 	}
 }
 
-// ForEachBatch drains src through fn in runs of up to batchSize packets
-// (default 512), reusing a single buffer for every run — the batch
-// counterpart of ForEach for drivers feeding batch-ingest detectors. The
-// slice passed to fn is only valid during the call.
-func ForEachBatch(src Source, batchSize int, fn func(pkts []Packet) error) error {
-	if batchSize <= 0 {
-		batchSize = 512
-	}
-	buf := make([]Packet, batchSize)
-	n := 0
-	for {
-		err := src.Next(&buf[n])
-		if errors.Is(err, io.EOF) {
-			break
-		}
-		if err != nil {
-			return err
-		}
-		n++
-		if n == len(buf) {
-			if err := fn(buf); err != nil {
-				return err
-			}
-			n = 0
-		}
-	}
-	if n > 0 {
-		return fn(buf[:n])
-	}
-	return nil
-}
-
 // Cutter is the one report-instant rule: set Step, then Feed it a
 // time-ordered stream in runs of any size. The instants are the multiples
 // of Step after the first packet's stamp (floored, so pre-epoch stamps
@@ -146,34 +114,6 @@ func FloorDiv(a, b int64) int64 {
 		q--
 	}
 	return q
-}
-
-// ClipSource passes through packets with From <= Ts < To.
-// Because sources are time-ordered it stops at the first packet past To.
-type ClipSource struct {
-	Src      Source
-	From, To int64
-	done     bool
-}
-
-// Next implements Source.
-func (c *ClipSource) Next(p *Packet) error {
-	if c.done {
-		return io.EOF
-	}
-	for {
-		if err := c.Src.Next(p); err != nil {
-			c.done = true
-			return err
-		}
-		if p.Ts >= c.To {
-			c.done = true
-			return io.EOF
-		}
-		if p.Ts >= c.From {
-			return nil
-		}
-	}
 }
 
 // IsSorted reports whether pkts is in non-decreasing timestamp order, the

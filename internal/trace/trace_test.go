@@ -80,35 +80,6 @@ func TestForEachStopsOnError(t *testing.T) {
 	}
 }
 
-func TestClipSource(t *testing.T) {
-	pkts := mkPackets(200, 4)
-	from, to := pkts[50].Ts, pkts[150].Ts
-	c := &ClipSource{Src: NewSliceSource(pkts), From: from, To: to}
-	got, err := Collect(c, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := 0
-	for _, p := range pkts {
-		if p.Ts >= from && p.Ts < to {
-			want++
-		}
-	}
-	if len(got) != want {
-		t.Errorf("clip kept %d, want %d", len(got), want)
-	}
-	for _, p := range got {
-		if p.Ts < from || p.Ts >= to {
-			t.Fatal("packet outside clip range")
-		}
-	}
-	// After EOF it must stay at EOF.
-	var p Packet
-	if err := c.Next(&p); !errors.Is(err, io.EOF) {
-		t.Error("clip should remain EOF once done")
-	}
-}
-
 func TestSortAndIsSorted(t *testing.T) {
 	pkts := mkPackets(50, 5)
 	if !IsSorted(pkts) {
