@@ -112,6 +112,15 @@ type Config struct {
 // the hysteresis band does not already absorb.
 const sweepEvery = 64
 
+// clock puts a stamp on the clamped clock tdbf.Base resolves instants on,
+// ±(2⁶²−1). The warm-up end and admission instants are kept on it, the
+// warm-up end saturating at endOfTime, the wire codec's bound — a warm-up
+// that would end past it never ends — so every frame a detector seals
+// decodes.
+func clock(ts int64) int64 { return min(max(ts, 1-endOfTime), endOfTime-1) }
+
+const endOfTime = 1 << 62
+
 // Detector is a continuous HHH detector. Not safe for concurrent use.
 type Detector struct {
 	cfg     Config
@@ -124,7 +133,7 @@ type Detector struct {
 	masks   []uint64 // per-level key masks
 	rng     uint64
 	started bool  // first packet seen; warmEnd is anchored
-	warmEnd int64 // first packet timestamp + Warmup
+	warmEnd int64 // clock(first packet timestamp) + Warmup, at most endOfTime
 	pkts    int64
 
 	// Per-packet scratch, one slot per level: the chain's estimates as
@@ -219,7 +228,7 @@ func (d *Detector) ObserveKeys(b *trace.KeyBatch) {
 func (d *Detector) observe(leaf uint64, bytes int64, now int64, up float64) {
 	if !d.started {
 		d.started = true
-		d.warmEnd = now + int64(d.cfg.Warmup)
+		d.warmEnd = min(clock(now)+clock(int64(d.cfg.Warmup)), endOfTime)
 	}
 	d.pkts++
 	// The reads admit and revalidate make at this instant find the pair.
@@ -237,7 +246,7 @@ func (d *Detector) observe(leaf uint64, bytes int64, now int64, up float64) {
 			d.est[l] = f.AddScaled(leaf&d.masks[l], w) * down
 		}
 	}
-	if now < d.warmEnd {
+	if clock(now) < d.warmEnd {
 		return
 	}
 	d.admit(leaf, lo, hi, now, d.cfg.Phi*total)
@@ -270,7 +279,7 @@ func (d *Detector) admit(leaf uint64, lo, hi int, now int64, enterT float64) {
 		if d.est[l]-d.claimedUnder(l, key, leaf, now) < enterT {
 			continue
 		}
-		d.act.add(l, key, now)
+		d.act.add(l, key, clock(now))
 		d.act.fix()
 		d.locate(leaf, l+1)
 		if d.cfg.OnEnter != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -94,7 +95,10 @@ func TestChunkingLeavesIdenticalFrames(t *testing.T) {
 // to byte-identical frames at every third of the stream whether it is fed
 // one packet at a time or in batches of 7, 256 and 2²⁰ — the batched
 // replays, unsampled, through a detector Reset after another stream: a used
-// time base with no landmark.
+// time base with no landmark. Every frame decodes, and the same stream with
+// its first detector packet stamped math.MaxInt64 admits nothing: on the
+// clamped clock no time passes after that first instant, so the warm-up
+// never ends.
 func TestHostileStampsLeaveIdenticalFrames(t *testing.T) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
 	tau := 20 * time.Millisecond
@@ -124,8 +128,10 @@ func TestHostileStampsLeaveIdenticalFrames(t *testing.T) {
 		src := addr.From4(10, byte(rng.Intn(3)), byte(rng.Intn(6)), byte(rng.Intn(50)))
 		pkts = append(pkts, trace.Packet{Ts: ts, Src: src, Size: uint32(40 + rng.Intn(1460))})
 	}
+	firstAtMax := slices.Clone(pkts)
+	firstAtMax[300].Ts = math.MaxInt64
 	for _, sampled := range []bool{false, true} {
-		frames := func(bs int, used bool) (out [][]byte) {
+		frames := func(pkts []trace.Packet, bs int, used bool) (out [][]byte, admitted int) {
 			d, err := continuous.NewDetector(continuous.Config{
 				Hierarchy: h, Phi: 0.05, Sampled: sampled, Seed: 3,
 				Filter: tdbf.Config{Cells: 1 << 10, Hashes: 3, Decay: tdbf.Exponential{Tau: tau}},
@@ -147,19 +153,29 @@ func TestHostileStampsLeaveIdenticalFrames(t *testing.T) {
 					d.ObserveKeys(kb)
 				}
 				frame, _ := wire.EncodeContinuous(d)
-				out = append(out, frame)
+				if _, err := wire.Decode(frame); err != nil {
+					t.Fatalf("sampled=%v: batches of %d: sealed frame %d does not decode: %v", sampled, bs, third, err)
+				}
+				out, admitted = append(out, frame), admitted+d.ActiveLen()
 			}
 			if d.Packets() != 12000 {
 				t.Fatalf("%d packets observed", d.Packets())
 			}
-			return out
+			return out, admitted
 		}
-		want := frames(1, false)
+		if _, admitted := frames(firstAtMax, 1, false); admitted != 0 {
+			t.Errorf("sampled=%v: first stamp math.MaxInt64: %d prefixes admitted during the warm-up", sampled, admitted)
+		}
+		want, admitted := frames(pkts, 1, false)
+		if admitted == 0 {
+			t.Fatalf("sampled=%v: the stream admitted nothing", sampled)
+		}
 		for _, bs := range []int{7, 256, 1 << 20} {
 			// Reset leaves the level sampler where it stands, so only the
 			// unsampled detector replays identically after one.
-			for i, got := range frames(bs, !sampled) {
-				if !bytes.Equal(got, want[i]) {
+			got, _ := frames(pkts, bs, !sampled)
+			for i := range got {
+				if !bytes.Equal(got[i], want[i]) {
 					t.Fatalf("sampled=%v: batches of %d: frame %d differs from the per-packet replay's", sampled, bs, i)
 				}
 			}

@@ -1,8 +1,8 @@
 // Package hashx provides the deterministic, seeded integer hashes used
 // throughout this repository: one mixing finaliser (Mix64, which also
-// drives the engines' level sampling), its seeded form, the double-hashing
-// pair behind Bloom-filter cells (Indices2; Probes2 under a premixed seed)
-// and the bias-free range reduction behind shard partitioning (Bucket).
+// drives the engines' level sampling), its seed premixer, the double-hashing
+// pair behind Bloom-filter cells (Probes2) and the bias-free range reduction
+// behind shard partitioning (Bucket).
 //
 // Everything hashed here is a small fixed-width integer key (a packed
 // prefix), so instead of a general byte-stream hash we use integer mixing
@@ -25,23 +25,17 @@ func Mix64(x uint64) uint64 {
 	return x
 }
 
-// Seeded hashes x under the given seed. Distinct seeds yield hash functions
-// that are independent for all practical sketch purposes.
-func Seeded(x, seed uint64) uint64 { return Mix64(x ^ Premix(seed)) }
-
-// Premix is the half of Seeded that depends on the seed alone — the seed
-// is mixed before it is xor-folded into x, so that related seeds (0,1,2,...)
-// still produce unrelated functions — for a caller that hashes many keys
-// under one seed to pay for once: Seeded(x, seed) == Mix64(x ^ Premix(seed)).
+// Premix mixes a seed before it is xor-folded into a key, so that related
+// seeds (0,1,2,...) still produce unrelated functions: Mix64(x ^ Premix(seed))
+// hashes x under seed, and a caller that hashes many keys under one seed
+// pays for the premix once.
 func Premix(seed uint64) uint64 { return Mix64(seed ^ 0x9e3779b97f4a7c15) }
 
-// Indices2 computes two independent hashes of x for double hashing:
-// Bloom-filter cell j can then be derived as h1 + j*h2 (mod m), the
-// Kirsch–Mitzenmacher construction, which preserves asymptotic
-// false-positive behaviour while paying for only two hash evaluations.
-func Indices2(x, seed uint64) (h1, h2 uint64) { return Probes2(x, Premix(seed)) }
-
-// Probes2 is Indices2 under a seed already put through Premix.
+// Probes2 computes two independent hashes of x under a seed already put
+// through Premix, for double hashing: Bloom-filter cell j can then be
+// derived as h1 + j*h2 (mod m), the Kirsch–Mitzenmacher construction, which
+// preserves asymptotic false-positive behaviour while paying for only two
+// hash evaluations.
 func Probes2(x, premixed uint64) (h1, h2 uint64) {
 	h := Mix64(x ^ premixed)
 	return h >> 32, h&0xffffffff | 1 // odd, so the stride cycles the whole table

@@ -301,8 +301,3 @@ func uncovered[V mass](h addr.Hierarchy, levels []map[uint64]V, got hhh.Set, nee
 	}
 	return misses
 }
-
-// UncoveredCounts is uncovered over exact byte aggregates.
-func UncoveredCounts(h addr.Hierarchy, levels []map[uint64]int64, got hhh.Set, need func(maximal int) int64) []Miss {
-	return uncovered(h, levels, got, need)
-}

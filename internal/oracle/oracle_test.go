@@ -319,7 +319,7 @@ func TestUncovered(t *testing.T) {
 	// Nothing reported, flat threshold 90: only a1 (/32, 100) and the
 	// aggregates above it clear 90 — the /24, /16 (180, via a1+a2), /8
 	// and root (240).
-	misses := UncoveredCounts(h, levels, hhh.NewSet(), func(int) int64 { return 90 })
+	misses := uncovered(h, levels, hhh.NewSet(), func(int) int64 { return 90 })
 	wantMissing := map[string]bool{
 		"10.1.1.1/32": true, "10.1.1.0/24": true, "10.1.0.0/16": true,
 		"10.0.0.0/8": true, "0.0.0.0/0": true,
@@ -339,7 +339,7 @@ func TestUncovered(t *testing.T) {
 	// (conditioning discounts descendants, not ancestors), so a1 still
 	// misses at the leaf level.
 	got := hhh.NewSet(hhh.Item{Prefix: addr.MustParsePrefix("10.1.1.0/24"), Count: 180, Conditioned: 180})
-	misses = UncoveredCounts(h, levels, got, func(int) int64 { return 90 })
+	misses = uncovered(h, levels, got, func(int) int64 { return 90 })
 	if len(misses) != 1 || misses[0].Prefix.String() != "10.1.1.1/32" {
 		t.Fatalf("misses with /24 reported = %v, want only 10.1.1.1/32", misses)
 	}
@@ -353,7 +353,7 @@ func TestUncovered(t *testing.T) {
 		hhh.Item{Prefix: addr.Host(a1), Count: 100, Conditioned: 100},
 		hhh.Item{Prefix: addr.Host(a2), Count: 80, Conditioned: 80},
 	)
-	misses = UncoveredCounts(h, levels, got, func(maximal int) int64 {
+	misses = uncovered(h, levels, got, func(maximal int) int64 {
 		if maximal != 0 && maximal != 2 {
 			t.Fatalf("unexpected maximal-claim count %d", maximal)
 		}

@@ -145,7 +145,7 @@ func (c *Config) coveredSpan(now, lastEnd int64, reported bool) (lo, hi int64) {
 		if !reported {
 			return 0, 0
 		}
-		return lastEnd - int64(c.Window), lastEnd
+		return windowStart(lastEnd, int64(c.Window)), lastEnd
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"sort"
 
 	"hiddenhhh/internal/trace"
@@ -10,8 +11,10 @@ import (
 // aligned to multiples of width, the first one being the window that
 // contains the first packet, and every window that ends at or before the
 // stream's current time is closed, in order, through the close callback.
-// A zero width disables it — the sliding and continuous models have no
-// boundaries — so the drivers call it unconditionally.
+// Window ends saturate at math.MaxInt64, and the clock stops once the
+// window that ends there has closed. A zero width disables it — the
+// sliding and continuous models have no boundaries — so the drivers call
+// it unconditionally.
 type tumbler struct {
 	width int64
 	// close publishes window [start, end); empty reports that no packet
@@ -31,8 +34,7 @@ func (t *tumbler) at(ts int64) {
 		return
 	}
 	if !t.started {
-		t.started = true
-		t.curEnd = (trace.FloorDiv(ts, t.width) + 1) * t.width
+		t.started, t.curEnd = true, endAfter(ts, t.width)
 	}
 	t.closeDue(ts)
 }
@@ -42,10 +44,30 @@ func (t *tumbler) at(ts int64) {
 func (t *tumbler) closeDue(now int64) {
 	for t.started && now >= t.curEnd {
 		end, empty := t.curEnd, !t.hasData
-		t.curEnd += t.width
-		t.hasData = false
-		t.close(end-t.width, end, empty)
+		start := windowStart(end, t.width)
+		t.curEnd, t.hasData = endAfter(end, t.width), false
+		if end == math.MaxInt64 {
+			t.started, t.width = false, 0 // the end of time: the clock stops
+		}
+		t.close(start, end, empty)
 	}
+}
+
+// endAfter is the first multiple of width after ts, or math.MaxInt64.
+func endAfter(ts, width int64) int64 {
+	if q := trace.FloorDiv(ts, width); q < math.MaxInt64/width {
+		return (q + 1) * width
+	}
+	return math.MaxInt64
+}
+
+// windowStart is the start of the window that ends at end: the last
+// multiple of width before it, or math.MinInt64.
+func windowStart(end, width int64) int64 {
+	if end < math.MinInt64+width {
+		return math.MinInt64
+	}
+	return trace.FloorDiv(end-1, width) * width
 }
 
 // next moves the clock to the head of a time-ordered run and returns the

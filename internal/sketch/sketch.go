@@ -90,17 +90,6 @@ func (e *Exact) Tracked() []KV {
 	return out
 }
 
-// HeavyKeys returns the keys whose count is >= threshold.
-func (e *Exact) HeavyKeys(threshold int64) []KV {
-	var out []KV
-	for k, v := range e.m {
-		if v >= threshold {
-			out = append(out, KV{Key: k, Count: v})
-		}
-	}
-	return out
-}
-
 // ForEach visits every (key, count) pair in unspecified order.
 func (e *Exact) ForEach(fn func(key uint64, count int64)) {
 	for k, v := range e.m {

@@ -45,10 +45,6 @@ func TestExactBasics(t *testing.T) {
 	if e.Total() != 35 || e.Len() != 2 {
 		t.Errorf("total=%d len=%d", e.Total(), e.Len())
 	}
-	hk := e.HeavyKeys(16)
-	if len(hk) != 1 || hk[0].Key != 2 {
-		t.Errorf("HeavyKeys(16) = %v", hk)
-	}
 	if len(e.Tracked()) != 2 {
 		t.Error("Tracked size")
 	}

@@ -9,6 +9,7 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/trace"
 )
 
@@ -128,6 +129,28 @@ func TestMementoCoverageBounds(t *testing.T) {
 	if est := m.Estimate(1, now); est != got {
 		t.Errorf("single-key estimate %d != total %d", est, got)
 	}
+}
+
+// HeavyKeys returns the keys whose windowed estimate reaches the fraction
+// phi of the covered total at time now. One pass over the live entries —
+// no per-frame candidate collection or dedup.
+func (m *Memento) HeavyKeys(phi float64, now int64) []sketch.KV {
+	m.advance(now)
+	var total int64
+	for _, t := range m.totals {
+		total += t
+	}
+	if total == 0 {
+		return nil
+	}
+	threshold := hhh.Threshold(total, phi)
+	var out []sketch.KV
+	for e := 0; e < m.n; e++ {
+		if m.counts[e] >= threshold {
+			out = append(out, sketch.KV{Key: m.keys[e], Count: m.counts[e]})
+		}
+	}
+	return out
 }
 
 func TestMementoHeavyKeysFindsHeavy(t *testing.T) {

@@ -110,7 +110,7 @@ func (f *lazyFilter) index(h uint64) uint64 {
 // minimum. Cells last touched at the same instant share one exp.
 func (f *lazyFilter) Add(key uint64, w float64, now int64) float64 {
 	f.adds++
-	h1, h2 := hashx.Indices2(key, f.seed)
+	h1, h2 := hashx.Probes2(key, hashx.Premix(f.seed))
 	var factorDt int64
 	var factor float64
 	for i := 0; i < f.k; i++ {
@@ -140,7 +140,7 @@ func (f *lazyFilter) Add(key uint64, w float64, now int64) float64 {
 // Estimate is the minimum over the key's cells, each decayed (read-only)
 // to now.
 func (f *lazyFilter) Estimate(key uint64, now int64) float64 {
-	h1, h2 := hashx.Indices2(key, f.seed)
+	h1, h2 := hashx.Probes2(key, hashx.Premix(f.seed))
 	min := math.Inf(1)
 	for i := 0; i < f.k; i++ {
 		c := f.cells[f.index(h1+uint64(i)*h2)]

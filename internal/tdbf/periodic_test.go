@@ -56,7 +56,7 @@ func (p *PeriodicFilter) advance(now int64) {
 // of lastRef, so the weight goes in without further decay.
 func (p *PeriodicFilter) Add(key uint64, w float64, now int64) {
 	p.advance(now)
-	h1, h2 := hashx.Indices2(key, p.seed)
+	h1, h2 := hashx.Probes2(key, hashx.Premix(p.seed))
 	for i := 0; i < p.k; i++ {
 		p.cells[(h1+uint64(i)*h2)%uint64(len(p.cells))] += w
 	}
@@ -66,7 +66,7 @@ func (p *PeriodicFilter) Add(key uint64, w float64, now int64) {
 // boundary at or before now.
 func (p *PeriodicFilter) Estimate(key uint64, now int64) float64 {
 	p.advance(now)
-	h1, h2 := hashx.Indices2(key, p.seed)
+	h1, h2 := hashx.Probes2(key, hashx.Premix(p.seed))
 	min := math.Inf(1)
 	for i := 0; i < p.k; i++ {
 		min = math.Min(min, p.cells[(h1+uint64(i)*h2)%uint64(len(p.cells))])

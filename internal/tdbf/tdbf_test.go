@@ -437,7 +437,7 @@ func TestMassTrackerMerge(t *testing.T) {
 // cell decayed through the law's Apply.
 func addPerCell(f *lazyFilter, key uint64, w float64, now int64) {
 	f.adds++
-	h1, h2 := hashx.Indices2(key, f.seed)
+	h1, h2 := hashx.Probes2(key, hashx.Premix(f.seed))
 	m := uint64(len(f.cells))
 	for i := 0; i < f.k; i++ {
 		c := &f.cells[(h1+uint64(i)*h2)%m]

@@ -283,18 +283,3 @@ func ReadFile(path string) ([]Packet, error) {
 	}
 	return Collect(tr, int(hint))
 }
-
-// OpenFile opens the trace at path for streaming. The caller owns closing
-// the returned closer once done with the Source.
-func OpenFile(path string) (*Reader, io.Closer, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, fmt.Errorf("trace: %w", err)
-	}
-	tr, err := NewReader(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return tr, f, nil
-}

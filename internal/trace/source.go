@@ -116,12 +116,6 @@ func FloorDiv(a, b int64) int64 {
 	return q
 }
 
-// IsSorted reports whether pkts is in non-decreasing timestamp order, the
-// invariant every Source must provide.
-func IsSorted(pkts []Packet) bool {
-	return sort.SliceIsSorted(pkts, func(i, j int) bool { return pkts[i].Ts < pkts[j].Ts })
-}
-
 // SortByTime sorts pkts in place into non-decreasing timestamp order using
 // a stable sort so equal-timestamp packets preserve generation order.
 func SortByTime(pkts []Packet) {

@@ -2,12 +2,15 @@ package trace
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"io"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -80,16 +83,22 @@ func TestForEachStopsOnError(t *testing.T) {
 	}
 }
 
+// isSorted reports whether pkts is in non-decreasing timestamp order, the
+// invariant every Source must provide.
+func isSorted(pkts []Packet) bool {
+	return slices.IsSortedFunc(pkts, func(a, b Packet) int { return cmp.Compare(a.Ts, b.Ts) })
+}
+
 func TestSortAndIsSorted(t *testing.T) {
 	pkts := mkPackets(50, 5)
-	if !IsSorted(pkts) {
+	if !isSorted(pkts) {
 		t.Fatal("generator should emit sorted packets")
 	}
 	// Shuffle and re-sort.
 	rng := rand.New(rand.NewSource(6))
 	rng.Shuffle(len(pkts), func(i, j int) { pkts[i], pkts[j] = pkts[j], pkts[i] })
 	SortByTime(pkts)
-	if !IsSorted(pkts) {
+	if !isSorted(pkts) {
 		t.Fatal("SortByTime failed")
 	}
 }
@@ -139,11 +148,15 @@ func TestFormatRoundTripFile(t *testing.T) {
 		t.Fatal("file round trip mismatch")
 	}
 	// File writers are seekable, so the declared count must be patched.
-	r, closer, err := OpenFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer closer.Close()
+	defer f.Close()
+	r, err := NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.DeclaredCount() != 500 {
 		t.Errorf("DeclaredCount = %d, want 500", r.DeclaredCount())
 	}

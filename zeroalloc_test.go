@@ -19,8 +19,9 @@ import (
 // handing full batches across the ring, and absorbing them into the
 // engine allocates nothing per packet — the batch buffers cycle
 // producer → ring → worker → freelist → producer. The sharded benchmarks
-// report the same number as allocs/op (cmd/benchjson records it in the
-// BENCH baselines); this test turns it into a hard regression guard.
+// report the same number as allocs/op and the bench/ module's
+// alloc_bytes_per_pkt the end-to-end figure; this test turns it into a
+// hard regression guard.
 //
 // The per-level engine's coalescing block is part of that state: each
 // shard allocates one on its first batch, fills and applies it several
