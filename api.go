@@ -163,9 +163,6 @@ func GenerateTrace(cfg TraceConfig) ([]Packet, error) { return gen.Packets(cfg) 
 // NewTraceSource returns a streaming generator for cfg.
 func NewTraceSource(cfg TraceConfig) (PacketSource, error) { return gen.New(cfg) }
 
-// SliceSource replays an in-memory trace.
-func SliceSource(pkts []Packet) PacketSource { return trace.NewSliceSource(pkts) }
-
 // Trace file I/O (compact binary format) and pcap interchange.
 var (
 	// WriteTraceFile stores packets in the binary trace format (v2,

@@ -82,19 +82,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 1
 }
 
-// loadTrace reads a stored trace, pcap or binary by extension.
-func loadTrace(path string) (pkts []trace.Packet, err error) {
-	if strings.HasSuffix(path, ".pcap") {
-		pkts, err = pcap.ReadFile(path)
-	} else {
-		pkts, err = trace.ReadFile(path)
-	}
-	if err == nil && len(pkts) == 0 {
-		err = fmt.Errorf("trace %s is empty", path)
-	}
-	return pkts, err
-}
-
 // input is one trace an experiment analyses, over [0, span).
 type input struct {
 	name string
@@ -113,7 +100,7 @@ func openInput(path, name string, cfg gen.Config, stderr io.Writer) (input, erro
 		pkts, err := gen.Packets(cfg)
 		return input{name, pkts, int64(cfg.Duration)}, err
 	}
-	pkts, err := loadTrace(path)
+	pkts, err := pcap.LoadTrace(path)
 	if err != nil {
 		return input{}, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"hiddenhhh"
 	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/pcap"
 )
 
 // scan runs one detector over a stored trace and prints its reports in
@@ -30,7 +31,7 @@ func scan(fs *flag.FlagSet) func(stdout, stderr io.Writer) error {
 		if *in == "" {
 			return fmt.Errorf("%w: -in is required", errUsage)
 		}
-		pkts, err := loadTrace(*in)
+		pkts, err := pcap.LoadTrace(*in)
 		if err != nil {
 			return err
 		}

@@ -104,11 +104,7 @@ func (p *pusher) post(s hiddenhhh.SealedSummary) error {
 	req.Header.Set("X-HHH-Seq", strconv.FormatInt(s.Seq, 10))
 	req.Header.Set("X-HHH-Start", strconv.FormatInt(s.Start, 10))
 	req.Header.Set("X-HHH-End", strconv.FormatInt(s.End, 10))
-	req.Header.Set("X-HHH-Bytes", strconv.FormatInt(s.Bytes, 10))
-	req.Header.Set("X-HHH-Shards", strconv.Itoa(s.Shards))
 	req.Header.Set("X-HHH-Degraded", strconv.FormatBool(s.Degraded))
-	req.Header.Set("X-HHH-Mode", s.Mode)
-	req.Header.Set("X-HHH-Engine", s.Engine)
 	resp, err := p.client.Do(req)
 	if err != nil {
 		return err
@@ -141,9 +137,10 @@ func (p *pusher) register(reg *hiddenhhh.MetricsRegistry) {
 }
 
 // partitionPackets keeps the slice of pkts that belongs to node index
-// of count, split by source address — the same disjoint partitioning
-// the in-process shards use, so the fleet's merged view telescopes to
-// the single-node bound.
+// of count: the packets whose source address, its two halves XORed, is
+// index mod count. It is not the in-process shards' split (a mixed hash of
+// the leaf key), but it is as disjoint — every source lands on exactly one
+// node — so the fleet's merged view telescopes to the single-node bound.
 func partitionPackets(pkts []hiddenhhh.Packet, index, count int) []hiddenhhh.Packet {
 	if count <= 1 {
 		return pkts
@@ -218,17 +215,10 @@ func (s *aggServer) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		return v
 	}
-	// Informational, the next two: a report is built from the frame alone.
-	shards, _ := strconv.Atoi(r.Header.Get("X-HHH-Shards"))
-	mass, _ := strconv.ParseInt(r.Header.Get("X-HHH-Bytes"), 10, 64)
 	sealed := hiddenhhh.SealedSummary{
-		Mode:     r.Header.Get("X-HHH-Mode"),
-		Engine:   r.Header.Get("X-HHH-Engine"),
 		Seq:      intHeader("X-HHH-Seq"),
 		Start:    intHeader("X-HHH-Start"),
 		End:      intHeader("X-HHH-End"),
-		Bytes:    mass,
-		Shards:   shards,
 		Degraded: r.Header.Get("X-HHH-Degraded") == "true",
 		Frame:    body,
 	}

@@ -2,9 +2,11 @@ package main
 
 import (
 	"bytes"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -61,7 +63,6 @@ func ingestRequest(s hiddenhhh.SealedSummary, node string, override map[string]s
 		"X-HHH-Seq":   strconv.FormatInt(s.Seq, 10),
 		"X-HHH-Start": strconv.FormatInt(s.Start, 10),
 		"X-HHH-End":   strconv.FormatInt(s.End, 10),
-		"X-HHH-Bytes": strconv.FormatInt(s.Bytes, 10),
 	}
 	for k, v := range override {
 		h[k] = v
@@ -116,8 +117,7 @@ func TestAggIngestHandler(t *testing.T) {
 	if st := s.agg.Stats(); len(st.Nodes) != 1 || st.Nodes[0] != before.Nodes[0] || st.LateFrames != 0 || st.Rejected != 0 {
 		t.Fatalf("refused requests reached the aggregator: %+v", st)
 	}
-	// The bytes header is informational: without it the frame still counts.
-	if code := post(ingestRequest(seals[1], "n0", map[string]string{"X-HHH-Bytes": ""})); code != http.StatusNoContent {
+	if code := post(ingestRequest(seals[1], "n0", nil)); code != http.StatusNoContent {
 		t.Fatalf("delta over its base: %d", code)
 	}
 	// A node the aggregator has no frame of sends a delta.
@@ -136,6 +136,50 @@ func TestAggIngestHandler(t *testing.T) {
 	}
 	if got := metricValue(t, rec.Body.String(), `hhh_aggregator_need_full_total{node="n1"}`); got != 1 {
 		t.Errorf("need_full metric %v, Stats says 1", got)
+	}
+}
+
+// TestPusherHeaders pins what a pushed seal carries: the frame as the body
+// and exactly the headers handleIngest reads — the node name, Seq, the span
+// and the degradation verdict. Everything else a report needs is in the
+// frame.
+func TestPusherHeaders(t *testing.T) {
+	s := slidingSeals(t, 2)[1]
+	s.Degraded = true
+	var got http.Header
+	var body []byte
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		got = r.Header.Clone()
+		body, _ = io.ReadAll(r.Body)
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer ts.Close()
+	push := newPusher(ts.URL+"/ingest", "n0")
+	defer push.close()
+	if err := push.post(s); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"X-Hhh-Node":     "n0",
+		"X-Hhh-Seq":      strconv.FormatInt(s.Seq, 10),
+		"X-Hhh-Start":    strconv.FormatInt(s.Start, 10),
+		"X-Hhh-End":      strconv.FormatInt(s.End, 10),
+		"X-Hhh-Degraded": "true",
+	}
+	for name, vals := range got {
+		if strings.HasPrefix(name, "X-Hhh-") {
+			if w, ok := want[name]; !ok || len(vals) != 1 || vals[0] != w {
+				t.Errorf("header %s: %q, want %q", name, vals, w)
+			}
+		}
+	}
+	for name := range want {
+		if got.Get(name) == "" {
+			t.Errorf("header %s missing", name)
+		}
+	}
+	if !bytes.Equal(body, s.Frame) {
+		t.Errorf("body is %d bytes, the frame %d", len(body), len(s.Frame))
 	}
 }
 

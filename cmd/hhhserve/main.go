@@ -1,7 +1,7 @@
 // Command hhhserve runs a live hierarchical-heavy-hitter query server: it
-// ingests a packet stream — a generated scenario or a binary trace file —
-// through the sharded concurrent pipeline and answers JSON queries while
-// ingest is running.
+// ingests a packet stream — a generated scenario, or with -trace a stored
+// trace (a .pcap capture or a binary trace file) — through the sharded
+// concurrent pipeline and answers JSON queries while ingest is running.
 //
 //	go run ./cmd/hhhserve -addr :8080 -scenario day0 -shards 4
 //	curl localhost:8080/hhh      # current merged HHH set
@@ -15,9 +15,9 @@
 // timestamp, so reports move continuously instead of stepping once per
 // window.
 //
-// With -loop (the default) the trace replays continuously, each lap
-// shifted forward in time, so the server stays live indefinitely; -laps
-// bounds the replay for scripted runs. -pps throttles ingest to a target
+// By default (-laps 0) the trace replays continuously, each lap shifted
+// forward in time, so the server stays live indefinitely; -laps n stops
+// after n laps for scripted runs. -pps throttles ingest to a target
 // packet rate (0 ingests at full speed), which makes the windowed
 // reports evolve at a human-watchable pace.
 package main
@@ -25,6 +25,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -38,6 +39,7 @@ import (
 	"time"
 
 	"hiddenhhh"
+	"hiddenhhh/internal/pcap"
 	"hiddenhhh/internal/telemetry"
 	"hiddenhhh/internal/trace"
 )
@@ -440,6 +442,23 @@ func writeJSON(w http.ResponseWriter, v any) {
 	}
 }
 
+// replayPackets is the trace the server replays: the stored trace at path,
+// a capture or a binary trace file, or else the named scenario synthesised.
+func replayPackets(path, scenario string, duration time.Duration, seed int64) ([]hiddenhhh.Packet, error) {
+	if path != "" {
+		return pcap.LoadTrace(path)
+	}
+	cfg, err := scenarioConfig(scenario, duration, seed)
+	if err != nil {
+		return nil, err
+	}
+	pkts, err := hiddenhhh.GenerateTrace(cfg)
+	if err == nil && len(pkts) == 0 {
+		err = errors.New("empty trace")
+	}
+	return pkts, err
+}
+
 // scenarioConfig resolves the -scenario flag.
 func scenarioConfig(name string, duration time.Duration, seed int64) (hiddenhhh.TraceConfig, error) {
 	switch name {
@@ -479,7 +498,7 @@ func main() {
 		counters  = flag.Int("counters", 512, "Space-Saving counters per level")
 		frames    = flag.Int("frames", 0, "sliding frame count (0 = default 8, -mode sliding)")
 		scenario  = flag.String("scenario", "day0", "traffic scenario: day0..day3, ddos, default")
-		tracePath = flag.String("trace", "", "binary trace file to replay instead of a scenario")
+		tracePath = flag.String("trace", "", "trace to replay instead of a scenario: a .pcap capture or a binary trace file")
 		duration  = flag.Duration("duration", time.Minute, "generated scenario length")
 		seed      = flag.Int64("seed", 1, "scenario seed")
 		pps       = flag.Float64("pps", 0, "ingest pacing in packets/sec (0 = full speed)")
@@ -527,24 +546,9 @@ func main() {
 		log.Fatal("hhhserve: ", err)
 	}
 
-	var pkts []hiddenhhh.Packet
-	if *tracePath != "" {
-		pkts, err = hiddenhhh.ReadTraceFile(*tracePath)
-		if err != nil {
-			log.Fatal("hhhserve: ", err)
-		}
-	} else {
-		cfg, err := scenarioConfig(*scenario, *duration, *seed)
-		if err != nil {
-			log.Fatal("hhhserve: ", err)
-		}
-		pkts, err = hiddenhhh.GenerateTrace(cfg)
-		if err != nil {
-			log.Fatal("hhhserve: ", err)
-		}
-	}
-	if len(pkts) == 0 {
-		log.Fatal("hhhserve: empty trace")
+	pkts, err := replayPackets(*tracePath, *scenario, *duration, *seed)
+	if err != nil {
+		log.Fatal("hhhserve: ", err)
 	}
 	// Lap span comes from the unpartitioned trace so every fleet node
 	// shifts replays identically.

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -503,5 +505,52 @@ func TestReplayBatchInvariance(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestReplayPacketsReadsStoredTraces loads a scenario through the path
+// -trace takes, once stored as a pcap capture and once as a binary trace
+// file: each reads back as its format's own reader reads it. An empty
+// capture is refused.
+func TestReplayPacketsReadsStoredTraces(t *testing.T) {
+	cfg, err := scenarioConfig("ddos", 5*time.Second, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkts, err := hiddenhhh.GenerateTrace(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for _, f := range []struct {
+		name  string
+		write func(string, []hiddenhhh.Packet) error
+		read  func(string) ([]hiddenhhh.Packet, error)
+	}{
+		{"day.pcap", hiddenhhh.WritePcapFile, hiddenhhh.ReadPcapFile},
+		{"day.hhht", hiddenhhh.WriteTraceFile, hiddenhhh.ReadTraceFile},
+	} {
+		path := filepath.Join(dir, f.name)
+		if err := f.write(path, pkts); err != nil {
+			t.Fatal(err)
+		}
+		got, err := replayPackets(path, "", 0, 0)
+		if err != nil {
+			t.Fatalf("%s: %v", f.name, err)
+		}
+		want, err := f.read(path)
+		if err != nil || len(want) != len(pkts) {
+			t.Fatalf("%s: the format's reader read %d packets of %d: %v", f.name, len(want), len(pkts), err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: -trace read %d packets, not the %d its format's reader reads", f.name, len(got), len(want))
+		}
+	}
+	empty := filepath.Join(dir, "empty.pcap")
+	if err := hiddenhhh.WritePcapFile(empty, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := replayPackets(empty, "", 0, 0); err == nil {
+		t.Fatal("an empty capture loaded without error")
 	}
 }

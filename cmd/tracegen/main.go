@@ -89,11 +89,7 @@ func main() {
 	}
 
 	if !*quiet {
-		stats, err := trace.ComputeStats(trace.NewSliceSource(pkts))
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote %s (%s): %s\n", *out, f, stats)
+		fmt.Printf("wrote %s (%s): %s\n", *out, f, trace.ComputeStats(pkts))
 	}
 }
 

@@ -38,10 +38,9 @@ type ComparisonConfig struct {
 	// Counters per level for the sketch engines (PerLevel, RHHH).
 	// Default 512.
 	Counters int
-	// TDBFCells/TDBFHashes size the continuous detector's per-level
-	// filters. Defaults 1<<16 and 4.
-	TDBFCells  int
-	TDBFHashes int
+	// TDBFCells sizes the continuous detector's per-level filters (4
+	// hashes each, the TDBF default). Default 1<<16.
+	TDBFCells int
 	// Seed drives the randomised detectors.
 	Seed uint64
 }
@@ -67,9 +66,6 @@ func (c *ComparisonConfig) setDefaults() {
 	}
 	if c.TDBFCells == 0 {
 		c.TDBFCells = 1 << 16
-	}
-	if c.TDBFHashes == 0 {
-		c.TDBFHashes = 4
 	}
 }
 
@@ -179,8 +175,8 @@ func ContinuousComparison(pkts []trace.Packet, cfg ComparisonConfig) (*Compariso
 		{"disjoint-exact", pipeline.Config{Window: cfg.Window, Engine: pipeline.KindExact}},
 		{"disjoint-perlevel", pipeline.Config{Window: cfg.Window, Engine: pipeline.KindPerLevel, Counters: cfg.Counters}},
 		{"disjoint-rhhh", pipeline.Config{Window: cfg.Window, Engine: pipeline.KindRHHH, Counters: cfg.Counters}},
-		{"continuous-tdbf", pipeline.Config{Mode: pipeline.ModeContinuous, Window: cfg.Tau, Cells: cfg.TDBFCells, Hashes: cfg.TDBFHashes}},
-		{"continuous-sampled", pipeline.Config{Mode: pipeline.ModeContinuous, Window: cfg.Tau, Cells: cfg.TDBFCells, Hashes: cfg.TDBFHashes, Sampled: true}},
+		{"continuous-tdbf", pipeline.Config{Mode: pipeline.ModeContinuous, Window: cfg.Tau, Cells: cfg.TDBFCells}},
+		{"continuous-sampled", pipeline.Config{Mode: pipeline.ModeContinuous, Window: cfg.Tau, Cells: cfg.TDBFCells, Sampled: true}},
 	}
 	for _, r := range rows {
 		r.cfg.Phi, r.cfg.Hierarchy, r.cfg.Seed = cfg.Phi, cfg.Hierarchy, cfg.Seed

@@ -98,7 +98,7 @@ type SensitivityResult struct {
 // by at least diff (i.e. Jaccard <= 1-diff) — the form in which the paper
 // states its Figure-3 findings.
 func (r SensitivityResult) DissimilarFraction(diff float64) float64 {
-	return r.Jaccard.FractionAtMost(1 - diff)
+	return r.Jaccard.CDFAt(1 - diff)
 }
 
 // WindowSensitivity runs the Figure-3 analysis over the time-ordered trace

@@ -5,17 +5,6 @@ import (
 	"hiddenhhh/internal/sketch"
 )
 
-// LeafCounter is the read-only aggregate surface the exact computations
-// consume: per-leaf byte volumes. *sketch.Exact implements it; so can
-// any map-backed adapter.
-type LeafCounter interface {
-	// Len returns the number of distinct keys.
-	Len() int
-	// ForEach visits every (key, count) pair; keys are the hierarchy's
-	// level-0 keys (addr.Hierarchy.Key at level 0).
-	ForEach(fn func(key uint64, count int64))
-}
-
 // Exact computes the exact HHH set of a finished traffic aggregate. It is
 // the reference implementation: the offline analyses (Fig 2, Fig 3) are
 // defined in terms of it, and the streaming engines are tested against it.
@@ -28,7 +17,7 @@ type LeafCounter interface {
 // classical bottom-up conditioned pass: every prefix's unclaimed volume is
 // either emitted (>= T, the prefix is an HHH and claims its subtree) or
 // passed to its parent. Complexity is O(distinct leaves × levels).
-func Exact(leaves LeafCounter, h addr.Hierarchy, T int64) Set {
+func Exact(leaves *sketch.Exact, h addr.Hierarchy, T int64) Set {
 	if T < 1 {
 		T = 1
 	}

@@ -94,20 +94,6 @@ func (s Set) Items() []Item {
 	return out
 }
 
-// Union returns a new set with members of both s and t. When a prefix is in
-// both, s's item wins (counts from different windows are not comparable
-// anyway; the experiments only use membership).
-func (s Set) Union(t Set) Set {
-	out := make(Set, len(s)+len(t))
-	for p, it := range t {
-		out[p] = it
-	}
-	for p, it := range s {
-		out[p] = it
-	}
-	return out
-}
-
 // UnionInPlace adds all members of t to s, keeping existing entries.
 func (s Set) UnionInPlace(t Set) {
 	for p, it := range t {

@@ -21,9 +21,6 @@ func (d *Dist) Observe(x float64) {
 	d.sorted = false
 }
 
-// N returns the sample count.
-func (d *Dist) N() int { return len(d.xs) }
-
 func (d *Dist) sortIfNeeded() {
 	if !d.sorted {
 		sort.Float64s(d.xs)
@@ -80,17 +77,4 @@ func (d *Dist) CDFAt(x float64) float64 {
 	// Count samples <= x by binary search.
 	n := sort.SearchFloat64s(d.xs, math.Nextafter(x, math.Inf(1)))
 	return float64(n) / float64(len(d.xs))
-}
-
-// FractionAtMost is an alias of CDFAt with a name matching how the paper
-// phrases Fig 3 ("for at least 70% of the cases the similarity is below
-// x").
-func (d *Dist) FractionAtMost(x float64) float64 { return d.CDFAt(x) }
-
-// Samples returns a sorted copy of the observations.
-func (d *Dist) Samples() []float64 {
-	d.sortIfNeeded()
-	out := make([]float64, len(d.xs))
-	copy(out, d.xs)
-	return out
 }

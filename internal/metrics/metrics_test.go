@@ -14,8 +14,8 @@ func TestDistQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		d.Observe(float64(i))
 	}
-	if d.N() != 100 {
-		t.Fatal("N")
+	if len(d.xs) != 100 {
+		t.Fatal("sample count")
 	}
 	if d.Min() != 1 || d.Max() != 100 {
 		t.Errorf("min/max = %v/%v", d.Min(), d.Max())
@@ -62,9 +62,6 @@ func TestDistCDF(t *testing.T) {
 			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
 		}
 	}
-	if d.FractionAtMost(2) != d.CDFAt(2) {
-		t.Error("FractionAtMost should alias CDFAt")
-	}
 }
 
 func TestDistQuantileMonotoneProperty(t *testing.T) {
@@ -82,8 +79,7 @@ func TestDistQuantileMonotoneProperty(t *testing.T) {
 			}
 			prev = v
 		}
-		s := d.Samples()
-		return sort.Float64sAreSorted(s) && len(s) == d.N()
+		return sort.Float64sAreSorted(d.xs) && len(d.xs) == int(n)+2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -99,10 +99,6 @@ type Bounds struct {
 	// The suite pins it empirically per engine; it is an envelope for the
 	// seeded scenarios, not a theorem.
 	Slack float64
-	// AbsSlack is an absolute mass allowance added on top of the
-	// fractional terms (covers integer rounding and, for RHHH, the
-	// √packets-scale part of the sampling deviation).
-	AbsSlack float64
 	// AllowUnder permits reported counts below exact by the same
 	// allowance. Space-Saving estimates never underestimate; RHHH's
 	// sampled estimates can.
@@ -111,7 +107,7 @@ type Bounds struct {
 
 // allowance is the total permitted one-sided count error at mass n.
 func (b Bounds) allowance(n float64) float64 {
-	return (b.Epsilon+b.Slack)*n + b.AbsSlack
+	return (b.Epsilon + b.Slack) * n
 }
 
 // Config parameterises a differential run.

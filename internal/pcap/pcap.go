@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strings"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/trace"
@@ -474,4 +475,19 @@ func ReadFile(path string) ([]trace.Packet, error) {
 		return nil, err
 	}
 	return trace.Collect(pr, 0)
+}
+
+// LoadTrace reads the stored trace at path: a capture when the name ends
+// in .pcap, the binary trace format otherwise. An empty trace is an error,
+// since there is nothing to tile windows over or replay.
+func LoadTrace(path string) (pkts []trace.Packet, err error) {
+	if strings.HasSuffix(path, ".pcap") {
+		pkts, err = ReadFile(path)
+	} else {
+		pkts, err = trace.ReadFile(path)
+	}
+	if err == nil && len(pkts) == 0 {
+		err = fmt.Errorf("trace %s is empty", path)
+	}
+	return pkts, err
 }

@@ -82,9 +82,6 @@ func TestSealEmission(t *testing.T) {
 		if s.Seq != int64(i+1) {
 			t.Fatalf("seal %d has Seq %d, want %d", i, s.Seq, i+1)
 		}
-		if s.Mode != "windowed" || s.Engine != "perlevel" {
-			t.Fatalf("seal %d labeled %s/%s", i, s.Mode, s.Engine)
-		}
 		if s.End != windows[i] || s.Start != windows[i]-width {
 			t.Fatalf("seal %d spans [%d,%d], window ended at %d", i, s.Start, s.End, windows[i])
 		}
@@ -92,21 +89,17 @@ func TestSealEmission(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seal %d frame does not decode: %v", i, err)
 		}
-		pl, ok := v.(*hhh.PerLevel)
-		if !ok {
+		if _, ok := v.(*hhh.PerLevel); !ok {
 			t.Fatalf("seal %d decoded to %T, want *hhh.PerLevel", i, v)
-		}
-		if pl.Total() != s.Bytes {
-			t.Fatalf("seal %d declares %d bytes, frame holds %d", i, s.Bytes, pl.Total())
 		}
 	}
 }
 
-// TestSealLabels pins the engine name a sealed frame carries to the one
-// Stats reports, for the modes whose engine is not the configured
-// Engine value verbatim: sliding's default (Engine left at its zero
-// value, a windowed kind), sliding with Memento, and continuous, which
-// has no Engine value at all.
+// TestSealLabels pins the engine a sealed frame's header names — the only
+// label a receiver reads — to the one Stats reports, for the modes whose
+// engine is not the configured Engine value verbatim: sliding's default
+// (Engine left at its zero value, a windowed kind), sliding with Memento,
+// and continuous, which has no Engine value at all.
 func TestSealLabels(t *testing.T) {
 	pkts := testStream(11, 4000, 3)
 	for _, tc := range []struct {
@@ -136,8 +129,12 @@ func TestSealLabels(t *testing.T) {
 			t.Fatalf("%s/%s: no seals emitted", tc.mode, tc.engine)
 		}
 		for _, s := range seals {
-			if s.Mode != tc.mode || s.Engine != tc.engine {
-				t.Errorf("seal labeled %s/%s, want %s/%s", s.Mode, s.Engine, tc.mode, tc.engine)
+			f, err := wire.Verify(s.Frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e := engineOfWire(f.Header.Kind); e == nil || e.name != tc.engine {
+				t.Errorf("%s: seal of wire kind %v, want engine %s", tc.mode, f.Header.Kind, tc.engine)
 			}
 		}
 		if st.Engine != tc.engine {
@@ -268,7 +265,7 @@ func exactSeal(seq, start, end int64, keys map[uint64]int64) Sealed {
 		ex.Update(k, v)
 	}
 	return Sealed{
-		Seq: seq, Start: start, End: end, Bytes: ex.Total(), Shards: 1,
+		Seq: seq, Start: start, End: end,
 		Frame: wire.EncodeExact(cfgHierarchy(), ex),
 	}
 }
@@ -659,7 +656,7 @@ func TestAggregatorSaturatesHostileCounts(t *testing.T) {
 		if err := hhh.RestorePerLevel(p, h, c, sks); err != nil {
 			t.Fatal(err)
 		}
-		return Sealed{Seq: 1, Start: 0, End: end, Bytes: c, Shards: 1, Frame: wire.EncodePerLevel(p)}
+		return Sealed{Seq: 1, Start: 0, End: end, Frame: wire.EncodePerLevel(p)}
 	}
 	sliding := func() Sealed {
 		d, err := swhh.NewSlidingHHH(h, swhh.Config{Window: time.Second, Frames: 4, Counters: 8})
@@ -673,7 +670,7 @@ func TestAggregatorSaturatesHostileCounts(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		return Sealed{Seq: 1, Start: 0, End: end, Bytes: c, Shards: 1, Frame: wire.EncodeSliding(d)}
+		return Sealed{Seq: 1, Start: 0, End: end, Frame: wire.EncodeSliding(d)}
 	}
 	for name, seal := range map[string]func() Sealed{"perlevel": perLevel, "wcss": sliding} {
 		t.Run(name, func(t *testing.T) {

@@ -427,6 +427,6 @@ func (d *Sharded) completeBarrier(b *barrier, joined []bool, count int) {
 		if !b.reset {
 			start, end = b.at-int64(d.cfg.Window), b.at
 		}
-		d.emitSeal(nil, start, end, total, count, degraded)
+		d.emitSeal(nil, start, end, degraded)
 	}
 }

@@ -461,9 +461,9 @@ func TestSlidingLateShardRejoinsWhole(t *testing.T) {
 	}
 	release := plan.BlockShard(1)
 	feed(600, 700) // ~50 one-packet batches park in shard 1's ring
-	if got, want := snap(700 * ms); !got.Degraded || got.Shards != 1 || bytes.Equal(got.Frame, want.Frame) {
+	if got, want := snap(700 * ms); !got.Degraded || d.LastWindow().Shards != 1 || bytes.Equal(got.Frame, want.Frame) {
 		t.Fatalf("snapshot n: degraded=%v shards=%d; want a degraded one-shard merge that differs from the twin's",
-			got.Degraded, got.Shards)
+			got.Degraded, d.LastWindow().Shards)
 	}
 	release()
 	feed(700, 900)
@@ -471,10 +471,10 @@ func TestSlidingLateShardRejoinsWhole(t *testing.T) {
 	d.ResyncSeal()
 	twin.ResyncSeal()
 	got, want := snap(900 * ms)
-	if got.Degraded || got.Shards != 2 {
-		t.Fatalf("snapshot n+1: degraded=%v shards=%d, want whole", got.Degraded, got.Shards)
+	if got.Degraded || d.LastWindow().Shards != 2 {
+		t.Fatalf("snapshot n+1: degraded=%v shards=%d, want whole", got.Degraded, d.LastWindow().Shards)
 	}
-	if !bytes.Equal(got.Frame, want.Frame) || got.Bytes != want.Bytes {
+	if !bytes.Equal(got.Frame, want.Frame) || d.LastWindow().Bytes != twin.LastWindow().Bytes {
 		t.Fatal("snapshot n+1 differs from the undisturbed twin's")
 	}
 	if dp, _ := d.DroppedMass(); dp != 0 {

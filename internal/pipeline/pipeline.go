@@ -745,7 +745,7 @@ func (d *Sharded) closeWindow(start, end int64, empty bool) {
 			d.cfg.OnWindow(start, end, set)
 		}
 		if d.seal != nil {
-			d.emitSeal(d.emptySealFrame(), start, end, 0, len(d.shards), false)
+			d.emitSeal(d.emptySealFrame(), start, end, false)
 		}
 		return
 	}

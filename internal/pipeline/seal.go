@@ -22,12 +22,6 @@ import (
 // Frame bytes are shared (empty windows reuse one cached frame) — treat as
 // read-only.
 type Sealed struct {
-	// Mode is the pipeline's window model ("windowed", "sliding",
-	// "continuous").
-	Mode string
-	// Engine names the summary engine the pipeline runs ("wcss", "tdbf",
-	// …), as Stats().Engine and the metrics labels do.
-	Engine string
 	// Seq numbers this process's seals monotonically from 1; gaps at the
 	// receiver mean frames were lost in transit.
 	Seq int64
@@ -36,10 +30,6 @@ type Sealed struct {
 	// timestamp in sliding mode, and the decay-horizon-sized span ending
 	// at the query timestamp in continuous mode.
 	Start, End int64
-	// Bytes is the merge's total mass (the threshold denominator).
-	Bytes int64
-	// Shards is how many shard summaries contributed.
-	Shards int
 	// Degraded marks a merge that completed without every shard.
 	Degraded bool
 	// Delta marks a frame that carries only what the engine wrote since this
@@ -98,7 +88,7 @@ func (d *Sharded) emptySealFrame() []byte {
 // quiescent — as a delta over the previous seal where the engine has that
 // form (encodeSeal) and neither the chain's length nor ResyncSeal asks for
 // a full frame.
-func (d *Sharded) emitSeal(frame []byte, start, end, total int64, shards int, degraded bool) {
+func (d *Sharded) emitSeal(frame []byte, start, end int64, degraded bool) {
 	st, form := d.seal, 0
 	if frame == nil {
 		delta := !st.resync.Swap(false) && st.seq.Load() > 0 && st.deltas < fullSealEvery-1
@@ -112,13 +102,9 @@ func (d *Sharded) emitSeal(frame []byte, start, end, total int64, shards int, de
 	st.seals[form].Add(1)
 	st.sealBytes[form].Add(int64(len(frame)))
 	st.fn(Sealed{
-		Mode:     d.cfg.Mode.String(),
-		Engine:   d.cfg.Engine.String(),
 		Seq:      st.seq.Add(1),
 		Start:    start,
 		End:      end,
-		Bytes:    total,
-		Shards:   shards,
 		Degraded: degraded,
 		Delta:    form == 1,
 		Frame:    frame,

@@ -69,25 +69,10 @@ type WatcherConfig struct {
 	// near-empty windows (trace edges, idle links) cannot alarm on noise
 	// mass. Default 0 (disabled).
 	MinBytes int64
-	// MinLevel is the minimum family-relative prefix length (bits) a
-	// candidate must have. The hierarchy root (level 0) absorbs every
-	// byte the detector could not attribute below it — on the repository's
-	// traces that residual runs 35–50% of window mass in every scenario —
-	// so level 0 is never attack evidence. Default 1 (exclude only the
-	// root); raise it to ignore coarse aggregates like /8s. Negative
-	// disables the guard entirely.
-	MinLevel int
-	// HoldOn is how many consecutive observed windows a prefix must hold
-	// Threshold before the onset fires. Default 1 (alarm on first
-	// crossing — hit-and-run pulses can be shorter than two windows).
-	HoldOn int
 	// HoldOff is how many consecutive observed windows below Threshold
 	// end an attack. Default 2, so a pulse briefly dipping across one
 	// window boundary does not emit an offset/onset flap.
 	HoldOff int
-	// Capacity bounds the event ring buffer; once full, the oldest events
-	// are overwritten. Default 256.
-	Capacity int
 	// OnEvent, when set, is called synchronously for every emitted event
 	// (the server hooks structured log lines here).
 	OnEvent func(Event)
@@ -98,24 +83,18 @@ func (c WatcherConfig) withDefaults() WatcherConfig {
 	if c.Threshold <= 0 {
 		c.Threshold = 0.25
 	}
-	if c.MinLevel == 0 {
-		c.MinLevel = 1
-	}
-	if c.HoldOn <= 0 {
-		c.HoldOn = 1
-	}
 	if c.HoldOff <= 0 {
 		c.HoldOff = 2
-	}
-	if c.Capacity <= 0 {
-		c.Capacity = 256
 	}
 	return c
 }
 
+// eventCapacity bounds the event ring buffer; once full, the oldest events
+// are overwritten.
+const eventCapacity = 256
+
 // attackState tracks one prefix's hysteresis across windows.
 type attackState struct {
-	above     int // consecutive observed windows at/above threshold
 	below     int // consecutive observed windows under threshold
 	active    bool
 	onsetTs   int64
@@ -126,10 +105,14 @@ type attackState struct {
 // Watcher turns per-window HHH sets into attack onset/offset events with
 // hysteresis. Feed it one ObserveWindow call per sampled window (the
 // server samples once per closed window; tests replay scenario traces);
-// it emits an onset when a prefix's conditioned share holds the
-// threshold for HoldOn windows and the matching offset after the share
-// stays below for HoldOff windows. Events land in a fixed-capacity ring
-// (newest win) and, optionally, a synchronous OnEvent callback.
+// it emits an onset the first window a prefix's conditioned share reaches
+// the threshold (hit-and-run pulses can be shorter than two windows) and
+// the matching offset after the share stays below for HoldOff windows.
+// The hierarchy root is never a candidate: it absorbs every byte the
+// detector could not attribute below it — on the repository's traces
+// 35–50% of window mass in every scenario — so it is no attack evidence.
+// Events land in a fixed-capacity ring (newest win) and, optionally, a
+// synchronous OnEvent callback.
 //
 // Watcher is safe for concurrent use, though the intended shape is a
 // single sampling goroutine with concurrent readers (Events, Active,
@@ -153,7 +136,7 @@ func NewWatcher(cfg WatcherConfig) *Watcher {
 	return &Watcher{
 		cfg:    cfg,
 		states: make(map[addr.Prefix]*attackState),
-		ring:   make([]Event, 0, cfg.Capacity),
+		ring:   make([]Event, 0, eventCapacity),
 	}
 }
 
@@ -174,11 +157,8 @@ func (w *Watcher) ObserveWindow(endTs int64, set hhh.Set, windowBytes int64) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for p, it := range set {
-		if int(p.FamilyBits()) < w.cfg.MinLevel {
-			continue
-		}
-		share := float64(it.Conditioned) / float64(windowBytes)
-		if share < w.cfg.Threshold || it.Conditioned < w.cfg.MinBytes {
+		share, hot := w.cfg.hot(p, it, windowBytes)
+		if !hot {
 			continue
 		}
 		st := w.states[p]
@@ -186,11 +166,10 @@ func (w *Watcher) ObserveWindow(endTs int64, set hhh.Set, windowBytes int64) {
 			st = &attackState{}
 			w.states[p] = st
 		}
-		st.above++
 		st.below = 0
 		st.lastShare = share
 		st.lastBytes = it.Conditioned
-		if !st.active && st.above >= w.cfg.HoldOn {
+		if !st.active {
 			st.active = true
 			st.onsetTs = endTs
 			w.emit(Event{
@@ -203,10 +182,11 @@ func (w *Watcher) ObserveWindow(endTs int64, set hhh.Set, windowBytes int64) {
 	// cools down; cold inactive entries are dropped so the state map stays
 	// bounded by the number of concurrently hot prefixes.
 	for p, st := range w.states {
-		if above, ok := aboveThisWindow(set, p, windowBytes, w.cfg); ok && above {
-			continue
+		if it, ok := set[p]; ok {
+			if _, hot := w.cfg.hot(p, it, windowBytes); hot {
+				continue
+			}
 		}
-		st.above = 0
 		st.below++
 		if st.active && st.below >= w.cfg.HoldOff {
 			st.active = false
@@ -222,28 +202,22 @@ func (w *Watcher) ObserveWindow(endTs int64, set hhh.Set, windowBytes int64) {
 	}
 }
 
-// aboveThisWindow reports whether p held the threshold in this window's
-// set (and whether it was present at all — the bool pair keeps the caller
-// loop readable).
-func aboveThisWindow(set hhh.Set, p addr.Prefix, windowBytes int64, cfg WatcherConfig) (above, ok bool) {
-	it, ok := set[p]
-	if !ok || int(p.FamilyBits()) < cfg.MinLevel {
-		return false, ok
-	}
-	share := float64(it.Conditioned) / float64(windowBytes)
-	return share >= cfg.Threshold && it.Conditioned >= cfg.MinBytes, true
+// hot returns p's share of windowBytes and whether it holds the threshold.
+func (c WatcherConfig) hot(p addr.Prefix, it hhh.Item, windowBytes int64) (share float64, ok bool) {
+	share = float64(it.Conditioned) / float64(windowBytes)
+	return share, p.FamilyBits() != 0 && share >= c.Threshold && it.Conditioned >= c.MinBytes
 }
 
 // emit appends to the ring and fires the callback. Caller holds w.mu.
 func (w *Watcher) emit(e Event) {
 	w.seq++
 	e.Seq = w.seq
-	if len(w.ring) < w.cfg.Capacity {
+	if len(w.ring) < eventCapacity {
 		w.ring = append(w.ring, e)
 	} else {
 		w.ring[w.next] = e
 	}
-	w.next = (w.next + 1) % w.cfg.Capacity
+	w.next = (w.next + 1) % eventCapacity
 	w.total++
 	if e.Type == EventOnset {
 		w.onsets++
@@ -255,12 +229,12 @@ func (w *Watcher) emit(e Event) {
 	}
 }
 
-// Events returns the retained events oldest-first (at most Capacity; the
-// ring overwrites the oldest once full).
+// Events returns the retained events oldest-first (at most eventCapacity;
+// the ring overwrites the oldest once full).
 func (w *Watcher) Events() []Event {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if len(w.ring) < w.cfg.Capacity {
+	if len(w.ring) < eventCapacity {
 		// Ring not yet full: the slice itself is oldest-first.
 		return append([]Event(nil), w.ring...)
 	}

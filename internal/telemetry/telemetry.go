@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,16 +64,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adds d to the gauge (atomically, via compare-and-swap).
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Value returns the current gauge value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -196,7 +187,7 @@ func (r *Registry) family(name, help string, kind metricKind, labels []string, b
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if f, ok := r.families[name]; ok {
-		if f.kind != kind || f.help != help || !equalStrings(f.labels, labels) || !equalFloats(f.buckets, buckets) {
+		if f.kind != kind || f.help != help || !slices.Equal(f.labels, labels) || !slices.Equal(f.buckets, buckets) {
 			panic("telemetry: conflicting registration of metric family " + name)
 		}
 		return f
@@ -250,21 +241,11 @@ func (f *family) child(values []string, mk func() *child) *child {
 	return c
 }
 
-// Counter registers (or returns) an unlabeled counter.
-func (r *Registry) Counter(name, help string) *Counter {
-	return r.family(name, help, kindCounter, nil, nil).child(nil, nil).counter
-}
-
 // CounterFunc registers a function-backed counter: fn is read at scrape
 // time and must be monotonically non-decreasing (typically an existing
 // atomic counter loaded in place, costing the hot path nothing).
 func (r *Registry) CounterFunc(name, help string, fn func() int64) {
 	r.family(name, help, kindCounter, nil, nil).child(nil, func() *child { return &child{cfn: fn} })
-}
-
-// Gauge registers (or returns) an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.family(name, help, kindGauge, nil, nil).child(nil, nil).gauge
 }
 
 // GaugeFunc registers a function-backed gauge read at scrape time.
@@ -503,32 +484,6 @@ func validLabelName(s string) bool {
 		ok := r == '_' || (r >= 'a' && r <= 'z') || (r >= 'A' && r <= 'Z') ||
 			(i > 0 && r >= '0' && r <= '9')
 		if !ok {
-			return false
-		}
-	}
-	return true
-}
-
-// equalStrings reports element-wise equality.
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// equalFloats reports element-wise equality.
-func equalFloats(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
 			return false
 		}
 	}

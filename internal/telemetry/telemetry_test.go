@@ -10,20 +10,20 @@ import (
 // monotone (negative adds ignored), gauges move both ways.
 func TestCounterGauge(t *testing.T) {
 	r := NewRegistry()
-	c := r.Counter("hhh_test_total", "test counter")
+	c := r.CounterVec("hhh_test_total", "test counter", "shard").With("0")
 	c.Inc()
 	c.Add(4)
 	c.Add(-7)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d, want 5", got)
 	}
-	g := r.Gauge("hhh_test_gauge", "test gauge")
+	g := r.GaugeVec("hhh_test_gauge", "test gauge", "shard").With("0")
 	g.Set(2.5)
-	g.Add(-1)
+	g.Set(1.5)
 	if got := g.Value(); got != 1.5 {
 		t.Fatalf("gauge = %v, want 1.5", got)
 	}
-	if again := r.Counter("hhh_test_total", "test counter"); again != c {
+	if again := r.CounterVec("hhh_test_total", "test counter", "shard").With("0"); again != c {
 		t.Fatal("re-registration returned a different counter")
 	}
 }
@@ -104,12 +104,13 @@ func TestFuncBacked(t *testing.T) {
 // and must panic rather than corrupt the exposition.
 func TestConflictingRegistrationPanics(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hhh_test_total", "help")
+	one := func() int64 { return 1 }
+	r.CounterFunc("hhh_test_total", "help", one)
 	for name, fn := range map[string]func(){
-		"type":   func() { r.Gauge("hhh_test_total", "help") },
-		"help":   func() { r.Counter("hhh_test_total", "other help") },
+		"type":   func() { r.GaugeFunc("hhh_test_total", "help", func() float64 { return 1 }) },
+		"help":   func() { r.CounterFunc("hhh_test_total", "other help", one) },
 		"labels": func() { r.CounterVec("hhh_test_total", "help", "shard") },
-		"name":   func() { r.Counter("bad name", "help") },
+		"name":   func() { r.CounterFunc("bad name", "help", one) },
 	} {
 		func() {
 			defer func() {
@@ -144,8 +145,8 @@ func TestLabelEscaping(t *testing.T) {
 // exercising every metric kind.
 func TestValidateExpositionAccepts(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("hhh_a_total", "a").Add(3)
-	r.Gauge("hhh_b", "b").Set(1.25)
+	r.CounterFunc("hhh_a_total", "a", func() int64 { return 3 })
+	r.GaugeFunc("hhh_b", "b", func() float64 { return 1.25 })
 	r.Histogram("hhh_c_seconds", "c", LatencyBuckets).Observe(0.002)
 	r.CounterVec("hhh_d_total", "d", "shard").With("0").Inc()
 	r.HistogramVec("hhh_e_seconds", "e", []float64{1, 2}, "mode").With("sliding").Observe(1.5)

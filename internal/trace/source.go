@@ -6,36 +6,6 @@ import (
 	"sort"
 )
 
-// SliceSource replays an in-memory packet slice. The zero value is an empty
-// stream. It is the workhorse of tests and of experiments that pass over
-// the same trace several times.
-type SliceSource struct {
-	pkts []Packet
-	pos  int
-}
-
-// NewSliceSource wraps pkts without copying; the caller must not mutate the
-// slice while the source is in use.
-func NewSliceSource(pkts []Packet) *SliceSource {
-	return &SliceSource{pkts: pkts}
-}
-
-// Next implements Source.
-func (s *SliceSource) Next(p *Packet) error {
-	if s.pos >= len(s.pkts) {
-		return io.EOF
-	}
-	*p = s.pkts[s.pos]
-	s.pos++
-	return nil
-}
-
-// Reset rewinds the source to the first packet.
-func (s *SliceSource) Reset() { s.pos = 0 }
-
-// Len returns the total number of packets in the source.
-func (s *SliceSource) Len() int { return len(s.pkts) }
-
 // Collect drains src into a slice. sizeHint may be zero.
 func Collect(src Source, sizeHint int) ([]Packet, error) {
 	pkts := make([]Packet, 0, sizeHint)
@@ -49,24 +19,6 @@ func Collect(src Source, sizeHint int) ([]Packet, error) {
 			return pkts, err
 		}
 		pkts = append(pkts, p)
-	}
-}
-
-// ForEach applies fn to every packet of src. It stops early and returns
-// fn's error if fn fails; io.EOF from the source is not an error.
-func ForEach(src Source, fn func(*Packet) error) error {
-	var p Packet
-	for {
-		err := src.Next(&p)
-		if errors.Is(err, io.EOF) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-		if err := fn(&p); err != nil {
-			return err
-		}
 	}
 }
 

@@ -67,19 +67,17 @@ func (s Stats) String() string {
 		s.MinSize, s.MaxSize)
 }
 
-// ComputeStats makes a full pass over src and accumulates Stats.
-func ComputeStats(src Source) (Stats, error) {
-	s := Stats{ProtoPackets: map[uint8]int{}, MinSize: ^uint32(0)}
+// ComputeStats makes a full pass over pkts and accumulates Stats.
+func ComputeStats(pkts []Packet) Stats {
+	s := Stats{Packets: len(pkts), ProtoPackets: map[uint8]int{}}
+	if len(pkts) == 0 {
+		return s
+	}
+	s.FirstTs, s.LastTs, s.MinSize = pkts[0].Ts, pkts[len(pkts)-1].Ts, ^uint32(0)
 	srcs := map[addr.Addr]struct{}{}
 	dsts := map[addr.Addr]struct{}{}
-	first := true
-	err := ForEach(src, func(p *Packet) error {
-		if first {
-			s.FirstTs = p.Ts
-			first = false
-		}
-		s.LastTs = p.Ts
-		s.Packets++
+	for i := range pkts {
+		p := &pkts[i]
 		if p.Src.Is4() {
 			s.V4Packets++
 		} else {
@@ -89,18 +87,10 @@ func ComputeStats(src Source) (Stats, error) {
 		s.ProtoPackets[p.Proto]++
 		srcs[p.Src] = struct{}{}
 		dsts[p.Dst] = struct{}{}
-		if p.Size < s.MinSize {
-			s.MinSize = p.Size
-		}
-		if p.Size > s.MaxSize {
-			s.MaxSize = p.Size
-		}
-		return nil
-	})
-	if s.Packets == 0 {
-		s.MinSize = 0
+		s.MinSize = min(s.MinSize, p.Size)
+		s.MaxSize = max(s.MaxSize, p.Size)
 	}
 	s.DistinctSrc = len(srcs)
 	s.DistinctDst = len(dsts)
-	return s, err
+	return s
 }

@@ -12,11 +12,7 @@
 // files earlier revisions wrote.
 package trace
 
-import (
-	"time"
-
-	"hiddenhhh/internal/addr"
-)
+import "hiddenhhh/internal/addr"
 
 // Packet is a single observed packet. Timestamps are nanoseconds since an
 // arbitrary trace epoch; only differences matter to the algorithms. Size is
@@ -45,9 +41,6 @@ const (
 	// ProtoICMP.
 	ProtoICMPv6 = 58
 )
-
-// Time converts a packet timestamp to a duration since the trace epoch.
-func (p *Packet) Time() time.Duration { return time.Duration(p.Ts) }
 
 // Source yields packets in non-decreasing timestamp order. Next returns
 // io.EOF after the final packet. Implementations are not safe for

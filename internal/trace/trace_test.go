@@ -44,45 +44,6 @@ func mkPackets(n int, seed int64) []Packet {
 	return pkts
 }
 
-func TestSliceSource(t *testing.T) {
-	pkts := mkPackets(10, 1)
-	s := NewSliceSource(pkts)
-	if s.Len() != 10 {
-		t.Fatalf("Len = %d", s.Len())
-	}
-	got, err := Collect(s, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, pkts) {
-		t.Error("Collect did not reproduce input")
-	}
-	var p Packet
-	if err := s.Next(&p); !errors.Is(err, io.EOF) {
-		t.Errorf("exhausted source Next = %v, want EOF", err)
-	}
-	s.Reset()
-	if err := s.Next(&p); err != nil || p != pkts[0] {
-		t.Error("Reset should rewind to first packet")
-	}
-}
-
-func TestForEachStopsOnError(t *testing.T) {
-	pkts := mkPackets(10, 2)
-	boom := errors.New("boom")
-	count := 0
-	err := ForEach(NewSliceSource(pkts), func(*Packet) error {
-		count++
-		if count == 3 {
-			return boom
-		}
-		return nil
-	})
-	if !errors.Is(err, boom) || count != 3 {
-		t.Errorf("ForEach err=%v count=%d, want boom after 3", err, count)
-	}
-}
-
 // isSorted reports whether pkts is in non-decreasing timestamp order, the
 // invariant every Source must provide.
 func isSorted(pkts []Packet) bool {
@@ -273,10 +234,7 @@ func TestStats(t *testing.T) {
 		{Ts: 1e9, Src: addr.From4Uint32(1), Dst: addr.From4Uint32(11), Proto: ProtoUDP, Size: 200},
 		{Ts: 2e9, Src: addr.MustParseAddr("2001:db8::1"), Dst: addr.From4Uint32(10), Proto: ProtoTCP, Size: 300},
 	}
-	s, err := ComputeStats(NewSliceSource(pkts))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := ComputeStats(pkts)
 	if s.Packets != 3 || s.Bytes != 600 {
 		t.Errorf("packets=%d bytes=%d", s.Packets, s.Bytes)
 	}
@@ -307,10 +265,7 @@ func TestStats(t *testing.T) {
 }
 
 func TestStatsEmpty(t *testing.T) {
-	s, err := ComputeStats(NewSliceSource(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := ComputeStats(nil)
 	if s.Packets != 0 || s.Duration() != 0 || s.PacketRate() != 0 || s.BitRate() != 0 || s.MinSize != 0 {
 		t.Errorf("empty stats not zeroed: %+v", s)
 	}

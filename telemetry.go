@@ -47,8 +47,9 @@ const (
 )
 
 // AttackWatcherConfig parameterises NewAttackWatcher; the zero value
-// picks the documented defaults (threshold 0.25, MinLevel 1, HoldOn 1,
-// HoldOff 2, capacity 256).
+// picks the documented defaults (threshold 0.25, HoldOff 2); an onset fires
+// on the first window over the threshold, the hierarchy root never alarms
+// and the event ring keeps the newest 256 events.
 type AttackWatcherConfig = telemetry.WatcherConfig
 
 // AttackWatcher turns per-window HHH sets into attack onset/offset
