@@ -392,8 +392,8 @@ func (d *Detector) Query(now int64) hhh.Set {
 		n, v := &d.act.nodes[i], &d.sweep[i]
 		out.Add(hhh.Item{
 			Prefix:      d.prefixOf(n),
-			Count:       int64(v.est),
-			Conditioned: int64(v.est - v.claimed),
+			Count:       tdbf.SatInt64(v.est),
+			Conditioned: tdbf.SatInt64(v.est - v.claimed),
 		})
 	}
 	return out

@@ -468,3 +468,44 @@ func TestWarmupAnchorsAtFirstPacket(t *testing.T) {
 		}
 	}
 }
+
+// TestRestoredHugeMassSaturates: Restore takes any finite mass, so a
+// restored total and root cell of 1e30 are a state Query must answer. The
+// counts it reports saturate at MaxInt64; a bare conversion of a float
+// past the int64 range is left to the implementation (and gives MinInt64
+// on amd64).
+func TestRestoredHugeMassSaturates(t *testing.T) {
+	d, err := NewDetector(defaultCfg(0.05, time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := d.levels - 1
+	rootKey := d.cfg.Hierarchy.Key(addr.V4Root.Addr, root)
+	st := State{
+		Started: true,
+		Packets: 1,
+		Total:   tdbf.MassState{V: 1e30, Touch: 0},
+		Active:  []ActiveEntry{{Level: root, Key: rootKey}},
+	}
+	err = d.Restore(0, st, func(l, cells int) (tdbf.FilterState, error) {
+		done := l != root
+		return tdbf.FilterState{Seed: d.filters[l].Seed(), Landmark: 0, Next: func() (int, float64, bool) {
+			if done {
+				return 0, 0, false
+			}
+			done = true
+			return 0, 1e30, true
+		}}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := d.Query(0)
+	it, ok := set[addr.V4Root]
+	if !ok || set.Len() != 1 {
+		t.Fatalf("Query = %v, want the root alone", set)
+	}
+	if it.Count != math.MaxInt64 || it.Conditioned != math.MaxInt64 {
+		t.Fatalf("root Count %d, Conditioned %d; want both MaxInt64", it.Count, it.Conditioned)
+	}
+}

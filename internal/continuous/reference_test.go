@@ -14,13 +14,14 @@ import (
 // to a sweep, kept as the reference the new rule is compared against:
 // every packet re-validates every prefix of its own chain, entry and
 // exit, against a map-backed active set scanned quadratically. It shares
-// nothing with Detector but the filters and the mass tracker, which it
-// builds exactly as NewDetector does (unsampled only: the sampled rule
-// changed by design and has no per-packet equivalent).
+// nothing with Detector but the filters, which it builds exactly as
+// NewDetector does, and their time base, on which it tracks the total mass
+// in a level of one cell (unsampled only: the sampled rule changed by
+// design and has no per-packet equivalent).
 type refDetector struct {
 	cfg     Config
 	filters []*tdbf.Filter
-	total   *tdbf.MassTracker
+	total   *tdbf.Filter // one cell, key 0
 	active  map[addr.Prefix]int64
 	anc     []addr.Prefix
 	started bool
@@ -38,7 +39,7 @@ func newRefDetector(t *testing.T, cfg Config) *refDetector {
 	return &refDetector{
 		cfg:     d.cfg,
 		filters: d.filters,
-		total:   d.total,
+		total:   d.base.NewLevel(d.cfg.Filter, 0, 0),
 		active:  make(map[addr.Prefix]int64),
 
 		lastExit: make(map[addr.Prefix]int64),
@@ -81,14 +82,14 @@ func (d *refDetector) Observe(src addr.Addr, bytes int64, now int64) {
 	}
 	d.pkts++
 	w := float64(bytes)
-	d.total.Add(w, now)
+	d.total.Add(0, w, now)
 	for l, pre := range d.anc {
 		d.filters[l].Add(d.cfg.Hierarchy.KeyOfPrefix(pre), w, now)
 	}
 	if now < d.warmEnd {
 		return
 	}
-	enterT := d.cfg.Phi * d.total.Value(now)
+	enterT := d.cfg.Phi * d.total.Estimate(0, now)
 	exitT := enterT * d.cfg.ExitRatio
 	for _, p := range d.anc {
 		raw := d.estimate(p, now)
@@ -120,7 +121,7 @@ func (d *refDetector) deactivate(p addr.Prefix, now int64) {
 
 func (d *refDetector) Query(now int64) hhh.Set {
 	out := hhh.Set{}
-	exitT := d.cfg.Phi * d.total.Value(now) * d.cfg.ExitRatio
+	exitT := d.cfg.Phi * d.total.Estimate(0, now) * d.cfg.ExitRatio
 	prefixes := make([]addr.Prefix, 0, len(d.active))
 	for p := range d.active {
 		prefixes = append(prefixes, p)

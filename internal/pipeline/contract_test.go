@@ -292,3 +292,85 @@ func TestContractAggregatorMatchesBarrier(t *testing.T) {
 		}
 	})
 }
+
+// TestContractCapacityIsNotOutput: a Space-Saving table's storage grows
+// with the entries it holds, up to its capacity, and a reset keeps it. So
+// a pipeline whose tables were once flooded to capacity holds more storage
+// than its twin — and that must be all that differs. Emptied by a window
+// close, or in the sliding model by the flooded frames' expiry, its tables
+// seal and report byte for byte what the twin's do on the same stream
+// after. The twin's first window carries as many packets, from one
+// source: RHHH's level sampler steps once per packet, flood or not.
+func TestContractCapacityIsNotOutput(t *testing.T) {
+	const sec = int64(time.Second)
+	rng := rand.New(rand.NewSource(36))
+	flood, quiet := make([]trace.Packet, 40000), make([]trace.Packet, 40000) // [0, 2 s)
+	for i := range flood {
+		ts := int64(i) * 2 * sec / int64(len(flood))
+		flood[i] = trace.Packet{Ts: ts, Src: addr.From4Uint32(rng.Uint32()), Size: 64}
+		quiet[i] = trace.Packet{Ts: ts, Src: addr.From4(10, 0, 0, 1), Size: 64}
+	}
+	pkts := testStream(36, 20000, 6) // [2 s, 8 s) once shifted
+	for i := range pkts {
+		pkts[i].Ts += 2 * sec
+	}
+	forEachEngine(t, func(t *testing.T, cfg Config) {
+		if k := cfg.Engine; k != KindPerLevel && k != KindRHHH && k != KindWCSS {
+			t.Skip("no Space-Saving tables")
+		}
+		run := func(first []trace.Packet) (frames [][]byte, reps []hhh.Set, size int) {
+			var col sealCollector
+			c := cfg
+			c.OnSeal = col.add
+			d, err := New(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			d.ObserveBatch(first)
+			fed := 0
+			for at := 2 * sec; at <= 8*sec; at += sec / 2 {
+				n := fed
+				for n < len(pkts) && pkts[n].Ts < at {
+					n++
+				}
+				d.ObserveBatch(pkts[fed:n])
+				fed = n
+				d.ResyncSeal() // every sliding seal a full frame: no delta base in common
+				if set := d.Snapshot(at); at >= 4*sec {
+					reps = append(reps, set)
+				}
+			}
+			size = d.SizeBytes()
+			if err := d.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range col.all() {
+				if s.Start >= 2*sec { // the first window and its frames are gone
+					frames = append(frames, s.Frame)
+				}
+			}
+			return frames, reps, size
+		}
+		wantFrames, wantReps, twinSize := run(quiet)
+		frames, reps, floodedSize := run(flood)
+		if floodedSize <= twinSize {
+			t.Fatalf("the flooded pipeline holds %d B, its twin %d: the flood grew no table", floodedSize, twinSize)
+		}
+		if len(frames) != len(wantFrames) || len(frames) < 3 {
+			t.Fatalf("%d sealed frames after the flood, %d after the quiet window", len(frames), len(wantFrames))
+		}
+		for i := range frames {
+			if !bytes.Equal(frames[i], wantFrames[i]) {
+				t.Fatalf("sealed frame %d differs from the twin's", i)
+			}
+		}
+		for i := range reps {
+			sameSet(t, "report", reps[i], wantReps[i])
+		}
+		if wantReps[len(wantReps)-1].Len() == 0 {
+			t.Fatal("empty final report proves nothing")
+		}
+		t.Logf("%d frames and %d reports identical; state %d B flooded, %d B twin", len(frames), len(reps), floodedSize, twinSize)
+	})
+}

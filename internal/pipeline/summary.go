@@ -507,7 +507,7 @@ func (e *tdbfSummary) Fold(srcs ...Summary) {
 }
 
 func (e *tdbfSummary) Query(now int64) (hhh.Set, int64) {
-	return e.d.Query(now), int64(e.d.TotalMass(now))
+	return e.d.Query(now), tdbf.SatInt64(e.d.TotalMass(now))
 }
 
 // registerEngineMetrics exports what only one engine has to show about

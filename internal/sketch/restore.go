@@ -5,18 +5,18 @@ import (
 	"math"
 )
 
-// Restore replaces s's contents, in place and without allocating, with
-// serialized state: the summarised stream's total weight and n monitored
-// entries, entry(i) yielding the i-th. The entries are installed in the
-// canonical post-Merge layout (hot zone, stamps descending in entry
-// order), so a restored summary is merge- and query-equivalent to the
-// one that was serialized — Estimate, ErrorBound, Merge and the query
-// paths behave identically — and Ordered when the entries' counts arrive
-// non-increasing. It validates instead of panicking: entry counts and
-// error bounds must be non-negative with err <= count <= total (true of
-// every honest summary, merged ones included; a merge relies on it to
-// keep its sums from wrapping), keys must be unique, and at most Capacity
-// entries may be supplied. On error s is left empty.
+// Restore replaces s's contents in place, allocating only to grow s to n
+// entries, with serialized state: the summarised stream's total weight and
+// n monitored entries, entry(i) yielding the i-th. The entries are
+// installed in the canonical post-Merge layout (hot zone, stamps
+// descending in entry order), so a restored summary is merge- and
+// query-equivalent to the one that was serialized — Estimate, ErrorBound,
+// Merge and the query paths behave identically — and Ordered when the
+// entries' counts arrive non-increasing. It validates instead of
+// panicking: entry counts and error bounds must be non-negative with err
+// <= count <= total (true of every honest summary, merged ones included; a
+// merge relies on it to keep its sums from wrapping), keys must be unique,
+// and at most Capacity entries may be supplied. On error s is left empty.
 func (s *SpaceSaving) Restore(total int64, n int, entry func(i int) KV) error {
 	s.Reset()
 	if n < 0 || n > s.k {
@@ -25,6 +25,7 @@ func (s *SpaceSaving) Restore(total int64, n int, entry func(i int) KV) error {
 	if total < 0 {
 		return fmt.Errorf("sketch: restore: negative total %d", total)
 	}
+	s.grow(n)
 	ordered, prev := true, int64(math.MaxInt64)
 	for i := 0; i < n; i++ {
 		e := entry(i)

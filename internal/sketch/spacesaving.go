@@ -42,10 +42,12 @@ import (
 // evicted entry leaves the ring at once and the ring runs dry several
 // times a window, which is why the rebuild is a placement. The key index
 // is open addressed with backward-shift deletion; a slot holds the key's
-// hash and its node, not the key. The buckets are built at the first
-// rebuild, which only an eviction (or Min) asks for: merged and restored
-// summaries, and tables that never fill, never hold them. All storage is
-// reused across Reset, so the per-packet path never allocates.
+// hash and its node, not the key. Storage follows the entries, not k:
+// entries and index double as they fill (grow), and the buckets are built
+// at the first rebuild, which only an eviction (or Min) asks for — merged
+// and restored summaries, and tables that never fill, never hold them. All
+// storage is kept across Reset, so a window's per-packet path allocates
+// only where the table holds more entries than it ever has.
 //
 // Eviction among equal minimum counts is deterministic: the entry whose
 // count changed least recently goes first (bucket lists keep arrival
@@ -116,21 +118,38 @@ type ssSlot struct {
 	node int32
 }
 
-// NewSpaceSaving builds a summary with capacity k >= 1 counters.
+// NewSpaceSaving builds a summary with capacity k >= 1 counters. It holds
+// no entries and a 4-slot index until entries arrive (see grow).
 func NewSpaceSaving(k int) *SpaceSaving {
 	if k < 1 {
 		panic("sketch: SpaceSaving capacity must be >= 1")
 	}
-	tabSize := uint32(4)
-	for tabSize < uint32(2*k) {
-		tabSize <<= 1
+	return &SpaceSaving{k: k, tab: make([]ssSlot, 4), mask: 3, ordered: true}
+}
+
+// minEntries is the entry storage a table's first entry allocates.
+const minEntries = 8
+
+// grow makes room for n <= k entries: the entry storage becomes the
+// smallest power of two that holds them, at least minEntries and at most k
+// (so it doubles as it fills), the entries staying in place, and an index
+// below twice its size is rebuilt from the stored hashes, no key hashed
+// again. Storage is never given back.
+func (s *SpaceSaving) grow(n int) {
+	if n <= len(s.nodes) {
+		return
 	}
-	return &SpaceSaving{
-		k:       k,
-		nodes:   make([]ssNode, k),
-		tab:     make([]ssSlot, tabSize),
-		mask:    tabSize - 1,
-		ordered: true,
+	nodes := make([]ssNode, min(max(minEntries, 1<<bits.Len(uint(n-1))), s.k))
+	copy(nodes, s.nodes[:s.n])
+	s.nodes = nodes
+	if size := 1 << bits.Len(uint(2*len(nodes)-1)); size > len(s.tab) {
+		old := s.tab
+		s.tab, s.mask = make([]ssSlot, size), uint32(size-1)
+		for _, sl := range old {
+			if sl.node != 0 {
+				s.idxInsert(sl.h, sl.node-1)
+			}
+		}
 	}
 }
 
@@ -340,6 +359,9 @@ func (s *SpaceSaving) Update(key uint64, w int64) {
 		return
 	}
 	if s.n < s.k {
+		if s.n == len(s.nodes) {
+			s.grow(s.n + 1)
+		}
 		ni := int32(s.n)
 		s.n++
 		s.clock++
@@ -534,6 +556,7 @@ func (s *SpaceSaving) MergeAll(srcs []*SpaceSaving, sc *MergeScratch) {
 		keyOrder(rows, ord[i:j], tmp[i:j])
 	}
 	s.Reset()
+	s.grow(keep)
 	s.total = total
 	for i, r := range ord[:keep] {
 		s.install(i, keep, KV{Key: rows[r][rowKey], Count: int64(rows[r][rowCount]), ErrUB: int64(rows[r][rowErr])})
@@ -703,8 +726,8 @@ func (s *SpaceSaving) Total() int64 { return s.total }
 
 // Reset empties the summary. All storage is retained: the index is cleared
 // in place and nodes, buckets and bitmaps are recycled, so a
-// reset-per-window discipline performs no allocation after the first
-// eviction.
+// reset-per-window discipline performs no allocation once a window has
+// filled the table.
 func (s *SpaceSaving) Reset() {
 	if s.n > 0 { // an empty summary's index is clear: every entry in it is a node's
 		clear(s.tab)
@@ -747,9 +770,9 @@ func (s *SpaceSaving) Tracked() []KV {
 	return s.AppendTracked(make([]KV, 0, s.n))
 }
 
-// SizeBytes reports the storage the summary holds: entry nodes, the key
-// index and, once a rebuild has made them, the count buckets with their
-// occupancy bitmap.
+// SizeBytes reports the storage the summary holds: entry nodes and the
+// key index as far as they have grown and, once a rebuild has made them,
+// the count buckets with their occupancy bitmap.
 func (s *SpaceSaving) SizeBytes() int {
 	return len(s.nodes)*int(unsafe.Sizeof(ssNode{})) + len(s.tab)*int(unsafe.Sizeof(ssSlot{})) +
 		len(s.slots)*int(unsafe.Sizeof(ssRingSlot{})) + len(s.words)*int(unsafe.Sizeof(uint64(0)))

@@ -27,44 +27,75 @@ func sliceBytes(p any, byCap bool) int {
 
 // TestSpaceSavingFootprint holds SizeBytes to the storage the table holds
 // through its life — fresh, filling, evicting, reset, the result of a
-// MergeAll and of a Restore — and pins the layout: 40-byte entries,
-// 8-byte index slots, and count buckets that only a rebuild (an eviction)
-// allocates. The merged and the restored table, like every table the
-// merge accumulators and the Aggregator hold, never evict and hold none.
+// MergeAll and of a Restore — and pins the layout: 40-byte entries, 8-byte
+// index slots, and count buckets that only a rebuild (an eviction)
+// allocates. Storage is sized by the entries: a fresh table holds a
+// 4-slot index and no entries, entry storage doubles from minEntries as
+// entries arrive, up to k, the index stays twice its size, and a Reset
+// gives nothing back. The merged and the restored table, like every table
+// the merge accumulators and the Aggregator hold, hold storage for their
+// entries and no buckets.
 func TestSpaceSavingFootprint(t *testing.T) {
 	if n, sl := unsafe.Sizeof(ssNode{}), unsafe.Sizeof(ssSlot{}); n != 40 || sl != 8 {
 		t.Fatalf("an entry is %d B and an index slot %d B; want 40 and 8", n, sl)
 	}
-	const k = 512
-	check := func(stage string, s *SpaceSaving, ring bool) int {
+	check := func(stage string, s *SpaceSaving, entries int, ring bool) int {
 		t.Helper()
 		if got, want := s.SizeBytes(), sliceBytes(s, false); got != want {
 			t.Fatalf("%s: SizeBytes %d, the slices hold %d B", stage, got, want)
+		}
+		idx := 4
+		for idx < 2*entries {
+			idx *= 2
+		}
+		if len(s.nodes) != entries || len(s.tab) != idx {
+			t.Fatalf("%s: storage for %d entries and %d index slots, want %d and %d", stage, len(s.nodes), len(s.tab), entries, idx)
 		}
 		if (s.slots != nil) != ring || (s.words != nil) != ring {
 			t.Fatalf("%s: count buckets built %v, want %v", stage, s.slots != nil, ring)
 		}
 		return s.SizeBytes()
 	}
+	// step is the entry storage a table of capacity k holds for n entries.
+	step := func(n, k int) int {
+		size := 0
+		if n > 0 {
+			size = minEntries
+		}
+		for size < n {
+			size *= 2
+		}
+		return min(size, k)
+	}
 	rng := rand.New(rand.NewSource(29))
-	s := NewSpaceSaving(k)
-	fresh := check("fresh", s, false)
-	for i := 0; i < k/2; i++ {
-		s.Update(rng.Uint64(), int64(40+rng.Intn(1460)))
+	for _, k := range []int{512, 200} { // a power of two, and a capacity the doubling overshoots
+		s := NewSpaceSaving(k)
+		fresh := check("fresh", s, 0, false)
+		var steps []int
+		for i := 0; i < k; i++ {
+			s.Update(rng.Uint64(), int64(40+rng.Intn(1460)))
+			check("filling", s, step(s.Len(), k), false)
+			if len(steps) == 0 || steps[len(steps)-1] != len(s.nodes) {
+				steps = append(steps, len(s.nodes))
+			}
+		}
+		filled := s.SizeBytes()
+		for i := 0; i < 4*k; i++ {
+			s.Update(rng.Uint64(), int64(40+rng.Intn(1460)))
+		}
+		evicting := check("evicting", s, k, true)
+		if ring := int(unsafe.Sizeof(ssRingSlot{}))*ringSlots + ringSlots/8; evicting != filled+ring {
+			t.Fatalf("k=%d: an evicting table is %d B; want %d filled + %d of buckets and bitmap", k, evicting, filled, ring)
+		}
+		s.Reset()
+		if reset := check("reset", s, k, true); reset != evicting { // kept for the next window
+			t.Fatalf("k=%d: Reset left %d B of %d", k, reset, evicting)
+		}
+		t.Logf("a %d-counter table: fresh %d B, filled %d B, evicting %d B; entry storage %v",
+			k, fresh, filled, evicting, steps)
 	}
-	if filling := check("filling", s, false); filling != fresh {
-		t.Fatalf("a filling table grew from %d to %d B", fresh, filling)
-	}
-	for i := 0; i < 4*k; i++ {
-		s.Update(rng.Uint64(), int64(40+rng.Intn(1460)))
-	}
-	evicting := check("evicting", s, true)
-	if ring := int(unsafe.Sizeof(ssRingSlot{}))*ringSlots + ringSlots/8; evicting != fresh+ring {
-		t.Fatalf("an evicting table is %d B; want %d fresh + %d of buckets and bitmap", evicting, fresh, ring)
-	}
-	s.Reset()
-	check("reset", s, true) // the buckets are kept for the next window's evictions
 
+	const k = 512
 	src := NewSpaceSaving(k)
 	for i := 0; i < 3*k; i++ {
 		src.Update(uint64(rng.Intn(2*k)), int64(40+rng.Intn(1460)))
@@ -74,7 +105,7 @@ func TestSpaceSavingFootprint(t *testing.T) {
 	if merged.Len() != k {
 		t.Fatalf("the merge kept %d entries, want %d", merged.Len(), k)
 	}
-	check("merged", merged, false)
+	check("merged", merged, k, false)
 	if got, want := sc.SizeBytes(), sliceBytes(sc, true); got != want {
 		t.Fatalf("MergeScratch.SizeBytes %d, its slices hold %d B", got, want)
 	}
@@ -82,9 +113,14 @@ func TestSpaceSavingFootprint(t *testing.T) {
 	if err := restored.Restore(merged.Total(), merged.Len(), merged.Entry); err != nil {
 		t.Fatal(err)
 	}
-	check("restored", restored, false)
-	t.Logf("a %d-counter table: fresh %d B, evicting %d B, merged %d B, restored %d B",
-		k, fresh, evicting, merged.SizeBytes(), restored.SizeBytes())
+	check("restored", restored, k, false)
+	few := NewSpaceSaving(k)
+	if err := few.Restore(merged.Total(), 100, merged.Entry); err != nil {
+		t.Fatal(err)
+	}
+	check("restored 100", few, step(100, k), false)
+	t.Logf("a %d-counter table: merged %d B, restored %d B, 100 entries restored %d B",
+		k, merged.SizeBytes(), restored.SizeBytes(), few.SizeBytes())
 }
 
 // collidingPair returns two distinct keys with one 32-bit ssHash, found

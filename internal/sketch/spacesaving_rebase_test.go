@@ -138,6 +138,34 @@ func FuzzSpaceSavingVsHeap(f *testing.F) {
 	f.Add(seed, uint8(8))
 	f.Add(seed[:400], uint8(1))
 	f.Add([]byte{2, 1, 0, 16, 2, 2, 0, 16, 1, 0, 0, 0, 0x42, 3, 0xff, 0xff, 0, 0, 0, 0, 0x42, 3, 1, 0}, uint8(2))
+	// Entry counts that cross every growth step, minEntries, 2·minEntries,
+	// … up to k, then evict, in two fillings with a Reset between: by
+	// updates alone, and with a merge of three new keys every three updates
+	// (so that some steps are crossed by an update, some by a merge). For
+	// a capacity the doubling meets and one it overshoots.
+	for _, capacity := range []uint8{31, 23} {
+		for _, merges := range []bool{false, true} {
+			var ops []byte
+			op := func(sel byte, key int) {
+				ops = append(ops, sel, byte(key), byte(1+rng.Intn(255)), byte(rng.Intn(4)))
+			}
+			k, side := 1+int(capacity%32), 48
+			for fill := 0; fill < 2; fill++ {
+				for key := 0; key < k+8; key++ {
+					op(3, key)
+					if merges && key%3 == 2 {
+						for j := 0; j < 3; j++ {
+							op(2, side)
+							side++
+						}
+						op(1, 0)
+					}
+				}
+				op(0, 0)
+			}
+			f.Add(ops, capacity)
+		}
+	}
 	f.Fuzz(func(t *testing.T, ops []byte, capacity uint8) {
 		k := 1 + int(capacity%32)
 		ss, side := NewSpaceSaving(k), NewSpaceSaving(k)

@@ -41,12 +41,13 @@ func (s *Sliding) State() SlidingState {
 // slot by slot (see RestoreSlot); the slots themselves are not touched.
 func (s *Sliding) RestoreClock(curFrame int64) { s.curFrame = curFrame }
 
-// RestoreSlot replaces ring slot i, in place and without allocating,
-// with serialized state: the slot's exact total and its Space-Saving
-// summary (stream total and n entries, entry(e) yielding the e-th; see
-// sketch.SpaceSaving.Restore, which validates them). The clock must have
-// been restored first: under an uninitialised clock only an empty slot is
-// valid. On error the slot is left empty.
+// RestoreSlot replaces ring slot i in place, allocating only to grow the
+// slot's table to n entries, with serialized state: the slot's exact
+// total and its Space-Saving summary (stream total and n entries,
+// entry(e) yielding the e-th; see sketch.SpaceSaving.Restore, which
+// validates them). The clock must have been restored first: under an
+// uninitialised clock only an empty slot is valid. On error the slot is
+// left empty.
 func (s *Sliding) RestoreSlot(i int, frameTotal, total int64, n int, entry func(e int) sketch.KV) error {
 	s.clearSlot(i)
 	if frameTotal < 0 {

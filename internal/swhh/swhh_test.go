@@ -212,10 +212,14 @@ func TestResetAndSize(t *testing.T) {
 	if s.Estimate(1, 0) != 0 || s.WindowTotal(0) != 0 {
 		t.Error("Reset incomplete")
 	}
-	// Exact accounting: frames+1 summaries, as the summary reports it, and
-	// per slot an 8-byte total and three 8-byte stamps (version, floor,
-	// floor version).
-	if want := 5 * (sketch.NewSpaceSaving(32).SizeBytes() + 32); s.SizeBytes() != want {
+	// Exact accounting: frames+1 summaries, as each reports the storage it
+	// holds, and per slot an 8-byte total and three 8-byte stamps (version,
+	// floor, floor version). The one summary the update grew keeps its
+	// storage through Reset.
+	used := sketch.NewSpaceSaving(32)
+	used.Update(1, 10)
+	used.Reset()
+	if want := 4*sketch.NewSpaceSaving(32).SizeBytes() + used.SizeBytes() + 5*32; s.SizeBytes() != want {
 		t.Errorf("SizeBytes = %d, want %d", s.SizeBytes(), want)
 	}
 }

@@ -168,7 +168,7 @@ func TestEnter(t *testing.T) {
 	f, m := base.NewLevel(Config{Cells: 4}, 0, 2), base.NewMassTracker()
 	at := int64(5 * time.Second)
 	f.Add(1, 8, at)
-	m.Add(8, at)
+	m.add(8, at)
 	if down := base.Enter(at+1, 4); down != 0.25 || f.Estimate(1, at+1) != 2 || m.Value(at+1) != 2 {
 		t.Fatalf("at the entered instant: down %v, estimate %v, mass %v", down, f.Estimate(1, at+1), m.Value(at+1))
 	}

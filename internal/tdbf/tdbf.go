@@ -234,6 +234,22 @@ func validMass(v float64) bool {
 	return v >= 0 && !math.IsInf(v, 1) && !math.Signbit(v)
 }
 
+// SatInt64 converts a decayed mass, or a difference of two, to an int64
+// count, saturating at the ends of the int64 range (NaN gives 0): Go
+// leaves an out-of-range conversion to the implementation, and a restored
+// mass may be any finite value.
+func SatInt64(m float64) int64 {
+	switch {
+	case m >= math.MaxInt64: // 2^63, as MaxInt64 rounds
+		return math.MaxInt64
+	case m <= math.MinInt64:
+		return math.MinInt64
+	case math.IsNaN(m):
+		return 0
+	}
+	return int64(m)
+}
+
 // Filter is a forward-decayed time-decaying Bloom filter. It is not safe
 // for concurrent use.
 type Filter struct {
@@ -450,10 +466,6 @@ type MassTracker struct {
 	v    [1]float64 // mass scaled to base's landmark
 }
 
-// NewMassTracker builds a tracker on a Base of its own. It panics if no
-// decay law is supplied (see NewBase).
-func NewMassTracker(d Exponential) *MassTracker { return NewBase(d).NewMassTracker() }
-
 // NewMassTracker builds a tracker on b, sharing b's landmark with b's
 // other members.
 func (b *Base) NewMassTracker() *MassTracker {
@@ -462,14 +474,9 @@ func (b *Base) NewMassTracker() *MassTracker {
 	return t
 }
 
-// Add folds weight w observed at now into the tracker and returns the
-// mass after the add, which is what Value(now) would return next.
-func (t *MassTracker) Add(w float64, now int64) float64 {
-	up, down := t.base.scale(now, true)
-	return t.AddScaled(w*up) * down
-}
-
-// AddScaled is Add at the landmark's scale (see Filter.AddScaled).
+// AddScaled folds weight w, at the landmark's scale (see
+// Filter.AddScaled), into the tracker and returns the mass after the add
+// at that scale.
 func (t *MassTracker) AddScaled(w float64) float64 {
 	t.v[0] += w
 	return t.v[0]

@@ -183,16 +183,23 @@ func TestFilterResetAndAdds(t *testing.T) {
 	}
 }
 
+// add folds weight w observed at now into the tracker, as a lone writer
+// would, and returns the mass after the add: what Value(now) returns next.
+func (t *MassTracker) add(w float64, now int64) float64 {
+	up, down := t.base.scale(now, true)
+	return t.AddScaled(w*up) * down
+}
+
 func TestMassTracker(t *testing.T) {
-	m := NewMassTracker(Exponential{Tau: time.Second})
-	m.Add(100, 0)
+	m := NewBase(Exponential{Tau: time.Second}).NewMassTracker()
+	m.add(100, 0)
 	if got := m.Value(0); got != 100 {
 		t.Errorf("Value(0) = %v", got)
 	}
 	if got := m.Value(sec); math.Abs(got-100/math.E) > 1e-9 {
 		t.Errorf("Value(1s) = %v", got)
 	}
-	m.Add(50, sec)
+	m.add(50, sec)
 	want := 100/math.E + 50
 	if got := m.Value(sec); math.Abs(got-want) > 1e-9 {
 		t.Errorf("after second add: %v want %v", got, want)
@@ -206,21 +213,32 @@ func TestMassTracker(t *testing.T) {
 func TestMassTrackerRequiresDecay(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewMassTracker without a law should panic")
+			t.Error("a tracker without a law should panic")
 		}
 	}()
-	NewMassTracker(Exponential{})
+	NewBase(Exponential{}).NewMassTracker()
+}
+
+func TestSatInt64(t *testing.T) {
+	for m, want := range map[float64]int64{
+		0: 0, 1e18: 1e18, -3.9: -3, math.MaxInt64: math.MaxInt64, 1e30: math.MaxInt64, math.Inf(1): math.MaxInt64,
+		math.MinInt64: math.MinInt64, -1e30: math.MinInt64, math.Inf(-1): math.MinInt64, math.NaN(): 0,
+	} {
+		if got := SatInt64(m); got != want {
+			t.Errorf("SatInt64(%v) = %d, want %d", m, got, want)
+		}
+	}
 }
 
 func TestMassTrackerSteadyState(t *testing.T) {
 	// A constant-rate flow converges to rate*tau mass, the equivalence
 	// that lets continuous thresholds mirror window thresholds.
 	tau := time.Second
-	m := NewMassTracker(Exponential{Tau: tau})
+	m := NewBase(Exponential{Tau: tau}).NewMassTracker()
 	const perSecond = 1000.0
 	const stepMs = 10
 	for ts := int64(0); ts < 20*sec; ts += stepMs * int64(time.Millisecond) {
-		m.Add(perSecond*stepMs/1000, ts)
+		m.add(perSecond*stepMs/1000, ts)
 	}
 	got := m.Value(20 * sec)
 	want := perSecond * tau.Seconds()
@@ -412,18 +430,18 @@ func TestFilterMergeMismatchPanics(t *testing.T) {
 // stream's decayed mass.
 func TestMassTrackerMerge(t *testing.T) {
 	law := Exponential{Tau: time.Second}
-	a, b, whole := NewMassTracker(law), NewMassTracker(law), NewMassTracker(law)
+	a, b, whole := NewBase(law).NewMassTracker(), NewBase(law).NewMassTracker(), NewBase(law).NewMassTracker()
 	rng := rand.New(rand.NewSource(7))
 	now := int64(0)
 	for i := 0; i < 10000; i++ {
 		now += int64(rng.Intn(500)) * int64(time.Microsecond)
 		w := float64(40 + rng.Intn(1460))
 		if i%3 == 0 {
-			a.Add(w, now)
+			a.add(w, now)
 		} else {
-			b.Add(w, now)
+			b.add(w, now)
 		}
-		whole.Add(w, now)
+		whole.add(w, now)
 	}
 	a.Merge(b)
 	got, want := a.Value(now), whole.Value(now)
@@ -641,7 +659,7 @@ func TestHostileStamps(t *testing.T) {
 	for _, tau := range []time.Duration{1, time.Second, math.MaxInt64} {
 		// Every ordered pair of stamps, so each follows every other.
 		f := New(Config{Cells: 8, Hashes: 3, Decay: Exponential{Tau: tau}})
-		m := NewMassTracker(Exponential{Tau: tau})
+		m := NewBase(Exponential{Tau: tau}).NewMassTracker()
 		for _, a := range stamps {
 			for _, b := range stamps {
 				for i, now := range []int64{a, b} {
@@ -649,7 +667,7 @@ func TestHostileStamps(t *testing.T) {
 					if math.IsNaN(got) || math.IsInf(got, 0) || got < 0 {
 						t.Fatalf("tau %v: Add at %d after %d returned %v", tau, now, a, got)
 					}
-					if v := m.Add(math.MaxUint32, now); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+					if v := m.add(math.MaxUint32, now); math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
 						t.Fatalf("tau %v: tracker Add at %d returned %v", tau, now, v)
 					}
 				}
@@ -690,7 +708,7 @@ func hostileAhead(t *testing.T, tau time.Duration, stamps []int64, keys []uint64
 	ref := mk()
 	for i, now := range seq {
 		key := keys[i%len(keys)]
-		ref.est = append(ref.est, ref.total.Add(math.MaxUint32, now), ref.hashed.Add(key, math.MaxUint32, now), ref.direct.Add(key, math.MaxUint32, now))
+		ref.est = append(ref.est, ref.total.add(math.MaxUint32, now), ref.hashed.Add(key, math.MaxUint32, now), ref.direct.Add(key, math.MaxUint32, now))
 	}
 	if !ref.direct.Direct() || ref.direct.Cells() != 4 {
 		t.Fatalf("NewLevel(8 cells, 2 bits): direct %v, %d cells", ref.direct.Direct(), ref.direct.Cells())
@@ -811,13 +829,13 @@ func TestSharedBase(t *testing.T) {
 	for _, cfg := range cfgs {
 		shared, solo = append(shared, base.NewFilter(cfg)), append(solo, New(cfg))
 	}
-	total, soloTotal := base.NewMassTracker(), NewMassTracker(law)
+	total, soloTotal := base.NewMassTracker(), NewBase(law).NewMassTracker()
 	rng := rand.New(rand.NewSource(2))
 	now := int64(-3 * time.Second)
 	for i := 0; i < 40000; i++ {
 		now += int64(rng.Intn(int(500 * time.Microsecond))) // 10 s: three roll-overs
 		key, w := uint64(rng.Intn(50)), float64(40+rng.Intn(1460))
-		if got, want := total.Add(w, now), soloTotal.Add(w, now); !near(got, want) {
+		if got, want := total.add(w, now), soloTotal.add(w, now); !near(got, want) {
 			t.Fatalf("add %d: shared tracker %v, solo %v", i, got, want)
 		}
 		// The second filter is written for one packet in three only, so its
@@ -909,7 +927,7 @@ func TestRestore(t *testing.T) {
 			t.Errorf("%s: Restore accepted it", name)
 		}
 	}
-	m := NewMassTracker(cfg.Decay)
+	m := NewBase(cfg.Decay).NewMassTracker()
 	for name, st := range map[string]MassState{
 		"nan": {V: math.NaN()}, "negative": {V: -1}, "negative-zero": {V: math.Copysign(0, -1)},
 		"inf": {V: math.Inf(1)}, "no-landmark": {V: 1, Touch: NoLandmark}, "landmark": {V: 1, Touch: -(1 << 62) - 1},

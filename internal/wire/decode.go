@@ -98,8 +98,9 @@ func (f Frame) DecodeInto(prev any) (_ any, restored int, err error) {
 
 // decodeSS reads one Space-Saving sub-payload at the cursor and restores
 // it, charging the frame's summary and capacity budgets: into s when s has
-// the declared capacity, allocating nothing, else into a new summary. It
-// returns the summary restored; on error s may be emptied.
+// the declared capacity, allocating only the entry storage s lacks, else
+// into a new summary. It returns the summary restored; on error s may be
+// emptied.
 func decodeSS(c *cursor, s *sketch.SpaceSaving) (*sketch.SpaceSaving, error) {
 	k := int(c.u32())
 	total := c.i64()

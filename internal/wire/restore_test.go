@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 	"time"
@@ -16,6 +17,32 @@ import (
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 )
+
+// TestDecodeSSHostileCapacity: a frame's capacity costs nothing until
+// entries fill it. The empty Space-Saving frame of capacity 2^20, the
+// largest the budget admits, is 36 bytes; decoding it allocates a summary
+// with a 4-slot index, not a million entries' storage.
+func TestDecodeSSHostileCapacity(t *testing.T) {
+	frame := EncodeSpaceSaving(sketch.NewSpaceSaving(maxCounters))
+	decode := func() {
+		if v, err := Decode(frame); err != nil || v.(*sketch.SpaceSaving).Capacity() != maxCounters {
+			t.Fatalf("Decode: %v, %v", v, err)
+		}
+	}
+	decode()
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		decode()
+	}
+	runtime.ReadMemStats(&after)
+	per := (after.TotalAlloc - before.TotalAlloc) / runs
+	if per >= 4096 {
+		t.Fatalf("decoding a %d-byte empty frame of capacity %d allocates %d B", len(frame), maxCounters, per)
+	}
+	t.Logf("a %d-byte empty frame of capacity %d decodes in %d B", len(frame), maxCounters, per)
+}
 
 // TestRestoreSlidingInPlace drives one sender's successive frames into
 // one retained detector: every full frame restores every slot in place,
@@ -230,8 +257,9 @@ func testContinuousDecoded(t *testing.T, f Frame) *continuous.Detector {
 }
 
 // TestDecodeSSInto: a Space-Saving sub-payload restores into a summary of
-// its capacity without allocating, and into a new one otherwise; either
-// re-encodes to the frame it came from.
+// its capacity without allocating once that summary's storage holds the
+// entries, and into a new one otherwise; either re-encodes to the frame it
+// came from.
 func TestDecodeSSInto(t *testing.T) {
 	frame := EncodeSpaceSaving(testSpaceSaving(3, 500))
 	f, err := Verify(frame)

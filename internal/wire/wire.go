@@ -233,9 +233,11 @@ var (
 )
 
 // Decode allocation budgets. Capacity-type fields are not materialised
-// in the payload (an empty Space-Saving summary of capacity k encodes in
-// 16 bytes but allocates O(k)), so the decoder enforces hard caps
-// instead of payload proportionality for them. The budgets comfortably
+// in the payload. A Space-Saving summary allocates for the entries the
+// payload carries, not its capacity (an empty one of capacity k encodes in
+// 16 bytes and allocates a 4-slot index), but it grows up to k as updates
+// arrive, and a Memento table allocates capacity × ring cells at once; so
+// the decoder enforces hard caps on capacities. The budgets comfortably
 // cover every configuration the pipeline can produce; frames declaring
 // more are rejected with ErrCorrupt.
 const (

@@ -25,12 +25,14 @@ import (
 //
 // The per-level engine's coalescing block is part of that state: each
 // shard allocates one on its first batch, fills and applies it several
-// times per measured run, and reports it in SizeBytes. So is a
-// Space-Saving table's bucket ring, built at the table's first eviction:
-// the warm-up grows the detector's footprint by one block per shard and
-// one ring per table that evicted — each shard's /32 and /24 tables; the
-// /16, /8 and root levels hold 7, 1 and 1 keys — and by nothing for the
-// merge accumulator, which never ingests. The measured runs grow it by 0.
+// times per measured run, and reports it in SizeBytes. So are a
+// Space-Saving table's entries, which grow with the keys it holds, and its
+// bucket ring, built at the table's first eviction: the warm-up grows the
+// detector's footprint by one block per shard, and per shard by two tables
+// filled to capacity and evicting — the /32 and /24 levels — and three
+// that hold the first step of entries — the /16, /8 and root levels hold
+// 7, 1 and 1 keys — and by nothing for the merge accumulator, which never
+// ingests. The measured runs grow it by 0.
 func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -43,16 +45,21 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 	if block += probe.SizeBytes(); block != hhh.BlockBytes || block > 16<<10 {
 		t.Fatalf("a coalescing block is counted as %d B; want hhh.BlockBytes = %d, at most 16 KiB", block, hhh.BlockBytes)
 	}
-	table := sketch.NewSpaceSaving(2)
-	ring := -table.SizeBytes()
-	for key := uint64(0); key < 3; key++ { // the third key evicts
-		table.Update(key, 1)
+	const k = 512
+	// grown is what a table of capacity k grows by taking n keys.
+	grown := func(n int) int {
+		table := sketch.NewSpaceSaving(k)
+		fresh := table.SizeBytes()
+		for key := 0; key < n; key++ {
+			table.Update(uint64(key), 1)
+		}
+		return table.SizeBytes() - fresh
 	}
-	ring += table.SizeBytes()
+	evicting, small := grown(k+1), grown(1) // the k+1st key evicts
 	// A window longer than the trace keeps window-close merges (which
 	// legitimately allocate result sets) out of the measurement.
 	det, err := NewShardedDetector(ShardedConfig{
-		Shards: shards, Window: time.Hour, Phi: 0.05, Engine: EnginePerLevel,
+		Shards: shards, Window: time.Hour, Phi: 0.05, Engine: EnginePerLevel, Counters: k,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -69,9 +76,9 @@ func TestShardedKeyBatchZeroAlloc(t *testing.T) {
 		}
 	}
 	warm := det.SizeBytes()
-	if grew, evicting := warm-empty, 2*shards; grew != shards*block+evicting*ring {
-		t.Fatalf("footprint grew by %d B over the warm-up; want %d shards x %d B block + %d tables x %d B ring",
-			grew, shards, block, evicting, ring)
+	if grew := warm - empty; grew != shards*(block+2*evicting+3*small) {
+		t.Fatalf("footprint grew by %d B over the warm-up; want %d shards x (%d B block + 2 x %d B evicting table + 3 x %d B small table)",
+			grew, shards, block, evicting, small)
 	}
 
 	const chunk = 2048
