@@ -1,8 +1,8 @@
 // Package hashx provides the deterministic, seeded integer hashes used
-// throughout this repository: one mixing finaliser (Mix64, which also
-// drives the engines' level sampling), its seed premixer, the double-hashing
-// pair behind Bloom-filter cells (Probes2) and the bias-free range reduction
-// behind shard partitioning (Bucket).
+// throughout this repository: one mixing finaliser (Mix64), its seed
+// premixer, the level sampler of RHHH and Memento (Sampler, Level), the
+// double-hashing pair behind Bloom-filter cells (Probes2) and the bias-free
+// range reduction behind shard partitioning (Bucket).
 //
 // Everything hashed here is a small fixed-width integer key (a packed
 // prefix), so instead of a general byte-stream hash we use integer mixing
@@ -30,6 +30,18 @@ func Mix64(x uint64) uint64 {
 // hashes x under seed, and a caller that hashes many keys under one seed
 // pays for the premix once.
 func Premix(seed uint64) uint64 { return Mix64(seed ^ 0x9e3779b97f4a7c15) }
+
+// Sampler returns the level-sampling state a seed starts from.
+func Sampler(seed uint64) uint64 { return Mix64(seed ^ 0x5851f42d4c957f2d) }
+
+// Level is one splitmix64 step of a level sampler: it returns the next
+// state and the level in [0, levels) drawn from it by a high-multiply range
+// reduction. The state is part of the wire contract: an engine restored with
+// it draws the levels the original would have.
+func Level(state, levels uint64) (uint64, int) {
+	state += 0x9e3779b97f4a7c15
+	return state, int((Mix64(state) >> 32) * levels >> 32)
+}
 
 // Probes2 computes two independent hashes of x under a seed already put
 // through Premix, for double hashing: Bloom-filter cell j can then be

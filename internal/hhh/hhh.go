@@ -13,8 +13,8 @@
 //   - Exact offline computation from a per-leaf byte counter (the ground
 //     truth used by the hidden-HHH and window-sensitivity analyses).
 //   - A streaming per-level Space-Saving engine (the approach programmable
-//     data-plane HHH systems use).
-//   - RHHH, the randomised-level variant of Ben Basat et al.
+//     data-plane HHH systems use), and its level-sampled setting, RHHH
+//     (Ben Basat et al.), which updates one drawn level per packet.
 //   - HHH set algebra (union, difference, Jaccard similarity), the basis of
 //     the paper's metrics.
 //

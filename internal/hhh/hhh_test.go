@@ -1,6 +1,7 @@
 package hhh
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -445,7 +446,7 @@ func TestEnginesFilterOtherFamily(t *testing.T) {
 	}
 	v6eng := NewRHHH(addr.NewIPv6Hierarchy(addr.Hextet), 64, 1)
 	ingest(v6eng, addr.MustParseAddr("10.0.0.1"), 1000)
-	if v6eng.Total() != 0 || v6eng.Updates() != 0 {
+	if v6eng.Total() != 0 || v6eng.packets != 0 {
 		t.Error("v6 RHHH accounted a v4 packet")
 	}
 }
@@ -515,7 +516,7 @@ func TestRHHHFindsHeavyPrefixes(t *testing.T) {
 		ingest(eng, a, 1000)
 		total += 1000
 	}
-	if eng.Total() != total || eng.Updates() != 300000 {
+	if eng.Total() != total || eng.packets != 300000 {
 		t.Fatal("bookkeeping wrong")
 	}
 	set := eng.QueryFraction(0.1)
@@ -584,6 +585,31 @@ func TestRHHHEstimateAccuracy(t *testing.T) {
 	}
 }
 
+// TestRHHHQuerySaturates: a sampled engine scales each count by the level
+// count V at query time. Restored with 2⁶¹ bytes at one leaf of the 5-level
+// byte ladder, 5·2⁶¹ exceeds int64; a wrapped estimate is negative and the
+// heaviest prefix drops out of the report, where a saturated one stays.
+func TestRHHHQuerySaturates(t *testing.T) {
+	h := v4ByteHierarchy()
+	const n = int64(1) << 61
+	leaf := h.Key(addr.MustParseAddr("10.0.0.1"), 0)
+	sks := make([]*sketch.SpaceSaving, h.Levels())
+	for l := range sks {
+		sks[l] = sketch.NewSpaceSaving(8)
+	}
+	if err := sks[0].Restore(n, 1, func(int) sketch.KV { return sketch.KV{Key: leaf, Count: n} }); err != nil {
+		t.Fatal(err)
+	}
+	eng := new(PerLevel)
+	if err := RestoreRHHH(eng, h, n, 1, 0, sks); err != nil {
+		t.Fatal(err)
+	}
+	it, ok := eng.Query(1)[pfx("10.0.0.1/32")]
+	if !ok || it.Count != math.MaxInt64 {
+		t.Fatalf("leaf reported %v (%v), want a saturated count", it, ok)
+	}
+}
+
 func TestRHHHDeterministicUnderSeed(t *testing.T) {
 	h := v4ByteHierarchy()
 	run := func(seed uint64) Set {
@@ -604,7 +630,7 @@ func TestRHHHResetKeepsWorking(t *testing.T) {
 	eng := NewRHHH(h, 32, 1)
 	ingest(eng, addr.MustParseAddr("1.1.1.1"), 100)
 	eng.Reset()
-	if eng.Total() != 0 || eng.Updates() != 0 {
+	if eng.Total() != 0 || eng.packets != 0 {
 		t.Error("Reset bookkeeping")
 	}
 	ingest(eng, addr.MustParseAddr("1.1.1.1"), 100)

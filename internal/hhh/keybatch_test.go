@@ -308,7 +308,7 @@ func TestPerLevelBlockGuaranteesHostile(t *testing.T) {
 // where it is strictest: the level sampler must advance once per
 // family-matching packet in stream order, so a stream fed one packet at a
 // time and the same stream in chunks of any size leave the same totals,
-// update count and level tables.
+// packet count, sampler state and level tables.
 func TestRHHHKeyBatchMatchesUpdate(t *testing.T) {
 	pkts := dualStackStream(5, 20000)
 	for name, h := range hierarchiesUnderTest() {
@@ -327,9 +327,9 @@ func TestRHHHKeyBatchMatchesUpdate(t *testing.T) {
 					}
 					continue
 				}
-				if got.Total() != ref.Total() || got.Updates() != ref.Updates() {
-					t.Fatalf("chunk %d: total/updates %d/%d != per-packet %d/%d",
-						bs, got.Total(), got.Updates(), ref.Total(), ref.Updates())
+				if got.Total() != ref.Total() || got.packets != ref.packets || got.rng != ref.rng {
+					t.Fatalf("chunk %d: total/packets/sampler %d/%d/%#x != per-packet %d/%d/%#x",
+						bs, got.Total(), got.packets, got.rng, ref.Total(), ref.packets, ref.rng)
 				}
 				for l, want := range ref.sks {
 					requireSameSummary(t, fmt.Sprintf("chunk %d", bs), l, got.sks[l], want)

@@ -91,9 +91,9 @@ func TestRHHHMergeIdentity(t *testing.T) {
 	}
 	merged := NewRHHH(h, k, 0)
 	merged.Merge(a)
-	if merged.Total() != ref.Total() || merged.Updates() != ref.Updates() {
+	if merged.Total() != ref.Total() || merged.packets != ref.packets {
 		t.Fatalf("merged totals (%d,%d) != ref (%d,%d)",
-			merged.Total(), merged.Updates(), ref.Total(), ref.Updates())
+			merged.Total(), merged.packets, ref.Total(), ref.packets)
 	}
 	T := Threshold(ref.Total(), 0.02)
 	if got, want := merged.Query(T), ref.Query(T); !got.Equal(want) {
@@ -111,4 +111,25 @@ func TestMergeHierarchyMismatchPanics(t *testing.T) {
 	a := NewPerLevel(addr.NewIPv4Hierarchy(addr.Byte), 8)
 	b := NewPerLevel(addr.NewIPv4Hierarchy(addr.Nibble), 8)
 	a.Merge(b)
+}
+
+// TestMergeSamplingMismatchPanics: a level-sampled engine's counts stand
+// for V times their mass and an unsampled one's for their own, so a merge
+// of the two, either way round, is a programmer error.
+func TestMergeSamplingMismatchPanics(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	for _, dst := range []bool{false, true} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic merging into sampled=%v from sampled=%v", dst, !dst)
+				}
+			}()
+			a, b := NewPerLevel(h, 8), NewRHHH(h, 8, 1)
+			if dst {
+				a, b = b, a
+			}
+			a.MergeAll([]*PerLevel{b})
+		}()
+	}
 }

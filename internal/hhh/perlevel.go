@@ -4,6 +4,7 @@ import (
 	"unsafe"
 
 	"hiddenhhh/internal/addr"
+	"hiddenhhh/internal/hashx"
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/trace"
 )
@@ -33,15 +34,31 @@ import (
 // bottom-up pass. UpdateKeys is the only way in: the batch is packed and
 // filtered to the hierarchy's address family where packets are staged
 // (see trace.KeyBatch).
+//
+// Built by NewRHHH, the engine is level-sampled instead: RHHH, the
+// randomised HHH algorithm of Ben Basat et al. (SIGCOMM 2017). Each packet
+// updates the summary of one level drawn from a seeded splitmix64 sequence
+// (hashx.Level), and queries scale every count by the level count V to
+// recover unbiased subtree estimates. Per-packet cost is then one table
+// update whatever the hierarchy's height — the trade RHHH was designed for
+// on IPv6's 17-level nibble lattice — at the price of sampling variance,
+// which shrinks as the per-level sample grows. A sampled engine has no
+// block.
 type PerLevel struct {
 	h       addr.Hierarchy
 	sks     []*sketch.SpaceSaving
 	masks   []uint64 // per-level key masks, hoisted out of the hot path
 	qs      *QueryScratch
 	total   int64
-	blk     *Block // pending packets; nil until the first UpdateKeys
+	packets int64  // packets since the last Reset
+	blk     *Block // pending packets; nil until the first unsampled UpdateKeys
 	updates int64  // table updates applied by settles, since built
+	sampled bool   // one drawn level per packet (RHHH)
+	rng     uint64 // the level sampler's state (hashx.Level)
 }
+
+// RHHH is the level-sampled setting of PerLevel (see NewRHHH).
+type RHHH = PerLevel
 
 // The coalescing block's geometry: BlockKeys distinct keys behind an
 // open-addressed index of four times as many two-byte slots, 12 KB in all —
@@ -174,31 +191,62 @@ func NewPerLevel(h addr.Hierarchy, k int) *PerLevel {
 	return p
 }
 
+// NewRHHH builds a level-sampled engine (RHHH) with k counters per level,
+// drawing levels from a sequence fixed by seed.
+func NewRHHH(h addr.Hierarchy, k int, seed uint64) *PerLevel {
+	p := NewPerLevel(h, k)
+	p.sampled, p.rng = true, hashx.Sampler(seed)
+	return p
+}
+
 // Hierarchy returns the configured hierarchy.
 func (p *PerLevel) Hierarchy() addr.Hierarchy { return p.h }
+
+// Sampled reports whether p is level-sampled, with its packet count since
+// the last Reset and its sampler state: what a sampled engine is serialized
+// with beside its levels, so that a restored engine draws the levels the
+// original would (see RestoreRHHH).
+func (p *PerLevel) Sampled() (sampled bool, packets int64, sampler uint64) {
+	return p.sampled, p.packets, p.rng
+}
 
 // UpdateKeys feeds a columnar batch of pre-packed leaf keys and returns
 // the total byte weight added. Each packet costs one insert into the
 // coalescing block; the level summaries are touched only when the block
 // fills (see Settle), so per-level work scales with the distinct prefixes
-// of the stream, not with its packets. How the stream is cut into batches
-// leaves no trace in the state.
+// of the stream, not with its packets. A sampled engine instead updates
+// the drawn level's summary directly, with the leaf key masked by that
+// level's mask, and its sampler runs on across calls. Either way how the
+// stream is cut into batches leaves no trace in the state.
 func (p *PerLevel) UpdateKeys(b *trace.KeyBatch) int64 {
-	if p.blk == nil {
-		p.blk = new(Block)
-	}
-	blk, leaf := p.blk, p.masks[0]
 	sizes := b.Sizes[:len(b.Keys)]
 	var bytes int64
-	for i, k := range b.Keys {
-		w := int64(sizes[i])
-		bytes += w
-		if k &= leaf; !blk.Add(k, w) {
-			p.Settle()
-			blk.Add(k, w)
+	if p.sampled {
+		rng, levels := p.rng, uint64(len(p.sks))
+		for i, k := range b.Keys {
+			w := int64(sizes[i])
+			bytes += w
+			var l int
+			rng, l = hashx.Level(rng, levels)
+			p.sks[l].Update(k&p.masks[l], w)
+		}
+		p.rng = rng
+	} else {
+		if p.blk == nil {
+			p.blk = new(Block)
+		}
+		blk, leaf := p.blk, p.masks[0]
+		for i, k := range b.Keys {
+			w := int64(sizes[i])
+			bytes += w
+			if k &= leaf; !blk.Add(k, w) {
+				p.Settle()
+				blk.Add(k, w)
+			}
 		}
 	}
 	p.total += bytes
+	p.packets += int64(len(b.Keys))
 	return bytes
 }
 
@@ -230,15 +278,20 @@ func (p *PerLevel) Merge(o *PerLevel) { p.MergeAll([]*PerLevel{o}) }
 // arithmetic: the sum of the engines' bounds, the single-engine bound for
 // hash-partitioned shards of one stream). Pending blocks are applied
 // first; the sources are not otherwise modified. All engines must share
-// the same hierarchy. Totals saturate at MaxInt64.
+// the same hierarchy and sampling; p keeps its sampler state. Totals
+// saturate at MaxInt64. Level sampling is order-insensitive — each packet
+// draws independently — so sampled engines built on disjoint substreams
+// merge like their level summaries, and the merged counts scaled by V stay
+// unbiased for the combined stream.
 func (p *PerLevel) MergeAll(srcs []*PerLevel) {
 	p.Settle()
 	for _, o := range srcs {
-		if p.h != o.h {
-			panic("hhh: PerLevel.Merge hierarchy mismatch")
+		if p.h != o.h || p.sampled != o.sampled {
+			panic("hhh: PerLevel.Merge hierarchy or sampling mismatch")
 		}
 		o.Settle()
 		p.total = sketch.AddSat(p.total, o.total)
+		p.packets = sketch.AddSat(p.packets, o.packets)
 	}
 	mergeLevels(p.sks, len(srcs), func(i int) []*sketch.SpaceSaving { return srcs[i].sks })
 }
@@ -259,21 +312,27 @@ func mergeLevels(dst []*sketch.SpaceSaving, n int, levels func(i int) []*sketch.
 
 // Reset clears all levels and discards a pending block. Sketch and block
 // storage is retained, so the reset-per-window discipline performs no
-// allocation.
+// allocation. The sampler keeps rolling, so consecutive windows do not
+// replay one level sequence.
 func (p *PerLevel) Reset() {
 	for _, s := range p.sks {
 		s.Reset()
 	}
-	p.total = 0
+	p.total, p.packets = 0, 0
 	if p.blk != nil && p.blk.n > 0 {
 		p.blk.Clear()
 	}
 }
 
-// Query returns the HHH set at absolute byte threshold T.
+// Query returns the HHH set at absolute byte threshold T, a sampled
+// engine scaling every count by the level count.
 func (p *PerLevel) Query(T int64) Set {
 	p.Settle()
-	return queryLevels(p.h, p.sks, 1, T, p.qs)
+	scale := int64(1)
+	if p.sampled {
+		scale = int64(len(p.sks))
+	}
+	return queryLevels(p.h, p.sks, scale, T, p.qs)
 }
 
 // QueryFraction returns the HHH set at threshold phi of the observed

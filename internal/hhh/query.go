@@ -24,13 +24,13 @@ func NewQueryScratch() *QueryScratch {
 }
 
 // ConditionedLevels runs the bottom-up conditioned HHH pass shared by
-// every per-level streaming engine (PerLevel, RHHH, the sliding-window
-// wrapper). forEach must call emit once per candidate level-l key (see
-// addr.Hierarchy.Key) with its (already scaled) subtree estimate;
-// duplicates are the producer's responsibility. Claimed subtree volume
-// propagates upward as a discount exactly as in the exact algorithm,
-// including discounts whose prefix fell out of the parent level's
-// summary. qs supplies the reusable discount tables, so the pass
+// every per-level streaming engine (PerLevel, sampled or not, and the
+// sliding-window engines). forEach must call emit once per candidate
+// level-l key (see addr.Hierarchy.Key) with its (already scaled) subtree
+// estimate; duplicates are the producer's responsibility. Claimed subtree
+// volume propagates upward as a discount exactly as in the exact
+// algorithm, including discounts whose prefix fell out of the parent
+// level's summary. qs supplies the reusable discount tables, so the pass
 // allocates only the returned Set.
 func ConditionedLevels(h addr.Hierarchy, T int64, qs *QueryScratch, forEach func(l int, emit func(key uint64, est int64))) Set {
 	levels := h.Levels()
@@ -85,12 +85,12 @@ func ConditionedLevels(h addr.Hierarchy, T int64, qs *QueryScratch, forEach func
 }
 
 // queryLevels runs the conditioned pass over per-level Space-Saving
-// summaries, iterated in place. scale multiplies raw sketch counts (1
-// for engines that update every level; V for RHHH's sampled levels).
+// summaries, iterated in place. scale multiplies raw sketch counts,
+// saturating (1 for engines that update every level; V for sampled levels).
 func queryLevels(h addr.Hierarchy, sks []*sketch.SpaceSaving, scale int64, T int64, qs *QueryScratch) Set {
 	var emitFn func(key uint64, est int64)
 	inner := func(key uint64, count, _ int64) {
-		emitFn(key, count*scale)
+		emitFn(key, sketch.MulSat(count, scale))
 	}
 	return ConditionedLevels(h, T, qs, func(l int, emit func(key uint64, est int64)) {
 		emitFn = emit

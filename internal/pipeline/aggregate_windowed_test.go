@@ -105,10 +105,6 @@ func tables(s Summary) []any {
 		for l := range e.d.Hierarchy().Levels() {
 			out = append(out, e.d.LevelSummary(l))
 		}
-	case *rhhhSummary:
-		for l := range e.d.Hierarchy().Levels() {
-			out = append(out, e.d.LevelSummary(l))
-		}
 	}
 	return out
 }

@@ -187,8 +187,6 @@ func wrap(e any, phi float64) (Summary, error) {
 		return &exactSummary{h: e.Hierarchy, ex: e.Leaves, phi: phi}, nil
 	case *hhh.PerLevel:
 		return &perLevelSummary{d: e, phi: phi}, nil
-	case *hhh.RHHH:
-		return &rhhhSummary{d: e, phi: phi}, nil
 	case *swhh.SlidingHHH:
 		return &wcssSummary{d: e, phi: phi}, nil
 	case *swhh.MementoHHH:
@@ -216,8 +214,6 @@ func restore(prev Summary, at sealedAt, frame wire.Frame, phi float64) (sum Summ
 	case *exactSummary:
 		raw = wire.ExactSummary{Hierarchy: p.h, Leaves: p.ex}
 	case *perLevelSummary:
-		raw = p.d
-	case *rhhhSummary:
 		raw = p.d
 	case *wcssSummary:
 		raw = p.d
@@ -374,9 +370,10 @@ func (e *exactSummary) Query(int64) (hhh.Set, int64) {
 	return hhh.Exact(e.ex, e.h, hhh.Threshold(total, e.phi)), total
 }
 
-// perLevelSummary adapts one Space-Saving summary per level. Advance is
-// where a shard settles its pending coalescing block, on its own
-// goroutine, before the barrier merge reads its level summaries.
+// perLevelSummary adapts one Space-Saving summary per level, level-sampled
+// (rhhh) or not (perlevel). Advance is where a shard settles its pending
+// coalescing block, on its own goroutine, before the barrier merge reads
+// its level summaries; a sampled engine has none.
 type perLevelSummary struct {
 	d   *hhh.PerLevel
 	phi float64
@@ -398,31 +395,6 @@ func (e *perLevelSummary) Fold(srcs ...Summary) {
 }
 
 func (e *perLevelSummary) Query(int64) (hhh.Set, int64) {
-	return e.d.QueryFraction(e.phi), e.d.Total()
-}
-
-// rhhhSummary adapts the level-sampled windowed engine.
-type rhhhSummary struct {
-	d   *hhh.RHHH
-	phi float64
-}
-
-func (e *rhhhSummary) UpdateKeys(b *trace.KeyBatch) { e.d.UpdateKeys(b) }
-func (e *rhhhSummary) Advance(int64)                {}
-func (e *rhhhSummary) Reset()                       { e.d.Reset() }
-func (e *rhhhSummary) SizeBytes() int               { return e.d.SizeBytes() }
-func (e *rhhhSummary) Encode() []byte               { return wire.EncodeRHHH(e.d) }
-
-func (e *rhhhSummary) Fold(srcs ...Summary) {
-	round := make([]*hhh.RHHH, len(srcs))
-	for i, o := range srcs {
-		round[i] = o.(*rhhhSummary).d
-	}
-	e.d.Reset()
-	e.d.MergeAll(round)
-}
-
-func (e *rhhhSummary) Query(int64) (hhh.Set, int64) {
 	return e.d.QueryFraction(e.phi), e.d.Total()
 }
 

@@ -10,7 +10,7 @@ import (
 
 // SpaceSaving is the Metwally et al. Space-Saving summary generalised to
 // weighted updates, the counter algorithm used by the per-level HHH
-// engine, RHHH and WCSS.
+// engine in both its settings (RHHH is the level-sampled one) and WCSS.
 //
 // It maintains at most k (key, count, err) entries. A monitored key's
 // update simply adds its weight. An unmonitored key evicts the entry with
@@ -453,6 +453,15 @@ func AddSat(a, b int64) int64 {
 		return c
 	}
 	return math.MaxInt64
+}
+
+// MulSat is a·m for non-negative a and positive m, saturating at MaxInt64:
+// how a level-sampled engine scales a count by its level count.
+func MulSat(a, m int64) int64 {
+	if a > math.MaxInt64/m {
+		return math.MaxInt64
+	}
+	return a * m
 }
 
 // Merge folds summary o into s: MergeAll of the one source.

@@ -48,6 +48,7 @@ import (
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hashx"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/trace"
 )
 
@@ -360,12 +361,18 @@ func (m *Memento) Advance(now int64) {
 	m.advance(now)
 }
 
-// WindowTotal returns the exact total weight currently covered.
+// WindowTotal returns the exact total weight currently covered,
+// saturating at MaxInt64.
 func (m *Memento) WindowTotal(now int64) int64 {
 	m.advance(now)
+	return sumSat(m.totals)
+}
+
+// sumSat is the sum of non-negative terms, saturating at MaxInt64.
+func sumSat(terms []int64) int64 {
 	var sum int64
-	for _, t := range m.totals {
-		sum += t
+	for _, t := range terms {
+		sum = sketch.AddSat(sum, t)
 	}
 	return sum
 }
@@ -395,13 +402,13 @@ func (m *Memento) Merge(o *Memento) {
 	lo := m.curFrame - m.ring + 1
 	for g := lo; g <= o.curFrame; g++ {
 		slot := floorMod(g, m.ring)
-		m.totals[slot] += o.totals[slot]
+		m.totals[slot] = sketch.AddSat(m.totals[slot], o.totals[slot])
 	}
 	for e := 0; e < o.n; e++ {
 		row := o.cells[int64(e)*o.ring : (int64(e)+1)*o.ring]
 		var add int64
 		for g := lo; g <= o.curFrame; g++ {
-			add += row[floorMod(g, m.ring)]
+			add = sketch.AddSat(add, row[floorMod(g, m.ring)])
 		}
 		if add <= 0 {
 			continue // entry's mass is entirely in frames m already expired
@@ -410,11 +417,12 @@ func (m *Memento) Merge(o *Memento) {
 		if t < 0 {
 			t = m.alloc(o.keys[e])
 		}
-		m.counts[t] += add
-		m.errs[t] += o.errs[e]
+		m.counts[t] = sketch.AddSat(m.counts[t], add)
+		m.errs[t] = sketch.AddSat(m.errs[t], o.errs[e])
 		for g := lo; g <= o.curFrame; g++ {
 			slot := floorMod(g, m.ring)
-			m.cells[int64(t)*m.ring+slot] += row[slot]
+			c := &m.cells[int64(t)*m.ring+slot]
+			*c = sketch.AddSat(*c, row[slot])
 		}
 	}
 }
@@ -479,7 +487,7 @@ func NewMementoHHH(h addr.Hierarchy, cfg Config, seed uint64) (*MementoHHH, erro
 		levels: make([]*Memento, h.Levels()),
 		masks:  make([]uint64, h.Levels()),
 		nlev:   uint64(h.Levels()),
-		rng:    hashx.Mix64(seed ^ 0x5851f42d4c957f2d),
+		rng:    hashx.Sampler(seed),
 	}
 	for l := range d.levels {
 		m, err := NewMemento(cfg)
@@ -543,8 +551,8 @@ func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 		for c := i; c < j; c++ {
 			w := int64(b.Sizes[c])
 			bytes += w
-			rng += 0x9e3779b97f4a7c15
-			l := int((hashx.Mix64(rng) >> 32) * d.nlev >> 32)
+			var l int
+			rng, l = hashx.Level(rng, d.nlev)
 			d.levels[l].bump(b.Keys[c]&d.masks[l], w, slot)
 		}
 		d.totals[slot] += bytes
@@ -559,21 +567,14 @@ func (d *MementoHHH) UpdateKeys(b *trace.KeyBatch) {
 // its live entries directly — one table, no per-frame candidate rescan or
 // dedup.
 func (d *MementoHHH) Query(phi float64, now int64) hhh.Set {
-	d.advanceTotals(trace.FloorDiv(now, d.frameNs))
-	for _, lv := range d.levels {
-		lv.advanceTo(d.curFrame)
-	}
-	var total int64
-	for _, t := range d.totals {
-		total += t
-	}
-	threshold := hhh.Threshold(total, phi)
+	d.Advance(now)
+	threshold := hhh.Threshold(d.WindowTotal(now), phi)
 	scale := int64(d.nlev)
 	return hhh.ConditionedLevels(d.h, threshold, d.qs,
 		func(l int, emit func(key uint64, est int64)) {
 			lv := d.levels[l]
 			for e := 0; e < lv.n; e++ {
-				emit(lv.keys[e], lv.counts[e]*scale)
+				emit(lv.keys[e], sketch.MulSat(lv.counts[e], scale))
 			}
 		})
 }
@@ -588,14 +589,11 @@ func (d *MementoHHH) Advance(now int64) {
 	}
 }
 
-// WindowTotal returns the exact total byte weight currently covered.
+// WindowTotal returns the exact total byte weight currently covered,
+// saturating at MaxInt64.
 func (d *MementoHHH) WindowTotal(now int64) int64 {
 	d.advanceTotals(trace.FloorDiv(now, d.frameNs))
-	var sum int64
-	for _, t := range d.totals {
-		sum += t
-	}
-	return sum
+	return sumSat(d.totals)
 }
 
 // Merge folds detector o into d level by level (see Memento.Merge for the
@@ -616,7 +614,7 @@ func (d *MementoHHH) Merge(o *MementoHHH) {
 	d.advanceTotals(o.curFrame)
 	for g := d.curFrame - d.ring + 1; g <= o.curFrame; g++ {
 		slot := floorMod(g, d.ring)
-		d.totals[slot] += o.totals[slot]
+		d.totals[slot] = sketch.AddSat(d.totals[slot], o.totals[slot])
 	}
 }
 

@@ -1,6 +1,7 @@
 package swhh
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -385,6 +386,51 @@ func TestMementoHHHMergeIdentity(t *testing.T) {
 // TestMementoHHHDetectsBoundaryBurst mirrors the motivating WCSS
 // scenario on the sampled engine: a burst split across a would-be
 // disjoint window boundary stays visible, and expires afterwards.
+// TestMementoTotalsSaturate: restored with 2⁶² bytes in each of two
+// frames — in the detector's totals ring, and just under that in one leaf
+// entry — a Memento HHH detector sums past int64. WindowTotal, Query and
+// Merge saturate at MaxInt64 instead of wrapping: the window total to
+// MinInt64, and to 0 once merged with a copy of itself.
+func TestMementoTotalsSaturate(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	cfg := Config{Window: time.Second, Frames: 4, Counters: 8}
+	leaf := addr.MustParsePrefix("10.0.0.1/32")
+	restore := func() *MementoHHH {
+		t.Helper()
+		d, err := NewMementoHHH(h, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cells := []int64{1 << 62, 1<<62 - 1, 0, 0, 0}
+		lv, err := RestoreMemento(d.Config(), MementoState{CurFrame: 1,
+			Keys: []uint64{h.KeyOfPrefix(leaf)}, Counts: []int64{math.MaxInt64}, Errs: []int64{0},
+			Cells: cells, Totals: cells})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := d.State()
+		st.CurFrame, st.Totals, st.Levels[0] = 1, []int64{1 << 62, 1 << 62, 0, 0, 0}, lv
+		if d, err = RestoreMementoHHH(h, cfg, st); err != nil {
+			t.Fatal(err)
+		}
+		return d
+	}
+	d := restore()
+	now := d.frameNs // inside frame 1
+	check := func(when string) {
+		t.Helper()
+		if got := d.WindowTotal(now); got != math.MaxInt64 {
+			t.Fatalf("%s: window total %d, want MaxInt64", when, got)
+		}
+		if it, ok := d.Query(0.5, now)[leaf]; !ok || it.Count != math.MaxInt64 {
+			t.Fatalf("%s: leaf reported %v (%v), want a saturated count", when, it, ok)
+		}
+	}
+	check("restored")
+	d.Merge(restore())
+	check("merged")
+}
+
 func TestMementoHHHDetectsBoundaryBurst(t *testing.T) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
 	d, err := NewMementoHHH(h, Config{Window: 2 * time.Second, Frames: 8, Counters: 128}, 5)

@@ -177,7 +177,7 @@ func RestoreMemento(cfg Config, st MementoState) (*Memento, error) {
 			if c < 0 {
 				return nil, fmt.Errorf("swhh: restore: negative cell for entry %d slot %d", e, s)
 			}
-			sum += c
+			sum = sketch.AddSat(sum, c)
 		}
 		if st.Counts[e] <= 0 || st.Counts[e] != sum {
 			return nil, fmt.Errorf("swhh: restore: entry %d count %d does not match cell sum %d", e, st.Counts[e], sum)

@@ -49,12 +49,12 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	})
 	b.Run("rhhh", func(b *testing.B) {
 		d := testRHHH(4)
-		frame := EncodeRHHH(d)
+		frame := EncodePerLevel(d)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := Decode(EncodeRHHH(d)); err != nil {
+			if _, err := Decode(EncodePerLevel(d)); err != nil {
 				b.Fatal(err)
 			}
 		}

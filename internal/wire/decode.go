@@ -24,10 +24,10 @@ type ExactSummary struct {
 }
 
 // Decode parses any frame and returns the decoded summary as one of
-// *sketch.SpaceSaving, ExactSummary, *hhh.PerLevel, *hhh.RHHH,
-// *swhh.SlidingHHH, *swhh.MementoHHH, *tdbf.Filter, *continuous.Detector
-// or SlidingDelta. It never panics on arbitrary input; failures wrap
-// exactly one of the typed errors.
+// *sketch.SpaceSaving, ExactSummary, *hhh.PerLevel (level-sampled for a
+// KindRHHH frame), *swhh.SlidingHHH, *swhh.MementoHHH, *tdbf.Filter,
+// *continuous.Detector or SlidingDelta. It never panics on arbitrary input;
+// failures wrap exactly one of the typed errors.
 func Decode(frame []byte) (any, error) {
 	f, err := Verify(frame)
 	if err != nil {
@@ -46,8 +46,9 @@ func (f Frame) Decode() (any, error) {
 // decode of a frame of the same kind returned, and returns the summary
 // with the ring slots it restored (a full sliding frame restores every
 // slot; the other kinds have none). The exact map is always refilled in
-// place and the ExactSummary returned carries prev's Leaves. A per-level or
-// rhhh engine over the frame's hierarchy is restored in place, each level
+// place and the ExactSummary returned carries prev's Leaves. A PerLevel
+// engine over the frame's hierarchy, sampled or not whatever the frame's
+// kind, is restored in place into the frame's setting, each level
 // into its own summary where the capacity is the frame's, else into a new
 // one (decodeSS); a sliding or continuous engine of the frame's geometry
 // through RestoreSliding or RestoreContinuous. Memento frames ignore prev.
@@ -65,12 +66,9 @@ func (f Frame) DecodeInto(prev any) (_ any, restored int, err error) {
 		ex, _ := prev.(ExactSummary)
 		ex.Leaves, ex.Hierarchy, err = decodeExactPayload(hdr, payload, ex.Leaves)
 		v = ex
-	case KindPerLevel:
+	case KindPerLevel, KindRHHH:
 		p, _ := prev.(*hhh.PerLevel)
 		v, err = decodePerLevelPayload(hdr, payload, p)
-	case KindRHHH:
-		r, _ := prev.(*hhh.RHHH)
-		v, err = decodeRHHHPayload(hdr, payload, r)
 	case KindSliding:
 		d, _ := prev.(*swhh.SlidingHHH)
 		v, restored, _, err = f.RestoreSliding(d)
@@ -201,55 +199,27 @@ func decodeExactPayload(hdr Header, payload []byte, ex *sketch.Exact) (*sketch.E
 	return ex, h, nil
 }
 
+// decodePerLevelPayload decodes a KindPerLevel or KindRHHH payload — the
+// latter carries the packet count and sampler state after the total — then
+// the level count and the levels' Space-Saving sub-payloads, to the end of
+// the payload. Level l is restored into p's level-l summary when p is an
+// engine over the frame's hierarchy (see decodeSS).
 func decodePerLevelPayload(hdr Header, payload []byte, p *hhh.PerLevel) (*hhh.PerLevel, error) {
 	h, err := hdr.Hierarchy()
 	if err != nil {
 		return nil, err
 	}
-	if p == nil || p.Hierarchy() != h {
+	reuse := p != nil && p.Hierarchy() == h
+	if !reuse {
 		p = new(hhh.PerLevel)
 	}
 	c := newCursor(payload)
 	total := c.i64()
-	sks, err := decodeLevels(c, h, p)
-	if err != nil {
-		return nil, err
+	var packets int64
+	var sampler uint64
+	if hdr.Kind == KindRHHH {
+		packets, sampler = c.i64(), c.u64()
 	}
-	if err := hhh.RestorePerLevel(p, h, total, sks); err != nil {
-		return nil, corrupt(err)
-	}
-	return p, nil
-}
-
-func decodeRHHHPayload(hdr Header, payload []byte, r *hhh.RHHH) (*hhh.RHHH, error) {
-	h, err := hdr.Hierarchy()
-	if err != nil {
-		return nil, err
-	}
-	if r == nil || r.Hierarchy() != h {
-		r = new(hhh.RHHH)
-	}
-	c := newCursor(payload)
-	total := c.i64()
-	updates := c.i64()
-	sampler := c.u64()
-	sks, err := decodeLevels(c, h, r)
-	if err != nil {
-		return nil, err
-	}
-	if err := hhh.RestoreRHHH(r, h, total, updates, sampler, sks); err != nil {
-		return nil, corrupt(err)
-	}
-	return r, nil
-}
-
-// decodeLevels reads a windowed engine's level count and its levels'
-// Space-Saving sub-payloads, to the end of the payload. Level l is restored
-// into into's level-l summary when into is an engine over h (see decodeSS).
-func decodeLevels(c *cursor, h addr.Hierarchy, into interface {
-	Hierarchy() addr.Hierarchy
-	LevelSummary(l int) *sketch.SpaceSaving
-}) ([]*sketch.SpaceSaving, error) {
 	levels := int(c.u16())
 	if !c.ok {
 		return nil, fmt.Errorf("%w: short windowed payload", ErrCorrupt)
@@ -260,15 +230,25 @@ func decodeLevels(c *cursor, h addr.Hierarchy, into interface {
 	sks := make([]*sketch.SpaceSaving, levels)
 	for l := range sks {
 		var s *sketch.SpaceSaving
-		if into.Hierarchy() == h {
-			s = into.LevelSummary(l)
+		if reuse {
+			s = p.LevelSummary(l)
 		}
-		var err error
 		if sks[l], err = decodeSS(c, s); err != nil {
 			return nil, err
 		}
 	}
-	return sks, c.finish()
+	if err := c.finish(); err != nil {
+		return nil, err
+	}
+	if hdr.Kind == KindRHHH {
+		err = hhh.RestoreRHHH(p, h, total, packets, sampler, sks)
+	} else {
+		err = hhh.RestorePerLevel(p, h, total, sks)
+	}
+	if err != nil {
+		return nil, corrupt(err)
+	}
+	return p, nil
 }
 
 // slidingGeometry reads and validates the shared sliding-engine

@@ -38,8 +38,6 @@ func Encode(v any) ([]byte, error) {
 		return EncodeExact(s.Hierarchy, s.Leaves), nil
 	case *hhh.PerLevel:
 		return EncodePerLevel(s), nil
-	case *hhh.RHHH:
-		return EncodeRHHH(s), nil
 	case *swhh.SlidingHHH:
 		return EncodeSliding(s), nil
 	case SlidingDelta:
@@ -118,42 +116,31 @@ func EncodeExact(h addr.Hierarchy, ex *sketch.Exact) []byte {
 	return endFrame(b)
 }
 
-// EncodePerLevel frames a PerLevel windowed HHH engine (KindPerLevel).
+// EncodePerLevel frames a PerLevel windowed HHH engine: KindPerLevel, or
+// KindRHHH for a level-sampled engine, whose frame also carries the packet
+// count and the sampler state so a restored engine keeps drawing the
+// levels the original would have.
 func EncodePerLevel(p *hhh.PerLevel) []byte {
 	h := p.Hierarchy()
 	levels := h.Levels()
-	size := 8 + 2
+	sampled, packets, sampler := p.Sampled()
+	kind, size := KindPerLevel, 8+2
+	if sampled {
+		kind, size = KindRHHH, size+8+8
+	}
 	for l := 0; l < levels; l++ {
 		size += ssSize(p.LevelSummary(l))
 	}
 	fam, step, depth := describe(h)
-	b := beginFrame(KindPerLevel, fam, step, depth, size)
+	b := beginFrame(kind, fam, step, depth, size)
 	b = appendI64(b, p.Total())
+	if sampled {
+		b = appendI64(b, packets)
+		b = appendU64(b, sampler)
+	}
 	b = appendU16(b, uint16(levels))
 	for l := 0; l < levels; l++ {
 		b = appendSpaceSaving(b, p.LevelSummary(l))
-	}
-	return endFrame(b)
-}
-
-// EncodeRHHH frames an RHHH windowed HHH engine (KindRHHH), including
-// the level-sampler state so a restored engine could keep ingesting
-// deterministically.
-func EncodeRHHH(r *hhh.RHHH) []byte {
-	h := r.Hierarchy()
-	levels := h.Levels()
-	size := 8 + 8 + 8 + 2
-	for l := 0; l < levels; l++ {
-		size += ssSize(r.LevelSummary(l))
-	}
-	fam, step, depth := describe(h)
-	b := beginFrame(KindRHHH, fam, step, depth, size)
-	b = appendI64(b, r.Total())
-	b = appendI64(b, r.Updates())
-	b = appendU64(b, r.Sampler())
-	b = appendU16(b, uint16(levels))
-	for l := 0; l < levels; l++ {
-		b = appendSpaceSaving(b, r.LevelSummary(l))
 	}
 	return endFrame(b)
 }

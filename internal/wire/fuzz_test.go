@@ -59,7 +59,7 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		EncodeExact(testHierarchy(), testExact(2, 100)),
 		EncodeExact(testHierarchyV6(), testExact(2, 100)),
 		EncodePerLevel(testPerLevel(3)),
-		EncodeRHHH(testRHHH(4)),
+		EncodePerLevel(testRHHH(4)),
 		EncodeSliding(testSliding(5)),
 		EncodeMemento(testMemento(6)),
 		filterFrame,

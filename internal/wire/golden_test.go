@@ -49,8 +49,8 @@ func goldenFixtures(t *testing.T) []struct {
 		{"exact-v6", EncodeExact(v6, testExact(0x21, 300))},
 		{"per-level-v4", EncodePerLevel(testPerLevelH(v4, 0x30))},
 		{"per-level-v6", EncodePerLevel(testPerLevelH(v6, 0x31))},
-		{"rhhh-v4", EncodeRHHH(testRHHHH(v4, 0x40))},
-		{"rhhh-v6", EncodeRHHH(testRHHHH(v6, 0x41))},
+		{"rhhh-v4", EncodePerLevel(testRHHHH(v4, 0x40))},
+		{"rhhh-v6", EncodePerLevel(testRHHHH(v6, 0x41))},
 		{"sliding-v4-block", EncodeSliding(testSlidingH(v4, 0x50))},
 		{"sliding-v6", EncodeSliding(testSlidingH(v6, 0x51))},
 		{"sliding-v4-delta", delta},

@@ -120,10 +120,10 @@ func TestMergeEquivalence(t *testing.T) {
 		})
 		t.Run("rhhh-"+name, func(t *testing.T) {
 			mergeEquivalence(t,
-				func(seed uint64) *hhh.RHHH { return testRHHHH(h, seed) },
-				EncodeRHHH,
-				func(dst, src *hhh.RHHH) { dst.Merge(src) },
-				mustDecode[*hhh.RHHH](t),
+				func(seed uint64) *hhh.PerLevel { return testRHHHH(h, seed) },
+				EncodePerLevel,
+				func(dst, src *hhh.PerLevel) { dst.Merge(src) },
+				mustDecode[*hhh.PerLevel](t),
 			)
 		})
 		t.Run("sliding-"+name, func(t *testing.T) {

@@ -324,8 +324,8 @@ func TestDecodeInto(t *testing.T) {
 			[3][]byte{EncodePerLevel(testPerLevel(1)), EncodePerLevel(testPerLevel(2)), EncodePerLevel(testPerLevelH(testHierarchyV6(), 3))},
 			func(v any) []any { p := v.(*hhh.PerLevel); return levelsOf(p.Hierarchy(), p.LevelSummary) }, 0},
 		{"rhhh",
-			[3][]byte{EncodeRHHH(testRHHH(1)), EncodeRHHH(testRHHH(2)), EncodeRHHH(testRHHHH(testHierarchyV6(), 3))},
-			func(v any) []any { r := v.(*hhh.RHHH); return levelsOf(r.Hierarchy(), r.LevelSummary) }, 0},
+			[3][]byte{EncodePerLevel(testRHHH(1)), EncodePerLevel(testRHHH(2)), EncodePerLevel(testRHHHH(testHierarchyV6(), 3))},
+			func(v any) []any { r := v.(*hhh.PerLevel); return levelsOf(r.Hierarchy(), r.LevelSummary) }, 0},
 		{"wcss",
 			[3][]byte{EncodeSliding(testSliding(1)), EncodeSliding(testSliding(2)), EncodeSliding(testSlidingH(testHierarchyV6(), 3))},
 			engine, h.Levels() * (slidingTestConfig().Frames + 1)},
@@ -381,6 +381,65 @@ func TestDecodeInto(t *testing.T) {
 			}
 			if tc.name != "exact" && !bytes.Equal(reencode(prev), tc.frames[1]) {
 				t.Fatal("a frame of another hierarchy modified the summary")
+			}
+		})
+	}
+}
+
+// TestWindowedRestoreInPlaceAcrossSettings: RHHH is PerLevel's
+// level-sampled setting, so a frame of either kind restores in place into
+// an engine in the other setting and takes the frame's: a KindRHHH frame
+// into an unsampled engine with a packet pending in its block, a
+// KindPerLevel frame into a sampled engine. Each restores into the engine's
+// own level tables and re-encodes to its frame; the sampled result holds no
+// block and, fed on, matches a cold decode of the same frame.
+func TestWindowedRestoreInPlaceAcrossSettings(t *testing.T) {
+	h := testHierarchy()
+	for _, tc := range []struct {
+		name    string
+		into    *hhh.PerLevel
+		frame   []byte
+		sampled bool
+	}{
+		{"rhhh-into-perlevel", testPerLevel(3), EncodePerLevel(testRHHH(1)), true},
+		{"perlevel-into-rhhh", testRHHH(4), EncodePerLevel(testPerLevel(2)), false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := splitmix(5)
+			tables := levelsOf(h, tc.into.LevelSummary)
+			tc.into.UpdateKeys(packet(h, addrFor(h, &r), 7, 0)) // pending in an unsampled engine's block
+			f, err := Verify(tc.frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, _, err := f.DecodeInto(tc.into)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, cold := v.(*hhh.PerLevel), mustDecode[*hhh.PerLevel](t)(tc.frame)
+			if got != tc.into || !slices.Equal(levelsOf(h, got.LevelSummary), tables) {
+				t.Fatal("the frame did not restore into the engine's own tables")
+			}
+			if sampled, _, _ := got.Sampled(); sampled != tc.sampled {
+				t.Fatalf("restored sampled=%v, want %v", sampled, tc.sampled)
+			}
+			if !bytes.Equal(EncodePerLevel(got), tc.frame) {
+				t.Fatal("the restored engine re-encodes to another frame")
+			}
+			levels := 0
+			for l := range h.Levels() {
+				levels += got.LevelSummary(l).SizeBytes()
+			}
+			if tc.sampled && got.SizeBytes() != levels {
+				t.Fatalf("sampled engine holds %d bytes, %d in its levels: a block is counted", got.SizeBytes(), levels)
+			}
+			for i := 0; i < 200; i++ {
+				b := packet(h, addrFor(h, &r), 1+int64(r.next()%9), 0)
+				got.UpdateKeys(b)
+				cold.UpdateKeys(b)
+			}
+			if !bytes.Equal(EncodePerLevel(got), EncodePerLevel(cold)) {
+				t.Fatal("fed on, the restored engine drifts from a cold decode of its frame")
 			}
 		})
 	}

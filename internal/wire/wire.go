@@ -1,11 +1,11 @@
 // Package wire is the stable, versioned binary codec for every
 // mergeable summary the pipeline can produce: Space-Saving, exact leaf
-// maps, the PerLevel and RHHH windowed HHH engines, the WCSS Sliding and
-// Memento sliding engines, time-decaying Bloom filters, and the
-// continuous detector. It is the cluster mode's interchange format —
-// ingest nodes seal merged shard summaries into frames and ship them to
-// an aggregator, which restores them and merges via the existing Merge
-// contracts.
+// maps, the PerLevel windowed HHH engine and its level-sampled (RHHH)
+// setting, the WCSS Sliding and Memento sliding engines, time-decaying
+// Bloom filters, and the continuous detector. It is the cluster mode's
+// interchange format — ingest nodes seal merged shard summaries into frames
+// and ship them to an aggregator, which restores them and merges via the
+// existing Merge contracts.
 //
 // # Frame layout
 //
@@ -152,7 +152,8 @@ const (
 	KindExact Kind = 2
 	// KindPerLevel is the per-level Space-Saving HHH engine.
 	KindPerLevel Kind = 3
-	// KindRHHH is the randomised one-level-per-packet HHH engine.
+	// KindRHHH is the per-level engine in its level-sampled setting
+	// (RHHH): one drawn level per packet.
 	KindRHHH Kind = 4
 	// KindSliding is the WCSS frame-ring sliding HHH engine.
 	KindSliding Kind = 5

@@ -108,7 +108,7 @@ func testPerLevelH(h addr.Hierarchy, seed uint64) *hhh.PerLevel {
 
 func testPerLevel(seed uint64) *hhh.PerLevel { return testPerLevelH(testHierarchy(), seed) }
 
-func testRHHHH(h addr.Hierarchy, seed uint64) *hhh.RHHH {
+func testRHHHH(h addr.Hierarchy, seed uint64) *hhh.PerLevel {
 	d := hhh.NewRHHH(h, 64, seed)
 	r := splitmix(seed)
 	for i := 0; i < 400; i++ {
@@ -117,7 +117,7 @@ func testRHHHH(h addr.Hierarchy, seed uint64) *hhh.RHHH {
 	return d
 }
 
-func testRHHH(seed uint64) *hhh.RHHH { return testRHHHH(testHierarchy(), seed) }
+func testRHHH(seed uint64) *hhh.PerLevel { return testRHHHH(testHierarchy(), seed) }
 
 func slidingTestConfig() swhh.Config {
 	return swhh.Config{Window: time.Second, Frames: 4, Counters: 64}
@@ -262,16 +262,16 @@ func TestRoundTrip(t *testing.T) {
 	})
 	t.Run("rhhh", func(t *testing.T) {
 		d := testRHHH(4)
-		frame := EncodeRHHH(d)
+		frame := EncodePerLevel(d)
 		sizedUpFront(t, frame)
-		got, err := decodeAs[*hhh.RHHH](frame)
+		got, err := decodeAs[*hhh.PerLevel](frame)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
 		if !got.QueryFraction(0.05).Equal(d.QueryFraction(0.05)) {
 			t.Fatal("restored query differs from original")
 		}
-		if re := EncodeRHHH(got); !slices.Equal(re, frame) {
+		if re := EncodePerLevel(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 	})
@@ -360,7 +360,7 @@ func TestDecodeDispatch(t *testing.T) {
 		{EncodeSpaceSaving(testSpaceSaving(1, 100)), KindSpaceSaving},
 		{EncodeExact(testHierarchy(), testExact(2, 100)), KindExact},
 		{EncodePerLevel(testPerLevel(3)), KindPerLevel},
-		{EncodeRHHH(testRHHH(4)), KindRHHH},
+		{EncodePerLevel(testRHHH(4)), KindRHHH},
 		{EncodeSliding(testSliding(5)), KindSliding},
 		{EncodeMemento(testMemento(6)), KindMemento},
 		{filterFrame, KindFilter},
@@ -384,10 +384,12 @@ func TestDecodeDispatch(t *testing.T) {
 			_, ok = v.(*sketch.SpaceSaving)
 		case KindExact:
 			_, ok = v.(ExactSummary)
-		case KindPerLevel:
-			_, ok = v.(*hhh.PerLevel)
-		case KindRHHH:
-			_, ok = v.(*hhh.RHHH)
+		case KindPerLevel, KindRHHH:
+			var p *hhh.PerLevel
+			if p, ok = v.(*hhh.PerLevel); ok {
+				sampled, _, _ := p.Sampled()
+				ok = sampled == (tc.want == KindRHHH)
+			}
 		case KindSliding:
 			_, ok = v.(*swhh.SlidingHHH)
 		case KindMemento:
