@@ -583,7 +583,7 @@ func BenchmarkSlidingUpdateKeys(b *testing.B) {
 	}
 }
 
-// TestTableUpdatesPerPacket pins what the coalescing block is for, as a
+// TestTableUpdatesPerPacket pins what the coalescing blocks are for, as a
 // count that repeats exactly: Space-Saving updates per packet on the
 // batches the two kernels above are fed (shard 0 of 2, ten seconds of
 // trace, 512 counters, the last block settled). The ceilings hold the
@@ -591,7 +591,11 @@ func BenchmarkSlidingUpdateKeys(b *testing.B) {
 // pretend: six of the nibble ladder's nine levels cannot coalesce
 // uniformly drawn sources, whatever the block holds. The WCSS row is the
 // sliding detector on the same batches: every frame end settles a
-// part-filled block, so it pays more than the windowed engine does.
+// part-filled block, so it pays more than the windowed engine does. The
+// continuous rows count the leaf filter's writes per packet through the
+// continuous detector's 64-packet block, on BenchmarkContinuousObserveKeys'
+// geometry and scenarios: a write per distinct leaf of a block, so exactly
+// one a packet where no source repeats within 64 packets.
 func TestTableUpdatesPerPacket(t *testing.T) {
 	nibble, bytewise := addr.NewIPv4Hierarchy(addr.Nibble), addr.NewIPv4Hierarchy(addr.Byte)
 	diurnal, ddos := benchScenario(t, "diurnal-tier1", 10*time.Second), benchScenario(t, "hit-and-run-ddos", 10*time.Second)
@@ -614,6 +618,18 @@ func TestTableUpdatesPerPacket(t *testing.T) {
 		d.WindowTotal(ddos[len(ddos)-1].Ts) // a read applies the pending block
 		return d.TableUpdates()
 	}
+	leafWrites := func(h addr.Hierarchy, batches []*trace.KeyBatch) int64 {
+		d, err := continuous.NewDetector(continuous.Config{Hierarchy: h, Phi: 0.05,
+			Filter: tdbf.Config{Cells: 1 << 16, Hashes: 4, Decay: tdbf.Exponential{Tau: 10 * time.Second}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kb := range batches {
+			d.ObserveKeys(kb)
+		}
+		return d.State().Filters[0].Adds() // State settles the last block
+	}
+	zipf := benchScenario(t, "zipf-steady", 10*time.Second)
 	for _, tc := range []struct {
 		name     string
 		h        addr.Hierarchy
@@ -625,13 +641,15 @@ func TestTableUpdatesPerPacket(t *testing.T) {
 		{"perlevel/byte/hit-and-run-ddos", bytewise, ddos, perLevel, 0, 0.20},
 		{"wcss/byte/hit-and-run-ddos", bytewise, ddos, wcss, 0, 0.25},
 		{"perlevel/nibble/uniform-random", nibble, uniformSources(diurnal), perLevel, 6.0, 9},
+		{"continuous/byte/zipf-steady", bytewise, zipf, leafWrites, 0, 0.75},
+		{"continuous/byte/uniform-random", bytewise, uniformSources(zipf), leafWrites, 1, 1},
 	} {
 		batches, pkts := shardBatches(tc.h, tc.pkts), 0
 		for _, kb := range batches {
 			pkts += kb.Len()
 		}
 		per := float64(tc.updates(tc.h, batches)) / float64(pkts)
-		t.Logf("%-31s %d packets, %.3f table updates a packet (%d-key block)", tc.name, pkts, per, hhh.BlockKeys)
+		t.Logf("%-31s %d packets, %.3f table updates a packet", tc.name, pkts, per)
 		if per < tc.min || per > tc.max {
 			t.Errorf("%s: %.3f table updates a packet, want within [%.2f, %.2f]", tc.name, per, tc.min, tc.max)
 		}

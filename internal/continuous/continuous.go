@@ -5,33 +5,43 @@
 // The detector keeps one time-decaying Bloom filter per hierarchy level
 // and a decayed tracker of total traffic mass, all on one tdbf.Base: they
 // share a landmark, so a packet costs one exp for the whole detector (taken
-// a run of packets ahead, off its critical path), one filter write per level
-// (no hash where the level's prefix space fits in Filter.Cells and is held
-// exactly: tdbf.Base.NewLevel) and nothing that grows with the active set:
+// a run of packets ahead, off its critical path) and nothing that grows
+// with the active set:
 //
-//   - Entry, per packet. The filter writes return the estimates of the
-//     packet's own generalisation chain, and every prefix of the chain
-//     that is not active is checked on the spot, bottom-up: a prefix whose
-//     *conditioned* decayed mass — its estimate minus the estimates claimed
-//     by the active HHHs nearest below it — reaches phi of the total
-//     decayed mass becomes active, on that packet.
-//   - Exit, on a fixed sweep cadence and on Query. Active prefixes are not
-//     re-validated by the packets that touch them. After every 64th
-//     packet (sweepEvery), and whenever Query is called, one leaf-to-root
-//     pass re-validates the whole active set — on-chain or not — and a
-//     prefix whose conditioned mass is under ExitRatio·phi·total exits.
-//     The hysteresis keeps reports from flapping around the boundary.
+//   - Coalescing. A packet adds its mass to the total and to its leaf's sum
+//     in a block aligned to the detector's own packet count, which settles
+//     after every 64th packet (sweepEvery), right before the sweep: one
+//     filter write per level per distinct leaf (no hash where the level's
+//     prefix space fits in Filter.Cells and is held exactly:
+//     tdbf.Base.NewLevel). Masses add at the landmark's scale, so the sums
+//     are what the packets would have written, up to float association.
+//   - Entry, per distinct leaf at the settle point. Every inactive prefix of
+//     a settled leaf's chain is checked, level by level bottom-up, leaves in
+//     first-arrival order: a prefix whose *conditioned* decayed mass — its
+//     estimate minus the estimates claimed by the active HHHs nearest below
+//     it — reaches phi of the total decayed mass becomes active at the
+//     stamp of the block's last packet. A sampled detector (Config.Sampled)
+//     has no block: it writes and checks one drawn level per packet.
+//   - Exit, on the sweep and on Query. After every sweepEvery-th packet, and
+//     whenever Query is called, one leaf-to-root pass re-validates the whole
+//     active set, and a prefix whose conditioned mass is under
+//     ExitRatio·phi·total exits: the hysteresis keeps reports from flapping.
+//     A sweep that drops a prefix checks the block's chains again, so an
+//     ancestor held out by that claim alone enters at the sweep.
 //
-// An exit is therefore taken at most sweepEvery packets after the first
-// packet at which the prefix was under the exit threshold (OnExit carries
-// the sweep's timestamp) — unless it is back over it by then. The cadence
-// counts the detector's own packets and is not configurable, so that the
-// state after a given packet stream is one thing: independent of how the
-// stream was batched, of the wall clock, and of which node replays it (see
-// sweepEvery). Until a late exit is taken the prefix keeps its claim, so
-// an ancestor that becomes admissible only through that exit waits for it;
-// every other entry is exact to the packet. reference_test.go holds the
-// per-packet rule this one replaced and pins these differences against it.
+// Entry is exact to the settle point, not to the packet: an admission comes
+// at most sweepEvery−1 of the detector's packets later, and no later than
+// the next read; a prefix that crosses phi·total inside a block but is back
+// under it at the settle point is not admitted; and tdbf.Filter.Adds counts
+// writes, one per distinct leaf of a block. Every read settles a part-filled
+// block first — Query, State (and so the wire encoding), Merge on both sides
+// — and so does a landmark roll-over, the pending sums being at the old
+// landmark's scale. An exit is taken at most sweepEvery packets after the
+// prefix fell under the exit threshold, unless it is back over it by then;
+// until then it keeps its claim. Settles and sweeps count the detector's
+// own packets and nothing else, so its state depends on the stream and its
+// read points only: not on batching, the wall clock or the replaying node.
+// reference_test.go pins these differences against the per-packet rule.
 //
 // The active set is indexed by (level, packed level key) with each member
 // linked to its nearest active ancestor (active.go), so the entry check
@@ -48,8 +58,10 @@ package continuous
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"time"
+	"unsafe"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hashx"
@@ -92,24 +104,20 @@ type Config struct {
 	Sampled bool
 	Seed    uint64
 	// OnEnter/OnExit, when set, observe detection transitions: OnEnter
-	// with the timestamp of the admitting packet, OnExit with that of
-	// the sweep's packet or of the Query.
+	// with the settle instant (the admitting packet's timestamp when
+	// sampled), OnExit with that of the sweep's packet or of the Query.
 	OnEnter func(p addr.Prefix, at int64)
 	OnExit  func(p addr.Prefix, at int64)
 }
 
-// sweepEvery is the exit cadence: the whole active set is re-validated
-// after every sweepEvery-th packet the detector admits (counted from its
-// first, family-filtered packet; Packets() is the counter). It is a
-// constant, not a Config field: the instants at which prefixes exit are
-// part of what a replay must reproduce, so they may depend on nothing but
-// the detector's own packet stream — not on batch boundaries, the wall
-// clock or a knob two nodes could set differently. A sweep costs one
-// filter estimate per active prefix; spread over 64 packets that is about
-// a nanosecond per packet per active prefix, against some two hundred for
-// the packet's own filter writes (the active set holds about ten prefixes
-// at phi = 5 %), and 64 packets is far shorter than any change of mass
-// the hysteresis band does not already absorb.
+// sweepEvery is the settle and sweep cadence in the detector's own packets
+// (Packets() counts them), and so the block's capacity. It is not a Config
+// field: entry and exit instants are part of what a replay reproduces, so
+// they depend on the packet stream alone, never on a knob two nodes could
+// set differently. A sweep costs one estimate per active prefix (about ten
+// at phi = 5 %), a settle one write and check per distinct leaf (about 0.7
+// a packet on zipf-steady), and 64 packets is far shorter than any change
+// of mass the hysteresis band does not already absorb.
 const sweepEvery = 64
 
 // clock puts a stamp on the clamped clock tdbf.Base resolves instants on,
@@ -135,16 +143,43 @@ type Detector struct {
 	started bool  // first packet seen; warmEnd is anchored
 	warmEnd int64 // clock(first packet timestamp) + Warmup, at most endOfTime
 	pkts    int64
+	blk     block // unsampled only: the packets since the last settle
 
-	// Per-packet scratch, one slot per level: the chain's estimates as
-	// returned by the filter writes, and for each chain prefix whether it
-	// is active and its nearest active strict ancestor (see locate).
-	est []float64
-	on  []bool
-	up  []int32
-	// Sweep scratch, parallel to act.nodes.
+	// Sweep scratch, parallel to act.nodes as revalidate leaves them.
 	sweep []verdict
 }
+
+// block is the coalescing block: the distinct leaves of the packets since
+// the last settle (at most sweepEvery), in first-arrival order, their mass
+// sums at the landmark's scale, and the last packet's stamp and up factor.
+type block struct {
+	leaf [sweepEvery]uint64
+	w    [sweepEvery]float64
+	idx  [2 * sweepEvery]uint8 // open addressing on leaf: position + 1, 0 = empty
+	n    int
+	now  int64
+	up   float64
+}
+
+// add sums w into leaf's entry, opening one at the end if there is none.
+func (b *block) add(leaf uint64, w float64) {
+	for i := leaf * 0x9e3779b97f4a7c15 >> 57; ; i = (i + 1) % uint64(len(b.idx)) {
+		j := b.idx[i]
+		if j == 0 {
+			b.idx[i] = uint8(b.n + 1)
+			b.leaf[b.n], b.w[b.n] = leaf, w
+			b.n++
+			return
+		}
+		if b.leaf[j-1] == leaf {
+			b.w[j-1] += w
+			return
+		}
+	}
+}
+
+// reset empties the block.
+func (b *block) reset() { b.n, b.idx = 0, [2 * sweepEvery]uint8{} }
 
 // verdict is one active prefix's row in a revalidate pass.
 type verdict struct {
@@ -181,9 +216,6 @@ func NewDetector(cfg Config) (*Detector, error) {
 		total:  base.NewMassTracker(),
 		masks:  make([]uint64, levels),
 		rng:    hashx.Mix64(cfg.Seed ^ 0x6a09e667f3bcc909),
-		est:    make([]float64, levels),
-		on:     make([]bool, levels),
-		up:     make([]int32, levels),
 	}
 	if cfg.Sampled {
 		d.scale = float64(levels)
@@ -202,123 +234,155 @@ func NewDetector(cfg Config) (*Detector, error) {
 	return d, nil
 }
 
-// ObserveKeys feeds a columnar batch of pre-packed, time-ordered leaf
-// keys (timestamps in ns, non-decreasing), the detector's only way in:
-// each packet's generalisation chain is folded into the filters at its
-// timestamp and the chain's prefixes are checked for admission. The batch
-// is packed and filtered to the hierarchy's address family where packets
-// are staged (see trace.KeyBatch), so a dual-stack stream thresholds
-// against its own family's mass only; the state left — sweep instants
-// included — does not depend on how the stream was cut into batches.
-// The decay factors of a run of packets are resolved before the packets
-// (tdbf.Base.Ahead), bit for bit what each would have computed; a run ends
-// where the stamps roll the landmark over, not where a batch does.
+// ObserveKeys feeds a batch of packed, time-ordered leaf keys (stamps in ns,
+// non-decreasing), filtered to the hierarchy's family (trace.KeyBatch), the
+// detector's only way in. A run's decay factors are resolved before its
+// packets (tdbf.Base.Ahead); a run ends where the stamps roll the landmark
+// over, not where a batch does, and the block settles before the roll-over.
 func (d *Detector) ObserveKeys(b *trace.KeyBatch) {
 	for i := 0; i < len(b.Keys); {
+		if d.blk.n > 0 && d.base.Rolls(b.Ts[i]) {
+			d.settle(false)
+		}
 		for _, up := range d.base.Ahead(b.Ts[i:]) {
-			d.observe(b.Keys[i], int64(b.Sizes[i]), b.Ts[i], up)
+			if d.cfg.Sampled {
+				d.observe(b.Keys[i], int64(b.Sizes[i]), b.Ts[i], up)
+			} else {
+				d.stage(b.Keys[i], int64(b.Sizes[i]), b.Ts[i], up)
+			}
 			i++
 		}
 	}
 }
 
-// observe is the per-packet body; up is the decay factor of now. The chain
-// prefix at level l is leaf&masks[l]; the filter writes return the chain's
-// estimates.
-func (d *Detector) observe(leaf uint64, bytes int64, now int64, up float64) {
+// start counts a packet at now, anchoring the warm-up at the first.
+func (d *Detector) start(now int64) {
 	if !d.started {
 		d.started = true
 		d.warmEnd = min(clock(now)+clock(int64(d.cfg.Warmup)), endOfTime)
 	}
 	d.pkts++
+}
+
+// stage is the unsampled per-packet body; up is the decay factor of now:
+// the packet's mass goes to the total and to its leaf's sum in the block.
+func (d *Detector) stage(leaf uint64, bytes int64, now int64, up float64) {
+	d.start(now)
+	w := float64(bytes) * up
+	d.total.AddScaled(w)
+	d.blk.add(leaf, w)
+	d.blk.now, d.blk.up = now, up
+	if d.pkts%sweepEvery == 0 {
+		d.settle(true)
+	}
+}
+
+// settle folds the block into the filters and checks entry at the stamp of
+// its last packet, each level's checks after its writes; prefixes of one
+// level claim nothing from each other, so the leaves' order changes nothing.
+// With sweep, the exit sweep follows, and a drop re-runs the checks.
+func (d *Detector) settle(sweep bool) {
+	b := &d.blk
+	if b.n == 0 {
+		return
+	}
+	// The reads the checks make at this instant find the pair.
+	d.base.Enter(b.now, b.up)
+	warm := clock(b.now) >= d.warmEnd
+	enterT, near := math.Inf(1), math.Inf(1)
+	if warm {
+		enterT = d.cfg.Phi * d.total.Value(b.now)
+		// A cell grows by less than the block's mass after a write, so one
+		// left under near (less room for rounding) cannot reach enterT.
+		near = enterT * b.up * (1 - 0x1p-30)
+		for _, w := range b.w[:b.n] {
+			near -= w
+		}
+	}
+	for l, f := range d.filters {
+		var check uint64
+		for i, leaf := range b.leaf[:b.n] {
+			if f.AddScaled(leaf&d.masks[l], b.w[i]) >= near {
+				check |= 1 << i
+			}
+		}
+		d.admitLevel(l, check, enterT)
+	}
+	if sweep && warm && d.revalidate(b.now) {
+		for l := range d.filters {
+			d.admitLevel(l, ^uint64(0)>>(64-b.n), enterT)
+		}
+	}
+	b.reset()
+}
+
+// admitLevel checks entry of the level-l prefixes of the block's leaves at
+// the positions in set, in first-arrival order, each once (leaves differ).
+func (d *Detector) admitLevel(l int, set uint64, enterT float64) {
+	b, m := &d.blk, d.masks[l]
+	for ; set != 0; set &= set - 1 {
+		leaf := b.leaf[bits.TrailingZeros64(set)]
+		for rest := set & (set - 1); l > 0 && rest != 0; rest &= rest - 1 {
+			if i := bits.TrailingZeros64(rest); b.leaf[i]&m == leaf&m {
+				set &^= 1 << i
+			}
+		}
+		if d.act.find(l, leaf&m) < 0 {
+			d.admit(leaf, l, d.filters[l].Estimate(leaf&m, b.now), b.now, enterT)
+		}
+	}
+}
+
+// observe is the sampled per-packet body; up is the decay factor of now:
+// one uniformly drawn level takes the packet and is checked on the spot.
+func (d *Detector) observe(leaf uint64, bytes int64, now int64, up float64) {
+	d.start(now)
 	// The reads admit and revalidate make at this instant find the pair.
 	down := d.base.Enter(now, up)
 	w := float64(bytes) * up
 	total := d.total.AddScaled(w) * down
-	lo, hi := 0, d.levels
-	if d.cfg.Sampled {
-		d.rng += 0x9e3779b97f4a7c15
-		lo = int((hashx.Mix64(d.rng) >> 32) * uint64(d.levels) >> 32)
-		hi = lo + 1
-		d.est[lo] = d.filters[lo].AddScaled(leaf&d.masks[lo], w) * down * d.scale
-	} else {
-		for l, f := range d.filters {
-			d.est[l] = f.AddScaled(leaf&d.masks[l], w) * down
-		}
-	}
+	d.rng += 0x9e3779b97f4a7c15
+	l := int((hashx.Mix64(d.rng) >> 32) * uint64(d.levels) >> 32)
+	est := d.filters[l].AddScaled(leaf&d.masks[l], w) * down * d.scale
 	if clock(now) < d.warmEnd {
 		return
 	}
-	d.admit(leaf, lo, hi, now, d.cfg.Phi*total)
+	if d.act.find(l, leaf&d.masks[l]) < 0 {
+		d.admit(leaf, l, est, now, d.cfg.Phi*total)
+	}
 	if d.pkts%sweepEvery == 0 {
 		d.revalidate(now)
 	}
 }
 
-// admit is the entry check over chain levels [lo, hi) — the levels this
-// packet wrote, whose estimates are in d.est — bottom-up, so a child
-// admits before its parent and the parent's conditioned mass sees the
-// fresh claim. Prefixes already active are left alone: their exit is
-// revalidate's business.
-func (d *Detector) admit(leaf uint64, lo, hi int, now int64, enterT float64) {
-	// Conditioning only shrinks mass, so a level whose raw estimate is
-	// under the threshold cannot enter; below the first that is not,
-	// nothing needs looking up.
-	for lo < hi && d.est[lo] < enterT {
-		lo++
-	}
-	if lo == hi {
+// admit is the entry check of leaf's inactive level-l prefix, estimated at
+// est: it enters when its conditioned mass reaches enterT (which a raw
+// estimate under it cannot: conditioning only shrinks mass).
+func (d *Detector) admit(leaf uint64, l int, est float64, now int64, enterT float64) {
+	key := leaf & d.masks[l]
+	if est < enterT || est-d.claimedUnder(leaf, l, now) < enterT {
 		return
 	}
-	d.locate(leaf, lo)
-	for l := lo; l < hi; l++ {
-		if d.on[l] || d.est[l] < enterT {
-			continue
-		}
-		key := leaf & d.masks[l]
-		if d.est[l]-d.claimedUnder(l, key, leaf, now) < enterT {
-			continue
-		}
-		d.act.add(l, key, clock(now))
-		d.act.fix()
-		d.locate(leaf, l+1)
-		if d.cfg.OnEnter != nil {
-			d.cfg.OnEnter(d.cfg.Hierarchy.PrefixOfKey(key, l), now)
-		}
-	}
-}
-
-// locate looks the packet's chain up in the active set, root down to
-// level lo: on[l] says whether the chain's level-l prefix is active, up[l]
-// is its nearest active strict ancestor (-1: none).
-func (d *Detector) locate(leaf uint64, lo int) {
-	up := int32(-1)
-	for l := d.levels - 1; l >= lo; l-- {
-		d.up[l] = up
-		j := d.act.find(l, leaf&d.masks[l])
-		if d.on[l] = j >= 0; j >= 0 {
-			up = j
-		}
+	d.act.add(l, key, clock(now))
+	d.act.fix()
+	if d.cfg.OnEnter != nil {
+		d.cfg.OnEnter(d.cfg.Hierarchy.PrefixOfKey(key, l), now)
 	}
 }
 
 // claimedUnder sums the estimates of the maximal active strict descendants
-// of the inactive chain prefix (level, key): the mass more specific HHHs
-// already claim, to be discounted from its own estimate. None of them has
-// an active prefix between itself and (level, key), so they all hang off
-// the same node as (level, key) would — up[level] — and one walk of that
-// node's child list finds them. The one on the packet's own chain, if
-// any, was estimated by this packet's filter write.
-func (d *Detector) claimedUnder(level int, key, leaf uint64, now int64) float64 {
+// of leaf's inactive level-l prefix: the mass more specific HHHs claim.
+// They all hang off the node the prefix would — its nearest active strict
+// ancestor — so one walk of that node's child list finds them.
+func (d *Detector) claimedUnder(leaf uint64, l int, now int64) float64 {
+	up := int32(-1)
+	for a := l + 1; a < d.levels && up < 0; a++ {
+		up = d.act.find(a, leaf&d.masks[a])
+	}
+	key := leaf & d.masks[l]
 	var claimed float64
-	for c := d.act.head(d.up[level]); c >= 0; c = d.act.nodes[c].sibling {
-		n := &d.act.nodes[c]
-		if int(n.level) >= level || n.key&d.masks[level] != key {
-			continue
-		}
-		if !d.cfg.Sampled && n.key == leaf&d.masks[n.level] {
-			claimed += d.est[n.level]
-		} else {
+	for c := d.act.head(up); c >= 0; c = d.act.nodes[c].sibling {
+		if n := &d.act.nodes[c]; int(n.level) < l && n.key&d.masks[l] == key {
 			claimed += d.estimate(n, now)
 		}
 	}
@@ -340,12 +404,12 @@ func (d *Detector) estimate(n *node, now int64) float64 {
 // estimate minus what the kept prefixes nearest below it claim — is at
 // least ExitRatio·Phi·total, and then claims its whole estimate from its
 // nearest active ancestor; otherwise it exits (OnExit fires) and passes
-// its descendants' claims up unchanged. On return d.sweep[i] holds the
-// verdict of d.act.nodes[i].
-func (d *Detector) revalidate(now int64) {
+// its descendants' claims up unchanged. It reports whether any prefix
+// exited; on return d.sweep[i] holds the verdict of d.act.nodes[i].
+func (d *Detector) revalidate(now int64) bool {
 	nodes := d.act.nodes
 	if len(nodes) == 0 {
-		return
+		return false
 	}
 	exitT := d.cfg.Phi * d.total.Value(now) * d.cfg.ExitRatio
 	d.sweep = d.sweep[:0]
@@ -364,7 +428,7 @@ func (d *Detector) revalidate(now int64) {
 		}
 	}
 	if !dropped {
-		return
+		return false
 	}
 	kept := 0
 	for i := range nodes {
@@ -379,14 +443,14 @@ func (d *Detector) revalidate(now int64) {
 	}
 	d.act.nodes, d.sweep = nodes[:kept], d.sweep[:kept]
 	d.act.fix()
+	return true
 }
 
-// Query re-validates the whole active set at time now — the pass the
-// detector runs by itself every sweepEvery packets — and returns the
-// current HHH set with decayed-mass estimates. Prefixes whose conditioned
-// mass fell below the exit threshold are deactivated (with OnExit fired).
+// Query settles the block, runs the sweep at time now (OnExit fires for
+// the prefixes it drops) and returns the HHH set with decayed masses.
 func (d *Detector) Query(now int64) hhh.Set {
 	out := hhh.Set{}
+	d.settle(false)
 	d.revalidate(now)
 	for i := range d.act.nodes {
 		n, v := &d.act.nodes[i], &d.sweep[i]
@@ -399,12 +463,11 @@ func (d *Detector) Query(now int64) hhh.Set {
 	return out
 }
 
-// Merge folds detector o into d; o is not modified. Both detectors must
-// be built from the same Config (hierarchy, filter shape, seed and decay
-// law), so their per-level filters merge cell-wise (see tdbf.Filter.Merge
-// — rescale to the later landmark plus add, preserving the conservative
-// overestimate) and the total mass trackers likewise. The active sets are
-// unioned, keeping the earlier activation timestamp.
+// Merge folds detector o into d, settling both blocks first: o changes as
+// a read of it would. o must have d's Config, callbacks aside (Fits), or
+// Merge panics, so that the filters merge cell-wise (tdbf.Filter.Merge:
+// rescale to the later landmark, add) and the totals likewise. The active
+// sets are unioned, keeping the earlier activation timestamp.
 //
 // In the sharded pipeline every shard admits against its *own* decayed
 // mass — a fraction ~1/K of the global mass under hash partitioning — so
@@ -418,9 +481,11 @@ func (d *Detector) Merge(o *Detector) {
 	if o == nil {
 		return
 	}
-	if d.levels != o.levels || d.cfg.Hierarchy != o.cfg.Hierarchy {
-		panic("continuous: Merge hierarchy mismatch")
+	if !d.Fits(o.cfg) {
+		panic("continuous: Merge config mismatch")
 	}
+	d.settle(false)
+	o.settle(false)
 	for l := range d.filters {
 		d.filters[l].Merge(o.filters[l])
 	}
@@ -434,7 +499,7 @@ func (d *Detector) Merge(o *Detector) {
 	d.pkts += o.pkts
 }
 
-// ActiveLen returns the size of the active set without revalidation.
+// ActiveLen returns the active set's size at the last settle or sweep.
 func (d *Detector) ActiveLen() int { return len(d.act.nodes) }
 
 // TotalMass returns the decayed total traffic mass at now.
@@ -443,17 +508,17 @@ func (d *Detector) TotalMass(now int64) float64 { return d.total.Value(now) }
 // Packets returns the number of packets observed.
 func (d *Detector) Packets() int64 { return d.pkts }
 
-// SizeBytes returns the state footprint: the per-level filters plus the
-// (bounded) active set and its index.
+// SizeBytes returns the state footprint: the per-level filters, the
+// (bounded) active set and its index, and the coalescing block.
 func (d *Detector) SizeBytes() int {
-	n := d.act.sizeBytes()
+	n := d.act.sizeBytes() + int(unsafe.Sizeof(d.blk))
 	for _, f := range d.filters {
 		n += f.SizeBytes()
 	}
 	return n
 }
 
-// Reset returns the detector to its initial state (the RNG continues).
+// Reset drops the block and all state (the level sampler continues).
 func (d *Detector) Reset() {
 	for _, f := range d.filters {
 		f.Reset()
@@ -461,6 +526,7 @@ func (d *Detector) Reset() {
 	d.total.Reset()
 	d.base.Reset()
 	d.act.reset()
+	d.blk.reset()
 	d.started = false
 	d.warmEnd = 0
 	d.pkts = 0

@@ -421,24 +421,31 @@ func TestMergePartitionedShards(t *testing.T) {
 	}
 }
 
-// TestMergeHierarchyMismatchPanics pins the guard.
+// TestMergeHierarchyMismatchPanics pins the guard: a detector of another
+// hierarchy does not merge, and neither does one of the same hierarchy,
+// shape and seed that samples levels (Merge asks Fits).
 func TestMergeHierarchyMismatchPanics(t *testing.T) {
 	a, err := NewDetector(defaultCfg(0.1, time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := defaultCfg(0.1, time.Second)
-	cfg.Hierarchy = addr.NewIPv4Hierarchy(addr.Nibble)
-	b, err := NewDetector(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on hierarchy mismatch")
+	other, sampled := defaultCfg(0.1, time.Second), defaultCfg(0.1, time.Second)
+	other.Hierarchy = addr.NewIPv4Hierarchy(addr.Nibble)
+	sampled.Sampled = true
+	for _, cfg := range []Config{other, sampled} {
+		b, err := NewDetector(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}()
-	a.Merge(b)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("expected a panic merging a detector of config %+v", cfg)
+				}
+			}()
+			a.Merge(b)
+		}()
+	}
 }
 
 // TestWarmupAnchorsAtFirstPacket: warmup is measured from the first
@@ -507,5 +514,114 @@ func TestRestoredHugeMassSaturates(t *testing.T) {
 	}
 	if it.Count != math.MaxInt64 || it.Conditioned != math.MaxInt64 {
 		t.Fatalf("root Count %d, Conditioned %d; want both MaxInt64", it.Count, it.Conditioned)
+	}
+}
+
+// TestBurstEntersAtItsSettlePoint: a subnet whose decayed mass crosses
+// phi·total at packet j of a block, and stays over it, is admitted at that
+// block's settle point — the stamp of its last packet — and never later;
+// nothing of it enters before. The crossing is found from the closed form,
+// exact at the subnet's level (a /16 under Cells 2¹⁶ is held exactly), and
+// falls strictly inside a block.
+func TestBurstEntersAtItsSettlePoint(t *testing.T) {
+	cfg := defaultCfg(0.1, time.Second)
+	cfg.Filter.Cells = 1 << 16
+	burst := addr.MustParsePrefix("10.1.0.0/16")
+	var entered []int64
+	cfg.OnEnter = func(p addr.Prefix, at int64) {
+		if p == burst {
+			entered = append(entered, at)
+		}
+	}
+	d, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	tau := float64(time.Second)
+	var mass, total float64 // the closed form, decayed to the last packet
+	crossed, settle := -1, int64(-1)
+	for i := 0; settle < 0 || i < crossed+200; i++ {
+		now := int64(i+1) * int64(time.Millisecond)
+		// Diffuse traffic, a fifth of it spread over 10/8; after three
+		// seconds half of it comes from all over 10.1/16.
+		src := addr.From4(byte(11+rng.Intn(200)), byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		switch {
+		case now > 3*sec && rng.Intn(2) == 0:
+			src = addr.From4(10, 1, byte(rng.Intn(256)), byte(rng.Intn(256)))
+		case rng.Intn(5) == 0:
+			src = addr.From4(10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		}
+		k := math.Exp(-float64(time.Millisecond) / tau)
+		mass, total = mass*k, total*k+1000
+		if burst.Contains(src) {
+			mass += 1000
+		}
+		ingest(d, src, 1000, now)
+		over := mass >= cfg.Phi*total
+		if crossed < 0 && over {
+			crossed = i
+			if d.Packets()%sweepEvery == 0 {
+				t.Fatal("the crossing falls on a block's last packet: it pins nothing")
+			}
+			if now <= 2*sec || len(entered) > 0 {
+				t.Fatalf("crossing at packet %d (%v), %v admitted before", i, time.Duration(now), entered)
+			}
+		}
+		if crossed >= 0 && settle < 0 && d.Packets()%sweepEvery == 0 {
+			if !over {
+				t.Fatal("the burst fell back under the threshold inside its block")
+			}
+			settle = now
+		}
+	}
+	if len(entered) == 0 || entered[0] != settle {
+		t.Fatalf("crossing at packet %d: admitted at %v, want the settle stamp %v", crossed, entered, time.Duration(settle))
+	}
+	t.Logf("crossed at packet %d, %d of its block; admitted at %v", crossed, crossed%sweepEvery, time.Duration(settle))
+}
+
+// TestSettleChecksEveryChain: after each settle every inactive prefix on
+// the chain of a leaf of the block is under the entry threshold at the
+// settle instant — none was skipped. Hashed levels of a few cells make
+// keys share cells, so a write's estimate is not its key's final one within
+// the block: what the check may skip is bounded by the block's mass, not by
+// the key's own writes.
+func TestSettleChecksEveryChain(t *testing.T) {
+	cfg := defaultCfg(0.12, 200*time.Millisecond)
+	cfg.Filter.Cells, cfg.Filter.Hashes = 16, 2
+	d, err := NewDetector(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	var block []uint64
+	checked := 0
+	for i := 1; i <= 20000; i++ {
+		now := int64(i) * int64(50*time.Microsecond)
+		src := addr.From4(10, byte(rng.Intn(3)), byte(rng.Intn(4)), byte(rng.Intn(64)))
+		ingest(d, src, int64(40+rng.Intn(1460)), now)
+		block = append(block, byteH().Key(src, 0))
+		if d.Packets()%sweepEvery != 0 {
+			continue
+		}
+		if clock(now) >= d.warmEnd {
+			enterT := cfg.Phi * d.TotalMass(now)
+			for _, leaf := range block {
+				for l := range d.filters {
+					if d.act.find(l, leaf&d.masks[l]) >= 0 {
+						continue
+					}
+					checked++
+					if c := d.filters[l].Estimate(leaf&d.masks[l], now) - d.claimedUnder(leaf, l, now); c >= enterT {
+						t.Fatalf("packet %d: level-%d prefix of leaf %#x inactive at conditioned %v over %v", i, l, leaf, c, enterT)
+					}
+				}
+			}
+		}
+		block = block[:0]
+	}
+	if checked == 0 || d.ActiveLen() == 0 {
+		t.Fatalf("%d chain prefixes checked, %d active: the stream exercises nothing", checked, d.ActiveLen())
 	}
 }

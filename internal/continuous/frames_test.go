@@ -20,8 +20,10 @@ import (
 // 256 and 2²⁰ seal to byte-identical frames — cells, landmark and all — at
 // several points of a stream long enough, against its time constant, to
 // roll the landmark over many times: a roll-over happens at the packet
-// whose timestamp calls for it, wherever the batch boundaries fall. (This
-// lives in an external test package because the codec imports the
+// whose timestamp calls for it, wherever the batch boundaries fall, and so
+// does the settle of the coalescing block before it. The landmark is
+// probed after every chunk without settling the block, which a read would.
+// (This lives in an external test package because the codec imports the
 // detector.)
 func TestChunkingLeavesIdenticalFrames(t *testing.T) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
@@ -60,7 +62,7 @@ func TestChunkingLeavesIdenticalFrames(t *testing.T) {
 					kb.Reset()
 					kb.AppendPackets(h, part[off:min(off+bs, len(part))])
 					d.ObserveKeys(kb)
-					landmarks[d.State().Total.Touch] = true
+					landmarks[continuous.Landmark(d)] = true // State would settle the block
 				}
 				frame, _ := wire.EncodeContinuous(d)
 				out = append(out, frame)

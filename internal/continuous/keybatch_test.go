@@ -22,17 +22,19 @@ func ingest(d *Detector, src addr.Addr, bytes, now int64) {
 
 // dualStackStream synthesises a time-ordered mixed-family stream so the
 // packing family filter and the key-path chain reconstruction both get
-// exercised.
+// exercised. Halfway through, each family's last subnet falls silent, so
+// that its prefix decays out through the exit sweep.
 func dualStackStream(seed int64, n int) []trace.Packet {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]trace.Packet, n)
 	step := int64(10 * time.Second / time.Duration(n))
 	for i := range out {
 		var src addr.Addr
+		late := 2 * i / n // 1 in the second half
 		if rng.Intn(4) == 0 {
-			src = addr.FromParts(0x2001_0db8_0000_0000|uint64(rng.Intn(6))<<16, uint64(i))
+			src = addr.FromParts(0x2001_0db8_0000_0000|uint64(rng.Intn(6-late))<<16, uint64(i))
 		} else {
-			src = addr.From4(10, byte(rng.Intn(4)), byte(rng.Intn(8)), byte(rng.Intn(40)))
+			src = addr.From4(10, byte(rng.Intn(4-late)), byte(rng.Intn(8)), byte(rng.Intn(40)))
 		}
 		out[i] = trace.Packet{Ts: int64(i) * step, Src: src, Size: uint32(40 + rng.Intn(1460))}
 	}

@@ -1,6 +1,7 @@
 package continuous
 
 import (
+	"maps"
 	"testing"
 	"time"
 
@@ -183,9 +184,9 @@ func refLess(a, b addr.Prefix) bool {
 	return a.Addr.Less(b.Addr)
 }
 
-// TestSweepMatchesPerPacketReference pins what moving exits to a sweep
-// changes, over the seven evaluation scenarios, against the per-packet
-// rule: refDetector with its whole-set re-validation (Query) run after
+// TestSweepMatchesPerPacketReference pins what moving exits to a sweep,
+// and entry to the coalescing block's settle point, changes, over the seven
+// evaluation scenarios, against the per-packet rule: refDetector with its whole-set re-validation (Query) run after
 // every packet, so that every active prefix — not only those on the
 // packet's chain — exits on the first packet at which it is under the
 // exit threshold. (Left to itself refDetector keeps an off-chain prefix
@@ -204,12 +205,21 @@ func refLess(a, b addr.Prefix) bool {
 //   - Onset. From equal sets, the detector never admits what the
 //     reference does not, and the reference admits nothing more — except
 //     above a prefix it has just dropped and the detector still holds,
-//     whose claim the entry has to wait out. A difference only ever
-//     begins with a late exit.
+//     whose claim the entry has to wait out, and inside the current block,
+//     whose settle point is where the detector checks entry. The detector
+//     may admit first only above a prefix its sweep has just dropped: a
+//     sweep that drops one checks the settled block's chains again. A
+//     difference only ever begins with a late exit, an admission inside a
+//     block, or one after a sweep.
 //   - Offset. That late exit is taken at the next sweep, at most one
 //     cadence on — unless the sweep finds the prefix back inside the
 //     hysteresis band [ExitRatio·φ·total, φ·total), where the per-packet
-//     rule would not re-admit it and this one has no reason to drop it.
+//     rule would not re-admit it and this one has no reason to drop it, or
+//     the reference dropped it for the claim of an admission inside the
+//     block that the settle did not make. That admission is made at the
+//     block's settle point — unless the prefix's conditioned mass is under
+//     φ·total there, against what the detector held when it checked entry:
+//     its active set and what the sweep or Query that followed dropped.
 //   - The sets are equal after at least 90 % of the packets, and at every
 //     second of trace time the two Query sets hold the same prefixes,
 //     except prefixes inside the band.
@@ -237,11 +247,33 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 			var active [2]map[addr.Prefix]bool // reference, detector
 			var enters, exits [2]int
 			changed := false
+			fed := int64(0)                       // packets fed to the reference
+			refEntered := map[addr.Prefix]int64{} // the reference's last admission of each prefix, as fed
+			dropped := map[addr.Prefix]bool{}     // the detector's exits since the last comparison
+			resumed := map[addr.Prefix]bool{}     // and its admissions above one of them
 			hooked := func(who int) Config {
 				active[who] = map[addr.Prefix]bool{}
 				c := cfg
-				c.OnEnter = func(p addr.Prefix, _ int64) { active[who][p], changed = true, true; enters[who]++ }
-				c.OnExit = func(p addr.Prefix, _ int64) { delete(active[who], p); changed = true; exits[who]++ }
+				c.OnEnter = func(p addr.Prefix, _ int64) {
+					active[who][p], changed = true, true
+					enters[who]++
+					if who == 0 {
+						refEntered[p] = fed
+					}
+					for q := range dropped {
+						if who == 1 && q != p && p.Covers(q) {
+							resumed[p] = true
+						}
+					}
+				}
+				c.OnExit = func(p addr.Prefix, _ int64) {
+					delete(active[who], p)
+					changed = true
+					exits[who]++
+					if who == 1 {
+						dropped[p] = true
+					}
+				}
 				return c
 			}
 			ref := newRefDetector(t, hooked(0))
@@ -252,8 +284,33 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 
 			synced := true                  // the sets were equal after the previous packet
 			fresh := map[addr.Prefix]bool{} // late exits that began a difference, until the next sweep
-			apart, begun, inBand := 0, 0, 0
-			compare := func(now int64) {
+			early := map[addr.Prefix]bool{} // admissions inside a block that began a difference, until it settles
+			settled, lastTs := int64(0), int64(0)
+			apart, begun, inBand, unsettled := 0, 0, 0, 0
+			// conditioned is p's conditioned mass at at, against the
+			// prefixes held.
+			h := sc.Hierarchy
+			conditioned := func(p addr.Prefix, at int64, held map[addr.Prefix]bool) float64 {
+				est := func(q addr.Prefix) float64 { return det.filters[h.Level(q.Bits)].Estimate(h.KeyOfPrefix(q), at) }
+				c := est(p)
+				for q := range held {
+					if q == p || !p.Covers(q) {
+						continue
+					}
+					maximal := true
+					for m := range held {
+						maximal = maximal && (m == q || m == p || !p.Covers(m) || !m.Covers(q))
+					}
+					if maximal {
+						c -= est(q)
+					}
+				}
+				return c
+			}
+			// compare runs after every packet that changed either set or found
+			// them apart, and after every Query; settle says the detector's
+			// block settled since the previous comparison.
+			compare := func(now int64, settle bool) {
 				var extra, missing []addr.Prefix // detector only, reference only
 				for p := range active[1] {
 					if !active[0][p] {
@@ -268,8 +325,10 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 				if synced && len(extra)+len(missing) > 0 {
 					begun++
 					for _, p := range extra {
-						fresh[p] = true
-						if ref.lastExit[p] != det.pkts {
+						switch {
+						case ref.lastExit[p] == det.pkts:
+							fresh[p] = true
+						case !resumed[p]:
 							t.Errorf("packet %d: detector admits %v, reference does not", det.pkts, p)
 						}
 					}
@@ -278,10 +337,35 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 						for _, q := range extra {
 							waits = waits || (q != p && p.Covers(q))
 						}
-						if !waits {
+						switch {
+						case refEntered[p] > settled:
+							early[p] = true
+						case !waits:
 							t.Errorf("packet %d: reference admits %v, detector does not, holding nothing stale below it", det.pkts, p)
 						}
 					}
+				}
+				// The detector checked entry against no more than it holds now
+				// and what it dropped since; the sweep kept p against what it
+				// holds now but what it admitted after the sweep.
+				checked, kept := maps.Clone(active[1]), maps.Clone(active[1])
+				maps.Copy(checked, dropped)
+				maps.DeleteFunc(kept, func(p addr.Prefix, _ bool) bool { return resumed[p] })
+				unsettledNow := map[addr.Prefix]bool{}
+				if settle {
+					for p := range early {
+						if !active[0][p] || active[1][p] {
+							continue // closed at the settle point, or dropped by the reference
+						}
+						unsettled++
+						unsettledNow[p] = true
+						if c, enterT := conditioned(p, lastTs, checked), phi*det.TotalMass(lastTs); c >= enterT*(1-1e-9) {
+							t.Errorf("packet %d: settle did not admit %v, which the reference admitted in the block, at conditioned %.0f over %.0f",
+								det.pkts, p, c, enterT)
+						}
+					}
+					clear(early)
+					settled = det.pkts
 				}
 				for p := range fresh {
 					if !active[1][p] || active[0][p] {
@@ -289,17 +373,24 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 					}
 				}
 				if det.pkts%sweepEvery == 0 {
+				fresh:
 					for p := range fresh {
+						for q := range unsettledNow {
+							if p.Covers(q) {
+								continue fresh // the reference dropped p for q's claim
+							}
+						}
 						inBand++
-						v := det.sweep[det.act.find(sc.Hierarchy.Level(p.Bits), sc.Hierarchy.KeyOfPrefix(p))]
 						enterT := phi * det.TotalMass(now)
-						if c := v.est - v.claimed; c < enterT*det.cfg.ExitRatio || c >= enterT {
+						if c := conditioned(p, now, kept); c < enterT*det.cfg.ExitRatio*(1-1e-9) || c >= enterT*(1+1e-9) {
 							t.Errorf("packet %d: sweep kept %v, which the reference dropped, at conditioned %.0f, outside [%.0f, %.0f)",
 								det.pkts, p, c, enterT*det.cfg.ExitRatio, enterT)
 						}
 					}
 					clear(fresh)
 				}
+				clear(dropped)
+				clear(resumed)
 				synced = len(extra)+len(missing) == 0
 				if !synced {
 					apart++
@@ -311,18 +402,20 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 				p := &pkts[i]
 				for p.Ts >= nextQuery {
 					compareQueries(t, det, ref.Query(nextQuery), det.Query(nextQuery), nextQuery)
-					compare(nextQuery)
+					compare(nextQuery, true)
 					nextQuery += int64(time.Second)
 				}
 				if !sc.Hierarchy.Match(p.Src) {
 					continue
 				}
+				fed++
 				ref.Observe(p.Src, int64(p.Size), p.Ts)
 				ref.Query(p.Ts)
 				ingest(det, p.Src, int64(p.Size), p.Ts)
-				if changed || !synced {
+				lastTs = p.Ts
+				if sweep := det.pkts%sweepEvery == 0; changed || !synced || sweep {
 					changed = false
-					compare(p.Ts)
+					compare(p.Ts, sweep)
 				}
 			}
 			if det.pkts < 10*sweepEvery || enters[0] == 0 || exits[0] == 0 {
@@ -331,8 +424,8 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 			if apart*10 > int(det.pkts) {
 				t.Errorf("active sets differ after %d of %d packets", apart, det.pkts)
 			}
-			t.Logf("%d packets; %d enters, %d exits (reference %d, %d); %d differences begun, %d late exits found in the band, sets apart after %d packets (%.2f %%)",
-				det.pkts, enters[1], exits[1], enters[0], exits[0], begun, inBand, apart, 100*float64(apart)/float64(det.pkts))
+			t.Logf("%d packets; %d enters, %d exits (reference %d, %d); %d differences begun, %d late exits found in the band, %d admissions inside a block under φ·total at its settle point, sets apart after %d packets (%.2f %%)",
+				det.pkts, enters[1], exits[1], enters[0], exits[0], begun, inBand, unsettled, apart, 100*float64(apart)/float64(det.pkts))
 		})
 	}
 }

@@ -48,9 +48,11 @@ func (d *Detector) Config() Config { return d.cfg }
 // when Config.Sampled is set).
 func (d *Detector) Sampler() uint64 { return d.rng }
 
-// State returns a view of the detector's serializable state. The active
-// set is copied, sorted by (level, key); the filters are the live ones.
+// State settles the block and returns a view of the detector's
+// serializable state. The active set is copied, sorted by (level, key); the
+// filters are the live ones.
 func (d *Detector) State() State {
+	d.settle(false)
 	st := State{
 		Started: d.started,
 		WarmEnd: d.warmEnd,

@@ -11,6 +11,7 @@ import (
 	"runtime"
 	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -572,6 +573,51 @@ func TestAggregatorContinuous(t *testing.T) {
 		t.Fatal(err)
 	}
 	matches("after node a's next good frame")
+}
+
+// TestAggregatorContinuousConfigDrift: two nodes whose continuous
+// detectors share hierarchy, filter shape and seed but not configuration —
+// one samples a level per packet, the other writes every level — do not
+// merge. Their frames decode and their filters would add cell for cell, to
+// a doubled total over levels half of which sit unscaled; the round that
+// would fold them is rejected as a merge mismatch instead, and the report
+// stays the first node's.
+func TestAggregatorContinuousConfigDrift(t *testing.T) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	rng := rand.New(rand.NewSource(9))
+	pkts := make([]trace.Packet, 3000)
+	for i := range pkts {
+		pkts[i] = trace.Packet{Ts: int64(i) * int64(time.Millisecond), Src: addr.From4(10, byte(rng.Intn(4)), byte(rng.Intn(256)), 1), Size: 100}
+	}
+	kb := trace.NewKeyBatch(len(pkts))
+	kb.AppendPackets(h, pkts)
+	at := pkts[len(pkts)-1].Ts
+	agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: 0.05})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer agg.Close()
+	for i, node := range []string{"unsampled", "sampled"} {
+		d, err := continuous.NewDetector(continuous.Config{
+			Hierarchy: h, Phi: 0.05, Seed: 7, Sampled: i == 1,
+			Filter: tdbf.Config{Cells: 1 << 10, Hashes: 3, Decay: tdbf.Exponential{Tau: 500 * time.Millisecond}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.ObserveKeys(kb)
+		frame, _ := wire.EncodeContinuous(d)
+		err = agg.Ingest(node, Sealed{Seq: 1, Start: at - int64(500*time.Millisecond), End: at, Frame: frame})
+		switch {
+		case i == 0 && err != nil:
+			t.Fatal(err)
+		case i == 1 && (!errors.Is(err, ErrFrameRejected) || !strings.Contains(err.Error(), "Merge config mismatch")):
+			t.Fatalf("a sampled node's frame folded with an unsampled node's: %v", err)
+		}
+	}
+	if rep := agg.Report(); rep.Nodes != 1 {
+		t.Fatalf("report over %d nodes after the drifting node's frame: %+v", rep.Nodes, rep)
+	}
 }
 
 // TestAggregatorContinuousSteadyStateAllocs: once every node has a summary

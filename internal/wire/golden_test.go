@@ -24,7 +24,8 @@ import (
 // when a deliberate format change ships with a version bump — these
 // fixtures are the back-compat tripwire for the wire format. It rewrites
 // the vectors the encoders still produce, never the decode-only ones
-// (oldDecayed, memento-v6-uneven, sliding-v4), and CI fails a change that
+// (oldDecayed, memento-v6-uneven, sliding-v4, continuous-v4-v3,
+// continuous-v6-v3), and CI fails a change that
 // touches a committed vector at all.
 var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
 
@@ -58,17 +59,17 @@ func goldenFixtures(t *testing.T) []struct {
 		{"memento-v4", EncodeMemento(testMementoH(v4, 0x60))},
 		{"memento-v6", EncodeMemento(testMementoH(v6, 0x61))},
 		{"tdbf-v2", filterFrame},
-		{"continuous-v4-v3", contV4},
-		{"continuous-v6-v3", contV6},
+		{"continuous-v4-block", contV4},
+		{"continuous-v6-block", contV6},
 	}
 }
 
 // oldDecayed names the vectors of the decayed kinds at the versions nothing
 // writes any more, with the version each verifies as: what the fixtures
-// behind tdbf-v2, continuous-v4-v3 and continuous-v6-v3 encoded to while a
-// cell carried its own timestamp (version 1), and what the continuous ones
-// did while every level was a hashed filter (version 2). The bytes stay,
-// decode-only.
+// behind tdbf-v2, continuous-v4-block and continuous-v6-block encoded to
+// while a cell carried its own timestamp (version 1), and what the
+// continuous ones did while every level was a hashed filter (version 2). The
+// bytes stay, decode-only.
 var oldDecayed = []struct {
 	name    string
 	version uint16
@@ -84,12 +85,16 @@ var oldDecayed = []struct {
 // regeneration. The old-version vectors of the decayed kinds are held to
 // what a decode-only vector can be held to: see goldenOldDecayed; and
 // sliding-v4 to what a vector no fixture builds any more can be: see
-// goldenSlidingPerPacket.
+// goldenSlidingPerPacket, and the continuous-*-v3 pair to the same: see
+// goldenContinuousPerPacket.
 func TestGoldenVectors(t *testing.T) {
 	for _, v := range oldDecayed {
 		t.Run(v.name, func(t *testing.T) { goldenOldDecayed(t, v.name, v.version) })
 	}
 	t.Run("sliding-v4", goldenSlidingPerPacket)
+	for _, name := range []string{"continuous-v4-v3", "continuous-v6-v3"} {
+		t.Run(name, func(t *testing.T) { goldenContinuousPerPacket(t, name) })
+	}
 	for _, fx := range goldenFixtures(t) {
 		t.Run(fx.name, func(t *testing.T) {
 			path := filepath.Join("testdata", fx.name+".wire")
@@ -152,6 +157,52 @@ func goldenSlidingPerPacket(t *testing.T) {
 	}
 }
 
+// goldenContinuousPerPacket keeps the format pin on the bytes
+// continuous-v4-v3.wire and continuous-v6-v3.wire have held since the
+// detector wrote every packet into every level's filter and checked its
+// chain for entry as it came. The fixture's packets now reach the filters
+// summed per leaf through the coalescing block and are checked at its
+// settle points — the same stream, cells that differ in float association
+// and activation instants up to a block later, the same format:
+// continuous-*-block is the vector the fixture is compared to — so the old
+// bytes are what no entry builds any more, and a valid frame all the same:
+// they decode, re-encode to themselves, and hold the fixture's exact frame
+// totals — packets, warm-up end and the decayed total, which is added per
+// packet and no block moves — and its active prefixes.
+func goldenContinuousPerPacket(t *testing.T, name string) {
+	want, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
+	if err != nil {
+		t.Fatalf("read golden: %v", err)
+	}
+	if f, err := Verify(want); err != nil || f.Header.Version != VersionLevels {
+		t.Fatalf("committed vector verifies as version %d, %v; want version %d", f.Header.Version, err, VersionLevels)
+	}
+	old, err := decodeAs[*continuous.Detector](want)
+	if err != nil {
+		t.Fatalf("committed vector no longer decodes: %v", err)
+	}
+	if re, _ := EncodeContinuous(old); !bytes.Equal(re, want) {
+		t.Fatal("committed vector does not re-encode to itself")
+	}
+	h, seed := testHierarchy(), uint64(0x80)
+	if strings.HasPrefix(name, "continuous-v6") {
+		h, seed = testHierarchyV6(), 0x81
+	}
+	o, f := old.State(), testContinuousH(t, h, seed).State()
+	if o.Total != f.Total || o.Packets != f.Packets || o.WarmEnd != f.WarmEnd || o.Started != f.Started {
+		t.Fatalf("totals %+v, %d packets, warm-up end %d; the fixture's %+v, %d, %d", o.Total, o.Packets, o.WarmEnd, f.Total, f.Packets, f.WarmEnd)
+	}
+	if !samePrefixes(o.Active, f.Active) || len(o.Active) == 0 {
+		t.Fatalf("active set %+v, the fixture's %+v", o.Active, f.Active)
+	}
+}
+
+// samePrefixes reports whether two active sets, sorted by (level, key),
+// hold the same prefixes, whenever each was admitted.
+func samePrefixes(a, b []continuous.ActiveEntry) bool {
+	return slices.EqualFunc(a, b, func(x, y continuous.ActiveEntry) bool { return x.Level == y.Level && x.Key == y.Key })
+}
+
 // goldenOldDecayed checks one committed vector of a decayed kind at a
 // version no longer written: it still verifies as that version and decodes,
 // to a state that answers as the fixture it was encoded from answers when
@@ -162,7 +213,10 @@ func goldenSlidingPerPacket(t *testing.T) {
 // written now, is a fixpoint of the codec. At a level the receiver holds
 // exactly the old frame's estimate is the minimum of the key's k hashed
 // cells, which is the fresh level's exact mass unless all k collide: the
-// fixtures are chosen so that none does.
+// fixtures are chosen so that none does. The old frames were built with an
+// entry check on every packet, the fresh fixture's at the coalescing
+// block's settle points: the active prefixes are the same, admitted at
+// other instants.
 func goldenOldDecayed(t *testing.T, name string, version uint16) {
 	frame, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
 	if err != nil {
@@ -237,9 +291,10 @@ func goldenOldDecayed(t *testing.T, name string, version uint16) {
 		if g, w := got.TotalMass(queryNow/100), fresh.TotalMass(queryNow/100); math.Abs(g-w) > 1e-9*w || w == 0 {
 			t.Fatalf("total mass %v, fixture built afresh %v", g, w)
 		}
-		if !slices.Equal(gs.Active, fs.Active) || gs.Packets != fs.Packets || gs.WarmEnd != fs.WarmEnd || len(fs.Active) == 0 {
+		if !samePrefixes(gs.Active, fs.Active) || gs.Packets != fs.Packets || gs.WarmEnd != fs.WarmEnd || len(fs.Active) == 0 {
 			t.Fatalf("active set or counters differ from the fixture's:\n got  %+v\n want %+v", gs.Active, fs.Active)
 		}
+
 		re, _ = EncodeContinuous(got)
 	default:
 		t.Fatalf("decoded to %T", v)
