@@ -258,8 +258,7 @@ func (d *Detector) ObserveKeys(b *trace.KeyBatch) {
 // start counts a packet at now, anchoring the warm-up at the first.
 func (d *Detector) start(now int64) {
 	if !d.started {
-		d.started = true
-		d.warmEnd = min(clock(now)+clock(int64(d.cfg.Warmup)), endOfTime)
+		d.started, d.warmEnd = true, min(clock(now)+clock(int64(d.cfg.Warmup)), endOfTime)
 	}
 	d.pkts++
 }
@@ -493,8 +492,7 @@ func (d *Detector) Merge(o *Detector) {
 	d.act.nodes = append(d.act.nodes, o.act.nodes...)
 	d.act.fix()
 	if o.started && (!d.started || o.warmEnd > d.warmEnd) {
-		d.started = true
-		d.warmEnd = o.warmEnd
+		d.started, d.warmEnd = true, o.warmEnd
 	}
 	d.pkts += o.pkts
 }
@@ -508,10 +506,13 @@ func (d *Detector) TotalMass(now int64) float64 { return d.total.Value(now) }
 // Packets returns the number of packets observed.
 func (d *Detector) Packets() int64 { return d.pkts }
 
-// SizeBytes returns the state footprint: the per-level filters, the
-// (bounded) active set and its index, and the coalescing block.
+// SizeBytes returns the state footprint: the per-level filters, the active
+// set and its index, and, unsampled, the coalescing block.
 func (d *Detector) SizeBytes() int {
-	n := d.act.sizeBytes() + int(unsafe.Sizeof(d.blk))
+	n := d.act.sizeBytes()
+	if !d.cfg.Sampled {
+		n += int(unsafe.Sizeof(d.blk))
+	}
 	for _, f := range d.filters {
 		n += f.SizeBytes()
 	}
@@ -527,7 +528,5 @@ func (d *Detector) Reset() {
 	d.base.Reset()
 	d.act.reset()
 	d.blk.reset()
-	d.started = false
-	d.warmEnd = 0
-	d.pkts = 0
+	d.started, d.warmEnd, d.pkts = false, 0, 0
 }

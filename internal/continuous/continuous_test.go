@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/tdbf"
@@ -284,6 +285,14 @@ func TestAccessors(t *testing.T) {
 	}
 	if d.SizeBytes() <= 0 {
 		t.Error("SizeBytes")
+	}
+	// Only an unsampled detector uses, and so counts, the coalescing block.
+	cfg := defaultCfg(0.1, time.Second)
+	cfg.Sampled = true
+	if s, err := NewDetector(cfg); err != nil {
+		t.Fatal(err)
+	} else if got, want := d.SizeBytes()-s.SizeBytes(), int(unsafe.Sizeof(block{})); got != want {
+		t.Errorf("SizeBytes unsampled - sampled = %d, want the block's %d", got, want)
 	}
 	if d.ActiveLen() != 0 {
 		t.Error("ActiveLen")

@@ -185,16 +185,16 @@ func refLess(a, b addr.Prefix) bool {
 }
 
 // TestSweepMatchesPerPacketReference pins what moving exits to a sweep,
-// and entry to the coalescing block's settle point, changes, over the seven
-// evaluation scenarios, against the per-packet rule: refDetector with its whole-set re-validation (Query) run after
-// every packet, so that every active prefix — not only those on the
-// packet's chain — exits on the first packet at which it is under the
-// exit threshold. (Left to itself refDetector keeps an off-chain prefix
-// until the next Query, however stale, and that prefix's claim keeps its
-// ancestors out: on port-sweep the twelve per-second Query sets of the old
-// body and of this detector differ in four prefixes for that reason
-// alone, each an ancestor well above the threshold that the old body
-// misses.)
+// and entry to the coalescing block's settle point, changes, over the
+// seven evaluation scenarios, against the per-packet rule: refDetector
+// with its whole-set re-validation (Query) run after every packet, so that
+// every active prefix — not only those on the packet's chain — exits on
+// the first packet at which it is under the exit threshold. (Left to
+// itself refDetector keeps an off-chain prefix until the next Query,
+// however stale, and that prefix's claim keeps its ancestors out: on
+// port-sweep the twelve per-second Query sets of the old body and of this
+// detector differ in four prefixes for that reason alone, each an ancestor
+// well above the threshold that the old body misses.)
 //
 // The two active sets are compared after every packet. Hysteresis makes
 // membership a matter of history, so once they differ the difference may
@@ -211,15 +211,20 @@ func refLess(a, b addr.Prefix) bool {
 //     sweep that drops one checks the settled block's chains again. A
 //     difference only ever begins with a late exit, an admission inside a
 //     block, or one after a sweep.
-//   - Offset. That late exit is taken at the next sweep, at most one
-//     cadence on — unless the sweep finds the prefix back inside the
-//     hysteresis band [ExitRatio·φ·total, φ·total), where the per-packet
-//     rule would not re-admit it and this one has no reason to drop it, or
-//     the reference dropped it for the claim of an admission inside the
-//     block that the settle did not make. That admission is made at the
+//   - Offset. A late exit is taken at the next sweep, at most one cadence
+//     on — unless the sweep finds the prefix back inside the hysteresis
+//     band [ExitRatio·φ·total, φ·total), where the per-packet rule would
+//     not re-admit it and this one has no reason to drop it, or the
+//     reference dropped it for the claim of an admission inside the block
+//     that the settle did not make, and with that claim it is under
+//     ExitRatio·φ·total. An admission inside a block is made at the
 //     block's settle point — unless the prefix's conditioned mass is under
-//     φ·total there, against what the detector held when it checked entry:
-//     its active set and what the sweep or Query that followed dropped.
+//     φ·total there, against what the settle checked it against: the
+//     active set before the sweep. An admission after a sweep is over
+//     φ·total against the detector's active set, was under it against
+//     what the settle checked, and the reference makes it within one
+//     cadence — unless the detector drops it again first, or the reference
+//     still finds it over φ·total then, waiting for a packet of its chain.
 //   - The sets are equal after at least 90 % of the packets, and at every
 //     second of trace time the two Query sets hold the same prefixes,
 //     except prefixes inside the band.
@@ -282,11 +287,12 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			synced := true                  // the sets were equal after the previous packet
-			fresh := map[addr.Prefix]bool{} // late exits that began a difference, until the next sweep
-			early := map[addr.Prefix]bool{} // admissions inside a block that began a difference, until it settles
+			synced := true                   // the sets were equal after the previous packet
+			fresh := map[addr.Prefix]bool{}  // late exits that began a difference, until the next sweep
+			early := map[addr.Prefix]bool{}  // admissions inside a block that began a difference, until it settles
+			ahead := map[addr.Prefix]int64{} // admissions after a sweep the reference has not made, and when
 			settled, lastTs := int64(0), int64(0)
-			apart, begun, inBand, unsettled := 0, 0, 0, 0
+			apart, begun, inBand, unsettled, resumes := 0, 0, 0, 0, 0
 			// conditioned is p's conditioned mass at at, against the
 			// prefixes held.
 			h := sc.Hierarchy
@@ -345,12 +351,14 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 						}
 					}
 				}
-				// The detector checked entry against no more than it holds now
-				// and what it dropped since; the sweep kept p against what it
-				// holds now but what it admitted after the sweep.
-				checked, kept := maps.Clone(active[1]), maps.Clone(active[1])
-				maps.Copy(checked, dropped)
+				// The sweep kept p against what the detector holds now but what
+				// it admitted after the sweep; the settle checked entry against
+				// that and what the sweep dropped.
+				kept := maps.Clone(active[1])
 				maps.DeleteFunc(kept, func(p addr.Prefix, _ bool) bool { return resumed[p] })
+				checked := maps.Clone(kept)
+				maps.Copy(checked, dropped)
+				enterT := phi * det.TotalMass(lastTs)
 				unsettledNow := map[addr.Prefix]bool{}
 				if settle {
 					for p := range early {
@@ -359,7 +367,7 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 						}
 						unsettled++
 						unsettledNow[p] = true
-						if c, enterT := conditioned(p, lastTs, checked), phi*det.TotalMass(lastTs); c >= enterT*(1-1e-9) {
+						if c := conditioned(p, lastTs, checked); c >= enterT*(1-1e-9) {
 							t.Errorf("packet %d: settle did not admit %v, which the reference admitted in the block, at conditioned %.0f over %.0f",
 								det.pkts, p, c, enterT)
 						}
@@ -367,21 +375,57 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 					clear(early)
 					settled = det.pkts
 				}
+				// An admission after a sweep is one the drop alone let in: over
+				// φ·total against what the detector holds, under it against what
+				// the settle checked. Where the reference has not made it, it
+				// must within a cadence, or the detector drop it again, or the
+				// reference still find it over φ·total: it checks entry on the
+				// packets of a prefix's chain only.
+				for p := range resumed {
+					resumes++
+					if c := conditioned(p, lastTs, active[1]); c < enterT*(1-1e-9) {
+						t.Errorf("packet %d: sweep admitted %v at conditioned %.0f, under %.0f", det.pkts, p, c, enterT)
+					}
+					if c := conditioned(p, lastTs, checked); c >= enterT*(1+1e-9) {
+						t.Errorf("packet %d: settle did not admit %v at conditioned %.0f, over %.0f", det.pkts, p, c, enterT)
+					}
+					if !active[0][p] {
+						ahead[p] = det.pkts
+					}
+				}
+				for p, at := range ahead {
+					switch {
+					case active[0][p] || !active[1][p]:
+						delete(ahead, p)
+					case det.pkts-at >= sweepEvery:
+						if c, refT := ref.estimate(p, lastTs)-ref.claimedUnder(p, lastTs), phi*ref.total.Estimate(0, lastTs); c < refT {
+							t.Errorf("packet %d: the reference has not admitted %v, which the sweep at packet %d did, and holds it at conditioned %.0f, under %.0f",
+								det.pkts, p, at, c, refT)
+						}
+						delete(ahead, p)
+					}
+				}
 				for p := range fresh {
 					if !active[1][p] || active[0][p] {
 						delete(fresh, p) // closed before a sweep saw it
 					}
 				}
 				if det.pkts%sweepEvery == 0 {
-				fresh:
+					enterT := phi * det.TotalMass(now)
 					for p := range fresh {
+						// The reference may have dropped p for the claim of an
+						// admission the settle did not make: p is under the exit
+						// threshold with it.
+						claimed := maps.Clone(kept)
 						for q := range unsettledNow {
 							if p.Covers(q) {
-								continue fresh // the reference dropped p for q's claim
+								claimed[q] = true
 							}
 						}
+						if len(claimed) > len(kept) && conditioned(p, now, claimed) < enterT*det.cfg.ExitRatio*(1+1e-9) {
+							continue
+						}
 						inBand++
-						enterT := phi * det.TotalMass(now)
 						if c := conditioned(p, now, kept); c < enterT*det.cfg.ExitRatio*(1-1e-9) || c >= enterT*(1+1e-9) {
 							t.Errorf("packet %d: sweep kept %v, which the reference dropped, at conditioned %.0f, outside [%.0f, %.0f)",
 								det.pkts, p, c, enterT*det.cfg.ExitRatio, enterT)
@@ -424,8 +468,8 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 			if apart*10 > int(det.pkts) {
 				t.Errorf("active sets differ after %d of %d packets", apart, det.pkts)
 			}
-			t.Logf("%d packets; %d enters, %d exits (reference %d, %d); %d differences begun, %d late exits found in the band, %d admissions inside a block under φ·total at its settle point, sets apart after %d packets (%.2f %%)",
-				det.pkts, enters[1], exits[1], enters[0], exits[0], begun, inBand, unsettled, apart, 100*float64(apart)/float64(det.pkts))
+			t.Logf("%d packets; %d enters, %d exits (reference %d, %d); %d differences begun, %d late exits found in the band, %d admissions inside a block under φ·total at its settle point, %d admissions after a sweep, sets apart after %d packets (%.2f %%)",
+				det.pkts, enters[1], exits[1], enters[0], exits[0], begun, inBand, unsettled, resumes, apart, 100*float64(apart)/float64(det.pkts))
 		})
 	}
 }

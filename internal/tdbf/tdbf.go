@@ -182,7 +182,7 @@ func (b *Base) Ahead(ts []int64) []float64 {
 
 // Rolls reports whether a write at now would roll the landmark over or set
 // one: a caller holding masses at its scale outside the members folds them.
-func (b *Base) Rolls(now int64) bool { return b.age(min(max(now, -maxTime), maxTime)) > rollAfter }
+func (b *Base) Rolls(now int64) bool { _, ok := b.exponent(now, false); return !ok }
 
 // Enter makes now, whose up factor Ahead or resolve took, the instant the
 // base has resolved — members written or read at it find the pair without
