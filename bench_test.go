@@ -28,6 +28,7 @@ import (
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/trace"
+	"hiddenhhh/internal/wire"
 )
 
 // benchTrace lazily synthesises and caches the shared benchmark trace:
@@ -489,15 +490,15 @@ func uniformSources(pkts []Packet) []Packet {
 }
 
 // shardBatches packs pkts under h and returns what one worker of the
-// end-to-end benchmark is handed: shard 0 of a 2-way hash partition, in
-// 256-key batches.
-func shardBatches(h addr.Hierarchy, pkts []Packet) []*trace.KeyBatch {
+// end-to-end benchmark is handed: the given shard of a 2-way hash
+// partition, in 256-key batches.
+func shardBatches(h addr.Hierarchy, pkts []Packet, shard int) []*trace.KeyBatch {
 	all := trace.NewKeyBatch(len(pkts))
 	all.AppendPackets(h, pkts)
 	var batches []*trace.KeyBatch
 	kb := trace.NewKeyBatch(256)
 	for i, key := range all.Keys {
-		if hashx.Bucket(hashx.Mix64(key), 2) != 0 {
+		if hashx.Bucket(hashx.Mix64(key), 2) != shard {
 			continue
 		}
 		kb.Append(key, all.Sizes[i], all.Ts[i])
@@ -524,7 +525,7 @@ func BenchmarkPerLevelUpdateKeys(b *testing.B) {
 		pkts []Packet
 	}{{"diurnal-tier1", diurnal}, {"uniform-random", uniformSources(diurnal)}} {
 		b.Run(tc.name, func(b *testing.B) {
-			batches := shardBatches(h, tc.pkts)
+			batches := shardBatches(h, tc.pkts, 0)
 			eng := hhh.NewPerLevel(h, 512)
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -558,7 +559,7 @@ func BenchmarkSlidingUpdateKeys(b *testing.B) {
 		pkts []Packet
 	}{{"hit-and-run-ddos", ddos}, {"uniform-random", uniformSources(ddos)}} {
 		b.Run(tc.name, func(b *testing.B) {
-			batches := shardBatches(h, tc.pkts)
+			batches := shardBatches(h, tc.pkts, 0)
 			var d *swhh.SlidingHHH
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -644,7 +645,7 @@ func TestTableUpdatesPerPacket(t *testing.T) {
 		{"continuous/byte/zipf-steady", bytewise, zipf, leafWrites, 0, 0.75},
 		{"continuous/byte/uniform-random", bytewise, uniformSources(zipf), leafWrites, 1, 1},
 	} {
-		batches, pkts := shardBatches(tc.h, tc.pkts), 0
+		batches, pkts := shardBatches(tc.h, tc.pkts, 0), 0
 		for _, kb := range batches {
 			pkts += kb.Len()
 		}
@@ -673,7 +674,7 @@ func BenchmarkContinuousObserveKeys(b *testing.B) {
 		pkts []Packet
 	}{{"zipf-steady", zipf}, {"uniform-random", uniformSources(zipf)}} {
 		b.Run(tc.name, func(b *testing.B) {
-			batches := shardBatches(h, tc.pkts)
+			batches := shardBatches(h, tc.pkts, 0)
 			warm := sort.Search(len(batches), func(i int) bool { return batches[i].Ts[0] >= int64(10*time.Second) })
 			var ds [2]*continuous.Detector
 			b.ReportAllocs()
@@ -703,6 +704,65 @@ func BenchmarkContinuousObserveKeys(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkContinuousSnapshot measures what a continuous-decay snapshot
+// costs past the ring drain, on the state it folds: two shard detectors in
+// that workload's shape (the IPv4 byte ladder, 65 536 × 4 filters, τ 10 s,
+// φ 0.05), fed shards 0 and 1 of thirty seconds of zipf-steady. fold is
+// the barrier's accumulator Reset and its two Merges, seal the merged
+// detector's EncodeContinuous, restore an Aggregator's Verify and
+// RestoreContinuous of that frame into the detector it retains. ns/op is
+// ns per snapshot.
+func BenchmarkContinuousSnapshot(b *testing.B) {
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	cfg := continuous.Config{Hierarchy: h, Phi: 0.05,
+		Filter: tdbf.Config{Cells: 1 << 16, Hashes: 4, Decay: tdbf.Exponential{Tau: 10 * time.Second}}}
+	pkts := benchScenario(b, "zipf-steady", 30*time.Second)
+	var shards [2]*continuous.Detector
+	mk := func() *continuous.Detector {
+		d, err := continuous.NewDetector(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return d
+	}
+	for i := range shards {
+		shards[i] = mk()
+		for _, kb := range shardBatches(h, pkts, i) {
+			shards[i].ObserveKeys(kb)
+		}
+	}
+	acc, kept := mk(), mk()
+	fold := func() {
+		acc.Reset()
+		acc.Merge(shards[0])
+		acc.Merge(shards[1])
+	}
+	fold()
+	frame := wire.EncodeContinuous(acc)
+	b.Run("fold", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			fold()
+		}
+	})
+	b.Run("seal", func(b *testing.B) {
+		b.ReportMetric(float64(len(frame)), "frame-B")
+		for i := 0; i < b.N; i++ {
+			wire.EncodeContinuous(acc)
+		}
+	})
+	b.Run("restore", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f, err := wire.Verify(frame)
+			if err == nil {
+				_, err = f.RestoreContinuous(kept)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkSpaceSavingMerge measures one K-way Space-Saving merge as a

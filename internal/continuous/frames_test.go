@@ -64,7 +64,7 @@ func TestChunkingLeavesIdenticalFrames(t *testing.T) {
 					d.ObserveKeys(kb)
 					landmarks[continuous.Landmark(d)] = true // State would settle the block
 				}
-				frame, _ := wire.EncodeContinuous(d)
+				frame := wire.EncodeContinuous(d)
 				out = append(out, frame)
 			}
 			return out, landmarks
@@ -154,7 +154,7 @@ func TestHostileStampsLeaveIdenticalFrames(t *testing.T) {
 					kb.AppendPackets(h, part[off:min(off+bs, len(part))])
 					d.ObserveKeys(kb)
 				}
-				frame, _ := wire.EncodeContinuous(d)
+				frame := wire.EncodeContinuous(d)
 				if _, err := wire.Decode(frame); err != nil {
 					t.Fatalf("sampled=%v: batches of %d: sealed frame %d does not decode: %v", sampled, bs, third, err)
 				}

@@ -44,6 +44,9 @@ type State struct {
 // it carries the OnEnter/OnExit callbacks, which do not serialize.
 func (d *Detector) Config() Config { return d.cfg }
 
+// Filters returns the per-level filters, live: treat as read-only.
+func (d *Detector) Filters() []*tdbf.Filter { return d.filters }
+
 // Sampler returns the splitmix64 level-sampling state (meaningful only
 // when Config.Sampled is set).
 func (d *Detector) Sampler() uint64 { return d.rng }
@@ -88,12 +91,14 @@ func (d *Detector) Fits(cfg Config) bool {
 // Active entries must name a level of the hierarchy and a key generalised
 // to it; of duplicate entries the earliest activation is kept. An error
 // from level is returned as it is. On error d is partly written and must
-// be discarded.
+// be discarded. The filters' own Restore clears them, the one clear they get.
 func (d *Detector) Restore(sampler uint64, st State, level func(l, cells int) (tdbf.FilterState, error)) error {
 	if st.Packets < 0 {
 		return fmt.Errorf("continuous: restore: negative packet count %d", st.Packets)
 	}
-	d.Reset()
+	d.base.Reset()
+	d.act.reset()
+	d.blk.reset()
 	if err := d.total.Restore(st.Total); err != nil {
 		return err
 	}

@@ -483,7 +483,7 @@ func TestAggregatorContinuous(t *testing.T) {
 		d.ObserveKeys(kb)
 	}
 	seal := func(seq int64, d *continuous.Detector, end int64) Sealed {
-		frame, _ := wire.EncodeContinuous(d)
+		frame := wire.EncodeContinuous(d)
 		return Sealed{Seq: seq, Start: end - int64(cfg.Filter.Decay.Tau), End: end, Frame: frame}
 	}
 	union := mk()
@@ -606,7 +606,7 @@ func TestAggregatorContinuousConfigDrift(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.ObserveKeys(kb)
-		frame, _ := wire.EncodeContinuous(d)
+		frame := wire.EncodeContinuous(d)
 		err = agg.Ingest(node, Sealed{Seq: 1, Start: at - int64(500*time.Millisecond), End: at, Frame: frame})
 		switch {
 		case i == 0 && err != nil:
@@ -640,7 +640,7 @@ func TestAggregatorContinuousSteadyStateAllocs(t *testing.T) {
 		kb := trace.NewKeyBatch(len(pkts) / 2)
 		kb.AppendPackets(h, pkts[i*len(pkts)/2:(i+1)*len(pkts)/2])
 		d.ObserveKeys(kb)
-		frame, _ := wire.EncodeContinuous(d)
+		frame := wire.EncodeContinuous(d)
 		seals[i] = Sealed{Start: at - int64(time.Second), End: at, Frame: frame}
 	}
 	agg, err := NewAggregator(AggregatorConfig{Expected: 2, Phi: 0.05})

@@ -553,55 +553,66 @@ func TestMemoMetrics(t *testing.T) {
 }
 
 // TestOccupancyMetric: the continuous pipeline serves, in a conforming
-// exposition, the occupied cells of each level of its merged filters as
-// the encoder counted them for the last sealed frame — equal to a count
-// taken off the accumulator, which stands untouched since that seal, and
+// exposition, the occupied cells of each level of its merged filters as of
+// the last merge, with and without OnSeal — equal to a scan of the
+// accumulator's cells, which stand untouched since that merge, and
 // shrinking from the crowded leaf level to the root — beside the cells each
 // level has, the gauge's denominator: Config.Cells where the level is
 // hashed, its prefix space where that fits and the level is held exactly.
 func TestOccupancyMetric(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	var sealed atomic.Int64
-	det, err := New(Config{
-		Mode: ModeContinuous, Shards: 2, Window: time.Second, Phi: 0.02, Cells: 1 << 12,
-		Metrics: reg, OnSeal: func(Sealed) { sealed.Add(1) },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer det.Close()
-	pkts := wideStream(5, 20000, 3*time.Second)
-	det.ObserveBatch(pkts)
-	det.Snapshot(pkts[len(pkts)-1].Ts + 1)
-	if sealed.Load() != 1 {
-		t.Fatalf("%d frames sealed", sealed.Load())
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := telemetry.ValidateExposition(sb.String()); err != nil {
-		t.Fatalf("exposition does not conform: %v", err)
-	}
-	filters := det.merged.(*tdbfSummary).d.State().Filters
-	prev := 1 << 12
-	for l, f := range filters {
-		for _, want := range []string{
-			fmt.Sprintf("\nhhh_pipeline_tdbf_occupied_cells{level=\"%d\"} %d\n", l, f.Occupied()),
-			fmt.Sprintf("\nhhh_pipeline_tdbf_level_cells{level=\"%d\"} %d\n", l, f.Cells()),
-		} {
-			if !strings.Contains(sb.String(), want) {
-				t.Errorf("exposition lacks %q", strings.TrimSpace(want))
+	for _, seal := range []bool{true, false} {
+		t.Run(fmt.Sprintf("seal=%v", seal), func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			var sealed atomic.Int64
+			cfg := Config{Mode: ModeContinuous, Shards: 2, Window: time.Second, Phi: 0.02, Cells: 1 << 12, Metrics: reg}
+			if seal {
+				cfg.OnSeal = func(Sealed) { sealed.Add(1) }
 			}
-		}
-		if f.Occupied() == 0 || f.Occupied() > prev {
-			t.Errorf("level %d: %d occupied cells after %d a level below", l, f.Occupied(), prev)
-		}
-		prev = f.Occupied()
-	}
-	// The byte ladder under 4096 cells: /8 and /0 fit, and are held exactly.
-	if got := []int{filters[0].Cells(), filters[1].Cells(), filters[2].Cells(), filters[3].Cells(), filters[4].Cells()}; !slices.Equal(got, []int{1 << 12, 1 << 12, 1 << 12, 256, 1}) {
-		t.Errorf("level cells %v", got)
+			det, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer det.Close()
+			pkts := wideStream(5, 20000, 3*time.Second)
+			det.ObserveBatch(pkts)
+			det.Snapshot(pkts[len(pkts)-1].Ts + 1)
+			if want := map[bool]int64{true: 1}[seal]; sealed.Load() != want {
+				t.Fatalf("%d frames sealed, want %d", sealed.Load(), want)
+			}
+			var sb strings.Builder
+			if err := reg.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := telemetry.ValidateExposition(sb.String()); err != nil {
+				t.Fatalf("exposition does not conform: %v", err)
+			}
+			filters := det.merged.(*tdbfSummary).d.State().Filters
+			prev := 1 << 12
+			for l, f := range filters {
+				occupied := 0
+				for _, v := range f.Masses() {
+					if v != 0 {
+						occupied++
+					}
+				}
+				for _, want := range []string{
+					fmt.Sprintf("\nhhh_pipeline_tdbf_occupied_cells{level=\"%d\"} %d\n", l, occupied),
+					fmt.Sprintf("\nhhh_pipeline_tdbf_level_cells{level=\"%d\"} %d\n", l, f.Cells()),
+				} {
+					if !strings.Contains(sb.String(), want) {
+						t.Errorf("exposition lacks %q", strings.TrimSpace(want))
+					}
+				}
+				if occupied == 0 || occupied > prev {
+					t.Errorf("level %d: %d occupied cells after %d a level below", l, occupied, prev)
+				}
+				prev = occupied
+			}
+			// The byte ladder under 4096 cells: /8 and /0 fit, and are held exactly.
+			if got := []int{filters[0].Cells(), filters[1].Cells(), filters[2].Cells(), filters[3].Cells(), filters[4].Cells()}; !slices.Equal(got, []int{1 << 12, 1 << 12, 1 << 12, 256, 1}) {
+				t.Errorf("level cells %v", got)
+			}
+		})
 	}
 }
 

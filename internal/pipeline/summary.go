@@ -456,8 +456,7 @@ func (e *mementoSummary) Query(now int64) (hhh.Set, int64) {
 // adds them.
 type tdbfSummary struct {
 	d *continuous.Detector
-	// occupied is each level's non-zero cell count as of the last Encode,
-	// which counts them to lay the frame out; the occupancy gauge reads it.
+	// occupied is each level's non-zero cell count at the last Fold, gauged.
 	occupied []atomic.Int64
 }
 
@@ -466,16 +465,13 @@ func (e *tdbfSummary) Advance(int64)                {}
 func (e *tdbfSummary) Reset()                       { e.d.Reset() }
 func (e *tdbfSummary) SizeBytes() int               { return e.d.SizeBytes() }
 
-func (e *tdbfSummary) Encode() []byte {
-	frame, occupied := wire.EncodeContinuous(e.d)
-	for l, n := range occupied {
-		e.occupied[l].Store(int64(n))
-	}
-	return frame
-}
+func (e *tdbfSummary) Encode() []byte { return wire.EncodeContinuous(e.d) }
 
 func (e *tdbfSummary) Fold(srcs ...Summary) {
 	foldEach(e, srcs, func(o *tdbfSummary) { e.d.Merge(o.d) })
+	for l, f := range e.d.Filters() {
+		e.occupied[l].Store(int64(f.Occupied()))
+	}
 }
 
 func (e *tdbfSummary) Query(now int64) (hhh.Set, int64) {
@@ -484,7 +480,7 @@ func (e *tdbfSummary) Query(now int64) (hhh.Set, int64) {
 
 // registerEngineMetrics exports what only one engine has to show about
 // the merge accumulator s: for tdbf, the occupied cells of each level's
-// filter at the last seal over the cells the level has (Config.Cells where
+// filter at the last merge over the cells the level has (Config.Cells where
 // it is hashed, its whole prefix space where that is no larger): its fill.
 func registerEngineMetrics(r *telemetry.Registry, s Summary) {
 	e, ok := s.(*tdbfSummary)
@@ -492,12 +488,12 @@ func registerEngineMetrics(r *telemetry.Registry, s Summary) {
 		return
 	}
 	occupied := r.GaugeVec("hhh_pipeline_tdbf_occupied_cells",
-		"Non-zero cells of the merged time-decaying Bloom filter at each hierarchy level (0 = leaf), as counted for the most recent sealed frame; 0 until OnSeal has sealed one. Over hhh_pipeline_tdbf_level_cells it is the level's fill: filter saturation at a hashed level, live prefixes over prefix space at a level held exactly.",
+		"Non-zero cells of the merged time-decaying Bloom filter at each hierarchy level (0 = leaf), as of the most recent merge (a Snapshot or a window's barrier); 0 until the first. Over hhh_pipeline_tdbf_level_cells it is the level's fill: filter saturation at a hashed level, live prefixes over prefix space at a level held exactly.",
 		"level")
 	cells := r.GaugeVec("hhh_pipeline_tdbf_level_cells",
 		"Cells of the time-decaying Bloom filter at each hierarchy level (0 = leaf), constant: Config.Cells at a hashed level, 2^r at a level whose r prefix bits give no more prefixes than that, which is held exactly.",
 		"level")
-	for l, f := range e.d.State().Filters {
+	for l, f := range e.d.Filters() {
 		occupied.WithFunc(func() float64 { return float64(e.occupied[l].Load()) }, strconv.Itoa(l))
 		cells.With(strconv.Itoa(l)).Set(float64(f.Cells()))
 	}

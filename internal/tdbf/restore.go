@@ -23,6 +23,9 @@ type FilterState struct {
 	// one at a time, so a decoder can read them off its input straight
 	// into the filter.
 	Next func() (i int, v float64, ok bool)
+	// Occupied, unless zero, is how many cells Next yields: a restore that
+	// takes another number fails.
+	Occupied int
 }
 
 // Seed returns the hash-family seed, needed to serialize the filter and
@@ -36,16 +39,12 @@ func (f *Filter) Landmark() int64 { return f.base.land }
 // order. It views live storage — treat as read-only.
 func (f *Filter) Masses() []float64 { return f.cells }
 
-// Occupied counts the non-zero cells.
-func (f *Filter) Occupied() int {
-	n := 0
-	for _, v := range f.cells {
-		if v != 0 {
-			n++
-		}
-	}
-	return n
-}
+// Occupied returns the number of non-zero cells, which the filter keeps.
+func (f *Filter) Occupied() int { return f.occ }
+
+// Lines returns the occupancy bitmap, live: bit j of word w is set if cells
+// [LineCells·(64w+j), LineCells·(64w+j+1)) may hold mass; no others do.
+func (f *Filter) Lines() []uint64 { return f.lines }
 
 // validLandmark reports whether l is an instant a Base can stand at.
 func validLandmark(l int64) bool { return l == NoLandmark || (l >= -maxTime && l <= maxTime) }
@@ -68,18 +67,20 @@ func (f *Filter) Restore(st FilterState) error {
 	f.Reset()
 	f.adds = st.Adds
 	k := f.base.align(st.Landmark)
-	for prev := -1; ; {
-		i, v, ok := st.Next()
-		if !ok {
+	for prev, n := -1, 0; ; n++ {
+		switch i, v, ok := st.Next(); {
+		case !ok && st.Occupied != 0 && n != st.Occupied:
+			return fmt.Errorf("tdbf: restore: %d occupied cells, %d declared", n, st.Occupied)
+		case !ok:
 			return nil
-		}
-		if i <= prev || i >= len(f.cells) {
+		case i <= prev || i >= len(f.cells):
 			return fmt.Errorf("tdbf: restore: cell index %d after %d in %d cells", i, prev, len(f.cells))
-		}
-		if !validMass(v) || v == 0 || st.Landmark == NoLandmark {
+		case !validMass(v) || v == 0 || st.Landmark == NoLandmark:
 			return fmt.Errorf("tdbf: restore: invalid mass %v in cell %d (landmark %d)", v, i, st.Landmark)
+		default:
+			f.add(uint64(i), v*k)
+			prev = i
 		}
-		f.cells[i], prev = v*k, i
 	}
 }
 
@@ -101,7 +102,7 @@ func (f *Filter) RestoreHashed(st FilterState, cfg Config, fixed uint64) error {
 	f.adds = st.Adds
 	k := f.base.align(st.Landmark)
 	for i := range f.cells {
-		f.cells[i] = src.read(fixed|uint64(i)<<f.shift) * k
+		f.add(uint64(i), src.read(fixed|uint64(i)<<f.shift)*k)
 	}
 	return nil
 }

@@ -38,6 +38,12 @@
 // an estimate falls below the true decayed mass by less than 2⁻³¹ B per
 // filter merged into it.
 //
+// What a read-side walk costs. A filter counts its non-zero cells and keeps
+// a bitmap with a bit per line of eight (64 B), set when a write takes a
+// cell of the line from zero, cleared when a roll-over flushes it empty.
+// Reset, Merge, Restore, the rescales and the sparse encoding walk marked
+// lines only: they cost what a filter holds, and give the full walk's bits.
+//
 // The law is exponential only: the leaky-bucket law's clamp at zero does
 // not commute with addition. The lazy per-cell filter that supported both
 // survives as the tests' reference (lazy_test.go), beside the classical
@@ -52,6 +58,7 @@ package tdbf
 
 import (
 	"math"
+	"math/bits"
 	"time"
 
 	"hiddenhhh/internal/hashx"
@@ -93,8 +100,9 @@ type Base struct {
 	now      int64
 	up, down float64
 	memo     bool
-	// cols are the members' mass columns, rescaled together at a roll-over.
-	cols [][]float64
+	// The members, rescaled together at a roll-over.
+	filters  []*Filter
+	trackers []*MassTracker
 	// ahead is Ahead's result: the up factors of a run of write instants.
 	ahead [128]float64
 }
@@ -192,8 +200,8 @@ func (b *Base) Enter(now int64, up float64) (down float64) {
 	return b.down
 }
 
-// rebase moves the landmark to the later instant to, rescaling every
-// member column; flush additionally zeroes the cells left under
+// rebase moves the landmark to the later instant to, rescaling the
+// members' marked lines; flush additionally zeroes the cells left under
 // flushFloor (a roll-over does, a merge does not).
 func (b *Base) rebase(to int64, flush bool) {
 	if b.land != NoLandmark {
@@ -202,15 +210,12 @@ func (b *Base) rebase(to int64, flush bool) {
 		if flush {
 			floor = flushFloor
 		}
-		for _, col := range b.cols {
-			for i, v := range col {
-				if v == 0 {
-					continue
-				}
-				if v *= k; v < floor {
-					v = 0
-				}
-				col[i] = v
+		for _, f := range b.filters {
+			f.rescale(k, floor)
+		}
+		for _, t := range b.trackers {
+			if t.v[0] *= k; t.v[0] < floor {
+				t.v[0] = 0
 			}
 		}
 	}
@@ -254,10 +259,61 @@ func SatInt64(m float64) int64 {
 	return int64(m)
 }
 
+const LineCells = 8 // the cells (64 B) a bit of the occupancy bitmap stands for
+
+// add adds w ≥ 0 to cell i and returns the cell, marking its line and
+// counting it if that takes it from zero.
+func (f *Filter) add(i uint64, w float64) float64 {
+	v := f.cells[i]
+	x := v + w
+	f.cells[i] = x
+	if math.Float64bits(v) == 0 && w != 0 {
+		f.lines[i/(64*LineCells)] |= 1 << (i / LineCells % 64)
+		f.occ++
+	}
+	return x
+}
+
+// line returns line j of bitmap word w.
+func (f *Filter) line(w, j int) *[LineCells]float64 {
+	lo := (w*64 + j) * LineCells
+	return (*[LineCells]float64)(f.cells[lo : lo+LineCells])
+}
+
+// rescale multiplies the marked lines by k, zeroes the cells it leaves under
+// floor and unmarks the lines it empties, branching on no cell's value.
+func (f *Filter) rescale(k, floor float64) {
+	for w, word := range f.lines {
+		for ; word != 0; word &= word - 1 {
+			j := bits.TrailingZeros64(word)
+			line, zeroed, live := f.line(w, j), 0, uint64(0)
+			for i, v := range line {
+				x := v * k
+				if x < floor {
+					x = 0
+				}
+				line[i] = x
+				zeroed += became(math.Float64bits(x), math.Float64bits(v))
+				live |= math.Float64bits(x)
+			}
+			f.occ -= zeroed
+			if live == 0 {
+				f.lines[w] &^= 1 << j
+			}
+		}
+	}
+}
+
+// became is 1 if the mass of bits a is zero and that of bits b is not, else
+// 0: masses are never negative, so bits-1 sets the sign bit only for zero.
+func became(a, b uint64) int { return int((a - 1) &^ (b - 1) >> 63) }
+
 // Filter is a forward-decayed time-decaying Bloom filter. It is not safe
 // for concurrent use.
 type Filter struct {
-	cells []float64 // masses scaled to base's landmark
+	cells []float64 // masses scaled to base's landmark, the last line padded
+	lines []uint64  // occupancy: bit j of word w set if line 64w+j may hold mass
+	occ   int       // the non-zero cells
 	base  *Base
 	k     int
 	seed  uint64
@@ -274,7 +330,7 @@ type Filter struct {
 }
 
 // slot is key's cell in a direct-addressed filter (a one-key level masks all).
-func (f *Filter) slot(key uint64) *float64 { return &f.cells[key>>(f.shift&63)&f.mask] }
+func (f *Filter) slot(key uint64) uint64 { return key >> (f.shift & 63) & f.mask }
 
 // index reduces a double-hashing probe to a cell index.
 func (f *Filter) index(h uint64) uint64 {
@@ -317,11 +373,13 @@ func New(cfg Config) *Filter { return NewBase(cfg.Decay).NewFilter(cfg) }
 // cfg.Decay is not consulted.
 func (b *Base) NewFilter(cfg Config) *Filter {
 	cfg = cfg.WithDefaults()
-	f := &Filter{cells: make([]float64, cfg.Cells), base: b, k: cfg.Hashes, seed: cfg.Seed, pre: hashx.Premix(cfg.Seed)}
+	lines := (cfg.Cells + LineCells - 1) / LineCells // the last padded whole
+	f := &Filter{cells: make([]float64, lines*LineCells)[:cfg.Cells], lines: make([]uint64, (lines+63)/64),
+		base: b, k: cfg.Hashes, seed: cfg.Seed, pre: hashx.Premix(cfg.Seed)}
 	if cfg.Cells&(cfg.Cells-1) == 0 {
 		f.mask = uint64(cfg.Cells - 1)
 	}
-	b.cols = append(b.cols, f.cells)
+	b.filters = append(b.filters, f)
 	return f
 }
 
@@ -336,8 +394,8 @@ func (b *Base) NewLevel(cfg Config, shift, bits uint) *Filter {
 	if cfg = cfg.WithDefaults(); bits > 62 || 1<<bits > cfg.Cells {
 		return b.NewFilter(cfg)
 	}
-	f := &Filter{cells: make([]float64, 1<<bits), base: b, k: 1, seed: cfg.Seed, mask: 1<<bits - 1, direct: true, shift: uint8(shift)}
-	b.cols = append(b.cols, f.cells)
+	f := b.NewFilter(Config{Cells: 1 << bits, Hashes: 1, Seed: cfg.Seed})
+	f.direct, f.shift = true, uint8(shift)
 	return f
 }
 
@@ -353,10 +411,10 @@ func (f *Filter) Cells() int { return len(f.cells) }
 // Hashes returns k.
 func (f *Filter) Hashes() int { return f.k }
 
-// SizeBytes returns the state footprint (8 B per cell: the scaled mass).
-func (f *Filter) SizeBytes() int { return len(f.cells) * 8 }
+// SizeBytes returns the state footprint: 8 B per cell and a bit per line.
+func (f *Filter) SizeBytes() int { return (cap(f.cells) + len(f.lines)) * 8 }
 
-// Adds returns the number of Add calls since construction or Reset.
+// Adds returns the writes since construction or Reset, merged ones included.
 func (f *Filter) Adds() int64 { return f.adds }
 
 // Add records weight w for key at time now (ns) and returns the key's
@@ -371,21 +429,19 @@ func (f *Filter) Add(key uint64, w float64, now int64) float64 {
 }
 
 // AddScaled is Add for a caller that holds the factor pair of its instant
-// (Base.Ahead, Base.Enter): w is the weight times up, and the estimate
+// (Base.Ahead, Base.Enter): w ≥ 0 is the weight times up, and the estimate
 // returned is at the landmark's scale, to be brought back by down.
 func (f *Filter) AddScaled(key uint64, w float64) float64 {
 	f.adds++
 	if f.direct {
-		c := f.slot(key)
-		*c += w
-		return *c
+		return f.add(f.slot(key), w)
 	}
 	h1, h2 := hashx.Probes2(key, f.pre)
 	if f.mask == 0 || f.k > len(f.cells) {
 		// Two probes may land on one cell, whose value is final only after
 		// the last: write, then walk again.
 		for i := 0; i < f.k; i++ {
-			f.cells[f.index(h1+uint64(i)*h2)] += w
+			f.add(f.index(h1+uint64(i)*h2), w)
 		}
 		return f.min(h1, h2)
 	}
@@ -393,9 +449,8 @@ func (f *Filter) AddScaled(key uint64, w float64) float64 {
 	// k different cells, each final as soon as it is written.
 	min := math.Inf(1)
 	for i := 0; i < f.k; i++ {
-		c := &f.cells[(h1+uint64(i)*h2)&f.mask]
-		if *c += w; *c < min {
-			min = *c
+		if c := f.add((h1+uint64(i)*h2)&f.mask, w); c < min {
+			min = c
 		}
 	}
 	return min
@@ -404,7 +459,7 @@ func (f *Filter) AddScaled(key uint64, w float64) float64 {
 // read returns key's estimate at the landmark's scale.
 func (f *Filter) read(key uint64) float64 {
 	if f.direct {
-		return *f.slot(key)
+		return f.cells[f.slot(key)]
 	}
 	return f.min(hashx.Probes2(key, f.pre))
 }
@@ -429,10 +484,10 @@ func (f *Filter) Estimate(key uint64, now int64) float64 {
 	return f.read(key) * down
 }
 
-// Merge folds filter o into f cell by cell; o is not modified. Both
-// filters must share shape (cells, hashes), seed and decay law, so that a
-// key maps to the same cells in both — the sharded pipeline builds every
-// shard's filters from one config for exactly this reason.
+// Merge folds the cells of o's marked lines into f; o is not modified.
+// Both filters must share shape (cells, hashes), seed and decay law, so
+// that a key maps to the same cells in both — the sharded pipeline builds
+// every shard's filters from one config for exactly this reason.
 //
 // The earlier-scaled side is brought to the later landmark — f's whole
 // Base when that is o's — and the cells are added. Decay commutes with
@@ -449,17 +504,32 @@ func (f *Filter) Merge(o *Filter) {
 		panic("tdbf: Filter.Merge shape/seed/decay mismatch")
 	}
 	k := f.base.align(o.base.land)
-	for i, v := range o.cells {
-		f.cells[i] += v * k
+	for w, word := range o.lines {
+		for ; word != 0; word &= word - 1 {
+			j := bits.TrailingZeros64(word)
+			src, dst, n := o.line(w, j), f.line(w, j), 0
+			for i, v := range src {
+				d, x := dst[i], dst[i]+v*k
+				dst[i] = x
+				n += became(math.Float64bits(d), math.Float64bits(x))
+			}
+			f.lines[w] |= uint64(-n) >> 63 << j // no branch on the loads
+			f.occ += n
+		}
 	}
 	f.adds += o.adds
 }
 
-// Reset clears all cells. The landmark belongs to the Base, which the
-// filter may share: Base.Reset drops it.
+// Reset clears all cells, walking the marked lines. The landmark belongs
+// to the Base, which the filter may share: Base.Reset drops it.
 func (f *Filter) Reset() {
-	clear(f.cells)
-	f.adds = 0
+	for w, word := range f.lines {
+		for ; word != 0; word &= word - 1 {
+			*f.line(w, bits.TrailingZeros64(word)) = [LineCells]float64{}
+		}
+	}
+	clear(f.lines)
+	f.occ, f.adds = 0, 0
 }
 
 // MassTracker is a single forward-decayed accumulator, a one-cell member
@@ -474,7 +544,7 @@ type MassTracker struct {
 // other members.
 func (b *Base) NewMassTracker() *MassTracker {
 	t := &MassTracker{base: b}
-	b.cols = append(b.cols, t.v[:])
+	b.trackers = append(b.trackers, t)
 	return t
 }
 

@@ -86,7 +86,7 @@ func TestFilterDefaults(t *testing.T) {
 	if f.Cells() != 1<<16 || f.Hashes() != 4 {
 		t.Errorf("defaults: m=%d k=%d", f.Cells(), f.Hashes())
 	}
-	if f.SizeBytes() != (1<<16)*8 {
+	if f.SizeBytes() != (1<<16)*8+(1<<16)/8/8 { // the cells, a bit per line of 8
 		t.Errorf("SizeBytes = %d", f.SizeBytes())
 	}
 	if f.Decay().Horizon() != time.Second {

@@ -96,12 +96,12 @@ func BenchmarkWireEncodeDecode(b *testing.B) {
 	})
 	b.Run("continuous", func(b *testing.B) {
 		d := testContinuous(b, 8)
-		frame, _ := EncodeContinuous(d)
+		frame := EncodeContinuous(d)
 		b.SetBytes(int64(len(frame)))
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			frame, _ := EncodeContinuous(d)
+			frame := EncodeContinuous(d)
 			if _, err := Decode(frame); err != nil {
 				b.Fatal(err)
 			}

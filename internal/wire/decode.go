@@ -573,25 +573,24 @@ func (c *cursor) take(n int) []byte {
 // level reads one filter's section at the cursor — seed, add count, cells —
 // of a frame of the given version, as the state a restore pulls: Next
 // yields the non-zero cells off the payload. The section's bytes are
-// checked to be there and to add up to the declared count; indices and
-// masses are validated by the restore (which refuses -0, so that a state
-// has one encoding).
+// checked to be there; the restore holds the cells it takes to the
+// declared count and validates indices and masses (refusing -0, so that a
+// state has one encoding).
 func (c *cursor) level(version uint16, cells int, d tdbf.Exponential) (st tdbf.FilterState, err error) {
 	st.Seed, st.Adds = c.u64(), c.i64()
 	if version == Version {
 		st.Landmark, st.Next, err = c.cellsV1(cells, d)
 		return st, err
 	}
-	st.Landmark = c.i64()
-	occupied := int(c.u32())
-	if !c.ok || occupied > cells {
-		return st, fmt.Errorf("%w: short filter section, or %d occupied cells of %d", ErrCorrupt, occupied, cells)
+	st.Landmark, st.Occupied = c.i64(), int(c.u32())
+	if !c.ok || st.Occupied > cells {
+		return st, fmt.Errorf("%w: short filter section, or %d occupied cells of %d", ErrCorrupt, st.Occupied, cells)
 	}
 	if err := boundLandmark(st.Landmark); err != nil {
 		return st, err
 	}
-	stride, n := sparseRowSize, occupied
-	if !sparse(occupied, cells) {
+	stride, n := sparseRowSize, st.Occupied
+	if !sparse(st.Occupied, cells) {
 		stride, n = denseCellSize, cells
 	}
 	rows := c.take(n * stride)
@@ -610,17 +609,6 @@ func (c *cursor) level(version uint16, cells int, d tdbf.Exponential) (st tdbf.F
 			}
 		}
 		return 0, 0, false
-	}
-	if stride == denseCellSize {
-		seen := 0
-		for i := 0; i < n; i++ {
-			if binary.LittleEndian.Uint64(rows[i*stride:]) != 0 {
-				seen++
-			}
-		}
-		if seen != occupied {
-			return st, fmt.Errorf("%w: dense column holds %d occupied cells, declares %d", ErrCorrupt, seen, occupied)
-		}
 	}
 	return st, nil
 }

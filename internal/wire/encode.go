@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"hiddenhhh/internal/addr"
@@ -49,8 +50,7 @@ func Encode(v any) ([]byte, error) {
 	case *tdbf.Filter:
 		return EncodeFilter(s), nil
 	case *continuous.Detector:
-		frame, _ := EncodeContinuous(s)
-		return frame, nil
+		return EncodeContinuous(s), nil
 	default:
 		return nil, fmt.Errorf("wire: cannot encode %T", v)
 	}
@@ -307,23 +307,28 @@ func levelSize(occupied, cells int) int {
 }
 
 // appendLevel writes f's section: seed, add count, then the cells as the
-// landmark, the occupied count and the layout that count selects.
-func appendLevel(b []byte, f *tdbf.Filter, occupied int) []byte {
+// landmark, the occupied count and the layout that count selects. Sparse
+// rows are read off the filter's marked lines, in ascending line order.
+func appendLevel(b []byte, f *tdbf.Filter) []byte {
 	masses := f.Masses()
 	b = appendU64(b, f.Seed())
 	b = appendI64(b, f.Adds())
 	b = appendI64(b, f.Landmark())
-	b = appendU32(b, uint32(occupied))
-	if !sparse(occupied, len(masses)) {
+	b = appendU32(b, uint32(f.Occupied()))
+	if !sparse(f.Occupied(), len(masses)) {
 		for _, v := range masses {
 			b = appendF64(b, v)
 		}
 		return b
 	}
-	for i, v := range masses {
-		if v != 0 {
-			b = appendU32(b, uint32(i))
-			b = appendF64(b, v)
+	for w, word := range f.Lines() {
+		for ; word != 0; word &= word - 1 {
+			lo := (w*64 + bits.TrailingZeros64(word)) * tdbf.LineCells
+			for i, v := range masses[lo:min(lo+tdbf.LineCells, len(masses))] {
+				if v != 0 {
+					b = appendF64(appendU32(b, uint32(lo+i)), v)
+				}
+			}
 		}
 	}
 	return b
@@ -332,21 +337,19 @@ func appendLevel(b []byte, f *tdbf.Filter, occupied int) []byte {
 // EncodeFilter frames a bare time-decaying Bloom filter (KindFilter, no
 // hierarchy descriptor).
 func EncodeFilter(f *tdbf.Filter) []byte {
-	occupied := f.Occupied()
-	b := beginFrame(KindFilter, 0, 0, 0, decaySize+filterHeaderSize+levelSize(occupied, f.Cells()))
+	b := beginFrame(KindFilter, 0, 0, 0, decaySize+filterHeaderSize+levelSize(f.Occupied(), f.Cells()))
 	b = appendDecay(b, f.Decay())
 	b = appendU32(b, uint32(f.Cells()))
 	b = appendU16(b, uint16(f.Hashes()))
-	return endFrame(appendLevel(b, f, occupied))
+	return endFrame(appendLevel(b, f))
 }
 
 // EncodeContinuous frames a continuous detector (KindContinuous): its
 // full configuration (so the receiver rebuilds an identically derived
 // detector), the warmup anchor and mass tracker, the active set sorted
 // by (level, key) for determinism, then the per-level filter columns, each
-// sized to its own level's cells. It returns, beside the frame, the number of occupied cells in each level's
-// filter, which it counted to lay the frame out.
-func EncodeContinuous(d *continuous.Detector) (frame []byte, occupied []int) {
+// sized to its own level's cells.
+func EncodeContinuous(d *continuous.Detector) []byte {
 	cfg := d.Config()
 	st := d.State()
 	var cflags byte
@@ -356,11 +359,9 @@ func EncodeContinuous(d *continuous.Detector) (frame []byte, occupied []int) {
 	if st.Started {
 		cflags |= 2
 	}
-	occupied = make([]int, len(st.Filters))
 	size := continuousHeaderSize + len(st.Active)*activeRowSize
-	for l, f := range st.Filters {
-		occupied[l] = f.Occupied()
-		size += levelSize(occupied[l], f.Cells())
+	for _, f := range st.Filters {
+		size += levelSize(f.Occupied(), f.Cells())
 	}
 	fam, step, depth := describe(cfg.Hierarchy)
 	b := beginFrame(KindContinuous, fam, step, depth, size)
@@ -386,8 +387,8 @@ func EncodeContinuous(d *continuous.Detector) (frame []byte, occupied []int) {
 	}
 
 	b = appendU16(b, uint16(len(st.Filters)))
-	for l, f := range st.Filters {
-		b = appendLevel(b, f, occupied[l])
+	for _, f := range st.Filters {
+		b = appendLevel(b, f)
 	}
-	return endFrame(b), occupied
+	return endFrame(b)
 }

@@ -25,7 +25,12 @@ import (
 // mutations of it.
 func fuzzSeeds(f *testing.F) [][]byte {
 	filterFrame := EncodeFilter(testFilter(7))
-	contFrame, occupied := EncodeContinuous(testContinuous(f, 8))
+	cont := testContinuous(f, 8)
+	contFrame := EncodeContinuous(cont)
+	var occupied []int
+	for _, lf := range cont.Filters() {
+		occupied = append(occupied, lf.Occupied())
+	}
 	thin := tdbf.New(tdbf.Config{Cells: 64, Hashes: 3, Seed: 1, Decay: tdbf.Exponential{Tau: time.Second}})
 	for key := uint64(0); key < 3; key++ {
 		thin.Add(key, 9, int64(key))

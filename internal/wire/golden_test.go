@@ -38,8 +38,8 @@ func goldenFixtures(t *testing.T) []struct {
 } {
 	v4, v6 := testHierarchy(), testHierarchyV6()
 	filterFrame := EncodeFilter(testFilter(0x70))
-	contV4, _ := EncodeContinuous(testContinuousH(t, v4, 0x80))
-	contV6, _ := EncodeContinuous(testContinuousH(t, v6, 0x81))
+	contV4 := EncodeContinuous(testContinuousH(t, v4, 0x80))
+	contV6 := EncodeContinuous(testContinuousH(t, v6, 0x81))
 	_, delta, deltaWhole := deltaChain() // over sliding-v4-block: see TestGoldenDelta
 	return []struct {
 		name  string
@@ -181,7 +181,7 @@ func goldenContinuousPerPacket(t *testing.T, name string) {
 	if err != nil {
 		t.Fatalf("committed vector no longer decodes: %v", err)
 	}
-	if re, _ := EncodeContinuous(old); !bytes.Equal(re, want) {
+	if re := EncodeContinuous(old); !bytes.Equal(re, want) {
 		t.Fatal("committed vector does not re-encode to itself")
 	}
 	h, seed := testHierarchy(), uint64(0x80)
@@ -295,7 +295,7 @@ func goldenOldDecayed(t *testing.T, name string, version uint16) {
 			t.Fatalf("active set or counters differ from the fixture's:\n got  %+v\n want %+v", gs.Active, fs.Active)
 		}
 
-		re, _ = EncodeContinuous(got)
+		re = EncodeContinuous(got)
 	default:
 		t.Fatalf("decoded to %T", v)
 	}
@@ -341,14 +341,12 @@ func TestGoldenDenseLevel(t *testing.T) {
 		if seed == 0x81 {
 			h = testHierarchyV6()
 		}
-		d := testContinuousH(t, h, seed)
-		_, occupied := EncodeContinuous(d)
-		for l, n := range occupied {
-			f, exact := d.State().Filters[l], 0
+		for _, f := range testContinuousH(t, h, seed).Filters() {
+			exact := 0
 			if f.Direct() {
 				exact = 1
 			}
-			if sparse(n, f.Cells()) {
+			if sparse(f.Occupied(), f.Cells()) {
 				sparseLevels[exact]++
 			} else {
 				dense[exact]++

@@ -119,7 +119,7 @@ func TestLevelsTrustBoundary(t *testing.T) {
 				return
 			}
 			d := v.(*continuous.Detector)
-			re, _ := EncodeContinuous(d)
+			re := EncodeContinuous(d)
 			if f, err := Verify(re); err != nil || f.Header.Version != VersionLevels {
 				t.Fatalf("re-encoding: version %d, %v", f.Header.Version, err)
 			}
@@ -130,7 +130,7 @@ func TestLevelsTrustBoundary(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if twice, _ := EncodeContinuous(again.(*continuous.Detector)); !bytes.Equal(twice, re) {
+			if twice := EncodeContinuous(again.(*continuous.Detector)); !bytes.Equal(twice, re) {
 				t.Fatal("the re-encoding is not a fixpoint of the codec")
 			}
 		})

@@ -160,7 +160,7 @@ func TestMergeEquivalence(t *testing.T) {
 					return d
 				},
 				func(d *continuous.Detector) []byte {
-					frame, _ := EncodeContinuous(d)
+					frame := EncodeContinuous(d)
 					return frame
 				},
 				func(dst, src *continuous.Detector) { dst.Merge(src) },
@@ -279,8 +279,8 @@ func TestMergeAcrossVersions(t *testing.T) {
 		mixed.Merge(mustDecode[*continuous.Detector](t)(frames[2]))
 		same := mustDecode[*continuous.Detector](t)(v3)
 		same.Merge(mustDecode[*continuous.Detector](t)(frames[2]))
-		a, _ := EncodeContinuous(mixed)
-		if want, _ := EncodeContinuous(same); !bytes.Equal(a, want) {
+		a := EncodeContinuous(mixed)
+		if want := EncodeContinuous(same); !bytes.Equal(a, want) {
 			t.Fatalf("%s: a v2-restored detector merged with a v3-restored one differs from the same state restored from version 3", name)
 		}
 	}

@@ -149,7 +149,7 @@ func TestRestoreContinuousInPlace(t *testing.T) {
 		for end := now + int64(span); now < end; now += int64(r.next() % uint64(2*time.Millisecond)) {
 			d.ObserveKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
 		}
-		frame, _ := EncodeContinuous(d)
+		frame := EncodeContinuous(d)
 		f, err := Verify(frame)
 		if err != nil {
 			t.Fatal(err)
@@ -157,7 +157,7 @@ func TestRestoreContinuousInPlace(t *testing.T) {
 		return f
 	}
 	encoded := func(d *continuous.Detector) []byte {
-		frame, _ := EncodeContinuous(d)
+		frame := EncodeContinuous(d)
 		return frame
 	}
 	d, err := feed(live, time.Second).RestoreContinuous(nil)
@@ -301,16 +301,16 @@ func TestDecodeInto(t *testing.T) {
 	engine := func(v any) []any { return []any{v} }
 	continuousFrames := func() (first, next []byte) {
 		d := testContinuous(t, 1)
-		first, _ = EncodeContinuous(d)
+		first = EncodeContinuous(d)
 		r := splitmix(9)
 		for now := int64(3 * time.Second); now < int64(4*time.Second); now += int64(r.next() % uint64(2*time.Millisecond)) {
 			d.ObserveKeys(packet(h, addrFor(h, &r), int64(1+r.next()%9), now))
 		}
-		next, _ = EncodeContinuous(d)
+		next = EncodeContinuous(d)
 		return first, next
 	}
 	cont0, cont1 := continuousFrames()
-	contV6, _ := EncodeContinuous(testContinuousH(t, testHierarchyV6(), 3))
+	contV6 := EncodeContinuous(testContinuousH(t, testHierarchyV6(), 3))
 	for _, tc := range []struct {
 		name   string
 		frames [3][]byte         // two of h, one of another hierarchy

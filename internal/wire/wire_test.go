@@ -331,7 +331,7 @@ func TestRoundTrip(t *testing.T) {
 		if d.ActiveLen() == 0 {
 			t.Fatal("fixture has an empty active set")
 		}
-		frame, _ := EncodeContinuous(d)
+		frame := EncodeContinuous(d)
 		sizedUpFront(t, frame)
 		got, err := decodeAs[*continuous.Detector](frame)
 		if err != nil {
@@ -340,7 +340,7 @@ func TestRoundTrip(t *testing.T) {
 		if !got.Query(queryNow).Equal(d.Query(queryNow)) {
 			t.Fatal("restored query differs from original")
 		}
-		if re, _ := EncodeContinuous(got); !slices.Equal(re, frame) {
+		if re := EncodeContinuous(got); !slices.Equal(re, frame) {
 			t.Fatal("re-encode is not byte-identical")
 		}
 	})
@@ -350,7 +350,7 @@ func TestRoundTrip(t *testing.T) {
 // dynamic type for every kind.
 func TestDecodeDispatch(t *testing.T) {
 	filterFrame := EncodeFilter(testFilter(7))
-	contFrame, _ := EncodeContinuous(testContinuous(t, 8))
+	contFrame := EncodeContinuous(testContinuous(t, 8))
 	_, delta, _ := deltaChain()
 	cases := []struct {
 		frame []byte
@@ -601,7 +601,7 @@ func TestSparseTrustBoundary(t *testing.T) {
 	if _, err := Decode(filter(8, tdbf.NoLandmark, 0)); err != nil {
 		t.Fatalf("empty filter without a landmark: %v", err)
 	}
-	good, _ := EncodeContinuous(testContinuous(t, 8))
+	good := EncodeContinuous(testContinuous(t, 8))
 	perLevel := EncodePerLevel(testPerLevel(3))
 	for _, tc := range []struct {
 		name  string
