@@ -665,7 +665,8 @@ func TestTableUpdatesPerPacket(t *testing.T) {
 // detectors and feeds them the first ten of twenty seconds of trace off the
 // clock — the warm-up, one τ, in which nothing is admitted — then times the
 // second ten, where every packet runs the admission check. ns/op is ns per
-// packet. zipf-steady is that workload's scenario.
+// packet, state-B the bytes one of the two detectors holds at the end.
+// zipf-steady is that workload's scenario.
 func BenchmarkContinuousObserveKeys(b *testing.B) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
 	zipf := benchScenario(b, "zipf-steady", 20*time.Second)
@@ -702,7 +703,41 @@ func BenchmarkContinuousObserveKeys(b *testing.B) {
 			if ds[0].ActiveLen()+ds[1].ActiveLen() == 0 {
 				b.Fatal("no prefix admitted: the timed packets ran no admission")
 			}
+			b.ReportMetric(float64(ds[0].SizeBytes()), "state-B")
 		})
+	}
+}
+
+// TestContinuousFootprint pins what a continuous detector in the
+// continuous-decay workload's shape (BenchmarkContinuousObserveKeys') holds
+// after ten seconds of shard 0: the bytes are deterministic. Its filters
+// hold the lines their traffic touched — on zipf-steady under 0.35 of
+// dense, the bytes of the same detector were each filter to hold all its
+// cells, and with every source drawn uniformly, which leaves every line of
+// the big levels held, under 1.07 of it.
+func TestContinuousFootprint(t *testing.T) {
+	const dense = 1_579_496
+	h := addr.NewIPv4Hierarchy(addr.Byte)
+	zipf := benchScenario(t, "zipf-steady", 10*time.Second)
+	for _, tc := range []struct {
+		name  string
+		pkts  []Packet
+		bytes int
+		ratio float64
+	}{{"zipf-steady", zipf, 466_780, 0.35}, {"uniform-random", uniformSources(zipf), 1_675_164, 1.07}} {
+		d, err := continuous.NewDetector(continuous.Config{Hierarchy: h, Phi: 0.05,
+			Filter: tdbf.Config{Cells: 1 << 16, Hashes: 4, Decay: tdbf.Exponential{Tau: 10 * time.Second}}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, kb := range shardBatches(h, tc.pkts, 0) {
+			d.ObserveKeys(kb)
+		}
+		got := d.SizeBytes()
+		t.Logf("%-14s %9d B, %.3f of dense", tc.name, got, float64(got)/dense)
+		if got != tc.bytes || float64(got) > tc.ratio*dense {
+			t.Errorf("%s: %d B, want %d (at most %.2f of %d)", tc.name, got, tc.bytes, tc.ratio, dense)
+		}
 	}
 }
 
@@ -713,7 +748,8 @@ func BenchmarkContinuousObserveKeys(b *testing.B) {
 // the barrier's accumulator Reset and its two Merges, seal the merged
 // detector's EncodeContinuous, restore an Aggregator's Verify and
 // RestoreContinuous of that frame into the detector it retains. ns/op is
-// ns per snapshot.
+// ns per snapshot; state-B is what the accumulator (fold) and the retained
+// detector (restore) hold.
 func BenchmarkContinuousSnapshot(b *testing.B) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
 	cfg := continuous.Config{Hierarchy: h, Phi: 0.05,
@@ -745,6 +781,7 @@ func BenchmarkContinuousSnapshot(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			fold()
 		}
+		b.ReportMetric(float64(acc.SizeBytes()), "state-B")
 	})
 	b.Run("seal", func(b *testing.B) {
 		b.ReportMetric(float64(len(frame)), "frame-B")
@@ -762,6 +799,7 @@ func BenchmarkContinuousSnapshot(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
+		b.ReportMetric(float64(kept.SizeBytes()), "state-B")
 	})
 }
 

@@ -66,6 +66,7 @@ import (
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hashx"
 	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/trace"
 )
@@ -494,7 +495,7 @@ func (d *Detector) Merge(o *Detector) {
 	if o.started && (!d.started || o.warmEnd > d.warmEnd) {
 		d.started, d.warmEnd = true, o.warmEnd
 	}
-	d.pkts += o.pkts
+	d.pkts = sketch.AddSat(d.pkts, o.pkts)
 }
 
 // ActiveLen returns the active set's size at the last settle or sweep.

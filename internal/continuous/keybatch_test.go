@@ -1,6 +1,7 @@
 package continuous
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -141,8 +142,15 @@ func TestContinuousKeyBatchMatchesObserve(t *testing.T) {
 	}
 }
 
-// cellsOf flattens a filter's state — landmark, then masses — for
-// comparison.
+// cellsOf flattens a filter's state — landmark, then each held line's
+// index and masses — for comparison.
 func cellsOf(f *tdbf.Filter) []float64 {
-	return append([]float64{float64(f.Landmark())}, f.Masses()...)
+	out := []float64{float64(f.Landmark())}
+	for w := 0; w*64*tdbf.LineCells < f.Cells(); w++ {
+		for m := f.Lines(w); m != 0; m &= m - 1 {
+			j := w*64 + bits.TrailingZeros64(m)
+			out = append(append(out, float64(j)), f.Line(j)[:]...)
+		}
+	}
+	return out
 }

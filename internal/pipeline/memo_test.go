@@ -14,6 +14,7 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/chaos"
+	"hiddenhhh/internal/tdbf"
 	"hiddenhhh/internal/telemetry"
 	"hiddenhhh/internal/trace"
 	"hiddenhhh/internal/wire"
@@ -590,9 +591,11 @@ func TestOccupancyMetric(t *testing.T) {
 			prev := 1 << 12
 			for l, f := range filters {
 				occupied := 0
-				for _, v := range f.Masses() {
-					if v != 0 {
-						occupied++
+				for j := 0; j*tdbf.LineCells < f.Cells(); j++ {
+					for _, v := range f.Line(j) {
+						if v != 0 {
+							occupied++
+						}
 					}
 				}
 				for _, want := range []string{

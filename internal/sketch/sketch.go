@@ -18,6 +18,8 @@
 // order (SpaceSaving.Ordered), which lets a threshold query stop early.
 package sketch
 
+import "math"
+
 // KV is a key with its estimated weight, as returned by key-tracking
 // sketches.
 type KV struct {
@@ -39,13 +41,16 @@ func NewExact(sizeHint int) *Exact {
 	return &Exact{m: make(map[uint64]int64, sizeHint)}
 }
 
-// Update adds weight w for key.
+// Update adds weight w ≥ 0 for key. Counts saturate at MaxInt64: none
+// exceeds the total, so a count can wrap only where the total does.
 func (e *Exact) Update(key uint64, w int64) {
 	if e.m == nil {
 		e.m = make(map[uint64]int64)
 	}
 	e.m[key] += w
-	e.total += w
+	if e.total += w; e.total < 0 {
+		e.m[key], e.total = AddSat(e.m[key]-w, w), math.MaxInt64
+	}
 }
 
 // Remove subtracts weight w for key, deleting the entry when it reaches
@@ -97,13 +102,13 @@ func (e *Exact) ForEach(fn func(key uint64, count int64)) {
 	}
 }
 
-// AddAll merges other into e.
+// AddAll merges other into e; counts saturate at MaxInt64.
 func (e *Exact) AddAll(other *Exact) {
 	if e.m == nil {
 		e.m = make(map[uint64]int64, other.Len())
 	}
 	for k, v := range other.m {
-		e.m[k] += v
+		e.m[k] = AddSat(e.m[k], v)
 	}
-	e.total += other.total
+	e.total = AddSat(e.total, other.total)
 }

@@ -1,6 +1,7 @@
 package sketch
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -376,4 +377,24 @@ func (s *SpaceSaving) GuaranteedKeys(threshold int64) []KV {
 		}
 	}
 	return out
+}
+
+// TestExactSaturates: counts and the total stop at MaxInt64, through
+// Update and AddAll alike, instead of wrapping negative.
+func TestExactSaturates(t *testing.T) {
+	e := NewExact(2)
+	e.Update(1, math.MaxInt64-1)
+	e.Update(1, 2)
+	if e.Estimate(1) != math.MaxInt64 || e.Total() != math.MaxInt64 {
+		t.Fatalf("Update: count %d, total %d", e.Estimate(1), e.Total())
+	}
+	o := NewExact(2)
+	o.Update(1, 1<<62+1)
+	o.Update(2, 1<<62+1)
+	m := NewExact(2)
+	m.AddAll(o)
+	m.AddAll(o)
+	if m.Estimate(1) != math.MaxInt64 || m.Estimate(2) != math.MaxInt64 || m.Total() != math.MaxInt64 {
+		t.Fatalf("AddAll: counts %d and %d, total %d", m.Estimate(1), m.Estimate(2), m.Total())
+	}
 }

@@ -20,7 +20,7 @@ func TestDirectLevel(t *testing.T) {
 	if f := mk(9); f.Direct() || f.Cells() != 256 || f.Hashes() != 3 {
 		t.Fatalf("512 keys in 256 cells: direct %v, %d cells, %d hashes", f.Direct(), f.Cells(), f.Hashes())
 	}
-	if f := mk(0); !f.Direct() || f.Cells() != 1 || f.SizeBytes() != 8*8+8 { // a padded line and a bitmap word
+	if f := mk(0); !f.Direct() || f.Cells() != 1 || f.SizeBytes() != 4+8*8 { // a directory entry and the zero line
 		t.Fatalf("one key: direct %v, %d cells, %d B", f.Direct(), f.Cells(), f.SizeBytes())
 	}
 	type add struct {
@@ -119,7 +119,7 @@ func TestRestoreHashed(t *testing.T) {
 		old.Add(fixed|uint64(rng.Intn(24))<<shift, float64(1+rng.Intn(9)), now)
 	}
 	state := func() FilterState {
-		return FilterState{Seed: old.Seed(), Adds: old.Adds(), Landmark: old.Landmark(), Next: cellRows(old.Masses())}
+		return FilterState{Seed: old.Seed(), Adds: old.Adds(), Landmark: old.Landmark(), Next: cellRows(old.masses())}
 	}
 	for _, later := range []bool{false, true} {
 		base := NewBase(law)

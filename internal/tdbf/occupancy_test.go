@@ -5,8 +5,8 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
-	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,8 +32,8 @@ type occupancyRig struct {
 	now   int64
 	sides [2][]*tdbf.Filter
 	// What the run reached: merges that rebased the destination's Base and
-	// ones that rescaled the source, and the lines a rescale unmarked.
-	rebased, rescaled, unmarked int
+	// ones that rescaled the source, and the lines a roll-over gave back.
+	rebased, rescaled, freed int
 }
 
 func newOccupancyRig() *occupancyRig {
@@ -41,7 +41,7 @@ func newOccupancyRig() *occupancyRig {
 	for s := range r.sides {
 		b := tdbf.NewBase(tdbf.Exponential{Tau: occupancyTau})
 		r.sides[s] = []*tdbf.Filter{b.NewFilter(occupancyShapes[0]), b.NewFilter(occupancyShapes[1]), b.NewLevel(occupancyShapes[0], 8, 6)}
-		b.NewMassTracker() // a member without a bitmap, rescaled beside them
+		b.NewMassTracker() // a member without lines, rescaled beside them
 	}
 	return r
 }
@@ -49,7 +49,7 @@ func newOccupancyRig() *occupancyRig {
 // state reads f's state off its accessors, its rows from a scan of every
 // cell.
 func state(f *tdbf.Filter) tdbf.FilterState {
-	masses, i := f.Masses(), -1
+	masses, i := tdbf.Masses(f), -1
 	return tdbf.FilterState{Seed: f.Seed(), Adds: f.Adds(), Landmark: f.Landmark(), Next: func() (int, float64, bool) {
 		for i++; i < len(masses); i++ {
 			if masses[i] != 0 {
@@ -60,13 +60,12 @@ func state(f *tdbf.Filter) tdbf.FilterState {
 	}}
 }
 
-// marked counts the marked lines of fs' bitmaps.
-func marked(fs []*tdbf.Filter) int {
+// held counts the lines fs hold.
+func held(fs []*tdbf.Filter) int {
 	n := 0
 	for _, f := range fs {
-		for _, w := range f.Lines() {
-			n += bits.OnesCount64(w)
-		}
+		_, pool := tdbf.Store(f)
+		n += len(pool) - 1
 	}
 	return n
 }
@@ -88,7 +87,7 @@ func (r *occupancyRig) run(t *testing.T, ops []byte) {
 		c := next()
 		s, j := int(c>>3&1), int(c>>4)%3
 		f, o := r.sides[s][j], r.sides[1-s][j]
-		before := marked(r.sides[s])
+		before := held(r.sides[s])
 		switch c & 7 {
 		case 3: // a far-future stamp: the next add rolls over and flushes
 			r.now += int64(70+930*int(c>>7)) * int64(occupancyTau)
@@ -117,8 +116,8 @@ func (r *occupancyRig) run(t *testing.T, ops []byte) {
 		case 7:
 			f.Reset()
 		}
-		if after := marked(r.sides[s]); c&7 < 4 && after < before {
-			r.unmarked += before - after
+		if after := held(r.sides[s]); c&7 < 4 && after < before {
+			r.freed += before - after
 		}
 		for _, side := range r.sides {
 			for _, f := range side {
@@ -128,19 +127,36 @@ func (r *occupancyRig) run(t *testing.T, ops []byte) {
 	}
 }
 
-// checkOccupancy holds f to the bitmap's contract: every non-zero cell's
-// line is marked, Occupied is exact, and the frame wire.EncodeFilter reads
-// off the bitmap is the one a scan of every cell gives.
+// checkOccupancy holds f to the line store's contract: a line is held iff
+// it has a non-zero cell, pool line 0 is zero and every other is held by
+// exactly one directory entry, Lines and Line read the directory, Occupied
+// is exact, and the frame wire.EncodeFilter reads off the held lines is the
+// one a scan of every cell gives.
 func checkOccupancy(t *testing.T, f *tdbf.Filter) {
 	t.Helper()
-	lines, n := f.Lines(), 0
-	for i, v := range f.Masses() {
-		if v == 0 {
-			continue
+	dir, pool := tdbf.Store(f)
+	masses, n := tdbf.Masses(f), 0
+	owner := make([]int, len(pool))
+	if pool[0] != ([tdbf.LineCells]float64{}) {
+		t.Fatalf("pool line 0 holds %v", pool[0])
+	}
+	for j, d := range dir {
+		live := false
+		for i := j * tdbf.LineCells; i < min((j+1)*tdbf.LineCells, len(masses)); i++ {
+			if masses[i] != 0 {
+				live = true
+				n++
+			}
 		}
-		if n++; lines[i/512]>>(i/8%64)&1 == 0 {
-			t.Fatalf("cell %d holds %v in an unmarked line", i, v)
+		if live != (d != 0) || f.Lines(j/64)>>(j%64)&1 != uint64(min(d, 1)) || f.Line(j) != &pool[d] {
+			t.Fatalf("line %d: pool line %d, non-zero cells %v, Lines bit %d", j, d, live, f.Lines(j/64)>>(j%64)&1)
 		}
+		if owner[d]++; d != 0 && owner[d] > 1 {
+			t.Fatalf("pool line %d held by two directory entries", d)
+		}
+	}
+	if i := slices.Index(owner[1:], 0); i >= 0 {
+		t.Fatalf("pool line %d of %d held by no directory entry", i+1, len(pool))
 	}
 	if f.Occupied() != n {
 		t.Fatalf("Occupied() = %d, %d cells are non-zero", f.Occupied(), n)
@@ -156,7 +172,7 @@ func checkOccupancy(t *testing.T, f *tdbf.Filter) {
 // hierarchy descriptor), which no cell decides, are frame's.
 func fullScanFrame(frame []byte, f *tdbf.Filter) []byte {
 	le := binary.LittleEndian
-	masses, occupied := f.Masses(), 0
+	masses, occupied := tdbf.Masses(f), 0
 	for _, v := range masses {
 		if v != 0 {
 			occupied++
@@ -190,17 +206,17 @@ func fullScanFrame(frame []byte, f *tdbf.Filter) []byte {
 // that the run reached each of those paths.
 func TestFilterOccupancyInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(40))
-	var rebased, rescaled, unmarked int
+	var rebased, rescaled, freed int
 	for n := 0; n < 200; n++ {
 		ops := make([]byte, 600)
 		rng.Read(ops)
 		r := newOccupancyRig()
 		r.run(t, ops)
-		rebased, rescaled, unmarked = rebased+r.rebased, rescaled+r.rescaled, unmarked+r.unmarked
+		rebased, rescaled, freed = rebased+r.rebased, rescaled+r.rescaled, freed+r.freed
 	}
-	if rebased == 0 || rescaled == 0 || unmarked == 0 {
-		t.Fatalf("merges rebasing the destination %d, rescaling the source %d, lines unmarked by a roll-over %d: a path went untested",
-			rebased, rescaled, unmarked)
+	if rebased == 0 || rescaled == 0 || freed == 0 {
+		t.Fatalf("merges rebasing the destination %d, rescaling the source %d, lines given back by a roll-over %d: a path went untested",
+			rebased, rescaled, freed)
 	}
 }
 

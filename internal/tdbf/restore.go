@@ -10,8 +10,8 @@ package tdbf
 import "fmt"
 
 // FilterState is the serializable state of a Filter beyond its shape: the
-// input of Filter.Restore. The way out of a live filter is its accessors
-// and Masses.
+// input of Filter.Restore. The way out of a live filter is its accessors,
+// Lines and Line.
 type FilterState struct {
 	Seed uint64
 	Adds int64
@@ -35,16 +35,8 @@ func (f *Filter) Seed() uint64 { return f.seed }
 // Landmark returns the instant the filter's masses are scaled to.
 func (f *Filter) Landmark() int64 { return f.base.land }
 
-// Masses returns the cells, masses scaled to Landmark, in cell-index
-// order. It views live storage — treat as read-only.
-func (f *Filter) Masses() []float64 { return f.cells }
-
 // Occupied returns the number of non-zero cells, which the filter keeps.
 func (f *Filter) Occupied() int { return f.occ }
-
-// Lines returns the occupancy bitmap, live: bit j of word w is set if cells
-// [LineCells·(64w+j), LineCells·(64w+j+1)) may hold mass; no others do.
-func (f *Filter) Lines() []uint64 { return f.lines }
 
 // validLandmark reports whether l is an instant a Base can stand at.
 func validLandmark(l int64) bool { return l == NoLandmark || (l >= -maxTime && l <= maxTime) }
@@ -67,18 +59,31 @@ func (f *Filter) Restore(st FilterState) error {
 	f.Reset()
 	f.adds = st.Adds
 	k := f.base.align(st.Landmark)
+	// The cells come in ascending order into a filter holding none: each is
+	// set, and a line taken as the first of its cells arrives.
+	l, held := &f.pool[0], -1
 	for prev, n := -1, 0; ; n++ {
 		switch i, v, ok := st.Next(); {
 		case !ok && st.Occupied != 0 && n != st.Occupied:
 			return fmt.Errorf("tdbf: restore: %d occupied cells, %d declared", n, st.Occupied)
 		case !ok:
 			return nil
-		case i <= prev || i >= len(f.cells):
-			return fmt.Errorf("tdbf: restore: cell index %d after %d in %d cells", i, prev, len(f.cells))
+		case i <= prev || i >= f.cells:
+			return fmt.Errorf("tdbf: restore: cell index %d after %d in %d cells", i, prev, f.cells)
 		case !validMass(v) || v == 0 || st.Landmark == NoLandmark:
 			return fmt.Errorf("tdbf: restore: invalid mass %v in cell %d (landmark %d)", v, i, st.Landmark)
+		case v*k == 0: // rescaled to nothing
+			prev = i
 		default:
-			f.add(uint64(i), v*k)
+			if j := i / LineCells; j != held && len(f.pool) < cap(f.pool) {
+				f.dir[j] = uint32(len(f.pool))
+				f.pool = append(f.pool, line{})
+				l, held = &f.pool[f.dir[j]], j
+			} else if j != held {
+				l, held = &f.pool[f.take(uint64(j))], j
+			}
+			l[i%LineCells] = v * k
+			f.occ++
 			prev = i
 		}
 	}
@@ -102,7 +107,9 @@ func (f *Filter) RestoreHashed(st FilterState, cfg Config, fixed uint64) error {
 	f.adds = st.Adds
 	k := f.base.align(st.Landmark)
 	for i := range f.cells {
-		f.add(uint64(i), src.read(fixed|uint64(i)<<f.shift)*k)
+		if v := src.read(fixed|uint64(i)<<f.shift) * k; v != 0 {
+			f.add(uint64(i), v)
+		}
 	}
 	return nil
 }

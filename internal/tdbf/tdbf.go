@@ -38,11 +38,15 @@
 // an estimate falls below the true decayed mass by less than 2⁻³¹ B per
 // filter merged into it.
 //
-// What a read-side walk costs. A filter counts its non-zero cells and keeps
-// a bitmap with a bit per line of eight (64 B), set when a write takes a
-// cell of the line from zero, cleared when a roll-over flushes it empty.
-// Reset, Merge, Restore, the rescales and the sparse encoding walk marked
-// lines only: they cost what a filter holds, and give the full walk's bits.
+// What a filter holds. Cells are stored a line of eight (64 B) at a time:
+// a directory entry per line names the line of a pool that holds its
+// cells, or none while it holds no mass. A write that takes a cell of an
+// unheld line from zero appends a line to the pool; a roll-over gives back
+// the lines it flushes empty. Pool line 0 stays zero, so a read goes
+// through the directory without a branch. A filter costs its directory (4
+// B a line) and the lines it holds — under a flood that holds them all,
+// 1/16 more than the cells alone — and counts its non-zero cells. Reset,
+// Merge, Restore, the rescales and the sparse encoding walk held lines.
 //
 // The law is exponential only: the leaky-bucket law's clamp at zero does
 // not commute with addition. The lazy per-cell filter that supported both
@@ -62,6 +66,7 @@ import (
 	"time"
 
 	"hiddenhhh/internal/hashx"
+	"hiddenhhh/internal/sketch"
 )
 
 // Exponential is the decay law: mass decays by exp(-dt/Tau), an
@@ -201,7 +206,7 @@ func (b *Base) Enter(now int64, up float64) (down float64) {
 }
 
 // rebase moves the landmark to the later instant to, rescaling the
-// members' marked lines; flush additionally zeroes the cells left under
+// members' held lines; flush additionally zeroes the cells left under
 // flushFloor (a roll-over does, a merge does not).
 func (b *Base) rebase(to int64, flush bool) {
 	if b.land != NoLandmark {
@@ -259,34 +264,81 @@ func SatInt64(m float64) int64 {
 	return int64(m)
 }
 
-const LineCells = 8 // the cells (64 B) a bit of the occupancy bitmap stands for
+// LineCells is the cells of a line (64 B), the unit a filter holds.
+const LineCells = 8
 
-// add adds w ≥ 0 to cell i and returns the cell, marking its line and
-// counting it if that takes it from zero.
+// line is LineCells cells, masses scaled to the landmark.
+type line = [LineCells]float64
+
+// add adds w > 0 to cell i, taking its line if it holds none, and returns
+// the cell.
 func (f *Filter) add(i uint64, w float64) float64 {
-	v := f.cells[i]
+	d := f.dir[i/LineCells]
+	if d == 0 {
+		d = f.take(i / LineCells)
+	}
+	c := &f.pool[d][i%LineCells]
+	v := *c
 	x := v + w
-	f.cells[i] = x
-	if math.Float64bits(v) == 0 && w != 0 {
-		f.lines[i/(64*LineCells)] |= 1 << (i / LineCells % 64)
+	*c = x
+	if v == 0 {
 		f.occ++
 	}
 	return x
 }
 
-// line returns line j of bitmap word w.
-func (f *Filter) line(w, j int) *[LineCells]float64 {
-	lo := (w*64 + j) * LineCells
-	return (*[LineCells]float64)(f.cells[lo : lo+LineCells])
+// take gives line j the next line of the pool and returns it. It is kept
+// out of line: the writes call it once per line, not per cell. A full pool
+// grows by a quarter, never past a line per directory entry, and the held
+// lines move into it in directory order — the order the walks read them
+// in, which lines appended as traffic first touched them do not keep.
+//
+//go:noinline
+func (f *Filter) take(j uint64) uint32 {
+	if n := len(f.pool); n == cap(f.pool) {
+		pool := make([]line, 1, min(n+n/4+LineCells, len(f.dir)+1))
+		for w := 0; w*64 < len(f.dir); w++ {
+			for m := f.Lines(w); m != 0; m &= m - 1 {
+				k := w*64 + bits.TrailingZeros64(m)
+				pool = append(pool, *f.Line(k))
+				f.dir[k] = uint32(len(pool) - 1)
+			}
+		}
+		f.pool = pool
+	}
+	f.dir[j] = uint32(len(f.pool))
+	f.pool = append(f.pool, line{})
+	return f.dir[j]
 }
 
-// rescale multiplies the marked lines by k, zeroes the cells it leaves under
-// floor and unmarks the lines it empties, branching on no cell's value.
+// cell returns cell i, zero if its line is not held.
+func (f *Filter) cell(i uint64) float64 { return f.pool[f.dir[i/LineCells]][i%LineCells] }
+
+// Lines returns which of lines 64w … 64w+63 are held, bit k for line
+// 64w+k, read off the directory: every non-zero cell is in a held line and
+// every held line has one. Line j is cells [LineCells·j, LineCells·(j+1));
+// a walk over the held lines takes w from 0 while 64w·LineCells < Cells,
+// and each set bit in turn.
+func (f *Filter) Lines(w int) uint64 {
+	m := uint64(0)
+	for k, d := range f.dir[w*64 : min(w*64+64, len(f.dir))] {
+		m |= uint64(-int64(d)) >> 63 << (k & 63) // no branch: half the lines may be held
+	}
+	return m
+}
+
+// Line returns the cells of line j, masses scaled to Landmark: live
+// storage, to treat as read-only, and the zero line if j is not held.
+func (f *Filter) Line(j int) *[LineCells]float64 { return &f.pool[f.dir[j]] }
+
+// rescale multiplies the held lines by k, zeroes the cells it leaves under
+// floor and gives back the lines it empties, branching on no cell's value.
 func (f *Filter) rescale(k, floor float64) {
-	for w, word := range f.lines {
-		for ; word != 0; word &= word - 1 {
-			j := bits.TrailingZeros64(word)
-			line, zeroed, live := f.line(w, j), 0, uint64(0)
+	freed := 0
+	for w := 0; w*64 < len(f.dir); w++ {
+		for m := f.Lines(w); m != 0; m &= m - 1 {
+			j := w*64 + bits.TrailingZeros64(m)
+			line, zeroed, live := f.Line(j), 0, uint64(0)
 			for i, v := range line {
 				x := v * k
 				if x < floor {
@@ -298,10 +350,31 @@ func (f *Filter) rescale(k, floor float64) {
 			}
 			f.occ -= zeroed
 			if live == 0 {
-				f.lines[w] &^= 1 << j
+				f.dir[j] = 0
+				freed++
 			}
 		}
 	}
+	if freed > 0 {
+		f.compact(len(f.pool) - freed)
+	}
+}
+
+// compact shortens the pool to end lines after a rescale gave some back:
+// those below end, left zero, take the held lines at or past it.
+func (f *Filter) compact(end int) {
+	hole := 1
+	for j, d := range f.dir {
+		if d < uint32(end) {
+			continue
+		}
+		for f.pool[hole] != (line{}) {
+			hole++
+		}
+		f.pool[hole], f.dir[j] = f.pool[d], uint32(hole)
+		hole++
+	}
+	f.pool = f.pool[:end]
 }
 
 // became is 1 if the mass of bits a is zero and that of bits b is not, else
@@ -311,18 +384,19 @@ func became(a, b uint64) int { return int((a - 1) &^ (b - 1) >> 63) }
 // Filter is a forward-decayed time-decaying Bloom filter. It is not safe
 // for concurrent use.
 type Filter struct {
-	cells []float64 // masses scaled to base's landmark, the last line padded
-	lines []uint64  // occupancy: bit j of word w set if line 64w+j may hold mass
-	occ   int       // the non-zero cells
+	dir   []uint32 // per line of cells: its line of pool, 0 if it holds no mass
+	pool  []line   // the held lines after pool[0], which stays zero
+	occ   int      // the non-zero cells
+	cells int
 	base  *Base
 	k     int
 	seed  uint64
 	pre   uint64 // hashx.Premix(seed)
-	// mask is len(cells)-1 when that length is a power of two (indices
-	// are then taken with & instead of %), zero otherwise.
+	// mask is cells-1 when that is a power of two (indices are then taken
+	// with & instead of %), zero otherwise.
 	mask uint64
 	// direct marks a direct-addressed filter (see NewLevel): a key's one
-	// cell is the len(cells) = 2^r values of its bits from shift up.
+	// cell is the cells = 2^r values of its bits from shift up.
 	direct bool
 	shift  uint8
 
@@ -337,7 +411,7 @@ func (f *Filter) index(h uint64) uint64 {
 	if f.mask != 0 {
 		return h & f.mask
 	}
-	return h % uint64(len(f.cells))
+	return h % uint64(f.cells)
 }
 
 // Config configures a Filter.
@@ -374,7 +448,7 @@ func New(cfg Config) *Filter { return NewBase(cfg.Decay).NewFilter(cfg) }
 func (b *Base) NewFilter(cfg Config) *Filter {
 	cfg = cfg.WithDefaults()
 	lines := (cfg.Cells + LineCells - 1) / LineCells // the last padded whole
-	f := &Filter{cells: make([]float64, lines*LineCells)[:cfg.Cells], lines: make([]uint64, (lines+63)/64),
+	f := &Filter{dir: make([]uint32, lines), pool: make([]line, 1), cells: cfg.Cells,
 		base: b, k: cfg.Hashes, seed: cfg.Seed, pre: hashx.Premix(cfg.Seed)}
 	if cfg.Cells&(cfg.Cells-1) == 0 {
 		f.mask = uint64(cfg.Cells - 1)
@@ -406,13 +480,15 @@ func (f *Filter) Direct() bool { return f.direct }
 func (f *Filter) Decay() Exponential { return f.base.law }
 
 // Cells returns the array size m.
-func (f *Filter) Cells() int { return len(f.cells) }
+func (f *Filter) Cells() int { return f.cells }
 
 // Hashes returns k.
 func (f *Filter) Hashes() int { return f.k }
 
-// SizeBytes returns the state footprint: 8 B per cell and a bit per line.
-func (f *Filter) SizeBytes() int { return (cap(f.cells) + len(f.lines)) * 8 }
+// SizeBytes returns the state footprint: the directory, 4 B per line, and
+// the pool's capacity, 64 B per line — what the filter holds, not its
+// cells. It costs nothing to ask.
+func (f *Filter) SizeBytes() int { return cap(f.dir)*4 + cap(f.pool)*LineCells*8 }
 
 // Adds returns the writes since construction or Reset, merged ones included.
 func (f *Filter) Adds() int64 { return f.adds }
@@ -433,24 +509,40 @@ func (f *Filter) Add(key uint64, w float64, now int64) float64 {
 // returned is at the landmark's scale, to be brought back by down.
 func (f *Filter) AddScaled(key uint64, w float64) float64 {
 	f.adds++
-	if f.direct {
-		return f.add(f.slot(key), w)
+	if w == 0 { // changes no cell, and takes no line
+		return f.read(key)
 	}
-	h1, h2 := hashx.Probes2(key, f.pre)
-	if f.mask == 0 || f.k > len(f.cells) {
-		// Two probes may land on one cell, whose value is final only after
-		// the last: write, then walk again.
-		for i := 0; i < f.k; i++ {
-			f.add(f.index(h1+uint64(i)*h2), w)
+	h1, h2 := key>>(f.shift&63), uint64(0) // a direct filter's one cell
+	if !f.direct {
+		h1, h2 = hashx.Probes2(key, f.pre)
+		if f.mask == 0 || f.k > f.cells {
+			// Two probes may land on one cell, whose value is final only
+			// after the last: write, then walk again.
+			for i := 0; i < f.k; i++ {
+				f.add(f.index(h1+uint64(i)*h2), w)
+			}
+			return f.min(h1, h2)
 		}
-		return f.min(h1, h2)
 	}
 	// The stride is odd and the cell count a power of two: the k probes are
-	// k different cells, each final as soon as it is written.
+	// k different cells, each final as soon as it is written. The loop is
+	// add spelled out: a call per probe showed in the ingest kernel.
 	min := math.Inf(1)
-	for i := 0; i < f.k; i++ {
-		if c := f.add((h1+uint64(i)*h2)&f.mask, w); c < min {
-			min = c
+	for n := 0; n < f.k; n++ {
+		i := (h1 + uint64(n)*h2) & f.mask
+		d := f.dir[i/LineCells]
+		if d == 0 {
+			d = f.take(i / LineCells)
+		}
+		c := &f.pool[d][i%LineCells]
+		v := *c
+		x := v + w
+		*c = x
+		if v == 0 {
+			f.occ++
+		}
+		if x < min {
+			min = x
 		}
 	}
 	return min
@@ -459,7 +551,7 @@ func (f *Filter) AddScaled(key uint64, w float64) float64 {
 // read returns key's estimate at the landmark's scale.
 func (f *Filter) read(key uint64) float64 {
 	if f.direct {
-		return f.cells[f.slot(key)]
+		return f.cell(f.slot(key))
 	}
 	return f.min(hashx.Probes2(key, f.pre))
 }
@@ -468,7 +560,7 @@ func (f *Filter) read(key uint64) float64 {
 func (f *Filter) min(h1, h2 uint64) float64 {
 	min := math.Inf(1)
 	for i := 0; i < f.k; i++ {
-		if v := f.cells[f.index(h1+uint64(i)*h2)]; v < min {
+		if v := f.cell(f.index(h1 + uint64(i)*h2)); v < min {
 			min = v
 		}
 	}
@@ -484,7 +576,7 @@ func (f *Filter) Estimate(key uint64, now int64) float64 {
 	return f.read(key) * down
 }
 
-// Merge folds the cells of o's marked lines into f; o is not modified.
+// Merge folds the cells of o's held lines into f; o is not modified.
 // Both filters must share shape (cells, hashes), seed and decay law, so
 // that a key maps to the same cells in both — the sharded pipeline builds
 // every shard's filters from one config for exactly this reason.
@@ -494,41 +586,50 @@ func (f *Filter) Estimate(key uint64, now int64) float64 {
 // addition, so the sum is the cell a single filter over the union stream
 // would hold, and the sum of two per-cell upper bounds is an upper bound
 // for the union stream: the merged filter stays conservative,
-// overestimating only through collisions as a single filter would.
+// overestimating only through collisions as a single filter would. A sum
+// past the largest float64 stays there, and the add count saturates.
 func (f *Filter) Merge(o *Filter) {
 	if o == nil {
 		return
 	}
-	if len(f.cells) != len(o.cells) || f.k != o.k || f.seed != o.seed || f.base.law != o.base.law ||
+	if f.cells != o.cells || f.k != o.k || f.seed != o.seed || f.base.law != o.base.law ||
 		f.direct != o.direct || f.shift != o.shift {
 		panic("tdbf: Filter.Merge shape/seed/decay mismatch")
 	}
 	k := f.base.align(o.base.land)
-	for w, word := range o.lines {
-		for ; word != 0; word &= word - 1 {
-			j := bits.TrailingZeros64(word)
-			src, dst, n := o.line(w, j), f.line(w, j), 0
-			for i, v := range src {
-				d, x := dst[i], dst[i]+v*k
-				dst[i] = x
-				n += became(math.Float64bits(d), math.Float64bits(x))
+	for w := 0; w*64 < len(o.dir); w++ {
+		for m := o.Lines(w); m != 0; m &= m - 1 {
+			j := w*64 + bits.TrailingZeros64(m)
+			d, taken := f.dir[j], f.dir[j] == 0
+			if taken && len(f.pool) < cap(f.pool) { // take without the call a fold makes per line
+				d, f.dir[j] = uint32(len(f.pool)), uint32(len(f.pool))
+				f.pool = append(f.pool, line{})
+			} else if taken {
+				d = f.take(uint64(j))
 			}
-			f.lines[w] |= uint64(-n) >> 63 << j // no branch on the loads
+			src, dst, n := o.Line(j), &f.pool[d], 0
+			for i, v := range src {
+				x := dst[i] + v*k
+				if x > math.MaxFloat64 {
+					x = math.MaxFloat64
+				}
+				n += became(math.Float64bits(dst[i]), math.Float64bits(x))
+				dst[i] = x
+			}
+			if taken && n == 0 { // the source's masses rescaled to nothing
+				f.pool, f.dir[j] = f.pool[:d], 0
+			}
 			f.occ += n
 		}
 	}
-	f.adds += o.adds
+	f.adds = sketch.AddSat(f.adds, o.adds)
 }
 
-// Reset clears all cells, walking the marked lines. The landmark belongs
-// to the Base, which the filter may share: Base.Reset drops it.
+// Reset clears all cells, keeping the pool's capacity. The landmark
+// belongs to the Base, which the filter may share: Base.Reset drops it.
 func (f *Filter) Reset() {
-	for w, word := range f.lines {
-		for ; word != 0; word &= word - 1 {
-			*f.line(w, bits.TrailingZeros64(word)) = [LineCells]float64{}
-		}
-	}
-	clear(f.lines)
+	clear(f.dir)
+	f.pool = f.pool[:1]
 	f.occ, f.adds = 0, 0
 }
 
@@ -562,8 +663,8 @@ func (t *MassTracker) Value(now int64) float64 {
 	return t.v[0] * down
 }
 
-// Merge folds tracker o into t, the single-cell case of Filter.Merge. The
-// decay laws must match.
+// Merge folds tracker o into t, the single-cell case of Filter.Merge (a
+// sum past the largest float64 stays there). The decay laws must match.
 func (t *MassTracker) Merge(o *MassTracker) {
 	if o == nil {
 		return
@@ -571,7 +672,7 @@ func (t *MassTracker) Merge(o *MassTracker) {
 	if t.base.law != o.base.law {
 		panic("tdbf: MassTracker.Merge decay mismatch")
 	}
-	t.v[0] += o.v[0] * t.base.align(o.base.land)
+	t.v[0] = min(t.v[0]+o.v[0]*t.base.align(o.base.land), math.MaxFloat64)
 }
 
 // Reset clears the tracker (see Filter.Reset for the landmark).

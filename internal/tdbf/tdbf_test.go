@@ -8,6 +8,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"hiddenhhh/internal/hashx"
 )
@@ -86,7 +87,7 @@ func TestFilterDefaults(t *testing.T) {
 	if f.Cells() != 1<<16 || f.Hashes() != 4 {
 		t.Errorf("defaults: m=%d k=%d", f.Cells(), f.Hashes())
 	}
-	if f.SizeBytes() != (1<<16)*8+(1<<16)/8/8 { // the cells, a bit per line of 8
+	if f.SizeBytes() != (1<<16)/8*4+64 { // a directory entry per line of 8, the zero line
 		t.Errorf("SizeBytes = %d", f.SizeBytes())
 	}
 	if f.Decay().Horizon() != time.Second {
@@ -547,7 +548,7 @@ func (f *lazyFilter) Adds() int64 { return f.adds }
 // of keys are finite at every probe instant.
 func sane(t *testing.T, f *Filter, what string, keys []uint64, at []int64) {
 	t.Helper()
-	for i, v := range f.cells {
+	for i, v := range f.masses() {
 		if !validMass(v) {
 			t.Fatalf("%s: cell %d holds %v", what, i, v)
 		}
@@ -640,9 +641,9 @@ func TestForwardDecayOrderIndependent(t *testing.T) {
 	if sorted.Landmark() != shuffled.Landmark() || sorted.Landmark() != adds[0].at {
 		t.Fatalf("landmarks %d and %d, first add at %d", sorted.Landmark(), shuffled.Landmark(), adds[0].at)
 	}
-	for i, v := range sorted.cells {
-		if d := math.Abs(shuffled.cells[i] - v); d > 1e-12*v {
-			t.Fatalf("cell %d: sorted %v, shuffled %v", i, v, shuffled.cells[i])
+	for i, v := range sorted.masses() {
+		if d := math.Abs(shuffled.masses()[i] - v); d > 1e-12*v {
+			t.Fatalf("cell %d: sorted %v, shuffled %v", i, v, shuffled.masses()[i])
 		}
 	}
 }
@@ -734,7 +735,7 @@ func hostileAhead(t *testing.T, tau time.Duration, stamps []int64, keys []uint64
 			return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 		}
 		if got.base.land != ref.base.land || got.base.now != ref.base.now || got.base.up != ref.base.up ||
-			!same(got.hashed.cells, ref.hashed.cells) || !same(got.direct.cells, ref.direct.cells) ||
+			!same(got.hashed.masses(), ref.hashed.masses()) || !same(got.direct.masses(), ref.direct.masses()) ||
 			!same(got.total.v[:], ref.total.v[:]) || !same(got.est, ref.est) || got.hashed.adds != ref.hashed.adds {
 			t.Fatalf("tau %v: runs offered in chunks of %d leave another state than per-instant adds", tau, chunk)
 		}
@@ -765,10 +766,10 @@ func TestMergeAcrossIdleGap(t *testing.T) {
 		{"busy-into-idle", mk(0), mk(late)},
 	} {
 		want := mk(late)
-		srcCells, srcLand := slices.Clone(tc.src.cells), tc.src.Landmark()
+		srcCells, srcLand := tc.src.masses(), tc.src.Landmark()
 		tc.dst.Merge(tc.src)
 		sane(t, tc.dst, tc.name, keys, []int64{0, late, late + int64(time.Hour)})
-		if !slices.Equal(tc.src.cells, srcCells) || tc.src.Landmark() != srcLand {
+		if !slices.Equal(tc.src.masses(), srcCells) || tc.src.Landmark() != srcLand {
 			t.Fatalf("%s: Merge modified its source", tc.name)
 		}
 		if tc.dst.Landmark() != want.Landmark() {
@@ -879,13 +880,13 @@ func TestRestore(t *testing.T) {
 		src.Add(key, float64(100+key), int64(7*time.Second)+int64(key)*1e6)
 	}
 	state := func() FilterState {
-		return FilterState{Seed: src.Seed(), Adds: src.Adds(), Landmark: src.Landmark(), Next: cellRows(src.Masses())}
+		return FilterState{Seed: src.Seed(), Adds: src.Adds(), Landmark: src.Landmark(), Next: cellRows(src.masses())}
 	}
 	dst := New(cfg)
 	if err := dst.Restore(state()); err != nil {
 		t.Fatal(err)
 	}
-	if !slices.Equal(dst.cells, src.cells) || dst.Landmark() != src.Landmark() || dst.Adds() != src.Adds() {
+	if !slices.Equal(dst.masses(), src.masses()) || dst.Landmark() != src.Landmark() || dst.Adds() != src.Adds() {
 		t.Fatal("restored filter differs from its source")
 	}
 	// Over a filter holding later state the masses are rescaled, as a
@@ -938,5 +939,42 @@ func TestRestore(t *testing.T) {
 	}
 	if err := m.Restore(MassState{V: 5, Touch: 3}); err != nil || m.State() != (MassState{V: 5, Touch: 3}) {
 		t.Fatalf("tracker restore: %v, state %+v", err, m.State())
+	}
+}
+
+// TestFilterFootprint: SizeBytes is what the line store's slices hold —
+// the directory and the pool's capacity — and nothing else; a fresh filter
+// holds no line; Reset keeps the capacity; and a filter with every line
+// held, as a spoofed flood leaves it, costs at most 7 % more than a dense
+// array of its cells with a bit per line, and the zero line (which only a
+// filter of a few lines notices).
+func TestFilterFootprint(t *testing.T) {
+	law := Exponential{Tau: time.Second}
+	for _, f := range []*Filter{
+		New(Config{Decay: law}),
+		New(Config{Cells: 100, Hashes: 3, Decay: law}),
+		NewBase(law).NewLevel(Config{Cells: 1 << 10}, 8, 8),
+	} {
+		stored := func() int {
+			return cap(f.dir)*int(unsafe.Sizeof(f.dir[0])) + cap(f.pool)*int(unsafe.Sizeof(f.pool[0]))
+		}
+		lines := (f.Cells() + LineCells - 1) / LineCells
+		dense := lines*LineCells*8 + (lines+63)/64*8
+		if slices.Max(f.dir) != 0 || len(f.pool) != 1 || f.SizeBytes() != stored() {
+			t.Fatalf("%d cells fresh: %d pool lines, %d B, the slices hold %d", f.Cells(), len(f.pool), f.SizeBytes(), stored())
+		}
+		fresh := f.SizeBytes()
+		for i := 0; i < f.Cells(); i += LineCells {
+			f.add(uint64(i), 1)
+		}
+		full := f.SizeBytes()
+		if len(f.pool) != lines+1 || full != stored() || full*100 > dense*107+LineCells*8*100 {
+			t.Fatalf("%d cells, every line held: %d pool lines, %d B, the slices hold %d, dense %d", f.Cells(), len(f.pool), full, stored(), dense)
+		}
+		f.Reset()
+		if f.SizeBytes() != full || len(f.pool) != 1 {
+			t.Fatalf("%d cells: Reset left %d B of %d, %d pool lines", f.Cells(), f.SizeBytes(), full, len(f.pool))
+		}
+		t.Logf("%6d cells: fresh %6d B, every line held %6d B (%.3f of dense %6d B)", f.Cells(), fresh, full, float64(full)/float64(dense), dense)
 	}
 }

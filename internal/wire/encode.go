@@ -308,25 +308,25 @@ func levelSize(occupied, cells int) int {
 
 // appendLevel writes f's section: seed, add count, then the cells as the
 // landmark, the occupied count and the layout that count selects. Sparse
-// rows are read off the filter's marked lines, in ascending line order.
+// rows are read off the filter's held lines, in ascending line order.
 func appendLevel(b []byte, f *tdbf.Filter) []byte {
-	masses := f.Masses()
+	cells := f.Cells()
 	b = appendU64(b, f.Seed())
 	b = appendI64(b, f.Adds())
 	b = appendI64(b, f.Landmark())
 	b = appendU32(b, uint32(f.Occupied()))
-	if !sparse(f.Occupied(), len(masses)) {
-		for _, v := range masses {
-			b = appendF64(b, v)
+	if !sparse(f.Occupied(), cells) {
+		for i := 0; i < cells; i++ {
+			b = appendF64(b, f.Line(i / tdbf.LineCells)[i%tdbf.LineCells])
 		}
 		return b
 	}
-	for w, word := range f.Lines() {
-		for ; word != 0; word &= word - 1 {
-			lo := (w*64 + bits.TrailingZeros64(word)) * tdbf.LineCells
-			for i, v := range masses[lo:min(lo+tdbf.LineCells, len(masses))] {
+	for w := 0; w*64*tdbf.LineCells < cells; w++ {
+		for m := f.Lines(w); m != 0; m &= m - 1 {
+			j := w*64 + bits.TrailingZeros64(m)
+			for i, v := range f.Line(j) {
 				if v != 0 {
-					b = appendF64(appendU32(b, uint32(lo+i)), v)
+					b = appendF64(appendU32(b, uint32(j*tdbf.LineCells+i)), v)
 				}
 			}
 		}

@@ -2,6 +2,8 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -284,4 +286,167 @@ func TestMergeAcrossVersions(t *testing.T) {
 			t.Fatalf("%s: a v2-restored detector merged with a v3-restored one differs from the same state restored from version 3", name)
 		}
 	}
+}
+
+// mergeDecoded merges b into a when the two are decoded summaries of one
+// kind that fit each other — bare filters of one shape, seed and law,
+// continuous detectors of one configuration, exact counts over one
+// hierarchy — and reports whether it did.
+func mergeDecoded(a, b any) bool {
+	switch a := a.(type) {
+	case *tdbf.Filter:
+		b, ok := b.(*tdbf.Filter)
+		if !ok || a.Cells() != b.Cells() || a.Hashes() != b.Hashes() || a.Seed() != b.Seed() || a.Decay() != b.Decay() {
+			return false
+		}
+		a.Merge(b)
+	case *continuous.Detector:
+		b, ok := b.(*continuous.Detector)
+		if !ok || !a.Fits(b.Config()) {
+			return false
+		}
+		a.Merge(b)
+	case ExactSummary:
+		b, ok := b.(ExactSummary)
+		if !ok || a.Hierarchy != b.Hierarchy {
+			return false
+		}
+		a.Leaves.AddAll(b.Leaves)
+	default:
+		return false
+	}
+	return true
+}
+
+// brimFrames are valid frames whose merge with themselves once wrapped a
+// count past MaxInt64 or a mass past the largest float64, each with what
+// the merge must hold instead.
+func brimFrames(t testing.TB) []struct {
+	name  string
+	frame []byte
+	check func(merged any) bool
+} {
+	filter := func(adds int64, mass float64) []byte {
+		f := tdbf.New(tdbf.Config{Cells: 64, Hashes: 3, Seed: 1, Decay: tdbf.Exponential{Tau: time.Second}})
+		rows := []int{3}
+		err := f.Restore(tdbf.FilterState{Seed: 1, Adds: adds, Landmark: 5, Next: func() (int, float64, bool) {
+			if len(rows) == 0 {
+				return 0, 0, false
+			}
+			i := rows[0]
+			rows = rows[1:]
+			return i, mass, true
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return EncodeFilter(f)
+	}
+	// The packet count and the total mass of a crafted continuous frame sit
+	// at these payload offsets (see continuousHeaderSize).
+	const packetsAt, totalAt = 8 + 8 + 1 + 8 + 8 + 8 + decaySize + 4 + 2 + 8, 8 + 8 + 1 + 8 + 8 + 8 + decaySize + 4 + 2 + 8 + 8
+	var wellFormed []byte
+	for _, h := range hostileContinuous(t) {
+		if h.name == "v3-well-formed" {
+			wellFormed = h.frame
+		}
+	}
+	cont := func(packets int64, total float64) []byte {
+		return mangle(wellFormed, func(b []byte) {
+			binary.LittleEndian.PutUint64(b[headerSize+packetsAt:], uint64(packets))
+			binary.LittleEndian.PutUint64(b[headerSize+totalAt:], math.Float64bits(total))
+		})
+	}
+	exact := sketch.NewExact(1)
+	exact.Update(42, 1<<62+1)
+	huge := math.MaxFloat64 / 1.5
+	return []struct {
+		name  string
+		frame []byte
+		check func(merged any) bool
+	}{
+		{"filter-adds", filter(math.MaxInt64-1, 1), func(v any) bool { return v.(*tdbf.Filter).Adds() == math.MaxInt64 }},
+		{"filter-mass", filter(1, huge), func(v any) bool { return v.(*tdbf.Filter).Estimate(0, 5) <= math.MaxFloat64 }},
+		{"continuous-packets", cont(math.MaxInt64-1, 100), func(v any) bool { return v.(*continuous.Detector).Packets() == math.MaxInt64 }},
+		{"continuous-total", cont(9, huge), func(v any) bool { return v.(*continuous.Detector).State().Total.V == math.MaxFloat64 }},
+		{"exact-count", EncodeExact(testHierarchy(), exact), func(v any) bool {
+			ex := v.(ExactSummary).Leaves
+			return ex.Estimate(42) == math.MaxInt64 && ex.Total() == math.MaxInt64
+		}},
+	}
+}
+
+// TestMergeOfValidFramesIsValid: two frames that each decode merge into a
+// summary whose frame decodes. A merged count saturates at MaxInt64 and a
+// merged mass at the largest float64, where they once wrapped to a
+// negative count or an infinite mass the decoder refuses.
+func TestMergeOfValidFramesIsValid(t *testing.T) {
+	for _, tc := range brimFrames(t) {
+		t.Run(tc.name, func(t *testing.T) {
+			a, err := Decode(tc.frame)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, _ := Decode(tc.frame)
+			if !mergeDecoded(a, b) {
+				t.Fatal("the frame does not merge with itself")
+			}
+			re, err := Encode(a)
+			if err == nil {
+				_, err = Decode(re)
+			}
+			if err != nil {
+				t.Fatalf("the merge of two valid frames re-encodes to one that does not decode: %v", err)
+			}
+			if !tc.check(a) {
+				t.Fatal("the merge does not saturate")
+			}
+		})
+	}
+}
+
+// FuzzMergeReencodes: whatever two frames decode to, when they are
+// summaries of one kind that fit each other (mergeDecoded), their merge
+// re-encodes to a frame that decodes. The corpus is every committed vector
+// of those kinds and brimFrames, paired every way; each input's trailing
+// CRC is recomputed, so that a mutation reaches the payload's checks.
+func FuzzMergeReencodes(f *testing.F) {
+	var frames [][]byte
+	for _, name := range []string{"tdbf", "tdbf-v2", "exact-v4", "exact-v6",
+		"continuous-v4", "continuous-v4-v2", "continuous-v4-v3", "continuous-v4-block",
+		"continuous-v6", "continuous-v6-v2", "continuous-v6-v3", "continuous-v6-block"} {
+		frame, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		frames = append(frames, frame)
+	}
+	for _, b := range brimFrames(f) {
+		frames = append(frames, b.frame)
+	}
+	for _, a := range frames {
+		for _, b := range frames {
+			f.Add(a, b)
+		}
+	}
+	f.Fuzz(func(t *testing.T, a, b []byte) {
+		if len(a) < headerSize+crcSize || len(b) < headerSize+crcSize {
+			return
+		}
+		va, err := Decode(mangle(a, func([]byte) {}))
+		if err != nil {
+			return
+		}
+		vb, err := Decode(mangle(b, func([]byte) {}))
+		if err != nil || !mergeDecoded(va, vb) {
+			return
+		}
+		re, err := Encode(va)
+		if err == nil {
+			_, err = Decode(re)
+		}
+		if err != nil {
+			t.Fatalf("the merge of two frames that decode re-encodes to one that does not: %v", err)
+		}
+	})
 }
