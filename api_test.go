@@ -52,7 +52,7 @@ func TestWindowedDetectorEngines(t *testing.T) {
 			t.Fatalf("%v: %v", engine, err)
 		}
 		for i := range pkts {
-			det.Observe(&pkts[i])
+			det.ObserveBatch(pkts[i : i+1])
 		}
 		set := det.Snapshot(int64(6 * time.Second))
 		if set.Len() == 0 {
@@ -90,7 +90,7 @@ func TestSlidingDetector(t *testing.T) {
 	}
 	var now int64
 	for i := range pkts {
-		det.Observe(&pkts[i])
+		det.ObserveBatch(pkts[i : i+1])
 		now = pkts[i].Ts
 	}
 	if set := det.Snapshot(now); set.Len() == 0 {
@@ -120,7 +120,7 @@ func TestContinuousDetectorFacade(t *testing.T) {
 	}
 	var now int64
 	for i := range pkts {
-		det.Observe(&pkts[i])
+		det.ObserveBatch(pkts[i : i+1])
 		now = pkts[i].Ts
 	}
 	set := det.Snapshot(now)
@@ -158,9 +158,9 @@ func TestDetectorsAgreeOnStrongHeavyHitter(t *testing.T) {
 	sd, _ := NewSlidingDetector(SlidingConfig{Window: time.Second, Phi: 0.2})
 	cd, _ := NewContinuousDetector(ContinuousConfig{Horizon: time.Second, Phi: 0.2})
 	for i := range pkts {
-		wd.Observe(&pkts[i])
-		sd.Observe(&pkts[i])
-		cd.Observe(&pkts[i])
+		wd.ObserveBatch(pkts[i : i+1])
+		sd.ObserveBatch(pkts[i : i+1])
+		cd.ObserveBatch(pkts[i : i+1])
 	}
 	for name, det := range map[string]Detector{"windowed": wd, "sliding": sd, "continuous": cd} {
 		if !det.Snapshot(end).Contains(MustParsePrefix("10.9.9.9/32")) {

@@ -6,9 +6,9 @@ import (
 )
 
 // TestObserveBatchMatchesObserve drives every detector kind over the same
-// trace twice — once per packet, once through the batch ingest path with
-// awkward batch sizes — and requires identical snapshots. This pins the
-// batch spine to the per-packet semantics: window splitting, frame
+// trace twice — once in runs of one packet, once in awkward batch sizes —
+// and requires identical snapshots. This pins the batch spine to the
+// per-packet semantics: window splitting, frame
 // rotation, RHHH's sampling sequence and the continuous admission checks
 // all have to line up exactly.
 func TestObserveBatchMatchesObserve(t *testing.T) {
@@ -53,7 +53,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 				t.Fatal(err)
 			}
 			for i := range pkts {
-				ref.Observe(&pkts[i])
+				ref.ObserveBatch(pkts[i : i+1])
 			}
 			want := ref.Snapshot(span)
 			for _, bs := range batchSizes {

@@ -176,13 +176,18 @@ func BenchmarkE4cTDBFSweep(b *testing.B) {
 
 // Per-detector packet throughput: the "performance" column of Section 3,
 // isolated from experiment scaffolding. One iteration = one packet,
-// delivered through the batch ingest path (the production spine); the
-// *Observe variants below measure the per-packet path for comparison.
+// delivered in runs of benchBatch through ObserveBatch.
 
 const benchBatch = 512
 
 func benchDetector(b *testing.B, det Detector) {
 	pkts, _ := getBenchTrace(b)
+	benchRuns(b, det, pkts)
+}
+
+// benchRuns streams pkts through det in runs of benchBatch, wrapping
+// around, until b.N packets have gone in.
+func benchRuns(b *testing.B, det Detector, pkts []Packet) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for done := 0; done < b.N; {
@@ -196,15 +201,6 @@ func benchDetector(b *testing.B, det Detector) {
 		}
 		det.ObserveBatch(pkts[off : off+n])
 		done += n
-	}
-}
-
-func benchDetectorObserve(b *testing.B, det Detector) {
-	pkts, _ := getBenchTrace(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det.Observe(&pkts[i%len(pkts)])
 	}
 }
 
@@ -274,7 +270,7 @@ func BenchmarkDetectorContinuous(b *testing.B) {
 // with pipeline.Config.Sampled set.
 func BenchmarkDetectorContinuousSampled(b *testing.B) {
 	det, err := newSingle(pipeline.Config{
-		Mode: pipeline.ModeContinuous, Window: 10 * time.Second, Phi: 0.05, Sampled: true}, nil, nil)
+		Mode: pipeline.ModeContinuous, Window: 10 * time.Second, Phi: 0.05, Sampled: true})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -339,14 +335,7 @@ func getBenchTrace6(b *testing.B) []Packet {
 }
 
 // benchDetector6 streams the IPv6 trace through det in ingest batches.
-func benchDetector6(b *testing.B, det Detector) {
-	pkts := getBenchTrace6(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		det.Observe(&pkts[i%len(pkts)])
-	}
-}
+func benchDetector6(b *testing.B, det Detector) { benchRuns(b, det, getBenchTrace6(b)) }
 
 // BenchmarkDetectorIPv6PerLevel measures the per-level windowed detector
 // on the five-level IPv6 hextet ladder — the direct counterpart of
@@ -411,55 +400,6 @@ func BenchmarkContinuousSharded4(b *testing.B) {
 	benchDetector(b, det)
 	b.StopTimer()
 	det.Close()
-}
-
-// BenchmarkDetectorWindowedPerLevelObserve measures the per-level engine
-// through the single-packet Observe path, isolating the batch-spine gain
-// from the O(1) sketch gain.
-func BenchmarkDetectorWindowedPerLevelObserve(b *testing.B) {
-	det, err := NewWindowedDetector(WindowedConfig{
-		Window: 10 * time.Second, Phi: 0.05, Engine: EnginePerLevel})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchDetectorObserve(b, det)
-}
-
-// BenchmarkDetectorWindowedRHHHObserve is the RHHH per-packet analogue.
-func BenchmarkDetectorWindowedRHHHObserve(b *testing.B) {
-	det, err := NewWindowedDetector(WindowedConfig{
-		Window: 10 * time.Second, Phi: 0.05, Engine: EngineRHHH})
-	if err != nil {
-		b.Fatal(err)
-	}
-	benchDetectorObserve(b, det)
-}
-
-// BenchmarkPerLevelQuery measures the conditioned bottom-up query of a
-// warmed per-level engine — the per-window-close cost, where the reusable
-// discount tables replaced per-query map churn.
-func BenchmarkPerLevelQuery(b *testing.B) {
-	pkts, _ := getBenchTrace(b)
-	det, err := NewWindowedDetector(WindowedConfig{
-		Window: time.Hour, Phi: 0.05, Engine: EnginePerLevel,
-		OnWindow: func(start, end int64, set Set) {},
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	limit := len(pkts)
-	if limit > 200000 {
-		limit = 200000
-	}
-	det.ObserveBatch(pkts[:limit])
-	inner := det.(interface{ QueryOpen() Set })
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if set := inner.QueryOpen(); set.Len() == 0 {
-			b.Fatal("no HHHs")
-		}
-	}
 }
 
 // benchScenario returns span of the named internal/gen scenario.
@@ -661,12 +601,14 @@ func TestTableUpdatesPerPacket(t *testing.T) {
 // workload: the windowless detector on the IPv4 byte ladder (5 levels),
 // 65 536 × 4 filters, tau 10 s, φ 0.05, shard 0 of 2 in 256-key batches —
 // dealt alternately to two detectors, so that two filter sets share the
-// cache as two workers on one processor do. Each pass builds fresh
-// detectors and feeds them the first ten of twenty seconds of trace off the
-// clock — the warm-up, one τ, in which nothing is admitted — then times the
-// second ten, where every packet runs the admission check. ns/op is ns per
-// packet, state-B the bytes one of the two detectors holds at the end.
-// zipf-steady is that workload's scenario.
+// cache as two workers on one processor do. The detectors are built and
+// fed the whole trace once; each pass Resets them, which keeps their
+// storage (the timed half grows no pool), feeds them the first ten of
+// twenty seconds of trace off the clock — the warm-up, one τ, in which
+// nothing is admitted — then times the second ten, where every packet
+// runs the admission check. ns/op is ns per packet, state-B the bytes one
+// of the two detectors holds at the end. zipf-steady is that workload's
+// scenario.
 func BenchmarkContinuousObserveKeys(b *testing.B) {
 	h := addr.NewIPv4Hierarchy(addr.Byte)
 	zipf := benchScenario(b, "zipf-steady", 20*time.Second)
@@ -678,16 +620,22 @@ func BenchmarkContinuousObserveKeys(b *testing.B) {
 			batches := shardBatches(h, tc.pkts, 0)
 			warm := sort.Search(len(batches), func(i int) bool { return batches[i].Ts[0] >= int64(10*time.Second) })
 			var ds [2]*continuous.Detector
+			for i := range ds {
+				var err error
+				if ds[i], err = continuous.NewDetector(continuous.Config{Hierarchy: h, Phi: 0.05,
+					Filter: tdbf.Config{Cells: 1 << 16, Hashes: 4, Decay: tdbf.Exponential{Tau: 10 * time.Second}}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i, kb := range batches { // grow the pools off the clock
+				ds[i&1].ObserveKeys(kb)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for n := 0; n < b.N; {
 				b.StopTimer()
-				for i := range ds {
-					var err error
-					if ds[i], err = continuous.NewDetector(continuous.Config{Hierarchy: h, Phi: 0.05,
-						Filter: tdbf.Config{Cells: 1 << 16, Hashes: 4, Decay: tdbf.Exponential{Tau: 10 * time.Second}}}); err != nil {
-						b.Fatal(err)
-					}
+				for _, d := range ds {
+					d.Reset()
 				}
 				for i, kb := range batches[:warm] {
 					ds[i&1].ObserveKeys(kb)

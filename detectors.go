@@ -9,18 +9,16 @@ import (
 )
 
 // Detector is the uniform streaming interface over the three window
-// models the paper compares. Feed packets in time order with Observe;
+// models the paper compares. Feed packets in time order with ObserveBatch;
 // read the current report with Snapshot. Implementations are not safe for
 // concurrent use.
 type Detector interface {
-	// Observe processes one packet.
-	Observe(p *Packet)
-	// ObserveBatch processes a run of packets in time order — the
-	// high-throughput ingest path. It is equivalent to calling Observe
-	// per packet but amortises dispatch, window-boundary checks and
-	// hierarchy expansion over the run: the packets are packed once into a
-	// reused columnar key batch and handed to the engine whole. Steady-state
-	// ingest allocates nothing in any of the three window models.
+	// ObserveBatch processes a run of packets in time order — the one way
+	// packets enter. How a stream is cut into runs changes no report: a
+	// run is packed once into a reused columnar key batch and handed to
+	// the engine whole, window-boundary checks amortised over it.
+	// Steady-state ingest allocates nothing in any of the three window
+	// models.
 	ObserveBatch(pkts []Packet)
 	// Snapshot returns the detector's current HHH set at time now (ns,
 	// >= the last observed timestamp). For windowed detectors this is
@@ -138,14 +136,14 @@ func NewWindowedDetector(cfg WindowedConfig) (Detector, error) {
 		Hierarchy: cfg.Hierarchy,
 		Seed:      cfg.Seed,
 		OnWindow:  cfg.OnWindow,
-	}, nil, nil)
+	})
 }
 
 // newSingle builds the single-goroutine driver the three window-model
 // constructors share: the same summary, window clock and report path as
 // one shard of NewShardedDetector, without rings or workers.
-func newSingle(cfg pipeline.Config, onEnter, onExit func(Prefix, int64)) (Detector, error) {
-	d, err := pipeline.NewSingle(cfg, onEnter, onExit)
+func newSingle(cfg pipeline.Config) (Detector, error) {
+	d, err := pipeline.NewSingle(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("hiddenhhh: %w", err)
 	}
@@ -300,21 +298,19 @@ type PipelineStats = pipeline.Stats
 var ErrDetectorClosed = pipeline.ErrClosed
 
 // ShardedDetector is a Detector with the lifecycle and introspection
-// surface of the concurrent pipeline. Observe, ObserveBatch and Snapshot
-// follow the usual single-goroutine Detector contract; Stats and
-// SizeBytes may be called concurrently with ingest, and Snapshot and
-// Stats are additionally safe to race with Close. Close releases the
-// worker goroutines; afterwards the ingest surface degrades to defined
-// no-ops — Observe/ObserveBatch drop their packets (TryObserve and
-// TryObserveBatch report ErrDetectorClosed instead of dropping them
-// silently) and Snapshot returns the last published set.
+// surface of the concurrent pipeline. ObserveBatch and Snapshot follow
+// the usual single-goroutine Detector contract; Stats and SizeBytes may
+// be called concurrently with ingest, and Snapshot and Stats are
+// additionally safe to race with Close. Close releases the worker
+// goroutines; afterwards the ingest surface degrades to defined no-ops —
+// ObserveBatch drops its packets (TryObserveBatch reports
+// ErrDetectorClosed instead of dropping them silently) and Snapshot
+// returns the last published set.
 type ShardedDetector interface {
 	Detector
 	Accounting
-	// TryObserve and TryObserveBatch are Observe/ObserveBatch with the
-	// closed state surfaced: they return ErrDetectorClosed once Close has
-	// run.
-	TryObserve(p *Packet) error
+	// TryObserveBatch is ObserveBatch with the closed state surfaced: it
+	// returns ErrDetectorClosed once Close has run.
 	TryObserveBatch(pkts []Packet) error
 	// LastWindow returns the most recently published merge — set, end
 	// timestamp, total mass and degradation markers, mutually consistent
@@ -400,7 +396,7 @@ type SlidingConfig struct {
 	// W/Frames). Default 8.
 	Frames int
 	// Counters is the key capacity per level: per frame for EngineWCSS,
-	// for the whole window for EngineMemento. Default 256.
+	// for the whole window for EngineMemento. Default 512.
 	Counters int
 	// Hierarchy is the prefix lattice to detect over. Defaults to the
 	// IPv4 byte ladder; packets outside its address family are ignored.
@@ -413,9 +409,6 @@ type SlidingConfig struct {
 // frame-based WCSS per hierarchy level by default, or the Memento-class
 // level-sampled engine with cfg.Engine == EngineMemento.
 func NewSlidingDetector(cfg SlidingConfig) (Detector, error) {
-	if cfg.Counters <= 0 {
-		cfg.Counters = 256
-	}
 	return newSingle(pipeline.Config{
 		Mode:      pipeline.ModeSliding,
 		Window:    cfg.Window,
@@ -425,7 +418,7 @@ func NewSlidingDetector(cfg SlidingConfig) (Detector, error) {
 		Counters:  cfg.Counters,
 		Hierarchy: cfg.Hierarchy,
 		Seed:      cfg.Seed,
-	}, nil, nil)
+	})
 }
 
 // ContinuousConfig configures NewContinuousDetector.
@@ -444,7 +437,7 @@ type ContinuousConfig struct {
 	// Hierarchy is the prefix lattice to detect over. Defaults to the
 	// IPv4 byte ladder; packets outside its address family are ignored.
 	Hierarchy Hierarchy
-	// OnEnter/OnExit observe detection transitions.
+	// OnEnter/OnExit, when set, observe detection transitions.
 	OnEnter func(p Prefix, at int64)
 	OnExit  func(p Prefix, at int64)
 }
@@ -452,9 +445,6 @@ type ContinuousConfig struct {
 // NewContinuousDetector builds the paper's proposed windowless detector:
 // per-level time-decaying Bloom filters with inline admission.
 func NewContinuousDetector(cfg ContinuousConfig) (Detector, error) {
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("hiddenhhh: horizon must be positive")
-	}
 	return newSingle(pipeline.Config{
 		Mode:      pipeline.ModeContinuous,
 		Window:    cfg.Horizon,
@@ -463,5 +453,7 @@ func NewContinuousDetector(cfg ContinuousConfig) (Detector, error) {
 		Hashes:    cfg.Hashes,
 		Hierarchy: cfg.Hierarchy,
 		Seed:      cfg.Seed,
-	}, cfg.OnEnter, cfg.OnExit)
+		OnEnter:   cfg.OnEnter,
+		OnExit:    cfg.OnExit,
+	})
 }

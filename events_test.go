@@ -25,7 +25,7 @@ func replayWatch(t *testing.T, cfg gen.Config, w *AttackWatcher) {
 	i := 0
 	for next := int64(window); next <= pkts[len(pkts)-1].Ts; next += int64(window) / 2 {
 		for i < len(pkts) && pkts[i].Ts < next {
-			det.Observe(&pkts[i])
+			det.ObserveBatch(pkts[i : i+1])
 			i++
 		}
 		w.ObserveWindow(next, det.Snapshot(next), acc.ReportMass(next))

@@ -46,7 +46,7 @@ func ExampleNewWindowedDetector() {
 			Src:  heavy,
 			Size: 1000,
 		}
-		det.Observe(&p)
+		det.ObserveBatch([]hiddenhhh.Packet{p})
 	}
 	set := det.Snapshot(int64(2 * time.Second))
 	fmt.Println("last window:", set.Contains(hiddenhhh.MustParsePrefix("192.0.2.1/32")))
@@ -72,7 +72,7 @@ func ExampleNewContinuousDetector() {
 	for i := 0; i < 5000; i++ {
 		now = int64(i) * int64(time.Millisecond)
 		p := hiddenhhh.Packet{Ts: now, Src: heavy, Size: 1000}
-		det.Observe(&p)
+		det.ObserveBatch([]hiddenhhh.Packet{p})
 	}
 	fmt.Println(det.Snapshot(now).Contains(hiddenhhh.MustParsePrefix("192.0.2.1/32")))
 	// Output:
@@ -133,7 +133,7 @@ func ExampleAccounting() {
 	}
 	src := hiddenhhh.MustParseAddr("192.0.2.1")
 	for i := 0; i < 1500; i++ {
-		det.Observe(&hiddenhhh.Packet{Ts: int64(i) * int64(time.Millisecond), Src: src, Size: 100})
+		det.ObserveBatch([]hiddenhhh.Packet{{Ts: int64(i) * int64(time.Millisecond), Src: src, Size: 100}})
 	}
 	now := int64(1500 * time.Millisecond)
 	_ = det.Snapshot(now) // the report CoveredSpan/ReportMass describe

@@ -143,8 +143,10 @@ type Detector struct {
 	rng     uint64
 	started bool  // first packet seen; warmEnd is anchored
 	warmEnd int64 // clock(first packet timestamp) + Warmup, at most endOfTime
-	pkts    int64
-	blk     block // unsampled only: the packets since the last settle
+	// pkts counts packets in uint64 so the settle and sweep cadence keeps
+	// running past MaxInt64, the count Packets reports saturated.
+	pkts uint64
+	blk  block // unsampled only: the packets since the last settle
 
 	// Sweep scratch, parallel to act.nodes as revalidate leaves them.
 	sweep []verdict
@@ -495,7 +497,7 @@ func (d *Detector) Merge(o *Detector) {
 	if o.started && (!d.started || o.warmEnd > d.warmEnd) {
 		d.started, d.warmEnd = true, o.warmEnd
 	}
-	d.pkts = sketch.AddSat(d.pkts, o.pkts)
+	d.pkts = uint64(sketch.AddSat(d.Packets(), o.Packets()))
 }
 
 // ActiveLen returns the active set's size at the last settle or sweep.
@@ -504,8 +506,8 @@ func (d *Detector) ActiveLen() int { return len(d.act.nodes) }
 // TotalMass returns the decayed total traffic mass at now.
 func (d *Detector) TotalMass(now int64) float64 { return d.total.Value(now) }
 
-// Packets returns the number of packets observed.
-func (d *Detector) Packets() int64 { return d.pkts }
+// Packets returns the number of packets observed, at most MaxInt64.
+func (d *Detector) Packets() int64 { return int64(min(d.pkts, math.MaxInt64)) }
 
 // SizeBytes returns the state footprint: the per-level filters, the active
 // set and its index, and, unsampled, the coalescing block.

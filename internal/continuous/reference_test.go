@@ -332,10 +332,10 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 					begun++
 					for _, p := range extra {
 						switch {
-						case ref.lastExit[p] == det.pkts:
+						case ref.lastExit[p] == det.Packets():
 							fresh[p] = true
 						case !resumed[p]:
-							t.Errorf("packet %d: detector admits %v, reference does not", det.pkts, p)
+							t.Errorf("packet %d: detector admits %v, reference does not", det.Packets(), p)
 						}
 					}
 					for _, p := range missing {
@@ -347,7 +347,7 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 						case refEntered[p] > settled:
 							early[p] = true
 						case !waits:
-							t.Errorf("packet %d: reference admits %v, detector does not, holding nothing stale below it", det.pkts, p)
+							t.Errorf("packet %d: reference admits %v, detector does not, holding nothing stale below it", det.Packets(), p)
 						}
 					}
 				}
@@ -369,11 +369,11 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 						unsettledNow[p] = true
 						if c := conditioned(p, lastTs, checked); c >= enterT*(1-1e-9) {
 							t.Errorf("packet %d: settle did not admit %v, which the reference admitted in the block, at conditioned %.0f over %.0f",
-								det.pkts, p, c, enterT)
+								det.Packets(), p, c, enterT)
 						}
 					}
 					clear(early)
-					settled = det.pkts
+					settled = det.Packets()
 				}
 				// An admission after a sweep is one the drop alone let in: over
 				// φ·total against what the detector holds, under it against what
@@ -384,23 +384,23 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 				for p := range resumed {
 					resumes++
 					if c := conditioned(p, lastTs, active[1]); c < enterT*(1-1e-9) {
-						t.Errorf("packet %d: sweep admitted %v at conditioned %.0f, under %.0f", det.pkts, p, c, enterT)
+						t.Errorf("packet %d: sweep admitted %v at conditioned %.0f, under %.0f", det.Packets(), p, c, enterT)
 					}
 					if c := conditioned(p, lastTs, checked); c >= enterT*(1+1e-9) {
-						t.Errorf("packet %d: settle did not admit %v at conditioned %.0f, over %.0f", det.pkts, p, c, enterT)
+						t.Errorf("packet %d: settle did not admit %v at conditioned %.0f, over %.0f", det.Packets(), p, c, enterT)
 					}
 					if !active[0][p] {
-						ahead[p] = det.pkts
+						ahead[p] = det.Packets()
 					}
 				}
 				for p, at := range ahead {
 					switch {
 					case active[0][p] || !active[1][p]:
 						delete(ahead, p)
-					case det.pkts-at >= sweepEvery:
+					case det.Packets()-at >= sweepEvery:
 						if c, refT := ref.estimate(p, lastTs)-ref.claimedUnder(p, lastTs), phi*ref.total.Estimate(0, lastTs); c < refT {
 							t.Errorf("packet %d: the reference has not admitted %v, which the sweep at packet %d did, and holds it at conditioned %.0f, under %.0f",
-								det.pkts, p, at, c, refT)
+								det.Packets(), p, at, c, refT)
 						}
 						delete(ahead, p)
 					}

@@ -59,7 +59,7 @@ func (d *Detector) State() State {
 	st := State{
 		Started: d.started,
 		WarmEnd: d.warmEnd,
-		Packets: d.pkts,
+		Packets: d.Packets(),
 		Total:   d.total.State(),
 		Active:  make([]ActiveEntry, len(d.act.nodes)),
 		Filters: d.filters,
@@ -134,7 +134,7 @@ func (d *Detector) Restore(sampler uint64, st State, level func(l, cells int) (t
 	d.act.fix()
 	d.started = st.Started
 	d.warmEnd = st.WarmEnd
-	d.pkts = st.Packets
+	d.pkts = uint64(st.Packets)
 	d.rng = sampler
 	return nil
 }

@@ -181,11 +181,12 @@ func ContinuousComparison(pkts []trace.Packet, cfg ComparisonConfig) (*Compariso
 	for _, r := range rows {
 		r.cfg.Phi, r.cfg.Hierarchy, r.cfg.Seed = cfg.Phi, cfg.Hierarchy, cfg.Seed
 		reported := hhh.NewSet()
-		onEnter := func(p addr.Prefix, _ int64) { reported.Add(hhh.Item{Prefix: p}) }
 		if r.cfg.Mode == pipeline.ModeWindowed {
 			r.cfg.OnWindow = func(_, _ int64, set hhh.Set) { reported.UnionInPlace(set) }
+		} else {
+			r.cfg.OnEnter = func(p addr.Prefix, _ int64) { reported.Add(hhh.Item{Prefix: p}) }
 		}
-		det, err := pipeline.NewSingle(r.cfg, onEnter, nil)
+		det, err := pipeline.NewSingle(r.cfg)
 		if err != nil {
 			return nil, err
 		}

@@ -154,7 +154,7 @@ func DetectionLatency(base []trace.Packet, cfg LatencyConfig) ([]LatencyReport, 
 	det, err := pipeline.NewSingle(pipeline.Config{
 		Window: cfg.Window, Phi: cfg.Phi, Hierarchy: cfg.Hierarchy,
 		OnWindow: func(_, end int64, set hhh.Set) { record(disj, set, end) },
-	}, nil, nil)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -166,7 +166,7 @@ func DetectionLatency(base []trace.Packet, cfg LatencyConfig) ([]LatencyReport, 
 	det, err = pipeline.NewSingle(pipeline.Config{
 		Mode: pipeline.ModeSliding, Frames: 10,
 		Window: cfg.Window, Phi: cfg.Phi, Hierarchy: cfg.Hierarchy,
-	}, nil, nil)
+	})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -178,9 +178,10 @@ func DetectionLatency(base []trace.Packet, cfg LatencyConfig) ([]LatencyReport, 
 	det, err = pipeline.NewSingle(pipeline.Config{
 		Mode:   pipeline.ModeContinuous,
 		Window: cfg.Window, Phi: cfg.Phi, Hierarchy: cfg.Hierarchy,
-	}, func(p addr.Prefix, at int64) {
-		record(cont, hhh.NewSet(hhh.Item{Prefix: p}), at)
-	}, nil)
+		OnEnter: func(p addr.Prefix, at int64) {
+			record(cont, hhh.NewSet(hhh.Item{Prefix: p}), at)
+		},
+	})
 	if err != nil {
 		return nil, nil, err
 	}

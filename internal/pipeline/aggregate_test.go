@@ -184,7 +184,7 @@ func TestSealClusterMatchesSingle(t *testing.T) {
 		}
 		for i := range pkts {
 			if int(pkts[i].Src.Lo()%nodes) == n {
-				d.Observe(&pkts[i])
+				d.ObserveBatch(pkts[i : i+1])
 			}
 		}
 		d.Snapshot(last)

@@ -105,7 +105,8 @@ func TestContractLoneFrameRound(t *testing.T) {
 // 1-shard pipeline run the same Summary through the same window clock, so
 // on one stream they must publish identical reports — set, mass, covered
 // span — at every snapshot, and leave their summaries in byte-identical
-// state. The state is compared on a second pair that takes no snapshots:
+// state under every chunking of the stream. The state is compared on
+// pairs that take no snapshots:
 // a Query may settle the summary it runs on (the continuous engine takes
 // its exits there), and the pipeline queries its merge accumulator where
 // the single driver queries the summary itself.
@@ -113,7 +114,7 @@ func TestContractSingleMatchesOneShard(t *testing.T) {
 	pkts := testStream(31, 30000, 9)
 	forEachEngine(t, func(t *testing.T, cfg Config) {
 		pair := func() (*Single, *Sharded) {
-			single, err := NewSingle(cfg, nil, nil)
+			single, err := NewSingle(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -151,36 +152,18 @@ func TestContractSingleMatchesOneShard(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		single, sharded = pair()
-		single.ObserveBatch(pkts)
-		sharded.ObserveBatch(pkts)
-		if err := sharded.Close(); err != nil { // drains the ring
-			t.Fatal(err)
-		}
-		if !bytes.Equal(mustEncode(t, single.eng), mustEncode(t, sharded.shards[0].eng)) {
-			t.Fatal("summaries differ after the same stream")
-		}
-	})
-	// The continuous engine resolves its decay factors a run of packets
-	// ahead: however the caller cuts the stream — and the pipeline re-cuts
-	// it into its own ring batches — both drivers are left in one state.
-	t.Run("continuous", func(t *testing.T) {
-		cfg := rowConfig(int(KindTDBF))
+		// However the caller cuts the stream — and the pipeline re-cuts it
+		// into its own ring batches — both drivers are left in one state
+		// (the continuous engine, for one, resolves its decay factors a run
+		// of packets ahead).
 		var want []byte
 		for _, bs := range []int{1, 7, 256, 1 << 20} {
-			single, err := NewSingle(cfg, nil, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sharded, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
+			single, sharded := pair()
 			for off := 0; off < len(pkts); off += bs {
 				single.ObserveBatch(pkts[off:min(off+bs, len(pkts))])
 				sharded.ObserveBatch(pkts[off:min(off+bs, len(pkts))])
 			}
-			if err := sharded.Close(); err != nil {
+			if err := sharded.Close(); err != nil { // drains the ring
 				t.Fatal(err)
 			}
 			got := mustEncode(t, single.eng)
@@ -201,7 +184,7 @@ func TestContractWireRoundTrip(t *testing.T) {
 	pkts := testStream(32, 20000, 5)
 	at := pkts[len(pkts)-1].Ts
 	forEachEngine(t, func(t *testing.T, cfg Config) {
-		single, err := NewSingle(cfg, nil, nil)
+		single, err := NewSingle(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -57,9 +57,9 @@ import (
 )
 
 // ErrClosed reports an ingest or query call on a detector whose Close
-// has already run. The Detector-shaped methods (Observe, ObserveBatch,
-// Snapshot) cannot return it, so they degrade to defined no-ops instead
-// — use TryObserve / TryObserveBatch where the error matters.
+// has already run. The Detector-shaped methods (ObserveBatch, Snapshot)
+// cannot return it, so they degrade to defined no-ops instead — use
+// TryObserveBatch where the error matters.
 var ErrClosed = errors.New("pipeline: detector closed")
 
 // Mode selects the window model the pipeline shards. Values mirror the
@@ -183,10 +183,11 @@ type Config struct {
 	// merging goroutine (the coordinator for empty windows) and must not
 	// block or call back into the detector.
 	OnSeal func(Sealed)
-
-	// onEnter and onExit observe the continuous engine's detection
-	// transitions; only NewSingle sets them.
-	onEnter, onExit func(p addr.Prefix, at int64)
+	// OnEnter and OnExit, when set, observe the continuous engine's
+	// detection transitions on the ingest goroutine (see
+	// continuous.Config). ModeContinuous on NewSingle only: a shard's
+	// transitions are its own, not the merged report's.
+	OnEnter, OnExit func(p addr.Prefix, at int64)
 }
 
 func (c *Config) setDefaults() error {
@@ -204,6 +205,9 @@ func (c *Config) setDefaults() error {
 	}
 	if c.OnWindow != nil && c.Mode != ModeWindowed {
 		return fmt.Errorf("pipeline: OnWindow requires ModeWindowed (mode %v has no window closes)", c.Mode)
+	}
+	if (c.OnEnter != nil || c.OnExit != nil) && c.Mode != ModeContinuous {
+		return fmt.Errorf("pipeline: OnEnter/OnExit require ModeContinuous (mode %v has no transitions)", c.Mode)
 	}
 	if c.Shards <= 0 {
 		c.Shards = runtime.GOMAXPROCS(0)
@@ -340,7 +344,7 @@ type WindowReport struct {
 }
 
 // Sharded is the concurrent HHH detector over any of the three window
-// models. The ingest surface (Observe, ObserveBatch, Snapshot) follows
+// models. The ingest surface (ObserveBatch, Snapshot) follows
 // the Detector contract — one goroutine at a time — while Stats,
 // SizeBytes, LastWindow, ReportMass and CoveredSpan may be called
 // concurrently with ingest (hhhserve reads them from HTTP handlers).
@@ -420,6 +424,9 @@ type Sharded struct {
 // New builds and starts a sharded pipeline. The caller must Close it to
 // release the worker goroutines.
 func New(cfg Config) (*Sharded, error) {
+	if cfg.OnEnter != nil || cfg.OnExit != nil {
+		return nil, fmt.Errorf("pipeline: OnEnter/OnExit require NewSingle (a shard's transitions are its own)")
+	}
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
@@ -530,36 +537,18 @@ func shardOfKey(key uint64, shards int) int {
 	return hashx.Bucket(hashx.Mix64(key), shards)
 }
 
-// Observe implements the Detector ingest contract for one packet. After
-// Close it is a defined no-op (see TryObserve).
-func (d *Sharded) Observe(p *trace.Packet) { _ = d.TryObserve(p) }
-
-// TryObserve is Observe with the closed state surfaced: it returns
-// ErrClosed — and drops the packet — once Close has run, instead of
-// pushing onto a ring no worker drains. Like Observe it is part of the
-// single-goroutine ingest surface: the guarantee covers Close calls
-// that happened-before the ingest call (use-after-Close), not a Close
-// racing ingest from another goroutine — sequence ingest against Close
-// externally, exactly as for Observe.
-func (d *Sharded) TryObserve(p *trace.Packet) error {
-	if d.closed.Load() {
-		return ErrClosed
-	}
-	d.tumble.at(p.Ts)
-	d.stageRun(unsafe.Slice(p, 1)) // *p as a run of one, not copied
-	return nil
-}
-
-// ObserveBatch processes a run of packets in time order. In windowed mode
-// the run is split at window boundaries; the other modes have none, so
-// the whole run scatters straight across the shards. After Close it is a
-// defined no-op (see TryObserveBatch).
+// ObserveBatch processes a run of packets in time order — the one way
+// packets enter. In windowed mode the run is split at window boundaries;
+// the other modes have none, so the whole run scatters straight across the
+// shards. After Close it is a defined no-op (see TryObserveBatch).
 func (d *Sharded) ObserveBatch(pkts []trace.Packet) { _ = d.TryObserveBatch(pkts) }
 
 // TryObserveBatch is ObserveBatch with the closed state surfaced: it
-// returns ErrClosed — and drops the batch — once Close has run. See
-// TryObserve for the sequencing contract: this covers use-after-Close,
-// not ingest racing Close from another goroutine.
+// returns ErrClosed — and drops the batch — once Close has run, instead of
+// pushing onto rings no worker drains. Like ObserveBatch it is part of the
+// single-goroutine ingest surface: the guarantee covers Close calls that
+// happened-before the ingest call (use-after-Close), not a Close racing
+// ingest from another goroutine — sequence ingest against Close externally.
 func (d *Sharded) TryObserveBatch(pkts []trace.Packet) error {
 	if d.closed.Load() {
 		return ErrClosed
@@ -921,7 +910,7 @@ func (d *Sharded) Stats() Stats {
 // Close flushes staged batches, stops the workers and waits for them to
 // drain. Close is idempotent and safe to call concurrently with Snapshot
 // and Stats; after it returns, the ingest surface degrades to defined
-// no-ops (TryObserve/TryObserveBatch report ErrClosed, Snapshot returns
+// no-ops (TryObserveBatch reports ErrClosed, Snapshot returns
 // the last published set). In windowed mode, packets of the final,
 // never-closed window are absorbed into shard summaries but — exactly
 // like the single-threaded windowed detector — are only reported if a

@@ -112,7 +112,7 @@ func TestShardedObserveMatchesObserveBatch(t *testing.T) {
 			d.ObserveBatch(pkts)
 		} else {
 			for i := range pkts {
-				d.Observe(&pkts[i])
+				d.ObserveBatch(pkts[i : i+1])
 			}
 		}
 		d.Snapshot(pkts[len(pkts)-1].Ts + int64(time.Second))
@@ -125,7 +125,7 @@ func TestShardedObserveMatchesObserveBatch(t *testing.T) {
 	}
 	for i := range a {
 		if !a[i].Equal(b[i]) {
-			t.Errorf("window %d: Observe %v != ObserveBatch %v", i, a[i], b[i])
+			t.Errorf("window %d: runs of one %v != one batch %v", i, a[i], b[i])
 		}
 	}
 }
@@ -324,11 +324,24 @@ func TestShardedConfigValidation(t *testing.T) {
 	if _, err := New(Config{Window: time.Second, Phi: 0.05, Engine: Kind(9)}); err == nil {
 		t.Error("unknown engine accepted")
 	}
+	// The continuous transitions are the single driver's: a shard's are its
+	// own, and the other models have none.
+	onEnter := func(addr.Prefix, int64) {}
+	cont := Config{Mode: ModeContinuous, Window: time.Second, Phi: 0.05, OnEnter: onEnter}
+	if _, err := New(cont); err == nil {
+		t.Error("New accepted OnEnter")
+	}
+	if _, err := NewSingle(Config{Mode: ModeSliding, Window: time.Second, Phi: 0.05, OnExit: onEnter}); err == nil {
+		t.Error("sliding NewSingle accepted OnExit")
+	}
+	if _, err := NewSingle(cont); err != nil {
+		t.Errorf("continuous NewSingle refused OnEnter: %v", err)
+	}
 }
 
 // TestShardedUseAfterClose pins the lifecycle contract: ingest after
-// Close is a defined no-op, with the error surfaced through the Try
-// variants instead of a send-on-closed-ring panic.
+// Close is a defined no-op, with the error surfaced through
+// TryObserveBatch instead of a send-on-closed-ring panic.
 func TestShardedUseAfterClose(t *testing.T) {
 	d, err := New(Config{Window: time.Second, Phi: 0.05, Shards: 2})
 	if err != nil {
@@ -338,14 +351,10 @@ func TestShardedUseAfterClose(t *testing.T) {
 	if err := d.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := d.TryObserve(&trace.Packet{Ts: 3, Size: 100}); err != ErrClosed {
-		t.Fatalf("TryObserve after Close: got %v, want ErrClosed", err)
-	}
 	if err := d.TryObserveBatch([]trace.Packet{{Ts: 4, Size: 10}}); err != ErrClosed {
 		t.Fatalf("TryObserveBatch after Close: got %v, want ErrClosed", err)
 	}
 	// The Detector-shaped methods stay callable and silently drop.
-	d.Observe(&trace.Packet{Ts: 5, Size: 100})
 	d.ObserveBatch([]trace.Packet{{Ts: 6, Size: 100}})
 	if set := d.Snapshot(int64(10 * time.Second)); set == nil {
 		t.Fatal("Snapshot after Close returned nil set")
@@ -400,7 +409,7 @@ func TestSlidingObserveMatchesObserveBatch(t *testing.T) {
 			d.ObserveBatch(pkts)
 		} else {
 			for i := range pkts {
-				d.Observe(&pkts[i])
+				d.ObserveBatch(pkts[i : i+1])
 			}
 		}
 		set := d.Snapshot(pkts[len(pkts)-1].Ts)
@@ -409,6 +418,6 @@ func TestSlidingObserveMatchesObserveBatch(t *testing.T) {
 	}
 	a, b := run(false), run(true)
 	if !a.Equal(b) {
-		t.Errorf("Observe %v != ObserveBatch %v", a, b)
+		t.Errorf("runs of one %v != one batch %v", a, b)
 	}
 }

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"math"
 
-	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/hhh"
 	"hiddenhhh/internal/trace"
 )
@@ -22,7 +21,6 @@ type Single struct {
 	eng    Summary
 	tumble tumbler
 	kb     trace.KeyBatch // packing scratch, reused across calls
-	one    trace.KeyBatch // Observe's one-key batch
 
 	// rep is the last report: the last closed window, or the last
 	// Snapshot's query. reported is false until there is one.
@@ -33,35 +31,20 @@ type Single struct {
 	peak int
 }
 
-// NewSingle builds the single-goroutine detector for cfg. onEnter and
-// onExit, when set, observe the continuous model's detection transitions
-// (the other models have none and ignore them).
-func NewSingle(cfg Config, onEnter, onExit func(p addr.Prefix, at int64)) (*Single, error) {
+// NewSingle builds the single-goroutine detector for cfg.
+func NewSingle(cfg Config) (*Single, error) {
 	if err := cfg.setDefaults(); err != nil {
 		return nil, err
 	}
-	cfg.onEnter, cfg.onExit = onEnter, onExit
 	eng, err := newSummary(&cfg, 0)
 	if err != nil {
 		return nil, err
 	}
 	d := &Single{cfg: cfg, eng: eng, rep: WindowReport{Set: hhh.NewSet()}}
-	d.one = trace.KeyBatch{Keys: make([]uint64, 1), Sizes: make([]uint32, 1), Ts: make([]int64, 1)}
 	if cfg.Mode == ModeWindowed {
 		d.tumble = tumbler{width: int64(cfg.Window), close: d.closeWindow}
 	}
 	return d, nil
-}
-
-// Observe processes one packet: a one-key batch.
-func (d *Single) Observe(p *trace.Packet) {
-	d.tumble.at(p.Ts)
-	h := &d.cfg.Hierarchy
-	if !h.Match(p.Src) {
-		return // other address family: advances windows, adds no mass
-	}
-	d.one.Keys[0], d.one.Sizes[0], d.one.Ts[0] = h.Key(p.Src, 0), p.Size, p.Ts
-	d.absorb(&d.one)
 }
 
 // ObserveBatch processes a run of packets in time order, split at window
@@ -71,15 +54,11 @@ func (d *Single) ObserveBatch(pkts []trace.Packet) {
 		n := d.tumble.next(pkts)
 		d.kb.Reset()
 		if d.kb.AppendPackets(d.cfg.Hierarchy, pkts[:n]) > 0 {
-			d.absorb(&d.kb)
+			d.tumble.hasData = true
+			d.eng.UpdateKeys(&d.kb)
 		}
 		pkts = pkts[n:]
 	}
-}
-
-func (d *Single) absorb(b *trace.KeyBatch) {
-	d.tumble.hasData = true
-	d.eng.UpdateKeys(b)
 }
 
 // closeWindow is the tumbler's callback: report the window, then reset.
@@ -152,10 +131,3 @@ func (c *Config) coveredSpan(now, lastEnd int64, reported bool) (lo, hi int64) {
 // SizeBytes reports the summary's footprint — in windowed mode the peak
 // over the windows so far, since state is reset at every boundary.
 func (d *Single) SizeBytes() int { return max(d.peak, d.eng.SizeBytes()) }
-
-// QueryOpen evaluates the still-open window without closing it.
-// Benchmarks use it to isolate the query cost from ingest.
-func (d *Single) QueryOpen() hhh.Set {
-	set, _ := d.eng.Query(d.tumble.curEnd)
-	return set
-}

@@ -128,7 +128,7 @@ func TestStageRunEquivalence(t *testing.T) {
 			t.Run(fmt.Sprintf("%v/K=%d", h, shards), func(t *testing.T) {
 				ref := feedStaged(t, shards, h, pkts, func(d *Sharded) {
 					for i := range pkts {
-						d.Observe(&pkts[i])
+						d.ObserveBatch(pkts[i : i+1])
 					}
 				})
 				if ref.stats.Packets != int64(len(pkts)) || ref.stats.Bytes != wantBytes ||
@@ -158,7 +158,7 @@ func TestStageRunEquivalence(t *testing.T) {
 				for name, feed := range feeds {
 					got := feedStaged(t, shards, h, pkts, feed)
 					if !reflect.DeepEqual(got.events, ref.events) {
-						t.Errorf("%s: per-shard batch sequences differ from per-packet Observe", name)
+						t.Errorf("%s: per-shard batch sequences differ from runs of one", name)
 					}
 					if !reflect.DeepEqual(got.stats, ref.stats) || got.barriers != ref.barriers {
 						t.Errorf("%s: stats %+v (%d barriers), per-packet %+v (%d)", name, got.stats, got.barriers, ref.stats, ref.barriers)
@@ -169,7 +169,7 @@ func TestStageRunEquivalence(t *testing.T) {
 					for i, s := range got.seals {
 						r := ref.seals[i]
 						if s.Start != r.Start || s.End != r.End || !bytes.Equal(s.Frame, r.Frame) {
-							t.Errorf("%s: seal %d [%d,%d) differs from per-packet Observe", name, i, s.Start, s.End)
+							t.Errorf("%s: seal %d [%d,%d) differs from runs of one", name, i, s.Start, s.End)
 						}
 					}
 				}

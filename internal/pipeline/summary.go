@@ -323,8 +323,8 @@ func buildTDBF(cfg *Config, _ int) (any, error) {
 		},
 		Sampled: cfg.Sampled,
 		Seed:    cfg.Seed,
-		OnEnter: cfg.onEnter,
-		OnExit:  cfg.onExit,
+		OnEnter: cfg.OnEnter,
+		OnExit:  cfg.OnExit,
 	})
 }
 

@@ -26,19 +26,6 @@ type tumbler struct {
 	hasData bool  // the open window has absorbed a packet; set by the driver
 }
 
-// at moves the clock to a packet timestamp: it opens the first window on
-// the first call and closes every window due before ts. The anchor uses
-// floored division, so pre-epoch timestamps tile like any others.
-func (t *tumbler) at(ts int64) {
-	if t.width == 0 {
-		return
-	}
-	if !t.started {
-		t.started, t.curEnd = true, endAfter(ts, t.width)
-	}
-	t.closeDue(ts)
-}
-
 // closeDue closes every window ending at or before now. Before the first
 // packet there is no window to close.
 func (t *tumbler) closeDue(now int64) {
@@ -70,13 +57,19 @@ func windowStart(end, width int64) int64 {
 	return trace.FloorDiv(end-1, width) * width
 }
 
-// next moves the clock to the head of a time-ordered run and returns the
-// length of the run's prefix that falls inside the open window — the
-// whole run when there are no boundaries.
+// next moves the clock to the head of a time-ordered run — opening the
+// first window on the first call, closing every window due before the
+// head — and returns the length of the run's prefix that falls inside the
+// open window: the whole run when there are no boundaries. The anchor
+// uses floored division, so pre-epoch timestamps tile like any others.
 func (t *tumbler) next(pkts []trace.Packet) int {
 	if t.width == 0 {
 		return len(pkts)
 	}
-	t.at(pkts[0].Ts)
+	ts := pkts[0].Ts
+	if !t.started {
+		t.started, t.curEnd = true, endAfter(ts, t.width)
+	}
+	t.closeDue(ts)
 	return sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= t.curEnd })
 }

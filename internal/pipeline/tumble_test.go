@@ -22,7 +22,6 @@ import (
 // reports.
 func TestWindowClockEndOfTime(t *testing.T) {
 	type driver interface {
-		Observe(*trace.Packet)
 		ObserveBatch([]trace.Packet)
 		Snapshot(int64) hhh.Set
 		CoveredSpan(int64) (lo, hi int64)
@@ -53,7 +52,7 @@ func TestWindowClockEndOfTime(t *testing.T) {
 				var d driver
 				var err error
 				if shards == 0 {
-					d, err = NewSingle(cfg, nil, nil)
+					d, err = NewSingle(cfg)
 				} else {
 					d, err = New(cfg)
 				}
@@ -67,7 +66,7 @@ func TestWindowClockEndOfTime(t *testing.T) {
 						d.ObserveBatch(st.pkts)
 					} else {
 						for i := range st.pkts {
-							d.Observe(&st.pkts[i])
+							d.ObserveBatch(st.pkts[i : i+1])
 						}
 					}
 					d.Snapshot(math.MaxInt64)

@@ -57,7 +57,7 @@ func (f *Filter) Restore(st FilterState) error {
 		return fmt.Errorf("tdbf: restore: landmark %d out of range", st.Landmark)
 	}
 	f.Reset()
-	f.adds = st.Adds
+	f.adds = uint64(st.Adds)
 	k := f.base.align(st.Landmark)
 	// The cells come in ascending order into a filter holding none: each is
 	// set, and a line taken as the first of its cells arrives.
@@ -104,7 +104,7 @@ func (f *Filter) RestoreHashed(st FilterState, cfg Config, fixed uint64) error {
 		return err
 	}
 	f.Reset()
-	f.adds = st.Adds
+	f.adds = uint64(st.Adds)
 	k := f.base.align(st.Landmark)
 	for i := range f.cells {
 		if v := src.read(fixed|uint64(i)<<f.shift) * k; v != 0 {

@@ -400,7 +400,7 @@ type Filter struct {
 	direct bool
 	shift  uint8
 
-	adds int64
+	adds uint64 // Adds reports it saturated
 }
 
 // slot is key's cell in a direct-addressed filter (a one-key level masks all).
@@ -490,8 +490,9 @@ func (f *Filter) Hashes() int { return f.k }
 // cells. It costs nothing to ask.
 func (f *Filter) SizeBytes() int { return cap(f.dir)*4 + cap(f.pool)*LineCells*8 }
 
-// Adds returns the writes since construction or Reset, merged ones included.
-func (f *Filter) Adds() int64 { return f.adds }
+// Adds returns the writes since construction or Reset, merged ones
+// included, at most MaxInt64.
+func (f *Filter) Adds() int64 { return int64(min(f.adds, math.MaxInt64)) }
 
 // Add records weight w for key at time now (ns) and returns the key's
 // estimate after the add — the minimum of the k cells just written, bit
@@ -622,7 +623,7 @@ func (f *Filter) Merge(o *Filter) {
 			f.occ += n
 		}
 	}
-	f.adds = sketch.AddSat(f.adds, o.adds)
+	f.adds = uint64(sketch.AddSat(f.Adds(), o.Adds()))
 }
 
 // Reset clears all cells, keeping the pool's capacity. The landmark

@@ -20,8 +20,8 @@ import (
 // The three columns are parallel: Keys[i], Sizes[i] and Ts[i] describe
 // the i-th packet of the batch. Only family-matching packets are packed —
 // the hierarchy's ingest family filter runs where packets are packed
-// (AppendPackets; the sharded pipeline's stageRun; Single.Observe's
-// one-key batch) — so an engine never re-checks Match. Timestamps stay
+// (AppendPackets and the sharded pipeline's stageRun) — so an engine
+// never re-checks Match. Timestamps stay
 // non-decreasing when the input stream is, which the sliding-window
 // engines rely on for frame chunking.
 //

@@ -16,6 +16,7 @@ import (
 	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/tdbf"
+	"hiddenhhh/internal/trace"
 )
 
 // The aggregator's core claim: merging summaries that took a round trip
@@ -402,6 +403,58 @@ func TestMergeOfValidFramesIsValid(t *testing.T) {
 				t.Fatal("the merge does not saturate")
 			}
 		})
+	}
+}
+
+// TestIngestPastMaxInt64: a summary decoded from a valid frame that
+// declares MaxInt64-1 packets (or filter adds) keeps ingesting. The counts
+// saturate where they once wrapped negative, which the next frame's decode
+// refused, and the continuous detector's 64-packet settle cadence runs on
+// past the saturation point: more than 64 distinct leaves go through its
+// block, and the /24 they share is admitted at a settle.
+func TestIngestPastMaxInt64(t *testing.T) {
+	frames := map[string][]byte{}
+	for _, b := range brimFrames(t) {
+		frames[b.name] = b.frame
+	}
+	v, err := Decode(frames["continuous-packets"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := v.(*continuous.Detector)
+	const leaves = 3 * 64
+	now := int64(2 * time.Second) // past the frame's warm-up end
+	var pkts []trace.Packet
+	for i := 0; i < leaves; i++ {
+		pkts = append(pkts, trace.Packet{Ts: now + int64(i), Src: addr.From4(10, 1, 2, byte(i)), Size: 1000})
+	}
+	kb := trace.NewKeyBatch(0)
+	kb.AppendPackets(testHierarchy(), pkts)
+	d.ObserveKeys(kb)
+	if got := d.Packets(); got != math.MaxInt64 {
+		t.Fatalf("Packets() = %d after %d packets past MaxInt64-1, want MaxInt64", got, leaves)
+	}
+	if d.ActiveLen() == 0 {
+		t.Fatal("no settle admitted the leaves' /24: the block stopped settling")
+	}
+	v, err = Decode(frames["filter-adds"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := v.(*tdbf.Filter)
+	f.Add(7, 1, 5)
+	f.Add(8, 1, 5)
+	if got := f.Adds(); got != math.MaxInt64 {
+		t.Fatalf("Adds() = %d after two adds past MaxInt64-1, want MaxInt64", got)
+	}
+	for _, v := range []any{d, f} {
+		re, err := Encode(v)
+		if err == nil {
+			_, err = Decode(re)
+		}
+		if err != nil {
+			t.Fatalf("%T: the frame after ingest does not decode: %v", v, err)
+		}
 	}
 }
 

@@ -14,7 +14,7 @@ import (
 // no data race, no send-on-closed-ring panic, no deadlock — a Snapshot
 // racing Close either completes its merge or returns the last published
 // set — and after Close the ingest surface degrades to defined no-ops
-// with TryObserve/TryObserveBatch reporting ErrDetectorClosed.
+// with TryObserveBatch reporting ErrDetectorClosed.
 func TestShardedCloseRace(t *testing.T) {
 	pkts := propStream(7, 20000, 3)
 	last := pkts[len(pkts)-1].Ts
@@ -64,14 +64,10 @@ func TestShardedCloseRace(t *testing.T) {
 				}
 
 				// Post-close: defined errors, no panics, stable reports.
-				if err := det.TryObserve(&pkts[0]); !errors.Is(err, ErrDetectorClosed) {
-					t.Fatalf("TryObserve after Close: got %v, want ErrDetectorClosed", err)
-				}
 				if err := det.TryObserveBatch(pkts[:8]); !errors.Is(err, ErrDetectorClosed) {
 					t.Fatalf("TryObserveBatch after Close: got %v, want ErrDetectorClosed", err)
 				}
-				det.Observe(&pkts[0]) // Detector-shaped surface: silent drop
-				det.ObserveBatch(pkts[:8])
+				det.ObserveBatch(pkts[:8]) // Detector-shaped surface: silent drop
 				if set := det.Snapshot(last + int64(time.Minute)); set == nil {
 					t.Fatal("Snapshot after Close returned nil")
 				}
