@@ -152,29 +152,49 @@ func TestContractSingleMatchesOneShard(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		// However the caller cuts the stream — and the pipeline re-cuts it
-		// into its own ring batches — both drivers are left in one state
-		// (the continuous engine, for one, resolves its decay factors a run
-		// of packets ahead).
-		var want []byte
-		for _, bs := range []int{1, 7, 256, 1 << 20} {
-			single, sharded := pair()
-			for off := 0; off < len(pkts); off += bs {
-				single.ObserveBatch(pkts[off:min(off+bs, len(pkts))])
-				sharded.ObserveBatch(pkts[off:min(off+bs, len(pkts))])
-			}
-			if err := sharded.Close(); err != nil { // drains the ring
-				t.Fatal(err)
-			}
-			got := mustEncode(t, single.eng)
-			if want == nil {
-				want = got
-			}
-			if !bytes.Equal(got, want) || !bytes.Equal(mustEncode(t, sharded.shards[0].eng), want) {
-				t.Fatalf("batches of %d leave another state than batches of 1", bs)
-			}
-		}
+		sameStateUnderChunking(t, cfg, pkts)
 	})
+	// The continuous engine resolves its decay factors a run of packets
+	// ahead; a decay horizon far shorter than the stream's span makes that
+	// run cross many sweeps, so the chunking check is repeated there.
+	t.Run("continuous", func(t *testing.T) {
+		cfg := rowConfig(int(KindTDBF))
+		cfg.Window = 250 * time.Millisecond
+		sameStateUnderChunking(t, cfg, pkts)
+	})
+}
+
+// sameStateUnderChunking feeds pkts to a single driver and a 1-shard
+// pipeline built from cfg, cut into batches of several sizes: however the
+// caller cuts the stream — and the pipeline re-cuts it into its own ring
+// batches — both drivers must be left in one state.
+func sameStateUnderChunking(t *testing.T, cfg Config, pkts []trace.Packet) {
+	t.Helper()
+	var want []byte
+	for _, bs := range []int{1, 7, 256, 1 << 20} {
+		single, err := NewSingle(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharded, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(pkts); off += bs {
+			single.ObserveBatch(pkts[off:min(off+bs, len(pkts))])
+			sharded.ObserveBatch(pkts[off:min(off+bs, len(pkts))])
+		}
+		if err := sharded.Close(); err != nil { // drains the ring
+			t.Fatal(err)
+		}
+		got := mustEncode(t, single.eng)
+		if want == nil {
+			want = got
+		}
+		if !bytes.Equal(got, want) || !bytes.Equal(mustEncode(t, sharded.shards[0].eng), want) {
+			t.Fatalf("batches of %d leave another state than batches of 1", bs)
+		}
+	}
 }
 
 // TestContractWireRoundTrip: a summary restored from its own frame by
