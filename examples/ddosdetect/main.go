@@ -24,6 +24,7 @@ func main() {
 		phi    = 0.10
 	)
 	attacker := hiddenhhh.MustParseAddr("203.0.113.66")
+	host := hiddenhhh.MustParsePrefix("203.0.113.66/32")
 
 	// Base traffic: one minute of the standard mix.
 	cfg := hiddenhhh.DefaultTraceConfig()
@@ -54,12 +55,11 @@ func main() {
 
 	// 1. Disjoint windows (the data-plane status quo).
 	var disjointHit bool
-	var shares []string
 	wd, err := hiddenhhh.NewWindowedDetector(hiddenhhh.WindowedConfig{
 		Window: window,
 		Phi:    phi,
 		OnWindow: func(start, end int64, set hiddenhhh.Set) {
-			if set.Contains(hiddenhhh.Prefix{Addr: attacker, Bits: 32}) {
+			if set.Contains(host) {
 				disjointHit = true
 			}
 		},
@@ -89,7 +89,7 @@ func main() {
 		n := sort.Search(len(rest), func(i int) bool { return rest[i].Ts >= sec })
 		sd.ObserveBatch(rest[:n])
 		rest = rest[n:]
-		if !slidingHit && sd.Snapshot(sec).Contains(hiddenhhh.Prefix{Addr: attacker, Bits: 32}) {
+		if !slidingHit && sd.Snapshot(sec).Contains(host) {
 			slidingHit = true
 			slidingAt = time.Duration(sec)
 		}
@@ -103,7 +103,7 @@ func main() {
 		Horizon: window,
 		Phi:     phi,
 		OnEnter: func(p hiddenhhh.Prefix, at int64) {
-			if p.Contains(attacker) && p.Bits == 32 && !contHit {
+			if p == host && !contHit {
 				contHit = true
 				contAt = time.Duration(at)
 			}
@@ -115,7 +115,6 @@ func main() {
 	cd.ObserveBatch(pkts)
 	report("continuous (TDBF)", contHit, fmt.Sprintf("(entered active set at %v)", contAt.Round(time.Second)))
 
-	_ = shares
 	fmt.Println("\nThe burst never exceeds the threshold inside any single disjoint")
 	fmt.Println("window, so the reset-per-window pipeline cannot see it — the hidden")
 	fmt.Println("HHH the paper quantifies. Both windowless views recover it.")

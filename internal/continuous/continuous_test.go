@@ -218,11 +218,12 @@ func TestHierarchicalAggregationDetectsSubnet(t *testing.T) {
 		}
 	}
 	set := d.Query(now)
-	if !set.Contains(addr.MustParsePrefix("192.0.2.0/24")) {
+	block := addr.MustParsePrefix("192.0.2.0/24")
+	if !set.Contains(block) {
 		t.Fatalf("aggregated /24 not detected: %v", set)
 	}
 	for p := range set {
-		if p.Bits == 32 && p.Contains(subnet) {
+		if p.Bits == 128 && block.Contains(p.Addr) { // a host: Bits counts the unified 128-bit space
 			t.Fatalf("individual host %v wrongly detected", p)
 		}
 	}

@@ -47,7 +47,8 @@ func deltaSlots(t *testing.T, frame []byte, ring int) (clocks []int64, carried [
 		for i := range row {
 			if row[i] = bits[i/8]>>(i%8)&1 == 1; row[i] {
 				n := int(binary.LittleEndian.Uint32(frame[off+20:]))
-				off += 24 + n*24 // frame total, capacity, total, count, entries
+				stride := int(frame[off+25]) + int(frame[off+26]) + int(frame[off+27])
+				off += 28 + n*stride // frame total, capacity, total, count, columns, entries
 			}
 		}
 		carried = append(carried, row)
@@ -280,9 +281,9 @@ func TestSlidingDeltaTrustBoundary(t *testing.T) {
 	fx := newDeltaFixture(t)
 	d2 := fx.seals[1]
 	// The first carried slot of level 0: frame total (8), capacity (4),
-	// total (8), entry count (4), then entries of key, count, error bound.
+	// total (8), entry count (4), the columns (4), then entries of key,
+	// count, error bound in the columns' widths.
 	slot0 := dOffLevel0 + 8 + 1
-	total := int64(binary.LittleEndian.Uint64(d2.Frame[slot0+12:]))
 	_, carried := deltaSlots(t, d2.Frame, 5)
 	var omitted, set int
 	for i, c := range carried[0] {
@@ -312,7 +313,7 @@ func TestSlidingDeltaTrustBoundary(t *testing.T) {
 		{"bitmap names a slot the payload lacks", sealed(bit(omitted, true)), ErrFrameRejected},
 		{"payload carries a slot the bitmap lacks", sealed(bit(set, false)), ErrFrameRejected},
 		{"slot capacity differs from the geometry", sealed(patch(d2.Frame, slot0+8, le32(31)...)), ErrFrameRejected},
-		{"entry count above the slot's total", sealed(patch(d2.Frame, slot0+24+8, le64(total+1)...)), ErrFrameRejected},
+		{"entry count above the slot's total", sealed(patch(d2.Frame, slot0+12, le64(0)...)), ErrFrameRejected},
 		{"level count differs from the base's", sealed(patch(d2.Frame, dOffLevels, 4, 0)), ErrFrameRejected},
 		{"geometry differs from the base's", sealed(patch(d2.Frame, dOffCounters, le32(33)...)), ErrNeedFull},
 		{"clock behind the retained one", sealed(patch(d2.Frame, dOffLevel0, le64(0)...)), ErrNeedFull},

@@ -22,10 +22,10 @@ func TestMementoConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.cfg.Frames != 8 || m.cfg.Counters != 256 {
+	if m.cfg.Frames != 8 || m.cfg.Counters != 512 {
 		t.Errorf("defaults not applied: %+v", m.cfg)
 	}
-	if len(m.idx) < 4*256 || len(m.idx)&(len(m.idx)-1) != 0 {
+	if len(m.idx) < 4*512 || len(m.idx)&(len(m.idx)-1) != 0 {
 		t.Errorf("index size %d not a power of two >= 4x capacity", len(m.idx))
 	}
 }

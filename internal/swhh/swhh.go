@@ -92,7 +92,8 @@ type Config struct {
 	// finer expiry granularity (coverage overshoot W/k) at k× the space.
 	// Default 8.
 	Frames int
-	// Counters is the Space-Saving capacity per frame. Default 256.
+	// Counters is the Space-Saving capacity per frame. Default 512, as
+	// every detector's.
 	Counters int
 }
 
@@ -101,7 +102,7 @@ func (c *Config) setDefaults() {
 		c.Frames = 8
 	}
 	if c.Counters <= 0 {
-		c.Counters = 256
+		c.Counters = 512
 	}
 }
 

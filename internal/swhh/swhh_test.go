@@ -21,7 +21,7 @@ func TestConfigValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.cfg.Frames != 8 || s.cfg.Counters != 256 {
+	if s.cfg.Frames != 8 || s.cfg.Counters != 512 {
 		t.Errorf("defaults not applied: %+v", s.cfg)
 	}
 }

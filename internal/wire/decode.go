@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 
 	"hiddenhhh/internal/addr"
@@ -61,7 +62,10 @@ func (f Frame) DecodeInto(prev any) (_ any, restored int, err error) {
 	var v any
 	switch hdr.Kind {
 	case KindSpaceSaving:
-		v, err = decodeSpaceSavingPayload(payload)
+		c := newCursor(hdr.Version, payload)
+		if v, err = decodeSS(c, nil); err == nil {
+			err = c.finish()
+		}
 	case KindExact:
 		ex, _ := prev.(ExactSummary)
 		ex.Leaves, ex.Hierarchy, err = decodeExactPayload(hdr, payload, ex.Leaves)
@@ -94,37 +98,93 @@ func (f Frame) DecodeInto(prev any) (_ any, restored int, err error) {
 	return v, restored, nil
 }
 
+// ssTable is a Space-Saving sub-payload read off a cursor: the header and
+// the entries' bytes, which entry reads back keeping each column's OR.
+type ssTable struct {
+	k, n, stride       int
+	total              int64
+	cols               ssCols
+	fixed              bool // version 1: (0, 8, 8, 8), not held to the entries
+	rows               []byte
+	masks              [3]uint64 // of the key, count and error columns' widths
+	keys, counts, errs uint64
+}
+
+// ssTable reads the Space-Saving sub-payload's header at the cursor — from
+// version 2 on with the columns — and takes the entries' bytes, refusing a
+// count the payload does not back before anything is sized from it.
+func (c *cursor) ssTable() (t ssTable, err error) {
+	t.k, t.total, t.n = int(c.u32()), c.i64(), int(c.u32())
+	t.cols, t.fixed = ssCols{0, 8, 8, 8}, c.version < VersionColumns
+	if !t.fixed {
+		t.cols = ssCols{c.u8(), c.u8(), c.u8(), c.u8()}
+	}
+	w := t.cols
+	if !c.ok || w.kw > 8 || w.cw > 8 || w.ew > 8 || t.n > 0 && w.cw == 0 {
+		return t, fmt.Errorf("%w: short space-saving header, or columns %v", ErrCorrupt, w)
+	}
+	t.stride, t.masks = w.stride(), [3]uint64{1<<(8*w.kw) - 1, 1<<(8*w.cw) - 1, 1<<(8*w.ew) - 1}
+	if t.rows = c.take(t.n * t.stride); t.rows == nil {
+		return t, fmt.Errorf("%w: %d space-saving entries unbacked", ErrCorrupt, t.n)
+	}
+	return t, nil
+}
+
+// entry reads the i-th entry, each field an eight-byte load masked to its
+// width: the last entries, whose loads would run past the rows, from a
+// zero-padded copy.
+func (t *ssTable) entry(i int) sketch.KV {
+	w, b := t.cols, t.rows[i*t.stride:]
+	if len(b) < 24 {
+		var pad [32]byte
+		copy(pad[:], b)
+		b = pad[:]
+	}
+	key := binary.LittleEndian.Uint64(b) & t.masks[0]
+	count := binary.LittleEndian.Uint64(b[w.kw:]) & t.masks[1]
+	errUB := binary.LittleEndian.Uint64(b[w.kw+w.cw:]) & t.masks[2]
+	t.keys, t.counts, t.errs = t.keys|key, t.counts|count, t.errs|errUB
+	return sketch.KV{Key: key << w.shift, Count: int64(count), ErrUB: int64(errUB)}
+}
+
+// canonical holds the columns, once every entry is read, to the writer's
+// for those entries, and refuses a key shifted out of 64 bits.
+func (t *ssTable) canonical() error {
+	if !t.fixed && (bits.Len64(t.keys)+int(t.cols.shift) > 64 || columns(t.n, t.keys<<t.cols.shift, t.counts, t.errs) != t.cols) {
+		return fmt.Errorf("%w: space-saving columns %v are not the entries' own", ErrCorrupt, t.cols)
+	}
+	return nil
+}
+
 // decodeSS reads one Space-Saving sub-payload at the cursor and restores
 // it, charging the frame's summary and capacity budgets: into s when s has
 // the declared capacity, allocating only the entry storage s lacks, else
 // into a new summary. It returns the summary restored; on error s may be
-// emptied.
+// emptied or partly restored.
 func decodeSS(c *cursor, s *sketch.SpaceSaving) (*sketch.SpaceSaving, error) {
-	k := int(c.u32())
-	total := c.i64()
-	n := c.count(ssEntrySize)
-	if !c.ok {
-		return nil, fmt.Errorf("%w: short space-saving sub-payload", ErrCorrupt)
+	t, err := c.ssTable()
+	if err != nil {
+		return nil, err
 	}
-	if k < 1 || k > maxCounters {
-		return nil, fmt.Errorf("%w: space-saving capacity %d out of budget", ErrCorrupt, k)
+	if t.k < 1 || t.k > maxCounters {
+		return nil, fmt.Errorf("%w: space-saving capacity %d out of budget", ErrCorrupt, t.k)
 	}
 	c.summaries++
-	c.counters += k
+	c.counters += t.k
 	if c.summaries > maxSummaries || c.counters > maxCountersTotal {
 		return nil, fmt.Errorf("%w: per-frame summary budget exceeded", ErrCorrupt)
 	}
-	if n > k {
-		return nil, fmt.Errorf("%w: %d entries exceed declared capacity %d", ErrCorrupt, n, k)
+	if t.n > t.k {
+		return nil, fmt.Errorf("%w: %d entries exceed declared capacity %d", ErrCorrupt, t.n, t.k)
 	}
-	if s == nil || s.Capacity() != k {
-		s = sketch.NewSpaceSaving(k)
+	if s == nil || s.Capacity() != t.k {
+		s = sketch.NewSpaceSaving(t.k)
 	}
-	err := s.Restore(total, n, func(int) sketch.KV {
-		return sketch.KV{Key: c.u64(), Count: c.i64(), ErrUB: c.i64()}
-	})
-	if err != nil {
+	if err := s.Restore(t.total, t.n, t.entry); err != nil {
 		return nil, corrupt(err)
+	}
+	if err := t.canonical(); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
@@ -151,24 +211,12 @@ func boundTime(v int64) error {
 	return nil
 }
 
-func decodeSpaceSavingPayload(payload []byte) (*sketch.SpaceSaving, error) {
-	c := newCursor(payload)
-	s, err := decodeSS(c, nil)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.finish(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
 func decodeExactPayload(hdr Header, payload []byte, ex *sketch.Exact) (*sketch.Exact, addr.Hierarchy, error) {
 	h, err := hdr.Hierarchy()
 	if err != nil {
 		return nil, addr.Hierarchy{}, err
 	}
-	c := newCursor(payload)
+	c := newCursor(hdr.Version, payload)
 	n := c.count(16)
 	if !c.ok {
 		return nil, addr.Hierarchy{}, fmt.Errorf("%w: short exact payload", ErrCorrupt)
@@ -213,7 +261,7 @@ func decodePerLevelPayload(hdr Header, payload []byte, p *hhh.PerLevel) (*hhh.Pe
 	if !reuse {
 		p = new(hhh.PerLevel)
 	}
-	c := newCursor(payload)
+	c := newCursor(hdr.Version, payload)
 	total := c.i64()
 	var packets int64
 	var sampler uint64
@@ -283,7 +331,7 @@ func (f Frame) slidingShape(want Kind) (c *cursor, v SlidingDelta, h addr.Hierar
 	if h, err = f.Header.Hierarchy(); err != nil {
 		return nil, v, h, cfg, err
 	}
-	c = newCursor(f.payload)
+	c = newCursor(f.Header.Version, f.payload)
 	if want == KindSlidingDelta {
 		v = SlidingDelta{BaseSeq: c.i64(), BaseSum: c.u32(), frame: f}
 	}
@@ -353,7 +401,8 @@ type SlidingDelta struct {
 // a restore left it (swhh.Sliding.Restored): d may have been advanced
 // since, and a slot that expired here has not at the sender. A malformed
 // layout is ErrCorrupt, d untouched as well; only a slot whose entries do
-// not restore fails after the first write, and then d must be discarded.
+// not restore, or are not in their own columns, fails after the first
+// write, and then d must be discarded.
 func (f Frame) ApplySlidingDelta(d *swhh.SlidingHHH, seq int64, sum uint32) (restored, skipped int, err error) {
 	c, v, h, cfg, err := f.slidingShape(KindSlidingDelta)
 	if err != nil {
@@ -409,31 +458,22 @@ func restoreSlots(c *cursor, d *swhh.SlidingHHH, h addr.Hierarchy, cfg swhh.Conf
 				continue
 			}
 			frameTotal := c.i64()
-			k := int(c.u32())
-			total := c.i64()
-			n := c.count(ssEntrySize)
-			if !c.ok {
-				return 0, 0, fmt.Errorf("%w: short sliding slot", ErrCorrupt)
+			t, err := c.ssTable()
+			if err != nil {
+				return 0, 0, err
 			}
-			if k != cfg.Counters {
-				return 0, 0, fmt.Errorf("%w: slot capacity %d != configured %d", ErrCorrupt, k, cfg.Counters)
+			if t.k != cfg.Counters {
+				return 0, 0, fmt.Errorf("%w: slot capacity %d != configured %d", ErrCorrupt, t.k, cfg.Counters)
 			}
-			body := c.b[c.off : c.off+n*ssEntrySize]
-			c.off += len(body)
 			restored++
 			if !write {
 				continue
 			}
-			err := lv.RestoreSlot(i, frameTotal, total, n, func(e int) sketch.KV {
-				b := body[e*ssEntrySize:]
-				return sketch.KV{
-					Key:   binary.LittleEndian.Uint64(b),
-					Count: int64(binary.LittleEndian.Uint64(b[8:])),
-					ErrUB: int64(binary.LittleEndian.Uint64(b[16:])),
-				}
-			})
-			if err != nil {
+			if err := lv.RestoreSlot(i, frameTotal, t.total, t.n, t.entry); err != nil {
 				return 0, 0, corrupt(err)
+			}
+			if err := t.canonical(); err != nil {
+				return 0, 0, err
 			}
 		}
 	}
@@ -445,7 +485,7 @@ func decodeMementoPayload(hdr Header, payload []byte) (*swhh.MementoHHH, error) 
 	if err != nil {
 		return nil, err
 	}
-	c := newCursor(payload)
+	c := newCursor(hdr.Version, payload)
 	window, frames, counters, err := slidingGeometry(c)
 	if err != nil {
 		return nil, err
@@ -561,15 +601,6 @@ func boundLandmark(v int64) error {
 	return boundTime(v)
 }
 
-// take returns the next n bytes of the payload, nil if they are not there.
-func (c *cursor) take(n int) []byte {
-	if !c.need(n) {
-		return nil
-	}
-	c.off += n
-	return c.b[c.off-n : c.off]
-}
-
 // level reads one filter's section at the cursor — seed, add count, cells —
 // of a frame of the given version, as the state a restore pulls: Next
 // yields the non-zero cells off the payload. The section's bytes are
@@ -654,7 +685,7 @@ func (c *cursor) cellsV1(cells int, d tdbf.Exponential) (land int64, next func()
 }
 
 func decodeFilterPayload(hdr Header, payload []byte) (*tdbf.Filter, error) {
-	c := newCursor(payload)
+	c := newCursor(hdr.Version, payload)
 	d, err := readDecay(c)
 	if err != nil {
 		return nil, err
@@ -694,7 +725,7 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 	if err != nil {
 		return nil, err
 	}
-	c := newCursor(payload)
+	c := newCursor(hdr.Version, payload)
 	phi := c.f64()
 	exitRatio := c.f64()
 	cflags := c.u8()

@@ -40,12 +40,12 @@ func mustVerify(t testing.TB, frame []byte) Frame {
 	return f
 }
 
-// TestGoldenDelta holds the committed delta vector to its base: the
-// committed full frame sliding-v4-block.wire, decoded, with
-// sliding-v4-delta.wire applied over it as the frame sealed under Seq 1,
-// re-encodes to sliding-v4-delta-whole.wire byte for byte; the delta is a
-// fraction of either, decodes on its own to the base it names, and
-// re-encodes to itself.
+// TestGoldenDelta holds the committed delta vectors to their bases, at
+// either version: the committed full frame sliding-v4-block.wire, decoded,
+// with sliding-v4-delta.wire applied over it as the frame sealed under Seq
+// 1, re-encodes to sliding-v4-delta-whole-v2.wire byte for byte, and so does
+// the -v2 triple's; each delta is a fraction of the whole, decodes on its
+// own to the base it names, and re-encodes to itself.
 func TestGoldenDelta(t *testing.T) {
 	read := func(name string) []byte {
 		b, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
@@ -54,28 +54,31 @@ func TestGoldenDelta(t *testing.T) {
 		}
 		return b
 	}
-	base, delta, whole := read("sliding-v4-block"), read("sliding-v4-delta"), read("sliding-v4-delta-whole")
-	d, err := decodeAs[*swhh.SlidingHHH](base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, err := decodeAs[SlidingDelta](delta)
-	if err != nil {
-		t.Fatal(err)
-	}
-	slots := testHierarchy().Levels() * (slidingTestConfig().Frames + 1)
-	if v.BaseSeq != 1 || v.BaseSum != Checksum(base) || len(delta) > len(whole)/2 {
-		t.Fatalf("delta of %d bytes names base %d (%#08x); the frame is %d bytes", len(delta), v.BaseSeq, v.BaseSum, len(whole))
-	}
-	if re, err := Encode(v); err != nil || !bytes.Equal(re, delta) {
-		t.Fatalf("the decoded delta does not re-encode to itself (%v)", err)
-	}
-	restored, skipped, err := mustVerify(t, delta).ApplySlidingDelta(d, 1, Checksum(base))
-	if err != nil || restored == 0 || restored > slots/2 || restored+skipped != slots {
-		t.Fatalf("apply: %d restored, %d left alone, %v", restored, skipped, err)
-	}
-	if !bytes.Equal(EncodeSliding(d), whole) {
-		t.Fatal("base + delta is not the whole summary")
+	whole := read("sliding-v4-delta-whole-v2")
+	for _, suffix := range []string{"", "-v2"} {
+		base, delta := read("sliding-v4-block"+suffix), read("sliding-v4-delta"+suffix)
+		d, err := decodeAs[*swhh.SlidingHHH](base)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := decodeAs[SlidingDelta](delta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		slots := testHierarchy().Levels() * (slidingTestConfig().Frames + 1)
+		if v.BaseSeq != 1 || v.BaseSum != Checksum(base) || len(delta) > len(read("sliding-v4-delta-whole"+suffix))/2 {
+			t.Fatalf("delta%s of %d bytes names base %d (%#08x)", suffix, len(delta), v.BaseSeq, v.BaseSum)
+		}
+		if re, err := Encode(v); err != nil || !bytes.Equal(re, delta) {
+			t.Fatalf("the decoded delta%s does not re-encode to itself (%v)", suffix, err)
+		}
+		restored, skipped, err := mustVerify(t, delta).ApplySlidingDelta(d, 1, Checksum(base))
+		if err != nil || restored == 0 || restored > slots/2 || restored+skipped != slots {
+			t.Fatalf("apply%s: %d restored, %d left alone, %v", suffix, restored, skipped, err)
+		}
+		if !bytes.Equal(EncodeSliding(d), whole) {
+			t.Fatalf("base%s + delta%s is not the whole summary", suffix, suffix)
+		}
 	}
 }
 

@@ -44,6 +44,7 @@ func Encode(v any) ([]byte, error) {
 	case SlidingDelta:
 		f := s.frame
 		b := beginFrame(KindSlidingDelta, f.Header.Family, f.Header.Step, f.Header.Depth, len(f.payload))
+		binary.LittleEndian.PutUint16(b[4:], f.Header.Version) // the version its payload is laid out at
 		return endFrame(append(b, f.payload...)), nil
 	case *swhh.MementoHHH:
 		return EncodeMemento(s), nil
@@ -60,28 +61,72 @@ func Encode(v any) ([]byte, error) {
 // geometry are known — and builds the frame in place (beginFrame /
 // endFrame): one allocation of the frame's final size, no growth, no copy.
 
-// Space-Saving sub-payload sizes.
+// Space-Saving sub-payload sizes: the header, then an entry per column
+// stride (ssEntrySize at version 1, and in Memento's tables).
 const (
-	ssHeaderSize = 4 + 8 + 4 // capacity, stream total, entry count
-	ssEntrySize  = 8 + 8 + 8 // key, count, error bound
+	ssHeaderSize = 4 + 8 + 4 + 4 // capacity, stream total, entry count, columns
+	ssEntrySize  = 8 + 8 + 8     // key, count, error bound
 )
 
+// ssCols is the column layout of a Space-Saving table's entries: each key
+// shifted right by shift in kw bytes, the count in cw, the error bound in
+// ew, little-endian.
+type ssCols struct{ shift, kw, cw, ew uint8 }
+
+func (w ssCols) stride() int { return int(w.kw + w.cw + w.ew) }
+
+// columns is the layout of n entries whose keys, counts and error bounds OR
+// to keys, counts and errs: the keys' common trailing zeros shifted out,
+// each column the fewest bytes that hold its largest value, a count column
+// of at least one byte.
+func columns(n int, keys, counts, errs uint64) ssCols {
+	if n == 0 {
+		return ssCols{}
+	}
+	width := func(v uint64) uint8 { return uint8(bits.Len64(v)+7) / 8 }
+	shift := uint8(bits.TrailingZeros64(keys) & 63) // 0 when every key is 0
+	return ssCols{shift, width(keys >> shift), max(width(counts), 1), width(errs)}
+}
+
+// colsOf is the layout of s's entries.
+func colsOf(s *sketch.SpaceSaving) ssCols {
+	var keys, counts, errs uint64
+	for i := 0; i < s.Len(); i++ {
+		e := s.Entry(i)
+		keys, counts, errs = keys|e.Key, counts|uint64(e.Count), errs|uint64(e.ErrUB)
+	}
+	return columns(s.Len(), keys, counts, errs)
+}
+
 // ssSize is the encoded size of s's sub-payload.
-func ssSize(s *sketch.SpaceSaving) int { return ssHeaderSize + s.Len()*ssEntrySize }
+func ssSize(s *sketch.SpaceSaving) int { return ssHeaderSize + s.Len()*colsOf(s).stride() }
+
+// appendUint appends the w low bytes of v, little-endian. The encoders size
+// their frames up front, so all but a frame's last few fields are stored as
+// eight bytes the next field overwrites.
+func appendUint(b []byte, v uint64, w uint8) []byte {
+	if n := len(b); cap(b)-n >= 8 {
+		return binary.LittleEndian.AppendUint64(b, v)[:n+int(w)]
+	}
+	var e [8]byte
+	binary.LittleEndian.PutUint64(e[:], v)
+	return append(b, e[:w]...)
+}
 
 // appendSpaceSaving writes the shared Space-Saving sub-payload:
-// capacity, stream total, entry count, then the entries in the
+// capacity, stream total, entry count, the columns, then the entries in the
 // summary's canonical node order.
 func appendSpaceSaving(b []byte, s *sketch.SpaceSaving) []byte {
-	n := s.Len()
+	n, w := s.Len(), colsOf(s)
 	b = appendU32(b, uint32(s.Capacity()))
 	b = appendI64(b, s.Total())
 	b = appendU32(b, uint32(n))
+	b = append(b, w.shift, w.kw, w.cw, w.ew)
 	for i := 0; i < n; i++ {
 		e := s.Entry(i)
-		b = appendU64(b, e.Key)
-		b = appendI64(b, e.Count)
-		b = appendI64(b, e.ErrUB)
+		b = appendUint(b, e.Key>>w.shift, w.kw)
+		b = appendUint(b, uint64(e.Count), w.cw)
+		b = appendUint(b, uint64(e.ErrUB), w.ew)
 	}
 	return b
 }

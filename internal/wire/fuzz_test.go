@@ -22,7 +22,8 @@ import (
 // level, held exactly with 3 of its 256 cells occupied, are sparse ones —
 // at the versions before, as the committed vectors, and as the frames of
 // hostileContinuous; the sliding delta as the golden fixture's and four
-// mutations of it.
+// mutations of it; the Space-Saving kinds at both versions, and the
+// hostile columns.
 func fuzzSeeds(f *testing.F) [][]byte {
 	filterFrame := EncodeFilter(testFilter(7))
 	cont := testContinuous(f, 8)
@@ -82,24 +83,30 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	crcFlip[len(crcFlip)-1] ^= 0xff
 	// A declared Space-Saving capacity far beyond the payload exercises
 	// the allocation budget path.
-	hugeCap := frameFor(KindSpaceSaving, 0, 0, 0, func() []byte {
-		p := appendU32(nil, 1<<31-1)
-		p = appendI64(p, 0)
-		return appendU32(p, 0)
-	}())
+	hugeCap := frameFor(KindSpaceSaving, 0, 0, 0, ssPayload(1<<31-1, 0))
 	// One entry of more than half of MaxInt64, within its total: a valid
 	// frame whose merge with another like it has to saturate. And the same
 	// entry above its total, which the decoder must refuse.
 	heavyEntry := func(total int64) []byte {
-		p := appendU32(nil, 4)
-		p = appendI64(p, total)
-		p = appendU32(p, 1)
-		p = appendU64(p, 42)
-		p = appendI64(p, 1<<62+1)
-		return frameFor(KindSpaceSaving, 0, 0, 0, appendI64(p, 0))
+		return frameFor(KindSpaceSaving, 0, 0, 0, ssPayload(4, total, [3]uint64{42, 1<<62 + 1, 0}))
 	}
 	seeds = append(seeds, short, badMagic, badVer, hugeLen, crcFlip, hugeCap, heavyEntry(1<<62+1), heavyEntry(1<<62))
-	return append(append(seeds, EncodeFilter(thin)), old...)
+	seeds = append(append(seeds, EncodeFilter(thin)), old...)
+	// The Space-Saving kinds' committed vectors at both versions, and the
+	// refusals of TestHostileColumns.
+	for _, name := range oldColumns {
+		for _, file := range []string{name, name + "-v2"} {
+			frame, err := os.ReadFile(filepath.Join("testdata", file+".wire"))
+			if err != nil {
+				f.Fatal(err)
+			}
+			seeds = append(seeds, frame)
+		}
+	}
+	for _, h := range hostileColumns() {
+		seeds = append(seeds, h.frame)
+	}
+	return seeds
 }
 
 // FuzzWireDecode feeds arbitrary bytes to the generic frame decoder: it

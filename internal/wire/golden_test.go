@@ -2,6 +2,7 @@ package wire
 
 import (
 	"bytes"
+	"cmp"
 	"flag"
 	"fmt"
 	"math"
@@ -15,6 +16,8 @@ import (
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/continuous"
+	"hiddenhhh/internal/hhh"
+	"hiddenhhh/internal/sketch"
 	"hiddenhhh/internal/swhh"
 	"hiddenhhh/internal/tdbf"
 )
@@ -24,7 +27,7 @@ import (
 // when a deliberate format change ships with a version bump — these
 // fixtures are the back-compat tripwire for the wire format. It rewrites
 // the vectors the encoders still produce, never the decode-only ones
-// (oldDecayed, memento-v6-uneven, sliding-v4, continuous-v4-v3,
+// (oldDecayed, oldColumns, memento-v6-uneven, sliding-v4, continuous-v4-v3,
 // continuous-v6-v3), and CI fails a change that
 // touches a committed vector at all.
 var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
@@ -45,17 +48,17 @@ func goldenFixtures(t *testing.T) []struct {
 		name  string
 		frame []byte
 	}{
-		{"space-saving", EncodeSpaceSaving(testSpaceSaving(0x10, 300))},
+		{"space-saving-v2", EncodeSpaceSaving(testSpaceSaving(0x10, 300))},
 		{"exact-v4", EncodeExact(v4, testExact(0x20, 300))},
 		{"exact-v6", EncodeExact(v6, testExact(0x21, 300))},
-		{"per-level-v4", EncodePerLevel(testPerLevelH(v4, 0x30))},
-		{"per-level-v6", EncodePerLevel(testPerLevelH(v6, 0x31))},
-		{"rhhh-v4", EncodePerLevel(testRHHHH(v4, 0x40))},
-		{"rhhh-v6", EncodePerLevel(testRHHHH(v6, 0x41))},
-		{"sliding-v4-block", EncodeSliding(testSlidingH(v4, 0x50))},
-		{"sliding-v6", EncodeSliding(testSlidingH(v6, 0x51))},
-		{"sliding-v4-delta", delta},
-		{"sliding-v4-delta-whole", deltaWhole},
+		{"per-level-v4-v2", EncodePerLevel(testPerLevelH(v4, 0x30))},
+		{"per-level-v6-v2", EncodePerLevel(testPerLevelH(v6, 0x31))},
+		{"rhhh-v4-v2", EncodePerLevel(testRHHHH(v4, 0x40))},
+		{"rhhh-v6-v2", EncodePerLevel(testRHHHH(v6, 0x41))},
+		{"sliding-v4-block-v2", EncodeSliding(testSlidingH(v4, 0x50))},
+		{"sliding-v6-v2", EncodeSliding(testSlidingH(v6, 0x51))},
+		{"sliding-v4-delta-v2", delta},
+		{"sliding-v4-delta-whole-v2", deltaWhole},
 		{"memento-v4", EncodeMemento(testMementoH(v4, 0x60))},
 		{"memento-v6", EncodeMemento(testMementoH(v6, 0x61))},
 		{"tdbf-v2", filterFrame},
@@ -78,18 +81,32 @@ var oldDecayed = []struct {
 	{"continuous-v4-v2", VersionSparse}, {"continuous-v6-v2", VersionSparse},
 }
 
+// oldColumns names the Space-Saving kinds' vectors at version 1, every field
+// of an entry in 8 bytes: what the fixtures behind the version-2 vector of
+// the same name and suffix -v2 encoded to before. The bytes stay,
+// decode-only.
+var oldColumns = []string{
+	"space-saving", "per-level-v4", "per-level-v6", "rhhh-v4", "rhhh-v6",
+	"sliding-v4-block", "sliding-v6", "sliding-v4-delta", "sliding-v4-delta-whole",
+}
+
 // TestGoldenVectors is the wire-format back-compat tripwire: encoding
 // the fixed-seed fixtures must reproduce the committed bytes exactly, and
 // the committed bytes must still decode. If this fails you changed the
 // wire format — that requires a version bump and new vectors, not a quiet
 // regeneration. The old-version vectors of the decayed kinds are held to
-// what a decode-only vector can be held to: see goldenOldDecayed; and
+// what a decode-only vector can be held to: see goldenOldDecayed; those of
+// the Space-Saving kinds to their version-2 siblings: see goldenOldColumns;
+// and
 // sliding-v4 to what a vector no fixture builds any more can be: see
 // goldenSlidingPerPacket, and the continuous-*-v3 pair to the same: see
 // goldenContinuousPerPacket.
 func TestGoldenVectors(t *testing.T) {
 	for _, v := range oldDecayed {
 		t.Run(v.name, func(t *testing.T) { goldenOldDecayed(t, v.name, v.version) })
+	}
+	for _, name := range oldColumns {
+		t.Run(name, func(t *testing.T) { goldenOldColumns(t, name) })
 	}
 	t.Run("sliding-v4", goldenSlidingPerPacket)
 	for _, name := range []string{"continuous-v4-v3", "continuous-v6-v3"} {
@@ -109,7 +126,7 @@ func TestGoldenVectors(t *testing.T) {
 				t.Fatalf("read golden (regenerate with -update after a deliberate format change): %v", err)
 			}
 			if !bytes.Equal(fx.frame, want) {
-				t.Fatalf("encoding of %s no longer matches the committed v1 vector (%d vs %d bytes).\n"+
+				t.Fatalf("encoding of %s no longer matches the committed vector (%d vs %d bytes).\n"+
 					"The wire format changed: bump wire.Version and regenerate vectors with -update.",
 					fx.name, len(fx.frame), len(want))
 			}
@@ -128,7 +145,8 @@ func TestGoldenVectors(t *testing.T) {
 // compared to — so the old bytes are what no engine entry builds, and a
 // valid frame all the same: they decode, re-encode to themselves, and
 // hold the fixture's frame clocks and exact frame totals, which no
-// coalescing moves.
+// coalescing moves. They are version 1: they re-encode, at version 2, to a
+// frame that is a fixpoint of the codec and answers as they do.
 func goldenSlidingPerPacket(t *testing.T) {
 	want, err := os.ReadFile(filepath.Join("testdata", "sliding-v4.wire"))
 	if err != nil {
@@ -138,9 +156,15 @@ func goldenSlidingPerPacket(t *testing.T) {
 	if err != nil {
 		t.Fatalf("committed vector no longer decodes: %v", err)
 	}
-	if !bytes.Equal(EncodeSliding(old), want) {
-		t.Fatal("committed vector does not re-encode to itself")
+	re := EncodeSliding(old)
+	if f, err := Verify(re); err != nil || f.Header.Version != VersionColumns {
+		t.Fatalf("re-encoding verifies as version %d, %v", f.Header.Version, err)
 	}
+	again, err := decodeAs[*swhh.SlidingHHH](re)
+	if err != nil || !bytes.Equal(EncodeSliding(again), re) {
+		t.Fatalf("the re-encoding is not a fixpoint of the codec (%v)", err)
+	}
+	sameAnswers(t, old, again)
 	fresh := testSlidingH(testHierarchy(), 0x50)
 	entries := 0
 	for l := 0; l < testHierarchy().Levels(); l++ {
@@ -194,6 +218,69 @@ func goldenContinuousPerPacket(t *testing.T, name string) {
 	}
 	if !samePrefixes(o.Active, f.Active) || len(o.Active) == 0 {
 		t.Fatalf("active set %+v, the fixture's %+v", o.Active, f.Active)
+	}
+}
+
+// goldenOldColumns checks one committed version-1 vector of a Space-Saving
+// kind: it still verifies as version 1 and decodes, and what it decodes to
+// re-encodes to its version-2 sibling byte for byte, which answers every
+// query as it does. A delta decodes without its base; TestGoldenDelta
+// applies each version's over its own.
+func goldenOldColumns(t *testing.T, name string) {
+	read := func(name string, version uint16) []byte {
+		frame, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
+		if err != nil {
+			t.Fatalf("read golden: %v", err)
+		}
+		if f, err := Verify(frame); err != nil || f.Header.Version != version {
+			t.Fatalf("%s verifies as version %d, %v; want version %d", name, f.Header.Version, err, version)
+		}
+		return frame
+	}
+	old, cur := read(name, Version), read(name+"-v2", VersionColumns)
+	v, err := Decode(old)
+	if err != nil {
+		t.Fatalf("committed vector no longer decodes: %v", err)
+	}
+	if _, delta := v.(SlidingDelta); delta {
+		return
+	}
+	if re, err := Encode(v); err != nil || !bytes.Equal(re, cur) {
+		t.Fatalf("%s does not re-encode to %s-v2 (%v)", name, name, err)
+	}
+	w, err := Decode(cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cur) >= len(old) {
+		t.Fatalf("version 2 takes %d bytes, version 1 %d", len(cur), len(old))
+	}
+	sameAnswers(t, v, w)
+}
+
+// sameAnswers holds two decoded summaries of one kind to the same answers:
+// a Space-Saving table's tracked entries, an engine's HHH set at φ = 0.05
+// (a sliding one's at the last instant of its newest frame).
+func sameAnswers(t *testing.T, a, b any) {
+	t.Helper()
+	answer := func(v any) any {
+		switch s := v.(type) {
+		case *sketch.SpaceSaving:
+			kvs := s.Tracked()
+			slices.SortFunc(kvs, func(x, y sketch.KV) int { return cmp.Compare(x.Key, y.Key) })
+			return kvs
+		case *hhh.PerLevel:
+			return s.QueryFraction(0.05)
+		case *swhh.SlidingHHH:
+			frameNs := int64(s.Config().Window) / int64(s.Config().Frames)
+			return s.Query(0.05, (s.LevelSummary(0).State().CurFrame+1)*frameNs-1)
+		}
+		t.Fatalf("no answers for %T", v)
+		return nil
+	}
+	x, y := answer(a), answer(b)
+	if !reflect.DeepEqual(x, y) || reflect.ValueOf(x).Len() == 0 {
+		t.Fatalf("decoded summaries answer apart:\n%v\n%v", x, y)
 	}
 }
 

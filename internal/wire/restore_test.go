@@ -20,7 +20,7 @@ import (
 
 // TestDecodeSSHostileCapacity: a frame's capacity costs nothing until
 // entries fill it. The empty Space-Saving frame of capacity 2^20, the
-// largest the budget admits, is 36 bytes; decoding it allocates a summary
+// largest the budget admits, is 40 bytes; decoding it allocates a summary
 // with a 4-slot index, not a million entries' storage.
 func TestDecodeSSHostileCapacity(t *testing.T) {
 	frame := EncodeSpaceSaving(sketch.NewSpaceSaving(maxCounters))
@@ -42,6 +42,157 @@ func TestDecodeSSHostileCapacity(t *testing.T) {
 		t.Fatalf("decoding a %d-byte empty frame of capacity %d allocates %d B", len(frame), maxCounters, per)
 	}
 	t.Logf("a %d-byte empty frame of capacity %d decodes in %d B", len(frame), maxCounters, per)
+}
+
+// hostileColumns are the version-2 Space-Saving frames a decoder refuses
+// for their columns alone — each beside a well-formed table of the same
+// entries (nil want): keys 0x1200 and 0x3400, counts 50 and 30, error
+// bounds 3 and 0, whose own columns are (shift 9, 1, 1, 1).
+func hostileColumns() []struct {
+	name  string
+	frame []byte
+	want  error
+} {
+	entries := [][3]uint64{{0x1200, 50, 3}, {0x3400, 30, 0}}
+	ss := func(w ssCols, entries ...[3]uint64) []byte {
+		return frameFor(KindSpaceSaving, 0, 0, 0, ssColumns(1<<20, 100, w, entries...))
+	}
+	// Shifted 4, the key's top four bits go past 64 and what is left still
+	// fills 8 bytes: only the loss gives it away.
+	lossy := ssColumns(8, 100, ssCols{0, 8, 1, 1}, [3]uint64{0xf1<<56 | 1, 50, 3})
+	lossy[16] = 4
+	unbacked := func(w ssCols) []byte {
+		p := appendU32(nil, 1<<20)
+		p = appendI64(p, 100)
+		return frameFor(KindSpaceSaving, 0, 0, 0, append(appendU32(p, 1<<20), w.shift, w.kw, w.cw, w.ew))
+	}
+	return []struct {
+		name  string
+		frame []byte
+		want  error
+	}{
+		{"well-formed", ss(ssCols{9, 1, 1, 1}, entries...), nil},
+		{"empty", ss(ssCols{}), nil},
+		{"key-width-not-minimal", ss(ssCols{9, 2, 1, 1}, entries...), ErrCorrupt},
+		{"count-width-not-minimal", ss(ssCols{9, 1, 2, 1}, entries...), ErrCorrupt},
+		{"error-width-not-minimal", ss(ssCols{9, 1, 1, 2}, entries...), ErrCorrupt},
+		{"shift-not-minimal", ss(ssCols{8, 1, 1, 1}, entries...), ErrCorrupt},
+		{"shift-of-zero-keys", ss(ssCols{3, 0, 1, 0}, [3]uint64{0, 5, 0}), ErrCorrupt},
+		{"shift-past-64", ss(ssCols{200, 0, 1, 0}, [3]uint64{0, 5, 0}), ErrCorrupt},
+		{"columns-of-no-entries", ss(ssCols{0, 0, 1, 0}), ErrCorrupt},
+		{"key-width-above-8", ss(ssCols{0, 9, 1, 1}, entries...), ErrCorrupt},
+		{"count-width-above-8", ss(ssCols{9, 1, 9, 1}, entries...), ErrCorrupt},
+		{"error-width-far-above-8", ss(ssCols{9, 1, 1, 200}, entries...), ErrCorrupt},
+		{"count-width-far-above-8", ss(ssCols{9, 1, 200, 1}, entries...), ErrCorrupt},
+		{"key-loses-bits", frameFor(KindSpaceSaving, 0, 0, 0, lossy), ErrCorrupt},
+		{"count-column-empty", ss(ssCols{9, 1, 0, 1}, entries...), ErrCorrupt},
+		{"2^20-entries-in-no-bytes", unbacked(ssCols{}), ErrCorrupt},
+		{"2^20-entries-short", unbacked(ssCols{0, 1, 1, 0}), ErrCorrupt},
+	}
+}
+
+// TestDecodeSSHostileColumns: a version-2 table's columns are held to its
+// entries — the fewest bytes of each column, the keys' common trailing
+// zeros, a count column whenever there are entries, no key shifted out of
+// 64 bits — and a count the payload does not back is refused before
+// anything is sized from it: each hostile frame is ErrCorrupt, and costs
+// what a well-formed empty one of the same capacity does, not 2^20 entries'
+// storage.
+func TestDecodeSSHostileColumns(t *testing.T) {
+	for _, tc := range hostileColumns() {
+		t.Run(tc.name, func(t *testing.T) {
+			v, err := Decode(tc.frame)
+			if !errors.Is(err, tc.want) || (err != nil) != (v == nil) {
+				t.Fatalf("Decode = %T, %v; want %v", v, err, tc.want)
+			}
+			if tc.want == nil {
+				if re, _ := Encode(v); !bytes.Equal(re, tc.frame) {
+					t.Fatal("a well-formed frame does not re-encode to itself")
+				}
+				return
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				Decode(tc.frame)
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4096 {
+				t.Fatalf("refusing a %d-byte frame allocates %d B", len(tc.frame), per)
+			}
+		})
+	}
+}
+
+// TestSlidingHostileColumns: the sliding kinds read their slots through the
+// same table reader. A full frame with a slot whose count column is wider
+// than its counts is ErrCorrupt; so is a delta carrying that slot where it
+// is applied — a delta's entries are checked where they are restored, so
+// decoded alone it passes — and a well-formed delta applies over the
+// frame's summary.
+func TestSlidingHostileColumns(t *testing.T) {
+	h := testHierarchy()
+	cfg := swhh.Config{Window: time.Second, Frames: 1, Counters: 4}
+	fam, step, depth := describe(h)
+	// payload is the ring of one clock-0 frame per level, every slot empty
+	// but level 0's first, which holds one entry of count 5 in a count
+	// column cw bytes wide: with a delta's base and bitmaps, that slot the
+	// only one carried.
+	payload := func(delta bool, cw uint8, sum uint32) []byte {
+		var p []byte
+		if delta {
+			p = appendU32(appendI64(p, 1), sum)
+		}
+		p = appendI64(p, int64(cfg.Window))
+		p = appendU16(p, uint16(cfg.Frames))
+		p = appendU32(p, uint32(cfg.Counters))
+		p = appendU16(p, uint16(h.Levels()))
+		for l := 0; l < h.Levels(); l++ {
+			p = appendI64(p, 0)
+			if delta && l == 0 {
+				p = append(p, 1)
+			} else if delta {
+				p = append(p, 0)
+				continue
+			}
+			for i := 0; i <= cfg.Frames; i++ {
+				if l == 0 && i == 0 {
+					p = appendI64(p, 5)
+					p = append(p, ssColumns(uint32(cfg.Counters), 5, ssCols{24, 1, cw, 0}, [3]uint64{0x0b000000, 5, 0})...)
+				} else if !delta {
+					p = appendI64(p, 0)
+					p = append(p, ssPayload(uint32(cfg.Counters), 0)...)
+				}
+			}
+		}
+		kind := KindSliding
+		if delta {
+			kind = KindSlidingDelta
+		}
+		return frameFor(kind, fam, step, depth, p)
+	}
+	base := payload(false, 1, 0)
+	d, err := decodeAs[*swhh.SlidingHHH](base)
+	if err != nil || !bytes.Equal(EncodeSliding(d), base) {
+		t.Fatalf("well-formed full frame: %v", err)
+	}
+	if _, err := Decode(payload(false, 2, 0)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("full frame, count column too wide: %v", err)
+	}
+	bad := mustVerify(t, payload(true, 2, Checksum(base)))
+	if _, err := bad.Decode(); err != nil {
+		t.Fatalf("delta, count column too wide, decoded alone: %v", err)
+	}
+	if _, _, err := bad.ApplySlidingDelta(d, 1, Checksum(base)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("delta, count column too wide: %v", err)
+	}
+	if d, err = decodeAs[*swhh.SlidingHHH](base); err != nil {
+		t.Fatal(err)
+	}
+	if restored, _, err := mustVerify(t, payload(true, 1, Checksum(base))).ApplySlidingDelta(d, 1, Checksum(base)); err != nil || restored != 1 {
+		t.Fatalf("well-formed delta: %d restored, %v", restored, err)
+	}
 }
 
 // TestRestoreSlidingInPlace drives one sender's successive frames into
@@ -114,14 +265,17 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 		t.Fatal("a frame of another geometry modified the retained detector")
 	}
 
-	// A payload that parses but breaks a summary invariant (error bound
-	// above the count), checksum made good again.
+	// A payload that parses but breaks a summary invariant (a key twice in
+	// a table), checksum made good again.
 	bad := mangle(f3, func(b []byte) {
-		// geometry 14 + levels 2 + clock 8 + frame total 8 + k 4 + total 8 + n 4 + key 8 + count 8 = err field
-		off := headerSize + 14 + 2 + 8 + 8 + 4 + 8 + 4 + 8 + 8
-		for i := 0; i < 8; i++ {
-			b[off+i] = 0x7f
+		// geometry 14 + levels 2 + clock 8 + frame total 8 + k 4 + total 8 + n 4 = columns
+		cols := headerSize + 14 + 2 + 8 + 8 + 4 + 8
+		if binary.LittleEndian.Uint32(b[cols:]) < 2 {
+			t.Fatal("level 0 slot 0 holds fewer than two entries")
 		}
+		cols += 4
+		kw, stride := int(b[cols+1]), int(b[cols+1])+int(b[cols+2])+int(b[cols+3])
+		copy(b[cols+4+stride:cols+4+stride+kw], b[cols+4:])
 	})
 	if _, _, _, err := verified(bad).RestoreSliding(d); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("invalid slot: %v, want ErrCorrupt", err)
@@ -268,7 +422,7 @@ func TestDecodeSSInto(t *testing.T) {
 	}
 	decode := func(into *sketch.SpaceSaving) *sketch.SpaceSaving {
 		t.Helper()
-		c := cursor{b: f.payload, ok: true}
+		c := cursor{b: f.payload, ok: true, version: f.Header.Version}
 		s, err := decodeSS(&c, into)
 		if err != nil || c.finish() != nil {
 			t.Fatalf("decodeSS: %v", err)

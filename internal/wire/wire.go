@@ -41,15 +41,28 @@
 // payload extensions — golden-vector tests pin the bytes of every version.
 // The version is per kind:
 //
-//	kind                             written  read
-//	continuous                       3        1, 2, 3
-//	tdbf (with it the decayed kinds) 2        1, 2
-//	every other                      1        1
+//	kind                                                written  read
+//	continuous                                          3        1, 2, 3
+//	tdbf (with it the decayed kinds)                    2        1, 2
+//	space-saving, per-level, rhhh, sliding(-delta)      2        1, 2
+//	exact, memento                                      1        1
 //
-// A version above the one its kind is written at is ErrVersion. The
-// vectors of the versions no longer written stay in testdata, decode-only:
-// tdbf.wire, continuous-v4.wire and continuous-v6.wire (version 1),
-// continuous-v4-v2.wire and continuous-v6-v2.wire (version 2).
+// A version above the one its kind is written at is ErrVersion, so a fleet
+// upgrades its aggregators before its ingest nodes: an older aggregator
+// refuses every frame a newer node writes at a version it does not read.
+// The vectors of the versions no longer written stay in testdata,
+// decode-only (golden_test.go's oldDecayed and oldColumns name them).
+//
+// # Space-Saving columns
+//
+// A Space-Saving table — bare, a windowed level or a sliding ring slot — is
+// its capacity (4), stream total (8) and entry count n (4); at version 2
+// then shift, kw, cw and ew (1 each) and n entries of key>>shift in kw
+// bytes, count in cw and error bound in ew, little-endian, in node order.
+// shift is the trailing zeros of the keys' OR, each width the fewest bytes
+// that hold its column (cw ≥ 1 when n > 0); version 1 is (0, 8, 8, 8),
+// implied. Columns that are not their entries' own, a width above 8 and a
+// key that loses bits to its shift are ErrCorrupt: a state has one encoding.
 //
 // # The decayed kinds' cells
 //
@@ -124,13 +137,15 @@ import (
 	"hiddenhhh/internal/addr"
 )
 
-// Version is the wire-format version of every kind but the decayed ones:
-// a bare filter is written at VersionSparse, the continuous detector at
+// Version is the wire-format version of the kinds that have one layout,
+// exact and Memento: the Space-Saving kinds are written at VersionColumns,
+// a bare filter at VersionSparse, the continuous detector at
 // VersionLevels, and each is read at every version up to its own.
 const (
-	Version       = 1
-	VersionSparse = 2
-	VersionLevels = 3
+	Version        = 1
+	VersionSparse  = 2
+	VersionColumns = 2
+	VersionLevels  = 3
 )
 
 // magic opens every frame.
@@ -175,6 +190,8 @@ func (k Kind) version() uint16 {
 		return VersionLevels
 	case KindFilter:
 		return VersionSparse
+	case KindSpaceSaving, KindPerLevel, KindRHHH, KindSliding, KindSlidingDelta:
+		return VersionColumns
 	}
 	return Version
 }
@@ -236,7 +253,7 @@ var (
 // Decode allocation budgets. Capacity-type fields are not materialised
 // in the payload. A Space-Saving summary allocates for the entries the
 // payload carries, not its capacity (an empty one of capacity k encodes in
-// 16 bytes and allocates a 4-slot index), but it grows up to k as updates
+// 20 bytes and allocates a 4-slot index), but it grows up to k as updates
 // arrive, and a Memento table allocates capacity × ring cells at once; so
 // the decoder enforces hard caps on capacities. The budgets comfortably
 // cover every configuration the pipeline can produce; frames declaring
@@ -344,6 +361,9 @@ func parseFrame(frame []byte) (Header, []byte, error) {
 	if string(frame[:4]) != magic {
 		return Header{}, nil, ErrBadMagic
 	}
+	if kind := Kind(frame[6]); kind < KindSpaceSaving || kind > KindSlidingDelta {
+		return Header{}, nil, fmt.Errorf("%w: %d", ErrKind, uint8(kind))
+	}
 	version := binary.LittleEndian.Uint16(frame[4:6])
 	if version < Version || version > Kind(frame[6]).version() {
 		return Header{}, nil, fmt.Errorf("%w: %d for kind %d", ErrVersion, version, frame[6])
@@ -360,9 +380,6 @@ func parseFrame(frame []byte) (Header, []byte, error) {
 		Family:  frame[8],
 		Step:    frame[9],
 		Depth:   frame[10],
-	}
-	if hdr.Kind < KindSpaceSaving || hdr.Kind > KindSlidingDelta {
-		return Header{}, nil, fmt.Errorf("%w: %d", ErrKind, uint8(hdr.Kind))
 	}
 	n := int(binary.LittleEndian.Uint32(frame[12:16]))
 	if len(frame) < headerSize+n+crcSize {
@@ -402,64 +419,50 @@ func endFrame(out []byte) []byte {
 // caller checks ok (or calls finish) before using values that gate
 // allocation or construction.
 type cursor struct {
-	b   []byte
-	off int
-	ok  bool
+	b       []byte
+	off     int
+	ok      bool
+	version uint16 // the frame's: the Space-Saving tables' layout
 
 	summaries    int // Space-Saving instances restored from this payload
 	counters     int // summed Space-Saving capacity restored
 	mementoCells int // summed Memento frame-cell matrix size restored
 }
 
-func newCursor(b []byte) *cursor { return &cursor{b: b, ok: true} }
+func newCursor(version uint16, b []byte) *cursor { return &cursor{b: b, ok: true, version: version} }
 
 // remaining returns the unread payload length.
 func (c *cursor) remaining() int { return len(c.b) - c.off }
 
-// need reports whether n more bytes are available, clearing ok if not.
-func (c *cursor) need(n int) bool {
+// take returns the next n bytes of the payload, nil if they are not there
+// (and then clears ok).
+func (c *cursor) take(n int) []byte {
 	if !c.ok || n < 0 || c.remaining() < n {
 		c.ok = false
-		return false
+		return nil
 	}
-	return true
+	c.off += n
+	return c.b[c.off-n : c.off]
 }
 
-func (c *cursor) u8() byte {
-	if !c.need(1) {
-		return 0
+var zeros [8]byte
+
+// word returns the next n ≤ 8 bytes of the payload, zeros if they are not
+// there.
+func (c *cursor) word(n int) []byte {
+	if b := c.take(n); b != nil {
+		return b
 	}
-	v := c.b[c.off]
-	c.off++
-	return v
+	return zeros[:n]
 }
 
-func (c *cursor) u16() uint16 {
-	if !c.need(2) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint16(c.b[c.off:])
-	c.off += 2
-	return v
-}
+func (c *cursor) u8() byte { return c.word(1)[0] }
 
-func (c *cursor) u32() uint32 {
-	if !c.need(4) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(c.b[c.off:])
-	c.off += 4
-	return v
-}
+func (c *cursor) u16() uint16 { return binary.LittleEndian.Uint16(c.word(2)) }
 
-func (c *cursor) u64() uint64 {
-	if !c.need(8) {
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(c.b[c.off:])
-	c.off += 8
-	return v
-}
+func (c *cursor) u32() uint32 { return binary.LittleEndian.Uint32(c.word(4)) }
+
+func (c *cursor) u64() uint64 { return binary.LittleEndian.Uint64(c.word(8)) }
 
 func (c *cursor) i64() int64 { return int64(c.u64()) }
 

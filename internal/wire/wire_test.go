@@ -473,20 +473,39 @@ func frameFor(kind Kind, fam, step, depth byte, payload []byte) []byte {
 	return endFrame(append(beginFrame(kind, fam, step, depth, len(payload)), payload...))
 }
 
+// ssColumns is a handcrafted version-2 Space-Saving sub-payload: capacity
+// k, stream total, the entries (key, count, error bound) written in the
+// columns w declares whatever they hold.
+func ssColumns(k uint32, total int64, w ssCols, entries ...[3]uint64) []byte {
+	p := appendU32(nil, k)
+	p = appendI64(p, total)
+	p = appendU32(p, uint32(len(entries)))
+	p = append(p, w.shift, w.kw, w.cw, w.ew)
+	put := func(v uint64, w uint8) {
+		for i := uint8(0); i < w; i++ {
+			p = append(p, byte(v>>(8*i)))
+		}
+	}
+	for _, e := range entries {
+		put(e[0]>>w.shift, w.kw)
+		put(e[1], w.cw)
+		put(e[2], w.ew)
+	}
+	return p
+}
+
+// ssPayload is ssColumns in the entries' own columns.
+func ssPayload(k uint32, total int64, entries ...[3]uint64) []byte {
+	var keys, counts, errs uint64
+	for _, e := range entries {
+		keys, counts, errs = keys|e[0], counts|e[1], errs|e[2]
+	}
+	return ssColumns(k, total, columns(len(entries), keys, counts, errs), entries...)
+}
+
 func TestCorruptPayloads(t *testing.T) {
 	// Handcrafted payloads use the same frameFor the encoders use, so the
 	// envelope is valid and only the payload is wrong.
-	ssPayload := func(k uint32, total int64, entries ...[3]uint64) []byte {
-		p := appendU32(nil, k)
-		p = appendI64(p, total)
-		p = appendU32(p, uint32(len(entries)))
-		for _, e := range entries {
-			p = appendU64(p, e[0])
-			p = appendI64(p, int64(e[1]))
-			p = appendI64(p, int64(e[2]))
-		}
-		return p
-	}
 	cases := []struct {
 		name  string
 		frame []byte
@@ -498,7 +517,7 @@ func TestCorruptPayloads(t *testing.T) {
 		{"ss-unbacked-count", frameFor(KindSpaceSaving, 0, 0, 0, func() []byte {
 			p := appendU32(nil, 8)
 			p = appendI64(p, 0)
-			return appendU32(p, 1<<30)
+			return append(appendU32(p, 1<<30), 0, 1, 1, 0)
 		}())},
 		{"ss-negative-total", frameFor(KindSpaceSaving, 0, 0, 0, ssPayload(8, -1))},
 		{"ss-err-above-count", frameFor(KindSpaceSaving, 0, 0, 0, ssPayload(8, 5, [3]uint64{1, 2, 3}))},
@@ -525,13 +544,13 @@ func TestCorruptPayloads(t *testing.T) {
 			return appendU16(p, 4)
 		}())},
 		{"sliding-frame-clock-overflow", frameFor(KindSliding, 4, 8, 32, func() []byte {
-			// Geometry of a 1-frame, 1-counter, 4-level ring whose first
-			// level declares a frame clock past maxAbsFrame: the DoS guard
-			// that keeps advance loops bounded.
+			// Geometry of a 1-frame, 1-counter ring over the hierarchy's
+			// levels whose first level declares a frame clock past
+			// maxAbsFrame: the DoS guard that keeps advance loops bounded.
 			p := appendI64(nil, int64(time.Second))
 			p = appendU16(p, 1)
 			p = appendU32(p, 1)
-			p = appendU16(p, 4)
+			p = appendU16(p, uint16(testHierarchy().Levels()))
 			p = appendI64(p, maxAbsFrame+1)
 			for i := 0; i < 2; i++ {
 				p = appendI64(p, 0)
@@ -602,7 +621,7 @@ func TestSparseTrustBoundary(t *testing.T) {
 		t.Fatalf("empty filter without a landmark: %v", err)
 	}
 	good := EncodeContinuous(testContinuous(t, 8))
-	perLevel := EncodePerLevel(testPerLevel(3))
+	exact := EncodeExact(testHierarchy(), testExact(2, 100))
 	for _, tc := range []struct {
 		name  string
 		frame []byte
@@ -635,7 +654,7 @@ func TestSparseTrustBoundary(t *testing.T) {
 			off := headerSize + continuousHeaderSize - 4 - 2 - 8
 			binary.LittleEndian.PutUint64(b[off:], binary.LittleEndian.Uint64(b[off:])+1)
 		}), ErrCorrupt},
-		{"v2-on-another-kind", mangle(perLevel, func(b []byte) { b[4] = VersionSparse }), ErrVersion},
+		{"v2-on-another-kind", mangle(exact, func(b []byte) { b[4] = VersionSparse }), ErrVersion},
 		{"version-3", mangle(filter(8, 5, 1, 3, 1.5), func(b []byte) { b[4] = VersionLevels }), ErrVersion},
 		{"version-4", mangle(good, func(b []byte) { b[4] = VersionLevels + 1 }), ErrVersion},
 		{"version-0", mangle(good, func(b []byte) { b[4] = 0 }), ErrVersion},
