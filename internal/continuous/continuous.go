@@ -39,9 +39,9 @@
 // landmark's scale. An exit is taken at most sweepEvery packets after the
 // prefix fell under the exit threshold, unless it is back over it by then;
 // until then it keeps its claim. Settles and sweeps count the detector's
-// own packets and nothing else, so its state depends on the stream and its
-// read points only: not on batching, the wall clock or the replaying node.
-// reference_test.go pins these differences against the per-packet rule.
+// own packets only: its state depends on the stream and its read points,
+// not on batching, the wall clock or the replaying node. reference_test.go
+// pins it exactly to this rule, which at a cadence of 1 is per-packet.
 //
 // The active set is indexed by (level, packed level key) with each member
 // linked to its nearest active ancestor (active.go), so the entry check

@@ -102,14 +102,7 @@ func TestHiddenHHHFindsPlantedBoundaryBurst(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := results[0]
-	found := false
-	for p := range r.HiddenSet {
-		if p.Contains(attacker) {
-			found = true
-		}
-	}
-	if !found {
+	if r := results[0]; !r.HiddenSet.Contains(addr.Host(attacker)) {
 		t.Fatalf("planted boundary burst not among hidden HHHs; hidden=%v sliding=%d disjoint=%d",
 			r.HiddenSet, r.SlidingDistinct, r.DisjointDistinct)
 	}
