@@ -6,11 +6,11 @@ import (
 )
 
 // TestObserveBatchMatchesObserve drives every detector kind over the same
-// trace twice — once in runs of one packet, once in awkward batch sizes —
-// and requires identical snapshots. This pins the batch spine to the
-// per-packet semantics: window splitting, frame
-// rotation, RHHH's sampling sequence and the continuous admission checks
-// all have to line up exactly.
+// trace in runs of one packet (the "Observe" of its name, which
+// ObserveBatch of a one-packet slice is) and again in awkward batch sizes,
+// and requires identical snapshots: window splitting, frame rotation,
+// RHHH's sampling sequence and the continuous admission checks must not
+// depend on where the stream is cut.
 func TestObserveBatchMatchesObserve(t *testing.T) {
 	cfg := DefaultTraceConfig()
 	cfg.Duration = 30 * time.Second

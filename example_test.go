@@ -86,8 +86,9 @@ func ExampleNewContinuousDetector() {
 func ExampleNewIPv6Hierarchy() {
 	h := hiddenhhh.NewIPv6Hierarchy(hiddenhhh.Hextet)
 	fmt.Println(h, "levels:", h.Levels())
-	for _, p := range h.Ancestors(hiddenhhh.MustParseAddr("2001:db8:ab:cd::1"), nil) {
-		fmt.Println(" ", p)
+	a := hiddenhhh.MustParseAddr("2001:db8:ab:cd::1")
+	for l := 0; l < h.Levels(); l++ {
+		fmt.Println(" ", h.At(a, l))
 	}
 	// Output:
 	// ipv6/16 levels: 5

@@ -157,17 +157,6 @@ func (h Hierarchy) At(a Addr, level int) Prefix {
 	return PrefixFrom(a, h.Bits(level))
 }
 
-// Ancestors appends to dst the full generalisation chain of a from the
-// leaf (level 0) to the family root, in that order, and returns the
-// extended slice. With a preallocated dst this performs no allocation;
-// it is the hot path of every per-packet HHH update.
-func (h Hierarchy) Ancestors(a Addr, dst []Prefix) []Prefix {
-	for l := 0; l < h.Levels(); l++ {
-		dst = append(dst, h.At(a, l))
-	}
-	return dst
-}
-
 // OnLattice reports whether p lies on the hierarchy lattice: right
 // family, mask length on a level boundary.
 func (h Hierarchy) OnLattice(p Prefix) bool {

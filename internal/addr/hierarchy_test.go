@@ -61,9 +61,18 @@ func TestHierarchyPanicsOnInvalid(t *testing.T) {
 	mustPanic("NewIPv6HierarchyDepth(Hextet,0)", func() { NewIPv6HierarchyDepth(Hextet, 0) })
 }
 
+// ancestors appends to dst a's generalisation chain, leaf (level 0) to
+// root, built with At.
+func ancestors(h Hierarchy, a Addr, dst []Prefix) []Prefix {
+	for l := 0; l < h.Levels(); l++ {
+		dst = append(dst, h.At(a, l))
+	}
+	return dst
+}
+
 func TestAncestorsV4(t *testing.T) {
 	h := NewIPv4Hierarchy(Byte)
-	got := h.Ancestors(MustParseAddr("10.1.2.3"), nil)
+	got := ancestors(h, MustParseAddr("10.1.2.3"), nil)
 	want := []Prefix{
 		MustParsePrefix("10.1.2.3/32"),
 		MustParsePrefix("10.1.2.0/24"),
@@ -72,7 +81,7 @@ func TestAncestorsV4(t *testing.T) {
 		V4Root,
 	}
 	if len(got) != len(want) {
-		t.Fatalf("Ancestors returned %d entries, want %d", len(got), len(want))
+		t.Fatalf("the chain has %d entries, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -83,7 +92,7 @@ func TestAncestorsV4(t *testing.T) {
 
 func TestAncestorsV6(t *testing.T) {
 	h := NewIPv6Hierarchy(Hextet)
-	got := h.Ancestors(MustParseAddr("2001:db8:ab:cd::1"), nil)
+	got := ancestors(h, MustParseAddr("2001:db8:ab:cd::1"), nil)
 	want := []Prefix{
 		MustParsePrefix("2001:db8:ab:cd::/64"),
 		MustParsePrefix("2001:db8:ab::/48"),
@@ -92,7 +101,7 @@ func TestAncestorsV6(t *testing.T) {
 		Root,
 	}
 	if len(got) != len(want) {
-		t.Fatalf("Ancestors returned %d entries, want %d", len(got), len(want))
+		t.Fatalf("the chain has %d entries, want %d", len(got), len(want))
 	}
 	for i := range want {
 		if got[i] != want[i] {
@@ -108,7 +117,7 @@ func TestAncestorsChainProperty(t *testing.T) {
 			if h.Family() == V4 {
 				a = From4Uint32(uint32(lo))
 			}
-			chain := h.Ancestors(a, nil)
+			chain := ancestors(h, a, nil)
 			if len(chain) != h.Levels() {
 				return false
 			}
@@ -128,15 +137,17 @@ func TestAncestorsChainProperty(t *testing.T) {
 	}
 }
 
+// TestAncestorsNoAlloc: generalising an address to every level, into a
+// preallocated buffer, allocates nothing.
 func TestAncestorsNoAlloc(t *testing.T) {
 	h := NewIPv6Hierarchy(Hextet)
 	buf := make([]Prefix, 0, h.Levels())
 	a := MustParseAddr("2001:db8::1")
 	allocs := testing.AllocsPerRun(100, func() {
-		buf = h.Ancestors(a, buf[:0])
+		buf = ancestors(h, a, buf[:0])
 	})
 	if allocs != 0 {
-		t.Errorf("Ancestors with preallocated buffer allocates %v times per run", allocs)
+		t.Errorf("the chain into a preallocated buffer allocates %v times per run", allocs)
 	}
 }
 
@@ -237,14 +248,4 @@ func TestHierarchyString(t *testing.T) {
 			t.Errorf("String() = %q, want %q", h.String(), want)
 		}
 	}
-}
-
-func BenchmarkAncestorsV6Hextet(b *testing.B) {
-	h := NewIPv6Hierarchy(Hextet)
-	buf := make([]Prefix, 0, h.Levels())
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf = h.Ancestors(FromParts(uint64(i)*0x9e3779b97f4a7c15, uint64(i)), buf[:0])
-	}
-	_ = buf
 }

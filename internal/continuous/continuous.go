@@ -60,7 +60,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"time"
 	"unsafe"
 
 	"hiddenhhh/internal/addr"
@@ -86,18 +85,6 @@ type Config struct {
 	// the cells of a hashed level; a level whose prefix space fits in them
 	// is held exactly, in 2^r cells for its r family-relative bits.
 	Filter tdbf.Config
-	// ExitRatio is the hysteresis: an active prefix exits at the first
-	// sweep or Query that finds its conditioned mass below
-	// ExitRatio*Phi*total. Default 0.9; 1.0 disables hysteresis.
-	ExitRatio float64
-	// Warmup suppresses admissions until this much trace time has
-	// passed after the first observed packet, letting the decayed total
-	// reach steady state. Default is the decay time constant. Anchoring
-	// at the first packet rather than at
-	// timestamp zero keeps detection invariant under time translation:
-	// a trace stamped in epoch nanoseconds warms up exactly like the
-	// same trace stamped from zero.
-	Warmup time.Duration
 	// Sampled, when true, updates a single uniformly drawn level per
 	// packet (RHHH-style), checks entry at that level only, and scales
 	// estimates by the level count, trading accuracy for one filter
@@ -121,6 +108,16 @@ type Config struct {
 // of mass the hysteresis band does not already absorb.
 const sweepEvery = 64
 
+// ExitRatio is the exit hysteresis: an active prefix exits at the first
+// sweep or Query that finds its conditioned mass below ExitRatio·Phi·total,
+// which keeps reports from flapping. The warm-up is one decay constant:
+// nothing is admitted until Filter.Decay.Tau of trace time has passed after
+// the first packet, letting the decayed total reach steady state. Anchoring
+// at the first packet rather than at stamp zero keeps detection invariant
+// under time translation. Neither is a Config field, for the reason
+// sweepEvery is not; the wire codec carries both and refuses other values.
+const ExitRatio = 0.9
+
 // clock puts a stamp on the clamped clock tdbf.Base resolves instants on,
 // ±(2⁶²−1). The warm-up end and admission instants are kept on it, the
 // warm-up end saturating at endOfTime, the wire codec's bound — a warm-up
@@ -142,7 +139,7 @@ type Detector struct {
 	masks   []uint64 // per-level key masks
 	rng     uint64
 	started bool  // first packet seen; warmEnd is anchored
-	warmEnd int64 // clock(first packet timestamp) + Warmup, at most endOfTime
+	warmEnd int64 // clock(first packet timestamp) + Tau, at most endOfTime
 	// pkts counts packets in uint64 so the settle and sweep cadence keeps
 	// running past MaxInt64, the count Packets reports saturated.
 	pkts uint64
@@ -199,15 +196,6 @@ func NewDetector(cfg Config) (*Detector, error) {
 	if cfg.Filter.Decay.Tau <= 0 {
 		return nil, fmt.Errorf("continuous: a positive Filter.Decay.Tau is required")
 	}
-	if cfg.ExitRatio == 0 {
-		cfg.ExitRatio = 0.9
-	}
-	if cfg.ExitRatio < 0 || cfg.ExitRatio > 1 {
-		return nil, fmt.Errorf("continuous: ExitRatio %v out of (0,1]", cfg.ExitRatio)
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = cfg.Filter.Decay.Tau
-	}
 	cfg.Filter = cfg.Filter.WithDefaults()
 	levels := cfg.Hierarchy.Levels()
 	base := tdbf.NewBase(cfg.Filter.Decay)
@@ -261,7 +249,7 @@ func (d *Detector) ObserveKeys(b *trace.KeyBatch) {
 // start counts a packet at now, anchoring the warm-up at the first.
 func (d *Detector) start(now int64) {
 	if !d.started {
-		d.started, d.warmEnd = true, min(clock(now)+clock(int64(d.cfg.Warmup)), endOfTime)
+		d.started, d.warmEnd = true, min(clock(now)+clock(int64(d.cfg.Filter.Decay.Tau)), endOfTime)
 	}
 	d.pkts++
 }
@@ -413,7 +401,7 @@ func (d *Detector) revalidate(now int64) bool {
 	if len(nodes) == 0 {
 		return false
 	}
-	exitT := d.cfg.Phi * d.total.Value(now) * d.cfg.ExitRatio
+	exitT := d.cfg.Phi * d.total.Value(now) * ExitRatio
 	d.sweep = d.sweep[:0]
 	for i := range nodes {
 		d.sweep = append(d.sweep, verdict{est: d.estimate(&nodes[i], now)})

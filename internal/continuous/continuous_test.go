@@ -38,11 +38,6 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewDetector(Config{Hierarchy: byteH(), Phi: 0.1}); err == nil {
 		t.Error("missing decay should fail")
 	}
-	cfg := defaultCfg(0.1, time.Second)
-	cfg.ExitRatio = 1.5
-	if _, err := NewDetector(cfg); err == nil {
-		t.Error("ExitRatio > 1 should fail")
-	}
 	if _, err := NewDetector(defaultCfg(0.1, time.Second)); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
@@ -160,9 +155,10 @@ func TestBoundaryStraddlingBurstIsSeen(t *testing.T) {
 	}
 }
 
+// TestWarmupSuppressesEarlyDetections: nothing is admitted for one decay
+// constant after the first packet.
 func TestWarmupSuppressesEarlyDetections(t *testing.T) {
-	cfg := defaultCfg(0.1, time.Second)
-	cfg.Warmup = 5 * time.Second
+	cfg := defaultCfg(0.1, 5*time.Second)
 	var enterTimes []int64
 	cfg.OnEnter = func(_ addr.Prefix, at int64) { enterTimes = append(enterTimes, at) }
 	d, err := NewDetector(cfg)
@@ -456,8 +452,7 @@ func TestMergeHierarchyMismatchPanics(t *testing.T) {
 // warms up identically to a zero-based one.
 func TestWarmupAnchorsAtFirstPacket(t *testing.T) {
 	epoch := int64(1_700_000_000_000_000_000)
-	cfg := defaultCfg(0.1, time.Second)
-	cfg.Warmup = 5 * time.Second
+	cfg := defaultCfg(0.1, 5*time.Second)
 	var enterTimes []int64
 	cfg.OnEnter = func(_ addr.Prefix, at int64) { enterTimes = append(enterTimes, at) }
 	d, err := NewDetector(cfg)

@@ -95,7 +95,7 @@ func (r *settleRef) observe(src addr.Addr, bytes int64, now int64) {
 	}
 	up := r.base.Ahead([]int64{now})[0]
 	if !r.started {
-		r.started, r.warmEnd = true, min(clock(now)+clock(int64(r.cfg.Warmup)), endOfTime)
+		r.started, r.warmEnd = true, min(clock(now)+clock(int64(r.cfg.Filter.Decay.Tau)), endOfTime)
 	}
 	r.pkts++
 	w := float64(bytes) * up
@@ -197,12 +197,12 @@ func (r *settleRef) check(p addr.Prefix, est float64, now int64, enterT float64)
 type refVerdict struct{ est, claimed float64 }
 
 // sweep re-validates the whole active set at now, leaf to root: a prefix is
-// kept while its estimate less its claim is at least ExitRatio·φ·total, and
+// kept while its estimate less its claim is at least 0.9·φ·total, and
 // passes its estimate, or if dropped its claim, to its nearest active
 // ancestor. It returns the verdicts and whether a prefix exited.
 func (r *settleRef) sweep(now int64) (map[addr.Prefix]*refVerdict, bool) {
 	act := r.sorted()
-	exitT := r.cfg.Phi * r.total.Value(now) * r.cfg.ExitRatio
+	exitT := r.cfg.Phi * r.total.Value(now) * 0.9
 	v := map[addr.Prefix]*refVerdict{}
 	for _, p := range act {
 		v[p] = &refVerdict{est: r.estimate(p, now)}
@@ -385,7 +385,7 @@ func TestSweepMatchesPerPacketReference(t *testing.T) {
 func compareQueries(t *testing.T, det *Detector, ref, got hhh.Set, now int64) {
 	t.Helper()
 	enterT := det.cfg.Phi * det.TotalMass(now)
-	exitT := enterT * det.cfg.ExitRatio
+	exitT := enterT * ExitRatio
 	for _, pair := range [2][2]hhh.Set{{ref, got}, {got, ref}} {
 		for p, it := range pair[0] {
 			if pair[1].Contains(p) {

@@ -75,8 +75,7 @@ func (d *Detector) State() State {
 // can be restored into d in place.
 func (d *Detector) Fits(cfg Config) bool {
 	c := &d.cfg
-	return c.Hierarchy == cfg.Hierarchy && c.Phi == cfg.Phi && c.ExitRatio == cfg.ExitRatio &&
-		c.Warmup == cfg.Warmup && c.Sampled == cfg.Sampled && c.Seed == cfg.Seed &&
+	return c.Hierarchy == cfg.Hierarchy && c.Phi == cfg.Phi && c.Sampled == cfg.Sampled && c.Seed == cfg.Seed &&
 		c.Filter.Decay == cfg.Filter.Decay && c.Filter.Cells == cfg.Filter.Cells && c.Filter.Hashes == cfg.Filter.Hashes
 }
 

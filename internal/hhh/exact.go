@@ -11,57 +11,32 @@ import (
 //
 // leaves maps each leaf prefix — a source address generalised to h's
 // level 0, packed with h.Key — to its byte volume. T is the absolute
-// byte threshold (see Threshold).
+// byte threshold (see Threshold); one below 1 is taken as 1.
 //
-// The algorithm aggregates volumes level by level and performs the
-// classical bottom-up conditioned pass: every prefix's unclaimed volume is
-// either emitted (>= T, the prefix is an HHH and claims its subtree) or
-// passed to its parent. Complexity is O(distinct leaves × levels).
+// The algorithm aggregates volumes level by level and then runs
+// ConditionedLevels, the bottom-up conditioned pass every streaming engine
+// runs, over the exact subtree volumes: every prefix whose volume less what
+// its HHH descendants claim reaches T is an HHH and claims its subtree.
+// Complexity is O(distinct leaves × levels).
 func Exact(leaves *sketch.Exact, h addr.Hierarchy, T int64) Set {
-	if T < 1 {
-		T = 1
-	}
-	levels := h.Levels()
-
-	// Pass 1: total subtree volume per prefix, per level.
-	totals := make([]map[uint64]int64, levels)
-	lvl0 := make(map[uint64]int64, leaves.Len())
+	totals := make([]map[uint64]int64, h.Levels())
+	totals[0] = make(map[uint64]int64, leaves.Len())
 	m0 := h.KeyMask(0)
 	leaves.ForEach(func(key uint64, c int64) {
-		lvl0[key&m0] += c
+		totals[0][key&m0] += c
 	})
-	totals[0] = lvl0
-	for l := 1; l < levels; l++ {
+	for l := 1; l < len(totals); l++ {
 		m := h.KeyMask(l)
-		up := make(map[uint64]int64, len(totals[l-1])/2+1)
+		totals[l] = make(map[uint64]int64, len(totals[l-1])/2+1)
 		for key, c := range totals[l-1] {
-			up[key&m] += c
+			totals[l][key&m] += c
 		}
-		totals[l] = up
 	}
-
-	// Pass 2: bottom-up conditioned volumes.
-	out := Set{}
-	unclaimed := totals[0] // level 0 conditioned == total
-	for l := 0; l < levels; l++ {
-		var next map[uint64]int64
-		var parentMask uint64
-		if l+1 < levels {
-			next = make(map[uint64]int64, len(unclaimed)/2+1)
-			parentMask = h.KeyMask(l + 1)
+	return ConditionedLevels(h, max(T, 1), NewQueryScratch(), func(l int, emit func(key uint64, est int64)) {
+		for key, c := range totals[l] {
+			emit(key, c)
 		}
-		for key, cond := range unclaimed {
-			if cond >= T {
-				out.Add(Item{Prefix: h.PrefixOfKey(key, l), Count: totals[l][key], Conditioned: cond})
-				continue // claimed: contributes nothing upward
-			}
-			if next != nil {
-				next[key&parentMask] += cond
-			}
-		}
-		unclaimed = next
-	}
-	return out
+	})
 }
 
 // ExactFromCounts is a convenience wrapper over a plain per-address map.

@@ -131,11 +131,6 @@ type Config struct {
 	Bounds Bounds
 	// SnapshotEvery is the query cadence. Default Window.
 	SnapshotEvery time.Duration
-	// Warmup suppresses bound checks for snapshots earlier than the first
-	// packet plus this duration. ModeContinuous defaults it to Window
-	// (the continuous detector's own admission warmup); the other modes
-	// default to 0.
-	Warmup time.Duration
 }
 
 // Violation is one broken bound at one snapshot.
@@ -163,7 +158,8 @@ type SnapshotResult struct {
 	// fraction of Mass (0 when nothing was reported).
 	MaxOver  float64 `json:"max_over_frac"`
 	MaxUnder float64 `json:"max_under_frac"`
-	// Warm reports whether bound checks ran (false inside Warmup).
+	// Warm reports whether bound checks ran: false in ModeContinuous for
+	// one Window after the first packet, the detector's own warm-up.
 	Warm       bool        `json:"warm"`
 	Violations []Violation `json:"violations,omitempty"`
 
@@ -237,9 +233,6 @@ func Run(name string, det Detector, pkts []trace.Packet, cfg Config) (*Report, e
 	}
 	if cfg.SnapshotEvery <= 0 {
 		cfg.SnapshotEvery = cfg.Window
-	}
-	if cfg.Warmup == 0 && cfg.Mode == ModeContinuous {
-		cfg.Warmup = cfg.Window
 	}
 
 	o := FromTrace(cfg.Hierarchy, pkts)
@@ -324,7 +317,7 @@ func (ob degradeObs) degraded() bool {
 // shared.
 func evaluate(o *Oracle, got hhh.Set, at, firstTs int64, cfg Config, obs degradeObs) SnapshotResult {
 	sr := SnapshotResult{
-		At: at, GotSet: got, Warm: at >= firstTs+int64(cfg.Warmup),
+		At: at, GotSet: got, Warm: cfg.Mode != ModeContinuous || at >= firstTs+int64(cfg.Window),
 		DroppedPackets: obs.packets, DroppedBytes: obs.bytes, DegradedMerges: obs.merges,
 	}
 	switch cfg.Mode {

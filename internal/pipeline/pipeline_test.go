@@ -90,42 +90,53 @@ func TestShardedExactMatchesOffline(t *testing.T) {
 	}
 }
 
-// TestShardedObserveMatchesObserveBatch checks the two ingest paths
-// produce identical window reports.
-func TestShardedObserveMatchesObserveBatch(t *testing.T) {
+// TestShardedRunsOfOneMatchOneBatch feeds a 2-shard pipeline one stream
+// in runs of one packet and as one batch, in the windowed and the sliding
+// mode, and requires identical reports: every closed window's in the
+// windowed mode, where a batch is split at the boundaries, and a Snapshot
+// at the last packet in the sliding one, where nothing splits it.
+func TestShardedRunsOfOneMatchOneBatch(t *testing.T) {
 	pkts := testStream(5, 20000, 7)
-	run := func(batch bool) []hhh.Set {
-		var sets []hhh.Set
-		d, err := New(Config{
-			Shards: 2,
-			Window: time.Second,
-			Phi:    0.05,
-			Engine: KindPerLevel,
-			OnWindow: func(start, end int64, set hhh.Set) {
-				sets = append(sets, set)
-			},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch {
-			d.ObserveBatch(pkts)
-		} else {
-			for i := range pkts {
-				d.ObserveBatch(pkts[i : i+1])
+	last := pkts[len(pkts)-1].Ts
+	for _, c := range []struct {
+		cfg Config
+		at  int64 // the closing Snapshot
+	}{
+		{Config{Window: time.Second, Phi: 0.05, Engine: KindPerLevel}, last + int64(time.Second)},
+		{Config{Mode: ModeSliding, Window: 2 * time.Second, Phi: 0.05, Counters: 128}, last},
+	} {
+		run := func(one bool) []hhh.Set {
+			var sets []hhh.Set
+			cfg := c.cfg
+			cfg.Shards = 2
+			if cfg.Mode == ModeWindowed {
+				cfg.OnWindow = func(_, _ int64, set hhh.Set) { sets = append(sets, set) }
 			}
+			d, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if one {
+				for i := range pkts {
+					d.ObserveBatch(pkts[i : i+1])
+				}
+			} else {
+				d.ObserveBatch(pkts)
+			}
+			if set := d.Snapshot(c.at); cfg.Mode != ModeWindowed {
+				sets = append(sets, set)
+			}
+			d.Close()
+			return sets
 		}
-		d.Snapshot(pkts[len(pkts)-1].Ts + int64(time.Second))
-		d.Close()
-		return sets
-	}
-	a, b := run(false), run(true)
-	if len(a) != len(b) {
-		t.Fatalf("window counts differ: %d vs %d", len(a), len(b))
-	}
-	for i := range a {
-		if !a[i].Equal(b[i]) {
-			t.Errorf("window %d: runs of one %v != one batch %v", i, a[i], b[i])
+		a, b := run(true), run(false)
+		if len(a) != len(b) {
+			t.Fatalf("%v: report counts differ: %d vs %d", c.cfg.Mode, len(a), len(b))
+		}
+		for i := range a {
+			if !a[i].Equal(b[i]) {
+				t.Errorf("%v report %d: runs of one %v != one batch %v", c.cfg.Mode, i, a[i], b[i])
+			}
 		}
 	}
 }
@@ -387,37 +398,5 @@ func TestModeValidation(t *testing.T) {
 			t.Errorf("stats mode %q, want %q", got, m)
 		}
 		d.Close()
-	}
-}
-
-// TestSlidingObserveMatchesObserveBatch checks the two ingest paths agree
-// in the non-windowed modes too (no boundary splitting on either path).
-func TestSlidingObserveMatchesObserveBatch(t *testing.T) {
-	pkts := testStream(5, 20000, 7)
-	run := func(batch bool) hhh.Set {
-		d, err := New(Config{
-			Mode:     ModeSliding,
-			Shards:   2,
-			Window:   2 * time.Second,
-			Phi:      0.05,
-			Counters: 128,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if batch {
-			d.ObserveBatch(pkts)
-		} else {
-			for i := range pkts {
-				d.ObserveBatch(pkts[i : i+1])
-			}
-		}
-		set := d.Snapshot(pkts[len(pkts)-1].Ts)
-		d.Close()
-		return set
-	}
-	a, b := run(false), run(true)
-	if !a.Equal(b) {
-		t.Errorf("runs of one %v != one batch %v", a, b)
 	}
 }

@@ -32,20 +32,12 @@ func (t *tumbler) closeDue(now int64) {
 	for t.started && now >= t.curEnd {
 		end, empty := t.curEnd, !t.hasData
 		start := windowStart(end, t.width)
-		t.curEnd, t.hasData = endAfter(end, t.width), false
+		t.curEnd, t.hasData = trace.EndAfter(end, t.width), false
 		if end == math.MaxInt64 {
 			t.started, t.width = false, 0 // the end of time: the clock stops
 		}
 		t.close(start, end, empty)
 	}
-}
-
-// endAfter is the first multiple of width after ts, or math.MaxInt64.
-func endAfter(ts, width int64) int64 {
-	if q := trace.FloorDiv(ts, width); q < math.MaxInt64/width {
-		return (q + 1) * width
-	}
-	return math.MaxInt64
 }
 
 // windowStart is the start of the window that ends at end: the last
@@ -68,7 +60,7 @@ func (t *tumbler) next(pkts []trace.Packet) int {
 	}
 	ts := pkts[0].Ts
 	if !t.started {
-		t.started, t.curEnd = true, endAfter(ts, t.width)
+		t.started, t.curEnd = true, trace.EndAfter(ts, t.width)
 	}
 	t.closeDue(ts)
 	return sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts >= t.curEnd })

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"math"
+	"math/big"
 	"testing"
 	"time"
 
@@ -91,6 +92,32 @@ func TestWindowClockEndOfTime(t *testing.T) {
 						t.Errorf("%s: window %d %v does not follow %v", name, i, sp, spans[:i])
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestSlidingCoveredSpanAtStartOfTime: near math.MinInt64 the frame a
+// sliding report's coverage reaches back to starts before the first instant
+// int64 holds, and the span then starts at math.MinInt64 rather than
+// wrapping to a start past its end. Elsewhere it starts Frames frames
+// before the frame now lies in.
+func TestSlidingCoveredSpanAtStartOfTime(t *testing.T) {
+	for _, w := range []time.Duration{time.Second, 3, 1 << 62} {
+		f := max(int64(w)/8, 1)
+		d, err := NewSingle(Config{Mode: ModeSliding, Engine: KindWCSS, Window: w, Frames: 8, Phi: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, now := range []int64{math.MinInt64, math.MinInt64 + 1, math.MinInt64 + 8*f, math.MinInt64 + 9*f, -1, 0, math.MaxInt64} {
+			// floor(now/f)-8 frames of f ns, exactly, at least math.MinInt64.
+			q := new(big.Int).Div(big.NewInt(now), big.NewInt(f)) // Euclidean: floored for f > 0
+			want := new(big.Int).Mul(q.Sub(q, big.NewInt(8)), big.NewInt(f))
+			if want.Cmp(big.NewInt(math.MinInt64)) < 0 {
+				want.SetInt64(math.MinInt64)
+			}
+			if lo, hi := d.CoveredSpan(now); lo != want.Int64() || hi != now {
+				t.Errorf("window %v: CoveredSpan(%d) = [%d, %d], want [%v, %d]", w, now, lo, hi, want, now)
 			}
 		}
 	}

@@ -55,7 +55,7 @@ func (s *Sliding) Merge(o *Sliding) {
 // WindowTotal returns the total weight currently covered.
 func (s *Sliding) WindowTotal(now int64) int64 {
 	s.advance(now)
-	return s.total()
+	return sumSat(s.totals)
 }
 
 // HeavyKeys returns the keys whose windowed estimate reaches the fraction

@@ -95,10 +95,6 @@ func NewMemento(cfg Config) (*Memento, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	frameNs := int64(cfg.Window) / int64(cfg.Frames)
-	if frameNs < 1 {
-		frameNs = 1 // sub-frame window: 1 ns frames, same floor as NewSliding
-	}
 	ring := int64(cfg.Frames + 1)
 	probe := mementoProbe
 	if probe > cfg.Counters {
@@ -112,7 +108,7 @@ func NewMemento(cfg Config) (*Memento, error) {
 	}
 	return &Memento{
 		cfg:      cfg,
-		frameNs:  frameNs,
+		frameNs:  cfg.frameNs(),
 		ring:     ring,
 		probe:    probe,
 		keys:     make([]uint64, cfg.Counters),
@@ -366,15 +362,6 @@ func (m *Memento) Advance(now int64) {
 func (m *Memento) WindowTotal(now int64) int64 {
 	m.advance(now)
 	return sumSat(m.totals)
-}
-
-// sumSat is the sum of non-negative terms, saturating at MaxInt64.
-func sumSat(terms []int64) int64 {
-	var sum int64
-	for _, t := range terms {
-		sum = sketch.AddSat(sum, t)
-	}
-	return sum
 }
 
 // Merge folds summary o into m frame by frame; o is not modified. Both

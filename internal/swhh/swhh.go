@@ -113,19 +113,35 @@ func (c *Config) validate() error {
 	return nil
 }
 
+// frameNs is the frame length of c, defaults applied: Window/Frames,
+// floored at 1 ns. A window shorter than Frames nanoseconds then has
+// frames of a single nanosecond, the finest granularity timestamps carry,
+// rather than a division by zero on every advance.
+func (c Config) frameNs() int64 { return max(int64(c.Window)/int64(c.Frames), 1) }
+
 // CoveredSince returns the inclusive start of the span a summary built
 // from c covers at query time now: the ring holds the Frames most recent
 // full frames plus the one filling, so coverage reaches back to the start
-// of frame floor(now/frameNs)-Frames. The result can precede the first
-// observed packet (coverage is a property of the ring geometry, not of
-// the traffic).
+// of frame floor(now/frameNs)-Frames, or to math.MinInt64 where that start
+// lies before it. The result can precede the first observed packet
+// (coverage is a property of the ring geometry, not of the traffic).
 func (c Config) CoveredSince(now int64) int64 {
 	c.setDefaults()
-	frameNs := int64(c.Window) / int64(c.Frames)
-	if frameNs < 1 {
-		frameNs = 1
+	f := c.frameNs()
+	q := trace.FloorDiv(now, f)
+	if q < math.MinInt64/f+int64(c.Frames) {
+		return math.MinInt64
 	}
-	return (trace.FloorDiv(now, frameNs) - int64(c.Frames)) * frameNs
+	return (q - int64(c.Frames)) * f
+}
+
+// sumSat is the sum of non-negative terms, saturating at MaxInt64.
+func sumSat(terms []int64) int64 {
+	var sum int64
+	for _, t := range terms {
+		sum = sketch.AddSat(sum, t)
+	}
+	return sum
 }
 
 // Sliding is a time-framed WCSS-style sliding-window heavy-hitter summary.
@@ -160,17 +176,10 @@ func NewSliding(cfg Config) (*Sliding, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	frameNs := int64(cfg.Window) / int64(cfg.Frames)
-	if frameNs < 1 {
-		// Window < Frames nanoseconds: floor the frame length at 1 ns
-		// rather than dividing by zero in advance. Every frame then covers
-		// a single nanosecond, the finest granularity timestamps carry.
-		frameNs = 1
-	}
 	ring := cfg.Frames + 1
 	s := &Sliding{
 		cfg:      cfg,
-		frameNs:  frameNs,
+		frameNs:  cfg.frameNs(),
 		frames:   make([]*sketch.SpaceSaving, ring),
 		totals:   make([]int64, ring),
 		curFrame: frameUninit,
@@ -363,15 +372,6 @@ func (s *Sliding) fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept i
 		folded++
 	}
 	return folded, kept
-}
-
-// total sums the frame totals; the caller has advanced s.
-func (s *Sliding) total() int64 {
-	var sum int64
-	for _, t := range s.totals {
-		sum = sketch.AddSat(sum, t)
-	}
-	return sum
 }
 
 // heavy calls fn once for every key whose estimate, summed over the
@@ -591,7 +591,7 @@ func (d *SlidingHHH) Query(phi float64, now int64) hhh.Set {
 // the returned Set.
 func (d *SlidingHHH) QueryMass(phi float64, now int64) (hhh.Set, int64) {
 	d.Advance(now)
-	total := d.levels[0].total()
+	total := sumSat(d.levels[0].totals)
 	threshold := hhh.Threshold(total, phi)
 	return hhh.ConditionedLevels(d.h, threshold, d.qs,
 		func(l int, emit func(key uint64, est int64)) {
@@ -614,7 +614,7 @@ func (d *SlidingHHH) Advance(now int64) {
 func (d *SlidingHHH) WindowTotal(now int64) int64 {
 	d.settle()
 	d.levels[0].advance(now)
-	return d.levels[0].total()
+	return sumSat(d.levels[0].totals)
 }
 
 // mustMatch panics unless o shares d's hierarchy.

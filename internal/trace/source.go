@@ -3,6 +3,7 @@ package trace
 import (
 	"errors"
 	"io"
+	"math"
 	"sort"
 )
 
@@ -41,7 +42,7 @@ type Cutter struct {
 // read(at) at each instant they show has passed.
 func (c *Cutter) Feed(pkts []Packet, observe func([]Packet), read func(at int64)) {
 	if len(pkts) > 0 && !c.started {
-		c.next, c.started = (FloorDiv(pkts[0].Ts, c.Step)+1)*c.Step, true
+		c.next, c.started = EndAfter(pkts[0].Ts, c.Step), true
 	}
 	for len(pkts) > 0 {
 		due := sort.Search(len(pkts), func(i int) bool { return pkts[i].Ts > c.next })
@@ -50,9 +51,20 @@ func (c *Cutter) Feed(pkts []Packet, observe func([]Packet), read func(at int64)
 		}
 		if pkts = pkts[due:]; len(pkts) > 0 {
 			read(c.next)
-			c.next += c.Step
+			c.next = EndAfter(c.next, c.Step)
 		}
 	}
+}
+
+// EndAfter is the first multiple of step after ts, or math.MaxInt64 where
+// that lies past it: the next instant of a clock that ticks at the
+// multiples of step. Saturating, the clock stops at the end of time
+// instead of wrapping to the start of it.
+func EndAfter(ts, step int64) int64 {
+	if q := FloorDiv(ts, step); q < math.MaxInt64/step {
+		return (q + 1) * step
+	}
+	return math.MaxInt64
 }
 
 // FloorDiv is the floored quotient a/b for b > 0. Frame indices and report

@@ -740,18 +740,18 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 	if !(phi > 0 && phi <= 1) {
 		return nil, fmt.Errorf("%w: phi %v out of (0,1]", ErrCorrupt, phi)
 	}
-	if !(exitRatio > 0 && exitRatio <= 1) {
-		return nil, fmt.Errorf("%w: exit ratio %v out of (0,1]", ErrCorrupt, exitRatio)
+	if exitRatio != continuous.ExitRatio {
+		return nil, fmt.Errorf("%w: exit ratio %v, want %v", ErrCorrupt, exitRatio, continuous.ExitRatio)
 	}
 	if cflags&^byte(3) != 0 {
 		return nil, fmt.Errorf("%w: unknown continuous flags %#x", ErrCorrupt, cflags)
 	}
-	if warmupNs <= 0 || warmupNs > maxAbsTime {
-		return nil, fmt.Errorf("%w: warmup %dns out of range", ErrCorrupt, warmupNs)
-	}
 	decay, err := readDecay(c)
 	if err != nil {
 		return nil, err
+	}
+	if warmupNs != int64(decay.Tau) {
+		return nil, fmt.Errorf("%w: warm-up %dns, want tau %dns", ErrCorrupt, warmupNs, int64(decay.Tau))
 	}
 	fcells := int(c.u32())
 	fhashes := int(c.u16())
@@ -810,8 +810,6 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 		Hierarchy: h,
 		Phi:       phi,
 		Filter:    tdbf.Config{Cells: fcells, Hashes: fhashes, Decay: decay},
-		ExitRatio: exitRatio,
-		Warmup:    time.Duration(warmupNs),
 		Sampled:   cflags&1 != 0,
 		Seed:      cfgSeed,
 	}

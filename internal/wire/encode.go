@@ -411,10 +411,10 @@ func EncodeContinuous(d *continuous.Detector) []byte {
 	fam, step, depth := describe(cfg.Hierarchy)
 	b := beginFrame(KindContinuous, fam, step, depth, size)
 	b = appendF64(b, cfg.Phi)
-	b = appendF64(b, cfg.ExitRatio)
+	b = appendF64(b, continuous.ExitRatio)
 	b = append(b, cflags)
 	b = appendU64(b, cfg.Seed)
-	b = appendI64(b, int64(cfg.Warmup))
+	b = appendI64(b, int64(cfg.Filter.Decay.Tau)) // the warm-up
 	b = appendU64(b, d.Sampler())
 	b = appendDecay(b, cfg.Filter.Decay)
 	b = appendU32(b, uint32(cfg.Filter.Cells))

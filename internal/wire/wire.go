@@ -95,6 +95,12 @@
 // key's cell takes the minimum of the k cells the sender's filter gave it,
 // which preserves every estimate of the level.
 //
+// Every version of a continuous frame carries an exit ratio (float64) and a
+// warm-up (ns) in its header. They are held to the detector's fixed rules:
+// a frame whose exit ratio is not continuous.ExitRatio, or whose warm-up is
+// not its own decay constant τ, is ErrCorrupt, so a decoded frame
+// re-encodes to its own bytes.
+//
 // # The sliding delta
 //
 // Between two seals a WCSS sender writes the ring slot that is filling and

@@ -576,6 +576,14 @@ func TestCorruptPayloads(t *testing.T) {
 			p = appendU64(p, 0)
 			return p
 		}())},
+		// The exit ratio and the warm-up are fixed rules the header only
+		// restates: the exit ratio at payload offset 8, the warm-up at 25.
+		{"continuous-exit-ratio-not-the-rule", mangle(EncodeContinuous(testContinuous(t, 3)), func(b []byte) {
+			binary.LittleEndian.PutUint64(b[headerSize+8:], math.Float64bits(1))
+		})},
+		{"continuous-warm-up-not-tau", mangle(EncodeContinuous(testContinuous(t, 3)), func(b []byte) {
+			binary.LittleEndian.PutUint64(b[headerSize+25:], uint64(time.Second))
+		})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

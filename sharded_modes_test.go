@@ -1,267 +1,9 @@
 package hiddenhhh
 
 import (
-	"fmt"
 	"testing"
 	"time"
 )
-
-// snapshotTimes returns a few mid-stream query points plus the stream
-// end, exercising merged queries while mass is still live.
-func snapshotTimes(pkts []Packet) []int64 {
-	last := pkts[len(pkts)-1].Ts
-	return []int64{last / 3, 2 * last / 3, last}
-}
-
-// runSnapshots feeds the stream in time order, taking a Snapshot at each
-// requested timestamp as ingest passes it, and returns the snapshots.
-func runSnapshots(t *testing.T, det Detector, pkts []Packet, at []int64) []Set {
-	t.Helper()
-	var out []Set
-	i := 0
-	for _, ts := range at {
-		j := i
-		for j < len(pkts) && pkts[j].Ts <= ts {
-			j++
-		}
-		det.ObserveBatch(pkts[i:j])
-		out = append(out, det.Snapshot(ts))
-		i = j
-	}
-	if c, ok := det.(interface{ Close() error }); ok {
-		if err := c.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return out
-}
-
-// requireSameSets asserts byte-identical reports (prefixes and counts).
-func requireSameSets(t *testing.T, name string, got, want []Set) {
-	t.Helper()
-	for i := range want {
-		if !got[i].Equal(want[i]) {
-			t.Fatalf("%s snapshot %d: sets differ:\n got %v\nwant %v", name, i, got[i], want[i])
-		}
-		for p, it := range want[i] {
-			if g := got[i][p]; g.Count != it.Count || g.Conditioned != it.Conditioned {
-				t.Errorf("%s snapshot %d %v: got %+v want %+v", name, i, p, g, it)
-			}
-		}
-	}
-}
-
-// TestShardedSlidingMatchesSingle is the sliding-mode shard-vs-single
-// equivalence property: a K-shard ModeSliding detector's snapshot-time
-// merged reports match the single sliding detector's up to the summed
-// per-frame Space-Saving bounds, which telescope to the single-summary
-// bound for hash-partitioned substreams. K=1 must be byte-identical —
-// the merge is then a pure copy.
-func TestShardedSlidingMatchesSingle(t *testing.T) {
-	const (
-		counters = 64
-		phi      = 0.02
-		nPkts    = 80000
-		spanSec  = 9
-	)
-	window := 2 * time.Second
-	for _, stream := range []func(seed int64, n, spanSec int) []Packet{propStream, nearThresholdStream} {
-		for _, seed := range []int64{1, 2, 3} {
-			pkts := stream(seed, nPkts, spanSec)
-			at := snapshotTimes(pkts)
-			single, err := NewSlidingDetector(SlidingConfig{
-				Window: window, Phi: phi, Counters: counters,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			want := runSnapshots(t, single, pkts, at)
-
-			for _, K := range []int{1, 2, 4} {
-				name := fmt.Sprintf("sliding/seed=%d/K=%d", seed, K)
-				det, err := NewShardedDetector(ShardedConfig{
-					Mode: ModeSliding, Shards: K, Window: window,
-					Phi: phi, Counters: counters,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				got := runSnapshots(t, det, pkts, at)
-				if K == 1 {
-					requireSameSets(t, name, got, want)
-					continue
-				}
-				for i := range want {
-					// The covered window total is identical (totals add
-					// exactly); only sketch membership can wobble. Items
-					// clearing the threshold by more than the summed
-					// sketch margin must be in both reports.
-					N := setMass(want[i])
-					margin := int64(4 * float64(N) / counters)
-					for _, d := range []struct {
-						label    string
-						from, to Set
-					}{
-						{"single-only", want[i], got[i]},
-						{"sharded-only", got[i], want[i]},
-					} {
-						for p, it := range d.from.Diff(d.to) {
-							T := Threshold(N, phi)
-							if it.Conditioned-T > margin {
-								t.Errorf("%s snapshot %d %s: %v cond=%d clears T=%d by %d > margin %d",
-									name, i, d.label, p, it.Conditioned, T, it.Conditioned-T, margin)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// TestShardedSlidingMementoMatchesSingle is the Memento-engine variant
-// of the sliding equivalence property. K=1 must be byte-identical: the
-// shard-0 seed is ShardedConfig.Seed verbatim, the batch ingest path is
-// pinned identical to per-packet ingest, and a merge into an empty
-// summary is an exact copy. For K>1 the shards sample hierarchy levels
-// under different seeds, so beyond the summed sketch margin the reports
-// also wobble by the level-sampling envelope (±15% of window mass for
-// seeded suites of this size — see TestOracleDifferentialSlidingMemento);
-// items clearing the threshold by more than both allowances combined
-// must be in every view.
-func TestShardedSlidingMementoMatchesSingle(t *testing.T) {
-	const (
-		counters = 64
-		phi      = 0.02
-		nPkts    = 80000
-		spanSec  = 9
-		envelope = 0.15
-	)
-	window := 2 * time.Second
-	for _, seed := range []int64{1, 2, 3} {
-		pkts := propStream(seed, nPkts, spanSec)
-		at := snapshotTimes(pkts)
-		single, err := NewSlidingDetector(SlidingConfig{
-			Window: window, Phi: phi, Counters: counters,
-			Engine: EngineMemento, Seed: 7,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runSnapshots(t, single, pkts, at)
-
-		for _, K := range []int{1, 2, 4, 8} {
-			name := fmt.Sprintf("sliding-memento/seed=%d/K=%d", seed, K)
-			det, err := NewShardedDetector(ShardedConfig{
-				Mode: ModeSliding, Shards: K, Window: window,
-				Phi: phi, Counters: counters,
-				Engine: EngineMemento, Seed: 7,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := runSnapshots(t, det, pkts, at)
-			if K == 1 {
-				requireSameSets(t, name, got, want)
-				continue
-			}
-			for i := range want {
-				N := setMass(want[i])
-				margin := int64((4/float64(counters) + envelope) * float64(N))
-				for _, d := range []struct {
-					label    string
-					from, to Set
-				}{
-					{"single-only", want[i], got[i]},
-					{"sharded-only", got[i], want[i]},
-				} {
-					for p, it := range d.from.Diff(d.to) {
-						T := Threshold(N, phi)
-						if it.Conditioned-T > margin {
-							t.Errorf("%s snapshot %d %s: %v cond=%d clears T=%d by %d > margin %d",
-								name, i, d.label, p, it.Conditioned, T, it.Conditioned-T, margin)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
-// setMass lower-bounds the covered stream mass from a report: the /0 root
-// subtree estimate when present, else the summed conditioned volumes.
-// Precise enough to scale comparison margins.
-func setMass(s Set) int64 {
-	var sum int64
-	for p, it := range s {
-		if p.Bits == 0 {
-			return it.Count
-		}
-		sum += it.Conditioned
-	}
-	return sum
-}
-
-// TestShardedContinuousMatchesSingle is the continuous-mode property:
-// merged filters are cell-wise sums under identical hash seeds, so
-// estimates and total mass agree with the single detector to floating
-// point — only the candidate (active) sets differ, because shards admit
-// against shard-local mass. K=1 must be byte-identical; for K>1 every
-// symmetric-difference item must sit within the hysteresis band of the
-// threshold.
-func TestShardedContinuousMatchesSingle(t *testing.T) {
-	const phi = 0.02
-	window := 2 * time.Second
-	for _, seed := range []int64{1, 2, 3} {
-		pkts := propStream(seed, 80000, 9)
-		at := snapshotTimes(pkts)
-		single, err := NewContinuousDetector(ContinuousConfig{
-			Horizon: window, Phi: phi,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := runSnapshots(t, single, pkts, at)
-
-		for _, K := range []int{1, 2, 4} {
-			name := fmt.Sprintf("continuous/seed=%d/K=%d", seed, K)
-			det, err := NewShardedDetector(ShardedConfig{
-				Mode: ModeContinuous, Shards: K, Window: window, Phi: phi,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			got := runSnapshots(t, det, pkts, at)
-			if K == 1 {
-				requireSameSets(t, name, got, want)
-				continue
-			}
-			for i := range want {
-				for _, d := range []struct {
-					label    string
-					from, to Set
-				}{
-					{"single-only", want[i], got[i]},
-					{"sharded-only", got[i], want[i]},
-				} {
-					for p, it := range d.from.Diff(d.to) {
-						// Conditioned estimates agree across the two
-						// views to FP noise, so any disagreement is a
-						// candidate-set difference: the item must be
-						// borderline — inside (or within 30% above) the
-						// enter threshold; decisive HHHs cross shard-local
-						// thresholds in every partition.
-						T := Threshold(setMass(want[i]), phi)
-						if float64(it.Conditioned) > 1.3*float64(T) {
-							t.Errorf("%s snapshot %d %s: %v cond=%d clears T=%d decisively",
-								name, i, d.label, p, it.Conditioned, T)
-						}
-					}
-				}
-			}
-		}
-	}
-}
 
 // TestShardedModeSurface exercises the non-windowed sharded lifecycle:
 // stats, repeated snapshots (merges must not consume shard state), and

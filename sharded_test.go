@@ -51,131 +51,193 @@ func nearThresholdStream(seed int64, n int, spanSec int) []Packet {
 	return out
 }
 
-// windowTotals returns per-window byte volumes for margin computation.
-func windowTotals(pkts []Packet, width int64) map[int64]int64 {
-	totals := map[int64]int64{}
-	for i := range pkts {
-		totals[pkts[i].Ts/width] += int64(pkts[i].Size)
-	}
-	return totals
-}
-
-// collectWindows runs a detector over the stream and returns the ordered
-// per-window HHH sets reported through OnWindow.
-func collectWindows(t *testing.T, pkts []Packet, mk func(onWindow func(start, end int64, set Set)) Detector) []Set {
+// reports feeds pkts to the detector cfg describes — a single detector
+// with shards 0, else a shards-way pipeline — and returns its reports:
+// every closed window's set, through OnWindow, in ModeWindowed; otherwise
+// a Snapshot at a third, two thirds and the end of the stream, each taken
+// as ingest passes it, while mass is still live.
+func reports(t *testing.T, cfg ShardedConfig, shards int, pkts []Packet) []Set {
 	t.Helper()
-	var sets []Set
-	det := mk(func(start, end int64, set Set) { sets = append(sets, set) })
-	det.ObserveBatch(pkts)
-	det.Snapshot(pkts[len(pkts)-1].Ts + int64(time.Second))
+	var out []Set
+	last := pkts[len(pkts)-1].Ts
+	at := []int64{last / 3, 2 * last / 3, last}
+	if cfg.Mode == ModeWindowed {
+		cfg.OnWindow = func(_, _ int64, set Set) { out = append(out, set) }
+		at = []int64{last + int64(time.Second)} // closes the last window
+	}
+	var det Detector
+	var err error
+	switch {
+	case shards > 0:
+		cfg.Shards = shards
+		det, err = NewShardedDetector(cfg)
+	case cfg.Mode == ModeSliding:
+		det, err = NewSlidingDetector(SlidingConfig{Window: cfg.Window, Phi: cfg.Phi, Engine: cfg.Engine, Counters: cfg.Counters, Seed: cfg.Seed})
+	case cfg.Mode == ModeContinuous:
+		det, err = NewContinuousDetector(ContinuousConfig{Horizon: cfg.Window, Phi: cfg.Phi})
+	default:
+		det, err = NewWindowedDetector(WindowedConfig{Window: cfg.Window, Phi: cfg.Phi, Engine: cfg.Engine, Counters: cfg.Counters, Seed: cfg.Seed, OnWindow: cfg.OnWindow})
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	i := 0
+	for _, ts := range at {
+		j := i
+		for j < len(pkts) && pkts[j].Ts <= ts {
+			j++
+		}
+		det.ObserveBatch(pkts[i:j])
+		if set := det.Snapshot(ts); cfg.Mode != ModeWindowed {
+			out = append(out, set)
+		}
+		i = j
+	}
 	if c, ok := det.(interface{ Close() error }); ok {
 		if err := c.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return sets
+	return out
+}
+
+// requireSameSets asserts byte-identical reports (prefixes and counts).
+func requireSameSets(t *testing.T, name string, got, want []Set) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d reports, want %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s report %d: sets differ:\n got %v\nwant %v", name, i, got[i], want[i])
+		}
+		for p, it := range want[i] {
+			if g := got[i][p]; g.Count != it.Count || g.Conditioned != it.Conditioned {
+				t.Errorf("%s report %d %v: got %+v want %+v", name, i, p, g, it)
+			}
+		}
+	}
+}
+
+// setMass lower-bounds the covered stream mass from a report: the /0 root
+// subtree estimate when present, else the summed conditioned volumes.
+// Precise enough to scale comparison margins.
+func setMass(s Set) int64 {
+	var sum int64
+	for p, it := range s {
+		if p.Bits == 0 {
+			return it.Count
+		}
+		sum += it.Conditioned
+	}
+	return sum
 }
 
 // TestShardedMatchesSingleProperty is the shard-vs-single equivalence
-// property test: for random weighted streams, a K-shard pipeline's merged
-// per-window HHH sets match the single-detector sets up to the summed
-// shard error bound. Because the shards hash-partition the stream, the
-// summed per-shard bounds (sum of Ni/k) telescope to the single-engine
-// bound N/k per window; the comparison margin allows a small constant
-// factor for error compounding through the conditioned bottom-up pass,
-// plus RHHH's level-sampling variance for the sampled engine.
+// property, a row per window model, engine and stream, each over seeds 1–3:
+// a K-shard pipeline's merged reports match the single detector's. K=1
+// must be byte-identical — the merge is then a copy, and the shard-0 seed
+// is the configured Seed. For K>1 every item in one view only must be
+// borderline: its conditioned count may clear the threshold T of its
+// report's mass N by no more than the row's margin.
+//
+//   - Space-Saving engines: the shards hash-partition the stream, so the
+//     summed per-shard bounds (ΣNᵢ/k, per window or per frame) telescope to
+//     the single-engine N/k; the margin allows 4N/k for error compounding
+//     through the conditioned pass. N is the exact window volume for a
+//     windowed row, a lower bound read off the single report (setMass) for
+//     the others.
+//   - Level sampling adds its variance: 2 % of N for RHHH, 15 % for Memento
+//     (its envelope in TestOracleDifferentialSlidingMemento). RHHH runs on
+//     the dominant-hitter stream only: near the threshold its sampling noise
+//     flips borderline descendants, which moves ancestors' conditioned
+//     volumes by whole multiples of T — conditioned semantics under a
+//     randomised engine, not the sharded merge.
+//   - Continuous: merged filters are cell-wise sums under identical seeds,
+//     so estimates agree to floating point and only the active sets differ,
+//     shards admitting against shard-local mass. An item in one view only
+//     may clear T by at most 30 %; decisive HHHs cross every shard's
+//     threshold.
 func TestShardedMatchesSingleProperty(t *testing.T) {
 	const (
 		counters = 64
 		phi      = 0.02
-		nPkts    = 80000
-		spanSec  = 9
 	)
-	window := 3 * time.Second
-	width := int64(window)
-
-	for _, engine := range []struct {
-		kind   Engine
+	windowed := func(e Engine) ShardedConfig {
+		return ShardedConfig{Window: 3 * time.Second, Phi: phi, Engine: e, Counters: counters, Seed: 42}
+	}
+	wcss := ShardedConfig{Mode: ModeSliding, Window: 2 * time.Second, Phi: phi, Counters: counters}
+	memento := ShardedConfig{Mode: ModeSliding, Window: 2 * time.Second, Phi: phi, Counters: counters, Engine: EngineMemento, Seed: 7}
+	continuous := ShardedConfig{Mode: ModeContinuous, Window: 2 * time.Second, Phi: phi}
+	sketch := func(sampling float64) func(N, T int64) float64 {
+		return func(N, _ int64) float64 { return (4/float64(counters) + sampling) * float64(N) }
+	}
+	rows := []struct {
+		name   string
+		cfg    ShardedConfig
 		stream func(seed int64, n, spanSec int) []Packet
-		// marginFactor scales the per-window sketch bound N/k into the
-		// set-agreement margin.
-		marginFactor float64
-		// extraFrac adds a fraction of the window volume for RHHH's
-		// level-sampling variance. RHHH is compared on the
-		// dominant-hitter stream only: in the near-threshold regime its
-		// sampling noise flips borderline descendants, which shifts
-		// ancestors' conditioned volumes by whole multiples of T — a
-		// property of conditioned HHH semantics under randomised
-		// engines, not of the sharded merge.
-		extraFrac float64
+		ks     []int
+		margin func(N, T int64) float64
 	}{
-		{EnginePerLevel, propStream, 4, 0},
-		{EnginePerLevel, nearThresholdStream, 4, 0},
-		{EngineRHHH, propStream, 4, 0.02},
-	} {
-		for _, seed := range []int64{1, 2, 3} {
-			pkts := engine.stream(seed, nPkts, spanSec)
-			totals := windowTotals(pkts, width)
-
-			single := collectWindows(t, pkts, func(onWindow func(int64, int64, Set)) Detector {
-				det, err := NewWindowedDetector(WindowedConfig{
-					Window: window, Phi: phi, Engine: engine.kind,
-					Counters: counters, Seed: 42, OnWindow: onWindow,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return det
-			})
-
-			for _, K := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("%v/seed=%d/K=%d", engine.kind, seed, K)
-				sharded := collectWindows(t, pkts, func(onWindow func(int64, int64, Set)) Detector {
-					det, err := NewShardedDetector(ShardedConfig{
-						Shards: K, Window: window, Phi: phi, Engine: engine.kind,
-						Counters: counters, Seed: 42, OnWindow: onWindow,
-					})
-					if err != nil {
-						t.Fatal(err)
+		{"perlevel", windowed(EnginePerLevel), propStream, []int{1, 2, 4, 8}, sketch(0)},
+		{"perlevel-near-threshold", windowed(EnginePerLevel), nearThresholdStream, []int{1, 2, 4, 8}, sketch(0)},
+		{"rhhh", windowed(EngineRHHH), propStream, []int{1, 2, 4, 8}, sketch(0.02)},
+		{"sliding-wcss", wcss, propStream, []int{1, 2, 4}, sketch(0)},
+		{"sliding-wcss-near-threshold", wcss, nearThresholdStream, []int{1, 2, 4}, sketch(0)},
+		{"sliding-memento", memento, propStream, []int{1, 2, 4, 8}, sketch(0.15)},
+		{"continuous", continuous, propStream, []int{1, 2, 4}, func(_, T int64) float64 { return 0.3 * float64(T) }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for _, seed := range []int64{1, 2, 3} {
+				pkts := row.stream(seed, 80000, 9)
+				want := reports(t, row.cfg, 0, pkts)
+				for _, K := range row.ks {
+					name := fmt.Sprintf("seed=%d/K=%d", seed, K)
+					got := reports(t, row.cfg, K, pkts)
+					if K == 1 {
+						requireSameSets(t, name, got, want)
+						continue
 					}
-					return det
-				})
-				if len(sharded) != len(single) {
-					t.Fatalf("%s: window counts differ: sharded %d vs single %d",
-						name, len(sharded), len(single))
-				}
-				for w := range single {
-					N := totals[int64(w)]
-					T := Threshold(N, phi)
-					margin := int64(engine.marginFactor*float64(N)/float64(counters) +
-						engine.extraFrac*float64(N))
-					// Items clearing the threshold by more than the margin
-					// must be reported by both; symmetric-difference items
-					// must be borderline.
-					for _, d := range []struct {
-						label    string
-						from, to Set
-					}{
-						{"single-only", single[w], sharded[w]},
-						{"sharded-only", sharded[w], single[w]},
-					} {
-						for p, it := range d.from.Diff(d.to) {
-							if it.Conditioned-T > margin {
-								t.Errorf("%s window %d %s: %v cond=%d clears T=%d by %d > margin %d",
-									name, w, d.label, p, it.Conditioned, T, it.Conditioned-T, margin)
+					if len(got) != len(want) {
+						t.Fatalf("%s: %d reports, single %d", name, len(got), len(want))
+					}
+					for i := range want {
+						N := setMass(want[i])
+						if row.cfg.Mode == ModeWindowed {
+							N = windowVolume(pkts, row.cfg.Window, i)
+						}
+						T := Threshold(N, phi)
+						for _, d := range []struct {
+							label    string
+							from, to Set
+						}{
+							{"single-only", want[i], got[i]},
+							{"sharded-only", got[i], want[i]},
+						} {
+							for p, it := range d.from.Diff(d.to) {
+								if margin := row.margin(N, T); float64(it.Conditioned-T) > margin {
+									t.Errorf("%s report %d %s: %v cond=%d clears T=%d by %d > margin %.0f",
+										name, i, d.label, p, it.Conditioned, T, it.Conditioned-T, margin)
+								}
 							}
 						}
 					}
-					// K=1 sharding is the same computation reordered only by
-					// the merge copy, so the sets must be identical.
-					if K == 1 && !sharded[w].Equal(single[w]) {
-						t.Errorf("%s window %d: K=1 sets differ:\nsharded %v\nsingle  %v",
-							name, w, sharded[w], single[w])
-					}
 				}
 			}
+		})
+	}
+}
+
+// windowVolume is the byte volume of the i-th window of width w.
+func windowVolume(pkts []Packet, w time.Duration, i int) int64 {
+	var n int64
+	for _, p := range pkts {
+		if p.Ts/int64(w) == int64(i) {
+			n += int64(p.Size)
 		}
 	}
+	return n
 }
 
 // TestShardedExactEngineLossless checks that with the exact engine the
@@ -184,34 +246,10 @@ func TestShardedMatchesSingleProperty(t *testing.T) {
 // so any disagreement is a pipeline bug, not sketch error.
 func TestShardedExactEngineLossless(t *testing.T) {
 	pkts := propStream(11, 30000, 6)
-	window := 2 * time.Second
-	single := collectWindows(t, pkts, func(onWindow func(int64, int64, Set)) Detector {
-		det, err := NewWindowedDetector(WindowedConfig{
-			Window: window, Phi: 0.03, Engine: EngineExact, OnWindow: onWindow,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return det
-	})
+	cfg := ShardedConfig{Window: 2 * time.Second, Phi: 0.03, Engine: EngineExact}
+	single := reports(t, cfg, 0, pkts)
 	for _, K := range []int{1, 2, 4, 8} {
-		sharded := collectWindows(t, pkts, func(onWindow func(int64, int64, Set)) Detector {
-			det, err := NewShardedDetector(ShardedConfig{
-				Shards: K, Window: window, Phi: 0.03, Engine: EngineExact, OnWindow: onWindow,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return det
-		})
-		if len(sharded) != len(single) {
-			t.Fatalf("K=%d: window counts differ: %d vs %d", K, len(sharded), len(single))
-		}
-		for w := range single {
-			if !sharded[w].Equal(single[w]) {
-				t.Errorf("K=%d window %d: %v != %v", K, w, sharded[w], single[w])
-			}
-		}
+		requireSameSets(t, fmt.Sprintf("K=%d", K), reports(t, cfg, K, pkts), single)
 	}
 }
 
