@@ -90,53 +90,62 @@ func TestShardedExactMatchesOffline(t *testing.T) {
 	}
 }
 
-// TestShardedRunsOfOneMatchOneBatch feeds a 2-shard pipeline one stream
-// in runs of one packet and as one batch, in the windowed and the sliding
-// mode, and requires identical reports: every closed window's in the
-// windowed mode, where a batch is split at the boundaries, and a Snapshot
-// at the last packet in the sliding one, where nothing splits it.
-func TestShardedRunsOfOneMatchOneBatch(t *testing.T) {
+// TestShardedObserveMatchesObserveBatch feeds a 2-shard windowed pipeline
+// one stream in runs of one packet and as one batch, and requires every
+// closed window's report to be identical: a batch is split at the window
+// boundaries exactly where runs of one would close them.
+func TestShardedObserveMatchesObserveBatch(t *testing.T) {
 	pkts := testStream(5, 20000, 7)
-	last := pkts[len(pkts)-1].Ts
-	for _, c := range []struct {
-		cfg Config
-		at  int64 // the closing Snapshot
-	}{
-		{Config{Window: time.Second, Phi: 0.05, Engine: KindPerLevel}, last + int64(time.Second)},
-		{Config{Mode: ModeSliding, Window: 2 * time.Second, Phi: 0.05, Counters: 128}, last},
-	} {
-		run := func(one bool) []hhh.Set {
-			var sets []hhh.Set
-			cfg := c.cfg
-			cfg.Shards = 2
-			if cfg.Mode == ModeWindowed {
-				cfg.OnWindow = func(_, _ int64, set hhh.Set) { sets = append(sets, set) }
-			}
-			d, err := New(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if one {
-				for i := range pkts {
-					d.ObserveBatch(pkts[i : i+1])
-				}
-			} else {
-				d.ObserveBatch(pkts)
-			}
-			if set := d.Snapshot(c.at); cfg.Mode != ModeWindowed {
-				sets = append(sets, set)
-			}
-			d.Close()
-			return sets
+	at := pkts[len(pkts)-1].Ts + int64(time.Second)
+	checkRunsOfOneMatchOneBatch(t, pkts, Config{Window: time.Second, Phi: 0.05, Engine: KindPerLevel}, at)
+}
+
+// TestSlidingObserveMatchesObserveBatch is the sliding-mode counterpart:
+// runs of one packet and one batch give the same Snapshot at the last
+// packet, where nothing splits the batch.
+func TestSlidingObserveMatchesObserveBatch(t *testing.T) {
+	pkts := testStream(5, 20000, 7)
+	at := pkts[len(pkts)-1].Ts
+	checkRunsOfOneMatchOneBatch(t, pkts, Config{Mode: ModeSliding, Window: 2 * time.Second, Phi: 0.05, Counters: 128}, at)
+}
+
+// checkRunsOfOneMatchOneBatch runs pkts through a 2-shard pipeline built
+// from cfg, in runs of one and as one batch, closing with a Snapshot at
+// at, and requires identical reports: every closed window's in the
+// windowed mode, the Snapshot's in the others.
+func checkRunsOfOneMatchOneBatch(t *testing.T, pkts []trace.Packet, cfg Config, at int64) {
+	t.Helper()
+	cfg.Shards = 2
+	run := func(one bool) []hhh.Set {
+		var sets []hhh.Set
+		cfg := cfg
+		if cfg.Mode == ModeWindowed {
+			cfg.OnWindow = func(_, _ int64, set hhh.Set) { sets = append(sets, set) }
 		}
-		a, b := run(true), run(false)
-		if len(a) != len(b) {
-			t.Fatalf("%v: report counts differ: %d vs %d", c.cfg.Mode, len(a), len(b))
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for i := range a {
-			if !a[i].Equal(b[i]) {
-				t.Errorf("%v report %d: runs of one %v != one batch %v", c.cfg.Mode, i, a[i], b[i])
+		if one {
+			for i := range pkts {
+				d.ObserveBatch(pkts[i : i+1])
 			}
+		} else {
+			d.ObserveBatch(pkts)
+		}
+		if set := d.Snapshot(at); cfg.Mode != ModeWindowed {
+			sets = append(sets, set)
+		}
+		d.Close()
+		return sets
+	}
+	a, b := run(true), run(false)
+	if len(a) != len(b) {
+		t.Fatalf("%v: report counts differ: %d vs %d", cfg.Mode, len(a), len(b))
+	}
+	for i := range a {
+		if !a[i].Equal(b[i]) {
+			t.Errorf("%v report %d: runs of one %v != one batch %v", cfg.Mode, i, a[i], b[i])
 		}
 	}
 }
