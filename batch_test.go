@@ -5,13 +5,12 @@ import (
 	"time"
 )
 
-// TestObserveBatchMatchesObserve drives every detector kind over the same
-// trace in runs of one packet (the "Observe" of its name, which
-// ObserveBatch of a one-packet slice is) and again in awkward batch sizes,
-// and requires identical snapshots: window splitting, frame rotation,
-// RHHH's sampling sequence and the continuous admission checks must not
-// depend on where the stream is cut.
-func TestObserveBatchMatchesObserve(t *testing.T) {
+// TestRunsOfOneMatchBatches drives every detector kind over the same trace
+// in runs of one packet and again in awkward batch sizes, and requires
+// identical snapshots: window splitting, frame rotation, RHHH's sampling
+// sequence and the continuous admission checks must not depend on where
+// the stream is cut.
+func TestRunsOfOneMatchBatches(t *testing.T) {
 	cfg := DefaultTraceConfig()
 	cfg.Duration = 30 * time.Second
 	cfg.MeanPacketRate = 4000
@@ -70,7 +69,7 @@ func TestObserveBatchMatchesObserve(t *testing.T) {
 				}
 				got := det.Snapshot(span)
 				if !got.Equal(want) {
-					t.Fatalf("batchSize %d: snapshot diverged from per-packet path:\nbatch: %v\nref:   %v",
+					t.Fatalf("batchSize %d: snapshot diverged from runs of one:\nbatch: %v\nref:   %v",
 						bs, got, want)
 				}
 			}

@@ -754,8 +754,8 @@ func BenchmarkContinuousSnapshot(b *testing.B) {
 // BenchmarkSpaceSavingMerge measures one K-way Space-Saving merge as a
 // barrier or an Aggregator round runs it per table: K 512-counter
 // summaries of the hash-partitioned leaf keys of diurnal-tier1 (ten
-// seconds, byte ladder) into an empty 512-counter accumulator, the scratch
-// kept across merges. ns/op is ns per merge.
+// seconds, byte ladder) into an empty 512-counter accumulator, the merge's
+// scratch taken from its pool. ns/op is ns per merge.
 func BenchmarkSpaceSavingMerge(b *testing.B) {
 	all := trace.NewKeyBatch(0)
 	all.AppendPackets(addr.NewIPv4Hierarchy(addr.Byte), benchScenario(b, "diurnal-tier1", 10*time.Second))
@@ -768,12 +768,12 @@ func BenchmarkSpaceSavingMerge(b *testing.B) {
 			for i, key := range all.Keys {
 				shards[hashx.Bucket(hashx.Mix64(key), K)].Update(key, int64(all.Sizes[i]))
 			}
-			acc, sc := sketch.NewSpaceSaving(512), new(sketch.MergeScratch)
+			acc := sketch.NewSpaceSaving(512)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				acc.Reset()
-				acc.MergeAll(shards, sc)
+				acc.MergeAll(shards)
 			}
 			if acc.Len() != 512 {
 				b.Fatalf("merged summary holds %d entries", acc.Len())

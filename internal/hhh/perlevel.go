@@ -293,20 +293,13 @@ func (p *PerLevel) MergeAll(srcs []*PerLevel) {
 		p.total = sketch.AddSat(p.total, o.total)
 		p.packets = sketch.AddSat(p.packets, o.packets)
 	}
-	mergeLevels(p.sks, len(srcs), func(i int) []*sketch.SpaceSaving { return srcs[i].sks })
-}
-
-// mergeLevels hands each level of dst the same level of all n sources —
-// levels(i) is source i's — in one K-way merge, the levels sharing one
-// scratch that is dropped on return.
-func mergeLevels(dst []*sketch.SpaceSaving, n int, levels func(i int) []*sketch.SpaceSaving) {
-	var sc sketch.MergeScratch
-	from := make([]*sketch.SpaceSaving, n)
-	for l, sk := range dst {
-		for i := range from {
-			from[i] = levels(i)[l]
+	from := make([]*sketch.SpaceSaving, 0, 8) // the usual round fits; a wider one spills to the heap
+	for l, sk := range p.sks {
+		from = from[:0]
+		for _, o := range srcs {
+			from = append(from, o.sks[l])
 		}
-		sk.MergeAll(from, &sc)
+		sk.MergeAll(from)
 	}
 }
 

@@ -113,7 +113,8 @@ func tables(s Summary) []any {
 // into the summary the node's previous round left — the same summary, the
 // same tables — and every report equals the one a fresh Aggregator,
 // decoding cold, publishes for that round. Once warm, a round's Ingest
-// allocates less than roundBudget, report and merge scratch included.
+// allocates less than roundBudget, report included (the merges take their
+// scratch from sketch.SpaceSaving.MergeAll's pool).
 func TestAggregatorWindowedRestoreInPlace(t *testing.T) {
 	// roundBudget is a 64-counter level table laid out with 48-byte
 	// entries, a 16-byte-slot index and its 8.25 KiB bucket ring: what each

@@ -386,9 +386,9 @@ func (e *perLevelSummary) SizeBytes() int               { return e.d.SizeBytes()
 func (e *perLevelSummary) Encode() []byte               { return wire.EncodePerLevel(e.d) }
 
 func (e *perLevelSummary) Fold(srcs ...Summary) {
-	round := make([]*hhh.PerLevel, len(srcs))
-	for i, o := range srcs {
-		round[i] = o.(*perLevelSummary).d
+	round := make([]*hhh.PerLevel, 0, 8) // the usual round fits; a wider one spills to the heap
+	for _, o := range srcs {
+		round = append(round, o.(*perLevelSummary).d)
 	}
 	e.d.Reset()
 	e.d.MergeAll(round)

@@ -14,8 +14,9 @@
 // summed over the round, is put in the canonical order — count descending,
 // key ascending among equal counts — and truncated once, so the result
 // does not depend on the order of the sources and the error bound is the
-// sum of theirs. A summary knows while its entries still stand in count
-// order (SpaceSaving.Ordered), which lets a threshold query stop early.
+// sum of theirs; its tables come from a pool, so once warm it allocates
+// nothing. A summary knows while its entries still stand in count order
+// (SpaceSaving.Ordered), which lets a threshold query stop early.
 package sketch
 
 import "math"

@@ -3,6 +3,7 @@ package sketch
 import (
 	"math"
 	"math/bits"
+	"sync"
 	"unsafe"
 
 	"hiddenhhh/internal/hashx"
@@ -418,23 +419,18 @@ const (
 	rowErr
 )
 
-// MergeScratch is what a merge works in: the union rows, their order as
-// the radix passes work it out (row indices, and the passes' other
-// buffer) and the round with its floors. A caller that merges many
-// summaries in a row holds one, so the tables are allocated once per
-// engine or per call, never per summary.
-type MergeScratch struct {
+// mergeScratch is what a merge works in: the union rows, their order as
+// the radix passes work it out (row indices, and the passes' other buffer)
+// and the round with its floors. MergeAll takes one from scratchPool and
+// puts it back; nothing it reads carries over from the previous merge.
+type mergeScratch struct {
 	rows     []mergeRow
 	ord, tmp []int32
 	round    []*SpaceSaving
 	floors   []int64
 }
 
-// SizeBytes reports the retained tables' footprint.
-func (sc *MergeScratch) SizeBytes() int {
-	return cap(sc.rows)*int(unsafe.Sizeof(mergeRow{})) + (cap(sc.ord)+cap(sc.tmp))*int(unsafe.Sizeof(int32(0))) +
-		cap(sc.round)*int(unsafe.Sizeof((*SpaceSaving)(nil))) + cap(sc.floors)*int(unsafe.Sizeof(int64(0)))
-}
+var scratchPool = sync.Pool{New: func() any { return new(mergeScratch) }}
 
 // A radix pass takes radixBits bits of a value (256 buckets: the histogram
 // is 1 KB of stack, and a frame's byte counts are three or four such
@@ -465,7 +461,7 @@ func MulSat(a, m int64) int64 {
 }
 
 // Merge folds summary o into s: MergeAll of the one source.
-func (s *SpaceSaving) Merge(o *SpaceSaving) { s.MergeAll([]*SpaceSaving{o}, new(MergeScratch)) }
+func (s *SpaceSaving) Merge(o *SpaceSaving) { s.MergeAll([]*SpaceSaving{o}) }
 
 // MergeAll makes s a summary of its own stream and those of srcs together
 // (Agarwal et al., "Mergeable Summaries"; Mitzenmacher, Steinke & Thaler
@@ -479,7 +475,7 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) { s.MergeAll([]*SpaceSaving{o}, new(
 // and truncated once, to s's capacity. Sums and a total order keep no
 // trace of which summary came first: any permutation of the sources, and
 // whichever of them receives the others, leaves the same nodes in the same
-// places (and Ordered). sc is the scratch.
+// places (and Ordered).
 //
 // The guarantees survive with the bounds added up. Each term is an upper
 // bound for its own stream, over by at most Ni/ki, so no entry
@@ -497,7 +493,9 @@ func (s *SpaceSaving) Merge(o *SpaceSaving) { s.MergeAll([]*SpaceSaving{o}, new(
 // summary's total (Restore refuses one that does), so only if the totals
 // overflow can a row, and only then are the rows summed again with
 // saturating additions: counts, errors and total stop at MaxInt64.
-func (s *SpaceSaving) MergeAll(srcs []*SpaceSaving, sc *MergeScratch) {
+func (s *SpaceSaving) MergeAll(srcs []*SpaceSaving) {
+	sc := scratchPool.Get().(*mergeScratch)
+	defer func() { clear(sc.round); scratchPool.Put(sc) }() // the pool keeps no summary alive
 	sc.round = append(append(sc.round[:0], s), srcs...)
 	round, floors := sc.round[:0], sc.floors[:0] // filtered in place
 	var total, floorSum int64
@@ -571,7 +569,6 @@ func (s *SpaceSaving) MergeAll(srcs []*SpaceSaving, sc *MergeScratch) {
 		s.install(i, keep, KV{Key: rows[r][rowKey], Count: int64(rows[r][rowCount]), ErrUB: int64(rows[r][rowErr])})
 	}
 	s.clock = int64(keep)
-	clear(sc.round) // the scratch outlives the round; its summaries need not
 }
 
 // saturateRows sums every row again, from the round, with saturating

@@ -8,18 +8,13 @@ import (
 )
 
 // sliceBytes is Σ len × element size over the slice fields of the struct
-// p points to (cap instead of len when byCap): what a SizeBytes must
-// report, found by reflection so that a slice added to the struct and left
-// out of its SizeBytes shows.
-func sliceBytes(p any, byCap bool) int {
+// p points to: what a SizeBytes must report, found by reflection so that a
+// slice added to the struct and left out of its SizeBytes shows.
+func sliceBytes(p any) int {
 	v, n := reflect.ValueOf(p).Elem(), 0
 	for i := 0; i < v.NumField(); i++ {
 		if f := v.Field(i); f.Kind() == reflect.Slice {
-			l := f.Len()
-			if byCap {
-				l = f.Cap()
-			}
-			n += l * int(f.Type().Elem().Size())
+			n += f.Len() * int(f.Type().Elem().Size())
 		}
 	}
 	return n
@@ -41,7 +36,7 @@ func TestSpaceSavingFootprint(t *testing.T) {
 	}
 	check := func(stage string, s *SpaceSaving, entries int, ring bool) int {
 		t.Helper()
-		if got, want := s.SizeBytes(), sliceBytes(s, false); got != want {
+		if got, want := s.SizeBytes(), sliceBytes(s); got != want {
 			t.Fatalf("%s: SizeBytes %d, the slices hold %d B", stage, got, want)
 		}
 		idx := 4
@@ -100,15 +95,12 @@ func TestSpaceSavingFootprint(t *testing.T) {
 	for i := 0; i < 3*k; i++ {
 		src.Update(uint64(rng.Intn(2*k)), int64(40+rng.Intn(1460)))
 	}
-	merged, sc := NewSpaceSaving(k), new(MergeScratch)
-	merged.MergeAll([]*SpaceSaving{src, NewSpaceSaving(k)}, sc)
+	merged := NewSpaceSaving(k)
+	merged.MergeAll([]*SpaceSaving{src, NewSpaceSaving(k)})
 	if merged.Len() != k {
 		t.Fatalf("the merge kept %d entries, want %d", merged.Len(), k)
 	}
 	check("merged", merged, k, false)
-	if got, want := sc.SizeBytes(), sliceBytes(sc, true); got != want {
-		t.Fatalf("MergeScratch.SizeBytes %d, its slices hold %d B", got, want)
-	}
 	restored := NewSpaceSaving(k)
 	if err := restored.Restore(merged.Total(), merged.Len(), merged.Entry); err != nil {
 		t.Fatal(err)
@@ -174,7 +166,7 @@ func TestSpaceSavingFullHashCollision(t *testing.T) {
 	o := NewSpaceSaving(4)
 	o.Update(b, 7)
 	o.Update(a, 1)
-	ss.MergeAll([]*SpaceSaving{o}, new(MergeScratch))
+	ss.MergeAll([]*SpaceSaving{o})
 	for key, want := range map[uint64]int64{a: 16, b: 27} {
 		if c, ok := ss.Lookup(key); !ok || c != want {
 			t.Fatalf("merged Lookup(%#x) = %d, %v; want %d", key, c, ok, want)

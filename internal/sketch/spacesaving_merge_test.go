@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
+	"sync"
 	"testing"
 )
 
@@ -306,7 +307,8 @@ func fed(k int, seed int64, n, keys int) *SpaceSaving {
 // both sides, nil and empty sources among the others, and a receiver that
 // is itself one of the round.
 func TestMergeAllMatchesReference(t *testing.T) {
-	var sc MergeScratch // one scratch through every shape: nothing may leak between merges
+	// One goroutine: the merges all run in the pool's one scratch, through
+	// every shape, so nothing may leak between merges.
 	for _, K := range []int{1, 2, 3, 4, 8} {
 		for _, tc := range []struct {
 			name     string
@@ -337,7 +339,7 @@ func TestMergeAllMatchesReference(t *testing.T) {
 					round = append(round, o)
 				}
 				want, total := refMergeAll(tc.k, round)
-				recv.MergeAll(srcs, &sc)
+				recv.MergeAll(srcs)
 				sameNodes(t, "merged", recv, want, total)
 				for _, o := range round[1:] {
 					if o.Ordered() {
@@ -365,7 +367,7 @@ func TestMergeOneSourceIntoEmpty(t *testing.T) {
 	cut.Merge(src)
 	sameNodes(t, "smaller receiver", cut, canonical[:2], 77)
 	// Merging nothing changes nothing but the order, to the canonical one.
-	src.MergeAll([]*SpaceSaving{nil, NewSpaceSaving(4)}, new(MergeScratch))
+	src.MergeAll([]*SpaceSaving{nil, NewSpaceSaving(4)})
 	sameNodes(t, "nothing merged", src, canonical, 77)
 }
 
@@ -379,7 +381,6 @@ func TestMergeAllOrderFree(t *testing.T) {
 		return []*SpaceSaving{fed(k, 1, 7000, 300), fed(k, 2, 5000, 900), fed(k, 3, 9000, 120), fed(k, 4, 300, 30)}
 	}
 	want, total := refMergeAll(k, mk())
-	var sc MergeScratch
 	var permute func(order []int, n int)
 	permute = func(order []int, n int) {
 		if n == len(order) {
@@ -389,9 +390,9 @@ func TestMergeAllOrderFree(t *testing.T) {
 				srcs[i] = round[j]
 			}
 			acc := NewSpaceSaving(k)
-			acc.MergeAll(srcs, &sc)
+			acc.MergeAll(srcs)
 			sameNodes(t, fmt.Sprint("into empty ", order), acc, want, total)
-			srcs[0].MergeAll(srcs[1:], &sc)
+			srcs[0].MergeAll(srcs[1:])
 			sameNodes(t, fmt.Sprint("first receives ", order), srcs[0], want, total)
 			return
 		}
@@ -435,7 +436,7 @@ func TestMergeAllGuarantees(t *testing.T) {
 				bound = exact.Total() / k // the terms telescope
 			}
 			merged := NewSpaceSaving(k)
-			merged.MergeAll(shards, new(MergeScratch))
+			merged.MergeAll(shards)
 			if merged.Total() != exact.Total() || merged.Len() != k {
 				t.Fatalf("K=%d: total %d of %d, %d entries", K, merged.Total(), exact.Total(), merged.Len())
 			}
@@ -480,12 +481,11 @@ func restored(t *testing.T, k int, total int64, entries []KV) *SpaceSaving {
 // MaxInt64 (every radix pass runs); zero-weight entries; one key every
 // source monitors; long runs of equal counts between distinct ones.
 func TestMergeAllHostileShapes(t *testing.T) {
-	var sc MergeScratch
 	check := func(name string, k int, srcs ...*SpaceSaving) *SpaceSaving {
 		t.Helper()
 		acc := NewSpaceSaving(k)
 		want, total := refMergeAll(k, srcs)
-		acc.MergeAll(srcs, &sc)
+		acc.MergeAll(srcs)
 		sameNodes(t, name, acc, want, total)
 		return acc
 	}
@@ -555,7 +555,7 @@ func TestMergeSaturates(t *testing.T) {
 	want := []KV{{Key: 1, Count: math.MaxInt64, ErrUB: math.MaxInt64}, {Key: 2, Count: 5, ErrUB: 1}, {Key: 3, Count: 5, ErrUB: 1}}
 	sameNodes(t, "two-way", a, want, math.MaxInt64)
 	// Saturated values are values: a further merge keeps them there.
-	a.MergeAll([]*SpaceSaving{mk(2), mk(3)}, new(MergeScratch))
+	a.MergeAll([]*SpaceSaving{mk(2), mk(3)})
 	want[1], want[2] = KV{Key: 2, Count: 10, ErrUB: 2}, KV{Key: 3, Count: 10, ErrUB: 2}
 	sameNodes(t, "again", a, want, math.MaxInt64)
 
@@ -652,4 +652,45 @@ func TestRestoreRefusesCollidingDuplicate(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestMergeAllConcurrent: merges on distinct receivers, run at once from
+// several goroutines, each leave what the same merge leaves run alone —
+// every merge takes a scratch of its own from the pool. Run it under -race.
+func TestMergeAllConcurrent(t *testing.T) {
+	const workers, reps = 4, 50
+	entries := func(s *SpaceSaving) []KV {
+		out := make([]KV, s.Len())
+		for i := range out {
+			out[i] = s.Entry(i)
+		}
+		return out
+	}
+	rounds := make([][]*SpaceSaving, workers)
+	wants := make([][]KV, workers)
+	for g := range rounds {
+		for i := 0; i <= g+1; i++ { // 2 to workers+1 sources, so the scratches differ in size
+			rounds[g] = append(rounds[g], fed(64, int64(10*g+i), 4000, 300+100*g))
+		}
+		want := NewSpaceSaving(64)
+		want.MergeAll(rounds[g])
+		wants[g] = entries(want)
+	}
+	var wg sync.WaitGroup
+	for g := range rounds {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			acc := NewSpaceSaving(64)
+			for r := 0; r < reps; r++ {
+				acc.Reset()
+				acc.MergeAll(rounds[g])
+				if got := entries(acc); !slices.Equal(got, wants[g]) {
+					t.Errorf("worker %d, merge %d: %d entries differ from the lone merge's %d", g, r, len(got), len(wants[g]))
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -48,7 +48,7 @@ func (s *Sliding) Advance(now int64) {
 // Merge folds summary o into s: mergeAll of the one source.
 func (s *Sliding) Merge(o *Sliding) {
 	if o != nil {
-		s.mergeAll([]*Sliding{o}, new(sketch.MergeScratch))
+		s.mergeAll([]*Sliding{o})
 	}
 }
 

@@ -253,7 +253,7 @@ func (s *Sliding) mustMatch(o *Sliding) {
 // every slot of its ring takes its sources (mergeSlot). Frames only a
 // source's ring still covers are already expired from s's perspective and
 // are dropped, as live updates would have dropped them.
-func (s *Sliding) mergeAll(srcs []*Sliding, sc *sketch.MergeScratch) {
+func (s *Sliding) mergeAll(srcs []*Sliding) {
 	clock := s.curFrame
 	for _, o := range srcs {
 		s.mustMatch(o)
@@ -264,7 +264,7 @@ func (s *Sliding) mergeAll(srcs []*Sliding, sc *sketch.MergeScratch) {
 	}
 	s.advanceTo(clock)
 	for i := range s.frames {
-		s.mergeSlot(i, s.frameAt(i), srcs, sc)
+		s.mergeSlot(i, s.frameAt(i), srcs)
 	}
 }
 
@@ -278,7 +278,7 @@ func (s *Sliding) frameAt(i int) int64 {
 // of every source whose ring has reached that frame — never further back
 // than s's own, so it is the same frame in all of them — in one K-way
 // merge, and adds their totals, saturating.
-func (s *Sliding) mergeSlot(i int, frame int64, srcs []*Sliding, sc *sketch.MergeScratch) {
+func (s *Sliding) mergeSlot(i int, frame int64, srcs []*Sliding) {
 	var buf [8]*sketch.SpaceSaving // the usual round fits; a wider one spills to the heap
 	from := buf[:0]
 	for _, o := range srcs {
@@ -288,7 +288,7 @@ func (s *Sliding) mergeSlot(i int, frame int64, srcs []*Sliding, sc *sketch.Merg
 		}
 	}
 	if len(from) > 0 {
-		s.frames[i].MergeAll(from, sc)
+		s.frames[i].MergeAll(from)
 		s.vers[i]++
 	}
 }
@@ -325,7 +325,7 @@ func (s *Sliding) reaches(g int64) bool {
 // absent last time, is absent now, was replaced, reset, advanced past a
 // frame or written to therefore invalidates precisely the slots it
 // touches. It returns how many slots were folded and how many were kept.
-func (s *Sliding) fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept int) {
+func (s *Sliding) fold(srcs []*Sliding) (folded, kept int) {
 	// The clock Reset-then-mergeAll ends on: Reset keeps the receiver's,
 	// and the merge advances it to the furthest source's if that is ahead.
 	for _, o := range srcs {
@@ -367,7 +367,7 @@ func (s *Sliding) fold(srcs []*Sliding, sc *sketch.MergeScratch) (folded, kept i
 				m.from = append(m.from, slotStamp{o, o.vers[i]})
 			}
 		}
-		s.mergeSlot(i, frame, srcs, sc)
+		s.mergeSlot(i, frame, srcs)
 		m.frame, m.self = frame, s.vers[i]
 		folded++
 	}
@@ -475,9 +475,7 @@ type SlidingHHH struct {
 	cur     []*sketch.SpaceSaving
 	updates int64
 	// Merge state, held only by a detector that merges (an accumulator):
-	// the one scratch all its frames share, the per-level source list, and
-	// the running slot tallies of its folds.
-	merge        sketch.MergeScratch
+	// the per-level source list and the running slot tallies of its folds.
 	from         []*Sliding
 	folded, kept int64
 }
@@ -661,10 +659,10 @@ func (d *SlidingHHH) mergeRound(srcs []*SlidingHHH, memo bool) {
 			d.from = append(d.from, o.levels[l])
 		}
 		if !memo {
-			lv.mergeAll(d.from, &d.merge)
+			lv.mergeAll(d.from)
 			continue
 		}
-		folded, kept := lv.fold(d.from, &d.merge)
+		folded, kept := lv.fold(d.from)
 		d.folded += int64(folded)
 		d.kept += int64(kept)
 	}
@@ -692,9 +690,9 @@ func (d *SlidingHHH) Reset() {
 }
 
 // SizeBytes sums the per-level footprints, the coalescing block once the
-// detector has one, and the merge scratch.
+// detector has one, and the source and frame lists.
 func (d *SlidingHHH) SizeBytes() int {
-	n := d.merge.SizeBytes() + cap(d.from)*8 + cap(d.cur)*8
+	n := cap(d.from)*8 + cap(d.cur)*8
 	if d.blk != nil {
 		n += hhh.BlockBytes
 	}

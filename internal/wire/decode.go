@@ -105,9 +105,14 @@ type ssTable struct {
 	total              int64
 	cols               ssCols
 	fixed              bool // version 1: (0, 8, 8, 8), not held to the entries
-	rows               []byte
-	masks              [3]uint64 // of the key, count and error columns' widths
 	keys, counts, errs uint64
+	// entry loads each field as the eight bytes that end where the field
+	// ends, and shifts out the bytes in front of it: rows starts 8 − kw
+	// bytes before the entries, so entry i's key load is at i·stride, its
+	// count's at countAt on from there and its error bound's at errAt.
+	rows                        []byte
+	countAt, errAt              int
+	dropKey, dropCount, dropErr uint8
 }
 
 // ssTable reads the Space-Saving sub-payload's header at the cursor — from
@@ -123,28 +128,26 @@ func (c *cursor) ssTable() (t ssTable, err error) {
 	if !c.ok || w.kw > 8 || w.cw > 8 || w.ew > 8 || t.n > 0 && w.cw == 0 {
 		return t, fmt.Errorf("%w: short space-saving header, or columns %v", ErrCorrupt, w)
 	}
-	t.stride, t.masks = w.stride(), [3]uint64{1<<(8*w.kw) - 1, 1<<(8*w.cw) - 1, 1<<(8*w.ew) - 1}
-	if t.rows = c.take(t.n * t.stride); t.rows == nil {
+	t.stride, t.countAt, t.errAt = w.stride(), int(w.cw), int(w.cw+w.ew)
+	t.dropKey, t.dropCount, t.dropErr = 64-8*w.kw, 64-8*w.cw, 64-8*w.ew
+	at := c.off // past a header of at least 16 bytes: the first loads stay in it
+	if c.take(t.n*t.stride) == nil {
 		return t, fmt.Errorf("%w: %d space-saving entries unbacked", ErrCorrupt, t.n)
 	}
+	t.rows = c.b[at-8+int(w.kw) : c.off]
 	return t, nil
 }
 
-// entry reads the i-th entry, each field an eight-byte load masked to its
-// width: the last entries, whose loads would run past the rows, from a
-// zero-padded copy.
+// entry reads the i-th entry. No load runs past the entries, so no entry
+// needs a padded copy, and entry inlines into the method value Restore
+// calls: one call an entry.
 func (t *ssTable) entry(i int) sketch.KV {
-	w, b := t.cols, t.rows[i*t.stride:]
-	if len(b) < 24 {
-		var pad [32]byte
-		copy(pad[:], b)
-		b = pad[:]
-	}
-	key := binary.LittleEndian.Uint64(b) & t.masks[0]
-	count := binary.LittleEndian.Uint64(b[w.kw:]) & t.masks[1]
-	errUB := binary.LittleEndian.Uint64(b[w.kw+w.cw:]) & t.masks[2]
+	b := t.rows[i*t.stride:]
+	key := binary.LittleEndian.Uint64(b) >> t.dropKey
+	count := binary.LittleEndian.Uint64(b[t.countAt:]) >> t.dropCount
+	errUB := binary.LittleEndian.Uint64(b[t.errAt:]) >> t.dropErr
 	t.keys, t.counts, t.errs = t.keys|key, t.counts|count, t.errs|errUB
-	return sketch.KV{Key: key << w.shift, Count: int64(count), ErrUB: int64(errUB)}
+	return sketch.KV{Key: key << t.cols.shift, Count: int64(count), ErrUB: int64(errUB)}
 }
 
 // canonical holds the columns, once every entry is read, to the writer's

@@ -98,8 +98,9 @@ func colsOf(s *sketch.SpaceSaving) ssCols {
 	return columns(s.Len(), keys, counts, errs)
 }
 
-// ssSize is the encoded size of s's sub-payload.
-func ssSize(s *sketch.SpaceSaving) int { return ssHeaderSize + s.Len()*colsOf(s).stride() }
+// ssSize is the encoded size of a sub-payload of n entries laid out as w:
+// the columns an encoder works out once a table, then hands to the writer.
+func ssSize(n int, w ssCols) int { return ssHeaderSize + n*w.stride() }
 
 // appendUint appends the w low bytes of v, little-endian. The encoders size
 // their frames up front, so all but a frame's last few fields are stored as
@@ -113,11 +114,11 @@ func appendUint(b []byte, v uint64, w uint8) []byte {
 	return append(b, e[:w]...)
 }
 
-// appendSpaceSaving writes the shared Space-Saving sub-payload:
-// capacity, stream total, entry count, the columns, then the entries in the
-// summary's canonical node order.
-func appendSpaceSaving(b []byte, s *sketch.SpaceSaving) []byte {
-	n, w := s.Len(), colsOf(s)
+// appendSpaceSaving writes the shared Space-Saving sub-payload, laid out
+// as w = colsOf(s): capacity, stream total, entry count, the columns, then
+// the entries in the summary's canonical node order.
+func appendSpaceSaving(b []byte, s *sketch.SpaceSaving, w ssCols) []byte {
+	n := s.Len()
 	b = appendU32(b, uint32(s.Capacity()))
 	b = appendI64(b, s.Total())
 	b = appendU32(b, uint32(n))
@@ -134,7 +135,8 @@ func appendSpaceSaving(b []byte, s *sketch.SpaceSaving) []byte {
 // EncodeSpaceSaving frames a bare Space-Saving summary (KindSpaceSaving,
 // no hierarchy descriptor).
 func EncodeSpaceSaving(s *sketch.SpaceSaving) []byte {
-	return endFrame(appendSpaceSaving(beginFrame(KindSpaceSaving, 0, 0, 0, ssSize(s)), s))
+	w := colsOf(s)
+	return endFrame(appendSpaceSaving(beginFrame(KindSpaceSaving, 0, 0, 0, ssSize(s.Len(), w)), s, w))
 }
 
 // EncodeExact frames an exact leaf-key map under hierarchy h
@@ -173,8 +175,10 @@ func EncodePerLevel(p *hhh.PerLevel) []byte {
 	if sampled {
 		kind, size = KindRHHH, size+8+8
 	}
+	cols := make([]ssCols, 0, 64) // more levels spill to the heap
 	for l := 0; l < levels; l++ {
-		size += ssSize(p.LevelSummary(l))
+		cols = append(cols, colsOf(p.LevelSummary(l)))
+		size += ssSize(p.LevelSummary(l).Len(), cols[l])
 	}
 	fam, step, depth := describe(h)
 	b := beginFrame(kind, fam, step, depth, size)
@@ -185,7 +189,7 @@ func EncodePerLevel(p *hhh.PerLevel) []byte {
 	}
 	b = appendU16(b, uint16(levels))
 	for l := 0; l < levels; l++ {
-		b = appendSpaceSaving(b, p.LevelSummary(l))
+		b = appendSpaceSaving(b, p.LevelSummary(l), cols[l])
 	}
 	return endFrame(b)
 }
@@ -225,12 +229,14 @@ func encodeSliding(d *swhh.SlidingHHH, delta bool, baseSeq int64, baseSum uint32
 	if delta {
 		kind, bitmap, size = KindSlidingDelta, (cfg.Frames+8)/8, size+deltaBaseSize
 	}
+	cols := make([]ssCols, 0, 256) // the carried slots' in write order; more spill to the heap
 	for l := 0; l < levels; l++ {
 		lv := d.LevelSummary(l)
 		size += slidingLevelHeader + bitmap
 		for i, f := range lv.State().Frames {
 			if !delta || !lv.Sealed(i) {
-				size += slidingSlotHeader + ssSize(f)
+				cols = append(cols, colsOf(f))
+				size += slidingSlotHeader + ssSize(f.Len(), cols[len(cols)-1])
 			}
 		}
 	}
@@ -257,7 +263,8 @@ func encodeSliding(d *swhh.SlidingHHH, delta bool, baseSeq int64, baseSum uint32
 				b[bits+i/8] |= 1 << (i % 8)
 			}
 			b = appendI64(b, st.Totals[i])
-			b = appendSpaceSaving(b, st.Frames[i])
+			b = appendSpaceSaving(b, st.Frames[i], cols[0])
+			cols = cols[1:]
 		}
 	}
 	return endFrame(b)

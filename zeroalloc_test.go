@@ -175,10 +175,12 @@ func TestContinuousObserveKeysZeroAlloc(t *testing.T) {
 // TestSlidingSnapshotAllocBudget bounds what a steady-state sliding
 // Snapshot allocates on a sharded detector that seals: the frame handed
 // to OnSeal (one allocation of its final size), the returned Set, and the
-// barrier's own bookkeeping (token, report, source list). The merge —
-// fold scratch, candidate enumeration, discount tables — runs on storage
-// the accumulator already holds, so nothing in the budget scales with the
-// ring or the counters.
+// barrier's own bookkeeping (token, report, source list). The merge runs
+// on storage the accumulator already holds — candidate enumeration,
+// discount tables — and on the merge scratch sketch.SpaceSaving.MergeAll
+// keeps in its pool, so nothing in the budget scales with the ring or the
+// counters. Under the race detector, whose sync.Pool drops items at
+// random, the snapshots still run but the budget is not held.
 func TestSlidingSnapshotAllocBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement")
@@ -219,7 +221,7 @@ func TestSlidingSnapshotAllocBudget(t *testing.T) {
 	// with its channel, the published report and the Sealed value.
 	const slack = 8<<10 + 4<<10
 	t.Logf("%d snapshots: %d B allocated per snapshot, %d B frame", rounds, allocated/uint64(rounds), frames/uint64(rounds))
-	if perSnap, perFrame := allocated/uint64(rounds), frames/uint64(rounds); perSnap > perFrame+slack {
+	if perSnap, perFrame := allocated/uint64(rounds), frames/uint64(rounds); perSnap > perFrame+slack && !raceEnabled {
 		t.Fatalf("a steady-state snapshot allocates %d B for a %d B frame (%d B over; budget %d B)",
 			perSnap, perFrame, perSnap-perFrame, slack)
 	}
