@@ -81,7 +81,7 @@ func TestChunkingLeavesIdenticalFrames(t *testing.T) {
 				}
 			}
 		}
-		if f, err := wire.Verify(want[2]); err != nil || f.Header.Version != wire.VersionLevels {
+		if f, err := wire.Verify(want[2]); err != nil || f.Header.Version != wire.VersionLevelsDict {
 			t.Fatalf("sampled=%v: sealed frame: version %d, %v", sampled, f.Header.Version, err)
 		}
 	}

@@ -54,18 +54,23 @@ func (d *Detector) Sampler() uint64 { return d.rng }
 // State settles the block and returns a view of the detector's
 // serializable state. The active set is copied, sorted by (level, key); the
 // filters are the live ones.
-func (d *Detector) State() State {
+func (d *Detector) State() State { return d.StateInto(make([]ActiveEntry, 0, len(d.act.nodes))) }
+
+// StateInto is State copying the active set into buf's storage, grown as
+// it needs: a caller that keeps the slice it gets back copies without
+// allocating.
+func (d *Detector) StateInto(buf []ActiveEntry) State {
 	d.settle(false)
 	st := State{
 		Started: d.started,
 		WarmEnd: d.warmEnd,
 		Packets: d.Packets(),
 		Total:   d.total.State(),
-		Active:  make([]ActiveEntry, len(d.act.nodes)),
+		Active:  buf[:0],
 		Filters: d.filters,
 	}
-	for i, n := range d.act.nodes {
-		st.Active[i] = ActiveEntry{Level: int(n.level), Key: n.key, At: n.at}
+	for _, n := range d.act.nodes {
+		st.Active = append(st.Active, ActiveEntry{Level: int(n.level), Key: n.key, At: n.at})
 	}
 	return st
 }

@@ -663,6 +663,9 @@ func TestAggregatorContinuousSteadyStateAllocs(t *testing.T) {
 	if agg.Report().Set.Len() == 0 || agg.acc == nil {
 		t.Fatalf("warm-up published %+v", agg.Report())
 	}
+	if raceEnabled {
+		t.Skip("the race build's sync.Pool drops the decoder's scratch at random: an allocation count has nothing to measure")
+	}
 	const rounds = 8
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -178,7 +178,7 @@ func TestAggregatorWindowedRestoreInPlace(t *testing.T) {
 				if restoreBytes > 256 {
 					t.Fatalf("a restore in place allocates %d B in %.0f allocations", restoreBytes, restoreAllocs)
 				}
-				if kind != KindExact && roundBytes >= roundBudget { // the exact query builds a map per level
+				if roundBytes >= roundBudget {
 					t.Fatalf("a warm round allocates %d B, budget %d B", roundBytes, roundBudget)
 				}
 			})

@@ -348,6 +348,7 @@ type exactSummary struct {
 	h   addr.Hierarchy
 	ex  *sketch.Exact
 	phi float64
+	qs  hhh.ExactScratch
 }
 
 func (e *exactSummary) UpdateKeys(b *trace.KeyBatch) {
@@ -367,7 +368,7 @@ func (e *exactSummary) Fold(srcs ...Summary) {
 
 func (e *exactSummary) Query(int64) (hhh.Set, int64) {
 	total := e.ex.Total()
-	return hhh.Exact(e.ex, e.h, hhh.Threshold(total, e.phi)), total
+	return e.qs.Exact(e.ex, e.h, hhh.Threshold(total, e.phi)), total
 }
 
 // perLevelSummary adapts one Space-Saving summary per level, level-sampled

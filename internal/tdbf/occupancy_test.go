@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"math"
+	"math/bits"
 	"math/rand"
 	"slices"
 	"testing"
@@ -166,32 +167,53 @@ func checkOccupancy(t *testing.T, f *tdbf.Filter) {
 	}
 }
 
-// fullScanFrame is wire.EncodeFilter as it stood before filters kept their
-// occupancy: the occupied count and the sparse rows from a scan of every
-// cell. The envelope's first twelve bytes (magic, version, kind, flags,
-// hierarchy descriptor), which no cell decides, are frame's.
+// fullScanFrame is wire.EncodeFilter written from a scan of every cell
+// instead of the filter's occupancy: the occupied count, then the distinct
+// masses in first-appearance order and a (gap, id) row per non-zero cell,
+// each column in the fewest bytes that hold its largest value, or the dense
+// column where that is no smaller. The envelope's first twelve bytes
+// (magic, version, kind, flags, hierarchy descriptor), which no cell
+// decides, are frame's.
 func fullScanFrame(frame []byte, f *tdbf.Filter) []byte {
 	le := binary.LittleEndian
-	masses, occupied := tdbf.Masses(f), 0
-	for _, v := range masses {
-		if v != 0 {
-			occupied++
+	width := func(v uint64) int { return (bits.Len64(v) + 7) / 8 }
+	masses := tdbf.Masses(f)
+	ids := map[float64]uint64{}
+	var dict []float64
+	var rows [][2]uint64
+	prev, maxGap := -1, uint64(0)
+	for i, v := range masses {
+		if v == 0 {
+			continue
 		}
+		if _, ok := ids[v]; !ok {
+			ids[v] = uint64(len(dict))
+			dict = append(dict, v)
+		}
+		rows = append(rows, [2]uint64{uint64(i - prev), ids[v]})
+		maxGap, prev = max(maxGap, uint64(i-prev)), i
 	}
+	gw, iw := width(maxGap), width(uint64(max(len(dict), 1)-1))
 	p := le.AppendUint64([]byte{1}, uint64(f.Decay().Tau)) // the exponential law's tag
 	p = le.AppendUint32(p, uint32(f.Cells()))
 	p = le.AppendUint16(p, uint16(f.Hashes()))
 	p = le.AppendUint64(p, f.Seed())
 	p = le.AppendUint64(p, uint64(f.Adds()))
 	p = le.AppendUint64(p, uint64(f.Landmark()))
-	p = le.AppendUint32(p, uint32(occupied))
-	dense := occupied*(4+8) >= len(masses)*8
-	for i, v := range masses {
-		if dense || v != 0 {
-			if !dense {
-				p = le.AppendUint32(p, uint32(i))
-			}
+	p = le.AppendUint32(p, uint32(len(rows)))
+	p = append(le.AppendUint32(p, uint32(len(dict))), byte(gw), byte(iw))
+	if len(dict)*8+len(rows)*(gw+iw) >= len(masses)*8 {
+		for _, v := range masses {
 			p = le.AppendUint64(p, math.Float64bits(v))
+		}
+	} else {
+		for _, v := range dict {
+			p = le.AppendUint64(p, math.Float64bits(v))
+		}
+		for _, r := range rows {
+			for b := range gw + iw {
+				p = append(p, byte((r[0]|r[1]<<(8*gw))>>(8*b)))
+			}
 		}
 	}
 	out := le.AppendUint32(append([]byte(nil), frame[:12]...), uint32(len(p)))

@@ -604,12 +604,31 @@ func boundLandmark(v int64) error {
 	return boundTime(v)
 }
 
+// cellVersion is the bare filter's version whose sections a frame's
+// filters are written in: a continuous frame's from version 3 on is one
+// less than its own, version 3 having sized the levels only.
+func cellVersion(hdr Header) uint16 {
+	if hdr.Kind == KindContinuous && hdr.Version >= VersionLevels {
+		return hdr.Version - 1
+	}
+	return hdr.Version
+}
+
+// sparse reports whether a version-2 section of cells cells, occupied of
+// them non-zero, is sparse rows: whichever layout is smaller, dense on a
+// tie.
+func sparse(occupied, cells int) bool {
+	return int64(occupied)*sparseRowSize < int64(cells)*denseCellSize
+}
+
 // level reads one filter's section at the cursor — seed, add count, cells —
-// of a frame of the given version, as the state a restore pulls: Next
-// yields the non-zero cells off the payload. The section's bytes are
-// checked to be there; the restore holds the cells it takes to the
-// declared count and validates indices and masses (refusing -0, so that a
-// state has one encoding).
+// written as the bare filter's version says (cellVersion), as the state a
+// restore pulls: Next yields the non-zero cells off the payload. The
+// section's bytes are checked to be there, and what they declare is held
+// to them before anything is sized from it; from version 3 the code is
+// held to the cells (check), so that a state has one encoding. The restore
+// holds the cells it takes to the declared count and validates indices and
+// masses (refusing -0, for the same reason).
 func (c *cursor) level(version uint16, cells int, d tdbf.Exponential) (st tdbf.FilterState, err error) {
 	st.Seed, st.Adds = c.u64(), c.i64()
 	if version == Version {
@@ -617,34 +636,131 @@ func (c *cursor) level(version uint16, cells int, d tdbf.Exponential) (st tdbf.F
 		return st, err
 	}
 	st.Landmark, st.Occupied = c.i64(), int(c.u32())
-	if !c.ok || st.Occupied > cells {
-		return st, fmt.Errorf("%w: short filter section, or %d occupied cells of %d", ErrCorrupt, st.Occupied, cells)
+	k := levelCode{n: st.Occupied}
+	if version != VersionSparse {
+		k.m, k.gw, k.iw = int(c.u32()), c.u8(), c.u8()
+		if k.m > k.n || (k.m == 0) != (k.n == 0) || k.gw > 4 || k.iw != width(uint64(max(k.m, 1)-1)) {
+			return st, fmt.Errorf("%w: %d occupied cells in %d masses, widths %d and %d", ErrCorrupt, k.n, k.m, k.gw, k.iw)
+		}
+	}
+	if !c.ok || k.n > cells {
+		return st, fmt.Errorf("%w: short filter section, or %d occupied cells of %d", ErrCorrupt, k.n, cells)
 	}
 	if err := boundLandmark(st.Landmark); err != nil {
 		return st, err
 	}
-	stride, n := sparseRowSize, st.Occupied
-	if !sparse(st.Occupied, cells) {
-		stride, n = denseCellSize, cells
+	r := &c.cells
+	switch {
+	case version == VersionSparse && sparse(k.n, cells):
+		*r = cellReader{layout: sparseRows, col: c.take(k.n * sparseRowSize), end: k.n}
+	case version == VersionSparse || k.dense(cells):
+		*r = cellReader{layout: denseColumn, col: c.take(cells * denseCellSize), end: cells}
+	default:
+		stride := int(k.gw + k.iw)
+		*r = cellReader{layout: dictRows, end: k.n, at: -1, stride: stride,
+			gap: 1<<(8*k.gw&63) - 1, ids: 8 * k.gw & 63, drop: (64 - 8*uint8(stride)) & 63}
+		if r.masses = c.take(k.m * massSize); c.take(k.n*stride) != nil {
+			// A row loads as the eight bytes that end where it ends: the
+			// masses (or the header) are there before the first.
+			r.col = c.b[c.off-k.n*stride-8+stride : c.off]
+		}
 	}
-	rows := c.take(n * stride)
-	if rows == nil {
+	if r.col == nil {
 		return st, fmt.Errorf("%w: short filter cells", ErrCorrupt)
 	}
-	i := -1
-	st.Next = func() (int, float64, bool) {
-		for i++; i < n; i++ {
-			row := rows[i*stride:]
-			if stride == sparseRowSize {
-				return int(binary.LittleEndian.Uint32(row)), math.Float64frombits(binary.LittleEndian.Uint64(row[4:])), true
-			}
-			if bits := binary.LittleEndian.Uint64(row); bits != 0 {
-				return i, math.Float64frombits(bits), true
+	if version != VersionSparse {
+		if err := r.check(k, cells, c.index); err != nil {
+			return st, err
+		}
+	}
+	if c.next == nil {
+		c.next = r.next
+	}
+	st.Next = c.next
+	return st, nil
+}
+
+// Cell layouts a section is read in.
+const (
+	denseColumn = iota
+	sparseRows  // version 2
+	dictRows    // version 3
+)
+
+// cellReader yields a section's non-zero cells, at versions 2 and 3 (as a
+// bare filter's): off the dense column, version 2's sparse rows, or a
+// dictionary's masses and rows, each row loaded as the eight bytes that end
+// where it ends, shifted right by drop: a gap in the bits gap masks, then
+// an id.
+type cellReader struct {
+	layout      int
+	col, masses []byte
+	end, i      int // the rows (the column's cells) there are, and read
+	at, stride  int // a dictionary's last index yielded, and row bytes
+	gap         uint64
+	drop, ids   uint8
+}
+
+// check holds a version-3 section's code k to its cells before the first
+// is yielded: a dictionary's masses are distinct, every gap is at least 1,
+// every mass is met first in the order of its number and none is past m,
+// and the gap width is the fewest bytes that hold the largest gap; a dense
+// column holds k.m masses in gaps whose largest takes k.gw bytes — and so
+// the layout is k's own. Indices past the cells are the restore's to
+// refuse.
+func (r *cellReader) check(k levelCode, cells int, x *massIndex) error {
+	met, gaps := 0, uint64(0) // the masses met, the gaps' OR
+	if r.layout == dictRows {
+		x.reset(k.m)
+		for i := range k.m {
+			if !x.add(binary.LittleEndian.Uint64(r.masses[i*massSize:])) {
+				return fmt.Errorf("%w: mass %d of the dictionary repeats one before it", ErrCorrupt, i)
 			}
 		}
-		return 0, 0, false
+		for i := range k.n {
+			v := binary.LittleEndian.Uint64(r.col[i*r.stride:]) >> r.drop
+			gap, id := v&r.gap, v>>r.ids
+			if gap == 0 || id > uint64(met) || id >= uint64(k.m) {
+				return fmt.Errorf("%w: row %d: gap %d, mass %d of %d with %d met", ErrCorrupt, i, gap, id, k.m, met)
+			}
+			met += int(((id ^ uint64(met)) - 1) >> 63) // one more where id is the next
+			gaps |= gap
+		}
+	} else {
+		x.reset(k.n)
+		for i, at := 0, -1; i < cells; i++ {
+			if v := binary.LittleEndian.Uint64(r.col[i*denseCellSize:]); v != 0 {
+				if x.add(v) {
+					met++
+				}
+				gaps, at = gaps|uint64(i-at), i
+			}
+		}
 	}
-	return st, nil
+	if met != k.m || width(gaps) != k.gw {
+		return fmt.Errorf("%w: %d masses in gaps of up to %d bytes, declared %d and %d", ErrCorrupt, met, width(gaps), k.m, k.gw)
+	}
+	return nil
+}
+
+func (r *cellReader) next() (int, float64, bool) {
+	for r.i < r.end {
+		i := r.i
+		r.i++
+		switch r.layout {
+		case dictRows:
+			v := binary.LittleEndian.Uint64(r.col[i*r.stride:]) >> r.drop
+			r.at += int(v & r.gap)
+			return r.at, math.Float64frombits(binary.LittleEndian.Uint64(r.masses[v>>r.ids*massSize:])), true
+		case sparseRows:
+			row := r.col[i*sparseRowSize:]
+			return int(binary.LittleEndian.Uint32(row)), math.Float64frombits(binary.LittleEndian.Uint64(row[4:])), true
+		}
+		if v := binary.LittleEndian.Uint64(r.col[i*denseCellSize:]); v != 0 {
+			return i, math.Float64frombits(v), true
+		}
+	}
+	return 0, 0, false
 }
 
 // cellsV1 reads a version-1 cell section: cells × (mass, timestamp of its
@@ -699,7 +815,10 @@ func decodeFilterPayload(hdr Header, payload []byte) (*tdbf.Filter, error) {
 	if !c.ok || cells < 1 || cells > maxFilterCells || hashes < 1 {
 		return nil, fmt.Errorf("%w: filter shape (%d cells, %d hashes) short or out of budget", ErrCorrupt, cells, hashes)
 	}
-	st, err := c.level(hdr.Version, cells, d)
+	s := scratch()
+	defer cellScratches.Put(s)
+	c.index = &s.index
+	st, err := c.level(cellVersion(hdr), cells, d)
 	if err != nil {
 		return nil, err
 	}
@@ -824,9 +943,12 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 	// The levels are read where the restore asks for them, in payload
 	// order and at the size it says the level's section has; a codec-level
 	// finding outranks whatever the restore made of the bytes around it.
+	s := scratch()
+	defer cellScratches.Put(s)
+	c.index = &s.index
 	var bad error
 	err = d.Restore(sampler, st, func(_, cells int) (fs tdbf.FilterState, _ error) {
-		fs, bad = c.level(hdr.Version, cells, decay)
+		fs, bad = c.level(cellVersion(hdr), cells, decay)
 		if bad == nil && hdr.Version != Version && fs.Landmark != st.Total.Touch {
 			bad = fmt.Errorf("%w: a level's landmark %d differs from the tracker's %d", ErrCorrupt, fs.Landmark, st.Total.Touch)
 		}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"hiddenhhh/internal/addr"
 	"hiddenhhh/internal/continuous"
@@ -83,10 +84,12 @@ func columns(n int, keys, counts, errs uint64) ssCols {
 	if n == 0 {
 		return ssCols{}
 	}
-	width := func(v uint64) uint8 { return uint8(bits.Len64(v)+7) / 8 }
 	shift := uint8(bits.TrailingZeros64(keys) & 63) // 0 when every key is 0
 	return ssCols{shift, width(keys >> shift), max(width(counts), 1), width(errs)}
 }
+
+// width is the fewest bytes that hold v.
+func width(v uint64) uint8 { return uint8(bits.Len64(v)+7) / 8 }
 
 // colsOf is the layout of s's entries.
 func colsOf(s *sketch.SpaceSaving) ssCols {
@@ -328,9 +331,9 @@ func appendDecay(b []byte, d tdbf.Exponential) []byte {
 }
 
 // Payload sizes of the filter-backed kinds. The shape and, per filter, the
-// number of occupied cells are known before the first byte is written: the
-// frame is allocated once at its final size and the cells — all but a few
-// dozen bytes of it — are written straight into it.
+// dictionary of its cells are worked out before the first byte is written:
+// the frame is allocated once at its final size and the cells — all but a
+// few dozen bytes of it — are written straight into it.
 const (
 	decaySize        = 1 + 8 // tag, parameter
 	filterHeaderSize = 4 + 2 // cells, hashes
@@ -338,50 +341,205 @@ const (
 	continuousHeaderSize = 8 + 8 + 1 + 8 + 8 + 8 + decaySize + 4 + 2 + 8 + 8 + 8 + 8 + 4 + 2
 	activeRowSize        = 8 + 2 + 8     // key, level, activation timestamp
 	levelHeaderSize      = 8 + 8 + 8 + 4 // seed, adds, landmark, occupied count
-	sparseRowSize        = 4 + 8         // cell index, mass
+	dictHeaderSize       = 4 + 1 + 1     // distinct masses, gap and id widths
+	massSize             = 8             // a dictionary's mass
+	sparseRowSize        = 4 + 8         // cell index, mass (versions 2 and 3)
 	denseCellSize        = 8             // mass
 	v1CellSize           = 8 + 8         // mass, touch timestamp (version 1)
 )
 
-// sparse reports whether a column of cells cells, occupied of them
-// non-zero, is written as sparse rows: whichever layout is smaller, dense
-// on a tie.
-func sparse(occupied, cells int) bool {
-	return int64(occupied)*sparseRowSize < int64(cells)*denseCellSize
+// levelCode is how a filter's section codes its n non-zero cells: m
+// distinct masses, then a row per cell of the gap from the cell before it
+// (the first from -1) in gw bytes and its mass's id in iw — each width the
+// fewest bytes that hold the largest — or, where that is no smaller, the
+// dense column. The choice is a function of the four, so a state has one
+// encoding.
+type levelCode struct {
+	n, m   int
+	gw, iw uint8
 }
 
-// levelSize is the encoded size of one filter's section.
-func levelSize(occupied, cells int) int {
-	if sparse(occupied, cells) {
-		return levelHeaderSize + occupied*sparseRowSize
+// dense reports whether a section of cells cells is the dense column.
+func (c levelCode) dense(cells int) bool {
+	return int64(c.m)*massSize+int64(c.n)*int64(c.gw+c.iw) >= int64(cells)*denseCellSize
+}
+
+// size is the encoded size of the section.
+func (c levelCode) size(cells int) int {
+	if c.dense(cells) {
+		return levelHeaderSize + dictHeaderSize + cells*denseCellSize
 	}
-	return levelHeaderSize + cells*denseCellSize
+	return levelHeaderSize + dictHeaderSize + c.m*massSize + c.n*int(c.gw+c.iw)
 }
 
-// appendLevel writes f's section: seed, add count, then the cells as the
-// landmark, the occupied count and the layout that count selects. Sparse
-// rows are read off the filter's held lines, in ascending line order.
-func appendLevel(b []byte, f *tdbf.Filter) []byte {
-	cells := f.Cells()
+// massIndex numbers distinct masses, by their bits, in the order they are
+// met: masses[base+id] is mass id of the section being coded; slots is an
+// open-addressed table of the masses' bits (0 for a free slot, a mass being
+// positive) and ids their numbers, kept at half load or less.
+type massIndex struct {
+	masses []uint64
+	base   int
+	slots  []uint64
+	ids    []uint32
+	shift  uint8
+}
+
+// reset starts a section, sized for about n masses; the masses of the
+// sections before it stay.
+func (x *massIndex) reset(n int) {
+	x.base = len(x.masses)
+	x.size(2 << bits.Len(uint(n)))
+}
+
+// size empties the table to size slots, a power of two.
+func (x *massIndex) size(size int) {
+	if cap(x.slots) < size {
+		x.slots, x.ids = make([]uint64, size), make([]uint32, size)
+	}
+	x.slots, x.ids = x.slots[:size], x.ids[:size]
+	clear(x.slots)
+	x.shift = uint8(64 - bits.Len(uint(size-1)))
+}
+
+// slot returns the slot of the mass of bits v, or the free one it would
+// take.
+func (x *massIndex) slot(v uint64) uint64 {
+	slots, mask := x.slots, uint64(len(x.slots)-1)
+	s := v * 0x9e3779b97f4a7c15 >> x.shift
+	for slots[s] != 0 && slots[s] != v {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// id returns the number of the mass of bits v, numbering it next if it is
+// new.
+func (x *massIndex) id(v uint64) uint32 {
+	s := x.slot(v)
+	if x.slots[s] == v {
+		return x.ids[s]
+	}
+	n := len(x.masses) - x.base
+	x.masses = append(x.masses, v)
+	x.slots[s], x.ids[s] = v, uint32(n)
+	if 2*(n+1) > len(x.slots) {
+		x.grow()
+	}
+	return uint32(n)
+}
+
+// add puts the mass of bits v in the table, unnumbered, and reports
+// whether it was not there yet: how a decoder holds masses to be distinct.
+func (x *massIndex) add(v uint64) bool {
+	s := x.slot(v)
+	fresh := x.slots[s] != v
+	x.slots[s] = v
+	return fresh
+}
+
+// grow doubles the table and numbers the section's masses into it anew.
+func (x *massIndex) grow() {
+	x.size(2 * len(x.slots))
+	masses := x.masses[x.base:]
+	x.masses = x.masses[:x.base]
+	for _, v := range masses {
+		x.id(v)
+	}
+}
+
+// cellScratch is what a frame's filters are coded in: each section's code,
+// and its masses and rows (index<<32 | id), section after section. A
+// frame's encode or decode takes one from a pool and puts it back, so a
+// warm encode allocates the frame only.
+type cellScratch struct {
+	index  massIndex
+	codes  []levelCode
+	rows   []uint64
+	active []continuous.ActiveEntry // a continuous frame's active set
+}
+
+var cellScratches = sync.Pool{New: func() any { return new(cellScratch) }}
+
+// scratch takes a cell scratch from the pool, emptied; the caller puts it
+// back.
+func scratch() *cellScratch {
+	s := cellScratches.Get().(*cellScratch)
+	s.codes, s.index.masses, s.rows = s.codes[:0], s.index.masses[:0], s.rows[:0]
+	return s
+}
+
+// code appends the code of f's section, and its masses and rows.
+func (s *cellScratch) code(f *tdbf.Filter) {
+	c := levelCode{n: f.Occupied()}
+	s.index.reset(c.n / 4) // a key's k cells mostly share its mass
+	prev, gaps := -1, uint64(0)
+	for w := 0; w*64*tdbf.LineCells < f.Cells(); w++ {
+		for m := f.Lines(w); m != 0; m &= m - 1 {
+			j := w*64 + bits.TrailingZeros64(m)
+			line := f.Line(j)
+			// The line's non-zero cells, as a mask found without a branch.
+			var held uint
+			for i, v := range line {
+				b := math.Float64bits(v)
+				held |= uint((b|-b)>>63) << i
+			}
+			for ; held != 0; held &= held - 1 {
+				i := bits.TrailingZeros(held)
+				at := j*tdbf.LineCells + i
+				id := s.index.id(math.Float64bits(line[i]))
+				s.rows = append(s.rows, uint64(at)<<32|uint64(id))
+				gaps, prev = gaps|uint64(at-prev), at
+			}
+		}
+	}
+	c.m = len(s.index.masses) - s.index.base
+	c.gw, c.iw = width(gaps), width(uint64(max(c.m, 1)-1))
+	s.codes = append(s.codes, c)
+}
+
+// appendLevel writes f's section, coded as c with masses and rows: seed,
+// add count, landmark, the code, then the dictionary and its rows or the
+// dense column.
+func appendLevel(b []byte, f *tdbf.Filter, c levelCode, masses, rows []uint64) []byte {
 	b = appendU64(b, f.Seed())
 	b = appendI64(b, f.Adds())
 	b = appendI64(b, f.Landmark())
-	b = appendU32(b, uint32(f.Occupied()))
-	if !sparse(f.Occupied(), cells) {
+	b = appendU32(b, uint32(c.n))
+	b = append(appendU32(b, uint32(c.m)), c.gw, c.iw)
+	if cells := f.Cells(); c.dense(cells) {
 		for i := 0; i < cells; i++ {
 			b = appendF64(b, f.Line(i / tdbf.LineCells)[i%tdbf.LineCells])
 		}
 		return b
 	}
-	for w := 0; w*64*tdbf.LineCells < cells; w++ {
-		for m := f.Lines(w); m != 0; m &= m - 1 {
-			j := w*64 + bits.TrailingZeros64(m)
-			for i, v := range f.Line(j) {
-				if v != 0 {
-					b = appendF64(appendU32(b, uint32(j*tdbf.LineCells+i)), v)
-				}
-			}
-		}
+	for _, v := range masses {
+		b = appendU64(b, v)
+	}
+	prev := -1
+	for _, r := range rows {
+		at := int(r >> 32)
+		b = appendUint(b, uint64(at-prev)|(r&math.MaxUint32)<<(8*c.gw), c.gw+c.iw)
+		prev = at
+	}
+	return b
+}
+
+// codeLevels codes fs and returns the size of their sections.
+func (s *cellScratch) codeLevels(fs []*tdbf.Filter) (size int) {
+	for _, f := range fs {
+		s.code(f)
+		size += s.codes[len(s.codes)-1].size(f.Cells())
+	}
+	return size
+}
+
+// appendLevels writes the sections of fs, coded by codeLevels.
+func (s *cellScratch) appendLevels(b []byte, fs []*tdbf.Filter) []byte {
+	masses, rows := s.index.masses, s.rows
+	for l, f := range fs {
+		c := s.codes[l]
+		b = appendLevel(b, f, c, masses[:c.m], rows[:c.n])
+		masses, rows = masses[c.m:], rows[c.n:]
 	}
 	return b
 }
@@ -389,11 +547,13 @@ func appendLevel(b []byte, f *tdbf.Filter) []byte {
 // EncodeFilter frames a bare time-decaying Bloom filter (KindFilter, no
 // hierarchy descriptor).
 func EncodeFilter(f *tdbf.Filter) []byte {
-	b := beginFrame(KindFilter, 0, 0, 0, decaySize+filterHeaderSize+levelSize(f.Occupied(), f.Cells()))
+	s, fs := scratch(), []*tdbf.Filter{f}
+	defer cellScratches.Put(s)
+	b := beginFrame(KindFilter, 0, 0, 0, decaySize+filterHeaderSize+s.codeLevels(fs))
 	b = appendDecay(b, f.Decay())
 	b = appendU32(b, uint32(f.Cells()))
 	b = appendU16(b, uint16(f.Hashes()))
-	return endFrame(appendLevel(b, f))
+	return endFrame(s.appendLevels(b, fs))
 }
 
 // EncodeContinuous frames a continuous detector (KindContinuous): its
@@ -403,7 +563,10 @@ func EncodeFilter(f *tdbf.Filter) []byte {
 // sized to its own level's cells.
 func EncodeContinuous(d *continuous.Detector) []byte {
 	cfg := d.Config()
-	st := d.State()
+	s := scratch()
+	defer cellScratches.Put(s)
+	st := d.StateInto(s.active)
+	s.active = st.Active
 	var cflags byte
 	if cfg.Sampled {
 		cflags |= 1
@@ -411,10 +574,7 @@ func EncodeContinuous(d *continuous.Detector) []byte {
 	if st.Started {
 		cflags |= 2
 	}
-	size := continuousHeaderSize + len(st.Active)*activeRowSize
-	for _, f := range st.Filters {
-		size += levelSize(f.Occupied(), f.Cells())
-	}
+	size := continuousHeaderSize + len(st.Active)*activeRowSize + s.codeLevels(st.Filters)
 	fam, step, depth := describe(cfg.Hierarchy)
 	b := beginFrame(KindContinuous, fam, step, depth, size)
 	b = appendF64(b, cfg.Phi)
@@ -439,8 +599,5 @@ func EncodeContinuous(d *continuous.Detector) []byte {
 	}
 
 	b = appendU16(b, uint16(len(st.Filters)))
-	for _, f := range st.Filters {
-		b = appendLevel(b, f)
-	}
-	return endFrame(b)
+	return endFrame(s.appendLevels(b, st.Filters))
 }

@@ -17,27 +17,28 @@ import (
 // fuzzSeeds returns one valid frame per summary kind plus the classic
 // envelope corruptions, the corpus every wire fuzz target starts from. The
 // decayed kinds are there at the versions written now in both cell layouts
-// — testFilter's cells are two-thirds occupied and the continuous fixture's
-// leaf level is full, dense columns; the thin filter and the fixture's /8
-// level, held exactly with 3 of its 256 cells occupied, are sparse ones —
-// at the versions before, as the committed vectors, and as the frames of
-// hostileContinuous; the sliding delta as the golden fixture's and four
-// mutations of it; the Space-Saving kinds at both versions, and the
-// hostile columns.
+// — the continuous fixture's leaf level is full, a dense column; the thin
+// filter and testFilter's cells, and the fixture's /8 level, held exactly
+// with 3 of its 256 cells occupied, are dictionaries — at the versions
+// before and now, as the committed vectors, and as the frames of
+// hostileContinuous and hostileDicts; the sliding delta as the golden
+// fixture's and four mutations of it; the Space-Saving kinds at both
+// versions, and the hostile columns.
 func fuzzSeeds(f *testing.F) [][]byte {
 	filterFrame := EncodeFilter(testFilter(7))
 	cont := testContinuous(f, 8)
 	contFrame := EncodeContinuous(cont)
-	var occupied []int
-	for _, lf := range cont.Filters() {
-		occupied = append(occupied, lf.Occupied())
-	}
 	thin := tdbf.New(tdbf.Config{Cells: 64, Hashes: 3, Seed: 1, Decay: tdbf.Exponential{Tau: time.Second}})
 	for key := uint64(0); key < 3; key++ {
 		thin.Add(key, 9, int64(key))
 	}
-	if sparse(testFilter(7).Occupied(), 256) || !sparse(thin.Occupied(), 64) ||
-		sparse(slices.Max(occupied), 1<<10) || !sparse(slices.Min(occupied), 1<<10) {
+	layouts := map[bool]int{}
+	for _, fs := range [][]*tdbf.Filter{{testFilter(7)}, {thin}, cont.Filters()} {
+		for l, c := range levelCodes(fs) {
+			layouts[c.dense(fs[l].Cells())]++
+		}
+	}
+	if layouts[true] == 0 || layouts[false] == 0 {
 		f.Fatal("the seed frames no longer cover both cell layouts")
 	}
 	var old [][]byte
@@ -49,6 +50,9 @@ func fuzzSeeds(f *testing.F) [][]byte {
 		old = append(old, frame)
 	}
 	for _, h := range hostileContinuous(f) {
+		old = append(old, h.frame)
+	}
+	for _, h := range hostileDicts(f) {
 		old = append(old, h.frame)
 	}
 	// A delta, whole and with a slot bit beyond the ring, one the payload has
@@ -105,6 +109,14 @@ func fuzzSeeds(f *testing.F) [][]byte {
 	}
 	for _, h := range hostileColumns() {
 		seeds = append(seeds, h.frame)
+	}
+	// And the decayed kinds' committed vectors at the versions written now.
+	for _, name := range []string{"tdbf-v3", "continuous-v4-dict", "continuous-v6-dict"} {
+		frame, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, frame)
 	}
 	return seeds
 }

@@ -28,8 +28,8 @@ import (
 // fixtures are the back-compat tripwire for the wire format. It rewrites
 // the vectors the encoders still produce, never the decode-only ones
 // (oldDecayed, oldColumns, memento-v6-uneven, sliding-v4, continuous-v4-v3,
-// continuous-v6-v3), and CI fails a change that
-// touches a committed vector at all.
+// continuous-v6-v3), and CI fails a change that touches a committed vector
+// at all.
 var updateGolden = flag.Bool("update", false, "rewrite golden wire vectors")
 
 // goldenFixtures enumerates one fixed-seed summary per kind and
@@ -61,24 +61,26 @@ func goldenFixtures(t *testing.T) []struct {
 		{"sliding-v4-delta-whole-v2", deltaWhole},
 		{"memento-v4", EncodeMemento(testMementoH(v4, 0x60))},
 		{"memento-v6", EncodeMemento(testMementoH(v6, 0x61))},
-		{"tdbf-v2", filterFrame},
-		{"continuous-v4-block", contV4},
-		{"continuous-v6-block", contV6},
+		{"tdbf-v3", filterFrame},
+		{"continuous-v4-dict", contV4},
+		{"continuous-v6-dict", contV6},
 	}
 }
 
 // oldDecayed names the vectors of the decayed kinds at the versions nothing
 // writes any more, with the version each verifies as: what the fixtures
-// behind tdbf-v2, continuous-v4-block and continuous-v6-block encoded to
-// while a cell carried its own timestamp (version 1), and what the
-// continuous ones did while every level was a hashed filter (version 2). The
-// bytes stay, decode-only.
+// behind tdbf-v3, continuous-v4-dict and continuous-v6-dict encoded to
+// while a cell carried its own timestamp (version 1), what the continuous
+// ones did while every level was a hashed filter (version 2), and what all
+// three did while a non-zero cell was a 12-byte row (tdbf-v2 and the
+// continuous-*-block pair, versions 2 and 3). The bytes stay, decode-only.
 var oldDecayed = []struct {
 	name    string
 	version uint16
 }{
 	{"tdbf", Version}, {"continuous-v4", Version}, {"continuous-v6", Version},
 	{"continuous-v4-v2", VersionSparse}, {"continuous-v6-v2", VersionSparse},
+	{"tdbf-v2", VersionSparse}, {"continuous-v4-block", VersionLevels}, {"continuous-v6-block", VersionLevels},
 }
 
 // oldColumns names the Space-Saving kinds' vectors at version 1, every field
@@ -190,9 +192,11 @@ func goldenSlidingPerPacket(t *testing.T) {
 // and activation instants up to a block later, the same format:
 // continuous-*-block is the vector the fixture is compared to — so the old
 // bytes are what no entry builds any more, and a valid frame all the same:
-// they decode, re-encode to themselves, and hold the fixture's exact frame
-// totals — packets, warm-up end and the decayed total, which is added per
-// packet and no block moves — and its active prefixes.
+// they decode, re-encode — at version 4 since their version 3 is written no
+// more — to a fixpoint of the codec that holds the same state, and hold the
+// fixture's exact frame totals — packets, warm-up end and the decayed
+// total, which is added per packet and no block moves — and its active
+// prefixes.
 func goldenContinuousPerPacket(t *testing.T, name string) {
 	want, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
 	if err != nil {
@@ -205,8 +209,13 @@ func goldenContinuousPerPacket(t *testing.T, name string) {
 	if err != nil {
 		t.Fatalf("committed vector no longer decodes: %v", err)
 	}
-	if re := EncodeContinuous(old); !bytes.Equal(re, want) {
-		t.Fatal("committed vector does not re-encode to itself")
+	re := EncodeContinuous(old)
+	again, err := decodeAs[*continuous.Detector](re)
+	if f, _ := Verify(re); err != nil || f.Header.Version != VersionLevelsDict || !bytes.Equal(EncodeContinuous(again), re) {
+		t.Fatalf("the re-encoding is not a version-%d fixpoint of the codec (%v)", VersionLevelsDict, err)
+	}
+	if !reflect.DeepEqual(again.State(), old.State()) {
+		t.Fatal("the re-encoding holds another state")
 	}
 	h, seed := testHierarchy(), uint64(0x80)
 	if strings.HasPrefix(name, "continuous-v6") {
@@ -386,7 +395,10 @@ func goldenOldDecayed(t *testing.T, name string, version uint16) {
 	default:
 		t.Fatalf("decoded to %T", v)
 	}
-	limit := len(frame) // version 1 spent 16 bytes on a cell
+	// Version 1 spent 16 bytes on a cell; a dictionary section is at most a
+	// code's bytes longer than a 12-byte row a cell, and only where the
+	// filter's masses are nearly all distinct.
+	limit := len(frame) + len(filters(v))*dictHeaderSize
 	if version == Version {
 		limit = len(frame)/2 + 64
 	}
@@ -419,30 +431,53 @@ func levelKeys(h addr.Hierarchy, l int) []uint64 {
 }
 
 // TestGoldenDenseLevel: the vectors written now between them pin both cell
-// layouts, the dense column included, at hashed levels and at levels held
-// exactly.
+// layouts, the dense column and the dictionary, at hashed levels and at
+// levels held exactly, and dictionaries with a mass that several cells
+// share.
 func TestGoldenDenseLevel(t *testing.T) {
-	var dense, sparseLevels [2]int // by whether the level is held exactly
+	var dense, dict [2]int // by whether the level is held exactly
+	shared := 0
 	for _, seed := range []uint64{0x80, 0x81} {
 		h := testHierarchy()
 		if seed == 0x81 {
 			h = testHierarchyV6()
 		}
-		for _, f := range testContinuousH(t, h, seed).Filters() {
+		fs := testContinuousH(t, h, seed).Filters()
+		for l, c := range levelCodes(fs) {
 			exact := 0
-			if f.Direct() {
+			if fs[l].Direct() {
 				exact = 1
 			}
-			if sparse(f.Occupied(), f.Cells()) {
-				sparseLevels[exact]++
-			} else {
+			if c.dense(fs[l].Cells()) {
 				dense[exact]++
+			} else if dict[exact]++; c.m < c.n {
+				shared++
 			}
 		}
 	}
-	if dense[0] == 0 || sparseLevels[0] == 0 || dense[1] == 0 || sparseLevels[1] == 0 {
-		t.Fatalf("golden fixtures hold %v dense and %v sparse levels (hashed, exact): one layout goes unpinned", dense, sparseLevels)
+	if dense[0] == 0 || dict[0] == 0 || dense[1] == 0 || dict[1] == 0 || shared == 0 {
+		t.Fatalf("golden fixtures hold %v dense and %v dictionary levels (hashed, exact), %d sharing a mass: one layout goes unpinned", dense, dict, shared)
 	}
+}
+
+// levelCodes is how the encoder codes the sections of fs.
+func levelCodes(fs []*tdbf.Filter) []levelCode {
+	s := scratch()
+	defer cellScratches.Put(s)
+	s.codeLevels(fs)
+	return slices.Clone(s.codes)
+}
+
+// filters returns a decoded summary's filters: a bare filter's one, a
+// continuous detector's levels.
+func filters(v any) []*tdbf.Filter {
+	switch s := v.(type) {
+	case *tdbf.Filter:
+		return []*tdbf.Filter{s}
+	case *continuous.Detector:
+		return s.Filters()
+	}
+	return nil
 }
 
 // TestGoldenMementoUnevenClocks keeps the format pin on the bytes

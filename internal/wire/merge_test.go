@@ -467,7 +467,8 @@ func FuzzMergeReencodes(f *testing.F) {
 	var frames [][]byte
 	for _, name := range []string{"tdbf", "tdbf-v2", "exact-v4", "exact-v6",
 		"continuous-v4", "continuous-v4-v2", "continuous-v4-v3", "continuous-v4-block",
-		"continuous-v6", "continuous-v6-v2", "continuous-v6-v3", "continuous-v6-block"} {
+		"continuous-v6", "continuous-v6-v2", "continuous-v6-v3", "continuous-v6-block",
+		"tdbf-v3", "continuous-v4-dict", "continuous-v6-dict"} {
 		frame, err := os.ReadFile(filepath.Join("testdata", name+".wire"))
 		if err != nil {
 			f.Fatal(err)

@@ -282,6 +282,10 @@ func TestRestoreSlidingInPlace(t *testing.T) {
 	}
 }
 
+// restoreAllocs is what a continuous frame's in-place restore may allocate:
+// nothing that grows with the filters.
+const restoreAllocs = 16
+
 // TestRestoreContinuousInPlace drives one sender's successive frames into
 // one retained detector, as the Aggregator does: after every frame — of
 // any version, across roll-overs of the sender's landmark — the detector
@@ -333,7 +337,7 @@ func TestRestoreContinuousInPlace(t *testing.T) {
 		if !bytes.Equal(encoded(d), encoded(cold)) || !bytes.Equal(encoded(d), encoded(live)) {
 			t.Fatalf("round %d: the retained detector differs from a cold decode of the frame", round)
 		}
-		if allocs > 16 {
+		if allocs > restoreAllocs && !raceEnabled { // the race build's sync.Pool drops the scratch at random
 			t.Fatalf("round %d: in-place restore made %v allocations", round, allocs)
 		}
 		landmarks[d.State().Total.Touch] = true
@@ -383,8 +387,9 @@ func TestRestoreContinuousInPlace(t *testing.T) {
 	f := feed(live, time.Second)
 	frame := encoded(live)
 	bad, err := Verify(mangle(frame, func(b []byte) {
-		// The root's section ends in its occupied count and its one mass.
-		binary.LittleEndian.PutUint32(b[len(b)-crcSize-denseCellSize-4:], 2)
+		// The root's section ends in its occupied count, its code and its
+		// one mass.
+		binary.LittleEndian.PutUint32(b[len(b)-crcSize-denseCellSize-dictHeaderSize-4:], 2)
 	}))
 	if err != nil {
 		t.Fatal(err)

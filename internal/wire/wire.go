@@ -13,7 +13,7 @@
 //
 //	offset  size  field
 //	0       4     magic "hhwf"
-//	4       2     format version (1 to 3, by kind: see below)
+//	4       2     format version (1 to 4, by kind: see below)
 //	6       1     summary kind (Kind)
 //	7       1     flags (0; nonzero rejected)
 //	8       1     hierarchy family: 0 none, 4 IPv4, 6 IPv6
@@ -42,8 +42,8 @@
 // The version is per kind:
 //
 //	kind                                                written  read
-//	continuous                                          3        1, 2, 3
-//	tdbf (with it the decayed kinds)                    2        1, 2
+//	continuous                                          4        1, 2, 3, 4
+//	tdbf                                                3        1, 2, 3
 //	space-saving, per-level, rhhh, sliding(-delta)      2        1, 2
 //	exact, memento                                      1        1
 //
@@ -67,33 +67,49 @@
 // # The decayed kinds' cells
 //
 // A filter's cells are forward-decayed masses scaled to a landmark (see
-// internal/tdbf) and mostly zero, so version 2 writes each filter — the one
-// of a tdbf frame, each level's of a continuous frame — as its seed (8) and
-// add count (8), then
+// internal/tdbf), mostly zero, and a key's k cells hold one mass unless
+// another key's probe lands on them, so a tdbf frame at version 3 writes
+// its filter, and a continuous frame at version 4 each level's, as its seed
+// (8) and add count (8), then
 //
 //	8     landmark (ns; math.MinInt64 for a filter that stores nothing)
 //	4     n, the number of non-zero cells
-//	12·n  if 12·n < 8·cells, sparse rows in strictly increasing index
-//	      order: cell index (4), mass (float64, finite, > 0)
-//	8·cells  else the dense column: every cell's mass (finite, ≥ 0, n of
-//	      them non-zero)
+//	4     m, the number of distinct masses among them
+//	1+1   gw and iw, the fewest bytes that hold the largest gap and the
+//	      largest id (m − 1); 0 and 0 when n is 0
+//	then, if 8·m + n·(gw+iw) < 8·cells, the dictionary:
+//	8·m   the distinct masses (float64, finite, > 0), in the order the
+//	      cells first hold them
+//	n·(gw+iw)  a row per non-zero cell, in increasing index order: the gap
+//	      from the cell before it (from −1 for the first; at least 1) in gw
+//	      bytes, then its mass's id in iw, little-endian
+//	else the dense column, 8·cells: every cell's mass (finite, ≥ 0)
 //
-// — whichever is smaller, at most 12 + 8·cells bytes against version 1's
-// 16·cells; the layout is a function of n, not a flag, so a state has one
-// encoding. Every level of a continuous frame carries the mass tracker's
-// landmark. Version 1 wrote 16 bytes per cell, (mass, timestamp of its last
-// decay): a mass scaled to a landmark of its own, which restoring rescales
-// to the latest timestamp its filter carries.
+// — whichever is smaller, dense on a tie. The layout is a function of (n,
+// m, gw, iw), and every one of the four is held to the cells: a mass that
+// repeats or that no row uses, an id met before all the ids below it are,
+// an id of m or more, a gap of 0 or past the cells, a width wider than its
+// column needs, m > n are ErrCorrupt, so a state has one encoding. Every
+// level of a continuous frame carries the mass tracker's landmark.
+//
+// The versions before wrote the cells otherwise, and are read still. Version
+// 2 of a tdbf frame, and versions 2 and 3 of a continuous one, wrote after
+// n either the dense column or, where 12·n < 8·cells, a 12-byte row per
+// non-zero cell — index (4), mass (8) — with no code. Version 1 wrote 16
+// bytes per cell, (mass, timestamp of its last decay): a mass scaled to a
+// landmark of its own, which restoring rescales to the latest timestamp its
+// filter carries.
 //
 // Version 3 of a continuous frame is version 2 with each level's section
-// sized to that level's own filter: cells is the declared filter cells
-// where the level is hashed, and 2^r where its r family-relative prefix
-// bits give no more keys than that — a level held exactly, one cell per key
-// (tdbf.Base.NewLevel); both ends derive the shape from the hierarchy and
-// the declared cells. In versions 1 and 2 every level is hashed, and a
-// receiver converts the levels it holds exactly as it restores them: a
-// key's cell takes the minimum of the k cells the sender's filter gave it,
-// which preserves every estimate of the level.
+// sized to that level's own filter, and so is version 4: cells is the
+// declared filter cells where the level is hashed, and 2^r where its r
+// family-relative prefix bits give no more keys than that — a level held
+// exactly, one cell per key (tdbf.Base.NewLevel); both ends derive the
+// shape from the hierarchy and the declared cells. In versions 1 and 2
+// every level is hashed, and a receiver converts the levels it holds
+// exactly as it restores them: a key's cell takes the minimum of the k
+// cells the sender's filter gave it, which preserves every estimate of the
+// level.
 //
 // Every version of a continuous frame carries an exit ratio (float64) and a
 // warm-up (ns) in its header. They are held to the detector's fixed rules:
@@ -145,13 +161,17 @@ import (
 
 // Version is the wire-format version of the kinds that have one layout,
 // exact and Memento: the Space-Saving kinds are written at VersionColumns,
-// a bare filter at VersionSparse, the continuous detector at
-// VersionLevels, and each is read at every version up to its own.
+// a bare filter at VersionDict, the continuous detector at
+// VersionLevelsDict, and each is read at every version up to its own.
+// VersionSparse and VersionLevels are the decayed kinds' versions before
+// their cells were a dictionary.
 const (
-	Version        = 1
-	VersionSparse  = 2
-	VersionColumns = 2
-	VersionLevels  = 3
+	Version           = 1
+	VersionSparse     = 2
+	VersionColumns    = 2
+	VersionLevels     = 3
+	VersionDict       = 3
+	VersionLevelsDict = 4
 )
 
 // magic opens every frame.
@@ -193,9 +213,9 @@ const (
 func (k Kind) version() uint16 {
 	switch k {
 	case KindContinuous:
-		return VersionLevels
+		return VersionLevelsDict
 	case KindFilter:
-		return VersionSparse
+		return VersionDict
 	case KindSpaceSaving, KindPerLevel, KindRHHH, KindSliding, KindSlidingDelta:
 		return VersionColumns
 	}
@@ -433,6 +453,12 @@ type cursor struct {
 	summaries    int // Space-Saving instances restored from this payload
 	counters     int // summed Space-Saving capacity restored
 	mementoCells int // summed Memento frame-cell matrix size restored
+
+	// The filter section being read (level): its cells, their Next, bound
+	// once a frame, and the pooled index its code is checked with.
+	cells cellReader
+	next  func() (int, float64, bool)
+	index *massIndex
 }
 
 func newCursor(version uint16, b []byte) *cursor { return &cursor{b: b, ok: true, version: version} }

@@ -6,7 +6,9 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -585,12 +587,88 @@ func TestCorruptPayloads(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[headerSize+25:], uint64(time.Second))
 		})},
 	}
-	for _, tc := range cases {
+	for _, tc := range append(cases, hostileDicts(t)...) {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := Decode(tc.frame); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Decode = %v, want ErrCorrupt", err)
 			}
+			if !strings.HasSuffix(tc.name, "-unbacked") {
+				return
+			}
+			const runs = 20
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < runs; i++ {
+				Decode(tc.frame)
+			}
+			runtime.ReadMemStats(&after)
+			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4096 {
+				t.Fatalf("refusing a %d-byte frame allocates %d B", len(tc.frame), per)
+			}
 		})
+	}
+}
+
+// hostileDicts are version-4 continuous frames a decoder refuses for their
+// leaf level's dictionary section alone — 256 hashed cells, every other
+// level well formed — and bare filters of the largest shape the budget
+// admits whose dictionary the payload does not back, which are refused
+// before anything is sized from it. The well-formed section they vary holds
+// cells 0, 2 and 7 in 2 masses, 1.5 2.5 1.5: gaps 1, 2 and 5, ids 0 1 0.
+func hostileDicts(t testing.TB) []struct {
+	name  string
+	frame []byte
+} {
+	col := func(n int, vs ...float64) []float64 { return append(vs, make([]float64, n-len(vs))...) }
+	at := func(leaf section) []byte {
+		return craftSections(t, VersionLevelsDict, 256, []section{leaf,
+			column(VersionLevelsDict, col(256, 1)), column(VersionLevelsDict, col(256, 1)),
+			column(VersionLevelsDict, col(256, 0, 3)), column(VersionLevelsDict, col(1, 4))})
+	}
+	masses, gaps, ids := []float64{1.5, 2.5}, []uint64{1, 2, 5}, []uint64{0, 1, 0}
+	if _, err := Decode(at(dict(3, 1, 1, masses, gaps, ids))); err != nil {
+		t.Fatalf("the well-formed section: %v", err)
+	}
+	// A dense column of 250 cells all of one mass, declared as 250 masses:
+	// its own dictionary would take 258 bytes against the column's 2 048.
+	flat := make([]float64, 256)
+	for i := range flat[:250] {
+		flat[i] = 1.5
+	}
+	// And 250 cells in a row of 250 masses, written as a dictionary: 2 500
+	// bytes.
+	var distinct []float64
+	var ones, counted []uint64
+	for i := range 250 {
+		distinct, ones, counted = append(distinct, float64(i+1)), append(ones, 1), append(counted, uint64(i))
+	}
+	unbacked := func(n, m int, gw, iw uint8) []byte {
+		p := appendI64([]byte{decayExponential}, int64(time.Second))
+		p = appendU32(p, maxFilterCells)
+		p = appendU16(p, 3)
+		p = appendU64(p, 7)
+		p = appendI64(p, 1)
+		p = appendI64(p, 5)
+		p = appendU32(appendU32(p, uint32(n)), uint32(m))
+		return frameFor(KindFilter, 0, 0, 0, append(p, gw, iw))
+	}
+	return []struct {
+		name  string
+		frame []byte
+	}{
+		{"dict-duplicate-mass", at(dict(3, 1, 1, []float64{1.5, 1.5}, gaps, ids))},
+		{"dict-mass-unused", at(dict(3, 1, 1, []float64{1.5, 2.5, 3.5}, gaps, ids))},
+		{"dict-ids-out-of-order", at(dict(3, 1, 1, masses, gaps, []uint64{1, 0, 0}))},
+		{"dict-id-past-masses", at(dict(3, 1, 1, masses, gaps, []uint64{0, 1, 2}))},
+		{"dict-gap-width-not-minimal", at(dict(3, 2, 1, masses, gaps, ids))},
+		{"dict-id-width-not-minimal", at(dict(3, 1, 2, masses, gaps, ids))},
+		{"dict-zero-gap", at(dict(3, 1, 1, masses, []uint64{1, 0, 5}, ids))},
+		{"dict-gap-past-cells", at(dict(3, 2, 1, masses, []uint64{1, 2, 300}, ids))},
+		{"dict-more-masses-than-cells", at(dict(1, 1, 1, masses, gaps[:1], ids[:1]))},
+		{"dict-dense-not-smaller", at(dense(250, 250, 1, 1, flat))},
+		{"dict-where-dense-is-smaller", at(dict(250, 1, 1, distinct, ones, counted))},
+		{"dict-masses-unbacked", unbacked(maxFilterCells, maxFilterCells, 3, 3)},
+		{"dict-rows-unbacked", unbacked(maxFilterCells, 1, 3, 0)},
 	}
 }
 
@@ -599,7 +677,8 @@ func TestCorruptPayloads(t *testing.T) {
 // itself — the cell budget before anything is sized, then counts, indices,
 // masses and landmarks — and refused with a typed error.
 func TestSparseTrustBoundary(t *testing.T) {
-	// filter assembles a KindFilter frame around a handcrafted column.
+	// filter assembles a version-2 KindFilter frame around a handcrafted
+	// column.
 	filter := func(cells uint32, landmark int64, occupied uint32, body ...any) []byte {
 		p := appendI64([]byte{decayExponential}, int64(time.Second))
 		p = appendU32(p, cells)
@@ -616,7 +695,7 @@ func TestSparseTrustBoundary(t *testing.T) {
 				p = appendF64(p, v)
 			}
 		}
-		return frameFor(KindFilter, 0, 0, 0, p)
+		return mangle(frameFor(KindFilter, 0, 0, 0, p), func(b []byte) { b[4] = VersionSparse })
 	}
 	negZero := math.Copysign(0, -1)
 	if _, err := Decode(filter(8, 5, 2, 1, 1.5, 6, 2.5)); err != nil {
@@ -663,8 +742,10 @@ func TestSparseTrustBoundary(t *testing.T) {
 			binary.LittleEndian.PutUint64(b[off:], binary.LittleEndian.Uint64(b[off:])+1)
 		}), ErrCorrupt},
 		{"v2-on-another-kind", mangle(exact, func(b []byte) { b[4] = VersionSparse }), ErrVersion},
-		{"version-3", mangle(filter(8, 5, 1, 3, 1.5), func(b []byte) { b[4] = VersionLevels }), ErrVersion},
-		{"version-4", mangle(good, func(b []byte) { b[4] = VersionLevels + 1 }), ErrVersion},
+		// Version 3 reads the occupied count's row as the dictionary's code:
+		// 3 masses for one cell.
+		{"version-3", mangle(filter(8, 5, 1, 3, 1.5), func(b []byte) { b[4] = VersionDict }), ErrCorrupt},
+		{"version-4", mangle(filter(8, 5, 1, 3, 1.5), func(b []byte) { b[4] = VersionDict + 1 }), ErrVersion},
 		{"version-0", mangle(good, func(b []byte) { b[4] = 0 }), ErrVersion},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
