@@ -592,7 +592,7 @@ func TestCorruptPayloads(t *testing.T) {
 			if _, err := Decode(tc.frame); !errors.Is(err, ErrCorrupt) {
 				t.Fatalf("Decode = %v, want ErrCorrupt", err)
 			}
-			if !strings.HasSuffix(tc.name, "-unbacked") {
+			if !strings.HasPrefix(tc.name, "dict-") || !strings.HasSuffix(tc.name, "-unbacked") {
 				return
 			}
 			const runs = 20
@@ -642,15 +642,22 @@ func hostileDicts(t testing.TB) []struct {
 	for i := range 250 {
 		distinct, ones, counted = append(distinct, float64(i+1)), append(ones, 1), append(counted, uint64(i))
 	}
-	unbacked := func(n, m int, gw, iw uint8) []byte {
+	// A bare filter of maxFilterCells cells, every one occupied, in m
+	// masses of which the payload holds the first `held`, and no rows: a
+	// dictionary, 8·m + (1 + iw)·2²⁴ bytes against the dense column's 8·2²⁴.
+	unbacked := func(m, held int) []byte {
 		p := appendI64([]byte{decayExponential}, int64(time.Second))
 		p = appendU32(p, maxFilterCells)
 		p = appendU16(p, 3)
 		p = appendU64(p, 7)
 		p = appendI64(p, 1)
 		p = appendI64(p, 5)
-		p = appendU32(appendU32(p, uint32(n)), uint32(m))
-		return frameFor(KindFilter, 0, 0, 0, append(p, gw, iw))
+		p = appendU32(appendU32(p, maxFilterCells), uint32(m))
+		p = append(p, 1, width(uint64(m-1)))
+		for i := range held {
+			p = appendF64(p, float64(i+1))
+		}
+		return frameFor(KindFilter, 0, 0, 0, p)
 	}
 	return []struct {
 		name  string
@@ -667,8 +674,8 @@ func hostileDicts(t testing.TB) []struct {
 		{"dict-more-masses-than-cells", at(dict(1, 1, 1, masses, gaps[:1], ids[:1]))},
 		{"dict-dense-not-smaller", at(dense(250, 250, 1, 1, flat))},
 		{"dict-where-dense-is-smaller", at(dict(250, 1, 1, distinct, ones, counted))},
-		{"dict-masses-unbacked", unbacked(maxFilterCells, maxFilterCells, 3, 3)},
-		{"dict-rows-unbacked", unbacked(maxFilterCells, 1, 3, 0)},
+		{"dict-masses-unbacked", unbacked(1<<20, 0)},
+		{"dict-rows-unbacked", unbacked(1, 1)},
 	}
 }
 
