@@ -492,15 +492,15 @@ func TestRestoredHugeMassSaturates(t *testing.T) {
 		Total:   tdbf.MassState{V: 1e30, Touch: 0},
 		Active:  []ActiveEntry{{Level: root, Key: rootKey}},
 	}
-	err = d.Restore(0, st, func(l, cells int) (tdbf.FilterState, error) {
-		done := l != root
-		return tdbf.FilterState{Seed: d.filters[l].Seed(), Landmark: 0, Next: func() (int, float64, bool) {
-			if done {
-				return 0, 0, false
-			}
-			done = true
-			return 0, 1e30, true
-		}}, nil
+	err = d.Restore(0, st, func(l int, f *tdbf.Filter) error {
+		w, err := f.Restore(tdbf.FilterState{Seed: f.Seed(), Landmark: 0})
+		if err != nil || l != root {
+			return err
+		}
+		if err := w.Set(0, 1e30); err != nil {
+			return err
+		}
+		return w.Close(1)
 	})
 	if err != nil {
 		t.Fatal(err)

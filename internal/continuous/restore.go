@@ -86,17 +86,17 @@ func (d *Detector) Fits(cfg Config) bool {
 
 // Restore brings d to serialized state in place, allocating nothing that
 // grows with the filters: sampler is the level-sampling state, st
-// everything but the filters (st.Filters is not consulted), and
-// level(l, cells) is asked once per level, in level order, for the state of
-// that level's filter, of cells cells (see tdbf.Filter.Restore: the seed
-// must be the one NewDetector derived). With st.Hashed a level held exactly
-// converts its state (tdbf.Filter.RestoreHashed, the one path that
-// allocates a filter).
-// Active entries must name a level of the hierarchy and a key generalised
-// to it; of duplicate entries the earliest activation is kept. An error
-// from level is returned as it is. On error d is partly written and must
-// be discarded. The filters' own Restore clears them, the one clear they get.
-func (d *Detector) Restore(sampler uint64, st State, level func(l, cells int) (tdbf.FilterState, error)) error {
+// everything but the filters (st.Filters is not consulted), and level(l, f)
+// is called once per level, in level order, to restore f to that level's
+// state (tdbf.Filter.Restore: the seed must be the one NewDetector
+// derived). With st.Hashed, where the level is held exactly, f is a new
+// hashed filter of the configured shape, which the level's filter then
+// converts (tdbf.Filter.RestoreHashed). Active entries must name a level of the
+// hierarchy and a key generalised to it; of duplicate entries the earliest
+// activation is kept. An error from level is returned as it is. On error d
+// is partly written and must be discarded. The filters' own Restore clears
+// them, the one clear they get.
+func (d *Detector) Restore(sampler uint64, st State, level func(l int, f *tdbf.Filter) error) error {
 	if st.Packets < 0 {
 		return fmt.Errorf("continuous: restore: negative packet count %d", st.Packets)
 	}
@@ -111,21 +111,19 @@ func (d *Detector) Restore(sampler uint64, st State, level func(l, cells int) (t
 	// hierarchy the root mask leaves none of the address given).
 	fixed := h.Key(addr.V4Root.Addr, d.levels-1)
 	for l, f := range d.filters {
-		cells := f.Cells()
-		if st.Hashed {
-			cells = d.cfg.Filter.Cells
+		to := f
+		if st.Hashed && f.Direct() {
+			cfg := d.cfg.Filter
+			cfg.Seed = f.Seed()
+			to = tdbf.New(cfg)
 		}
-		fs, err := level(l, cells)
-		if err != nil {
+		if err := level(l, to); err != nil {
 			return err
 		}
-		if st.Hashed && f.Direct() {
-			err = f.RestoreHashed(fs, d.cfg.Filter, fixed)
-		} else {
-			err = f.Restore(fs)
-		}
-		if err != nil {
-			return fmt.Errorf("continuous: restore: level %d: %v", l, err)
+		if to != f {
+			if err := f.RestoreHashed(to, fixed); err != nil {
+				return fmt.Errorf("continuous: restore: level %d: %v", l, err)
+			}
 		}
 	}
 	for _, e := range st.Active {

@@ -8,7 +8,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"runtime"
 	"slices"
 	"sort"
 	"strings"
@@ -667,13 +666,11 @@ func TestAggregatorContinuousSteadyStateAllocs(t *testing.T) {
 		t.Skip("the race build's sync.Pool drops the decoder's scratch at random: an allocation count has nothing to measure")
 	}
 	const rounds = 8
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < rounds; i++ {
-		round()
-	}
-	runtime.ReadMemStats(&after)
-	perFrame := (after.TotalAlloc - before.TotalAlloc) / (2 * rounds)
+	perFrame := leastAlloc(func() {
+		for i := 0; i < rounds; i++ {
+			round()
+		}
+	}) / (2 * rounds)
 	t.Logf("steady-state ingest: %d B per frame", perFrame)
 	if column := uint64(cells * 8); perFrame > column/8 {
 		t.Fatalf("steady-state ingest allocates %d B per frame; one level's cells are %d B", perFrame, column)

@@ -88,17 +88,13 @@ func TestDirectLevel(t *testing.T) {
 			mk(8).Merge(o)
 		}()
 	}
-	one := func(i int, v float64) func() (int, float64, bool) {
-		done := false
-		return func() (int, float64, bool) { done = !done; return i, v, done }
-	}
-	if err := mk(8).Restore(FilterState{Seed: 4, Landmark: 5, Next: one(256, 1)}); err == nil {
+	if err := restoreCells(mk(8), FilterState{Seed: 4, Landmark: 5}, 1, 256, 1.0); err == nil {
 		t.Error("Restore accepted an index past a direct level's cells")
 	}
-	if err := mk(0).Restore(FilterState{Seed: 4, Landmark: 5, Next: one(1, 1)}); err == nil {
+	if err := restoreCells(mk(0), FilterState{Seed: 4, Landmark: 5}, 1, 1, 1.0); err == nil {
 		t.Error("Restore accepted a second cell in a one-key level")
 	}
-	if err := mk(8).Restore(FilterState{Seed: 5, Landmark: 5, Next: one(3, 1)}); err == nil {
+	if err := restoreCells(mk(8), FilterState{Seed: 5, Landmark: 5}, 1, 3, 1.0); err == nil {
 		t.Error("Restore accepted another seed")
 	}
 }
@@ -118,8 +114,16 @@ func TestRestoreHashed(t *testing.T) {
 		now += int64(rng.Intn(int(3 * time.Millisecond)))
 		old.Add(fixed|uint64(rng.Intn(24))<<shift, float64(1+rng.Intn(9)), now)
 	}
-	state := func() FilterState {
-		return FilterState{Seed: old.Seed(), Adds: old.Adds(), Landmark: old.Landmark(), Next: cellRows(old.masses())}
+	// hashed is old's state restored, through the cell writer, into a new
+	// hashed filter of its shape and the seed given.
+	hashed := func(seed uint64) *Filter {
+		c := cfg
+		c.Seed = seed
+		src := New(c)
+		if err := RestoreMasses(src, FilterState{Seed: seed, Adds: old.Adds(), Landmark: old.Landmark()}, old.masses()); err != nil {
+			t.Fatal(err)
+		}
+		return src
 	}
 	for _, later := range []bool{false, true} {
 		base := NewBase(law)
@@ -127,7 +131,7 @@ func TestRestoreHashed(t *testing.T) {
 		if later {
 			f.Add(fixed, 1, now+int64(time.Second)) // the receiver's landmark is the later one
 		}
-		if err := f.RestoreHashed(state(), cfg, fixed); err != nil {
+		if err := f.RestoreHashed(hashed(cfg.Seed), fixed); err != nil {
 			t.Fatal(err)
 		}
 		collided := 0
@@ -149,15 +153,11 @@ func TestRestoreHashed(t *testing.T) {
 		}
 	}
 	f := NewBase(law).NewLevel(cfg, shift, 5)
-	st := state()
-	st.Seed++
-	if err := f.RestoreHashed(st, cfg, fixed); err == nil {
+	if err := f.RestoreHashed(hashed(cfg.Seed+1), fixed); err == nil {
 		t.Error("RestoreHashed accepted another seed")
 	}
-	st = state()
-	st.Next = cellRows(append(make([]float64, 64), 1))
-	if err := f.RestoreHashed(st, cfg, fixed); err == nil {
-		t.Error("RestoreHashed accepted a cell past the hashed filter's")
+	if err := restoreCells(New(cfg), FilterState{Seed: cfg.Seed, Landmark: old.Landmark()}, 1, 64, 1.0); err == nil {
+		t.Error("the hashed filter's restore accepted a cell past its cells")
 	}
 }
 

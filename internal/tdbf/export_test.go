@@ -10,6 +10,22 @@ func (f *Filter) masses() []float64 {
 	return m
 }
 
+// RestoreMasses restores f to st with the non-zero cells of masses, through
+// the writer Restore returns.
+func RestoreMasses(f *Filter, st FilterState, masses []float64) error {
+	w, err := f.Restore(st)
+	n := 0
+	for i, v := range masses {
+		if v != 0 && err == nil {
+			err, n = w.Set(i, v), n+1
+		}
+	}
+	if err == nil {
+		err = w.Close(n)
+	}
+	return err
+}
+
 // Masses is masses, for the external tests.
 func Masses(f *Filter) []float64 { return f.masses() }
 

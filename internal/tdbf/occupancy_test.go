@@ -23,7 +23,7 @@ const occupancyTau = time.Second
 // occupancyShapes are the rig's hashed filters: a power-of-two one, whose
 // k probes are distinct cells, and one of 100 cells, whose probes may meet
 // and whose last line is partial. The direct level shares the first's seed,
-// so that RestoreHashed takes its state.
+// so that RestoreHashed converts its state.
 var occupancyShapes = []tdbf.Config{{Cells: 64, Hashes: 3, Seed: 1}, {Cells: 100, Hashes: 3, Seed: 2}}
 
 // occupancyRig is two Bases, each with both hashed filters, a 64-cell
@@ -47,18 +47,10 @@ func newOccupancyRig() *occupancyRig {
 	return r
 }
 
-// state reads f's state off its accessors, its rows from a scan of every
-// cell.
-func state(f *tdbf.Filter) tdbf.FilterState {
-	masses, i := tdbf.Masses(f), -1
-	return tdbf.FilterState{Seed: f.Seed(), Adds: f.Adds(), Landmark: f.Landmark(), Next: func() (int, float64, bool) {
-		for i++; i < len(masses); i++ {
-			if masses[i] != 0 {
-				return i, masses[i], true
-			}
-		}
-		return 0, 0, false
-	}}
+// restore restores f to o's state, read off its accessors, with the
+// non-zero cells of a scan of every cell.
+func restore(f, o *tdbf.Filter) error {
+	return tdbf.RestoreMasses(f, tdbf.FilterState{Seed: o.Seed(), Adds: o.Adds(), Landmark: o.Landmark()}, tdbf.Masses(o))
 }
 
 // held counts the lines fs hold.
@@ -106,12 +98,17 @@ func (r *occupancyRig) run(t *testing.T, ops []byte) {
 			}
 			f.Merge(o)
 		case 5:
-			if err := f.Restore(state(o)); err != nil {
+			if err := restore(f, o); err != nil {
 				t.Fatalf("restore: %v", err)
 			}
 		case 6:
-			f = r.sides[s][2]
-			if err := f.RestoreHashed(state(r.sides[1-s][0]), occupancyShapes[0], 0); err != nil {
+			cfg := occupancyShapes[0]
+			cfg.Decay = tdbf.Exponential{Tau: occupancyTau}
+			f, hashed := r.sides[s][2], tdbf.New(cfg)
+			if err := restore(hashed, r.sides[1-s][0]); err != nil {
+				t.Fatalf("restore: %v", err)
+			}
+			if err := f.RestoreHashed(hashed, 0); err != nil {
 				t.Fatalf("restore hashed: %v", err)
 			}
 		case 7:

@@ -7,25 +7,20 @@
 
 package tdbf
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// FilterState is the serializable state of a Filter beyond its shape: the
-// input of Filter.Restore. The way out of a live filter is its accessors,
-// Lines and Line.
+// FilterState is the serializable state of a Filter beyond its shape and
+// its cells: the input of Filter.Restore, whose writer takes the cells. The
+// way out of a live filter is its accessors, Lines and Line.
 type FilterState struct {
 	Seed uint64
 	Adds int64
 	// Landmark is the instant the masses are scaled to; NoLandmark only if
 	// there are none.
 	Landmark int64
-	// Next yields the non-zero cells — index and scaled mass — in strictly
-	// increasing index order, ok false after the last. Restore pulls them
-	// one at a time, so a decoder can read them off its input straight
-	// into the filter.
-	Next func() (i int, v float64, ok bool)
-	// Occupied, unless zero, is how many cells Next yields: a restore that
-	// takes another number fails.
-	Occupied int
 }
 
 // Seed returns the hash-family seed, needed to serialize the filter and
@@ -41,71 +36,73 @@ func (f *Filter) Occupied() int { return f.occ }
 // validLandmark reports whether l is an instant a Base can stand at.
 func validLandmark(l int64) bool { return l == NoLandmark || (l >= -maxTime && l <= maxTime) }
 
-// Restore replaces the filter's contents with serialized state, in place.
-// The seed must be the filter's own and masses finite and positive; masses
-// scaled to another landmark than the Base's are brought to the later of
-// the two, as Merge would. On error the filter is partly written and must
-// be Reset or discarded.
-func (f *Filter) Restore(st FilterState) error {
-	if st.Seed != f.seed {
-		return fmt.Errorf("tdbf: restore: seed %#x, filter has %#x", st.Seed, f.seed)
-	}
-	if st.Adds < 0 {
-		return fmt.Errorf("tdbf: restore: negative add count %d", st.Adds)
-	}
-	if !validLandmark(st.Landmark) {
-		return fmt.Errorf("tdbf: restore: landmark %d out of range", st.Landmark)
+// Restore replaces the filter's contents with serialized state, in place:
+// it checks st, clears the filter and returns the writer its non-zero cells
+// go in through, so that a decoder writes them straight off its input. The
+// seed must be the filter's own; masses scaled to another landmark than the
+// Base's are brought to the later of the two, as Merge would. On error,
+// Restore's or a write's, the filter is partly written and must be Reset or
+// discarded.
+func (f *Filter) Restore(st FilterState) (CellWriter, error) {
+	switch {
+	case st.Seed != f.seed:
+		return CellWriter{}, fmt.Errorf("tdbf: restore: seed %#x, filter has %#x", st.Seed, f.seed)
+	case st.Adds < 0:
+		return CellWriter{}, fmt.Errorf("tdbf: restore: negative add count %d", st.Adds)
+	case !validLandmark(st.Landmark):
+		return CellWriter{}, fmt.Errorf("tdbf: restore: landmark %d out of range", st.Landmark)
 	}
 	f.Reset()
 	f.adds = uint64(st.Adds)
-	k := f.base.align(st.Landmark)
-	// The cells come in ascending order into a filter holding none: each is
-	// set, and a line taken as the first of its cells arrives.
-	l, held := &f.pool[0], -1
-	for prev, n := -1, 0; ; n++ {
-		switch i, v, ok := st.Next(); {
-		case !ok && st.Occupied != 0 && n != st.Occupied:
-			return fmt.Errorf("tdbf: restore: %d occupied cells, %d declared", n, st.Occupied)
-		case !ok:
-			return nil
-		case i <= prev || i >= f.cells:
-			return fmt.Errorf("tdbf: restore: cell index %d after %d in %d cells", i, prev, f.cells)
-		case !validMass(v) || v == 0 || st.Landmark == NoLandmark:
-			return fmt.Errorf("tdbf: restore: invalid mass %v in cell %d (landmark %d)", v, i, st.Landmark)
-		case v*k == 0: // rescaled to nothing
-			prev = i
-		default:
-			if j := i / LineCells; j != held && len(f.pool) < cap(f.pool) {
-				f.dir[j] = uint32(len(f.pool))
-				f.pool = append(f.pool, line{})
-				l, held = &f.pool[f.dir[j]], j
-			} else if j != held {
-				l, held = &f.pool[f.take(uint64(j))], j
-			}
-			l[i%LineCells] = v * k
-			f.occ++
-			prev = i
-		}
-	}
+	return CellWriter{f: f, k: f.base.align(st.Landmark), land: st.Landmark, prev: -1}, nil
 }
 
-// RestoreHashed restores a direct-addressed filter from the state of the
-// hashed filter of shape cfg that stood at its level before levels were
-// sized to their key spaces. Key i of the level is fixed | i<<shift, and
-// its cell takes the minimum of the k cells the hashed filter gave it:
-// every estimate of the level is preserved exactly.
-func (f *Filter) RestoreHashed(st FilterState, cfg Config, fixed uint64) error {
-	if st.Seed != f.seed {
-		return fmt.Errorf("tdbf: restore: seed %#x, filter has %#x", st.Seed, f.seed)
+// CellWriter writes the non-zero cells of a filter Restore cleared, in
+// strictly increasing index order.
+type CellWriter struct {
+	f       *Filter
+	k       float64 // brings a mass to the Base's landmark
+	land    int64
+	prev, n int // the last index written, and the cells written
+}
+
+// Set writes cell i, past the last one written, of mass v scaled to the
+// state's landmark: finite and positive, and a state with no landmark
+// takes none.
+func (w *CellWriter) Set(i int, v float64) error {
+	if i <= w.prev || i >= w.f.cells {
+		return fmt.Errorf("tdbf: restore: cell index %d after %d in %d cells", i, w.prev, w.f.cells)
 	}
-	cfg.Seed, cfg.Decay = st.Seed, f.base.law
-	src := New(cfg)
-	if err := src.Restore(st); err != nil {
-		return err
+	if !(v > 0 && v <= math.MaxFloat64) || w.land == NoLandmark {
+		return fmt.Errorf("tdbf: restore: invalid mass %v in cell %d (landmark %d)", v, i, w.land)
+	}
+	w.prev, w.n = i, w.n+1
+	if v *= w.k; v != 0 { // else rescaled to nothing
+		w.f.add(uint64(i), v)
+	}
+	return nil
+}
+
+// Close holds the cells written to n, the number the state declared.
+func (w *CellWriter) Close(n int) error {
+	if w.n != n {
+		return fmt.Errorf("tdbf: restore: %d occupied cells, %d declared", w.n, n)
+	}
+	return nil
+}
+
+// RestoreHashed restores a direct-addressed filter from src, the hashed
+// filter that stood at its level before levels were sized to their key
+// spaces, restored of its state: key i of the level is fixed | i<<shift,
+// and its cell takes the minimum of the k cells src gives it, so every
+// estimate of the level is preserved exactly.
+func (f *Filter) RestoreHashed(src *Filter, fixed uint64) error {
+	if src.seed != f.seed {
+		return fmt.Errorf("tdbf: restore: seed %#x, filter has %#x", src.seed, f.seed)
 	}
 	f.Reset()
-	f.adds = uint64(st.Adds)
-	k := f.base.align(st.Landmark)
+	f.adds = src.adds
+	k := f.base.align(src.Landmark())
 	for i := range f.cells {
 		if v := src.read(fixed|uint64(i)<<f.shift) * k; v != 0 {
 			f.add(uint64(i), v)

@@ -857,17 +857,17 @@ func TestSharedBase(t *testing.T) {
 	}
 }
 
-// cellRows returns a FilterState.Next over the non-zero cells of masses.
-func cellRows(masses []float64) func() (int, float64, bool) {
-	i := -1
-	return func() (int, float64, bool) {
-		for i++; i < len(masses); i++ {
-			if masses[i] != 0 {
-				return i, masses[i], true
-			}
-		}
-		return 0, 0, false
+// restoreCells restores f to st with cells, pairs of index and mass, through
+// the writer Restore returns, closed on declared cells.
+func restoreCells(f *Filter, st FilterState, declared int, cells ...any) error {
+	w, err := f.Restore(st)
+	for ; err == nil && len(cells) > 0; cells = cells[2:] {
+		err = w.Set(cells[0].(int), cells[1].(float64))
 	}
+	if err == nil {
+		err = w.Close(declared)
+	}
+	return err
 }
 
 // TestRestore: state read off a filter through its accessors and put back
@@ -880,10 +880,10 @@ func TestRestore(t *testing.T) {
 		src.Add(key, float64(100+key), int64(7*time.Second)+int64(key)*1e6)
 	}
 	state := func() FilterState {
-		return FilterState{Seed: src.Seed(), Adds: src.Adds(), Landmark: src.Landmark(), Next: cellRows(src.masses())}
+		return FilterState{Seed: src.Seed(), Adds: src.Adds(), Landmark: src.Landmark()}
 	}
 	dst := New(cfg)
-	if err := dst.Restore(state()); err != nil {
+	if err := RestoreMasses(dst, state(), src.masses()); err != nil {
 		t.Fatal(err)
 	}
 	if !slices.Equal(dst.masses(), src.masses()) || dst.Landmark() != src.Landmark() || dst.Adds() != src.Adds() {
@@ -893,7 +893,7 @@ func TestRestore(t *testing.T) {
 	// Merge into an empty filter at that landmark would.
 	dst = New(cfg)
 	dst.Add(1, 1, int64(9*time.Second))
-	if err := dst.Restore(state()); err != nil {
+	if err := RestoreMasses(dst, state(), src.masses()); err != nil {
 		t.Fatal(err)
 	}
 	if dst.Landmark() != int64(9*time.Second) || !near(dst.Estimate(3, int64(10*time.Second)), src.Estimate(3, int64(10*time.Second))) {
@@ -901,30 +901,30 @@ func TestRestore(t *testing.T) {
 			dst.Landmark(), dst.Estimate(3, int64(10*time.Second)), src.Estimate(3, int64(10*time.Second)))
 	}
 
-	rows := func(r ...any) func() (int, float64, bool) {
-		return func() (int, float64, bool) {
-			if len(r) == 0 {
-				return 0, 0, false
-			}
-			i, v := r[0].(int), r[1].(float64)
-			r = r[2:]
-			return i, v, true
-		}
+	// Each case writes its cells and declares a count; the first is well
+	// formed, so that what refuses the others is what each gets wrong.
+	hostile := func(st FilterState, declared int, cells ...any) error {
+		return restoreCells(New(cfg), st, declared, cells...)
 	}
-	for name, st := range map[string]FilterState{
-		"seed":           {Seed: 6, Next: rows()},
-		"adds":           {Seed: 5, Adds: -1, Next: rows()},
-		"landmark":       {Seed: 5, Landmark: 1<<62 + 1, Next: rows()},
-		"index-range":    {Seed: 5, Next: rows(128, 1.0)},
-		"index-negative": {Seed: 5, Next: rows(-1, 1.0)},
-		"index-order":    {Seed: 5, Next: rows(4, 1.0, 4, 1.0)},
-		"nan":            {Seed: 5, Next: rows(4, math.NaN())},
-		"inf":            {Seed: 5, Next: rows(4, math.Inf(1))},
-		"negative":       {Seed: 5, Next: rows(4, -1.0)},
-		"zero":           {Seed: 5, Next: rows(4, 0.0)},
-		"no-landmark":    {Seed: 5, Landmark: NoLandmark, Next: rows(4, 1.0)},
+	if err := hostile(FilterState{Seed: 5}, 2, 4, 1.0, 127, 2.0); err != nil {
+		t.Fatalf("a well-formed state: %v", err)
+	}
+	for name, err := range map[string]error{
+		"seed":           hostile(FilterState{Seed: 6}, 0),
+		"adds":           hostile(FilterState{Seed: 5, Adds: -1}, 0),
+		"landmark":       hostile(FilterState{Seed: 5, Landmark: 1<<62 + 1}, 0),
+		"index-range":    hostile(FilterState{Seed: 5}, 1, 128, 1.0),
+		"index-negative": hostile(FilterState{Seed: 5}, 1, -1, 1.0),
+		"index-order":    hostile(FilterState{Seed: 5}, 2, 4, 1.0, 4, 1.0),
+		"nan":            hostile(FilterState{Seed: 5}, 1, 4, math.NaN()),
+		"inf":            hostile(FilterState{Seed: 5}, 1, 4, math.Inf(1)),
+		"negative":       hostile(FilterState{Seed: 5}, 1, 4, -1.0),
+		"zero":           hostile(FilterState{Seed: 5}, 1, 4, 0.0),
+		"no-landmark":    hostile(FilterState{Seed: 5, Landmark: NoLandmark}, 1, 4, 1.0),
+		"count-short":    hostile(FilterState{Seed: 5}, 2, 4, 1.0),
+		"count-over":     hostile(FilterState{Seed: 5}, 0, 4, 1.0),
 	} {
-		if err := New(cfg).Restore(st); err == nil {
+		if err == nil {
 			t.Errorf("%s: Restore accepted it", name)
 		}
 	}

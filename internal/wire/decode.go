@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"time"
 
 	"hiddenhhh/internal/addr"
@@ -621,186 +622,136 @@ func sparse(occupied, cells int) bool {
 	return int64(occupied)*sparseRowSize < int64(cells)*denseCellSize
 }
 
-// level reads one filter's section at the cursor — seed, add count, cells —
-// written as the bare filter's version says (cellVersion), as the state a
-// restore pulls: Next yields the non-zero cells off the payload. The
-// section's bytes are checked to be there, and what they declare is held
-// to them before anything is sized from it; from version 3 the code is
-// held to the cells (check), so that a state has one encoding. The restore
-// holds the cells it takes to the declared count and validates indices and
-// masses (refusing -0, for the same reason).
-func (c *cursor) level(version uint16, cells int, d tdbf.Exponential) (st tdbf.FilterState, err error) {
-	st.Seed, st.Adds = c.u64(), c.i64()
-	if version == Version {
-		st.Landmark, st.Next, err = c.cellsV1(cells, d)
-		return st, err
+// levelHead is a filter's section read off the payload, as far as it reads
+// before a cell is written: the state, the code and the cells' bytes, in
+// the bare filter's version (cellVersion).
+type levelHead struct {
+	tdbf.FilterState
+	version     uint16
+	k           levelCode
+	col, masses []byte
+}
+
+// head reads the head of a filter's section of cells cells at the
+// cursor — seed, add count, landmark and code — and takes the bytes of its
+// cells. The bytes are checked to be there, and what the head declares is
+// held to them before anything is sized from it. A version-1 section has
+// no landmark: it is the latest timestamp of a cell that holds mass.
+func (c *cursor) head(version uint16, cells int) (s levelHead, err error) {
+	s.version, s.Seed, s.Adds, s.Landmark = version, c.u64(), c.i64(), tdbf.NoLandmark
+	k := &s.k
+	if version != Version {
+		s.Landmark, k.n = c.i64(), int(c.u32())
 	}
-	st.Landmark, st.Occupied = c.i64(), int(c.u32())
-	k := levelCode{n: st.Occupied}
-	if version != VersionSparse {
+	if version > VersionSparse {
 		k.m, k.gw, k.iw = int(c.u32()), c.u8(), c.u8()
 		if k.m > k.n || (k.m == 0) != (k.n == 0) || k.gw > 4 || k.iw != width(uint64(max(k.m, 1)-1)) {
-			return st, fmt.Errorf("%w: %d occupied cells in %d masses, widths %d and %d", ErrCorrupt, k.n, k.m, k.gw, k.iw)
+			return s, fmt.Errorf("%w: %d occupied cells in %d masses, widths %d and %d", ErrCorrupt, k.n, k.m, k.gw, k.iw)
 		}
 	}
 	if !c.ok || k.n > cells {
-		return st, fmt.Errorf("%w: short filter section, or %d occupied cells of %d", ErrCorrupt, k.n, cells)
+		return s, fmt.Errorf("%w: short filter section, or %d occupied cells of %d", ErrCorrupt, k.n, cells)
 	}
-	if err := boundLandmark(st.Landmark); err != nil {
-		return st, err
+	if err := boundLandmark(s.Landmark); err != nil {
+		return s, err
 	}
-	r := &c.cells
-	switch {
-	case version == VersionSparse && sparse(k.n, cells):
-		*r = cellReader{layout: sparseRows, col: c.take(k.n * sparseRowSize), end: k.n}
-	case version == VersionSparse || k.dense(cells):
-		*r = cellReader{layout: denseColumn, col: c.take(cells * denseCellSize), end: cells}
-	default:
-		stride := int(k.gw + k.iw)
-		*r = cellReader{layout: dictRows, end: k.n, at: -1, stride: stride,
-			gap: 1<<(8*k.gw&63) - 1, ids: 8 * k.gw & 63, drop: (64 - 8*uint8(stride)) & 63}
-		if r.masses = c.take(k.m * massSize); c.take(k.n*stride) != nil {
-			// A row loads as the eight bytes that end where it ends: the
-			// masses (or the header) are there before the first.
-			r.col = c.b[c.off-k.n*stride-8+stride : c.off]
-		}
-	}
-	if r.col == nil {
-		return st, fmt.Errorf("%w: short filter cells", ErrCorrupt)
-	}
-	if version != VersionSparse {
-		if err := r.check(k, cells, c.index); err != nil {
-			return st, err
-		}
-	}
-	if c.next == nil {
-		c.next = r.next
-	}
-	st.Next = c.next
-	return st, nil
-}
-
-// Cell layouts a section is read in.
-const (
-	denseColumn = iota
-	sparseRows  // version 2
-	dictRows    // version 3
-)
-
-// cellReader yields a section's non-zero cells, at versions 2 and 3 (as a
-// bare filter's): off the dense column, version 2's sparse rows, or a
-// dictionary's masses and rows, each row loaded as the eight bytes that end
-// where it ends, shifted right by drop: a gap in the bits gap masks, then
-// an id.
-type cellReader struct {
-	layout      int
-	col, masses []byte
-	end, i      int // the rows (the column's cells) there are, and read
-	at, stride  int // a dictionary's last index yielded, and row bytes
-	gap         uint64
-	drop, ids   uint8
-}
-
-// check holds a version-3 section's code k to its cells before the first
-// is yielded: a dictionary's masses are distinct, every gap is at least 1,
-// every mass is met first in the order of its number and none is past m,
-// and the gap width is the fewest bytes that hold the largest gap; a dense
-// column holds k.m masses in gaps whose largest takes k.gw bytes — and so
-// the layout is k's own. Indices past the cells are the restore's to
-// refuse.
-func (r *cellReader) check(k levelCode, cells int, x *massIndex) error {
-	met, gaps := 0, uint64(0) // the masses met, the gaps' OR
-	if r.layout == dictRows {
-		x.reset(k.m)
-		for i := range k.m {
-			if !x.add(binary.LittleEndian.Uint64(r.masses[i*massSize:])) {
-				return fmt.Errorf("%w: mass %d of the dictionary repeats one before it", ErrCorrupt, i)
+	switch stride := int(k.gw + k.iw); {
+	case version == Version:
+		s.col = c.take(cells * v1CellSize)
+		for i := 0; i < cells && s.col != nil; i++ {
+			touch := int64(binary.LittleEndian.Uint64(s.col[i*v1CellSize+8:]))
+			if err := boundTime(touch); err != nil {
+				return s, err
+			}
+			if binary.LittleEndian.Uint64(s.col[i*v1CellSize:]) != 0 {
+				s.Landmark = max(s.Landmark, touch)
 			}
 		}
-		for i := range k.n {
-			v := binary.LittleEndian.Uint64(r.col[i*r.stride:]) >> r.drop
-			gap, id := v&r.gap, v>>r.ids
+	case version == VersionSparse && sparse(k.n, cells):
+		s.col = c.take(k.n * sparseRowSize)
+	case version == VersionSparse || k.dense(cells):
+		s.col = c.take(cells * denseCellSize)
+	case c.take(k.m*massSize+k.n*stride) != nil:
+		// A row loads as the eight bytes that end where it ends: the masses
+		// (or the head) are there before the first.
+		s.masses, s.col = c.b[c.off-k.n*stride-k.m*massSize:], c.b[c.off-k.n*stride-8+stride:c.off]
+	}
+	if s.col == nil {
+		return s, fmt.Errorf("%w: short filter cells", ErrCorrupt)
+	}
+	return s, nil
+}
+
+// write restores f, of the section's cells, to s, writing the non-zero
+// cells in one pass over the rows or the column. From version 3 the pass
+// holds the code to the cells, so that a state has one encoding: the
+// masses distinct and m of them, every gap at least 1 and the largest
+// taking gw bytes, and a dictionary's ids met in order, none past m. The
+// writes hold the cells to the declared count and validate indices and
+// masses (refusing -0, for the same reason). A version-1 cell is a mass
+// scaled to a landmark of its own, written decayed to the section's (not
+// at all if it decays to nothing); that section declares no count. On
+// error f is partly written.
+func (c *cursor) write(s levelHead, f *tdbf.Filter, d tdbf.Exponential) error {
+	w, err := f.Restore(s.FilterState)
+	k, cells, col := s.k, f.Cells(), s.col
+	x, met, gaps := c.index, 0, uint64(0) // the masses met, the gaps' OR
+	switch {
+	case err != nil:
+	case s.version == Version:
+		for i := 0; i < cells && err == nil; i++ {
+			if vbits := binary.LittleEndian.Uint64(col[i*v1CellSize:]); vbits != 0 {
+				v, touch := math.Float64frombits(vbits), int64(binary.LittleEndian.Uint64(col[i*v1CellSize+8:]))
+				if m := v * math.Exp(-float64(s.Landmark-touch)/float64(d.Tau)); m != 0 || !(v > 0) {
+					err = w.Set(i, m)
+				}
+			}
+		}
+	case s.version == VersionSparse && sparse(k.n, cells):
+		for i := 0; i < k.n && err == nil; i++ {
+			row := col[i*sparseRowSize:]
+			err = w.Set(int(binary.LittleEndian.Uint32(row)), math.Float64frombits(binary.LittleEndian.Uint64(row[4:])))
+		}
+	case s.version == VersionSparse || k.dense(cells):
+		x.reset(k.n)
+		for i, at := 0, -1; i < cells && err == nil; i++ {
+			if v := binary.LittleEndian.Uint64(col[i*denseCellSize:]); v != 0 {
+				if x.add(v) {
+					met++
+				}
+				gaps, at, err = gaps|uint64(i-at), i, w.Set(i, math.Float64frombits(v))
+			}
+		}
+	default:
+		x.reset(k.m)
+		for i := 0; i < k.m && err == nil; i++ {
+			if !x.add(binary.LittleEndian.Uint64(s.masses[i*massSize:])) {
+				err = fmt.Errorf("%w: mass %d of the dictionary repeats one before it", ErrCorrupt, i)
+			}
+		}
+		stride := int(k.gw + k.iw)
+		drop, ids, gap1 := uint8(64-8*stride)&63, 8*k.gw&63, uint64(1)<<(8*k.gw&63)-1
+		for i, at := 0, -1; i < k.n && err == nil; i++ {
+			v := binary.LittleEndian.Uint64(col[i*stride:]) >> drop
+			gap, id := v&gap1, v>>ids
 			if gap == 0 || id > uint64(met) || id >= uint64(k.m) {
 				return fmt.Errorf("%w: row %d: gap %d, mass %d of %d with %d met", ErrCorrupt, i, gap, id, k.m, met)
 			}
 			met += int(((id ^ uint64(met)) - 1) >> 63) // one more where id is the next
-			gaps |= gap
-		}
-	} else {
-		x.reset(k.n)
-		for i, at := 0, -1; i < cells; i++ {
-			if v := binary.LittleEndian.Uint64(r.col[i*denseCellSize:]); v != 0 {
-				if x.add(v) {
-					met++
-				}
-				gaps, at = gaps|uint64(i-at), i
-			}
+			gaps, at = gaps|gap, at+int(gap)
+			err = w.Set(at, math.Float64frombits(binary.LittleEndian.Uint64(s.masses[id*massSize:])))
 		}
 	}
-	if met != k.m || width(gaps) != k.gw {
-		return fmt.Errorf("%w: %d masses in gaps of up to %d bytes, declared %d and %d", ErrCorrupt, met, width(gaps), k.m, k.gw)
+	if err == nil && s.version != Version {
+		err = w.Close(k.n)
+	}
+	if err == nil && s.version > VersionSparse && (met != k.m || width(gaps) != k.gw) {
+		err = fmt.Errorf("%w: %d masses in gaps of up to %d bytes, declared %d and %d", ErrCorrupt, met, width(gaps), k.m, k.gw)
+	}
+	if err != nil {
+		return corrupt(err)
 	}
 	return nil
-}
-
-func (r *cellReader) next() (int, float64, bool) {
-	for r.i < r.end {
-		i := r.i
-		r.i++
-		switch r.layout {
-		case dictRows:
-			v := binary.LittleEndian.Uint64(r.col[i*r.stride:]) >> r.drop
-			r.at += int(v & r.gap)
-			return r.at, math.Float64frombits(binary.LittleEndian.Uint64(r.masses[v>>r.ids*massSize:])), true
-		case sparseRows:
-			row := r.col[i*sparseRowSize:]
-			return int(binary.LittleEndian.Uint32(row)), math.Float64frombits(binary.LittleEndian.Uint64(row[4:])), true
-		}
-		if v := binary.LittleEndian.Uint64(r.col[i*denseCellSize:]); v != 0 {
-			return i, math.Float64frombits(v), true
-		}
-	}
-	return 0, 0, false
-}
-
-// cellsV1 reads a version-1 cell section: cells × (mass, timestamp of its
-// last decay). Such a cell is a mass scaled to a landmark of its own; the
-// section's landmark is the latest timestamp of a cell that holds mass, and
-// every mass is yielded decayed to it (one that decays to nothing is not
-// yielded at all).
-func (c *cursor) cellsV1(cells int, d tdbf.Exponential) (land int64, next func() (int, float64, bool), err error) {
-	col := c.take(cells * v1CellSize)
-	if col == nil {
-		return 0, nil, fmt.Errorf("%w: short filter cells", ErrCorrupt)
-	}
-	cell := func(i int) (vbits uint64, touch int64) {
-		b := col[i*v1CellSize:]
-		return binary.LittleEndian.Uint64(b), int64(binary.LittleEndian.Uint64(b[8:]))
-	}
-	land = tdbf.NoLandmark
-	for i := 0; i < cells; i++ {
-		vbits, touch := cell(i)
-		if err := boundTime(touch); err != nil {
-			return 0, nil, err
-		}
-		if vbits != 0 {
-			land = max(land, touch)
-		}
-	}
-	i := -1
-	return land, func() (int, float64, bool) {
-		for i++; i < cells; i++ {
-			vbits, touch := cell(i)
-			if vbits == 0 {
-				continue
-			}
-			v := math.Float64frombits(vbits)
-			if m := v * math.Exp(-float64(land-touch)/float64(d.Tau)); m != 0 || !(v > 0) {
-				return i, m, true
-			}
-		}
-		return 0, 0, false
-	}, nil
 }
 
 func decodeFilterPayload(hdr Header, payload []byte) (*tdbf.Filter, error) {
@@ -818,13 +769,13 @@ func decodeFilterPayload(hdr Header, payload []byte) (*tdbf.Filter, error) {
 	s := scratch()
 	defer cellScratches.Put(s)
 	c.index = &s.index
-	st, err := c.level(cellVersion(hdr), cells, d)
+	sec, err := c.head(cellVersion(hdr), cells)
 	if err != nil {
 		return nil, err
 	}
-	f := tdbf.New(tdbf.Config{Cells: cells, Hashes: hashes, Seed: st.Seed, Decay: d})
-	if err := f.Restore(st); err != nil {
-		return nil, corrupt(err)
+	f := tdbf.New(tdbf.Config{Cells: cells, Hashes: hashes, Seed: sec.Seed, Decay: d})
+	if err := c.write(sec, f, d); err != nil {
+		return nil, err
 	}
 	if err := c.finish(); err != nil {
 		return nil, err
@@ -903,7 +854,12 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 	if !c.ok {
 		return nil, fmt.Errorf("%w: short active set", ErrCorrupt)
 	}
-	st.Active = make([]continuous.ActiveEntry, nActive)
+	// The active set is read into the pooled scratch: Restore copies it.
+	s := scratch()
+	defer cellScratches.Put(s)
+	c.index = &s.index
+	st.Active = slices.Grow(s.active[:0], nActive)[:nActive]
+	s.active = st.Active
 	prevLevel, prevKey := -1, uint64(0)
 	for i := range st.Active {
 		key := c.u64()
@@ -941,23 +897,18 @@ func (f Frame) RestoreContinuous(d *continuous.Detector) (*continuous.Detector, 
 		}
 	}
 	// The levels are read where the restore asks for them, in payload
-	// order and at the size it says the level's section has; a codec-level
-	// finding outranks whatever the restore made of the bytes around it.
-	s := scratch()
-	defer cellScratches.Put(s)
-	c.index = &s.index
-	var bad error
-	err = d.Restore(sampler, st, func(_, cells int) (fs tdbf.FilterState, _ error) {
-		fs, bad = c.level(cellVersion(hdr), cells, decay)
-		if bad == nil && hdr.Version != Version && fs.Landmark != st.Total.Touch {
-			bad = fmt.Errorf("%w: a level's landmark %d differs from the tracker's %d", ErrCorrupt, fs.Landmark, st.Total.Touch)
+	// order, each into the filter it gives.
+	err = d.Restore(sampler, st, func(_ int, f *tdbf.Filter) error {
+		sec, err := c.head(cellVersion(hdr), f.Cells())
+		if err == nil && hdr.Version != Version && sec.Landmark != st.Total.Touch {
+			err = fmt.Errorf("%w: a level's landmark %d differs from the tracker's %d", ErrCorrupt, sec.Landmark, st.Total.Touch)
 		}
-		return fs, bad
+		if err != nil {
+			return err
+		}
+		return c.write(sec, f, decay)
 	})
-	switch {
-	case bad != nil:
-		return nil, bad
-	case err != nil:
+	if err != nil {
 		return nil, corrupt(err)
 	}
 	if err := c.finish(); err != nil {

@@ -234,12 +234,13 @@ func TestLevelsTrustBoundary(t *testing.T) {
 		}
 	}
 	sender := tdbf.New(tdbf.Config{Cells: 4, Hashes: 3, Seed: root.Seed(), Decay: tdbf.Exponential{Tau: 500 * time.Millisecond}})
-	cells := []float64{5, 7, 9, 11}
-	i := -1
-	if err := sender.Restore(tdbf.FilterState{Seed: root.Seed(), Adds: 9, Landmark: 5, Next: func() (int, float64, bool) {
-		i++
-		return i, cells[min(i, 3)], i < 4
-	}}); err != nil {
+	w, err := sender.Restore(tdbf.FilterState{Seed: root.Seed(), Adds: 9, Landmark: 5})
+	for i, v := range []float64{5, 7, 9, 11} {
+		if err == nil {
+			err = w.Set(i, v)
+		}
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	key := h.KeyOfPrefix(addr.V4Root)

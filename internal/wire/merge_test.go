@@ -329,15 +329,10 @@ func brimFrames(t testing.TB) []struct {
 } {
 	filter := func(adds int64, mass float64) []byte {
 		f := tdbf.New(tdbf.Config{Cells: 64, Hashes: 3, Seed: 1, Decay: tdbf.Exponential{Tau: time.Second}})
-		rows := []int{3}
-		err := f.Restore(tdbf.FilterState{Seed: 1, Adds: adds, Landmark: 5, Next: func() (int, float64, bool) {
-			if len(rows) == 0 {
-				return 0, 0, false
-			}
-			i := rows[0]
-			rows = rows[1:]
-			return i, mass, true
-		}})
+		w, err := f.Restore(tdbf.FilterState{Seed: 1, Adds: adds, Landmark: 5})
+		if err == nil {
+			err = w.Set(3, mass)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,6 +92,12 @@
 // column needs, m > n are ErrCorrupt, so a state has one encoding. Every
 // level of a continuous frame carries the mass tracker's landmark.
 //
+// A restore reads each section's head and checks its bytes are there, then
+// reads the rows or the column once, holding the code to the cells as it
+// goes and writing each non-zero cell straight into its filter (the writer
+// tdbf.Filter.Restore returns); a section refused part way leaves the
+// filters before it, and its cells before the refused one, written.
+//
 // The versions before wrote the cells otherwise, and are read still. Version
 // 2 of a tdbf frame, and versions 2 and 3 of a continuous one, wrote after
 // n either the dense column or, where 12·n < 8·cells, a 12-byte row per
@@ -107,9 +113,9 @@
 // exactly, one cell per key (tdbf.Base.NewLevel); both ends derive the
 // shape from the hierarchy and the declared cells. In versions 1 and 2
 // every level is hashed, and a receiver converts the levels it holds
-// exactly as it restores them: a key's cell takes the minimum of the k
-// cells the sender's filter gave it, which preserves every estimate of the
-// level.
+// exactly as it restores them: each such section is written into a new
+// hashed filter, and a key's cell takes the minimum of the k cells it gives
+// the key, which preserves every estimate of the level.
 //
 // Every version of a continuous frame carries an exit ratio (float64) and a
 // warm-up (ns) in its header. They are held to the detector's fixed rules:
@@ -454,11 +460,7 @@ type cursor struct {
 	counters     int // summed Space-Saving capacity restored
 	mementoCells int // summed Memento frame-cell matrix size restored
 
-	// The filter section being read (level): its cells, their Next, bound
-	// once a frame, and the pooled index its code is checked with.
-	cells cellReader
-	next  func() (int, float64, bool)
-	index *massIndex
+	index *massIndex // the pooled index a filter section's code is checked with
 }
 
 func newCursor(version uint16, b []byte) *cursor { return &cursor{b: b, ok: true, version: version} }
@@ -524,7 +526,11 @@ func (c *cursor) finish() error {
 	return nil
 }
 
-// corrupt wraps a restore-constructor error as a payload corruption.
+// corrupt wraps a restore-constructor error as a payload corruption; one
+// that is already passes as it is.
 func corrupt(err error) error {
+	if errors.Is(err, ErrCorrupt) {
+		return err
+	}
 	return fmt.Errorf("%w: %v", ErrCorrupt, err)
 }

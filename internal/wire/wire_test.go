@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
-	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -596,13 +595,12 @@ func TestCorruptPayloads(t *testing.T) {
 				return
 			}
 			const runs = 20
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			for i := 0; i < runs; i++ {
-				Decode(tc.frame)
-			}
-			runtime.ReadMemStats(&after)
-			if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 4096 {
+			per := leastAlloc(func() {
+				for i := 0; i < runs; i++ {
+					Decode(tc.frame)
+				}
+			}) / runs
+			if per >= 4096 {
 				t.Fatalf("refusing a %d-byte frame allocates %d B", len(tc.frame), per)
 			}
 		})
